@@ -7,8 +7,10 @@
 //!    MSCN-critical shapes (same shapes as the full `nn_kernels` bench);
 //! 2. **training** — a miniature fig1a build (small synthetic IMDb, 800
 //!    queries, 3 epochs) whose validation q-error is fully deterministic;
-//! 3. **inference** — the frozen fused featurize-and-forward path vs the
-//!    training-shape reference, single uncached estimates;
+//! 3. **inference** — the serving path (the frozen artifact's fused
+//!    kernel, a batch of one) vs the trained model's own forward
+//!    (`DeepSketch::reference_estimates`, the oracle), single uncached
+//!    estimates;
 //! 4. **serving** — a small coalescing-vs-per-request client fleet against
 //!    the TCP server, the tracing-enabled overhead measurement, and the
 //!    warm-cache speedup of the template-keyed estimate cache;
@@ -78,9 +80,13 @@ const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 const DEFAULT_THRESHOLD: f64 = 0.25;
 
 /// Quick-mode fleet size: small enough to finish in seconds, large enough
-/// for coalescing to engage.
+/// for coalescing to engage. 200 queries per client keep one fleet run at
+/// a few hundred milliseconds now that a request costs ~70 µs of CPU — at
+/// the 25 it was sized with when a request cost 8x that, a run was 30 ms
+/// of mostly connection set-up and the ratios read anything from 0.8 to
+/// 1.4.
 const CLIENTS: usize = 16;
-const QUERIES_PER_CLIENT: usize = 25;
+const QUERIES_PER_CLIENT: usize = 200;
 
 /// The CPU-budget and instrumented fleets run longer than the speedup
 /// fleets so per-run spawn/teardown cost and the /proc CPU-tick
@@ -385,35 +391,32 @@ fn stage_training(report: &mut BenchReport) -> (Arc<Database>, Arc<SketchStore>)
     (db, store)
 }
 
-/// Stage 3: single uncached estimates through the frozen fused
-/// featurize-and-forward path vs the training-shape reference forward. The
-/// speedup is a dimensionless ratio and gates CI; the absolute per-estimate
-/// latency records for same-machine diffs (the issue's sub-10µs target).
-/// The fused path must stay bit-identical to the reference — asserted here
-/// on the live workload before timing.
-fn stage_inference(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<SketchStore>) {
+/// Stage 3: single uncached estimates through the serving path (the frozen
+/// artifact's fused kernel, a batch of one) vs the trained model's own
+/// forward pass, [`DeepSketch::reference_estimates`] — the oracle, never
+/// served. The speedup is a dimensionless ratio and gates CI; the absolute
+/// per-estimate latency records for same-machine diffs. The serving path
+/// must stay bit-identical to the oracle — asserted here on the live
+/// workload before timing. Returns the oracle's seconds per estimate, the
+/// host-speed yardstick of stage 4's throughput floor.
+fn stage_inference(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<SketchStore>) -> f64 {
     println!("\n[3/8] frozen inference (fused featurize-and-forward):");
     let frozen = store.get("imdb").expect("sketch");
-    assert!(
-        frozen.frozen().is_some(),
-        "builder finalize must attach the frozen artifact"
-    );
-    let mut reference = (*frozen).clone();
-    reference.clear_frozen();
     let queries: Vec<_> = WORKLOAD
         .iter()
         .map(|sql| parse_query(db, sql).expect("parse workload"))
         .collect();
+    let reference = |q| frozen.reference_estimates(std::slice::from_ref(q))[0];
     for q in &queries {
         assert_eq!(
             frozen.estimate_one(q).to_bits(),
-            reference.estimate_one(q).to_bits(),
+            reference(q).to_bits(),
             "fused path diverged from the reference"
         );
     }
     let t_ref = min_secs(100, || {
         for q in &queries {
-            std::hint::black_box(reference.estimate_one(q));
+            std::hint::black_box(reference(q));
         }
     });
     let t_frozen = min_secs(100, || {
@@ -429,7 +432,18 @@ fn stage_inference(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<Ske
     );
     report.push(Metric::portable("infer/frozen_speedup", speedup, true));
     report.push(Metric::local("infer/single_estimate_us", single_us, false));
+    t_ref / queries.len() as f64
 }
+
+/// What the 16-client coalesced fleet served, per reference-forward time,
+/// at the parent of the change that made batch-of-one run the fused kernel
+/// and lone requests run inline: 5766 req/s × 671 µs in its committed
+/// `BENCH_quick.json`, 6405 req/s × 619 µs re-measured on the day of the
+/// change. The reference forward (`MscnModel::forward_into` on one query)
+/// is code that change did not touch, so it is the yardstick that carries
+/// the parent's absolute throughput to another host. The change measured
+/// 9.4–10.3 (15.1–17.1k req/s).
+const PARENT_COALESCED_PER_REFERENCE: f64 = 3.9;
 
 /// Runs a quick client fleet of `CLIENTS` connections issuing
 /// `queries_per_client` estimates each; returns elapsed seconds.
@@ -506,7 +520,12 @@ fn run_fleet(
 /// still runs end to end (proving the traced path under concurrency) and
 /// records its wall clock as a local metric; `serve_throughput` reports
 /// the honest end-to-end overhead into `BENCH_serve.json`.
-fn stage_serving(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<SketchStore>) -> f64 {
+fn stage_serving(
+    report: &mut BenchReport,
+    db: &Arc<Database>,
+    store: &Arc<SketchStore>,
+    reference_secs: f64,
+) -> f64 {
     let total = CLIENTS * QUERIES_PER_CLIENT;
     println!("\n[4/8] serving fleet ({CLIENTS} clients x {QUERIES_PER_CLIENT} queries):");
     // The coalescing and overhead fleets disable the estimate cache: they
@@ -519,6 +538,24 @@ fn stage_serving(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<Sketc
     let coal_rps = total as f64 / coal_secs;
     let speedup = coal_rps / per_req_rps;
     println!("  per-request {per_req_rps:>7.0} req/s   coalesced {coal_rps:>7.0} req/s   speedup {speedup:.2}x");
+    // While a batch of one ran the training-shape forward (~8x the fused
+    // kernel) this ratio read ~5 and mostly measured that penalty. With
+    // one kernel at every batch size the per-request fleet got ~8x faster
+    // and the ratio says what coalescing itself buys at 16 clients on this
+    // host — around 1 on two cores, where client threads, handlers and the
+    // worker share the cores and a batch's replies leave in one burst. A
+    // ratio that falls because its denominator rose is no regression, so
+    // the numerator gets a floor of its own: coalesced requests served per
+    // reference-forward time must not fall below the parent's.
+    let per_reference = coal_rps * reference_secs;
+    println!(
+        "  coalesced fleet serves {per_reference:.2} requests per reference forward          (floor {PARENT_COALESCED_PER_REFERENCE})"
+    );
+    assert!(
+        per_reference >= PARENT_COALESCED_PER_REFERENCE,
+        "coalesced fleet fell below its parent: {coal_rps:.0} req/s at {:.0} µs per reference          forward",
+        reference_secs * 1e6
+    );
 
     // Warm-cache fleet: same coalesced config with the default cache on.
     // The fleet cycles 6 templates, so after one cold pass every request is
@@ -1164,8 +1201,8 @@ fn main() -> ExitCode {
     let mut current = BenchReport::new("quick");
     stage_kernels(&mut current);
     let (db, store) = stage_training(&mut current);
-    stage_inference(&mut current, &db, &store);
-    let request_cpu_us = stage_serving(&mut current, &db, &store);
+    let reference_secs = stage_inference(&mut current, &db, &store);
+    let request_cpu_us = stage_serving(&mut current, &db, &store, reference_secs);
     stage_fleet(&mut current, &db, &store);
     stage_lifecycle(&mut current, &db, &store, request_cpu_us);
     stage_obs(&mut current, &db, &store, request_cpu_us);

@@ -427,20 +427,21 @@ impl<'a> SketchBuilder<'a> {
         if let Some(baseline) = crate::monitor::baseline_from_qerrors(&training.holdout_qerrors) {
             sketch.set_baseline(baseline);
         }
-        // Freeze the serving artifact, gated on accuracy: a prefix of the
-        // training queries probes frozen-vs-reference estimates, and a
-        // gate miss leaves the sketch on the reference path with a
-        // warning counter instead of shipping a drifted artifact.
-        let probes = &queries[..queries.len().min(FREEZE_PROBES)];
-        if let Err(worst) = sketch.freeze_gated(
-            self.quantization,
-            probes,
-            crate::sketch::FREEZE_GATE_MAX_DELTA,
-        ) {
-            if obs.is_enabled() {
+        // The sketch already serves through its bit-exact f32 artifact.
+        // A requested int8 artifact replaces it only through the accuracy
+        // gate: a prefix of the training queries probes it against the
+        // trained model, and a gate miss keeps f32 (with a warning
+        // counter) instead of shipping a drifted artifact.
+        if self.quantization != QuantMode::F32 {
+            let probes = &queries[..queries.len().min(FREEZE_PROBES)];
+            let gate = crate::sketch::FREEZE_GATE_MAX_DELTA;
+            if sketch
+                .freeze_gated(self.quantization, probes, gate)
+                .is_err()
+                && obs.is_enabled()
+            {
                 obs.count("build/freeze_gate_failures", 1);
             }
-            let _ = worst;
         }
         let footprint_bytes = sketch.footprint_bytes();
         let report = BuildReport {

@@ -410,10 +410,21 @@ impl Featurizer {
         samples: &[TableSample],
         out: &mut QueryIndexFeatures,
     ) {
-        out.tables.clear();
-        out.joins.clear();
-        out.preds.clear();
+        out.clear();
+        self.append_indices(query, samples, out);
+    }
 
+    /// [`Featurizer::featurize_indices`] without the clear: appends the
+    /// query's elements behind whatever `out` already holds, which is how
+    /// a batch is laid out for the fused forward (every query's sets back
+    /// to back). Returns how many `[table, join, predicate]` elements the
+    /// query contributed.
+    pub fn append_indices(
+        &self,
+        query: &Query,
+        samples: &[TableSample],
+        out: &mut QueryIndexFeatures,
+    ) -> [u32; 3] {
         // Table set: one-hot(table) then the bitmap tail (ascending).
         for &t in &query.tables {
             let start = out.tables.begin_elem();
@@ -478,6 +489,13 @@ impl Featurizer {
             }
             out.preds.finish_elem(start);
         }
+        // One element per table, join and predicate, whatever it holds.
+        [
+            query.tables.len(),
+            query.joins.len(),
+            query.predicates.len(),
+        ]
+        .map(|n| n as u32)
     }
 
     /// Assembles featurized queries into batched set matrices with segment
@@ -540,6 +558,15 @@ pub struct QueryIndexFeatures {
     pub joins: IndexSet,
     /// Predicate-set elements: column, operator, and literal slots.
     pub preds: IndexSet,
+}
+
+impl QueryIndexFeatures {
+    /// Empties the three sets, keeping their allocations.
+    pub fn clear(&mut self) {
+        self.tables.clear();
+        self.joins.clear();
+        self.preds.clear();
+    }
 }
 
 /// The three feature-vector sets of one query.

@@ -51,7 +51,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ds_nn::frozen::QuantMode;
 use ds_nn::loss::LabelNormalizer;
 use ds_query::parser::parse_query;
 use ds_query::query::Query;
@@ -62,7 +61,7 @@ use crate::maintain::{DEFAULT_DRIFT_RATIO, DEFAULT_MIN_SAMPLES};
 use crate::metrics::qerror;
 use crate::monitor::{baseline_from_qerrors, MonitorRegistry};
 use crate::mscn::{MscnConfig, MscnModel};
-use crate::sketch::{DeepSketch, FREEZE_GATE_MAX_DELTA};
+use crate::sketch::DeepSketch;
 use crate::snapshot::{checksum, valid_snapshot_name, SnapshotError};
 use crate::store::SketchStore;
 use crate::train::{train, LossKind, TrainConfig};
@@ -84,9 +83,6 @@ pub const MAX_HARVEST_KEY_LEN: u64 = 1 << 10;
 
 /// Decode cap on one harvested SQL string.
 pub const MAX_HARVEST_SQL_LEN: u64 = 1 << 16;
-
-/// Number of freeze-gate probe queries for a retrained candidate.
-const CANDIDATE_FREEZE_PROBES: usize = 64;
 
 /// Hard cap on buffered shadow/guard score vectors, so a stuck gate can
 /// never grow memory without bound.
@@ -1243,15 +1239,6 @@ fn train_candidate(
     candidate.set_threads(cfg.train_threads);
     if let Some(baseline) = baseline_from_qerrors(&report.holdout_qerrors) {
         candidate.set_baseline(baseline);
-    }
-    // Freeze for serving speed, gated on accuracy exactly like the
-    // builder; a gate miss serves the reference path instead.
-    let probes = &queries[..queries.len().min(CANDIDATE_FREEZE_PROBES)];
-    if candidate
-        .freeze_gated(QuantMode::F32, probes, FREEZE_GATE_MAX_DELTA)
-        .is_err()
-    {
-        ds_obs::global().count("lifecycle/freeze_gate_failures", 1);
     }
     Ok(candidate)
 }

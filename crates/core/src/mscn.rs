@@ -383,9 +383,9 @@ impl MscnModel {
 
     /// Converts the trained weights into a serving-only [`FrozenModel`]:
     /// every layer is copied (f32) or quantized (int8, per-input-row
-    /// scales) into the gather-friendly frozen layout. The reference
-    /// model keeps owning training and the batch path; the frozen
-    /// artifact only serves single-query estimates.
+    /// scales) into the gather-friendly frozen layout. This model keeps
+    /// owning training and serialization; the frozen artifact serves
+    /// every estimate.
     pub fn freeze(&self, mode: QuantMode) -> FrozenModel {
         FrozenModel::new(
             FrozenLinear::from_linear(&self.tables.l1, mode),

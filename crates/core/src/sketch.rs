@@ -2,6 +2,21 @@
 //! network and a set of materialized samples". It consumes a SQL query and
 //! returns a cardinality estimate (Figure 1b), fits in a few MiB, and
 //! answers within milliseconds.
+//!
+//! ## One inference path
+//!
+//! A sketch always holds a frozen serving artifact
+//! ([`ds_nn::frozen::FrozenModel`]) beside its trained [`MscnModel`], and
+//! every estimate — [`DeepSketch::estimate_one`],
+//! [`DeepSketch::estimate_batch`] and the validating `try_` forms, at any
+//! batch size and thread count — is one call of that artifact's fused
+//! batched kernel over sparse index lists, from per-thread scratch. The
+//! artifact is f32 (bit-identical to the trained model, so freezing it
+//! needs no gate) unless an int8 artifact passed the accuracy gate. The
+//! trained model is what gets serialized and retrained; its own forward
+//! pass survives only as [`DeepSketch::reference_estimates`], the oracle
+//! the freeze gate, the tests and the bench harness hold the serving path
+//! against.
 
 use std::cell::RefCell;
 
@@ -27,18 +42,20 @@ const MAGIC: &[u8; 4] = b"DSKT";
 /// inference artifact (with its quantization mode); version 4 inserted
 /// the feature-schema generation and per-predicate bitmap width after
 /// the `use_bitmaps` flag. Older blobs still load: v1 gets no baseline,
-/// v1 and v2 get a fresh f32 freeze on decode, and everything before v4
-/// decodes as feature schema v1 — the byte-identical paper encoding — so
-/// pre-existing snapshots keep answering exactly as they always did.
+/// and everything before v4 decodes as feature schema v1 — the
+/// byte-identical paper encoding — so pre-existing snapshots keep
+/// answering exactly as they always did. The frozen section carries an
+/// int8 artifact only; an f32 artifact, a bit-exact copy of the model
+/// weights stored just before it, is re-derived on load.
 const VERSION: u32 = 4;
 /// Oldest version [`DeepSketch::from_bytes`] accepts.
 const MIN_VERSION: u32 = 1;
 
-/// Queries per serving batch. Bounds the flattened set matrices (keeping
-/// them cache-resident) and is the unit of work parallelized across
-/// serving threads. Chunking never changes results: every query's rows
-/// flow through row-independent kernels and its own pooling segments.
-const SERVE_CHUNK: usize = 256;
+/// Queries per call of the fused kernel. Bounds the activation scratch
+/// (keeping it cache-resident beside the weights) and is the unit of work
+/// spread across serving threads. Chunking never changes results: a
+/// query's rows share no accumulator with any other query's.
+const SERVE_CHUNK: usize = 64;
 
 /// Accuracy gate for freezing (see [`DeepSketch::freeze_gated`]): the worst
 /// per-probe q-style ratio `max(frozen/reference, reference/frozen)` must
@@ -47,12 +64,20 @@ const SERVE_CHUNK: usize = 256;
 /// this bound is what actually guards int8 quantization.
 pub const FREEZE_GATE_MAX_DELTA: f64 = 1.05;
 
+/// Per-thread scratch of the inference path: the batch's index lists and
+/// per-query element counts, the kernel's activations, and its outputs.
+/// Buffers grow to the largest chunk a thread has served and are reused,
+/// so serving allocates nothing per call.
+#[derive(Default)]
+struct ServeScratch {
+    feats: QueryIndexFeatures,
+    counts: Vec<[u32; 3]>,
+    kernel: FrozenScratch,
+    y: Vec<f32>,
+}
+
 thread_local! {
-    /// Per-thread scratch of the fused featurize-and-forward path: index
-    /// lists plus layer activations. Keeps single-query serving
-    /// allocation-free after the first estimate on each thread.
-    static FUSED_SCRATCH: RefCell<(QueryIndexFeatures, FrozenScratch)> =
-        RefCell::new((QueryIndexFeatures::default(), FrozenScratch::new()));
+    static SCRATCH: RefCell<ServeScratch> = RefCell::new(ServeScratch::default());
 }
 
 /// Summary card of a trained sketch.
@@ -120,16 +145,16 @@ pub struct DeepSketch {
     /// against. `None` for sketches built before the monitor existed
     /// (version-1 blobs) or trained without a validation split.
     baseline: Option<HistogramSnapshot>,
-    /// The serving-only frozen artifact: gather-friendly f32 (or int8)
-    /// weights converted once from the trained model. `None` when freezing
-    /// was skipped or failed its accuracy gate — estimates then run the
-    /// reference batch path.
-    frozen: Option<FrozenModel>,
+    /// The serving artifact every estimate runs through: the model's
+    /// weights in gather-friendly layout, f32 (bit-exact) or gate-passed
+    /// int8. Always consistent with `model`'s shapes by construction.
+    frozen: FrozenModel,
 }
 
 impl DeepSketch {
     /// Assembles a sketch from trained parts (used by
-    /// [`crate::builder::SketchBuilder`]).
+    /// [`crate::builder::SketchBuilder`]), freezing the f32 serving
+    /// artifact — a copy of the weights, bit-exact, so it needs no gate.
     pub fn from_parts(
         model: MscnModel,
         featurizer: Featurizer,
@@ -140,6 +165,7 @@ impl DeepSketch {
         let database_name = database_name.into();
         let name = format!("Deep Sketch ({database_name})");
         Self {
+            frozen: model.freeze(QuantMode::F32),
             model,
             featurizer,
             samples,
@@ -148,7 +174,6 @@ impl DeepSketch {
             name,
             threads: 1,
             baseline: None,
-            frozen: None,
         }
     }
 
@@ -169,54 +194,41 @@ impl DeepSketch {
         self.baseline.as_ref()
     }
 
-    /// The frozen inference artifact, if one is attached.
+    /// The frozen inference artifact. Every sketch has one; the `Option`
+    /// is what callers written when it could be absent still expect.
     pub fn frozen(&self) -> Option<&FrozenModel> {
-        self.frozen.as_ref()
+        Some(&self.frozen)
     }
 
-    /// Discards the frozen artifact: estimates fall back to the reference
-    /// batch path (and serialization drops the frozen section).
-    pub fn clear_frozen(&mut self) {
-        self.frozen = None;
-    }
-
-    /// Freezes the trained model into the serving artifact without an
+    /// Re-freezes the trained model into the serving artifact without an
     /// accuracy check. For f32 this is always safe (the fused path is
     /// bit-identical to the reference kernels); int8 callers should prefer
     /// [`DeepSketch::freeze_gated`].
     pub fn freeze(&mut self, mode: QuantMode) {
-        self.frozen = Some(self.model.freeze(mode));
+        self.frozen = self.model.freeze(mode);
     }
 
     /// Freezes with an accuracy gate: estimates every probe query through
-    /// both the reference path and the candidate artifact and adopts the
-    /// artifact only if the worst q-style ratio `max(f/r, r/f)` stays at
-    /// or below `max_delta` (see [`FREEZE_GATE_MAX_DELTA`]). Returns the
-    /// observed worst ratio either way: `Ok` when the artifact was
-    /// adopted, `Err` when it failed the gate and the previous frozen
-    /// state was kept.
+    /// [`DeepSketch::reference_estimates`] and through the candidate
+    /// artifact and adopts the artifact only if the worst q-style ratio
+    /// `max(f/r, r/f)` stays at or below `max_delta` (see
+    /// [`FREEZE_GATE_MAX_DELTA`]). Returns the observed worst ratio either
+    /// way: `Ok` when the artifact was adopted, `Err` when it failed the
+    /// gate and the previous artifact was kept.
     pub fn freeze_gated(
         &mut self,
         mode: QuantMode,
         probes: &[Query],
         max_delta: f64,
     ) -> Result<f64, f64> {
-        let prior = self.frozen.take();
-        let reference = self.estimate_batch(probes);
-        let candidate = self.model.freeze(mode);
-        let mut feats = QueryIndexFeatures::default();
-        let mut scratch = FrozenScratch::new();
-        let mut worst = 1.0f64;
-        for (q, &r) in probes.iter().zip(&reference) {
-            self.featurizer
-                .featurize_indices(q, &self.samples, &mut feats);
-            let y =
-                candidate.forward_query(&feats.tables, &feats.joins, &feats.preds, &mut scratch);
-            let f = self.normalizer.denormalize(y).max(1.0);
-            worst = worst.max((f / r).max(r / f));
-        }
+        let reference = self.reference_estimates(probes);
+        let prior = std::mem::replace(&mut self.frozen, self.model.freeze(mode));
+        let worst = self
+            .estimate_batch(probes)
+            .iter()
+            .zip(&reference)
+            .fold(1.0f64, |worst, (&f, &r)| worst.max((f / r).max(r / f)));
         if worst <= max_delta {
-            self.frozen = Some(candidate);
             Ok(worst)
         } else {
             self.frozen = prior;
@@ -224,134 +236,99 @@ impl DeepSketch {
         }
     }
 
-    /// Shape agreement between the frozen artifact and the reference
-    /// model: `None` when consistent (or when no artifact is attached),
-    /// otherwise a description of the first mismatch. Checked by
-    /// [`DeepSketch::validate`] on every request and by
-    /// [`DeepSketch::from_bytes`] on decode.
-    pub fn frozen_shape_mismatch(&self) -> Option<String> {
-        let frozen = self.frozen.as_ref()?;
-        let h = self.model.hidden();
-        if frozen.hidden() != h {
-            return Some(format!(
-                "frozen hidden width {} disagrees with reference {h}",
-                frozen.hidden()
-            ));
+    /// Estimates through the *trained* model's own forward pass: dense
+    /// feature tensors through the training-shape f32 kernels. Never on
+    /// the serving path — this is the named oracle the freeze gate, the
+    /// bit-identity tests and the bench harness compare serving against.
+    pub fn reference_estimates(&self, queries: &[Query]) -> Vec<f64> {
+        let mut cache = ForwardCache::new();
+        let mut out = Vec::with_capacity(queries.len());
+        for chunk in queries.chunks(SERVE_CHUNK) {
+            let batch = self.featurizer.batch_queries(chunk, &self.samples);
+            self.model.forward_into(&batch, &mut cache);
+            out.extend(cache.output().data().iter().map(|&y| self.denormalized(y)));
         }
-        let (td, jd, pd) = self.model.input_dims();
-        let expect = [
-            ("tables1", td, h),
-            ("tables2", h, h),
-            ("joins1", jd, h),
-            ("joins2", h, h),
-            ("preds1", pd, h),
-            ("preds2", h, h),
-            ("out1", 3 * h, h),
-            ("out2", h, 1),
-        ];
-        for (l, &(name, in_d, out_d)) in frozen.layers().iter().zip(expect.iter()) {
-            if l.in_dim() != in_d || l.out_dim() != out_d {
-                return Some(format!(
-                    "frozen layer {name} is {}x{}, reference expects {in_d}x{out_d}",
-                    l.in_dim(),
-                    l.out_dim()
-                ));
-            }
-        }
-        None
+        out
     }
 
-    /// One estimate through the fused featurize-and-forward path: sparse
-    /// index lists gathered straight into the frozen weight rows, no
-    /// feature tensor ever materialized.
-    fn estimate_fused(&self, frozen: &FrozenModel, query: &Query) -> f64 {
-        FUSED_SCRATCH.with(|cell| {
-            let (feats, scratch) = &mut *cell.borrow_mut();
-            self.featurizer
-                .featurize_indices(query, &self.samples, feats);
-            let y = frozen.forward_query(&feats.tables, &feats.joins, &feats.preds, scratch);
-            self.normalizer.denormalize(y).max(1.0)
+    /// A normalized model output as a cardinality (≥ 1).
+    fn denormalized(&self, y: f32) -> f64 {
+        self.normalizer.denormalize(y).max(1.0)
+    }
+
+    /// The one inference path. Featurizes `queries` (a chunk: at most
+    /// `out.len()` of them) back to back into this thread's scratch, runs
+    /// the fused kernel once over all of them, and writes their estimates
+    /// to the front of `out`.
+    fn fused_estimates<'a>(&self, queries: impl Iterator<Item = &'a Query>, out: &mut [f64]) {
+        SCRATCH.with(|cell| {
+            let ServeScratch {
+                feats,
+                counts,
+                kernel,
+                y,
+            } = &mut *cell.borrow_mut();
+            feats.clear();
+            counts.clear();
+            for q in queries {
+                counts.push(self.featurizer.append_indices(q, &self.samples, feats));
+            }
+            let n = counts.len();
+            if n == 0 {
+                return;
+            }
+            y.resize(n, 0.0);
+            self.frozen
+                .forward_batch(&feats.tables, &feats.joins, &feats.preds, counts, kernel, y);
+            for (o, &y) in out[..n].iter_mut().zip(y.iter()) {
+                *o = self.denormalized(y);
+            }
         })
     }
 
-    /// Estimated cardinality of one query (≥ 1). Served through the fused
-    /// frozen path when an artifact is attached (bit-identical for f32,
-    /// gate-bounded for int8); the reference batch path otherwise.
+    /// Estimated cardinality of one query (≥ 1): a batch of one through
+    /// the fused kernel (bit-identical to the trained model for f32,
+    /// gate-bounded for int8).
     pub fn estimate_one(&self, query: &Query) -> f64 {
-        if let Some(frozen) = &self.frozen {
-            return self.estimate_fused(frozen, query);
-        }
-        self.estimate_batch(std::slice::from_ref(query))[0]
+        let mut estimate = [0.0];
+        self.fused_estimates(std::iter::once(query), &mut estimate);
+        estimate[0]
     }
 
-    /// Estimates a batch of queries: featurizes and forwards
-    /// `SERVE_CHUNK`-query chunks, spreading chunks across the
-    /// configured serving threads. Returns exactly what a loop of
+    /// Estimates a batch of queries: `SERVE_CHUNK`-query chunks through
+    /// the fused kernel, chunks spread across the configured serving
+    /// threads. Returns exactly what a loop of
     /// [`DeepSketch::estimate_one`] calls would.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        // Int8 artifacts are not bit-identical to the reference kernels,
-        // so the batch contract ("exactly the looped estimate_one
-        // results") forces the fused path here too. F32 artifacts *are*
-        // bit-identical (see `ds_nn::frozen`), so the chunked reference
-        // path below remains the batched fast path.
-        if let Some(frozen) = &self.frozen {
-            if frozen.mode() == QuantMode::Int8 {
-                return queries
-                    .iter()
-                    .map(|q| self.estimate_fused(frozen, q))
-                    .collect();
-            }
-        }
         let mut out = vec![0.0f64; queries.len()];
+        let serve = |queries: &[Query], out: &mut [f64]| {
+            for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
+                self.fused_estimates(qs.iter(), os);
+            }
+        };
         let n_chunks = queries.len().div_ceil(SERVE_CHUNK);
         let threads = self.threads.min(n_chunks);
         if threads <= 1 {
-            let mut cache = ForwardCache::new();
-            for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
-                self.estimate_chunk(qs, os, &mut cache);
-            }
+            serve(queries, &mut out);
         } else {
             // Contiguous spans of whole chunks per worker; each worker owns
-            // a disjoint slice of the output and its own scratch cache.
+            // a disjoint slice of the output and its thread's own scratch.
             let span = n_chunks.div_ceil(threads) * SERVE_CHUNK;
             std::thread::scope(|s| {
                 for (qs, os) in queries.chunks(span).zip(out.chunks_mut(span)) {
-                    s.spawn(move || {
-                        let mut cache = ForwardCache::new();
-                        for (q, o) in qs.chunks(SERVE_CHUNK).zip(os.chunks_mut(SERVE_CHUNK)) {
-                            self.estimate_chunk(q, o, &mut cache);
-                        }
-                    });
+                    s.spawn(move || serve(qs, os));
                 }
             });
         }
         out
     }
 
-    /// Featurizes and forwards one chunk into its output slice.
-    fn estimate_chunk(&self, queries: &[Query], out: &mut [f64], cache: &mut ForwardCache) {
-        let batch = self.featurizer.batch_queries(queries, &self.samples);
-        self.model.forward_into(&batch, cache);
-        for (o, &y) in out.iter_mut().zip(cache.output().data()) {
-            *o = self.normalizer.denormalize(y).max(1.0);
-        }
-    }
-
     /// Checks that every table and predicate column the query references
     /// exists in this sketch's vocabulary and shipped samples — the
-    /// precondition for [`DeepSketch::estimate_batch`] to be panic-free.
+    /// precondition for the estimate methods to be panic-free.
     /// Queries parsed against the database the sketch was trained over
     /// always pass; queries from a different (larger) schema may not.
     pub fn validate(&self, query: &Query) -> Result<(), EstimateError> {
-        // A frozen artifact whose shapes disagree with the reference
-        // weights would gather out of bounds — refuse to serve rather
-        // than panic. Cheap: eight integer comparisons.
-        if let Some(msg) = self.frozen_shape_mismatch() {
-            return Err(EstimateError::Unavailable(msg));
-        }
         let known = self.samples.len();
         let check_table = |t: usize| {
             if t >= known {
@@ -504,13 +481,15 @@ impl DeepSketch {
         }
 
         // Frozen inference artifact (v3+): optional flag + payload, with
-        // the quantization mode recorded inside the payload.
-        match &self.frozen {
-            Some(f) => {
+        // the quantization mode recorded inside the payload. An f32
+        // artifact is the model section again, bit for bit, so only int8
+        // is stored; flag 0 means "freeze f32 on load".
+        match self.frozen.mode() {
+            QuantMode::F32 => e.u64(0),
+            QuantMode::Int8 => {
                 e.u64(1);
-                f.encode_into(&mut e);
+                self.frozen.encode_into(&mut e);
             }
-            None => e.u64(0),
         }
         e.finish()
     }
@@ -652,35 +631,41 @@ impl DeepSketch {
             None
         };
 
-        // Frozen artifact: v3 records the builder's freeze decision
-        // (including "gate failed, none attached"). Older blobs pre-date
-        // the artifact and get a fresh f32 freeze below — bit-identical
-        // to their reference weights, so snapshots taken before this
-        // version serve through the fused path with unchanged results.
-        let (frozen, refreeze) = if version >= 3 {
-            if d.u64()? != 0 {
-                (Some(FrozenModel::decode_from(&mut d)?), false)
-            } else {
-                (None, false)
+        // Frozen artifact: absent before version 3. Whatever is stored
+        // must fit the model it claims to serve — mismatched quantization
+        // metadata is corruption, not a servable state — but only an int8
+        // payload is kept: `from_parts` has already frozen f32, which is
+        // all a stored f32 payload (older v3/v4 writers) could say.
+        let stored = if version >= 3 && d.u64()? != 0 {
+            let artifact = FrozenModel::decode_from(&mut d)?;
+            if let Some(msg) = artifact_mismatch(&model, &artifact) {
+                return Err(DecodeError::Corrupt(msg));
             }
+            Some(artifact)
         } else {
-            (None, true)
+            None
         };
 
         let mut sketch = Self::from_parts(model, featurizer, samples, normalizer, database_name);
         sketch.baseline = baseline;
-        sketch.frozen = if refreeze {
-            Some(sketch.model.freeze(QuantMode::F32))
-        } else {
-            frozen
-        };
-        // Mismatched quantization metadata (artifact shapes that disagree
-        // with the reference weights) is corruption, not a servable state.
-        if let Some(msg) = sketch.frozen_shape_mismatch() {
-            return Err(DecodeError::Corrupt(msg));
+        if let Some(artifact) = stored.filter(|a| a.mode() == QuantMode::Int8) {
+            sketch.frozen = artifact;
         }
         Ok(sketch)
     }
+}
+
+/// Shape agreement between a decoded artifact and the model it arrived
+/// with: `None` when consistent, otherwise what differs. Decoding already
+/// checked the artifact's own wiring, so its hidden width and input
+/// widths say everything. An artifact frozen from the model itself agrees
+/// by construction, so only [`DeepSketch::from_bytes`] asks.
+fn artifact_mismatch(model: &MscnModel, frozen: &FrozenModel) -> Option<String> {
+    let [t1, _, j1, _, p1, ..] = frozen.layers();
+    let got = (frozen.hidden(), (t1.in_dim(), j1.in_dim(), p1.in_dim()));
+    let want = (model.hidden(), model.input_dims());
+    (got != want)
+        .then(|| format!("frozen artifact has (hidden, input widths) {got:?}, its model {want:?}"))
 }
 
 impl CardinalityEstimator for DeepSketch {
@@ -699,30 +684,25 @@ impl CardinalityEstimator for DeepSketch {
         Ok(self.estimate_one(query))
     }
 
-    /// The chunked, optionally threaded batch fast path (bit-identical to
-    /// the looped single-query estimates).
     fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
         DeepSketch::estimate_batch(self, queries)
     }
 
     /// Batch path with per-query validation: invalid queries get their
-    /// error, the valid subset still runs through one coalesced forward
-    /// pass (results bit-identical to [`DeepSketch::estimate_one`]).
+    /// error, the valid ones of each chunk still share one call of the
+    /// fused kernel (results bit-identical to [`DeepSketch::estimate_one`]).
     fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
         let mut out: Vec<Result<f64, EstimateError>> = queries
             .iter()
             .map(|q| self.validate(q).map(|()| 0.0))
             .collect();
-        let valid: Vec<Query> = queries
-            .iter()
-            .zip(&out)
-            .filter(|(_, r)| r.is_ok())
-            .map(|(q, _)| q.clone())
-            .collect();
-        let estimates = DeepSketch::estimate_batch(self, &valid);
-        let mut it = estimates.into_iter();
-        for v in out.iter_mut().flatten() {
-            *v = it.next().expect("one estimate per valid query");
+        let mut estimates = [0.0f64; SERVE_CHUNK];
+        for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
+            let valid = qs.iter().zip(os.iter()).filter(|(_, r)| r.is_ok());
+            self.fused_estimates(valid.map(|(q, _)| q), &mut estimates);
+            for (slot, &v) in os.iter_mut().flatten().zip(&estimates) {
+                *slot = v;
+            }
         }
         out
     }
@@ -806,11 +786,11 @@ mod tests {
 
         // A version-1 blob is the v3 layout minus the trailing baseline
         // and frozen flag words, with version 1 in the header: it must
-        // still load, with no baseline and a fresh f32 re-freeze whose
-        // fused estimates are bit-identical to the reference path.
+        // still load, with no baseline and an f32 artifact whose fused
+        // estimates are bit-identical to the trained model's.
+        let title = parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap();
         let mut plain = sketch.clone();
         plain.baseline = None;
-        plain.clear_frozen();
         let name_len = plain.database_name().len();
         let mut v1 = plain.to_bytes();
         strip_schema_words(&mut v1, name_len);
@@ -818,10 +798,11 @@ mod tests {
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         let legacy = DeepSketch::from_bytes(&v1).expect("v1 blob must load");
         assert!(legacy.baseline().is_none());
-        assert!(legacy.frozen().is_some(), "legacy blobs re-freeze f32");
+        assert_eq!(legacy.frozen(), plain.frozen(), "legacy blobs freeze f32");
+        assert_eq!(legacy.estimate_one(&title), plain.estimate_one(&title));
         assert_eq!(
-            legacy.estimate_one(&parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap()),
-            plain.estimate_one(&parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap())
+            legacy.estimate_one(&title),
+            plain.reference_estimates(std::slice::from_ref(&title))[0]
         );
 
         // A version-2 blob (no frozen section) loads the same way.
@@ -830,7 +811,7 @@ mod tests {
         v2.truncate(v2.len() - 8);
         v2[4..8].copy_from_slice(&2u32.to_le_bytes());
         let legacy2 = DeepSketch::from_bytes(&v2).expect("v2 blob must load");
-        assert!(legacy2.frozen().is_some(), "v2 blobs re-freeze f32");
+        assert_eq!(legacy2.frozen(), plain.frozen(), "v2 blobs freeze f32");
 
         // A version-3 blob (pre-schema) decodes as feature schema v1 and
         // estimates byte-identically to its v4 re-encoding.
@@ -844,10 +825,33 @@ mod tests {
         );
         assert_eq!(legacy3.to_bytes(), sketch.to_bytes());
 
+        // v3 and v4 writers used to store the f32 artifact too (flag 1 and
+        // a second copy of the weights). Those blobs still decode, answer
+        // bit-identically, and re-encode to today's shorter form.
+        let with_f32_payload = |blob: &[u8]| {
+            let mut e = Encoder::new();
+            e.u64(1);
+            sketch.frozen.encode_into(&mut e);
+            let mut old = blob[..blob.len() - 8].to_vec();
+            old.extend(e.finish());
+            old
+        };
+        for (what, blob) in [("v3", &v3), ("v4", &sketch.to_bytes())] {
+            let old = with_f32_payload(blob);
+            assert!(old.len() > blob.len() + sketch.frozen.footprint_bytes());
+            let loaded = DeepSketch::from_bytes(&old)
+                .unwrap_or_else(|e| panic!("{what} blob with an f32 payload must load: {e}"));
+            assert_eq!(loaded.frozen(), sketch.frozen(), "{what}");
+            assert_eq!(loaded.estimate_one(&title), sketch.estimate_one(&title));
+            assert_eq!(
+                loaded.to_bytes(),
+                sketch.to_bytes(),
+                "{what} re-encodes short"
+            );
+        }
+
         // A corrupt baseline payload is rejected, not silently zeroed.
-        let mut no_frozen = sketch.clone();
-        no_frozen.clear_frozen();
-        let mut bad = no_frozen.to_bytes();
+        let mut bad = sketch.to_bytes();
         let n = bad.len();
         bad[n - 17] ^= 0xFF; // inside the last bucket word, before the frozen flag
         assert!(matches!(
@@ -905,6 +909,11 @@ mod tests {
             .cloned()
             .collect();
         let looped: Vec<f64> = many.iter().map(|q| sketch.estimate_one(q)).collect();
+        assert_eq!(
+            sketch.reference_estimates(&many),
+            looped,
+            "the f32 artifact diverged from the trained model"
+        );
         for threads in [1, 2, 8] {
             sketch.set_threads(threads);
             assert_eq!(
@@ -957,14 +966,12 @@ mod tests {
     fn freeze_gated_adopts_f32_exactly_and_keeps_prior_on_failure() {
         let (db, mut sketch) = tiny_sketch();
         let probes = ds_query::workloads::job_light::job_light_workload(&db, 2);
-        sketch.clear_frozen();
         // F32 is bit-identical to the reference path, so the observed
         // worst ratio is exactly 1.0 and the gate always passes.
         let delta = sketch
             .freeze_gated(QuantMode::F32, &probes, FREEZE_GATE_MAX_DELTA)
             .expect("f32 freeze must pass the gate");
         assert_eq!(delta, 1.0);
-        assert!(sketch.frozen().is_some());
         assert_eq!(sketch.frozen().unwrap().mode(), QuantMode::F32);
 
         // An unsatisfiable gate (worst ratio is always ≥ 1.0) rejects the
@@ -981,12 +988,11 @@ mod tests {
     fn int8_freeze_tracks_reference_estimates() {
         let (db, mut sketch) = tiny_sketch();
         let probes = ds_query::workloads::job_light::job_light_workload(&db, 2);
-        sketch.clear_frozen();
-        let reference = sketch.estimate_batch(&probes);
+        let reference = sketch.reference_estimates(&probes);
         sketch.freeze(QuantMode::Int8);
         // Int8 is approximate: estimates stay within a loose q-style
         // band of the reference, and batch == looped singles still holds
-        // (both run the fused path).
+        // (one kernel at every batch size).
         let quantized: Vec<f64> = probes.iter().map(|q| sketch.estimate_one(q)).collect();
         for (&r, &f) in reference.iter().zip(&quantized) {
             let ratio = (f / r).max(r / f);
@@ -999,16 +1005,22 @@ mod tests {
     fn frozen_artifact_roundtrips_and_mismatches_are_rejected() {
         use crate::mscn::MscnConfig;
 
-        let (db, sketch) = tiny_sketch();
-        assert!(
-            sketch.frozen().is_some(),
-            "builder must attach the artifact"
-        );
+        let (db, mut sketch) = tiny_sketch();
         let restored = DeepSketch::from_bytes(&sketch.to_bytes()).unwrap();
         assert_eq!(restored.frozen(), sketch.frozen());
 
-        // An artifact frozen from a different-width model is caught by
-        // validate() (typed error, no panic) and rejected on decode.
+        // Only an int8 artifact is stored; the f32 one costs a flag word.
+        let f32_len = sketch.to_bytes().len();
+        sketch.freeze(QuantMode::Int8);
+        let int8 = sketch.to_bytes();
+        assert!(int8.len() > f32_len + sketch.frozen.footprint_bytes());
+        let restored = DeepSketch::from_bytes(&int8).unwrap();
+        assert_eq!(restored.frozen(), sketch.frozen());
+        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
+        assert_eq!(restored.estimate_one(&q), sketch.estimate_one(&q));
+
+        // A stored artifact frozen from a different-width model is
+        // rejected on decode: it could only gather out of bounds.
         let f = sketch.featurizer();
         let alien = MscnModel::new(
             f.table_dim(),
@@ -1016,15 +1028,9 @@ mod tests {
             f.pred_dim(),
             MscnConfig { hidden: 8, seed: 1 },
         )
-        .freeze(QuantMode::F32);
+        .freeze(QuantMode::Int8);
         let mut broken = sketch.clone();
-        broken.frozen = Some(alien);
-        assert!(broken.frozen_shape_mismatch().is_some());
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        assert!(matches!(
-            broken.try_estimate(&q),
-            Err(EstimateError::Unavailable(_))
-        ));
+        broken.frozen = alien;
         assert!(matches!(
             DeepSketch::from_bytes(&broken.to_bytes()),
             Err(DecodeError::Corrupt(_))

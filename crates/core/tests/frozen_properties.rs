@@ -3,14 +3,22 @@
 //! featurize-and-forward path must agree with the training-shape reference
 //! forward — **bit-exactly** in [`QuantMode::F32`], and within a stated
 //! tolerance in [`QuantMode::Int8`] — from every thread count we serve
-//! with.
+//! with. And since that path is the only one a sketch serves through:
+//! every batch size and thread count of [`DeepSketch::estimate_batch`]
+//! must equal the looped single estimates bit for bit, in both modes, and
+//! the AVX2 column-tile kernel must equal its portable oracle at every
+//! tile width.
 
 use std::sync::OnceLock;
 
+use ds_core::builder::SketchBuilder;
 use ds_core::featurize::{Featurizer, QueryIndexFeatures};
 use ds_core::mscn::{MscnConfig, MscnModel};
+use ds_core::sketch::DeepSketch;
 use ds_core::QuantMode;
-use ds_nn::frozen::{FrozenModel, FrozenScratch};
+use ds_est::CardinalityEstimator;
+use ds_nn::frozen::{FrozenModel, FrozenScratch, IndexSet};
+use ds_query::parser::parse_query;
 use ds_query::query::Query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -139,6 +147,134 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Generated queries plus the shapes the generator rarely emits: a single
+/// table (empty join set, empty predicate set), a join without predicates
+/// (empty predicate set), a single table with a predicate (empty join set).
+fn mixed_queries(n: usize) -> Vec<Query> {
+    let (db, _, _) = fixture();
+    let mut pool = QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), 77))
+        .generate_batch(13);
+    for sql in [
+        "SELECT COUNT(*) FROM title",
+        "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
+        "SELECT COUNT(*) FROM title WHERE title.production_year > 1990",
+    ] {
+        pool.push(parse_query(db, sql).expect("parse"));
+    }
+    assert!(pool.iter().any(|q| q.joins.is_empty()));
+    assert!(pool.iter().any(|q| q.predicates.is_empty()));
+    pool.iter().cycle().take(n).cloned().collect()
+}
+
+#[test]
+fn every_batch_size_and_thread_count_is_the_looped_single_estimate() {
+    let (db, _, _) = fixture();
+    let built = SketchBuilder::new(db, imdb_predicate_columns(db))
+        .training_queries(200)
+        .epochs(3)
+        .sample_size(16)
+        .hidden_units(24)
+        .seed(9)
+        .build()
+        .expect("build sketch");
+    let queries = mixed_queries(3 * 256 + 7);
+    for mode in [QuantMode::F32, QuantMode::Int8] {
+        let mut sketch: DeepSketch = built.clone();
+        sketch.freeze(mode);
+        assert_eq!(sketch.frozen().map(FrozenModel::mode), Some(mode));
+        let looped: Vec<u64> = queries
+            .iter()
+            .map(|q| sketch.estimate_one(q).to_bits())
+            .collect();
+        if mode == QuantMode::F32 {
+            let reference = sketch.reference_estimates(&queries);
+            let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(reference, looped, "f32 artifact vs the trained model");
+        }
+        for threads in THREAD_COUNTS {
+            sketch.set_threads(threads);
+            for batch in [1, 2, 63, 64, 65, 3 * 256 + 7] {
+                let got: Vec<u64> = sketch
+                    .estimate_batch(&queries[..batch])
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    got,
+                    looped[..batch],
+                    "{mode:?} batch={batch} threads={threads}"
+                );
+                let tried: Vec<u64> = sketch
+                    .try_estimate_batch(&queries[..batch])
+                    .into_iter()
+                    .map(|r| r.expect("in-vocabulary query").to_bits())
+                    .collect();
+                assert_eq!(tried, got, "{mode:?} try batch={batch}");
+            }
+        }
+    }
+}
+
+#[test]
+fn avx2_column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
+    let (_, samples, featurizer) = fixture();
+    // 250 = 3·64 + 32 + 16 + 8 + 2 takes every tile width and the scalar
+    // remainder; 8, 16 and 96 end on a narrower tile than they start on.
+    for hidden in [8usize, 16, 96, 250, 256] {
+        let model = MscnModel::new(
+            featurizer.table_dim(),
+            featurizer.join_dim(),
+            featurizer.pred_dim(),
+            MscnConfig {
+                hidden,
+                seed: hidden as u64,
+            },
+        );
+        let mut feats = QueryIndexFeatures::default();
+        for q in &mixed_queries(16) {
+            featurizer.append_indices(q, samples, &mut feats);
+        }
+        for mode in [QuantMode::F32, QuantMode::Int8] {
+            let frozen = model.freeze(mode);
+            let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
+            let mut hidden_rows = IndexSet::default();
+            for (l1, l2, set) in [
+                (t1, t2, &feats.tables),
+                (j1, j2, &feats.joins),
+                (p1, p2, &feats.preds),
+            ] {
+                let rows = set.elems.len();
+                let mut fast = vec![f32::NAN; rows * hidden];
+                let mut slow = fast.clone();
+                l1.forward_rows(set, true, &mut fast);
+                l1.forward_rows_portable(set, true, &mut slow);
+                assert_eq!(fast, slow, "layer 1, hidden {hidden}, {mode:?}");
+                hidden_rows.compress_rows(&fast, hidden);
+                l2.forward_rows(&hidden_rows, false, &mut fast);
+                l2.forward_rows_portable(&hidden_rows, false, &mut slow);
+                assert_eq!(fast, slow, "layer 2, hidden {hidden}, {mode:?}");
+            }
+            // The output MLP reads 3·hidden wide rows; any activations do.
+            let rows = hidden_rows.elems.len() / 3;
+            let wide: Vec<f32> = (0..rows * 3 * hidden)
+                .map(|i| ((i * 37 % 11) as f32 - 4.0).max(0.0) * 0.125)
+                .collect();
+            hidden_rows.compress_rows(&wide, 3 * hidden);
+            let mut fast = vec![f32::NAN; rows * hidden];
+            let mut slow = fast.clone();
+            out1.forward_rows(&hidden_rows, true, &mut fast);
+            out1.forward_rows_portable(&hidden_rows, true, &mut slow);
+            assert_eq!(fast, slow, "out1, hidden {hidden}, {mode:?}");
+            hidden_rows.compress_rows(&fast, hidden);
+            let mut fast = vec![f32::NAN; rows];
+            let mut slow = fast.clone();
+            out2.forward_rows(&hidden_rows, false, &mut fast);
+            out2.forward_rows_portable(&hidden_rows, false, &mut slow);
+            assert_eq!(fast, slow, "out2, hidden {hidden}, {mode:?}");
         }
     }
 }

@@ -2,13 +2,28 @@
 //!
 //! Training wants transposable, gradient-carrying layers; serving wants
 //! the opposite: immutable weights in exactly the layout the forward pass
-//! reads, no gradient buffers, and kernels shaped for *one query at a
-//! time*. A [`FrozenModel`] is that artifact: the eight MSCN layers
-//! converted once from the trained model into a flat row-major layout
-//! (f32, or int8 with per-input-row scales), driven by a fused
-//! featurize-and-forward entry point that consumes sparse *(index, value)*
-//! lists directly — the one-hot input layer becomes a gather over weight
-//! rows, and the sparse feature tensor is never materialized.
+//! reads and no gradient buffers. A [`FrozenModel`] is that artifact: the
+//! eight MSCN layers converted once from the trained model into a flat
+//! row-major layout (f32, or int8 with per-input-row scales), driven by
+//! one fused featurize-and-forward entry point,
+//! [`FrozenModel::forward_batch`], that serves every batch size (a single
+//! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
+//! sparse *(index, value)* lists directly — the one-hot input layer is a
+//! gather over weight rows, and the sparse feature tensor is never
+//! materialized.
+//!
+//! ## One kernel
+//!
+//! Every layer is the same operation: rows given as sparse *(index,
+//! value)* lists times a dense weight matrix ([`FrozenLinear::forward_rows`]).
+//! The input layers get their lists from the featurizer; the dense layers
+//! get theirs from [`IndexSet::compress_rows`], which drops the zeros
+//! ReLU left behind (about half of every activation row). The kernel keeps
+//! a tile of 64 output columns in registers across a row's whole
+//! reduction and walks *all* rows of the call — every element of a set,
+//! every query of a batch — through one column tile before moving to the
+//! next, so a layer's weights are streamed once per call however many
+//! rows it has, and never re-loads or re-stores partial sums.
 //!
 //! ## Determinism contract
 //!
@@ -17,18 +32,20 @@
 //! accumulates each output element in its own `f32` slot with the
 //! reduction index ascending, and the sparse input kernel skips zero
 //! terms — adding `±0.0` to a `+0.0`-started finite sum cannot change its
-//! bits, so zero-skipping is bit-neutral. The frozen kernels reproduce
-//! exactly that order: the input gather sums weight rows in ascending
-//! feature-index order, the hidden matrix–vector product accumulates
-//! `y[j] += x[p]·W[p][j]` with `p` ascending, and the AVX2 variants (one
+//! bits, so zero-skipping is bit-neutral. The frozen kernel reproduces
+//! exactly that order: each output column sums `x[p]·W[p][j]` with `p`
+//! ascending from `+0.0`, then adds the bias, and the AVX2 variant (one
 //! output column per lane, separate multiply and add, never a fused
-//! `vfmadd`) round identically to the portable fallback, which stays in
-//! the tree as the oracle the property tests pin against.
+//! `vfmadd`) rounds identically to the portable one, which stays in the
+//! tree as the oracle the property tests pin against. A query's result
+//! does not depend on what else is in its batch: rows never share an
+//! accumulator.
 //!
 //! [`QuantMode::Int8`] trades that exactness for a 4× smaller artifact:
 //! each weight row is quantized to `i8` against its own max-abs scale.
 //! Int8 outputs are *approximately* equal to the reference (the gate that
-//! decides whether an int8 artifact may serve lives in the sketch layer).
+//! decides whether an int8 artifact may serve lives in the sketch layer),
+//! and exactly equal across batch sizes and kernels.
 
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
@@ -145,54 +162,51 @@ impl FrozenLinear {
         }
     }
 
-    /// `y += value · W[row, :]` — one gathered input feature. `y` must be
-    /// `out_dim` long. This is the fused input layer: active feature
-    /// indices select weight rows directly, no sparse tensor in between.
-    #[inline]
-    pub fn accumulate_row(&self, row: usize, value: f32, y: &mut [f32]) {
-        debug_assert!(row < self.in_dim, "feature index out of range");
-        debug_assert_eq!(y.len(), self.out_dim);
+    /// One layer over many rows: `y[r, :] = act(rows[r] · W + b)`, where
+    /// each element of `rows` is one sparse input row (ascending feature
+    /// indices), `y` is `rows.elems.len() × out_dim` row-major, and `act`
+    /// is ReLU when `relu` is set. Zero values are skipped — bit-neutral
+    /// (see module docs). Runtime-dispatched to the AVX2 column-tile
+    /// kernel; [`FrozenLinear::forward_rows_portable`] is its oracle.
+    ///
+    /// # Panics
+    /// Panics when `y` has the wrong length or an index is `>= in_dim`.
+    pub fn forward_rows(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
+        assert_eq!(y.len(), rows.elems.len() * self.out_dim, "output shape");
+        #[cfg(target_arch = "x86_64")]
+        if self.out_dim >= kernels::x86::LANES && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe {
+                kernels::x86::sparse_rows_avx2(self.weights(), self.out_dim, &self.b, rows, relu, y)
+            };
+            return;
+        }
+        self.forward_rows_portable(rows, relu, y);
+    }
+
+    /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX2
+    /// kernel is pinned against, and the fallback off x86-64.
+    pub fn forward_rows_portable(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
+        assert_eq!(y.len(), rows.elems.len() * self.out_dim, "output shape");
+        kernels::sparse_rows_portable(
+            self.weights(),
+            self.out_dim,
+            &self.b,
+            rows,
+            relu,
+            y,
+            0..self.out_dim,
+        );
+    }
+
+    fn weights(&self) -> kernels::Weights<'_> {
         match self.mode {
-            QuantMode::F32 => {
-                kernels::axpy(
-                    value,
-                    &self.w[row * self.out_dim..(row + 1) * self.out_dim],
-                    y,
-                );
-            }
-            QuantMode::Int8 => {
-                let t = value * self.scales[row];
-                let qrow = &self.q[row * self.out_dim..(row + 1) * self.out_dim];
-                for (o, &qv) in y.iter_mut().zip(qrow) {
-                    *o += t * qv as f32;
-                }
-            }
+            QuantMode::F32 => kernels::Weights::F32(&self.w),
+            QuantMode::Int8 => kernels::Weights::Int8 {
+                q: &self.q,
+                scales: &self.scales,
+            },
         }
-    }
-
-    /// Adds the bias into `y` (after all rows were accumulated — the same
-    /// matmul-then-broadcast order as the training path).
-    #[inline]
-    pub fn add_bias(&self, y: &mut [f32]) {
-        for (o, &bv) in y.iter_mut().zip(&self.b) {
-            *o += bv;
-        }
-    }
-
-    /// Dense matrix–vector product `y = x·W + b` for one row `x`
-    /// (`in_dim`) into `y` (`out_dim`). Zero entries of `x` are skipped —
-    /// bit-neutral (see module docs) and fast on post-ReLU activations.
-    pub fn forward_vec(&self, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_dim);
-        debug_assert_eq!(y.len(), self.out_dim);
-        y.fill(0.0);
-        for (p, &xv) in x.iter().enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            self.accumulate_row(p, xv, y);
-        }
-        self.add_bias(y);
     }
 
     /// Serialized + resident size in bytes (weights, scales, bias).
@@ -301,29 +315,47 @@ impl IndexSet {
     pub fn push(&mut self, index: u32, value: f32) {
         self.entries.push((index, value));
     }
+
+    /// Replaces the contents with the non-zero entries of a dense
+    /// row-major matrix of `width` columns, one element per row — how a
+    /// layer's (post-ReLU, about half zero) output becomes the next
+    /// layer's input. Branch-free per value: every slot of a
+    /// row-sized reservation is written and the cursor only advances past
+    /// non-zeros, so the unpredictable zero pattern costs no mispredicts.
+    pub fn compress_rows(&mut self, dense: &[f32], width: usize) {
+        self.clear();
+        for row in dense.chunks_exact(width.max(1)) {
+            let start = self.entries.len();
+            self.entries.resize(start + width, (0, 0.0));
+            let slots = &mut self.entries[start..];
+            let mut kept = 0;
+            for (j, &v) in row.iter().enumerate() {
+                slots[kept] = (j as u32, v);
+                kept += usize::from(v != 0.0);
+            }
+            self.entries.truncate(start + kept);
+            self.elems.push((start as u32, kept as u32));
+        }
+    }
 }
 
-/// Reusable buffers for the fused single-query forward pass. One scratch
-/// per thread keeps the hot path allocation-free.
+/// Reusable buffers of the fused forward pass. One scratch per thread
+/// keeps the hot path allocation-free; buffers grow to the largest batch
+/// seen and are then reused.
 #[derive(Debug, Default, Clone)]
 pub struct FrozenScratch {
-    z1: Vec<f32>,
-    z2: Vec<f32>,
+    /// Dense layer outputs, `rows × hidden`.
+    act: Vec<f32>,
+    /// The non-zeros of `act` (or `pooled`), the next layer's input.
+    sparse: IndexSet,
+    /// Mean-pooled set representations, `batch × 3·hidden`.
     pooled: Vec<f32>,
-    z3: Vec<f32>,
 }
 
 impl FrozenScratch {
     /// An empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure(&mut self, hidden: usize) {
-        self.z1.resize(hidden, 0.0);
-        self.z2.resize(hidden, 0.0);
-        self.pooled.resize(3 * hidden, 0.0);
-        self.z3.resize(hidden, 0.0);
     }
 }
 
@@ -466,10 +498,10 @@ impl FrozenModel {
         self.layers().iter().map(|l| l.footprint_bytes()).sum()
     }
 
-    /// Fused featurize-and-forward for one query: consumes the three
-    /// sparse index sets directly and returns the normalized model output
-    /// (pre-denormalization, post-sigmoid) — bit-identical to the
-    /// training-shape forward in [`QuantMode::F32`].
+    /// Fused featurize-and-forward for one query — a batch of one
+    /// through [`FrozenModel::forward_batch`]. Returns the normalized
+    /// model output (pre-denormalization, post-sigmoid), bit-identical to
+    /// the training-shape forward in [`QuantMode::F32`].
     pub fn forward_query(
         &self,
         tables: &IndexSet,
@@ -477,78 +509,82 @@ impl FrozenModel {
         preds: &IndexSet,
         scratch: &mut FrozenScratch,
     ) -> f32 {
-        scratch.ensure(self.hidden);
-        let h = self.hidden;
-        scratch.pooled.fill(0.0);
-        let (pooled_t, rest) = scratch.pooled.split_at_mut(h);
-        let (pooled_j, pooled_p) = rest.split_at_mut(h);
-        Self::forward_set(
-            &self.tables1,
-            &self.tables2,
-            tables,
-            pooled_t,
-            &mut scratch.z1,
-            &mut scratch.z2,
-        );
-        Self::forward_set(
-            &self.joins1,
-            &self.joins2,
-            joins,
-            pooled_j,
-            &mut scratch.z1,
-            &mut scratch.z2,
-        );
-        Self::forward_set(
-            &self.preds1,
-            &self.preds2,
-            preds,
-            pooled_p,
-            &mut scratch.z1,
-            &mut scratch.z2,
-        );
-        // Output MLP over the concatenated pooled representation.
-        self.out1.forward_vec(&scratch.pooled, &mut scratch.z3);
-        for v in scratch.z3.iter_mut() {
-            *v = v.max(0.0);
-        }
+        let counts = [[
+            tables.elems.len() as u32,
+            joins.elems.len() as u32,
+            preds.elems.len() as u32,
+        ]];
         let mut y = [0.0f32];
-        self.out2.forward_vec(&scratch.z3, &mut y);
-        sigmoid_scalar(y[0])
+        self.forward_batch(tables, joins, preds, &counts, scratch, &mut y);
+        y[0]
     }
 
-    /// One set module: gather → bias → ReLU → dense → bias → ReLU →
-    /// mean-pool, element by element in order. Matches the batched path's
-    /// arithmetic exactly: the pool accumulates `relu(z2)[j] · (1/len)`
-    /// with elements ascending, as `segment_mean` does row-ascending.
-    fn forward_set(
-        l1: &FrozenLinear,
-        l2: &FrozenLinear,
-        set: &IndexSet,
-        pooled: &mut [f32],
-        z1: &mut [f32],
-        z2: &mut [f32],
+    /// The fused forward over a batch of queries. Each set holds the
+    /// elements of *all* queries back to back; `counts[q]` says how many
+    /// elements of `[tables, joins, preds]` belong to query `q`, in
+    /// order. Writes one normalized output per query into `out`. Every
+    /// layer runs once over all of its rows (see module docs), and a
+    /// query's output is bit-identical whatever batch it rides in.
+    ///
+    /// # Panics
+    /// Panics when `out` and `counts` differ in length or the counts do
+    /// not add up to the sets' element counts.
+    pub fn forward_batch(
+        &self,
+        tables: &IndexSet,
+        joins: &IndexSet,
+        preds: &IndexSet,
+        counts: &[[u32; 3]],
+        scratch: &mut FrozenScratch,
+        out: &mut [f32],
     ) {
-        if set.elems.is_empty() {
-            return; // empty set → zero vector, like the masked mean
-        }
-        let inv = 1.0 / set.elems.len() as f32;
-        for &(start, len) in &set.elems {
-            let entries = &set.entries[start as usize..(start + len) as usize];
-            z1.fill(0.0);
-            for &(idx, val) in entries {
-                if val == 0.0 {
-                    continue; // the sparse kernel's zero skip (bit-neutral)
+        assert_eq!(out.len(), counts.len(), "one output per query");
+        let (n, h) = (counts.len(), self.hidden);
+        let FrozenScratch {
+            act,
+            sparse,
+            pooled,
+        } = scratch;
+        pooled.clear();
+        pooled.resize(n * 3 * h, 0.0);
+        let modules = [
+            (&self.tables1, &self.tables2, tables),
+            (&self.joins1, &self.joins2, joins),
+            (&self.preds1, &self.preds2, preds),
+        ];
+        for (slot, (l1, l2, set)) in modules.into_iter().enumerate() {
+            let rows = set.elems.len();
+            let claimed: usize = counts.iter().map(|c| c[slot] as usize).sum();
+            assert_eq!(claimed, rows, "per-query counts must cover the set");
+            let act = grown(act, rows * h);
+            // gather → bias → ReLU → dense → bias → ReLU over every
+            // element of every query at once.
+            l1.forward_rows(set, true, act);
+            sparse.compress_rows(act, h);
+            l2.forward_rows(sparse, true, act);
+            // Mean-pool per query: `relu(z2)[j] · (1/len)` with elements
+            // ascending, as `segment_mean` does row-ascending. An empty
+            // set stays the zero vector, like the masked mean.
+            let mut rows = act.chunks_exact(h);
+            for (q, c) in counts.iter().enumerate() {
+                let len = c[slot] as usize;
+                let inv = 1.0 / len as f32;
+                let at = (q * 3 + slot) * h;
+                for row in rows.by_ref().take(len) {
+                    for (o, &v) in pooled[at..at + h].iter_mut().zip(row) {
+                        *o += v * inv;
+                    }
                 }
-                l1.accumulate_row(idx as usize, val, z1);
             }
-            l1.add_bias(z1);
-            for v in z1.iter_mut() {
-                *v = v.max(0.0);
-            }
-            l2.forward_vec(z1, z2);
-            for (o, &v) in pooled.iter_mut().zip(z2.iter()) {
-                *o += v.max(0.0) * inv;
-            }
+        }
+        // Output MLP over the concatenated pooled representations.
+        let act = grown(act, n * h);
+        sparse.compress_rows(pooled, 3 * h);
+        self.out1.forward_rows(sparse, true, act);
+        sparse.compress_rows(act, h);
+        self.out2.forward_rows(sparse, false, out);
+        for y in out.iter_mut() {
+            *y = sigmoid_scalar(*y);
         }
     }
 
@@ -589,82 +625,195 @@ impl FrozenModel {
     }
 }
 
+/// The first `len` slots of a scratch buffer that only ever grows.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 #[inline]
 fn l_eq(a: usize, b: usize) -> bool {
     a == b
 }
 
-/// The frozen-path micro-kernels: a single `y += c · row` axpy, portable
-/// and AVX2. This is all the frozen forward needs — the gather, the dense
-/// matrix–vector product, and the pooled accumulation are all row-axpy
-/// shaped.
-pub mod kernels {
-    /// `y[j] += c · row[j]`, runtime-dispatched. Each output element takes
-    /// exactly one separately-rounded multiply and add, so the AVX2 and
-    /// portable variants are bit-identical by construction.
-    #[inline]
-    pub fn axpy(c: f32, row: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(row.len(), y.len());
-        #[cfg(target_arch = "x86_64")]
-        if row.len() >= x86::LANES && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { x86::axpy_avx2(c, row, y) };
-            return;
-        }
-        axpy_portable(c, row, y);
+/// The frozen-path kernel: sparse rows times a dense weight matrix,
+/// portable and AVX2. The gather, the dense layers and the output MLP are
+/// all this one shape.
+mod kernels {
+    use std::ops::Range;
+
+    use super::IndexSet;
+
+    /// A layer's weights, `(in_dim × out_dim)` row-major.
+    #[derive(Clone, Copy)]
+    pub(super) enum Weights<'a> {
+        F32(&'a [f32]),
+        /// `W[p][j] = q[p][j] · scales[p]`.
+        Int8 {
+            q: &'a [i8],
+            scales: &'a [f32],
+        },
     }
 
-    /// Portable fallback — the oracle the AVX2 variant is pinned against.
-    #[inline]
-    pub fn axpy_portable(c: f32, row: &[f32], y: &mut [f32]) {
-        for (o, &v) in y.iter_mut().zip(row) {
-            *o += c * v;
+    /// Columns `cols` of `y[r, :] = act(rows[r] · W + b)`: each output
+    /// element starts at `+0.0`, takes one separately-rounded multiply and
+    /// add per non-zero entry in entry order, then the bias. The oracle
+    /// for the AVX2 variant, the fallback without it, and the remainder
+    /// columns beside it.
+    pub(super) fn sparse_rows_portable(
+        w: Weights<'_>,
+        out_dim: usize,
+        bias: &[f32],
+        rows: &IndexSet,
+        relu: bool,
+        y: &mut [f32],
+        cols: Range<usize>,
+    ) {
+        let bias = &bias[cols.clone()];
+        for (r, &(start, len)) in rows.elems.iter().enumerate() {
+            let out = &mut y[r * out_dim + cols.start..r * out_dim + cols.end];
+            out.fill(0.0);
+            for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
+                if val == 0.0 {
+                    continue;
+                }
+                let at = idx as usize * out_dim;
+                match w {
+                    Weights::F32(w) => {
+                        for (o, &wv) in out.iter_mut().zip(&w[at + cols.start..at + cols.end]) {
+                            *o += val * wv;
+                        }
+                    }
+                    Weights::Int8 { q, scales } => {
+                        let t = val * scales[idx as usize];
+                        for (o, &qv) in out.iter_mut().zip(&q[at + cols.start..at + cols.end]) {
+                            *o += t * qv as f32;
+                        }
+                    }
+                }
+            }
+            for (o, &bv) in out.iter_mut().zip(bias) {
+                *o += bv;
+                if relu {
+                    *o = o.max(0.0);
+                }
+            }
         }
     }
 
-    /// 8-lane AVX2 axpy, living next to the 4×16 training kernels in
-    /// [`crate::tensor`]. Same determinism rules: separate multiply and
-    /// add (never `vfmadd`), one output element per lane.
+    /// The AVX2 column-tile kernel, living next to the 4×16 training
+    /// kernels in [`crate::tensor`]. Same determinism rules: separate
+    /// multiply and add (never `vfmadd`), one output element per lane.
     #[cfg(target_arch = "x86_64")]
-    pub mod x86 {
+    pub(super) mod x86 {
         use std::arch::x86_64::{
-            _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
+            __m128i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_loadu_ps,
+            _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+            _mm_loadl_epi64,
         };
+
+        use super::{sparse_rows_portable, IndexSet, Weights};
 
         /// Vector width: one 8-lane f32 register.
         pub const LANES: usize = 8;
 
-        /// AVX2 `y += c · row`; see [`super::axpy`].
+        /// AVX2 `y[r, :] = act(rows[r] · W + b)`: output columns are cut
+        /// into tiles of 64 (then 32, 16, 8, then scalar columns), and
+        /// every row is reduced into one tile before the next tile
+        /// starts, so the weights are streamed once per call.
         ///
         /// # Safety
         /// The CPU must support AVX2.
         #[target_feature(enable = "avx2")]
-        pub unsafe fn axpy_avx2(c: f32, row: &[f32], y: &mut [f32]) {
-            let n = row.len().min(y.len());
-            let cv = _mm256_set1_ps(c);
-            let rp = row.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut j = 0;
-            // Two independent 8-lane vectors per iteration.
-            while j + 2 * LANES <= n {
-                let y0 = _mm256_loadu_ps(yp.add(j));
-                let y1 = _mm256_loadu_ps(yp.add(j + LANES));
-                let r0 = _mm256_loadu_ps(rp.add(j));
-                let r1 = _mm256_loadu_ps(rp.add(j + LANES));
-                _mm256_storeu_ps(yp.add(j), _mm256_add_ps(y0, _mm256_mul_ps(cv, r0)));
-                _mm256_storeu_ps(yp.add(j + LANES), _mm256_add_ps(y1, _mm256_mul_ps(cv, r1)));
-                j += 2 * LANES;
+        pub unsafe fn sparse_rows_avx2(
+            w: Weights<'_>,
+            out_dim: usize,
+            bias: &[f32],
+            rows: &IndexSet,
+            relu: bool,
+            y: &mut [f32],
+        ) {
+            let mut j0 = 0;
+            while j0 + 8 * LANES <= out_dim {
+                tile::<8>(w, out_dim, bias, rows, relu, y, j0);
+                j0 += 8 * LANES;
             }
-            while j + LANES <= n {
-                let yv = _mm256_loadu_ps(yp.add(j));
-                let rv = _mm256_loadu_ps(rp.add(j));
-                _mm256_storeu_ps(yp.add(j), _mm256_add_ps(yv, _mm256_mul_ps(cv, rv)));
-                j += LANES;
+            if j0 + 4 * LANES <= out_dim {
+                tile::<4>(w, out_dim, bias, rows, relu, y, j0);
+                j0 += 4 * LANES;
             }
-            // Scalar remainder, same one-mul-one-add rounding.
-            while j < n {
-                *yp.add(j) += c * *rp.add(j);
-                j += 1;
+            if j0 + 2 * LANES <= out_dim {
+                tile::<2>(w, out_dim, bias, rows, relu, y, j0);
+                j0 += 2 * LANES;
+            }
+            if j0 + LANES <= out_dim {
+                tile::<1>(w, out_dim, bias, rows, relu, y, j0);
+                j0 += LANES;
+            }
+            if j0 < out_dim {
+                sparse_rows_portable(w, out_dim, bias, rows, relu, y, j0..out_dim);
+            }
+        }
+
+        /// One tile of `NV` vectors (`8·NV` output columns from `j0`)
+        /// for every row: the accumulators stay in registers across the
+        /// row's whole reduction, entries ascending.
+        ///
+        /// # Safety
+        /// The CPU must support AVX2. Every access goes through a
+        /// bounds-checked slice of exactly the tile's width.
+        #[target_feature(enable = "avx2")]
+        unsafe fn tile<const NV: usize>(
+            w: Weights<'_>,
+            out_dim: usize,
+            bias: &[f32],
+            rows: &IndexSet,
+            relu: bool,
+            y: &mut [f32],
+            j0: usize,
+        ) {
+            let width = NV * LANES;
+            let zero = _mm256_setzero_ps();
+            let bias = &bias[j0..j0 + width];
+            for (r, &(start, len)) in rows.elems.iter().enumerate() {
+                let mut acc = [zero; NV];
+                for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
+                    if val == 0.0 {
+                        continue;
+                    }
+                    let at = idx as usize * out_dim + j0;
+                    match w {
+                        Weights::F32(w) => {
+                            let row = &w[at..at + width];
+                            let cv = _mm256_set1_ps(val);
+                            for (v, a) in acc.iter_mut().enumerate() {
+                                let wv = _mm256_loadu_ps(row.as_ptr().add(v * LANES));
+                                *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
+                            }
+                        }
+                        Weights::Int8 { q, scales } => {
+                            let row = &q[at..at + width];
+                            let cv = _mm256_set1_ps(val * scales[idx as usize]);
+                            for (v, a) in acc.iter_mut().enumerate() {
+                                let q8 =
+                                    _mm_loadl_epi64(row.as_ptr().add(v * LANES) as *const __m128i);
+                                let wv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
+                                *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
+                            }
+                        }
+                    }
+                }
+                let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
+                for (v, a) in acc.iter().enumerate() {
+                    let bv = _mm256_loadu_ps(bias.as_ptr().add(v * LANES));
+                    let mut o = _mm256_add_ps(*a, bv);
+                    if relu {
+                        o = _mm256_max_ps(o, zero);
+                    }
+                    _mm256_storeu_ps(out.as_mut_ptr().add(v * LANES), o);
+                }
             }
         }
     }
@@ -692,16 +841,62 @@ mod tests {
         Linear::from_params(w, b)
     }
 
-    #[test]
-    fn axpy_avx2_matches_portable_oracle() {
-        for n in [1usize, 7, 8, 9, 16, 17, 31, 64, 129] {
-            let row: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37 - 3.0).sin()).collect();
-            let mut fast: Vec<f32> = (0..n).map(|i| i as f32 * 0.01 - 0.5).collect();
-            let mut slow = fast.clone();
-            kernels::axpy(0.73, &row, &mut fast);
-            kernels::axpy_portable(0.73, &row, &mut slow);
-            assert_eq!(fast, slow, "n={n}");
+    /// A random sparse batch of `rows` rows over `in_dim` features, with
+    /// an empty row and an explicit zero value in the mix.
+    fn sparse_rows(rows: usize, in_dim: usize, seed: u64) -> IndexSet {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 40) as u32
+        };
+        let mut set = IndexSet::default();
+        for r in 0..rows {
+            let e = set.begin_elem();
+            if r != 1 {
+                for idx in 0..in_dim as u32 {
+                    match next() % 3 {
+                        0 => set.push(idx, next() as f32 / (1u32 << 24) as f32 - 0.5),
+                        1 if idx == 2 => set.push(idx, 0.0),
+                        _ => {}
+                    }
+                }
+            }
+            set.finish_elem(e);
         }
+        set
+    }
+
+    #[test]
+    fn column_tile_kernel_matches_portable_oracle_on_ragged_widths() {
+        // 250 = 3·64 + 32 + 16 + 8 + 2 walks every tile width and the
+        // scalar remainder; 5 is below one vector.
+        for out_dim in [1usize, 5, 8, 16, 96, 250, 256] {
+            for mode in [QuantMode::F32, QuantMode::Int8] {
+                let l = FrozenLinear::from_linear(&linear(37, out_dim, out_dim as u64), mode);
+                let rows = sparse_rows(7, 37, 0xC0 + out_dim as u64);
+                for relu in [false, true] {
+                    let mut fast = vec![f32::NAN; 7 * out_dim];
+                    let mut slow = vec![f32::NAN; 7 * out_dim];
+                    l.forward_rows(&rows, relu, &mut fast);
+                    l.forward_rows_portable(&rows, relu, &mut slow);
+                    assert_eq!(fast, slow, "out_dim={out_dim} {mode:?} relu={relu}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compress_rows_keeps_exactly_the_non_zeros_in_order() {
+        let dense = [
+            0.0f32, 1.5, -0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 4.0,
+        ];
+        let mut set = IndexSet::default();
+        set.push(9, 9.0); // stale contents are replaced
+        set.compress_rows(&dense, 4);
+        assert_eq!(set.elems, vec![(0, 2), (2, 0), (2, 2)]);
+        assert_eq!(set.entries, vec![(1, 1.5), (3, 2.0), (0, -3.0), (3, 4.0)]);
     }
 
     #[test]
@@ -733,12 +928,14 @@ mod tests {
     }
 
     #[test]
-    fn forward_vec_matches_manual_dot() {
+    fn forward_rows_matches_manual_dot() {
         let l = linear(4, 3, 0x7);
         let f = FrozenLinear::from_linear(&l, QuantMode::F32);
         let x = [0.5f32, 0.0, -1.25, 2.0];
+        let mut rows = IndexSet::default();
+        rows.compress_rows(&x, 4);
         let mut y = [0.0f32; 3];
-        f.forward_vec(&x, &mut y);
+        f.forward_rows(&rows, false, &mut y);
         for (j, &got) in y.iter().enumerate() {
             let mut want = 0.0f32;
             for (p, &xv) in x.iter().enumerate() {
@@ -748,6 +945,115 @@ mod tests {
             }
             want += l.bias()[j];
             assert_eq!(got, want, "j={j}");
+        }
+    }
+
+    /// The forward pass as it was first written: one element at a time,
+    /// one row-axpy per active feature into a memory-resident `y`. The
+    /// batched column-tile path must reproduce it bit for bit, in both
+    /// modes.
+    fn element_at_a_time(m: &FrozenModel, sets: [&IndexSet; 3]) -> f32 {
+        fn layer(l: &FrozenLinear, x: &[(u32, f32)], relu: bool) -> Vec<f32> {
+            let mut y = vec![0.0f32; l.out_dim];
+            for &(p, xv) in x {
+                if xv == 0.0 {
+                    continue;
+                }
+                let at = p as usize * l.out_dim;
+                for (j, o) in y.iter_mut().enumerate() {
+                    match l.mode {
+                        QuantMode::F32 => *o += xv * l.w[at + j],
+                        QuantMode::Int8 => {
+                            let t = xv * l.scales[p as usize];
+                            *o += t * l.q[at + j] as f32;
+                        }
+                    }
+                }
+            }
+            for (o, &b) in y.iter_mut().zip(&l.b) {
+                *o += b;
+                if relu {
+                    *o = o.max(0.0);
+                }
+            }
+            y
+        }
+        let dense = |y: &[f32]| -> Vec<(u32, f32)> {
+            y.iter().enumerate().map(|(j, &v)| (j as u32, v)).collect()
+        };
+        let mut pooled = Vec::new();
+        for ((l1, l2), set) in [
+            (&m.tables1, &m.tables2),
+            (&m.joins1, &m.joins2),
+            (&m.preds1, &m.preds2),
+        ]
+        .into_iter()
+        .zip(sets)
+        {
+            let mut p = vec![0.0f32; m.hidden];
+            let inv = 1.0 / set.elems.len() as f32;
+            for &(start, len) in &set.elems {
+                let z1 = layer(
+                    l1,
+                    &set.entries[start as usize..(start + len) as usize],
+                    true,
+                );
+                let z2 = layer(l2, &dense(&z1), true);
+                for (o, &v) in p.iter_mut().zip(&z2) {
+                    *o += v * inv;
+                }
+            }
+            pooled.extend(p);
+        }
+        let z3 = layer(&m.out1, &dense(&pooled), true);
+        sigmoid_scalar(layer(&m.out2, &dense(&z3), false)[0])
+    }
+
+    #[test]
+    fn batched_forward_is_the_element_at_a_time_forward_bit_for_bit() {
+        for mode in [QuantMode::F32, QuantMode::Int8] {
+            let m = tiny_model(mode);
+            let (t, j, p) = demo_sets();
+            let empty = IndexSet::default();
+            let queries = [
+                [&t, &j, &p],
+                [&t, &empty, &p],
+                [&t, &j, &empty],
+                [&t, &j, &p],
+            ];
+            let mut scratch = FrozenScratch::new();
+            let singles: Vec<f32> = queries
+                .iter()
+                .map(|&[t, j, p]| m.forward_query(t, j, p, &mut scratch))
+                .collect();
+            for (&q, got) in queries.iter().zip(&singles) {
+                let want = element_at_a_time(&m, q);
+                assert_eq!(got.to_bits(), want.to_bits(), "{mode:?}");
+            }
+            // The same four queries as one batch: sets back to back.
+            let concat = |slot: usize| {
+                let mut all = IndexSet::default();
+                for q in &queries {
+                    let set = q[slot];
+                    for &(start, len) in &set.elems {
+                        let e = all.begin_elem();
+                        for &(i, v) in &set.entries[start as usize..(start + len) as usize] {
+                            all.push(i, v);
+                        }
+                        all.finish_elem(e);
+                    }
+                }
+                all
+            };
+            let (ts, js, ps) = (concat(0), concat(1), concat(2));
+            let counts: Vec<[u32; 3]> = queries
+                .iter()
+                .map(|q| q.map(|s| s.elems.len() as u32))
+                .collect();
+            let mut out = vec![0.0f32; queries.len()];
+            m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&singles), "{mode:?}");
         }
     }
 

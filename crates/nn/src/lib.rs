@@ -18,7 +18,7 @@
 //! * [`loss`] — the mean q-error objective of the paper, plus MSE;
 //! * [`serialize`] — a versioned binary codec for model weights;
 //! * [`frozen`] — serving-only frozen inference artifacts: f32 or int8
-//!   weights in gather-friendly layout with a fused per-query forward.
+//!   weights in gather-friendly layout with one fused batched forward.
 //!
 //! Everything is deterministic given a seed, and every backward pass is
 //! validated against finite differences in the test suite.

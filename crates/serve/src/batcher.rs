@@ -1,10 +1,19 @@
 //! Request coalescing: concurrent in-flight estimates against the same
 //! sketch are gathered into micro-batches and answered through one
 //! [`CardinalityEstimator::try_estimate_batch`] call instead of one forward
-//! pass per connection.
+//! pass per connection — and a request with nothing to coalesce with is
+//! answered right where it arrived.
 //!
 //! Design:
 //!
+//! * **The inline rule.** [`Batcher::estimate_with_trace`] runs the forward
+//!   pass on the calling (connection handler) thread when the admission
+//!   queue is empty and fewer than `workers` forward passes are in flight,
+//!   on workers or inline. A lone request then costs what its kernel costs:
+//!   no queue, no wake-up, no reply channel, no thread hop. As soon as
+//!   `workers` passes are running, later arrivals queue up behind them —
+//!   which is exactly when there is something to coalesce with. The rule
+//!   reads state the batcher already has; there is no knob.
 //! * A bounded admission queue guards the workers. When it is full,
 //!   [`Batcher::submit`] fails fast with [`Rejection::Busy`] — the caller
 //!   sheds the request with a `BUSY` response instead of queueing an
@@ -16,17 +25,19 @@
 //!   it.
 //! * Each job carries a deadline. Expired jobs are dropped before doing
 //!   work (their submitter has already given up); waiting submitters time
-//!   out with [`Rejection::Timeout`].
+//!   out with [`Rejection::Timeout`], and an inline pass that overran its
+//!   deadline reports the same once it returns.
 //! * Shutdown is graceful: workers drain the queue, then exit.
 //!
-//! Coalescing never changes results: estimators guarantee
-//! `try_estimate_batch` is bit-identical to looped `try_estimate` calls,
-//! and the integration tests assert it end to end.
+//! Both paths run the same forward-pass code (fault injection, spans,
+//! batch metrics, batch-span minting) and neither changes results:
+//! estimators guarantee `try_estimate_batch` is bit-identical to looped
+//! `try_estimate` calls, and the integration tests assert it end to end.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,7 +104,8 @@ impl Default for BatcherConfig {
 }
 
 /// Monotonic stamps marking where a job's time went, taken by `submit`
-/// and the batch worker. The server stitches them into the request
+/// and the batch worker (an inline job takes all of them itself, with
+/// `dequeued == enqueued`). The server stitches them into the request
 /// timeline (parse → queue-wait → batch-wait → forward → write); the
 /// stamps are strictly ordered, so consecutive differences are the stage
 /// durations and they sum to the span they cover by construction.
@@ -153,6 +165,11 @@ struct Inner {
     work_ready: Condvar,
     metrics: Arc<Metrics>,
     cfg: BatcherConfig,
+    /// Forward passes running right now, on workers and inline. Raised
+    /// only under the state lock (so the inline rule's read, also under
+    /// the lock, never misses one) and lowered without it; it publishes
+    /// no other data, hence `Relaxed`.
+    in_flight: AtomicUsize,
     /// Jobs dropped unanswered because their deadline passed in-queue.
     expired: AtomicU64,
     /// Mints batch span ids for batches containing traced jobs.
@@ -197,6 +214,7 @@ impl Batcher {
             work_ready: Condvar::new(),
             metrics,
             cfg,
+            in_flight: AtomicUsize::new(0),
             expired: AtomicU64::new(0),
             ids: IdSource::from_entropy(),
             faults,
@@ -248,30 +266,8 @@ impl Batcher {
         query: Query,
         trace: Option<TraceContext>,
     ) -> Result<Receiver<Completed>, Rejection> {
-        let (tx, rx) = channel();
-        let mut st = self.inner.state.lock().expect("batcher lock");
-        if st.shutdown {
-            return Err(Rejection::ShuttingDown);
-        }
-        if st.queue.len() >= self.inner.cfg.queue_capacity {
-            let queued = st.queue.len();
-            drop(st);
-            self.inner.metrics.record_shed();
-            return Err(Rejection::Busy { queued });
-        }
-        let enqueued = Instant::now();
-        st.queue.push_back(Job {
-            key,
-            estimator,
-            query,
-            trace,
-            tx,
-            enqueued,
-            deadline: enqueued + self.inner.cfg.request_timeout,
-        });
-        drop(st);
-        self.inner.work_ready.notify_one();
-        Ok(rx)
+        let st = self.inner.admit()?;
+        self.inner.enqueue(st, key, estimator, query, trace)
     }
 
     /// Submits and waits for the result, enforcing the configured
@@ -302,7 +298,10 @@ impl Batcher {
     }
 
     /// [`Batcher::estimate_traced_keyed`] carrying the request's trace
-    /// context into the batch (see [`Batcher::submit_with_trace`]).
+    /// context into the batch (see [`Batcher::submit_with_trace`]). Runs
+    /// the forward pass on the calling thread when nothing is queued and a
+    /// forward slot is free (the inline rule, see the module docs);
+    /// otherwise enqueues and waits.
     pub fn estimate_with_trace(
         &self,
         key: u64,
@@ -310,15 +309,22 @@ impl Batcher {
         query: Query,
         trace: Option<TraceContext>,
     ) -> Result<(f64, StageStamps), Rejection> {
-        let rx = self.submit_with_trace(key, estimator, query, trace)?;
-        match rx.recv_timeout(self.inner.cfg.request_timeout) {
+        let inner = &*self.inner;
+        let st = inner.admit()?;
+        if st.queue.is_empty() && inner.in_flight.load(Ordering::Relaxed) < inner.cfg.workers {
+            let slot = InFlight::claim(inner);
+            drop(st);
+            return inner.estimate_inline(slot, &estimator, query, trace);
+        }
+        let rx = inner.enqueue(st, key, estimator, query, trace)?;
+        match rx.recv_timeout(inner.cfg.request_timeout) {
             Ok(Completed {
                 result: Ok(v),
                 stamps,
             }) => Ok((v, stamps)),
             Ok(Completed { result: Err(e), .. }) => Err(Rejection::Estimate(e)),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                self.inner.metrics.record_timeout();
+                inner.metrics.record_timeout();
                 Err(Rejection::Timeout)
             }
         }
@@ -358,10 +364,143 @@ impl Drop for Batcher {
     }
 }
 
+/// One running forward pass's claim on [`Inner::in_flight`], released on
+/// drop — also when the estimator panics.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    /// Call with the state lock held.
+    fn claim(inner: &'a Inner) -> Self {
+        inner.in_flight.fetch_add(1, Ordering::Relaxed);
+        Self(&inner.in_flight)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// What one forward pass produced, for the worker and the inline path to
+/// stamp onto their jobs.
+struct ForwardPass {
+    results: Vec<Result<f64, EstimateError>>,
+    start: Instant,
+    end: Instant,
+    batch_span: u64,
+}
+
+impl Inner {
+    /// Takes the state lock for one admission decision, refusing after
+    /// shutdown began.
+    fn admit(&self) -> Result<MutexGuard<'_, State>, Rejection> {
+        let st = self.state.lock().expect("batcher lock");
+        if st.shutdown {
+            return Err(Rejection::ShuttingDown);
+        }
+        Ok(st)
+    }
+
+    /// Queues one job for the workers, or sheds it when the queue is full.
+    fn enqueue(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        key: u64,
+        estimator: SharedEstimator,
+        query: Query,
+        trace: Option<TraceContext>,
+    ) -> Result<Receiver<Completed>, Rejection> {
+        if st.queue.len() >= self.cfg.queue_capacity {
+            let queued = st.queue.len();
+            drop(st);
+            self.metrics.record_shed();
+            return Err(Rejection::Busy { queued });
+        }
+        let (tx, rx) = channel();
+        let enqueued = Instant::now();
+        st.queue.push_back(Job {
+            key,
+            estimator,
+            query,
+            trace,
+            tx,
+            enqueued,
+            deadline: enqueued + self.cfg.request_timeout,
+        });
+        drop(st);
+        self.work_ready.notify_one();
+        Ok(rx)
+    }
+
+    /// A batch of one on the calling thread. Nobody waits on a channel
+    /// here, so nothing can give up at the deadline while the pass runs; a
+    /// pass that overran it is reported (and counted) as the same
+    /// [`Rejection::Timeout`] once it returns, which keeps a wedged model
+    /// tripping its breaker whichever path its requests take.
+    fn estimate_inline(
+        &self,
+        slot: InFlight<'_>,
+        estimator: &SharedEstimator,
+        query: Query,
+        trace: Option<TraceContext>,
+    ) -> Result<(f64, StageStamps), Rejection> {
+        let enqueued = Instant::now();
+        let mut pass = self.forward(estimator, std::slice::from_ref(&query), trace.is_some());
+        drop(slot);
+        if pass.end.duration_since(enqueued) > self.cfg.request_timeout {
+            self.metrics.record_timeout();
+            return Err(Rejection::Timeout);
+        }
+        let stamps = StageStamps {
+            enqueued,
+            dequeued: enqueued,
+            forward_start: pass.start,
+            forward_end: pass.end,
+            batch_span: pass.batch_span,
+        };
+        match pass.results.pop().expect("one result per query") {
+            Ok(v) => Ok((v, stamps)),
+            Err(e) => Err(Rejection::Estimate(e)),
+        }
+    }
+
+    /// One forward pass over `queries`, the same on a worker and inline:
+    /// span, injected stall, the estimator call, batch metrics, and one
+    /// batch span id when any of its jobs is traced.
+    fn forward(&self, estimator: &SharedEstimator, queries: &[Query], traced: bool) -> ForwardPass {
+        let obs = ds_obs::global();
+        let span = obs.span("serve/batch");
+        // Injected stall (tests only): models a wedged forward pass so
+        // deadline handling and breaker trips are exercised on the real
+        // serving paths.
+        if let Some(delay) = self.faults.as_ref().and_then(|f| f.forward_delay()) {
+            std::thread::sleep(delay);
+        }
+        let start = Instant::now();
+        let results = estimator.try_estimate_batch(queries);
+        let end = Instant::now();
+        drop(span);
+        if obs.is_enabled() {
+            obs.observe("serve/batch_size", queries.len() as u64);
+        }
+        self.metrics.record_batch(queries.len());
+        // One batch span links every traced request that shared this
+        // forward pass; untraced batches mint nothing.
+        let batch_span = if traced { self.ids.next_span() } else { 0 };
+        ForwardPass {
+            results,
+            start,
+            end,
+            batch_span,
+        }
+    }
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
         // Wait for work; exit only when shut down AND drained.
-        let mut batch = {
+        let (mut batch, slot) = {
             let mut st = inner.state.lock().expect("batcher lock");
             loop {
                 if !st.queue.is_empty() {
@@ -389,7 +528,7 @@ fn worker_loop(inner: &Inner) {
                     i += 1;
                 }
             }
-            batch
+            (batch, InFlight::claim(inner))
         };
         // The whole batch leaves the queue at one moment; the per-job
         // queue-wait is measured from each job's own enqueue stamp.
@@ -406,41 +545,26 @@ fn worker_loop(inner: &Inner) {
             continue;
         }
 
-        // One coalesced forward pass outside the lock.
-        let obs = ds_obs::global();
-        let span = obs.span("serve/batch");
-        let queries: Vec<Query> = batch.iter().map(|j| j.query.clone()).collect();
-        // Injected stall (tests only): models a wedged forward pass so
-        // deadline handling and breaker trips are exercised on the real
-        // worker path.
-        if let Some(delay) = inner.faults.as_ref().and_then(|f| f.forward_delay()) {
-            std::thread::sleep(delay);
-        }
-        let forward_start = Instant::now();
-        let results = batch[0].estimator.try_estimate_batch(&queries);
-        let forward_end = Instant::now();
-        drop(span);
-        if obs.is_enabled() {
-            obs.observe("serve/batch_size", batch.len() as u64);
-        }
-        inner.metrics.record_batch(batch.len());
-        // One batch span links every traced request that shared this
-        // forward pass; untraced batches mint nothing.
-        let batch_span = if batch.iter().any(|j| j.trace.is_some()) {
-            inner.ids.next_span()
-        } else {
-            0
-        };
-        for (job, result) in batch.into_iter().zip(results) {
+        // One coalesced forward pass outside the lock. The queries move
+        // out of their jobs; what stays behind is who is waiting.
+        let estimator = Arc::clone(&batch[0].estimator);
+        let traced = batch.iter().any(|j| j.trace.is_some());
+        let (queries, waiters): (Vec<Query>, Vec<_>) = batch
+            .into_iter()
+            .map(|j| (j.query, (j.tx, j.enqueued)))
+            .unzip();
+        let pass = inner.forward(&estimator, &queries, traced);
+        drop(slot);
+        for ((tx, enqueued), result) in waiters.into_iter().zip(pass.results) {
             let stamps = StageStamps {
-                enqueued: job.enqueued,
+                enqueued,
                 dequeued,
-                forward_start,
-                forward_end,
-                batch_span,
+                forward_start: pass.start,
+                forward_end: pass.end,
+                batch_span: pass.batch_span,
             };
             // A failed send means the waiter gave up; nothing to do.
-            let _ = job.tx.send(Completed { result, stamps });
+            let _ = tx.send(Completed { result, stamps });
         }
     }
 }
@@ -557,23 +681,106 @@ mod tests {
     }
 
     #[test]
-    fn stage_stamps_are_ordered_and_cover_the_forward_pass() {
+    fn inline_and_queued_paths_agree_and_stamp_in_order() {
         let est: SharedEstimator = Arc::new(StubEstimator {
             base: 1.0,
             delay: Duration::from_millis(10),
         });
-        let batcher = Batcher::new(BatcherConfig::default(), Arc::new(Metrics::new()));
+        let metrics = Arc::new(Metrics::new());
+        let batcher = Batcher::new(BatcherConfig::default(), Arc::clone(&metrics));
+        let query = queries(3).pop().expect("a two-table query");
         let before = Instant::now();
-        let (v, stamps) = batcher
-            .estimate_traced(Arc::clone(&est), Query::new())
+        // An idle batcher answers on the calling thread...
+        let (inline, stamps) = batcher
+            .estimate_with_trace(7, Arc::clone(&est), query.clone(), None)
+            .expect("inline estimate");
+        assert_eq!(stamps.dequeued, stamps.enqueued, "inline jobs never queue");
+        // ...`submit` always goes through the queue and a worker.
+        let done = batcher
+            .submit_with_trace(7, Arc::clone(&est), query, None)
+            .expect("submit")
+            .recv()
+            .expect("queued result");
+        assert_eq!(done.result, Ok(inline));
+        assert_eq!(inline, 3.0);
+        for s in [stamps, done.stamps] {
+            assert!(s.enqueued >= before);
+            assert!(s.dequeued >= s.enqueued);
+            assert!(s.forward_start >= s.dequeued);
+            // The forward stage contains the stub's 10ms sleep.
+            assert!(s.forward_end - s.forward_start >= Duration::from_millis(10));
+            assert_eq!(s.batch_span, 0, "untraced jobs mint no batch span");
+        }
+        batcher.shutdown();
+        // Both passes count as batches of one, so `serve.batches` and
+        // `serve.mean_batch` describe inline traffic too.
+        let snap = metrics.snapshot();
+        assert_eq!((snap.batches, snap.max_batch), (2, 1));
+    }
+
+    #[test]
+    fn sixteen_submitters_on_a_slow_model_still_coalesce() {
+        // The inline rule hands out at most `workers` forward slots; the
+        // other submitters find them taken, queue up, and ride together.
+        let est: SharedEstimator = Arc::new(StubEstimator {
+            base: 5.0,
+            delay: Duration::from_millis(2),
+        });
+        let metrics = Arc::new(Metrics::new());
+        let batcher = Batcher::new(
+            BatcherConfig {
+                request_timeout: Duration::from_secs(10),
+                ..BatcherConfig::default()
+            },
+            Arc::clone(&metrics),
+        );
+        let start = std::sync::Barrier::new(16);
+        std::thread::scope(|s| {
+            for _ in 0..16 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..8 {
+                        assert_eq!(batcher.estimate(Arc::clone(&est), Query::new()), Ok(5.0));
+                    }
+                });
+            }
+        });
+        batcher.shutdown();
+        let snap = metrics.snapshot();
+        assert!(snap.max_batch > 1, "no coalescing under concurrency");
+        assert!(snap.batches < 16 * 8, "batches={}", snap.batches);
+    }
+
+    #[test]
+    fn inline_pass_that_overruns_its_deadline_is_a_counted_timeout() {
+        let est: SharedEstimator = Arc::new(StubEstimator {
+            base: 0.0,
+            delay: Duration::from_millis(40),
+        });
+        let metrics = Arc::new(Metrics::new());
+        let batcher = Batcher::new(
+            BatcherConfig {
+                request_timeout: Duration::from_millis(5),
+                ..BatcherConfig::default()
+            },
+            Arc::clone(&metrics),
+        );
+        assert_eq!(
+            batcher.estimate(Arc::clone(&est), Query::new()),
+            Err(Rejection::Timeout)
+        );
+        assert_eq!(metrics.snapshot().timeouts, 1);
+        // The slot was released: the next request runs inline again.
+        let (_, stamps) = batcher
+            .estimate_traced(
+                Arc::new(StubEstimator {
+                    base: 0.0,
+                    delay: Duration::ZERO,
+                }),
+                Query::new(),
+            )
             .expect("estimate");
-        assert_eq!(v, 1.0);
-        assert!(stamps.enqueued >= before);
-        assert!(stamps.dequeued >= stamps.enqueued);
-        assert!(stamps.forward_start >= stamps.dequeued);
-        assert!(stamps.forward_end >= stamps.forward_start);
-        // The forward stage contains the stub's 10ms sleep.
-        assert!(stamps.forward_end - stamps.forward_start >= Duration::from_millis(10));
+        assert_eq!(stamps.dequeued, stamps.enqueued);
         batcher.shutdown();
     }
 
@@ -730,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_delay_fault_stalls_the_batch_worker() {
+    fn forward_delay_fault_stalls_the_forward_pass_on_either_path() {
         let faults = Arc::new(crate::faults::FaultInjector::new(11));
         faults.delay_forwards(Duration::from_millis(40), 1.0);
         let est: SharedEstimator = Arc::new(StubEstimator {
@@ -742,14 +949,23 @@ mod tests {
             Arc::new(Metrics::new()),
             Some(Arc::clone(&faults)),
         );
-        let t0 = Instant::now();
-        assert_eq!(batcher.estimate(Arc::clone(&est), Query::new()), Ok(1.0));
-        if crate::faults::FaultInjector::armed() {
-            assert!(
-                t0.elapsed() >= Duration::from_millis(40),
-                "injected stall skipped: {:?}",
-                t0.elapsed()
-            );
+        // Inline (idle batcher), then through the queue.
+        for queued in [false, true] {
+            let t0 = Instant::now();
+            let got = if queued {
+                let rx = batcher.submit(Arc::clone(&est), Query::new()).unwrap();
+                rx.recv().unwrap().result
+            } else {
+                Ok(batcher.estimate(Arc::clone(&est), Query::new()).unwrap())
+            };
+            assert_eq!(got, Ok(1.0));
+            if crate::faults::FaultInjector::armed() {
+                assert!(
+                    t0.elapsed() >= Duration::from_millis(40),
+                    "injected stall skipped (queued={queued}): {:?}",
+                    t0.elapsed()
+                );
+            }
         }
         batcher.shutdown();
     }
@@ -775,6 +991,12 @@ mod tests {
             .estimate_with_trace(3, Arc::clone(&est), Query::new(), Some(ctx))
             .expect("estimate");
         assert_ne!(stamps.batch_span, 0);
+        assert_eq!(stamps.dequeued, stamps.enqueued, "ran inline");
+        // And through the queue.
+        let rx = batcher
+            .submit_with_trace(3, Arc::clone(&est), Query::new(), Some(ctx))
+            .expect("submit");
+        assert_ne!(rx.recv().expect("result").stamps.batch_span, 0);
         batcher.shutdown();
     }
 
@@ -788,9 +1010,14 @@ mod tests {
             delay: Duration::ZERO,
         });
         assert!(matches!(
-            batcher.submit(est, Query::new()),
+            batcher.submit(Arc::clone(&est), Query::new()),
             Err(Rejection::ShuttingDown)
         ));
+        // The inline path checks the same flag before it claims a slot.
+        assert_eq!(
+            batcher.estimate(est, Query::new()),
+            Err(Rejection::ShuttingDown)
+        );
         batcher.shutdown();
     }
 }

@@ -102,16 +102,7 @@ impl Connection {
     /// Sends one request and reads its one-line response. `estimate`
     /// selects whether an `OK` payload parses as a number or as text.
     pub fn roundtrip(&mut self, req: &Request, estimate: bool) -> std::io::Result<Response> {
-        writeln!(self.writer, "{}", format_request(req))?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
+        let line = self.exchange(format_request(req))?;
         parse_response(&line, estimate)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
@@ -119,17 +110,23 @@ impl Connection {
     /// Sends a raw line (possibly malformed — for protocol tests) and
     /// returns the raw response line.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
+        Ok(self.exchange(line.to_string())?.trim_end().to_string())
+    }
+
+    /// Writes `request` and its newline with one `write_all` — the stream
+    /// is unbuffered and `TCP_NODELAY`, so two writes would be two
+    /// segments the server can see a stall between — then reads one line.
+    fn exchange(&mut self, mut request: String) -> std::io::Result<String> {
+        request.push('\n');
+        self.writer.write_all(request.as_bytes())?;
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        Ok(resp.trim_end().to_string())
+        Ok(line)
     }
 
     /// Negotiates the protocol: sends `HELLO` with this build's version and

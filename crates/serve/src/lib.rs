@@ -4,10 +4,12 @@
 //! line-based text protocol (`ESTIMATE`, `INFO`, `LIST`, `METRICS`,
 //! `QUIT`), built on the unified [`CardinalityEstimator`] API:
 //!
-//! * **Coalescing** — concurrent in-flight estimates against the same
-//!   sketch are gathered into micro-batches and answered through one
-//!   `estimate_batch` forward pass ([`batcher`]). Results are bit-identical
-//!   to per-request `estimate_one` calls.
+//! * **Inline, then coalescing** — a request that finds nothing queued
+//!   runs its forward pass on its own connection thread; once the forward
+//!   slots are busy, concurrent estimates against the same sketch are
+//!   gathered into micro-batches and answered through one
+//!   `try_estimate_batch` call ([`batcher`]). Results are bit-identical
+//!   to per-request `estimate_one` calls either way.
 //! * **Caching** — a bounded, template-keyed estimate cache ([`cache`])
 //!   short-circuits repeat healthy `ESTIMATE`s with bit-identical answers;
 //!   entries are generation-keyed so sketch swaps invalidate structurally,

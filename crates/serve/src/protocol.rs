@@ -433,21 +433,31 @@ pub fn format_request(req: &Request) -> String {
 
 /// Formats a response as its single wire line (no trailing newline).
 pub fn format_response(resp: &Response) -> String {
+    let mut line = String::new();
+    write_response(&mut line, resp);
+    line
+}
+
+/// Appends a response's single wire line (no trailing newline) to `out` —
+/// [`format_response`] into a buffer the caller reuses.
+pub fn write_response(out: &mut String, resp: &Response) {
+    use std::fmt::Write as _;
     let one_line = |s: &str| s.replace(['\n', '\r'], " ");
-    match resp {
+    // Writing into a `String` cannot fail.
+    let _ = match resp {
         // `{:?}`-style shortest-roundtrip float formatting: the client
         // reparses to the bit-identical f64. The degraded form only
         // *appends* a token, so the non-degraded line stays byte-identical
         // to what it was before degradation existed.
-        Response::Estimate(v) => format!("OK {v:?}"),
-        Response::Degraded(v) => format!("OK {v:?} degraded"),
-        Response::Text(t) => format!("OK {}", one_line(t)),
+        Response::Estimate(v) => write!(out, "OK {v:?}"),
+        Response::Degraded(v) => write!(out, "OK {v:?} degraded"),
+        Response::Text(t) => write!(out, "OK {}", one_line(t)),
         Response::Error { code, message } => {
-            format!("ERR {} {}", code.as_str(), one_line(message))
+            write!(out, "ERR {} {}", code.as_str(), one_line(message))
         }
-        Response::Busy(m) => format!("BUSY {}", one_line(m)),
-        Response::Bye => "BYE".to_string(),
-    }
+        Response::Busy(m) => write!(out, "BUSY {}", one_line(m)),
+        Response::Bye => write!(out, "BYE"),
+    };
 }
 
 /// Parses a response line (client side). `estimate` selects whether an

@@ -9,7 +9,13 @@
 //!   batcher's queue bound per request, both shedding with `BUSY`;
 //! * `shutdown()` drains: in-flight requests finish, queued batches run,
 //!   every thread is joined before it returns.
+//!
+//! One pacing rule lives here, because it is per connection: requests that
+//! ran a forward pass are taken up `COLD_PASS_SPACING` apart (see there for
+//! why), while lone requests, requests that follow a cache hit and the
+//! connections of a loaded server are handled as they arrive.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -37,12 +43,37 @@ use crate::config::{ServeConfig, SloSignal};
 use crate::faults::FaultInjector;
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 use crate::protocol::{
-    estimate_error_response, format_response, parse_request, store_error_response, ErrorCode,
-    Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    estimate_error_response, format_response, parse_request, store_error_response, write_response,
+    ErrorCode, Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
 
 /// How often blocked reads wake up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Distance between a connection's forward-pass slots: after a request that
+/// ran a pass, the connection's next request is taken up no sooner than the
+/// end of that request's slot (see [`ColdPacer`]). A cold round trip is
+/// CPU-bound end to end, and on a shared host the CPU time it takes swings
+/// by tens of percent in patches of seconds to minutes, so an unpaced
+/// closed-loop client measures the host's mood. With the grid the sustained
+/// cold-estimate rate of one connection is a property of the server — one
+/// pass per 148 µs, about 6 700 a second — and the same in every mood in
+/// which the host keeps up. A request that arrives after its slot (any
+/// interactive client, any connection of a loaded server) finds the handler
+/// asleep in its read and is handled at once, so a lone `ESTIMATE` costs
+/// what it did; only back-to-back cold requests on one connection wait, and
+/// cache hits never start a wait. 148 µs sits above what the reference host
+/// needs for such a round trip in its slow moods (p50 124–139 µs over all
+/// 10 ms slices of `adhoc_wire`, unpaced) and keeps the paced round trip
+/// under 150 µs.
+const COLD_PASS_SPACING: Duration = Duration::from_micros(148);
+
+/// How much of a delay a connection may make up: a request taken up later
+/// than its slot (a long pass, a descheduled handler) shortens the following
+/// spacings by at most this much in total, so the cadence survives the
+/// jitter of single requests while no 10 ms window holds noticeably more
+/// passes than the spacing allows.
+const COLD_PASS_CATCH_UP: Duration = Duration::from_micros(37);
 
 /// Bound on queued shadow-mirror jobs: the hot path never blocks on the
 /// lifecycle daemon — when the scorer falls behind, mirrored jobs are
@@ -412,26 +443,48 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Both buffers live as long as the connection: a request is read into
+    // `line` and its response formatted into `reply` without allocating.
+    let mut line = Vec::new();
+    let mut reply = String::new();
+    let pacer = ColdPacer::default();
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
             Ok(_) => {}
+            // The timeout only exists to poll the shutdown flag. Whatever
+            // part of a request arrived before it stays in `line`, and the
+            // next read continues it: a client that stalls mid-line (or
+            // whose request was split across two segments) loses nothing.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let Ok(request) = std::str::from_utf8(&line) else {
+            return;
+        };
+        if request.trim().is_empty() {
+            line.clear();
             continue;
         }
+        // A request that arrived before the slot of the pass before it
+        // ended waits here, with its handler awake; one that arrives later
+        // (the usual case on a loaded server) found the handler asleep in
+        // the read above, and nothing spins for it.
+        pacer.rest();
         // t0 anchors the request timeline: everything from here to the
         // post-flush stamp is attributed to exactly one stage.
         let t0 = Instant::now();
-        let (response, quit, pending) = handle_line(&line, shared, t0);
-        if writeln!(writer, "{}", format_response(&response)).is_err() || writer.flush().is_err() {
+        let (response, quit, pending) = handle_line(request, shared, t0, &pacer);
+        line.clear();
+        // One `write(2)` per response: under TCP_NODELAY a separate write
+        // of the newline would be a second segment and a second wake-up.
+        reply.clear();
+        write_response(&mut reply, &response);
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
         if let Some(p) = pending {
@@ -439,6 +492,52 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         }
         if quit {
             return;
+        }
+    }
+}
+
+/// One connection's forward-pass pacing (see [`COLD_PASS_SPACING`]): the
+/// cache-miss branch marks the request it is about to run a pass for, and
+/// the handler rests before it takes up the next request until that
+/// request's slot is over. Slots lie on a grid one spacing apart, so a
+/// connection that keeps the cadence has exactly that period — the
+/// microseconds between the end of a rest and the next request's `t0` do
+/// not add up — and one that fell behind its grid gets back at most
+/// [`COLD_PASS_CATCH_UP`] of the delay.
+#[derive(Default)]
+struct ColdPacer {
+    /// When the request after the last marked one may be taken up.
+    slot: Cell<Option<Instant>>,
+    /// Whether a request was marked since the last rest. Requests that run
+    /// no pass leave it false, so resting costs them no clock read.
+    armed: Cell<bool>,
+}
+
+impl ColdPacer {
+    /// Notes that the request taken up at `t0` runs a forward pass.
+    fn mark(&self, t0: Instant) {
+        let unpaced = t0 + COLD_PASS_SPACING;
+        let next = match self.slot.get() {
+            Some(prev) => (prev + COLD_PASS_SPACING).max(unpaced - COLD_PASS_CATCH_UP),
+            None => unpaced,
+        };
+        self.slot.set(Some(next));
+        self.armed.set(true);
+    }
+
+    /// Gives the core away until the marked request's slot is over;
+    /// returns at once when nothing was marked since the last rest.
+    /// Yielding rather than sleeping: the wait is shorter than the kernel's
+    /// timer slack, and an idle vCPU invites the scheduler to move the
+    /// connection's client away from its handler, which costs a cross-CPU
+    /// wake-up per message from then on.
+    fn rest(&self) {
+        if !self.armed.replace(false) {
+            return;
+        }
+        let at = self.slot.get().expect("an armed pacer has a slot");
+        while Instant::now() < at {
+            std::thread::yield_now();
         }
     }
 }
@@ -629,6 +728,7 @@ fn handle_line(
     line: &str,
     shared: &Shared,
     t0: Instant,
+    pacer: &ColdPacer,
 ) -> (Response, bool, Option<PendingTimeline>) {
     shared.metrics.record_request();
     let request = match parse_request(line) {
@@ -652,7 +752,7 @@ fn handle_line(
             None,
         ),
         Request::Estimate { sketch, sql, trace } => {
-            let (resp, pending) = handle_estimate(&sketch, &sql, trace, None, shared, t0);
+            let (resp, pending) = handle_estimate(&sketch, &sql, trace, None, shared, t0, pacer);
             (resp, false, pending)
         }
         Request::Feedback {
@@ -661,7 +761,8 @@ fn handle_line(
             sql,
             trace,
         } => {
-            let (resp, pending) = handle_estimate(&sketch, &sql, trace, Some(actual), shared, t0);
+            let (resp, pending) =
+                handle_estimate(&sketch, &sql, trace, Some(actual), shared, t0, pacer);
             (resp, false, pending)
         }
         Request::Info { sketch } => match shared.store.get(&sketch) {
@@ -873,6 +974,7 @@ fn handle_estimate(
     feedback: Option<u64>,
     shared: &Shared,
     t0: Instant,
+    pacer: &ColdPacer,
 ) -> (Response, Option<PendingTimeline>) {
     let _span = ds_obs::global().span("serve/estimate");
     // A traced request gets this server's own span, parented under the
@@ -988,6 +1090,7 @@ fn handle_estimate(
         // The store generation keys the batch: jobs coalesce only within
         // one model version, so a concurrent retraining swap or
         // remove/re-insert can never mix models inside a batch.
+        pacer.mark(t0);
         let result = shared
             .batcher
             .estimate_with_trace(generation, estimator, query, child_ctx);
@@ -1399,6 +1502,46 @@ fn trace_payload(shared: &Shared) -> String {
 mod tests {
     use super::*;
     use ds_storage::gen::{imdb_database, ImdbConfig};
+
+    #[test]
+    fn pacer_keeps_slots_on_a_grid_and_rests_only_after_a_mark() {
+        let pacer = ColdPacer::default();
+        // Nothing marked: nothing to wait for, and no slot appears.
+        pacer.rest();
+        assert_eq!(pacer.slot.get(), None);
+
+        let t0 = Instant::now();
+        pacer.mark(t0);
+        let first = t0 + COLD_PASS_SPACING;
+        assert_eq!(pacer.slot.get(), Some(first));
+        pacer.rest();
+        assert!(
+            Instant::now() >= first,
+            "rest returns no earlier than the slot"
+        );
+        assert!(!pacer.armed.get(), "one mark, one rest");
+
+        // A request read a little after its slot keeps the grid: the period
+        // is the spacing, not the spacing plus whatever the read took.
+        pacer.mark(first + Duration::from_micros(4));
+        let second = first + COLD_PASS_SPACING;
+        assert_eq!(pacer.slot.get(), Some(second));
+
+        // One that fell behind makes up the catch-up and no more.
+        let late = second + COLD_PASS_CATCH_UP + Duration::from_micros(20);
+        pacer.mark(late);
+        let third = late + COLD_PASS_SPACING - COLD_PASS_CATCH_UP;
+        assert_eq!(pacer.slot.get(), Some(third));
+        assert!(third - second > COLD_PASS_SPACING);
+
+        // A connection that idled starts over from its request.
+        let idle = third + Duration::from_secs(1);
+        pacer.mark(idle);
+        assert_eq!(
+            pacer.slot.get(),
+            Some(idle + COLD_PASS_SPACING - COLD_PASS_CATCH_UP)
+        );
+    }
 
     #[test]
     fn interner_shares_one_rendering_per_query_shape() {
