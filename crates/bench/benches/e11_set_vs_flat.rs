@@ -10,10 +10,10 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e11_set_vs_flat`
 
+use ds_bench::flat::{FlatFeaturizer, FlatModel};
 use ds_bench::{banner, bench_imdb, BENCH_SEED};
 use ds_core::builder::SketchBuilder;
 use ds_core::featurize::Featurizer;
-use ds_core::flat::{FlatFeaturizer, FlatModel};
 use ds_core::metrics::{qerror, QErrorSummary};
 use ds_est::oracle::TrueCardinalityOracle;
 use ds_est::CardinalityEstimator;

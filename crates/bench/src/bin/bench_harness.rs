@@ -70,8 +70,8 @@ use ds_obs::{PrettySink, Sink, TraceReport};
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{
-    Client, Connection, FaultInjector, Fleet, FleetClient, FleetConfig, Metrics, Request,
-    RequestTimeline, Response, ServeConfig, Server, TemplateInterner,
+    Client, EstimateKey, FaultInjector, Fleet, FleetClient, FleetConfig, Metrics, RequestTimeline,
+    ServeConfig, Server, TemplateInterner,
 };
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
@@ -393,8 +393,8 @@ fn stage_training(report: &mut BenchReport) -> (Arc<Database>, Arc<SketchStore>)
 
 /// Stage 3: single uncached estimates through the serving path (the frozen
 /// artifact's fused kernel, a batch of one) vs the trained model's own
-/// forward pass, [`DeepSketch::reference_estimates`] — the oracle, never
-/// served. The speedup is a dimensionless ratio and gates CI; the absolute
+/// forward pass, [`ds_core::sketch::DeepSketch::reference_estimates`] — the
+/// oracle, never served. The speedup is a dimensionless ratio and gates CI; the absolute
 /// per-estimate latency records for same-machine diffs. The serving path
 /// must stay bit-identical to the oracle — asserted here on the live
 /// workload before timing. Returns the oracle's seconds per estimate, the
@@ -625,16 +625,18 @@ fn stage_serving(
 fn time_instrumentation(db: &Arc<Database>) -> f64 {
     let interner = TemplateInterner::new();
     let metrics = Metrics::new();
+    // The key is the cache's work; the timeline only looks up its shape.
     let queries: Vec<_> = WORKLOAD
         .iter()
         .map(|sql| parse_query(db, sql).expect("parse workload"))
+        .map(|q| (EstimateKey::new("imdb", 1, &q), q))
         .collect();
     let iters = 20_000usize;
     let secs = min_secs(5, || {
         for i in 0..iters {
-            let q = &queries[i % queries.len()];
+            let (key, q) = &queries[i % queries.len()];
             let t0 = Instant::now();
-            let template = interner.get(db, q);
+            let template = interner.get(db, q, key.shape());
             let (enq, deq, fwd_s, fwd_e) = (
                 Instant::now(),
                 Instant::now(),
@@ -1063,27 +1065,19 @@ fn stage_obs(
         }
         c.quit().ok();
     }
-    let mut conns: Vec<Connection> = servers
+    let mut conns: Vec<Client> = servers
         .iter()
         .map(|s| {
-            Connection::connect_timeout(s.local_addr(), Duration::from_secs(30))
+            Client::connect_timeout(s.local_addr(), Duration::from_secs(30))
                 .expect("obs-stage scrape connection")
         })
         .collect();
-    let scrape = |conns: &mut Vec<Connection>| -> String {
-        let docs: Vec<String> = conns
+    let scrape = |conns: &mut Vec<Client>| -> String {
+        let shards: Vec<Vec<ds_obs::PromFamily>> = conns
             .iter_mut()
-            .map(|conn| {
-                match conn
-                    .roundtrip(&Request::Stats, false)
-                    .expect("scrape STATS")
-                {
-                    Response::Text(t) => t.replace("\\n", "\n"),
-                    other => panic!("unexpected STATS response {other:?}"),
-                }
-            })
+            .map(|conn| conn.stats_families().expect("scrape STATS"))
             .collect();
-        let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
+        let refs: Vec<&[ds_obs::PromFamily]> = shards.iter().map(Vec::as_slice).collect();
         ds_obs::merge_expositions(&refs).expect("merge shard expositions")
     };
     let merged = scrape(&mut conns);

@@ -27,7 +27,7 @@ use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
 use ds_storage::sample::TableSample;
 
-use crate::featurize::Featurizer;
+use ds_core::featurize::Featurizer;
 
 /// Flat featurization on top of the shared [`Featurizer`] vocabulary.
 #[derive(Debug, Clone)]
@@ -227,7 +227,7 @@ impl FlatModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::qerror;
+    use ds_core::metrics::qerror;
     use ds_est::oracle::TrueCardinalityOracle;
     use ds_est::CardinalityEstimator;
     use ds_query::workloads::imdb_predicate_columns;

@@ -10,6 +10,7 @@
 //! `cargo bench -p ds-bench --bench <name>`; `cargo bench` regenerates
 //! everything.
 
+pub mod flat;
 pub mod harness;
 pub mod loadgen;
 

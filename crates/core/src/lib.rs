@@ -26,7 +26,6 @@
 pub mod advisor;
 pub mod builder;
 pub mod featurize;
-pub mod flat;
 pub mod fleet;
 pub mod lifecycle;
 pub mod maintain;
@@ -44,7 +43,6 @@ pub use advisor::{
 };
 pub use builder::{BuildProgress, BuildReport, SketchBuilder};
 pub use featurize::{FeatureBatch, Featurizer, QueryFeatures, QueryIndexFeatures};
-pub use flat::{FlatFeaturizer, FlatModel};
 pub use fleet::{Route, SketchFleet};
 pub use lifecycle::{
     HarvestEntry, HarvestSet, LifecycleConfig, LifecycleCounters, LifecycleEvent, LifecycleManager,

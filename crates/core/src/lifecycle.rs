@@ -62,7 +62,10 @@ use crate::metrics::qerror;
 use crate::monitor::{baseline_from_qerrors, MonitorRegistry};
 use crate::mscn::{MscnConfig, MscnModel};
 use crate::sketch::DeepSketch;
-use crate::snapshot::{checksum, valid_snapshot_name, SnapshotError};
+use crate::snapshot::{
+    body_error, bounded_len, bounded_string, open, publish, seal, valid_snapshot_name,
+    SnapshotError, WriteFault,
+};
 use crate::store::SketchStore;
 use crate::train::{train, LossKind, TrainConfig};
 
@@ -209,19 +212,15 @@ impl HarvestSet {
     /// accepted byte string re-encodes to itself.
     pub fn encode(&self) -> Vec<u8> {
         let entries = self.entries();
-        let mut buf = Vec::with_capacity(64 + entries.len() * 96);
-        buf.extend_from_slice(&HARVEST_MAGIC);
-        buf.extend_from_slice(&HARVEST_VERSION.to_le_bytes());
-        put_u64(&mut buf, entries.len() as u64);
-        for e in &entries {
-            put_str(&mut buf, &e.key);
-            put_str(&mut buf, &e.sql);
-            put_u64(&mut buf, e.actual);
-            put_u64(&mut buf, e.seq);
-        }
-        let sum = checksum(&buf);
-        put_u64(&mut buf, sum);
-        buf
+        seal(&HARVEST_MAGIC, HARVEST_VERSION, |e| {
+            e.u64(entries.len() as u64);
+            for entry in &entries {
+                e.string(&entry.key);
+                e.string(&entry.sql);
+                e.u64(entry.actual);
+                e.u64(entry.seq);
+            }
+        })
     }
 
     /// Decodes and fully validates a `DSHV` byte string. Every length
@@ -231,34 +230,20 @@ impl HarvestSet {
     /// arbitrary input. When the file holds more than `capacity` entries
     /// the newest `capacity` survive.
     pub fn decode(bytes: &[u8], capacity: usize) -> Result<Self, SnapshotError> {
+        // The entry count is part of every harvest file, so one too short
+        // to hold it is truncated whatever else it says.
         if bytes.len() < 4 + 4 + 8 + 8 {
             return Err(SnapshotError::Truncated);
         }
-        if bytes[..4] != HARVEST_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version == 0 || version > HARVEST_VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let actual_sum = checksum(body);
-        if stored != actual_sum {
-            return Err(SnapshotError::ChecksumMismatch {
-                stored,
-                actual: actual_sum,
-            });
-        }
-        let mut cur = Cursor { buf: &body[8..] };
-        let count = cur.bounded_len(MAX_HARVEST_ENTRIES, "harvest entry count")?;
+        let mut d = open(bytes, &HARVEST_MAGIC, HARVEST_VERSION)?;
+        let count = bounded_len(&mut d, MAX_HARVEST_ENTRIES, "harvest entry count")?;
         let mut set = Self::new(capacity.max(1));
         let mut last_seq: Option<u64> = None;
         for _ in 0..count {
-            let key = cur.string(MAX_HARVEST_KEY_LEN, "harvest key")?;
-            let sql = cur.string(MAX_HARVEST_SQL_LEN, "harvest sql")?;
-            let actual = cur.u64()?;
-            let seq = cur.u64()?;
+            let key = bounded_string(&mut d, MAX_HARVEST_KEY_LEN, "harvest key")?;
+            let sql = bounded_string(&mut d, MAX_HARVEST_SQL_LEN, "harvest sql")?;
+            let actual = d.u64().map_err(body_error)?;
+            let seq = d.u64().map_err(body_error)?;
             if key.is_empty() {
                 return Err(SnapshotError::Corrupt("empty harvest key".to_string()));
             }
@@ -278,11 +263,10 @@ impl HarvestSet {
                 return Err(SnapshotError::Corrupt("duplicate harvest key".to_string()));
             }
         }
-        if !cur.buf.is_empty() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after harvest entries",
-                cur.buf.len()
-            )));
+        if !d.is_done() {
+            return Err(SnapshotError::Corrupt(
+                "trailing bytes after harvest entries".to_string(),
+            ));
         }
         set.next_seq = last_seq.map_or(0, |s| s + 1);
         // Enforce the bound on oversized files: evict oldest-first.
@@ -298,28 +282,15 @@ impl HarvestSet {
         Ok(set)
     }
 
-    /// Durably writes the set as `<dir>/<name>.harvest` — temp file,
-    /// fsync, atomic rename, directory fsync — so a crash leaves either
-    /// the old file or the new one, never a torn mix.
+    /// Durably writes the set as `<dir>/<name>.harvest`, through the same
+    /// atomic write protocol as the snapshots beside it.
     pub fn save(&self, dir: &Path, name: &str) -> Result<PathBuf, SnapshotError> {
         if !valid_snapshot_name(name) {
             return Err(SnapshotError::InvalidName(name.to_string()));
         }
-        std::fs::create_dir_all(dir).map_err(SnapshotError::Io)?;
-        let final_path = dir.join(format!("{name}.{HARVEST_EXT}"));
-        let tmp_path = dir.join(format!("{name}.{HARVEST_EXT}.tmp"));
-        let bytes = self.encode();
-        {
-            let mut f = std::fs::File::create(&tmp_path).map_err(SnapshotError::Io)?;
-            use std::io::Write as _;
-            f.write_all(&bytes).map_err(SnapshotError::Io)?;
-            f.sync_all().map_err(SnapshotError::Io)?;
-        }
-        std::fs::rename(&tmp_path, &final_path).map_err(SnapshotError::Io)?;
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(final_path)
+        let path = dir.join(format!("{name}.{HARVEST_EXT}"));
+        let tmp = dir.join(format!("{name}.{HARVEST_EXT}.tmp"));
+        Ok(publish(dir, tmp, path, &self.encode(), &WriteFault::none())?.durable())
     }
 
     /// Loads `<dir>/<name>.harvest` if present. `Ok(None)` when the file
@@ -335,54 +306,6 @@ impl HarvestSet {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(SnapshotError::Io(e)),
         }
-    }
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked reader over untrusted harvest bytes (the snapshot
-/// module's cursor is private to it; the discipline is identical).
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bounded_len(&mut self, cap: u64, what: &str) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        if n > cap {
-            return Err(SnapshotError::Corrupt(format!(
-                "{what} length {n} too large"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, cap: u64, what: &str) -> Result<String, SnapshotError> {
-        let n = self.bounded_len(cap, what)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| SnapshotError::Corrupt(format!("{what} is not UTF-8")))
     }
 }
 
@@ -1267,6 +1190,7 @@ fn poisoned_clone(candidate: &DeepSketch) -> DeepSketch {
 mod tests {
     use super::*;
     use crate::builder::SketchBuilder;
+    use crate::snapshot::checksum;
     use ds_query::sqlgen::to_sql;
     use ds_query::workloads::imdb_predicate_columns;
     use ds_query::{GeneratorConfig, QueryGenerator};

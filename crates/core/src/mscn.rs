@@ -434,7 +434,7 @@ impl MscnModel {
         let p2 = d.linear()?;
         let out1 = d.linear()?;
         let out2 = d.linear()?;
-        if out2.out_dim() != 1 || out1.in_dim() != 3 * hidden {
+        if out2.out_dim() != 1 || Some(out1.in_dim()) != hidden.checked_mul(3) {
             return Err(DecodeError::Corrupt("inconsistent MSCN shapes".into()));
         }
         Ok(Self {

@@ -37,19 +37,13 @@ use crate::featurize::{FeatureSchema, Featurizer, QueryIndexFeatures};
 use crate::mscn::{ForwardCache, MscnModel};
 
 const MAGIC: &[u8; 4] = b"DSKT";
-/// Current serialization version. Version 2 appended the optional
-/// training-time q-error baseline; version 3 appended the optional frozen
-/// inference artifact (with its quantization mode); version 4 inserted
-/// the feature-schema generation and per-predicate bitmap width after
-/// the `use_bitmaps` flag. Older blobs still load: v1 gets no baseline,
-/// and everything before v4 decodes as feature schema v1 — the
-/// byte-identical paper encoding — so pre-existing snapshots keep
-/// answering exactly as they always did. The frozen section carries an
-/// int8 artifact only; an f32 artifact, a bit-exact copy of the model
-/// weights stored just before it, is re-derived on load.
+/// The serialization version, and the only one [`DeepSketch::from_bytes`]
+/// accepts: model, samples, the feature-schema generation with its
+/// per-predicate bitmap width, the optional training-time q-error
+/// baseline, and the optional frozen inference artifact. The frozen
+/// section carries an int8 artifact only; an f32 artifact, a bit-exact
+/// copy of the model weights stored just before it, is re-derived on load.
 const VERSION: u32 = 4;
-/// Oldest version [`DeepSketch::from_bytes`] accepts.
-const MIN_VERSION: u32 = 1;
 
 /// Queries per call of the fused kernel. Bounds the activation scratch
 /// (keeping it cache-resident beside the weights) and is the unit of work
@@ -142,8 +136,7 @@ pub struct DeepSketch {
     /// Training-time holdout q-error distribution (scaled ×1000 into log₂
     /// buckets) — the accuracy the shipped weights actually achieved, and
     /// the reference the online drift monitor compares rolling feedback
-    /// against. `None` for sketches built before the monitor existed
-    /// (version-1 blobs) or trained without a validation split.
+    /// against. `None` for sketches trained without a validation split.
     baseline: Option<HistogramSnapshot>,
     /// The serving artifact every estimate runs through: the model's
     /// weights in gather-friendly layout, f32 (bit-exact) or gate-passed
@@ -498,7 +491,7 @@ impl DeepSketch {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(bytes);
         let version = d.header(MAGIC)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(DecodeError::BadHeader(format!(
                 "unsupported sketch version {version}"
             )));
@@ -515,28 +508,22 @@ impl DeepSketch {
         let num_tables = d.u64()? as usize;
         let sample_size = d.u64()? as usize;
         let use_bitmaps = d.u64()? != 0;
-        // Feature schema: everything before v4 is the paper's encoding.
-        let (schema, pred_bitmap_bits) = if version >= 4 {
-            let tag = d.u64()?;
-            let schema = u8::try_from(tag)
-                .ok()
-                .and_then(FeatureSchema::from_tag)
-                .ok_or_else(|| DecodeError::Corrupt(format!("unknown feature schema tag {tag}")))?;
-            let bits = d.u64()? as usize;
-            if schema == FeatureSchema::V1 && bits != 0 {
-                return Err(DecodeError::Corrupt(
-                    "schema v1 with per-predicate bitmap bits".into(),
-                ));
-            }
-            if bits > sample_size {
-                return Err(DecodeError::Corrupt(
-                    "per-predicate bitmap wider than sample".into(),
-                ));
-            }
-            (schema, bits)
-        } else {
-            (FeatureSchema::V1, 0)
-        };
+        let tag = d.u64()?;
+        let schema = u8::try_from(tag)
+            .ok()
+            .and_then(FeatureSchema::from_tag)
+            .ok_or_else(|| DecodeError::Corrupt(format!("unknown feature schema tag {tag}")))?;
+        let pred_bitmap_bits = d.u64()? as usize;
+        if schema == FeatureSchema::V1 && pred_bitmap_bits != 0 {
+            return Err(DecodeError::Corrupt(
+                "schema v1 with per-predicate bitmap bits".into(),
+            ));
+        }
+        if pred_bitmap_bits > sample_size {
+            return Err(DecodeError::Corrupt(
+                "per-predicate bitmap wider than sample".into(),
+            ));
+        }
         // Record counts are validated against the remaining input (a join
         // is 4 u64s, a column entry 2 u64s + 2 f64s, …) so a corrupt
         // length prefix fails typed instead of panicking in
@@ -620,8 +607,7 @@ impl DeepSketch {
         // Model.
         let model = MscnModel::decode(&mut d)?;
 
-        // Accuracy baseline: absent before version 2.
-        let baseline = if version >= 2 && d.u64()? != 0 {
+        let baseline = if d.u64()? != 0 {
             let words = d.u64_vec()?;
             Some(
                 HistogramSnapshot::from_words(&words)
@@ -631,12 +617,12 @@ impl DeepSketch {
             None
         };
 
-        // Frozen artifact: absent before version 3. Whatever is stored
-        // must fit the model it claims to serve — mismatched quantization
-        // metadata is corruption, not a servable state — but only an int8
-        // payload is kept: `from_parts` has already frozen f32, which is
-        // all a stored f32 payload (older v3/v4 writers) could say.
-        let stored = if version >= 3 && d.u64()? != 0 {
+        // Whatever frozen artifact is stored must fit the model it claims
+        // to serve — mismatched quantization metadata is corruption, not a
+        // servable state — but only an int8 payload is kept: `from_parts`
+        // has already frozen f32, which is all a stored f32 payload (older
+        // v4 writers) could say.
+        let stored = if d.u64()? != 0 {
             let artifact = FrozenModel::decode_from(&mut d)?;
             if let Some(msg) = artifact_mismatch(&model, &artifact) {
                 return Err(DecodeError::Corrupt(msg));
@@ -759,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_survives_serialization_and_v1_blobs_still_load() {
+    fn baseline_survives_serialization_and_older_versions_are_refused() {
         let (_db, mut sketch) = tiny_sketch();
         assert!(
             sketch.baseline().is_some(),
@@ -775,80 +761,34 @@ mod tests {
         let restored = DeepSketch::from_bytes(&sketch.to_bytes()).unwrap();
         assert_eq!(restored.baseline(), Some(&h.snapshot()));
 
-        // Pre-v4 layouts lack the 16 schema bytes v4 writes after the
-        // `use_bitmaps` flag; splice them out to reconstruct the old
-        // stream (the sketch under test is schema v1, so the spliced
-        // bytes carry no information).
-        let strip_schema_words = |bytes: &mut Vec<u8>, name_len: usize| {
-            let off = 8 + (8 + name_len) + 16 + 24;
-            bytes.drain(off..off + 16);
-        };
-
-        // A version-1 blob is the v3 layout minus the trailing baseline
-        // and frozen flag words, with version 1 in the header: it must
-        // still load, with no baseline and an f32 artifact whose fused
-        // estimates are bit-identical to the trained model's.
-        let title = parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap();
-        let mut plain = sketch.clone();
-        plain.baseline = None;
-        let name_len = plain.database_name().len();
-        let mut v1 = plain.to_bytes();
-        strip_schema_words(&mut v1, name_len);
-        v1.truncate(v1.len() - 16);
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let legacy = DeepSketch::from_bytes(&v1).expect("v1 blob must load");
-        assert!(legacy.baseline().is_none());
-        assert_eq!(legacy.frozen(), plain.frozen(), "legacy blobs freeze f32");
-        assert_eq!(legacy.estimate_one(&title), plain.estimate_one(&title));
-        assert_eq!(
-            legacy.estimate_one(&title),
-            plain.reference_estimates(std::slice::from_ref(&title))[0]
-        );
-
-        // A version-2 blob (no frozen section) loads the same way.
-        let mut v2 = plain.to_bytes();
-        strip_schema_words(&mut v2, name_len);
-        v2.truncate(v2.len() - 8);
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let legacy2 = DeepSketch::from_bytes(&v2).expect("v2 blob must load");
-        assert_eq!(legacy2.frozen(), plain.frozen(), "v2 blobs freeze f32");
-
-        // A version-3 blob (pre-schema) decodes as feature schema v1 and
-        // estimates byte-identically to its v4 re-encoding.
-        let mut v3 = sketch.to_bytes();
-        strip_schema_words(&mut v3, name_len);
-        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-        let legacy3 = DeepSketch::from_bytes(&v3).expect("v3 blob must load");
-        assert_eq!(
-            legacy3.featurizer().schema(),
-            crate::featurize::FeatureSchema::V1
-        );
-        assert_eq!(legacy3.to_bytes(), sketch.to_bytes());
-
-        // v3 and v4 writers used to store the f32 artifact too (flag 1 and
-        // a second copy of the weights). Those blobs still decode, answer
-        // bit-identically, and re-encode to today's shorter form.
-        let with_f32_payload = |blob: &[u8]| {
-            let mut e = Encoder::new();
-            e.u64(1);
-            sketch.frozen.encode_into(&mut e);
-            let mut old = blob[..blob.len() - 8].to_vec();
-            old.extend(e.finish());
-            old
-        };
-        for (what, blob) in [("v3", &v3), ("v4", &sketch.to_bytes())] {
-            let old = with_f32_payload(blob);
-            assert!(old.len() > blob.len() + sketch.frozen.footprint_bytes());
-            let loaded = DeepSketch::from_bytes(&old)
-                .unwrap_or_else(|e| panic!("{what} blob with an f32 payload must load: {e}"));
-            assert_eq!(loaded.frozen(), sketch.frozen(), "{what}");
-            assert_eq!(loaded.estimate_one(&title), sketch.estimate_one(&title));
+        // Version 4 is the only layout: an older (or newer) header is a
+        // typed refusal before any of the body is read.
+        for version in [1u32, 2, 3, 5] {
+            let mut blob = sketch.to_bytes();
+            blob[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
-                loaded.to_bytes(),
-                sketch.to_bytes(),
-                "{what} re-encodes short"
+                DeepSketch::from_bytes(&blob).err(),
+                Some(DecodeError::BadHeader(format!(
+                    "unsupported sketch version {version}"
+                )))
             );
         }
+
+        // v4 writers used to store the f32 artifact too (flag 1 and a
+        // second copy of the weights). Those blobs still decode, answer
+        // bit-identically, and re-encode to today's shorter form.
+        let title = parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap();
+        let blob = sketch.to_bytes();
+        let mut e = Encoder::new();
+        e.u64(1);
+        sketch.frozen.encode_into(&mut e);
+        let mut old = blob[..blob.len() - 8].to_vec();
+        old.extend(e.finish());
+        assert!(old.len() > blob.len() + sketch.frozen.footprint_bytes());
+        let loaded = DeepSketch::from_bytes(&old).expect("an f32 payload must load");
+        assert_eq!(loaded.frozen(), sketch.frozen());
+        assert_eq!(loaded.estimate_one(&title), sketch.estimate_one(&title));
+        assert_eq!(loaded.to_bytes(), blob, "re-encodes short");
 
         // A corrupt baseline payload is rejected, not silently zeroed.
         let mut bad = sketch.to_bytes();

@@ -10,7 +10,10 @@
 //!
 //! ## On-disk format (`DSNP` version 1)
 //!
-//! All integers little-endian:
+//! The body is written with [`ds_nn::serialize::Encoder`] — all integers
+//! little-endian, strings and vectors behind a `u64` length — inside the
+//! envelope [`seal`] and [`open`] own, which the harvest sets of
+//! [`crate::lifecycle`] (`DSHV`) share:
 //!
 //! ```text
 //! magic "DSNP" | version u32
@@ -45,7 +48,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use ds_nn::serialize::DecodeError;
+use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 
 use crate::monitor::MonitorState;
 use crate::sketch::DeepSketch;
@@ -219,20 +222,85 @@ pub struct SketchSnapshot {
     pub monitor: Option<MonitorState>,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Seals a body into the envelope every checksummed blob of this crate
+/// shares: `magic | u32 version | body | FNV-1a-64 of all before it`.
+pub fn seal(magic: &[u8; 4], version: u32, body: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.header(magic, version);
+    body(&mut e);
+    let mut bytes = e.finish();
+    let sum = checksum(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
-    put_u64(buf, words.len() as u64);
-    for &w in words {
-        put_u64(buf, w);
+/// Checks the envelope [`seal`] wrote — length, magic, a version between 1
+/// and `version`, checksum, in that order — and returns a decoder over the
+/// body.
+pub fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u32,
+) -> Result<Decoder<'a>, SnapshotError> {
+    // Header + checksum trailer are the minimum plausible blob.
+    if bytes.len() < 4 + 4 + 8 {
+        return Err(SnapshotError::Truncated);
     }
+    if bytes[..4] != *magic {
+        return Err(SnapshotError::BadMagic);
+    }
+    let found = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if found == 0 || found > version {
+        return Err(SnapshotError::BadVersion(found));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+    let actual = checksum(body);
+    if stored != actual {
+        return Err(SnapshotError::ChecksumMismatch { stored, actual });
+    }
+    Ok(Decoder::new(&body[8..]))
+}
+
+/// A body ends where the decoder says it does: running out of bytes is
+/// truncation, anything else it objects to is corruption.
+pub(crate) fn body_error(e: DecodeError) -> SnapshotError {
+    match e {
+        DecodeError::UnexpectedEof => SnapshotError::Truncated,
+        DecodeError::BadHeader(m) | DecodeError::Corrupt(m) => SnapshotError::Corrupt(m),
+    }
+}
+
+/// Reads a length prefix and holds it to `cap` before anything is
+/// allocated for it.
+pub(crate) fn bounded_len(d: &mut Decoder, cap: u64, what: &str) -> Result<usize, SnapshotError> {
+    let n = d.u64().map_err(body_error)?;
+    if n > cap {
+        return Err(SnapshotError::Corrupt(format!(
+            "{what} length {n} too large"
+        )));
+    }
+    Ok(n as usize)
+}
+
+/// Reads a string of at most `cap` bytes.
+pub(crate) fn bounded_string(
+    d: &mut Decoder,
+    cap: u64,
+    what: &str,
+) -> Result<String, SnapshotError> {
+    let n = bounded_len(d, cap, what)?;
+    String::from_utf8(d.take(n).map_err(body_error)?.to_vec())
+        .map_err(|_| SnapshotError::Corrupt(format!("{what} is not UTF-8")))
+}
+
+fn bounded_words(d: &mut Decoder, what: &str) -> Result<Vec<u64>, SnapshotError> {
+    let n = bounded_len(d, MAX_WORDS_LEN, what)?;
+    let raw = d.take(n * 8).map_err(body_error)?;
+    Ok(raw
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect())
 }
 
 /// Serializes one sketch (plus optional monitor state) into the checksummed
@@ -243,119 +311,49 @@ pub fn encode_snapshot(
     sketch: &DeepSketch,
     monitor: Option<&MonitorState>,
 ) -> Vec<u8> {
-    let sketch_bytes = sketch.to_bytes();
-    let mut buf = Vec::with_capacity(sketch_bytes.len() + 1024);
-    buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    put_str(&mut buf, name);
-    put_u64(&mut buf, generation);
-    put_u64(&mut buf, sketch_bytes.len() as u64);
-    buf.extend_from_slice(&sketch_bytes);
-    match monitor {
-        None => put_u64(&mut buf, 0),
-        Some(state) => {
-            put_u64(&mut buf, 1);
-            put_words(&mut buf, &state.overall);
-            put_u64(&mut buf, state.templates.len() as u64);
-            for (template, words) in &state.templates {
-                put_str(&mut buf, template);
-                put_words(&mut buf, words);
+    seal(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |e| {
+        e.string(name);
+        e.u64(generation);
+        e.bytes(&sketch.to_bytes());
+        match monitor {
+            None => e.u64(0),
+            Some(state) => {
+                e.u64(1);
+                e.u64_slice(&state.overall);
+                e.u64(state.templates.len() as u64);
+                for (template, words) in &state.templates {
+                    e.string(template);
+                    e.u64_slice(words);
+                }
             }
         }
-    }
-    let sum = checksum(&buf);
-    put_u64(&mut buf, sum);
-    buf
-}
-
-/// Bounded little-endian reader over the snapshot body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bounded_len(&mut self, cap: u64, what: &str) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        if n > cap {
-            return Err(SnapshotError::Corrupt(format!(
-                "{what} length {n} too large"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, SnapshotError> {
-        let n = self.bounded_len(MAX_NAME_LEN, what)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| SnapshotError::Corrupt(format!("{what} is not UTF-8")))
-    }
-
-    fn words(&mut self, what: &str) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.bounded_len(MAX_WORDS_LEN, what)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
+    })
 }
 
 /// Decodes and fully validates a snapshot. Corruption anywhere — header,
 /// body, checksum trailer — returns a typed [`SnapshotError`]; this
 /// function never panics on arbitrary input.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
-    // Header + checksum trailer are the minimum plausible file.
-    if bytes.len() < 4 + 4 + 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let actual = checksum(body);
-    if stored != actual {
-        return Err(SnapshotError::ChecksumMismatch { stored, actual });
-    }
-    let mut c = Cursor { buf: &body[8..] };
-    let name = c.string("sketch name")?;
+    let mut d = open(bytes, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    let name = bounded_string(&mut d, MAX_NAME_LEN, "sketch name")?;
     if !valid_snapshot_name(&name) {
         return Err(SnapshotError::Corrupt(format!(
             "invalid sketch name '{name}'"
         )));
     }
-    let generation = c.u64()?;
-    let sketch_len = c.bounded_len(MAX_SKETCH_LEN, "sketch blob")?;
-    let sketch_bytes = c.take(sketch_len)?;
+    let generation = d.u64().map_err(body_error)?;
+    let sketch_len = bounded_len(&mut d, MAX_SKETCH_LEN, "sketch blob")?;
+    let sketch_bytes = d.take(sketch_len).map_err(body_error)?;
     let sketch = DeepSketch::from_bytes(sketch_bytes).map_err(SnapshotError::Sketch)?;
-    let monitor = match c.u64()? {
+    let monitor = match d.u64().map_err(body_error)? {
         0 => None,
         1 => {
-            let overall = c.words("overall window")?;
-            let n = c.bounded_len(MAX_TEMPLATES, "template count")?;
+            let overall = bounded_words(&mut d, "overall window")?;
+            let n = bounded_len(&mut d, MAX_TEMPLATES, "template count")?;
             let mut templates = Vec::with_capacity(n);
             for _ in 0..n {
-                let template = c.string("template name")?;
-                let words = c.words("template window")?;
+                let template = bounded_string(&mut d, MAX_NAME_LEN, "template name")?;
+                let words = bounded_words(&mut d, "template window")?;
                 templates.push((template, words));
             }
             Some(MonitorState { overall, templates })
@@ -364,11 +362,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
             return Err(SnapshotError::Corrupt(format!("bad monitor flag {other}")));
         }
     };
-    if !c.buf.is_empty() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after snapshot body",
-            c.buf.len()
-        )));
+    if !d.is_done() {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes after snapshot body".to_string(),
+        ));
     }
     Ok(SketchSnapshot {
         name,
@@ -449,7 +446,6 @@ pub fn write_snapshot_bytes(
     if !valid_snapshot_name(name) {
         return Err(SnapshotError::InvalidName(name.to_string()));
     }
-    fs::create_dir_all(dir)?;
     let mut payload = bytes;
     let truncated;
     if let Some(keep) = fault.truncate_at {
@@ -465,6 +461,21 @@ pub fn write_snapshot_bytes(
         }
     }
     let tmp = dir.join(format!("{name}.{generation:020}.{SNAPSHOT_TMP_EXT}"));
+    let path = snapshot_path(dir, name, generation);
+    publish(dir, tmp, path, payload, fault)
+}
+
+/// The one way bytes become durable in this crate: written to `tmp`,
+/// fsynced, renamed over `path`, and the directory fsynced, so a crash
+/// leaves the old file or the new one and never a torn mix.
+pub(crate) fn publish(
+    dir: &Path,
+    tmp: PathBuf,
+    path: PathBuf,
+    payload: &[u8],
+    fault: &WriteFault,
+) -> Result<WriteOutcome, SnapshotError> {
+    fs::create_dir_all(dir)?;
     {
         let mut f = File::create(&tmp)?;
         f.write_all(payload)?;
@@ -475,7 +486,6 @@ pub fn write_snapshot_bytes(
     if fault.crash_before_rename {
         return Ok(WriteOutcome::CrashedBeforeRename(tmp));
     }
-    let path = snapshot_path(dir, name, generation);
     fs::rename(&tmp, &path)?;
     if !fault.skip_fsync {
         // Make the rename itself durable: fsync the containing directory.

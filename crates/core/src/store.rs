@@ -4,8 +4,8 @@
 //! queried right away" and "we allow users to train new models while
 //! querying existing ones". The [`SketchStore`] provides exactly that: a
 //! named collection of sketches that can be queried concurrently while new
-//! sketches train on background threads, plus directory persistence for the
-//! pre-built models.
+//! sketches train on background threads, plus crash-safe snapshot
+//! persistence for the pre-built models.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -17,7 +17,6 @@ use std::thread::JoinHandle;
 use parking_lot::RwLock;
 
 use ds_est::{CardinalityEstimator, EstimateError};
-use ds_nn::serialize::DecodeError;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
@@ -48,8 +47,6 @@ pub enum StoreError {
     Duplicate(String),
     /// Disk I/O failed.
     Io(std::io::Error),
-    /// A persisted sketch failed to decode.
-    Decode(DecodeError),
     /// Training failed.
     Build(BuildError),
     /// The sketch was found but could not answer the query.
@@ -65,7 +62,6 @@ impl std::fmt::Display for StoreError {
             StoreError::NotReady(n, s) => write!(f, "sketch '{n}' is not ready: {s:?}"),
             StoreError::Duplicate(n) => write!(f, "sketch '{n}' already exists"),
             StoreError::Io(e) => write!(f, "sketch store I/O error: {e}"),
-            StoreError::Decode(e) => write!(f, "sketch decode error: {e}"),
             StoreError::Build(e) => write!(f, "sketch training failed: {e}"),
             StoreError::Estimate(e) => write!(f, "estimation failed: {e}"),
             StoreError::Snapshot(e) => write!(f, "{e}"),
@@ -480,43 +476,6 @@ impl SketchStore {
         existed
     }
 
-    /// Persists every ready sketch to `dir` as `<name>.sketch`.
-    pub fn save_dir(&self, dir: &Path) -> Result<usize, StoreError> {
-        self.poll();
-        std::fs::create_dir_all(dir)?;
-        let slots = self.slots.read();
-        let mut saved = 0;
-        for (name, slot) in slots.iter() {
-            if let Slot::Ready { sketch, .. } = slot {
-                std::fs::write(dir.join(format!("{name}.sketch")), sketch.to_bytes())?;
-                saved += 1;
-            }
-        }
-        Ok(saved)
-    }
-
-    /// Loads every `*.sketch` file from `dir` ("pre-built models").
-    /// Existing names are skipped; returns the loaded names.
-    pub fn load_dir(&self, dir: &Path) -> Result<Vec<String>, StoreError> {
-        let mut loaded = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path: PathBuf = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("sketch") {
-                continue;
-            }
-            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let bytes = std::fs::read(&path)?;
-            let sketch = DeepSketch::from_bytes(&bytes).map_err(StoreError::Decode)?;
-            if self.insert(name.to_string(), sketch).is_ok() {
-                loaded.push(name.to_string());
-            }
-        }
-        loaded.sort();
-        Ok(loaded)
-    }
-
     /// Atomically snapshots one ready sketch to `dir` at its current
     /// generation, carrying its rolling q-error monitor state when
     /// `monitors` has one for it (the sketch's training-time baseline
@@ -862,10 +821,9 @@ impl StoreHandle<'_> {
     }
 
     fn resolve(&self) -> Result<Arc<DeepSketch>, EstimateError> {
-        self.store.get(&self.name).map_err(|e| match e {
-            StoreError::Decode(d) => EstimateError::Decode(d.to_string()),
-            other => EstimateError::Unavailable(other.to_string()),
-        })
+        self.store
+            .get(&self.name)
+            .map_err(|e| EstimateError::Unavailable(e.to_string()))
     }
 }
 
@@ -1092,27 +1050,6 @@ mod tests {
         let listing = store.list();
         assert_eq!(listing.len(), 2);
         assert!(listing.iter().all(|(_, s)| *s == SketchStatus::Ready));
-    }
-
-    #[test]
-    fn save_and_load_directory() {
-        let db = imdb_database(&ImdbConfig::tiny(4));
-        let store = SketchStore::new();
-        store.insert("one", tiny_sketch(&db, 1)).unwrap();
-        store.insert("two", tiny_sketch(&db, 2)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ds_store_test_{}", std::process::id()));
-        let saved = store.save_dir(&dir).unwrap();
-        assert_eq!(saved, 2);
-
-        let restored = SketchStore::new();
-        let names = restored.load_dir(&dir).unwrap();
-        assert_eq!(names, vec!["one".to_string(), "two".to_string()]);
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        assert_eq!(
-            store.estimate("one", &q).unwrap(),
-            restored.estimate("one", &q).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,8 +14,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use ds_core::builder::SketchBuilder;
+use ds_core::lifecycle::HarvestSet;
 use ds_core::monitor::{MonitorRegistry, MonitorState};
-use ds_core::snapshot::{decode_snapshot, encode_snapshot};
+use ds_core::snapshot::{checksum, decode_snapshot, encode_snapshot};
 use ds_query::workloads::imdb_predicate_columns;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
@@ -61,6 +62,46 @@ fn intact_bytes_decode_and_reencode_bit_identically() {
         snap.monitor.as_ref(),
     );
     assert_eq!(&reencoded, bytes, "re-encode must be bit-identical");
+}
+
+/// The formats are pinned, not just self-consistent: the canonical `DSNP`
+/// snapshot and a fixed `DSHV` harvest set hash to what the commit before
+/// both moved onto the shared `Encoder`/`seal` codec wrote for them.
+#[test]
+fn encodings_match_the_bytes_the_hand_rolled_codecs_wrote() {
+    let dsnp = canonical();
+    assert_eq!((dsnp.len(), checksum(dsnp)), (10245, 0xd1e5_97a9_88af_44b2));
+
+    let mut set = HarvestSet::new(64);
+    set.observe("k1", "SELECT COUNT(*) FROM title", 42);
+    set.observe(
+        "k2",
+        "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
+        7,
+    );
+    set.observe("k1", "SELECT COUNT(*) FROM title", 43);
+    let dshv = set.encode();
+    assert_eq!((dshv.len(), checksum(&dshv)), (168, 0xb4fe_0aa4_e0a2_d4b1));
+    let decoded = HarvestSet::decode(&dshv, 64).expect("fixed harvest set must decode");
+    assert_eq!(decoded.encode(), dshv, "re-encode must be bit-identical");
+}
+
+/// Corruption behind a valid checksum — every byte of the body flipped in
+/// turn and the trailer recomputed — reaches the structural validation and
+/// the sketch decoder, which must return a value, never panic. (A flipped
+/// high byte of the model's hidden width used to overflow `3 * hidden` in
+/// debug builds.)
+#[test]
+fn flips_behind_a_recomputed_checksum_never_panic() {
+    let bytes = canonical();
+    let body_len = bytes.len() - 8;
+    for offset in 8..body_len {
+        let mut mutated = bytes.clone();
+        mutated[offset] ^= 0x81;
+        let sum = checksum(&mutated[..body_len]);
+        mutated[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let _ = decode_snapshot(&mutated);
+    }
 }
 
 proptest! {

@@ -239,22 +239,25 @@ impl<'a> Decoder<'a> {
         Ok((0..n).map(|_| self.buf.get_i64_le()).collect())
     }
 
+    /// Reads `n` raw bytes, no length prefix — for a caller that read the
+    /// prefix itself to hold it to a cap of its own before it allocates.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        self.need(n)?;
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
     /// Reads a length-prefixed raw byte vector.
     pub fn byte_vec(&mut self) -> Result<Vec<u8>, DecodeError> {
         let n = self.len_prefix()?;
-        self.need(n)?;
-        let mut bytes = vec![0u8; n];
-        self.buf.copy_to_slice(&mut bytes);
-        Ok(bytes)
+        Ok(self.take(n)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, DecodeError> {
         let n = self.len_prefix()?;
-        self.need(n)?;
-        let mut bytes = vec![0u8; n];
-        self.buf.copy_to_slice(&mut bytes);
-        String::from_utf8(bytes).map_err(|e| DecodeError::Corrupt(e.to_string()))
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|e| DecodeError::Corrupt(e.to_string()))
     }
 
     /// Reads a tensor.

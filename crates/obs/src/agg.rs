@@ -1,9 +1,8 @@
 //! Fleet-wide exposition aggregation: merges per-shard `STATS`
 //! documents into one pane of glass.
 //!
-//! [`merge_expositions`] parses each shard's Prometheus text into typed
-//! families ([`crate::prom::parse_families`]) and folds them by declared
-//! type:
+//! [`merge_expositions`] takes each shard's exposition as typed families
+//! ([`crate::prom::parse_families`]) and folds them by declared type:
 //!
 //! * **counters** sum — the fleet served the sum of what its shards
 //!   served;
@@ -24,7 +23,7 @@
 use std::collections::HashMap;
 
 use crate::hist::HistogramSnapshot;
-use crate::prom::{parse_families, FamilyKind, PromFamily, PromText};
+use crate::prom::{FamilyKind, PromFamily, PromText};
 
 /// Reconstructs the dense [`HistogramSnapshot`] behind one exposition
 /// histogram family. `min_gauge`/`max_gauge` are the sibling `_min` /
@@ -131,23 +130,18 @@ impl SampleFold {
     }
 }
 
-/// Merges per-shard exposition documents into one. See the module docs
-/// for the per-type semantics. Returns `None` when any document fails to
-/// parse or a histogram family is internally inconsistent.
-pub fn merge_expositions(docs: &[&str]) -> Option<String> {
-    let parsed: Vec<Vec<PromFamily>> = docs
-        .iter()
-        .map(|d| parse_families(d))
-        .collect::<Option<_>>()?;
-
+/// Merges per-shard expositions (one slice of parsed families per shard)
+/// into one document. See the module docs for the per-type semantics.
+/// Returns `None` when a histogram family is internally inconsistent.
+pub fn merge_expositions(parsed: &[&[PromFamily]]) -> Option<String> {
     // First-seen family order across all documents.
     let mut order: Vec<String> = Vec::new();
     let mut kinds: HashMap<String, FamilyKind> = HashMap::new();
     // Histogram families swallow their `_min`/`_max` sibling gauges into
     // the snapshot reconstruction; remember which names those are.
     let mut swallowed: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for fams in &parsed {
-        for fam in fams {
+    for fams in parsed {
+        for fam in fams.iter() {
             if !kinds.contains_key(&fam.name) {
                 kinds.insert(fam.name.clone(), fam.kind);
                 order.push(fam.name.clone());
@@ -173,9 +167,9 @@ pub fn merge_expositions(docs: &[&str]) -> Option<String> {
         let kind = kinds[name];
         // Every same-kind occurrence of this family across the documents,
         // paired with its document (histograms need their siblings).
-        let occurrences: Vec<(&Vec<PromFamily>, &PromFamily)> = parsed
+        let occurrences: Vec<(&[PromFamily], &PromFamily)> = parsed
             .iter()
-            .flat_map(|fams| {
+            .flat_map(|&fams| {
                 fams.iter()
                     .filter(|f| &f.name == name && f.kind == kind)
                     .map(move |f| (fams, f))
@@ -250,6 +244,16 @@ pub fn merge_expositions(docs: &[&str]) -> Option<String> {
 mod tests {
     use super::*;
     use crate::hist::LogHistogram;
+    use crate::prom::parse_families;
+
+    fn merge_docs(docs: &[&str]) -> Option<String> {
+        let parsed: Vec<Vec<PromFamily>> = docs
+            .iter()
+            .map(|d| parse_families(d).expect("parse shard document"))
+            .collect();
+        let refs: Vec<&[PromFamily]> = parsed.iter().map(Vec::as_slice).collect();
+        merge_expositions(&refs)
+    }
 
     fn shard_doc(reqs: u64, queue: f64, lats: &[u64]) -> String {
         let h = LogHistogram::new();
@@ -268,7 +272,7 @@ mod tests {
     fn counters_sum_gauges_max_histograms_merge_exactly() {
         let a = shard_doc(10, 3.0, &[1, 5, 5, 200]);
         let b = shard_doc(32, 1.0, &[0, 7, 4096]);
-        let merged = merge_expositions(&[&a, &b]).expect("merge");
+        let merged = merge_docs(&[&a, &b]).expect("merge");
         let fams = parse_families(&merged).expect("parse merged");
         let get = |n: &str| fams.iter().find(|f| f.name == n).expect(n);
         assert_eq!(get("ds_serve_requests").scalar(), Some(42.0));
@@ -300,7 +304,7 @@ mod tests {
     fn empty_shard_histogram_does_not_poison_the_fleet_min() {
         let a = shard_doc(1, 0.0, &[500, 900]);
         let b = shard_doc(0, 0.0, &[]);
-        let merged = merge_expositions(&[&a, &b]).expect("merge");
+        let merged = merge_docs(&[&a, &b]).expect("merge");
         let fams = parse_families(&merged).expect("parse merged");
         let get = |n: &str| fams.iter().find(|f| f.name == n).expect(n);
         assert_eq!(get("ds_serve_latency_us_hist_min").scalar(), Some(500.0));
@@ -310,7 +314,7 @@ mod tests {
     #[test]
     fn merging_one_document_is_the_identity_on_values() {
         let a = shard_doc(7, 2.0, &[3, 9]);
-        let merged = merge_expositions(&[&a]).expect("merge");
+        let merged = merge_docs(&[&a]).expect("merge");
         let before = parse_families(&a).unwrap();
         let after = parse_families(&merged).unwrap();
         // Same families, same scalar/suffixed values (order preserved).
@@ -329,7 +333,6 @@ mod tests {
             "ds_serve_latency_us_hist_count 1",
             "ds_serve_latency_us_hist_count 3",
         );
-        assert!(merge_expositions(&[&good, &bad]).is_none());
-        assert!(merge_expositions(&["not an exposition # at all ###"]).is_none());
+        assert!(merge_docs(&[&good, &bad]).is_none());
     }
 }

@@ -11,7 +11,7 @@
 //! * **Typed scalars** — monotonic [`Counter`]s, last-value [`Gauge`]s
 //!   with min/max/mean aggregation, and lock-free log₂ [`LogHistogram`]s
 //!   for latency/size distributions (the same histogram the serving
-//!   `METRICS` command reports).
+//!   `STATS` command reports).
 //! * **Request-level building blocks** — mergeable histogram
 //!   [`HistogramSnapshot`]s, rolling [`WindowedHistogram`]s for drift
 //!   monitoring, a non-blocking [`ExemplarRing`] for slow-request

@@ -20,23 +20,23 @@
 //! Prints `ADDR <bound-address>` on stdout once listening, then serves
 //! until stdin reaches EOF (the same lifetime contract as `ds_shard`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ds_obs::FleetCounters;
+use ds_obs::{FleetCounters, PromFamily};
 use ds_serve::{
-    format_response, parse_request, Connection, ErrorCode, Request, RequestTimeline, Response,
+    parse_request, Client, ErrorCode, LineReader, Request, RequestTimeline, Response,
     PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
 
-/// The latest scrape of the whole fleet: one raw exposition document per
+/// The latest scrape of the whole fleet: one parsed exposition per
 /// reachable shard plus every shard's exemplars.
 #[derive(Default)]
 struct FleetView {
-    expositions: Vec<String>,
+    expositions: Vec<Vec<PromFamily>>,
     timelines: Vec<RequestTimeline>,
 }
 
@@ -81,8 +81,8 @@ impl Monitor {
         let view = self.view.lock().expect("fleet view");
         let mut own = ds_obs::PromText::new();
         self.counters.render(&mut own);
-        let own = own.into_string();
-        let mut docs: Vec<&str> = view.expositions.iter().map(String::as_str).collect();
+        let own = ds_obs::parse_families(own.finish())?;
+        let mut docs: Vec<&[PromFamily]> = view.expositions.iter().map(Vec::as_slice).collect();
         docs.push(&own);
         let merged = ds_obs::merge_expositions(&docs)?;
         Some(merged.trim_end().replace('\n', "\\n"))
@@ -102,109 +102,51 @@ impl Monitor {
     }
 }
 
-/// One scrape of one shard: `STATS` (unescaped back to a real document)
-/// and `TRACE` (parsed exemplars). `None` when the shard is unreachable
-/// or answers garbage.
-fn scrape_shard(addr: SocketAddr) -> Option<(String, Vec<RequestTimeline>)> {
-    let mut conn = Connection::connect_timeout(addr, Duration::from_secs(10)).ok()?;
-    let Response::Text(stats) = conn.roundtrip(&Request::Stats, false).ok()? else {
-        return None;
-    };
-    let doc = stats.replace("\\n", "\n");
-    let Response::Text(trace) = conn.roundtrip(&Request::Trace, false).ok()? else {
-        return None;
-    };
-    let timelines = if trace.trim() == "(none)" {
-        Vec::new()
-    } else {
-        trace
-            .split(';')
-            .map(RequestTimeline::from_wire)
-            .collect::<Option<Vec<_>>>()?
-    };
-    Some((doc, timelines))
+/// One scrape of one shard: its `STATS` families and `TRACE` exemplars.
+/// `None` when the shard is unreachable or answers garbage.
+fn scrape_shard(addr: SocketAddr) -> Option<(Vec<PromFamily>, Vec<RequestTimeline>)> {
+    let mut client = Client::connect_timeout(addr, Duration::from_secs(10)).ok()?;
+    Some((client.stats_families().ok()?, client.trace().ok()?))
 }
 
 /// Answers one connection with the aggregator's four verbs; everything
 /// else gets a typed `ERR` so probing tools fail loudly, not silently.
 fn handle_connection(stream: TcpStream, monitor: &Monitor) {
-    let _ = stream.set_nodelay(true);
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
+    let Ok(mut lines) = LineReader::new(stream, &monitor.shutting_down) else {
         return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if monitor.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, quit) = answer(&line, monitor);
-        if writeln!(writer, "{}", format_response(&response)).is_err() || writer.flush().is_err() {
-            return;
-        }
-        if quit {
+    while let Some(line) = lines.next_line() {
+        let response = answer(line, monitor);
+        if lines.respond(&response).is_err() || response == Response::Bye {
             return;
         }
     }
 }
 
-fn answer(line: &str, monitor: &Monitor) -> (Response, bool) {
+fn answer(line: &str, monitor: &Monitor) -> Response {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(resp) => return (resp, false),
+        Err(resp) => return resp,
     };
     match request {
-        Request::Hello { version, .. } => (
-            Response::Text(format!(
-                "HELLO {} {}",
-                version.min(PROTOCOL_VERSION),
-                SUPPORTED_FEATURES.join(",")
-            )),
-            false,
-        ),
+        Request::Hello { version, .. } => Response::Text(format!(
+            "HELLO {} {}",
+            version.min(PROTOCOL_VERSION),
+            SUPPORTED_FEATURES.join(",")
+        )),
         Request::Stats => match monitor.stats_payload() {
-            Some(p) => (Response::Text(p), false),
-            None => (
-                Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "shard expositions failed to merge".to_string(),
-                },
-                false,
-            ),
-        },
-        Request::Trace => (Response::Text(monitor.trace_payload()), false),
-        Request::Quit => (Response::Bye, true),
-        _ => (
-            Response::Error {
-                code: ErrorCode::Proto,
-                message: "fleetmon speaks HELLO/STATS/TRACE/QUIT only".to_string(),
+            Some(p) => Response::Text(p),
+            None => Response::Error {
+                code: ErrorCode::Internal,
+                message: "shard expositions failed to merge".to_string(),
             },
-            false,
-        ),
+        },
+        Request::Trace => Response::Text(monitor.trace_payload()),
+        Request::Quit => Response::Bye,
+        _ => Response::Error {
+            code: ErrorCode::Proto,
+            message: "fleetmon speaks HELLO/STATS/TRACE/QUIT only".to_string(),
+        },
     }
 }
 

@@ -4,7 +4,8 @@
 //! A cache entry is keyed by the sketch name, the store **generation** of
 //! the sketch that produced the value, the query's canonical structural
 //! shape (the same canonicalization as [`crate::query_template`]), and the
-//! predicate literal values. Keying by generation makes swap/remove
+//! predicate literal values — the `CanonicalQuery` form, which the
+//! template interner and the lifecycle harvest key are derived from too. Keying by generation makes swap/remove
 //! invalidation structural: a retrained or re-inserted sketch gets a fresh
 //! generation from the store, so stale entries can never hit — the cache
 //! additionally purges them eagerly (and counts the purge) the first time
@@ -48,83 +49,88 @@ pub struct EstimateKey {
 impl EstimateKey {
     /// Builds the key for `query` served by `sketch` at `generation`.
     pub fn new(sketch: &str, generation: u64, query: &Query) -> Self {
-        let (shape, lits) = canonical_parts(query);
+        Self::from_canonical(sketch, generation, CanonicalQuery::of(query))
+    }
+
+    pub(crate) fn from_canonical(sketch: &str, generation: u64, query: CanonicalQuery) -> Self {
         Self {
             sketch: sketch.to_string(),
             generation,
-            shape,
-            lits,
+            shape: query.shape,
+            lits: query.lits,
         }
     }
 
     /// The canonical structural shape (template identity) of the keyed
-    /// query: equal shapes ⇔ equal [`crate::query_template`] renderings.
+    /// query: equal shapes render equal [`crate::query_template`]s.
     pub fn shape(&self) -> &[u32] {
         &self.shape
     }
 }
 
-/// The canonical `(op code, literal vector)` of one predicate. Op codes
-/// 0/1/2 are the comparison operators (`=`, `<`, `>`, one literal each —
-/// unchanged from the pre-extension encoding, so comparison-only keys stay
-/// bit-identical across versions); 3 is `IN` (the canonical sorted list)
-/// and 4 is `LIKE` (the pattern's bytes, one per element, which keeps the
-/// key exact — no hashing, no collisions).
-pub(crate) fn pred_code_and_lits(p: &ds_storage::predicate::ColPredicate) -> (u32, Vec<i64>) {
-    use ds_storage::predicate::PredTest;
-    match &p.test {
-        PredTest::Cmp(op, lit) => (op.index() as u32, vec![*lit]),
-        PredTest::In(values) => (3, values.clone()),
-        PredTest::Like(pat) => (4, pat.as_str().bytes().map(i64::from).collect()),
-    }
+/// The canonical form of a query, computed once per request: the cache key
+/// (shape and literals), the interned template (shape) and the harvest key
+/// (predicates) all read it instead of sorting the query again.
+pub(crate) struct CanonicalQuery {
+    /// Table count, sorted tables, join count, sorted canonical join quads,
+    /// then `[table, col, op]` per predicate — plus the literal count for
+    /// the variable-width `IN` and `LIKE`, so `lits` stays unambiguous.
+    pub(crate) shape: Vec<u32>,
+    /// The predicates' literals, flattened in `shape`'s predicate order.
+    pub(crate) lits: Vec<i64>,
+    /// The predicates as `(table, col, op code, literals)`, sorted — by
+    /// literals last, so `lits` stays aligned with `shape` even when two
+    /// predicates share a column and operator. Op codes 0/1/2 are `=`, `<`,
+    /// `>` (one literal each), 3 is `IN` (the canonical sorted list), 4 is
+    /// `LIKE` (the pattern's bytes, one per element: exact, no hashing).
+    pub(crate) preds: Vec<(u32, u32, u32, Vec<i64>)>,
 }
 
-/// The canonical `(shape, literals)` of a query. The shape mirrors the
-/// template interner's numeric key — sorted tables, sorted canonical join
-/// quads, sorted predicate triples — except predicates are sorted as
-/// `[table, col, op, literals]` so the literal vector stays aligned
-/// with the shape even when two predicates share a column and operator.
-/// Variable-width predicates (`IN`, `LIKE`) additionally carry their
-/// literal count in the shape, so the literal vector never becomes
-/// ambiguous; fixed-width comparisons keep the legacy 3-word layout.
-fn canonical_parts(query: &Query) -> (Vec<u32>, Vec<i64>) {
-    let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<[u32; 4]> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let l = [j.left.table.0 as u32, j.left.col as u32];
-            let r = [j.right.table.0 as u32, j.right.col as u32];
-            let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
-            [lt, lc, rt, rc]
-        })
-        .collect();
-    joins.sort_unstable();
-    let mut preds: Vec<(u32, u32, u32, Vec<i64>)> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            let (op, plits) = pred_code_and_lits(p);
-            (cr.table.0 as u32, cr.col as u32, op, plits)
-        })
-        .collect();
-    preds.sort_unstable();
-    let mut shape = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 4 * preds.len());
-    shape.push(tables.len() as u32);
-    shape.extend_from_slice(&tables);
-    shape.push(joins.len() as u32);
-    for j in &joins {
-        shape.extend_from_slice(j);
-    }
-    let mut lits = Vec::with_capacity(preds.len());
-    for (t, c, op, plits) in &preds {
-        shape.extend_from_slice(&[*t, *c, *op]);
-        if *op >= 3 {
-            shape.push(plits.len() as u32);
+impl CanonicalQuery {
+    pub(crate) fn of(query: &Query) -> Self {
+        use ds_storage::predicate::PredTest;
+        let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
+        tables.sort_unstable();
+        let mut joins: Vec<[u32; 4]> = query
+            .joins
+            .iter()
+            .map(|j| {
+                let l = [j.left.table.0 as u32, j.left.col as u32];
+                let r = [j.right.table.0 as u32, j.right.col as u32];
+                let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
+                [lt, lc, rt, rc]
+            })
+            .collect();
+        joins.sort_unstable();
+        let mut preds: Vec<(u32, u32, u32, Vec<i64>)> = query
+            .qualified_predicates()
+            .map(|(cr, p)| {
+                let (op, plits) = match &p.test {
+                    PredTest::Cmp(op, lit) => (op.index() as u32, vec![*lit]),
+                    PredTest::In(values) => (3, values.clone()),
+                    PredTest::Like(pat) => (4, pat.as_str().bytes().map(i64::from).collect()),
+                };
+                (cr.table.0 as u32, cr.col as u32, op, plits)
+            })
+            .collect();
+        preds.sort_unstable();
+        let mut shape = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 4 * preds.len());
+        shape.push(tables.len() as u32);
+        shape.extend_from_slice(&tables);
+        shape.push(joins.len() as u32);
+        for j in &joins {
+            shape.extend_from_slice(j);
         }
-        lits.extend_from_slice(plits);
+        let mut lits = Vec::with_capacity(preds.len());
+        for (t, c, op, plits) in &preds {
+            shape.extend_from_slice(&[*t, *c, *op]);
+            if *op >= 3 {
+                shape.push(plits.len() as u32);
+            }
+            lits.extend_from_slice(plits);
+        }
+        Self { shape, lits, preds }
     }
-    (shape, lits)
 }
 
 /// One cached estimate plus its CLOCK referenced bit.
@@ -133,13 +139,26 @@ struct Entry {
     referenced: bool,
 }
 
-/// One independently locked shard: entry map plus the second-chance ring.
-/// The ring may briefly hold keys already removed by invalidation; they
-/// are dropped lazily during eviction sweeps.
+/// One independently locked shard: entry map plus the second-chance ring
+/// over exactly the map's keys.
 #[derive(Default)]
 struct Shard {
     map: HashMap<EstimateKey, Entry>,
     ring: VecDeque<EstimateKey>,
+}
+
+impl Shard {
+    /// Drops the entries whose keys are `dead` from the map and from the
+    /// ring alike — an invalidated key left in the ring would stay there
+    /// until capacity eviction happened to sweep past it, which a sketch
+    /// that changes generation faster than its shard fills never reaches.
+    /// Returns how many entries went.
+    fn purge(&mut self, dead: impl Fn(&EstimateKey) -> bool) -> u64 {
+        let before = self.map.len();
+        self.map.retain(|k, _| !dead(k));
+        self.ring.retain(|k| !dead(k));
+        (before - self.map.len()) as u64
+    }
 }
 
 /// Bounded, sharded, second-chance estimate cache. See the module docs for
@@ -183,8 +202,26 @@ impl EstimateCache {
     /// this is the first sight of `sketch` at `generation` (a swap,
     /// remove/re-insert, or background-retrain promotion).
     pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> EstimateKey {
+        self.key_of(sketch, generation, CanonicalQuery::of(query))
+    }
+
+    /// [`EstimateCache::key`] for a query already in canonical form.
+    pub(crate) fn key_of(
+        &self,
+        sketch: &str,
+        generation: u64,
+        query: CanonicalQuery,
+    ) -> EstimateKey {
         self.note_generation(sketch, generation);
-        EstimateKey::new(sketch, generation, query)
+        EstimateKey::from_canonical(sketch, generation, query)
+    }
+
+    /// Purges `dead` entries from every shard; returns how many went.
+    fn purge(&self, dead: impl Fn(&EstimateKey) -> bool) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard poisoned").purge(&dead))
+            .sum()
     }
 
     fn note_generation(&self, sketch: &str, generation: u64) {
@@ -202,14 +239,7 @@ impl EstimateCache {
         let mut latest = self.latest.write().expect("cache generation map poisoned");
         match latest.insert(sketch.to_string(), generation) {
             Some(prev) if prev != generation => {
-                let mut purged = 0u64;
-                for shard in &self.shards {
-                    let mut s = shard.lock().expect("cache shard poisoned");
-                    let before = s.map.len();
-                    s.map
-                        .retain(|k, _| !(k.sketch == sketch && k.generation != generation));
-                    purged += (before - s.map.len()) as u64;
-                }
+                let purged = self.purge(|k| k.sketch == sketch && k.generation != generation);
                 self.invalidations.fetch_add(purged, Ordering::Relaxed);
             }
             _ => {}
@@ -256,7 +286,8 @@ impl EstimateCache {
                     shard.map.remove(&victim);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                // Stale ring key (already invalidated): just drop it.
+                // Purges take their keys out of the ring with them, so a
+                // ring key always has its entry; nothing to evict if not.
                 None => {}
             }
         }
@@ -275,14 +306,7 @@ impl EstimateCache {
     /// detects accuracy drift for the template. Returns the number of
     /// entries dropped.
     pub fn invalidate_template(&self, sketch: &str, shape: &[u32]) -> u64 {
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("cache shard poisoned");
-            let before = s.map.len();
-            s.map
-                .retain(|k, _| !(k.sketch == sketch && k.shape == shape));
-            dropped += (before - s.map.len()) as u64;
-        }
+        let dropped = self.purge(|k| k.sketch == sketch && k.shape == shape);
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
@@ -396,6 +420,51 @@ mod tests {
         assert_eq!(cache.get(&kb), None);
         assert_eq!(cache.get(&kc), Some(3.0));
         assert_eq!(cache.get(&other), Some(4.0));
+    }
+
+    /// Invalidation takes a key out of the eviction ring too. (The ring
+    /// used to be trimmed only by capacity eviction, so a sketch whose
+    /// generation moved faster than a shard filled kept every key it ever
+    /// cached: 10 000 ring keys for 200 live entries in the first loop.)
+    #[test]
+    fn invalidated_keys_leave_the_eviction_ring() {
+        let (a, _, _) = queries();
+        let shape = EstimateKey::new("s", 1, &a).shape;
+        let key = |generation: u64, i: i64| EstimateKey {
+            sketch: "s".to_string(),
+            generation,
+            shape: shape.clone(),
+            lits: vec![i],
+        };
+        let ring_matches_map = |cache: &EstimateCache| {
+            for shard in &cache.shards {
+                let s = shard.lock().unwrap();
+                assert_eq!(s.ring.len(), s.map.len(), "the ring holds the map's keys");
+            }
+        };
+
+        // 50 generations of 200 distinct queries, far below capacity.
+        let cache = EstimateCache::new(4096, 8);
+        for generation in 1..=50 {
+            cache.note_generation("s", generation);
+            for i in 0..200 {
+                cache.insert(key(generation, i), i as f64);
+            }
+        }
+        assert_eq!(cache.len(), 200);
+        assert_eq!(cache.invalidations(), 49 * 200);
+        ring_matches_map(&cache);
+
+        // 50 rounds of template drift over the same 200 queries.
+        let cache = EstimateCache::new(4096, 8);
+        for _ in 0..50 {
+            for i in 0..200 {
+                cache.insert(key(1, i), i as f64);
+            }
+            assert_eq!(cache.invalidate_template("s", &shape), 200);
+        }
+        assert!(cache.is_empty());
+        ring_matches_map(&cache);
     }
 
     #[test]

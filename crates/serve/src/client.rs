@@ -1,23 +1,50 @@
-//! The single-node convenience client — a thin wrapper over
-//! [`Connection`].
+//! The client: one TCP connection speaking the line protocol.
 //!
-//! **Deprecated in spirit, kept for compatibility:** new code should use
-//! [`Connection`] (wire framing) directly, or [`crate::fleet::FleetClient`]
-//! (routing, retry-with-failover, per-sketch affinity) when talking to
-//! more than one shard. `Client` remains so every existing example, test,
-//! and bench compiles unchanged; it adds nothing the two layers don't
-//! already provide beyond typed payload accessors
-//! ([`Client::metrics_snapshot`], [`Client::info_card`], [`Client::stats`],
-//! [`Client::trace`]).
+//! [`Client`] owns the wire framing — format a [`Request`], write one
+//! line, read one line, parse the [`Response`] — plus the `HELLO`
+//! negotiation, snapshot shipping (`SNAPSHOT`/`SYNC`) and typed accessors
+//! over the text payloads (`INFO`, `STATS`, `TRACE`). Routing, retries and
+//! failover live a layer up in [`crate::fleet::FleetClient`], which holds
+//! one `Client` per shard.
 
-use std::net::ToSocketAddrs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use ds_core::snapshot::{decode_hex, encode_hex};
 use ds_obs::{PromFamily, PromSample};
 
-use crate::connection::{invalid_data, invalid_payload, Connection, Handshake};
-use crate::metrics::{MetricsSnapshot, RequestTimeline};
-use crate::protocol::{Request, Response};
+use crate::metrics::RequestTimeline;
+use crate::protocol::{
+    format_request, format_response, parse_response, ErrorCode, Request, Response,
+    PROTOCOL_VERSION, SUPPORTED_FEATURES,
+};
+
+/// The outcome of a `HELLO` negotiation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Handshake {
+    /// The protocol version both sides speak: `min(client, server)`.
+    pub version: u32,
+    /// Feature flags the server advertises (`cache`, `degraded-token`,
+    /// `fleet`).
+    pub features: Vec<String>,
+}
+
+impl Handshake {
+    /// Whether the server advertised `feature`.
+    pub fn has_feature(&self, feature: &str) -> bool {
+        self.features.iter().any(|f| f == feature)
+    }
+}
+
+/// A replica's answer to a `SYNC` offer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncAck {
+    /// The shipped generation won and now serves on the replica.
+    Adopted(u64),
+    /// The replica already serves a generation at least as new.
+    Stale(u64),
+}
 
 /// The `INFO` summary card parsed back into fields (client side).
 #[derive(Debug, Clone, PartialEq)]
@@ -79,50 +106,142 @@ impl InfoCard {
     }
 }
 
-/// One connection to a sketch server, with typed single-node accessors.
-/// Prefer [`Connection`] or [`crate::fleet::FleetClient`] in new code.
+/// One blocking connection to a sketch server.
 pub struct Client {
-    conn: Connection,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    handshake: Option<Handshake>,
 }
 
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(Self {
-            conn: Connection::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        Self::from_stream(stream)
     }
 
-    /// Connects with a connect + read deadline, so tests never hang on a
+    /// Connects with a connect + read deadline, so callers never hang on a
     /// wedged server.
     pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> std::io::Result<Self> {
+        let addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        Self::from_stream(stream)
+    }
+
+    /// Wraps an already-connected stream.
+    pub fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
+        // One-line request/response roundtrips die under Nagle + delayed ACK.
+        stream.set_nodelay(true)?;
+        let writer = stream.try_clone()?;
         Ok(Self {
-            conn: Connection::connect_timeout(addr, timeout)?,
+            reader: BufReader::new(stream),
+            writer,
+            handshake: None,
         })
     }
 
-    /// Negotiates the protocol version and feature flags (optional — a
-    /// client that never calls this speaks v1).
-    pub fn hello(&mut self) -> std::io::Result<Handshake> {
-        self.conn.hello()
+    /// The negotiated handshake, when [`Client::hello`] has run. A
+    /// connection that never sends `HELLO` speaks protocol v1.
+    pub fn handshake(&self) -> Option<&Handshake> {
+        self.handshake.as_ref()
     }
 
-    /// The underlying wire connection, for callers mixing layers.
-    pub fn connection(&mut self) -> &mut Connection {
-        &mut self.conn
+    /// Sends one request and reads its one-line response. An `OK` payload
+    /// parses as a number for the two estimating verbs and as text for
+    /// every other.
+    pub fn roundtrip(&mut self, req: &Request) -> std::io::Result<Response> {
+        let estimate = matches!(req, Request::Estimate { .. } | Request::Feedback { .. });
+        let line = self.exchange(format_request(req))?;
+        parse_response(&line, estimate)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+
+    /// Sends a raw line (possibly malformed — for protocol tests) and
+    /// returns the raw response line.
+    pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
+        Ok(self.exchange(line.to_string())?.trim_end().to_string())
+    }
+
+    /// Writes `request` and its newline with one `write_all` — the stream
+    /// is unbuffered and `TCP_NODELAY`, so two writes would be two
+    /// segments the server can see a stall between — then reads one line.
+    fn exchange(&mut self, mut request: String) -> std::io::Result<String> {
+        request.push('\n');
+        self.writer.write_all(request.as_bytes())?;
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
+        Ok(line)
+    }
+
+    /// Sends a request whose `OK` payload is text and returns that text;
+    /// any other response becomes an `InvalidData` error carrying its
+    /// wire line.
+    fn text(&mut self, req: &Request) -> std::io::Result<String> {
+        match self.roundtrip(req)? {
+            Response::Text(t) => Ok(t),
+            other => Err(invalid_payload(&other)),
+        }
+    }
+
+    /// Negotiates the protocol: sends `HELLO` with this build's version and
+    /// features, records and returns the server's answer. A
+    /// [`ErrorCode::VersionMismatch`] reply becomes an `Unsupported` io
+    /// error — the caller knows negotiation failed rather than guessing
+    /// from garbled lines.
+    pub fn hello(&mut self) -> std::io::Result<Handshake> {
+        let req = Request::Hello {
+            version: PROTOCOL_VERSION,
+            features: SUPPORTED_FEATURES.iter().map(|s| s.to_string()).collect(),
+        };
+        match self.roundtrip(&req)? {
+            Response::Text(t) => {
+                let mut parts = t.split_whitespace();
+                let (tag, version) = (parts.next(), parts.next());
+                if tag != Some("HELLO") {
+                    return Err(invalid_data(format!("bad HELLO payload '{t}'")));
+                }
+                let version: u32 = version
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| invalid_data(format!("bad HELLO version in '{t}'")))?;
+                let features = parts
+                    .next()
+                    .unwrap_or("")
+                    .split(',')
+                    .filter(|f| !f.is_empty())
+                    .map(str::to_string)
+                    .collect();
+                let hs = Handshake { version, features };
+                self.handshake = Some(hs.clone());
+                Ok(hs)
+            }
+            Response::Error {
+                code: ErrorCode::VersionMismatch,
+                message,
+            } => Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                message,
+            )),
+            other => Err(invalid_payload(&other)),
+        }
     }
 
     /// Sends `ESTIMATE` and returns the raw response ([`Response::Estimate`]
     /// on success, or the typed `ERR`/`BUSY`).
     pub fn estimate(&mut self, sketch: &str, sql: &str) -> std::io::Result<Response> {
-        self.conn.roundtrip(
-            &Request::Estimate {
-                sketch: sketch.to_string(),
-                sql: sql.to_string(),
-                trace: None,
-            },
-            true,
-        )
+        self.roundtrip(&Request::Estimate {
+            sketch: sketch.to_string(),
+            sql: sql.to_string(),
+            trace: None,
+        })
     }
 
     /// `ESTIMATE` and unwrap the value; any non-`OK` response becomes an
@@ -144,45 +263,16 @@ impl Client {
         }
     }
 
-    /// Sends `INFO <sketch>`.
-    pub fn info(&mut self, sketch: &str) -> std::io::Result<Response> {
-        self.conn.roundtrip(
-            &Request::Info {
-                sketch: sketch.to_string(),
-            },
-            false,
-        )
-    }
-
-    /// Sends `LIST`.
-    pub fn list(&mut self) -> std::io::Result<Response> {
-        self.conn.roundtrip(&Request::List, false)
-    }
-
-    /// Sends `LIFECYCLE <sketch>` — the retrain-and-hot-swap lifecycle
-    /// status line for one sketch.
-    pub fn lifecycle(&mut self, sketch: &str) -> std::io::Result<Response> {
-        self.conn.roundtrip(
-            &Request::Lifecycle {
-                sketch: sketch.to_string(),
-            },
-            false,
-        )
-    }
-
     /// Sends `FEEDBACK`: estimates `sql` (bit-identical to `ESTIMATE`) and
     /// records its q-error against the observed true cardinality `actual`
     /// in the server's drift monitor. Returns the raw response.
     pub fn feedback(&mut self, sketch: &str, actual: u64, sql: &str) -> std::io::Result<Response> {
-        self.conn.roundtrip(
-            &Request::Feedback {
-                sketch: sketch.to_string(),
-                actual,
-                sql: sql.to_string(),
-                trace: None,
-            },
-            true,
-        )
+        self.roundtrip(&Request::Feedback {
+            sketch: sketch.to_string(),
+            actual,
+            sql: sql.to_string(),
+            trace: None,
+        })
     }
 
     /// [`Client::feedback`] and unwrap the estimate value (degraded
@@ -194,41 +284,46 @@ impl Client {
         }
     }
 
-    /// Sends `METRICS`.
-    pub fn metrics(&mut self) -> std::io::Result<Response> {
-        self.conn.roundtrip(&Request::Metrics, false)
-    }
-
-    /// Sends `METRICS` and parses the payload into a typed snapshot.
-    pub fn metrics_snapshot(&mut self) -> std::io::Result<MetricsSnapshot> {
-        match self.metrics()? {
-            Response::Text(t) => MetricsSnapshot::from_wire(&t)
-                .ok_or_else(|| invalid_data(format!("bad METRICS payload '{t}'"))),
-            other => Err(invalid_payload(&other)),
-        }
+    /// Sends `INFO <sketch>`.
+    pub fn info(&mut self, sketch: &str) -> std::io::Result<Response> {
+        self.roundtrip(&Request::Info {
+            sketch: sketch.to_string(),
+        })
     }
 
     /// Sends `INFO` and parses the payload into a typed card.
     pub fn info_card(&mut self, sketch: &str) -> std::io::Result<InfoCard> {
-        match self.info(sketch)? {
-            Response::Text(t) => InfoCard::from_wire(&t)
-                .ok_or_else(|| invalid_data(format!("bad INFO payload '{t}'"))),
-            other => Err(invalid_payload(&other)),
-        }
+        let t = self.text(&Request::Info {
+            sketch: sketch.to_string(),
+        })?;
+        InfoCard::from_wire(&t).ok_or_else(|| invalid_data(format!("bad INFO payload '{t}'")))
     }
 
-    /// Sends `STATS` and parses the Prometheus exposition into samples.
-    /// The server escapes newlines as literal `\n` to fit the one-line
-    /// wire; this reverses that before parsing.
+    /// Sends `LIST`.
+    pub fn list(&mut self) -> std::io::Result<Response> {
+        self.roundtrip(&Request::List)
+    }
+
+    /// Sends `LIFECYCLE <sketch>` — the retrain-and-hot-swap lifecycle
+    /// status line for one sketch.
+    pub fn lifecycle(&mut self, sketch: &str) -> std::io::Result<Response> {
+        self.roundtrip(&Request::Lifecycle {
+            sketch: sketch.to_string(),
+        })
+    }
+
+    /// Sends `STATS` and returns the Prometheus exposition as a real
+    /// document: the server escapes newlines as literal `\n` to fit the
+    /// one-line wire, and this is the one place that reverses it.
+    fn stats_document(&mut self) -> std::io::Result<String> {
+        Ok(self.text(&Request::Stats)?.replace("\\n", "\n"))
+    }
+
+    /// Sends `STATS` and parses the exposition into flat samples.
     pub fn stats(&mut self) -> std::io::Result<Vec<PromSample>> {
-        match self.conn.roundtrip(&Request::Stats, false)? {
-            Response::Text(t) => {
-                let doc = t.replace("\\n", "\n");
-                ds_obs::prom::parse_text(&doc)
-                    .ok_or_else(|| invalid_data(format!("bad STATS payload '{t}'")))
-            }
-            other => Err(invalid_payload(&other)),
-        }
+        let doc = self.stats_document()?;
+        ds_obs::prom::parse_text(&doc)
+            .ok_or_else(|| invalid_data(format!("bad STATS payload '{doc}'")))
     }
 
     /// Sends `STATS` and parses the exposition into typed metric
@@ -237,44 +332,97 @@ impl Client {
     /// text: `families.iter().find(|f| f.name == "ds_serve_requests")`
     /// then [`PromFamily::scalar`]/[`PromFamily::suffixed`].
     pub fn stats_families(&mut self) -> std::io::Result<Vec<PromFamily>> {
-        match self.conn.roundtrip(&Request::Stats, false)? {
-            Response::Text(t) => {
-                let doc = t.replace("\\n", "\n");
-                ds_obs::parse_families(&doc)
-                    .ok_or_else(|| invalid_data(format!("bad STATS payload '{t}'")))
-            }
-            other => Err(invalid_payload(&other)),
-        }
+        let doc = self.stats_document()?;
+        ds_obs::parse_families(&doc)
+            .ok_or_else(|| invalid_data(format!("bad STATS payload '{doc}'")))
     }
 
     /// Sends `TRACE` and parses the slow-request exemplars, oldest first.
     pub fn trace(&mut self) -> std::io::Result<Vec<RequestTimeline>> {
-        match self.conn.roundtrip(&Request::Trace, false)? {
-            Response::Text(t) => {
-                if t.trim() == "(none)" {
-                    return Ok(Vec::new());
-                }
-                t.split(';')
-                    .map(|rec| {
-                        RequestTimeline::from_wire(rec)
-                            .ok_or_else(|| invalid_data(format!("bad TRACE record '{rec}'")))
-                    })
-                    .collect()
-            }
-            other => Err(invalid_payload(&other)),
+        let t = self.text(&Request::Trace)?;
+        if t.trim() == "(none)" {
+            return Ok(Vec::new());
+        }
+        t.split(';')
+            .map(|rec| {
+                RequestTimeline::from_wire(rec)
+                    .ok_or_else(|| invalid_data(format!("bad TRACE record '{rec}'")))
+            })
+            .collect()
+    }
+
+    /// Fetches the named sketch as a DSNP blob: `(generation, bytes)`. The
+    /// bytes are exactly what the server's `save_snapshot` writes to disk.
+    pub fn fetch_snapshot(&mut self, sketch: &str) -> std::io::Result<(u64, Vec<u8>)> {
+        let t = self.text(&Request::Snapshot {
+            sketch: sketch.to_string(),
+        })?;
+        let mut parts = t.split_whitespace();
+        let tag = parts.next();
+        let name = parts.next().unwrap_or("");
+        let generation: Option<u64> = parts.next().and_then(|v| v.parse().ok());
+        let len: Option<u64> = parts.next().and_then(|v| v.parse().ok());
+        let hex = parts.next().unwrap_or("");
+        let (Some(generation), Some(len)) = (generation, len) else {
+            return Err(invalid_data(format!("bad SNAPSHOT payload '{t}'")));
+        };
+        if tag != Some("SNAPSHOT") || name != sketch {
+            return Err(invalid_data(format!("bad SNAPSHOT payload '{t}'")));
+        }
+        let bytes =
+            decode_hex(hex).ok_or_else(|| invalid_data(format!("SNAPSHOT {sketch}: bad hex")))?;
+        if bytes.len() as u64 != len {
+            return Err(invalid_data(format!(
+                "SNAPSHOT {sketch}: announced {len} bytes, got {}",
+                bytes.len()
+            )));
+        }
+        Ok((generation, bytes))
+    }
+
+    /// Offers a DSNP blob to the server for newest-wins adoption. A
+    /// corrupt transfer comes back as a typed `ERR decode` (surfaced here
+    /// as `InvalidData`); the server quarantines the bytes instead of
+    /// adopting them.
+    pub fn sync_snapshot(
+        &mut self,
+        name: &str,
+        generation: u64,
+        bytes: &[u8],
+    ) -> std::io::Result<SyncAck> {
+        let t = self.text(&Request::Sync {
+            name: name.to_string(),
+            generation,
+            len: bytes.len() as u64,
+            hex: encode_hex(bytes),
+        })?;
+        let mut parts = t.split_whitespace();
+        let tag = parts.next();
+        let got_name = parts.next().unwrap_or("");
+        let gen: Option<u64> = parts.next().and_then(|v| v.parse().ok());
+        let verdict = parts.next();
+        match (tag, gen, verdict) {
+            (Some("SYNC"), Some(g), Some("adopted")) if got_name == name => Ok(SyncAck::Adopted(g)),
+            (Some("SYNC"), Some(g), Some("stale")) if got_name == name => Ok(SyncAck::Stale(g)),
+            _ => Err(invalid_data(format!("bad SYNC payload '{t}'"))),
         }
     }
 
     /// Sends `QUIT` and consumes the client.
-    pub fn quit(self) -> std::io::Result<()> {
-        self.conn.quit()
+    pub fn quit(mut self) -> std::io::Result<()> {
+        match self.roundtrip(&Request::Quit)? {
+            Response::Bye => Ok(()),
+            other => Err(invalid_data(format!("expected BYE, got {other:?}"))),
+        }
     }
+}
 
-    /// Sends a raw line (possibly malformed — for protocol tests) and
-    /// returns the raw response line.
-    pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.conn.send_raw(line)
-    }
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+fn invalid_payload(resp: &Response) -> std::io::Error {
+    invalid_data(format_response(resp))
 }
 
 #[cfg(test)]

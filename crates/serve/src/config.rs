@@ -393,12 +393,6 @@ impl ServeConfigBuilder {
         }
         Ok(self.cfg)
     }
-
-    /// [`ServeConfigBuilder::build`], panicking on an invalid combination
-    /// — for tests and benches whose configs are compile-time constants.
-    pub fn build_or_panic(self) -> ServeConfig {
-        self.build().expect("valid serve config")
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The high-level routing client: picks replicas, retries across them,
 //! and learns which shards to avoid.
 //!
-//! A [`FleetClient`] owns at most one [`Connection`] per shard (opened
+//! A [`FleetClient`] owns at most one [`Client`] per shard (opened
 //! lazily, dropped on the first IO error so a dead shard doesn't wedge
 //! the pool). Per request it walks the sketch's replica set in preference
 //! order: the *affinity* shard — whoever answered this sketch last —
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use ds_obs::{FleetCounters, IdSource, TraceContext};
 
 use crate::breaker::{BreakerConfig, BreakerRegistry};
-use crate::connection::Connection;
+use crate::client::Client;
 use crate::protocol::{ErrorCode, Request, Response};
 
 use super::FleetTopology;
@@ -33,9 +33,6 @@ pub struct FleetClientConfig {
     pub timeout: Duration,
     /// Client-side per-shard circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Send `HELLO` on each new connection (disable only to talk to
-    /// pre-handshake peers under test).
-    pub handshake: bool,
 }
 
 impl Default for FleetClientConfig {
@@ -43,7 +40,6 @@ impl Default for FleetClientConfig {
         Self {
             timeout: Duration::from_secs(10),
             breaker: BreakerConfig::default(),
-            handshake: true,
         }
     }
 }
@@ -52,7 +48,7 @@ impl Default for FleetClientConfig {
 pub struct FleetClient {
     topology: FleetTopology,
     cfg: FleetClientConfig,
-    conns: HashMap<usize, Connection>,
+    conns: HashMap<usize, Client>,
     breakers: BreakerRegistry,
     affinity: HashMap<String, usize>,
     degraded: HashSet<usize>,
@@ -89,14 +85,6 @@ impl FleetClient {
     /// The routing counters (shared — clone the `Arc` to aggregate).
     pub fn counters(&self) -> Arc<FleetCounters> {
         Arc::clone(&self.counters)
-    }
-
-    /// The routing counters rendered as Prometheus exposition — the
-    /// scrapeable form a fleet aggregator merges beside shard `STATS`.
-    pub fn counters_exposition(&self) -> String {
-        let mut p = ds_obs::PromText::new();
-        self.counters.render(&mut p);
-        p.into_string()
     }
 
     /// The root trace context minted for the most recent
@@ -146,7 +134,7 @@ impl FleetClient {
         healthy.into_iter().chain(demoted).collect()
     }
 
-    fn conn(&mut self, shard: usize) -> std::io::Result<&mut Connection> {
+    fn conn(&mut self, shard: usize) -> std::io::Result<&mut Client> {
         if !self.conns.contains_key(&shard) {
             let addr = self.topology.shards.get(shard).copied().ok_or_else(|| {
                 std::io::Error::new(
@@ -154,16 +142,8 @@ impl FleetClient {
                     format!("no shard {shard} in topology"),
                 )
             })?;
-            let mut conn = Connection::connect_timeout(addr, self.cfg.timeout)?;
-            if self.cfg.handshake {
-                match conn.hello() {
-                    Ok(_) => {}
-                    // A pre-handshake (v1) peer answers `ERR proto` —
-                    // that's a legal downgrade, not a failure.
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {}
-                    Err(e) => return Err(e),
-                }
-            }
+            let mut conn = Client::connect_timeout(addr, self.cfg.timeout)?;
+            conn.hello()?;
             self.conns.insert(shard, conn);
         }
         Ok(self.conns.get_mut(&shard).expect("just inserted"))
@@ -204,7 +184,7 @@ impl FleetClient {
                         sql: sql.to_string(),
                         trace,
                     };
-                    conn.roundtrip(&req, true)
+                    conn.roundtrip(&req)
                 }
                 Err(e) => Err(e),
             };
@@ -301,11 +281,5 @@ impl FleetClient {
                 }
             }
         }
-    }
-
-    /// Closes the pooled connection to `shard` (if any). The supervisor
-    /// calls this after killing a shard so the next request redials.
-    pub fn drop_connection(&mut self, shard: usize) {
-        self.conns.remove(&shard);
     }
 }

@@ -8,7 +8,7 @@
 //!   shard indices. Every process that knows the topology computes the
 //!   same replica set for a sketch name, so routing needs no coordinator.
 //! * [`FleetClient`] ([`client`]) — the high-level client: owns one
-//!   [`crate::Connection`] per shard (lazily opened), routes each request
+//!   [`crate::Client`] per shard (lazily opened), routes each request
 //!   to the sketch's replica set, retries across replicas on failure,
 //!   remembers per-sketch affinity (the replica that answered last), and
 //!   keeps a client-side circuit breaker per shard so a dead or degraded

@@ -31,9 +31,8 @@ use ds_core::sketch::DeepSketch;
 use ds_core::store::SketchStore;
 use ds_storage::catalog::Database;
 
+use crate::client::{Client, SyncAck};
 use crate::config::ServeConfig;
-use crate::connection::{Connection, SyncAck};
-use crate::protocol::{Request, Response};
 use crate::server::Server;
 
 use super::{FleetClient, FleetTopology};
@@ -192,14 +191,14 @@ impl Fleet {
                 format!("no live replica holds sketch '{name}'"),
             ));
         };
-        let mut src = self.connect(source)?;
+        let mut src = self.client_connection(source)?;
         let (generation, bytes) = src.fetch_snapshot(name)?;
         let mut adopted = 0;
         for &target in replicas.iter().filter(|&&i| i != source) {
             if self.nodes[target].server.is_none() {
                 continue; // dead; heal() catches it up after restart
             }
-            let mut dst = self.connect(target)?;
+            let mut dst = self.client_connection(target)?;
             match dst.sync_snapshot(name, generation, &bytes)? {
                 SyncAck::Adopted(_) => adopted += 1,
                 SyncAck::Stale(_) => {}
@@ -311,13 +310,7 @@ impl Fleet {
     /// fires, parsed from the typed `STATS` families
     /// (`ds_serve_breaker_<name>_open` / `ds_slo_<name>_firing` gauges).
     fn probe(&self, shard: usize) -> Option<(Vec<String>, Vec<String>)> {
-        let mut conn =
-            Connection::connect_timeout(self.nodes[shard].addr, self.cfg.timeout).ok()?;
-        let Response::Text(text) = conn.roundtrip(&Request::Stats, false).ok()? else {
-            return None;
-        };
-        let doc = text.replace("\\n", "\n");
-        let families = ds_obs::parse_families(&doc)?;
+        let families = self.client_connection(shard).ok()?.stats_families().ok()?;
         let flagged = |prefix: &str, suffix: &str| -> Vec<String> {
             families
                 .iter()
@@ -338,24 +331,14 @@ impl Fleet {
         ))
     }
 
-    fn connect(&self, shard: usize) -> std::io::Result<Connection> {
-        Connection::connect_timeout(self.nodes[shard].addr, self.cfg.timeout)
+    /// A fresh connection to shard `i` (tests drive raw snapshot/sync
+    /// traffic through this).
+    pub fn client_connection(&self, shard: usize) -> std::io::Result<Client> {
+        Client::connect_timeout(self.nodes[shard].addr, self.cfg.timeout)
     }
 
-    /// A fresh low-level connection to shard `i` (tests drive raw
-    /// snapshot/sync traffic through this).
-    pub fn client_connection(&self, shard: usize) -> std::io::Result<Connection> {
-        self.connect(shard)
-    }
-
-    /// Shuts down every live shard.
-    pub fn shutdown(mut self) {
-        for node in &mut self.nodes {
-            if let Some(server) = node.server.take() {
-                server.shutdown();
-            }
-        }
-    }
+    /// Shuts down every live shard; dropping the fleet does the same.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Fleet {

@@ -1,8 +1,9 @@
 //! `ds-serve`: a concurrent sketch-serving front end.
 //!
 //! A multi-threaded TCP server that exposes a [`SketchStore`] over a small
-//! line-based text protocol (`ESTIMATE`, `INFO`, `LIST`, `METRICS`,
-//! `QUIT`), built on the unified [`CardinalityEstimator`] API:
+//! line-based text protocol (`ESTIMATE`, `INFO`, `LIST`, `STATS`, `QUIT`,
+//! …; [`Client`] speaks it from the other end), built on the unified
+//! [`CardinalityEstimator`] API:
 //!
 //! * **Inline, then coalescing** — a request that finds nothing queued
 //!   runs its forward pass on its own connection thread; once the forward
@@ -15,13 +16,14 @@
 //!   entries are generation-keyed so sketch swaps invalidate structurally,
 //!   and `FEEDBACK`-detected accuracy drift purges the drifting template.
 //! * **Robustness** — per-request deadlines, a bounded admission queue
-//!   that sheds with `BUSY`, a connection cap, and graceful shutdown that
-//!   drains in-flight work ([`server`]).
+//!   that sheds with `BUSY`, a connection cap, bounded request lines
+//!   ([`line_reader`]), and graceful shutdown that drains in-flight work
+//!   ([`server`]).
 //! * **Observability** — lock-free counters and log₂ latency/batch-size
-//!   histograms, exposed through the `METRICS` command ([`metrics`]);
-//!   per-request stage timelines (parse → queue-wait → batch-wait →
-//!   forward → write) with slow-request exemplars behind `TRACE`, and a
-//!   full Prometheus-style exposition behind `STATS`.
+//!   histograms ([`metrics`]), all of them in the Prometheus-style
+//!   exposition behind `STATS`; per-request stage timelines (parse →
+//!   queue-wait → batch-wait → forward → write) with slow-request
+//!   exemplars behind `TRACE`.
 //! * **Model-quality feedback** — the `FEEDBACK` command replays observed
 //!   true cardinalities into per-sketch rolling q-error monitors
 //!   ([`ds_core::monitor`]); [`Server::monitors`] exposes them so
@@ -85,9 +87,9 @@ pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod config;
-pub mod connection;
 pub mod faults;
 pub mod fleet;
+pub mod line_reader;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
@@ -95,9 +97,8 @@ pub mod server;
 pub use batcher::{Batcher, BatcherConfig, Completed, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
 pub use cache::{EstimateCache, EstimateKey};
-pub use client::{Client, InfoCard};
+pub use client::{Client, Handshake, InfoCard, SyncAck};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};
-pub use connection::{Connection, Handshake, SyncAck};
 pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
 };
@@ -105,7 +106,8 @@ pub use faults::FaultInjector;
 pub use fleet::{
     Fleet, FleetClient, FleetClientConfig, FleetConfig, FleetTopology, HashRing, ShardHealth,
 };
-pub use metrics::{LogHistogram, Metrics, MetricsSnapshot, RequestTimeline};
+pub use line_reader::{LineReader, MAX_REQUEST_LINE};
+pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{
     format_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
     SUPPORTED_FEATURES,

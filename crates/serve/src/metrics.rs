@@ -14,8 +14,7 @@
 
 use std::time::Duration;
 
-pub use ds_obs::LogHistogram;
-use ds_obs::{Counter, ExemplarRing};
+use ds_obs::{Counter, ExemplarRing, LogHistogram};
 
 /// Slow-request exemplars retained for the `TRACE` command.
 const EXEMPLAR_CAPACITY: usize = 64;
@@ -198,20 +197,9 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one staged request into the per-stage histograms.
-    pub fn record_timeline(&self, t: &RequestTimeline) {
-        self.record_stages(
-            t.parse_us,
-            t.queue_us,
-            t.batch_wait_us,
-            t.forward_us,
-            t.write_us,
-        );
-    }
-
-    /// Records the five per-stage durations (µs) of one completed request
-    /// without requiring an assembled [`RequestTimeline`] — the hot path
-    /// for requests that never become exemplars.
+    /// Records the five per-stage durations (µs) of one completed request;
+    /// no [`RequestTimeline`] is assembled for requests that never become
+    /// exemplars.
     pub fn record_stages(
         &self,
         parse_us: u64,
@@ -315,70 +303,6 @@ pub struct MetricsSnapshot {
     pub max_us: u64,
 }
 
-impl MetricsSnapshot {
-    /// Single-line `key=value` form for the `METRICS` wire response.
-    pub fn to_wire(&self) -> String {
-        format!(
-            "requests={} ok={} errors={} shed={} timeouts={} degraded={} batches={} \
-             mean_batch={:.2} max_batch={} p50_us={} p95_us={} p99_us={} max_us={}",
-            self.requests,
-            self.ok,
-            self.errors,
-            self.shed,
-            self.timeouts,
-            self.degraded,
-            self.batches,
-            self.mean_batch,
-            self.max_batch,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us
-        )
-    }
-
-    /// Parses the `METRICS` wire line back into a snapshot (client side).
-    /// Unknown keys are ignored so older clients survive newer servers;
-    /// missing keys default to zero.
-    pub fn from_wire(s: &str) -> Option<Self> {
-        let mut snap = Self {
-            requests: 0,
-            ok: 0,
-            errors: 0,
-            shed: 0,
-            timeouts: 0,
-            degraded: 0,
-            batches: 0,
-            mean_batch: 0.0,
-            max_batch: 0,
-            p50_us: 0,
-            p95_us: 0,
-            p99_us: 0,
-            max_us: 0,
-        };
-        for field in s.split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "requests" => snap.requests = value.parse().ok()?,
-                "ok" => snap.ok = value.parse().ok()?,
-                "errors" => snap.errors = value.parse().ok()?,
-                "shed" => snap.shed = value.parse().ok()?,
-                "timeouts" => snap.timeouts = value.parse().ok()?,
-                "degraded" => snap.degraded = value.parse().ok()?,
-                "batches" => snap.batches = value.parse().ok()?,
-                "mean_batch" => snap.mean_batch = value.parse().ok()?,
-                "max_batch" => snap.max_batch = value.parse().ok()?,
-                "p50_us" => snap.p50_us = value.parse().ok()?,
-                "p95_us" => snap.p95_us = value.parse().ok()?,
-                "p99_us" => snap.p99_us = value.parse().ok()?,
-                "max_us" => snap.max_us = value.parse().ok()?,
-                _ => {}
-            }
-        }
-        Some(snap)
-    }
-}
-
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "serving metrics:")?;
@@ -405,47 +329,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_quantiles_bound_the_data() {
-        let h = LogHistogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 500.5).abs() < 1e-9);
-        // Upper-bound property: quantile(q) >= true percentile, and within
-        // one power of two of it.
-        let p50 = h.quantile(0.5);
-        assert!((500..=1024).contains(&p50), "p50={p50}");
-        let p99 = h.quantile(0.99);
-        assert!((990..=1024).contains(&p99), "p99={p99}");
-        // Extremes are clamped to the observed range, never beyond it.
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn histogram_handles_zero_and_empty() {
-        let h = LogHistogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
-        h.record(0);
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.max(), 0);
-    }
-
-    #[test]
-    fn single_sample_quantiles_are_exact() {
-        // Regression guard: one sample must report itself at every
-        // quantile instead of its bucket's upper bound.
-        let h = LogHistogram::new();
-        h.record(100);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 100, "q={q}");
-        }
-    }
-
-    #[test]
     fn snapshot_reflects_recorded_events() {
         let m = Metrics::new();
         m.record_request();
@@ -466,10 +349,6 @@ mod tests {
         assert_eq!(s.mean_batch, 12.0);
         assert_eq!(s.max_batch, 16);
         assert_eq!(s.p50_us, 100, "single sample is exact");
-        // Wire and display forms carry the same numbers.
-        let wire = s.to_wire();
-        assert!(wire.contains("requests=2") && wire.contains("mean_batch=12.00"));
-        assert!(!wire.contains('\n'));
         assert!(s.to_string().contains("p95"));
     }
 
@@ -546,28 +425,13 @@ mod tests {
     #[test]
     fn stage_histograms_and_exemplars_capture_timelines() {
         let m = Metrics::new();
-        m.record_timeline(&timeline(1000));
-        m.record_timeline(&timeline(2000));
+        m.record_stages(100, 200, 100, 500, 100);
+        m.record_stages(200, 400, 200, 1000, 200);
         assert_eq!(m.stage_parse_us.count(), 2);
         assert_eq!(m.stage_forward_us.max(), 1000);
         m.slow.push(timeline(2000));
         let slow = m.slow.snapshot();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].total_us, 2000);
-    }
-
-    #[test]
-    fn metrics_snapshot_roundtrips_its_wire_line() {
-        let m = Metrics::new();
-        m.record_request();
-        m.record_ok(Duration::from_micros(64));
-        m.record_batch(4);
-        let s = m.snapshot();
-        assert_eq!(MetricsSnapshot::from_wire(&s.to_wire()).unwrap(), s);
-        assert!(MetricsSnapshot::from_wire("requests=x").is_none());
-        // Unknown keys from a newer server are skipped, not fatal.
-        assert!(
-            MetricsSnapshot::from_wire("requests=3 brand_new=1").is_some_and(|p| p.requests == 3)
-        );
     }
 }

@@ -26,7 +26,6 @@
 //! LIFECYCLE <sketch>           the retrain-and-hot-swap lifecycle status
 //!                              of a sketch: phase, harvested count,
 //!                              shadow medians, swap/rollback counters
-//! METRICS                      server counters and latency percentiles
 //! STATS                        Prometheus-style text exposition of every
 //!                              counter, gauge, and histogram (newlines
 //!                              escaped as literal `\n` on the wire)
@@ -144,8 +143,6 @@ pub enum Request {
         /// Sketch name in the store.
         sketch: String,
     },
-    /// `METRICS` — serving counters and percentiles.
-    Metrics,
     /// `STATS` — full Prometheus-style exposition.
     Stats,
     /// `TRACE` — recent slow-request exemplars.
@@ -225,7 +222,7 @@ pub enum Response {
     /// open circuit breaker). The value is real but comes from a coarser
     /// model; clients that ignore the flag still parse the number.
     Degraded(f64),
-    /// `OK <text>` — free-form single-line payload (INFO, LIST, METRICS).
+    /// `OK <text>` — free-form single-line payload (INFO, LIST, STATS).
     Text(String),
     /// `ERR <code> <message>`.
     Error {
@@ -380,7 +377,6 @@ pub fn parse_request(line: &str) -> Result<Request, Response> {
             })
         }
         "LIST" => Ok(Request::List),
-        "METRICS" => Ok(Request::Metrics),
         "STATS" => Ok(Request::Stats),
         "TRACE" => Ok(Request::Trace),
         "QUIT" | "EXIT" => Ok(Request::Quit),
@@ -424,7 +420,6 @@ pub fn format_request(req: &Request) -> String {
         Request::Info { sketch } => format!("INFO {sketch}"),
         Request::Lifecycle { sketch } => format!("LIFECYCLE {sketch}"),
         Request::List => "LIST".to_string(),
-        Request::Metrics => "METRICS".to_string(),
         Request::Stats => "STATS".to_string(),
         Request::Trace => "TRACE".to_string(),
         Request::Quit => "QUIT".to_string(),
@@ -520,7 +515,6 @@ pub fn store_error_response(e: &StoreError) -> Response {
     let code = match e {
         StoreError::UnknownSketch(_) => ErrorCode::UnknownSketch,
         StoreError::NotReady(..) => ErrorCode::NotReady,
-        StoreError::Decode(_) => ErrorCode::Decode,
         StoreError::Estimate(inner) => return estimate_error_response(inner),
         _ => ErrorCode::Internal,
     };
@@ -589,7 +583,6 @@ mod tests {
                 sketch: "imdb".into(),
             },
             Request::List,
-            Request::Metrics,
             Request::Stats,
             Request::Trace,
             Request::Quit,
@@ -622,6 +615,8 @@ mod tests {
             "ESTIMATE name-only",
             "INFO",
             "FROBNICATE x",
+            // A retired verb is an unknown verb: `STATS` carries its counters.
+            "METRICS",
             "FEEDBACK",
             "FEEDBACK s",
             "FEEDBACK s 12",

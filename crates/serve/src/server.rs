@@ -17,7 +17,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,17 +38,15 @@ use ds_storage::catalog::Database;
 
 use crate::batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 use crate::breaker::{Admit, BreakerRegistry};
-use crate::cache::EstimateCache;
+use crate::cache::{CanonicalQuery, EstimateCache};
 use crate::config::{ServeConfig, SloSignal};
 use crate::faults::FaultInjector;
+use crate::line_reader::{LineReader, POLL_INTERVAL};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 use crate::protocol::{
-    estimate_error_response, format_response, parse_request, store_error_response, write_response,
-    ErrorCode, Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    estimate_error_response, format_response, parse_request, store_error_response, ErrorCode,
+    Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
-
-/// How often blocked reads wake up to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Distance between a connection's forward-pass slots: after a request that
 /// ran a pass, the connection's next request is taken up no sooner than the
@@ -431,44 +429,11 @@ fn accept_loop(
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    // Short read timeouts let the handler poll the shutdown flag while
-    // idle instead of blocking forever on a silent client.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    let Ok(mut lines) = LineReader::new(stream, &shared.shutting_down) else {
         return;
-    }
-    // One-line request/response roundtrips die under Nagle + delayed ACK.
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    // Both buffers live as long as the connection: a request is read into
-    // `line` and its response formatted into `reply` without allocating.
-    let mut line = Vec::new();
-    let mut reply = String::new();
     let pacer = ColdPacer::default();
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {}
-            // The timeout only exists to poll the shutdown flag. Whatever
-            // part of a request arrived before it stays in `line`, and the
-            // next read continues it: a client that stalls mid-line (or
-            // whose request was split across two segments) loses nothing.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
-        let Ok(request) = std::str::from_utf8(&line) else {
-            return;
-        };
-        if request.trim().is_empty() {
-            line.clear();
-            continue;
-        }
+    while let Some(request) = lines.next_line() {
         // A request that arrived before the slot of the pass before it
         // ended waits here, with its handler awake; one that arrives later
         // (the usual case on a loaded server) found the handler asleep in
@@ -477,20 +442,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         // t0 anchors the request timeline: everything from here to the
         // post-flush stamp is attributed to exactly one stage.
         let t0 = Instant::now();
-        let (response, quit, pending) = handle_line(request, shared, t0, &pacer);
-        line.clear();
-        // One `write(2)` per response: under TCP_NODELAY a separate write
-        // of the newline would be a second segment and a second wake-up.
-        reply.clear();
-        write_response(&mut reply, &response);
-        reply.push('\n');
-        if writer.write_all(reply.as_bytes()).is_err() {
+        let (response, pending) = handle_line(request, shared, t0, &pacer);
+        if lines.respond(&response).is_err() {
             return;
         }
         if let Some(p) = pending {
             finish_timeline(p, t0, shared);
         }
-        if quit {
+        if response == Response::Bye {
             return;
         }
     }
@@ -594,12 +553,12 @@ fn finish_timeline(p: PendingTimeline, t0: Instant, shared: &Shared) {
 }
 
 /// Interns structural templates: queries with the same shape share one
-/// rendered string, so the per-request timeline path pays a small numeric
-/// key build plus a read-locked map hit instead of re-rendering
-/// [`query_template`] (string sorts and a dozen allocations) on every
-/// request. Shared between the server's hot path and the bench harness's
-/// instrumentation-cost microbenchmark, so the gated number measures the
-/// code the server actually runs.
+/// rendered string, so the per-request timeline path pays a read-locked
+/// map hit on the shape its cache key already holds instead of
+/// re-rendering [`query_template`] (string sorts and a dozen allocations)
+/// on every request. Shared between the server's hot path and the bench
+/// harness's instrumentation-cost microbenchmark, so the gated number
+/// measures the code the server actually runs.
 pub struct TemplateInterner {
     map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
 }
@@ -619,10 +578,10 @@ impl TemplateInterner {
     }
 
     /// Returns the interned [`query_template`] of `query`, rendering and
-    /// caching it on first sight of the query's structural shape.
-    pub fn get(&self, db: &Database, query: &Query) -> Arc<str> {
-        let key = template_key(query);
-        if let Some(t) = self.map.read().expect("template cache poisoned").get(&key) {
+    /// caching it on first sight of `shape`, the query's
+    /// [`EstimateKey::shape`](crate::EstimateKey::shape).
+    pub fn get(&self, db: &Database, query: &Query, shape: &[u32]) -> Arc<str> {
+        if let Some(t) = self.map.read().expect("template cache poisoned").get(shape) {
             return Arc::clone(t);
         }
         let rendered: Arc<str> = query_template(db, query).into();
@@ -632,45 +591,8 @@ impl TemplateInterner {
         if map.len() >= 4096 {
             map.clear();
         }
-        Arc::clone(map.entry(key).or_insert(rendered))
+        Arc::clone(map.entry(shape.to_vec()).or_insert(rendered))
     }
-}
-
-/// The canonical numeric shape of a query — the cache key behind
-/// [`query_template`]. Section lengths prefix the variable-size parts so
-/// table/join boundaries stay unambiguous; joins and predicates are
-/// canonicalized and sorted just like their rendered counterparts, so two
-/// queries share a key exactly when they render the same template.
-fn template_key(query: &Query) -> Vec<u32> {
-    let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<[u32; 4]> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let l = [j.left.table.0 as u32, j.left.col as u32];
-            let r = [j.right.table.0 as u32, j.right.col as u32];
-            let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
-            [lt, lc, rt, rc]
-        })
-        .collect();
-    joins.sort_unstable();
-    let mut preds: Vec<[u32; 3]> = query
-        .qualified_predicates()
-        .map(|(cr, p)| [cr.table.0 as u32, cr.col as u32, p.op_kind().index() as u32])
-        .collect();
-    preds.sort_unstable();
-    let mut key = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 3 * preds.len());
-    key.push(tables.len() as u32);
-    key.extend_from_slice(&tables);
-    key.push(joins.len() as u32);
-    for j in &joins {
-        key.extend_from_slice(j);
-    }
-    for p in &preds {
-        key.extend_from_slice(p);
-    }
-    key
 }
 
 /// The structural template of a query: sorted table names, join equalities,
@@ -729,47 +651,38 @@ fn handle_line(
     shared: &Shared,
     t0: Instant,
     pacer: &ColdPacer,
-) -> (Response, bool, Option<PendingTimeline>) {
+) -> (Response, Option<PendingTimeline>) {
     shared.metrics.record_request();
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(resp) => {
             shared.metrics.record_error();
-            return (resp, false, None);
+            return (resp, None);
         }
     };
-    match request {
-        Request::Hello { version, .. } => (handle_hello(version, shared), false, None),
-        Request::Snapshot { sketch } => (handle_snapshot(&sketch, shared), false, None),
-        Request::Sync {
-            name,
-            generation,
-            len,
-            hex,
-        } => (
-            handle_sync(&name, generation, len, &hex, shared),
-            false,
-            None,
-        ),
+    let response = match request {
         Request::Estimate { sketch, sql, trace } => {
-            let (resp, pending) = handle_estimate(&sketch, &sql, trace, None, shared, t0, pacer);
-            (resp, false, pending)
+            return handle_estimate(&sketch, &sql, trace, None, shared, t0, pacer)
         }
         Request::Feedback {
             sketch,
             actual,
             sql,
             trace,
-        } => {
-            let (resp, pending) =
-                handle_estimate(&sketch, &sql, trace, Some(actual), shared, t0, pacer);
-            (resp, false, pending)
-        }
+        } => return handle_estimate(&sketch, &sql, trace, Some(actual), shared, t0, pacer),
+        Request::Hello { version, .. } => handle_hello(version, shared),
+        Request::Snapshot { sketch } => handle_snapshot(&sketch, shared),
+        Request::Sync {
+            name,
+            generation,
+            len,
+            hex,
+        } => handle_sync(&name, generation, len, &hex, shared),
         Request::Info { sketch } => match shared.store.get(&sketch) {
-            Ok(s) => (Response::Text(s.info().to_string()), false, None),
+            Ok(s) => Response::Text(s.info().to_string()),
             Err(e) => {
                 shared.metrics.record_error();
-                (store_error_response(&e), false, None)
+                store_error_response(&e)
             }
         },
         Request::List => {
@@ -780,23 +693,18 @@ fn handle_line(
                 .map(|(name, status)| format!("{name}={status:?}"))
                 .collect();
             entries.sort();
-            let payload = if entries.is_empty() {
+            Response::Text(if entries.is_empty() {
                 "(no sketches)".to_string()
             } else {
                 entries.join(" ")
-            };
-            (Response::Text(payload), false, None)
+            })
         }
-        Request::Metrics => (
-            Response::Text(shared.metrics.snapshot().to_wire()),
-            false,
-            None,
-        ),
-        Request::Stats => (Response::Text(stats_payload(shared)), false, None),
-        Request::Lifecycle { sketch } => (handle_lifecycle(&sketch, shared), false, None),
-        Request::Trace => (Response::Text(trace_payload(shared)), false, None),
-        Request::Quit => (Response::Bye, true, None),
-    }
+        Request::Stats => Response::Text(stats_payload(shared)),
+        Request::Lifecycle { sketch } => handle_lifecycle(&sketch, shared),
+        Request::Trace => Response::Text(trace_payload(shared)),
+        Request::Quit => Response::Bye,
+    };
+    (response, None)
 }
 
 /// Negotiates the protocol version: the spoken version is the minimum of
@@ -1025,8 +933,22 @@ fn handle_estimate(
             }
         };
     }
-    let template =
-        (shared.timeline || feedback.is_some()).then(|| shared.templates.get(&shared.db, &query));
+    // The cache is consulted only while the breaker is fully closed: an
+    // open circuit already short-circuited above, and a half-open probe
+    // must exercise the real model to prove recovery — a warm cache must
+    // never mask an unhealthy sketch.
+    let cache = shared
+        .cache
+        .as_ref()
+        .filter(|_| breaker.state_name() == "closed");
+    // One canonicalisation of the query serves the interned template, the
+    // harvest key and the cache key.
+    let wants_template = shared.timeline || feedback.is_some();
+    let canonical = (wants_template || cache.is_some()).then(|| CanonicalQuery::of(&query));
+    let template = canonical
+        .as_ref()
+        .filter(|_| wants_template)
+        .map(|c| shared.templates.get(&shared.db, &query, &c.shape));
     // Shadow mirroring clones the query only while this sketch is actually
     // in the shadow phase — `shadowing` is one relaxed atomic load when no
     // candidate exists anywhere, keeping the steady-state path clone-free.
@@ -1038,19 +960,15 @@ fn handle_estimate(
     // Harvest key: graded queries dedupe on template + literals, so
     // re-grading the same concrete query refreshes (not duplicates) its
     // harvest entry.
-    let harvest_key = (feedback.is_some() && shared.lifecycle.is_some())
-        .then(|| harvest_key(template.as_deref().unwrap_or(""), &query));
-    // The cache is consulted only while the breaker is fully closed: an
-    // open circuit already short-circuited above, and a half-open probe
-    // must exercise the real model to prove recovery — a warm cache must
-    // never mask an unhealthy sketch.
-    let cache = shared
-        .cache
+    let harvest_key = canonical
         .as_ref()
-        .filter(|_| breaker.state_name() == "closed");
+        .filter(|_| feedback.is_some() && shared.lifecycle.is_some())
+        .map(|c| harvest_key(template.as_deref().unwrap_or(""), c));
     // Building the key notes the store generation, eagerly purging entries
     // staled by a swap or remove/re-insert.
-    let cache_key = cache.map(|c| c.key(sketch, generation, &query));
+    let cache_key = cache
+        .zip(canonical)
+        .map(|(c, q)| c.key_of(sketch, generation, q));
     // Drift detection compares this sketch's training-time baseline to the
     // template's rolling feedback; grab it before `estimator` moves.
     let baseline = (feedback.is_some() && cache.is_some())
@@ -1230,22 +1148,14 @@ fn handle_estimate(
 }
 
 /// The harvest deduplication key: the interner's canonical template plus
-/// the concrete literals in a sorted, stable rendering. Two gradings of
-/// the same concrete query collide (refreshing that harvest entry); the
-/// same template with different literals stays distinct.
-fn harvest_key(template: &str, query: &ds_query::query::Query) -> String {
+/// the concrete literals in the query's canonical predicate order. Two
+/// gradings of the same concrete query collide (refreshing that harvest
+/// entry); the same template with different literals stays distinct.
+fn harvest_key(template: &str, query: &CanonicalQuery) -> String {
     use std::fmt::Write as _;
-    let mut preds: Vec<(usize, usize, u32, Vec<i64>)> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            let (op, lits) = crate::cache::pred_code_and_lits(p);
-            (cr.table.0, cr.col, op, lits)
-        })
-        .collect();
-    preds.sort_unstable();
-    let mut key = String::with_capacity(template.len() + preds.len() * 12);
+    let mut key = String::with_capacity(template.len() + query.preds.len() * 12);
     key.push_str(template);
-    for (t, c, op, lits) in preds {
+    for (t, c, op, lits) in &query.preds {
         // Op codes < 3 are single-literal comparisons and keep the legacy
         // `#{t}.{c}:{op}={lit}` spelling; IN/LIKE render their full
         // literal vector so distinct lists and patterns stay distinct.
@@ -1501,6 +1411,7 @@ fn trace_payload(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::EstimateKey;
     use ds_storage::gen::{imdb_database, ImdbConfig};
 
     #[test]
@@ -1560,8 +1471,9 @@ mod tests {
              WHERE t.production_year > 2001 AND mk.movie_id = t.id",
         )
         .expect("parse");
-        let ta = interner.get(&db, &a);
-        let tb = interner.get(&db, &b);
+        let get = |q: &Query| interner.get(&db, q, EstimateKey::new("imdb", 1, q).shape());
+        let ta = get(&a);
+        let tb = get(&b);
         assert!(Arc::ptr_eq(&ta, &tb), "same shape must intern to one Arc");
         assert_eq!(ta.as_ref(), query_template(&db, &a));
         assert_eq!(ta.as_ref(), query_template(&db, &b));
@@ -1573,7 +1485,7 @@ mod tests {
              WHERE mk.movie_id = t.id AND t.production_year < 1995",
         )
         .expect("parse");
-        let tc = interner.get(&db, &c);
+        let tc = get(&c);
         assert!(!Arc::ptr_eq(&ta, &tc));
         assert_eq!(tc.as_ref(), query_template(&db, &c));
     }

@@ -17,35 +17,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_est::postgres::PostgresEstimator;
 use ds_est::CardinalityEstimator;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{Client, ServeConfig, Server, SharedEstimator};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+use common::fixture;
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
 
 /// Configuring a fallback must not perturb healthy responses by a single
 /// byte: the raw `ESTIMATE` line is exactly `OK <v:?>` with the same bits a
@@ -75,7 +55,7 @@ fn healthy_wire_responses_are_byte_identical_with_degradation_configured() {
     let (v, degraded) = c.estimate_flagged("imdb", SQL).unwrap();
     assert!(!degraded, "healthy sketch must not be flagged");
     assert_eq!(v.to_bits(), expected.to_bits());
-    assert_eq!(c.metrics_snapshot().unwrap().degraded, 0);
+    assert_eq!(server.metrics().degraded, 0);
     c.quit().unwrap();
     server.shutdown();
 }
@@ -138,7 +118,7 @@ mod faulted {
         // The raw wire line carries the flag as a trailing token.
         let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
         assert!(line.ends_with(" degraded"), "{line}");
-        let snap = c.metrics_snapshot().unwrap();
+        let snap = server.metrics();
         assert!(snap.degraded >= 6, "degraded counter: {}", snap.degraded);
 
         // Heal and wait out the cooldown: the half-open probe succeeds,
@@ -258,7 +238,7 @@ mod faulted {
             "deadline miss must degrade when a fallback exists"
         );
         assert_eq!(v.to_bits(), fallback_expected.to_bits());
-        let snap = c.metrics_snapshot().unwrap();
+        let snap = server.metrics();
         assert_eq!(snap.degraded, 1);
         assert_eq!(snap.timeouts, 1, "the underlying timeout is still counted");
         c.quit().unwrap();

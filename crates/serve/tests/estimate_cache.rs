@@ -10,36 +10,15 @@
 //! * degraded responses are never cached, and a warm cache never masks an
 //!   unhealthy sketch (fault-dependent, so `debug_assertions`-only).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Client, ServeConfig};
+
+mod common;
+use common::{start, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
 
 fn stat(c: &mut Client, name: &str) -> f64 {
     c.stats()
@@ -55,20 +34,16 @@ fn stat(c: &mut Client, name: &str) -> f64 {
 /// a local `estimate_one` produces.
 #[test]
 fn cache_hit_returns_bit_identical_wire_bytes() {
-    let (db, store) = fixture();
-    let expected = store
-        .get("imdb")
-        .unwrap()
-        .estimate_one(&parse_query(&db, SQL).unwrap());
-    let server = Server::start(
-        Arc::clone(&db),
-        store,
+    let (server, db, store) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
+    let expected = store
+        .get("imdb")
+        .unwrap()
+        .estimate_one(&parse_query(&db, SQL).unwrap());
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let cold = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
@@ -87,21 +62,17 @@ fn cache_hit_returns_bit_identical_wire_bytes() {
 /// request runs the forward pass, and the wire bytes are unchanged.
 #[test]
 fn zero_capacity_disables_the_cache() {
-    let (db, store) = fixture();
-    let expected = store
-        .get("imdb")
-        .unwrap()
-        .estimate_one(&parse_query(&db, SQL).unwrap());
-    let server = Server::start(
-        Arc::clone(&db),
-        store,
+    let (server, db, store) = start(
         ServeConfig::builder()
             .cache_capacity(0)
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
+    let expected = store
+        .get("imdb")
+        .unwrap()
+        .estimate_one(&parse_query(&db, SQL).unwrap());
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     for _ in 0..2 {
         let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
@@ -123,7 +94,12 @@ fn zero_capacity_disables_the_cache() {
 /// from the new model, never the stale cache.
 #[test]
 fn swap_invalidates_stale_generations() {
-    let (db, store) = fixture();
+    let (server, db, store) = start(
+        ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    );
     let query = parse_query(&db, SQL).unwrap();
     let old_expected = store.get("imdb").unwrap().estimate_one(&query);
     let replacement = tiny_sketch(&db, 21);
@@ -133,15 +109,6 @@ fn swap_invalidates_stale_generations() {
         new_expected.to_bits(),
         "fixture must distinguish the two models"
     );
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // Warm the cache against the original model.
@@ -179,20 +146,16 @@ fn swap_invalidates_stale_generations() {
 /// threshold and purges that template's cached entries.
 #[test]
 fn feedback_drift_purges_the_template() {
-    let (db, store) = fixture();
-    assert!(
-        store.get("imdb").unwrap().baseline().is_some(),
-        "drift detection needs the training-time baseline"
-    );
-    let server = Server::start(
-        Arc::clone(&db),
-        store,
+    let (server, _db, store) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
+    assert!(
+        store.get("imdb").unwrap().baseline().is_some(),
+        "drift detection needs the training-time baseline"
+    );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let v = c.estimate_value("imdb", SQL).unwrap();
@@ -214,9 +177,11 @@ fn feedback_drift_purges_the_template() {
 #[cfg(debug_assertions)]
 mod faulted {
     use super::*;
+    use common::fixture;
     use ds_est::postgres::PostgresEstimator;
     use ds_est::CardinalityEstimator;
-    use ds_serve::{BreakerConfig, FaultInjector, SharedEstimator};
+    use ds_serve::{BreakerConfig, FaultInjector, Server, SharedEstimator};
+    use std::sync::Arc;
 
     /// A warm cache must never mask an unhealthy sketch, and degraded
     /// answers must never enter the cache.

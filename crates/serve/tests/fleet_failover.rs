@@ -13,28 +13,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::fleet::FleetConfig;
-use ds_serve::{Connection, Fleet, ServeConfig, Server, SyncAck};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Client, Fleet, ServeConfig, Server, SyncAck};
+
+mod common;
+use common::{tiny_db, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
 
 fn fleet_config(shards: usize, replication: usize) -> FleetConfig {
     FleetConfig {
@@ -52,7 +40,7 @@ fn fleet_config(shards: usize, replication: usize) -> FleetConfig {
 /// the shipped bytes match the durable `DSNP` file bit for bit.
 #[test]
 fn deploy_ships_bit_identical_snapshots_to_all_replicas() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let mut fleet = Fleet::start(Arc::clone(&db), fleet_config(3, 2)).unwrap();
@@ -105,7 +93,7 @@ fn deploy_ships_bit_identical_snapshots_to_all_replicas() {
 /// restores R-way replication at the original generation.
 #[test]
 fn replica_death_fails_over_then_heal_restores_replication() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let mut fleet = Fleet::start(Arc::clone(&db), fleet_config(3, 2)).unwrap();
@@ -168,7 +156,7 @@ fn replica_death_fails_over_then_heal_restores_replication() {
 /// and a replay of the same generation acks `stale`.
 #[test]
 fn corrupt_sync_is_quarantined_not_adopted() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let sketch = tiny_sketch(&db, 7);
     let good = encode_snapshot("imdb", 1, &sketch, None);
 
@@ -185,8 +173,7 @@ fn corrupt_sync_is_quarantined_not_adopted() {
             .unwrap(),
     )
     .unwrap();
-    let mut conn =
-        Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut conn = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // Flip one byte in the middle of the payload: the checksum trailer
     // catches it server-side.

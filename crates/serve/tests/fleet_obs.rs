@@ -20,17 +20,15 @@
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_obs::{FamilyKind, PromFamily, TraceContext};
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, Connection, FleetClient, FleetTopology, RequestTimeline, SyncAck};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Client, FleetClient, FleetTopology, RequestTimeline, SyncAck};
+
+mod common;
+use common::{tiny_db, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -78,23 +76,8 @@ impl Drop for Proc {
     }
 }
 
-fn tiny_sketch(db: &Database) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(7)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn connect(addr: SocketAddr) -> Connection {
-    Connection::connect_timeout(addr, Duration::from_secs(30)).expect("connect")
-}
-
-fn client(addr: SocketAddr) -> Client {
-    Client::connect_timeout(addr, Duration::from_secs(30)).expect("typed client")
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect_timeout(addr, Duration::from_secs(30)).expect("connect")
 }
 
 /// The single scalar sample of a counter/gauge family, or 0 when the
@@ -162,8 +145,8 @@ fn assert_decomposes(t: &RequestTimeline) {
 
 #[test]
 fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let sketch = tiny_sketch(&db);
+    let db = tiny_db(42);
+    let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let blob = encode_snapshot("imdb", 1, &sketch, None);
 
@@ -218,14 +201,11 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
         span_id: root.span_id,
     };
     let resp = connect(shards[bystander].addr)
-        .roundtrip(
-            &ds_serve::Request::Estimate {
-                sketch: "imdb".to_string(),
-                sql: SQL.to_string(),
-                trace: Some(side_trace),
-            },
-            true,
-        )
+        .roundtrip(&ds_serve::Request::Estimate {
+            sketch: "imdb".to_string(),
+            sql: SQL.to_string(),
+            trace: Some(side_trace),
+        })
         .expect("direct traced estimate");
     assert!(matches!(resp, ds_serve::Response::Estimate(_)), "{resp:?}");
 
@@ -234,7 +214,7 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     let mut shard_families: Vec<Vec<PromFamily>> = Vec::new();
     let mut shard_timelines: Vec<RequestTimeline> = Vec::new();
     for &s in &live {
-        let mut c = client(shards[s].addr);
+        let mut c = connect(shards[s].addr);
         shard_families.push(c.stats_families().expect("shard STATS"));
         shard_timelines.extend(c.trace().expect("shard TRACE"));
         c.quit().ok();
@@ -250,7 +230,7 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     args.push("200".to_string());
     let fleetmon = Proc::spawn(env!("CARGO_BIN_EXE_ds_fleetmon"), &args);
 
-    let mut mon = client(fleetmon.addr);
+    let mut mon = connect(fleetmon.addr);
     let merged = mon.stats_families().expect("fleetmon STATS");
     let stitched = mon.trace().expect("fleetmon TRACE");
     mon.quit().ok();
@@ -340,4 +320,31 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     for t in stitched.iter().filter(|t| t.trace_id != 0) {
         assert_decomposes(t);
     }
+}
+
+/// A request split by a client stall longer than the read poll (50 ms) is
+/// one request to the aggregator too: it reads through the same
+/// `LineReader` as the shards. (Its own copy of the loop used to clear the
+/// buffer on every poll and answer `ERR proto unknown command 'TS'`.)
+#[test]
+fn fleetmon_answers_a_request_split_by_a_client_stall() {
+    use std::io::Write;
+
+    let shard = Proc::spawn(env!("CARGO_BIN_EXE_ds_shard"), &[]);
+    let fleetmon = Proc::spawn(
+        env!("CARGO_BIN_EXE_ds_fleetmon"),
+        &["--shard".to_string(), shard.addr.to_string()],
+    );
+    let mut stream = std::net::TcpStream::connect(fleetmon.addr).expect("connect to fleetmon");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(b"STA").unwrap();
+    std::thread::sleep(Duration::from_millis(150)); // 3 × the read poll
+    stream.write_all(b"TS\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("OK "), "split STATS answered {reply:?}");
+    assert!(reply.contains("ds_fleet_routed"), "{reply:?}");
 }

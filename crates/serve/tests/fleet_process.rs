@@ -10,16 +10,14 @@
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Connection, FleetClient, FleetTopology, SyncAck};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Client, FleetClient, FleetTopology, SyncAck};
+
+mod common;
+use common::{tiny_db, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -71,27 +69,16 @@ impl Drop for ShardProc {
     }
 }
 
-fn tiny_sketch(db: &Database) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(7)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn connect(addr: SocketAddr) -> Connection {
-    Connection::connect_timeout(addr, Duration::from_secs(30)).expect("connect to shard")
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect_timeout(addr, Duration::from_secs(30)).expect("connect to shard")
 }
 
 #[test]
 fn fleet_of_processes_survives_sigkill_and_reseeds_the_replacement() {
     // The shards generate the same tiny catalog from the default seed, so
     // the sketch we train here parses and answers identically over there.
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let sketch = tiny_sketch(&db);
+    let db = tiny_db(42);
+    let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let blob = encode_snapshot("imdb", 1, &sketch, None);
 
@@ -171,14 +158,11 @@ fn fleet_of_processes_survives_sigkill_and_reseeds_the_replacement() {
     // The replacement answers bit-identically on its own wire: R restored.
     let mut conn = connect(shards[victim].addr);
     let resp = conn
-        .roundtrip(
-            &ds_serve::Request::Estimate {
-                sketch: "imdb".to_string(),
-                sql: SQL.to_string(),
-                trace: None,
-            },
-            true,
-        )
+        .roundtrip(&ds_serve::Request::Estimate {
+            sketch: "imdb".to_string(),
+            sql: SQL.to_string(),
+            trace: None,
+        })
         .expect("estimate on replacement");
     match resp {
         ds_serve::Response::Estimate(v) => assert_eq!(v.to_bits(), expected.to_bits()),

@@ -20,6 +20,8 @@ use ds_serve::protocol::{
     format_request, format_response, parse_request, parse_response, Response,
 };
 
+mod common;
+
 fn fuzz_iters(default: usize) -> usize {
     std::env::var("FUZZ_ITERS")
         .ok()
@@ -164,34 +166,16 @@ fn as_wire_line(bytes: &[u8]) -> String {
 /// must never panic and must keep serving afterwards.
 #[test]
 fn fuzz_live_server_answers_every_corpus_line_with_a_typed_response() {
-    use std::sync::Arc;
     use std::time::Duration;
 
-    use ds_serve::{Client, ServeConfig, Server};
+    use ds_serve::{Client, ServeConfig};
 
-    let db = Arc::new(ds_storage::gen::imdb_database(
-        &ds_storage::gen::ImdbConfig::tiny(42),
-    ));
-    let sketch =
-        ds_core::builder::SketchBuilder::new(&db, ds_query::workloads::imdb_predicate_columns(&db))
-            .training_queries(120)
-            .epochs(2)
-            .sample_size(8)
-            .hidden_units(8)
-            .seed(7)
-            .build()
-            .expect("tiny sketch");
-    let store = Arc::new(ds_core::store::SketchStore::new());
-    store.insert("imdb", sketch).unwrap();
-    let server = Server::start(
-        Arc::clone(&db),
-        store,
+    let (server, ..) = common::start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let connect = || Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let mut client = connect();
 
@@ -288,16 +272,7 @@ fn fuzz_snapshot_decoder_never_panics_and_accepts_only_canonical_bytes() {
     // bloat the committed corpus): without it no mutant could ever reach
     // the accept path, and the canonical-bytes half of the property would
     // be vacuous.
-    let db = ds_storage::gen::imdb_database(&ds_storage::gen::ImdbConfig::tiny(42));
-    let sketch =
-        ds_core::builder::SketchBuilder::new(&db, ds_query::workloads::imdb_predicate_columns(&db))
-            .training_queries(120)
-            .epochs(2)
-            .sample_size(8)
-            .hidden_units(8)
-            .seed(7)
-            .build()
-            .expect("tiny sketch");
+    let sketch = common::tiny_sketch(&common::tiny_db(42), 7);
     let valid = encode_snapshot("imdb", 1, &sketch, None);
     assert!(
         decode_snapshot(&valid).is_ok(),

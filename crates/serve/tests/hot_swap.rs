@@ -13,33 +13,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Client, ServeConfig};
+
+mod common;
+use common::start;
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
 
 fn stat(c: &mut Client, name: &str) -> f64 {
     c.stats()
@@ -55,20 +35,16 @@ fn stat(c: &mut Client, name: &str) -> f64 {
 /// turns the first post-swap request into a miss, never a stale hit.
 #[test]
 fn estimates_stay_bit_identical_across_swap_and_cache_invalidates() {
-    let (db, store) = fixture();
-    let expected = store
-        .get("imdb")
-        .unwrap()
-        .estimate_one(&parse_query(&db, SQL).unwrap());
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
+    let (server, db, store) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
+    let expected = store
+        .get("imdb")
+        .unwrap()
+        .estimate_one(&parse_query(&db, SQL).unwrap());
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let cold = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
@@ -108,21 +84,17 @@ fn estimates_stay_bit_identical_across_swap_and_cache_invalidates() {
 /// drops, no mixed-generation garbage, no errors.
 #[test]
 fn concurrent_hammer_sees_zero_dropped_or_incorrect_responses() {
-    let (db, store) = fixture();
+    let (server, db, store) = start(
+        ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    );
     let expected = store
         .get("imdb")
         .unwrap()
         .estimate_one(&parse_query(&db, SQL).unwrap());
     let expected_line = format!("OK {expected:?}");
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
     let addr = server.local_addr();
 
     const CLIENTS: usize = 4;

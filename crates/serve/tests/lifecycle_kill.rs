@@ -16,7 +16,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::lifecycle::{HarvestSet, LifecycleConfig};
 use ds_core::store::SketchStore;
 use ds_query::generator::{GeneratorConfig, QueryGenerator};
@@ -24,7 +23,9 @@ use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{Client, ServeConfig, Server};
 use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+use common::{tiny_db, tiny_sketch};
 
 const DRIFT_FACTOR: u64 = 64;
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
@@ -34,17 +35,6 @@ fn iterations() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
-}
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
 }
 
 fn drill_lifecycle_config() -> LifecycleConfig {
@@ -100,7 +90,7 @@ fn lifecycle_kill_child_server() {
         return;
     };
     let dir = std::path::PathBuf::from(dir);
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let (store, _monitors, report) = SketchStore::open_dir(&dir).expect("child: recover store");
     assert!(
         report.loaded.iter().any(|(n, _)| n == "imdb"),
@@ -151,7 +141,7 @@ impl Drop for ChildGuard {
 #[cfg(unix)]
 #[test]
 fn kill_nine_mid_retrain_restarts_clean() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let sketch = tiny_sketch(&db, 7);
     let root = std::env::temp_dir().join(format!("ds_lc_kill_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

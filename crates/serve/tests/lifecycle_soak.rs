@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::lifecycle::{LifecycleConfig, LifecycleManager};
 use ds_core::store::SketchStore;
 use ds_query::generator::{GeneratorConfig, QueryGenerator};
@@ -26,7 +25,9 @@ use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{Client, ServeConfig, Server};
 use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+use common::{tiny_db, tiny_sketch};
 
 /// The injected correlation shift: every observed true cardinality is the
 /// executed count times this factor, so the live model (trained pre-shift)
@@ -34,17 +35,6 @@ use ds_storage::gen::{imdb_database, ImdbConfig};
 const DRIFT_FACTOR: u64 = 64;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
 
 fn drill_lifecycle_config(poison: bool) -> LifecycleConfig {
     LifecycleConfig {
@@ -121,7 +111,7 @@ fn drive_until(
 
 #[test]
 fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
     let snap_dir = std::env::temp_dir().join(format!("ds_lc_soak_{}", std::process::id()));
@@ -211,7 +201,7 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
 
 #[test]
 fn poisoned_candidate_is_rolled_back_with_answers_restored() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
+    let db = tiny_db(42);
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
 

@@ -4,31 +4,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
 use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ErrorCode, FaultInjector, Response, ServeConfig, Server};
-use ds_storage::catalog::Database;
+use ds_serve::fleet::FleetConfig;
+use ds_serve::{Client, ErrorCode, FaultInjector, Fleet, Response, ServeConfig, ServeSlo, Server};
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
+mod common;
+use common::{start, tiny_db, tiny_sketch};
 
 const WORKLOAD: &[&str] = &[
     "SELECT COUNT(*) FROM title",
@@ -45,13 +29,6 @@ const WORKLOAD: &[&str] = &[
 /// every answer bit-identical to a local per-query `estimate_one`.
 #[test]
 fn concurrent_coalesced_estimates_match_estimate_one() {
-    let (db, store) = fixture();
-    let sketch = store.get("imdb").unwrap();
-    let expected: Vec<f64> = WORKLOAD
-        .iter()
-        .map(|sql| sketch.estimate_one(&parse_query(&db, sql).unwrap()))
-        .collect();
-
     // A lone request runs inline and a tiny model answers in microseconds,
     // so 64 clients on a couple of cores rarely overlap by themselves.
     // Stall every forward pass (debug builds only — the injector is inert
@@ -60,9 +37,7 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
     // arrivals have to queue up behind them.
     let faults = Arc::new(FaultInjector::new(1));
     faults.delay_forwards(Duration::from_millis(2), 1.0);
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
+    let (server, db, store) = start(
         ServeConfig::builder()
             .workers(4)
             .max_batch(32)
@@ -71,9 +46,13 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
             .cache_capacity(0)
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let addr = server.local_addr();
+    let sketch = store.get("imdb").unwrap();
+    let expected: Vec<f64> = WORKLOAD
+        .iter()
+        .map(|sql| sketch.estimate_one(&parse_query(&db, sql).unwrap()))
+        .collect();
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..64)
@@ -122,8 +101,7 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
 
 #[test]
 fn protocol_commands_and_typed_errors() {
-    let (db, store) = fixture();
-    let server = Server::start(db, store, ServeConfig::default()).unwrap();
+    let (server, ..) = start(ServeConfig::default());
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
 
     // LIST names the sketch and its status.
@@ -136,11 +114,11 @@ fn protocol_commands_and_typed_errors() {
         Response::Text(t) => assert!(!t.is_empty()),
         other => panic!("{other:?}"),
     }
-    // METRICS is parseable key=value.
-    match c.metrics().unwrap() {
-        Response::Text(t) => assert!(t.contains("requests=") && t.contains("p99_us="), "{t}"),
-        other => panic!("{other:?}"),
-    }
+    // METRICS is retired: `STATS` carries every counter it did.
+    assert_eq!(
+        c.send_raw("METRICS").unwrap(),
+        "ERR proto unknown command 'METRICS'"
+    );
 
     // Typed errors, one per failure class — and the connection survives
     // every one of them.
@@ -183,13 +161,12 @@ fn protocol_commands_and_typed_errors() {
 fn request_split_by_a_client_stall_is_answered_bit_exactly() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (db, store) = fixture();
+    let (server, db, store) = start(ServeConfig::default());
     let sql = WORKLOAD[5];
     let expected = store
         .get("imdb")
         .unwrap()
         .estimate_one(&parse_query(&db, sql).unwrap());
-    let server = Server::start(db, store, ServeConfig::default()).unwrap();
     let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -222,9 +199,7 @@ fn request_split_by_a_client_stall_is_answered_bit_exactly() {
 /// and a cache hit do not wait is the pacer's unit test and `hot_wire`.
 #[test]
 fn back_to_back_cold_estimates_keep_the_pass_spacing() {
-    let (db, store) = fixture();
-    let cfg = ServeConfig::builder().cache_capacity(0).build().unwrap();
-    let server = Server::start(db, store, cfg).unwrap();
+    let (server, ..) = start(ServeConfig::builder().cache_capacity(0).build().unwrap());
     let mut client = Client::connect(server.local_addr()).unwrap();
     let n = 300u32;
     let start = std::time::Instant::now();
@@ -244,16 +219,12 @@ fn back_to_back_cold_estimates_keep_the_pass_spacing() {
 /// server answers `ERR timeout` instead of hanging or panicking.
 #[test]
 fn zero_deadline_requests_time_out_cleanly() {
-    let (db, store) = fixture();
-    let server = Server::start(
-        db,
-        store,
+    let (server, ..) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_nanos(1))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
     match c.estimate("imdb", "SELECT COUNT(*) FROM title").unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Timeout),
@@ -268,13 +239,7 @@ fn zero_deadline_requests_time_out_cleanly() {
 /// Beyond `max_connections`, new connections get one `BUSY` line.
 #[test]
 fn connection_cap_sheds_with_busy() {
-    let (db, store) = fixture();
-    let server = Server::start(
-        db,
-        store,
-        ServeConfig::builder().max_connections(2).build().unwrap(),
-    )
-    .unwrap();
+    let (server, ..) = start(ServeConfig::builder().max_connections(2).build().unwrap());
     let addr = server.local_addr();
     let a = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
     let b = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
@@ -299,7 +264,7 @@ fn connection_cap_sheds_with_busy() {
 /// many threads (the serving scenario: queries racing retraining swaps).
 #[test]
 fn sketch_store_survives_concurrent_mutation() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(11)));
+    let db = tiny_db(11);
     let store = Arc::new(SketchStore::new());
     store.insert("stable", tiny_sketch(&db, 1)).unwrap();
     let churn_sketch = tiny_sketch(&db, 2);
@@ -343,18 +308,14 @@ fn sketch_store_survives_concurrent_mutation() {
 /// bit-identity.
 #[test]
 fn stats_trace_and_feedback_expose_the_request_timeline() {
-    let (db, store) = fixture();
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
+    let (server, ..) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             // Keep every request as a TRACE exemplar.
             .slow_threshold(Duration::ZERO)
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // FEEDBACK answers through the same batcher path as ESTIMATE: the
@@ -368,8 +329,8 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
     }
     let answered = 2 + WORKLOAD.len() as u64;
 
-    // Typed METRICS and INFO.
-    let snap = c.metrics_snapshot().unwrap();
+    // The in-process snapshot and the typed INFO card.
+    let snap = server.metrics();
     assert_eq!(snap.ok, answered);
     assert_eq!(snap.errors, 0);
     let card = c.info_card("imdb").unwrap();
@@ -429,21 +390,90 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
     server.shutdown();
 }
 
+/// The server-side SLO wiring, switched on: every `ESTIMATE` is graded at
+/// its terminal, a burning objective fires, STATS exports it, and gossip
+/// demotes the shard. A 0 µs latency objective makes every healthy request
+/// a bad event (the cache is off, so each one runs a forward pass), while
+/// the error objective sees only good ones.
+#[test]
+fn configured_slos_grade_requests_and_demote_a_burning_shard() {
+    let cfg = ServeConfig::builder()
+        .cache_capacity(0)
+        .request_timeout(Duration::from_secs(30))
+        .slos(vec![
+            ServeSlo::latency("lat", 0.99, 0),
+            ServeSlo::errors("err", 0.99),
+        ])
+        .build()
+        .unwrap();
+    let requests = 50;
+
+    let (server, db, _) = start(cfg.clone());
+    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    for i in 0..requests {
+        c.estimate_value("imdb", WORKLOAD[i % WORKLOAD.len()])
+            .unwrap();
+    }
+    assert_eq!(server.firing_slos(), ["lat"]);
+    let samples = c.stats().unwrap();
+    let value = |name: &str| {
+        samples
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.value)
+            .unwrap_or_else(|| panic!("missing sample {name}"))
+    };
+    assert_eq!(value("ds_slo_lat_firing"), 1.0);
+    assert_eq!(value("ds_slo_err_firing"), 0.0);
+    assert_eq!(
+        (value("ds_slo_lat_good"), value("ds_slo_lat_bad")),
+        (0.0, requests as f64)
+    );
+    assert_eq!(
+        (value("ds_slo_err_good"), value("ds_slo_err_bad")),
+        (requests as f64, 0.0)
+    );
+    c.quit().unwrap();
+    server.shutdown();
+
+    // The same configuration behind a one-shard fleet: gossip reads the
+    // firing gauge off STATS and steers routing away from the shard.
+    let mut fleet = Fleet::start(
+        Arc::clone(&db),
+        FleetConfig {
+            shards: 1,
+            replication: 1,
+            server: cfg,
+            timeout: Duration::from_secs(30),
+        },
+    )
+    .unwrap();
+    fleet.deploy("imdb", tiny_sketch(&db, 7)).unwrap();
+    let mut routed = fleet.client();
+    for i in 0..requests {
+        routed
+            .estimate("imdb", WORKLOAD[i % WORKLOAD.len()])
+            .unwrap();
+    }
+    let health = fleet.gossip();
+    assert_eq!(health.len(), 1);
+    assert!(health[0].alive && health[0].open_breakers.is_empty());
+    assert_eq!(health[0].firing_slos, ["lat"]);
+    assert!(health[0].degraded());
+    fleet.shutdown();
+}
+
 /// Timelines can be switched off entirely — the baseline side of the
 /// traced-overhead budget — without touching the wire responses.
 #[test]
 fn timeline_off_serves_identically_but_records_no_stages() {
-    let (db, store) = fixture();
-    let server = Server::start(
-        db,
-        store,
+    let (server, ..) = start(
         ServeConfig::builder()
             .timeline(false)
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     assert!(c.estimate_value("imdb", WORKLOAD[0]).unwrap() >= 1.0);
     assert!(c.trace().unwrap().is_empty());
@@ -473,9 +503,12 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
     use ds_query::sqlgen::to_sql;
     use ds_query::{GeneratorConfig, QueryGenerator};
 
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
+    let (server, db, store) = start(
+        ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    );
     let sketch = store.get("imdb").unwrap();
     let baseline = sketch
         .baseline()
@@ -500,15 +533,6 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
     });
     let evolved_oracle = TrueCardinalityOracle::new(&evolved);
 
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
     let monitors = server.monitors();
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
@@ -559,7 +583,7 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
 /// estimates — a mixed batch would hand version A's request to version B.
 #[test]
 fn estimates_stay_version_consistent_under_store_churn() {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(11)));
+    let db = tiny_db(11);
     let store = Arc::new(SketchStore::new());
     let version_a = tiny_sketch(&db, 1);
     let version_b = tiny_sketch(&db, 2);
@@ -632,17 +656,13 @@ fn estimates_stay_version_consistent_under_store_churn() {
 /// answers; the queue drains rather than drops.
 #[test]
 fn shutdown_drains_in_flight_work() {
-    let (db, store) = fixture();
-    let server = Server::start(
-        db,
-        store,
+    let (server, ..) = start(
         ServeConfig::builder()
             .workers(1)
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
-    )
-    .unwrap();
+    );
     let addr = server.local_addr();
     let answered = std::thread::spawn(move || {
         let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
