@@ -33,7 +33,8 @@ fn bench_executor(c: &mut Criterion) {
     let db = small_imdb();
     let workload = job_light_workload(&db, 1);
     let exec = CountExecutor::new();
-    // Warm the leaf cache as a real labeling run would.
+    // Warm the dictionaries and the message cache as a real labeling run
+    // would.
     for q in &workload {
         exec.count(&db, &q.to_exec()).unwrap();
     }
@@ -74,9 +75,15 @@ fn bench_forward(c: &mut Criterion) {
         },
     );
     let workload = job_light_workload(&db, 3);
-    let batch = featurizer.batch_queries(&workload, &samples);
+    let pool = featurizer.pool(&workload, &samples);
+    let all: Vec<usize> = (0..workload.len()).collect();
+    let batch = pool.batch_of(&all);
+    let mut cache = ds_core::mscn::ForwardCache::new();
     c.bench_function("mscn/forward_batch_70", |b| {
-        b.iter(|| black_box(model.predict(black_box(&batch))))
+        b.iter(|| {
+            model.forward_into(black_box(&batch), &mut cache);
+            black_box(cache.output().data()[0])
+        })
     });
 }
 
@@ -87,7 +94,9 @@ fn bench_training_step(c: &mut Criterion) {
     let featurizer = Featurizer::build(&db, &cols, 100);
     let mut generator = QueryGenerator::new(&db, GeneratorConfig::new(cols.clone(), 5));
     let queries = generator.generate_batch(128);
-    let batch = featurizer.batch_queries(&queries, &samples);
+    let pool = featurizer.pool(&queries, &samples);
+    let all: Vec<usize> = (0..queries.len()).collect();
+    let batch = pool.batch_of(&all);
     let labels: Vec<u64> = (0..128).map(|i| (i as u64 + 1) * 10).collect();
     let normalizer = ds_nn::loss::LabelNormalizer::fit(&labels);
     let loss = ds_nn::loss::QErrorLoss::new(normalizer);
@@ -117,31 +126,21 @@ fn bench_training_step(c: &mut Criterion) {
 
 fn bench_matmul_shapes(c: &mut Criterion) {
     use ds_nn::pool::PoolConfig;
-    use ds_nn::tensor::{Kernel, Tensor};
-    let filled = |rows: usize, cols: usize, seed: u64| {
-        let mut s = seed | 1;
-        let data = (0..rows * cols)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-            })
-            .collect();
-        Tensor::from_vec(rows, cols, data)
-    };
-    // The three MSCN-critical shapes: input layer (batch×feature_dim into
-    // 256 hidden units), hidden 256×256, and the 256→1 output head.
-    for (name, m, k, n) in [
-        ("input_384x106x256", 384, 106, 256),
-        ("hidden_384x256x256", 384, 256, 256),
-        ("head_384x256x1", 384, 256, 1),
-    ] {
-        let a = filled(m, k, 0xA0 ^ m as u64);
-        let b = filled(k, n, 0xB0 ^ n as u64);
+    // A layer's forward at three MSCN shapes, each on the data its layer
+    // sees (as index lists): table-set input, hidden 256×256, 256→1 head.
+    for (name, k, n, dense) in ds_bench::kernel_shapes() {
+        let layer = ds_nn::Linear::from_params(ds_bench::random_tensor(k, n, 0xB0), vec![0.0; n]);
+        let rows = ds_nn::IndexSet::of_dense(dense.data(), dense.cols());
+        let mut out = ds_nn::Tensor::zeros(0, 0);
         c.bench_function(&format!("matmul/{name}"), |bch| {
             bch.iter(|| {
-                black_box(a.matmul_pool(black_box(&b), Kernel::Dense, PoolConfig::single()))
+                layer.forward_rows(
+                    black_box(rows.rows()),
+                    false,
+                    PoolConfig::single(),
+                    &mut out,
+                );
+                black_box(out.data()[0])
             })
         });
     }

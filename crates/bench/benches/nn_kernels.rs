@@ -3,18 +3,20 @@
 //! training cost at the fig1a configuration (10k queries), and batched vs
 //! looped serving latency on a JOB-light-style workload.
 //!
-//! Writes machine-readable results to `BENCH_nn_kernels.json` at the repo
-//! root (hand-rolled JSON; no serde in the offline build).
+//! Prints its timings and asserts that every kernel path and both serving
+//! paths agree exactly; the committed, gated record of the same shapes is
+//! `bench_harness` stage 1 (`BENCH_quick.json`).
 //!
 //! Run: `cargo bench -p ds-bench --bench nn_kernels`
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use ds_bench::{banner, bench_imdb, BENCH_SEED};
+use ds_bench::{banner, bench_imdb, kernel_shapes, random_tensor, BENCH_SEED};
 use ds_core::builder::SketchBuilder;
 use ds_nn::pool::PoolConfig;
-use ds_nn::tensor::{reference, Kernel, Tensor};
+use ds_nn::tensor::{reference, Tensor};
+use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 
@@ -30,93 +32,41 @@ fn median_secs<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
     times[times.len() / 2]
 }
 
-fn filled(rows: usize, cols: usize, seed: u64) -> Tensor {
-    // Cheap deterministic pseudo-random fill; value distribution is
-    // irrelevant for timing.
-    let mut s = seed | 1;
-    let data = (0..rows * cols)
-        .map(|_| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-        })
-        .collect();
-    Tensor::from_vec(rows, cols, data)
-}
-
-struct Shape {
-    name: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-}
-
 fn main() {
     banner(
         "NN",
         "kernel + pipeline throughput",
-        "tiled matmul at MSCN shapes; fig1a training cost; batched serving",
+        "tiled kernel at MSCN shapes; fig1a training cost; batched serving",
     );
 
-    // --- (1) matmul kernels at the MSCN-critical shapes -----------------
-    // batch×feature_dim · feature_dim×256 (input layer), 256×256 (hidden),
-    // 256×1 (output head).
-    let shapes = [
-        Shape {
-            name: "input_384x106_x256",
-            m: 384,
-            k: 106,
-            n: 256,
-        },
-        Shape {
-            name: "hidden_384x256_x256",
-            m: 384,
-            k: 256,
-            n: 256,
-        },
-        Shape {
-            name: "head_384x256_x1",
-            m: 384,
-            k: 256,
-            n: 1,
-        },
-    ];
-    println!("\n[1] matmul kernel medians (seconds):");
+    // --- (1) the kernel at three MSCN layer shapes -----------------------
+    // Each on the data its layer sees, as index lists: a layer's forward
+    // against the naive reference product.
+    println!("\n[1] kernel medians (seconds):");
     println!(
         "  {:<22} {:>12} {:>12} {:>12} {:>8}",
         "shape", "reference", "tiled", "threaded(4)", "speedup"
     );
-    let mut kernel_lines = Vec::new();
-    for s in &shapes {
-        let a = filled(s.m, s.k, 0xA0 ^ s.m as u64);
-        let b = filled(s.k, s.n, 0xB0 ^ s.n as u64);
-        let iters = 30;
-        let t_ref = median_secs(iters, || reference::matmul(&a, &b));
-        let t_tiled = median_secs(iters, || {
-            a.matmul_pool(&b, Kernel::Dense, PoolConfig::single())
-        });
-        let t_thr = median_secs(iters, || {
-            a.matmul_pool(&b, Kernel::Dense, PoolConfig::new(4))
-        });
-        // Sanity: all three paths must agree exactly.
+    let iters = 30;
+    for (name, k, n, dense) in kernel_shapes() {
+        let layer = Linear::from_params(random_tensor(k, n, 0xB0 ^ n as u64), vec![0.0; n]);
+        let rows = IndexSet::of_dense(dense.data(), dense.cols());
+        let mut out = Tensor::zeros(0, 0);
+        let mut forward = |threads| {
+            median_secs(iters, || {
+                layer.forward_rows(rows.rows(), false, PoolConfig::new(threads), &mut out)
+            })
+        };
+        let (t_tiled, t_thr) = (forward(1), forward(4));
+        let t_ref = median_secs(iters, || reference::matmul(&dense, layer.weights()));
+        // Sanity: all paths must agree exactly (the bias is zero).
         assert_eq!(
-            reference::matmul(&a, &b).data(),
-            a.matmul_pool(&b, Kernel::Dense, PoolConfig::new(4)).data(),
-            "kernel paths diverged at {}",
-            s.name
+            reference::matmul(&dense, layer.weights()).data(),
+            out.data(),
+            "kernel paths diverged at {name}"
         );
         let speedup = t_ref / t_tiled;
-        println!(
-            "  {:<22} {t_ref:>12.6} {t_tiled:>12.6} {t_thr:>12.6} {speedup:>7.2}x",
-            s.name
-        );
-        kernel_lines.push(format!(
-            "    {{\"shape\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"reference_secs\": {t_ref:.9}, \"tiled_secs\": {t_tiled:.9}, \
-             \"threaded4_secs\": {t_thr:.9}, \"tiled_speedup\": {speedup:.4}}}",
-            s.name, s.m, s.k, s.n
-        ));
+        println!("  {name:<22} {t_ref:>12.6} {t_tiled:>12.6} {t_thr:>12.6} {speedup:>7.2}x");
     }
 
     // --- (2) fig1a training cost at 10k queries -------------------------
@@ -163,14 +113,4 @@ fn main() {
     let speedup = looped_secs / batch_secs;
     println!("  looped estimate_one: {looped_secs:>10.4}s");
     println!("  estimate_batch     : {batch_secs:>10.4}s  ({speedup:.2}x)");
-
-    // --- machine-readable dump ------------------------------------------
-    let json = format!(
-        "{{\n  \"kernels\": [\n{}\n  ],\n  \"training_fig1a_10k\": {{\"train_secs\": {train_secs:.4}, \"execute_secs\": {exec_secs:.4}, \"val_qerror\": {:.4}}},\n  \"serving_1k_job_light\": {{\"looped_secs\": {looped_secs:.6}, \"batch_secs\": {batch_secs:.6}, \"speedup\": {speedup:.4}}}\n}}\n",
-        kernel_lines.join(",\n"),
-        report.training.final_val_qerror().unwrap_or(f64::NAN),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nn_kernels.json");
-    std::fs::write(path, &json).expect("write BENCH_nn_kernels.json");
-    println!("\nwrote {path}");
 }

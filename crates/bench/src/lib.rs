@@ -66,6 +66,61 @@ pub fn standard_sketch_builder<'a>(
         .seed(BENCH_SEED ^ 2)
 }
 
+/// A `rows × cols` tensor of cheap deterministic pseudo-random values in
+/// `[-0.5, 0.5)` — dense data for kernel timings, where only the shape
+/// matters.
+pub fn random_tensor(rows: usize, cols: usize, seed: u64) -> ds_nn::tensor::Tensor {
+    let mut s = seed | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+        })
+        .collect();
+    ds_nn::tensor::Tensor::from_vec(rows, cols, data)
+}
+
+/// Width of the table-set input layer at the benchmark's sketch spec:
+/// six table one-hots and a 256-bit sample bitmap.
+const TABLE_FEATURES: usize = 6 + 256;
+
+/// The left operands of the three MSCN layer shapes the kernel timings
+/// use, each as the data its layer sees, 384 rows apiece (a batch of 128
+/// three-table queries), as `(name, in_dim, out_dim, dense)`:
+///
+/// * `input` — table-set elements shaped like the ones the benchmark's
+///   training workload featurizes to: one table one-hot, then each of the
+///   256 bitmap bits set with probability 168/256 — measured on the 4000
+///   training queries, whose table rows average 169 non-zeros of 262
+///   (predicates are rare, so most sample rows qualify);
+/// * `hidden` and `head` — post-ReLU activations, half of them exact
+///   zeros, into 256 hidden units and into the single output unit.
+///
+/// The dense tensor feeds the reference product; `IndexSet::of_dense`
+/// turns it into the index lists the kernel consumes.
+pub fn kernel_shapes() -> [(&'static str, usize, usize, ds_nn::tensor::Tensor); 3] {
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+    let rows = 384;
+    let mut rng = StdRng::seed_from_u64(0xA0);
+    let mut tables = ds_nn::tensor::Tensor::zeros(rows, TABLE_FEATURES);
+    for r in 0..rows {
+        tables.set(r, rng.random_range(0..6), 1.0);
+        for bit in 6..TABLE_FEATURES {
+            if rng.random_bool(168.0 / 256.0) {
+                tables.set(r, bit, 1.0);
+            }
+        }
+    }
+    let post_relu = random_tensor(rows, 256, 0xA1).map(|v| v.max(0.0));
+    [
+        ("input_384x262_x256", TABLE_FEATURES, 256, tables),
+        ("hidden_384x256_x256", 256, 256, post_relu.clone()),
+        ("head_384x256_x1", 256, 1, post_relu),
+    ]
+}
+
 /// Directory where trained bench sketches are cached between experiment
 /// runs (a sketch is self-contained, so reloading is exact).
 pub fn cache_dir() -> std::path::PathBuf {

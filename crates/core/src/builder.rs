@@ -16,7 +16,7 @@ use ds_nn::loss::LabelNormalizer;
 use ds_query::query::Query;
 use ds_query::{GeneratorConfig, QueryGenerator};
 use ds_storage::catalog::{ColRef, Database};
-use ds_storage::exec::ExecError;
+use ds_storage::exec::{CountExecutor, ExecError};
 use ds_storage::sample::sample_all;
 
 use crate::featurize::Featurizer;
@@ -347,15 +347,21 @@ impl<'a> SketchBuilder<'a> {
         // Step 3: execute for labels, in chunks so progress is observable.
         let t1 = Instant::now();
         let exec_span = obs.span("execute");
-        let exec_queries: Vec<_> = queries.iter().map(Query::to_exec).collect();
-        let chunk_size = (exec_queries.len() / 20).max(1);
-        let mut labels = Vec::with_capacity(exec_queries.len());
-        for chunk in exec_queries.chunks(chunk_size) {
-            labels.extend(ds_storage::exec::count_batch(self.db, chunk, self.threads)?);
-            on_progress(BuildProgress::LabelsExecuted {
-                done: labels.len(),
-                total: exec_queries.len(),
-            });
+        let mut labels = Vec::with_capacity(queries.len());
+        {
+            // One executor for the whole build: its key dictionaries and
+            // its predicate-free subtree messages are derived once, not per
+            // chunk. It goes (a few MB) before training's buffers come.
+            let executor = CountExecutor::new();
+            let exec_queries: Vec<_> = queries.iter().map(Query::to_exec).collect();
+            let chunk_size = (exec_queries.len() / 20).max(1);
+            for chunk in exec_queries.chunks(chunk_size) {
+                labels.extend(executor.count_batch(self.db, chunk, self.threads)?);
+                on_progress(BuildProgress::LabelsExecuted {
+                    done: labels.len(),
+                    total: exec_queries.len(),
+                });
+            }
         }
         let execution = t1.elapsed();
         drop(exec_span);

@@ -26,6 +26,7 @@ use std::collections::HashMap;
 
 use ds_nn::frozen::IndexSet;
 use ds_nn::ops::Segments;
+use ds_nn::sparse::Rows;
 use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
 use ds_storage::catalog::{ColRef, Database};
@@ -498,25 +499,40 @@ impl Featurizer {
         .map(|n| n as u32)
     }
 
-    /// Assembles featurized queries into batched set matrices with segment
-    /// descriptors for masked mean pooling.
-    pub fn batch(&self, feats: &[QueryFeatures]) -> FeatureBatch {
-        let idx: Vec<usize> = (0..feats.len()).collect();
-        self.batch_indexed(feats, &idx)
+    /// Featurizes a whole workload once, as index lists — what the training
+    /// loop draws its batches from ([`FeaturePool::batch`]). The same
+    /// [`Featurizer::append_indices`] serving runs, so training and serving
+    /// see one featurization.
+    pub fn pool(&self, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
+        let mut feats = QueryIndexFeatures::default();
+        let mut first = Vec::with_capacity(queries.len() + 1);
+        first.push([0u32; 3]);
+        for q in queries {
+            let counts = self.append_indices(q, samples, &mut feats);
+            let at: [u32; 3] = *first.last().expect("starts with zeros");
+            first.push(std::array::from_fn(|set| at[set] + counts[set]));
+        }
+        // Element spans address entries with `u32`s.
+        for set in [&feats.tables, &feats.joins, &feats.preds] {
+            assert!(
+                u32::try_from(set.entries.len()).is_ok(),
+                "workload too large for one feature pool"
+            );
+        }
+        FeaturePool { feats, first }
     }
 
-    /// [`Featurizer::batch`] over the subset `idx` of `feats`, in `idx`
-    /// order. This is the training loop's batching path: epochs shuffle
-    /// and chunk an index vector and pack each chunk directly from the
-    /// featurized pool, with no per-batch [`QueryFeatures`] clones.
-    pub fn batch_indexed(&self, feats: &[QueryFeatures], idx: &[usize]) -> FeatureBatch {
+    /// Assembles featurized queries into dense batched set matrices with
+    /// segment descriptors for masked mean pooling — the input of the
+    /// model's reference forward ([`crate::mscn::MscnModel::predict`]).
+    pub fn batch(&self, feats: &[QueryFeatures]) -> FeatureBatch {
         let pack = |rows_of: &dyn Fn(&QueryFeatures) -> &Vec<Vec<f32>>, dim: usize| {
-            let total: usize = idx.iter().map(|&i| rows_of(&feats[i]).len()).sum();
+            let total: usize = feats.iter().map(|f| rows_of(f).len()).sum();
             let mut data = Vec::with_capacity(total * dim);
-            let mut segs: Segments = Vec::with_capacity(idx.len());
+            let mut segs: Segments = Vec::with_capacity(feats.len());
             let mut start = 0;
-            for &i in idx {
-                let rows = rows_of(&feats[i]);
+            for f in feats {
+                let rows = rows_of(f);
                 for r in rows {
                     debug_assert_eq!(r.len(), dim);
                     data.extend_from_slice(r);
@@ -569,7 +585,126 @@ impl QueryIndexFeatures {
     }
 }
 
-/// The three feature-vector sets of one query.
+/// A workload featurized once as index lists ([`Featurizer::pool`]): every
+/// query's set elements back to back, and where each query's begin.
+#[derive(Debug, Clone)]
+pub struct FeaturePool {
+    feats: QueryIndexFeatures,
+    /// `first[q][set]` is query `q`'s first element in `set` (tables,
+    /// joins, predicates); one row more than there are queries.
+    first: Vec<[u32; 3]>,
+}
+
+impl FeaturePool {
+    /// Number of queries in the pool.
+    pub fn len(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// True for a pool of no queries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// An empty batch over this pool, to be [`PoolBatch::fill`]ed.
+    pub fn batch(&self) -> PoolBatch<'_> {
+        PoolBatch {
+            pool: self,
+            spans: Default::default(),
+            segs: Default::default(),
+        }
+    }
+
+    /// The batch of queries `idx`, in `idx` order.
+    pub fn batch_of(&self, idx: &[usize]) -> PoolBatch<'_> {
+        let mut batch = self.batch();
+        batch.fill(idx);
+        batch
+    }
+
+    fn set(&self, set: usize) -> &IndexSet {
+        [&self.feats.tables, &self.feats.joins, &self.feats.preds][set]
+    }
+}
+
+/// Some queries of a [`FeaturePool`] as one model input. A batch copies no
+/// feature: per set it lists the chosen queries' element spans, which
+/// point into the pool's entries, and each query's segment of them.
+/// Refilled in place, so a training loop that keeps one batch allocates
+/// nothing per step.
+#[derive(Debug, Clone)]
+pub struct PoolBatch<'a> {
+    pool: &'a FeaturePool,
+    spans: [Vec<(u32, u32)>; 3],
+    segs: [Segments; 3],
+}
+
+/// One set of a [`PoolBatch`]: sparse element rows plus per-query
+/// `(start, len)` segments for masked mean pooling.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchSet<'a> {
+    /// Every element of every query of the batch, one sparse row each.
+    pub rows: Rows<'a>,
+    /// Per-query `(start, len)` into the rows.
+    pub segs: &'a Segments,
+}
+
+impl<'a> PoolBatch<'a> {
+    /// Replaces the batch with queries `idx` of the pool, in `idx` order.
+    ///
+    /// # Panics
+    /// Panics when an index is not a query of the pool.
+    pub fn fill(&mut self, idx: &[usize]) {
+        for set in 0..3 {
+            let elems = &self.pool.set(set).elems;
+            let (spans, segs) = (&mut self.spans[set], &mut self.segs[set]);
+            spans.clear();
+            segs.clear();
+            for &q in idx {
+                let (from, to) = (self.pool.first[q][set], self.pool.first[q + 1][set]);
+                segs.push((spans.len(), (to - from) as usize));
+                spans.extend_from_slice(&elems[from as usize..to as usize]);
+            }
+        }
+    }
+
+    /// Number of queries in the batch.
+    pub fn len(&self) -> usize {
+        self.segs[0].len()
+    }
+
+    /// True for a zero-query batch.
+    pub fn is_empty(&self) -> bool {
+        self.segs[0].is_empty()
+    }
+
+    /// The table set.
+    pub fn tables(&self) -> BatchSet<'_> {
+        self.set(0)
+    }
+
+    /// The join set.
+    pub fn joins(&self) -> BatchSet<'_> {
+        self.set(1)
+    }
+
+    /// The predicate set.
+    pub fn preds(&self) -> BatchSet<'_> {
+        self.set(2)
+    }
+
+    fn set(&self, set: usize) -> BatchSet<'_> {
+        BatchSet {
+            rows: Rows {
+                entries: &self.pool.set(set).entries,
+                spans: &self.spans[set],
+            },
+            segs: &self.segs[set],
+        }
+    }
+}
+
+/// The three feature-vector sets of one query, as dense rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFeatures {
     /// One row per table: `one-hot(table) ++ bitmap`.
@@ -580,8 +715,8 @@ pub struct QueryFeatures {
     pub pred_rows: Vec<Vec<f32>>,
 }
 
-/// A batch of featurized queries as three flattened element matrices plus
-/// per-query segments — the MSCN model's input.
+/// A batch of featurized queries as three flattened dense element matrices
+/// plus per-query segments — the input of the model's reference forward.
 #[derive(Debug, Clone)]
 pub struct FeatureBatch {
     /// All table elements, stacked.
@@ -726,6 +861,44 @@ mod tests {
         assert_eq!(batch.join_segs, vec![(0, 1), (1, 0)]); // q2 has no joins
         assert_eq!(batch.preds.rows(), 1);
         assert_eq!(batch.pred_segs, vec![(0, 0), (0, 1)]);
+    }
+
+    #[test]
+    fn pool_batches_are_the_dense_batch_of_the_same_queries() {
+        let (db, samples, f) = setup();
+        let sql = [
+            "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
+            "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
+            "SELECT COUNT(*) FROM title, cast_info WHERE cast_info.movie_id = title.id \
+             AND title.production_year > 2000 AND cast_info.role_id = 2",
+        ];
+        let queries: Vec<Query> = sql.iter().map(|s| parse_query(&db, s).unwrap()).collect();
+        let pool = f.pool(&queries, &samples);
+        assert_eq!(pool.len(), 3);
+        let mut batch = pool.batch();
+        assert!(batch.is_empty());
+        // Any subset, any order, repeats included; refilled in place.
+        for idx in [vec![0, 1, 2], vec![2, 0], vec![1], vec![1, 1, 2]] {
+            batch.fill(&idx);
+            assert_eq!(batch.len(), idx.len());
+            let chosen: Vec<Query> = idx.iter().map(|&i| queries[i].clone()).collect();
+            let dense = f.batch_queries(&chosen, &samples);
+            for (set, tensor, segs) in [
+                (batch.tables(), &dense.tables, &dense.table_segs),
+                (batch.joins(), &dense.joins, &dense.join_segs),
+                (batch.preds(), &dense.preds, &dense.pred_segs),
+            ] {
+                assert_eq!(set.segs, segs);
+                assert_eq!(set.rows.spans.len(), tensor.rows());
+                for (r, &(start, len)) in set.rows.spans.iter().enumerate() {
+                    let mut row = vec![0.0f32; tensor.cols()];
+                    for &(i, v) in &set.rows.entries[start as usize..(start + len) as usize] {
+                        row[i as usize] = v;
+                    }
+                    assert_eq!(row, tensor.row(r), "{idx:?} row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub use advisor::{
     recommend, recommend_retraining, Advice, AdvisorConfig, RetrainAdvice, SketchRecommendation,
 };
 pub use builder::{BuildProgress, BuildReport, SketchBuilder};
-pub use featurize::{FeatureBatch, Featurizer, QueryFeatures, QueryIndexFeatures};
+pub use featurize::{
+    FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, QueryIndexFeatures,
+};
 pub use fleet::{Route, SketchFleet};
 pub use lifecycle::{
     HarvestEntry, HarvestSet, LifecycleConfig, LifecycleCounters, LifecycleEvent, LifecycleManager,

@@ -1213,7 +1213,9 @@ mod tests {
             QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), seed));
         let queries = generator.generate_batch(n);
         let execs: Vec<_> = queries.iter().map(Query::to_exec).collect();
-        let labels = ds_storage::exec::count_batch(db, &execs, 1).expect("labels");
+        let labels = ds_storage::exec::CountExecutor::new()
+            .count_batch(db, &execs, 1)
+            .expect("labels");
         queries
             .into_iter()
             .zip(labels)

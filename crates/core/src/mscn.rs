@@ -15,21 +15,32 @@
 //! ```
 //!
 //! Weight sharing across set elements comes for free: every element is a
-//! row of the flattened batch matrix and the same [`Linear`] is applied to
-//! all rows; the segment mean then pools per query.
+//! row of the flattened batch and the same [`Linear`] is applied to all
+//! rows; the segment mean then pools per query.
+//!
+//! ## Two forwards
+//!
+//! Training runs [`MscnModel::forward_into`] / [`MscnModel::backward_with`]
+//! over a [`PoolBatch`] of index-list features: every product is the one
+//! sparse-rows kernel of [`ds_nn::sparse`], fed by the featurizer's index
+//! lists at the input layers and by the non-zeros of post-ReLU activations
+//! and ReLU-masked gradients everywhere else. [`MscnModel::predict`] is
+//! the oracle: the same arithmetic over dense feature tensors through the
+//! naive [`ds_nn::tensor::reference`] product, sharing no kernel with
+//! training or serving, and bit-identical to both.
 
-use ds_nn::frozen::{FrozenLinear, FrozenModel, QuantMode};
-use ds_nn::linear::Linear;
+use ds_nn::frozen::{FrozenLinear, FrozenModel, IndexSet, QuantMode};
+use ds_nn::linear::{GradScratch, Linear};
 use ds_nn::ops::{
-    relu_backward_inplace, relu_into, segment_mean_backward_into, segment_mean_into,
+    relu, relu_backward_inplace, segment_mean, segment_mean_backward_into, segment_mean_into,
     sigmoid_backward_into, sigmoid_scalar, Segments,
 };
 use ds_nn::optim::Adam;
 use ds_nn::pool::PoolConfig;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
-use ds_nn::tensor::{Kernel, Tensor};
+use ds_nn::tensor::{reference, Tensor};
 
-use crate::featurize::FeatureBatch;
+use crate::featurize::{BatchSet, FeatureBatch, PoolBatch};
 
 /// Hyper-parameters of the MSCN model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,15 +68,15 @@ struct SetModule {
     l2: Linear,
 }
 
-/// Forward cache of one set module: pre-activations (for the ReLU masks in
-/// backward), the hidden activation (for `l2`'s weight gradient), and the
-/// pooled per-query output. The raw input and segments are *not* cloned —
-/// backward reads them straight from the [`FeatureBatch`].
+/// Forward cache of one set module: both post-ReLU activations (their
+/// zeros are the ReLU masks of backward), the first one's non-zeros (the
+/// second layer's input, and its weight gradient's), and the pooled
+/// per-query output. The input rows are *not* copied — backward reads them
+/// straight from the [`PoolBatch`].
 #[derive(Default)]
 struct SetCache {
-    z1: Tensor,
     a1: Tensor,
-    z2: Tensor,
+    a1_rows: IndexSet,
     a2: Tensor,
     pooled: Tensor,
 }
@@ -75,7 +86,6 @@ struct SetCache {
 struct SetScratch {
     g_a: Tensor,
     g_b: Tensor,
-    gw: Tensor,
 }
 
 impl SetModule {
@@ -87,15 +97,14 @@ impl SetModule {
     }
 
     /// Applies the element MLP and mean-pools per segment into `cache`.
-    /// The input layer runs the zero-skip kernel — set-element features
-    /// are one-hot/bitmap rows that are mostly zero.
-    fn forward_into(&self, x: &Tensor, segs: &Segments, pool: PoolConfig, cache: &mut SetCache) {
-        self.l1.forward_into(x, Kernel::Sparse, pool, &mut cache.z1);
-        relu_into(&cache.z1, &mut cache.a1);
+    fn forward_into(&self, set: BatchSet<'_>, pool: PoolConfig, cache: &mut SetCache) {
+        self.l1.forward_rows(set.rows, true, pool, &mut cache.a1);
+        cache
+            .a1_rows
+            .compress_rows(cache.a1.data(), cache.a1.cols());
         self.l2
-            .forward_into(&cache.a1, Kernel::Dense, pool, &mut cache.z2);
-        relu_into(&cache.z2, &mut cache.a2);
-        segment_mean_into(&cache.a2, segs, &mut cache.pooled);
+            .forward_rows(cache.a1_rows.rows(), true, pool, &mut cache.a2);
+        segment_mean_into(&cache.a2, set.segs, &mut cache.pooled);
     }
 
     /// Accumulates gradients for both layers. The gradient w.r.t. the raw
@@ -103,25 +112,41 @@ impl SetModule {
     /// whole `grad · Wᵀ` product of the widest layer is skipped.
     fn backward_with(
         &mut self,
-        x: &Tensor,
-        segs: &Segments,
+        set: BatchSet<'_>,
         cache: &SetCache,
         grad_pooled: &Tensor,
         pool: PoolConfig,
         s: &mut SetScratch,
+        grads: &mut GradScratch,
     ) {
-        segment_mean_backward_into(cache.z1.rows(), grad_pooled, segs, &mut s.g_a);
-        relu_backward_inplace(&cache.z2, &mut s.g_a); // g_a is now ∂L/∂z2
+        segment_mean_backward_into(cache.a2.rows(), grad_pooled, set.segs, &mut s.g_a);
+        relu_backward_inplace(&cache.a2, &mut s.g_a); // g_a is now ∂L/∂z2
         self.l2
-            .accumulate_grads(&cache.a1, &s.g_a, Kernel::Dense, pool, &mut s.gw);
-        self.l2.input_grad_into(&s.g_a, pool, &mut s.g_b);
-        relu_backward_inplace(&cache.z1, &mut s.g_b); // g_b is now ∂L/∂z1
-        self.l1
-            .accumulate_grads(x, &s.g_b, Kernel::Sparse, pool, &mut s.gw);
+            .accumulate_grads(cache.a1_rows.rows(), &s.g_a, pool, grads);
+        self.l2.input_grad_into(&s.g_a, pool, grads, &mut s.g_b);
+        relu_backward_inplace(&cache.a1, &mut s.g_b); // g_b is now ∂L/∂z1
+        self.l1.accumulate_grads(set.rows, &s.g_b, pool, grads);
+    }
+
+    /// The module over dense rows through the naive product.
+    fn reference_forward(&self, x: &Tensor, segs: &Segments) -> Tensor {
+        let a1 = reference_layer(&self.l1, x, true);
+        segment_mean(&reference_layer(&self.l2, &a1, true), segs)
     }
 
     fn num_params(&self) -> usize {
         self.l1.num_params() + self.l2.num_params()
+    }
+}
+
+/// `act(x·W + b)` through [`reference::matmul`].
+fn reference_layer(l: &Linear, x: &Tensor, with_relu: bool) -> Tensor {
+    let mut z = reference::matmul(x, l.weights());
+    z.add_row_broadcast(l.bias());
+    if with_relu {
+        relu(&z)
+    } else {
+        z
     }
 }
 
@@ -146,8 +171,9 @@ pub struct ForwardCache {
     j: SetCache,
     p: SetCache,
     concat: Tensor,
-    z3: Tensor,
+    concat_rows: IndexSet,
     a3: Tensor,
+    a3_rows: IndexSet,
     y: Tensor,
 }
 
@@ -171,8 +197,8 @@ pub struct BackwardScratch {
     g_a3: Tensor,
     g_concat: Tensor,
     g_parts: [Tensor; 3],
-    gw: Tensor,
     set: SetScratch,
+    grads: GradScratch,
 }
 
 impl BackwardScratch {
@@ -238,7 +264,7 @@ impl MscnModel {
 
     /// Forward pass: returns per-query normalized outputs `(batch × 1)` in
     /// `(0, 1)` plus the cache for a subsequent backward pass.
-    pub fn forward(&self, batch: &FeatureBatch) -> (Tensor, ForwardCache) {
+    pub fn forward(&self, batch: &PoolBatch<'_>) -> (Tensor, ForwardCache) {
         let mut cache = ForwardCache::new();
         self.forward_into(batch, &mut cache);
         (cache.y.clone(), cache)
@@ -246,50 +272,63 @@ impl MscnModel {
 
     /// [`MscnModel::forward`] into a reusable cache; read the outputs via
     /// [`ForwardCache::output`]. This is the allocation-free hot path.
-    pub fn forward_into(&self, batch: &FeatureBatch, cache: &mut ForwardCache) {
+    pub fn forward_into(&self, batch: &PoolBatch<'_>, cache: &mut ForwardCache) {
         let obs = ds_obs::global();
         let _fwd = obs.span("forward");
         let pool = self.pool;
         {
             let _s = obs.span("tables");
-            self.tables
-                .forward_into(&batch.tables, &batch.table_segs, pool, &mut cache.t);
+            self.tables.forward_into(batch.tables(), pool, &mut cache.t);
         }
         {
             let _s = obs.span("joins");
-            self.joins
-                .forward_into(&batch.joins, &batch.join_segs, pool, &mut cache.j);
+            self.joins.forward_into(batch.joins(), pool, &mut cache.j);
         }
         {
             let _s = obs.span("preds");
-            self.preds
-                .forward_into(&batch.preds, &batch.pred_segs, pool, &mut cache.p);
+            self.preds.forward_into(batch.preds(), pool, &mut cache.p);
         }
         let _out = obs.span("output");
         Tensor::concat_cols_into(
             &[&cache.t.pooled, &cache.j.pooled, &cache.p.pooled],
             &mut cache.concat,
         );
+        cache
+            .concat_rows
+            .compress_rows(cache.concat.data(), cache.concat.cols());
         self.out1
-            .forward_into(&cache.concat, Kernel::Dense, pool, &mut cache.z3);
-        relu_into(&cache.z3, &mut cache.a3);
+            .forward_rows(cache.concat_rows.rows(), true, pool, &mut cache.a3);
+        cache
+            .a3_rows
+            .compress_rows(cache.a3.data(), cache.a3.cols());
         self.out2
-            .forward_into(&cache.a3, Kernel::Dense, pool, &mut cache.y);
+            .forward_rows(cache.a3_rows.rows(), false, pool, &mut cache.y);
         for v in cache.y.data_mut() {
             *v = sigmoid_scalar(*v);
         }
     }
 
-    /// Inference-only forward: per-query normalized outputs.
+    /// Inference-only reference forward: per-query normalized outputs from
+    /// dense feature tensors through the naive product — the oracle the
+    /// training and serving kernels are held against, bit for bit. Slow
+    /// by design; nothing on a serving or training path calls it.
     pub fn predict(&self, batch: &FeatureBatch) -> Vec<f32> {
-        let (y, _) = self.forward(batch);
-        y.data().to_vec()
+        let concat = Tensor::concat_cols(&[
+            &self
+                .tables
+                .reference_forward(&batch.tables, &batch.table_segs),
+            &self.joins.reference_forward(&batch.joins, &batch.join_segs),
+            &self.preds.reference_forward(&batch.preds, &batch.pred_segs),
+        ]);
+        let a3 = reference_layer(&self.out1, &concat, true);
+        let y = reference_layer(&self.out2, &a3, false);
+        y.data().iter().map(|&v| sigmoid_scalar(v)).collect()
     }
 
     /// Backward pass: accumulates gradients in every layer. `batch` must
     /// be the batch of the matching forward pass, `grad_y` is `∂L/∂y`
     /// with `y` the sigmoid output.
-    pub fn backward(&mut self, batch: &FeatureBatch, cache: &ForwardCache, grad_y: &Tensor) {
+    pub fn backward(&mut self, batch: &PoolBatch<'_>, cache: &ForwardCache, grad_y: &Tensor) {
         let mut scratch = BackwardScratch::new();
         self.backward_with(batch, cache, grad_y, &mut scratch);
     }
@@ -297,7 +336,7 @@ impl MscnModel {
     /// [`MscnModel::backward`] with a reusable scratch arena.
     pub fn backward_with(
         &mut self,
-        batch: &FeatureBatch,
+        batch: &PoolBatch<'_>,
         cache: &ForwardCache,
         grad_y: &Tensor,
         s: &mut BackwardScratch,
@@ -309,45 +348,47 @@ impl MscnModel {
             let _s = obs.span("output");
             sigmoid_backward_into(&cache.y, grad_y, &mut s.g_z4);
             self.out2
-                .accumulate_grads(&cache.a3, &s.g_z4, Kernel::Dense, pool, &mut s.gw);
-            self.out2.input_grad_into(&s.g_z4, pool, &mut s.g_a3);
-            relu_backward_inplace(&cache.z3, &mut s.g_a3); // now ∂L/∂z3
+                .accumulate_grads(cache.a3_rows.rows(), &s.g_z4, pool, &mut s.grads);
+            self.out2
+                .input_grad_into(&s.g_z4, pool, &mut s.grads, &mut s.g_a3);
+            relu_backward_inplace(&cache.a3, &mut s.g_a3); // now ∂L/∂z3
             self.out1
-                .accumulate_grads(&cache.concat, &s.g_a3, Kernel::Dense, pool, &mut s.gw);
-            self.out1.input_grad_into(&s.g_a3, pool, &mut s.g_concat);
+                .accumulate_grads(cache.concat_rows.rows(), &s.g_a3, pool, &mut s.grads);
+            self.out1
+                .input_grad_into(&s.g_a3, pool, &mut s.grads, &mut s.g_concat);
         }
         let h = self.hidden;
         s.g_concat.split_cols_into(&[h, h, h], &mut s.g_parts);
         {
             let _s = obs.span("tables");
             self.tables.backward_with(
-                &batch.tables,
-                &batch.table_segs,
+                batch.tables(),
                 &cache.t,
                 &s.g_parts[0],
                 pool,
                 &mut s.set,
+                &mut s.grads,
             );
         }
         {
             let _s = obs.span("joins");
             self.joins.backward_with(
-                &batch.joins,
-                &batch.join_segs,
+                batch.joins(),
                 &cache.j,
                 &s.g_parts[1],
                 pool,
                 &mut s.set,
+                &mut s.grads,
             );
         }
         let _s = obs.span("preds");
         self.preds.backward_with(
-            &batch.preds,
-            &batch.pred_segs,
+            batch.preds(),
             &cache.p,
             &s.g_parts[2],
             pool,
             &mut s.set,
+            &mut s.grads,
         );
     }
 
@@ -454,26 +495,47 @@ impl MscnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::featurize::Featurizer;
+    use crate::featurize::{FeaturePool, Featurizer};
     use ds_query::workloads::imdb_predicate_columns;
     use ds_query::GeneratorConfig;
     use ds_query::QueryGenerator;
     use ds_storage::gen::{imdb_database, ImdbConfig};
     use ds_storage::sample::sample_all;
 
-    fn small_batch() -> (FeatureBatch, Featurizer) {
+    /// Eight generated queries, dense for the reference forward and
+    /// pooled for the training forward.
+    fn small_batch() -> (FeatureBatch, FeaturePool, Featurizer) {
         let db = imdb_database(&ImdbConfig::tiny(1));
         let samples = sample_all(&db, 16, 2);
         let f = Featurizer::build(&db, &imdb_predicate_columns(&db), 16);
         let mut gen =
             QueryGenerator::new(&db, GeneratorConfig::new(imdb_predicate_columns(&db), 11));
         let qs = gen.generate_batch(8);
-        (f.batch_queries(&qs, &samples), f)
+        (f.batch_queries(&qs, &samples), f.pool(&qs, &samples), f)
+    }
+
+    const ALL: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    #[test]
+    fn training_forward_is_the_reference_forward_bit_for_bit() {
+        let (dense, pool, f) = small_batch();
+        // 40 = a 32-column and an 8-column AVX2 tile; 6 is all scalar.
+        for hidden in [6, 40] {
+            let model = MscnModel::new(
+                f.table_dim(),
+                f.join_dim(),
+                f.pred_dim(),
+                MscnConfig { hidden, seed: 3 },
+            );
+            let (y, _) = model.forward(&pool.batch_of(&ALL));
+            assert_eq!(y.data(), model.predict(&dense), "hidden {hidden}");
+        }
     }
 
     #[test]
     fn forward_outputs_are_probabilities() {
-        let (batch, f) = small_batch();
+        let (_, pool, f) = small_batch();
+        let batch = pool.batch_of(&ALL);
         let model = MscnModel::new(
             f.table_dim(),
             f.join_dim(),
@@ -493,7 +555,7 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic_and_seed_dependent() {
-        let (batch, f) = small_batch();
+        let (batch, _, f) = small_batch();
         let cfg = MscnConfig { hidden: 8, seed: 5 };
         let m1 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
         let m2 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
@@ -545,16 +607,17 @@ mod tests {
     fn gradient_check_through_whole_model() {
         // Finite-difference check of ∂L/∂θ for a few parameters of each
         // layer with L = sum(y).
-        let (batch, f) = small_batch();
+        let (batch, pool, f) = small_batch();
         let mut model = MscnModel::new(
             f.table_dim(),
             f.join_dim(),
             f.pred_dim(),
             MscnConfig { hidden: 6, seed: 1 },
         );
-        let (y, cache) = model.forward(&batch);
+        let pooled = pool.batch_of(&ALL);
+        let (y, cache) = model.forward(&pooled);
         let ones = Tensor::from_vec(y.rows(), 1, vec![1.0; y.rows()]);
-        model.backward(&batch, &cache, &ones);
+        model.backward(&pooled, &cache, &ones);
 
         let loss = |m: &MscnModel| -> f32 { m.predict(&batch).iter().sum() };
         let eps = 3e-3_f32;
@@ -619,7 +682,7 @@ mod tests {
 
     #[test]
     fn encode_decode_preserves_predictions() {
-        let (batch, f) = small_batch();
+        let (batch, _, f) = small_batch();
         let model = MscnModel::new(
             f.table_dim(),
             f.join_dim(),

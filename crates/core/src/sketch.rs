@@ -13,10 +13,10 @@
 //! batched kernel over sparse index lists, from per-thread scratch. The
 //! artifact is f32 (bit-identical to the trained model, so freezing it
 //! needs no gate) unless an int8 artifact passed the accuracy gate. The
-//! trained model is what gets serialized and retrained; its own forward
-//! pass survives only as [`DeepSketch::reference_estimates`], the oracle
-//! the freeze gate, the tests and the bench harness hold the serving path
-//! against.
+//! trained model is what gets serialized and retrained; its reference
+//! forward (naive kernels over dense features) is
+//! [`DeepSketch::reference_estimates`], the oracle the freeze gate, the
+//! tests and the bench harness hold the serving path against.
 
 use std::cell::RefCell;
 
@@ -34,7 +34,7 @@ use ds_storage::sample::TableSample;
 use ds_storage::table::Table;
 
 use crate::featurize::{FeatureSchema, Featurizer, QueryIndexFeatures};
-use crate::mscn::{ForwardCache, MscnModel};
+use crate::mscn::MscnModel;
 
 const MAGIC: &[u8; 4] = b"DSKT";
 /// The serialization version, and the only one [`DeepSketch::from_bytes`]
@@ -229,17 +229,17 @@ impl DeepSketch {
         }
     }
 
-    /// Estimates through the *trained* model's own forward pass: dense
-    /// feature tensors through the training-shape f32 kernels. Never on
-    /// the serving path — this is the named oracle the freeze gate, the
+    /// Estimates through the trained model's reference forward
+    /// ([`MscnModel::predict`]): dense feature tensors through the naive
+    /// f32 product, which shares no kernel with serving or training. Never
+    /// on the serving path — this is the named oracle the freeze gate, the
     /// bit-identity tests and the bench harness compare serving against.
     pub fn reference_estimates(&self, queries: &[Query]) -> Vec<f64> {
-        let mut cache = ForwardCache::new();
         let mut out = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(SERVE_CHUNK) {
             let batch = self.featurizer.batch_queries(chunk, &self.samples);
-            self.model.forward_into(&batch, &mut cache);
-            out.extend(cache.output().data().iter().map(|&y| self.denormalized(y)));
+            let ys = self.model.predict(&batch);
+            out.extend(ys.iter().map(|&y| self.denormalized(y)));
         }
         out
     }

@@ -4,13 +4,14 @@ use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
-use ds_nn::loss::{mse_loss, LabelNormalizer, QErrorLoss};
+use ds_nn::loss::{mse_loss_into, LabelNormalizer, QErrorLoss};
 use ds_nn::optim::Adam;
 use ds_nn::pool::PoolConfig;
+use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
 use ds_storage::sample::TableSample;
 
-use crate::featurize::{Featurizer, QueryFeatures};
+use crate::featurize::Featurizer;
 use crate::metrics::{percentile, qerror};
 use crate::mscn::{BackwardScratch, ForwardCache, MscnModel};
 
@@ -212,12 +213,9 @@ pub fn train_with_callback(
     let obs = ds_obs::global();
     let _train_span = obs.span("train");
     let start = Instant::now();
-    let feats: Vec<QueryFeatures> = {
+    let feats = {
         let _s = obs.span("featurize");
-        queries
-            .iter()
-            .map(|q| featurizer.featurize(q, samples))
-            .collect()
+        featurizer.pool(queries, samples)
     };
     let featurize_duration = start.elapsed();
 
@@ -253,11 +251,16 @@ pub fn train_with_callback(
         .map(|(gamma, step)| ds_nn::regularize::StepLr::new(cfg.lr, gamma, step));
 
     model.set_pool(PoolConfig::new(cfg.threads));
-    // Forward/backward scratch shared across all batches of all epochs,
-    // and the validation batch packed exactly once.
+    // Everything a step needs, shared across all batches of all epochs —
+    // a steady-state step allocates nothing — and the validation batch
+    // assembled exactly once.
     let mut cache = ForwardCache::new();
     let mut scratch = BackwardScratch::new();
-    let val_batch = (!val_idx.is_empty()).then(|| featurizer.batch_indexed(&feats, val_idx));
+    let mut batch = feats.batch();
+    let mut grad = Tensor::zeros(0, 0);
+    let mut truths: Vec<u64> = Vec::new();
+    let mut targets: Vec<f32> = Vec::new();
+    let val_batch = (!val_idx.is_empty()).then(|| feats.batch_of(val_idx));
 
     for epoch in 0..cfg.epochs {
         let _epoch_span = obs.span("epoch");
@@ -269,20 +272,19 @@ pub fn train_with_callback(
         let mut loss_sum = 0.0;
         let mut batches = 0usize;
         for chunk in train_idx.chunks(cfg.batch_size) {
-            let batch = featurizer.batch_indexed(&feats, chunk);
+            batch.fill(chunk);
             model.forward_into(&batch, &mut cache);
             let y = cache.output();
-            let (loss, grad) = match cfg.loss {
+            let loss = match cfg.loss {
                 LossKind::QError => {
-                    let truths: Vec<u64> = chunk.iter().map(|&i| labels[i]).collect();
-                    qloss.forward_backward(y, &truths)
+                    truths.clear();
+                    truths.extend(chunk.iter().map(|&i| labels[i]));
+                    qloss.forward_backward_into(y, &truths, &mut grad)
                 }
                 LossKind::Mse => {
-                    let targets: Vec<f32> = chunk
-                        .iter()
-                        .map(|&i| normalizer.normalize(labels[i]))
-                        .collect();
-                    mse_loss(y, &targets)
+                    targets.clear();
+                    targets.extend(chunk.iter().map(|&i| normalizer.normalize(labels[i])));
+                    mse_loss_into(y, &targets, &mut grad)
                 }
             };
             model.backward_with(&batch, &cache, &grad, &mut scratch);

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
-use ds_storage::exec::{count_batch, CountExecutor, ExecError};
+use ds_storage::exec::{CountExecutor, ExecError};
 
 use crate::{check_tables, CardinalityEstimator, EstimateError};
 
@@ -48,7 +48,7 @@ impl<'a> TrueCardinalityOracle<'a> {
     /// training queries on "multiple HyPer instances").
     pub fn label_batch(&self, queries: &[Query], threads: usize) -> Result<Vec<u64>, ExecError> {
         let exec_queries: Vec<_> = queries.iter().map(Query::to_exec).collect();
-        let labels = count_batch(self.db, &exec_queries, threads)?;
+        let labels = self.exec.count_batch(self.db, &exec_queries, threads)?;
         let mut cache = self.cache.write();
         for (q, &c) in queries.iter().zip(&labels) {
             cache.insert(q.clone(), c);

@@ -14,32 +14,22 @@
 //!
 //! ## One kernel
 //!
-//! Every layer is the same operation: rows given as sparse *(index,
-//! value)* lists times a dense weight matrix ([`FrozenLinear::forward_rows`]).
-//! The input layers get their lists from the featurizer; the dense layers
-//! get theirs from [`IndexSet::compress_rows`], which drops the zeros
-//! ReLU left behind (about half of every activation row). The kernel keeps
-//! a tile of 64 output columns in registers across a row's whole
-//! reduction and walks *all* rows of the call — every element of a set,
-//! every query of a batch — through one column tile before moving to the
-//! next, so a layer's weights are streamed once per call however many
-//! rows it has, and never re-loads or re-stores partial sums.
+//! Every layer is the crate's one product, sparse rows times a dense
+//! matrix ([`crate::sparse`], shared with training): the input layers get
+//! their rows from the featurizer, the dense layers get theirs from
+//! [`IndexSet::compress_rows`], which drops the zeros ReLU left behind
+//! (about half of every activation row), and a layer's weights are
+//! streamed once per call however many rows — every element of a set,
+//! every query of a batch — it has.
 //!
 //! ## Determinism contract
 //!
 //! In [`QuantMode::F32`] the fused forward is **bit-identical** to the
-//! training-shape forward pass. Every kernel in [`crate::tensor`]
-//! accumulates each output element in its own `f32` slot with the
-//! reduction index ascending, and the sparse input kernel skips zero
-//! terms — adding `±0.0` to a `+0.0`-started finite sum cannot change its
-//! bits, so zero-skipping is bit-neutral. The frozen kernel reproduces
-//! exactly that order: each output column sums `x[p]·W[p][j]` with `p`
-//! ascending from `+0.0`, then adds the bias, and the AVX2 variant (one
-//! output column per lane, separate multiply and add, never a fused
-//! `vfmadd`) rounds identically to the portable one, which stays in the
-//! tree as the oracle the property tests pin against. A query's result
-//! does not depend on what else is in its batch: rows never share an
-//! accumulator.
+//! training forward pass, which runs the same kernel over the same
+//! weights, and to the naive [`crate::tensor::reference`] products the
+//! property tests pin both against (see [`crate::sparse`] for why). A
+//! query's result does not depend on what else is in its batch: rows
+//! never share an accumulator.
 //!
 //! [`QuantMode::Int8`] trades that exactness for a 4× smaller artifact:
 //! each weight row is quantized to `i8` against its own max-abs scale.
@@ -50,6 +40,9 @@
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
 use crate::serialize::{DecodeError, Decoder, Encoder};
+use crate::sparse::{self, Finish, Weights};
+
+pub use crate::sparse::IndexSet;
 
 /// Weight storage mode of a frozen layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,43 +159,35 @@ impl FrozenLinear {
     /// each element of `rows` is one sparse input row (ascending feature
     /// indices), `y` is `rows.elems.len() × out_dim` row-major, and `act`
     /// is ReLU when `relu` is set. Zero values are skipped — bit-neutral
-    /// (see module docs). Runtime-dispatched to the AVX2 column-tile
+    /// (see [`crate::sparse`]). Runtime-dispatched to the AVX2 column-tile
     /// kernel; [`FrozenLinear::forward_rows_portable`] is its oracle.
     ///
     /// # Panics
     /// Panics when `y` has the wrong length or an index is `>= in_dim`.
     pub fn forward_rows(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
-        assert_eq!(y.len(), rows.elems.len() * self.out_dim, "output shape");
-        #[cfg(target_arch = "x86_64")]
-        if self.out_dim >= kernels::x86::LANES && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe {
-                kernels::x86::sparse_rows_avx2(self.weights(), self.out_dim, &self.b, rows, relu, y)
-            };
-            return;
-        }
-        self.forward_rows_portable(rows, relu, y);
+        let finish = Finish::Bias {
+            bias: &self.b,
+            relu,
+        };
+        sparse::sparse_rows(self.weights(), self.out_dim, rows.rows(), finish, y);
     }
 
     /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX2
     /// kernel is pinned against, and the fallback off x86-64.
     pub fn forward_rows_portable(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
         assert_eq!(y.len(), rows.elems.len() * self.out_dim, "output shape");
-        kernels::sparse_rows_portable(
-            self.weights(),
-            self.out_dim,
-            &self.b,
-            rows,
+        let finish = Finish::Bias {
+            bias: &self.b,
             relu,
-            y,
-            0..self.out_dim,
-        );
+        };
+        let cols = 0..self.out_dim;
+        sparse::sparse_rows_portable(self.weights(), self.out_dim, rows.rows(), finish, y, cols);
     }
 
-    fn weights(&self) -> kernels::Weights<'_> {
+    fn weights(&self) -> Weights<'_> {
         match self.mode {
-            QuantMode::F32 => kernels::Weights::F32(&self.w),
-            QuantMode::Int8 => kernels::Weights::Int8 {
+            QuantMode::F32 => Weights::F32(&self.w),
+            QuantMode::Int8 => Weights::Int8 {
                 q: &self.q,
                 scales: &self.scales,
             },
@@ -276,66 +261,6 @@ impl FrozenLinear {
             scales,
             b,
         })
-    }
-}
-
-/// One set of a fused query: sparse element rows as flat
-/// *(feature index, value)* pairs plus one `(start, len)` span per set
-/// element. Within each element the indices must be ascending — that is
-/// what makes the gather bit-identical to the zero-skipping sparse matmul.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct IndexSet {
-    /// Flat `(feature index, value)` pairs of all elements.
-    pub entries: Vec<(u32, f32)>,
-    /// `(start, len)` spans into `entries`, one per set element.
-    pub elems: Vec<(u32, u32)>,
-}
-
-impl IndexSet {
-    /// Empties both buffers, keeping their allocations.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.elems.clear();
-    }
-
-    /// Opens a new element; returns a guard index for [`IndexSet::finish_elem`].
-    pub fn begin_elem(&mut self) -> usize {
-        self.entries.len()
-    }
-
-    /// Closes the element opened at `start` (as returned by
-    /// [`IndexSet::begin_elem`]).
-    pub fn finish_elem(&mut self, start: usize) {
-        self.elems
-            .push((start as u32, (self.entries.len() - start) as u32));
-    }
-
-    /// Appends one active feature to the current element.
-    #[inline]
-    pub fn push(&mut self, index: u32, value: f32) {
-        self.entries.push((index, value));
-    }
-
-    /// Replaces the contents with the non-zero entries of a dense
-    /// row-major matrix of `width` columns, one element per row — how a
-    /// layer's (post-ReLU, about half zero) output becomes the next
-    /// layer's input. Branch-free per value: every slot of a
-    /// row-sized reservation is written and the cursor only advances past
-    /// non-zeros, so the unpredictable zero pattern costs no mispredicts.
-    pub fn compress_rows(&mut self, dense: &[f32], width: usize) {
-        self.clear();
-        for row in dense.chunks_exact(width.max(1)) {
-            let start = self.entries.len();
-            self.entries.resize(start + width, (0, 0.0));
-            let slots = &mut self.entries[start..];
-            let mut kept = 0;
-            for (j, &v) in row.iter().enumerate() {
-                slots[kept] = (j as u32, v);
-                kept += usize::from(v != 0.0);
-            }
-            self.entries.truncate(start + kept);
-            self.elems.push((start as u32, kept as u32));
-        }
     }
 }
 
@@ -638,187 +563,6 @@ fn l_eq(a: usize, b: usize) -> bool {
     a == b
 }
 
-/// The frozen-path kernel: sparse rows times a dense weight matrix,
-/// portable and AVX2. The gather, the dense layers and the output MLP are
-/// all this one shape.
-mod kernels {
-    use std::ops::Range;
-
-    use super::IndexSet;
-
-    /// A layer's weights, `(in_dim × out_dim)` row-major.
-    #[derive(Clone, Copy)]
-    pub(super) enum Weights<'a> {
-        F32(&'a [f32]),
-        /// `W[p][j] = q[p][j] · scales[p]`.
-        Int8 {
-            q: &'a [i8],
-            scales: &'a [f32],
-        },
-    }
-
-    /// Columns `cols` of `y[r, :] = act(rows[r] · W + b)`: each output
-    /// element starts at `+0.0`, takes one separately-rounded multiply and
-    /// add per non-zero entry in entry order, then the bias. The oracle
-    /// for the AVX2 variant, the fallback without it, and the remainder
-    /// columns beside it.
-    pub(super) fn sparse_rows_portable(
-        w: Weights<'_>,
-        out_dim: usize,
-        bias: &[f32],
-        rows: &IndexSet,
-        relu: bool,
-        y: &mut [f32],
-        cols: Range<usize>,
-    ) {
-        let bias = &bias[cols.clone()];
-        for (r, &(start, len)) in rows.elems.iter().enumerate() {
-            let out = &mut y[r * out_dim + cols.start..r * out_dim + cols.end];
-            out.fill(0.0);
-            for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
-                if val == 0.0 {
-                    continue;
-                }
-                let at = idx as usize * out_dim;
-                match w {
-                    Weights::F32(w) => {
-                        for (o, &wv) in out.iter_mut().zip(&w[at + cols.start..at + cols.end]) {
-                            *o += val * wv;
-                        }
-                    }
-                    Weights::Int8 { q, scales } => {
-                        let t = val * scales[idx as usize];
-                        for (o, &qv) in out.iter_mut().zip(&q[at + cols.start..at + cols.end]) {
-                            *o += t * qv as f32;
-                        }
-                    }
-                }
-            }
-            for (o, &bv) in out.iter_mut().zip(bias) {
-                *o += bv;
-                if relu {
-                    *o = o.max(0.0);
-                }
-            }
-        }
-    }
-
-    /// The AVX2 column-tile kernel, living next to the 4×16 training
-    /// kernels in [`crate::tensor`]. Same determinism rules: separate
-    /// multiply and add (never `vfmadd`), one output element per lane.
-    #[cfg(target_arch = "x86_64")]
-    pub(super) mod x86 {
-        use std::arch::x86_64::{
-            __m128i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_loadu_ps,
-            _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-            _mm_loadl_epi64,
-        };
-
-        use super::{sparse_rows_portable, IndexSet, Weights};
-
-        /// Vector width: one 8-lane f32 register.
-        pub const LANES: usize = 8;
-
-        /// AVX2 `y[r, :] = act(rows[r] · W + b)`: output columns are cut
-        /// into tiles of 64 (then 32, 16, 8, then scalar columns), and
-        /// every row is reduced into one tile before the next tile
-        /// starts, so the weights are streamed once per call.
-        ///
-        /// # Safety
-        /// The CPU must support AVX2.
-        #[target_feature(enable = "avx2")]
-        pub unsafe fn sparse_rows_avx2(
-            w: Weights<'_>,
-            out_dim: usize,
-            bias: &[f32],
-            rows: &IndexSet,
-            relu: bool,
-            y: &mut [f32],
-        ) {
-            let mut j0 = 0;
-            while j0 + 8 * LANES <= out_dim {
-                tile::<8>(w, out_dim, bias, rows, relu, y, j0);
-                j0 += 8 * LANES;
-            }
-            if j0 + 4 * LANES <= out_dim {
-                tile::<4>(w, out_dim, bias, rows, relu, y, j0);
-                j0 += 4 * LANES;
-            }
-            if j0 + 2 * LANES <= out_dim {
-                tile::<2>(w, out_dim, bias, rows, relu, y, j0);
-                j0 += 2 * LANES;
-            }
-            if j0 + LANES <= out_dim {
-                tile::<1>(w, out_dim, bias, rows, relu, y, j0);
-                j0 += LANES;
-            }
-            if j0 < out_dim {
-                sparse_rows_portable(w, out_dim, bias, rows, relu, y, j0..out_dim);
-            }
-        }
-
-        /// One tile of `NV` vectors (`8·NV` output columns from `j0`)
-        /// for every row: the accumulators stay in registers across the
-        /// row's whole reduction, entries ascending.
-        ///
-        /// # Safety
-        /// The CPU must support AVX2. Every access goes through a
-        /// bounds-checked slice of exactly the tile's width.
-        #[target_feature(enable = "avx2")]
-        unsafe fn tile<const NV: usize>(
-            w: Weights<'_>,
-            out_dim: usize,
-            bias: &[f32],
-            rows: &IndexSet,
-            relu: bool,
-            y: &mut [f32],
-            j0: usize,
-        ) {
-            let width = NV * LANES;
-            let zero = _mm256_setzero_ps();
-            let bias = &bias[j0..j0 + width];
-            for (r, &(start, len)) in rows.elems.iter().enumerate() {
-                let mut acc = [zero; NV];
-                for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
-                    if val == 0.0 {
-                        continue;
-                    }
-                    let at = idx as usize * out_dim + j0;
-                    match w {
-                        Weights::F32(w) => {
-                            let row = &w[at..at + width];
-                            let cv = _mm256_set1_ps(val);
-                            for (v, a) in acc.iter_mut().enumerate() {
-                                let wv = _mm256_loadu_ps(row.as_ptr().add(v * LANES));
-                                *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
-                            }
-                        }
-                        Weights::Int8 { q, scales } => {
-                            let row = &q[at..at + width];
-                            let cv = _mm256_set1_ps(val * scales[idx as usize]);
-                            for (v, a) in acc.iter_mut().enumerate() {
-                                let q8 =
-                                    _mm_loadl_epi64(row.as_ptr().add(v * LANES) as *const __m128i);
-                                let wv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-                                *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
-                            }
-                        }
-                    }
-                }
-                let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
-                for (v, a) in acc.iter().enumerate() {
-                    let bv = _mm256_loadu_ps(bias.as_ptr().add(v * LANES));
-                    let mut o = _mm256_add_ps(*a, bv);
-                    if relu {
-                        o = _mm256_max_ps(o, zero);
-                    }
-                    _mm256_storeu_ps(out.as_mut_ptr().add(v * LANES), o);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,18 +629,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn compress_rows_keeps_exactly_the_non_zeros_in_order() {
-        let dense = [
-            0.0f32, 1.5, -0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 4.0,
-        ];
-        let mut set = IndexSet::default();
-        set.push(9, 9.0); // stale contents are replaced
-        set.compress_rows(&dense, 4);
-        assert_eq!(set.elems, vec![(0, 2), (2, 0), (2, 2)]);
-        assert_eq!(set.entries, vec![(1, 1.5), (3, 2.0), (0, -3.0), (3, 4.0)]);
     }
 
     #[test]

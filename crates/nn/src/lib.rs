@@ -4,10 +4,11 @@
 //! that replaces PyTorch in this reproduction. It provides exactly what the
 //! MSCN model needs:
 //!
-//! * [`tensor::Tensor`] — row-major `f32` matrices with the handful of BLAS
-//!   ops used by training (matmul, transposed matmuls, broadcasts), backed
-//!   by register-blocked micro-kernels with a zero-skip fast path for
-//!   one-hot/bitmap inputs;
+//! * [`sparse`] — the one matrix kernel: sparse rows times a dense matrix,
+//!   register-tiled and zero-skipping, behind every forward, input-gradient
+//!   and weight-gradient product of training and every layer of serving;
+//! * [`tensor::Tensor`] — row-major `f32` matrices with the handful of
+//!   dense ops around the kernel (broadcasts, concat/split, column sums);
 //! * [`pool`] — deterministic intra-op parallelism: kernels split output
 //!   rows across scoped threads with bit-identical results at any count;
 //! * [`linear::Linear`] — fully-connected layers with explicit
@@ -31,12 +32,14 @@ pub mod optim;
 pub mod pool;
 pub mod regularize;
 pub mod serialize;
+pub mod sparse;
 pub mod tensor;
 
 pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet, QuantMode};
-pub use linear::Linear;
-pub use loss::{mse_loss, LabelNormalizer, QErrorLoss};
+pub use linear::{GradScratch, Linear};
+pub use loss::{mse_loss, mse_loss_into, LabelNormalizer, QErrorLoss};
 pub use optim::{Adam, Sgd};
 pub use pool::PoolConfig;
 pub use regularize::{clip_grad_norm, dropout, dropout_backward, StepLr};
-pub use tensor::{Kernel, Tensor};
+pub use sparse::Rows;
+pub use tensor::Tensor;

@@ -1,9 +1,39 @@
 //! Fully-connected layers with explicit forward/backward passes.
+//!
+//! All three products of a layer — forward `x·W + b`, input gradient
+//! `g·Wᵀ`, weight gradient `xᵀ·g` — run the crate's one kernel
+//! ([`crate::sparse`]), so none of them multiplies a zero: the left
+//! operand always arrives as sparse rows (index-list features, or the
+//! non-zeros of a post-ReLU activation or a ReLU-masked gradient).
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::pool::PoolConfig;
-use crate::tensor::{Kernel, Tensor};
+use crate::sparse::{self, Finish, IndexSet, Rows, Weights};
+use crate::tensor::Tensor;
+
+/// Reusable buffers of a layer's backward products; one arena serves every
+/// layer of a model in turn. Buffers grow to the largest layer seen, so a
+/// steady-state training step allocates nothing here.
+#[derive(Debug, Default)]
+pub struct GradScratch {
+    /// The forward input's columns — the weight gradient's left operand.
+    x_cols: IndexSet,
+    /// Column sums of the output gradient — the bias gradient.
+    col_sums: Vec<f32>,
+    /// The non-zeros of the output gradient — the input gradient's left
+    /// operand.
+    grad_rows: IndexSet,
+    /// `Wᵀ` — the input gradient's right operand.
+    w_t: Tensor,
+}
+
+impl GradScratch {
+    /// An empty arena; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 /// A fully-connected layer `y = x·W + b` with gradient accumulation.
 ///
@@ -76,73 +106,94 @@ impl Linear {
 
     /// Forward pass: `x` (batch × in_dim) → (batch × out_dim).
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_with(x, Kernel::Dense, PoolConfig::single())
-    }
-
-    /// [`Linear::forward`] with an explicit kernel and thread pool. Pass
-    /// [`Kernel::Sparse`] for input layers fed one-hot/bitmap features.
-    pub fn forward_with(&self, x: &Tensor, kernel: Kernel, pool: PoolConfig) -> Tensor {
+        assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
+        let rows = IndexSet::of_dense(x.data(), x.cols());
         let mut y = Tensor::zeros(0, 0);
-        self.forward_into(x, kernel, pool, &mut y);
+        self.forward_rows(rows.rows(), false, PoolConfig::single(), &mut y);
         y
     }
 
-    /// [`Linear::forward`] into a reusable output tensor.
-    pub fn forward_into(&self, x: &Tensor, kernel: Kernel, pool: PoolConfig, out: &mut Tensor) {
+    /// `out[r, :] = act(x[r] · W + b)` over sparse input rows (ascending
+    /// indices `< in_dim`), `act` being ReLU when `relu` is set — the hot
+    /// path, and bit for bit what a frozen copy of this layer computes.
+    pub fn forward_rows(&self, x: Rows<'_>, relu: bool, pool: PoolConfig, out: &mut Tensor) {
         let _span = ds_obs::global().span("linear_fwd");
-        x.matmul_into(&self.w, kernel, pool, out);
-        out.add_row_broadcast(&self.b);
+        out.resize(x.spans.len(), self.out_dim());
+        let finish = Finish::Bias {
+            bias: &self.b,
+            relu,
+        };
+        let w = Weights::F32(self.w.data());
+        sparse::sparse_rows_pool(w, self.out_dim(), x, finish, pool, out.data_mut());
     }
 
     /// Backward pass. `x` must be the input of the matching forward call and
     /// `grad_out` the gradient w.r.t. its output. Accumulates `∂L/∂W` and
     /// `∂L/∂b`, returns `∂L/∂x`.
     pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
-        let mut scratch = Tensor::zeros(0, 0);
-        self.accumulate_grads(
-            x,
-            grad_out,
-            Kernel::Dense,
-            PoolConfig::single(),
-            &mut scratch,
-        );
+        assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
+        let mut scratch = GradScratch::new();
+        let rows = IndexSet::of_dense(x.data(), x.cols());
+        self.accumulate_grads(rows.rows(), grad_out, PoolConfig::single(), &mut scratch);
         let mut gx = Tensor::zeros(0, 0);
-        self.input_grad_into(grad_out, PoolConfig::single(), &mut gx);
+        self.input_grad_into(grad_out, PoolConfig::single(), &mut scratch, &mut gx);
         gx
     }
 
-    /// Accumulates `∂L/∂W` and `∂L/∂b` for this layer *without* computing
-    /// `∂L/∂x` — the input-layer fast path, where the gradient w.r.t. the
-    /// raw features is never used. `gw_scratch` is a reusable buffer for
-    /// the weight-gradient product.
+    /// Accumulates `∂L/∂W = xᵀ · grad_out` and `∂L/∂b` (the column sums of
+    /// `grad_out`) for this layer *without* computing `∂L/∂x` — all an
+    /// input layer needs. `x` is the forward input as sparse rows. Each
+    /// gradient element is summed over the batch rows ascending, from
+    /// zero, and then added to what had accumulated.
     pub fn accumulate_grads(
         &mut self,
-        x: &Tensor,
+        x: Rows<'_>,
         grad_out: &Tensor,
-        kernel: Kernel,
         pool: PoolConfig,
-        gw_scratch: &mut Tensor,
+        scratch: &mut GradScratch,
     ) {
-        assert_eq!(grad_out.rows(), x.rows(), "batch mismatch");
+        assert_eq!(grad_out.rows(), x.spans.len(), "batch mismatch");
         assert_eq!(grad_out.cols(), self.out_dim(), "grad width mismatch");
         let _span = ds_obs::global().span("linear_bwd_grads");
-        // ∂L/∂W = xᵀ · grad_out — computed in full, then accumulated, so
-        // the FP order matches the original single-allocation backward.
-        x.t_matmul_into(grad_out, kernel, pool, gw_scratch);
-        for (a, b) in self.grad_w.data_mut().iter_mut().zip(gw_scratch.data()) {
-            *a += b;
-        }
-        // ∂L/∂b = column sums of grad_out
-        for (a, b) in self.grad_b.iter_mut().zip(grad_out.col_sums()) {
+        scratch.x_cols.transpose_of(x, self.in_dim());
+        sparse::sparse_rows_pool(
+            Weights::F32(grad_out.data()),
+            self.out_dim(),
+            scratch.x_cols.rows(),
+            Finish::Accumulate,
+            pool,
+            self.grad_w.data_mut(),
+        );
+        grad_out.col_sums_into(&mut scratch.col_sums);
+        for (a, b) in self.grad_b.iter_mut().zip(&scratch.col_sums) {
             *a += b;
         }
     }
 
     /// Computes `∂L/∂x = grad_out · Wᵀ` into a reusable tensor. Combined
     /// with [`Linear::accumulate_grads`] this is the full backward pass.
-    pub fn input_grad_into(&self, grad_out: &Tensor, pool: PoolConfig, out: &mut Tensor) {
+    /// `grad_out` is usually ReLU-masked, so about half of it is skipped.
+    pub fn input_grad_into(
+        &self,
+        grad_out: &Tensor,
+        pool: PoolConfig,
+        scratch: &mut GradScratch,
+        out: &mut Tensor,
+    ) {
+        assert_eq!(grad_out.cols(), self.out_dim(), "grad width mismatch");
         let _span = ds_obs::global().span("linear_bwd_input");
-        grad_out.matmul_t_into(&self.w, pool, out);
+        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
+        self.w.transpose_into(&mut scratch.w_t);
+        scratch.grad_rows.compress_rows(grad_out.data(), out_dim);
+        out.resize(grad_out.rows(), in_dim);
+        sparse::sparse_rows_pool(
+            Weights::F32(scratch.w_t.data()),
+            in_dim,
+            scratch.grad_rows.rows(),
+            Finish::Store,
+            pool,
+            out.data_mut(),
+        );
     }
 
     /// Scales all accumulated gradients by `factor` (gradient clipping).
@@ -166,21 +217,24 @@ impl Linear {
         self.w.data().len() + self.b.len()
     }
 
-    /// Visits every (flat index, parameter, accumulated gradient) pair —
-    /// weights first, then bias. This is the optimizer's interface.
+    /// The layer's parameters beside their accumulated gradients, weights
+    /// first, then bias — the optimizer's interface.
+    pub fn params_and_grads_mut(&mut self) -> [(&mut [f32], &[f32]); 2] {
+        [
+            (self.w.data_mut(), self.grad_w.data()),
+            (&mut self.b, &self.grad_b),
+        ]
+    }
+
+    /// Visits every (flat index, parameter, accumulated gradient) pair in
+    /// [`Linear::params_and_grads_mut`] order.
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(usize, &mut f32, f32)) {
-        let nw = self.w.data().len();
-        for (i, (p, &g)) in self
-            .w
-            .data_mut()
-            .iter_mut()
-            .zip(self.grad_w.data())
-            .enumerate()
-        {
-            f(i, p, g);
-        }
-        for (i, (p, &g)) in self.b.iter_mut().zip(self.grad_b.iter()).enumerate() {
-            f(nw + i, p, g);
+        let mut i = 0;
+        for (params, grads) in self.params_and_grads_mut() {
+            for (p, &g) in params.iter_mut().zip(grads) {
+                f(i, p, g);
+                i += 1;
+            }
         }
     }
 }

@@ -106,12 +106,20 @@ impl QErrorLoss {
     /// `q = c/t` if `c > t` (then `∂q/∂y = s·c/t`), else `q = t/c`
     /// (then `∂q/∂y = -s·t/c`). The loss is averaged over the batch.
     pub fn forward_backward(&self, y: &Tensor, truths: &[u64]) -> (f64, Tensor) {
+        let mut grad = Tensor::zeros(0, 0);
+        let loss = self.forward_backward_into(y, truths, &mut grad);
+        (loss, grad)
+    }
+
+    /// [`QErrorLoss::forward_backward`] with the gradient written into a
+    /// reusable tensor; returns the loss.
+    pub fn forward_backward_into(&self, y: &Tensor, truths: &[u64], grad: &mut Tensor) -> f64 {
         assert_eq!(y.cols(), 1, "expected (batch × 1) outputs");
         assert_eq!(y.rows(), truths.len(), "batch size mismatch");
         let n = truths.len();
         assert!(n > 0, "empty batch");
         let s = self.norm.log_span();
-        let mut grad = Tensor::zeros(n, 1);
+        grad.resize(n, 1);
         let mut total = 0.0;
         for (i, (&yi, &truth)) in y.data().iter().zip(truths).enumerate() {
             let est = self.norm.denormalize(yi).max(1.0);
@@ -124,25 +132,33 @@ impl QErrorLoss {
             total += q;
             grad.data_mut()[i] = (dq_dy / n as f64) as f32;
         }
-        (total / n as f64, grad)
+        total / n as f64
     }
 }
 
 /// Mean squared error on normalized labels (the ablation alternative):
 /// returns `(loss, ∂L/∂y)`.
 pub fn mse_loss(y: &Tensor, targets: &[f32]) -> (f64, Tensor) {
+    let mut grad = Tensor::zeros(0, 0);
+    let loss = mse_loss_into(y, targets, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse_loss`] with the gradient written into a reusable tensor; returns
+/// the loss.
+pub fn mse_loss_into(y: &Tensor, targets: &[f32], grad: &mut Tensor) -> f64 {
     assert_eq!(y.cols(), 1, "expected (batch × 1) outputs");
     assert_eq!(y.rows(), targets.len(), "batch size mismatch");
     let n = targets.len();
     assert!(n > 0, "empty batch");
-    let mut grad = Tensor::zeros(n, 1);
+    grad.resize(n, 1);
     let mut total = 0.0;
     for (i, (&yi, &t)) in y.data().iter().zip(targets).enumerate() {
         let diff = (yi - t) as f64;
         total += diff * diff;
         grad.data_mut()[i] = (2.0 * diff / n as f64) as f32;
     }
-    (total / n as f64, grad)
+    total / n as f64
 }
 
 #[cfg(test)]

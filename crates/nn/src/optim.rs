@@ -90,18 +90,84 @@ impl Adam {
         );
         state.t += 1;
         let t = state.t as f32;
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-        let bc1 = 1.0 - b1.powf(t);
-        let bc2 = 1.0 - b2.powf(t);
-        let (m, v) = (&mut state.m, &mut state.v);
-        layer.for_each_param_mut(|i, p, g| {
-            m[i] = b1 * m[i] + (1.0 - b1) * g;
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            *p -= lr * mhat / (vhat.sqrt() + eps);
-        });
+        let step = AdamStep {
+            b1: self.beta1,
+            b2: self.beta2,
+            eps: self.eps,
+            lr: self.lr,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        };
+        let mut at = 0;
+        for (params, grads) in layer.params_and_grads_mut() {
+            let moments = at..at + params.len();
+            step.apply(
+                params,
+                grads,
+                &mut state.m[moments.clone()],
+                &mut state.v[moments.clone()],
+            );
+            at = moments.end;
+        }
         layer.zero_grad();
+    }
+}
+
+/// The constants of one Adam step, and the update they define.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    lr: f32,
+    /// Bias corrections `1 - βᵗ`.
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep {
+    /// Updates `params` and both moment vectors from `grads`, one
+    /// parameter per lane. The arithmetic of a lane is the scalar
+    /// formula's, operation for operation; IEEE multiply, add, divide and
+    /// square root round the same at any vector width, so the AVX2 build
+    /// of this loop changes no bit.
+    fn apply(self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { self.apply_avx2(params, grads, m, v) };
+            return;
+        }
+        self.apply_lanes(params, grads, m, v);
+    }
+
+    /// [`AdamStep::apply`]'s loop compiled with 8-lane vectors.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn apply_avx2(self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        self.apply_lanes(params, grads, m, v);
+    }
+
+    #[inline(always)]
+    fn apply_lanes(self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let Self {
+            b1,
+            b2,
+            eps,
+            lr,
+            bc1,
+            bc2,
+        } = self;
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
+        }
     }
 }
 

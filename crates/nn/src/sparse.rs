@@ -1,0 +1,511 @@
+//! The one matrix kernel of this crate: sparse rows times a dense matrix.
+//!
+//! Every product the model runs — training or serving — has this shape.
+//! The left operand is a set of rows given as *(index, value)* lists
+//! ([`Rows`]), the right operand a dense row-major matrix, and row `r` of
+//! the result is `Σ value · matrix[index]` over the row's entries:
+//!
+//! | product | rows | matrix |
+//! |---|---|---|
+//! | forward `x·W + b` | the featurizer's index lists, or the non-zeros ReLU left in the previous layer's output ([`IndexSet::compress_rows`]) | `W` |
+//! | input gradient `g·Wᵀ` | the non-zeros of the ReLU-masked gradient | `Wᵀ` ([`crate::tensor::Tensor::transpose_into`]) |
+//! | weight gradient `xᵀ·g` | the columns of `x` ([`IndexSet::transpose_of`]) | `g` |
+//!
+//! Zeros are never multiplied: one-hot and bitmap features arrive as index
+//! lists, and about half of every post-ReLU activation and masked gradient
+//! is exactly zero.
+//!
+//! ## Tiling
+//!
+//! The AVX2 kernel keeps a tile of 64 output columns in registers across a
+//! row's whole reduction and walks *all* rows of the call through one
+//! column tile before moving to the next, so the matrix is streamed once
+//! per call however many rows there are, and partial sums are never
+//! re-loaded or re-stored. [`sparse_rows_pool`] cuts the rows into
+//! contiguous blocks for scoped worker threads.
+//!
+//! ## Determinism contract
+//!
+//! Each output element is owned by one lane of one tile and starts at
+//! `+0.0`; it takes one separately rounded multiply and one separately
+//! rounded add per entry, in entry order (never a fused `vfmadd`), and is
+//! then finished by [`Finish`]. Tiling and threading only partition the
+//! output, so the AVX2 kernel, the portable kernel ([`sparse_rows_portable`],
+//! the oracle and the fallback off x86-64) and the naive
+//! [`crate::tensor::reference`] products agree to the last bit at any
+//! thread count. Skipping an entry whose value is `±0.0` is bit-neutral
+//! for finite matrices: the product is `±0.0`, and adding that to a sum
+//! that started at `+0.0` cannot change its bits. A row's result does not
+//! depend on what other rows are in the call.
+
+use std::ops::Range;
+
+use crate::pool::{self, PoolConfig};
+
+/// Sparse rows, borrowed: flat *(index, value)* entries plus one
+/// `(start, len)` span into them per row. Rows may share, skip or reorder
+/// the entries they point into.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// `(index, value)` pairs; within a row, indices ascend.
+    pub entries: &'a [(u32, f32)],
+    /// `(start, len)` into `entries`, one per row.
+    pub spans: &'a [(u32, u32)],
+}
+
+impl Rows<'_> {
+    /// Entries the rows hold together — the multiply-adds per output
+    /// column.
+    fn len(&self) -> usize {
+        self.spans.iter().map(|&(_, len)| len as usize).sum()
+    }
+}
+
+/// One set of a fused query, or any other owned batch of sparse rows:
+/// flat *(feature index, value)* pairs plus one `(start, len)` span per
+/// element. Within each element the indices must be ascending — that is
+/// what makes the gather bit-identical to a dense row-ascending product.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct IndexSet {
+    /// Flat `(feature index, value)` pairs of all elements.
+    pub entries: Vec<(u32, f32)>,
+    /// `(start, len)` spans into `entries`, one per set element.
+    pub elems: Vec<(u32, u32)>,
+}
+
+impl IndexSet {
+    /// Empties both buffers, keeping their allocations.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.elems.clear();
+    }
+
+    /// Opens a new element; returns a guard index for [`IndexSet::finish_elem`].
+    pub fn begin_elem(&mut self) -> usize {
+        self.entries.len()
+    }
+
+    /// Closes the element opened at `start` (as returned by
+    /// [`IndexSet::begin_elem`]).
+    pub fn finish_elem(&mut self, start: usize) {
+        self.elems
+            .push((start as u32, (self.entries.len() - start) as u32));
+    }
+
+    /// Appends one active feature to the current element.
+    #[inline]
+    pub fn push(&mut self, index: u32, value: f32) {
+        self.entries.push((index, value));
+    }
+
+    /// The set as kernel input.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            entries: &self.entries,
+            spans: &self.elems,
+        }
+    }
+
+    /// The non-zeros of a dense row-major matrix of `width` columns, one
+    /// element per row ([`IndexSet::compress_rows`] into a fresh set).
+    pub fn of_dense(dense: &[f32], width: usize) -> Self {
+        let mut set = Self::default();
+        set.compress_rows(dense, width);
+        set
+    }
+
+    /// Replaces the contents with the non-zero entries of a dense
+    /// row-major matrix of `width` columns, one element per row — how a
+    /// layer's (post-ReLU, about half zero) output becomes the next
+    /// layer's input. Branch-free per value: every slot of a
+    /// row-sized reservation is written and the cursor only advances past
+    /// non-zeros, so the unpredictable zero pattern costs no mispredicts.
+    pub fn compress_rows(&mut self, dense: &[f32], width: usize) {
+        self.clear();
+        for row in dense.chunks_exact(width.max(1)) {
+            let start = self.entries.len();
+            self.entries.resize(start + width, (0, 0.0));
+            let slots = &mut self.entries[start..];
+            let mut kept = 0;
+            for (j, &v) in row.iter().enumerate() {
+                slots[kept] = (j as u32, v);
+                kept += usize::from(v != 0.0);
+            }
+            self.entries.truncate(start + kept);
+            self.elems.push((start as u32, kept as u32));
+        }
+    }
+
+    /// Replaces the contents with the transpose of `rows`, a matrix of
+    /// `width` columns: element `p` lists `(r, value)` for every entry
+    /// `(p, value)` of row `r`, rows ascending — the left operand of a
+    /// weight gradient `xᵀ·g`, whose reduction then runs row-ascending
+    /// like the dense product's. A counting sort: two passes over the
+    /// entries, no other scratch.
+    ///
+    /// # Panics
+    /// Panics when an index is `>= width`.
+    pub fn transpose_of(&mut self, rows: Rows<'_>, width: usize) {
+        let total = rows.len();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "more entries than spans address"
+        );
+        let entries_of = |&(start, len): &(u32, u32)| {
+            &rows.entries[start as usize..start as usize + len as usize]
+        };
+        // Count each column into its span's length, turn the counts into
+        // starts, then scatter with the lengths as cursors.
+        self.elems.clear();
+        self.elems.resize(width, (0, 0));
+        for &(p, _) in rows.spans.iter().flat_map(entries_of) {
+            self.elems[p as usize].1 += 1;
+        }
+        let mut start = 0;
+        for span in &mut self.elems {
+            let count = std::mem::take(&mut span.1);
+            span.0 = start;
+            start += count;
+        }
+        // Every one of the `total` slots is written below; no need to clear.
+        self.entries.resize(total, (0, 0.0));
+        for (r, span) in rows.spans.iter().enumerate() {
+            for &(p, v) in entries_of(span) {
+                let (start, filled) = &mut self.elems[p as usize];
+                self.entries[(*start + *filled) as usize] = (r as u32, v);
+                *filled += 1;
+            }
+        }
+    }
+}
+
+/// The dense right operand, `(rows × out_dim)` row-major.
+#[derive(Clone, Copy)]
+pub enum Weights<'a> {
+    /// Plain `f32` values.
+    F32(&'a [f32]),
+    /// `W[p][j] = q[p][j] · scales[p]`.
+    Int8 {
+        /// Quantized values, same layout.
+        q: &'a [i8],
+        /// One dequantization scale per matrix row.
+        scales: &'a [f32],
+    },
+}
+
+/// What becomes of a finished accumulator `acc` and the output slot `y`.
+#[derive(Clone, Copy)]
+pub enum Finish<'a> {
+    /// `y = acc + bias[j]`, clamped at zero when `relu` — a layer's forward.
+    Bias {
+        /// One value per output column.
+        bias: &'a [f32],
+        /// Apply ReLU after the bias.
+        relu: bool,
+    },
+    /// `y = acc` — a plain product.
+    Store,
+    /// `y = y + acc` — gradient accumulation.
+    Accumulate,
+}
+
+/// `y[r, :] = finish(rows[r] · W)` for every row, `y` being
+/// `rows.spans.len() × out_dim` row-major. Runtime-dispatched to the AVX2
+/// column-tile kernel; [`sparse_rows_portable`] is its oracle.
+///
+/// # Panics
+/// Panics when `y` has the wrong length or an index is out of the
+/// matrix's range.
+pub fn sparse_rows(
+    w: Weights<'_>,
+    out_dim: usize,
+    rows: Rows<'_>,
+    finish: Finish<'_>,
+    y: &mut [f32],
+) {
+    assert_eq!(y.len(), rows.spans.len() * out_dim, "output shape");
+    #[cfg(target_arch = "x86_64")]
+    if out_dim >= x86::LANES && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe { x86::sparse_rows_avx2(w, out_dim, rows, finish, y) };
+        return;
+    }
+    sparse_rows_portable(w, out_dim, rows, finish, y, 0..out_dim);
+}
+
+/// [`sparse_rows`] with the rows cut into contiguous blocks across the
+/// pool's worker threads. Bit-identical at any thread count: every output
+/// element is computed by exactly one thread, in the same order.
+pub fn sparse_rows_pool(
+    w: Weights<'_>,
+    out_dim: usize,
+    rows: Rows<'_>,
+    finish: Finish<'_>,
+    pool: PoolConfig,
+    y: &mut [f32],
+) {
+    let n = rows.spans.len();
+    assert_eq!(y.len(), n * out_dim, "output shape");
+    let threads = pool.threads_for(n, rows.len() * out_dim);
+    pool::for_each_row_block(y, n, out_dim, threads, |r0, block| {
+        let spans = &rows.spans[r0..r0 + block.len() / out_dim];
+        sparse_rows(w, out_dim, Rows { spans, ..rows }, finish, block);
+    });
+}
+
+/// Columns `cols` of [`sparse_rows`] with plain scalar accumulators, 64
+/// columns at a time: the oracle for the AVX2 variant, the fallback
+/// without it, and the remainder columns beside it.
+pub fn sparse_rows_portable(
+    w: Weights<'_>,
+    out_dim: usize,
+    rows: Rows<'_>,
+    finish: Finish<'_>,
+    y: &mut [f32],
+    cols: Range<usize>,
+) {
+    const TILE: usize = 64;
+    for c0 in cols.clone().step_by(TILE) {
+        let c1 = cols.end.min(c0 + TILE);
+        for (r, &(start, len)) in rows.spans.iter().enumerate() {
+            let mut tile = [0.0f32; TILE];
+            let acc = &mut tile[..c1 - c0];
+            for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
+                if val == 0.0 {
+                    continue;
+                }
+                let at = idx as usize * out_dim;
+                match w {
+                    Weights::F32(w) => {
+                        for (a, &wv) in acc.iter_mut().zip(&w[at + c0..at + c1]) {
+                            *a += val * wv;
+                        }
+                    }
+                    Weights::Int8 { q, scales } => {
+                        let t = val * scales[idx as usize];
+                        for (a, &qv) in acc.iter_mut().zip(&q[at + c0..at + c1]) {
+                            *a += t * qv as f32;
+                        }
+                    }
+                }
+            }
+            let out = &mut y[r * out_dim + c0..r * out_dim + c1];
+            match finish {
+                Finish::Bias { bias, relu } => {
+                    for ((o, &a), &bv) in out.iter_mut().zip(&*acc).zip(&bias[c0..c1]) {
+                        *o = a + bv;
+                        if relu {
+                            *o = o.max(0.0);
+                        }
+                    }
+                }
+                Finish::Store => out.copy_from_slice(acc),
+                Finish::Accumulate => {
+                    for (o, &a) in out.iter_mut().zip(&*acc) {
+                        *o += a;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 column-tile kernel. One output column per lane, separate
+/// multiply and add (never `vfmadd`): it rounds exactly like the portable
+/// kernel.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::{
+        __m128i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_loadu_ps,
+        _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm_loadl_epi64,
+    };
+
+    use super::{sparse_rows_portable, Finish, Rows, Weights};
+
+    /// Vector width: one 8-lane f32 register.
+    pub const LANES: usize = 8;
+
+    /// AVX2 [`super::sparse_rows`]: output columns are cut into tiles of
+    /// 64 (then 32, 16, 8, then scalar columns), and every row is reduced
+    /// into one tile before the next tile starts, so the matrix is
+    /// streamed once per call.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sparse_rows_avx2(
+        w: Weights<'_>,
+        out_dim: usize,
+        rows: Rows<'_>,
+        finish: Finish<'_>,
+        y: &mut [f32],
+    ) {
+        let mut j0 = 0;
+        while j0 + 8 * LANES <= out_dim {
+            tile::<8>(w, out_dim, rows, finish, y, j0);
+            j0 += 8 * LANES;
+        }
+        if j0 + 4 * LANES <= out_dim {
+            tile::<4>(w, out_dim, rows, finish, y, j0);
+            j0 += 4 * LANES;
+        }
+        if j0 + 2 * LANES <= out_dim {
+            tile::<2>(w, out_dim, rows, finish, y, j0);
+            j0 += 2 * LANES;
+        }
+        if j0 + LANES <= out_dim {
+            tile::<1>(w, out_dim, rows, finish, y, j0);
+            j0 += LANES;
+        }
+        if j0 < out_dim {
+            sparse_rows_portable(w, out_dim, rows, finish, y, j0..out_dim);
+        }
+    }
+
+    /// One tile of `NV` vectors (`8·NV` output columns from `j0`) for
+    /// every row: the accumulators stay in registers across the row's
+    /// whole reduction, entries in order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. Every access goes through a
+    /// bounds-checked slice of exactly the tile's width.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<const NV: usize>(
+        w: Weights<'_>,
+        out_dim: usize,
+        rows: Rows<'_>,
+        finish: Finish<'_>,
+        y: &mut [f32],
+        j0: usize,
+    ) {
+        let width = NV * LANES;
+        let zero = _mm256_setzero_ps();
+        for (r, &(start, len)) in rows.spans.iter().enumerate() {
+            let mut acc = [zero; NV];
+            for &(idx, val) in &rows.entries[start as usize..start as usize + len as usize] {
+                if val == 0.0 {
+                    continue;
+                }
+                let at = idx as usize * out_dim + j0;
+                match w {
+                    Weights::F32(w) => {
+                        let row = &w[at..at + width];
+                        let cv = _mm256_set1_ps(val);
+                        for (v, a) in acc.iter_mut().enumerate() {
+                            let wv = _mm256_loadu_ps(row.as_ptr().add(v * LANES));
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
+                        }
+                    }
+                    Weights::Int8 { q, scales } => {
+                        let row = &q[at..at + width];
+                        let cv = _mm256_set1_ps(val * scales[idx as usize]);
+                        for (v, a) in acc.iter_mut().enumerate() {
+                            let q8 = _mm_loadl_epi64(row.as_ptr().add(v * LANES) as *const __m128i);
+                            let wv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
+                        }
+                    }
+                }
+            }
+            let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
+            match finish {
+                Finish::Bias { bias, relu } => {
+                    let bias = &bias[j0..j0 + width];
+                    for (v, a) in acc.iter().enumerate() {
+                        let bv = _mm256_loadu_ps(bias.as_ptr().add(v * LANES));
+                        let mut o = _mm256_add_ps(*a, bv);
+                        if relu {
+                            o = _mm256_max_ps(o, zero);
+                        }
+                        _mm256_storeu_ps(out.as_mut_ptr().add(v * LANES), o);
+                    }
+                }
+                Finish::Store => {
+                    for (v, a) in acc.iter().enumerate() {
+                        _mm256_storeu_ps(out.as_mut_ptr().add(v * LANES), *a);
+                    }
+                }
+                Finish::Accumulate => {
+                    for (v, a) in acc.iter().enumerate() {
+                        let at = out.as_mut_ptr().add(v * LANES);
+                        _mm256_storeu_ps(at, _mm256_add_ps(_mm256_loadu_ps(at), *a));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compress_rows_keeps_exactly_the_non_zeros_in_order() {
+        let dense = [
+            0.0f32, 1.5, -0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 4.0,
+        ];
+        let mut set = IndexSet::default();
+        set.push(9, 9.0); // stale contents are replaced
+        set.compress_rows(&dense, 4);
+        assert_eq!(set.elems, vec![(0, 2), (2, 0), (2, 2)]);
+        assert_eq!(set.entries, vec![(1, 1.5), (3, 2.0), (0, -3.0), (3, 4.0)]);
+    }
+
+    #[test]
+    fn transpose_of_lists_each_column_rows_ascending() {
+        // Rows over 4 columns; row 1 is empty, row 2 points at the same
+        // entries as row 0 (a batch may repeat an element).
+        let entries = [(0u32, 1.0f32), (3, 2.0), (1, 5.0), (3, 6.0)];
+        let spans = [(0u32, 2u32), (2, 0), (0, 2), (2, 2)];
+        let rows = Rows {
+            entries: &entries,
+            spans: &spans,
+        };
+        let mut t = IndexSet::default();
+        t.push(7, 7.0); // stale contents are replaced
+        t.transpose_of(rows, 4);
+        assert_eq!(t.elems, vec![(0, 2), (2, 1), (3, 0), (3, 3)]);
+        assert_eq!(
+            t.entries,
+            vec![(0, 1.0), (2, 1.0), (3, 5.0), (0, 2.0), (2, 2.0), (3, 6.0)]
+        );
+        // Transposing back restores the rows (as owned, unshared spans).
+        let mut back = IndexSet::default();
+        back.transpose_of(t.rows(), 4);
+        assert_eq!(back.elems, vec![(0, 2), (2, 0), (2, 2), (4, 2)]);
+        assert_eq!(
+            back.entries,
+            vec![(0, 1.0), (3, 2.0), (0, 1.0), (3, 2.0), (1, 5.0), (3, 6.0)]
+        );
+    }
+
+    #[test]
+    fn finishes_store_add_bias_and_accumulate() {
+        // 2 rows over a 3×9 matrix: 9 columns walk one AVX2 vector and a
+        // scalar remainder.
+        let w: Vec<f32> = (0..27).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let mut x = IndexSet::default();
+        x.compress_rows(&[1.0, 0.0, -2.0, 0.0, 0.0, 0.0], 3);
+        let want: Vec<f32> = (0..9)
+            .map(|j| 1.0 * w[j] + -2.0 * w[18 + j])
+            .chain(std::iter::repeat_n(0.0, 9))
+            .collect();
+        let mut y = vec![f32::NAN; 18];
+        sparse_rows(Weights::F32(&w), 9, x.rows(), Finish::Store, &mut y);
+        assert_eq!(y, want);
+        sparse_rows(Weights::F32(&w), 9, x.rows(), Finish::Accumulate, &mut y);
+        let doubled: Vec<f32> = want.iter().map(|v| v + v).collect();
+        assert_eq!(y, doubled);
+        let bias: Vec<f32> = (0..9).map(|j| j as f32 - 4.0).collect();
+        for relu in [false, true] {
+            let finish = Finish::Bias { bias: &bias, relu };
+            sparse_rows(Weights::F32(&w), 9, x.rows(), finish, &mut y);
+            for (i, (&got, &acc)) in y.iter().zip(&want).enumerate() {
+                let z = acc + bias[i % 9];
+                assert_eq!(got, if relu { z.max(0.0) } else { z }, "relu={relu} i={i}");
+            }
+        }
+    }
+}

@@ -1,23 +1,15 @@
-//! Row-major `f32` matrices and the linear-algebra kernels used in training.
+//! Row-major `f32` matrices: the dense values between the model's kernels.
 //!
-//! The three matmul variants run register-blocked tiled micro-kernels with
-//! optional deterministic row-range parallelism (see [`crate::pool`]). Every
-//! output element accumulates its reduction dimension in strictly ascending
-//! order, so the tiled, parallel, and naive reference kernels agree to exact
-//! `f32` equality at any thread count.
+//! A [`Tensor`] holds activations, gradients and weights. The one product
+//! it offers, [`Tensor::matmul`], runs the crate's one kernel
+//! ([`crate::sparse`]: the left operand's non-zeros times the right
+//! operand, register-tiled), which accumulates every output element in
+//! strictly ascending order of the reduction index — so it agrees with
+//! the naive [`mod@reference`] kernels to exact `f32` equality. The
+//! threaded and transposed products of training live on
+//! [`crate::linear::Linear`], which keeps their scratch.
 
-use crate::pool::{self, PoolConfig};
-
-/// Which inner matmul path to run — selected per call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Register-blocked dense tiles; the default for hidden layers.
-    #[default]
-    Dense,
-    /// Zero-skipping row sweep for the one-hot/bitmap input layer, where
-    /// most left-operand entries are exactly `0.0`.
-    Sparse,
-}
+use crate::sparse::{self, Finish, IndexSet, Weights};
 
 /// A dense row-major matrix of `f32`. A "vector" is a 1×n or n×1 tensor.
 ///
@@ -109,103 +101,23 @@ impl Tensor {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `self · other` — (m×k)·(k×n) = m×n.
+    /// `self · other` — (m×k)·(k×n) = m×n, through the crate's one kernel
+    /// over `self`'s non-zeros. A caller that already holds its left
+    /// operand as sparse rows, wants threads or reuses its output calls
+    /// [`crate::sparse::sparse_rows_pool`] (or
+    /// [`crate::linear::Linear::forward_rows`]) directly.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_pool(other, Kernel::Dense, PoolConfig::single())
-    }
-
-    /// [`Tensor::matmul`] with an explicit kernel and thread pool.
-    pub fn matmul_pool(&self, other: &Tensor, kernel: Kernel, pool: PoolConfig) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.matmul_into(other, kernel, pool, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul`] into a reusable output tensor (resized in place).
-    pub fn matmul_into(&self, other: &Tensor, kernel: Kernel, pool: PoolConfig, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.resize(m, n);
-        let threads = pool.threads_for(m, m * k * n);
-        let (a, b) = (&self.data[..], &other.data[..]);
-        pool::for_each_row_block(&mut out.data, m, n, threads, |r0, rows| match kernel {
-            Kernel::Dense => matmul_rows_dense(a, b, k, n, r0, rows),
-            Kernel::Sparse => matmul_rows_sparse(a, b, k, n, r0, rows),
-        });
-    }
-
-    /// `selfᵀ · other` — (m×k)ᵀ·(m×n) = k×n. Used for weight gradients.
-    pub fn t_matmul(&self, other: &Tensor) -> Tensor {
-        self.t_matmul_pool(other, Kernel::Dense, PoolConfig::single())
-    }
-
-    /// [`Tensor::t_matmul`] with an explicit kernel and thread pool.
-    pub fn t_matmul_pool(&self, other: &Tensor, kernel: Kernel, pool: PoolConfig) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.t_matmul_into(other, kernel, pool, &mut out);
-        out
-    }
-
-    /// [`Tensor::t_matmul`] into a reusable output tensor.
-    pub fn t_matmul_into(
-        &self,
-        other: &Tensor,
-        kernel: Kernel,
-        pool: PoolConfig,
-        out: &mut Tensor,
-    ) {
-        assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.resize(k, n);
-        let threads = pool.threads_for(k, m * k * n);
-        let (a, b) = (&self.data[..], &other.data[..]);
-        pool::for_each_row_block(&mut out.data, k, n, threads, |p0, rows| match kernel {
-            Kernel::Dense => t_matmul_rows_dense(a, b, m, k, n, p0, rows),
-            Kernel::Sparse => t_matmul_rows_sparse(a, b, k, n, p0, rows),
-        });
-    }
-
-    /// `self · otherᵀ` — (m×k)·(n×k)ᵀ = m×n. Used for input gradients.
-    pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        self.matmul_t_pool(other, PoolConfig::single())
-    }
-
-    /// [`Tensor::matmul_t`] with an explicit thread pool. (Both operands of
-    /// an input-gradient product are dense, so there is no sparse path.)
-    pub fn matmul_t_pool(&self, other: &Tensor, pool: PoolConfig) -> Tensor {
-        let mut out = Tensor::zeros(0, 0);
-        self.matmul_t_into(other, pool, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_t`] into a reusable output tensor.
-    ///
-    /// Transposes `other` into a scratch buffer first: a plain
-    /// contiguous-by-contiguous dot is a sequential reduction the compiler
-    /// must not reorder (and therefore cannot vectorize), while the
-    /// transposed form reuses the register-tiled [`Tensor::matmul`] kernel,
-    /// which vectorizes across output columns. Every output element is
-    /// still the same single accumulator summed in ascending `k` order, so
-    /// the result is bit-identical. The scratch is one weight matrix —
-    /// noise next to the m×k×n product it unlocks.
-    pub fn matmul_t_into(&self, other: &Tensor, pool: PoolConfig, out: &mut Tensor) {
-        assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        out.resize(m, n);
-        let mut bt = vec![0.0f32; k * n];
-        for (j, b_row) in other.data.chunks_exact(k.max(1)).enumerate() {
-            for (p, &v) in b_row.iter().enumerate() {
-                bt[p * n + j] = v;
-            }
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        if self.cols > 0 {
+            let left = IndexSet::of_dense(&self.data, self.cols);
+            let right = Weights::F32(&other.data);
+            sparse::sparse_rows(right, other.cols, left.rows(), Finish::Store, &mut out.data);
         }
-        let threads = pool.threads_for(m, m * k * n);
-        let (a, b) = (&self.data[..], &bt[..]);
-        pool::for_each_row_block(&mut out.data, m, n, threads, |r0, rows| {
-            matmul_rows_dense(a, b, k, n, r0, rows)
-        });
+        out
     }
 
     /// Adds `vec` (length = cols) to every row — bias broadcast.
@@ -220,24 +132,47 @@ impl Tensor {
 
     /// Column sums — gradient of a bias broadcast.
     pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
+        let mut out = Vec::new();
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::col_sums`] into a reusable buffer: each column summed
+    /// from zero, rows ascending.
+    pub fn col_sums_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, &v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Explicit transpose (rows ↔ cols).
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
+        let mut out = Tensor::zeros(0, 0);
+        self.transpose_into(&mut out);
         out
+    }
+
+    /// [`Tensor::transpose`] into a reusable output tensor, eight source
+    /// rows at a time so every write is a contiguous run.
+    pub fn transpose_into(&self, out: &mut Tensor) {
+        const BLOCK: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize(cols, rows);
+        let mut r0 = 0;
+        while r0 < rows {
+            let height = BLOCK.min(rows - r0);
+            for c in 0..cols {
+                let run = &mut out.data[c * rows + r0..c * rows + r0 + height];
+                for (i, o) in run.iter_mut().enumerate() {
+                    *o = self.data[(r0 + i) * cols + c];
+                }
+            }
+            r0 += height;
+        }
     }
 
     /// Elementwise scaling in place.
@@ -322,366 +257,10 @@ impl Tensor {
     }
 }
 
-// --- register-blocked micro-kernels -------------------------------------
-//
-// All kernels share one determinism contract: each output element is owned
-// by exactly one (tile, lane) and accumulates its reduction dimension in
-// strictly ascending order into a dedicated f32 accumulator. Tiling only
-// partitions the *output* — it never reorders a reduction — so the tiled,
-// edge, sparse, and reference paths produce bit-identical results. The
-// sparse path skips `a == 0.0` terms; adding `±0.0` to a finite running
-// sum that started at `+0.0` cannot change its bits, so even that is
-// exact.
-
-/// Output-row tile height of the dense micro-kernels.
-const MR: usize = 4;
-/// Output-column tile width of the dense `matmul` micro-kernel.
-const NR: usize = 8;
-
-/// Dense `a[r0.., :k] · b[k×n]` into `out` (rows `r0..r0+out.len()/n`).
-///
-/// Dispatches to the 8-wide AVX2 micro-kernel when the CPU has it and the
-/// shape is wide enough to use full vectors; the portable kernel is the
-/// fallback. Both compute every output element as the same p-ascending
-/// single-accumulator sum, so the choice never changes a single bit.
-fn matmul_rows_dense(a: &[f32], b: &[f32], k: usize, n: usize, r0: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if n >= x86::NW && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::matmul_rows_dense_avx2(a, b, k, n, r0, out) };
-        return;
-    }
-    matmul_rows_dense_portable(a, b, k, n, r0, out)
-}
-
-/// Portable (autovectorizing) dense matmul micro-kernel.
-fn matmul_rows_dense_portable(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    r0: usize,
-    out: &mut [f32],
-) {
-    let rows = out.len() / n.max(1);
-    let mut r = 0;
-    while r + MR <= rows {
-        let ar = &a[(r0 + r) * k..];
-        let mut j = 0;
-        while j + NR <= n {
-            // 4×8 register tile: 32 independent accumulators, each summing
-            // its own dot product with p ascending. The branch-free body
-            // autovectorizes to fused mul-add lanes over `bp`.
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let bp = &b[p * n + j..p * n + j + NR];
-                let av = [ar[p], ar[k + p], ar[2 * k + p], ar[3 * k + p]];
-                for (accr, &arv) in acc.iter_mut().zip(&av) {
-                    for (o, &bv) in accr.iter_mut().zip(bp) {
-                        *o += arv * bv;
-                    }
-                }
-            }
-            for (i, accr) in acc.iter().enumerate() {
-                out[(r + i) * n + j..(r + i) * n + j + NR].copy_from_slice(accr);
-            }
-            j += NR;
-        }
-        // Column remainder: one accumulator per element, same p order.
-        for jj in j..n {
-            let mut acc = [0.0f32; MR];
-            for p in 0..k {
-                let bv = b[p * n + jj];
-                for (o, i) in acc.iter_mut().zip(0..MR) {
-                    *o += ar[i * k + p] * bv;
-                }
-            }
-            for (i, &v) in acc.iter().enumerate() {
-                out[(r + i) * n + jj] = v;
-            }
-        }
-        r += MR;
-    }
-    // Row remainder: plain per-element dot products, p ascending.
-    for rr in r..rows {
-        let ar = &a[(r0 + rr) * k..(r0 + rr) * k + k];
-        for jj in 0..n {
-            let mut acc = 0.0f32;
-            for (p, &av) in ar.iter().enumerate() {
-                acc += av * b[p * n + jj];
-            }
-            out[rr * n + jj] = acc;
-        }
-    }
-}
-
-/// Sparse (zero-skipping) `a[r0.., :k] · b[k×n]` — the input-layer fast
-/// path, where `a` rows are one-hot/bitmap features that are mostly zero.
-fn matmul_rows_sparse(a: &[f32], b: &[f32], k: usize, n: usize, r0: usize, out: &mut [f32]) {
-    for (r, out_row) in out.chunks_mut(n.max(1)).enumerate() {
-        let a_row = &a[(r0 + r) * k..(r0 + r) * k + k];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Dense `aᵀ[p0.., :] · b` into `out` (rows `p0..` of the k×n result).
-/// `a` is m×k, `b` is m×n; the reduction runs over `i` ascending.
-fn t_matmul_rows_dense(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    p0: usize,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if n >= x86::NW && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::t_matmul_rows_dense_avx2(a, b, m, k, n, p0, out) };
-        return;
-    }
-    t_matmul_rows_dense_portable(a, b, m, k, n, p0, out)
-}
-
-/// Portable (autovectorizing) dense `aᵀ · b` micro-kernel.
-fn t_matmul_rows_dense_portable(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    p0: usize,
-    out: &mut [f32],
-) {
-    let rows = out.len() / n.max(1);
-    let mut p = 0;
-    while p + MR <= rows {
-        // 4 output rows at once: every b-row load is shared by 4 lanes.
-        let (o0, rest) = out[p * n..].split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
-        let o3 = &mut o3[..n];
-        for i in 0..m {
-            let ai = &a[i * k..];
-            let av = [ai[p0 + p], ai[p0 + p + 1], ai[p0 + p + 2], ai[p0 + p + 3]];
-            let b_row = &b[i * n..(i + 1) * n];
-            for (j, &bv) in b_row.iter().enumerate() {
-                o0[j] += av[0] * bv;
-                o1[j] += av[1] * bv;
-                o2[j] += av[2] * bv;
-                o3[j] += av[3] * bv;
-            }
-        }
-        p += MR;
-    }
-    for pp in p..rows {
-        let out_row = &mut out[pp * n..(pp + 1) * n];
-        for i in 0..m {
-            let av = a[i * k + p0 + pp];
-            let b_row = &b[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Sparse `aᵀ[p0.., :] · b` — skips `a[i][p] == 0` terms. Used when the
-/// forward input was one-hot/bitmap (input-layer weight gradients).
-fn t_matmul_rows_sparse(a: &[f32], b: &[f32], k: usize, n: usize, p0: usize, out: &mut [f32]) {
-    let rows = out.len() / n.max(1);
-    let m = a.len() / k.max(1);
-    for i in 0..m {
-        let ai = &a[i * k + p0..i * k + p0 + rows];
-        let b_row = &b[i * n..(i + 1) * n];
-        for (pp, &av) in ai.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut out[pp * n..(pp + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Explicit AVX2 variants of the dense micro-kernels, selected at runtime.
-///
-/// Determinism contract: a vector lane is one output column, so each output
-/// element still accumulates its reduction in the same ascending order into
-/// its own `f32` slot, and multiply/add stay two separate (individually
-/// rounded) instructions — never a fused `vfmadd` — so these produce
-/// bit-identical results to the portable kernels at twice the width the
-/// autovectorizer reaches against the baseline x86-64 target.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-
-    use super::MR;
-
-    /// Output-column tile width: two 8-lane vectors per accumulator row.
-    pub(super) const NW: usize = 16;
-
-    #[inline(always)]
-    unsafe fn mul_acc(acc: __m256, av: __m256, bv: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_mul_ps(av, bv))
-    }
-
-    /// AVX2 `a[r0.., :k] · b[k×n]`; see [`super::matmul_rows_dense`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_rows_dense_avx2(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-        r0: usize,
-        out: &mut [f32],
-    ) {
-        let rows = out.len() / n.max(1);
-        let n_main = n - n % NW;
-        let bp0 = b.as_ptr();
-        let mut r = 0;
-        while r + MR <= rows {
-            let ar = a[(r0 + r) * k..].as_ptr();
-            let mut j = 0;
-            while j < n_main {
-                // 4×16 register tile: 8 vector accumulators (64 output
-                // elements), each lane summing its own dot with p ascending.
-                let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-                for p in 0..k {
-                    let b0 = _mm256_loadu_ps(bp0.add(p * n + j));
-                    let b1 = _mm256_loadu_ps(bp0.add(p * n + j + 8));
-                    for (i, lane) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(*ar.add(i * k + p));
-                        lane[0] = mul_acc(lane[0], av, b0);
-                        lane[1] = mul_acc(lane[1], av, b1);
-                    }
-                }
-                for (i, lane) in acc.iter().enumerate() {
-                    let op = out.as_mut_ptr().add((r + i) * n + j);
-                    _mm256_storeu_ps(op, lane[0]);
-                    _mm256_storeu_ps(op.add(8), lane[1]);
-                }
-                j += NW;
-            }
-            // Column remainder: scalar accumulators, same p order.
-            for jj in j..n {
-                let mut acc = [0.0f32; MR];
-                for p in 0..k {
-                    let bv = b[p * n + jj];
-                    for (i, o) in acc.iter_mut().enumerate() {
-                        *o += *ar.add(i * k + p) * bv;
-                    }
-                }
-                for (i, &v) in acc.iter().enumerate() {
-                    out[(r + i) * n + jj] = v;
-                }
-            }
-            r += MR;
-        }
-        // Row remainder: plain per-element dot products, p ascending.
-        for rr in r..rows {
-            let a_row = &a[(r0 + rr) * k..(r0 + rr) * k + k];
-            for jj in 0..n {
-                let mut acc = 0.0f32;
-                for (p, &av) in a_row.iter().enumerate() {
-                    acc += av * b[p * n + jj];
-                }
-                out[rr * n + jj] = acc;
-            }
-        }
-    }
-
-    /// AVX2 `aᵀ[p0.., :] · b`; see [`super::t_matmul_rows_dense`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn t_matmul_rows_dense_avx2(
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        p0: usize,
-        out: &mut [f32],
-    ) {
-        let rows = out.len() / n.max(1);
-        let n_main = n - n % NW;
-        let (ap0, bp0) = (a.as_ptr(), b.as_ptr());
-        let mut p = 0;
-        while p + MR <= rows {
-            let mut j = 0;
-            while j < n_main {
-                // Same 4×16 tile as the matmul kernel; the four `a` values
-                // per step are contiguous (`a[i][p0+p..+4]`), the reduction
-                // runs over `i` ascending.
-                let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-                for i in 0..m {
-                    let b0 = _mm256_loadu_ps(bp0.add(i * n + j));
-                    let b1 = _mm256_loadu_ps(bp0.add(i * n + j + 8));
-                    let av = ap0.add(i * k + p0 + p);
-                    for (lane_i, lane) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(*av.add(lane_i));
-                        lane[0] = mul_acc(lane[0], av, b0);
-                        lane[1] = mul_acc(lane[1], av, b1);
-                    }
-                }
-                for (lane_i, lane) in acc.iter().enumerate() {
-                    let op = out.as_mut_ptr().add((p + lane_i) * n + j);
-                    _mm256_storeu_ps(op, lane[0]);
-                    _mm256_storeu_ps(op.add(8), lane[1]);
-                }
-                j += NW;
-            }
-            // Column remainder: scalar accumulators, same i order.
-            for jj in j..n {
-                let mut acc = [0.0f32; MR];
-                for i in 0..m {
-                    let bv = b[i * n + jj];
-                    for (lane_i, o) in acc.iter_mut().enumerate() {
-                        *o += *ap0.add(i * k + p0 + p + lane_i) * bv;
-                    }
-                }
-                for (lane_i, &v) in acc.iter().enumerate() {
-                    out[(p + lane_i) * n + jj] = v;
-                }
-            }
-            p += MR;
-        }
-        // Row remainder: i-ascending axpy into the (zeroed) output row.
-        for pp in p..rows {
-            let out_row = &mut out[pp * n..(pp + 1) * n];
-            for i in 0..m {
-                let av = a[i * k + p0 + pp];
-                let b_row = &b[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
-
 /// The original naive kernels, kept verbatim as the oracle for the
 /// property tests in `tests/kernel_properties.rs` — the tiled/parallel
-/// paths must agree with these to exact f32 equality.
+/// kernel behind every forward, input-gradient and weight-gradient product
+/// must agree with these to exact f32 equality.
 #[doc(hidden)]
 pub mod reference {
     use super::Tensor;
@@ -772,29 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn t_matmul_matches_explicit_transpose() {
-        let a = t(3, 2, &[1., 2., 3., 4., 5., 6.]);
-        let b = t(3, 2, &[1., 0., 0., 1., 1., 1.]);
-        // aᵀ·b where aᵀ is 2×3.
-        let c = a.t_matmul(&b);
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.cols(), 2);
-        // aᵀ = [[1,3,5],[2,4,6]]; aᵀ·b = [[1+0+5, 0+3+5],[2+0+6, 0+4+6]]
-        assert_eq!(c.data(), &[6., 8., 8., 10.]);
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let a = t(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let b = t(2, 3, &[1., 1., 1., 2., 0., 1.]);
-        // a·bᵀ: 2×2
-        let c = a.matmul_t(&b);
-        assert_eq!(c.data(), &[6., 5., 15., 14.]);
-    }
-
-    #[test]
-    fn transposed_products_agree_with_plain_matmul() {
-        // Random-ish data: verify t_matmul(a, b) == transpose(a) · b.
+    fn reference_transposed_products_agree_with_plain_matmul() {
         let a = t(
             4,
             3,
@@ -805,29 +362,13 @@ mod tests {
             2,
             &(0..8).map(|i| (i as f32) * 0.25 + 1.0).collect::<Vec<_>>(),
         );
-        let mut at = Tensor::zeros(3, 4);
-        for r in 0..4 {
-            for c in 0..3 {
-                at.set(c, r, a.get(r, c));
-            }
-        }
-        assert_eq!(a.t_matmul(&b), at.matmul(&b));
-
-        let mut bt = Tensor::zeros(2, 4);
-        for r in 0..4 {
-            for c in 0..2 {
-                bt.set(c, r, b.get(r, c));
-            }
-        }
-        // a is 4×3; matmul_t needs matching cols: use (4×3)·(2×3)ᵀ
+        assert_eq!(reference::t_matmul(&a, &b), a.transpose().matmul(&b));
         let b2 = t(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let mut b2t = Tensor::zeros(3, 2);
-        for r in 0..2 {
-            for c in 0..3 {
-                b2t.set(c, r, b2.get(r, c));
-            }
-        }
-        assert_eq!(a.matmul_t(&b2), a.matmul(&b2t));
+        assert_eq!(reference::matmul_t(&a, &b2), a.matmul(&b2.transpose()));
+        assert_eq!(
+            reference::matmul(&a, &b2.transpose()),
+            a.matmul(&b2.transpose())
+        );
     }
 
     #[test]
@@ -854,6 +395,25 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
         t(2, 3, &[0.; 6]).matmul(&t(2, 2, &[0.; 4]));
+    }
+
+    #[test]
+    fn transpose_handles_ragged_blocks() {
+        for (rows, cols) in [(1, 1), (3, 5), (8, 2), (13, 9), (16, 16)] {
+            let src = t(
+                rows,
+                cols,
+                &(0..rows * cols).map(|i| i as f32).collect::<Vec<_>>(),
+            );
+            let mut dst = t(1, 3, &[9.0; 3]); // stale shape and contents
+            src.transpose_into(&mut dst);
+            assert_eq!((dst.rows(), dst.cols()), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(dst.get(c, r), src.get(r, c), "{rows}x{cols}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Property tests pinning the tiled/parallel matmul kernels to the naive
-//! reference oracle (`ds_nn::tensor::reference`) — **exact** f32 equality,
-//! not approximate: the tiled kernels only re-tile the output, never a
-//! reduction, so every element must come out bit-identical. Each property
-//! runs at thread counts {1, 2, 8} on both dense-random and mostly-zero
-//! (one-hot-like) inputs.
+//! Property tests pinning the tiled/parallel kernel behind every product
+//! of the model — forward, input gradient, weight gradient, in training
+//! and frozen for serving — to the naive reference oracle
+//! (`ds_nn::tensor::reference`): **exact** f32 equality, not approximate.
+//! The kernel only re-tiles the output, never a reduction, and skipping a
+//! zero is bit-neutral, so every element must come out bit-identical.
+//!
+//! Two sets of shapes: small random ones (`m, k, n < 40`, at most two AVX2
+//! tiles and every ragged remainder) and the shapes the model runs —
+//! `n ∈ {64, 256}`, `k ∈ {5, 13, 256, 262, 768}` — each with left operands that
+//! are 0 %, 50 % and 100 % zero and carry `-0.0` and subnormals, at thread
+//! counts {1, 2, 8}.
 
+use ds_nn::frozen::{FrozenLinear, IndexSet, QuantMode};
+use ds_nn::linear::{GradScratch, Linear};
 use ds_nn::pool::PoolConfig;
-use ds_nn::tensor::{reference, Kernel, Tensor};
+use ds_nn::tensor::{reference, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -15,28 +23,32 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Dense tensor with uniform values in [-1, 1).
 fn dense(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
-    let data = (0..rows * cols)
-        .map(|_| rng.random_range(-1.0f32..1.0))
-        .collect();
-    Tensor::from_vec(rows, cols, data)
+    with_zeros(rows, cols, 0.0, rng)
 }
 
-/// Mostly-zero tensor: each entry is nonzero with probability ~1/8,
-/// mimicking the one-hot/bitmap feature rows of the MSCN input layer.
+/// Mostly-zero tensor: each entry is nonzero with probability ~1/8, like a
+/// one-hot row with a short bitmap tail.
 fn sparse(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+    with_zeros(rows, cols, 0.875, rng)
+}
+
+/// Uniform values in [-1, 1), each replaced by an exact zero with
+/// probability `zero_share`.
+fn with_zeros(rows: usize, cols: usize, zero_share: f64, rng: &mut StdRng) -> Tensor {
     let data = (0..rows * cols)
         .map(|_| {
-            if rng.random_bool(0.125) {
-                rng.random_range(-1.0f32..1.0)
-            } else {
+            if rng.random_bool(zero_share) {
                 0.0
+            } else {
+                rng.random_range(-1.0f32..1.0)
             }
         })
         .collect();
     Tensor::from_vec(rows, cols, data)
 }
 
-/// Asserts exact (bitwise, via `==` on finite data) equality.
+/// Asserts exact equality; `-0.0 == +0.0` holds, as it does between the
+/// kernel's `max(z, 0)` and the oracle's.
 fn assert_same(got: &Tensor, want: &Tensor, what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.rows(), want.rows(), "{} rows", what);
     prop_assert_eq!(got.cols(), want.cols(), "{} cols", what);
@@ -55,104 +67,134 @@ fn assert_same(got: &Tensor, want: &Tensor, what: &str) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// `relu?(x·W + b)` the naive way.
+fn reference_forward(x: &Tensor, layer: &Linear, relu: bool) -> Tensor {
+    let mut want = reference::matmul(x, layer.weights());
+    want.add_row_broadcast(layer.bias());
+    if relu {
+        want = want.map(|v| v.max(0.0));
+    }
+    want
+}
+
+/// The layer's accumulated `(∂L/∂W, ∂L/∂b)`.
+fn grads_of(layer: &mut Linear) -> (Tensor, Vec<f32>) {
+    let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+    let [(_, gw), (_, gb)] = layer.params_and_grads_mut();
+    (Tensor::from_vec(in_dim, out_dim, gw.to_vec()), gb.to_vec())
+}
+
+/// Every product of one layer over one input, against the oracle: the
+/// training forward with and without ReLU, its frozen copy (AVX2 and
+/// portable), the weight and bias gradients accumulated twice, and the
+/// input gradient — each at every thread count.
+fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), TestCaseError> {
+    let rows = IndexSet::of_dense(x.data(), x.cols());
+    let what = format!("{}x{}·{}", x.rows(), x.cols(), layer.out_dim());
+    let frozen = FrozenLinear::from_linear(layer, QuantMode::F32);
+    let mut scratch = GradScratch::new();
+    let mut out = Tensor::zeros(3, 7); // wrong shape, overwritten
+    for relu in [false, true] {
+        let want = reference_forward(x, layer, relu);
+        for threads in THREAD_COUNTS {
+            layer.forward_rows(rows.rows(), relu, PoolConfig::new(threads), &mut out);
+            assert_same(
+                &out,
+                &want,
+                &format!("forward {what} relu={relu} t={threads}"),
+            )?;
+        }
+        let mut y = vec![f32::NAN; want.data().len()];
+        frozen.forward_rows(&rows, relu, &mut y);
+        let got = Tensor::from_vec(want.rows(), want.cols(), y.clone());
+        assert_same(&got, &want, &format!("frozen {what} relu={relu}"))?;
+        frozen.forward_rows_portable(&rows, relu, &mut y);
+        let got = Tensor::from_vec(want.rows(), want.cols(), y);
+        assert_same(&got, &want, &format!("portable {what} relu={relu}"))?;
+    }
+    assert_same(
+        &x.matmul(layer.weights()),
+        &reference::matmul(x, layer.weights()),
+        "matmul",
+    )?;
+
+    let once_w = reference::t_matmul(x, grad_out);
+    let once_b = grad_out.col_sums();
+    let want_in = reference::matmul_t(grad_out, layer.weights());
+    for threads in THREAD_COUNTS {
+        let pool = PoolConfig::new(threads);
+        let mut layer = layer.clone();
+        for pass in 1..=2 {
+            layer.accumulate_grads(rows.rows(), grad_out, pool, &mut scratch);
+            // The second pass adds the same full product to the first.
+            let scale = |v: f32| if pass == 1 { v } else { v + v };
+            let (gw, gb) = grads_of(&mut layer);
+            assert_same(
+                &gw,
+                &once_w.map(scale),
+                &format!("grad_w {what} t={threads}"),
+            )?;
+            let want_b: Vec<f32> = once_b.iter().map(|&v| scale(v)).collect();
+            prop_assert_eq!(gb, want_b, "grad_b {} t={}", &what, threads);
+        }
+        layer.input_grad_into(grad_out, pool, &mut scratch, &mut out);
+        assert_same(&out, &want_in, &format!("input_grad {what} t={threads}"))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn matmul_matches_reference(m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1_000_000) {
+    fn small_shapes_match_reference(m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for a in [dense(m, k, &mut rng), sparse(m, k, &mut rng)] {
-            let b = dense(k, n, &mut rng);
-            let want = reference::matmul(&a, &b);
-            for threads in THREAD_COUNTS {
-                let pool = PoolConfig::new(threads);
-                for kernel in [Kernel::Dense, Kernel::Sparse] {
-                    let got = a.matmul_pool(&b, kernel, pool);
-                    assert_same(&got, &want, &format!("matmul t={threads} {kernel:?}"))?;
-                }
-            }
+        let layer = Linear::from_params(dense(k, n, &mut rng), dense(1, n, &mut rng).data().to_vec());
+        for x in [dense(m, k, &mut rng), sparse(m, k, &mut rng)] {
+            // Output gradients are ReLU-masked in the model: half zeros.
+            let grad_out = with_zeros(m, n, 0.5, &mut rng);
+            check_layer(&x, &layer, &grad_out)?;
         }
-    }
-
-    #[test]
-    fn t_matmul_matches_reference(m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for a in [dense(m, k, &mut rng), sparse(m, k, &mut rng)] {
-            let b = dense(m, n, &mut rng);
-            let want = reference::t_matmul(&a, &b);
-            for threads in THREAD_COUNTS {
-                let pool = PoolConfig::new(threads);
-                for kernel in [Kernel::Dense, Kernel::Sparse] {
-                    let got = a.t_matmul_pool(&b, kernel, pool);
-                    assert_same(&got, &want, &format!("t_matmul t={threads} {kernel:?}"))?;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_t_matches_reference(m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for a in [dense(m, k, &mut rng), sparse(m, k, &mut rng)] {
-            let b = dense(n, k, &mut rng);
-            let want = reference::matmul_t(&a, &b);
-            for threads in THREAD_COUNTS {
-                let got = a.matmul_t_pool(&b, PoolConfig::new(threads));
-                assert_same(&got, &want, &format!("matmul_t t={threads}"))?;
-            }
-        }
-    }
-
-    #[test]
-    fn into_variants_reuse_allocations(m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = dense(m, k, &mut rng);
-        let b = dense(k, n, &mut rng);
-        // Start from a scratch tensor of the wrong shape filled with junk;
-        // the _into kernels must fully overwrite it.
-        let mut out = dense(7, 3, &mut rng);
-        a.matmul_into(&b, Kernel::Dense, PoolConfig::new(2), &mut out);
-        assert_same(&out, &reference::matmul(&a, &b), "matmul_into")?;
-        let b2 = dense(m, n, &mut rng);
-        a.t_matmul_into(&b2, Kernel::Sparse, PoolConfig::new(2), &mut out);
-        assert_same(&out, &reference::t_matmul(&a, &b2), "t_matmul_into")?;
-        let b3 = dense(n, k, &mut rng);
-        a.matmul_t_into(&b3, PoolConfig::new(2), &mut out);
-        assert_same(&out, &reference::matmul_t(&a, &b3), "matmul_t_into")?;
     }
 }
 
-/// Shapes larger than the parallel-gate threshold actually fan out; make
-/// sure the bit-identity holds there too (the proptest shapes above stay
-/// below `PAR_MIN_FLOPS`, so they exercise the serial path).
+/// Plants the values a zero-skipping kernel could trip on: `-0.0` (equal
+/// to zero, so skipped, and bit-neutral when not), the smallest subnormal
+/// and the largest one.
+fn plant_edge_values(t: &mut Tensor) {
+    let edge = [-0.0f32, f32::from_bits(1), -f32::from_bits(0x007f_ffff)];
+    let len = t.data().len();
+    for (i, &v) in edge.iter().cycle().take(len.min(24)).enumerate() {
+        t.data_mut()[(i * 37) % len] = v;
+    }
+}
+
+/// The shapes the model runs at hidden widths 64 and 256: the input layers
+/// (`k` = 5 joins, 13 predicate features, 262 table features), a hidden
+/// layer (`k = 256`) and the output MLP's first layer (`k = 768 = 3·256`),
+/// with 130 rows — a batch and a ragged thread split — that are dense,
+/// half zero (post-ReLU) and all zero, everything carrying `-0.0` and
+/// subnormals. These fan out across threads (the small shapes above stay
+/// below the pool's threshold).
 #[test]
-fn large_shapes_are_bit_identical_across_thread_counts() {
+fn model_shapes_match_reference_with_zeros_negative_zeros_and_subnormals() {
     let mut rng = StdRng::seed_from_u64(0xD15C);
-    for (m, k, n) in [(128, 96, 64), (257, 33, 129)] {
-        let a = dense(m, k, &mut rng);
-        let s = sparse(m, k, &mut rng);
-        let b = dense(k, n, &mut rng);
-        let bt = dense(n, k, &mut rng);
-        let bm = dense(m, n, &mut rng);
-        let base_mm = reference::matmul(&a, &b);
-        let base_mm_sparse = reference::matmul(&s, &b);
-        let base_tm = reference::t_matmul(&a, &bm);
-        let base_mt = reference::matmul_t(&a, &bt);
-        for threads in THREAD_COUNTS {
-            let pool = PoolConfig::new(threads);
-            assert_eq!(
-                a.matmul_pool(&b, Kernel::Dense, pool).data(),
-                base_mm.data()
-            );
-            assert_eq!(
-                s.matmul_pool(&b, Kernel::Sparse, pool).data(),
-                base_mm_sparse.data()
-            );
-            assert_eq!(
-                a.t_matmul_pool(&bm, Kernel::Dense, pool).data(),
-                base_tm.data()
-            );
-            assert_eq!(a.matmul_t_pool(&bt, pool).data(), base_mt.data());
+    let m = 130;
+    for n in [64usize, 256] {
+        for k in [5usize, 13, 256, 262, 768] {
+            let mut w = dense(k, n, &mut rng);
+            plant_edge_values(&mut w);
+            let layer = Linear::from_params(w, dense(1, n, &mut rng).data().to_vec());
+            for zero_share in [0.0, 0.5, 1.0] {
+                let mut x = with_zeros(m, k, zero_share, &mut rng);
+                let mut grad_out = with_zeros(m, n, 0.5, &mut rng);
+                if zero_share < 1.0 {
+                    plant_edge_values(&mut x);
+                    plant_edge_values(&mut grad_out);
+                }
+                check_layer(&x, &layer, &grad_out)
+                    .unwrap_or_else(|e| panic!("k={k} n={n} zeros={zero_share}: {e}"));
+            }
         }
     }
 }

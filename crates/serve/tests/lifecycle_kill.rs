@@ -71,7 +71,9 @@ fn drifted_workload(db: &Database, want: usize) -> Vec<(String, u64)> {
     }
     let (sqls, queries): (Vec<String>, Vec<_>) = by_sql.into_iter().unzip();
     let execs: Vec<_> = queries.iter().map(|q| q.to_exec()).collect();
-    let counts = ds_storage::exec::count_batch(db, &execs, 1).expect("count workload");
+    let counts = ds_storage::exec::CountExecutor::new()
+        .count_batch(db, &execs, 1)
+        .expect("count workload");
     sqls.into_iter()
         .zip(counts)
         .map(|(sql, c)| (sql, c.max(1).saturating_mul(DRIFT_FACTOR)))

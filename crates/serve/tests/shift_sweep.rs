@@ -41,7 +41,8 @@ const DRIFT_MIN_SAMPLES: u64 = 24;
 /// True cardinalities for a workload, floored at 1 (the estimate floor).
 fn true_counts(db: &Database, queries: &[Query]) -> Vec<u64> {
     let execs: Vec<_> = queries.iter().map(Query::to_exec).collect();
-    ds_storage::exec::count_batch(db, &execs, 1)
+    ds_storage::exec::CountExecutor::new()
+        .count_batch(db, &execs, 1)
         .expect("workload executes")
         .into_iter()
         .map(|c| c.max(1))

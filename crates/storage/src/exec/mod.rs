@@ -8,22 +8,20 @@
 //!
 //! * [`CountExecutor`] — production path. Counts acyclic (tree-shaped)
 //!   equi-join queries in one pass per table using Yannakakis-style
-//!   message passing: each table sends its parent a `join-key → count`
-//!   map, so no intermediate join result is ever materialized.
+//!   message passing over dictionary-encoded join keys: each table sends
+//!   its parent a dense per-key-code count vector, so no intermediate join
+//!   result is ever materialized and no row is ever hashed.
+//!   [`CountExecutor::count_batch`] labels many queries in parallel,
+//!   mirroring the demo's use of "multiple HyPer instances" for
+//!   training-label generation.
 //! * [`NaiveExecutor`] — an intentionally simple hash-join engine that
 //!   materializes intermediate results. It exists to differentially test
 //!   the production path and for (small) cyclic queries.
-//!
-//! [`count_batch`] executes many queries in parallel with crossbeam scoped
-//! threads, mirroring the demo's use of "multiple HyPer instances" for
-//! training-label generation.
 
 mod naive;
-mod parallel;
 mod query;
 mod yannakakis;
 
 pub use naive::NaiveExecutor;
-pub use parallel::count_batch;
 pub use query::{ExecError, ExecQuery, JoinEdge};
 pub use yannakakis::CountExecutor;

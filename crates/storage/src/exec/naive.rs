@@ -29,7 +29,14 @@ impl NaiveExecutor {
         // Filter each table up front.
         let mut filtered: HashMap<TableId, Vec<u32>> = HashMap::new();
         for &t in &query.tables {
-            filtered.insert(t, db.table(t).filter_rows(&query.preds_of(t)));
+            let table = db.table(t);
+            let qualifies = |row: usize| {
+                query
+                    .preds_of(t)
+                    .all(|p| p.eval_row(table.column(p.col), row))
+            };
+            let rows = (0..table.num_rows()).filter(|&row| qualifies(row));
+            filtered.insert(t, rows.map(|row| row as u32).collect());
         }
 
         // Current intermediate result: which tables are bound (in order) and

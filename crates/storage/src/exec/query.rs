@@ -121,13 +121,12 @@ impl ExecQuery {
         }
     }
 
-    /// Predicates attached to `t`.
-    pub fn preds_of(&self, t: TableId) -> Vec<ColPredicate> {
+    /// Predicates attached to `t`, borrowed in query order.
+    pub fn preds_of(&self, t: TableId) -> impl Iterator<Item = &ColPredicate> + Clone {
         self.predicates
             .iter()
-            .filter(|(tid, _)| *tid == t)
-            .map(|(_, p)| p.clone())
-            .collect()
+            .filter(move |(tid, _)| *tid == t)
+            .map(|(_, p)| p)
     }
 
     /// Validates structural invariants shared by all executors: non-empty
@@ -326,8 +325,8 @@ mod tests {
                 (TableId(0), ColPredicate::new(0, CmpOp::Gt, 0)),
             ],
         };
-        assert_eq!(q.preds_of(TableId(0)).len(), 2);
-        assert_eq!(q.preds_of(TableId(1)).len(), 1);
+        assert_eq!(q.preds_of(TableId(0)).count(), 2);
+        assert_eq!(q.preds_of(TableId(1)).count(), 1);
     }
 
     #[test]

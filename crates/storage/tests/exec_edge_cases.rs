@@ -190,7 +190,7 @@ fn contradictory_predicates_yield_zero() {
 
 #[test]
 fn executor_count_is_stable_across_repeated_calls() {
-    // The leaf-message cache must not corrupt repeated evaluations.
+    // The message cache must not corrupt repeated evaluations.
     let a = Table::new("a", vec![Column::new("id", (0..50).collect())]);
     let b = Table::new(
         "b",
@@ -208,4 +208,197 @@ fn executor_count_is_stable_across_repeated_calls() {
         assert_eq!(exec.count(&db, &q).unwrap(), first);
     }
     assert_eq!(first, 200);
+}
+
+/// Counts `q` with the long-lived executor `exec` (dictionaries and cached
+/// messages from earlier queries in play), with a fresh one, and with the
+/// naive engine; all three must agree.
+fn all_three(exec: &CountExecutor, db: &Database, q: &ExecQuery) -> u64 {
+    let shared = exec.count(db, q).expect("shared executor");
+    assert_eq!(shared, both(db, q), "a reused executor disagrees");
+    shared
+}
+
+#[test]
+fn nulls_on_either_side_of_a_join_match_nothing() {
+    // a.id has a NULL (parent side), b.a_id has NULLs (child side), and
+    // b.id / c.b_id carry NULLs one level down, so NULL keys sit on the
+    // probing side and on the message side of both edges.
+    let null_at = |len: usize, at: &[usize]| {
+        let mut m = Bitmap::new(len);
+        for &i in at {
+            m.set(i);
+        }
+        m
+    };
+    let a = Table::new(
+        "a",
+        vec![Column::with_nulls("id", vec![1, 2, 3, 2], null_at(4, &[3]))],
+    );
+    let b = Table::new(
+        "b",
+        vec![
+            Column::with_nulls("a_id", vec![1, 1, 2, 3, 2, 2], null_at(6, &[1, 5])),
+            Column::with_nulls("id", vec![10, 11, 12, 13, 14, 12], null_at(6, &[4])),
+            Column::new("v", vec![0, 1, 0, 1, 0, 1]),
+        ],
+    );
+    let c = Table::new(
+        "c",
+        vec![Column::with_nulls(
+            "b_id",
+            vec![10, 12, 12, 13, 14, 11, 12],
+            null_at(7, &[2, 4]),
+        )],
+    );
+    let db = Database::new("nulls", vec![a, b, c], vec![]);
+    let joins = vec![edge(1, 0, 0, 0), edge(2, 0, 1, 1)];
+    let exec = CountExecutor::new();
+    // Every rooting: NULLs are met as probes and as message keys.
+    for tables in [[0, 1, 2], [1, 0, 2], [2, 1, 0]] {
+        let tables: Vec<TableId> = tables.into_iter().map(TableId).collect();
+        let free = ExecQuery {
+            tables: tables.clone(),
+            joins: joins.clone(),
+            predicates: vec![],
+        };
+        // b rows surviving both edges: 0 (a 1, c 10), 2 (a 2 — the other
+        // a 2 is NULL — and c 12 twice, the third c 12 being NULL) and
+        // 3 (a 3, c 13). Rows 1 and 5 have NULL a_ids, row 4 a NULL id.
+        assert_eq!(all_three(&exec, &db, &free), 4, "{tables:?}");
+        let filtered = ExecQuery {
+            predicates: vec![(TableId(1), ColPredicate::new(2, CmpOp::Eq, 0))],
+            ..free
+        };
+        assert_eq!(all_three(&exec, &db, &filtered), 3, "{tables:?}");
+    }
+}
+
+#[test]
+fn sparse_and_extreme_key_domains_are_dictionary_encoded() {
+    // Ids 10¹² apart, negative ids and both ends of i64: a dense array
+    // indexed by raw key would not fit in memory; codes do not care.
+    let step = 1_000_000_000_000i64;
+    let ids: Vec<i64> = (-3..4)
+        .map(|i| i * step)
+        .chain([i64::MIN, i64::MAX])
+        .collect();
+    let a = Table::new(
+        "a",
+        vec![
+            Column::new("id", ids.clone()),
+            Column::new("v", (0..ids.len() as i64).collect()),
+        ],
+    );
+    // Every id i times over (i = its position), plus keys a lacks.
+    let mut refs = Vec::new();
+    for (i, &id) in ids.iter().enumerate() {
+        refs.extend(std::iter::repeat_n(id, i));
+    }
+    refs.extend([1, step + 1, i64::MIN + 1]);
+    let b = Table::new("b", vec![Column::new("a_id", refs)]);
+    let db = Database::new("sparse", vec![a, b], vec![]);
+    let exec = CountExecutor::new();
+    let n = ids.len() as u64;
+    for tables in [vec![TableId(0), TableId(1)], vec![TableId(1), TableId(0)]] {
+        let q = ExecQuery {
+            tables,
+            joins: vec![edge(1, 0, 0, 0)],
+            predicates: vec![],
+        };
+        assert_eq!(all_three(&exec, &db, &q), n * (n - 1) / 2);
+        let q = ExecQuery {
+            predicates: vec![(TableId(0), ColPredicate::new(1, CmpOp::Gt, 6))],
+            ..q
+        };
+        // Positions 7 (i64::MIN) and 8 (i64::MAX).
+        assert_eq!(all_three(&exec, &db, &q), 7 + 8);
+    }
+}
+
+#[test]
+fn in_and_like_predicates_filter_joined_tables_and_may_empty_them() {
+    let a = Table::new(
+        "a",
+        vec![
+            Column::new("id", (0..40).collect()),
+            Column::new("year", (0..40).map(|i| 1980 + i).collect()),
+        ],
+    );
+    let b = Table::new(
+        "b",
+        vec![
+            Column::new("a_id", (0..200).map(|i| i % 40).collect()),
+            Column::new("kind", (0..200).map(|i| i % 7).collect()),
+        ],
+    );
+    let db = Database::new("ops", vec![a, b], vec![]);
+    let exec = CountExecutor::new();
+    let query = |preds: Vec<(TableId, ColPredicate)>| ExecQuery {
+        tables: vec![TableId(1), TableId(0)],
+        joins: vec![edge(1, 0, 0, 0)],
+        predicates: preds,
+    };
+    // 199x: ten a rows, five b rows each.
+    let like = query(vec![(TableId(0), ColPredicate::like(1, "199%"))]);
+    assert_eq!(all_three(&exec, &db, &like), 50);
+    let both_ops = query(vec![
+        (TableId(0), ColPredicate::like(1, "199%")),
+        (TableId(1), ColPredicate::is_in(1, vec![0, 3, 99])),
+        (TableId(0), ColPredicate::new(1, CmpOp::Lt, 1995)),
+    ]);
+    let expected = (0..200)
+        .filter(|i| [0, 3].contains(&(i % 7)) && (10..15).contains(&(i % 40)))
+        .count() as u64;
+    assert!(expected > 0);
+    assert_eq!(all_three(&exec, &db, &both_ops), expected);
+    // An IN list and a pattern nothing matches: the join is empty, on the
+    // root and on the message side.
+    let empty_root = query(vec![(TableId(1), ColPredicate::is_in(1, vec![7, 8]))]);
+    assert_eq!(all_three(&exec, &db, &empty_root), 0);
+    let empty_child = query(vec![(TableId(0), ColPredicate::like(1, "21__"))]);
+    assert_eq!(all_three(&exec, &db, &empty_child), 0);
+}
+
+#[test]
+fn counts_saturate_at_u64_max_instead_of_wrapping() {
+    // A chain of tables whose every row carries the same key: each level
+    // multiplies the count by 8192 = 2¹³. Four levels are 2⁵² exactly;
+    // the fifth would be 2⁶⁵ and must read u64::MAX, in messages (rooted
+    // at the top) and in the root's own sum (rooted at the bottom).
+    let rows = 8192usize;
+    let level = |name: &str| {
+        Table::new(
+            name,
+            vec![
+                Column::new("up", vec![1; rows]),
+                Column::new("down", vec![1; rows]),
+                Column::new("row", (0..rows as i64).collect()),
+            ],
+        )
+    };
+    let tables: Vec<Table> = ["t0", "t1", "t2", "t3", "t4"].map(level).into();
+    let db = Database::new("big", tables, vec![]);
+    let joins: Vec<JoinEdge> = (1..5).map(|t| edge(t, 0, t - 1, 1)).collect();
+    let exec = CountExecutor::new();
+    let chain = |tables: Vec<usize>| ExecQuery {
+        joins: joins[..tables.len() - 1].to_vec(),
+        tables: tables.into_iter().map(TableId).collect(),
+        predicates: vec![],
+    };
+    assert_eq!(exec.count(&db, &chain(vec![0, 1, 2, 3])).unwrap(), 1 << 52);
+    assert_eq!(exec.count(&db, &chain(vec![3, 2, 1, 0])).unwrap(), 1 << 52);
+    assert_eq!(
+        exec.count(&db, &chain(vec![0, 1, 2, 3, 4])).unwrap(),
+        u64::MAX
+    );
+    assert_eq!(
+        exec.count(&db, &chain(vec![4, 3, 2, 1, 0])).unwrap(),
+        u64::MAX
+    );
+    // A predicate that keeps one row of the middle table brings the count
+    // back into range: saturation is per message, not sticky.
+    let mut one = chain(vec![0, 1, 2, 3, 4]);
+    one.predicates = vec![(TableId(2), ColPredicate::new(2, CmpOp::Eq, 0))];
+    assert_eq!(exec.count(&db, &one).unwrap(), 1 << 52);
 }

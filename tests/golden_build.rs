@@ -1,0 +1,47 @@
+//! Training is bit-identical across kernel rewrites and thread counts: one
+//! small seeded build's serialized bytes are pinned to a golden hash.
+
+use deep_sketches::prelude::*;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a-64 of `to_bytes()` for the spec below, computed with the commit
+/// before training moved to the register-tiled zero-skipping kernels
+/// (dense 4×16 tiles forward and backward, SSE2 row sweeps at the input
+/// layer, scalar Adam). Hidden width 40 walks a 32-column and an 8-column
+/// AVX2 tile; 4 threads fan the larger products out.
+const GOLDEN_BYTES: usize = 60_543;
+const GOLDEN_FNV1A64: u64 = 0x950d_66bf_fae2_1776;
+
+#[test]
+fn seeded_build_serializes_to_the_golden_bytes_at_one_and_four_threads() {
+    let db = imdb_database(&ImdbConfig::tiny(5));
+    for threads in [1, 4] {
+        let sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
+            .training_queries(240)
+            .epochs(3)
+            .sample_size(40)
+            .hidden_units(40)
+            .batch_size(32)
+            .max_tables(4)
+            .max_predicates(3)
+            .threads(threads)
+            .seed(0x601D)
+            .build()
+            .expect("pipeline");
+        let bytes = sketch.to_bytes();
+        assert_eq!(bytes.len(), GOLDEN_BYTES, "threads={threads}");
+        assert_eq!(
+            fnv1a64(&bytes),
+            GOLDEN_FNV1A64,
+            "threads={threads}: a trained byte changed"
+        );
+    }
+}
