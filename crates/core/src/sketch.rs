@@ -507,7 +507,7 @@ impl DeepSketch {
         // Featurizer.
         let num_tables = d.u64()? as usize;
         let sample_size = d.u64()? as usize;
-        let use_bitmaps = d.u64()? != 0;
+        let use_bitmaps = d.flag()?;
         let tag = d.u64()?;
         let schema = u8::try_from(tag)
             .ok()
@@ -581,10 +581,20 @@ impl DeepSketch {
                 let data = d.i64_vec()?;
                 let bm_len = d.u64()? as usize;
                 let words = d.u64_vec()?;
+                // A mask the encoder could not have written — words without
+                // a length, bits past the length — is corrupt, not tidied
+                // up: accepted bytes re-encode to themselves.
                 if bm_len == 0 {
+                    if !words.is_empty() {
+                        return Err(DecodeError::Corrupt("null mask without a length".into()));
+                    }
                     cols.push(Column::new(cname, data));
                 } else {
-                    if words.len() != bm_len.div_ceil(64) || data.len() != bm_len {
+                    let stray = match bm_len % 64 {
+                        0 => 0,
+                        tail => words.last().map_or(0, |w| w >> tail),
+                    };
+                    if words.len() != bm_len.div_ceil(64) || data.len() != bm_len || stray != 0 {
                         return Err(DecodeError::Corrupt("null mask mismatch".into()));
                     }
                     cols.push(Column::with_nulls(
@@ -594,7 +604,10 @@ impl DeepSketch {
                     ));
                 }
             }
-            if cols.iter().any(|c| c.len() != row_ids.len()) {
+            // A table without columns has no rows, whatever `row_ids` says.
+            if cols.iter().any(|c| c.len() != row_ids.len())
+                || (cols.is_empty() && !row_ids.is_empty())
+            {
                 return Err(DecodeError::Corrupt("sample column length mismatch".into()));
             }
             if nominal < row_ids.len() {
@@ -607,7 +620,7 @@ impl DeepSketch {
         // Model.
         let model = MscnModel::decode(&mut d)?;
 
-        let baseline = if d.u64()? != 0 {
+        let baseline = if d.flag()? {
             let words = d.u64_vec()?;
             Some(
                 HistogramSnapshot::from_words(&words)
@@ -622,7 +635,7 @@ impl DeepSketch {
         // servable state — but only an int8 payload is kept: `from_parts`
         // has already frozen f32, which is all a stored f32 payload (older
         // v4 writers) could say.
-        let stored = if d.u64()? != 0 {
+        let stored = if d.flag()? {
             let artifact = FrozenModel::decode_from(&mut d)?;
             if let Some(msg) = artifact_mismatch(&model, &artifact) {
                 return Err(DecodeError::Corrupt(msg));
@@ -742,6 +755,39 @@ mod tests {
         let after = restored.estimate_batch(&queries);
         assert_eq!(before, after);
         assert_eq!(restored.database_name(), "imdb");
+    }
+
+    /// Words the encoder never writes are corrupt, not read leniently: a
+    /// flag other than 0/1 (`use_bitmaps` used to take any non-zero word and
+    /// re-encode it as 1), and a sample that counts rows but no columns
+    /// (which used to reach `TableSample::from_parts`' assertion — CI's
+    /// `FUZZ_ITERS=20000` budget of `fuzz_smoke` draws it).
+    #[test]
+    fn words_the_encoder_never_writes_are_corrupt() {
+        let (_db, sketch) = tiny_sketch();
+        let blob = sketch.to_bytes();
+        let corrupt = |at: usize, word: u64| {
+            let mut bytes = blob.clone();
+            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            matches!(DeepSketch::from_bytes(&bytes), Err(DecodeError::Corrupt(_)))
+        };
+        // Header, database name, two normalizer bounds, table count, sample
+        // size — then `use_bitmaps`.
+        let use_bitmaps = 8 + (8 + sketch.database_name().len()) + 16 + 16;
+        assert_eq!(blob[use_bitmaps..use_bitmaps + 8], 1u64.to_le_bytes());
+        for word in [2, 0x80, u64::MAX] {
+            assert!(corrupt(use_bitmaps, word), "use_bitmaps = {word:#x}");
+        }
+        // The baseline flag is followed by the histogram's words, and the
+        // artifact flag ends the blob.
+        let baseline_words = sketch.baseline().expect("built with one").to_words().len();
+        let baseline = blob.len() - 8 - 8 * (baseline_words + 1) - 8;
+        assert_eq!(blob[baseline..baseline + 8], 1u64.to_le_bytes());
+        assert!(corrupt(baseline, 2) && corrupt(blob.len() - 8, 2));
+        // The first sample's column count follows its table's name.
+        let name = [&5u64.to_le_bytes()[..], b"title"].concat();
+        let at = blob.windows(name.len()).position(|w| w == name).unwrap() + name.len();
+        assert!(corrupt(at, 0), "a sample with row ids and no columns");
     }
 
     #[test]

@@ -90,7 +90,9 @@ fn encodings_match_the_bytes_the_hand_rolled_codecs_wrote() {
 /// turn and the trailer recomputed — reaches the structural validation and
 /// the sketch decoder, which must return a value, never panic. (A flipped
 /// high byte of the model's hidden width used to overflow `3 * hidden` in
-/// debug builds.)
+/// debug builds.) What the decoder accepts it must also write back byte for
+/// byte: a flipped weight or bound is another valid snapshot, a flag word
+/// of `0x80` is not. (`use_bitmaps` used to read any non-zero word as true.)
 #[test]
 fn flips_behind_a_recomputed_checksum_never_panic() {
     let bytes = canonical();
@@ -100,7 +102,18 @@ fn flips_behind_a_recomputed_checksum_never_panic() {
         mutated[offset] ^= 0x81;
         let sum = checksum(&mutated[..body_len]);
         mutated[body_len..].copy_from_slice(&sum.to_le_bytes());
-        let _ = decode_snapshot(&mutated);
+        if let Ok(snap) = decode_snapshot(&mutated) {
+            let reencoded = encode_snapshot(
+                &snap.name,
+                snap.generation,
+                &snap.sketch,
+                snap.monitor.as_ref(),
+            );
+            assert!(
+                reencoded == mutated,
+                "the flip at byte {offset} was accepted and re-encodes differently"
+            );
+        }
     }
 }
 

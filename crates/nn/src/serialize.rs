@@ -179,6 +179,19 @@ impl<'a> Decoder<'a> {
         Ok(self.buf.get_u64_le())
     }
 
+    /// Reads a `u64` that holds a boolean. The encoders write 0 or 1; any
+    /// other word is corrupt, because reading it as "non-zero" would accept
+    /// bytes that re-encode differently.
+    pub fn flag(&mut self) -> Result<bool, DecodeError> {
+        match self.u64()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(DecodeError::Corrupt(format!(
+                "flag word {other} is not 0/1"
+            ))),
+        }
+    }
+
     /// Reads an `i64`.
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
         self.need(8)?;

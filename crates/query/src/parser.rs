@@ -17,7 +17,8 @@
 //! (for query templates). Case-insensitive keywords, negative integer
 //! literals, single-quoted string literals (no escapes).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::fmt;
 
 use ds_storage::catalog::{ColRef, Database, TableId};
 use ds_storage::exec::JoinEdge;
@@ -29,8 +30,8 @@ use crate::query::Query;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(pub String);
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "parse error: {}", self.0)
     }
 }
@@ -51,6 +52,12 @@ pub struct ParsedQuery {
     pub placeholder: Option<(ColRef, CmpOp)>,
 }
 
+thread_local! {
+    /// The parser behind [`parse`] and [`parse_query`], so their callers
+    /// allocate the returned [`Query`] and nothing else.
+    static PARSER: RefCell<Parser> = RefCell::default();
+}
+
 /// Parses a SQL string into a [`Query`]; rejects placeholders.
 ///
 /// ```
@@ -64,142 +71,247 @@ pub struct ParsedQuery {
 /// assert_eq!(q.num_predicates(), 1);
 /// ```
 pub fn parse_query(db: &Database, sql: &str) -> Result<Query, ParseError> {
-    let parsed = parse(db, sql)?;
-    if parsed.placeholder.is_some() {
-        return err("placeholder '?' not allowed here; use parse() for templates");
-    }
-    Ok(parsed.query)
+    let mut query = Query::default();
+    PARSER.with_borrow_mut(|p| p.parse_query(db, sql, &mut query))?;
+    Ok(query)
 }
 
 /// Parses a SQL string, allowing one `?` placeholder (query templates).
 pub fn parse(db: &Database, sql: &str) -> Result<ParsedQuery, ParseError> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, db };
-    p.parse_statement()
+    let mut query = Query::default();
+    let placeholder = PARSER.with_borrow_mut(|p| p.parse(db, sql, &mut query))?;
+    Ok(ParsedQuery { query, placeholder })
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    Word(String), // identifiers and keywords (lowercased)
-    Number(i64),  // integer literal
-    Str(String),  // single-quoted string literal (verbatim, unquoted)
-    Symbol(char), // ( ) , = < > . * ?
+/// A token of the statement, borrowing its text from the SQL string.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
+    Word(&'a str), // identifier or keyword, as written (folded where it is read)
+    Number(i64),   // integer literal
+    Str(&'a str),  // single-quoted string literal (verbatim, unquoted)
+    Symbol(char),  // ( ) , = < > . * ?
 }
 
-fn tokenize(sql: &str) -> Result<Vec<Token>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = sql.chars().peekable();
-    while let Some(&c) = chars.peek() {
+/// Error messages quote tokens through this; a word shows the way the
+/// grammar reads it, with its ASCII letters folded to lower case.
+impl fmt::Debug for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Token::Word(w) => write!(f, "Word({:?})", w.to_ascii_lowercase()),
+            Token::Number(n) => write!(f, "Number({n:?})"),
+            Token::Str(s) => write!(f, "Str({s:?})"),
+            Token::Symbol(c) => write!(f, "Symbol({c:?})"),
+        }
+    }
+}
+
+/// The character starting at byte `at` of `sql` and the offset just past it.
+fn char_at(sql: &str, at: usize) -> Option<(char, usize)> {
+    let b = *sql.as_bytes().get(at)?;
+    if b.is_ascii() {
+        return Some((char::from(b), at + 1));
+    }
+    let c = sql[at..].chars().next()?;
+    Some((c, at + c.len_utf8()))
+}
+
+/// Splits the whole statement into `out`, so a lexical error anywhere in it
+/// is reported before any syntax error.
+fn tokenize<'a>(sql: &'a str, out: &mut Vec<Token<'a>>) -> Result<(), ParseError> {
+    let mut at = 0;
+    while let Some((c, next)) = char_at(sql, at) {
+        let start = at;
+        at = next;
         match c {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '(' | ')' | ',' | '=' | '<' | '>' | '*' | '?' | ';' => {
-                chars.next();
-                if c != ';' {
-                    out.push(Token::Symbol(c));
-                }
-            }
+            c if c.is_whitespace() => {}
+            ';' => {}
+            '(' | ')' | ',' | '=' | '<' | '>' | '*' | '?' | '.' => out.push(Token::Symbol(c)),
             '-' | '0'..='9' => {
-                let neg = c == '-';
-                if neg {
-                    chars.next();
-                }
+                let overflow = || ParseError("integer literal overflow".into());
+                let digits = if c == '-' { at } else { start };
+                at = digits;
+                // Accumulated below zero, where `i64` has one value more:
+                // `i64::MIN` is a literal `to_sql` prints.
                 let mut n: i64 = 0;
-                let mut any = false;
-                while let Some(&d) = chars.peek() {
-                    if let Some(digit) = d.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|x| x.checked_add(digit as i64))
-                            .ok_or_else(|| ParseError("integer literal overflow".into()))?;
-                        chars.next();
-                        any = true;
-                    } else {
-                        break;
-                    }
+                while let Some(d) = sql.as_bytes().get(at).filter(|d| d.is_ascii_digit()) {
+                    n = n
+                        .checked_mul(10)
+                        .and_then(|x| x.checked_sub(i64::from(d - b'0')))
+                        .ok_or_else(overflow)?;
+                    at += 1;
                 }
-                if !any {
+                if at == digits {
                     return err("'-' must start an integer literal");
                 }
-                out.push(Token::Number(if neg { -n } else { n }));
+                out.push(Token::Number(if c == '-' {
+                    n
+                } else {
+                    n.checked_neg().ok_or_else(overflow)?
+                }));
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut w = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        w.push(d.to_ascii_lowercase());
-                        chars.next();
-                    } else {
+                while let Some((d, next)) = char_at(sql, at) {
+                    if !(d.is_alphanumeric() || d == '_') {
                         break;
                     }
+                    at = next;
                 }
-                out.push(Token::Word(w));
+                out.push(Token::Word(&sql[start..at]));
             }
-            '.' => {
-                chars.next();
-                out.push(Token::Symbol('.'));
-            }
-            '\'' => {
-                chars.next();
-                let mut s = String::new();
-                let mut terminated = false;
-                for d in chars.by_ref() {
-                    if d == '\'' {
-                        terminated = true;
-                        break;
-                    }
-                    s.push(d);
+            '\'' => match sql.as_bytes()[at..].iter().position(|&b| b == b'\'') {
+                Some(len) => {
+                    out.push(Token::Str(&sql[at..at + len]));
+                    at += len + 1;
                 }
-                if !terminated {
-                    return err("unterminated string literal");
-                }
-                out.push(Token::Str(s));
-            }
+                None => return err("unterminated string literal"),
+            },
             other => return err(format!("unexpected character '{other}'")),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    db: &'a Database,
+/// `word` as the grammar reads it — ASCII letters folded to lower case —
+/// copied into `buf` only when it carries an upper-case byte.
+fn folded<'b>(word: &'b str, buf: &'b mut String) -> &'b str {
+    if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+        return word;
+    }
+    buf.clear();
+    buf.push_str(word);
+    buf.make_ascii_lowercase();
+    buf
 }
 
 /// A `table_or_alias.column` reference before resolution.
-#[derive(Debug, Clone)]
-struct RawCol {
-    qualifier: String,
-    column: String,
+#[derive(Debug, Clone, Copy)]
+struct RawCol<'a> {
+    qualifier: &'a str,
+    column: &'a str,
 }
 
-#[derive(Debug, Clone)]
-enum Term {
-    Join(RawCol, RawCol),
-    Pred(RawCol, CmpOp, i64),
-    InList(RawCol, Vec<i64>),
-    LikePat(RawCol, String),
-    Placeholder(RawCol, CmpOp),
+#[derive(Debug)]
+enum Term<'a> {
+    Join(RawCol<'a>, RawCol<'a>),
+    Pred(RawCol<'a>, CmpOp, i64),
+    InList(RawCol<'a>, Vec<i64>),
+    LikePat(RawCol<'a>, &'a str),
+    Placeholder(RawCol<'a>, CmpOp),
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+/// The names a `FROM` list binds — tables and their aliases, as written.
+/// A handful per statement, so a scan beats hashing them.
+type Aliases<'a> = Vec<(&'a str, TableId)>;
+
+/// Binds `name` to `table`; returns the table it was bound to before.
+fn bind<'a>(aliases: &mut Aliases<'a>, name: &'a str, table: TableId) -> Option<TableId> {
+    match aliases
+        .iter_mut()
+        .find(|(bound, _)| bound.eq_ignore_ascii_case(name))
+    {
+        Some((_, old)) => Some(std::mem::replace(old, table)),
+        None => {
+            aliases.push((name, table));
+            None
+        }
+    }
+}
+
+/// An empty vector on `v`'s allocation, for elements that borrow from
+/// another statement. `collect` hands a vector's own iterator its buffer
+/// back when source and target elements share a layout, as the two
+/// lifetimes of one type do (`ds-serve`'s `request_allocations` test holds
+/// it to that); no element crosses over, the vector is emptied first.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+/// The parser with its working memory: the token, term and alias buffers of
+/// one statement serve the next, so a parser that has seen a statement of
+/// each size parses a comparison-only query into a reused [`Query`] without
+/// allocating (`IN` lists and `LIKE` patterns allocate what their
+/// [`ColPredicate`] owns). [`parse`] and [`parse_query`] run one per thread.
+#[derive(Debug, Default)]
+pub struct Parser {
+    tokens: Vec<Token<'static>>,
+    terms: Vec<Term<'static>>,
+    aliases: Aliases<'static>,
+    fold: String,
+}
+
+impl Parser {
+    /// [`parse_query`] into `out`, whose vectors are cleared and refilled.
+    /// `out` holds no meaningful query after an error.
+    pub fn parse_query(
+        &mut self,
+        db: &Database,
+        sql: &str,
+        out: &mut Query,
+    ) -> Result<(), ParseError> {
+        if self.parse(db, sql, out)?.is_some() {
+            return err("placeholder '?' not allowed here; use parse() for templates");
+        }
+        Ok(())
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    /// [`parse`] into `out`, whose vectors are cleared and refilled; returns
+    /// the placeholder. `out` holds no meaningful query after an error.
+    pub fn parse(
+        &mut self,
+        db: &Database,
+        sql: &str,
+        out: &mut Query,
+    ) -> Result<Option<(ColRef, CmpOp)>, ParseError> {
+        // The buffers are empty between statements, so they lend themselves
+        // to any statement's lifetime and come back through `recycle`.
+        let mut statement = Statement {
+            tokens: std::mem::take(&mut self.tokens),
+            pos: 0,
+            terms: std::mem::take(&mut self.terms),
+            aliases: std::mem::take(&mut self.aliases),
+            fold: &mut self.fold,
+            db,
+        };
+        let result = statement.parse(sql, out);
+        self.tokens = recycle(statement.tokens);
+        self.terms = recycle(statement.terms);
+        self.aliases = recycle(statement.aliases);
+        result
+    }
+}
+
+/// One statement being parsed, over the [`Parser`]'s buffers.
+struct Statement<'a, 'p> {
+    tokens: Vec<Token<'a>>,
+    pos: usize,
+    terms: Vec<Term<'a>>,
+    aliases: Aliases<'a>,
+    fold: &'p mut String,
+    db: &'p Database,
+}
+
+impl<'a> Statement<'a, '_> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
+    }
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
+    /// Whether the next token is the keyword `kw` (lower case).
+    fn at_word(&self, kw: &str) -> bool {
+        matches!(self.peek(), Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw))
+    }
+
     fn expect_word(&mut self, kw: &str) -> Result<(), ParseError> {
         match self.next() {
-            Some(Token::Word(w)) if w == kw => Ok(()),
+            Some(Token::Word(w)) if w.eq_ignore_ascii_case(kw) => Ok(()),
             other => err(format!("expected '{kw}', found {other:?}")),
         }
     }
@@ -211,7 +323,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_statement(&mut self) -> Result<ParsedQuery, ParseError> {
+    fn parse(
+        &mut self,
+        sql: &'a str,
+        out: &mut Query,
+    ) -> Result<Option<(ColRef, CmpOp)>, ParseError> {
+        out.tables.clear();
+        out.joins.clear();
+        out.predicates.clear();
+        tokenize(sql, &mut self.tokens)?;
+
         self.expect_word("select")?;
         self.expect_word("count")?;
         self.expect_symbol('(')?;
@@ -220,71 +341,62 @@ impl<'a> Parser<'a> {
         self.expect_word("from")?;
 
         // FROM list with optional aliases.
-        let mut aliases: HashMap<String, TableId> = HashMap::new();
-        let mut tables: Vec<TableId> = Vec::new();
         loop {
             let name = match self.next() {
                 Some(Token::Word(w)) => w,
                 other => return err(format!("expected table name, found {other:?}")),
             };
-            let tid = self
-                .db
-                .table_id(&name)
-                .ok_or_else(|| ParseError(format!("unknown table '{name}'")))?;
-            if tables.contains(&tid) {
-                return err(format!("table '{name}' listed twice"));
+            let tid = self.db.table_id(folded(name, self.fold)).ok_or_else(|| {
+                ParseError(format!("unknown table '{}'", name.to_ascii_lowercase()))
+            })?;
+            if out.tables.contains(&tid) {
+                return err(format!(
+                    "table '{}' listed twice",
+                    name.to_ascii_lowercase()
+                ));
             }
-            tables.push(tid);
-            aliases.insert(name.clone(), tid);
+            out.tables.push(tid);
+            bind(&mut self.aliases, name, tid);
             // Optional alias: a word that is not WHERE.
-            if let Some(Token::Word(w)) = self.peek() {
-                if w != "where" {
-                    let alias = w.clone();
-                    self.next();
-                    if aliases
-                        .insert(alias.clone(), tid)
-                        .is_some_and(|old| old != tid)
-                    {
+            if let Some(Token::Word(alias)) = self.peek() {
+                if !alias.eq_ignore_ascii_case("where") {
+                    self.pos += 1;
+                    if bind(&mut self.aliases, alias, tid).is_some_and(|old| old != tid) {
+                        let alias = alias.to_ascii_lowercase();
                         return err(format!("alias '{alias}' is ambiguous"));
                     }
                 }
             }
-            match self.peek() {
-                Some(Token::Symbol(',')) => {
-                    self.next();
-                }
-                _ => break,
+            if self.peek() != Some(Token::Symbol(',')) {
+                break;
             }
+            self.pos += 1;
         }
 
         // Optional WHERE with AND-separated terms.
-        let mut terms = Vec::new();
-        if let Some(Token::Word(w)) = self.peek() {
-            if w == "where" {
-                self.next();
-                loop {
-                    terms.extend(self.parse_term()?);
-                    match self.peek() {
-                        Some(Token::Word(w)) if w == "and" => {
-                            self.next();
-                        }
-                        _ => break,
-                    }
+        if self.at_word("where") {
+            self.pos += 1;
+            loop {
+                self.parse_term()?;
+                if !self.at_word("and") {
+                    break;
                 }
+                self.pos += 1;
             }
         }
         if self.pos != self.tokens.len() {
             return err(format!("trailing tokens at {:?}", self.peek()));
         }
 
-        self.assemble(tables, aliases, terms)
+        self.assemble(out)
     }
 
-    fn parse_term(&mut self) -> Result<Vec<Term>, ParseError> {
+    /// Parses one `AND`-separated term onto `terms` (`BETWEEN` makes two).
+    fn parse_term(&mut self) -> Result<(), ParseError> {
         let lhs = self.parse_rawcol()?;
         // Inclusive BETWEEN desugars to an exclusive >/< pair (integers).
-        if matches!(self.peek(), Some(Token::Word(w)) if w == "between") {
-            self.next();
+        if self.at_word("between") {
+            self.pos += 1;
             let lo = self.expect_number()?;
             self.expect_word("and")?;
             let hi = self.expect_number()?;
@@ -297,14 +409,13 @@ impl<'a> Parser<'a> {
             let hi_excl = hi
                 .checked_add(1)
                 .ok_or_else(|| ParseError("BETWEEN upper bound overflow".into()))?;
-            return Ok(vec![
-                Term::Pred(lhs.clone(), CmpOp::Gt, lo_excl),
-                Term::Pred(lhs, CmpOp::Lt, hi_excl),
-            ]);
+            self.terms.push(Term::Pred(lhs, CmpOp::Gt, lo_excl));
+            self.terms.push(Term::Pred(lhs, CmpOp::Lt, hi_excl));
+            return Ok(());
         }
         // IN-list: `col IN (v1, v2, …)` — non-empty, integers only.
-        if matches!(self.peek(), Some(Token::Word(w)) if w == "in") {
-            self.next();
+        if self.at_word("in") {
+            self.pos += 1;
             self.expect_symbol('(')?;
             let mut values = Vec::new();
             loop {
@@ -317,19 +428,21 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            return Ok(vec![Term::InList(lhs, values)]);
+            self.terms.push(Term::InList(lhs, values));
+            return Ok(());
         }
         // LIKE: `col LIKE 'pattern'` — pattern is a string literal.
-        if matches!(self.peek(), Some(Token::Word(w)) if w == "like") {
-            self.next();
+        if self.at_word("like") {
+            self.pos += 1;
             match self.next() {
-                Some(Token::Str(pat)) => return Ok(vec![Term::LikePat(lhs, pat)]),
+                Some(Token::Str(pat)) => self.terms.push(Term::LikePat(lhs, pat)),
                 other => {
                     return err(format!(
                         "expected quoted pattern after LIKE, found {other:?}"
                     ))
                 }
             }
+            return Ok(());
         }
         let op = match self.next() {
             Some(Token::Symbol('=')) => CmpOp::Eq,
@@ -337,25 +450,26 @@ impl<'a> Parser<'a> {
             Some(Token::Symbol('>')) => CmpOp::Gt,
             other => return err(format!("expected comparison operator, found {other:?}")),
         };
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::Number(n)) => {
-                self.next();
-                Ok(vec![Term::Pred(lhs, op, n)])
+                self.pos += 1;
+                self.terms.push(Term::Pred(lhs, op, n));
             }
             Some(Token::Symbol('?')) => {
-                self.next();
-                Ok(vec![Term::Placeholder(lhs, op)])
+                self.pos += 1;
+                self.terms.push(Term::Placeholder(lhs, op));
             }
             Some(Token::Word(_)) => {
                 let rhs = self.parse_rawcol()?;
                 if op != CmpOp::Eq {
                     return err("joins must use '='");
                 }
-                Ok(vec![Term::Join(lhs, rhs)])
+                self.terms.push(Term::Join(lhs, rhs));
             }
-            Some(Token::Str(_)) => err("string literals are only allowed after LIKE"),
-            other => err(format!("expected literal, '?', or column, found {other:?}")),
+            Some(Token::Str(_)) => return err("string literals are only allowed after LIKE"),
+            other => return err(format!("expected literal, '?', or column, found {other:?}")),
         }
+        Ok(())
     }
 
     fn expect_number(&mut self) -> Result<i64, ParseError> {
@@ -365,7 +479,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_rawcol(&mut self) -> Result<RawCol, ParseError> {
+    fn parse_rawcol(&mut self) -> Result<RawCol<'a>, ParseError> {
         let qualifier = match self.next() {
             Some(Token::Word(w)) => w,
             other => return err(format!("expected column reference, found {other:?}")),
@@ -378,74 +492,72 @@ impl<'a> Parser<'a> {
         Ok(RawCol { qualifier, column })
     }
 
-    fn resolve(
-        &self,
-        aliases: &HashMap<String, TableId>,
-        rc: &RawCol,
-    ) -> Result<ColRef, ParseError> {
-        let tid = aliases
-            .get(&rc.qualifier)
-            .copied()
-            .ok_or_else(|| ParseError(format!("unknown table or alias '{}'", rc.qualifier)))?;
-        let col = self.db.table(tid).column_index(&rc.column).ok_or_else(|| {
-            ParseError(format!(
-                "unknown column '{}' of table '{}'",
-                rc.column,
-                self.db.table(tid).name()
-            ))
-        })?;
-        Ok(ColRef::new(tid, col))
-    }
-
-    fn assemble(
-        &self,
-        tables: Vec<TableId>,
-        aliases: HashMap<String, TableId>,
-        terms: Vec<Term>,
-    ) -> Result<ParsedQuery, ParseError> {
-        let mut query = Query {
-            tables,
-            joins: Vec::new(),
-            predicates: Vec::new(),
+    /// Resolves the terms against the `FROM` list's names, in order, into
+    /// `out`'s joins and predicates.
+    fn assemble(&mut self, out: &mut Query) -> Result<Option<(ColRef, CmpOp)>, ParseError> {
+        let Self {
+            terms,
+            aliases,
+            fold,
+            db,
+            ..
+        } = self;
+        let mut resolve = |rc: RawCol<'_>| -> Result<ColRef, ParseError> {
+            let tid = aliases
+                .iter()
+                .find(|(bound, _)| bound.eq_ignore_ascii_case(rc.qualifier))
+                .map(|&(_, tid)| tid)
+                .ok_or_else(|| {
+                    ParseError(format!(
+                        "unknown table or alias '{}'",
+                        rc.qualifier.to_ascii_lowercase()
+                    ))
+                })?;
+            let table = db.table(tid);
+            let col = table.column_index(folded(rc.column, fold)).ok_or_else(|| {
+                ParseError(format!(
+                    "unknown column '{}' of table '{}'",
+                    rc.column.to_ascii_lowercase(),
+                    table.name()
+                ))
+            })?;
+            Ok(ColRef::new(tid, col))
         };
         let mut placeholder = None;
-        for term in terms {
+        for term in terms.drain(..) {
             match term {
                 Term::Join(l, r) => {
-                    let lc = self.resolve(&aliases, &l)?;
-                    let rc = self.resolve(&aliases, &r)?;
+                    let lc = resolve(l)?;
+                    let rc = resolve(r)?;
                     if lc.table == rc.table {
                         return err("self-joins are not supported");
                     }
-                    query.joins.push(JoinEdge::new(lc, rc).canonical());
+                    out.joins.push(JoinEdge::new(lc, rc).canonical());
                 }
                 Term::Pred(c, op, lit) => {
-                    let cr = self.resolve(&aliases, &c)?;
-                    query
-                        .predicates
+                    let cr = resolve(c)?;
+                    out.predicates
                         .push((cr.table, ColPredicate::new(cr.col, op, lit)));
                 }
                 Term::InList(c, values) => {
-                    let cr = self.resolve(&aliases, &c)?;
-                    query
-                        .predicates
+                    let cr = resolve(c)?;
+                    out.predicates
                         .push((cr.table, ColPredicate::is_in(cr.col, values)));
                 }
                 Term::LikePat(c, pat) => {
-                    let cr = self.resolve(&aliases, &c)?;
-                    query
-                        .predicates
+                    let cr = resolve(c)?;
+                    out.predicates
                         .push((cr.table, ColPredicate::like(cr.col, pat)));
                 }
                 Term::Placeholder(c, op) => {
                     if placeholder.is_some() {
                         return err("only one '?' placeholder is supported");
                     }
-                    placeholder = Some((self.resolve(&aliases, &c)?, op));
+                    placeholder = Some((resolve(c)?, op));
                 }
             }
         }
-        Ok(ParsedQuery { query, placeholder })
+        Ok(placeholder)
     }
 }
 
@@ -640,6 +752,80 @@ mod tests {
             "SELECT COUNT(*) FROM title WHERE title.production_year BETWEEN 1990",
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_reused_parser_decides_like_a_fresh_one() {
+        let db = db();
+        // Each statement parses over the buffers the one before left behind,
+        // whichever way that one ended: accepted, a lexical error, a syntax
+        // error with terms already collected, a name that does not resolve.
+        let statements = [
+            "SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id = t.id AND t.kind_id < 3",
+            "SELECT COUNT(*) FROM title WHERE title.kind_id = 1 AND title.kind_id = #",
+            "SELECT COUNT(*) FROM title WHERE title.kind_id IN (4, 2) AND title.kind_id LIKE '1%' AND",
+            "SELECT COUNT(*) FROM title t WHERE t.kind_id IN (1, 2, 3) AND nope.kind_id = 1",
+            "SELECT COUNT(*) FROM Title T WHERE T.Kind_Id = ? AND TITLE.production_year BETWEEN 1990 AND 1999",
+            "SELECT COUNT(*) FROM title",
+        ];
+        let mut parser = Parser::default();
+        let mut query = Query::default();
+        for sql in statements.iter().chain(statements.iter().rev()) {
+            let reused = parser
+                .parse(&db, sql, &mut query)
+                .map(|placeholder| ParsedQuery {
+                    query: query.clone(),
+                    placeholder,
+                });
+            let mut fresh = Query::default();
+            let fresh = Parser::default()
+                .parse(&db, sql, &mut fresh)
+                .map(|placeholder| ParsedQuery {
+                    query: fresh,
+                    placeholder,
+                });
+            assert_eq!(reused, fresh, "sql: {sql}");
+            assert_eq!(reused, parse(&db, sql), "sql: {sql}");
+        }
+    }
+
+    #[test]
+    fn messages_show_words_folded_to_lower_case() {
+        let db = db();
+        for (sql, message) in [
+            (
+                "SELECT COUNT(*) FROM Title Trailing Tokens",
+                "trailing tokens at Some(Word(\"tokens\"))",
+            ),
+            ("SELECT COUNT(*) FROM NoSuch", "unknown table 'nosuch'"),
+            (
+                "SELECT COUNT(*) FROM title, TITLE",
+                "table 'title' listed twice",
+            ),
+            (
+                "SELECT COUNT(*) FROM title X, movie_keyword x",
+                "alias 'x' is ambiguous",
+            ),
+            (
+                "SELECT COUNT(*) FROM title WHERE Other.kind_id = 1",
+                "unknown table or alias 'other'",
+            ),
+            (
+                "SELECT COUNT(*) FROM title WHERE title.Kind = 1",
+                "unknown column 'kind' of table 'title'",
+            ),
+            (
+                "SELECT COUNT(*) FROM title WHERE title.kind_id LIKE Pattern",
+                "expected quoted pattern after LIKE, found Some(Word(\"pattern\"))",
+            ),
+            // String literals are shown as written.
+            (
+                "SELECT COUNT(*) FROM title WHERE title.kind_id 'Ab'",
+                "expected comparison operator, found Some(Str(\"Ab\"))",
+            ),
+        ] {
+            assert_eq!(parse(&db, sql), Err(ParseError(message.into())), "{sql}");
+        }
     }
 
     #[test]

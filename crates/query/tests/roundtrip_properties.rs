@@ -38,6 +38,41 @@ fn assert_roundtrip(q: &Query) {
     );
 }
 
+/// Every literal `to_sql` can print reads back, `i64::MIN` included: the
+/// tokenizer used to build a literal's magnitude as a positive `i64` and
+/// negate it afterwards, so `… > -9223372036854775808` — which `BETWEEN
+/// -9223372036854775807 AND …` desugars to — was SQL the repository printed
+/// and could not parse. One digit more on either side still overflows.
+#[test]
+fn extreme_literals_roundtrip_and_the_next_digit_overflows() {
+    use ds_storage::predicate::CmpOp;
+
+    const EXTREMES: [i64; 5] = [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX];
+    let db = db();
+    let kid = db.resolve("title.kind_id").unwrap();
+    let mut q = Query::new();
+    q.add_table(db, "title").unwrap();
+    for lit in EXTREMES {
+        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Gt] {
+            q.predicates
+                .push((kid.table, ColPredicate::new(kid.col, op, lit)));
+        }
+    }
+    q.predicates
+        .push((kid.table, ColPredicate::is_in(kid.col, EXTREMES.to_vec())));
+    assert_roundtrip(&q);
+
+    for beyond in ["9223372036854775808", "-9223372036854775809"] {
+        for sql in [
+            format!("SELECT COUNT(*) FROM title WHERE title.kind_id = {beyond}"),
+            format!("SELECT COUNT(*) FROM title WHERE title.kind_id IN (1, {beyond})"),
+        ] {
+            let err = parse_query(db, &sql).expect_err("one past the range of i64");
+            assert_eq!(err.0, "integer literal overflow", "sql: {sql}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

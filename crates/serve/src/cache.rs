@@ -29,6 +29,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -38,7 +39,7 @@ use ds_query::query::Query;
 /// canonical query shape and its literal values. Two queries build equal
 /// keys exactly when a sketch of that generation must answer them with the
 /// same estimate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct EstimateKey {
     sketch: String,
     generation: u64,
@@ -49,16 +50,24 @@ pub struct EstimateKey {
 impl EstimateKey {
     /// Builds the key for `query` served by `sketch` at `generation`.
     pub fn new(sketch: &str, generation: u64, query: &Query) -> Self {
-        Self::from_canonical(sketch, generation, CanonicalQuery::of(query))
-    }
-
-    pub(crate) fn from_canonical(sketch: &str, generation: u64, query: CanonicalQuery) -> Self {
+        let CanonicalQuery { shape, lits, .. } = CanonicalQuery::of(query);
         Self {
             sketch: sketch.to_string(),
             generation,
-            shape: query.shape,
-            lits: query.lits,
+            shape,
+            lits,
         }
+    }
+
+    /// Makes this the key [`EstimateKey::new`] would build, in place: a
+    /// connection looks every request up through one key and clones it
+    /// only for the entry a miss inserts.
+    pub(crate) fn set(&mut self, sketch: &str, generation: u64, query: &CanonicalQuery) {
+        self.sketch.clear();
+        self.sketch.push_str(sketch);
+        self.generation = generation;
+        self.shape.clone_from(&query.shape);
+        self.lits.clone_from(&query.lits);
     }
 
     /// The canonical structural shape (template identity) of the keyed
@@ -70,7 +79,10 @@ impl EstimateKey {
 
 /// The canonical form of a query, computed once per request: the cache key
 /// (shape and literals), the interned template (shape) and the harvest key
-/// (predicates) all read it instead of sorting the query again.
+/// (predicates) all read it instead of sorting the query again. Refillable:
+/// [`CanonicalQuery::fill`] reuses every vector, so a connection that keeps
+/// one canonicalises without allocating.
+#[derive(Default)]
 pub(crate) struct CanonicalQuery {
     /// Table count, sorted tables, join count, sorted canonical join quads,
     /// then `[table, col, op]` per predicate — plus the literal count for
@@ -78,58 +90,88 @@ pub(crate) struct CanonicalQuery {
     pub(crate) shape: Vec<u32>,
     /// The predicates' literals, flattened in `shape`'s predicate order.
     pub(crate) lits: Vec<i64>,
-    /// The predicates as `(table, col, op code, literals)`, sorted — by
-    /// literals last, so `lits` stays aligned with `shape` even when two
-    /// predicates share a column and operator. Op codes 0/1/2 are `=`, `<`,
-    /// `>` (one literal each), 3 is `IN` (the canonical sorted list), 4 is
-    /// `LIKE` (the pattern's bytes, one per element: exact, no hashing).
-    pub(crate) preds: Vec<(u32, u32, u32, Vec<i64>)>,
+    /// The predicates as `(table, col, op code, literals)` — the literals
+    /// as a range of `lits` — sorted, by literals last, so `lits` stays
+    /// aligned with `shape` even when two predicates share a column and
+    /// operator. Op codes 0/1/2 are `=`, `<`, `>` (one literal each), 3 is
+    /// `IN` (the canonical sorted list), 4 is `LIKE` (the pattern's bytes,
+    /// one per element: exact, no hashing).
+    pub(crate) preds: Vec<(u32, u32, u32, Range<usize>)>,
+    /// Working memory of [`CanonicalQuery::fill`]: the join quads while they
+    /// are sorted, and the literals in the query's own predicate order.
+    joins: Vec<[u32; 4]>,
+    unsorted: Vec<i64>,
 }
 
 impl CanonicalQuery {
     pub(crate) fn of(query: &Query) -> Self {
+        let mut canonical = Self::default();
+        canonical.fill(query);
+        canonical
+    }
+
+    /// Replaces the contents with the canonical form of `query`.
+    pub(crate) fn fill(&mut self, query: &Query) {
         use ds_storage::predicate::PredTest;
-        let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
-        tables.sort_unstable();
-        let mut joins: Vec<[u32; 4]> = query
-            .joins
-            .iter()
-            .map(|j| {
-                let l = [j.left.table.0 as u32, j.left.col as u32];
-                let r = [j.right.table.0 as u32, j.right.col as u32];
-                let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
-                [lt, lc, rt, rc]
-            })
-            .collect();
+        let Self {
+            shape,
+            lits,
+            preds,
+            joins,
+            unsorted,
+        } = self;
+        shape.clear();
+        // Exact, like `lits` below: `EstimateKey::new` keeps both vectors.
+        shape.reserve_exact(
+            2 + query.tables.len() + 4 * (query.joins.len() + query.predicates.len()),
+        );
+        shape.push(query.tables.len() as u32);
+        shape.extend(query.tables.iter().map(|t| t.0 as u32));
+        shape[1..].sort_unstable();
+        joins.clear();
+        joins.extend(query.joins.iter().map(|j| {
+            let l = [j.left.table.0 as u32, j.left.col as u32];
+            let r = [j.right.table.0 as u32, j.right.col as u32];
+            let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
+            [lt, lc, rt, rc]
+        }));
         joins.sort_unstable();
-        let mut preds: Vec<(u32, u32, u32, Vec<i64>)> = query
-            .qualified_predicates()
-            .map(|(cr, p)| {
-                let (op, plits) = match &p.test {
-                    PredTest::Cmp(op, lit) => (op.index() as u32, vec![*lit]),
-                    PredTest::In(values) => (3, values.clone()),
-                    PredTest::Like(pat) => (4, pat.as_str().bytes().map(i64::from).collect()),
-                };
-                (cr.table.0 as u32, cr.col as u32, op, plits)
-            })
-            .collect();
-        preds.sort_unstable();
-        let mut shape = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 4 * preds.len());
-        shape.push(tables.len() as u32);
-        shape.extend_from_slice(&tables);
         shape.push(joins.len() as u32);
-        for j in &joins {
-            shape.extend_from_slice(j);
-        }
-        let mut lits = Vec::with_capacity(preds.len());
-        for (t, c, op, plits) in &preds {
+        shape.extend(joins.iter().flatten());
+        unsorted.clear();
+        preds.clear();
+        preds.extend(query.qualified_predicates().map(|(cr, p)| {
+            let start = unsorted.len();
+            let op = match &p.test {
+                PredTest::Cmp(op, lit) => {
+                    unsorted.push(*lit);
+                    op.index() as u32
+                }
+                PredTest::In(values) => {
+                    unsorted.extend_from_slice(values);
+                    3
+                }
+                PredTest::Like(pat) => {
+                    unsorted.extend(pat.as_str().bytes().map(i64::from));
+                    4
+                }
+            };
+            (cr.table.0 as u32, cr.col as u32, op, start..unsorted.len())
+        }));
+        preds.sort_unstable_by(|a, b| {
+            (a.0, a.1, a.2, &unsorted[a.3.clone()]).cmp(&(b.0, b.1, b.2, &unsorted[b.3.clone()]))
+        });
+        lits.clear();
+        lits.reserve_exact(unsorted.len());
+        for (t, c, op, range) in preds {
             shape.extend_from_slice(&[*t, *c, *op]);
             if *op >= 3 {
-                shape.push(plits.len() as u32);
+                shape.push(range.len() as u32);
             }
-            lits.extend_from_slice(plits);
+            let start = lits.len();
+            lits.extend_from_slice(&unsorted[range.clone()]);
+            *range = start..lits.len();
         }
-        Self { shape, lits, preds }
     }
 }
 
@@ -202,18 +244,21 @@ impl EstimateCache {
     /// this is the first sight of `sketch` at `generation` (a swap,
     /// remove/re-insert, or background-retrain promotion).
     pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> EstimateKey {
-        self.key_of(sketch, generation, CanonicalQuery::of(query))
+        self.note_generation(sketch, generation);
+        EstimateKey::new(sketch, generation, query)
     }
 
-    /// [`EstimateCache::key`] for a query already in canonical form.
-    pub(crate) fn key_of(
+    /// [`EstimateCache::key`] into a key the caller reuses, for a query
+    /// already in canonical form.
+    pub(crate) fn key_into(
         &self,
+        key: &mut EstimateKey,
         sketch: &str,
         generation: u64,
-        query: CanonicalQuery,
-    ) -> EstimateKey {
+        query: &CanonicalQuery,
+    ) {
         self.note_generation(sketch, generation);
-        EstimateKey::from_canonical(sketch, generation, query)
+        key.set(sketch, generation, query);
     }
 
     /// Purges `dead` entries from every shard; returns how many went.

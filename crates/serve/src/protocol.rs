@@ -74,23 +74,25 @@ pub const MIN_PROTOCOL_VERSION: u32 = 1;
 /// (`LIFECYCLE`), and cross-process trace propagation (`trace`).
 pub const SUPPORTED_FEATURES: &[&str] = &["cache", "degraded-token", "fleet", "lifecycle", "trace"];
 
-/// A parsed client request.
+/// A parsed client request. Its text arguments are `String`s wherever a
+/// request is built or kept; the server's handlers read `Request<&str>`,
+/// whose arguments are slices of the request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<S = String> {
     /// `HELLO <version> [features]` — negotiate version + feature flags.
     Hello {
         /// The sender's protocol version.
         version: u32,
         /// Features the sender implements (comma-separated on the wire).
-        features: Vec<String>,
+        features: Vec<S>,
     },
     /// `ESTIMATE <sketch> <sql> [trace=…]` — estimate `sql` with the
     /// named sketch.
     Estimate {
         /// Sketch name in the store.
-        sketch: String,
+        sketch: S,
         /// The `SELECT COUNT(*)` query text.
-        sql: String,
+        sql: S,
         /// Propagated trace identity from the optional trailing
         /// `trace=` token (v3 feature; `None` from older peers).
         trace: Option<TraceContext>,
@@ -101,11 +103,11 @@ pub enum Request {
     /// cardinality `actual` into the sketch's rolling accuracy monitor.
     Feedback {
         /// Sketch name in the store.
-        sketch: String,
+        sketch: S,
         /// The true cardinality the system observed for this query.
         actual: u64,
         /// The `SELECT COUNT(*)` query text.
-        sql: String,
+        sql: S,
         /// Propagated trace identity from the optional trailing
         /// `trace=` token (v3 feature; `None` from older peers).
         trace: Option<TraceContext>,
@@ -113,7 +115,7 @@ pub enum Request {
     /// `INFO <sketch>` — summary card of the named sketch.
     Info {
         /// Sketch name in the store.
-        sketch: String,
+        sketch: S,
     },
     /// `LIST` — all sketches and statuses.
     List,
@@ -121,27 +123,27 @@ pub enum Request {
     /// checksum-authenticated `DSNP` blob at its current generation.
     Snapshot {
         /// Sketch name in the store.
-        sketch: String,
+        sketch: S,
     },
     /// `SYNC <name> <generation> <len> <hex>` — offer a `DSNP` blob for
     /// newest-wins adoption. `len` is the decoded byte length, a cheap
     /// transfer-level guard in front of the blob's own checksum trailer.
     Sync {
         /// Sketch name the sender claims the blob carries.
-        name: String,
+        name: S,
         /// Generation the sender claims the blob captures.
         generation: u64,
         /// Decoded byte length of the blob.
         len: u64,
         /// The hex-encoded `DSNP` bytes.
-        hex: String,
+        hex: S,
     },
     /// `LIFECYCLE <sketch>` — the retrain-and-hot-swap lifecycle status of
     /// a sketch (phase, harvest size, shadow medians, swap/rollback
     /// counters).
     Lifecycle {
         /// Sketch name in the store.
-        sketch: String,
+        sketch: S,
     },
     /// `STATS` — full Prometheus-style exposition.
     Stats,
@@ -149,6 +151,52 @@ pub enum Request {
     Trace,
     /// `QUIT` — close the connection.
     Quit,
+}
+
+impl<S> Request<S> {
+    /// The same request with every text argument passed through `f`.
+    fn map<T>(self, f: impl Fn(S) -> T) -> Request<T> {
+        match self {
+            Request::Hello { version, features } => Request::Hello {
+                version,
+                features: features.into_iter().map(f).collect(),
+            },
+            Request::Estimate { sketch, sql, trace } => Request::Estimate {
+                sketch: f(sketch),
+                sql: f(sql),
+                trace,
+            },
+            Request::Feedback {
+                sketch,
+                actual,
+                sql,
+                trace,
+            } => Request::Feedback {
+                sketch: f(sketch),
+                actual,
+                sql: f(sql),
+                trace,
+            },
+            Request::Info { sketch } => Request::Info { sketch: f(sketch) },
+            Request::List => Request::List,
+            Request::Snapshot { sketch } => Request::Snapshot { sketch: f(sketch) },
+            Request::Sync {
+                name,
+                generation,
+                len,
+                hex,
+            } => Request::Sync {
+                name: f(name),
+                generation,
+                len,
+                hex: f(hex),
+            },
+            Request::Lifecycle { sketch } => Request::Lifecycle { sketch: f(sketch) },
+            Request::Stats => Request::Stats,
+            Request::Trace => Request::Trace,
+            Request::Quit => Request::Quit,
+        }
+    }
 }
 
 /// Machine-readable failure categories carried in `ERR` responses.
@@ -258,132 +306,107 @@ fn split_trace(tail: &str) -> Result<(&str, Option<TraceContext>), Response> {
     }
 }
 
+/// The argument `rest` starts with and what follows its delimiter — one
+/// white-space character, so a doubled one reads as an empty argument.
+/// Whoever takes the remainder as the last argument trims it.
+fn next_arg(rest: &str) -> (&str, &str) {
+    rest.split_once(char::is_whitespace).unwrap_or((rest, ""))
+}
+
 /// Parses one request line. Returns a [`Response::Error`] (proto code) on
 /// malformed input so callers can echo it straight back.
 pub fn parse_request(line: &str) -> Result<Request, Response> {
-    let line = line.trim();
-    let mut parts = line.splitn(2, char::is_whitespace);
-    let verb = parts.next().unwrap_or("").to_ascii_uppercase();
-    let rest = parts.next().unwrap_or("").trim();
-    match verb.as_str() {
-        "HELLO" => {
-            let mut args = rest.splitn(2, char::is_whitespace);
-            let version = args.next().unwrap_or("").trim();
-            let features = args.next().unwrap_or("").trim();
-            let version: u32 = version.parse().map_err(|_| Response::Error {
-                code: ErrorCode::Proto,
-                message: "usage: HELLO <version> [feature,feature,…]".to_string(),
-            })?;
-            let features = features
-                .split(',')
-                .map(str::trim)
-                .filter(|f| !f.is_empty())
-                .map(str::to_string)
-                .collect();
-            Ok(Request::Hello { version, features })
+    split_request(line).map(|request| request.map(str::to_string))
+}
+
+/// [`parse_request`] without the copies — the one request grammar: the verb
+/// is matched and the arguments are validated and returned as slices of
+/// `line`.
+pub(crate) fn split_request(line: &str) -> Result<Request<&str>, Response> {
+    let (verb, rest) = next_arg(line.trim());
+    let rest = rest.trim();
+    let is = |name: &str| verb.eq_ignore_ascii_case(name);
+    let usage = |usage: &str| Response::Error {
+        code: ErrorCode::Proto,
+        message: format!("usage: {usage}"),
+    };
+    if is("ESTIMATE") {
+        let (sketch, tail) = next_arg(rest);
+        let (sql, trace) = split_trace(tail.trim())?;
+        if sketch.is_empty() || sql.is_empty() {
+            return Err(usage("ESTIMATE <sketch> <sql> [trace=<id>.<span>]"));
         }
-        "SNAPSHOT" => {
-            if rest.is_empty() || rest.contains(char::is_whitespace) {
-                return Err(Response::Error {
-                    code: ErrorCode::Proto,
-                    message: "usage: SNAPSHOT <sketch>".to_string(),
-                });
-            }
-            Ok(Request::Snapshot {
-                sketch: rest.to_string(),
-            })
+        Ok(Request::Estimate { sketch, sql, trace })
+    } else if is("FEEDBACK") {
+        let usage = || usage("FEEDBACK <sketch> <actual-cardinality> <sql> [trace=<id>.<span>]");
+        let (sketch, rest) = next_arg(rest);
+        let (actual, tail) = next_arg(rest);
+        let (sql, trace) = split_trace(tail.trim())?;
+        if sketch.is_empty() || sql.is_empty() {
+            return Err(usage());
         }
-        "SYNC" => {
-            let mut args = rest.splitn(4, char::is_whitespace);
-            let name = args.next().unwrap_or("").trim();
-            let generation = args.next().unwrap_or("").trim();
-            let len = args.next().unwrap_or("").trim();
-            let hex = args.next().unwrap_or("").trim();
-            let usage = || Response::Error {
-                code: ErrorCode::Proto,
-                message: "usage: SYNC <name> <generation> <len> <hex>".to_string(),
-            };
-            if name.is_empty() || hex.is_empty() {
-                return Err(usage());
-            }
-            let generation: u64 = generation.parse().map_err(|_| usage())?;
-            let len: u64 = len.parse().map_err(|_| usage())?;
-            Ok(Request::Sync {
-                name: name.to_string(),
-                generation,
-                len,
-                hex: hex.to_string(),
-            })
+        let actual: u64 = actual.parse().map_err(|_| usage())?;
+        Ok(Request::Feedback {
+            sketch,
+            actual,
+            sql,
+            trace,
+        })
+    } else if is("HELLO") {
+        let (version, features) = next_arg(rest);
+        let version: u32 = version
+            .parse()
+            .map_err(|_| usage("HELLO <version> [feature,feature,…]"))?;
+        let features = features.split(',').map(str::trim);
+        Ok(Request::Hello {
+            version,
+            features: features.filter(|f| !f.is_empty()).collect(),
+        })
+    } else if is("SNAPSHOT") {
+        if rest.is_empty() || rest.contains(char::is_whitespace) {
+            return Err(usage("SNAPSHOT <sketch>"));
         }
-        "ESTIMATE" => {
-            let mut args = rest.splitn(2, char::is_whitespace);
-            let sketch = args.next().unwrap_or("").trim();
-            let tail = args.next().unwrap_or("").trim();
-            let (sql, trace) = split_trace(tail)?;
-            if sketch.is_empty() || sql.is_empty() {
-                return Err(Response::Error {
-                    code: ErrorCode::Proto,
-                    message: "usage: ESTIMATE <sketch> <sql> [trace=<id>.<span>]".to_string(),
-                });
-            }
-            Ok(Request::Estimate {
-                sketch: sketch.to_string(),
-                sql: sql.to_string(),
-                trace,
-            })
+        Ok(Request::Snapshot { sketch: rest })
+    } else if is("SYNC") {
+        let usage = || usage("SYNC <name> <generation> <len> <hex>");
+        let (name, rest) = next_arg(rest);
+        let (generation, rest) = next_arg(rest);
+        let (len, hex) = next_arg(rest);
+        let hex = hex.trim();
+        if name.is_empty() || hex.is_empty() {
+            return Err(usage());
         }
-        "FEEDBACK" => {
-            let mut args = rest.splitn(3, char::is_whitespace);
-            let sketch = args.next().unwrap_or("").trim();
-            let actual = args.next().unwrap_or("").trim();
-            let tail = args.next().unwrap_or("").trim();
-            let usage = || Response::Error {
-                code: ErrorCode::Proto,
-                message: "usage: FEEDBACK <sketch> <actual-cardinality> <sql> [trace=<id>.<span>]"
-                    .to_string(),
-            };
-            let (sql, trace) = split_trace(tail)?;
-            if sketch.is_empty() || sql.is_empty() {
-                return Err(usage());
-            }
-            let actual: u64 = actual.parse().map_err(|_| usage())?;
-            Ok(Request::Feedback {
-                sketch: sketch.to_string(),
-                actual,
-                sql: sql.to_string(),
-                trace,
-            })
+        let generation: u64 = generation.parse().map_err(|_| usage())?;
+        let len: u64 = len.parse().map_err(|_| usage())?;
+        Ok(Request::Sync {
+            name,
+            generation,
+            len,
+            hex,
+        })
+    } else if is("INFO") {
+        if rest.is_empty() {
+            return Err(usage("INFO <sketch>"));
         }
-        "INFO" => {
-            if rest.is_empty() {
-                return Err(Response::Error {
-                    code: ErrorCode::Proto,
-                    message: "usage: INFO <sketch>".to_string(),
-                });
-            }
-            Ok(Request::Info {
-                sketch: rest.to_string(),
-            })
+        Ok(Request::Info { sketch: rest })
+    } else if is("LIFECYCLE") {
+        if rest.is_empty() || rest.contains(char::is_whitespace) {
+            return Err(usage("LIFECYCLE <sketch>"));
         }
-        "LIFECYCLE" => {
-            if rest.is_empty() || rest.contains(char::is_whitespace) {
-                return Err(Response::Error {
-                    code: ErrorCode::Proto,
-                    message: "usage: LIFECYCLE <sketch>".to_string(),
-                });
-            }
-            Ok(Request::Lifecycle {
-                sketch: rest.to_string(),
-            })
-        }
-        "LIST" => Ok(Request::List),
-        "STATS" => Ok(Request::Stats),
-        "TRACE" => Ok(Request::Trace),
-        "QUIT" | "EXIT" => Ok(Request::Quit),
-        other => Err(Response::Error {
+        Ok(Request::Lifecycle { sketch: rest })
+    } else if is("LIST") {
+        Ok(Request::List)
+    } else if is("STATS") {
+        Ok(Request::Stats)
+    } else if is("TRACE") {
+        Ok(Request::Trace)
+    } else if is("QUIT") || is("EXIT") {
+        Ok(Request::Quit)
+    } else {
+        Err(Response::Error {
             code: ErrorCode::Proto,
-            message: format!("unknown command '{other}'"),
-        }),
+            message: format!("unknown command '{}'", verb.to_ascii_uppercase()),
+        })
     }
 }
 

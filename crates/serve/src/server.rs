@@ -32,19 +32,19 @@ use ds_core::snapshot::{decode_hex, decode_snapshot, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
 use ds_est::EstimateError;
 use ds_obs::{IdSource, PromText, SloTracker, TraceContext};
-use ds_query::parser::parse_query;
+use ds_query::parser::Parser;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 use crate::breaker::{Admit, BreakerRegistry};
-use crate::cache::{CanonicalQuery, EstimateCache};
+use crate::cache::{CanonicalQuery, EstimateCache, EstimateKey};
 use crate::config::{ServeConfig, SloSignal};
 use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 use crate::protocol::{
-    estimate_error_response, format_response, parse_request, store_error_response, ErrorCode,
+    estimate_error_response, format_response, split_request, store_error_response, ErrorCode,
     Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
 
@@ -432,27 +432,48 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(mut lines) = LineReader::new(stream, &shared.shutting_down) else {
         return;
     };
-    let pacer = ColdPacer::default();
+    let mut conn = ConnectionState::default();
     while let Some(request) = lines.next_line() {
         // A request that arrived before the slot of the pass before it
         // ended waits here, with its handler awake; one that arrives later
         // (the usual case on a loaded server) found the handler asleep in
         // the read above, and nothing spins for it.
-        pacer.rest();
+        conn.pacer.rest();
         // t0 anchors the request timeline: everything from here to the
         // post-flush stamp is attributed to exactly one stage.
         let t0 = Instant::now();
-        let (response, pending) = handle_line(request, shared, t0, &pacer);
+        let (response, pending) = handle_line(request, shared, t0, &mut conn);
         if lines.respond(&response).is_err() {
             return;
         }
         if let Some(p) = pending {
-            finish_timeline(p, t0, shared);
+            finish_timeline(p, &conn.sketch, t0, shared);
         }
         if response == Response::Bye {
             return;
         }
     }
+}
+
+/// What a handler keeps from one request to the next, beside its
+/// [`LineReader`]'s line and reply buffers. A request is read as slices of
+/// the line; everything derived from it lands in these, which keep their
+/// allocations, so a cache hit allocates nothing. A miss moves `query` into
+/// the batcher and clones `key` into the cache.
+#[derive(Default)]
+struct ConnectionState {
+    pacer: ColdPacer,
+    /// The SQL parser's token, term and alias buffers.
+    parser: Parser,
+    /// The request's parsed query.
+    query: Query,
+    /// Its canonical form: template shape, harvest key and cache key.
+    canonical: CanonicalQuery,
+    /// The key the cache is probed with.
+    key: EstimateKey,
+    /// The sketch the last timed request named: its timeline is finished
+    /// after the reply is written, when the line is gone.
+    sketch: String,
 }
 
 /// One connection's forward-pass pacing (see [`COLD_PASS_SPACING`]): the
@@ -503,7 +524,6 @@ impl ColdPacer {
 
 /// A successful estimate's timeline, waiting for the final write stamp.
 struct PendingTimeline {
-    sketch: String,
     template: Arc<str>,
     stamps: StageStamps,
     /// Incoming trace context plus this server's own span id, when the
@@ -517,7 +537,7 @@ struct PendingTimeline {
 /// its server-side spans available to the aggregator. Only kept exemplars
 /// materialize their strings; the common fast-request path records five
 /// histogram points and returns.
-fn finish_timeline(p: PendingTimeline, t0: Instant, shared: &Shared) {
+fn finish_timeline(p: PendingTimeline, sketch: &str, t0: Instant, shared: &Shared) {
     let done = Instant::now();
     let us = |d: Duration| d.as_micros() as u64;
     let s = &p.stamps;
@@ -536,7 +556,7 @@ fn finish_timeline(p: PendingTimeline, t0: Instant, shared: &Shared) {
             None => (0, 0, 0),
         };
         shared.metrics.slow.push(RequestTimeline {
-            sketch: p.sketch,
+            sketch: sketch.to_string(),
             template: p.template.as_ref().to_string(),
             total_us: us(total),
             parse_us,
@@ -650,10 +670,10 @@ fn handle_line(
     line: &str,
     shared: &Shared,
     t0: Instant,
-    pacer: &ColdPacer,
+    conn: &mut ConnectionState,
 ) -> (Response, Option<PendingTimeline>) {
     shared.metrics.record_request();
-    let request = match parse_request(line) {
+    let request = match split_request(line) {
         Ok(r) => r,
         Err(resp) => {
             shared.metrics.record_error();
@@ -662,23 +682,23 @@ fn handle_line(
     };
     let response = match request {
         Request::Estimate { sketch, sql, trace } => {
-            return handle_estimate(&sketch, &sql, trace, None, shared, t0, pacer)
+            return handle_estimate(sketch, sql, trace, None, shared, t0, conn)
         }
         Request::Feedback {
             sketch,
             actual,
             sql,
             trace,
-        } => return handle_estimate(&sketch, &sql, trace, Some(actual), shared, t0, pacer),
+        } => return handle_estimate(sketch, sql, trace, Some(actual), shared, t0, conn),
         Request::Hello { version, .. } => handle_hello(version, shared),
-        Request::Snapshot { sketch } => handle_snapshot(&sketch, shared),
+        Request::Snapshot { sketch } => handle_snapshot(sketch, shared),
         Request::Sync {
             name,
             generation,
             len,
             hex,
-        } => handle_sync(&name, generation, len, &hex, shared),
-        Request::Info { sketch } => match shared.store.get(&sketch) {
+        } => handle_sync(name, generation, len, hex, shared),
+        Request::Info { sketch } => match shared.store.get(sketch) {
             Ok(s) => Response::Text(s.info().to_string()),
             Err(e) => {
                 shared.metrics.record_error();
@@ -700,7 +720,7 @@ fn handle_line(
             })
         }
         Request::Stats => Response::Text(stats_payload(shared)),
-        Request::Lifecycle { sketch } => handle_lifecycle(&sketch, shared),
+        Request::Lifecycle { sketch } => handle_lifecycle(sketch, shared),
         Request::Trace => Response::Text(trace_payload(shared)),
         Request::Quit => Response::Bye,
     };
@@ -882,7 +902,7 @@ fn handle_estimate(
     feedback: Option<u64>,
     shared: &Shared,
     t0: Instant,
-    pacer: &ColdPacer,
+    conn: &mut ConnectionState,
 ) -> (Response, Option<PendingTimeline>) {
     let _span = ds_obs::global().span("serve/estimate");
     // A traced request gets this server's own span, parented under the
@@ -898,23 +918,28 @@ fn handle_estimate(
             return (store_error_response(&e), None);
         }
     };
-    let query = match parse_query(&shared.db, sql) {
-        Ok(q) => q,
-        Err(e) => {
-            shared.metrics.record_error();
-            shared.record_slos(None, true, None);
-            return (
-                Response::Error {
-                    code: ErrorCode::Parse,
-                    message: e.0,
-                },
-                None,
-            );
-        }
-    };
+    let ConnectionState {
+        pacer,
+        parser,
+        query,
+        canonical,
+        key,
+        sketch: timed_sketch,
+    } = conn;
+    if let Err(e) = parser.parse_query(&shared.db, sql, query) {
+        shared.metrics.record_error();
+        shared.record_slos(None, true, None);
+        return (
+            Response::Error {
+                code: ErrorCode::Parse,
+                message: e.0,
+            },
+            None,
+        );
+    }
     let breaker = shared.breakers.breaker(sketch);
     if breaker.admit() == Admit::ShortCircuit {
-        return match degraded_answer(&query, shared) {
+        return match degraded_answer(query, shared) {
             Some(resp) => {
                 shared.metrics.record_ok(t0.elapsed());
                 shared.record_slos(Some(t0.elapsed()), false, None);
@@ -944,11 +969,13 @@ fn handle_estimate(
     // One canonicalisation of the query serves the interned template, the
     // harvest key and the cache key.
     let wants_template = shared.timeline || feedback.is_some();
-    let canonical = (wants_template || cache.is_some()).then(|| CanonicalQuery::of(&query));
+    let canonical = (wants_template || cache.is_some()).then(|| {
+        canonical.fill(query);
+        &*canonical
+    });
     let template = canonical
-        .as_ref()
         .filter(|_| wants_template)
-        .map(|c| shared.templates.get(&shared.db, &query, &c.shape));
+        .map(|c| shared.templates.get(&shared.db, query, &c.shape));
     // Shadow mirroring clones the query only while this sketch is actually
     // in the shadow phase — `shadowing` is one relaxed atomic load when no
     // candidate exists anywhere, keeping the steady-state path clone-free.
@@ -961,14 +988,14 @@ fn handle_estimate(
     // re-grading the same concrete query refreshes (not duplicates) its
     // harvest entry.
     let harvest_key = canonical
-        .as_ref()
         .filter(|_| feedback.is_some() && shared.lifecycle.is_some())
         .map(|c| harvest_key(template.as_deref().unwrap_or(""), c));
     // Building the key notes the store generation, eagerly purging entries
     // staled by a swap or remove/re-insert.
-    let cache_key = cache
-        .zip(canonical)
-        .map(|(c, q)| c.key_of(sketch, generation, q));
+    let cache_key = cache.zip(canonical).map(|(c, q)| {
+        c.key_into(key, sketch, generation, q);
+        &*key
+    });
     // Drift detection compares this sketch's training-time baseline to the
     // template's rolling feedback; grab it before `estimator` moves.
     let baseline = (feedback.is_some() && cache.is_some())
@@ -988,7 +1015,7 @@ fn handle_estimate(
         Err(Rejection::Estimate(EstimateError::Execution(format!(
             "sketch '{sketch}' model poisoned (fault injection)"
         ))))
-    } else if let Some(v) = cache_key.as_ref().and_then(|k| cache.unwrap().get(k)) {
+    } else if let Some(v) = cache_key.and_then(|k| cache.unwrap().get(k)) {
         // Warm cache: the memoized answer is bit-identical to what the
         // forward pass produced when it was inserted, so the wire bytes
         // match a cold estimate exactly.
@@ -1009,9 +1036,12 @@ fn handle_estimate(
         // one model version, so a concurrent retraining swap or
         // remove/re-insert can never mix models inside a batch.
         pacer.mark(t0);
-        let result = shared
-            .batcher
-            .estimate_with_trace(generation, estimator, query, child_ctx);
+        let result = shared.batcher.estimate_with_trace(
+            generation,
+            estimator,
+            std::mem::take(query),
+            child_ctx,
+        );
         match result {
             Ok(_)
                 if shared
@@ -1029,9 +1059,10 @@ fn handle_estimate(
     match outcome {
         Ok((v, stamps)) => {
             breaker.record_success();
-            shared.metrics.record_ok(t0.elapsed());
+            let latency = t0.elapsed();
+            shared.metrics.record_ok(latency);
             let qerror = feedback.map(|actual| ds_core::metrics::qerror(v, actual.max(1) as f64));
-            shared.record_slos(Some(t0.elapsed()), false, qerror);
+            shared.record_slos(Some(latency), false, qerror);
             let mut drifted = false;
             if let Some(actual) = feedback {
                 let monitor = shared.monitors.monitor(sketch);
@@ -1047,9 +1078,7 @@ fn handle_estimate(
                 // template's rolling q-error degrades past the configured
                 // ratio versus the training-time baseline, its cached
                 // estimates are dropped (and this one is not re-inserted).
-                if let (Some(c), Some(k), Some(base)) =
-                    (cache, cache_key.as_ref(), baseline.as_ref())
-                {
+                if let (Some(c), Some(k), Some(base)) = (cache, cache_key, baseline.as_ref()) {
                     if let Some(rolling) = monitor.template_rolling(tmpl) {
                         let stale =
                             ds_core::maintain::accuracy_drift(base, &rolling).is_some_and(|d| {
@@ -1067,7 +1096,7 @@ fn handle_estimate(
             }
             if !cache_hit && !drifted {
                 if let (Some(c), Some(k)) = (cache, cache_key) {
-                    c.insert(k, v);
+                    c.insert(k.clone(), v);
                 }
             }
             // Mirror the request to the shadow scorer *after* answering is
@@ -1090,11 +1119,14 @@ fn handle_estimate(
                     }
                 }
             }
-            let pending = shared.timeline.then(|| PendingTimeline {
-                sketch: sketch.to_string(),
-                template: Arc::clone(template.as_ref().expect("template built when timeline on")),
-                stamps,
-                trace: server_trace,
+            let pending = shared.timeline.then(|| {
+                timed_sketch.clear();
+                timed_sketch.push_str(sketch);
+                PendingTimeline {
+                    template: template.expect("template built when timeline on"),
+                    stamps,
+                    trace: server_trace,
+                }
             });
             (Response::Estimate(v), pending)
         }
@@ -1160,7 +1192,7 @@ fn harvest_key(template: &str, query: &CanonicalQuery) -> String {
         // `#{t}.{c}:{op}={lit}` spelling; IN/LIKE render their full
         // literal vector so distinct lists and patterns stay distinct.
         let _ = write!(key, "#{t}.{c}:{op}=");
-        for (i, lit) in lits.iter().enumerate() {
+        for (i, lit) in query.lits[lits.start..lits.end].iter().enumerate() {
             if i > 0 {
                 key.push(',');
             }
@@ -1411,7 +1443,7 @@ fn trace_payload(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::EstimateKey;
+    use ds_query::parser::parse_query;
     use ds_storage::gen::{imdb_database, ImdbConfig};
 
     #[test]
