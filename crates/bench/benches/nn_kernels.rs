@@ -1,7 +1,9 @@
 //! **NN kernel + pipeline throughput** — the numbers behind the compute
 //! backbone: matmul kernel timings at the MSCN-critical shapes, end-to-end
-//! training cost at the fig1a configuration (10k queries), and batched vs
-//! looped serving latency on a JOB-light-style workload.
+//! training cost at the fig1a configuration (10k queries), batched vs
+//! looped serving latency on a JOB-light-style workload, and what the
+//! frozen artifact's element memo does to one estimate on the repository
+//! benchmark's sketch and stream.
 //!
 //! Prints its timings and asserts that every kernel path and both serving
 //! paths agree exactly; the committed, gated record of the same shapes is
@@ -12,22 +14,28 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ds_bench::{banner, bench_imdb, kernel_shapes, random_tensor, BENCH_SEED};
+use ds_bench::{
+    banner, bench_imdb, benchmark_sketch_builder, benchmark_stream, kernel_shapes, random_tensor,
+    BENCH_SEED,
+};
 use ds_core::builder::SketchBuilder;
+use ds_core::QuantMode;
 use ds_nn::pool::PoolConfig;
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 
+/// Wall-clock seconds of one run of `f`.
+fn secs<R>(f: impl FnOnce() -> R) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
 /// Median wall-clock seconds of `iters` runs of `f`.
 fn median_secs<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        black_box(f());
-        times.push(t.elapsed().as_secs_f64());
-    }
+    let mut times: Vec<f64> = (0..iters).map(|_| secs(&mut f)).collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
 }
@@ -113,4 +121,78 @@ fn main() {
     let speedup = looped_secs / batch_secs;
     println!("  looped estimate_one: {looped_secs:>10.4}s");
     println!("  estimate_batch     : {batch_secs:>10.4}s  ({speedup:.2}x)");
+
+    // --- (4) the element memo, on the benchmark's sketch and stream ------
+    // What one estimate (featurization included) costs when no set element
+    // is in the memo, when all are, and over the stream as the benchmark's
+    // `sketch_build` workload runs it. A lookup happens before any insert
+    // of the same call, so the first batch an artifact serves misses on
+    // every element, repeats included, and streams the weights once — the
+    // shape the parent commit's `core.estimate_batch64_us_per_query` has.
+    println!("\n[4] element memo, benchmark sketch (hidden 256, sample 256), µs per estimate:");
+    let mut sketch = benchmark_sketch_builder(&db).build().expect("pipeline");
+    let stream = benchmark_stream(&db, 1, 16_384);
+    let median_us = |mut times: Vec<f64>| {
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times[times.len() / 2] * 1e6
+    };
+    let row = |name: &str, us: f64, memo: ds_core::MemoStats| {
+        let share = 100.0 * memo.hits as f64 / (memo.hits + memo.misses) as f64;
+        println!(
+            "  {name:<42} {us:>7.2}   {:>6} hits {:>6} misses ({share:.1} %)",
+            memo.hits, memo.misses
+        );
+    };
+    let mut cold = Vec::new();
+    let mut cold_memo = ds_core::MemoStats::default();
+    for chunk in stream.chunks_exact(64).take(32) {
+        sketch.freeze(QuantMode::F32);
+        cold.push(secs(|| sketch.estimate_batch(chunk)) / 64.0);
+        let memo = sketch.memo_stats();
+        (cold_memo.hits, cold_memo.misses) =
+            (cold_memo.hits + memo.hits, cold_memo.misses + memo.misses);
+    }
+    assert_eq!(cold_memo.hits, 0, "a fresh artifact has nothing to hit");
+    row(
+        "all-miss (a fresh artifact's first batch of 64)",
+        median_us(cold),
+        cold_memo,
+    );
+
+    // All-hit: the query just answered, asked again.
+    sketch.freeze(QuantMode::F32);
+    let mut warm = Vec::new();
+    let mut warm_memo = ds_core::MemoStats::default();
+    for q in &stream[..2048] {
+        sketch.estimate_one(q);
+        let primed = sketch.memo_stats();
+        warm.push(secs(|| sketch.estimate_one(q)));
+        let memo = sketch.memo_stats();
+        (warm_memo.hits, warm_memo.misses) = (
+            warm_memo.hits + memo.hits - primed.hits,
+            warm_memo.misses + memo.misses - primed.misses,
+        );
+    }
+    row(
+        "all-hit  (the query just answered, again)",
+        median_us(warm),
+        warm_memo,
+    );
+
+    // The stream in order from an empty memo, one `estimate_one` each.
+    sketch.freeze(QuantMode::F32);
+    let times = stream
+        .iter()
+        .map(|q| secs(|| sketch.estimate_one(q)))
+        .collect();
+    let memo = sketch.memo_stats();
+    row(
+        "benchmark stream (16 384 distinct, singles)",
+        median_us(times),
+        memo,
+    );
+    println!(
+        "  memo resident after the stream: {} B",
+        memo.resident_bytes
+    );
 }

@@ -85,8 +85,7 @@ impl FlatFeaturizer {
         if self.vocab.use_bitmaps() {
             let bm_base = nt + nj + 4 * nc;
             for &t in &query.tables {
-                let preds = query.preds_of(t);
-                let bm = samples[t.0].qualifying_bitmap(&preds);
+                let bm = samples[t.0].qualifying_bitmap(query.preds_of(t));
                 for i in bm.iter_ones() {
                     v[bm_base + t.0 * self.vocab.sample_size() + i] = 1.0;
                 }

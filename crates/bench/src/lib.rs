@@ -66,6 +66,41 @@ pub fn standard_sketch_builder<'a>(
         .seed(BENCH_SEED ^ 2)
 }
 
+/// The sketch the repository benchmark (`BENCHMARK.json`, `setup.rs` in
+/// its directory) defines and trains: the spec its `sketch_bytes` and
+/// `joblight_qerr_*` metrics are pinned to.
+pub fn benchmark_sketch_builder(db: &Database) -> SketchBuilder<'_> {
+    SketchBuilder::new(db, ds_query::workloads::imdb_predicate_columns(db))
+        .training_queries(4000)
+        .epochs(6)
+        .sample_size(256)
+        .hidden_units(256)
+        .max_tables(5)
+        .max_predicates(4)
+        .seed(BENCH_SEED ^ 2)
+}
+
+/// The repository benchmark's query stream (`workload.rs` in its
+/// directory): `n` generated comparison-only queries, distinct under the
+/// server's cache key, each as the server's parser reads its SQL.
+pub fn benchmark_stream(db: &Database, seed: u64, n: usize) -> Vec<Query> {
+    let mut cfg =
+        ds_query::GeneratorConfig::new(ds_query::workloads::imdb_predicate_columns(db), seed);
+    cfg.max_tables = 5;
+    cfg.max_predicates = 4;
+    let mut generator = ds_query::QueryGenerator::new(db, cfg);
+    let mut seen = std::collections::HashSet::with_capacity(n);
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let generated = generator.generate();
+        if seen.insert(ds_serve::EstimateKey::new("imdb", 0, &generated)) {
+            let sql = ds_query::sqlgen::to_sql(db, &generated);
+            out.push(ds_query::parser::parse_query(db, &sql).expect("generated SQL parses"));
+        }
+    }
+    out
+}
+
 /// A `rows × cols` tensor of cheap deterministic pseudo-random values in
 /// `[-0.5, 0.5)` — dense data for kernel timings, where only the shape
 /// matters.

@@ -29,6 +29,7 @@ use ds_nn::ops::Segments;
 use ds_nn::sparse::Rows;
 use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
+use ds_storage::bitmap::Bitmap;
 use ds_storage::catalog::{ColRef, Database};
 use ds_storage::exec::JoinEdge;
 use ds_storage::predicate::{ColPredicate, PredTest};
@@ -331,9 +332,7 @@ impl Featurizer {
                 row[t.0] = 1.0;
             }
             if self.use_bitmaps {
-                let preds = query.preds_of(t);
-                let sample = &samples[t.0];
-                let bm = sample.qualifying_bitmap(&preds);
+                let bm = samples[t.0].qualifying_bitmap(query.preds_of(t));
                 debug_assert_eq!(bm.len(), self.sample_size);
                 for i in bm.iter_ones() {
                     row[self.num_tables + i] = 1.0;
@@ -433,11 +432,9 @@ impl Featurizer {
                 out.tables.push(t.0 as u32, 1.0);
             }
             if self.use_bitmaps {
-                let preds = query.preds_of(t);
-                let sample = &samples[t.0];
-                let bm = sample.qualifying_bitmap(&preds);
-                debug_assert_eq!(bm.len(), self.sample_size);
-                for i in bm.iter_ones() {
+                samples[t.0].qualify_into(query.preds_of(t), &mut out.qualifying);
+                debug_assert_eq!(out.qualifying.len(), self.sample_size);
+                for i in out.qualifying.iter_ones() {
                     out.tables.push((self.num_tables + i) as u32, 1.0);
                 }
             }
@@ -566,7 +563,7 @@ impl Featurizer {
 /// Sparse index-list featurization of one query, the input of the fused
 /// frozen forward. Holds the same information as [`QueryFeatures`] but as
 /// `(index, value)` gather lists instead of dense rows.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, Clone)]
 pub struct QueryIndexFeatures {
     /// Table-set elements: one-hot(table) + sample-bitmap indices.
     pub tables: IndexSet,
@@ -574,6 +571,15 @@ pub struct QueryIndexFeatures {
     pub joins: IndexSet,
     /// Predicate-set elements: column, operator, and literal slots.
     pub preds: IndexSet,
+    /// Scratch of [`Featurizer::append_indices`]: the qualifying-sample
+    /// bitmap of the table it featurized last. Not a feature.
+    qualifying: Bitmap,
+}
+
+impl PartialEq for QueryIndexFeatures {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.tables, &self.joins, &self.preds) == (&other.tables, &other.joins, &other.preds)
+    }
 }
 
 impl QueryIndexFeatures {

@@ -59,7 +59,7 @@ pub use monitor::{MonitorRegistry, MonitorState, QErrorMonitor};
 pub use mscn::{MscnConfig, MscnModel};
 pub use sketch::{DeepSketch, SketchInfo, FREEZE_GATE_MAX_DELTA};
 
-pub use ds_nn::frozen::QuantMode;
+pub use ds_nn::frozen::{MemoStats, QuantMode};
 pub use snapshot::{SketchSnapshot, SnapshotError, WriteFault};
 pub use store::{
     QuarantineReason, RecoveryReport, SketchStatus, SketchStore, StoreError, StoreHandle,

@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 
 use ds_est::{CardinalityEstimator, EstimateError};
-use ds_nn::frozen::{FrozenModel, FrozenScratch, QuantMode};
+use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats, QuantMode};
 use ds_nn::loss::LabelNormalizer;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 use ds_obs::HistogramSnapshot;
@@ -97,6 +97,8 @@ pub struct SketchInfo {
     pub footprint_bytes: usize,
     /// Largest cardinality representable by the label normalizer.
     pub max_label: u64,
+    /// What the serving artifact's element memo has done and holds.
+    pub memo: MemoStats,
 }
 
 impl std::fmt::Display for SketchInfo {
@@ -104,7 +106,8 @@ impl std::fmt::Display for SketchInfo {
         write!(
             f,
             "sketch[{}]: {} tables, {} joins, {} pred-cols; hidden {}, {} params; \
-             {} sample rows ({}/table); {:.2} MiB; max label {}",
+             {} sample rows ({}/table); {:.2} MiB; max label {}; \
+             memo {} hits, {} misses, {} B",
             self.database,
             self.tables,
             self.joins,
@@ -114,7 +117,10 @@ impl std::fmt::Display for SketchInfo {
             self.sample_rows,
             self.sample_size,
             self.footprint_bytes as f64 / (1024.0 * 1024.0),
-            self.max_label
+            self.max_label,
+            self.memo.hits,
+            self.memo.misses,
+            self.memo.resident_bytes
         )
     }
 }
@@ -191,6 +197,13 @@ impl DeepSketch {
     /// is what callers written when it could be absent still expect.
     pub fn frozen(&self) -> Option<&FrozenModel> {
         Some(&self.frozen)
+    }
+
+    /// Hits, misses and resident bytes of the serving artifact's element
+    /// memo ([`ds_nn::frozen`]). They start at zero with every artifact:
+    /// a build, a load, a clone, a re-freeze.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.frozen.memo_stats()
     }
 
     /// Re-freezes the trained model into the serving artifact without an
@@ -397,6 +410,7 @@ impl DeepSketch {
             sample_rows,
             footprint_bytes: self.footprint_bytes(),
             max_label: self.normalizer.bounds().1.exp().round() as u64,
+            memo: self.memo_stats(),
         }
     }
 

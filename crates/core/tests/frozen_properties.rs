@@ -7,7 +7,10 @@
 //! every batch size and thread count of [`DeepSketch::estimate_batch`]
 //! must equal the looped single estimates bit for bit, in both modes, and
 //! the AVX2 column-tile kernel must equal its portable oracle at every
-//! tile width.
+//! tile width. The artifact memoizes set-element embeddings, so all of it
+//! also has to hold between a sketch that has served a stream and one that
+//! has served nothing — from eight threads at once, which is what CI's
+//! ThreadSanitizer job runs this suite for.
 
 use std::sync::OnceLock;
 
@@ -172,15 +175,7 @@ fn mixed_queries(n: usize) -> Vec<Query> {
 
 #[test]
 fn every_batch_size_and_thread_count_is_the_looped_single_estimate() {
-    let (db, _, _) = fixture();
-    let built = SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(200)
-        .epochs(3)
-        .sample_size(16)
-        .hidden_units(24)
-        .seed(9)
-        .build()
-        .expect("build sketch");
+    let built = small_sketch();
     let queries = mixed_queries(3 * 256 + 7);
     for mode in [QuantMode::F32, QuantMode::Int8] {
         let mut sketch: DeepSketch = built.clone();
@@ -217,6 +212,113 @@ fn every_batch_size_and_thread_count_is_the_looped_single_estimate() {
             }
         }
     }
+}
+
+fn small_sketch() -> &'static DeepSketch {
+    static SKETCH: OnceLock<DeepSketch> = OnceLock::new();
+    SKETCH.get_or_init(|| {
+        let (db, _, _) = fixture();
+        SketchBuilder::new(db, imdb_predicate_columns(db))
+            .training_queries(200)
+            .epochs(3)
+            .sample_size(16)
+            .hidden_units(24)
+            .seed(9)
+            .build()
+            .expect("build sketch")
+    })
+}
+
+/// A stream whose queries repeat elements (and, cycled, themselves)
+/// answers from a warm memo exactly what an artifact that has seen nothing
+/// answers, and what the trained model's reference forward answers.
+#[test]
+fn a_stream_with_repeats_answers_like_a_fresh_artifact_per_query() {
+    let queries = mixed_queries(3 * 64 + 7);
+    for mode in [QuantMode::F32, QuantMode::Int8] {
+        let mut sketch = small_sketch().clone();
+        sketch.freeze(mode);
+        // Re-freezing replaces the artifact, so every answer here comes
+        // from an empty memo.
+        let mut cold = sketch.clone();
+        let fresh: Vec<u64> = queries
+            .iter()
+            .map(|q| {
+                cold.freeze(mode);
+                let v = cold.estimate_one(q).to_bits();
+                assert_eq!(cold.memo_stats().hits, 0);
+                v
+            })
+            .collect();
+        if mode == QuantMode::F32 {
+            let reference = sketch.reference_estimates(&queries);
+            let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(reference, fresh, "f32 artifact vs the trained model");
+        }
+        for threads in THREAD_COUNTS {
+            sketch.set_threads(threads);
+            for batch in [1, 2, 64, 65] {
+                for (i, chunk) in queries.chunks(batch).enumerate() {
+                    let at = i * batch;
+                    let got: Vec<u64> = sketch
+                        .estimate_batch(chunk)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(
+                        got,
+                        fresh[at..at + chunk.len()],
+                        "{mode:?} batch={batch} threads={threads}"
+                    );
+                }
+            }
+        }
+        let stats = sketch.memo_stats();
+        assert!(
+            stats.hits > 10 * stats.misses,
+            "16 distinct queries served many times over: {stats:?}"
+        );
+    }
+}
+
+/// Eight threads released together onto one sketch — one artifact, one
+/// memo — each get the single-thread answers.
+#[test]
+fn eight_threads_on_one_sketch_agree_with_one() {
+    let queries = mixed_queries(256);
+    let sketch = small_sketch().clone();
+    let want: Vec<u64> = {
+        let alone = sketch.clone();
+        queries
+            .iter()
+            .map(|q| alone.estimate_one(q).to_bits())
+            .collect()
+    };
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let (sketch, queries, want, barrier) = (&sketch, &queries, &want, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                // Half walk the stream backwards, so threads insert and
+                // look up different elements at the same time.
+                let order: Vec<usize> = if t % 2 == 0 {
+                    (0..queries.len()).collect()
+                } else {
+                    (0..queries.len()).rev().collect()
+                };
+                for i in order {
+                    assert_eq!(sketch.estimate_one(&queries[i]).to_bits(), want[i]);
+                }
+            });
+        }
+    });
+    let stats = sketch.memo_stats();
+    let elements: u64 = queries
+        .iter()
+        .map(|q| (q.tables.len() + q.joins.len() + q.predicates.len()) as u64)
+        .sum();
+    assert_eq!(stats.hits + stats.misses, 8 * elements);
 }
 
 #[test]

@@ -57,7 +57,8 @@ impl CardinalityEstimator for IndependenceOracleEstimator<'_> {
     fn estimate(&self, query: &Query) -> f64 {
         let mut card = 1.0;
         for &t in &query.tables {
-            card *= self.db.table(t).filter_count(&query.preds_of(t)) as f64;
+            let preds: Vec<_> = query.preds_of(t).cloned().collect();
+            card *= self.db.table(t).filter_count(&preds) as f64;
         }
         for join in &query.joins {
             let nd_l = self.n_distinct[join.left.table.0][join.left.col];
@@ -97,9 +98,9 @@ mod tests {
             "SELECT COUNT(*) FROM title WHERE title.production_year > 2000 AND title.kind_id = 1",
         )
         .unwrap();
-        let truth = db
-            .table(db.table_id("title").unwrap())
-            .filter_count(&q.preds_of(db.table_id("title").unwrap()));
+        let title = db.table_id("title").unwrap();
+        let preds: Vec<_> = q.preds_of(title).cloned().collect();
+        let truth = db.table(title).filter_count(&preds);
         assert_eq!(est.estimate(&q), (truth as f64).max(1.0));
     }
 

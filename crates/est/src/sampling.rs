@@ -86,12 +86,12 @@ impl SamplingEstimator {
     /// Sampled selectivity of the predicates on `table`, with the 0-tuple
     /// fallback applied. Tables without predicates have selectivity 1.
     pub fn table_selectivity(&self, query: &Query, table: TableId) -> f64 {
-        let preds = query.preds_of(table);
-        if preds.is_empty() {
+        let mut preds = query.preds_of(table).peekable();
+        if preds.peek().is_none() {
             return 1.0;
         }
         let sample = &self.samples[table.0];
-        match sample.selectivity(&preds) {
+        match sample.selectivity(preds) {
             Some(sel) if sel > 0.0 => sel,
             _ => self.fallback.selectivity(sample.len()),
         }
@@ -100,8 +100,8 @@ impl SamplingEstimator {
     /// True if the query hits a 0-tuple situation on any of its tables.
     pub fn is_zero_tuple(&self, query: &Query) -> bool {
         query.tables.iter().any(|&t| {
-            let preds = query.preds_of(t);
-            !preds.is_empty() && self.samples[t.0].selectivity(&preds) == Some(0.0)
+            let mut preds = query.preds_of(t).peekable();
+            preds.peek().is_some() && self.samples[t.0].selectivity(preds) == Some(0.0)
         })
     }
 }

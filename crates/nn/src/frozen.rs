@@ -22,6 +22,23 @@
 //! streamed once per call however many rows — every element of a set,
 //! every query of a batch — it has.
 //!
+//! ## Element memo
+//!
+//! MSCN embeds every set element — a table with its sample bitmap, a
+//! join, a predicate — through its module's two layers *independently*
+//! before pooling, and traffic repeats elements even when it never repeats
+//! a query (every sub-join an optimizer asks about shares all of its
+//! elements with the query it came from). The artifact therefore carries a
+//! bounded, exact memo of element embeddings: key, the module and the
+//! element's `(index, value)` list compared bit for bit; value, the
+//! `hidden` floats after the module's second ReLU. A forward pass looks
+//! its elements up, runs the two layers over the missing ones only, and
+//! pools. The memo is part of the artifact's *identity-free* state: built
+//! empty by [`FrozenModel::new`], [`FrozenModel::decode_from`] and
+//! `clone`, ignored by `==`, never serialized — so a re-freeze, a load or
+//! a hot-swap starts from an empty memo and there is nothing to
+//! invalidate. It holds at most [`MEMO_MAX_BYTES`].
+//!
 //! ## Determinism contract
 //!
 //! In [`QuantMode::F32`] the fused forward is **bit-identical** to the
@@ -29,7 +46,9 @@
 //! weights, and to the naive [`crate::tensor::reference`] products the
 //! property tests pin both against (see [`crate::sparse`] for why). A
 //! query's result does not depend on what else is in its batch: rows
-//! never share an accumulator.
+//! never share an accumulator. For the same reason an element's embedding
+//! does not depend on which call computed it, so a memoized row is the row
+//! the kernel would produce again, bit for bit, in both modes.
 //!
 //! [`QuantMode::Int8`] trades that exactness for a 4× smaller artifact:
 //! each weight row is quantized to `i8` against its own max-abs scale.
@@ -37,10 +56,13 @@
 //! decides whether an int8 artifact may serve lives in the sketch layer),
 //! and exactly equal across batch sizes and kernels.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
 use crate::serialize::{DecodeError, Decoder, Encoder};
-use crate::sparse::{self, Finish, Weights};
+use crate::sparse::{self, Finish, Rows, Weights};
 
 pub use crate::sparse::IndexSet;
 
@@ -165,11 +187,17 @@ impl FrozenLinear {
     /// # Panics
     /// Panics when `y` has the wrong length or an index is `>= in_dim`.
     pub fn forward_rows(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
+        self.forward(rows.rows(), relu, y);
+    }
+
+    /// [`FrozenLinear::forward_rows`] over borrowed rows, which may name
+    /// any subset of an [`IndexSet`]'s elements.
+    fn forward(&self, rows: Rows<'_>, relu: bool, y: &mut [f32]) {
         let finish = Finish::Bias {
             bias: &self.b,
             relu,
         };
-        sparse::sparse_rows(self.weights(), self.out_dim, rows.rows(), finish, y);
+        sparse::sparse_rows(self.weights(), self.out_dim, rows, finish, y);
     }
 
     /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX2
@@ -264,14 +292,191 @@ impl FrozenLinear {
     }
 }
 
+/// Slots of the element memo. Direct-mapped: an element's hash names the
+/// one slot it may occupy, and a newcomer replaces whatever is there.
+const MEMO_SLOTS: usize = 1024;
+
+/// The most bytes an artifact's element memo ever holds (slot table, keys
+/// and embeddings together). An element is admitted only while the total
+/// stays within this; one that would not fit is computed every time.
+pub const MEMO_MAX_BYTES: usize = 4 << 20;
+
+/// Counters of an artifact's element memo, read without its lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Set elements whose embedding was copied out of the memo.
+    pub hits: u64,
+    /// Set elements run through their module's two layers.
+    pub misses: u64,
+    /// Bytes the memo holds, at most [`MEMO_MAX_BYTES`].
+    pub resident_bytes: u64,
+}
+
+/// Where an element may sit in the memo and what must match there.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    hash: u64,
+    /// `module << 1 | all_ones`: the module the element belongs to and
+    /// whether its key is stored as indices only.
+    tag: u32,
+}
+
+impl Probe {
+    /// Hashes one element of module `module`. Not keyed: the memo is
+    /// direct-mapped, so the worst crafted collisions can do is make every
+    /// lookup miss, which costs what the memo-less forward cost.
+    fn of(module: usize, entries: &[(u32, f32)]) -> Self {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut hash = (module as u64 + 1).wrapping_mul(K) ^ entries.len() as u64;
+        let mut all_ones = true;
+        for &(index, value) in entries {
+            let bits = value.to_bits();
+            all_ones &= bits == ONE_BITS;
+            hash =
+                (hash.rotate_left(5) ^ (u64::from(index) << 32 | u64::from(bits))).wrapping_mul(K);
+        }
+        hash ^= hash >> 29;
+        Self {
+            hash: hash.wrapping_mul(K),
+            tag: (module as u32) << 1 | u32::from(all_ones),
+        }
+    }
+
+    fn slot(self) -> usize {
+        (self.hash >> 32) as usize % MEMO_SLOTS
+    }
+
+    fn all_ones(self) -> bool {
+        self.tag & 1 == 1
+    }
+}
+
+const ONE_BITS: u32 = 1.0f32.to_bits();
+
+/// One memoized element. Vacant while `value` is empty.
+#[derive(Debug, Default)]
+struct MemoSlot {
+    hash: u64,
+    tag: u32,
+    /// The element's entries: its indices when every value is `1.0` (one-hot
+    /// and bitmap features: every table and join element), else
+    /// `(index, value bits)` pairs.
+    key: Vec<u32>,
+    /// The embedding, `hidden` floats.
+    value: Vec<f32>,
+}
+
+impl MemoSlot {
+    /// Whether the slot holds exactly this element: same module, same
+    /// entries, every value bit for bit.
+    fn holds(&self, probe: Probe, entries: &[(u32, f32)]) -> bool {
+        if self.hash != probe.hash || self.tag != probe.tag || self.value.is_empty() {
+            return false;
+        }
+        if probe.all_ones() {
+            self.key.len() == entries.len()
+                && self.key.iter().zip(entries).all(|(&k, &(i, _))| k == i)
+        } else {
+            self.key.len() == 2 * entries.len()
+                && self
+                    .key
+                    .chunks_exact(2)
+                    .zip(entries)
+                    .all(|(k, &(i, v))| k[0] == i && k[1] == v.to_bits())
+        }
+    }
+
+    fn heap_words(&self) -> usize {
+        self.key.capacity() + self.value.capacity()
+    }
+}
+
+/// The slots behind the memo's lock, and the bytes they hold.
+#[derive(Debug, Default)]
+struct MemoTable {
+    /// Empty until the first insert, then `MEMO_SLOTS` long.
+    slots: Vec<MemoSlot>,
+    bytes: usize,
+}
+
+impl MemoTable {
+    fn get(&self, probe: Probe, entries: &[(u32, f32)]) -> Option<&[f32]> {
+        let slot = self.slots.get(probe.slot())?;
+        slot.holds(probe, entries).then_some(&slot.value[..])
+    }
+
+    /// Puts the element into its slot, unless growing the slot's buffers
+    /// to take it would carry the memo past [`MEMO_MAX_BYTES`].
+    fn insert(&mut self, probe: Probe, entries: &[(u32, f32)], value: &[f32]) {
+        if self.slots.is_empty() {
+            self.slots.resize_with(MEMO_SLOTS, MemoSlot::default);
+            self.bytes = MEMO_SLOTS * std::mem::size_of::<MemoSlot>();
+        }
+        let slot = &mut self.slots[probe.slot()];
+        let key_words = entries.len() * if probe.all_ones() { 1 } else { 2 };
+        let held = slot.heap_words();
+        let grown = key_words.max(slot.key.capacity()) + value.len().max(slot.value.capacity());
+        if self.bytes + (grown - held) * 4 > MEMO_MAX_BYTES {
+            return;
+        }
+        slot.hash = probe.hash;
+        slot.tag = probe.tag;
+        slot.key.clear();
+        slot.key.reserve_exact(key_words);
+        if probe.all_ones() {
+            slot.key.extend(entries.iter().map(|&(i, _)| i));
+        } else {
+            slot.key
+                .extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
+        }
+        slot.value.clear();
+        slot.value.reserve_exact(value.len());
+        slot.value.extend_from_slice(value);
+        self.bytes += (slot.heap_words() - held) * 4;
+    }
+}
+
+/// The artifact's element memo (see the module docs): the table behind a
+/// lock no forward pass waits on, and counters beside it. Not part of the
+/// artifact's identity — a clone starts empty and `==` ignores it.
+#[derive(Debug, Default)]
+struct ElementMemo {
+    table: Mutex<MemoTable>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// `MemoTable::bytes`, mirrored so a scrape takes no lock.
+    resident_bytes: AtomicU64,
+}
+
+impl Clone for ElementMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for ElementMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Reusable buffers of the fused forward pass. One scratch per thread
 /// keeps the hot path allocation-free; buffers grow to the largest batch
 /// seen and are then reused.
 #[derive(Debug, Default, Clone)]
 pub struct FrozenScratch {
-    /// Dense layer outputs, `rows × hidden`.
+    /// Element embeddings of one module, `rows × hidden`; then the output
+    /// MLP's hidden layer.
     act: Vec<f32>,
-    /// The non-zeros of `act` (or `pooled`), the next layer's input.
+    /// Memo probe of every element of the module, in element order.
+    probes: Vec<Probe>,
+    /// The elements the memo did not hold: their row in `act`, and their
+    /// span in the set — the rows the two layers run over.
+    missing: Vec<u32>,
+    missing_spans: Vec<(u32, u32)>,
+    /// The missing elements' embeddings, `missing × hidden`.
+    fresh: Vec<f32>,
+    /// The non-zeros of a layer's output, the next layer's input.
     sparse: IndexSet,
     /// Mean-pooled set representations, `batch × 3·hidden`.
     pooled: Vec<f32>,
@@ -286,7 +491,8 @@ impl FrozenScratch {
 
 /// The frozen MSCN inference artifact: three set modules (two layers
 /// each), the two output layers, all in serving layout. Built once from a
-/// trained model, immutable afterwards.
+/// trained model, its weights immutable afterwards; the element memo
+/// fills as it serves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenModel {
     tables1: FrozenLinear,
@@ -298,6 +504,7 @@ pub struct FrozenModel {
     out1: FrozenLinear,
     out2: FrozenLinear,
     hidden: usize,
+    memo: ElementMemo,
 }
 
 impl FrozenModel {
@@ -330,6 +537,7 @@ impl FrozenModel {
             out1,
             out2,
             hidden,
+            memo: ElementMemo::default(),
         };
         assert!(m.check_wiring().is_ok(), "mis-wired frozen model");
         m
@@ -423,6 +631,16 @@ impl FrozenModel {
         self.layers().iter().map(|l| l.footprint_bytes()).sum()
     }
 
+    /// What the element memo has done since this artifact was built,
+    /// loaded or cloned, and what it holds now.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo.hits.load(Ordering::Relaxed),
+            misses: self.memo.misses.load(Ordering::Relaxed),
+            resident_bytes: self.memo.resident_bytes.load(Ordering::Relaxed),
+        }
+    }
+
     /// Fused featurize-and-forward for one query — a batch of one
     /// through [`FrozenModel::forward_batch`]. Returns the normalized
     /// model output (pre-denormalization, post-sigmoid), bit-identical to
@@ -447,9 +665,11 @@ impl FrozenModel {
     /// The fused forward over a batch of queries. Each set holds the
     /// elements of *all* queries back to back; `counts[q]` says how many
     /// elements of `[tables, joins, preds]` belong to query `q`, in
-    /// order. Writes one normalized output per query into `out`. Every
-    /// layer runs once over all of its rows (see module docs), and a
-    /// query's output is bit-identical whatever batch it rides in.
+    /// order. Writes one normalized output per query into `out`. Each
+    /// module looks its elements up in the memo, runs its two layers once
+    /// over the ones it did not hold (see module docs), and pools; a
+    /// query's output is bit-identical whatever batch it rides in and
+    /// whatever the memo held.
     ///
     /// # Panics
     /// Panics when `out` and `counts` differ in length or the counts do
@@ -465,44 +685,48 @@ impl FrozenModel {
     ) {
         assert_eq!(out.len(), counts.len(), "one output per query");
         let (n, h) = (counts.len(), self.hidden);
-        let FrozenScratch {
-            act,
-            sparse,
-            pooled,
-        } = scratch;
-        pooled.clear();
-        pooled.resize(n * 3 * h, 0.0);
+        scratch.pooled.clear();
+        scratch.pooled.resize(n * 3 * h, 0.0);
         let modules = [
             (&self.tables1, &self.tables2, tables),
             (&self.joins1, &self.joins2, joins),
             (&self.preds1, &self.preds2, preds),
         ];
+        let (mut elements, mut misses) = (0, 0);
         for (slot, (l1, l2, set)) in modules.into_iter().enumerate() {
-            let rows = set.elems.len();
             let claimed: usize = counts.iter().map(|c| c[slot] as usize).sum();
-            assert_eq!(claimed, rows, "per-query counts must cover the set");
-            let act = grown(act, rows * h);
-            // gather → bias → ReLU → dense → bias → ReLU over every
-            // element of every query at once.
-            l1.forward_rows(set, true, act);
-            sparse.compress_rows(act, h);
-            l2.forward_rows(sparse, true, act);
+            assert_eq!(
+                claimed,
+                set.elems.len(),
+                "per-query counts must cover the set"
+            );
+            elements += set.elems.len();
+            misses += self.embed_elements(slot, l1, l2, set, scratch);
             // Mean-pool per query: `relu(z2)[j] · (1/len)` with elements
             // ascending, as `segment_mean` does row-ascending. An empty
             // set stays the zero vector, like the masked mean.
-            let mut rows = act.chunks_exact(h);
+            let mut rows = scratch.act.chunks_exact(h);
             for (q, c) in counts.iter().enumerate() {
                 let len = c[slot] as usize;
                 let inv = 1.0 / len as f32;
                 let at = (q * 3 + slot) * h;
                 for row in rows.by_ref().take(len) {
-                    for (o, &v) in pooled[at..at + h].iter_mut().zip(row) {
+                    for (o, &v) in scratch.pooled[at..at + h].iter_mut().zip(row) {
                         *o += v * inv;
                     }
                 }
             }
         }
+        let hits = (elements - misses) as u64;
+        self.memo.hits.fetch_add(hits, Ordering::Relaxed);
+        self.memo.misses.fetch_add(misses as u64, Ordering::Relaxed);
         // Output MLP over the concatenated pooled representations.
+        let FrozenScratch {
+            act,
+            sparse,
+            pooled,
+            ..
+        } = scratch;
         let act = grown(act, n * h);
         sparse.compress_rows(pooled, 3 * h);
         self.out1.forward_rows(sparse, true, act);
@@ -511,6 +735,78 @@ impl FrozenModel {
         for y in out.iter_mut() {
             *y = sigmoid_scalar(*y);
         }
+    }
+
+    /// The embeddings of every element of one module's set into the front
+    /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
+    /// are copied out under the memo's lock, the rest go through
+    /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
+    /// and are then offered to the memo. The lock is only ever tried: a
+    /// pass that finds it held (or poisoned) computes what it would have
+    /// looked up and memoizes nothing, so no handler waits on another.
+    /// Returns how many elements were computed.
+    fn embed_elements(
+        &self,
+        module: usize,
+        l1: &FrozenLinear,
+        l2: &FrozenLinear,
+        set: &IndexSet,
+        scratch: &mut FrozenScratch,
+    ) -> usize {
+        let h = self.hidden;
+        let FrozenScratch {
+            act,
+            probes,
+            missing,
+            missing_spans,
+            fresh,
+            sparse,
+            ..
+        } = scratch;
+        let entries_of =
+            |&(start, len): &(u32, u32)| &set.entries[start as usize..(start + len) as usize];
+        let act = grown(act, set.elems.len() * h);
+        probes.clear();
+        probes.extend(set.elems.iter().map(|e| Probe::of(module, entries_of(e))));
+        missing.clear();
+        missing_spans.clear();
+        {
+            let table = self.memo.table.try_lock().ok();
+            for (r, (span, &probe)) in set.elems.iter().zip(probes.iter()).enumerate() {
+                match table.as_ref().and_then(|t| t.get(probe, entries_of(span))) {
+                    Some(value) => act[r * h..(r + 1) * h].copy_from_slice(value),
+                    None => {
+                        missing.push(r as u32);
+                        missing_spans.push(*span);
+                    }
+                }
+            }
+        }
+        if missing.is_empty() {
+            return 0;
+        }
+        let fresh = grown(fresh, missing.len() * h);
+        let rows = Rows {
+            entries: &set.entries,
+            spans: missing_spans,
+        };
+        l1.forward(rows, true, fresh);
+        sparse.compress_rows(fresh, h);
+        l2.forward(sparse.rows(), true, fresh);
+        let mut table = self.memo.table.try_lock().ok();
+        for (&r, value) in missing.iter().zip(fresh.chunks_exact(h)) {
+            let r = r as usize;
+            act[r * h..(r + 1) * h].copy_from_slice(value);
+            if let Some(table) = table.as_mut() {
+                table.insert(probes[r], entries_of(&set.elems[r]), value);
+            }
+        }
+        if let Some(table) = table {
+            self.memo
+                .resident_bytes
+                .store(table.bytes as u64, Ordering::Relaxed);
+        }
+        missing.len()
     }
 
     /// Appends the artifact to an encoder: mode word, hidden width, then
@@ -544,6 +840,7 @@ impl FrozenModel {
             out1: o1,
             out2: o2,
             hidden,
+            memo: ElementMemo::default(),
         };
         m.check_wiring().map_err(DecodeError::Corrupt)?;
         Ok(m)
@@ -823,6 +1120,272 @@ mod tests {
         preds.push(6, 0.625);
         preds.finish_elem(e);
         (tables, joins, preds)
+    }
+
+    /// One element of every module with index `2` active — valid input of
+    /// all three — and `value` on it.
+    fn one_entry(value: f32) -> IndexSet {
+        let mut set = IndexSet::default();
+        let e = set.begin_elem();
+        set.push(2, value);
+        set.finish_elem(e);
+        set
+    }
+
+    /// A stream of queries over a pool of eight elements per module, so
+    /// most elements repeat while few whole queries do; every fifth query
+    /// has an empty table, join or predicate set. No query holds an
+    /// element twice.
+    fn repeating_stream(n: usize) -> Vec<[IndexSet; 3]> {
+        let mut s = 0x5EEDu64;
+        let mut next = move |below: u32| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 40) as u32 % below
+        };
+        (0..n)
+            .map(|q| {
+                let mut sets: [IndexSet; 3] = Default::default();
+                for (slot, set) in sets.iter_mut().enumerate() {
+                    let elems = if q % 5 == slot { 0 } else { 1 + next(3) };
+                    let first = next(8);
+                    for pick in (first..first + elems).map(|p| p % 8) {
+                        let e = set.begin_elem();
+                        if slot == 2 {
+                            // A predicate: column one-hot and a literal.
+                            set.push(pick % 5, 1.0);
+                            set.push(6, pick as f32 / 8.0);
+                        } else {
+                            // One of the eight non-empty subsets of 0..4.
+                            for i in (0..4).filter(|i| (pick + 1) >> i & 1 == 1) {
+                                set.push(i, 1.0);
+                            }
+                        }
+                        set.finish_elem(e);
+                    }
+                }
+                sets
+            })
+            .collect()
+    }
+
+    fn forward(m: &FrozenModel, q: &[IndexSet; 3]) -> u32 {
+        m.forward_query(&q[0], &q[1], &q[2], &mut FrozenScratch::new())
+            .to_bits()
+    }
+
+    #[test]
+    fn a_warm_memo_answers_what_a_fresh_artifact_answers() {
+        for mode in [QuantMode::F32, QuantMode::Int8] {
+            let warm = tiny_model(mode);
+            let stream = repeating_stream(400);
+            for q in &stream {
+                let fresh = tiny_model(mode);
+                assert_eq!(forward(&warm, q), forward(&fresh, q), "{mode:?}");
+                assert_eq!(
+                    fresh.memo_stats().hits,
+                    0,
+                    "a fresh artifact has seen nothing"
+                );
+            }
+            let stats = warm.memo_stats();
+            let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
+            assert_eq!(stats.hits + stats.misses, elements as u64);
+            // 24 distinct elements, each computed once: nothing collides in
+            // 1024 slots here.
+            assert_eq!(stats.misses, 24, "{mode:?}");
+            assert!(0 < stats.resident_bytes && stats.resident_bytes <= MEMO_MAX_BYTES as u64);
+
+            // The whole stream as one batch — the same element many times in
+            // one call — against the memo it just filled and against none.
+            let concat = |slot: usize| {
+                let mut all = IndexSet::default();
+                for set in stream.iter().map(|q| &q[slot]) {
+                    for &(start, len) in &set.elems {
+                        let e = all.begin_elem();
+                        all.entries.extend_from_slice(
+                            &set.entries[start as usize..(start + len) as usize],
+                        );
+                        all.finish_elem(e);
+                    }
+                }
+                all
+            };
+            let (ts, js, ps) = (concat(0), concat(1), concat(2));
+            let counts: Vec<[u32; 3]> = stream
+                .iter()
+                .map(|q| [0, 1, 2].map(|s| q[s].elems.len() as u32))
+                .collect();
+            let singles: Vec<u32> = stream.iter().map(|q| forward(&warm, q)).collect();
+            for m in [&warm, &tiny_model(mode)] {
+                let mut out = vec![0.0f32; stream.len()];
+                m.forward_batch(&ts, &js, &ps, &counts, &mut FrozenScratch::new(), &mut out);
+                let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
+                assert_eq!(bits, singles, "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_differing_in_one_value_bit_or_in_module_never_alias() {
+        let next_after_half = f32::from_bits(0.5f32.to_bits() + 1);
+        let pairs = [
+            (one_entry(0.5), one_entry(next_after_half)),
+            (one_entry(0.0), one_entry(-0.0)),
+            (one_entry(1.0), one_entry(next_after_half)),
+        ];
+        for (a, b) in &pairs {
+            let (pa, pb) = (Probe::of(2, &a.entries), Probe::of(2, &b.entries));
+            let mut table = MemoTable::default();
+            table.insert(pa, &a.entries, &[7.0]);
+            assert_eq!(table.get(pa, &a.entries), Some(&[7.0][..]));
+            assert_eq!(table.get(pb, &b.entries), None);
+            // Even on a full hash collision the entries decide.
+            let forged = Probe {
+                hash: pa.hash,
+                ..pb
+            };
+            assert_eq!(table.get(forged, &b.entries), None);
+        }
+        // The same entries in another module are another element, in both
+        // key forms.
+        for set in [one_entry(1.0), one_entry(0.25)] {
+            let mut table = MemoTable::default();
+            let own = Probe::of(0, &set.entries);
+            table.insert(own, &set.entries, &[7.0]);
+            for module in [1, 2] {
+                let other = Probe::of(module, &set.entries);
+                assert_eq!(table.get(other, &set.entries), None);
+                let forged = Probe {
+                    hash: own.hash,
+                    ..other
+                };
+                assert_eq!(table.get(forged, &set.entries), None);
+            }
+        }
+        // End to end: one artifact serving the near-identical elements in
+        // every module, in turn, answers like a fresh one each time.
+        let warm = tiny_model(QuantMode::F32);
+        let empty = IndexSet::default();
+        for _ in 0..2 {
+            for (a, b) in &pairs {
+                for set in [a, b] {
+                    for q in [
+                        [set.clone(), empty.clone(), empty.clone()],
+                        [empty.clone(), set.clone(), empty.clone()],
+                        [empty.clone(), empty.clone(), set.clone()],
+                    ] {
+                        assert_eq!(forward(&warm, &q), forward(&tiny_model(QuantMode::F32), &q));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_and_decode_start_empty_and_equality_ignores_the_memo() {
+        let m = tiny_model(QuantMode::F32);
+        for q in &repeating_stream(50) {
+            forward(&m, q);
+        }
+        assert!(m.memo_stats().hits > 0 && m.memo_stats().resident_bytes > 0);
+        let cloned = m.clone();
+        let mut e = Encoder::new();
+        m.encode_into(&mut e);
+        let bytes = e.finish();
+        let decoded = FrozenModel::decode_from(&mut Decoder::new(&bytes)).unwrap();
+        for other in [&cloned, &decoded, &tiny_model(QuantMode::F32)] {
+            assert_eq!(other.memo_stats(), MemoStats::default());
+            assert_eq!(other, &m, "the memo is not part of an artifact's identity");
+        }
+        // Nor of its bytes.
+        let mut e = Encoder::new();
+        cloned.encode_into(&mut e);
+        assert_eq!(e.finish(), bytes);
+    }
+
+    #[test]
+    fn the_memo_never_holds_more_than_its_constant_bound() {
+        let mut s = 0xB0B0u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as u32
+        };
+        // 100k distinct elements, up to 600 entries of either key form and
+        // 700-float embeddings: 1024 such slots would be ≈ 7 MB.
+        let mut table = MemoTable::default();
+        let value = vec![0.5f32; 700];
+        let (mut refused, mut peak) = (0, 0);
+        for n in 0..100_000u32 {
+            let len = next() as usize % 600;
+            let v = if n % 2 == 0 { 1.0 } else { 0.75 };
+            let mut entries: Vec<(u32, f32)> = (0..len as u32).map(|i| (i, v)).collect();
+            entries.push((1_000_000 + n, v));
+            let probe = Probe::of(n as usize % 3, &entries);
+            table.insert(probe, &entries, &value[..1 + next() as usize % 700]);
+            refused += usize::from(table.get(probe, &entries).is_none());
+            assert!(table.bytes <= MEMO_MAX_BYTES, "after {n} inserts");
+            peak = peak.max(table.bytes);
+        }
+        let held: usize = table.slots.iter().map(|s| s.heap_words() * 4).sum();
+        assert_eq!(
+            table.bytes,
+            held + MEMO_SLOTS * std::mem::size_of::<MemoSlot>(),
+            "the running total is what the slots hold"
+        );
+        assert!(
+            refused > 0 && peak > MEMO_MAX_BYTES * 9 / 10,
+            "the bound was reached"
+        );
+    }
+
+    #[test]
+    fn threads_sharing_one_artifact_agree_and_a_poisoned_memo_only_computes() {
+        let stream = repeating_stream(300);
+        let want: Vec<u32> = stream
+            .iter()
+            .map(|q| forward(&tiny_model(QuantMode::F32), q))
+            .collect();
+        let shared = tiny_model(QuantMode::F32);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let mut scratch = FrozenScratch::new();
+                    barrier.wait();
+                    for (q, &want) in stream.iter().zip(&want) {
+                        let got = shared.forward_query(&q[0], &q[1], &q[2], &mut scratch);
+                        assert_eq!(got.to_bits(), want);
+                    }
+                });
+            }
+        });
+        let stats = shared.memo_stats();
+        let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
+        assert_eq!(stats.hits + stats.misses, 8 * elements as u64);
+
+        // A thread that dies holding the lock poisons it for good. Later
+        // passes find it unavailable, like a held one: they compute.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = shared.memo.table.lock().unwrap();
+                panic!("poisoning the memo");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && shared.memo.table.is_poisoned());
+        for (q, &want) in stream.iter().zip(&want) {
+            assert_eq!(forward(&shared, q), want);
+        }
+        let after = shared.memo_stats();
+        assert_eq!(
+            after.hits, stats.hits,
+            "nothing is looked up in a poisoned memo"
+        );
+        assert_eq!(after.misses, stats.misses + elements as u64);
     }
 
     #[test]

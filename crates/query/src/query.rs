@@ -149,13 +149,12 @@ impl Query {
         self.predicates.len()
     }
 
-    /// Predicates attached to table `t`.
-    pub fn preds_of(&self, t: TableId) -> Vec<ColPredicate> {
+    /// Predicates attached to table `t`, borrowed.
+    pub fn preds_of(&self, t: TableId) -> impl Iterator<Item = &ColPredicate> {
         self.predicates
             .iter()
-            .filter(|(tid, _)| *tid == t)
-            .map(|(_, p)| p.clone())
-            .collect()
+            .filter(move |(tid, _)| *tid == t)
+            .map(|(_, p)| p)
     }
 
     /// All predicates with fully-qualified column references.

@@ -69,11 +69,18 @@ pub struct InfoCard {
     pub footprint_mib: f64,
     /// Largest cardinality representable by the label normalizer.
     pub max_label: u64,
+    /// Set elements the serving artifact's memo answered.
+    pub memo_hits: u64,
+    /// Set elements the serving artifact computed.
+    pub memo_misses: u64,
+    /// Bytes the memo holds.
+    pub memo_bytes: u64,
 }
 
 impl InfoCard {
     /// Parses the `INFO` wire line (the `SketchInfo` display form):
-    /// `sketch[<db>]: <t> tables, <j> joins, … ; max label <n>`.
+    /// `sketch[<db>]: <t> tables, <j> joins, … ; max label <n>; memo <h>
+    /// hits, <m> misses, <b> B`.
     pub fn from_wire(s: &str) -> Option<Self> {
         let rest = s.strip_prefix("sketch[")?;
         let (database, rest) = rest.split_once("]:")?;
@@ -88,7 +95,7 @@ impl InfoCard {
                 nums.push(std::mem::take(&mut cur).parse::<f64>().ok()?);
             }
         }
-        if nums.len() != 9 {
+        if nums.len() != 12 {
             return None;
         }
         Some(Self {
@@ -102,6 +109,9 @@ impl InfoCard {
             sample_size: nums[6] as u64,
             footprint_mib: nums[7],
             max_label: nums[8] as u64,
+            memo_hits: nums[9] as u64,
+            memo_misses: nums[10] as u64,
+            memo_bytes: nums[11] as u64,
         })
     }
 }
@@ -444,6 +454,11 @@ mod tests {
             sample_rows: 96,
             footprint_bytes: 125_829, // 0.12 MiB
             max_label: 987654,
+            memo: ds_core::MemoStats {
+                hits: 31,
+                misses: 11,
+                resident_bytes: 70_000,
+            },
         };
         let card = InfoCard::from_wire(&info.to_string()).expect("parse");
         assert_eq!(card.database, "imdb_v2");
@@ -456,6 +471,10 @@ mod tests {
         assert_eq!(card.sample_size, 16);
         assert!((card.footprint_mib - 0.12).abs() < 1e-9);
         assert_eq!(card.max_label, 987654);
+        assert_eq!(
+            (card.memo_hits, card.memo_misses, card.memo_bytes),
+            (31, 11, 70_000)
+        );
         assert!(InfoCard::from_wire("not a card").is_none());
         assert!(InfoCard::from_wire("sketch[x]: truncated").is_none());
     }

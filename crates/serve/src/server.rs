@@ -1322,6 +1322,19 @@ fn stats_payload(shared: &Shared) -> String {
             .counter("serve/cache/invalidations", c.invalidations())
             .gauge("serve/cache/len", c.len() as f64);
     }
+    // Each served sketch's element memo, beside the estimate cache it sits
+    // under: a request the cache misses is answered from these.
+    for (name, _) in shared.store.list() {
+        if let Ok(sketch) = shared.store.get(&name) {
+            let memo = sketch.memo_stats();
+            p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
+                .counter(&format!("serve/memo/{name}/misses"), memo.misses)
+                .gauge(
+                    &format!("serve/memo/{name}/bytes"),
+                    memo.resident_bytes as f64,
+                );
+        }
+    }
     p.counter(
         "serve/snapshots_shipped",
         shared.snapshots_shipped.load(Ordering::Relaxed),

@@ -7,6 +7,9 @@
 //! * the estimate cache is invalidated structurally by the generation
 //!   bump: the first post-swap request is a counted miss, never a stale
 //!   hit from the previous generation;
+//! * the element memo goes with the artifact it belongs to: a generation
+//!   swapped in behind a warm one starts from an empty memo and answers
+//!   what a process that never served the old generation answers;
 //! * a storm of concurrent clients hammering across repeated swaps sees
 //!   zero dropped and zero incorrect responses.
 
@@ -17,7 +20,7 @@ use ds_query::parser::parse_query;
 use ds_serve::{Client, ServeConfig};
 
 mod common;
-use common::start;
+use common::{start, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -74,6 +77,80 @@ fn estimates_stay_bit_identical_across_swap_and_cache_invalidates() {
         2.0,
         "the new generation re-warms normally"
     );
+
+    c.quit().unwrap();
+    server.shutdown();
+}
+
+/// The old generation has served a stream, so its memo holds every element
+/// the stream is made of; the generation swapped in has other weights. Its
+/// first answers to the same stream — the same element keys — are the ones
+/// a sketch that never shared a process with the old generation gives, and
+/// its memo counters start from zero.
+#[test]
+fn a_warm_memo_does_not_outlive_its_generation() {
+    const STREAM: [&str; 4] = [
+        "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
+        "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id \
+         AND title.kind_id = 1",
+        "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id \
+         AND title.production_year > 1990",
+        "SELECT COUNT(*) FROM title WHERE title.production_year > 1990",
+    ];
+    // No estimate cache: every request reaches the artifact.
+    let (server, db, store) = start(
+        ServeConfig::builder()
+            .cache_capacity(0)
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    );
+    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let ask = |c: &mut Client| -> Vec<String> {
+        STREAM
+            .iter()
+            .map(|sql| c.send_raw(&format!("ESTIMATE imdb {sql}")).unwrap())
+            .collect()
+    };
+    // What a sketch answers from an empty memo, every query on its own
+    // clone (a clone starts empty).
+    let cold_lines = |sketch: &ds_core::sketch::DeepSketch| -> Vec<String> {
+        STREAM
+            .iter()
+            .map(|sql| {
+                let v = sketch.clone().estimate_one(&parse_query(&db, sql).unwrap());
+                format!("OK {v:?}")
+            })
+            .collect()
+    };
+
+    let old = store.get("imdb").unwrap();
+    let old_cold = cold_lines(&old);
+    assert_eq!(ask(&mut c), old_cold);
+    assert_eq!(ask(&mut c), old_cold, "answered from the warm memo");
+    // A pass is 6 table, 2 join and 4 predicate elements, 6 of them
+    // distinct: title under either predicate, movie_keyword, the join, the
+    // two predicates.
+    let warm = old.memo_stats();
+    assert_eq!((warm.hits, warm.misses), (2 * 12 - 6, 6));
+    assert_eq!(stat(&mut c, "ds_serve_memo_imdb_misses"), 6.0);
+    assert_eq!(c.info_card("imdb").unwrap().memo_hits, warm.hits);
+
+    let next = tiny_sketch(&db, 8);
+    let next_cold = cold_lines(&next);
+    assert_ne!(next_cold, old_cold, "other weights answer differently");
+    store.swap("imdb", Arc::new(next)).unwrap();
+    assert_eq!(
+        ask(&mut c),
+        next_cold,
+        "the first answers of the new generation"
+    );
+    let swapped = store.get("imdb").unwrap().memo_stats();
+    assert_eq!((swapped.hits, swapped.misses), (6, 6), "counted from zero");
+    assert_eq!(stat(&mut c, "ds_serve_memo_imdb_hits"), 6.0);
+    assert!(stat(&mut c, "ds_serve_memo_imdb_bytes") > 0.0);
+    // The displaced generation still answers in-flight work from its own.
+    assert_eq!(old.memo_stats(), warm);
 
     c.quit().unwrap();
     server.shutdown();

@@ -13,7 +13,7 @@
 /// assert_eq!(bm.count_ones(), 2);
 /// assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![3, 64]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -36,6 +36,37 @@ impl Bitmap {
         };
         bm.clear_tail();
         bm
+    }
+
+    /// Makes this a bitmap of `len` bits, the first `ones` set and the rest
+    /// clear, reusing its allocation.
+    ///
+    /// # Panics
+    /// Panics if `ones > len`.
+    pub fn reset(&mut self, len: usize, ones: usize) {
+        assert!(ones <= len, "{ones} set bits of {len}");
+        self.len = len;
+        self.words.clear();
+        self.words.resize(ones / 64, u64::MAX);
+        self.words.resize(len.div_ceil(64), 0);
+        if !ones.is_multiple_of(64) {
+            self.words[ones / 64] = (1 << (ones % 64)) - 1;
+        }
+    }
+
+    /// Clears every set bit `i` for which `keep(i)` is false; clear bits
+    /// are not visited.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut left = *word;
+            while left != 0 {
+                let bit = left.trailing_zeros() as usize;
+                left &= left - 1;
+                if !keep(wi * 64 + bit) {
+                    *word &= !(1 << bit);
+                }
+            }
+        }
     }
 
     /// Number of bits in the bitmap.
@@ -174,6 +205,35 @@ impl FromIterator<bool> for Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_resizes_in_place_to_a_prefix_of_ones() {
+        let mut bm = Bitmap::all_set(300);
+        for (len, ones) in [(130, 70), (64, 64), (65, 0), (200, 128), (0, 0), (10, 10)] {
+            bm.reset(len, ones);
+            assert_eq!(bm.len(), len);
+            assert_eq!(
+                bm.iter_ones().collect::<Vec<_>>(),
+                (0..ones).collect::<Vec<_>>()
+            );
+            assert_eq!(bm, Bitmap::from_words(bm.words().to_vec(), len));
+        }
+    }
+
+    #[test]
+    fn retain_visits_only_set_bits_and_clears_the_rejected() {
+        let mut bm = Bitmap::new(200);
+        for i in [0, 5, 63, 64, 130, 199] {
+            bm.set(i);
+        }
+        let mut visited = Vec::new();
+        bm.retain(|i| {
+            visited.push(i);
+            i % 5 != 0
+        });
+        assert_eq!(visited, vec![0, 5, 63, 64, 130, 199]);
+        assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![63, 64, 199]);
+    }
 
     #[test]
     fn new_is_all_clear() {

@@ -100,25 +100,40 @@ impl TableSample {
         &self.rows
     }
 
-    /// Evaluates a conjunction of predicates against the sample, returning a
-    /// bitmap of `nominal_size` bits (bits past the materialized rows stay
-    /// clear). This is the bitmap input of the MSCN model.
-    pub fn qualifying_bitmap(&self, preds: &[ColPredicate]) -> Bitmap {
-        let mut bm = Bitmap::new(self.nominal_size);
-        'rows: for row in 0..self.rows.num_rows() {
-            for p in preds {
-                if !p.eval_row(self.rows.column(p.col), row) {
-                    continue 'rows;
-                }
-            }
-            bm.set(row);
+    /// Evaluates a conjunction of predicates against the sample into `bm`,
+    /// which becomes a bitmap of `nominal_size` bits (bits past the
+    /// materialized rows stay clear) and keeps its allocation: a predicate
+    /// at a time, each clearing the rows it rejects.
+    pub fn qualify_into<'a>(
+        &self,
+        preds: impl IntoIterator<Item = &'a ColPredicate>,
+        bm: &mut Bitmap,
+    ) {
+        let rows = self.rows.num_rows();
+        bm.reset(self.nominal_size, rows);
+        for p in preds {
+            let col = self.rows.column(p.col);
+            bm.retain(|row| p.eval_row(col, row));
         }
+    }
+
+    /// [`TableSample::qualify_into`] a fresh bitmap. This is the bitmap
+    /// input of the MSCN model.
+    pub fn qualifying_bitmap<'a>(
+        &self,
+        preds: impl IntoIterator<Item = &'a ColPredicate>,
+    ) -> Bitmap {
+        let mut bm = Bitmap::default();
+        self.qualify_into(preds, &mut bm);
         bm
     }
 
     /// Estimated selectivity of the predicates: qualifying fraction of the
     /// materialized sample. Returns `None` for an empty sample.
-    pub fn selectivity(&self, preds: &[ColPredicate]) -> Option<f64> {
+    pub fn selectivity<'a>(
+        &self,
+        preds: impl IntoIterator<Item = &'a ColPredicate>,
+    ) -> Option<f64> {
         let n = self.rows.num_rows();
         if n == 0 {
             return None;
