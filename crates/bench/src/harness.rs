@@ -10,7 +10,7 @@
 //!
 //! Metrics are split into two classes:
 //!
-//! * **portable** — dimensionless ratios (tiled speedup, coalescing
+//! * **portable** — dimensionless ratios (tiled speedup, cache-hit
 //!   speedup) and deterministic quality numbers (seeded validation
 //!   q-error). These are comparable across machines and gate CI by
 //!   default.
@@ -279,8 +279,8 @@ mod tests {
     fn synthetic_30_percent_regression_trips_the_gate() {
         // The CI contract: a 30% drop in a portable higher-is-better
         // metric must fail a 20% threshold (and the binary exits nonzero).
-        let baseline = report(&[("serve/coalescing_speedup", 7.0, true, true)]);
-        let current = report(&[("serve/coalescing_speedup", 4.9, true, true)]);
+        let baseline = report(&[("serve/cache_hit_speedup", 7.0, true, true)]);
+        let current = report(&[("serve/cache_hit_speedup", 4.9, true, true)]);
         let regs = compare(&baseline, &current, 0.20, false);
         assert_eq!(regs.len(), 1);
         let RegressionKind::Worse { worse_frac, .. } = regs[0].kind else {

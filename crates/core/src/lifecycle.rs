@@ -29,9 +29,8 @@
 //!   queries are harvested, a candidate trains on a dedicated background
 //!   thread; the live sketch keeps serving untouched.
 //! * **Shadow** — the candidate is scored against the live sketch on
-//!   mirrored traffic. Mirrored jobs run under a *reserved* store
-//!   generation so the request coalescer can never merge candidate and
-//!   live work; the candidate never serves a client response.
+//!   mirrored traffic, each mirrored query in a forward pass of its own;
+//!   the candidate never serves a client response.
 //! * **Swap / Watching** — if the candidate's shadow q-error median beats
 //!   the gate, the old generation is snapshotted (crash-safe `DSNP`) and
 //!   the candidate is hot-swapped in via [`SketchStore::swap`]. The first
@@ -517,8 +516,6 @@ pub enum LifecycleEvent {
     ShadowStarted {
         /// Sketch being shadowed.
         sketch: String,
-        /// Reserved batcher key for mirrored candidate traffic.
-        shadow_generation: u64,
     },
     /// The shadow gate rejected the candidate.
     GateRejected {
@@ -568,7 +565,6 @@ struct TrainingJob {
 
 struct ShadowCandidate {
     sketch: Arc<DeepSketch>,
-    shadow_generation: u64,
     live_q: Vec<f64>,
     candidate_q: Vec<f64>,
 }
@@ -669,25 +665,23 @@ impl LifecycleManager {
         }
     }
 
-    /// The candidate to mirror traffic onto, with its reserved batcher
-    /// generation — `None` unless `sketch` is in the shadow phase. The
-    /// fast path is one relaxed atomic load when nothing is shadowing
-    /// anywhere.
-    pub fn shadow_pair(&self, sketch: &str) -> Option<(Arc<DeepSketch>, u64)> {
+    /// The candidate to mirror traffic onto — `None` unless `sketch` is in
+    /// the shadow phase. The fast path is one relaxed atomic load when
+    /// nothing is shadowing anywhere.
+    pub fn shadow_candidate(&self, sketch: &str) -> Option<Arc<DeepSketch>> {
         if self.shadow_active.load(Ordering::Relaxed) == 0 {
             return None;
         }
         let states = self.states.lock().expect("lifecycle states");
         let state = states.get(sketch)?;
         let candidate = state.candidate.as_ref()?;
-        (state.phase == LifecyclePhase::Shadow)
-            .then(|| (Arc::clone(&candidate.sketch), candidate.shadow_generation))
+        (state.phase == LifecyclePhase::Shadow).then(|| Arc::clone(&candidate.sketch))
     }
 
     /// Whether `sketch` is currently being shadow-scored (the hot path's
     /// cheap pre-check before cloning a query for mirroring).
     pub fn shadowing(&self, sketch: &str) -> bool {
-        self.shadow_pair(sketch).is_some()
+        self.shadow_candidate(sketch).is_some()
     }
 
     /// Records one mirrored scoring pair: the live model's and the
@@ -710,8 +704,7 @@ impl LifecycleManager {
     /// the shadow phase (skipping Harvesting/Training), exactly as if a
     /// background retrain had just finished. Drills use this to exercise
     /// the gate, swap, and rollback paths deterministically.
-    pub fn install_candidate(&self, store: &SketchStore, sketch: &str, candidate: DeepSketch) {
-        let shadow_generation = store.reserve_generation();
+    pub fn install_candidate(&self, sketch: &str, candidate: DeepSketch) {
         let mut states = self.states.lock().expect("lifecycle states");
         let state = states.entry(sketch.to_string()).or_default();
         if state.phase == LifecyclePhase::Shadow {
@@ -720,7 +713,6 @@ impl LifecycleManager {
         state.training = None;
         state.candidate = Some(ShadowCandidate {
             sketch: Arc::new(candidate),
-            shadow_generation,
             live_q: Vec::new(),
             candidate_q: Vec::new(),
         });
@@ -908,10 +900,8 @@ impl LifecycleManager {
                     state.training = None;
                     match outcome {
                         Ok(candidate) => {
-                            let shadow_generation = store.reserve_generation();
                             state.candidate = Some(ShadowCandidate {
                                 sketch: Arc::new(candidate),
-                                shadow_generation,
                                 live_q: Vec::new(),
                                 candidate_q: Vec::new(),
                             });
@@ -919,7 +909,6 @@ impl LifecycleManager {
                             self.shadow_active.fetch_add(1, Ordering::Relaxed);
                             events.push(LifecycleEvent::ShadowStarted {
                                 sketch: name.clone(),
-                                shadow_generation,
                             });
                         }
                         Err(error) => {
@@ -1476,7 +1465,7 @@ mod tests {
         manager.set_poison(true);
         assert!(manager.poison_armed());
 
-        manager.install_candidate(&store, "imdb", tiny_sketch(&db, 7));
+        manager.install_candidate("imdb", tiny_sketch(&db, 7));
         for _ in 0..8 {
             manager.observe_shadow("imdb", 8.0, 1.5);
         }
@@ -1526,7 +1515,7 @@ mod tests {
         let monitors = MonitorRegistry::new();
         let manager = LifecycleManager::new(fast_cfg()).unwrap();
 
-        manager.install_candidate(&store, "imdb", tiny_sketch(&db, 9));
+        manager.install_candidate("imdb", tiny_sketch(&db, 9));
         for _ in 0..8 {
             manager.observe_shadow("imdb", 1.2, 50.0);
         }

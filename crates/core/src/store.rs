@@ -97,7 +97,7 @@ enum Slot {
         /// ready. Every insert, recovery, and background-training swap gets
         /// a fresh generation, so "same name" never implies "same model":
         /// consumers that must not mix models across a swap (the serving
-        /// layer's request coalescer) key on the generation.
+        /// layer's estimate cache) key on the generation.
         generation: u64,
     },
     Failed(String),
@@ -308,21 +308,12 @@ impl SketchStore {
         out
     }
 
-    /// Reserves a fresh, never-served generation from the store's counter
-    /// without publishing anything under it. The lifecycle tier keys
-    /// shadow-scoring batches on a reserved generation so mirrored
-    /// candidate traffic can never coalesce with live traffic (the batcher
-    /// only merges jobs that share a key).
-    pub fn reserve_generation(&self) -> u64 {
-        self.next_generation()
-    }
-
     /// Atomically replaces the ready model under `name` with `sketch`,
     /// assigning a fresh generation — the hot-swap primitive behind the
     /// retrain lifecycle. Requests already holding the old `Arc` finish
     /// against the old model; every later lookup sees the new one. The
-    /// generation bump invalidates generation-keyed consumers (estimate
-    /// cache, request coalescer) exactly like a background-training swap.
+    /// generation bump invalidates generation-keyed consumers (the estimate
+    /// cache) exactly like a background-training swap.
     /// Rolling back is just another `swap` with [`SwapOutcome::previous`]:
     /// the restored model serves under a *newer* generation, never a
     /// recycled one.
@@ -938,21 +929,6 @@ mod tests {
             store.swap("nope", replacement),
             Err(StoreError::UnknownSketch(_))
         ));
-    }
-
-    #[test]
-    fn reserved_generations_never_collide_with_published_ones() {
-        let db = imdb_database(&ImdbConfig::tiny(32));
-        let store = SketchStore::new();
-        store.insert("imdb", tiny_sketch(&db, 13)).unwrap();
-        let live = store.generation("imdb").unwrap();
-        let shadow = store.reserve_generation();
-        assert!(shadow > live);
-        let outcome = store.swap("imdb", Arc::new(tiny_sketch(&db, 14))).unwrap();
-        assert!(
-            outcome.generation > shadow,
-            "a swap after a reservation must sort after it"
-        );
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub trait CardinalityEstimator {
     }
 
     /// Fallible batch estimation: per-query results, so one bad query in a
-    /// coalesced micro-batch cannot fail its neighbours.
+    /// batch cannot fail its neighbours.
     fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
         queries.iter().map(|q| self.try_estimate(q)).collect()
     }

@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn parses_the_committed_bench_artifacts() {
         let doc = r#"{
-  "experiment": "serve_throughput",
+  "experiment": "fleet_probe",
   "clients": 64,
   "per_request": {"secs": 1.1398, "rps": 1347.6},
   "speedup": 7.364,

@@ -9,9 +9,9 @@
 //! [`PromText`].
 //!
 //! Naming: raw metric names use `/` as a hierarchy separator
-//! (`serve/batch_size`); exposition names must match
+//! (`serve/latency_us`); exposition names must match
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, so every other character maps to `_` and
-//! everything gets a `ds_` namespace prefix: `ds_serve_batch_size`.
+//! everything gets a `ds_` namespace prefix: `ds_serve_latency_us`.
 
 use crate::hist::HistogramSnapshot;
 use crate::span::Tracer;

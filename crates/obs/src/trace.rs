@@ -1,6 +1,6 @@
 //! Cross-process trace propagation: a compact context carried on the
-//! wire so one request can be followed across the client → shard →
-//! batcher → forward boundary.
+//! wire so one request can be followed across the client → shard
+//! boundary.
 //!
 //! A [`TraceContext`] is a 128-bit trace id plus the 64-bit span id of
 //! the sender — the minimum needed to stitch per-process
@@ -70,15 +70,6 @@ impl TraceContext {
             return None;
         }
         Some(Self { trace_id, span_id })
-    }
-
-    /// The same trace with a different sending span — what a hop attaches
-    /// before forwarding work it performed under its own span.
-    pub fn child(&self, span_id: u64) -> Self {
-        Self {
-            trace_id: self.trace_id,
-            span_id,
-        }
     }
 }
 
@@ -200,14 +191,5 @@ mod tests {
         assert!(seq_a.iter().all(|&id| id != 0));
         let uniq: std::collections::HashSet<_> = seq_a.iter().collect();
         assert_eq!(uniq.len(), seq_a.len(), "span ids must not repeat");
-    }
-
-    #[test]
-    fn child_keeps_the_trace_and_moves_the_span() {
-        let src = IdSource::new(9);
-        let root = src.mint();
-        let hop = root.child(src.next_span());
-        assert_eq!(hop.trace_id, root.trace_id);
-        assert_ne!(hop.span_id, root.span_id);
     }
 }

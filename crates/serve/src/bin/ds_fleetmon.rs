@@ -10,8 +10,7 @@
 //!   aggregator's own scrape counters folded into the same document;
 //! * `TRACE` — every shard's slow-request exemplars, with records that
 //!   share a trace id grouped together so a cross-shard traced request
-//!   reads as one causal tree (client span → per-shard server spans →
-//!   batch spans);
+//!   reads as one causal tree (client span → per-shard server spans);
 //! * `HELLO` / `QUIT` — the usual handshake and teardown.
 //!
 //! Usage: `ds_fleetmon --shard HOST:PORT [--shard HOST:PORT ...]

@@ -4,7 +4,7 @@
 //! failures, deadline misses) stops being asked: after
 //! [`BreakerConfig::failure_threshold`] *consecutive* failures the breaker
 //! opens and `ESTIMATE` traffic short-circuits to the configured fallback
-//! estimator instead of burning a worker on a forward pass that will fail
+//! estimator instead of burning a handler on a forward pass that will fail
 //! again. After [`BreakerConfig::cooldown`] the breaker half-opens and
 //! admits exactly one probe request; a probe success closes it, a probe
 //! failure re-opens it for another cooldown.
@@ -40,9 +40,11 @@ impl Default for BreakerConfig {
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
-    /// Send the request to the sketch (closed breaker, or the half-open
-    /// probe slot).
+    /// Send the request to the sketch: the breaker is closed.
     Allow,
+    /// Send the request to the sketch as the half-open breaker's one probe:
+    /// it must reach the model, not a cache in front of it.
+    Probe,
     /// Do not touch the sketch; answer via the degradation path.
     ShortCircuit,
 }
@@ -91,8 +93,8 @@ impl CircuitBreaker {
     }
 
     /// Decides whether a request may reach the sketch. Transitions
-    /// `Open → HalfOpen` when the cooldown has elapsed, handing the `Allow`
-    /// to exactly one caller as the probe.
+    /// `Open → HalfOpen` when the cooldown has elapsed, handing the `Probe`
+    /// to exactly one caller.
     pub fn admit(&self) -> Admit {
         let mut st = self.lock();
         match *st {
@@ -100,7 +102,7 @@ impl CircuitBreaker {
             State::Open { since } => {
                 if since.elapsed() >= self.cfg.cooldown {
                     *st = State::HalfOpen;
-                    Admit::Allow
+                    Admit::Probe
                 } else {
                     self.short_circuits.fetch_add(1, Ordering::Relaxed);
                     Admit::ShortCircuit
@@ -259,7 +261,7 @@ mod tests {
         assert_eq!(b.admit(), Admit::ShortCircuit);
         std::thread::sleep(Duration::from_millis(25));
         // First admit after cooldown is the probe; the next short-circuits.
-        assert_eq!(b.admit(), Admit::Allow);
+        assert_eq!(b.admit(), Admit::Probe);
         assert_eq!(b.state_name(), "half-open");
         assert_eq!(b.admit(), Admit::ShortCircuit);
         // Probe failure re-opens for another full cooldown.
@@ -267,7 +269,7 @@ mod tests {
         assert_eq!(b.state_name(), "open");
         assert_eq!(b.admit(), Admit::ShortCircuit);
         std::thread::sleep(Duration::from_millis(25));
-        assert_eq!(b.admit(), Admit::Allow);
+        assert_eq!(b.admit(), Admit::Probe);
         // Probe success closes.
         b.record_success();
         assert_eq!(b.state_name(), "closed");
@@ -313,7 +315,7 @@ mod tests {
             (0..8)
                 .map(|_| {
                     let b = Arc::clone(&b);
-                    s.spawn(move || u32::from(b.admit() == Admit::Allow))
+                    s.spawn(move || u32::from(b.admit() == Admit::Probe))
                 })
                 .collect::<Vec<_>>()
                 .into_iter()

@@ -1,13 +1,10 @@
 //! Server configuration behind a validating builder.
 //!
-//! [`ServeConfig`] started as a flat struct mutated field-by-field across
-//! tests and benches; nothing checked that the knobs made sense together
-//! (a `queue_capacity` smaller than `max_batch` can never fill a batch, a
-//! tiny cache behind a large batch thrashes instead of helping). The
-//! builder is now the only way to construct a non-default config:
+//! The builder is the only way to construct a non-default config:
 //! [`ServeConfig::builder`] collects the knobs, [`ServeConfigBuilder::build`]
-//! validates the invariants once, and the server can trust every config it
-//! receives.
+//! validates them once (a zero deadline, an empty address, an SLO or
+//! lifecycle sub-config that contradicts itself), and the server can trust
+//! every config it receives.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,13 +92,6 @@ impl ServeSlo {
 pub struct ServeConfig {
     /// Bind address; port 0 lets the OS pick one.
     pub(crate) addr: String,
-    /// Batch worker threads.
-    pub(crate) workers: usize,
-    /// Maximum queries coalesced into one forward pass (1 disables
-    /// coalescing).
-    pub(crate) max_batch: usize,
-    /// Admission-queue bound; beyond it `ESTIMATE` sheds with `BUSY`.
-    pub(crate) queue_capacity: usize,
     /// Per-request deadline.
     pub(crate) request_timeout: Duration,
     /// Concurrent-connection cap.
@@ -142,16 +132,6 @@ impl ServeConfig {
         &self.addr
     }
 
-    /// Batch worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Maximum queries coalesced into one forward pass.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
     /// Capacity of the template-keyed estimate cache (0 = disabled).
     pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
@@ -167,9 +147,6 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("addr", &self.addr)
-            .field("workers", &self.workers)
-            .field("max_batch", &self.max_batch)
-            .field("queue_capacity", &self.queue_capacity)
             .field("request_timeout", &self.request_timeout)
             .field("max_connections", &self.max_connections)
             .field("timeline", &self.timeline)
@@ -192,9 +169,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            max_batch: 64,
-            queue_capacity: 1024,
             request_timeout: Duration::from_secs(2),
             max_connections: 256,
             timeline: true,
@@ -232,12 +206,9 @@ impl From<ConfigError> for std::io::Error {
 /// Builder for [`ServeConfig`]. Setters collect; [`ServeConfigBuilder::build`]
 /// validates the cross-field invariants once:
 ///
-/// * `workers`, `max_batch`, `max_connections` ≥ 1;
-/// * `queue_capacity` ≥ `max_batch` — a queue that cannot hold one full
-///   batch would make the configured batch size unreachable;
-/// * `cache_capacity` is 0 (disabled) or ≥ `max_batch` — a cache smaller
-///   than one coalesced batch evicts its own batchmates and thrashes;
-/// * `request_timeout` > 0 and `addr` non-empty.
+/// * `max_connections` ≥ 1;
+/// * `request_timeout` > 0 and `addr` non-empty;
+/// * the lifecycle sub-config and every SLO validate, SLO names are unique.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     cfg: ServeConfig,
@@ -250,40 +221,22 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Batch worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Maximum queries coalesced into one forward pass. 1 disables
-    /// coalescing (useful as a baseline).
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.cfg.max_batch = max_batch;
-        self
-    }
-
-    /// Admission-queue bound; beyond it `ESTIMATE` sheds with `BUSY`.
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.cfg.queue_capacity = queue_capacity;
-        self
-    }
-
     /// Per-request deadline.
     pub fn request_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.request_timeout = timeout;
         self
     }
 
-    /// Concurrent-connection cap; excess connections are told `BUSY` and
-    /// closed.
+    /// Concurrent-connection cap — the server's admission control, since
+    /// a connection has one request in flight: excess connections are told
+    /// `BUSY` and closed.
     pub fn max_connections(mut self, max_connections: usize) -> Self {
         self.cfg.max_connections = max_connections;
         self
     }
 
-    /// Record per-request stage timelines (parse/queue-wait/batch-wait/
-    /// forward/write histograms plus slow-request exemplars).
+    /// Record per-request stage timelines (parse/forward/write histograms
+    /// plus slow-request exemplars).
     pub fn timeline(mut self, timeline: bool) -> Self {
         self.cfg.timeline = timeline;
         self
@@ -317,7 +270,7 @@ impl ServeConfigBuilder {
     }
 
     /// Capacity of the template-keyed estimate cache. `0` disables
-    /// caching; any other value must cover at least one full batch.
+    /// caching.
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cfg.cache_capacity = cache_capacity;
         self
@@ -352,32 +305,11 @@ impl ServeConfigBuilder {
         if c.addr.trim().is_empty() {
             return Err(ConfigError("addr must be non-empty".to_string()));
         }
-        if c.workers == 0 {
-            return Err(ConfigError("workers must be >= 1".to_string()));
-        }
-        if c.max_batch == 0 {
-            return Err(ConfigError(
-                "max_batch must be >= 1 (1 disables coalescing)".to_string(),
-            ));
-        }
-        if c.queue_capacity < c.max_batch {
-            return Err(ConfigError(format!(
-                "queue_capacity {} cannot hold one full batch of {}",
-                c.queue_capacity, c.max_batch
-            )));
-        }
         if c.max_connections == 0 {
             return Err(ConfigError("max_connections must be >= 1".to_string()));
         }
         if c.request_timeout.is_zero() {
             return Err(ConfigError("request_timeout must be > 0".to_string()));
-        }
-        if c.cache_capacity != 0 && c.cache_capacity < c.max_batch {
-            return Err(ConfigError(format!(
-                "cache_capacity {} is smaller than max_batch {}: one coalesced \
-                 batch would evict its own batchmates (use 0 to disable caching)",
-                c.cache_capacity, c.max_batch
-            )));
         }
         if let Some(lc) = c.lifecycle.as_ref() {
             lc.validate().map_err(ConfigError)?;
@@ -410,9 +342,6 @@ mod tests {
         let faults = Arc::new(FaultInjector::new(3));
         let cfg = ServeConfig::builder()
             .addr("0.0.0.0:0")
-            .workers(4)
-            .max_batch(8)
-            .queue_capacity(64)
             .request_timeout(Duration::from_secs(30))
             .max_connections(12)
             .timeline(false)
@@ -433,8 +362,6 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(cfg.addr(), "0.0.0.0:0");
-        assert_eq!(cfg.workers(), 4);
-        assert_eq!(cfg.max_batch(), 8);
         assert_eq!(cfg.cache_capacity(), 0);
         assert_eq!(cfg.request_timeout(), Duration::from_secs(30));
         assert!(!cfg.timeline);
@@ -448,12 +375,6 @@ mod tests {
     fn invariants_are_enforced() {
         let violations: Vec<(&str, ServeConfigBuilder)> = vec![
             ("empty addr", ServeConfig::builder().addr("  ")),
-            ("zero workers", ServeConfig::builder().workers(0)),
-            ("zero max_batch", ServeConfig::builder().max_batch(0)),
-            (
-                "queue smaller than batch",
-                ServeConfig::builder().max_batch(64).queue_capacity(8),
-            ),
             (
                 "zero max_connections",
                 ServeConfig::builder().max_connections(0),
@@ -461,10 +382,6 @@ mod tests {
             (
                 "zero timeout",
                 ServeConfig::builder().request_timeout(Duration::ZERO),
-            ),
-            (
-                "cache smaller than batch",
-                ServeConfig::builder().max_batch(64).cache_capacity(8),
             ),
             (
                 "invalid lifecycle sub-config",
@@ -492,11 +409,10 @@ mod tests {
         for (what, builder) in violations {
             assert!(builder.build().is_err(), "{what} must be rejected");
         }
-        // The documented escape hatches stay valid.
-        assert!(ServeConfig::builder()
-            .max_batch(1)
-            .cache_capacity(0)
-            .build()
-            .is_ok());
+        // Any cache size is valid, "off" included.
+        for capacity in [0, 1] {
+            let cfg = ServeConfig::builder().cache_capacity(capacity).build();
+            assert_eq!(cfg.expect("valid").cache_capacity(), capacity);
+        }
     }
 }

@@ -16,8 +16,8 @@
 //! * **decode flips** — a per-sketch probability of downgrading a
 //!   successful forward pass into [`ds_est::EstimateError::Decode`], as if
 //!   the model bytes had rotted in memory;
-//! * **forward delays** — a probability of stalling a coalesced forward
-//!   pass long enough to blow request deadlines;
+//! * **forward delays** — a probability of stalling a forward pass
+//!   long enough to blow request deadlines;
 //! * **poisoned sketches** — names whose every estimate fails with an
 //!   execution error before reaching the model;
 //! * **snapshot write faults** — a FIFO queue of
@@ -113,7 +113,7 @@ impl FaultInjector {
         Self::draw(&mut st) < rate
     }
 
-    /// Configures a probability of delaying each coalesced forward pass by
+    /// Configures a probability of delaying each forward pass by
     /// `delay` (used to force deadline misses deterministically).
     pub fn delay_forwards(&self, delay: Duration, rate: f64) {
         self.lock().forward_delay = Some((delay, rate.clamp(0.0, 1.0)));
@@ -228,7 +228,9 @@ mod tests {
         let seq_a: Vec<bool> = (0..64).map(|_| a.should_flip_decode("s")).collect();
         let seq_b: Vec<bool> = (0..64).map(|_| b.should_flip_decode("s")).collect();
         assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(|&f| f), "rate 0.5 never fired in 64 draws");
+        if FaultInjector::armed() {
+            assert!(seq_a.iter().any(|&f| f), "rate 0.5 never fired in 64 draws");
+        }
         assert!(!seq_a.iter().all(|&f| f), "rate 0.5 always fired");
     }
 
@@ -238,7 +240,7 @@ mod tests {
         f.flip_decode("always", 1.0);
         f.flip_decode("never", 0.0);
         for _ in 0..32 {
-            assert!(f.should_flip_decode("always"));
+            assert_eq!(f.should_flip_decode("always"), FaultInjector::armed());
             assert!(!f.should_flip_decode("never"));
             assert!(!f.should_flip_decode("unconfigured"));
         }

@@ -5,25 +5,23 @@
 //! …; [`Client`] speaks it from the other end), built on the unified
 //! [`CardinalityEstimator`] API:
 //!
-//! * **Inline, then coalescing** — a request that finds nothing queued
-//!   runs its forward pass on its own connection thread; once the forward
-//!   slots are busy, concurrent estimates against the same sketch are
-//!   gathered into micro-batches and answered through one
-//!   `try_estimate_batch` call ([`batcher`]). Results are bit-identical
-//!   to per-request `estimate_one` calls either way.
+//! * **A thread per connection, the pass in place** — a handler parses
+//!   its request, probes the cache and runs the forward pass itself, one
+//!   `try_estimate` call inside the [`batcher`]'s wrapper (deadline, span,
+//!   pass counter); nothing is queued or handed to another thread, so
+//!   every answer is `estimate_one`'s, bit for bit.
 //! * **Caching** — a bounded, template-keyed estimate cache ([`cache`])
 //!   short-circuits repeat healthy `ESTIMATE`s with bit-identical answers;
 //!   entries are generation-keyed so sketch swaps invalidate structurally,
 //!   and `FEEDBACK`-detected accuracy drift purges the drifting template.
-//! * **Robustness** — per-request deadlines, a bounded admission queue
-//!   that sheds with `BUSY`, a connection cap, bounded request lines
-//!   ([`line_reader`]), and graceful shutdown that drains in-flight work
-//!   ([`server`]).
-//! * **Observability** — lock-free counters and log₂ latency/batch-size
-//!   histograms ([`metrics`]), all of them in the Prometheus-style
-//!   exposition behind `STATS`; per-request stage timelines (parse →
-//!   queue-wait → batch-wait → forward → write) with slow-request
-//!   exemplars behind `TRACE`.
+//! * **Robustness** — per-request deadlines, a connection cap that sheds
+//!   with `BUSY` (the admission control: a connection has one request in
+//!   flight), bounded request lines ([`line_reader`]), and graceful
+//!   shutdown that answers every request already read ([`server`]).
+//! * **Observability** — lock-free counters and log₂ latency histograms
+//!   ([`metrics`]), all of them in the Prometheus-style exposition behind
+//!   `STATS`; per-request stage timelines (parse → forward → write) with
+//!   slow-request exemplars behind `TRACE`.
 //! * **Model-quality feedback** — the `FEEDBACK` command replays observed
 //!   true cardinalities into per-sketch rolling q-error monitors
 //!   ([`ds_core::monitor`]); [`Server::monitors`] exposes them so
@@ -94,7 +92,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, Completed, Rejection, SharedEstimator, StageStamps};
+pub use batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
 pub use cache::{EstimateCache, EstimateKey};
 pub use client::{Client, Handshake, InfoCard, SyncAck};

@@ -1,10 +1,10 @@
 //! Serving metrics built on the workspace observability layer (`ds-obs`):
-//! monotonic counters plus log₂ histograms for request latency and
-//! coalesced batch sizes.
+//! monotonic counters plus log₂ histograms for request latency and its
+//! stages.
 //!
 //! Every record operation is a handful of relaxed atomic adds — safe to
-//! call from every connection handler and batch worker with no shared
-//! locks on the hot path. Percentiles are derived from the histograms at
+//! call from every connection handler with no shared locks on the hot
+//! path. Percentiles are derived from the histograms at
 //! snapshot time; with power-of-two buckets they are upper bounds accurate
 //! to 2×, which is the right fidelity for a serving dashboard (and costs
 //! nothing to maintain). Quantiles are deterministic at the edges: an
@@ -19,7 +19,7 @@ use ds_obs::{Counter, ExemplarRing, LogHistogram};
 /// Slow-request exemplars retained for the `TRACE` command.
 const EXEMPLAR_CAPACITY: usize = 64;
 
-/// One request's monotonic timeline, decomposed into the five contiguous
+/// One request's monotonic timeline, decomposed into the three contiguous
 /// stages of the serving path. The stamps the stages derive from are
 /// strictly ordered, so the stage durations sum to `total_us` exactly
 /// (modulo independent sub-microsecond truncation per stage).
@@ -31,13 +31,9 @@ pub struct RequestTimeline {
     pub template: String,
     /// Wall time, request read → response flushed (µs).
     pub total_us: u64,
-    /// Request parsing + store lookup + admission (µs).
+    /// Request parsing + store lookup + breaker and cache checks (µs).
     pub parse_us: u64,
-    /// Waiting in the admission queue for a worker (µs).
-    pub queue_us: u64,
-    /// Batch assembly between dequeue and forward start (µs).
-    pub batch_wait_us: u64,
-    /// The coalesced model forward pass (µs).
+    /// The model forward pass (µs; zero for a cache hit).
     pub forward_us: u64,
     /// Response formatting + socket write + flush (µs).
     pub write_us: u64,
@@ -48,14 +44,12 @@ pub struct RequestTimeline {
     pub span_id: u64,
     /// The caller's span id — the parent of `span_id` (0 = unknown).
     pub parent_span: u64,
-    /// Span of the coalesced batch this request rode in (0 = none).
-    pub batch_span: u64,
 }
 
 impl RequestTimeline {
-    /// Sum of the five stage durations — within rounding of `total_us`.
+    /// Sum of the three stage durations — within rounding of `total_us`.
     pub fn stage_sum_us(&self) -> u64 {
-        self.parse_us + self.queue_us + self.batch_wait_us + self.forward_us + self.write_us
+        self.parse_us + self.forward_us + self.write_us
     }
 
     /// Single-token-per-field wire form for one `TRACE` record. Trace
@@ -63,21 +57,18 @@ impl RequestTimeline {
     /// untraced records are byte-identical to the pre-v3 format.
     pub fn to_wire(&self) -> String {
         let mut line = format!(
-            "sketch={} template={} total_us={} parse_us={} queue_us={} \
-             batch_wait_us={} forward_us={} write_us={}",
+            "sketch={} template={} total_us={} parse_us={} forward_us={} write_us={}",
             self.sketch,
             self.template,
             self.total_us,
             self.parse_us,
-            self.queue_us,
-            self.batch_wait_us,
             self.forward_us,
             self.write_us
         );
         if self.trace_id != 0 {
             line.push_str(&format!(
-                " trace_id={:032x} span_id={:016x} parent_span={:016x} batch_span={:016x}",
-                self.trace_id, self.span_id, self.parent_span, self.batch_span
+                " trace_id={:032x} span_id={:016x} parent_span={:016x}",
+                self.trace_id, self.span_id, self.parent_span
             ));
         }
         line
@@ -87,18 +78,11 @@ impl RequestTimeline {
     pub fn from_wire(s: &str) -> Option<Self> {
         let mut sketch = None;
         let mut template = None;
-        let mut nums = [None::<u64>; 6];
+        let mut nums = [None::<u64>; 4];
         let mut trace_id = 0u128;
-        let mut spans = [0u64; 3];
-        const KEYS: [&str; 6] = [
-            "total_us",
-            "parse_us",
-            "queue_us",
-            "batch_wait_us",
-            "forward_us",
-            "write_us",
-        ];
-        const SPAN_KEYS: [&str; 3] = ["span_id", "parent_span", "batch_span"];
+        let mut spans = [0u64; 2];
+        const KEYS: [&str; 4] = ["total_us", "parse_us", "forward_us", "write_us"];
+        const SPAN_KEYS: [&str; 2] = ["span_id", "parent_span"];
         for field in s.split_whitespace() {
             let (key, value) = field.split_once('=')?;
             match key {
@@ -120,20 +104,17 @@ impl RequestTimeline {
             template: template?,
             total_us: nums[0]?,
             parse_us: nums[1]?,
-            queue_us: nums[2]?,
-            batch_wait_us: nums[3]?,
-            forward_us: nums[4]?,
-            write_us: nums[5]?,
+            forward_us: nums[2]?,
+            write_us: nums[3]?,
             trace_id,
             span_id: spans[0],
             parent_span: spans[1],
-            batch_span: spans[2],
         })
     }
 }
 
-/// Serving counters, shared via `Arc` between the acceptor, connection
-/// handlers, and batch workers.
+/// Serving counters, shared via `Arc` between the acceptor, the connection
+/// handlers and the batcher they call.
 #[derive(Debug)]
 pub struct Metrics {
     /// Request lines received (all commands).
@@ -142,26 +123,23 @@ pub struct Metrics {
     pub ok: Counter,
     /// `ERR` responses (parse, vocabulary, unknown sketch, …).
     pub errors: Counter,
-    /// Requests shed with `BUSY` (admission queue or connection limit).
+    /// Connections shed with `BUSY` at the connection limit.
     pub shed: Counter,
     /// Requests that exceeded their deadline.
     pub timeouts: Counter,
     /// Estimates answered by the fallback estimator with the `degraded`
     /// wire flag (poisoned sketch, open circuit breaker).
     pub degraded: Counter,
-    /// Estimate micro-batches executed.
+    /// Forward passes run (one per uncached estimate).
     pub batches: Counter,
     /// Request latency in microseconds (ESTIMATE requests).
     pub latency_us: LogHistogram,
-    /// Coalesced batch-size distribution.
+    /// Queries per forward pass: always 1, kept while
+    /// [`MetricsSnapshot::mean_batch`] and `max_batch` have a reader.
     pub batch_size: LogHistogram,
-    /// Stage histogram: parse + store lookup + admission (µs).
+    /// Stage histogram: parse + store lookup + breaker and cache (µs).
     pub stage_parse_us: LogHistogram,
-    /// Stage histogram: admission-queue wait (µs).
-    pub stage_queue_us: LogHistogram,
-    /// Stage histogram: dequeue → forward start (µs).
-    pub stage_batch_wait_us: LogHistogram,
-    /// Stage histogram: coalesced forward pass (µs).
+    /// Stage histogram: forward pass (µs).
     pub stage_forward_us: LogHistogram,
     /// Stage histogram: response write + flush (µs).
     pub stage_write_us: LogHistogram,
@@ -182,8 +160,6 @@ impl Default for Metrics {
             latency_us: LogHistogram::new(),
             batch_size: LogHistogram::new(),
             stage_parse_us: LogHistogram::new(),
-            stage_queue_us: LogHistogram::new(),
-            stage_batch_wait_us: LogHistogram::new(),
             stage_forward_us: LogHistogram::new(),
             stage_write_us: LogHistogram::new(),
             slow: ExemplarRing::new(EXEMPLAR_CAPACITY),
@@ -197,20 +173,11 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records the five per-stage durations (µs) of one completed request;
+    /// Records the three per-stage durations (µs) of one completed request;
     /// no [`RequestTimeline`] is assembled for requests that never become
     /// exemplars.
-    pub fn record_stages(
-        &self,
-        parse_us: u64,
-        queue_us: u64,
-        batch_wait_us: u64,
-        forward_us: u64,
-        write_us: u64,
-    ) {
+    pub fn record_stages(&self, parse_us: u64, forward_us: u64, write_us: u64) {
         self.stage_parse_us.record(parse_us);
-        self.stage_queue_us.record(queue_us);
-        self.stage_batch_wait_us.record(batch_wait_us);
         self.stage_forward_us.record(forward_us);
         self.stage_write_us.record(write_us);
     }
@@ -246,7 +213,7 @@ impl Metrics {
         self.degraded.inc();
     }
 
-    /// Counts one executed micro-batch of `size` coalesced queries.
+    /// Counts one forward pass over `size` queries.
     pub fn record_batch(&self, size: usize) {
         self.batches.inc();
         self.batch_size.record(size as u64);
@@ -287,11 +254,11 @@ pub struct MetricsSnapshot {
     pub timeouts: u64,
     /// Estimates answered degraded through the fallback estimator.
     pub degraded: u64,
-    /// Micro-batches executed.
+    /// Forward passes run.
     pub batches: u64,
-    /// Mean coalesced batch size.
+    /// Mean queries per pass: 1.0 once a pass ran (the benchmark reads it).
     pub mean_batch: f64,
-    /// Largest coalesced batch.
+    /// Most queries in one pass: 1 once a pass ran (the benchmark reads it).
     pub max_batch: u64,
     /// Median latency upper bound (µs).
     pub p50_us: u64,
@@ -378,14 +345,11 @@ mod tests {
             template: "title+movie_keyword".into(),
             total_us: total,
             parse_us: total / 10,
-            queue_us: total / 5,
-            batch_wait_us: total / 10,
             forward_us: total / 2,
-            write_us: total - total / 10 - total / 5 - total / 10 - total / 2,
+            write_us: total - total / 10 - total / 2,
             trace_id: 0,
             span_id: 0,
             parent_span: 0,
-            batch_span: 0,
         }
     }
 
@@ -408,7 +372,6 @@ mod tests {
         t.trace_id = 0xdead_beef_cafe_f00d_1234_5678_9abc_def0;
         t.span_id = 0x1;
         t.parent_span = 0x2;
-        t.batch_span = 0x3;
         let wire = t.to_wire();
         assert!(
             wire.contains("trace_id=deadbeefcafef00d123456789abcdef0"),
@@ -425,8 +388,8 @@ mod tests {
     #[test]
     fn stage_histograms_and_exemplars_capture_timelines() {
         let m = Metrics::new();
-        m.record_stages(100, 200, 100, 500, 100);
-        m.record_stages(200, 400, 200, 1000, 200);
+        m.record_stages(100, 500, 100);
+        m.record_stages(200, 1000, 200);
         assert_eq!(m.stage_parse_us.count(), 2);
         assert_eq!(m.stage_forward_us.max(), 1000);
         m.slow.push(timeline(2000));

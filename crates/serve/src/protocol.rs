@@ -49,7 +49,7 @@
 //! ```text
 //! OK <payload>                 success; payload depends on the request
 //! ERR <code> <message>         typed failure (codes in [`ErrorCode`])
-//! BUSY <message>               admission queue full — shed, retry later
+//! BUSY <message>               connection limit reached — shed, retry later
 //! BYE                          answer to QUIT
 //! ```
 //!
@@ -279,7 +279,7 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// `BUSY <message>` — request shed at admission.
+    /// `BUSY <message>` — connection shed at the connection limit.
     Busy(String),
     /// `BYE` — connection closing.
     Bye,
@@ -721,7 +721,7 @@ mod tests {
     #[test]
     fn responses_roundtrip_including_exact_floats() {
         // The estimate payload must survive the wire bit-for-bit — the
-        // coalesced-equals-looped guarantee is checked through this format.
+        // wire-equals-`estimate_one` guarantee is checked through this format.
         for v in [1.0, 1234.5678, 1.0000000000000002, f64::MAX / 3.0] {
             let line = format_response(&Response::Estimate(v));
             match parse_response(&line, true).unwrap() {
@@ -750,7 +750,7 @@ mod tests {
             parse_response(&format_response(&mismatch), false).unwrap(),
             mismatch
         );
-        let busy = Response::Busy("queue full".into());
+        let busy = Response::Busy("connection limit 256 reached".into());
         assert_eq!(parse_response(&format_response(&busy), true).unwrap(), busy);
         assert_eq!(
             parse_response(&format_response(&Response::Bye), false).unwrap(),

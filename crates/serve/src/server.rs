@@ -1,14 +1,15 @@
 //! The TCP front end: an acceptor thread plus one handler thread per
-//! connection, all funnelling `ESTIMATE` work into the shared [`Batcher`].
+//! connection. A handler runs its request to the end itself — parse, cache
+//! probe, the forward pass (through the shared [`Batcher`]), the write.
 //!
 //! Robustness properties (each covered by an integration test):
 //!
 //! * every malformed or unanswerable request gets a typed one-line `ERR` —
 //!   no panic is reachable from client input;
-//! * admission is bounded twice: a connection cap at accept time and the
-//!   batcher's queue bound per request, both shedding with `BUSY`;
-//! * `shutdown()` drains: in-flight requests finish, queued batches run,
-//!   every thread is joined before it returns.
+//! * admission is the connection cap at accept time, shedding with `BUSY`:
+//!   a connection has one request in flight, so the cap bounds the passes;
+//! * `shutdown()` drains: every request already read is answered and every
+//!   thread is joined before it returns.
 //!
 //! One pacing rule lives here, because it is per connection: requests that
 //! ran a forward pass are taken up `COLD_PASS_SPACING` apart (see there for
@@ -86,9 +87,6 @@ struct ShadowJob {
     query: Query,
     live: f64,
     actual: Option<u64>,
-    /// Trace of the mirrored request, so shadow-scoring cost shows up in
-    /// the same causal tree as the request that caused it.
-    trace: Option<TraceContext>,
 }
 
 /// One configured SLO with its live burn-rate tracker.
@@ -190,10 +188,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the acceptor and batch workers, and returns
-    /// immediately. Estimates are parsed against `db` and answered by the
-    /// sketches in `store` (resolved by name per request, so background
-    /// retraining swaps take effect live).
+    /// Binds, spawns the acceptor, and returns immediately. Estimates are
+    /// parsed against `db` and answered by the sketches in `store` (resolved
+    /// by name per request, so background retraining swaps take effect
+    /// live).
     pub fn start(
         db: Arc<Database>,
         store: Arc<SketchStore>,
@@ -204,9 +202,6 @@ impl Server {
         let metrics = Arc::new(Metrics::new());
         let batcher = Batcher::with_faults(
             BatcherConfig {
-                workers: cfg.workers,
-                max_batch: cfg.max_batch,
-                queue_capacity: cfg.queue_capacity,
                 request_timeout: cfg.request_timeout,
             },
             Arc::clone(&metrics),
@@ -338,7 +333,7 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
-    /// drain queued batches, join every thread. Returns the final metrics.
+    /// join every thread. Returns the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_and_join();
         self.shared.metrics.snapshot()
@@ -375,8 +370,6 @@ impl Drop for Server {
         if self.acceptor.is_some() {
             self.stop_and_join();
         }
-        // The batcher (owned by `shared`) drains in its own Drop once the
-        // last Arc goes away.
     }
 }
 
@@ -458,8 +451,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// What a handler keeps from one request to the next, beside its
 /// [`LineReader`]'s line and reply buffers. A request is read as slices of
 /// the line; everything derived from it lands in these, which keep their
-/// allocations, so a cache hit allocates nothing. A miss moves `query` into
-/// the batcher and clones `key` into the cache.
+/// allocations, so a cache hit allocates nothing. A miss lends `query` to
+/// the forward pass and clones `key` into the cache.
 #[derive(Default)]
 struct ConnectionState {
     pacer: ColdPacer,
@@ -531,25 +524,21 @@ struct PendingTimeline {
     trace: Option<(TraceContext, u64)>,
 }
 
-/// Stitches the stamps into the five contiguous stages, records them, and
+/// Stitches the stamps into the three contiguous stages, records them, and
 /// keeps the request as a `TRACE` exemplar when it crossed the slow
 /// threshold — or when it was traced, so a cross-process trace always has
 /// its server-side spans available to the aggregator. Only kept exemplars
-/// materialize their strings; the common fast-request path records five
+/// materialize their strings; the common fast-request path records three
 /// histogram points and returns.
 fn finish_timeline(p: PendingTimeline, sketch: &str, t0: Instant, shared: &Shared) {
     let done = Instant::now();
     let us = |d: Duration| d.as_micros() as u64;
     let s = &p.stamps;
     let total = done.saturating_duration_since(t0);
-    let parse_us = us(s.enqueued.saturating_duration_since(t0));
-    let queue_us = us(s.dequeued.saturating_duration_since(s.enqueued));
-    let batch_wait_us = us(s.forward_start.saturating_duration_since(s.dequeued));
+    let parse_us = us(s.forward_start.saturating_duration_since(t0));
     let forward_us = us(s.forward_end.saturating_duration_since(s.forward_start));
     let write_us = us(done.saturating_duration_since(s.forward_end));
-    shared
-        .metrics
-        .record_stages(parse_us, queue_us, batch_wait_us, forward_us, write_us);
+    shared.metrics.record_stages(parse_us, forward_us, write_us);
     if total >= shared.slow_threshold || p.trace.is_some() {
         let (trace_id, parent_span, span_id) = match p.trace {
             Some((ctx, span)) => (ctx.trace_id, ctx.span_id, span),
@@ -560,14 +549,11 @@ fn finish_timeline(p: PendingTimeline, sketch: &str, t0: Instant, shared: &Share
             template: p.template.as_ref().to_string(),
             total_us: us(total),
             parse_us,
-            queue_us,
-            batch_wait_us,
             forward_us,
             write_us,
             trace_id,
             span_id,
             parent_span,
-            batch_span: s.batch_span,
         });
     }
 }
@@ -857,8 +843,8 @@ fn quarantine_sync(bytes: &[u8], shared: &Shared) {
 
 /// Whether a rejection says something about the *sketch's* health (and
 /// should trip its circuit breaker / route to the fallback) rather than
-/// about the client's query or the server's load. Malformed/out-of-scope
-/// queries and load shedding are not the model's fault.
+/// about the client's query. Malformed/out-of-scope queries are not the
+/// model's fault.
 fn health_failure(r: &Rejection) -> bool {
     match r {
         Rejection::Timeout => true,
@@ -866,7 +852,7 @@ fn health_failure(r: &Rejection) -> bool {
             e,
             EstimateError::Decode(_) | EstimateError::Unavailable(_) | EstimateError::Execution(_)
         ),
-        Rejection::Busy { .. } | Rejection::ShuttingDown => false,
+        Rejection::ShuttingDown => false,
     }
 }
 
@@ -906,10 +892,8 @@ fn handle_estimate(
 ) -> (Response, Option<PendingTimeline>) {
     let _span = ds_obs::global().span("serve/estimate");
     // A traced request gets this server's own span, parented under the
-    // caller's; everything downstream (batch, mirror, exemplar) carries
-    // the child context.
+    // caller's, for its exemplar.
     let server_trace = trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let child_ctx = server_trace.map(|(ctx, span)| ctx.child(span));
     let (estimator, generation) = match shared.store.get_with_generation(sketch) {
         Ok(p) => p,
         Err(e) => {
@@ -938,7 +922,8 @@ fn handle_estimate(
         );
     }
     let breaker = shared.breakers.breaker(sketch);
-    if breaker.admit() == Admit::ShortCircuit {
+    let admit = breaker.admit();
+    if admit == Admit::ShortCircuit {
         return match degraded_answer(query, shared) {
             Some(resp) => {
                 shared.metrics.record_ok(t0.elapsed());
@@ -962,10 +947,7 @@ fn handle_estimate(
     // open circuit already short-circuited above, and a half-open probe
     // must exercise the real model to prove recovery — a warm cache must
     // never mask an unhealthy sketch.
-    let cache = shared
-        .cache
-        .as_ref()
-        .filter(|_| breaker.state_name() == "closed");
+    let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
     // One canonicalisation of the query serves the interned template, the
     // harvest key and the cache key.
     let wants_template = shared.timeline || feedback.is_some();
@@ -996,14 +978,6 @@ fn handle_estimate(
         c.key_into(key, sketch, generation, q);
         &*key
     });
-    // Drift detection compares this sketch's training-time baseline to the
-    // template's rolling feedback; grab it before `estimator` moves.
-    let baseline = (feedback.is_some() && cache.is_some())
-        .then(|| estimator.baseline().cloned())
-        .flatten();
-    // Keep a copy for the fallback only when degradation can happen; the
-    // non-degraded hot path stays clone-free.
-    let fallback_query = shared.fallback.as_ref().map(|_| query.clone());
     let mut cache_hit = false;
     let outcome = if shared
         .faults
@@ -1024,25 +998,16 @@ fn handle_estimate(
         Ok((
             v,
             StageStamps {
-                enqueued: now,
-                dequeued: now,
                 forward_start: now,
                 forward_end: now,
-                batch_span: 0,
             },
         ))
     } else {
-        // The store generation keys the batch: jobs coalesce only within
-        // one model version, so a concurrent retraining swap or
-        // remove/re-insert can never mix models inside a batch.
+        // The pass runs here, on this handler's thread, against the model
+        // this request resolved: a concurrent swap changes what the next
+        // lookup finds, not what this pass holds.
         pacer.mark(t0);
-        let result = shared.batcher.estimate_with_trace(
-            generation,
-            estimator,
-            std::mem::take(query),
-            child_ctx,
-        );
-        match result {
+        match shared.batcher.estimate_stamped(&*estimator, query) {
             Ok(_)
                 if shared
                     .faults
@@ -1078,7 +1043,7 @@ fn handle_estimate(
                 // template's rolling q-error degrades past the configured
                 // ratio versus the training-time baseline, its cached
                 // estimates are dropped (and this one is not re-inserted).
-                if let (Some(c), Some(k), Some(base)) = (cache, cache_key, baseline.as_ref()) {
+                if let (Some(c), Some(k), Some(base)) = (cache, cache_key, estimator.baseline()) {
                     if let Some(rolling) = monitor.template_rolling(tmpl) {
                         let stale =
                             ds_core::maintain::accuracy_drift(base, &rolling).is_some_and(|d| {
@@ -1108,7 +1073,6 @@ fn handle_estimate(
                     query: q,
                     live: v,
                     actual: feedback,
-                    trace: child_ctx,
                 };
                 match lc.shadow_tx.try_send(job) {
                     Ok(()) => {
@@ -1133,23 +1097,14 @@ fn handle_estimate(
         Err(rejection) => {
             if health_failure(&rejection) {
                 breaker.record_failure();
-                if let Some(q) = fallback_query.as_ref() {
-                    if let Some(resp) = degraded_answer(q, shared) {
-                        shared.metrics.record_ok(t0.elapsed());
-                        shared.record_slos(Some(t0.elapsed()), false, None);
-                        return (resp, None);
-                    }
+                if let Some(resp) = degraded_answer(query, shared) {
+                    shared.metrics.record_ok(t0.elapsed());
+                    shared.record_slos(Some(t0.elapsed()), false, None);
+                    return (resp, None);
                 }
             }
             shared.record_slos(None, true, None);
             match rejection {
-                Rejection::Busy { queued } => {
-                    // The batcher already counted the shed.
-                    (
-                        Response::Busy(format!("admission queue full ({queued} waiting)")),
-                        None,
-                    )
-                }
                 Rejection::Timeout => {
                     // The batcher already counted the timeout.
                     (
@@ -1238,23 +1193,18 @@ fn run_lifecycle_daemon(shared: &Arc<Shared>, rx: &Receiver<ShadowJob>) {
 }
 
 /// Scores one mirrored request on the shadow candidate. The candidate
-/// answers through the same batcher as live traffic — bit-exact mirroring
-/// — but under its *reserved* generation, so mirrored jobs can never
-/// coalesce into a live batch and the candidate never serves a client.
+/// answers through the same batcher call as live traffic — bit-exact
+/// mirroring — on the lifecycle daemon's thread, and never serves a client.
 /// Graded mirrors (FEEDBACK) feed the shadow gate; ungraded ones still
 /// run to keep mirroring cost honest but record nothing.
 fn shadow_score(job: ShadowJob, shared: &Shared) {
     let Some(lc) = shared.lifecycle.as_ref() else {
         return;
     };
-    let Some((candidate, shadow_generation)) = lc.manager.shadow_pair(&job.sketch) else {
+    let Some(candidate) = lc.manager.shadow_candidate(&job.sketch) else {
         return;
     };
-    let Ok((candidate_v, _)) =
-        shared
-            .batcher
-            .estimate_with_trace(shadow_generation, candidate, job.query, job.trace)
-    else {
+    let Ok((candidate_v, _)) = shared.batcher.estimate_stamped(&*candidate, &job.query) else {
         return;
     };
     if let Some(actual) = job.actual {
@@ -1351,32 +1301,23 @@ fn stats_payload(shared: &Shared) -> String {
         "serve/sync/rejected",
         shared.sync_rejected.load(Ordering::Relaxed),
     );
-    p.counter("serve/expired_jobs", shared.batcher.expired_jobs())
-        .gauge("serve/queue_len", shared.batcher.queue_len() as f64)
-        .gauge(
-            "serve/active_connections",
-            shared.active_connections.load(Ordering::SeqCst) as f64,
-        )
-        .summary("serve/latency_us", &m.latency_us.snapshot())
-        .summary("serve/batch_size", &m.batch_size.snapshot())
-        // Native histogram exposition beside the summaries: unlike
-        // summary quantiles, cumulative buckets merge exactly across
-        // shards (the fleet aggregator reconstructs and re-merges them).
-        .histogram("serve/latency_us/hist", &m.latency_us.snapshot())
-        .histogram("serve/batch_size/hist", &m.batch_size.snapshot())
-        .summary("serve/stage/parse_us", &m.stage_parse_us.snapshot())
-        .summary("serve/stage/queue_us", &m.stage_queue_us.snapshot())
-        .summary(
-            "serve/stage/batch_wait_us",
-            &m.stage_batch_wait_us.snapshot(),
-        )
-        .summary("serve/stage/forward_us", &m.stage_forward_us.snapshot())
-        .summary("serve/stage/write_us", &m.stage_write_us.snapshot())
-        .counter(
-            "serve/trace/kept",
-            m.slow.pushed().saturating_sub(m.slow.dropped()),
-        )
-        .counter("serve/trace/dropped", m.slow.dropped());
+    p.gauge(
+        "serve/active_connections",
+        shared.active_connections.load(Ordering::SeqCst) as f64,
+    )
+    .summary("serve/latency_us", &m.latency_us.snapshot())
+    // Native histogram exposition beside the summary: unlike summary
+    // quantiles, cumulative buckets merge exactly across shards (the fleet
+    // aggregator reconstructs and re-merges them).
+    .histogram("serve/latency_us/hist", &m.latency_us.snapshot())
+    .summary("serve/stage/parse_us", &m.stage_parse_us.snapshot())
+    .summary("serve/stage/forward_us", &m.stage_forward_us.snapshot())
+    .summary("serve/stage/write_us", &m.stage_write_us.snapshot())
+    .counter(
+        "serve/trace/kept",
+        m.slow.pushed().saturating_sub(m.slow.dropped()),
+    )
+    .counter("serve/trace/dropped", m.slow.dropped());
     for name in shared.breakers.names() {
         let b = shared.breakers.breaker(&name);
         p.counter(&format!("serve/breaker/{name}/opened"), b.opened())

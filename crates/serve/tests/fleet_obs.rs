@@ -7,9 +7,9 @@
 //! checked against ground truth scraped shard-by-shard:
 //!
 //! * `TRACE` — the failover request's exemplar stitches into a single
-//!   causal tree under the client's root span (client span → server span
-//!   → batch span), exemplars from *different* shards appear in one
-//!   payload grouped by trace id, and every traced exemplar's stage spans
+//!   causal tree under the client's root span (client span → server
+//!   span), exemplars from *different* shards appear in one payload
+//!   grouped by trace id, and every traced exemplar's three stages
 //!   decompose its wall time within 5%;
 //! * `STATS` — merged counters equal the per-shard sums and the merged
 //!   latency histogram equals the bucket-wise sum of the per-shard
@@ -135,7 +135,7 @@ fn cumulative_at(buckets: &[(u64, f64)], le: u64) -> f64 {
 fn assert_decomposes(t: &RequestTimeline) {
     let diff = t.stage_sum_us().abs_diff(t.total_us) as f64;
     assert!(
-        diff <= 5.0 + t.total_us as f64 * 0.05,
+        diff <= 3.0 + t.total_us as f64 * 0.05,
         "stages {} vs total {} for {}",
         t.stage_sum_us(),
         t.total_us,
@@ -302,9 +302,9 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     assert_eq!(ids, sorted, "stitched output groups records by trace id");
 
     // The failover request is a single stitched tree: every record of its
-    // trace parents directly under the client's root span and rode a
-    // minted batch span. The victim died mid-sweep, so the tree's server
-    // spans all come from the survivor — exactly one answered.
+    // trace parents directly under the client's root span. The victim died
+    // mid-sweep, so the tree's server spans all come from the survivor —
+    // exactly one answered.
     let tree: Vec<_> = stitched
         .iter()
         .filter(|t| t.trace_id == root.trace_id)
@@ -313,8 +313,6 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     for t in &tree {
         assert_eq!(t.parent_span, root.span_id, "parented under the client");
         assert_ne!(t.span_id, 0, "server minted its own span");
-        assert_ne!(t.batch_span, 0, "traced requests ride a traced batch");
-        assert_ne!(t.span_id, t.batch_span);
     }
     // Every traced exemplar that crossed the aggregator still decomposes.
     for t in stitched.iter().filter(|t| t.trace_id != 0) {

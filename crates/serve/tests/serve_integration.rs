@@ -8,7 +8,7 @@ use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::fleet::FleetConfig;
-use ds_serve::{Client, ErrorCode, FaultInjector, Fleet, Response, ServeConfig, ServeSlo, Server};
+use ds_serve::{Client, ErrorCode, Fleet, Response, ServeConfig, ServeSlo, Server};
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
 mod common;
@@ -25,25 +25,14 @@ const WORKLOAD: &[&str] = &[
      WHERE mk.movie_id = t.id AND t.production_year > 1995",
 ];
 
-/// The tentpole guarantee: 64 concurrent clients, coalesced on the server,
-/// every answer bit-identical to a local per-query `estimate_one`.
+/// The tentpole guarantee: 64 concurrent clients, each request answered on
+/// its own handler thread — from the cache or by a forward pass of its own
+/// — and every answer bit-identical to a local per-query `estimate_one`.
 #[test]
-fn concurrent_coalesced_estimates_match_estimate_one() {
-    // A lone request runs inline and a tiny model answers in microseconds,
-    // so 64 clients on a couple of cores rarely overlap by themselves.
-    // Stall every forward pass (debug builds only — the injector is inert
-    // in release) and switch the estimate cache off, so every request
-    // needs a pass, the forward slots are visibly taken, and later
-    // arrivals have to queue up behind them.
-    let faults = Arc::new(FaultInjector::new(1));
-    faults.delay_forwards(Duration::from_millis(2), 1.0);
+fn concurrent_estimates_match_estimate_one() {
     let (server, db, store) = start(
         ServeConfig::builder()
-            .workers(4)
-            .max_batch(32)
             .request_timeout(Duration::from_secs(30))
-            .faults(Some(faults))
-            .cache_capacity(0)
             .build()
             .unwrap(),
     );
@@ -82,21 +71,45 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
         }
     });
 
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    let stat = |name: &str| stats.iter().find(|s| s.name == name).unwrap().value as u64;
+    let (hits, misses) = (stat("ds_serve_cache_hits"), stat("ds_serve_cache_misses"));
     let snap = server.shutdown();
     assert_eq!(snap.ok, 64 * WORKLOAD.len() as u64);
     assert_eq!(snap.errors, 0);
-    // With 64 clients against 4 forward slots, coalescing must have
-    // kicked in: strictly fewer forward passes than requests.
-    assert!(snap.batches > 0);
-    if FaultInjector::armed() {
-        assert!(
-            snap.batches < snap.ok,
-            "no coalescing: {} batches for {} requests",
-            snap.batches,
-            snap.ok
-        );
-        assert!(snap.max_batch > 1);
-    }
+    // One pass per cache miss, one query per pass: nothing is gathered and
+    // nothing runs twice.
+    assert_eq!(hits + misses, snap.ok);
+    assert_eq!(snap.batches, misses);
+    assert_eq!(snap.max_batch, 1);
+}
+
+/// No pass runs anywhere but on a handler (or the lifecycle daemon): a
+/// serving process has no `ds-serve-batch-*` worker threads.
+#[cfg(target_os = "linux")]
+#[test]
+fn running_server_has_no_batch_worker_threads() {
+    let (server, ..) = start(ServeConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.estimate_value("imdb", WORKLOAD[4]).unwrap();
+    let threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    // The scan sees this server's threads (names are cut at 15 bytes)...
+    assert!(
+        threads.iter().any(|t| t == "ds-serve-accept"),
+        "{threads:?}"
+    );
+    assert!(threads.iter().any(|t| t == "ds-serve-conn"), "{threads:?}");
+    // ...and none of them is a batch worker.
+    assert!(
+        !threads.iter().any(|t| t.starts_with("ds-serve-batch")),
+        "{threads:?}"
+    );
+    c.quit().unwrap();
+    server.shutdown();
 }
 
 #[test]
@@ -318,7 +331,7 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
     );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
-    // FEEDBACK answers through the same batcher path as ESTIMATE: the
+    // FEEDBACK answers through the same handler path as ESTIMATE: the
     // returned estimate is bit-identical.
     let joined = WORKLOAD[4];
     let est = c.estimate_value("imdb", joined).unwrap();
@@ -349,7 +362,7 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
     };
     assert_eq!(value("ds_serve_ok"), answered as f64);
     assert!(value("ds_serve_requests") >= answered as f64);
-    for stage in ["parse", "queue", "batch_wait", "forward", "write"] {
+    for stage in ["parse", "forward", "write"] {
         let count = value(&format!("ds_serve_stage_{stage}_us_count"));
         assert_eq!(count, answered as f64, "stage {stage}");
     }
@@ -368,7 +381,7 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
         assert!(!t.template.is_empty());
         let diff = t.stage_sum_us().abs_diff(t.total_us) as f64;
         assert!(
-            diff <= 0.05 * t.total_us as f64 + 6.0,
+            diff <= 0.05 * t.total_us as f64 + 4.0,
             "stages {} vs total {} in {t:?}",
             t.stage_sum_us(),
             t.total_us
@@ -575,12 +588,12 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
     server.shutdown();
 }
 
-/// Regression test for the remove/swap-during-batch race: while clients
-/// hammer "churn" through the server's coalescing path, a writer keeps
-/// removing it and re-inserting alternating model versions. Batches are
-/// keyed by store generation (plus an `Arc::ptr_eq` sweep guard), so every
+/// Regression test for the remove/swap-during-request race: while clients
+/// hammer "churn", a writer keeps removing it and re-inserting alternating
+/// model versions. A request runs its pass against the model its lookup
+/// resolved and caches the answer under that model's generation, so every
 /// answer must be bit-identical to ONE of the two versions' local
-/// estimates — a mixed batch would hand version A's request to version B.
+/// estimates.
 #[test]
 fn estimates_stay_version_consistent_under_store_churn() {
     let db = tiny_db(11);
@@ -598,8 +611,6 @@ fn estimates_stay_version_consistent_under_store_churn() {
         Arc::clone(&db),
         Arc::clone(&store),
         ServeConfig::builder()
-            .workers(2)
-            .max_batch(16)
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
@@ -652,13 +663,12 @@ fn estimates_stay_version_consistent_under_store_churn() {
     server.shutdown();
 }
 
-/// Graceful shutdown: requests in flight when shutdown starts still get
-/// answers; the queue drains rather than drops.
+/// Graceful shutdown: every request read before shutdown starts is still
+/// answered.
 #[test]
 fn shutdown_drains_in_flight_work() {
     let (server, ..) = start(
         ServeConfig::builder()
-            .workers(1)
             .request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),

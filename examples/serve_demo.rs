@@ -7,7 +7,7 @@
 //! through `FEEDBACK` into the sketch's rolling q-error monitor.
 //!
 //! This is the smoke test CI runs for `ds-serve` — it exercises the full
-//! stack (accept loop, protocol, coalescing batcher, metrics, timelines,
+//! stack (accept loop, protocol, cache, forward pass, metrics, timelines,
 //! feedback) in a few seconds and fails loudly on any mismatch.
 //!
 //! Run with: `cargo run --release --example serve_demo`
@@ -65,7 +65,6 @@ fn main() {
         Arc::clone(&db),
         Arc::clone(&store),
         ServeConfig::builder()
-            .workers(4)
             .request_timeout(Duration::from_secs(30))
             // Keep a timeline exemplar for every request so the TRACE
             // check below always has something to decompose.
@@ -159,22 +158,19 @@ fn main() {
         let traces = c.trace().expect("TRACE");
         assert!(!traces.is_empty(), "no timeline exemplars kept");
         let t = &traces[0];
-        // The five stages decompose the request wall time (5% tolerance
+        // The three stages decompose the request wall time (5% tolerance
         // plus a few µs of per-stage integer truncation).
         let diff = (t.total_us as f64 - t.stage_sum_us() as f64).abs();
         assert!(
-            diff <= 0.05 * t.total_us as f64 + 6.0,
+            diff <= 0.05 * t.total_us as f64 + 4.0,
             "stage decomposition off: {t:?}"
         );
         println!(
-            "TRACE   -> {} exemplars; e.g. [{}] {}µs = parse {} + queue {} \
-             + batch-wait {} + forward {} + write {}",
+            "TRACE   -> {} exemplars; e.g. [{}] {}µs = parse {} + forward {} + write {}",
             traces.len(),
             t.template,
             t.total_us,
             t.parse_us,
-            t.queue_us,
-            t.batch_wait_us,
             t.forward_us,
             t.write_us
         );
@@ -208,11 +204,10 @@ fn main() {
     let snap = server.shutdown();
     println!("{snap}");
     println!(
-        "{answered} estimates in {:.2}s ({:.0} req/s), {} coalesced batches (mean {:.1})",
+        "{answered} estimates in {:.2}s ({:.0} req/s), {} forward passes",
         elapsed.as_secs_f64(),
         answered as f64 / elapsed.as_secs_f64(),
-        snap.batches,
-        snap.mean_batch
+        snap.batches
     );
 
     assert_eq!(mismatches, 0, "wire answers diverged from estimate_one");
@@ -222,6 +217,6 @@ fn main() {
         snap.ok,
         "request accounting diverged"
     );
-    assert!(snap.batches < snap.ok, "coalescing never engaged");
+    assert!(snap.batches < snap.ok, "the estimate cache never engaged");
     println!("serve_demo OK: all {answered} wire answers bit-identical to estimate_one");
 }

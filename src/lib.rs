@@ -17,8 +17,8 @@
 //! * [`core`] — the paper's contribution: featurization, the MSCN model,
 //!   training, the [`core::sketch::DeepSketch`] wrapper, and crash-safe
 //!   snapshot persistence ([`core::snapshot`], [`core::store::SketchStore::open_dir`]).
-//! * [`serve`] — concurrent TCP serving front end with request
-//!   coalescing, per-request stage timelines, online q-error
+//! * [`serve`] — concurrent TCP serving front end, a thread per
+//!   connection, with per-request stage timelines, online q-error
 //!   feedback monitoring over the [`core::store::SketchStore`], and
 //!   per-sketch circuit breakers degrading to baseline estimators.
 //!
