@@ -12,6 +12,7 @@ use ds_core::mscn::{MscnConfig, MscnModel};
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
 use ds_est::CardinalityEstimator;
+use ds_nn::pool::Team;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -81,7 +82,7 @@ fn bench_forward(c: &mut Criterion) {
     let mut cache = ds_core::mscn::ForwardCache::new();
     c.bench_function("mscn/forward_batch_70", |b| {
         b.iter(|| {
-            model.forward_into(black_box(&batch), &mut cache);
+            model.forward_into(black_box(&batch), &Team::solo(), &mut cache);
             black_box(cache.output().data()[0])
         })
     });
@@ -116,7 +117,7 @@ fn bench_training_step(c: &mut Criterion) {
                 let (y, cache) = m.forward(&batch);
                 let (_, grad) = loss.forward_backward(&y, &labels);
                 m.backward(&batch, &cache, &grad);
-                m.adam_step(&mut adam);
+                m.adam_step(&mut adam, &Team::solo());
                 black_box(m.num_params())
             },
             BatchSize::SmallInput,
@@ -125,7 +126,6 @@ fn bench_training_step(c: &mut Criterion) {
 }
 
 fn bench_matmul_shapes(c: &mut Criterion) {
-    use ds_nn::pool::PoolConfig;
     // A layer's forward at three MSCN shapes, each on the data its layer
     // sees (as index lists): table-set input, hidden 256×256, 256→1 head.
     for (name, k, n, dense) in ds_bench::kernel_shapes() {
@@ -134,12 +134,7 @@ fn bench_matmul_shapes(c: &mut Criterion) {
         let mut out = ds_nn::Tensor::zeros(0, 0);
         c.bench_function(&format!("matmul/{name}"), |bch| {
             bch.iter(|| {
-                layer.forward_rows(
-                    black_box(rows.rows()),
-                    false,
-                    PoolConfig::single(),
-                    &mut out,
-                );
+                layer.forward_rows(black_box(rows.rows()), false, &Team::solo(), &mut out);
                 black_box(out.data()[0])
             })
         });

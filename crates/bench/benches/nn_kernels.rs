@@ -20,7 +20,7 @@ use ds_bench::{
 };
 use ds_core::builder::SketchBuilder;
 use ds_core::QuantMode;
-use ds_nn::pool::PoolConfig;
+use ds_nn::pool::Team;
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
@@ -50,22 +50,32 @@ fn main() {
     // --- (1) the kernel at three MSCN layer shapes -----------------------
     // Each on the data its layer sees, as index lists: a layer's forward
     // against the naive reference product.
+    // `team(L)` is the same call on a team of the host's L lanes: the rows
+    // cut by entries, one range per lane (shapes below the kernel's fork
+    // threshold run whole).
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\n[1] kernel medians (seconds):");
     println!(
         "  {:<22} {:>12} {:>12} {:>12} {:>8}",
-        "shape", "reference", "tiled", "threaded(4)", "speedup"
+        "shape",
+        "reference",
+        "tiled",
+        format!("team({lanes})"),
+        "speedup"
     );
     let iters = 30;
     for (name, k, n, dense) in kernel_shapes() {
         let layer = Linear::from_params(random_tensor(k, n, 0xB0 ^ n as u64), vec![0.0; n]);
         let rows = IndexSet::of_dense(dense.data(), dense.cols());
         let mut out = Tensor::zeros(0, 0);
-        let mut forward = |threads| {
-            median_secs(iters, || {
-                layer.forward_rows(rows.rows(), false, PoolConfig::new(threads), &mut out)
+        let mut forward = |lanes| {
+            Team::run(lanes, |team| {
+                median_secs(iters, || {
+                    layer.forward_rows(rows.rows(), false, team, &mut out)
+                })
             })
         };
-        let (t_tiled, t_thr) = (forward(1), forward(4));
+        let (t_tiled, t_thr) = (forward(1), forward(lanes));
         let t_ref = median_secs(iters, || reference::matmul(&dense, layer.weights()));
         // Sanity: all paths must agree exactly (the bias is zero).
         assert_eq!(
@@ -78,23 +88,36 @@ fn main() {
     }
 
     // --- (2) fig1a training cost at 10k queries -------------------------
+    // Once on one lane, once as the builder does it when nobody calls
+    // `.threads()`: training on the host's lanes, everything else as before.
     println!("\n[2] fig1a pipeline at 10k queries / 30 epochs:");
     let db = bench_imdb();
     let cols = imdb_predicate_columns(&db);
-    let (sketch, report) = SketchBuilder::new(&db, cols.clone())
-        .training_queries(10_000)
-        .epochs(30)
-        .sample_size(100)
-        .hidden_units(96)
-        .max_tables(5)
-        .max_predicates(4)
-        .seed(BENCH_SEED ^ 2)
-        .build_with_report()
-        .expect("pipeline");
+    let fig1a = || {
+        SketchBuilder::new(&db, cols.clone())
+            .training_queries(10_000)
+            .epochs(30)
+            .sample_size(100)
+            .hidden_units(96)
+            .max_tables(5)
+            .max_predicates(4)
+            .seed(BENCH_SEED ^ 2)
+    };
+    let (one_lane, one_report) = fig1a().threads(1).build_with_report().expect("pipeline");
+    let (sketch, report) = fig1a().build_with_report().expect("pipeline");
+    assert_eq!(
+        one_lane.to_bytes(),
+        sketch.to_bytes(),
+        "lanes changed a trained byte"
+    );
     let train_secs = report.training.total_duration.as_secs_f64();
     let exec_secs = report.execution.as_secs_f64();
     println!("  execute (labels) : {exec_secs:>10.2}s");
-    println!("  featurize+train  : {train_secs:>10.2}s");
+    println!(
+        "  featurize+train  : {:>10.2}s on one lane",
+        one_report.training.total_duration.as_secs_f64()
+    );
+    println!("  featurize+train  : {train_secs:>10.2}s on {lanes} lanes (the default)");
     println!(
         "  final val q-error: {:>10.2}",
         report.training.final_val_qerror().unwrap_or(f64::NAN)

@@ -64,7 +64,7 @@ use ds_bench::loadgen::{run_open_loop, OpenLoopConfig};
 use ds_bench::{banner, kernel_shapes, random_tensor, BENCH_SEED};
 use ds_core::builder::SketchBuilder;
 use ds_core::store::SketchStore;
-use ds_nn::pool::PoolConfig;
+use ds_nn::pool::Team;
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_obs::{PrettySink, Sink, TraceReport};
@@ -306,7 +306,7 @@ fn stage_kernels(report: &mut BenchReport) {
         let mut out = Tensor::zeros(0, 0);
         let t_ref = min_secs(25, || reference::matmul(&dense, layer.weights()));
         let t_tiled = min_secs(25, || {
-            layer.forward_rows(rows.rows(), false, PoolConfig::single(), &mut out)
+            layer.forward_rows(rows.rows(), false, &Team::solo(), &mut out)
         });
         let mut want = reference::matmul(&dense, layer.weights());
         want.add_row_broadcast(layer.bias());
@@ -327,9 +327,10 @@ fn stage_kernels(report: &mut BenchReport) {
     }
 }
 
-/// Stage 2: a miniature fig1a build. Seeded end to end and bit-identical
-/// at any thread count, so the validation q-error is an exact, portable
-/// quality gate; wall-clock numbers ride along as local metrics.
+/// Stage 2: a miniature fig1a build through the builder's defaults, so it
+/// trains on the host's lanes. Seeded end to end and bit-identical at any
+/// lane count, so the validation q-error is an exact, portable quality
+/// gate; wall-clock numbers ride along as local metrics.
 fn stage_training(report: &mut BenchReport) -> (Arc<Database>, Arc<SketchStore>) {
     println!("\n[2/8] mini fig1a build (800 queries, 3 epochs):");
     let db = Arc::new(imdb_database(&ImdbConfig {

@@ -23,6 +23,7 @@ use ds_nn::linear::Linear;
 use ds_nn::loss::{LabelNormalizer, QErrorLoss};
 use ds_nn::ops::{relu, relu_backward, sigmoid, sigmoid_backward};
 use ds_nn::optim::Adam;
+use ds_nn::pool::Team;
 use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
 use ds_storage::sample::TableSample;
@@ -154,9 +155,9 @@ impl FlatModel {
         let g_a1 = self.l2.backward(&a1, &g_z2);
         let g_z1 = relu_backward(&z1, &g_a1);
         self.l1.backward(x, &g_z1);
-        adam.step(0, &mut self.l1);
-        adam.step(1, &mut self.l2);
-        adam.step(2, &mut self.l3);
+        adam.step(0, &mut self.l1, &Team::solo());
+        adam.step(1, &mut self.l2, &Team::solo());
+        adam.step(2, &mut self.l3, &Team::solo());
         l
     }
 

@@ -112,7 +112,8 @@ pub struct SketchBuilder<'a> {
     validation_frac: f64,
     early_stop_patience: Option<usize>,
     restore_best: bool,
-    threads: usize,
+    /// `None` until [`SketchBuilder::threads`] is called.
+    threads: Option<usize>,
     quantization: QuantMode,
     seed: u64,
     in_frac: f64,
@@ -149,7 +150,7 @@ impl<'a> SketchBuilder<'a> {
             validation_frac: 0.1,
             early_stop_patience: None,
             restore_best: false,
-            threads: 1,
+            threads: None,
             quantization: QuantMode::F32,
             seed: 0xD5_5EED,
             in_frac: 0.0,
@@ -251,11 +252,14 @@ impl<'a> SketchBuilder<'a> {
         self
     }
 
-    /// Worker threads for the whole pipeline: training-query execution,
-    /// the training matmul kernels, and the built sketch's batched
-    /// serving. Results are bit-identical at any thread count.
+    /// Threads for the whole pipeline: training-query execution, the
+    /// training run's lanes ([`TrainConfig::threads`]), and the built
+    /// sketch's batched serving all use `n`. Results are bit-identical at
+    /// any thread count. A builder on which this is never called trains
+    /// on [`std::thread::available_parallelism`] lanes and keeps label
+    /// execution and the sketch's `estimate_batch` on one thread.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+        self.threads = Some(n.max(1));
         self
     }
 
@@ -319,6 +323,12 @@ impl<'a> SketchBuilder<'a> {
     ) -> Result<(DeepSketch, BuildReport), BuildError> {
         let obs = ds_obs::global();
         let _build_span = obs.span("build");
+        // Training's helper lanes are gone when it returns; threads for
+        // labelling or serving are only spent when asked for.
+        let threads = self.threads.unwrap_or(1);
+        let train_lanes = self
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         // Steps 1-2: samples + training queries.
         let t0 = Instant::now();
         let gen_span = obs.span("generate");
@@ -356,7 +366,7 @@ impl<'a> SketchBuilder<'a> {
             let exec_queries: Vec<_> = queries.iter().map(Query::to_exec).collect();
             let chunk_size = (exec_queries.len() / 20).max(1);
             for chunk in exec_queries.chunks(chunk_size) {
-                labels.extend(executor.count_batch(self.db, chunk, self.threads)?);
+                labels.extend(executor.count_batch(self.db, chunk, threads)?);
                 on_progress(BuildProgress::LabelsExecuted {
                     done: labels.len(),
                     total: exec_queries.len(),
@@ -401,7 +411,7 @@ impl<'a> SketchBuilder<'a> {
             restore_best: self.restore_best,
             grad_clip: None,
             lr_decay: None,
-            threads: self.threads,
+            threads: train_lanes,
         };
         let total_epochs = self.epochs;
         let training = train_with_callback(
@@ -427,7 +437,7 @@ impl<'a> SketchBuilder<'a> {
             normalizer,
             self.db.name().to_string(),
         );
-        sketch.set_threads(self.threads);
+        sketch.set_threads(threads);
         // The selected epoch's holdout q-error distribution ships inside
         // the sketch as the reference for online drift detection.
         if let Some(baseline) = crate::monitor::baseline_from_qerrors(&training.holdout_qerrors) {

@@ -338,7 +338,9 @@ pub struct LifecycleConfig {
     /// Epochs for the incremental retrain (small: it refines, not
     /// rebuilds).
     pub train_epochs: usize,
-    /// Threads for the background training (off the serving path).
+    /// Lanes for the background training (off the serving path). The
+    /// default stays 1: a retrain shares the host with the server it
+    /// retrains for, and at one lane it spawns nothing.
     pub train_threads: usize,
     /// Seed for candidate weight init and shuffling.
     pub seed: u64,

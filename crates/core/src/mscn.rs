@@ -28,6 +28,23 @@
 //! the oracle: the same arithmetic over dense feature tensors through the
 //! naive [`ds_nn::tensor::reference`] product, sharing no kernel with
 //! training or serving, and bit-identical to both.
+//!
+//! ## Lanes
+//!
+//! Forward, backward and the optimizer step take the training run's
+//! [`Team`] and fork at two levels. **Modules:** the three set modules
+//! share nothing until the concatenation (forward) and after the split
+//! (backward) — each owns its two layers, their gradients, its forward
+//! cache — so the table module runs on the calling lane while joins, then
+//! predicates, run on a helper (tables cost about what the other two cost
+//! together); with three lanes each module has its own, and the backward
+//! scratch holds one arena per lane in use. **Kernels:** the output MLP,
+//! and whatever a lane still has to do once the other has finished, cut
+//! each product by rows ([`ds_nn::sparse::sparse_rows_pool`]); a layer's
+//! backward runs its weight gradient beside its input gradient
+//! ([`Linear::backward_into`]); the Adam step cuts each large layer's
+//! parameters in two. A fork moves where an element is computed, never
+//! how: every lane count trains the same bits.
 
 use ds_nn::frozen::{FrozenLinear, FrozenModel, IndexSet, QuantMode};
 use ds_nn::linear::{GradScratch, Linear};
@@ -36,7 +53,7 @@ use ds_nn::ops::{
     sigmoid_backward_into, sigmoid_scalar, Segments,
 };
 use ds_nn::optim::Adam;
-use ds_nn::pool::PoolConfig;
+use ds_nn::pool::Team;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 use ds_nn::tensor::{reference, Tensor};
 
@@ -88,6 +105,13 @@ struct SetScratch {
     g_b: Tensor,
 }
 
+/// What one lane needs to run set modules backward, one after the other.
+#[derive(Default)]
+struct LaneScratch {
+    set: SetScratch,
+    grads: GradScratch,
+}
+
 impl SetModule {
     fn new(in_dim: usize, hidden: usize, seed: u64) -> Self {
         Self {
@@ -97,13 +121,13 @@ impl SetModule {
     }
 
     /// Applies the element MLP and mean-pools per segment into `cache`.
-    fn forward_into(&self, set: BatchSet<'_>, pool: PoolConfig, cache: &mut SetCache) {
-        self.l1.forward_rows(set.rows, true, pool, &mut cache.a1);
+    fn forward_into(&self, set: BatchSet<'_>, team: &Team, cache: &mut SetCache) {
+        self.l1.forward_rows(set.rows, true, team, &mut cache.a1);
         cache
             .a1_rows
             .compress_rows(cache.a1.data(), cache.a1.cols());
         self.l2
-            .forward_rows(cache.a1_rows.rows(), true, pool, &mut cache.a2);
+            .forward_rows(cache.a1_rows.rows(), true, team, &mut cache.a2);
         segment_mean_into(&cache.a2, set.segs, &mut cache.pooled);
     }
 
@@ -115,17 +139,16 @@ impl SetModule {
         set: BatchSet<'_>,
         cache: &SetCache,
         grad_pooled: &Tensor,
-        pool: PoolConfig,
-        s: &mut SetScratch,
-        grads: &mut GradScratch,
+        team: &Team,
+        lane: &mut LaneScratch,
     ) {
+        let LaneScratch { set: s, grads } = lane;
         segment_mean_backward_into(cache.a2.rows(), grad_pooled, set.segs, &mut s.g_a);
         relu_backward_inplace(&cache.a2, &mut s.g_a); // g_a is now ∂L/∂z2
         self.l2
-            .accumulate_grads(cache.a1_rows.rows(), &s.g_a, pool, grads);
-        self.l2.input_grad_into(&s.g_a, pool, grads, &mut s.g_b);
+            .backward_into(cache.a1_rows.rows(), &s.g_a, team, grads, &mut s.g_b);
         relu_backward_inplace(&cache.a1, &mut s.g_b); // g_b is now ∂L/∂z1
-        self.l1.accumulate_grads(set.rows, &s.g_b, pool, grads);
+        self.l1.accumulate_grads(set.rows, &s.g_b, team, grads);
     }
 
     /// The module over dense rows through the naive product.
@@ -159,7 +182,6 @@ pub struct MscnModel {
     out1: Linear,
     out2: Linear,
     hidden: usize,
-    pool: PoolConfig,
 }
 
 /// Forward cache for one batch, consumed by [`MscnModel::backward`]. All
@@ -190,15 +212,16 @@ impl ForwardCache {
     }
 }
 
-/// Reusable backward scratch, the companion of [`ForwardCache`].
+/// Reusable backward scratch, the companion of [`ForwardCache`]: the
+/// output MLP's gradients and one arena per lane the set modules run on
+/// (at most three; the output MLP borrows the first).
 #[derive(Default)]
 pub struct BackwardScratch {
     g_z4: Tensor,
     g_a3: Tensor,
     g_concat: Tensor,
     g_parts: [Tensor; 3],
-    set: SetScratch,
-    grads: GradScratch,
+    lanes: Vec<LaneScratch>,
 }
 
 impl BackwardScratch {
@@ -224,24 +247,12 @@ impl MscnModel {
             out1: Linear::new(3 * h, h, cfg.seed ^ 0x04),
             out2: Linear::new(h, 1, cfg.seed ^ 0x05),
             hidden: h,
-            pool: PoolConfig::single(),
         }
     }
 
     /// Hidden width.
     pub fn hidden(&self) -> usize {
         self.hidden
-    }
-
-    /// Thread pool used by the matmul kernels. Results are bit-identical
-    /// at any thread count; this only affects speed.
-    pub fn pool(&self) -> PoolConfig {
-        self.pool
-    }
-
-    /// Sets the kernel thread pool (see [`MscnModel::pool`]).
-    pub fn set_pool(&mut self, pool: PoolConfig) {
-        self.pool = pool;
     }
 
     /// Expected input dimensions `(table, join, pred)`.
@@ -262,32 +273,37 @@ impl MscnModel {
             + self.out2.num_params()
     }
 
-    /// Forward pass: returns per-query normalized outputs `(batch × 1)` in
-    /// `(0, 1)` plus the cache for a subsequent backward pass.
+    /// Forward pass on the calling thread: returns per-query normalized
+    /// outputs `(batch × 1)` in `(0, 1)` plus the cache for a subsequent
+    /// backward pass.
     pub fn forward(&self, batch: &PoolBatch<'_>) -> (Tensor, ForwardCache) {
         let mut cache = ForwardCache::new();
-        self.forward_into(batch, &mut cache);
+        self.forward_into(batch, &Team::solo(), &mut cache);
         (cache.y.clone(), cache)
     }
 
-    /// [`MscnModel::forward`] into a reusable cache; read the outputs via
-    /// [`ForwardCache::output`]. This is the allocation-free hot path.
-    pub fn forward_into(&self, batch: &PoolBatch<'_>, cache: &mut ForwardCache) {
+    /// [`MscnModel::forward`] on `team`'s lanes into a reusable cache; read
+    /// the outputs via [`ForwardCache::output`]. This is the
+    /// allocation-free hot path.
+    pub fn forward_into(&self, batch: &PoolBatch<'_>, team: &Team, cache: &mut ForwardCache) {
         let obs = ds_obs::global();
         let _fwd = obs.span("forward");
-        let pool = self.pool;
-        {
-            let _s = obs.span("tables");
-            self.tables.forward_into(batch.tables(), pool, &mut cache.t);
-        }
-        {
-            let _s = obs.span("joins");
-            self.joins.forward_into(batch.joins(), pool, &mut cache.j);
-        }
-        {
-            let _s = obs.span("preds");
-            self.preds.forward_into(batch.preds(), pool, &mut cache.p);
-        }
+        let ForwardCache { t, j, p, .. } = cache;
+        let module = |name, module: &SetModule, set, cache: &mut SetCache| {
+            let _s = obs.span(name);
+            module.forward_into(set, team, cache);
+        };
+        // The larger piece stays here: once the helper is through, this
+        // lane's remaining kernels find it idle and cut themselves in two.
+        team.join(
+            || module("tables", &self.tables, batch.tables(), t),
+            || {
+                team.join(
+                    || module("joins", &self.joins, batch.joins(), j),
+                    || module("preds", &self.preds, batch.preds(), p),
+                )
+            },
+        );
         let _out = obs.span("output");
         Tensor::concat_cols_into(
             &[&cache.t.pooled, &cache.j.pooled, &cache.p.pooled],
@@ -297,12 +313,12 @@ impl MscnModel {
             .concat_rows
             .compress_rows(cache.concat.data(), cache.concat.cols());
         self.out1
-            .forward_rows(cache.concat_rows.rows(), true, pool, &mut cache.a3);
+            .forward_rows(cache.concat_rows.rows(), true, team, &mut cache.a3);
         cache
             .a3_rows
             .compress_rows(cache.a3.data(), cache.a3.cols());
         self.out2
-            .forward_rows(cache.a3_rows.rows(), false, pool, &mut cache.y);
+            .forward_rows(cache.a3_rows.rows(), false, team, &mut cache.y);
         for v in cache.y.data_mut() {
             *v = sigmoid_scalar(*v);
         }
@@ -325,71 +341,74 @@ impl MscnModel {
         y.data().iter().map(|&v| sigmoid_scalar(v)).collect()
     }
 
-    /// Backward pass: accumulates gradients in every layer. `batch` must
-    /// be the batch of the matching forward pass, `grad_y` is `∂L/∂y`
-    /// with `y` the sigmoid output.
+    /// Backward pass on the calling thread: accumulates gradients in every
+    /// layer. `batch` must be the batch of the matching forward pass,
+    /// `grad_y` is `∂L/∂y` with `y` the sigmoid output.
     pub fn backward(&mut self, batch: &PoolBatch<'_>, cache: &ForwardCache, grad_y: &Tensor) {
         let mut scratch = BackwardScratch::new();
-        self.backward_with(batch, cache, grad_y, &mut scratch);
+        self.backward_with(batch, cache, grad_y, &Team::solo(), &mut scratch);
     }
 
-    /// [`MscnModel::backward`] with a reusable scratch arena.
+    /// [`MscnModel::backward`] on `team`'s lanes with a reusable scratch
+    /// arena.
     pub fn backward_with(
         &mut self,
         batch: &PoolBatch<'_>,
         cache: &ForwardCache,
         grad_y: &Tensor,
+        team: &Team,
         s: &mut BackwardScratch,
     ) {
         let obs = ds_obs::global();
         let _bwd = obs.span("backward");
-        let pool = self.pool;
+        let lanes = team.lanes().min(3);
+        if s.lanes.len() < lanes {
+            s.lanes.resize_with(lanes, LaneScratch::default);
+        }
         {
             let _s = obs.span("output");
+            let grads = &mut s.lanes[0].grads;
             sigmoid_backward_into(&cache.y, grad_y, &mut s.g_z4);
             self.out2
-                .accumulate_grads(cache.a3_rows.rows(), &s.g_z4, pool, &mut s.grads);
-            self.out2
-                .input_grad_into(&s.g_z4, pool, &mut s.grads, &mut s.g_a3);
+                .backward_into(cache.a3_rows.rows(), &s.g_z4, team, grads, &mut s.g_a3);
             relu_backward_inplace(&cache.a3, &mut s.g_a3); // now ∂L/∂z3
+            let x = cache.concat_rows.rows();
             self.out1
-                .accumulate_grads(cache.concat_rows.rows(), &s.g_a3, pool, &mut s.grads);
-            self.out1
-                .input_grad_into(&s.g_a3, pool, &mut s.grads, &mut s.g_concat);
+                .backward_into(x, &s.g_a3, team, grads, &mut s.g_concat);
         }
         let h = self.hidden;
         s.g_concat.split_cols_into(&[h, h, h], &mut s.g_parts);
-        {
-            let _s = obs.span("tables");
-            self.tables.backward_with(
-                batch.tables(),
-                &cache.t,
-                &s.g_parts[0],
-                pool,
-                &mut s.set,
-                &mut s.grads,
-            );
+        let [g_t, g_j, g_p] = &s.g_parts;
+        let module = |name, module: &mut SetModule, set, cache, grad, lane: &mut LaneScratch| {
+            let _s = obs.span(name);
+            module.backward_with(set, cache, grad, team, lane);
+        };
+        let (tables, joins, preds) = (&mut self.tables, &mut self.joins, &mut self.preds);
+        // Modules that share a lane share its scratch, one after the other.
+        match &mut s.lanes[..lanes] {
+            [t, j, p] => team.join(
+                || module("tables", tables, batch.tables(), &cache.t, g_t, t),
+                || {
+                    team.join(
+                        || module("joins", joins, batch.joins(), &cache.j, g_j, j),
+                        || module("preds", preds, batch.preds(), &cache.p, g_p, p),
+                    )
+                },
+            ),
+            [t, jp] => team.join(
+                || module("tables", tables, batch.tables(), &cache.t, g_t, t),
+                || {
+                    module("joins", joins, batch.joins(), &cache.j, g_j, jp);
+                    module("preds", preds, batch.preds(), &cache.p, g_p, jp);
+                },
+            ),
+            [all] => {
+                module("tables", tables, batch.tables(), &cache.t, g_t, all);
+                module("joins", joins, batch.joins(), &cache.j, g_j, all);
+                module("preds", preds, batch.preds(), &cache.p, g_p, all);
+            }
+            _ => unreachable!("one to three lanes of scratch"),
         }
-        {
-            let _s = obs.span("joins");
-            self.joins.backward_with(
-                batch.joins(),
-                &cache.j,
-                &s.g_parts[1],
-                pool,
-                &mut s.set,
-                &mut s.grads,
-            );
-        }
-        let _s = obs.span("preds");
-        self.preds.backward_with(
-            batch.preds(),
-            &cache.p,
-            &s.g_parts[2],
-            pool,
-            &mut s.set,
-            &mut s.grads,
-        );
     }
 
     /// Clips the accumulated gradients of all layers to a global L2 norm;
@@ -410,16 +429,17 @@ impl MscnModel {
         )
     }
 
-    /// One Adam update over all layers (clears gradients).
-    pub fn adam_step(&mut self, adam: &mut Adam) {
-        adam.step(0, &mut self.tables.l1);
-        adam.step(1, &mut self.tables.l2);
-        adam.step(2, &mut self.joins.l1);
-        adam.step(3, &mut self.joins.l2);
-        adam.step(4, &mut self.preds.l1);
-        adam.step(5, &mut self.preds.l2);
-        adam.step(6, &mut self.out1);
-        adam.step(7, &mut self.out2);
+    /// One Adam update over all layers (clears gradients), each large
+    /// layer cut across `team`'s idle lanes.
+    pub fn adam_step(&mut self, adam: &mut Adam, team: &Team) {
+        adam.step(0, &mut self.tables.l1, team);
+        adam.step(1, &mut self.tables.l2, team);
+        adam.step(2, &mut self.joins.l1, team);
+        adam.step(3, &mut self.joins.l2, team);
+        adam.step(4, &mut self.preds.l1, team);
+        adam.step(5, &mut self.preds.l2, team);
+        adam.step(6, &mut self.out1, team);
+        adam.step(7, &mut self.out2, team);
     }
 
     /// Converts the trained weights into a serving-only [`FrozenModel`]:
@@ -485,9 +505,6 @@ impl MscnModel {
             out1,
             out2,
             hidden,
-            // The pool is a runtime knob, never serialized: a sketch must
-            // produce the same bytes regardless of the builder's threads.
-            pool: PoolConfig::single(),
         })
     }
 }

@@ -1,4 +1,12 @@
 //! Mini-batch training of the MSCN model (Figure 1a, step 4).
+//!
+//! A run opens one [`Team`] of [`TrainConfig::threads`] lanes around its
+//! whole epoch loop: the helpers are spawned once, every forward,
+//! backward, optimizer step and validation pass forks on them
+//! ([`crate::mscn`] says where), and they are joined before the run
+//! returns or unwinds. The lane count changes how long a run takes and
+//! nothing else — losses, validation q-errors and weights are bit for bit
+//! those of one lane — and at one lane no thread is spawned at all.
 
 use std::time::{Duration, Instant};
 
@@ -6,7 +14,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 use ds_nn::loss::{mse_loss_into, LabelNormalizer, QErrorLoss};
 use ds_nn::optim::Adam;
-use ds_nn::pool::PoolConfig;
+use ds_nn::pool::Team;
 use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
 use ds_storage::sample::TableSample;
@@ -52,8 +60,11 @@ pub struct TrainConfig {
     pub grad_clip: Option<f32>,
     /// Step learning-rate decay `(gamma, every_n_epochs)`.
     pub lr_decay: Option<(f32, usize)>,
-    /// Worker threads for the matmul kernels. Training results are
-    /// bit-identical at any thread count; this only affects speed.
+    /// Lanes of the run's [`Team`]: this thread plus `threads − 1`
+    /// helpers that live for the run (0 is taken as 1). Training results
+    /// are bit-identical at any count; this only affects speed. The
+    /// default is 1 — [`crate::builder::SketchBuilder`] passes the host's
+    /// available parallelism unless told otherwise.
     pub threads: usize,
 }
 
@@ -212,6 +223,27 @@ pub fn train_with_callback(
 
     let obs = ds_obs::global();
     let _train_span = obs.span("train");
+    Team::run(cfg.threads, |team| {
+        run_epochs(
+            model, featurizer, samples, queries, labels, normalizer, cfg, team, on_epoch,
+        )
+    })
+}
+
+/// The body of [`train_with_callback`], on its team.
+#[allow(clippy::too_many_arguments)]
+fn run_epochs(
+    model: &mut MscnModel,
+    featurizer: &Featurizer,
+    samples: &[TableSample],
+    queries: &[Query],
+    labels: &[u64],
+    normalizer: &LabelNormalizer,
+    cfg: &TrainConfig,
+    team: &Team,
+    on_epoch: &mut dyn FnMut(&EpochStats),
+) -> TrainingReport {
+    let obs = ds_obs::global();
     let start = Instant::now();
     let feats = {
         let _s = obs.span("featurize");
@@ -250,7 +282,6 @@ pub fn train_with_callback(
         .lr_decay
         .map(|(gamma, step)| ds_nn::regularize::StepLr::new(cfg.lr, gamma, step));
 
-    model.set_pool(PoolConfig::new(cfg.threads));
     // Everything a step needs, shared across all batches of all epochs —
     // a steady-state step allocates nothing — and the validation batch
     // assembled exactly once.
@@ -273,7 +304,7 @@ pub fn train_with_callback(
         let mut batches = 0usize;
         for chunk in train_idx.chunks(cfg.batch_size) {
             batch.fill(chunk);
-            model.forward_into(&batch, &mut cache);
+            model.forward_into(&batch, team, &mut cache);
             let y = cache.output();
             let loss = match cfg.loss {
                 LossKind::QError => {
@@ -287,18 +318,18 @@ pub fn train_with_callback(
                     mse_loss_into(y, &targets, &mut grad)
                 }
             };
-            model.backward_with(&batch, &cache, &grad, &mut scratch);
+            model.backward_with(&batch, &cache, &grad, team, &mut scratch);
             if let Some(max_norm) = cfg.grad_clip {
                 model.clip_gradients(max_norm);
             }
-            model.adam_step(&mut adam);
+            model.adam_step(&mut adam, team);
             loss_sum += loss;
             batches += 1;
         }
 
         let val_stats = val_batch.as_ref().map(|batch| {
             let _s = obs.span("validate");
-            model.forward_into(batch, &mut cache);
+            model.forward_into(batch, team, &mut cache);
             let mut qerrs: Vec<f64> = val_idx
                 .iter()
                 .zip(cache.output().data())
@@ -504,8 +535,8 @@ mod tests {
     fn training_is_deterministic() {
         let (_db, samples, featurizer, queries, labels) = training_setup(100);
         let normalizer = LabelNormalizer::fit(&labels);
-        // Identical runs must agree bit-for-bit — including across kernel
-        // thread counts, since parallelism only partitions output rows.
+        // Identical runs must agree bit-for-bit — including across lane
+        // counts, since a fork only moves where an element is computed.
         let mk = |threads: usize| {
             let cfg = TrainConfig {
                 epochs: 3,
@@ -543,10 +574,12 @@ mod tests {
         assert_eq!(l1, l2);
         assert_eq!(v1, v2);
         assert_eq!(p1, p2);
-        let (l4, v4, p4) = mk(4);
-        assert_eq!(l1, l4, "thread count changed the training loss");
-        assert_eq!(v1, v4, "thread count changed validation q-error");
-        assert_eq!(p1, p4, "thread count changed the trained weights");
+        for lanes in [2, 3, 8] {
+            let (l, v, p) = mk(lanes);
+            assert_eq!(l1, l, "{lanes} lanes changed the training loss");
+            assert_eq!(v1, v, "{lanes} lanes changed validation q-error");
+            assert_eq!(p1, p, "{lanes} lanes changed the trained weights");
+        }
     }
 
     #[test]

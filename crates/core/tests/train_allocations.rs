@@ -3,7 +3,9 @@
 //! forms, gradients, the transposed weights, the loss gradient, the
 //! labels — lives in an arena that grew during the first steps. Pinned
 //! under a counting global allocator at the benchmark's shape (hidden 256,
-//! 256-bit sample bitmaps, batches of 128 queries over up to 5 tables).
+//! 256-bit sample bitmaps, batches of 128 queries over up to 5 tables), on
+//! one lane and on two: a join boxes nothing, and the second lane's
+//! scratch grows once like the first's.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
@@ -14,6 +16,7 @@ use ds_core::featurize::Featurizer;
 use ds_core::mscn::{BackwardScratch, ForwardCache, MscnConfig, MscnModel};
 use ds_nn::loss::{LabelNormalizer, QErrorLoss};
 use ds_nn::optim::Adam;
+use ds_nn::pool::Team;
 use ds_nn::tensor::Tensor;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -76,7 +79,7 @@ fn a_steady_state_training_step_allocates_under_64_kib() {
     let queries = QueryGenerator::new(&db, cfg).generate_batch(4 * BATCH);
     let labels: Vec<u64> = (0..queries.len() as u64).map(|i| (i + 1) * 10).collect();
     let loss = QErrorLoss::new(LabelNormalizer::fit(&labels));
-    let mut model = MscnModel::new(
+    let model = MscnModel::new(
         featurizer.table_dim(),
         featurizer.join_dim(),
         featurizer.pred_dim(),
@@ -88,34 +91,39 @@ fn a_steady_state_training_step_allocates_under_64_kib() {
 
     // The training loop's state, as `train_with_callback` keeps it.
     let feats = featurizer.pool(&queries, &samples);
-    let mut batch = feats.batch();
-    let mut cache = ForwardCache::new();
-    let mut scratch = BackwardScratch::new();
-    let mut grad = Tensor::zeros(0, 0);
-    let mut truths: Vec<u64> = Vec::new();
-    let mut adam = Adam::new(1e-3);
     let idx: Vec<usize> = (0..queries.len()).collect();
-    let mut step = |chunk: &[usize]| {
-        batch.fill(chunk);
-        model.forward_into(&batch, &mut cache);
-        truths.clear();
-        truths.extend(chunk.iter().map(|&i| labels[i]));
-        let l = loss.forward_backward_into(cache.output(), &truths, &mut grad);
-        assert!(l.is_finite());
-        model.backward_with(&batch, &cache, &grad, &mut scratch);
-        model.adam_step(&mut adam);
-    };
+    for lanes in [1, 2] {
+        let mut model = model.clone();
+        let mut batch = feats.batch();
+        let mut cache = ForwardCache::new();
+        let mut scratch = BackwardScratch::new();
+        let mut grad = Tensor::zeros(0, 0);
+        let mut truths: Vec<u64> = Vec::new();
+        let mut adam = Adam::new(1e-3);
+        Team::run(lanes, |team| {
+            let mut step = |chunk: &[usize]| {
+                batch.fill(chunk);
+                model.forward_into(&batch, team, &mut cache);
+                truths.clear();
+                truths.extend(chunk.iter().map(|&i| labels[i]));
+                let l = loss.forward_backward_into(cache.output(), &truths, &mut grad);
+                assert!(l.is_finite());
+                model.backward_with(&batch, &cache, &grad, team, &mut scratch);
+                model.adam_step(&mut adam, team);
+            };
 
-    // One pass over all four batches grows every arena to the largest
-    // batch; the second pass is the steady state.
-    idx.chunks(BATCH).for_each(&mut step);
-    for chunk in idx.chunks(BATCH) {
-        let before = ALLOCATED.load(Ordering::Relaxed);
-        step(chunk);
-        let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
-        assert!(
-            allocated < STEP_BUDGET_BYTES,
-            "a steady-state step allocated {allocated} bytes"
-        );
+            // One pass over all four batches grows every arena to the
+            // largest batch; the second pass is the steady state.
+            idx.chunks(BATCH).for_each(&mut step);
+            for chunk in idx.chunks(BATCH) {
+                let before = ALLOCATED.load(Ordering::Relaxed);
+                step(chunk);
+                let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+                assert!(
+                    allocated < STEP_BUDGET_BYTES,
+                    "a steady-state step allocated {allocated} bytes on {lanes} lane(s)"
+                );
+            }
+        });
     }
 }

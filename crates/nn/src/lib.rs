@@ -9,8 +9,8 @@
 //!   and weight-gradient product of training and every layer of serving;
 //! * [`tensor::Tensor`] — row-major `f32` matrices with the handful of
 //!   dense ops around the kernel (broadcasts, concat/split, column sums);
-//! * [`pool`] — deterministic intra-op parallelism: kernels split output
-//!   rows across scoped threads with bit-identical results at any count;
+//! * [`pool`] — the lane team: helper threads scoped to one training run
+//!   and one fork, `join`, with bit-identical results at any lane count;
 //! * [`linear::Linear`] — fully-connected layers with explicit
 //!   forward/backward and gradient accumulation;
 //! * [`ops`] — activations (ReLU/sigmoid) and the *segment mean* used for
@@ -39,7 +39,7 @@ pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet, QuantMode};
 pub use linear::{GradScratch, Linear};
 pub use loss::{mse_loss, mse_loss_into, LabelNormalizer, QErrorLoss};
 pub use optim::{Adam, Sgd};
-pub use pool::PoolConfig;
+pub use pool::Team;
 pub use regularize::{clip_grad_norm, dropout, dropout_backward, StepLr};
 pub use sparse::Rows;
 pub use tensor::Tensor;

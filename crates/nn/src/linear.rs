@@ -8,7 +8,7 @@
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use crate::pool::PoolConfig;
+use crate::pool::Team;
 use crate::sparse::{self, Finish, IndexSet, Rows, Weights};
 use crate::tensor::Tensor;
 
@@ -109,14 +109,15 @@ impl Linear {
         assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
         let rows = IndexSet::of_dense(x.data(), x.cols());
         let mut y = Tensor::zeros(0, 0);
-        self.forward_rows(rows.rows(), false, PoolConfig::single(), &mut y);
+        self.forward_rows(rows.rows(), false, &Team::solo(), &mut y);
         y
     }
 
     /// `out[r, :] = act(x[r] · W + b)` over sparse input rows (ascending
     /// indices `< in_dim`), `act` being ReLU when `relu` is set — the hot
-    /// path, and bit for bit what a frozen copy of this layer computes.
-    pub fn forward_rows(&self, x: Rows<'_>, relu: bool, pool: PoolConfig, out: &mut Tensor) {
+    /// path, and bit for bit what a frozen copy of this layer computes,
+    /// on however many of `team`'s lanes are idle.
+    pub fn forward_rows(&self, x: Rows<'_>, relu: bool, team: &Team, out: &mut Tensor) {
         let _span = ds_obs::global().span("linear_fwd");
         out.resize(x.spans.len(), self.out_dim());
         let finish = Finish::Bias {
@@ -124,7 +125,7 @@ impl Linear {
             relu,
         };
         let w = Weights::F32(self.w.data());
-        sparse::sparse_rows_pool(w, self.out_dim(), x, finish, pool, out.data_mut());
+        sparse::sparse_rows_pool(w, self.out_dim(), x, finish, team, out.data_mut());
     }
 
     /// Backward pass. `x` must be the input of the matching forward call and
@@ -134,10 +135,37 @@ impl Linear {
         assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
         let mut scratch = GradScratch::new();
         let rows = IndexSet::of_dense(x.data(), x.cols());
-        self.accumulate_grads(rows.rows(), grad_out, PoolConfig::single(), &mut scratch);
         let mut gx = Tensor::zeros(0, 0);
-        self.input_grad_into(grad_out, PoolConfig::single(), &mut scratch, &mut gx);
+        self.backward_into(rows.rows(), grad_out, &Team::solo(), &mut scratch, &mut gx);
         gx
+    }
+
+    /// The full backward pass into reusable buffers: what
+    /// [`Linear::accumulate_grads`] and [`Linear::input_grad_into`] do, as
+    /// the two pieces of one join — they share only their input
+    /// `grad_out`, each with its own glue (a transpose, a compression) in
+    /// front of its product, so a second lane takes one whole.
+    pub fn backward_into(
+        &mut self,
+        x: Rows<'_>,
+        grad_out: &Tensor,
+        team: &Team,
+        scratch: &mut GradScratch,
+        out: &mut Tensor,
+    ) {
+        let Self {
+            w, grad_w, grad_b, ..
+        } = self;
+        let GradScratch {
+            x_cols,
+            col_sums,
+            grad_rows,
+            w_t,
+        } = scratch;
+        team.join(
+            || accumulate(grad_w, grad_b, x, grad_out, team, x_cols, col_sums),
+            || input_grad(w, grad_out, team, grad_rows, w_t, out),
+        );
     }
 
     /// Accumulates `∂L/∂W = xᵀ · grad_out` and `∂L/∂b` (the column sums of
@@ -149,25 +177,14 @@ impl Linear {
         &mut self,
         x: Rows<'_>,
         grad_out: &Tensor,
-        pool: PoolConfig,
+        team: &Team,
         scratch: &mut GradScratch,
     ) {
-        assert_eq!(grad_out.rows(), x.spans.len(), "batch mismatch");
-        assert_eq!(grad_out.cols(), self.out_dim(), "grad width mismatch");
-        let _span = ds_obs::global().span("linear_bwd_grads");
-        scratch.x_cols.transpose_of(x, self.in_dim());
-        sparse::sparse_rows_pool(
-            Weights::F32(grad_out.data()),
-            self.out_dim(),
-            scratch.x_cols.rows(),
-            Finish::Accumulate,
-            pool,
-            self.grad_w.data_mut(),
-        );
-        grad_out.col_sums_into(&mut scratch.col_sums);
-        for (a, b) in self.grad_b.iter_mut().zip(&scratch.col_sums) {
-            *a += b;
-        }
+        let GradScratch {
+            x_cols, col_sums, ..
+        } = scratch;
+        let (grad_w, grad_b) = (&mut self.grad_w, &mut self.grad_b);
+        accumulate(grad_w, grad_b, x, grad_out, team, x_cols, col_sums);
     }
 
     /// Computes `∂L/∂x = grad_out · Wᵀ` into a reusable tensor. Combined
@@ -176,24 +193,12 @@ impl Linear {
     pub fn input_grad_into(
         &self,
         grad_out: &Tensor,
-        pool: PoolConfig,
+        team: &Team,
         scratch: &mut GradScratch,
         out: &mut Tensor,
     ) {
-        assert_eq!(grad_out.cols(), self.out_dim(), "grad width mismatch");
-        let _span = ds_obs::global().span("linear_bwd_input");
-        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
-        self.w.transpose_into(&mut scratch.w_t);
-        scratch.grad_rows.compress_rows(grad_out.data(), out_dim);
-        out.resize(grad_out.rows(), in_dim);
-        sparse::sparse_rows_pool(
-            Weights::F32(scratch.w_t.data()),
-            in_dim,
-            scratch.grad_rows.rows(),
-            Finish::Store,
-            pool,
-            out.data_mut(),
-        );
+        let GradScratch { grad_rows, w_t, .. } = scratch;
+        input_grad(&self.w, grad_out, team, grad_rows, w_t, out);
     }
 
     /// Scales all accumulated gradients by `factor` (gradient clipping).
@@ -237,6 +242,60 @@ impl Linear {
             }
         }
     }
+}
+
+/// [`Linear::accumulate_grads`] over the gradients and scratch it uses.
+fn accumulate(
+    grad_w: &mut Tensor,
+    grad_b: &mut [f32],
+    x: Rows<'_>,
+    grad_out: &Tensor,
+    team: &Team,
+    x_cols: &mut IndexSet,
+    col_sums: &mut Vec<f32>,
+) {
+    let (in_dim, out_dim) = (grad_w.rows(), grad_w.cols());
+    assert_eq!(grad_out.rows(), x.spans.len(), "batch mismatch");
+    assert_eq!(grad_out.cols(), out_dim, "grad width mismatch");
+    let _span = ds_obs::global().span("linear_bwd_grads");
+    x_cols.transpose_of(x, in_dim);
+    sparse::sparse_rows_pool(
+        Weights::F32(grad_out.data()),
+        out_dim,
+        x_cols.rows(),
+        Finish::Accumulate,
+        team,
+        grad_w.data_mut(),
+    );
+    grad_out.col_sums_into(col_sums);
+    for (a, b) in grad_b.iter_mut().zip(&*col_sums) {
+        *a += b;
+    }
+}
+
+/// [`Linear::input_grad_into`] over the weights and scratch it uses.
+fn input_grad(
+    w: &Tensor,
+    grad_out: &Tensor,
+    team: &Team,
+    grad_rows: &mut IndexSet,
+    w_t: &mut Tensor,
+    out: &mut Tensor,
+) {
+    let (in_dim, out_dim) = (w.rows(), w.cols());
+    assert_eq!(grad_out.cols(), out_dim, "grad width mismatch");
+    let _span = ds_obs::global().span("linear_bwd_input");
+    w.transpose_into(w_t);
+    grad_rows.compress_rows(grad_out.data(), out_dim);
+    out.resize(grad_out.rows(), in_dim);
+    sparse::sparse_rows_pool(
+        Weights::F32(w_t.data()),
+        in_dim,
+        grad_rows.rows(),
+        Finish::Store,
+        team,
+        out.data_mut(),
+    );
 }
 
 #[cfg(test)]

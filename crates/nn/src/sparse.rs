@@ -21,26 +21,39 @@
 //! row's whole reduction and walks *all* rows of the call through one
 //! column tile before moving to the next, so the matrix is streamed once
 //! per call however many rows there are, and partial sums are never
-//! re-loaded or re-stored. [`sparse_rows_pool`] cuts the rows into
-//! contiguous blocks for scoped worker threads.
+//! re-loaded or re-stored.
+//!
+//! ## Lanes
+//!
+//! [`sparse_rows_pool`] is the kernel on a [`Team`]: when a helper lane is
+//! idle it cuts the rows in two and joins the halves, each of which may
+//! cut again while lanes remain. The cut falls where half of the
+//! *entries* lie ([`entry_cut`]), not half of the rows: a row costs what
+//! its entries cost, and the rows of one call are far from uniform (a
+//! weight gradient's rows are feature columns — a table's one-hot column
+//! is hit by every element of the batch, a rare bitmap bit by none). A
+//! call too small to repay a fork runs whole on the calling lane; a large
+//! one issued while every helper is busy with a module of its own runs
+//! its first half and asks again, so whichever lane finishes first takes
+//! a share of what the other still has to do.
 //!
 //! ## Determinism contract
 //!
 //! Each output element is owned by one lane of one tile and starts at
 //! `+0.0`; it takes one separately rounded multiply and one separately
 //! rounded add per entry, in entry order (never a fused `vfmadd`), and is
-//! then finished by [`Finish`]. Tiling and threading only partition the
+//! then finished by [`Finish`]. Tiling and lanes only partition the
 //! output, so the AVX2 kernel, the portable kernel ([`sparse_rows_portable`],
 //! the oracle and the fallback off x86-64) and the naive
 //! [`crate::tensor::reference`] products agree to the last bit at any
-//! thread count. Skipping an entry whose value is `±0.0` is bit-neutral
-//! for finite matrices: the product is `±0.0`, and adding that to a sum
-//! that started at `+0.0` cannot change its bits. A row's result does not
-//! depend on what other rows are in the call.
+//! lane count, wherever the cuts fall. Skipping an entry whose value is
+//! `±0.0` is bit-neutral for finite matrices: the product is `±0.0`, and
+//! adding that to a sum that started at `+0.0` cannot change its bits. A
+//! row's result does not depend on what other rows are in the call.
 
 use std::ops::Range;
 
-use crate::pool::{self, PoolConfig};
+use crate::pool::Team;
 
 /// Sparse rows, borrowed: flat *(index, value)* entries plus one
 /// `(start, len)` span into them per row. Rows may share, skip or reorder
@@ -233,24 +246,93 @@ pub fn sparse_rows(
     sparse_rows_portable(w, out_dim, rows, finish, y, 0..out_dim);
 }
 
-/// [`sparse_rows`] with the rows cut into contiguous blocks across the
-/// pool's worker threads. Bit-identical at any thread count: every output
-/// element is computed by exactly one thread, in the same order.
+/// Multiply-adds below which [`sparse_rows_pool`] does not fork: at the
+/// kernel's ≈ 10 per nanosecond a half of this is ≈ 13 µs, ten times what
+/// a join with a polling helper costs.
+const FORK_MIN_MACS: usize = 1 << 18;
+
+/// [`sparse_rows`] across the team's idle lanes: contiguous row ranges cut
+/// by [`entry_cut`], one per lane. Bit-identical at any lane count: every
+/// output element is computed by exactly one lane, in the same order.
 pub fn sparse_rows_pool(
     w: Weights<'_>,
     out_dim: usize,
     rows: Rows<'_>,
     finish: Finish<'_>,
-    pool: PoolConfig,
+    team: &Team,
     y: &mut [f32],
 ) {
-    let n = rows.spans.len();
-    assert_eq!(y.len(), n * out_dim, "output shape");
-    let threads = pool.threads_for(n, rows.len() * out_dim);
-    pool::for_each_row_block(y, n, out_dim, threads, |r0, block| {
-        let spans = &rows.spans[r0..r0 + block.len() / out_dim];
-        sparse_rows(w, out_dim, Rows { spans, ..rows }, finish, block);
-    });
+    assert_eq!(y.len(), rows.spans.len() * out_dim, "output shape");
+    fork(w, out_dim, rows, finish, team, team.lanes(), y);
+}
+
+/// Multiply-adds from which a call that finds every helper busy runs its
+/// first half and asks again for the rest, instead of running whole: a
+/// helper is busy with a module of its own for about a millisecond, the
+/// largest products take as long, and the lane that finishes first would
+/// otherwise idle until the other is through. Each piece streams the
+/// matrix again, so pieces stay above ≈ 50 µs; measured on the benchmark's
+/// build, asking again from 2²⁰ buys 7 % of a quiet epoch and from 2²¹
+/// nothing.
+const ASK_AGAIN_MACS: usize = 4 * FORK_MIN_MACS;
+
+/// [`sparse_rows_pool`] with at most `lanes` lanes left to use.
+fn fork(
+    w: Weights<'_>,
+    out_dim: usize,
+    rows: Rows<'_>,
+    finish: Finish<'_>,
+    team: &Team,
+    lanes: usize,
+    y: &mut [f32],
+) {
+    let macs = if lanes > 1 { rows.len() * out_dim } else { 0 };
+    let idle = macs >= FORK_MIN_MACS && team.has_idle();
+    if idle || macs >= ASK_AGAIN_MACS {
+        // With a helper at hand, its share of the lanes' work; without,
+        // half for now.
+        let (near, of) = if idle {
+            (lanes.div_ceil(2), lanes)
+        } else {
+            (1, 2)
+        };
+        let cut = entry_cut(rows.spans, near, of);
+        if 0 < cut && cut < rows.spans.len() {
+            let (spans_a, spans_b) = rows.spans.split_at(cut);
+            let (y_a, y_b) = y.split_at_mut(cut * out_dim);
+            let part = |spans| Rows { spans, ..rows };
+            if idle {
+                team.join(
+                    || fork(w, out_dim, part(spans_a), finish, team, near, y_a),
+                    || fork(w, out_dim, part(spans_b), finish, team, lanes - near, y_b),
+                );
+            } else {
+                sparse_rows(w, out_dim, part(spans_a), finish, y_a);
+                fork(w, out_dim, part(spans_b), finish, team, lanes, y_b);
+            }
+            return;
+        }
+    }
+    sparse_rows(w, out_dim, rows, finish, y);
+}
+
+/// The fewest leading rows that hold at least `num / den` of all entries
+/// the spans address — where [`sparse_rows_pool`] cuts a call so that
+/// lanes get equal work rather than equal row counts. `0` when there are
+/// no entries; `spans.len()` when the share is only reached by the last
+/// row (either way there is nothing to cut).
+pub fn entry_cut(spans: &[(u32, u32)], num: usize, den: usize) -> usize {
+    let total: usize = spans.iter().map(|&(_, len)| len as usize).sum();
+    let want = (total * num).div_ceil(den.max(1));
+    let mut seen = 0;
+    spans
+        .iter()
+        .take_while(|&&(_, len)| {
+            let before = seen;
+            seen += len as usize;
+            before < want
+        })
+        .count()
 }
 
 /// Columns `cols` of [`sparse_rows`] with plain scalar accumulators, 64

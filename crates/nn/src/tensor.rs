@@ -103,7 +103,7 @@ impl Tensor {
 
     /// `self · other` — (m×k)·(k×n) = m×n, through the crate's one kernel
     /// over `self`'s non-zeros. A caller that already holds its left
-    /// operand as sparse rows, wants threads or reuses its output calls
+    /// operand as sparse rows, wants lanes or reuses its output calls
     /// [`crate::sparse::sparse_rows_pool`] (or
     /// [`crate::linear::Linear::forward_rows`]) directly.
     ///

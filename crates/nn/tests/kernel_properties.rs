@@ -8,12 +8,15 @@
 //! Two sets of shapes: small random ones (`m, k, n < 40`, at most two AVX2
 //! tiles and every ragged remainder) and the shapes the model runs —
 //! `n ∈ {64, 256}`, `k ∈ {5, 13, 256, 262, 768}` — each with left operands that
-//! are 0 %, 50 % and 100 % zero and carry `-0.0` and subnormals, at thread
-//! counts {1, 2, 8}.
+//! are 0 %, 50 % and 100 % zero and carry `-0.0` and subnormals, on teams of
+//! {1, 2, 8} lanes. A third test drives the entry-balanced row cut of
+//! `sparse_rows_pool` through the inputs that leave it nothing, or nothing
+//! even, to cut.
 
 use ds_nn::frozen::{FrozenLinear, IndexSet, QuantMode};
 use ds_nn::linear::{GradScratch, Linear};
-use ds_nn::pool::PoolConfig;
+use ds_nn::pool::Team;
+use ds_nn::sparse::{entry_cut, sparse_rows_pool, sparse_rows_portable, Finish, Weights};
 use ds_nn::tensor::{reference, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -97,7 +100,9 @@ fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), Test
     for relu in [false, true] {
         let want = reference_forward(x, layer, relu);
         for threads in THREAD_COUNTS {
-            layer.forward_rows(rows.rows(), relu, PoolConfig::new(threads), &mut out);
+            Team::run(threads, |team| {
+                layer.forward_rows(rows.rows(), relu, team, &mut out)
+            });
             assert_same(
                 &out,
                 &want,
@@ -122,10 +127,11 @@ fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), Test
     let once_b = grad_out.col_sums();
     let want_in = reference::matmul_t(grad_out, layer.weights());
     for threads in THREAD_COUNTS {
-        let pool = PoolConfig::new(threads);
         let mut layer = layer.clone();
         for pass in 1..=2 {
-            layer.accumulate_grads(rows.rows(), grad_out, pool, &mut scratch);
+            Team::run(threads, |team| {
+                layer.accumulate_grads(rows.rows(), grad_out, team, &mut scratch)
+            });
             // The second pass adds the same full product to the first.
             let scale = |v: f32| if pass == 1 { v } else { v + v };
             let (gw, gb) = grads_of(&mut layer);
@@ -137,7 +143,9 @@ fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), Test
             let want_b: Vec<f32> = once_b.iter().map(|&v| scale(v)).collect();
             prop_assert_eq!(gb, want_b, "grad_b {} t={}", &what, threads);
         }
-        layer.input_grad_into(grad_out, pool, &mut scratch, &mut out);
+        Team::run(threads, |team| {
+            layer.input_grad_into(grad_out, team, &mut scratch, &mut out)
+        });
         assert_same(&out, &want_in, &format!("input_grad {what} t={threads}"))?;
     }
     Ok(())
@@ -172,10 +180,10 @@ fn plant_edge_values(t: &mut Tensor) {
 /// The shapes the model runs at hidden widths 64 and 256: the input layers
 /// (`k` = 5 joins, 13 predicate features, 262 table features), a hidden
 /// layer (`k = 256`) and the output MLP's first layer (`k = 768 = 3·256`),
-/// with 130 rows — a batch and a ragged thread split — that are dense,
-/// half zero (post-ReLU) and all zero, everything carrying `-0.0` and
-/// subnormals. These fan out across threads (the small shapes above stay
-/// below the pool's threshold).
+/// with 130 rows — a batch and a ragged split — that are dense, half zero
+/// (post-ReLU) and all zero, everything carrying `-0.0` and subnormals.
+/// From `k = 256` up these fork across lanes (the narrow input layers and
+/// the small shapes above stay below the kernel's fork threshold).
 #[test]
 fn model_shapes_match_reference_with_zeros_negative_zeros_and_subnormals() {
     let mut rng = StdRng::seed_from_u64(0xD15C);
@@ -194,6 +202,85 @@ fn model_shapes_match_reference_with_zeros_negative_zeros_and_subnormals() {
                 }
                 check_layer(&x, &layer, &grad_out)
                     .unwrap_or_else(|e| panic!("k={k} n={n} zeros={zero_share}: {e}"));
+            }
+        }
+    }
+}
+
+/// Sparse rows over `k` columns with `counts[r]` entries in row `r`:
+/// ascending distinct indices, values in [-1, 1).
+fn rows_with_counts(counts: &[usize], k: usize, rng: &mut StdRng) -> IndexSet {
+    let mut set = IndexSet::default();
+    for &count in counts {
+        let start = set.begin_elem();
+        // Every `k / count`-th column, from a random offset below the stride.
+        let stride = k.checked_div(count).unwrap_or(1);
+        let first = rng.random_range(0..stride.max(1));
+        for i in 0..count {
+            set.push((first + i * stride) as u32, rng.random_range(-1.0f32..1.0));
+        }
+        set.finish_elem(start);
+    }
+    set
+}
+
+/// The row cut by entries, on the inputs that give it trouble: all the
+/// work in one row, empty rows at either end, a single row, fewer rows
+/// than lanes, no entries at all. Wherever the cuts fall — and whether or
+/// not a helper was idle to take a half — every finish must agree with the
+/// portable oracle bit for bit. The heavy rows carry 4 096 entries over
+/// 136 output columns (a 64-, a 64- and an 8-column tile), which clears
+/// the kernel's fork threshold; two of them clear the one from which a
+/// call without a helper asks again.
+#[test]
+fn entry_balanced_cuts_match_the_portable_oracle_on_degenerate_rows() {
+    const K: usize = 4096;
+    const N: usize = 136;
+    let mut rng = StdRng::seed_from_u64(0xC075);
+    let w = dense(K, N, &mut rng);
+    let bias = dense(1, N, &mut rng);
+    // (what, entries per row, rows before the half-way cut)
+    let cases: [(&str, &[usize], usize); 9] = [
+        ("every entry in the first row", &[K, 0, 0, 0, 0], 1),
+        ("every entry in a middle row", &[0, 0, K, 0, 0], 3),
+        ("every entry in the last row", &[0, 0, 0, 0, K], 5),
+        (
+            "empty rows first and last",
+            &[0, 0, K, K / 2, K / 2, 0, 0],
+            3,
+        ),
+        ("one row", &[K], 1),
+        ("two rows", &[K, K], 1),
+        ("uneven rows", &[K / 8, K, K / 8, K / 4, K / 2], 2),
+        ("no entries", &[0, 0, 0], 0),
+        ("no rows", &[], 0),
+    ];
+    for (what, counts, half_way) in cases {
+        let x = rows_with_counts(counts, K, &mut rng);
+        assert_eq!(entry_cut(&x.elems, 1, 2), half_way, "{what}");
+        let finishes = [
+            Finish::Bias {
+                bias: bias.data(),
+                relu: true,
+            },
+            Finish::Store,
+            Finish::Accumulate,
+        ];
+        for finish in finishes {
+            let start: Vec<f32> = (0..counts.len() * N).map(|i| i as f32 * 0.25).collect();
+            let mut want = start.clone();
+            let weights = Weights::F32(w.data());
+            sparse_rows_portable(weights, N, x.rows(), finish, &mut want, 0..N);
+            for lanes in [1, 2, 3, 8] {
+                let mut got = start.clone();
+                Team::run(lanes, |team| {
+                    sparse_rows_pool(weights, N, x.rows(), finish, team, &mut got)
+                });
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(same, "{what} at {lanes} lanes");
             }
         }
     }

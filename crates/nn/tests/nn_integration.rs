@@ -7,6 +7,7 @@ use ds_nn::ops::{
     relu, relu_backward, segment_mean, segment_mean_backward, sigmoid, sigmoid_backward, Segments,
 };
 use ds_nn::optim::Adam;
+use ds_nn::pool::Team;
 use ds_nn::serialize::{Decoder, Encoder};
 use ds_nn::tensor::Tensor;
 
@@ -56,8 +57,8 @@ fn mlp_learns_xor() {
             grad.data_mut()[i] = 2.0 * (yi - t) / 4.0;
         }
         mlp.backward(&x, &cache, &grad);
-        adam.step(0, &mut mlp.l1);
-        adam.step(1, &mut mlp.l2);
+        adam.step(0, &mut mlp.l1, &Team::solo());
+        adam.step(1, &mut mlp.l2, &Team::solo());
     }
     let (y, _) = mlp.forward(&x);
     for (i, &t) in targets.iter().enumerate() {
@@ -122,8 +123,8 @@ fn set_network_learns_positive_fraction() {
         let g_a1 = segment_mean_backward(x.rows(), &g_pooled, &segments);
         let g_z1 = relu_backward(&z1, &g_a1);
         enc.backward(&x, &g_z1);
-        adam.step(0, &mut enc);
-        adam.step(1, &mut head);
+        adam.step(0, &mut enc, &Team::solo());
+        adam.step(1, &mut head, &Team::solo());
     }
     assert!(final_loss < 0.03, "set task MSE {final_loss}");
 }
@@ -167,7 +168,7 @@ fn clipped_training_survives_steep_gradients() {
         }
         layer.backward(&x, &grad);
         ds_nn::regularize::clip_grad_norm(&mut [&mut layer], 10.0);
-        adam.step(0, &mut layer);
+        adam.step(0, &mut layer, &Team::solo());
     }
     let y = layer.forward(&x);
     // Slope ≈ 100 learned despite clipping.

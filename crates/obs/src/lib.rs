@@ -71,7 +71,7 @@ pub use prom::{parse_families, FamilyKind, PromFamily, PromSample, PromText};
 pub use ring::ExemplarRing;
 pub use sink::{GaugeReport, HistReport, JsonSink, PrettySink, Sink, SpanReport, TraceReport};
 pub use slo::{BurnRates, SloSpec, SloTracker};
-pub use span::{Span, SpanStat, Tracer};
+pub use span::{Inherited, Span, SpanStat, Tracer};
 pub use trace::{IdSource, TraceContext};
 pub use window::WindowedHistogram;
 

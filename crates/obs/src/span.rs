@@ -59,8 +59,9 @@ impl SpanStat {
 }
 
 thread_local! {
-    /// Per-thread stack of open span paths; spans on worker threads start
-    /// a fresh hierarchy rooted at their own name.
+    /// Per-thread stack of open span paths. A thread that opens its first
+    /// span roots a fresh hierarchy at that span's name, unless it entered
+    /// another thread's path first ([`Tracer::enter_under`]).
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -127,6 +128,32 @@ impl Tracer {
                 path,
                 start: Instant::now(),
             }),
+        }
+    }
+
+    /// The path of the calling thread's innermost open span: what a
+    /// thread about to hand work to another passes to
+    /// [`Tracer::enter_under`] there. `None` when disabled (one relaxed
+    /// load) or when no span is open.
+    #[inline]
+    pub fn current_path(&self) -> Option<String> {
+        if !self.is_enabled() {
+            return None;
+        }
+        SPAN_STACK.with(|stack| stack.borrow().last().cloned())
+    }
+
+    /// Makes `path` the parent of every span the calling thread opens
+    /// while the guard lives, so work handed over from another thread
+    /// aggregates where that thread's own spans would have put it. The
+    /// guard records no span itself; with `None` it does nothing.
+    pub fn enter_under(&self, path: Option<&str>) -> Inherited {
+        if let Some(path) = path {
+            SPAN_STACK.with(|stack| stack.borrow_mut().push(path.to_string()));
+        }
+        Inherited {
+            entered: path.is_some(),
+            _this_thread: std::marker::PhantomData,
         }
     }
 
@@ -260,6 +287,21 @@ impl Drop for Span<'_> {
     }
 }
 
+/// A path entered with [`Tracer::enter_under`]; dropping it leaves the
+/// path. Tied to the thread whose span stack it pushed onto.
+pub struct Inherited {
+    entered: bool,
+    _this_thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Inherited {
+    fn drop(&mut self) {
+        if self.entered {
+            SPAN_STACK.with(|stack| stack.borrow_mut().pop());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +352,36 @@ mod tests {
         });
         assert_eq!(t.span_stat("worker").unwrap().count, 4);
         assert_eq!(t.span_stat("worker/inner").unwrap().count, 4);
+    }
+
+    #[test]
+    fn a_thread_that_enters_a_path_nests_its_spans_under_it() {
+        let t = Tracer::new();
+        assert_eq!(t.current_path(), None, "disabled: nothing to inherit");
+        t.enable();
+        assert_eq!(t.current_path(), None, "no span open");
+        {
+            let _outer = t.span("forward");
+            let path = t.current_path();
+            assert_eq!(path.as_deref(), Some("forward"));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    {
+                        let _lane = t.enter_under(path.as_deref());
+                        let _m = t.span("joins");
+                    }
+                    // Left again: the thread is back to its own roots.
+                    let _own = t.span("worker");
+                    let _none = t.enter_under(None);
+                    let _i = t.span("inner");
+                });
+            });
+        }
+        assert_eq!(t.span_stat("forward/joins").unwrap().count, 1);
+        assert_eq!(t.span_stat("worker/inner").unwrap().count, 1);
+        // Entering records no span of its own.
+        assert_eq!(t.span_stat("forward").unwrap().count, 1);
+        assert!(t.span_stat("joins").is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Training is bit-identical across kernel rewrites and thread counts: one
+//! Training is bit-identical across kernel rewrites and lane counts: one
 //! small seeded build's serialized bytes are pinned to a golden hash.
 
 use deep_sketches::prelude::*;
@@ -16,15 +16,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// before training moved to the register-tiled zero-skipping kernels
 /// (dense 4×16 tiles forward and backward, SSE2 row sweeps at the input
 /// layer, scalar Adam). Hidden width 40 walks a 32-column and an 8-column
-/// AVX2 tile; 4 threads fan the larger products out.
+/// AVX2 tile; from two lanes up the set modules run side by side, and with
+/// three each has a lane of its own.
 const GOLDEN_BYTES: usize = 60_543;
 const GOLDEN_FNV1A64: u64 = 0x950d_66bf_fae2_1776;
 
 #[test]
 fn seeded_build_serializes_to_the_golden_bytes_at_one_and_four_threads() {
     let db = imdb_database(&ImdbConfig::tiny(5));
-    for threads in [1, 4] {
-        let sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
+    // `None`: `.threads()` never called — training on the host's lanes.
+    for threads in [Some(1), Some(2), Some(3), Some(4), None] {
+        let mut builder = SketchBuilder::new(&db, imdb_predicate_columns(&db))
             .training_queries(240)
             .epochs(3)
             .sample_size(40)
@@ -32,16 +34,16 @@ fn seeded_build_serializes_to_the_golden_bytes_at_one_and_four_threads() {
             .batch_size(32)
             .max_tables(4)
             .max_predicates(3)
-            .threads(threads)
-            .seed(0x601D)
-            .build()
-            .expect("pipeline");
-        let bytes = sketch.to_bytes();
-        assert_eq!(bytes.len(), GOLDEN_BYTES, "threads={threads}");
+            .seed(0x601D);
+        if let Some(threads) = threads {
+            builder = builder.threads(threads);
+        }
+        let bytes = builder.build().expect("pipeline").to_bytes();
+        assert_eq!(bytes.len(), GOLDEN_BYTES, "threads={threads:?}");
         assert_eq!(
             fnv1a64(&bytes),
             GOLDEN_FNV1A64,
-            "threads={threads}: a trained byte changed"
+            "threads={threads:?}: a trained byte changed"
         );
     }
 }
