@@ -29,9 +29,13 @@ fn the_benchmark_stream_answers_what_the_memo_less_artifact_answered() {
         }
     }
     assert_eq!(h, STREAM_SEED_1_ESTIMATES, "an estimate's bits moved");
-    // The stream is the benchmark's: 131 190 set elements, which the memo
-    // has to have answered most of.
+    // The stream is the benchmark's: 131 190 set elements, of which the
+    // memo has to have answered at least 76 % (77.3 % with four ways to a
+    // set, 73.6 % direct-mapped).
     let memo = sketch.memo_stats();
     assert_eq!(memo.hits + memo.misses, 131_190);
-    assert!(memo.hits * 10 >= (memo.hits + memo.misses) * 7, "{memo:?}");
+    assert!(
+        memo.hits * 100 >= (memo.hits + memo.misses) * 76,
+        "{memo:?}"
+    );
 }

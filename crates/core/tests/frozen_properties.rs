@@ -321,6 +321,27 @@ fn eight_threads_on_one_sketch_agree_with_one() {
     assert_eq!(stats.hits + stats.misses, 8 * elements);
 }
 
+/// The query just answered, asked again, finds every one of its elements
+/// in the memo: over 2 048 generated queries of the benchmark stream's
+/// shape, no query's own elements crowd each other out of a set.
+#[test]
+fn the_query_just_answered_misses_on_no_element() {
+    let (db, _, _) = fixture();
+    let mut cfg = GeneratorConfig::new(imdb_predicate_columns(db), 21);
+    cfg.max_tables = 5;
+    cfg.max_predicates = 4;
+    let queries = QueryGenerator::new(db, cfg).generate_batch(2048);
+    let sketch = small_sketch().clone();
+    let mut missed = 0;
+    for q in &queries {
+        sketch.estimate_one(q);
+        let primed = sketch.memo_stats().misses;
+        sketch.estimate_one(q);
+        missed += sketch.memo_stats().misses - primed;
+    }
+    assert_eq!(missed, 0, "elements recomputed for the query just answered");
+}
+
 #[test]
 fn avx2_column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
     let (_, samples, featurizer) = fixture();

@@ -37,7 +37,8 @@
 //! empty by [`FrozenModel::new`], [`FrozenModel::decode_from`] and
 //! `clone`, ignored by `==`, never serialized — so a re-freeze, a load or
 //! a hot-swap starts from an empty memo and there is nothing to
-//! invalidate. It holds at most [`MEMO_MAX_BYTES`].
+//! invalidate. It holds at most [`MEMO_MAX_BYTES`] in 1 024 slots, four
+//! ways to a set, each set evicting its least recently used element.
 //!
 //! ## Determinism contract
 //!
@@ -292,9 +293,13 @@ impl FrozenLinear {
     }
 }
 
-/// Slots of the element memo. Direct-mapped: an element's hash names the
-/// one slot it may occupy, and a newcomer replaces whatever is there.
+/// Slots of the element memo, in sets of [`MEMO_WAYS`]: an element's hash
+/// names the one set it may occupy, and a newcomer takes the place of the
+/// set's least recently used element.
 const MEMO_SLOTS: usize = 1024;
+
+/// Slots per set of the element memo.
+const MEMO_WAYS: usize = 4;
 
 /// The most bytes an artifact's element memo ever holds (slot table, keys
 /// and embeddings together). An element is admitted only while the total
@@ -322,9 +327,9 @@ struct Probe {
 }
 
 impl Probe {
-    /// Hashes one element of module `module`. Not keyed: the memo is
-    /// direct-mapped, so the worst crafted collisions can do is make every
-    /// lookup miss, which costs what the memo-less forward cost.
+    /// Hashes one element of module `module`. Not keyed: elements crafted
+    /// to share a set only evict each other, so the worst they can do is
+    /// make every lookup miss, which costs what the memo-less forward cost.
     fn of(module: usize, entries: &[(u32, f32)]) -> Self {
         const K: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut hash = (module as u64 + 1).wrapping_mul(K) ^ entries.len() as u64;
@@ -342,8 +347,10 @@ impl Probe {
         }
     }
 
-    fn slot(self) -> usize {
-        (self.hash >> 32) as usize % MEMO_SLOTS
+    /// The slots of the set the element may occupy.
+    fn set(self) -> std::ops::Range<usize> {
+        let first = (self.hash >> 32) as usize % (MEMO_SLOTS / MEMO_WAYS) * MEMO_WAYS;
+        first..first + MEMO_WAYS
     }
 
     fn all_ones(self) -> bool {
@@ -391,7 +398,9 @@ impl MemoSlot {
     }
 }
 
-/// The slots behind the memo's lock, and the bytes they hold.
+/// The slots behind the memo's lock, and the bytes they hold. Each set
+/// keeps its slots in recency order, most recently used first, so its last
+/// slot is the one a newcomer takes: a vacant one while the set has any.
 #[derive(Debug, Default)]
 struct MemoTable {
     /// Empty until the first insert, then `MEMO_SLOTS` long.
@@ -400,19 +409,27 @@ struct MemoTable {
 }
 
 impl MemoTable {
-    fn get(&self, probe: Probe, entries: &[(u32, f32)]) -> Option<&[f32]> {
-        let slot = self.slots.get(probe.slot())?;
-        slot.holds(probe, entries).then_some(&slot.value[..])
+    /// The element's embedding, if the memo holds it; a hit moves it to the
+    /// front of its set.
+    fn get(&mut self, probe: Probe, entries: &[(u32, f32)]) -> Option<&[f32]> {
+        let set = self.slots.get_mut(probe.set())?;
+        promote(set, probe, entries).then_some(&set[0].value[..])
     }
 
-    /// Puts the element into its slot, unless growing the slot's buffers
-    /// to take it would carry the memo past [`MEMO_MAX_BYTES`].
+    /// Puts the element at the front of its set, in the least recently
+    /// used slot and that slot's buffers, unless growing them to take it
+    /// would carry the memo past [`MEMO_MAX_BYTES`]. An element the set
+    /// already holds (one a batch carried twice) is only moved to the front.
     fn insert(&mut self, probe: Probe, entries: &[(u32, f32)], value: &[f32]) {
         if self.slots.is_empty() {
             self.slots.resize_with(MEMO_SLOTS, MemoSlot::default);
             self.bytes = MEMO_SLOTS * std::mem::size_of::<MemoSlot>();
         }
-        let slot = &mut self.slots[probe.slot()];
+        let set = &mut self.slots[probe.set()];
+        if promote(set, probe, entries) {
+            return;
+        }
+        let slot = &mut set[MEMO_WAYS - 1];
         let key_words = entries.len() * if probe.all_ones() { 1 } else { 2 };
         let held = slot.heap_words();
         let grown = key_words.max(slot.key.capacity()) + value.len().max(slot.value.capacity());
@@ -433,7 +450,18 @@ impl MemoTable {
         slot.value.reserve_exact(value.len());
         slot.value.extend_from_slice(value);
         self.bytes += (slot.heap_words() - held) * 4;
+        set.rotate_right(1);
     }
+}
+
+/// Moves the slot of `set` that holds the element, if one does, to the
+/// front of the set; returns whether one did.
+fn promote(set: &mut [MemoSlot], probe: Probe, entries: &[(u32, f32)]) -> bool {
+    let Some(way) = set.iter().position(|s| s.holds(probe, entries)) else {
+        return false;
+    };
+    set[..=way].rotate_right(1);
+    true
 }
 
 /// The artifact's element memo (see the module docs): the table behind a
@@ -739,7 +767,8 @@ impl FrozenModel {
 
     /// The embeddings of every element of one module's set into the front
     /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
-    /// are copied out under the memo's lock, the rest go through
+    /// are copied out (and promoted in their sets) under the memo's lock,
+    /// the rest go through
     /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
     /// and are then offered to the memo. The lock is only ever tried: a
     /// pass that finds it held (or poisoned) computes what it would have
@@ -771,9 +800,9 @@ impl FrozenModel {
         missing.clear();
         missing_spans.clear();
         {
-            let table = self.memo.table.try_lock().ok();
+            let mut table = self.memo.table.try_lock().ok();
             for (r, (span, &probe)) in set.elems.iter().zip(probes.iter()).enumerate() {
-                match table.as_ref().and_then(|t| t.get(probe, entries_of(span))) {
+                match table.as_mut().and_then(|t| t.get(probe, entries_of(span))) {
                     Some(value) => act[r * h..(r + 1) * h].copy_from_slice(value),
                     None => {
                         missing.push(r as u32);
@@ -1192,8 +1221,8 @@ mod tests {
             let stats = warm.memo_stats();
             let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
             assert_eq!(stats.hits + stats.misses, elements as u64);
-            // 24 distinct elements, each computed once: nothing collides in
-            // 1024 slots here.
+            // 24 distinct elements, each computed once: no set of four ways
+            // overflows here.
             assert_eq!(stats.misses, 24, "{mode:?}");
             assert!(0 < stats.resident_bytes && stats.resident_bytes <= MEMO_MAX_BYTES as u64);
 
@@ -1280,6 +1309,40 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_set_keeps_four_elements_and_evicts_its_least_recently_used() {
+        // Five single-entry elements whose hashes name one set.
+        let mut by_set = vec![Vec::new(); MEMO_SLOTS / MEMO_WAYS];
+        let five: Vec<[(u32, f32); 1]> = (0u32..)
+            .find_map(|i| {
+                let entries = [(i, 1.0)];
+                let members = &mut by_set[Probe::of(0, &entries).set().start / MEMO_WAYS];
+                members.push(entries);
+                (members.len() == MEMO_WAYS + 1).then(|| members.clone())
+            })
+            .expect("pigeonhole");
+        let probe = |e: &[(u32, f32)]| Probe::of(0, e);
+        let value = |n: usize| [n as f32];
+        let mut table = MemoTable::default();
+        // 1 comes twice, as from a batch that carries it twice: the set
+        // holds it once, so 0 keeps its way.
+        for n in [0, 1, 1, 2, 3] {
+            table.insert(probe(&five[n]), &five[n], &value(n));
+        }
+        for (n, e) in five[..4].iter().enumerate() {
+            assert_eq!(table.get(probe(e), e), Some(&value(n)[..]), "way {n}");
+        }
+        // Looked up 0 to 3, so 0 is the least recent until a hit promotes
+        // it, which leaves 1 to make room for the fifth.
+        assert!(table.get(probe(&five[0]), &five[0]).is_some());
+        table.insert(probe(&five[4]), &five[4], &value(4));
+        assert_eq!(table.get(probe(&five[1]), &five[1]), None);
+        for n in [0, 2, 3, 4] {
+            let e = &five[n];
+            assert_eq!(table.get(probe(e), e), Some(&value(n)[..]), "element {n}");
         }
     }
 

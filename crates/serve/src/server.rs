@@ -10,13 +10,7 @@
 //!   a connection has one request in flight, so the cap bounds the passes;
 //! * `shutdown()` drains: every request already read is answered and every
 //!   thread is joined before it returns.
-//!
-//! One pacing rule lives here, because it is per connection: requests that
-//! ran a forward pass are taken up `COLD_PASS_SPACING` apart (see there for
-//! why), while lone requests, requests that follow a cache hit and the
-//! connections of a loaded server are handled as they arrive.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,31 +42,6 @@ use crate::protocol::{
     estimate_error_response, format_response, split_request, store_error_response, ErrorCode,
     Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
-
-/// Distance between a connection's forward-pass slots: after a request that
-/// ran a pass, the connection's next request is taken up no sooner than the
-/// end of that request's slot (see [`ColdPacer`]). A cold round trip is
-/// CPU-bound end to end, and on a shared host the CPU time it takes swings
-/// by tens of percent in patches of seconds to minutes, so an unpaced
-/// closed-loop client measures the host's mood. With the grid the sustained
-/// cold-estimate rate of one connection is a property of the server — one
-/// pass per 148 µs, about 6 700 a second — and the same in every mood in
-/// which the host keeps up. A request that arrives after its slot (any
-/// interactive client, any connection of a loaded server) finds the handler
-/// asleep in its read and is handled at once, so a lone `ESTIMATE` costs
-/// what it did; only back-to-back cold requests on one connection wait, and
-/// cache hits never start a wait. 148 µs sits above what the reference host
-/// needs for such a round trip in its slow moods (p50 124–139 µs over all
-/// 10 ms slices of `adhoc_wire`, unpaced) and keeps the paced round trip
-/// under 150 µs.
-const COLD_PASS_SPACING: Duration = Duration::from_micros(148);
-
-/// How much of a delay a connection may make up: a request taken up later
-/// than its slot (a long pass, a descheduled handler) shortens the following
-/// spacings by at most this much in total, so the cadence survives the
-/// jitter of single requests while no 10 ms window holds noticeably more
-/// passes than the spacing allows.
-const COLD_PASS_CATCH_UP: Duration = Duration::from_micros(37);
 
 /// Bound on queued shadow-mirror jobs: the hot path never blocks on the
 /// lifecycle daemon — when the scorer falls behind, mirrored jobs are
@@ -427,11 +396,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut conn = ConnectionState::default();
     while let Some(request) = lines.next_line() {
-        // A request that arrived before the slot of the pass before it
-        // ended waits here, with its handler awake; one that arrives later
-        // (the usual case on a loaded server) found the handler asleep in
-        // the read above, and nothing spins for it.
-        conn.pacer.rest();
         // t0 anchors the request timeline: everything from here to the
         // post-flush stamp is attributed to exactly one stage.
         let t0 = Instant::now();
@@ -455,7 +419,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// the forward pass and clones `key` into the cache.
 #[derive(Default)]
 struct ConnectionState {
-    pacer: ColdPacer,
     /// The SQL parser's token, term and alias buffers.
     parser: Parser,
     /// The request's parsed query.
@@ -467,52 +430,6 @@ struct ConnectionState {
     /// The sketch the last timed request named: its timeline is finished
     /// after the reply is written, when the line is gone.
     sketch: String,
-}
-
-/// One connection's forward-pass pacing (see [`COLD_PASS_SPACING`]): the
-/// cache-miss branch marks the request it is about to run a pass for, and
-/// the handler rests before it takes up the next request until that
-/// request's slot is over. Slots lie on a grid one spacing apart, so a
-/// connection that keeps the cadence has exactly that period — the
-/// microseconds between the end of a rest and the next request's `t0` do
-/// not add up — and one that fell behind its grid gets back at most
-/// [`COLD_PASS_CATCH_UP`] of the delay.
-#[derive(Default)]
-struct ColdPacer {
-    /// When the request after the last marked one may be taken up.
-    slot: Cell<Option<Instant>>,
-    /// Whether a request was marked since the last rest. Requests that run
-    /// no pass leave it false, so resting costs them no clock read.
-    armed: Cell<bool>,
-}
-
-impl ColdPacer {
-    /// Notes that the request taken up at `t0` runs a forward pass.
-    fn mark(&self, t0: Instant) {
-        let unpaced = t0 + COLD_PASS_SPACING;
-        let next = match self.slot.get() {
-            Some(prev) => (prev + COLD_PASS_SPACING).max(unpaced - COLD_PASS_CATCH_UP),
-            None => unpaced,
-        };
-        self.slot.set(Some(next));
-        self.armed.set(true);
-    }
-
-    /// Gives the core away until the marked request's slot is over;
-    /// returns at once when nothing was marked since the last rest.
-    /// Yielding rather than sleeping: the wait is shorter than the kernel's
-    /// timer slack, and an idle vCPU invites the scheduler to move the
-    /// connection's client away from its handler, which costs a cross-CPU
-    /// wake-up per message from then on.
-    fn rest(&self) {
-        if !self.armed.replace(false) {
-            return;
-        }
-        let at = self.slot.get().expect("an armed pacer has a slot");
-        while Instant::now() < at {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// A successful estimate's timeline, waiting for the final write stamp.
@@ -903,7 +820,6 @@ fn handle_estimate(
         }
     };
     let ConnectionState {
-        pacer,
         parser,
         query,
         canonical,
@@ -1006,7 +922,6 @@ fn handle_estimate(
         // The pass runs here, on this handler's thread, against the model
         // this request resolved: a concurrent swap changes what the next
         // lookup finds, not what this pass holds.
-        pacer.mark(t0);
         match shared.batcher.estimate_stamped(&*estimator, query) {
             Ok(_)
                 if shared
@@ -1399,46 +1314,6 @@ mod tests {
     use super::*;
     use ds_query::parser::parse_query;
     use ds_storage::gen::{imdb_database, ImdbConfig};
-
-    #[test]
-    fn pacer_keeps_slots_on_a_grid_and_rests_only_after_a_mark() {
-        let pacer = ColdPacer::default();
-        // Nothing marked: nothing to wait for, and no slot appears.
-        pacer.rest();
-        assert_eq!(pacer.slot.get(), None);
-
-        let t0 = Instant::now();
-        pacer.mark(t0);
-        let first = t0 + COLD_PASS_SPACING;
-        assert_eq!(pacer.slot.get(), Some(first));
-        pacer.rest();
-        assert!(
-            Instant::now() >= first,
-            "rest returns no earlier than the slot"
-        );
-        assert!(!pacer.armed.get(), "one mark, one rest");
-
-        // A request read a little after its slot keeps the grid: the period
-        // is the spacing, not the spacing plus whatever the read took.
-        pacer.mark(first + Duration::from_micros(4));
-        let second = first + COLD_PASS_SPACING;
-        assert_eq!(pacer.slot.get(), Some(second));
-
-        // One that fell behind makes up the catch-up and no more.
-        let late = second + COLD_PASS_CATCH_UP + Duration::from_micros(20);
-        pacer.mark(late);
-        let third = late + COLD_PASS_SPACING - COLD_PASS_CATCH_UP;
-        assert_eq!(pacer.slot.get(), Some(third));
-        assert!(third - second > COLD_PASS_SPACING);
-
-        // A connection that idled starts over from its request.
-        let idle = third + Duration::from_secs(1);
-        pacer.mark(idle);
-        assert_eq!(
-            pacer.slot.get(),
-            Some(idle + COLD_PASS_SPACING - COLD_PASS_CATCH_UP)
-        );
-    }
 
     #[test]
     fn interner_shares_one_rendering_per_query_shape() {

@@ -203,31 +203,6 @@ fn request_split_by_a_client_stall_is_answered_bit_exactly() {
     assert_eq!((snap.requests, snap.ok, snap.errors), (1, 1, 0));
 }
 
-/// Back-to-back cold estimates on one connection keep the handler's
-/// forward-pass spacing (148 µs between requests, of which a connection that
-/// fell behind may make up 37 µs): with the cache off every request runs a
-/// pass, and however fast the model, `n` of them take at least `n - 1`
-/// spacings. A lower bound only — a debug build or a busy host is slower
-/// than the spacing anyway — so the test cannot flake; that a lone request
-/// and a cache hit do not wait is the pacer's unit test and `hot_wire`.
-#[test]
-fn back_to_back_cold_estimates_keep_the_pass_spacing() {
-    let (server, ..) = start(ServeConfig::builder().cache_capacity(0).build().unwrap());
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let n = 300u32;
-    let start = std::time::Instant::now();
-    for i in 0..n as usize {
-        client
-            .estimate("imdb", WORKLOAD[i % WORKLOAD.len()])
-            .unwrap();
-    }
-    let elapsed = start.elapsed();
-    let floor = Duration::from_micros(148) * (n - 1) - Duration::from_micros(37);
-    assert!(elapsed >= floor, "{n} cold estimates in {elapsed:?}");
-    let snap = server.shutdown();
-    assert_eq!((snap.ok, snap.errors), (n as u64, 0));
-}
-
 /// A zero-length deadline forces every request down the timeout path; the
 /// server answers `ERR timeout` instead of hanging or panicking.
 #[test]
