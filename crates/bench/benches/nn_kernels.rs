@@ -21,6 +21,7 @@ use ds_bench::{
 use ds_core::builder::SketchBuilder;
 use ds_core::QuantMode;
 use ds_nn::pool::Team;
+use ds_nn::sparse::{Finish, Kernel, Weights};
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
@@ -35,9 +36,37 @@ fn secs<R>(f: impl FnOnce() -> R) -> f64 {
 
 /// Median wall-clock seconds of `iters` runs of `f`.
 fn median_secs<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut times: Vec<f64> = (0..iters).map(|_| secs(&mut f)).collect();
+    median((0..iters).map(|_| secs(&mut f)).collect())
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
+}
+
+/// The `len` values of `buf` that start on its first 64-byte boundary, as
+/// the frozen artifact's weights do. `buf` needs 64 bytes of slack.
+fn line_aligned<T>(buf: &mut [T], len: usize) -> &mut [T] {
+    let at = buf.as_ptr().align_offset(64);
+    &mut buf[at..at + len]
+}
+
+/// ORs every word together: a pure read stream, which the compiler turns
+/// into the widest vector loads the CPU has — over 512 KiB starting on a
+/// 64-byte boundary (past L1, inside L2 on the reference host's 2 MiB per
+/// core; off the boundary every 64-byte load reads two lines and the rate
+/// halves), a probe of L2's read bandwidth.
+fn or_all(words: &[u64]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        #[target_feature(enable = "avx512f")]
+        fn wide(words: &[u64]) -> u64 {
+            words.iter().fold(0, |acc, &w| acc | w)
+        }
+        // SAFETY: AVX-512F support was just verified at runtime.
+        return unsafe { wide(words) };
+    }
+    words.iter().fold(0, |acc, &w| acc | w)
 }
 
 fn main() {
@@ -48,43 +77,124 @@ fn main() {
     );
 
     // --- (1) the kernel at three MSCN layer shapes -----------------------
-    // Each on the data its layer sees, as index lists: a layer's forward
-    // against the naive reference product.
-    // `team(L)` is the same call on a team of the host's L lanes: the rows
-    // cut by entries, one range per lane (shapes below the kernel's fork
-    // threshold run whole).
+    // Each on the data its layer sees, as index lists: every instruction-set
+    // variant of the kernel this host has, on one lane, against the naive
+    // reference product. `team(L)` is a layer's forward on a team of the
+    // host's L lanes: the rows cut by entries, one range per lane (shapes
+    // below the kernel's fork threshold run whole); `speedup` is the
+    // reference over the kernel `sparse_rows` dispatches to.
     let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\n[1] kernel medians (seconds):");
+    let kernels: Vec<Kernel> = Kernel::ALL
+        .into_iter()
+        .filter(|k| k.is_available())
+        .collect();
     println!(
-        "  {:<22} {:>12} {:>12} {:>12} {:>8}",
-        "shape",
-        "reference",
-        "tiled",
-        format!("team({lanes})"),
-        "speedup"
+        "\n[1] kernel medians (seconds); `sparse_rows` dispatches to {:?} at width 256, {:?} at width 1:",
+        Kernel::dispatched(256),
+        Kernel::dispatched(1)
     );
+    print!("  {:<22} {:>12}", "shape", "reference");
+    for kernel in &kernels {
+        print!(" {:>12}", format!("{kernel:?}"));
+    }
+    println!(" {:>12} {:>8}", format!("team({lanes})"), "speedup");
     let iters = 30;
     for (name, k, n, dense) in kernel_shapes() {
         let layer = Linear::from_params(random_tensor(k, n, 0xB0 ^ n as u64), vec![0.0; n]);
         let rows = IndexSet::of_dense(dense.data(), dense.cols());
-        let mut out = Tensor::zeros(0, 0);
-        let mut forward = |lanes| {
-            Team::run(lanes, |team| {
-                median_secs(iters, || {
-                    layer.forward_rows(rows.rows(), false, team, &mut out)
-                })
-            })
-        };
-        let (t_tiled, t_thr) = (forward(1), forward(lanes));
+        let want = reference::matmul(&dense, layer.weights());
         let t_ref = median_secs(iters, || reference::matmul(&dense, layer.weights()));
-        // Sanity: all paths must agree exactly (the bias is zero).
-        assert_eq!(
-            reference::matmul(&dense, layer.weights()).data(),
-            out.data(),
-            "kernel paths diverged at {name}"
+        print!("  {name:<22} {t_ref:>12.6}");
+        let mut t_dispatched = f64::NAN;
+        for &kernel in &kernels {
+            let (w, finish) = (Weights::F32(layer.weights().data()), Finish::Store);
+            let mut y = vec![f32::NAN; want.data().len()];
+            let t = median_secs(iters, || kernel.run(w, n, rows.rows(), finish, &mut y));
+            // Sanity: every kernel must agree with the reference exactly.
+            assert_eq!(want.data(), &y[..], "{kernel:?} diverged at {name}");
+            if kernel == Kernel::dispatched(n) {
+                t_dispatched = t;
+            }
+            print!(" {t:>12.6}");
+        }
+        let mut out = Tensor::zeros(0, 0);
+        let t_team = Team::run(lanes, |team| {
+            median_secs(iters, || {
+                layer.forward_rows(rows.rows(), false, team, &mut out)
+            })
+        });
+        // The bias is zero, so the layer's forward is the plain product.
+        assert_eq!(want.data(), out.data(), "team diverged at {name}");
+        println!(" {t_team:>12.6} {:>7.2}x", t_ref / t_dispatched);
+    }
+
+    // The output MLP's first layer on one query, the product a cold
+    // `estimate_one` spends most on: the pooled input is 3·hidden wide and
+    // ≈ 55 % non-zero (≈ 420 of 768 at hidden 256, the benchmark stream's
+    // median), and each non-zero reads one weight row of `hidden` floats.
+    // Repeated, those rows stay in L2 (hot, as between a stream's
+    // estimates; at hidden 64 they fit in L1), so the rate to hold them
+    // against is L2's read bandwidth — a sequential read's, measured
+    // between the kernels' runs so that all of them share the host's mood.
+    // (The arithmetic caps the kernel near the same rate: a separate
+    // multiply and add for every 64 bytes, two vector operations a cycle.)
+    // The weights start on a 64-byte boundary, as the frozen artifact's do.
+    println!(
+        "  batch of one, output layer (pooled rows ≈ 55 % non-zero), µs, GB/s of weight rows read, share of L2 read bandwidth:"
+    );
+    let mut words = vec![0u64; (1 << 16) + 8];
+    let words = line_aligned(&mut words, 1 << 16);
+    for hidden in [64usize, 128, 256] {
+        let (k, nnz) = (3 * hidden, 420 * hidden / 256);
+        let mut buf = vec![0.0f32; k * hidden + 16];
+        let w = line_aligned(&mut buf, k * hidden);
+        w.copy_from_slice(random_tensor(k, hidden, 0xC0 ^ hidden as u64).data());
+        let mut pooled = IndexSet::default();
+        let elem = pooled.begin_elem();
+        for p in 0..k {
+            // Every (k / nnz)-th input on average, spread by a fixed hash.
+            if (p * 2654435761) % k < nnz {
+                pooled.push(p as u32, 0.01 + (p % 7) as f32 * 0.1);
+            }
+        }
+        pooled.finish_elem(elem);
+        let bytes = (pooled.entries.len() * hidden * 4) as f64;
+        print!(
+            "    {:<18}",
+            format!("{} of {k} → {hidden}", pooled.entries.len())
         );
-        let speedup = t_ref / t_tiled;
-        println!("  {name:<22} {t_ref:>12.6} {t_tiled:>12.6} {t_thr:>12.6} {speedup:>7.2}x");
+        // Every kernel and the L2 probe once per round, rounds repeated.
+        let (w, finish) = (Weights::F32(w), Finish::Store);
+        let mut y = vec![0.0f32; hidden];
+        let reps = 200;
+        let mut times = vec![Vec::new(); kernels.len()];
+        let mut l2_times = Vec::new();
+        for _ in 0..iters {
+            for (kernel, times) in kernels.iter().zip(&mut times) {
+                times.push(
+                    secs(|| {
+                        for _ in 0..reps {
+                            kernel.run(w, hidden, pooled.rows(), finish, black_box(&mut y));
+                        }
+                    }) / reps as f64,
+                );
+            }
+            // One pass to bring the buffer back into L2 after the kernels,
+            // then the timed ones.
+            black_box(or_all(words));
+            l2_times.push(secs(|| (0..4).map(|_| or_all(black_box(words))).sum::<u64>()) / 4.0);
+        }
+        let l2_gbps = (words.len() * 8) as f64 / median(l2_times) / 1e9;
+        for (kernel, times) in kernels.iter().zip(times) {
+            let t = median(times);
+            let gbps = bytes / t / 1e9;
+            print!(
+                "  {kernel:?} {:>5.2} µs {gbps:>5.1} GB/s {:>3.0} %",
+                t * 1e6,
+                100.0 * gbps / l2_gbps
+            );
+        }
+        println!("  (L2 {l2_gbps:.1} GB/s)");
     }
 
     // --- (2) fig1a training cost at 10k queries -------------------------
@@ -155,10 +265,7 @@ fn main() {
     println!("\n[4] element memo, benchmark sketch (hidden 256, sample 256), µs per estimate:");
     let mut sketch = benchmark_sketch_builder(&db).build().expect("pipeline");
     let stream = benchmark_stream(&db, 1, 16_384);
-    let median_us = |mut times: Vec<f64>| {
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times[times.len() / 2] * 1e6
-    };
+    let median_us = |times: Vec<f64>| median(times) * 1e6;
     let row = |name: &str, us: f64, memo: ds_core::MemoStats| {
         let share = 100.0 * memo.hits as f64 / (memo.hits + memo.misses) as f64;
         println!(

@@ -108,7 +108,7 @@ pub struct FrozenLinear {
     out_dim: usize,
     mode: QuantMode,
     /// F32 mode: `in_dim × out_dim` weights. Empty in Int8 mode.
-    w: Vec<f32>,
+    w: LineAligned,
     /// Int8 mode: quantized weights, same layout. Empty in F32 mode.
     q: Vec<i8>,
     /// Int8 mode: per-input-row dequantization scales (`in_dim`).
@@ -128,7 +128,7 @@ impl FrozenLinear {
                 in_dim,
                 out_dim,
                 mode,
-                w: w.to_vec(),
+                w: LineAligned::new(w),
                 q: Vec::new(),
                 scales: Vec::new(),
                 b: l.bias().to_vec(),
@@ -146,7 +146,7 @@ impl FrozenLinear {
                     in_dim,
                     out_dim,
                     mode,
-                    w: Vec::new(),
+                    w: LineAligned::default(),
                     q,
                     scales,
                     b: l.bias().to_vec(),
@@ -182,8 +182,9 @@ impl FrozenLinear {
     /// each element of `rows` is one sparse input row (ascending feature
     /// indices), `y` is `rows.elems.len() × out_dim` row-major, and `act`
     /// is ReLU when `relu` is set. Zero values are skipped — bit-neutral
-    /// (see [`crate::sparse`]). Runtime-dispatched to the AVX2 column-tile
-    /// kernel; [`FrozenLinear::forward_rows_portable`] is its oracle.
+    /// (see [`crate::sparse`]). Runtime-dispatched to the widest
+    /// column-tile kernel the CPU has (AVX-512, else AVX2);
+    /// [`FrozenLinear::forward_rows_portable`] is their oracle.
     ///
     /// # Panics
     /// Panics when `y` has the wrong length or an index is `>= in_dim`.
@@ -201,8 +202,8 @@ impl FrozenLinear {
         sparse::sparse_rows(self.weights(), self.out_dim, rows, finish, y);
     }
 
-    /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX2
-    /// kernel is pinned against, and the fallback off x86-64.
+    /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX-512 and
+    /// AVX2 kernels are pinned against, and the fallback off x86-64.
     pub fn forward_rows_portable(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
         assert_eq!(y.len(), rows.elems.len() * self.out_dim, "output shape");
         let finish = Finish::Bias {
@@ -260,7 +261,7 @@ impl FrozenLinear {
                 if w.len() != expect {
                     return Err(corrupt("weight length"));
                 }
-                (w, Vec::new(), Vec::new())
+                (LineAligned::new(&w), Vec::new(), Vec::new())
             }
             QuantMode::Int8 => {
                 let raw = d.byte_vec()?;
@@ -274,7 +275,11 @@ impl FrozenLinear {
                 if scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
                     return Err(corrupt("scale value"));
                 }
-                (Vec::new(), raw.iter().map(|&v| v as i8).collect(), scales)
+                (
+                    LineAligned::default(),
+                    raw.iter().map(|&v| v as i8).collect(),
+                    scales,
+                )
             }
         };
         let b = d.f32_vec()?;
@@ -290,6 +295,60 @@ impl FrozenLinear {
             scales,
             b,
         })
+    }
+}
+
+/// `f32` weights that start on a 64-byte boundary. A row whose width is a
+/// multiple of 16 — every hidden width the model uses — then starts a
+/// cache line, so each of the AVX-512 kernel's 64-byte loads reads one
+/// line instead of straddling two, and a 1 KB row reads its 16 lines once
+/// (E27). Dereferences to the plain slice; `==` and `Debug` are the
+/// slice's.
+#[derive(Clone, Default)]
+struct LineAligned {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+/// One cache line of `f32`s.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([f32; 16]);
+
+impl LineAligned {
+    fn new(values: &[f32]) -> Self {
+        let mut lines = vec![Line([0.0; 16]); values.len().div_ceil(16)];
+        for (line, chunk) in lines.iter_mut().zip(values.chunks(16)) {
+            line.0[..chunk.len()].copy_from_slice(chunk);
+        }
+        Self {
+            lines,
+            len: values.len(),
+        }
+    }
+}
+
+impl std::ops::Deref for LineAligned {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        // SAFETY: `Line` is `repr(C)` around `[f32; 16]` — 64 bytes, no
+        // padding — so `lines` is `16 · lines.len()` contiguous, initialized
+        // `f32`s, of which `new` keeps `len` (never more), and the borrow of
+        // `self` keeps them alive and unchanged.
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<f32>(), self.len) }
+    }
+}
+
+impl PartialEq for LineAligned {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for LineAligned {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -940,8 +999,11 @@ mod tests {
 
     #[test]
     fn column_tile_kernel_matches_portable_oracle_on_ragged_widths() {
-        // 250 = 3·64 + 32 + 16 + 8 + 2 walks every tile width and the
-        // scalar remainder; 5 is below one vector.
+        // Through the dispatch, so only the CPU's widest kernel runs here
+        // (`sparse::tests` pins each one): on AVX2, 250 = 3·64 + 32 + 16 +
+        // 8 + 2 walks every tile width and the scalar remainder; on AVX-512
+        // it is one tile whose last vector is masked to 10 lanes; 5 is
+        // below one vector on both.
         for out_dim in [1usize, 5, 8, 16, 96, 250, 256] {
             for mode in [QuantMode::F32, QuantMode::Int8] {
                 let l = FrozenLinear::from_linear(&linear(37, out_dim, out_dim as u64), mode);
@@ -953,6 +1015,18 @@ mod tests {
                     l.forward_rows_portable(&rows, relu, &mut slow);
                     assert_eq!(fast, slow, "out_dim={out_dim} {mode:?} relu={relu}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn line_aligned_weights_start_a_cache_line_and_read_back_exactly() {
+        for len in [0usize, 1, 15, 16, 17, 1000] {
+            let values: Vec<f32> = (0..len).map(|i| i as f32 - 0.5).collect();
+            let w = LineAligned::new(&values);
+            for w in [&w, &w.clone()] {
+                assert_eq!(**w, values[..], "len {len}");
+                assert_eq!(w.as_ptr() as usize % 64, 0, "len {len}");
             }
         }
     }

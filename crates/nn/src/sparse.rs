@@ -17,11 +17,24 @@
 //!
 //! ## Tiling
 //!
-//! The AVX2 kernel keeps a tile of 64 output columns in registers across a
+//! A vector kernel keeps a tile of output columns in registers across a
 //! row's whole reduction and walks *all* rows of the call through one
 //! column tile before moving to the next, so the matrix is streamed once
 //! per call however many rows there are, and partial sums are never
-//! re-loaded or re-stored.
+//! re-loaded or re-stored. [`sparse_rows`] picks the widest tile the CPU
+//! has ([`Kernel`]):
+//!
+//! - **AVX-512F**: tiles of up to 16 registers, 256 columns, the last tile
+//!   as wide as what is left, with its last vector masked. Up to 256
+//!   columns — every hidden width the model uses — a row's whole output is
+//!   one tile, so each weight row an entry names is read once, front to
+//!   back. The frozen artifact starts its weights on a 64-byte boundary, so
+//!   at those widths every load reads one cache line; at batch one the
+//!   output layer's ≈ 420 rows then stream at 1.3–1.8× the AVX2 rate, half
+//!   to two thirds of a sequential read from L2.
+//! - **AVX2**: tiles of 64, 32, 16 and 8 columns, then scalar columns. At
+//!   256 columns each weight row is read in four 256-byte pieces, one per
+//!   pass over the rows; it runs only where AVX-512 does not.
 //!
 //! ## Lanes
 //!
@@ -42,14 +55,15 @@
 //! Each output element is owned by one lane of one tile and starts at
 //! `+0.0`; it takes one separately rounded multiply and one separately
 //! rounded add per entry, in entry order (never a fused `vfmadd`), and is
-//! then finished by [`Finish`]. Tiling and lanes only partition the
-//! output, so the AVX2 kernel, the portable kernel ([`sparse_rows_portable`],
-//! the oracle and the fallback off x86-64) and the naive
-//! [`crate::tensor::reference`] products agree to the last bit at any
-//! lane count, wherever the cuts fall. Skipping an entry whose value is
-//! `±0.0` is bit-neutral for finite matrices: the product is `±0.0`, and
-//! adding that to a sum that started at `+0.0` cannot change its bits. A
-//! row's result does not depend on what other rows are in the call.
+//! then finished by [`Finish`]. Tiling, masking and lanes only partition
+//! the output, so the AVX-512 and AVX2 kernels, the portable kernel
+//! ([`sparse_rows_portable`], the oracle and the fallback off x86-64) and
+//! the naive [`crate::tensor::reference`] products agree to the last bit
+//! at any lane count, wherever the cuts fall; a masked lane is never
+//! stored. Skipping an entry whose value is `±0.0` is bit-neutral for
+//! finite matrices: the product is `±0.0`, and adding that to a sum that
+//! started at `+0.0` cannot change its bits. A row's result does not
+//! depend on what other rows are in the call.
 
 use std::ops::Range;
 
@@ -223,8 +237,9 @@ pub enum Finish<'a> {
 }
 
 /// `y[r, :] = finish(rows[r] · W)` for every row, `y` being
-/// `rows.spans.len() × out_dim` row-major. Runtime-dispatched to the AVX2
-/// column-tile kernel; [`sparse_rows_portable`] is its oracle.
+/// `rows.spans.len() × out_dim` row-major. Runtime-dispatched to the
+/// widest column-tile kernel the CPU has ([`Kernel::dispatched`]);
+/// [`sparse_rows_portable`] is their oracle.
 ///
 /// # Panics
 /// Panics when `y` has the wrong length or an index is out of the
@@ -236,19 +251,87 @@ pub fn sparse_rows(
     finish: Finish<'_>,
     y: &mut [f32],
 ) {
-    assert_eq!(y.len(), rows.spans.len() * out_dim, "output shape");
-    #[cfg(target_arch = "x86_64")]
-    if out_dim >= x86::LANES && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { x86::sparse_rows_avx2(w, out_dim, rows, finish, y) };
-        return;
+    Kernel::dispatched(out_dim).run(w, out_dim, rows, finish, y);
+}
+
+/// The instruction-set variants of [`sparse_rows`]. All compute the same
+/// bits; they differ in how many output columns one register tile holds.
+/// Every product of the model goes through [`sparse_rows`], which picks one
+/// from the CPU alone; naming one is for benchmarks and tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// AVX-512F: tiles of up to 256 columns (16 registers), the last one
+    /// masked, so up to that width every weight row is read once, whole.
+    Avx512,
+    /// AVX2: tiles of 64, 32, 16 and 8 columns, then scalar columns.
+    Avx2,
+    /// Scalar accumulators ([`sparse_rows_portable`]): the oracle, and the
+    /// fallback off x86-64.
+    Portable,
+}
+
+impl Kernel {
+    /// Every variant, widest first.
+    pub const ALL: [Kernel; 3] = [Kernel::Avx512, Kernel::Avx2, Kernel::Portable];
+
+    /// Whether this CPU can run the kernel.
+    pub fn is_available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Avx512 | Kernel::Avx2 => false,
+            Kernel::Portable => true,
+        }
     }
-    sparse_rows_portable(w, out_dim, rows, finish, y, 0..out_dim);
+
+    /// The kernel [`sparse_rows`] runs for `out_dim` output columns on this
+    /// CPU: AVX-512 whenever it is there (its masked tile takes any width),
+    /// else AVX2 from one full vector up, else portable.
+    pub fn dispatched(out_dim: usize) -> Kernel {
+        if Kernel::Avx512.is_available() {
+            Kernel::Avx512
+        } else if out_dim >= 8 && Kernel::Avx2.is_available() {
+            Kernel::Avx2
+        } else {
+            Kernel::Portable
+        }
+    }
+
+    /// [`sparse_rows`] on this kernel.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions, when `y` has
+    /// the wrong length, or when an index is out of the matrix's range.
+    pub fn run(
+        self,
+        w: Weights<'_>,
+        out_dim: usize,
+        rows: Rows<'_>,
+        finish: Finish<'_>,
+        y: &mut [f32],
+    ) {
+        assert_eq!(y.len(), rows.spans.len() * out_dim, "output shape");
+        assert!(self.is_available(), "this CPU cannot run {self:?}");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX-512F support was just verified at runtime.
+            Kernel::Avx512 => unsafe { x86::sparse_rows_avx512(w, out_dim, rows, finish, y) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 support was just verified at runtime.
+            Kernel::Avx2 => unsafe { x86::sparse_rows_avx2(w, out_dim, rows, finish, y) },
+            _ => sparse_rows_portable(w, out_dim, rows, finish, y, 0..out_dim),
+        }
+    }
 }
 
 /// Multiply-adds below which [`sparse_rows_pool`] does not fork: at the
-/// kernel's ≈ 10 per nanosecond a half of this is ≈ 13 µs, ten times what
-/// a join with a polling helper costs.
+/// AVX-512 kernel's ≈ 15 per nanosecond on a batched hidden layer (AVX2:
+/// ≈ 13; `nn_kernels` stage [1]) a half of this is ≈ 9 µs, several times
+/// what a join with a polling helper costs (≈ 1.3 µs). Measured per epoch
+/// on the benchmark's build, 2¹⁷ and 2¹⁹ read the same as this value.
 const FORK_MIN_MACS: usize = 1 << 18;
 
 /// [`sparse_rows`] across the team's idle lanes: contiguous row ranges cut
@@ -271,9 +354,10 @@ pub fn sparse_rows_pool(
 /// helper is busy with a module of its own for about a millisecond, the
 /// largest products take as long, and the lane that finishes first would
 /// otherwise idle until the other is through. Each piece streams the
-/// matrix again, so pieces stay above ≈ 50 µs; measured on the benchmark's
-/// build, asking again from 2²⁰ buys 7 % of a quiet epoch and from 2²¹
-/// nothing.
+/// matrix again, so pieces stay above ≈ 35 µs at the rate above; measured
+/// per epoch on the benchmark's build, asking again from 2²⁰ bought 7 % of
+/// a quiet epoch with the AVX2 kernel, and with the AVX-512 one 2¹⁹, 2²⁰
+/// and 2²¹ read the same.
 const ASK_AGAIN_MACS: usize = 4 * FORK_MIN_MACS;
 
 /// [`sparse_rows_pool`] with at most `lanes` lanes left to use.
@@ -392,21 +476,210 @@ pub fn sparse_rows_portable(
     }
 }
 
-/// The AVX2 column-tile kernel. One output column per lane, separate
-/// multiply and add (never `vfmadd`): it rounds exactly like the portable
-/// kernel.
+/// The AVX-512 and AVX2 column-tile kernels. One output column per lane,
+/// separate multiply and add (never `vfmadd`): they round exactly like the
+/// portable kernel.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_loadu_ps,
-        _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_loadl_epi64,
+        __m128i, __m512, __mmask16, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
+        _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32,
+        _mm512_loadu_si512, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm_loadl_epi64, _mm_loadu_si128,
     };
 
     use super::{sparse_rows_portable, Finish, Rows, Weights};
 
-    /// Vector width: one 8-lane f32 register.
-    pub const LANES: usize = 8;
+    /// AVX-512 vector width: one 16-lane f32 register.
+    const LANES_512: usize = 16;
+
+    /// Registers in the widest AVX-512 tile: 16 accumulators (256 columns,
+    /// a hidden-256 layer's whole output) leave half of the 32 registers
+    /// for the broadcast value and the loads.
+    const MAX_TILE_512: usize = 16;
+
+    /// AVX-512 [`super::sparse_rows`]: output columns are cut into tiles of
+    /// 256 and one last tile of what is left, whose last vector is masked,
+    /// and every row is reduced into one tile before the next tile starts.
+    /// Up to 256 columns the whole output is one tile, so each weight row
+    /// an entry names is read once, front to back.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn sparse_rows_avx512(
+        w: Weights<'_>,
+        out_dim: usize,
+        rows: Rows<'_>,
+        finish: Finish<'_>,
+        y: &mut [f32],
+    ) {
+        macro_rules! tile_of {
+            ($width:expr, $j0:expr; $($nv:literal)*) => {
+                match $width.div_ceil(LANES_512) {
+                    $($nv => tile_512::<$nv>(w, out_dim, rows, finish, y, $j0, $width),)*
+                    _ => unreachable!("a tile holds at most {MAX_TILE_512} vectors"),
+                }
+            };
+        }
+        let mut j0 = 0;
+        while j0 < out_dim {
+            let width = (out_dim - j0).min(MAX_TILE_512 * LANES_512);
+            tile_of!(width, j0; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+            j0 += width;
+        }
+    }
+
+    /// One tile of `NV` vectors — `width` output columns from `j0`, the
+    /// last vector holding the `width − 16·(NV − 1)` that remain — for every
+    /// row: the accumulators stay in registers across the row's whole
+    /// reduction, entries in order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. Every access goes through a
+    /// bounds-checked slice of exactly the tile's width, and the last
+    /// vector's loads and stores are masked to the lanes that slice holds.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_512<const NV: usize>(
+        w: Weights<'_>,
+        out_dim: usize,
+        rows: Rows<'_>,
+        finish: Finish<'_>,
+        y: &mut [f32],
+        j0: usize,
+        width: usize,
+    ) {
+        // The masks cover exactly the slices' lanes only in this range.
+        assert!(LANES_512 * (NV - 1) < width && width <= LANES_512 * NV);
+        let mask = |v: usize| lane_mask::<NV>(v, width);
+        let zero = _mm512_setzero_ps();
+        for (r, &(start, len)) in rows.spans.iter().enumerate() {
+            let entries = &rows.entries[start as usize..start as usize + len as usize];
+            let acc = match w {
+                Weights::F32(w) => reduce_f32::<NV>(w, out_dim, j0, width, entries),
+                Weights::Int8 { q, scales } => {
+                    reduce_int8::<NV>(q, scales, out_dim, j0, width, entries)
+                }
+            };
+            let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
+            let out = out.as_mut_ptr();
+            match finish {
+                Finish::Bias { bias, relu } => {
+                    let bias = &bias[j0..j0 + width];
+                    for (v, a) in acc.iter().enumerate() {
+                        let bv = _mm512_maskz_loadu_ps(mask(v), bias.as_ptr().add(v * LANES_512));
+                        let mut o = _mm512_add_ps(*a, bv);
+                        if relu {
+                            o = _mm512_max_ps(o, zero);
+                        }
+                        _mm512_mask_storeu_ps(out.add(v * LANES_512), mask(v), o);
+                    }
+                }
+                Finish::Store => {
+                    for (v, a) in acc.iter().enumerate() {
+                        _mm512_mask_storeu_ps(out.add(v * LANES_512), mask(v), *a);
+                    }
+                }
+                Finish::Accumulate => {
+                    for (v, a) in acc.iter().enumerate() {
+                        let at = out.add(v * LANES_512);
+                        let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask(v), at), *a);
+                        _mm512_mask_storeu_ps(at, mask(v), sum);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lanes of vector `v` of an `NV`-vector tile `width` columns wide
+    /// that are columns of the tile: all but in the last vector.
+    #[inline]
+    fn lane_mask<const NV: usize>(v: usize, width: usize) -> __mmask16 {
+        if v + 1 < NV {
+            u16::MAX
+        } else {
+            u16::MAX >> (LANES_512 * NV - width)
+        }
+    }
+
+    /// One row of an f32 tile: `Σ val · W[idx][j0..j0 + width]` over the
+    /// entries, in order, in `NV` registers. Each weight row is read front
+    /// to back; the reduction calls nothing, so the accumulators never
+    /// leave their registers.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `16·(NV − 1) < width ≤ 16·NV`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn reduce_f32<const NV: usize>(
+        w: &[f32],
+        out_dim: usize,
+        j0: usize,
+        width: usize,
+        entries: &[(u32, f32)],
+    ) -> [__m512; NV] {
+        let mut acc = [_mm512_setzero_ps(); NV];
+        for &(idx, val) in entries {
+            if val == 0.0 {
+                continue;
+            }
+            let at = idx as usize * out_dim + j0;
+            let row = &w[at..at + width];
+            let cv = _mm512_set1_ps(val);
+            for (v, a) in acc.iter_mut().enumerate() {
+                let mask = lane_mask::<NV>(v, width);
+                let wv = _mm512_maskz_loadu_ps(mask, row.as_ptr().add(v * LANES_512));
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(cv, wv));
+            }
+        }
+        acc
+    }
+
+    /// [`reduce_f32`] over int8 weights, `W[p][j] = q[p][j] · scales[p]`
+    /// taken as `(val · scales[p]) · q[p][j]`, as the other kernels do.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `16·(NV − 1) < width ≤ 16·NV`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn reduce_int8<const NV: usize>(
+        q: &[i8],
+        scales: &[f32],
+        out_dim: usize,
+        j0: usize,
+        width: usize,
+        entries: &[(u32, f32)],
+    ) -> [__m512; NV] {
+        let mut acc = [_mm512_setzero_ps(); NV];
+        for &(idx, val) in entries {
+            if val == 0.0 {
+                continue;
+            }
+            let at = idx as usize * out_dim + j0;
+            let row = &q[at..at + width];
+            let cv = _mm512_set1_ps(val * scales[idx as usize]);
+            for (v, a) in acc.iter_mut().enumerate() {
+                let bytes = &row[v * LANES_512..];
+                let wide = if bytes.len() >= LANES_512 {
+                    _mm512_cvtepi8_epi32(_mm_loadu_si128(bytes.as_ptr().cast::<__m128i>()))
+                } else {
+                    // Without AVX-512BW there is no masked byte load: a
+                    // short last vector is widened lane by lane.
+                    let mut lanes = [0i32; LANES_512];
+                    for (l, &b) in lanes.iter_mut().zip(bytes) {
+                        *l = i32::from(b);
+                    }
+                    _mm512_loadu_si512(lanes.as_ptr().cast())
+                };
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(cv, _mm512_cvtepi32_ps(wide)));
+            }
+        }
+        acc
+    }
+
+    /// AVX2 vector width: one 8-lane f32 register.
+    const LANES: usize = 8;
 
     /// AVX2 [`super::sparse_rows`]: output columns are cut into tiles of
     /// 64 (then 32, 16, 8, then scalar columns), and every row is reduced
@@ -563,10 +836,122 @@ mod tests {
         );
     }
 
+    /// Every kernel this CPU has, each on its own, against the portable
+    /// oracle: widths on both sides of every AVX2 tile and of the AVX-512
+    /// masked tail (1, 5, 15, 17, 250, 257, 262) and at whole tiles (8, 16,
+    /// 96, 256, 768), both weight forms, every finish, with `-0.0` and
+    /// subnormals among the weights and the entries (the latter next to a
+    /// `+0.0` entry and an empty row). Equal as `f32` (the oracle's ReLU may
+    /// keep a `-0.0` that `vmaxps` turns into `+0.0`); the vector kernels
+    /// also agree with each other bit for bit. A kernel the CPU lacks is
+    /// reported as skipped, so a log shows which ran.
+    #[test]
+    fn each_isa_kernel_matches_the_portable_oracle() {
+        const K: usize = 23;
+        const ROWS: usize = 6;
+        let edge = [-0.0f32, f32::from_bits(1), -f32::from_bits(0x007f_ffff)];
+        let mut s = 0x5EED_u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 40) as u32
+        };
+        let mut x = IndexSet::default();
+        for r in 0..ROWS {
+            let e = x.begin_elem();
+            for idx in 0..K as u32 {
+                if r == 1 || next() % 3 == 0 {
+                    continue;
+                }
+                let v = match next() % 8 {
+                    0 => edge[(idx % 3) as usize],
+                    1 => 0.0,
+                    _ => next() as f32 / (1u32 << 24) as f32 - 0.5,
+                };
+                x.push(idx, v);
+            }
+            x.finish_elem(e);
+        }
+        let ran: Vec<Kernel> = Kernel::ALL
+            .into_iter()
+            .filter(|k| k.is_available())
+            .collect();
+        for kernel in Kernel::ALL {
+            let verdict = if ran.contains(&kernel) {
+                "ran"
+            } else {
+                "skipped: this CPU lacks it"
+            };
+            println!("sparse_rows kernel {kernel:?}: {verdict}");
+        }
+        for out_dim in [1usize, 5, 8, 15, 16, 17, 96, 250, 256, 257, 262, 768] {
+            let mut wf: Vec<f32> = (0..K * out_dim)
+                .map(|_| next() as f32 / (1u32 << 23) as f32 - 1.0)
+                .collect();
+            for (i, &v) in edge.iter().cycle().take(wf.len().min(24)).enumerate() {
+                wf[(i * 37) % (K * out_dim)] = v;
+            }
+            let q: Vec<i8> = (0..K * out_dim).map(|_| next() as u8 as i8).collect();
+            let scales: Vec<f32> = (0..K).map(|p| 0.01 + p as f32 * 1e-3).collect();
+            let bias: Vec<f32> = (0..out_dim).map(|j| j as f32 * 0.03 - 1.0).collect();
+            let forms = [
+                ("f32", Weights::F32(&wf)),
+                (
+                    "int8",
+                    Weights::Int8 {
+                        q: &q,
+                        scales: &scales,
+                    },
+                ),
+            ];
+            let finishes = [
+                (
+                    "bias",
+                    Finish::Bias {
+                        bias: &bias,
+                        relu: false,
+                    },
+                ),
+                (
+                    "bias+relu",
+                    Finish::Bias {
+                        bias: &bias,
+                        relu: true,
+                    },
+                ),
+                ("store", Finish::Store),
+                ("accumulate", Finish::Accumulate),
+            ];
+            for (form, w) in forms {
+                for (how, finish) in finishes {
+                    let start: Vec<f32> =
+                        (0..ROWS * out_dim).map(|i| i as f32 * 0.25 - 7.0).collect();
+                    let mut want = start.clone();
+                    sparse_rows_portable(w, out_dim, x.rows(), finish, &mut want, 0..out_dim);
+                    let mut vector_bits: Option<Vec<u32>> = None;
+                    for &kernel in &ran {
+                        let mut got = start.clone();
+                        kernel.run(w, out_dim, x.rows(), finish, &mut got);
+                        assert_eq!(got, want, "{kernel:?} width {out_dim} {form} {how}");
+                        if kernel != Kernel::Portable {
+                            let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                            let first = vector_bits.get_or_insert_with(|| bits.clone());
+                            assert_eq!(
+                                &bits, first,
+                                "{kernel:?} width {out_dim} {form} {how} bits"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn finishes_store_add_bias_and_accumulate() {
         // 2 rows over a 3×9 matrix: 9 columns walk one AVX2 vector and a
-        // scalar remainder.
+        // scalar remainder, or one AVX-512 vector masked to 9 lanes.
         let w: Vec<f32> = (0..27).map(|i| i as f32 * 0.5 - 3.0).collect();
         let mut x = IndexSet::default();
         x.compress_rows(&[1.0, 0.0, -2.0, 0.0, 0.0, 0.0], 3);

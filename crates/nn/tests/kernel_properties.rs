@@ -5,8 +5,13 @@
 //! The kernel only re-tiles the output, never a reduction, and skipping a
 //! zero is bit-neutral, so every element must come out bit-identical.
 //!
-//! Two sets of shapes: small random ones (`m, k, n < 40`, at most two AVX2
-//! tiles and every ragged remainder) and the shapes the model runs —
+//! Everything here goes through the runtime dispatch, so it reaches the
+//! CPU's widest kernel only; `ds_nn::sparse`'s own tests pin each
+//! instruction-set kernel against the portable oracle on its own.
+//!
+//! Two sets of shapes: small random ones (`m, k, n < 40`: at most two AVX2
+//! tiles, or one AVX-512 tile, and every ragged remainder) and the shapes
+//! the model runs —
 //! `n ∈ {64, 256}`, `k ∈ {5, 13, 256, 262, 768}` — each with left operands that
 //! are 0 %, 50 % and 100 % zero and carry `-0.0` and subnormals, on teams of
 //! {1, 2, 8} lanes. A third test drives the entry-balanced row cut of
@@ -88,7 +93,7 @@ fn grads_of(layer: &mut Linear) -> (Tensor, Vec<f32>) {
 }
 
 /// Every product of one layer over one input, against the oracle: the
-/// training forward with and without ReLU, its frozen copy (AVX2 and
+/// training forward with and without ReLU, its frozen copy (dispatched and
 /// portable), the weight and bias gradients accumulated twice, and the
 /// input gradient — each at every thread count.
 fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), TestCaseError> {
@@ -229,7 +234,8 @@ fn rows_with_counts(counts: &[usize], k: usize, rng: &mut StdRng) -> IndexSet {
 /// than lanes, no entries at all. Wherever the cuts fall — and whether or
 /// not a helper was idle to take a half — every finish must agree with the
 /// portable oracle bit for bit. The heavy rows carry 4 096 entries over
-/// 136 output columns (a 64-, a 64- and an 8-column tile), which clears
+/// 136 output columns (AVX2: a 64-, a 64- and an 8-column tile; AVX-512:
+/// one tile of nine vectors, the last masked to 8 lanes), which clears
 /// the kernel's fork threshold; two of them clear the one from which a
 /// call without a helper asks again.
 #[test]

@@ -69,6 +69,39 @@ impl Bitmap {
         }
     }
 
+    /// Clears bit `i` for every `i < values.len()` for which
+    /// `keep(values[i])` is false; bits from `values.len()` on are left
+    /// alone. Column at a time and branch-free: every value is tested, set
+    /// bit or not, and 64 outcomes become one word that is ANDed in, so an
+    /// unpredictable predicate costs no mispredicts.
+    ///
+    /// # Panics
+    /// Panics if `values` is longer than the bitmap.
+    pub(crate) fn and_where<T: Copy>(&mut self, values: &[T], keep: impl Fn(T) -> bool) {
+        assert!(
+            values.len() <= self.len,
+            "{} values for {} bits",
+            values.len(),
+            self.len
+        );
+        let word_of = |chunk: &[T]| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (bit, &v)| word | u64::from(keep(v)) << bit)
+        };
+        let chunks = values.chunks_exact(64);
+        let tail = chunks.remainder();
+        let mut words = self.words.iter_mut();
+        // Chunks first: `zip` stops on them without taking the tail's word.
+        for (chunk, word) in chunks.zip(words.by_ref()) {
+            *word &= word_of(chunk);
+        }
+        if let (false, Some(word)) = (tail.is_empty(), words.next()) {
+            *word &= word_of(tail) | u64::MAX << tail.len();
+        }
+    }
+
     /// Number of bits in the bitmap.
     pub fn len(&self) -> usize {
         self.len
@@ -233,6 +266,18 @@ mod tests {
         });
         assert_eq!(visited, vec![0, 5, 63, 64, 130, 199]);
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![63, 64, 199]);
+    }
+
+    #[test]
+    fn and_where_clears_the_rejected_and_leaves_bits_past_the_values() {
+        for n in [0, 1, 63, 64, 65, 130] {
+            let mut bm = Bitmap::all_set(200);
+            bm.unset(0);
+            let values: Vec<usize> = (0..n).collect();
+            bm.and_where(&values, |v| v % 3 != 1);
+            let want: Vec<usize> = (1..200).filter(|&i| i >= n || i % 3 != 1).collect();
+            assert_eq!(bm.iter_ones().collect::<Vec<_>>(), want, "n={n}");
+        }
     }
 
     #[test]

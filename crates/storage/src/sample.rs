@@ -10,7 +10,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 use crate::bitmap::Bitmap;
 use crate::catalog::{Database, TableId};
-use crate::predicate::ColPredicate;
+use crate::predicate::{CmpOp, ColPredicate, PredTest};
 use crate::table::Table;
 
 /// A materialized uniform sample of one base table.
@@ -103,7 +103,10 @@ impl TableSample {
     /// Evaluates a conjunction of predicates against the sample into `bm`,
     /// which becomes a bitmap of `nominal_size` bits (bits past the
     /// materialized rows stay clear) and keeps its allocation: a predicate
-    /// at a time, each clearing the rows it rejects.
+    /// at a time, each clearing the rows it rejects. A comparison on a
+    /// column without NULLs tests the whole column, 64 rows to a word
+    /// (`Bitmap::and_where`); `IN`, `LIKE` and columns with NULLs test
+    /// only the rows still set.
     pub fn qualify_into<'a>(
         &self,
         preds: impl IntoIterator<Item = &'a ColPredicate>,
@@ -113,7 +116,14 @@ impl TableSample {
         bm.reset(self.nominal_size, rows);
         for p in preds {
             let col = self.rows.column(p.col);
-            bm.retain(|row| p.eval_row(col, row));
+            match (&p.test, col.null_mask()) {
+                (&PredTest::Cmp(op, lit), None) => match op {
+                    CmpOp::Eq => bm.and_where(col.data(), |v| v == lit),
+                    CmpOp::Lt => bm.and_where(col.data(), |v| v < lit),
+                    CmpOp::Gt => bm.and_where(col.data(), |v| v > lit),
+                },
+                _ => bm.retain(|row| p.eval_row(col, row)),
+            }
         }
     }
 
@@ -163,7 +173,7 @@ pub fn sample_all(db: &Database, size: usize, seed: u64) -> Vec<TableSample> {
 mod tests {
     use super::*;
     use crate::column::Column;
-    use crate::predicate::CmpOp;
+    use proptest::prelude::*;
 
     fn db() -> Database {
         let t = Table::new(
@@ -218,6 +228,56 @@ mod tests {
         let preds = vec![ColPredicate::new(1, CmpOp::Gt, 999_999)];
         assert!(s.qualifying_bitmap(&preds).is_all_clear());
         assert_eq!(s.selectivity(&preds), Some(0.0));
+    }
+
+    /// Predicate `code` on column 0 (no NULLs) or 1 (a third NULL): a
+    /// comparison, an `IN` list or a `LIKE` pattern, over the columns'
+    /// values −2..12, so each one keeps some rows and drops others.
+    fn predicate(code: u32) -> ColPredicate {
+        let col = (code % 2) as usize;
+        let lit = (code / 18 % 14) as i64 - 2;
+        match code / 2 % 3 {
+            0 => ColPredicate::new(col, CmpOp::ALL[(code / 6 % 3) as usize], lit),
+            1 => ColPredicate::is_in(col, vec![lit, lit + 3, 11 - lit]),
+            _ => ColPredicate::like(col, ["1%", "%3", "_", "-%"][(code / 6 % 4) as usize]),
+        }
+    }
+
+    proptest! {
+        /// Word-at-a-time comparisons and the row-at-a-time fallback
+        /// together equal the conjunction of `eval_row` over every row, on
+        /// row counts on both sides of a word and a nominal size beyond
+        /// the rows.
+        #[test]
+        fn qualify_into_is_the_conjunction_of_eval_row(
+            cells in prop::collection::vec(0..14 * 14 * 3u32, 0..200),
+            padding in 0..100usize,
+            codes in prop::collection::vec(0..1_000_000u32, 0..5),
+        ) {
+            let rows = cells.len();
+            let value = |c: u32| (c % 14) as i64 - 2;
+            let table = Table::new(
+                "t",
+                vec![
+                    Column::new("a", cells.iter().map(|&c| value(c)).collect()),
+                    Column::with_nulls(
+                        "b",
+                        cells.iter().map(|&c| value(c / 14)).collect(),
+                        cells.iter().map(|&c| c / 196 == 0).collect(),
+                    ),
+                ],
+            );
+            let preds: Vec<ColPredicate> = codes.into_iter().map(predicate).collect();
+            let want: Vec<usize> = (0..rows)
+                .filter(|&row| preds.iter().all(|p| p.eval_row(table.column(p.col), row)))
+                .collect();
+            let sample = TableSample::from_parts(TableId(0), (0..rows as u32).collect(), table, rows + padding);
+            let mut bm = Bitmap::all_set(7); // stale contents are replaced
+            sample.qualify_into(&preds, &mut bm);
+            prop_assert_eq!(bm.len(), rows + padding);
+            prop_assert_eq!(bm.iter_ones().collect::<Vec<_>>(), want);
+            prop_assert_eq!(&bm, &Bitmap::from_words(bm.words().to_vec(), rows + padding));
+        }
     }
 
     #[test]

@@ -78,24 +78,6 @@ impl Table {
         self.column_index(name).map(|i| &self.columns[i])
     }
 
-    /// Evaluates a conjunction of predicates, returning the qualifying rows
-    /// as a bitmap over `0..num_rows`.
-    pub fn filter_bitmap(&self, preds: &[ColPredicate]) -> Bitmap {
-        let mut bm = Bitmap::all_set(self.rows);
-        for p in preds {
-            let col = self.column(p.col);
-            // Tighten the current bitmap in place: only rows still set need
-            // re-evaluation.
-            let survivors: Vec<usize> = bm.iter_ones().collect();
-            for row in survivors {
-                if !p.eval_row(col, row) {
-                    bm.unset(row);
-                }
-            }
-        }
-        bm
-    }
-
     /// Evaluates a conjunction of predicates, returning qualifying row ids.
     pub fn filter_rows(&self, preds: &[ColPredicate]) -> Vec<u32> {
         if preds.is_empty() {
@@ -207,16 +189,6 @@ mod tests {
         let t = movies();
         assert_eq!(t.filter_rows(&[]).len(), 5);
         assert_eq!(t.filter_count(&[]), 5);
-        assert_eq!(t.filter_bitmap(&[]).count_ones(), 5);
-    }
-
-    #[test]
-    fn filter_bitmap_agrees_with_filter_rows() {
-        let t = movies();
-        let preds = vec![ColPredicate::new(1, CmpOp::Gt, 1995)];
-        let rows = t.filter_rows(&preds);
-        let bm = t.filter_bitmap(&preds);
-        assert_eq!(bm.iter_ones().map(|r| r as u32).collect::<Vec<_>>(), rows);
     }
 
     #[test]

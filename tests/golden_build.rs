@@ -16,7 +16,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// before training moved to the register-tiled zero-skipping kernels
 /// (dense 4×16 tiles forward and backward, SSE2 row sweeps at the input
 /// layer, scalar Adam). Hidden width 40 walks a 32-column and an 8-column
-/// AVX2 tile; from two lanes up the set modules run side by side, and with
+/// AVX2 tile, or one AVX-512 tile of three vectors, the last masked to 8
+/// lanes; from two lanes up the set modules run side by side, and with
 /// three each has a lane of its own.
 const GOLDEN_BYTES: usize = 60_543;
 const GOLDEN_FNV1A64: u64 = 0x950d_66bf_fae2_1776;
