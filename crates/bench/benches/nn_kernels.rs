@@ -6,8 +6,8 @@
 //! benchmark's sketch and stream.
 //!
 //! Prints its timings and asserts that every kernel path and both serving
-//! paths agree exactly; the committed, gated record of the same shapes is
-//! `bench_harness` stage 1 (`BENCH_quick.json`).
+//! paths agree exactly; it gates nothing, and `kernel_properties` holds
+//! the kernels' bits.
 //!
 //! Run: `cargo bench -p ds-bench --bench nn_kernels`
 

@@ -11,7 +11,6 @@
 //! everything.
 
 pub mod flat;
-pub mod harness;
 pub mod loadgen;
 
 use ds_core::builder::SketchBuilder;

@@ -15,8 +15,8 @@
 //! errors is retried (against whatever backend the closure routes it to)
 //! until it succeeds or its per-request deadline passes; only a
 //! deadline-exhausted request counts as *failed forever*. The chaos
-//! benchmark asserts that number is zero while replicas die and restart
-//! mid-run.
+//! test (`tests/fleet_chaos.rs`) asserts that number is zero while a
+//! replica dies and restarts mid-run.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

@@ -165,7 +165,7 @@ impl FaultInjector {
     /// faults above, the chaos schedule is **not** gated by
     /// [`FaultInjector::armed`]: it models *external* process death (a
     /// machine loss the supervisor reacts to), not a code-path injection,
-    /// and the fleet chaos benchmark runs in release builds. The injector
+    /// and the fleet chaos test runs in release builds too. The injector
     /// only carries the deterministic schedule; the driver does the
     /// killing.
     pub fn schedule_chaos_kill(&self, shard: usize) {

@@ -26,28 +26,12 @@ use crate::protocol::{ErrorCode, Request, Response};
 
 use super::FleetTopology;
 
-/// Tuning for [`FleetClient`].
-#[derive(Debug, Clone)]
-pub struct FleetClientConfig {
-    /// Per-connection connect/read deadline.
-    pub timeout: Duration,
-    /// Client-side per-shard circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
-}
-
-impl Default for FleetClientConfig {
-    fn default() -> Self {
-        Self {
-            timeout: Duration::from_secs(10),
-            breaker: BreakerConfig::default(),
-        }
-    }
-}
+/// Per-connection connect/read deadline of a [`FleetClient`].
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A routing client over a [`FleetTopology`].
 pub struct FleetClient {
     topology: FleetTopology,
-    cfg: FleetClientConfig,
     conns: HashMap<usize, Client>,
     breakers: BreakerRegistry,
     affinity: HashMap<String, usize>,
@@ -61,19 +45,13 @@ pub struct FleetClient {
 }
 
 impl FleetClient {
-    /// A client with default tuning.
+    /// A client over `topology`, its per-shard breakers at
+    /// [`BreakerConfig::default`].
     pub fn new(topology: FleetTopology) -> Self {
-        Self::with_config(topology, FleetClientConfig::default())
-    }
-
-    /// A client with explicit tuning.
-    pub fn with_config(topology: FleetTopology, cfg: FleetClientConfig) -> Self {
-        let breakers = BreakerRegistry::new(cfg.breaker);
         Self {
             topology,
-            cfg,
             conns: HashMap::new(),
-            breakers,
+            breakers: BreakerRegistry::new(BreakerConfig::default()),
             affinity: HashMap::new(),
             degraded: HashSet::new(),
             counters: Arc::new(FleetCounters::new()),
@@ -142,7 +120,7 @@ impl FleetClient {
                     format!("no shard {shard} in topology"),
                 )
             })?;
-            let mut conn = Client::connect_timeout(addr, self.cfg.timeout)?;
+            let mut conn = Client::connect_timeout(addr, CONNECT_TIMEOUT)?;
             conn.hello()?;
             self.conns.insert(shard, conn);
         }

@@ -101,13 +101,11 @@ pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
 };
 pub use faults::FaultInjector;
-pub use fleet::{
-    Fleet, FleetClient, FleetClientConfig, FleetConfig, FleetTopology, HashRing, ShardHealth,
-};
+pub use fleet::{Fleet, FleetClient, FleetConfig, FleetTopology, HashRing, ShardHealth};
 pub use line_reader::{LineReader, MAX_REQUEST_LINE};
 pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{
     format_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
     SUPPORTED_FEATURES,
 };
-pub use server::{query_template, Server, TemplateInterner};
+pub use server::{query_template, Server};

@@ -479,9 +479,8 @@ fn finish_timeline(p: PendingTimeline, sketch: &str, t0: Instant, shared: &Share
 /// rendered string, so the per-request timeline path pays a read-locked
 /// map hit on the shape its cache key already holds instead of
 /// re-rendering [`query_template`] (string sorts and a dozen allocations)
-/// on every request. Shared between the server's hot path and the bench
-/// harness's instrumentation-cost microbenchmark, so the gated number
-/// measures the code the server actually runs.
+/// on every request. Public for `ds-bench`'s `ceilings` test, which holds
+/// the per-request timeline work under an absolute ceiling.
 pub struct TemplateInterner {
     map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
 }

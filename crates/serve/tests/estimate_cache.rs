@@ -170,6 +170,12 @@ fn feedback_drift_purges_the_template() {
         stat(&mut c, "ds_serve_cache_invalidations") >= 1.0,
         "drift past the threshold must purge the template"
     );
+    // The purge changes no answer: the same artifact recomputes the bits
+    // it served before.
+    let misses = stat(&mut c, "ds_serve_cache_misses");
+    let recomputed = c.estimate_value("imdb", SQL).unwrap();
+    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), misses + 1.0);
+    assert_eq!(recomputed.to_bits(), v.to_bits());
     c.quit().unwrap();
     server.shutdown();
 }

@@ -28,11 +28,24 @@ const WORKLOAD: &[&str] = &[
 /// The tentpole guarantee: 64 concurrent clients, each request answered on
 /// its own handler thread — from the cache or by a forward pass of its own
 /// — and every answer bit-identical to a local per-query `estimate_one`.
+/// Then again with every hook on: timelines, an exemplar for every request
+/// and the global tracer.
 #[test]
 fn concurrent_estimates_match_estimate_one() {
+    concurrent_clients_match_estimate_one(ServeConfig::builder());
+    let obs = ds_obs::global();
+    let was_enabled = obs.is_enabled();
+    obs.enable();
+    let hooked = ServeConfig::builder().slow_threshold(Duration::ZERO);
+    concurrent_clients_match_estimate_one(hooked.timeline(true));
+    if !was_enabled {
+        obs.disable();
+    }
+}
+
+fn concurrent_clients_match_estimate_one(cfg: ds_serve::ServeConfigBuilder) {
     let (server, db, store) = start(
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
+        cfg.request_timeout(Duration::from_secs(30))
             .build()
             .unwrap(),
     );
