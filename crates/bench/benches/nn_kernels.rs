@@ -19,9 +19,8 @@ use ds_bench::{
     BENCH_SEED,
 };
 use ds_core::builder::SketchBuilder;
-use ds_core::QuantMode;
 use ds_nn::pool::Team;
-use ds_nn::sparse::{Finish, Kernel, Weights};
+use ds_nn::sparse::{Finish, Kernel};
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
@@ -107,7 +106,7 @@ fn main() {
         print!("  {name:<22} {t_ref:>12.6}");
         let mut t_dispatched = f64::NAN;
         for &kernel in &kernels {
-            let (w, finish) = (Weights::F32(layer.weights().data()), Finish::Store);
+            let (w, finish) = (layer.weights().data(), Finish::Store);
             let mut y = vec![f32::NAN; want.data().len()];
             let t = median_secs(iters, || kernel.run(w, n, rows.rows(), finish, &mut y));
             // Sanity: every kernel must agree with the reference exactly.
@@ -164,7 +163,7 @@ fn main() {
             format!("{} of {k} → {hidden}", pooled.entries.len())
         );
         // Every kernel and the L2 probe once per round, rounds repeated.
-        let (w, finish) = (Weights::F32(w), Finish::Store);
+        let finish = Finish::Store;
         let mut y = vec![0.0f32; hidden];
         let reps = 200;
         let mut times = vec![Vec::new(); kernels.len()];
@@ -276,7 +275,7 @@ fn main() {
     let mut cold = Vec::new();
     let mut cold_memo = ds_core::MemoStats::default();
     for chunk in stream.chunks_exact(64).take(32) {
-        sketch.freeze(QuantMode::F32);
+        sketch.freeze();
         cold.push(secs(|| sketch.estimate_batch(chunk)) / 64.0);
         let memo = sketch.memo_stats();
         (cold_memo.hits, cold_memo.misses) =
@@ -290,7 +289,7 @@ fn main() {
     );
 
     // All-hit: the query just answered, asked again.
-    sketch.freeze(QuantMode::F32);
+    sketch.freeze();
     let mut warm = Vec::new();
     let mut warm_memo = ds_core::MemoStats::default();
     for q in &stream[..2048] {
@@ -310,7 +309,7 @@ fn main() {
     );
 
     // The stream in order from an empty memo, one `estimate_one` each.
-    sketch.freeze(QuantMode::F32);
+    sketch.freeze();
     let times = stream
         .iter()
         .map(|q| secs(|| sketch.estimate_one(q)))

@@ -48,8 +48,9 @@ pub fn bench_tpch() -> Database {
 }
 
 /// The standard sketch configuration used by the accuracy experiments:
-/// 8000 training queries, 24 epochs, 100-tuple samples, 64 hidden units,
-/// up to 5 tables per training query (JOB-light needs up to 4 joins).
+/// 10 000 training queries, 30 epochs, 100-tuple samples, 96 hidden units,
+/// batches of 128, up to 5 tables (JOB-light needs up to 4 joins) and 4
+/// predicates per training query.
 pub fn standard_sketch_builder<'a>(
     db: &'a Database,
     predicate_columns: Vec<ds_storage::catalog::ColRef>,

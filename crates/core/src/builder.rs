@@ -11,7 +11,6 @@
 
 use std::time::{Duration, Instant};
 
-use ds_nn::frozen::QuantMode;
 use ds_nn::loss::LabelNormalizer;
 use ds_query::query::Query;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -114,7 +113,6 @@ pub struct SketchBuilder<'a> {
     restore_best: bool,
     /// `None` until [`SketchBuilder::threads`] is called.
     threads: Option<usize>,
-    quantization: QuantMode,
     seed: u64,
     in_frac: f64,
     like_frac: f64,
@@ -122,11 +120,6 @@ pub struct SketchBuilder<'a> {
     schema_v2: bool,
     pred_bitmap_bits: usize,
 }
-
-/// Training queries probed by the freeze accuracy gate at finalize. A
-/// prefix of the training workload suffices: the gate compares two
-/// numerical paths over the *same* weights, not model generalization.
-const FREEZE_PROBES: usize = 256;
 
 impl<'a> SketchBuilder<'a> {
     /// Starts a builder over a database with the given predicate-eligible
@@ -151,7 +144,6 @@ impl<'a> SketchBuilder<'a> {
             early_stop_patience: None,
             restore_best: false,
             threads: None,
-            quantization: QuantMode::F32,
             seed: 0xD5_5EED,
             in_frac: 0.0,
             like_frac: 0.0,
@@ -260,14 +252,6 @@ impl<'a> SketchBuilder<'a> {
     /// execution and the sketch's `estimate_batch` on one thread.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Quantization mode of the frozen serving artifact produced at
-    /// finalize (f32 by default; int8 halves the artifact's weight bytes
-    /// at a small, gate-bounded accuracy cost).
-    pub fn quantization(mut self, mode: QuantMode) -> Self {
-        self.quantization = mode;
         self
     }
 
@@ -442,22 +426,6 @@ impl<'a> SketchBuilder<'a> {
         // the sketch as the reference for online drift detection.
         if let Some(baseline) = crate::monitor::baseline_from_qerrors(&training.holdout_qerrors) {
             sketch.set_baseline(baseline);
-        }
-        // The sketch already serves through its bit-exact f32 artifact.
-        // A requested int8 artifact replaces it only through the accuracy
-        // gate: a prefix of the training queries probes it against the
-        // trained model, and a gate miss keeps f32 (with a warning
-        // counter) instead of shipping a drifted artifact.
-        if self.quantization != QuantMode::F32 {
-            let probes = &queries[..queries.len().min(FREEZE_PROBES)];
-            let gate = crate::sketch::FREEZE_GATE_MAX_DELTA;
-            if sketch
-                .freeze_gated(self.quantization, probes, gate)
-                .is_err()
-                && obs.is_enabled()
-            {
-                obs.count("build/freeze_gate_failures", 1);
-            }
         }
         let footprint_bytes = sketch.footprint_bytes();
         let report = BuildReport {

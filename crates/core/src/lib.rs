@@ -57,13 +57,12 @@ pub use maintain::{
 pub use metrics::{qerror, QErrorSummary};
 pub use monitor::{MonitorRegistry, MonitorState, QErrorMonitor};
 pub use mscn::{MscnConfig, MscnModel};
-pub use sketch::{DeepSketch, SketchInfo, FREEZE_GATE_MAX_DELTA};
+pub use sketch::{DeepSketch, SketchInfo};
 
-pub use ds_nn::frozen::{MemoStats, QuantMode};
+pub use ds_nn::frozen::MemoStats;
 pub use snapshot::{SketchSnapshot, SnapshotError, WriteFault};
 pub use store::{
-    QuarantineReason, RecoveryReport, SketchStatus, SketchStore, StoreError, StoreHandle,
-    SwapOutcome,
+    QuarantineReason, RecoveryReport, SketchStatus, SketchStore, StoreError, SwapOutcome,
 };
 pub use template::{QueryTemplate, TemplateInstance, ValueFn};
 pub use train::{LossKind, TrainConfig, TrainingReport};

@@ -46,7 +46,7 @@
 //! parameters in two. A fork moves where an element is computed, never
 //! how: every lane count trains the same bits.
 
-use ds_nn::frozen::{FrozenLinear, FrozenModel, IndexSet, QuantMode};
+use ds_nn::frozen::{FrozenLinear, FrozenModel, IndexSet};
 use ds_nn::linear::{GradScratch, Linear};
 use ds_nn::ops::{
     relu, relu_backward_inplace, segment_mean, segment_mean_backward_into, segment_mean_into,
@@ -255,15 +255,6 @@ impl MscnModel {
         self.hidden
     }
 
-    /// Expected input dimensions `(table, join, pred)`.
-    pub fn input_dims(&self) -> (usize, usize, usize) {
-        (
-            self.tables.l1.in_dim(),
-            self.joins.l1.in_dim(),
-            self.preds.l1.in_dim(),
-        )
-    }
-
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.tables.num_params()
@@ -443,20 +434,19 @@ impl MscnModel {
     }
 
     /// Converts the trained weights into a serving-only [`FrozenModel`]:
-    /// every layer is copied (f32) or quantized (int8, per-input-row
-    /// scales) into the gather-friendly frozen layout. This model keeps
-    /// owning training and serialization; the frozen artifact serves
-    /// every estimate.
-    pub fn freeze(&self, mode: QuantMode) -> FrozenModel {
+    /// every layer is copied into the gather-friendly frozen layout. This
+    /// model keeps owning training and serialization; the frozen artifact
+    /// serves every estimate.
+    pub fn freeze(&self) -> FrozenModel {
         FrozenModel::new(
-            FrozenLinear::from_linear(&self.tables.l1, mode),
-            FrozenLinear::from_linear(&self.tables.l2, mode),
-            FrozenLinear::from_linear(&self.joins.l1, mode),
-            FrozenLinear::from_linear(&self.joins.l2, mode),
-            FrozenLinear::from_linear(&self.preds.l1, mode),
-            FrozenLinear::from_linear(&self.preds.l2, mode),
-            FrozenLinear::from_linear(&self.out1, mode),
-            FrozenLinear::from_linear(&self.out2, mode),
+            FrozenLinear::from_linear(&self.tables.l1),
+            FrozenLinear::from_linear(&self.tables.l2),
+            FrozenLinear::from_linear(&self.joins.l1),
+            FrozenLinear::from_linear(&self.joins.l2),
+            FrozenLinear::from_linear(&self.preds.l1),
+            FrozenLinear::from_linear(&self.preds.l2),
+            FrozenLinear::from_linear(&self.out1),
+            FrozenLinear::from_linear(&self.out2),
         )
     }
 

@@ -11,17 +11,17 @@
 //! [`DeepSketch::estimate_batch`] and the validating `try_` forms, at any
 //! batch size and thread count — is one call of that artifact's fused
 //! batched kernel over sparse index lists, from per-thread scratch. The
-//! artifact is f32 (bit-identical to the trained model, so freezing it
-//! needs no gate) unless an int8 artifact passed the accuracy gate. The
-//! trained model is what gets serialized and retrained; its reference
-//! forward (naive kernels over dense features) is
-//! [`DeepSketch::reference_estimates`], the oracle the freeze gate, the
-//! tests and the bench harness hold the serving path against.
+//! artifact is a copy of the trained model's f32 weights, so it answers
+//! bit for bit what the model answers. The trained model is what gets
+//! serialized and retrained; the artifact is frozen from it again on load.
+//! The model's reference forward (naive kernels over dense features) is
+//! [`DeepSketch::reference_estimates`], the oracle the tests and the bench
+//! harness hold the serving path against.
 
 use std::cell::RefCell;
 
 use ds_est::{CardinalityEstimator, EstimateError};
-use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats, QuantMode};
+use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats};
 use ds_nn::loss::LabelNormalizer;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 use ds_obs::HistogramSnapshot;
@@ -40,9 +40,11 @@ const MAGIC: &[u8; 4] = b"DSKT";
 /// The serialization version, and the only one [`DeepSketch::from_bytes`]
 /// accepts: model, samples, the feature-schema generation with its
 /// per-predicate bitmap width, the optional training-time q-error
-/// baseline, and the optional frozen inference artifact. The frozen
-/// section carries an int8 artifact only; an f32 artifact, a bit-exact
-/// copy of the model weights stored just before it, is re-derived on load.
+/// baseline, and the frozen-section flag word. The flag is always `0`:
+/// the serving artifact is a bit-exact copy of the model weights stored
+/// just before it, so it is frozen again on load and never stored. Older
+/// v4 writers set it to `1` and stored an artifact after it;
+/// [`DeepSketch::from_bytes`] refuses those blobs as corrupt.
 const VERSION: u32 = 4;
 
 /// Queries per call of the fused kernel. Bounds the activation scratch
@@ -50,13 +52,6 @@ const VERSION: u32 = 4;
 /// spread across serving threads. Chunking never changes results: a
 /// query's rows share no accumulator with any other query's.
 const SERVE_CHUNK: usize = 64;
-
-/// Accuracy gate for freezing (see [`DeepSketch::freeze_gated`]): the worst
-/// per-probe q-style ratio `max(frozen/reference, reference/frozen)` must
-/// stay at or below this for the artifact to be adopted. The f32 mode is
-/// bit-identical to the reference kernels, so its delta is exactly 1.0;
-/// this bound is what actually guards int8 quantization.
-pub const FREEZE_GATE_MAX_DELTA: f64 = 1.05;
 
 /// Per-thread scratch of the inference path: the batch's index lists and
 /// per-query element counts, the kernel's activations, and its outputs.
@@ -145,15 +140,15 @@ pub struct DeepSketch {
     /// against. `None` for sketches trained without a validation split.
     baseline: Option<HistogramSnapshot>,
     /// The serving artifact every estimate runs through: the model's
-    /// weights in gather-friendly layout, f32 (bit-exact) or gate-passed
-    /// int8. Always consistent with `model`'s shapes by construction.
+    /// weights, bit-exact, in gather-friendly layout. Always frozen from
+    /// `model`, so its shapes are the model's by construction.
     frozen: FrozenModel,
 }
 
 impl DeepSketch {
     /// Assembles a sketch from trained parts (used by
-    /// [`crate::builder::SketchBuilder`]), freezing the f32 serving
-    /// artifact — a copy of the weights, bit-exact, so it needs no gate.
+    /// [`crate::builder::SketchBuilder`]), freezing the serving artifact —
+    /// a copy of the weights, bit-exact.
     pub fn from_parts(
         model: MscnModel,
         featurizer: Featurizer,
@@ -164,7 +159,7 @@ impl DeepSketch {
         let database_name = database_name.into();
         let name = format!("Deep Sketch ({database_name})");
         Self {
-            frozen: model.freeze(QuantMode::F32),
+            frozen: model.freeze(),
             model,
             featurizer,
             samples,
@@ -206,47 +201,18 @@ impl DeepSketch {
         self.frozen.memo_stats()
     }
 
-    /// Re-freezes the trained model into the serving artifact without an
-    /// accuracy check. For f32 this is always safe (the fused path is
-    /// bit-identical to the reference kernels); int8 callers should prefer
-    /// [`DeepSketch::freeze_gated`].
-    pub fn freeze(&mut self, mode: QuantMode) {
-        self.frozen = self.model.freeze(mode);
-    }
-
-    /// Freezes with an accuracy gate: estimates every probe query through
-    /// [`DeepSketch::reference_estimates`] and through the candidate
-    /// artifact and adopts the artifact only if the worst q-style ratio
-    /// `max(f/r, r/f)` stays at or below `max_delta` (see
-    /// [`FREEZE_GATE_MAX_DELTA`]). Returns the observed worst ratio either
-    /// way: `Ok` when the artifact was adopted, `Err` when it failed the
-    /// gate and the previous artifact was kept.
-    pub fn freeze_gated(
-        &mut self,
-        mode: QuantMode,
-        probes: &[Query],
-        max_delta: f64,
-    ) -> Result<f64, f64> {
-        let reference = self.reference_estimates(probes);
-        let prior = std::mem::replace(&mut self.frozen, self.model.freeze(mode));
-        let worst = self
-            .estimate_batch(probes)
-            .iter()
-            .zip(&reference)
-            .fold(1.0f64, |worst, (&f, &r)| worst.max((f / r).max(r / f)));
-        if worst <= max_delta {
-            Ok(worst)
-        } else {
-            self.frozen = prior;
-            Err(worst)
-        }
+    /// Re-freezes the trained model into a new serving artifact, with an
+    /// empty element memo. Answers stay bit-identical: the artifact is a
+    /// copy of the weights.
+    pub fn freeze(&mut self) {
+        self.frozen = self.model.freeze();
     }
 
     /// Estimates through the trained model's reference forward
     /// ([`MscnModel::predict`]): dense feature tensors through the naive
     /// f32 product, which shares no kernel with serving or training. Never
-    /// on the serving path — this is the named oracle the freeze gate, the
-    /// bit-identity tests and the bench harness compare serving against.
+    /// on the serving path — this is the named oracle the bit-identity
+    /// tests and the bench harness compare serving against.
     pub fn reference_estimates(&self, queries: &[Query]) -> Vec<f64> {
         let mut out = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(SERVE_CHUNK) {
@@ -293,8 +259,7 @@ impl DeepSketch {
     }
 
     /// Estimated cardinality of one query (≥ 1): a batch of one through
-    /// the fused kernel (bit-identical to the trained model for f32,
-    /// gate-bounded for int8).
+    /// the fused kernel (bit-identical to the trained model).
     pub fn estimate_one(&self, query: &Query) -> f64 {
         let mut estimate = [0.0];
         self.fused_estimates(std::iter::once(query), &mut estimate);
@@ -487,17 +452,8 @@ impl DeepSketch {
             None => e.u64(0),
         }
 
-        // Frozen inference artifact (v3+): optional flag + payload, with
-        // the quantization mode recorded inside the payload. An f32
-        // artifact is the model section again, bit for bit, so only int8
-        // is stored; flag 0 means "freeze f32 on load".
-        match self.frozen.mode() {
-            QuantMode::F32 => e.u64(0),
-            QuantMode::Int8 => {
-                e.u64(1);
-                self.frozen.encode_into(&mut e);
-            }
-        }
+        // Frozen-section flag (v3+): always 0, "freeze the model on load".
+        e.u64(0);
         e.finish()
     }
 
@@ -644,41 +600,19 @@ impl DeepSketch {
             None
         };
 
-        // Whatever frozen artifact is stored must fit the model it claims
-        // to serve — mismatched quantization metadata is corruption, not a
-        // servable state — but only an int8 payload is kept: `from_parts`
-        // has already frozen f32, which is all a stored f32 payload (older
-        // v4 writers) could say.
-        let stored = if d.flag()? {
-            let artifact = FrozenModel::decode_from(&mut d)?;
-            if let Some(msg) = artifact_mismatch(&model, &artifact) {
-                return Err(DecodeError::Corrupt(msg));
-            }
-            Some(artifact)
-        } else {
-            None
-        };
+        // The artifact is frozen from the model, never read. A set flag is
+        // an older v4 writer's stored artifact (an f32 copy, or int8
+        // weights), which this reader no longer decodes.
+        if d.flag()? {
+            return Err(DecodeError::Corrupt(
+                "stored frozen artifact (an f32 copy or int8 weights) is no longer read".into(),
+            ));
+        }
 
         let mut sketch = Self::from_parts(model, featurizer, samples, normalizer, database_name);
         sketch.baseline = baseline;
-        if let Some(artifact) = stored.filter(|a| a.mode() == QuantMode::Int8) {
-            sketch.frozen = artifact;
-        }
         Ok(sketch)
     }
-}
-
-/// Shape agreement between a decoded artifact and the model it arrived
-/// with: `None` when consistent, otherwise what differs. Decoding already
-/// checked the artifact's own wiring, so its hidden width and input
-/// widths say everything. An artifact frozen from the model itself agrees
-/// by construction, so only [`DeepSketch::from_bytes`] asks.
-fn artifact_mismatch(model: &MscnModel, frozen: &FrozenModel) -> Option<String> {
-    let [t1, _, j1, _, p1, ..] = frozen.layers();
-    let got = (frozen.hidden(), (t1.in_dim(), j1.in_dim(), p1.in_dim()));
-    let want = (model.hidden(), model.input_dims());
-    (got != want)
-        .then(|| format!("frozen artifact has (hidden, input widths) {got:?}, its model {want:?}"))
 }
 
 impl CardinalityEstimator for DeepSketch {
@@ -834,21 +768,22 @@ mod tests {
             );
         }
 
-        // v4 writers used to store the f32 artifact too (flag 1 and a
-        // second copy of the weights). Those blobs still decode, answer
-        // bit-identically, and re-encode to today's shorter form.
-        let title = parse_query(&_db, "SELECT COUNT(*) FROM title").unwrap();
+        // Older v4 writers set the frozen-section flag and stored an
+        // artifact after it (an f32 copy, or int8 weights). The flag alone
+        // is a typed refusal, whatever follows it.
         let blob = sketch.to_bytes();
-        let mut e = Encoder::new();
-        e.u64(1);
-        sketch.frozen.encode_into(&mut e);
-        let mut old = blob[..blob.len() - 8].to_vec();
-        old.extend(e.finish());
-        assert!(old.len() > blob.len() + sketch.frozen.footprint_bytes());
-        let loaded = DeepSketch::from_bytes(&old).expect("an f32 payload must load");
-        assert_eq!(loaded.frozen(), sketch.frozen());
-        assert_eq!(loaded.estimate_one(&title), sketch.estimate_one(&title));
-        assert_eq!(loaded.to_bytes(), blob, "re-encodes short");
+        assert_eq!(blob[blob.len() - 8..], 0u64.to_le_bytes());
+        for tail in [&[][..], &[0u8; 64][..]] {
+            let mut old = blob.clone();
+            old[blob.len() - 8..].copy_from_slice(&1u64.to_le_bytes());
+            old.extend_from_slice(tail);
+            assert_eq!(
+                DeepSketch::from_bytes(&old).err(),
+                Some(DecodeError::Corrupt(
+                    "stored frozen artifact (an f32 copy or int8 weights) is no longer read".into()
+                ))
+            );
+        }
 
         // A corrupt baseline payload is rejected, not silently zeroed.
         let mut bad = sketch.to_bytes();
@@ -963,78 +898,18 @@ mod tests {
     }
 
     #[test]
-    fn freeze_gated_adopts_f32_exactly_and_keeps_prior_on_failure() {
+    fn a_loaded_or_refrozen_artifact_is_the_built_one() {
         let (db, mut sketch) = tiny_sketch();
-        let probes = ds_query::workloads::job_light::job_light_workload(&db, 2);
-        // F32 is bit-identical to the reference path, so the observed
-        // worst ratio is exactly 1.0 and the gate always passes.
-        let delta = sketch
-            .freeze_gated(QuantMode::F32, &probes, FREEZE_GATE_MAX_DELTA)
-            .expect("f32 freeze must pass the gate");
-        assert_eq!(delta, 1.0);
-        assert_eq!(sketch.frozen().unwrap().mode(), QuantMode::F32);
-
-        // An unsatisfiable gate (worst ratio is always ≥ 1.0) rejects the
-        // candidate and leaves the prior artifact untouched.
-        let prior = sketch.frozen().cloned();
-        let worst = sketch
-            .freeze_gated(QuantMode::Int8, &probes, 0.5)
-            .expect_err("no artifact can beat a 0.5 gate");
-        assert!(worst >= 1.0);
-        assert_eq!(sketch.frozen(), prior.as_ref());
-    }
-
-    #[test]
-    fn int8_freeze_tracks_reference_estimates() {
-        let (db, mut sketch) = tiny_sketch();
-        let probes = ds_query::workloads::job_light::job_light_workload(&db, 2);
-        let reference = sketch.reference_estimates(&probes);
-        sketch.freeze(QuantMode::Int8);
-        // Int8 is approximate: estimates stay within a loose q-style
-        // band of the reference, and batch == looped singles still holds
-        // (one kernel at every batch size).
-        let quantized: Vec<f64> = probes.iter().map(|q| sketch.estimate_one(q)).collect();
-        for (&r, &f) in reference.iter().zip(&quantized) {
-            let ratio = (f / r).max(r / f);
-            assert!(ratio < 2.0, "int8 drifted: {f} vs reference {r}");
-        }
-        assert_eq!(sketch.estimate_batch(&probes), quantized);
-    }
-
-    #[test]
-    fn frozen_artifact_roundtrips_and_mismatches_are_rejected() {
-        use crate::mscn::MscnConfig;
-
-        let (db, mut sketch) = tiny_sketch();
+        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
+        let built = sketch.estimate_one(&q);
+        assert!(sketch.memo_stats().misses > 0);
         let restored = DeepSketch::from_bytes(&sketch.to_bytes()).unwrap();
         assert_eq!(restored.frozen(), sketch.frozen());
-
-        // Only an int8 artifact is stored; the f32 one costs a flag word.
-        let f32_len = sketch.to_bytes().len();
-        sketch.freeze(QuantMode::Int8);
-        let int8 = sketch.to_bytes();
-        assert!(int8.len() > f32_len + sketch.frozen.footprint_bytes());
-        let restored = DeepSketch::from_bytes(&int8).unwrap();
-        assert_eq!(restored.frozen(), sketch.frozen());
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        assert_eq!(restored.estimate_one(&q), sketch.estimate_one(&q));
-
-        // A stored artifact frozen from a different-width model is
-        // rejected on decode: it could only gather out of bounds.
-        let f = sketch.featurizer();
-        let alien = MscnModel::new(
-            f.table_dim(),
-            f.join_dim(),
-            f.pred_dim(),
-            MscnConfig { hidden: 8, seed: 1 },
-        )
-        .freeze(QuantMode::Int8);
-        let mut broken = sketch.clone();
-        broken.frozen = alien;
-        assert!(matches!(
-            DeepSketch::from_bytes(&broken.to_bytes()),
-            Err(DecodeError::Corrupt(_))
-        ));
+        assert_eq!(restored.estimate_one(&q).to_bits(), built.to_bits());
+        // A re-freeze starts from an empty memo and answers the same bits.
+        sketch.freeze();
+        assert_eq!(sketch.memo_stats(), MemoStats::default());
+        assert_eq!(sketch.estimate_one(&q).to_bits(), built.to_bits());
     }
 
     #[test]

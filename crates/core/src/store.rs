@@ -419,17 +419,6 @@ impl SketchStore {
         Ok(self.get(name)?.try_estimate_batch(queries))
     }
 
-    /// A [`CardinalityEstimator`] handle bound to one named sketch, so the
-    /// store plugs into anything consuming the common trait. The handle
-    /// resolves the name on every call: it stays valid across background
-    /// retraining and swaps to the new model the moment it becomes ready.
-    pub fn handle<'a>(&'a self, name: &str) -> StoreHandle<'a> {
-        StoreHandle {
-            store: self,
-            name: name.to_string(),
-        }
-    }
-
     /// The build report of a background-trained sketch, if available.
     pub fn report(&self, name: &str) -> Option<BuildReport> {
         self.poll();
@@ -796,62 +785,6 @@ impl SketchStore {
     }
 }
 
-/// A named-sketch view of a [`SketchStore`] implementing
-/// [`CardinalityEstimator`] — the store's entry into the workspace-wide
-/// estimator interface. Store-level failures (unknown name, still
-/// training) map to [`EstimateError::Unavailable`].
-pub struct StoreHandle<'a> {
-    store: &'a SketchStore,
-    name: String,
-}
-
-impl StoreHandle<'_> {
-    /// The sketch name this handle resolves.
-    pub fn sketch_name(&self) -> &str {
-        &self.name
-    }
-
-    fn resolve(&self) -> Result<Arc<DeepSketch>, EstimateError> {
-        self.store
-            .get(&self.name)
-            .map_err(|e| EstimateError::Unavailable(e.to_string()))
-    }
-}
-
-impl CardinalityEstimator for StoreHandle<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Infallible path: unavailable or unanswerable queries degrade to the
-    /// 1.0 floor every estimator clamps to.
-    fn estimate(&self, query: &Query) -> f64 {
-        self.try_estimate(query).unwrap_or(1.0)
-    }
-
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        self.resolve()?.try_estimate(query)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        match self.resolve() {
-            Ok(sketch) => sketch
-                .try_estimate_batch(queries)
-                .into_iter()
-                .map(|r| r.unwrap_or(1.0))
-                .collect(),
-            Err(_) => vec![1.0; queries.len()],
-        }
-    }
-
-    fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
-        match self.resolve() {
-            Ok(sketch) => sketch.try_estimate_batch(queries),
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,40 +862,6 @@ mod tests {
             store.swap("nope", replacement),
             Err(StoreError::UnknownSketch(_))
         ));
-    }
-
-    #[test]
-    fn handle_is_a_cardinality_estimator() {
-        let db = imdb_database(&ImdbConfig::tiny(6));
-        let store = SketchStore::new();
-        store.insert("imdb", tiny_sketch(&db, 3)).unwrap();
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-
-        let handle = store.handle("imdb");
-        assert_eq!(handle.name(), "imdb");
-        assert_eq!(handle.sketch_name(), "imdb");
-        let direct = store.get("imdb").unwrap().estimate_one(&q);
-        assert_eq!(handle.estimate(&q), direct);
-        assert_eq!(handle.try_estimate(&q), Ok(direct));
-        assert_eq!(
-            handle.estimate_batch(std::slice::from_ref(&q)),
-            vec![direct]
-        );
-        assert_eq!(
-            handle.try_estimate_batch(std::slice::from_ref(&q)),
-            vec![Ok(direct)]
-        );
-
-        // A handle to a missing sketch degrades (estimate) or errors
-        // (try_estimate) — it never panics.
-        let missing = store.handle("nope");
-        assert_eq!(missing.estimate(&q), 1.0);
-        assert!(matches!(
-            missing.try_estimate(&q),
-            Err(EstimateError::Unavailable(_))
-        ));
-        assert_eq!(missing.estimate_batch(std::slice::from_ref(&q)), vec![1.0]);
-        assert!(missing.try_estimate_batch(std::slice::from_ref(&q))[0].is_err());
     }
 
     #[test]
@@ -1134,6 +1033,28 @@ mod tests {
         let (_, _, report2) = SketchStore::open_dir(&dir).unwrap();
         assert_eq!(report2.loaded, vec![("s".to_string(), gen)]);
         assert_eq!(report2.quarantined.len(), 1);
+        // So is a sealed snapshot whose sketch sets the frozen-section flag,
+        // as older writers did when they stored the artifact too.
+        let mut blob = store.get("s").unwrap().to_bytes();
+        let flag = blob.len() - 8;
+        blob[flag..].copy_from_slice(&1u64.to_le_bytes());
+        use crate::snapshot::{seal, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        let old = seal(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |e| {
+            e.string("s");
+            e.u64(gen + 4);
+            e.bytes(&blob);
+            e.u64(0);
+        });
+        crate::snapshot::write_snapshot_bytes(&dir, "s", gen + 4, &old, &Default::default())
+            .unwrap();
+        let (_, _, report3) = SketchStore::open_dir(&dir).unwrap();
+        assert_eq!(report3.loaded, vec![("s".to_string(), gen)]);
+        assert!(
+            matches!(&report3.quarantined[..], [(_, QuarantineReason::Corrupt(e))]
+                if e.contains("stored frozen artifact")),
+            "{:?}",
+            report3.quarantined
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

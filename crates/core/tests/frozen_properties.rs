@@ -1,13 +1,11 @@
 //! Property tests for the frozen inference artifact: across random model
 //! shapes, weight seeds, and query batches, the fused
 //! featurize-and-forward path must agree with the training-shape reference
-//! forward — **bit-exactly** in [`QuantMode::F32`], and within a stated
-//! tolerance in [`QuantMode::Int8`] — from every thread count we serve
-//! with. And since that path is the only one a sketch serves through:
-//! every batch size and thread count of [`DeepSketch::estimate_batch`]
-//! must equal the looped single estimates bit for bit, in both modes, and
-//! the AVX2 column-tile kernel must equal its portable oracle at every
-//! tile width. The artifact memoizes set-element embeddings, so all of it
+//! forward **bit-exactly**, from every thread count we serve with. And
+//! since that path is the only one a sketch serves through: every batch
+//! size and thread count of [`DeepSketch::estimate_batch`] must equal the
+//! looped single estimates bit for bit, and the column-tile kernel must
+//! equal its portable oracle at every tile width. The artifact memoizes set-element embeddings, so all of it
 //! also has to hold between a sketch that has served a stream and one that
 //! has served nothing — from eight threads at once, which is what CI's
 //! ThreadSanitizer job runs this suite for.
@@ -18,7 +16,6 @@ use ds_core::builder::SketchBuilder;
 use ds_core::featurize::{Featurizer, QueryIndexFeatures};
 use ds_core::mscn::{MscnConfig, MscnModel};
 use ds_core::sketch::DeepSketch;
-use ds_core::QuantMode;
 use ds_est::CardinalityEstimator;
 use ds_nn::frozen::{FrozenModel, FrozenScratch, IndexSet};
 use ds_query::parser::parse_query;
@@ -29,14 +26,6 @@ use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 use ds_storage::sample::{sample_all, TableSample};
 use proptest::prelude::*;
-
-/// Worst absolute disagreement allowed between the int8 artifact and the
-/// f32 reference, in normalized (post-sigmoid) output space. Per-row
-/// scales bound each weight's quantization error by `max_abs/254`
-/// (≈0.4 % relative), and the sigmoid is 1/4-Lipschitz, so accumulated
-/// drift through the three set modules and the output MLP stays far
-/// below this.
-const INT8_TOLERANCE: f32 = 0.05;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -103,7 +92,7 @@ proptest! {
         .generate_batch(batch);
         let reference = model.predict(&featurizer.batch_queries(&queries, samples));
 
-        let frozen = model.freeze(QuantMode::F32);
+        let frozen = model.freeze();
         for threads in THREAD_COUNTS {
             for outputs in fused_on_threads(&frozen, &queries, threads) {
                 for (i, (fused, reference)) in outputs.iter().zip(&reference).enumerate() {
@@ -111,41 +100,6 @@ proptest! {
                         fused.to_bits(),
                         reference.to_bits(),
                         "query {} diverged on {} threads: fused {} vs reference {}",
-                        i, threads, fused, reference
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_int8_forward_tracks_reference_within_tolerance(
-        hidden in 4usize..24,
-        model_seed in 0u64..1_000_000,
-        query_seed in 0u64..1_000_000,
-        batch in 1usize..6,
-    ) {
-        let (db, samples, featurizer) = fixture();
-        let model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig { hidden, seed: model_seed },
-        );
-        let queries = QueryGenerator::new(
-            db,
-            GeneratorConfig::new(imdb_predicate_columns(db), query_seed),
-        )
-        .generate_batch(batch);
-        let reference = model.predict(&featurizer.batch_queries(&queries, samples));
-
-        let frozen = model.freeze(QuantMode::Int8);
-        for threads in THREAD_COUNTS {
-            for outputs in fused_on_threads(&frozen, &queries, threads) {
-                for (i, (fused, reference)) in outputs.iter().zip(&reference).enumerate() {
-                    prop_assert!(
-                        (fused - reference).abs() <= INT8_TOLERANCE,
-                        "query {} drifted on {} threads: int8 {} vs reference {}",
                         i, threads, fused, reference
                     );
                 }
@@ -175,41 +129,30 @@ fn mixed_queries(n: usize) -> Vec<Query> {
 
 #[test]
 fn every_batch_size_and_thread_count_is_the_looped_single_estimate() {
-    let built = small_sketch();
+    let mut sketch: DeepSketch = small_sketch().clone();
     let queries = mixed_queries(3 * 256 + 7);
-    for mode in [QuantMode::F32, QuantMode::Int8] {
-        let mut sketch: DeepSketch = built.clone();
-        sketch.freeze(mode);
-        assert_eq!(sketch.frozen().map(FrozenModel::mode), Some(mode));
-        let looped: Vec<u64> = queries
-            .iter()
-            .map(|q| sketch.estimate_one(q).to_bits())
-            .collect();
-        if mode == QuantMode::F32 {
-            let reference = sketch.reference_estimates(&queries);
-            let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(reference, looped, "f32 artifact vs the trained model");
-        }
-        for threads in THREAD_COUNTS {
-            sketch.set_threads(threads);
-            for batch in [1, 2, 63, 64, 65, 3 * 256 + 7] {
-                let got: Vec<u64> = sketch
-                    .estimate_batch(&queries[..batch])
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(
-                    got,
-                    looped[..batch],
-                    "{mode:?} batch={batch} threads={threads}"
-                );
-                let tried: Vec<u64> = sketch
-                    .try_estimate_batch(&queries[..batch])
-                    .into_iter()
-                    .map(|r| r.expect("in-vocabulary query").to_bits())
-                    .collect();
-                assert_eq!(tried, got, "{mode:?} try batch={batch}");
-            }
+    let looped: Vec<u64> = queries
+        .iter()
+        .map(|q| sketch.estimate_one(q).to_bits())
+        .collect();
+    let reference = sketch.reference_estimates(&queries);
+    let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(reference, looped, "f32 artifact vs the trained model");
+    for threads in THREAD_COUNTS {
+        sketch.set_threads(threads);
+        for batch in [1, 2, 63, 64, 65, 3 * 256 + 7] {
+            let got: Vec<u64> = sketch
+                .estimate_batch(&queries[..batch])
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, looped[..batch], "batch={batch} threads={threads}");
+            let tried: Vec<u64> = sketch
+                .try_estimate_batch(&queries[..batch])
+                .into_iter()
+                .map(|r| r.expect("in-vocabulary query").to_bits())
+                .collect();
+            assert_eq!(tried, got, "try batch={batch}");
         }
     }
 }
@@ -235,50 +178,45 @@ fn small_sketch() -> &'static DeepSketch {
 #[test]
 fn a_stream_with_repeats_answers_like_a_fresh_artifact_per_query() {
     let queries = mixed_queries(3 * 64 + 7);
-    for mode in [QuantMode::F32, QuantMode::Int8] {
-        let mut sketch = small_sketch().clone();
-        sketch.freeze(mode);
-        // Re-freezing replaces the artifact, so every answer here comes
-        // from an empty memo.
-        let mut cold = sketch.clone();
-        let fresh: Vec<u64> = queries
-            .iter()
-            .map(|q| {
-                cold.freeze(mode);
-                let v = cold.estimate_one(q).to_bits();
-                assert_eq!(cold.memo_stats().hits, 0);
-                v
-            })
-            .collect();
-        if mode == QuantMode::F32 {
-            let reference = sketch.reference_estimates(&queries);
-            let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(reference, fresh, "f32 artifact vs the trained model");
-        }
-        for threads in THREAD_COUNTS {
-            sketch.set_threads(threads);
-            for batch in [1, 2, 64, 65] {
-                for (i, chunk) in queries.chunks(batch).enumerate() {
-                    let at = i * batch;
-                    let got: Vec<u64> = sketch
-                        .estimate_batch(chunk)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    assert_eq!(
-                        got,
-                        fresh[at..at + chunk.len()],
-                        "{mode:?} batch={batch} threads={threads}"
-                    );
-                }
+    let mut sketch = small_sketch().clone();
+    // Re-freezing replaces the artifact, so every answer here comes from
+    // an empty memo.
+    let mut cold = sketch.clone();
+    let fresh: Vec<u64> = queries
+        .iter()
+        .map(|q| {
+            cold.freeze();
+            let v = cold.estimate_one(q).to_bits();
+            assert_eq!(cold.memo_stats().hits, 0);
+            v
+        })
+        .collect();
+    let reference = sketch.reference_estimates(&queries);
+    let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(reference, fresh, "f32 artifact vs the trained model");
+    for threads in THREAD_COUNTS {
+        sketch.set_threads(threads);
+        for batch in [1, 2, 64, 65] {
+            for (i, chunk) in queries.chunks(batch).enumerate() {
+                let at = i * batch;
+                let got: Vec<u64> = sketch
+                    .estimate_batch(chunk)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    got,
+                    fresh[at..at + chunk.len()],
+                    "batch={batch} threads={threads}"
+                );
             }
         }
-        let stats = sketch.memo_stats();
-        assert!(
-            stats.hits > 10 * stats.misses,
-            "16 distinct queries served many times over: {stats:?}"
-        );
     }
+    let stats = sketch.memo_stats();
+    assert!(
+        stats.hits > 10 * stats.misses,
+        "16 distinct queries served many times over: {stats:?}"
+    );
 }
 
 /// Eight threads released together onto one sketch — one artifact, one
@@ -361,43 +299,41 @@ fn avx2_column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
         for q in &mixed_queries(16) {
             featurizer.append_indices(q, samples, &mut feats);
         }
-        for mode in [QuantMode::F32, QuantMode::Int8] {
-            let frozen = model.freeze(mode);
-            let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
-            let mut hidden_rows = IndexSet::default();
-            for (l1, l2, set) in [
-                (t1, t2, &feats.tables),
-                (j1, j2, &feats.joins),
-                (p1, p2, &feats.preds),
-            ] {
-                let rows = set.elems.len();
-                let mut fast = vec![f32::NAN; rows * hidden];
-                let mut slow = fast.clone();
-                l1.forward_rows(set, true, &mut fast);
-                l1.forward_rows_portable(set, true, &mut slow);
-                assert_eq!(fast, slow, "layer 1, hidden {hidden}, {mode:?}");
-                hidden_rows.compress_rows(&fast, hidden);
-                l2.forward_rows(&hidden_rows, false, &mut fast);
-                l2.forward_rows_portable(&hidden_rows, false, &mut slow);
-                assert_eq!(fast, slow, "layer 2, hidden {hidden}, {mode:?}");
-            }
-            // The output MLP reads 3·hidden wide rows; any activations do.
-            let rows = hidden_rows.elems.len() / 3;
-            let wide: Vec<f32> = (0..rows * 3 * hidden)
-                .map(|i| ((i * 37 % 11) as f32 - 4.0).max(0.0) * 0.125)
-                .collect();
-            hidden_rows.compress_rows(&wide, 3 * hidden);
+        let frozen = model.freeze();
+        let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
+        let mut hidden_rows = IndexSet::default();
+        for (l1, l2, set) in [
+            (t1, t2, &feats.tables),
+            (j1, j2, &feats.joins),
+            (p1, p2, &feats.preds),
+        ] {
+            let rows = set.elems.len();
             let mut fast = vec![f32::NAN; rows * hidden];
             let mut slow = fast.clone();
-            out1.forward_rows(&hidden_rows, true, &mut fast);
-            out1.forward_rows_portable(&hidden_rows, true, &mut slow);
-            assert_eq!(fast, slow, "out1, hidden {hidden}, {mode:?}");
+            l1.forward_rows(set, true, &mut fast);
+            l1.forward_rows_portable(set, true, &mut slow);
+            assert_eq!(fast, slow, "layer 1, hidden {hidden}");
             hidden_rows.compress_rows(&fast, hidden);
-            let mut fast = vec![f32::NAN; rows];
-            let mut slow = fast.clone();
-            out2.forward_rows(&hidden_rows, false, &mut fast);
-            out2.forward_rows_portable(&hidden_rows, false, &mut slow);
-            assert_eq!(fast, slow, "out2, hidden {hidden}, {mode:?}");
+            l2.forward_rows(&hidden_rows, false, &mut fast);
+            l2.forward_rows_portable(&hidden_rows, false, &mut slow);
+            assert_eq!(fast, slow, "layer 2, hidden {hidden}");
         }
+        // The output MLP reads 3·hidden wide rows; any activations do.
+        let rows = hidden_rows.elems.len() / 3;
+        let wide: Vec<f32> = (0..rows * 3 * hidden)
+            .map(|i| ((i * 37 % 11) as f32 - 4.0).max(0.0) * 0.125)
+            .collect();
+        hidden_rows.compress_rows(&wide, 3 * hidden);
+        let mut fast = vec![f32::NAN; rows * hidden];
+        let mut slow = fast.clone();
+        out1.forward_rows(&hidden_rows, true, &mut fast);
+        out1.forward_rows_portable(&hidden_rows, true, &mut slow);
+        assert_eq!(fast, slow, "out1, hidden {hidden}");
+        hidden_rows.compress_rows(&fast, hidden);
+        let mut fast = vec![f32::NAN; rows];
+        let mut slow = fast.clone();
+        out2.forward_rows(&hidden_rows, false, &mut fast);
+        out2.forward_rows_portable(&hidden_rows, false, &mut slow);
+        assert_eq!(fast, slow, "out2, hidden {hidden}");
     }
 }

@@ -157,34 +157,24 @@ impl CardinalityEstimator for JoinSamplingEstimator {
         &self.name
     }
 
-    /// `COUNT` on the key-sampled sub-database, scaled by `1 / rate`.
-    /// A zero sub-count degrades to the half-tuple guess `0.5 / rate`.
+    /// [`CardinalityEstimator::try_estimate`], with unknown tables and
+    /// executor failures degraded to the `1.0` floor.
     fn estimate(&self, query: &Query) -> f64 {
-        let Ok(count) = self.exec.count(&self.sub, &query.to_exec()) else {
-            return 1.0;
-        };
-        if count > 0 {
-            (count as f64 / self.rate).max(1.0)
-        } else {
-            // 0-tuple situation: educated guess of half a tuple.
-            (0.5 / self.rate).max(1.0)
-        }
+        self.try_estimate(query).unwrap_or(1.0)
     }
 
-    /// As `estimate`, but unknown tables and executor failures become
-    /// typed errors instead of silent `1.0` guesses.
+    /// `COUNT` on the key-sampled sub-database, scaled by `1 / rate`.
+    /// A zero sub-count degrades to the half-tuple guess `0.5 / rate`.
+    /// Unknown tables and executor failures are typed errors.
     fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
         check_tables(query, self.sub.num_tables())?;
-        self.exec
+        let count = self
+            .exec
             .count(&self.sub, &query.to_exec())
-            .map(|count| {
-                if count > 0 {
-                    (count as f64 / self.rate).max(1.0)
-                } else {
-                    (0.5 / self.rate).max(1.0)
-                }
-            })
-            .map_err(|e| EstimateError::Execution(e.to_string()))
+            .map_err(|e| EstimateError::Execution(e.to_string()))?;
+        // 0-tuple situation: educated guess of half a tuple.
+        let count = if count > 0 { count as f64 } else { 0.5 };
+        Ok((count / self.rate).max(1.0))
     }
 }
 

@@ -16,7 +16,7 @@
 //! All estimators implement [`CardinalityEstimator`] — the single interface
 //! through which benches, examples, and the `ds-serve` front end consume
 //! every estimator in the workspace (the five baselines here plus
-//! `ds_core`'s `DeepSketch`, `SketchFleet`, and `SketchStore` handles).
+//! `ds_core`'s `DeepSketch` and `SketchFleet`).
 
 pub mod independence;
 pub mod joinsample;

@@ -3,9 +3,9 @@
 //! Training wants transposable, gradient-carrying layers; serving wants
 //! the opposite: immutable weights in exactly the layout the forward pass
 //! reads and no gradient buffers. A [`FrozenModel`] is that artifact: the
-//! eight MSCN layers converted once from the trained model into a flat
-//! row-major layout (f32, or int8 with per-input-row scales), driven by
-//! one fused featurize-and-forward entry point,
+//! eight MSCN layers copied once from the trained model into a flat,
+//! line-aligned row-major `f32` layout, driven by one fused
+//! featurize-and-forward entry point,
 //! [`FrozenModel::forward_batch`], that serves every batch size (a single
 //! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
 //! sparse *(index, value)* lists directly — the one-hot input layer is a
@@ -34,69 +34,34 @@
 //! `hidden` floats after the module's second ReLU. A forward pass looks
 //! its elements up, runs the two layers over the missing ones only, and
 //! pools. The memo is part of the artifact's *identity-free* state: built
-//! empty by [`FrozenModel::new`], [`FrozenModel::decode_from`] and
-//! `clone`, ignored by `==`, never serialized — so a re-freeze, a load or
-//! a hot-swap starts from an empty memo and there is nothing to
-//! invalidate. It holds at most [`MEMO_MAX_BYTES`] in 1 024 slots, four
-//! ways to a set, each set evicting its least recently used element.
+//! empty by [`FrozenModel::new`] and `clone`, ignored by `==`, never
+//! serialized — so a re-freeze, a load or a hot-swap starts from an empty
+//! memo and there is nothing to invalidate. It holds at most
+//! [`MEMO_MAX_BYTES`] in 1 024 slots, four ways to a set, each set
+//! evicting its least recently used element.
+//!
+//! The artifact itself is never serialized either: its weights are the
+//! trained model's, bit for bit, so a loaded sketch freezes it again.
 //!
 //! ## Determinism contract
 //!
-//! In [`QuantMode::F32`] the fused forward is **bit-identical** to the
-//! training forward pass, which runs the same kernel over the same
-//! weights, and to the naive [`crate::tensor::reference`] products the
-//! property tests pin both against (see [`crate::sparse`] for why). A
-//! query's result does not depend on what else is in its batch: rows
-//! never share an accumulator. For the same reason an element's embedding
-//! does not depend on which call computed it, so a memoized row is the row
-//! the kernel would produce again, bit for bit, in both modes.
-//!
-//! [`QuantMode::Int8`] trades that exactness for a 4× smaller artifact:
-//! each weight row is quantized to `i8` against its own max-abs scale.
-//! Int8 outputs are *approximately* equal to the reference (the gate that
-//! decides whether an int8 artifact may serve lives in the sketch layer),
-//! and exactly equal across batch sizes and kernels.
+//! The fused forward is **bit-identical** to the training forward pass,
+//! which runs the same kernel over the same weights, and to the naive
+//! [`crate::tensor::reference`] products the property tests pin both
+//! against (see [`crate::sparse`] for why). A query's result does not
+//! depend on what else is in its batch: rows never share an accumulator.
+//! For the same reason an element's embedding does not depend on which
+//! call computed it, so a memoized row is the row the kernel would produce
+//! again, bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
-use crate::serialize::{DecodeError, Decoder, Encoder};
-use crate::sparse::{self, Finish, Rows, Weights};
+use crate::sparse::{self, Finish, Rows};
 
 pub use crate::sparse::IndexSet;
-
-/// Weight storage mode of a frozen layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantMode {
-    /// Exact f32 weights; fused forward is bit-identical to the reference.
-    F32,
-    /// `i8` weights with one f32 scale per input row (max-abs symmetric
-    /// quantization); forward is approximate.
-    Int8,
-}
-
-impl QuantMode {
-    /// Stable wire tag.
-    pub fn to_u64(self) -> u64 {
-        match self {
-            QuantMode::F32 => 0,
-            QuantMode::Int8 => 1,
-        }
-    }
-
-    /// Parses a wire tag, rejecting unknown modes.
-    pub fn from_u64(v: u64) -> Result<Self, DecodeError> {
-        match v {
-            0 => Ok(QuantMode::F32),
-            1 => Ok(QuantMode::Int8),
-            other => Err(DecodeError::Corrupt(format!(
-                "unknown quantization mode {other}"
-            ))),
-        }
-    }
-}
 
 /// One frozen fully-connected layer: immutable weights in row-major
 /// `(in_dim × out_dim)` layout — the forward pass walks *rows*, so both
@@ -106,52 +71,20 @@ impl QuantMode {
 pub struct FrozenLinear {
     in_dim: usize,
     out_dim: usize,
-    mode: QuantMode,
-    /// F32 mode: `in_dim × out_dim` weights. Empty in Int8 mode.
+    /// `in_dim × out_dim` weights.
     w: LineAligned,
-    /// Int8 mode: quantized weights, same layout. Empty in F32 mode.
-    q: Vec<i8>,
-    /// Int8 mode: per-input-row dequantization scales (`in_dim`).
-    scales: Vec<f32>,
     b: Vec<f32>,
 }
 
 impl FrozenLinear {
     /// Converts a trained layer. The training layout is already
-    /// `(in_dim × out_dim)` row-major, so F32 freezing is a plain copy;
-    /// Int8 quantizes each input row against its own max-abs scale.
-    pub fn from_linear(l: &Linear, mode: QuantMode) -> Self {
-        let (in_dim, out_dim) = (l.in_dim(), l.out_dim());
-        let w = l.weights().data();
-        match mode {
-            QuantMode::F32 => Self {
-                in_dim,
-                out_dim,
-                mode,
-                w: LineAligned::new(w),
-                q: Vec::new(),
-                scales: Vec::new(),
-                b: l.bias().to_vec(),
-            },
-            QuantMode::Int8 => {
-                let mut q = Vec::with_capacity(w.len());
-                let mut scales = Vec::with_capacity(in_dim);
-                for row in w.chunks(out_dim.max(1)) {
-                    let max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                    let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
-                    scales.push(scale);
-                    q.extend(row.iter().map(|&v| (v / scale).round() as i8));
-                }
-                Self {
-                    in_dim,
-                    out_dim,
-                    mode,
-                    w: LineAligned::default(),
-                    q,
-                    scales,
-                    b: l.bias().to_vec(),
-                }
-            }
+    /// `(in_dim × out_dim)` row-major, so freezing is a plain copy.
+    pub fn from_linear(l: &Linear) -> Self {
+        Self {
+            in_dim: l.in_dim(),
+            out_dim: l.out_dim(),
+            w: LineAligned::new(l.weights().data()),
+            b: l.bias().to_vec(),
         }
     }
 
@@ -163,19 +96,6 @@ impl FrozenLinear {
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    /// Storage mode.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
-    }
-
-    /// The dequantized weight at `(row, col)` — test/inspection helper.
-    pub fn weight(&self, row: usize, col: usize) -> f32 {
-        match self.mode {
-            QuantMode::F32 => self.w[row * self.out_dim + col],
-            QuantMode::Int8 => self.q[row * self.out_dim + col] as f32 * self.scales[row],
-        }
     }
 
     /// One layer over many rows: `y[r, :] = act(rows[r] · W + b)`, where
@@ -199,7 +119,7 @@ impl FrozenLinear {
             bias: &self.b,
             relu,
         };
-        sparse::sparse_rows(self.weights(), self.out_dim, rows, finish, y);
+        sparse::sparse_rows(&self.w, self.out_dim, rows, finish, y);
     }
 
     /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX-512 and
@@ -211,90 +131,7 @@ impl FrozenLinear {
             relu,
         };
         let cols = 0..self.out_dim;
-        sparse::sparse_rows_portable(self.weights(), self.out_dim, rows.rows(), finish, y, cols);
-    }
-
-    fn weights(&self) -> Weights<'_> {
-        match self.mode {
-            QuantMode::F32 => Weights::F32(&self.w),
-            QuantMode::Int8 => Weights::Int8 {
-                q: &self.q,
-                scales: &self.scales,
-            },
-        }
-    }
-
-    /// Serialized + resident size in bytes (weights, scales, bias).
-    pub fn footprint_bytes(&self) -> usize {
-        self.w.len() * 4 + self.q.len() + self.scales.len() * 4 + self.b.len() * 4
-    }
-
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.in_dim as u64);
-        e.u64(self.out_dim as u64);
-        match self.mode {
-            QuantMode::F32 => {
-                e.f32_slice(&self.w);
-            }
-            QuantMode::Int8 => {
-                let raw: Vec<u8> = self.q.iter().map(|&v| v as u8).collect();
-                e.bytes(&raw);
-                e.f32_slice(&self.scales);
-            }
-        }
-        e.f32_slice(&self.b);
-    }
-
-    /// Decodes one layer, validating every length against the declared
-    /// dims so corrupt or mismatched quantization metadata is rejected
-    /// rather than read out of bounds.
-    fn decode(d: &mut Decoder<'_>, mode: QuantMode) -> Result<Self, DecodeError> {
-        let in_dim = d.u64()? as usize;
-        let out_dim = d.u64()? as usize;
-        let expect = in_dim
-            .checked_mul(out_dim)
-            .ok_or_else(|| DecodeError::Corrupt("frozen layer dims overflow".into()))?;
-        let corrupt = |what: &str| DecodeError::Corrupt(format!("frozen layer {what} mismatch"));
-        let (w, q, scales) = match mode {
-            QuantMode::F32 => {
-                let w = d.f32_vec()?;
-                if w.len() != expect {
-                    return Err(corrupt("weight length"));
-                }
-                (LineAligned::new(&w), Vec::new(), Vec::new())
-            }
-            QuantMode::Int8 => {
-                let raw = d.byte_vec()?;
-                if raw.len() != expect {
-                    return Err(corrupt("quantized weight length"));
-                }
-                let scales = d.f32_vec()?;
-                if scales.len() != in_dim {
-                    return Err(corrupt("scale length"));
-                }
-                if scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
-                    return Err(corrupt("scale value"));
-                }
-                (
-                    LineAligned::default(),
-                    raw.iter().map(|&v| v as i8).collect(),
-                    scales,
-                )
-            }
-        };
-        let b = d.f32_vec()?;
-        if b.len() != out_dim {
-            return Err(corrupt("bias length"));
-        }
-        Ok(Self {
-            in_dim,
-            out_dim,
-            mode,
-            w,
-            q,
-            scales,
-            b,
-        })
+        sparse::sparse_rows_portable(&self.w, self.out_dim, rows.rows(), finish, y, cols);
     }
 }
 
@@ -304,7 +141,7 @@ impl FrozenLinear {
 /// line instead of straddling two, and a 1 KB row reads its 16 lines once
 /// (E27). Dereferences to the plain slice; `==` and `Debug` are the
 /// slice's.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct LineAligned {
     lines: Vec<Line>,
     len: usize,
@@ -597,11 +434,11 @@ pub struct FrozenModel {
 impl FrozenModel {
     /// Assembles the artifact from the eight frozen layers, checking the
     /// MSCN wiring (set modules `in → hidden → hidden`, output MLP
-    /// `3·hidden → hidden → 1`, one shared quantization mode).
+    /// `3·hidden → hidden → 1`).
     ///
     /// # Panics
-    /// Panics when the layer shapes do not form an MSCN or the modes
-    /// disagree — freezing a well-formed model cannot trip this.
+    /// Panics when the layer shapes do not form an MSCN — freezing a
+    /// well-formed model cannot trip this.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         tables1: FrozenLinear,
@@ -613,8 +450,26 @@ impl FrozenModel {
         out1: FrozenLinear,
         out2: FrozenLinear,
     ) -> Self {
-        let hidden = tables1.out_dim();
-        let m = Self {
+        let h = tables1.out_dim();
+        assert!(h > 0, "mis-wired frozen model: zero hidden width");
+        // Each layer's input width (`None`: the featurizer's, free) and
+        // output width.
+        for (name, l, want_in, want_out) in [
+            ("tables1", &tables1, None, h),
+            ("tables2", &tables2, Some(h), h),
+            ("joins1", &joins1, None, h),
+            ("joins2", &joins2, Some(h), h),
+            ("preds1", &preds1, None, h),
+            ("preds2", &preds2, Some(h), h),
+            ("out1", &out1, Some(3 * h), h),
+            ("out2", &out2, Some(h), 1),
+        ] {
+            assert!(
+                want_in.is_none_or(|w| w == l.in_dim()) && l.out_dim() == want_out,
+                "mis-wired frozen model: {name} shape breaks the MSCN wiring"
+            );
+        }
+        Self {
             tables1,
             tables2,
             joins1,
@@ -623,69 +478,9 @@ impl FrozenModel {
             preds2,
             out1,
             out2,
-            hidden,
+            hidden: h,
             memo: ElementMemo::default(),
-        };
-        assert!(m.check_wiring().is_ok(), "mis-wired frozen model");
-        m
-    }
-
-    /// Validates the MSCN wiring and shared mode; `Err` carries what is
-    /// wrong (decode uses this to reject corrupt artifacts).
-    fn check_wiring(&self) -> Result<(), String> {
-        let h = self.hidden;
-        let mode = self.tables1.mode();
-        for (name, l, in_ok, out_ok) in [
-            (
-                "tables1",
-                &self.tables1,
-                true,
-                l_eq(self.tables1.out_dim(), h),
-            ),
-            (
-                "tables2",
-                &self.tables2,
-                l_eq(self.tables2.in_dim(), h),
-                l_eq(self.tables2.out_dim(), h),
-            ),
-            (
-                "joins2",
-                &self.joins2,
-                l_eq(self.joins2.in_dim(), h),
-                l_eq(self.joins2.out_dim(), h),
-            ),
-            (
-                "preds2",
-                &self.preds2,
-                l_eq(self.preds2.in_dim(), h),
-                l_eq(self.preds2.out_dim(), h),
-            ),
-            ("joins1", &self.joins1, true, l_eq(self.joins1.out_dim(), h)),
-            ("preds1", &self.preds1, true, l_eq(self.preds1.out_dim(), h)),
-            (
-                "out1",
-                &self.out1,
-                l_eq(self.out1.in_dim(), 3 * h),
-                l_eq(self.out1.out_dim(), h),
-            ),
-            (
-                "out2",
-                &self.out2,
-                l_eq(self.out2.in_dim(), h),
-                l_eq(self.out2.out_dim(), 1),
-            ),
-        ] {
-            if !in_ok || !out_ok {
-                return Err(format!("{name} shape breaks the MSCN wiring"));
-            }
-            if l.mode() != mode {
-                return Err(format!("{name} quantization mode differs"));
-            }
         }
-        if h == 0 {
-            return Err("zero hidden width".into());
-        }
-        Ok(())
     }
 
     /// Hidden width.
@@ -693,12 +488,7 @@ impl FrozenModel {
         self.hidden
     }
 
-    /// Quantization mode (shared by all layers).
-    pub fn mode(&self) -> QuantMode {
-        self.tables1.mode()
-    }
-
-    /// The eight layers in encode order:
+    /// The eight layers in order:
     /// `[t1, t2, j1, j2, p1, p2, out1, out2]`.
     pub fn layers(&self) -> [&FrozenLinear; 8] {
         [
@@ -711,11 +501,6 @@ impl FrozenModel {
             &self.out1,
             &self.out2,
         ]
-    }
-
-    /// Resident weight bytes of the artifact.
-    pub fn footprint_bytes(&self) -> usize {
-        self.layers().iter().map(|l| l.footprint_bytes()).sum()
     }
 
     /// What the element memo has done since this artifact was built,
@@ -731,7 +516,7 @@ impl FrozenModel {
     /// Fused featurize-and-forward for one query — a batch of one
     /// through [`FrozenModel::forward_batch`]. Returns the normalized
     /// model output (pre-denormalization, post-sigmoid), bit-identical to
-    /// the training-shape forward in [`QuantMode::F32`].
+    /// the training-shape forward.
     pub fn forward_query(
         &self,
         tables: &IndexSet,
@@ -896,43 +681,6 @@ impl FrozenModel {
         }
         missing.len()
     }
-
-    /// Appends the artifact to an encoder: mode word, hidden width, then
-    /// the eight layers in [`FrozenModel::layers`] order.
-    pub fn encode_into(&self, e: &mut Encoder) {
-        e.u64(self.mode().to_u64());
-        e.u64(self.hidden as u64);
-        for l in self.layers() {
-            l.encode(e);
-        }
-    }
-
-    /// Decodes an artifact written by [`FrozenModel::encode_into`],
-    /// rejecting unknown modes, mismatched lengths, and mis-wired shapes.
-    pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let mode = QuantMode::from_u64(d.u64()?)?;
-        let hidden = d.u64()? as usize;
-        let mut layers = Vec::with_capacity(8);
-        for _ in 0..8 {
-            layers.push(FrozenLinear::decode(d, mode)?);
-        }
-        let [t1, t2, j1, j2, p1, p2, o1, o2]: [FrozenLinear; 8] =
-            layers.try_into().expect("eight layers");
-        let m = Self {
-            tables1: t1,
-            tables2: t2,
-            joins1: j1,
-            joins2: j2,
-            preds1: p1,
-            preds2: p2,
-            out1: o1,
-            out2: o2,
-            hidden,
-            memo: ElementMemo::default(),
-        };
-        m.check_wiring().map_err(DecodeError::Corrupt)?;
-        Ok(m)
-    }
 }
 
 /// The first `len` slots of a scratch buffer that only ever grows.
@@ -941,11 +689,6 @@ fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
         buf.resize(len, 0.0);
     }
     &mut buf[..len]
-}
-
-#[inline]
-fn l_eq(a: usize, b: usize) -> bool {
-    a == b
 }
 
 #[cfg(test)]
@@ -1005,16 +748,14 @@ mod tests {
         // it is one tile whose last vector is masked to 10 lanes; 5 is
         // below one vector on both.
         for out_dim in [1usize, 5, 8, 16, 96, 250, 256] {
-            for mode in [QuantMode::F32, QuantMode::Int8] {
-                let l = FrozenLinear::from_linear(&linear(37, out_dim, out_dim as u64), mode);
-                let rows = sparse_rows(7, 37, 0xC0 + out_dim as u64);
-                for relu in [false, true] {
-                    let mut fast = vec![f32::NAN; 7 * out_dim];
-                    let mut slow = vec![f32::NAN; 7 * out_dim];
-                    l.forward_rows(&rows, relu, &mut fast);
-                    l.forward_rows_portable(&rows, relu, &mut slow);
-                    assert_eq!(fast, slow, "out_dim={out_dim} {mode:?} relu={relu}");
-                }
+            let l = FrozenLinear::from_linear(&linear(37, out_dim, out_dim as u64));
+            let rows = sparse_rows(7, 37, 0xC0 + out_dim as u64);
+            for relu in [false, true] {
+                let mut fast = vec![f32::NAN; 7 * out_dim];
+                let mut slow = vec![f32::NAN; 7 * out_dim];
+                l.forward_rows(&rows, relu, &mut fast);
+                l.forward_rows_portable(&rows, relu, &mut slow);
+                assert_eq!(fast, slow, "out_dim={out_dim} relu={relu}");
             }
         }
     }
@@ -1034,35 +775,17 @@ mod tests {
     #[test]
     fn f32_freeze_preserves_weights_exactly() {
         let l = linear(5, 9, 0xF0);
-        let f = FrozenLinear::from_linear(&l, QuantMode::F32);
+        let f = FrozenLinear::from_linear(&l);
         assert_eq!(f.in_dim(), 5);
         assert_eq!(f.out_dim(), 9);
-        for r in 0..5 {
-            for c in 0..9 {
-                assert_eq!(f.weight(r, c), l.weights().get(r, c));
-            }
-        }
-    }
-
-    #[test]
-    fn int8_quantization_error_is_bounded_by_half_a_step() {
-        let l = linear(12, 33, 0x18);
-        let f = FrozenLinear::from_linear(&l, QuantMode::Int8);
-        for r in 0..12 {
-            let row = &l.weights().data()[r * 33..(r + 1) * 33];
-            let max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let step = max / 127.0;
-            for c in 0..33 {
-                let err = (f.weight(r, c) - l.weights().get(r, c)).abs();
-                assert!(err <= step * 0.5 + 1e-7, "r={r} c={c} err={err}");
-            }
-        }
+        assert_eq!(*f.w, *l.weights().data());
+        assert_eq!(f.b, l.bias());
     }
 
     #[test]
     fn forward_rows_matches_manual_dot() {
         let l = linear(4, 3, 0x7);
-        let f = FrozenLinear::from_linear(&l, QuantMode::F32);
+        let f = FrozenLinear::from_linear(&l);
         let x = [0.5f32, 0.0, -1.25, 2.0];
         let mut rows = IndexSet::default();
         rows.compress_rows(&x, 4);
@@ -1082,8 +805,7 @@ mod tests {
 
     /// The forward pass as it was first written: one element at a time,
     /// one row-axpy per active feature into a memory-resident `y`. The
-    /// batched column-tile path must reproduce it bit for bit, in both
-    /// modes.
+    /// batched column-tile path must reproduce it bit for bit.
     fn element_at_a_time(m: &FrozenModel, sets: [&IndexSet; 3]) -> f32 {
         fn layer(l: &FrozenLinear, x: &[(u32, f32)], relu: bool) -> Vec<f32> {
             let mut y = vec![0.0f32; l.out_dim];
@@ -1093,13 +815,7 @@ mod tests {
                 }
                 let at = p as usize * l.out_dim;
                 for (j, o) in y.iter_mut().enumerate() {
-                    match l.mode {
-                        QuantMode::F32 => *o += xv * l.w[at + j],
-                        QuantMode::Int8 => {
-                            let t = xv * l.scales[p as usize];
-                            *o += t * l.q[at + j] as f32;
-                        }
-                    }
+                    *o += xv * l.w[at + j];
                 }
             }
             for (o, &b) in y.iter_mut().zip(&l.b) {
@@ -1143,63 +859,61 @@ mod tests {
 
     #[test]
     fn batched_forward_is_the_element_at_a_time_forward_bit_for_bit() {
-        for mode in [QuantMode::F32, QuantMode::Int8] {
-            let m = tiny_model(mode);
-            let (t, j, p) = demo_sets();
-            let empty = IndexSet::default();
-            let queries = [
-                [&t, &j, &p],
-                [&t, &empty, &p],
-                [&t, &j, &empty],
-                [&t, &j, &p],
-            ];
-            let mut scratch = FrozenScratch::new();
-            let singles: Vec<f32> = queries
-                .iter()
-                .map(|&[t, j, p]| m.forward_query(t, j, p, &mut scratch))
-                .collect();
-            for (&q, got) in queries.iter().zip(&singles) {
-                let want = element_at_a_time(&m, q);
-                assert_eq!(got.to_bits(), want.to_bits(), "{mode:?}");
-            }
-            // The same four queries as one batch: sets back to back.
-            let concat = |slot: usize| {
-                let mut all = IndexSet::default();
-                for q in &queries {
-                    let set = q[slot];
-                    for &(start, len) in &set.elems {
-                        let e = all.begin_elem();
-                        for &(i, v) in &set.entries[start as usize..(start + len) as usize] {
-                            all.push(i, v);
-                        }
-                        all.finish_elem(e);
-                    }
-                }
-                all
-            };
-            let (ts, js, ps) = (concat(0), concat(1), concat(2));
-            let counts: Vec<[u32; 3]> = queries
-                .iter()
-                .map(|q| q.map(|s| s.elems.len() as u32))
-                .collect();
-            let mut out = vec![0.0f32; queries.len()];
-            m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&singles), "{mode:?}");
+        let m = tiny_model();
+        let (t, j, p) = demo_sets();
+        let empty = IndexSet::default();
+        let queries = [
+            [&t, &j, &p],
+            [&t, &empty, &p],
+            [&t, &j, &empty],
+            [&t, &j, &p],
+        ];
+        let mut scratch = FrozenScratch::new();
+        let singles: Vec<f32> = queries
+            .iter()
+            .map(|&[t, j, p]| m.forward_query(t, j, p, &mut scratch))
+            .collect();
+        for (&q, got) in queries.iter().zip(&singles) {
+            let want = element_at_a_time(&m, q);
+            assert_eq!(got.to_bits(), want.to_bits());
         }
+        // The same four queries as one batch: sets back to back.
+        let concat = |slot: usize| {
+            let mut all = IndexSet::default();
+            for q in &queries {
+                let set = q[slot];
+                for &(start, len) in &set.elems {
+                    let e = all.begin_elem();
+                    for &(i, v) in &set.entries[start as usize..(start + len) as usize] {
+                        all.push(i, v);
+                    }
+                    all.finish_elem(e);
+                }
+            }
+            all
+        };
+        let (ts, js, ps) = (concat(0), concat(1), concat(2));
+        let counts: Vec<[u32; 3]> = queries
+            .iter()
+            .map(|q| q.map(|s| s.elems.len() as u32))
+            .collect();
+        let mut out = vec![0.0f32; queries.len()];
+        m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&singles));
     }
 
-    fn tiny_model(mode: QuantMode) -> FrozenModel {
+    fn tiny_model() -> FrozenModel {
         let h = 6;
         FrozenModel::new(
-            FrozenLinear::from_linear(&linear(10, h, 1), mode),
-            FrozenLinear::from_linear(&linear(h, h, 2), mode),
-            FrozenLinear::from_linear(&linear(4, h, 3), mode),
-            FrozenLinear::from_linear(&linear(h, h, 4), mode),
-            FrozenLinear::from_linear(&linear(7, h, 5), mode),
-            FrozenLinear::from_linear(&linear(h, h, 6), mode),
-            FrozenLinear::from_linear(&linear(3 * h, h, 7), mode),
-            FrozenLinear::from_linear(&linear(h, 1, 8), mode),
+            FrozenLinear::from_linear(&linear(10, h, 1)),
+            FrozenLinear::from_linear(&linear(h, h, 2)),
+            FrozenLinear::from_linear(&linear(4, h, 3)),
+            FrozenLinear::from_linear(&linear(h, h, 4)),
+            FrozenLinear::from_linear(&linear(7, h, 5)),
+            FrozenLinear::from_linear(&linear(h, h, 6)),
+            FrozenLinear::from_linear(&linear(3 * h, h, 7)),
+            FrozenLinear::from_linear(&linear(h, 1, 8)),
         )
     }
 
@@ -1280,53 +994,50 @@ mod tests {
 
     #[test]
     fn a_warm_memo_answers_what_a_fresh_artifact_answers() {
-        for mode in [QuantMode::F32, QuantMode::Int8] {
-            let warm = tiny_model(mode);
-            let stream = repeating_stream(400);
-            for q in &stream {
-                let fresh = tiny_model(mode);
-                assert_eq!(forward(&warm, q), forward(&fresh, q), "{mode:?}");
-                assert_eq!(
-                    fresh.memo_stats().hits,
-                    0,
-                    "a fresh artifact has seen nothing"
-                );
-            }
-            let stats = warm.memo_stats();
-            let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
-            assert_eq!(stats.hits + stats.misses, elements as u64);
-            // 24 distinct elements, each computed once: no set of four ways
-            // overflows here.
-            assert_eq!(stats.misses, 24, "{mode:?}");
-            assert!(0 < stats.resident_bytes && stats.resident_bytes <= MEMO_MAX_BYTES as u64);
+        let warm = tiny_model();
+        let stream = repeating_stream(400);
+        for q in &stream {
+            let fresh = tiny_model();
+            assert_eq!(forward(&warm, q), forward(&fresh, q));
+            assert_eq!(
+                fresh.memo_stats().hits,
+                0,
+                "a fresh artifact has seen nothing"
+            );
+        }
+        let stats = warm.memo_stats();
+        let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
+        assert_eq!(stats.hits + stats.misses, elements as u64);
+        // 24 distinct elements, each computed once: no set of four ways
+        // overflows here.
+        assert_eq!(stats.misses, 24);
+        assert!(0 < stats.resident_bytes && stats.resident_bytes <= MEMO_MAX_BYTES as u64);
 
-            // The whole stream as one batch — the same element many times in
-            // one call — against the memo it just filled and against none.
-            let concat = |slot: usize| {
-                let mut all = IndexSet::default();
-                for set in stream.iter().map(|q| &q[slot]) {
-                    for &(start, len) in &set.elems {
-                        let e = all.begin_elem();
-                        all.entries.extend_from_slice(
-                            &set.entries[start as usize..(start + len) as usize],
-                        );
-                        all.finish_elem(e);
-                    }
+        // The whole stream as one batch — the same element many times in
+        // one call — against the memo it just filled and against none.
+        let concat = |slot: usize| {
+            let mut all = IndexSet::default();
+            for set in stream.iter().map(|q| &q[slot]) {
+                for &(start, len) in &set.elems {
+                    let e = all.begin_elem();
+                    all.entries
+                        .extend_from_slice(&set.entries[start as usize..(start + len) as usize]);
+                    all.finish_elem(e);
                 }
-                all
-            };
-            let (ts, js, ps) = (concat(0), concat(1), concat(2));
-            let counts: Vec<[u32; 3]> = stream
-                .iter()
-                .map(|q| [0, 1, 2].map(|s| q[s].elems.len() as u32))
-                .collect();
-            let singles: Vec<u32> = stream.iter().map(|q| forward(&warm, q)).collect();
-            for m in [&warm, &tiny_model(mode)] {
-                let mut out = vec![0.0f32; stream.len()];
-                m.forward_batch(&ts, &js, &ps, &counts, &mut FrozenScratch::new(), &mut out);
-                let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
-                assert_eq!(bits, singles, "{mode:?}");
             }
+            all
+        };
+        let (ts, js, ps) = (concat(0), concat(1), concat(2));
+        let counts: Vec<[u32; 3]> = stream
+            .iter()
+            .map(|q| [0, 1, 2].map(|s| q[s].elems.len() as u32))
+            .collect();
+        let singles: Vec<u32> = stream.iter().map(|q| forward(&warm, q)).collect();
+        for m in [&warm, &tiny_model()] {
+            let mut out = vec![0.0f32; stream.len()];
+            m.forward_batch(&ts, &js, &ps, &counts, &mut FrozenScratch::new(), &mut out);
+            let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
+            assert_eq!(bits, singles);
         }
     }
 
@@ -1369,7 +1080,7 @@ mod tests {
         }
         // End to end: one artifact serving the near-identical elements in
         // every module, in turn, answers like a fresh one each time.
-        let warm = tiny_model(QuantMode::F32);
+        let warm = tiny_model();
         let empty = IndexSet::default();
         for _ in 0..2 {
             for (a, b) in &pairs {
@@ -1379,7 +1090,7 @@ mod tests {
                         [empty.clone(), set.clone(), empty.clone()],
                         [empty.clone(), empty.clone(), set.clone()],
                     ] {
-                        assert_eq!(forward(&warm, &q), forward(&tiny_model(QuantMode::F32), &q));
+                        assert_eq!(forward(&warm, &q), forward(&tiny_model(), &q));
                     }
                 }
             }
@@ -1421,25 +1132,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_decode_start_empty_and_equality_ignores_the_memo() {
-        let m = tiny_model(QuantMode::F32);
+    fn clone_starts_empty_and_equality_ignores_the_memo() {
+        let m = tiny_model();
         for q in &repeating_stream(50) {
             forward(&m, q);
         }
         assert!(m.memo_stats().hits > 0 && m.memo_stats().resident_bytes > 0);
-        let cloned = m.clone();
-        let mut e = Encoder::new();
-        m.encode_into(&mut e);
-        let bytes = e.finish();
-        let decoded = FrozenModel::decode_from(&mut Decoder::new(&bytes)).unwrap();
-        for other in [&cloned, &decoded, &tiny_model(QuantMode::F32)] {
+        for other in [&m.clone(), &tiny_model()] {
             assert_eq!(other.memo_stats(), MemoStats::default());
             assert_eq!(other, &m, "the memo is not part of an artifact's identity");
         }
-        // Nor of its bytes.
-        let mut e = Encoder::new();
-        cloned.encode_into(&mut e);
-        assert_eq!(e.finish(), bytes);
     }
 
     #[test]
@@ -1482,11 +1184,8 @@ mod tests {
     #[test]
     fn threads_sharing_one_artifact_agree_and_a_poisoned_memo_only_computes() {
         let stream = repeating_stream(300);
-        let want: Vec<u32> = stream
-            .iter()
-            .map(|q| forward(&tiny_model(QuantMode::F32), q))
-            .collect();
-        let shared = tiny_model(QuantMode::F32);
+        let want: Vec<u32> = stream.iter().map(|q| forward(&tiny_model(), q)).collect();
+        let shared = tiny_model();
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -1527,7 +1226,7 @@ mod tests {
 
     #[test]
     fn forward_query_is_deterministic_and_in_range() {
-        let m = tiny_model(QuantMode::F32);
+        let m = tiny_model();
         let (t, j, p) = demo_sets();
         let mut scratch = FrozenScratch::new();
         let a = m.forward_query(&t, &j, &p, &mut scratch);
@@ -1538,7 +1237,7 @@ mod tests {
 
     #[test]
     fn empty_sets_pool_to_zero_like_the_masked_mean() {
-        let m = tiny_model(QuantMode::F32);
+        let m = tiny_model();
         let (t, _, p) = demo_sets();
         let empty = IndexSet::default();
         let mut scratch = FrozenScratch::new();
@@ -1552,60 +1251,20 @@ mod tests {
     }
 
     #[test]
-    fn int8_forward_tracks_f32_forward() {
-        let f32m = tiny_model(QuantMode::F32);
-        let i8m = tiny_model(QuantMode::Int8);
-        let (t, j, p) = demo_sets();
-        let mut scratch = FrozenScratch::new();
-        let exact = f32m.forward_query(&t, &j, &p, &mut scratch);
-        let quant = i8m.forward_query(&t, &j, &p, &mut scratch);
-        assert!(
-            (exact - quant).abs() < 0.05,
-            "int8 drifted: {exact} vs {quant}"
+    #[should_panic(expected = "out1 shape breaks the MSCN wiring")]
+    fn a_mis_wired_model_is_refused() {
+        let h = 6;
+        let layer = |i, o| FrozenLinear::from_linear(&linear(i, o, 1));
+        // `out1` takes two pooled sets, not three.
+        FrozenModel::new(
+            layer(10, h),
+            layer(h, h),
+            layer(4, h),
+            layer(h, h),
+            layer(7, h),
+            layer(h, h),
+            layer(2 * h, h),
+            layer(h, 1),
         );
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_both_modes() {
-        for mode in [QuantMode::F32, QuantMode::Int8] {
-            let m = tiny_model(mode);
-            let mut e = Encoder::new();
-            e.header(b"TEST", 1);
-            m.encode_into(&mut e);
-            let bytes = e.finish();
-            let mut d = Decoder::new(&bytes);
-            d.header(b"TEST").unwrap();
-            let back = FrozenModel::decode_from(&mut d).unwrap();
-            assert!(d.is_done());
-            assert_eq!(back, m);
-            let (t, j, p) = demo_sets();
-            let mut scratch = FrozenScratch::new();
-            assert_eq!(
-                m.forward_query(&t, &j, &p, &mut scratch).to_bits(),
-                back.forward_query(&t, &j, &p, &mut scratch).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn decode_rejects_unknown_mode_and_bad_shapes() {
-        assert!(QuantMode::from_u64(7).is_err());
-        let m = tiny_model(QuantMode::F32);
-        let mut e = Encoder::new();
-        e.header(b"TEST", 1);
-        m.encode_into(&mut e);
-        let bytes = e.finish();
-        // Flip the mode word to Int8 while the payload stays f32: the
-        // layer lengths no longer match and decode must reject, not read
-        // out of bounds.
-        let mut bad = bytes.clone();
-        bad[8] = 1;
-        let mut d = Decoder::new(&bad);
-        d.header(b"TEST").unwrap();
-        assert!(FrozenModel::decode_from(&mut d).is_err());
-        // Truncation is an error, not a panic.
-        let mut d = Decoder::new(&bytes[..bytes.len() / 2]);
-        d.header(b"TEST").unwrap();
-        assert!(FrozenModel::decode_from(&mut d).is_err());
     }
 }

@@ -18,8 +18,8 @@
 //! * [`optim`] — SGD and Adam;
 //! * [`loss`] — the mean q-error objective of the paper, plus MSE;
 //! * [`serialize`] — a versioned binary codec for model weights;
-//! * [`frozen`] — serving-only frozen inference artifacts: f32 or int8
-//!   weights in gather-friendly layout with one fused batched forward.
+//! * [`frozen`] — serving-only frozen inference artifacts: f32 weights
+//!   in gather-friendly layout with one fused batched forward.
 //!
 //! Everything is deterministic given a seed, and every backward pass is
 //! validated against finite differences in the test suite.
@@ -35,7 +35,7 @@ pub mod serialize;
 pub mod sparse;
 pub mod tensor;
 
-pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet, QuantMode};
+pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet};
 pub use linear::{GradScratch, Linear};
 pub use loss::{mse_loss, mse_loss_into, LabelNormalizer, QErrorLoss};
 pub use optim::{Adam, Sgd};

@@ -9,7 +9,7 @@
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::pool::Team;
-use crate::sparse::{self, Finish, IndexSet, Rows, Weights};
+use crate::sparse::{self, Finish, IndexSet, Rows};
 use crate::tensor::Tensor;
 
 /// Reusable buffers of a layer's backward products; one arena serves every
@@ -124,7 +124,7 @@ impl Linear {
             bias: &self.b,
             relu,
         };
-        let w = Weights::F32(self.w.data());
+        let w = self.w.data();
         sparse::sparse_rows_pool(w, self.out_dim(), x, finish, team, out.data_mut());
     }
 
@@ -260,7 +260,7 @@ fn accumulate(
     let _span = ds_obs::global().span("linear_bwd_grads");
     x_cols.transpose_of(x, in_dim);
     sparse::sparse_rows_pool(
-        Weights::F32(grad_out.data()),
+        grad_out.data(),
         out_dim,
         x_cols.rows(),
         Finish::Accumulate,
@@ -289,7 +289,7 @@ fn input_grad(
     grad_rows.compress_rows(grad_out.data(), out_dim);
     out.resize(grad_out.rows(), in_dim);
     sparse::sparse_rows_pool(
-        Weights::F32(w_t.data()),
+        w_t.data(),
         in_dim,
         grad_rows.rows(),
         Finish::Store,

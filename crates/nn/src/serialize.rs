@@ -103,7 +103,7 @@ impl Encoder {
         self.buf.put_slice(s.as_bytes());
     }
 
-    /// Writes a length-prefixed raw byte slice (quantized weight rows).
+    /// Writes a length-prefixed raw byte slice (an embedded blob).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.put_u64_le(v.len() as u64);
         self.buf.put_slice(v);
@@ -261,12 +261,6 @@ impl<'a> Decoder<'a> {
         Ok(head)
     }
 
-    /// Reads a length-prefixed raw byte vector.
-    pub fn byte_vec(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.len_prefix()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, DecodeError> {
         let n = self.len_prefix()?;
@@ -329,7 +323,8 @@ mod tests {
         assert_eq!(d.f32_vec().unwrap(), vec![1.0, -2.0]);
         assert_eq!(d.u64_vec().unwrap(), vec![9, 10]);
         assert_eq!(d.i64_vec().unwrap(), vec![-1, 0, 1]);
-        assert_eq!(d.byte_vec().unwrap(), vec![0x80, 0x7F, 0x00]);
+        assert_eq!(d.u64().unwrap(), 3);
+        assert_eq!(d.take(3).unwrap(), [0x80, 0x7F, 0x00]);
         assert!(d.is_done());
     }
 

@@ -206,20 +206,6 @@ impl IndexSet {
     }
 }
 
-/// The dense right operand, `(rows × out_dim)` row-major.
-#[derive(Clone, Copy)]
-pub enum Weights<'a> {
-    /// Plain `f32` values.
-    F32(&'a [f32]),
-    /// `W[p][j] = q[p][j] · scales[p]`.
-    Int8 {
-        /// Quantized values, same layout.
-        q: &'a [i8],
-        /// One dequantization scale per matrix row.
-        scales: &'a [f32],
-    },
-}
-
 /// What becomes of a finished accumulator `acc` and the output slot `y`.
 #[derive(Clone, Copy)]
 pub enum Finish<'a> {
@@ -236,7 +222,8 @@ pub enum Finish<'a> {
     Accumulate,
 }
 
-/// `y[r, :] = finish(rows[r] · W)` for every row, `y` being
+/// `y[r, :] = finish(rows[r] · w)` for every row, `w` being the dense
+/// right operand, `(rows × out_dim)` row-major, and `y`
 /// `rows.spans.len() × out_dim` row-major. Runtime-dispatched to the
 /// widest column-tile kernel the CPU has ([`Kernel::dispatched`]);
 /// [`sparse_rows_portable`] is their oracle.
@@ -244,13 +231,7 @@ pub enum Finish<'a> {
 /// # Panics
 /// Panics when `y` has the wrong length or an index is out of the
 /// matrix's range.
-pub fn sparse_rows(
-    w: Weights<'_>,
-    out_dim: usize,
-    rows: Rows<'_>,
-    finish: Finish<'_>,
-    y: &mut [f32],
-) {
+pub fn sparse_rows(w: &[f32], out_dim: usize, rows: Rows<'_>, finish: Finish<'_>, y: &mut [f32]) {
     Kernel::dispatched(out_dim).run(w, out_dim, rows, finish, y);
 }
 
@@ -305,14 +286,7 @@ impl Kernel {
     /// # Panics
     /// Panics when the CPU lacks the kernel's instructions, when `y` has
     /// the wrong length, or when an index is out of the matrix's range.
-    pub fn run(
-        self,
-        w: Weights<'_>,
-        out_dim: usize,
-        rows: Rows<'_>,
-        finish: Finish<'_>,
-        y: &mut [f32],
-    ) {
+    pub fn run(self, w: &[f32], out_dim: usize, rows: Rows<'_>, finish: Finish<'_>, y: &mut [f32]) {
         assert_eq!(y.len(), rows.spans.len() * out_dim, "output shape");
         assert!(self.is_available(), "this CPU cannot run {self:?}");
         match self {
@@ -338,7 +312,7 @@ const FORK_MIN_MACS: usize = 1 << 18;
 /// by [`entry_cut`], one per lane. Bit-identical at any lane count: every
 /// output element is computed by exactly one lane, in the same order.
 pub fn sparse_rows_pool(
-    w: Weights<'_>,
+    w: &[f32],
     out_dim: usize,
     rows: Rows<'_>,
     finish: Finish<'_>,
@@ -362,7 +336,7 @@ const ASK_AGAIN_MACS: usize = 4 * FORK_MIN_MACS;
 
 /// [`sparse_rows_pool`] with at most `lanes` lanes left to use.
 fn fork(
-    w: Weights<'_>,
+    w: &[f32],
     out_dim: usize,
     rows: Rows<'_>,
     finish: Finish<'_>,
@@ -423,7 +397,7 @@ pub fn entry_cut(spans: &[(u32, u32)], num: usize, den: usize) -> usize {
 /// columns at a time: the oracle for the AVX2 variant, the fallback
 /// without it, and the remainder columns beside it.
 pub fn sparse_rows_portable(
-    w: Weights<'_>,
+    w: &[f32],
     out_dim: usize,
     rows: Rows<'_>,
     finish: Finish<'_>,
@@ -441,18 +415,8 @@ pub fn sparse_rows_portable(
                     continue;
                 }
                 let at = idx as usize * out_dim;
-                match w {
-                    Weights::F32(w) => {
-                        for (a, &wv) in acc.iter_mut().zip(&w[at + c0..at + c1]) {
-                            *a += val * wv;
-                        }
-                    }
-                    Weights::Int8 { q, scales } => {
-                        let t = val * scales[idx as usize];
-                        for (a, &qv) in acc.iter_mut().zip(&q[at + c0..at + c1]) {
-                            *a += t * qv as f32;
-                        }
-                    }
+                for (a, &wv) in acc.iter_mut().zip(&w[at + c0..at + c1]) {
+                    *a += val * wv;
                 }
             }
             let out = &mut y[r * out_dim + c0..r * out_dim + c1];
@@ -482,14 +446,12 @@ pub fn sparse_rows_portable(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m128i, __m512, __mmask16, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
-        _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32,
-        _mm512_loadu_si512, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
-        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm_loadl_epi64, _mm_loadu_si128,
+        __m512, __mmask16, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
     };
 
-    use super::{sparse_rows_portable, Finish, Rows, Weights};
+    use super::{sparse_rows_portable, Finish, Rows};
 
     /// AVX-512 vector width: one 16-lane f32 register.
     const LANES_512: usize = 16;
@@ -509,7 +471,7 @@ mod x86 {
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn sparse_rows_avx512(
-        w: Weights<'_>,
+        w: &[f32],
         out_dim: usize,
         rows: Rows<'_>,
         finish: Finish<'_>,
@@ -542,7 +504,7 @@ mod x86 {
     /// vector's loads and stores are masked to the lanes that slice holds.
     #[target_feature(enable = "avx512f")]
     unsafe fn tile_512<const NV: usize>(
-        w: Weights<'_>,
+        w: &[f32],
         out_dim: usize,
         rows: Rows<'_>,
         finish: Finish<'_>,
@@ -556,12 +518,7 @@ mod x86 {
         let zero = _mm512_setzero_ps();
         for (r, &(start, len)) in rows.spans.iter().enumerate() {
             let entries = &rows.entries[start as usize..start as usize + len as usize];
-            let acc = match w {
-                Weights::F32(w) => reduce_f32::<NV>(w, out_dim, j0, width, entries),
-                Weights::Int8 { q, scales } => {
-                    reduce_int8::<NV>(q, scales, out_dim, j0, width, entries)
-                }
-            };
+            let acc = reduce::<NV>(w, out_dim, j0, width, entries);
             let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
             let out = out.as_mut_ptr();
             match finish {
@@ -603,7 +560,7 @@ mod x86 {
         }
     }
 
-    /// One row of an f32 tile: `Σ val · W[idx][j0..j0 + width]` over the
+    /// One row of a tile: `Σ val · W[idx][j0..j0 + width]` over the
     /// entries, in order, in `NV` registers. Each weight row is read front
     /// to back; the reduction calls nothing, so the accumulators never
     /// leave their registers.
@@ -612,7 +569,7 @@ mod x86 {
     /// The CPU must support AVX-512F, and `16·(NV − 1) < width ≤ 16·NV`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn reduce_f32<const NV: usize>(
+    unsafe fn reduce<const NV: usize>(
         w: &[f32],
         out_dim: usize,
         j0: usize,
@@ -636,48 +593,6 @@ mod x86 {
         acc
     }
 
-    /// [`reduce_f32`] over int8 weights, `W[p][j] = q[p][j] · scales[p]`
-    /// taken as `(val · scales[p]) · q[p][j]`, as the other kernels do.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F, and `16·(NV − 1) < width ≤ 16·NV`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn reduce_int8<const NV: usize>(
-        q: &[i8],
-        scales: &[f32],
-        out_dim: usize,
-        j0: usize,
-        width: usize,
-        entries: &[(u32, f32)],
-    ) -> [__m512; NV] {
-        let mut acc = [_mm512_setzero_ps(); NV];
-        for &(idx, val) in entries {
-            if val == 0.0 {
-                continue;
-            }
-            let at = idx as usize * out_dim + j0;
-            let row = &q[at..at + width];
-            let cv = _mm512_set1_ps(val * scales[idx as usize]);
-            for (v, a) in acc.iter_mut().enumerate() {
-                let bytes = &row[v * LANES_512..];
-                let wide = if bytes.len() >= LANES_512 {
-                    _mm512_cvtepi8_epi32(_mm_loadu_si128(bytes.as_ptr().cast::<__m128i>()))
-                } else {
-                    // Without AVX-512BW there is no masked byte load: a
-                    // short last vector is widened lane by lane.
-                    let mut lanes = [0i32; LANES_512];
-                    for (l, &b) in lanes.iter_mut().zip(bytes) {
-                        *l = i32::from(b);
-                    }
-                    _mm512_loadu_si512(lanes.as_ptr().cast())
-                };
-                *a = _mm512_add_ps(*a, _mm512_mul_ps(cv, _mm512_cvtepi32_ps(wide)));
-            }
-        }
-        acc
-    }
-
     /// AVX2 vector width: one 8-lane f32 register.
     const LANES: usize = 8;
 
@@ -690,7 +605,7 @@ mod x86 {
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sparse_rows_avx2(
-        w: Weights<'_>,
+        w: &[f32],
         out_dim: usize,
         rows: Rows<'_>,
         finish: Finish<'_>,
@@ -727,7 +642,7 @@ mod x86 {
     /// bounds-checked slice of exactly the tile's width.
     #[target_feature(enable = "avx2")]
     unsafe fn tile<const NV: usize>(
-        w: Weights<'_>,
+        w: &[f32],
         out_dim: usize,
         rows: Rows<'_>,
         finish: Finish<'_>,
@@ -743,24 +658,11 @@ mod x86 {
                     continue;
                 }
                 let at = idx as usize * out_dim + j0;
-                match w {
-                    Weights::F32(w) => {
-                        let row = &w[at..at + width];
-                        let cv = _mm256_set1_ps(val);
-                        for (v, a) in acc.iter_mut().enumerate() {
-                            let wv = _mm256_loadu_ps(row.as_ptr().add(v * LANES));
-                            *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
-                        }
-                    }
-                    Weights::Int8 { q, scales } => {
-                        let row = &q[at..at + width];
-                        let cv = _mm256_set1_ps(val * scales[idx as usize]);
-                        for (v, a) in acc.iter_mut().enumerate() {
-                            let q8 = _mm_loadl_epi64(row.as_ptr().add(v * LANES) as *const __m128i);
-                            let wv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-                            *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
-                        }
-                    }
+                let row = &w[at..at + width];
+                let cv = _mm256_set1_ps(val);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_loadu_ps(row.as_ptr().add(v * LANES));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(cv, wv));
                 }
             }
             let out = &mut y[r * out_dim + j0..r * out_dim + j0 + width];
@@ -839,7 +741,7 @@ mod tests {
     /// Every kernel this CPU has, each on its own, against the portable
     /// oracle: widths on both sides of every AVX2 tile and of the AVX-512
     /// masked tail (1, 5, 15, 17, 250, 257, 262) and at whole tiles (8, 16,
-    /// 96, 256, 768), both weight forms, every finish, with `-0.0` and
+    /// 96, 256, 768), every finish, with `-0.0` and
     /// subnormals among the weights and the entries (the latter next to a
     /// `+0.0` entry and an empty row). Equal as `f32` (the oracle's ReLU may
     /// keep a `-0.0` that `vmaxps` turns into `+0.0`); the vector kernels
@@ -892,19 +794,7 @@ mod tests {
             for (i, &v) in edge.iter().cycle().take(wf.len().min(24)).enumerate() {
                 wf[(i * 37) % (K * out_dim)] = v;
             }
-            let q: Vec<i8> = (0..K * out_dim).map(|_| next() as u8 as i8).collect();
-            let scales: Vec<f32> = (0..K).map(|p| 0.01 + p as f32 * 1e-3).collect();
             let bias: Vec<f32> = (0..out_dim).map(|j| j as f32 * 0.03 - 1.0).collect();
-            let forms = [
-                ("f32", Weights::F32(&wf)),
-                (
-                    "int8",
-                    Weights::Int8 {
-                        q: &q,
-                        scales: &scales,
-                    },
-                ),
-            ];
             let finishes = [
                 (
                     "bias",
@@ -923,25 +813,19 @@ mod tests {
                 ("store", Finish::Store),
                 ("accumulate", Finish::Accumulate),
             ];
-            for (form, w) in forms {
-                for (how, finish) in finishes {
-                    let start: Vec<f32> =
-                        (0..ROWS * out_dim).map(|i| i as f32 * 0.25 - 7.0).collect();
-                    let mut want = start.clone();
-                    sparse_rows_portable(w, out_dim, x.rows(), finish, &mut want, 0..out_dim);
-                    let mut vector_bits: Option<Vec<u32>> = None;
-                    for &kernel in &ran {
-                        let mut got = start.clone();
-                        kernel.run(w, out_dim, x.rows(), finish, &mut got);
-                        assert_eq!(got, want, "{kernel:?} width {out_dim} {form} {how}");
-                        if kernel != Kernel::Portable {
-                            let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                            let first = vector_bits.get_or_insert_with(|| bits.clone());
-                            assert_eq!(
-                                &bits, first,
-                                "{kernel:?} width {out_dim} {form} {how} bits"
-                            );
-                        }
+            for (how, finish) in finishes {
+                let start: Vec<f32> = (0..ROWS * out_dim).map(|i| i as f32 * 0.25 - 7.0).collect();
+                let mut want = start.clone();
+                sparse_rows_portable(&wf, out_dim, x.rows(), finish, &mut want, 0..out_dim);
+                let mut vector_bits: Option<Vec<u32>> = None;
+                for &kernel in &ran {
+                    let mut got = start.clone();
+                    kernel.run(&wf, out_dim, x.rows(), finish, &mut got);
+                    assert_eq!(got, want, "{kernel:?} width {out_dim} {how}");
+                    if kernel != Kernel::Portable {
+                        let bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                        let first = vector_bits.get_or_insert_with(|| bits.clone());
+                        assert_eq!(&bits, first, "{kernel:?} width {out_dim} {how} bits");
                     }
                 }
             }
@@ -960,15 +844,15 @@ mod tests {
             .chain(std::iter::repeat_n(0.0, 9))
             .collect();
         let mut y = vec![f32::NAN; 18];
-        sparse_rows(Weights::F32(&w), 9, x.rows(), Finish::Store, &mut y);
+        sparse_rows(&w, 9, x.rows(), Finish::Store, &mut y);
         assert_eq!(y, want);
-        sparse_rows(Weights::F32(&w), 9, x.rows(), Finish::Accumulate, &mut y);
+        sparse_rows(&w, 9, x.rows(), Finish::Accumulate, &mut y);
         let doubled: Vec<f32> = want.iter().map(|v| v + v).collect();
         assert_eq!(y, doubled);
         let bias: Vec<f32> = (0..9).map(|j| j as f32 - 4.0).collect();
         for relu in [false, true] {
             let finish = Finish::Bias { bias: &bias, relu };
-            sparse_rows(Weights::F32(&w), 9, x.rows(), finish, &mut y);
+            sparse_rows(&w, 9, x.rows(), finish, &mut y);
             for (i, (&got, &acc)) in y.iter().zip(&want).enumerate() {
                 let z = acc + bias[i % 9];
                 assert_eq!(got, if relu { z.max(0.0) } else { z }, "relu={relu} i={i}");

@@ -9,7 +9,7 @@
 //! threaded and transposed products of training live on
 //! [`crate::linear::Linear`], which keeps their scratch.
 
-use crate::sparse::{self, Finish, IndexSet, Weights};
+use crate::sparse::{self, Finish, IndexSet};
 
 /// A dense row-major matrix of `f32`. A "vector" is a 1×n or n×1 tensor.
 ///
@@ -114,8 +114,13 @@ impl Tensor {
         let mut out = Tensor::zeros(self.rows, other.cols);
         if self.cols > 0 {
             let left = IndexSet::of_dense(&self.data, self.cols);
-            let right = Weights::F32(&other.data);
-            sparse::sparse_rows(right, other.cols, left.rows(), Finish::Store, &mut out.data);
+            sparse::sparse_rows(
+                &other.data,
+                other.cols,
+                left.rows(),
+                Finish::Store,
+                &mut out.data,
+            );
         }
         out
     }

@@ -18,10 +18,10 @@
 //! `sparse_rows_pool` through the inputs that leave it nothing, or nothing
 //! even, to cut.
 
-use ds_nn::frozen::{FrozenLinear, IndexSet, QuantMode};
+use ds_nn::frozen::{FrozenLinear, IndexSet};
 use ds_nn::linear::{GradScratch, Linear};
 use ds_nn::pool::Team;
-use ds_nn::sparse::{entry_cut, sparse_rows_pool, sparse_rows_portable, Finish, Weights};
+use ds_nn::sparse::{entry_cut, sparse_rows_pool, sparse_rows_portable, Finish};
 use ds_nn::tensor::{reference, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,7 +99,7 @@ fn grads_of(layer: &mut Linear) -> (Tensor, Vec<f32>) {
 fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), TestCaseError> {
     let rows = IndexSet::of_dense(x.data(), x.cols());
     let what = format!("{}x{}·{}", x.rows(), x.cols(), layer.out_dim());
-    let frozen = FrozenLinear::from_linear(layer, QuantMode::F32);
+    let frozen = FrozenLinear::from_linear(layer);
     let mut scratch = GradScratch::new();
     let mut out = Tensor::zeros(3, 7); // wrong shape, overwritten
     for relu in [false, true] {
@@ -275,7 +275,7 @@ fn entry_balanced_cuts_match_the_portable_oracle_on_degenerate_rows() {
         for finish in finishes {
             let start: Vec<f32> = (0..counts.len() * N).map(|i| i as f32 * 0.25).collect();
             let mut want = start.clone();
-            let weights = Weights::F32(w.data());
+            let weights = w.data();
             sparse_rows_portable(weights, N, x.rows(), finish, &mut want, 0..N);
             for lanes in [1, 2, 3, 8] {
                 let mut got = start.clone();

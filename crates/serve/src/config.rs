@@ -31,6 +31,26 @@ pub enum SloSignal {
     QErrorMax(f64),
 }
 
+impl SloSignal {
+    /// Grades one finished request: `Some(good)`, or `None` when the
+    /// signal does not apply (no wall time, or an ungraded request).
+    /// `latency` is the end-to-end wall time, compared exactly — a 0.9 µs
+    /// request misses a 0 µs objective; `errored` marks `ERR`/`BUSY`
+    /// responses; `qerror` is present only for graded `FEEDBACK` requests.
+    pub(crate) fn grade(
+        &self,
+        latency: Option<Duration>,
+        errored: bool,
+        qerror: Option<f64>,
+    ) -> Option<bool> {
+        match *self {
+            SloSignal::LatencyUs(limit) => latency.map(|l| l <= Duration::from_micros(limit)),
+            SloSignal::Errors => Some(!errored),
+            SloSignal::QErrorMax(limit) => qerror.map(|q| q <= limit),
+        }
+    }
+}
+
 /// One declarative serving SLO: the burn-rate spec plus the signal that
 /// classifies each request as good or bad.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,19 +147,9 @@ impl ServeConfig {
         }
     }
 
-    /// The bind address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Capacity of the template-keyed estimate cache (0 = disabled).
     pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
-    }
-
-    /// Per-request deadline.
-    pub fn request_timeout(&self) -> Duration {
-        self.request_timeout
     }
 }
 
@@ -361,14 +371,27 @@ mod tests {
             ])
             .build()
             .expect("valid");
-        assert_eq!(cfg.addr(), "0.0.0.0:0");
+        assert_eq!(cfg.addr, "0.0.0.0:0");
         assert_eq!(cfg.cache_capacity(), 0);
-        assert_eq!(cfg.request_timeout(), Duration::from_secs(30));
+        assert_eq!(cfg.request_timeout, Duration::from_secs(30));
         assert!(!cfg.timeline);
         assert_eq!(cfg.snapshot_dir.as_deref(), Some("/tmp/snaps".as_ref()));
         assert!(cfg.faults.is_some());
         assert!(cfg.lifecycle.is_some());
         assert_eq!(cfg.slos.len(), 3);
+    }
+
+    #[test]
+    fn latency_slos_grade_the_exact_duration() {
+        let grade = |limit_us, latency| SloSignal::LatencyUs(limit_us).grade(latency, false, None);
+        assert_eq!(grade(0, Some(Duration::from_nanos(500))), Some(false));
+        assert_eq!(grade(1, Some(Duration::from_micros(1))), Some(true));
+        assert_eq!(grade(1, Some(Duration::from_nanos(1_001))), Some(false));
+        assert_eq!(grade(1, None), None);
+        assert_eq!(SloSignal::Errors.grade(None, true, None), Some(false));
+        let accuracy = SloSignal::QErrorMax(2.0);
+        assert_eq!(accuracy.grade(None, false, Some(2.0)), Some(true));
+        assert_eq!(accuracy.grade(None, false, None), None);
     }
 
     #[test]

@@ -111,27 +111,16 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Grades one finished request against every configured SLO.
-    /// `latency` is the end-to-end wall time; `errored` marks `ERR`/`BUSY`
-    /// responses; `qerror` is present only for graded `FEEDBACK` requests.
+    /// Grades one finished request against every configured SLO (see
+    /// [`SloSignal::grade`]).
     fn record_slos(&self, latency: Option<Duration>, errored: bool, qerror: Option<f64>) {
         if self.slos.is_empty() {
             return;
         }
         let now = self.now_ms();
         for slo in &self.slos {
-            match slo.signal {
-                SloSignal::LatencyUs(limit) => {
-                    if let Some(lat) = latency {
-                        slo.tracker.record(now, lat.as_micros() as u64 <= limit);
-                    }
-                }
-                SloSignal::Errors => slo.tracker.record(now, !errored),
-                SloSignal::QErrorMax(limit) => {
-                    if let Some(q) = qerror {
-                        slo.tracker.record(now, q <= limit);
-                    }
-                }
+            if let Some(good) = slo.signal.grade(latency, errored, qerror) {
+                slo.tracker.record(now, good);
             }
         }
     }

@@ -7,10 +7,8 @@
 //!   comparison-only keys);
 //! * a server loading the sketch from its serialized blob answers every
 //!   line with the same bytes as the server holding the original — the
-//!   widened `DSKT` format preserves v1 inference bit-exactly. The blob it
-//!   loads is the *older* v4 form, which stored the f32 serving artifact
-//!   as a second copy of the weights: such blobs must keep answering
-//!   identically now that the artifact is re-derived on load.
+//!   widened `DSKT` format preserves v1 inference bit-exactly, and the
+//!   serving artifact frozen again on load is the one the original holds.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -18,7 +16,6 @@ use std::time::Duration;
 use ds_core::builder::SketchBuilder;
 use ds_core::sketch::DeepSketch;
 use ds_core::store::SketchStore;
-use ds_nn::serialize::Encoder;
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -34,9 +31,8 @@ struct Fixture {
 }
 
 /// Two live servers for the whole test process: one holding the freshly
-/// trained v1 sketch, one holding its reload from a blob as older v4
-/// writers produced it. (Leaked deliberately — the process exits when the
-/// tests do.)
+/// trained v1 sketch, one holding its reload from today's blob. (Leaked
+/// deliberately — the process exits when the tests do.)
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -50,24 +46,13 @@ fn fixture() -> &'static Fixture {
             .build()
             .expect("v1 sketch");
         let blob = sketch.to_bytes();
-        // What a writer from before the f32 artifact stopped being stored
-        // emitted: frozen flag 1 and the artifact, instead of flag 0.
-        let artifact = sketch.frozen().expect("every sketch holds an artifact");
-        let mut tail = Encoder::new();
-        tail.u64(1);
-        artifact.encode_into(&mut tail);
-        let mut old_blob = blob[..blob.len() - 8].to_vec();
-        old_blob.extend(tail.finish());
-        assert!(old_blob.len() > blob.len() + artifact.footprint_bytes());
-        let reloaded = DeepSketch::from_bytes(&old_blob).expect("old blob decodes");
-        assert_eq!(reloaded.frozen(), Some(artifact));
+        let reloaded = DeepSketch::from_bytes(&blob).expect("blob decodes");
         assert_eq!(
-            reloaded.to_bytes(),
-            blob,
-            "re-encoding yields the short form"
+            reloaded.frozen(),
+            sketch.frozen(),
+            "the artifact is frozen again"
         );
-        let again = DeepSketch::from_bytes(&blob).expect("blob decodes");
-        assert_eq!(again.to_bytes(), blob, "serialization is a fixed point");
+        assert_eq!(reloaded.to_bytes(), blob, "serialization is a fixed point");
 
         let serve = |sketch| {
             let store = Arc::new(SketchStore::new());

@@ -129,14 +129,18 @@ fn main() {
             sql => match parse_query(&db, sql) {
                 Ok(q) => {
                     let truth = oracle.estimate(&q);
-                    // Every estimator goes through the one unified trait:
-                    // the store handle answers for the deep sketch (and
-                    // reports, rather than panics, if it's missing), the
-                    // baselines answer for themselves.
-                    let sketch = store.handle("default");
-                    let panel: [(&str, &dyn CardinalityEstimator); 3] =
-                        [("sketch", &sketch), ("pg", &postgres), ("hyper", &hyper)];
+                    // Every estimator goes through the one unified trait.
+                    // The store reports, rather than panics, if the deep
+                    // sketch is missing; the baselines answer for themselves.
+                    let sketch = store.get("default");
+                    let mut panel: Vec<(&str, &dyn CardinalityEstimator)> = Vec::new();
                     print!("  true {truth:>10.0}");
+                    match &sketch {
+                        Ok(sketch) => panel.push(("sketch", &**sketch)),
+                        Err(e) => print!(" | sketch unavailable: {e}"),
+                    }
+                    panel.push(("pg", &postgres));
+                    panel.push(("hyper", &hyper));
                     for (label, est) in panel {
                         match est.try_estimate(&q) {
                             Ok(v) => {
