@@ -135,11 +135,6 @@ impl QErrorMonitor {
         self.overall.merged()
     }
 
-    /// The rolling distribution of one query template, if it has feedback.
-    pub fn template_rolling(&self, template: &str) -> Option<HistogramSnapshot> {
-        self.templates.read().get(template).map(|w| w.merged())
-    }
-
     /// All templates with feedback, sorted by name, with their rolling
     /// distributions.
     pub fn templates(&self) -> Vec<(String, HistogramSnapshot)> {
@@ -295,13 +290,12 @@ mod tests {
         assert_eq!(m.record("t2", 10.0, 40.0), 4.0);
         assert_eq!(m.samples(), 2);
         assert_eq!(m.rolling().count(), 2);
-        assert_eq!(m.template_rolling("t1").unwrap().count(), 1);
-        assert_eq!(m.template_rolling("t1").unwrap().max(), 1000);
-        assert_eq!(m.template_rolling("t2").unwrap().max(), 4000);
-        assert!(m.template_rolling("t3").is_none());
         let templates = m.templates();
-        assert_eq!(templates.len(), 2);
-        assert_eq!(templates[0].0, "t1");
+        let names: Vec<&str> = templates.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(names, ["t1", "t2"]);
+        assert_eq!(templates[0].1.count(), 1);
+        assert_eq!(templates[0].1.max(), 1000);
+        assert_eq!(templates[1].1.max(), 4000);
         // Actual cardinality 0 is clamped to 1, not a division blow-up.
         let q = m.record("t1", 5.0, 0.0);
         assert_eq!(q, 5.0);

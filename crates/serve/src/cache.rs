@@ -5,11 +5,17 @@
 //! the sketch that produced the value, the query's canonical structural
 //! shape (the same canonicalization as [`crate::query_template`]), and the
 //! predicate literal values — the `CanonicalQuery` form, which the
-//! template interner and the lifecycle harvest key are derived from too. Keying by generation makes swap/remove
-//! invalidation structural: a retrained or re-inserted sketch gets a fresh
-//! generation from the store, so stale entries can never hit — the cache
-//! additionally purges them eagerly (and counts the purge) the first time
-//! it sees the new generation.
+//! template interner and the lifecycle harvest key are derived from too.
+//!
+//! The generation is the cache's one invalidation rule. A cached answer is
+//! right exactly as long as the model that computed it serves, and every
+//! swap, rollback, retrain or remove/re-insert serves under a fresh store
+//! generation, so no request builds a key of a displaced generation again.
+//! Nothing purges those entries: they age out under eviction like any entry
+//! no request touches, and count toward [`EstimateCache::len`] until then.
+//! Accuracy drift reported through `FEEDBACK` drops nothing either — the
+//! same model recomputes the same bits — and is answered by retraining,
+//! which brings a new generation.
 //!
 //! Correctness contract, enforced by integration tests:
 //!
@@ -17,13 +23,11 @@
 //!   produce (values enter the cache only from healthy batcher answers);
 //! * degraded (circuit-breaker / fallback) responses are never inserted,
 //!   and the serving path consults the cache only after breaker admission,
-//!   so an open circuit is never masked by a warm cache;
-//! * `FEEDBACK`-detected accuracy drift for a template drops every cached
-//!   entry of that template (all literals, all generations).
+//!   so an open circuit is never masked by a warm cache.
 //!
 //! Eviction is sharded second-chance (CLOCK): each shard keeps a FIFO ring
-//! over its keys plus one referenced bit per entry — hits set the bit,
-//! eviction gives set bits a second lap. This approximates LRU without
+//! over exactly its keys plus one referenced bit per entry — hits set the
+//! bit, eviction gives set bits a second lap. This approximates LRU without
 //! per-hit list surgery, so a hit is one hash lookup and one store.
 
 use std::collections::hash_map::DefaultHasher;
@@ -31,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use ds_query::query::Query;
 
@@ -189,48 +193,30 @@ struct Shard {
     ring: VecDeque<EstimateKey>,
 }
 
-impl Shard {
-    /// Drops the entries whose keys are `dead` from the map and from the
-    /// ring alike — an invalidated key left in the ring would stay there
-    /// until capacity eviction happened to sweep past it, which a sketch
-    /// that changes generation faster than its shard fills never reaches.
-    /// Returns how many entries went.
-    fn purge(&mut self, dead: impl Fn(&EstimateKey) -> bool) -> u64 {
-        let before = self.map.len();
-        self.map.retain(|k, _| !dead(k));
-        self.ring.retain(|k| !dead(k));
-        (before - self.map.len()) as u64
-    }
-}
-
 /// Bounded, sharded, second-chance estimate cache. See the module docs for
 /// the keying and invalidation contract.
 pub struct EstimateCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    /// Latest store generation seen per sketch name; a change purges the
-    /// sketch's stale entries eagerly.
-    latest: RwLock<HashMap<String, u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl EstimateCache {
-    /// A cache holding at most `capacity` entries across `shards` shards
-    /// (both clamped to at least 1).
+    /// A cache holding at most `capacity` entries (at least 1) across
+    /// `shards` shards, never more shards than entries. Each shard holds
+    /// `capacity / shards`, rounded down, so up to `shards - 1` of the
+    /// capacity can go unused but the bound always holds.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.max(1).div_ceil(shards);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity,
-            latest: RwLock::new(HashMap::new()),
+            per_shard_capacity: capacity / shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -240,55 +226,10 @@ impl EstimateCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Builds the key for a request and eagerly purges stale entries when
-    /// this is the first sight of `sketch` at `generation` (a swap,
-    /// remove/re-insert, or background-retrain promotion).
+    /// [`EstimateKey::new`]. Kept because the benchmark's source calls it;
+    /// the server refills one key per connection instead.
     pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> EstimateKey {
-        self.note_generation(sketch, generation);
         EstimateKey::new(sketch, generation, query)
-    }
-
-    /// [`EstimateCache::key`] into a key the caller reuses, for a query
-    /// already in canonical form.
-    pub(crate) fn key_into(
-        &self,
-        key: &mut EstimateKey,
-        sketch: &str,
-        generation: u64,
-        query: &CanonicalQuery,
-    ) {
-        self.note_generation(sketch, generation);
-        key.set(sketch, generation, query);
-    }
-
-    /// Purges `dead` entries from every shard; returns how many went.
-    fn purge(&self, dead: impl Fn(&EstimateKey) -> bool) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").purge(&dead))
-            .sum()
-    }
-
-    fn note_generation(&self, sketch: &str, generation: u64) {
-        if self
-            .latest
-            .read()
-            .expect("cache generation map poisoned")
-            .get(sketch)
-            == Some(&generation)
-        {
-            return;
-        }
-        // Hold the write lock across the purge so concurrent first
-        // sightings of the same swap purge exactly once.
-        let mut latest = self.latest.write().expect("cache generation map poisoned");
-        match latest.insert(sketch.to_string(), generation) {
-            Some(prev) if prev != generation => {
-                let purged = self.purge(|k| k.sketch == sketch && k.generation != generation);
-                self.invalidations.fetch_add(purged, Ordering::Relaxed);
-            }
-            _ => {}
-        }
     }
 
     /// Looks up a cached estimate, counting the hit or miss.
@@ -327,13 +268,12 @@ impl EstimateCache {
                     entry.referenced = false;
                     shard.ring.push_back(victim);
                 }
-                Some(_) => {
+                // Only eviction removes an entry, and it pops the key off
+                // the ring first, so a ring key always has its entry.
+                _ => {
                     shard.map.remove(&victim);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                // Purges take their keys out of the ring with them, so a
-                // ring key always has its entry; nothing to evict if not.
-                None => {}
             }
         }
         shard.ring.push_back(key.clone());
@@ -346,17 +286,7 @@ impl EstimateCache {
         );
     }
 
-    /// Drops every cached entry of `sketch` whose query shape equals
-    /// `shape` — all literals, all generations. Called when `FEEDBACK`
-    /// detects accuracy drift for the template. Returns the number of
-    /// entries dropped.
-    pub fn invalidate_template(&self, sketch: &str, shape: &[u32]) -> u64 {
-        let dropped = self.purge(|k| k.sketch == sketch && k.shape == shape);
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        dropped
-    }
-
-    /// Cached entries across all shards.
+    /// Cached entries across all shards, displaced generations' included.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -383,11 +313,6 @@ impl EstimateCache {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
-
-    /// Entries dropped by generation swaps and template drift.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -395,6 +320,7 @@ mod tests {
     use super::*;
     use ds_query::parser::parse_query;
     use ds_storage::gen::{imdb_database, ImdbConfig};
+    use std::collections::HashSet;
 
     fn queries() -> (Query, Query, Query) {
         let db = imdb_database(&ImdbConfig::tiny(1));
@@ -427,107 +353,129 @@ mod tests {
         assert_eq!(ka, EstimateKey::new("s", 1, &a.clone()));
     }
 
+    /// A key of one fixed shape with literal `lit`: the cache never looks
+    /// inside a key, so its tests need no database.
+    fn key(generation: u64, lit: i64) -> EstimateKey {
+        EstimateKey {
+            sketch: "s".to_string(),
+            generation,
+            shape: vec![1, 0, 0],
+            lits: vec![lit],
+        }
+    }
+
+    /// The value a test inserts under `key(generation, lit)`.
+    fn value(generation: u64, lit: i64) -> f64 {
+        (generation * 1_000_000) as f64 + lit as f64
+    }
+
+    /// Each shard's ring holds exactly its map's keys, each once.
+    fn assert_rings_hold_their_maps(cache: &EstimateCache) {
+        for shard in &cache.shards {
+            let s = shard.lock().unwrap();
+            let ring: HashSet<&EstimateKey> = s.ring.iter().collect();
+            assert_eq!(ring.len(), s.ring.len(), "a key is in the ring twice");
+            assert_eq!(ring, s.map.keys().collect(), "ring and map disagree");
+        }
+    }
+
     #[test]
-    fn hits_misses_and_generation_purge() {
+    fn a_new_generation_misses_and_the_old_entries_stay() {
         let (a, b, _) = queries();
         let cache = EstimateCache::new(64, 4);
         let k = cache.key("imdb", 1, &a);
+        assert_eq!(k, EstimateKey::new("imdb", 1, &a));
         assert_eq!(cache.get(&k), None);
         cache.insert(k.clone(), 42.5);
         assert_eq!(cache.get(&k), Some(42.5));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let kb = cache.key("imdb", 1, &b);
-        cache.insert(kb, 7.0);
+        cache.insert(EstimateKey::new("imdb", 1, &b), 7.0);
         assert_eq!(cache.len(), 2);
 
-        // A new generation purges the old entries and can never hit them.
-        let k2 = cache.key("imdb", 2, &a);
-        assert_eq!(cache.len(), 0, "swap must purge stale generations");
-        assert_eq!(cache.invalidations(), 2);
+        // A new generation never hits the old entries, and builds none of
+        // their keys again; they stay until eviction takes them.
+        let k2 = EstimateKey::new("imdb", 2, &a);
         assert_eq!(cache.get(&k2), None);
+        assert_eq!(cache.len(), 2);
+        cache.insert(k2.clone(), 1.5);
+        assert_eq!(cache.get(&k2), Some(1.5));
+        assert_eq!(cache.get(&k), Some(42.5));
+        assert_eq!(cache.len(), 3);
     }
 
+    /// A sketch whose generation moves faster than the cache fills: each
+    /// generation misses on every query the one before it cached, and the
+    /// displaced entries are evicted within the capacity, off the ring too.
     #[test]
-    fn template_invalidation_is_shape_scoped() {
-        let (a, b, c) = queries();
-        let cache = EstimateCache::new(64, 4);
-        let ka = cache.key("imdb", 1, &a);
-        let kb = cache.key("imdb", 1, &b);
-        let kc = cache.key("imdb", 1, &c);
-        cache.insert(ka.clone(), 1.0);
-        cache.insert(kb.clone(), 2.0);
-        cache.insert(kc.clone(), 3.0);
-        // Another sketch's entry with the same shape must survive.
-        let other = cache.key("other", 9, &a);
-        cache.insert(other.clone(), 4.0);
-        assert_eq!(cache.invalidate_template("imdb", ka.shape()), 2);
-        assert_eq!(cache.get(&ka), None);
-        assert_eq!(cache.get(&kb), None);
-        assert_eq!(cache.get(&kc), Some(3.0));
-        assert_eq!(cache.get(&other), Some(4.0));
-    }
-
-    /// Invalidation takes a key out of the eviction ring too. (The ring
-    /// used to be trimmed only by capacity eviction, so a sketch whose
-    /// generation moved faster than a shard filled kept every key it ever
-    /// cached: 10 000 ring keys for 200 live entries in the first loop.)
-    #[test]
-    fn invalidated_keys_leave_the_eviction_ring() {
-        let (a, _, _) = queries();
-        let shape = EstimateKey::new("s", 1, &a).shape;
-        let key = |generation: u64, i: i64| EstimateKey {
-            sketch: "s".to_string(),
-            generation,
-            shape: shape.clone(),
-            lits: vec![i],
-        };
-        let ring_matches_map = |cache: &EstimateCache| {
-            for shard in &cache.shards {
-                let s = shard.lock().unwrap();
-                assert_eq!(s.ring.len(), s.map.len(), "the ring holds the map's keys");
-            }
-        };
-
-        // 50 generations of 200 distinct queries, far below capacity.
-        let cache = EstimateCache::new(4096, 8);
+    fn displaced_generations_age_out_within_capacity() {
+        let cache = EstimateCache::new(1024, 8);
         for generation in 1..=50 {
-            cache.note_generation("s", generation);
             for i in 0..200 {
-                cache.insert(key(generation, i), i as f64);
+                let k = key(generation, i);
+                assert_eq!(cache.get(&k), None, "generation {generation}");
+                cache.insert(k.clone(), value(generation, i));
+                assert_eq!(cache.get(&k), Some(value(generation, i)));
             }
+            assert!(cache.len() <= 1024, "{} entries", cache.len());
+            assert_rings_hold_their_maps(&cache);
         }
-        assert_eq!(cache.len(), 200);
-        assert_eq!(cache.invalidations(), 49 * 200);
-        ring_matches_map(&cache);
+        assert_eq!((cache.hits(), cache.misses()), (50 * 200, 50 * 200));
+        assert_eq!(cache.evictions(), 50 * 200 - cache.len() as u64);
+    }
 
-        // 50 rounds of template drift over the same 200 queries.
-        let cache = EstimateCache::new(4096, 8);
-        for _ in 0..50 {
-            for i in 0..200 {
-                cache.insert(key(1, i), i as f64);
+    /// `len() <= capacity` whatever the split: the shard count is clamped
+    /// to the capacity and each shard's share rounded down.
+    #[test]
+    fn the_cache_never_holds_more_than_its_capacity() {
+        for (capacity, shards, full) in [(1, 8, 1), (5, 8, 5), (4097, 8, 4096), (4096, 8, 4096)] {
+            let cache = EstimateCache::new(capacity, shards);
+            for i in 0..20_000 {
+                cache.insert(key(1, i), 0.0);
             }
-            assert_eq!(cache.invalidate_template("s", &shape), 200);
+            assert_eq!(cache.len(), full, "new({capacity}, {shards})");
+            assert_rings_hold_their_maps(&cache);
         }
-        assert!(cache.is_empty());
-        ring_matches_map(&cache);
+    }
+
+    /// Eight threads get and insert over overlapping keys of four
+    /// generations at a capacity that forces eviction: a hit always returns
+    /// the bits inserted for its key, and the bound and the rings hold.
+    #[test]
+    fn concurrent_gets_and_inserts_keep_every_key_to_its_value() {
+        let cache = EstimateCache::new(256, 8);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (cache, start) = (&cache, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for j in 0..2_000u64 {
+                        let generation = (j + t) % 4 + 1;
+                        let lit = ((j * 7 + t * 13) % 300) as i64;
+                        let k = key(generation, lit);
+                        match cache.get(&k) {
+                            Some(v) => assert_eq!(v.to_bits(), value(generation, lit).to_bits()),
+                            None => cache.insert(k, value(generation, lit)),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.hits() + cache.misses(), 8 * 2_000);
+        assert!(cache.hits() > 0 && cache.evictions() > 0);
+        assert!(cache.len() <= 256, "{} entries", cache.len());
+        assert_rings_hold_their_maps(&cache);
     }
 
     #[test]
     fn capacity_is_bounded_and_hot_entries_survive_eviction() {
-        let (a, _, _) = queries();
         // Single shard, capacity 4: inserts must never grow past it.
         let cache = EstimateCache::new(4, 1);
-        let key_i = |i: i64| EstimateKey {
-            sketch: "s".to_string(),
-            generation: 1,
-            shape: EstimateKey::new("s", 1, &a).shape.clone(),
-            lits: vec![i],
-        };
-        cache.insert(key_i(0), 0.0);
+        cache.insert(key(1, 0), 0.0);
         for i in 1..20 {
             // Keep key 0 hot so second chance retains it.
-            assert_eq!(cache.get(&key_i(0)), Some(0.0), "hot entry evicted at {i}");
-            cache.insert(key_i(i), i as f64);
+            assert_eq!(cache.get(&key(1, 0)), Some(0.0), "hot entry evicted at {i}");
+            cache.insert(key(1, i), i as f64);
             assert!(cache.len() <= 4, "cache grew past capacity");
         }
         assert!(cache.evictions() > 0);

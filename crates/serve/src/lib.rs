@@ -12,8 +12,9 @@
 //!   every answer is `estimate_one`'s, bit for bit.
 //! * **Caching** — a bounded, template-keyed estimate cache ([`cache`])
 //!   short-circuits repeat healthy `ESTIMATE`s with bit-identical answers;
-//!   entries are generation-keyed so sketch swaps invalidate structurally,
-//!   and `FEEDBACK`-detected accuracy drift purges the drifting template.
+//!   every key carries the sketch's store generation, so a swap's entries
+//!   never hit again and age out under eviction — the cache's one
+//!   invalidation rule.
 //! * **Robustness** — per-request deadlines, a connection cap that sheds
 //!   with `BUSY` (the admission control: a connection has one request in
 //!   flight), bounded request lines ([`line_reader`]), and graceful

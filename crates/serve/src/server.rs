@@ -669,12 +669,8 @@ fn handle_snapshot(sketch: &str, shared: &Shared) -> Response {
 /// under `<snapshot_dir>/quarantine/` for post-mortems; a corrupt transfer
 /// is never adopted.
 fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared) -> Response {
-    let reject = |message: String, bytes: Option<&[u8]>, shared: &Shared| -> Response {
-        shared.sync_rejected.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.record_error();
-        if let Some(bytes) = bytes {
-            quarantine_sync(bytes, shared);
-        }
+    let reject = |message: String, bytes: Option<&[u8]>| -> Response {
+        reject_sync(bytes, shared);
         Response::Error {
             code: ErrorCode::Decode,
             message,
@@ -682,24 +678,17 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
     };
     let bytes = match decode_hex(hex) {
         Some(b) => b,
-        None => {
-            return reject(
-                format!("SYNC {name}: payload is not valid hex"),
-                None,
-                shared,
-            )
-        }
+        None => return reject(format!("SYNC {name}: payload is not valid hex"), None),
     };
     if bytes.len() as u64 != len {
         return reject(
             format!("SYNC {name}: announced {len} bytes, got {}", bytes.len()),
             Some(&bytes),
-            shared,
         );
     }
     let snap = match decode_snapshot(&bytes) {
         Ok(s) => s,
-        Err(e) => return reject(format!("SYNC {name}: {e}"), Some(&bytes), shared),
+        Err(e) => return reject(format!("SYNC {name}: {e}"), Some(&bytes)),
     };
     if snap.name != name || snap.generation != generation {
         return reject(
@@ -708,7 +697,6 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
                 snap.name, snap.generation
             ),
             Some(&bytes),
-            shared,
         );
     }
     match shared.store.adopt_snapshot(snap, Some(&shared.monitors)) {
@@ -721,28 +709,34 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
             Response::Text(format!("SYNC {name} {current} stale"))
         }
         Err(e) => {
-            shared.sync_rejected.fetch_add(1, Ordering::Relaxed);
-            quarantine_sync(&bytes, shared);
-            shared.metrics.record_error();
+            reject_sync(Some(&bytes), shared);
             store_error_response(&e)
         }
     }
 }
 
-/// Preserves a rejected `SYNC` payload under `<snapshot_dir>/quarantine/`
-/// (best effort, same policy as [`SketchStore::open_dir`] uses for corrupt
-/// files found on disk). No-op when the server runs without a snapshot
-/// directory.
-fn quarantine_sync(bytes: &[u8], shared: &Shared) {
-    let Some(dir) = shared.snapshot_dir.as_ref() else {
+/// Counts a rejected `SYNC` and preserves its payload, if it has one, under
+/// `<snapshot_dir>/quarantine/` (best effort, same policy as
+/// [`SketchStore::open_dir`] uses for corrupt files found on disk). The
+/// file is named from this rejection's own count and never overwrites one
+/// already there — a concurrent rejection's, or an earlier process's — but
+/// steps past it to the next free number. Nothing is written when the
+/// server runs without a snapshot directory.
+fn reject_sync(bytes: Option<&[u8]>, shared: &Shared) {
+    let seq = shared.sync_rejected.fetch_add(1, Ordering::Relaxed) + 1;
+    shared.metrics.record_error();
+    let (Some(bytes), Some(dir)) = (bytes, shared.snapshot_dir.as_ref()) else {
         return;
     };
-    let seq = shared.sync_rejected.load(Ordering::Relaxed);
     let qdir = dir.join("quarantine");
-    if std::fs::create_dir_all(&qdir).is_ok()
-        && std::fs::write(qdir.join(format!("sync-reject-{seq}.dsnp")), bytes).is_ok()
-    {
-        ds_obs::global().count("serve/sync/quarantined", 1);
+    let _ = std::fs::create_dir_all(&qdir);
+    let file = (seq..)
+        .map(|n| std::fs::File::create_new(qdir.join(format!("sync-reject-{n}.dsnp"))))
+        .find(|r| !matches!(r, Err(e) if e.kind() == ErrorKind::AlreadyExists));
+    if let Some(Ok(mut file)) = file {
+        if file.write_all(bytes).is_ok() {
+            ds_obs::global().count("serve/sync/quarantined", 1);
+        }
     }
 }
 
@@ -876,10 +870,10 @@ fn handle_estimate(
     let harvest_key = canonical
         .filter(|_| feedback.is_some() && shared.lifecycle.is_some())
         .map(|c| harvest_key(template.as_deref().unwrap_or(""), c));
-    // Building the key notes the store generation, eagerly purging entries
-    // staled by a swap or remove/re-insert.
-    let cache_key = cache.zip(canonical).map(|(c, q)| {
-        c.key_into(key, sketch, generation, q);
+    // The key carries the store generation this request resolved, so an
+    // entry of a swapped-out model is never looked up again.
+    let cache_key = cache.zip(canonical).map(|(_, q)| {
+        key.set(sketch, generation, q);
         &*key
     });
     let mut cache_hit = false;
@@ -931,38 +925,17 @@ fn handle_estimate(
             shared.metrics.record_ok(latency);
             let qerror = feedback.map(|actual| ds_core::metrics::qerror(v, actual.max(1) as f64));
             shared.record_slos(Some(latency), false, qerror);
-            let mut drifted = false;
             if let Some(actual) = feedback {
                 let monitor = shared.monitors.monitor(sketch);
-                let tmpl = template.as_deref().unwrap_or("");
-                monitor.record(tmpl, v, actual as f64);
+                monitor.record(template.as_deref().unwrap_or(""), v, actual as f64);
                 // Graded queries feed the lifecycle harvest (and, post-swap,
                 // the guard window) — the raw SQL rides along so the daemon
                 // can re-parse it for incremental retraining.
                 if let (Some(lc), Some(key)) = (shared.lifecycle.as_ref(), harvest_key.as_deref()) {
                     lc.manager.observe_feedback(sketch, key, sql, v, actual);
                 }
-                // FEEDBACK doubles as the drift signal: once this
-                // template's rolling q-error degrades past the configured
-                // ratio versus the training-time baseline, its cached
-                // estimates are dropped (and this one is not re-inserted).
-                if let (Some(c), Some(k), Some(base)) = (cache, cache_key, estimator.baseline()) {
-                    if let Some(rolling) = monitor.template_rolling(tmpl) {
-                        let stale =
-                            ds_core::maintain::accuracy_drift(base, &rolling).is_some_and(|d| {
-                                d.is_stale(
-                                    ds_core::maintain::DEFAULT_DRIFT_RATIO,
-                                    ds_core::maintain::DEFAULT_MIN_SAMPLES,
-                                )
-                            });
-                        if stale {
-                            c.invalidate_template(sketch, k.shape());
-                            drifted = true;
-                        }
-                    }
-                }
             }
-            if !cache_hit && !drifted {
+            if !cache_hit {
                 if let (Some(c), Some(k)) = (cache, cache_key) {
                     c.insert(k.clone(), v);
                 }
@@ -1172,7 +1145,6 @@ fn stats_payload(shared: &Shared) -> String {
         p.counter("serve/cache/hits", c.hits())
             .counter("serve/cache/misses", c.misses())
             .counter("serve/cache/evictions", c.evictions())
-            .counter("serve/cache/invalidations", c.invalidations())
             .gauge("serve/cache/len", c.len() as f64);
     }
     // Each served sketch's element memo, beside the estimate cache it sits

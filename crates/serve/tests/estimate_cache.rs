@@ -3,10 +3,10 @@
 //!
 //! * a warm hit returns the byte-identical wire line a cold estimate
 //!   produced (memoization is invisible on the wire);
-//! * a sketch swap (remove + re-insert) invalidates: stale generations can
-//!   never answer, and the purge is counted;
-//! * sustained `FEEDBACK`-detected accuracy drift purges the drifting
-//!   template's entries;
+//! * a sketch swap (remove + re-insert) serves under a new generation, so
+//!   the old generation's entries can never answer;
+//! * sustained `FEEDBACK`-reported accuracy drift drops no entry: the same
+//!   model keeps answering with the same bits, from the cache;
 //! * degraded responses are never cached, and a warm cache never masks an
 //!   unhealthy sketch (fault-dependent, so `debug_assertions`-only).
 
@@ -89,9 +89,8 @@ fn zero_capacity_disables_the_cache() {
     server.shutdown();
 }
 
-/// Removing and re-inserting a sketch bumps its store generation; the old
-/// entries are purged (counted as invalidations) and the next answer comes
-/// from the new model, never the stale cache.
+/// Removing and re-inserting a sketch bumps its store generation; the next
+/// answer comes from the new model, never the old generation's entry.
 #[test]
 fn swap_invalidates_stale_generations() {
     let (server, db, store) = start(
@@ -128,10 +127,6 @@ fn swap_invalidates_stale_generations() {
         new_expected.to_bits(),
         "post-swap answer must come from the new model, not the cache"
     );
-    assert!(
-        stat(&mut c, "ds_serve_cache_invalidations") >= 1.0,
-        "the stale generation's entry must be purged"
-    );
     // The new generation caches independently.
     assert_eq!(
         c.estimate_value("imdb", SQL).unwrap().to_bits(),
@@ -142,10 +137,11 @@ fn swap_invalidates_stale_generations() {
     server.shutdown();
 }
 
-/// Sustained terrible feedback for one template crosses the accuracy-drift
-/// threshold and purges that template's cached entries.
+/// Sustained terrible feedback for one template drops nothing: drift is a
+/// retraining signal, and until a retrain swaps a new generation in, the
+/// cached answer is the one the serving model recomputes, bit for bit.
 #[test]
-fn feedback_drift_purges_the_template() {
+fn feedback_drift_keeps_the_cached_answer() {
     let (server, _db, store) = start(
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
@@ -154,7 +150,7 @@ fn feedback_drift_purges_the_template() {
     );
     assert!(
         store.get("imdb").unwrap().baseline().is_some(),
-        "drift detection needs the training-time baseline"
+        "drift is measured against the training-time baseline"
     );
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
@@ -166,16 +162,11 @@ fn feedback_drift_purges_the_template() {
         let fb = c.feedback_value("imdb", actual, SQL).unwrap();
         assert_eq!(fb.to_bits(), v.to_bits(), "feedback is served consistently");
     }
-    assert!(
-        stat(&mut c, "ds_serve_cache_invalidations") >= 1.0,
-        "drift past the threshold must purge the template"
-    );
-    // The purge changes no answer: the same artifact recomputes the bits
-    // it served before.
-    let misses = stat(&mut c, "ds_serve_cache_misses");
-    let recomputed = c.estimate_value("imdb", SQL).unwrap();
-    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), misses + 1.0);
-    assert_eq!(recomputed.to_bits(), v.to_bits());
+    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), 1.0);
+    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 60.0);
+    let again = c.estimate_value("imdb", SQL).unwrap();
+    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 61.0);
+    assert_eq!(again.to_bits(), v.to_bits());
     c.quit().unwrap();
     server.shutdown();
 }

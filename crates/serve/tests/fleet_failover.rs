@@ -8,7 +8,8 @@
 //!   with bit-identical answers; restart + heal restores R-way replication
 //!   at the same generation.
 //! * A corrupt `SYNC` transfer is rejected with a typed decode error and
-//!   quarantined on disk — never adopted.
+//!   quarantined on disk — never adopted — and no later rejection, not
+//!   even a restarted server's, overwrites a payload already kept.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,5 +207,50 @@ fn corrupt_sync_is_quarantined_not_adopted() {
 
     conn.quit().unwrap();
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A server restarted on the same snapshot directory counts its rejections
+/// from one again; the payload it quarantines must not overwrite the one
+/// its predecessor kept.
+#[test]
+fn a_restarted_server_keeps_its_predecessors_quarantine() {
+    let db = tiny_db(42);
+    let good = encode_snapshot("imdb", 1, &tiny_sketch(&db, 7), None);
+    let dir = std::env::temp_dir().join(format!("ds_fleet_requar_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut rejected = Vec::new();
+    for flip in [0x40, 0x20] {
+        let server = Server::start(
+            Arc::clone(&db),
+            Arc::new(SketchStore::new()),
+            ServeConfig::builder()
+                .request_timeout(Duration::from_secs(30))
+                .snapshot_dir(Some(dir.clone()))
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let mut conn =
+            Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut corrupt = good.clone();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= flip;
+        conn.sync_snapshot("imdb", 1, &corrupt).unwrap_err();
+        rejected.push(corrupt);
+        conn.quit().unwrap();
+        server.shutdown();
+    }
+    let mut kept: Vec<Vec<u8>> = std::fs::read_dir(dir.join("quarantine"))
+        .unwrap()
+        .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+        .collect();
+    kept.sort();
+    rejected.sort();
+    assert!(
+        kept == rejected,
+        "{} files kept for 2 rejections",
+        kept.len()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
