@@ -84,7 +84,10 @@ fn main() {
 
     // --- Evaluate both on JOB-light ----------------------------------------
     let workload = job_light_workload(&db, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload.iter().map(|q| oracle.estimate(q)).collect();
+    let truths: Vec<f64> = workload
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
     let mscn_q: Vec<f64> = workload
         .iter()
         .zip(&truths)

@@ -14,7 +14,6 @@ use ds_bench::{banner, qerrors_against_truth, standard_sketch_builder, BENCH_SEE
 use ds_core::maintain::{detect_drift, refresh_samples};
 use ds_core::metrics::QErrorSummary;
 use ds_est::oracle::TrueCardinalityOracle;
-use ds_est::CardinalityEstimator;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_storage::gen::{imdb_database, ImdbConfig};
@@ -70,7 +69,10 @@ fn main() {
     // Evaluate three maintenance strategies on the v2 workload.
     let oracle_v2 = TrueCardinalityOracle::new(&db_v2);
     let workload = job_light_workload(&db_v2, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload.iter().map(|q| oracle_v2.estimate(q)).collect();
+    let truths: Vec<f64> = workload
+        .iter()
+        .map(|q| oracle_v2.cardinality(q).expect("ground truth") as f64)
+        .collect();
 
     let stale = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch_v1, &truths, &workload));
 

@@ -51,7 +51,10 @@ fn main() {
         ("0-TUPLE situations", &zero),
         ("non-0-tuple queries", &nonzero),
     ] {
-        let truths: Vec<f64> = subset.iter().map(|q| oracle.estimate(q)).collect();
+        let truths: Vec<f64> = subset
+            .iter()
+            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+            .collect();
         println!("\nq-errors on {name} ({} queries):", subset.len());
         println!("{}", QErrorSummary::table_header());
         for est in [&sketch as &dyn CardinalityEstimator, &hyper, &postgres] {
@@ -68,7 +71,10 @@ fn main() {
     // Shape check: the sampling estimator's degradation from non-0-tuple
     // to 0-tuple should far exceed the sketch's.
     let q_of = |est: &dyn CardinalityEstimator, subset: &[ds_query::query::Query]| {
-        let truths: Vec<f64> = subset.iter().map(|q| oracle.estimate(q)).collect();
+        let truths: Vec<f64> = subset
+            .iter()
+            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+            .collect();
         QErrorSummary::from_qerrors(&qerrors_against_truth(est, &truths, subset)).median
     };
     let hy_ratio = q_of(&hyper, &zero) / q_of(&hyper, &nonzero);

@@ -60,10 +60,16 @@ fn main() {
 
     println!("\n[1] same model, two evaluation distributions:");
     println!("{}", QErrorSummary::table_header());
-    let truths_ho: Vec<f64> = held_out.iter().map(|q| oracle.estimate(q)).collect();
+    let truths_ho: Vec<f64> = held_out
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
     let s_ho = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths_ho, &held_out));
     println!("{}", s_ho.table_row("in-dist."));
-    let truths_jl: Vec<f64> = job_light.iter().map(|q| oracle.estimate(q)).collect();
+    let truths_jl: Vec<f64> = job_light
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
     let s_jl = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths_jl, &job_light));
     println!("{}", s_jl.table_row("JOB-light"));
     println!(
@@ -97,7 +103,10 @@ fn main() {
 
     println!("{}", QErrorSummary::table_header());
     for (label, subset) in [("≤2 joins (seen)", &small), ("3-4 joins (unseen)", &big)] {
-        let truths: Vec<f64> = subset.iter().map(|q| oracle.estimate(q)).collect();
+        let truths: Vec<f64> = subset
+            .iter()
+            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+            .collect();
         let s = QErrorSummary::from_qerrors(&qerrors_against_truth(&narrow, &truths, subset));
         println!("{}", s.table_row(label));
     }

@@ -12,7 +12,6 @@ use ds_bench::{banner, bench_imdb, qerrors_against_truth, BENCH_SEED};
 use ds_core::builder::SketchBuilder;
 use ds_core::metrics::QErrorSummary;
 use ds_est::oracle::TrueCardinalityOracle;
-use ds_est::CardinalityEstimator;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 
@@ -25,7 +24,10 @@ fn main() {
     let db = bench_imdb();
     let oracle = TrueCardinalityOracle::new(&db);
     let workload = job_light_workload(&db, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload.iter().map(|q| oracle.estimate(q)).collect();
+    let truths: Vec<f64> = workload
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
 
     // Reduced-but-fair training budget per variant keeps the ablation fast.
     let train = |use_bitmaps: bool, sample_size: usize| {

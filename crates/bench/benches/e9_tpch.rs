@@ -11,7 +11,6 @@ use ds_core::metrics::QErrorSummary;
 use ds_est::oracle::TrueCardinalityOracle;
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
-use ds_est::CardinalityEstimator;
 use ds_query::workloads::tpch::tpch_workload;
 use ds_query::workloads::tpch_predicate_columns;
 
@@ -48,7 +47,10 @@ fn main() {
     let oracle = TrueCardinalityOracle::new(&db);
 
     let workload = tpch_workload(&db, BENCH_SEED ^ 0xE9B);
-    let truths: Vec<f64> = workload.iter().map(|q| oracle.estimate(q)).collect();
+    let truths: Vec<f64> = workload
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
 
     println!(
         "\nq-errors on the TPC-H workload ({} queries):\n",

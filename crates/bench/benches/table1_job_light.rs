@@ -17,7 +17,6 @@ use ds_core::metrics::QErrorSummary;
 use ds_est::oracle::TrueCardinalityOracle;
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
-use ds_est::CardinalityEstimator;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 
@@ -60,7 +59,10 @@ fn main() {
 
     println!("\nevaluating the 70 JOB-light queries …");
     let workload = job_light_workload(&db, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload.iter().map(|q| oracle.estimate(q)).collect();
+    let truths: Vec<f64> = workload
+        .iter()
+        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+        .collect();
 
     let rows = vec![
         (

@@ -229,7 +229,6 @@ mod tests {
     use super::*;
     use ds_core::metrics::qerror;
     use ds_est::oracle::TrueCardinalityOracle;
-    use ds_est::CardinalityEstimator;
     use ds_query::workloads::imdb_predicate_columns;
     use ds_query::{GeneratorConfig, QueryGenerator};
     use ds_storage::gen::{imdb_database, ImdbConfig};
@@ -300,7 +299,7 @@ mod tests {
         let mut qs: Vec<f64> = queries
             .iter()
             .zip(&ests)
-            .map(|(q, &e)| qerror(e, oracle.estimate(q)))
+            .map(|(q, &e)| qerror(e, oracle.cardinality(q).expect("ground truth") as f64))
             .collect();
         qs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = qs[qs.len() / 2];

@@ -197,9 +197,10 @@ pub fn cache_sketch(path: &std::path::Path, sketch: &ds_core::sketch::DeepSketch
 }
 
 /// Evaluates an estimator against ground truth over a workload, returning
-/// the per-query q-errors. Goes through the unified
-/// [`CardinalityEstimator::estimate_batch`] entry point, so estimators
-/// with a real batched path (the Deep Sketch, fleets) use it.
+/// the per-query q-errors. Goes through
+/// [`CardinalityEstimator::estimate_batch`], so estimators whose
+/// `estimate_into` batches (the Deep Sketch, fleets) answer the whole
+/// workload at once.
 pub fn qerrors_against_truth(
     estimator: &dyn CardinalityEstimator,
     truths: &[f64],
@@ -261,7 +262,10 @@ mod tests {
         let db = ds_storage::gen::imdb_database(&ds_storage::gen::ImdbConfig::tiny(1));
         let oracle = TrueCardinalityOracle::new(&db);
         let wl = ds_query::workloads::job_light::job_light_workload(&db, 1);
-        let truths: Vec<f64> = wl.iter().map(|q| oracle.estimate(q)).collect();
+        let truths: Vec<f64> = wl
+            .iter()
+            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
+            .collect();
         let qs = qerrors_against_truth(&oracle, &truths, &wl);
         assert!(qs.iter().all(|&q| (q - 1.0).abs() < 1e-12));
     }

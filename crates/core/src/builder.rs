@@ -249,7 +249,7 @@ impl<'a> SketchBuilder<'a> {
     /// sketch's batched serving all use `n`. Results are bit-identical at
     /// any thread count. A builder on which this is never called trains
     /// on [`std::thread::available_parallelism`] lanes and keeps label
-    /// execution and the sketch's `estimate_batch` on one thread.
+    /// execution and the sketch's batches on one thread.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
         self
@@ -485,7 +485,7 @@ mod tests {
         let wl = ds_query::workloads::job_light::job_light_workload(&db, 9);
         let qs: Vec<f64> = wl
             .iter()
-            .map(|q| qerror(sketch.estimate(q), oracle.estimate(q)))
+            .map(|q| qerror(sketch.estimate(q), oracle.cardinality(q).unwrap() as f64))
             .collect();
         let summary = QErrorSummary::from_qerrors(&qs);
         // Tiny data + tiny model: just require a sane median.

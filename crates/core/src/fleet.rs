@@ -104,14 +104,6 @@ impl SketchFleet {
         Route::Uncovered
     }
 
-    /// Estimates via the routed member, or `None` if uncovered.
-    pub fn route_estimate(&self, query: &Query) -> Option<f64> {
-        match self.route(query) {
-            Route::Member(i) => Some(self.members[i].1.estimate_one(query)),
-            Route::Uncovered => None,
-        }
-    }
-
     /// Total serialized footprint of all members.
     pub fn footprint_bytes(&self) -> usize {
         self.members.iter().map(|(_, s)| s.footprint_bytes()).sum()
@@ -123,47 +115,39 @@ impl CardinalityEstimator for SketchFleet {
         &self.name
     }
 
-    /// Routed estimate; uncovered queries fall back to 1.0 (callers that
-    /// care should use [`CardinalityEstimator::try_estimate`]).
-    fn estimate(&self, query: &Query) -> f64 {
-        self.route_estimate(query).unwrap_or(1.0)
-    }
-
-    /// Routed estimate with uncovered queries (and queries a member cannot
-    /// validate) reported as typed errors.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        match self.route(query) {
-            Route::Member(i) => self.members[i].1.try_estimate(query),
-            Route::Uncovered => Err(EstimateError::Unroutable {
-                tables: query.tables.iter().map(|t| t.0).collect(),
-            }),
+    /// Routes every query, then answers each member's share with one batched
+    /// call of that member; a batch one member covers whole (a single query
+    /// always is) goes to it uncopied. A query no member covers is
+    /// [`EstimateError::Unroutable`], and one its member cannot validate gets
+    /// the member's error. Results are bit-identical to asking the routed
+    /// member alone, because each member's batch path is.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        let shared = |a: Route, b: Route| if a == b { a } else { Route::Uncovered };
+        if let Some(Route::Member(i)) = queries.iter().map(|q| self.route(q)).reduce(shared) {
+            return self.members[i].1.estimate_into(queries, out);
         }
-    }
-
-    /// Batched estimation that routes first, then runs one coalesced
-    /// [`DeepSketch::estimate_batch`] per member instead of one forward
-    /// pass per query. Uncovered queries get the same 1.0 fallback as
-    /// [`CardinalityEstimator::estimate`]; results are bit-identical to the
-    /// looped path because each member's batch kernel is.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let mut out = vec![1.0f64; queries.len()];
-        // Per-member gather: (query index, query) grouped by routed member.
+        // Per-member gather: query indices grouped by routed member.
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.members.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            if let Route::Member(i) = self.route(q) {
-                groups[i].push(qi);
+        for ((qi, q), slot) in queries.iter().enumerate().zip(out.iter_mut()) {
+            match self.route(q) {
+                Route::Member(i) => groups[i].push(qi),
+                Route::Uncovered => {
+                    *slot = Err(EstimateError::Unroutable {
+                        tables: q.tables.iter().map(|t| t.0).collect(),
+                    })
+                }
             }
         }
-        for (member, idxs) in self.members.iter().zip(&groups) {
-            if idxs.is_empty() {
-                continue;
-            }
-            let grouped: Vec<Query> = idxs.iter().map(|&qi| queries[qi].clone()).collect();
-            for (&qi, est) in idxs.iter().zip(member.1.estimate_batch(&grouped)) {
-                out[qi] = est;
+        let (mut grouped, mut answers) = (Vec::new(), Vec::new());
+        for ((_, member), idxs) in self.members.iter().zip(&groups) {
+            grouped.clear();
+            grouped.extend(idxs.iter().map(|&qi| queries[qi].clone()));
+            answers.resize(idxs.len(), Ok(0.0));
+            member.estimate_into(&grouped, &mut answers);
+            for (&qi, result) in idxs.iter().zip(answers.drain(..)) {
+                out[qi] = result;
             }
         }
-        out
     }
 }
 
@@ -293,7 +277,8 @@ mod tests {
         assert!(!wl.is_empty());
         let qs: Vec<f64> = wl
             .iter()
-            .map(|q| qerror(sketch.estimate_one(q), oracle.estimate(q)))
+            .map(|q| (sketch.estimate_one(q), oracle.cardinality(q).unwrap()))
+            .map(|(estimate, truth)| qerror(estimate, truth as f64))
             .collect();
         let median = crate::metrics::QErrorSummary::from_qerrors(&qs).median;
         assert!(median < 30.0, "median {median}");

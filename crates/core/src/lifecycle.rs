@@ -1384,7 +1384,7 @@ mod tests {
         // retrain as soon as the windows fill.
         let monitor = monitors.monitor("imdb");
         for (sql, query, actual) in graded_workload(&db, 24, 99) {
-            let estimate = store.estimate("imdb", &query).unwrap();
+            let estimate = store.get("imdb").unwrap().estimate_one(&query);
             monitor.record("t", estimate, actual.max(1) as f64);
             manager.observe_feedback("imdb", &sql, &sql, estimate, actual);
         }
@@ -1461,7 +1461,7 @@ mod tests {
         let store = SketchStore::new();
         store.insert("imdb", tiny_sketch(&db, 6)).unwrap();
         let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        let before = store.estimate("imdb", &q).unwrap();
+        let before = store.get("imdb").unwrap().estimate_one(&q);
         let monitors = MonitorRegistry::new();
         let manager = LifecycleManager::new(fast_cfg()).unwrap();
         manager.set_poison(true);
@@ -1478,7 +1478,7 @@ mod tests {
                 .any(|e| matches!(e, LifecycleEvent::Swapped { .. })),
             "gate scores the healthy candidate, so the swap proceeds"
         );
-        let poisoned_estimate = store.estimate("imdb", &q).unwrap();
+        let poisoned_estimate = store.get("imdb").unwrap().estimate_one(&q);
         assert!(
             (poisoned_estimate / before).max(before / poisoned_estimate) > 10.0,
             "poisoned model must be wildly off ({before} → {poisoned_estimate})"
@@ -1495,7 +1495,7 @@ mod tests {
                 .any(|e| matches!(e, LifecycleEvent::RolledBack { .. })),
             "guard must trip and roll back, got {events:?}"
         );
-        let restored = store.estimate("imdb", &q).unwrap();
+        let restored = store.get("imdb").unwrap().estimate_one(&q);
         assert_eq!(
             restored.to_bits(),
             before.to_bits(),

@@ -526,7 +526,9 @@ mod tests {
     #[test]
     fn training_forward_is_the_reference_forward_bit_for_bit() {
         let (dense, pool, f) = small_batch();
-        // 40 = a 32-column and an 8-column AVX2 tile; 6 is all scalar.
+        // 40 is one AVX-512 tile whose third vector is masked to 8 lanes
+        // (on AVX2 a 32- and an 8-column tile); 6 is one masked vector (on
+        // AVX2, all scalar).
         for hidden in [6, 40] {
             let model = MscnModel::new(
                 f.table_dim(),

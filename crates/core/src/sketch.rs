@@ -7,20 +7,21 @@
 //!
 //! A sketch always holds a frozen serving artifact
 //! ([`ds_nn::frozen::FrozenModel`]) beside its trained [`MscnModel`], and
-//! every estimate — [`DeepSketch::estimate_one`],
-//! [`DeepSketch::estimate_batch`] and the validating `try_` forms, at any
-//! batch size and thread count — is one call of that artifact's fused
-//! batched kernel over sparse index lists, from per-thread scratch. The
-//! artifact is a copy of the trained model's f32 weights, so it answers
-//! bit for bit what the model answers. The trained model is what gets
-//! serialized and retrained; the artifact is frozen from it again on load.
+//! every estimate — [`DeepSketch::estimate_one`], and the validating
+//! [`CardinalityEstimator::estimate_into`] every other entry point goes
+//! through, at any batch size and thread count — is one call of that
+//! artifact's fused batched kernel over sparse index lists, from
+//! per-thread scratch. The artifact is a copy of the trained model's f32
+//! weights, so it answers bit for bit what the model answers. The trained
+//! model is what gets serialized and retrained; the artifact is frozen
+//! from it again on load.
 //! The model's reference forward (naive kernels over dense features) is
 //! [`DeepSketch::reference_estimates`], the oracle the tests and the bench
 //! harness hold the serving path against.
 
 use std::cell::RefCell;
 
-use ds_est::{CardinalityEstimator, EstimateError};
+use ds_est::{check_tables, CardinalityEstimator, EstimateError};
 use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats};
 use ds_nn::loss::LabelNormalizer;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
@@ -131,8 +132,8 @@ pub struct DeepSketch {
     normalizer: LabelNormalizer,
     database_name: String,
     name: String,
-    /// Serving threads for [`DeepSketch::estimate_batch`]. A runtime knob:
-    /// never serialized, never affects results.
+    /// Serving threads for a batch ([`CardinalityEstimator::estimate_into`]).
+    /// A runtime knob: never serialized, never affects results.
     threads: usize,
     /// Training-time holdout q-error distribution (scaled ×1000 into log₂
     /// buckets) — the accuracy the shipped weights actually achieved, and
@@ -171,7 +172,10 @@ impl DeepSketch {
         }
     }
 
-    /// Sets the serving thread count for [`DeepSketch::estimate_batch`].
+    /// Sets the serving thread count for batches: every batch entry point
+    /// ([`CardinalityEstimator::estimate_into`] and the helpers over it)
+    /// spreads a batch of more than `SERVE_CHUNK` (64) queries across up to
+    /// `threads` workers. A single query never leaves its caller's thread.
     /// Estimates are bit-identical at any value; this only affects speed.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -266,32 +270,10 @@ impl DeepSketch {
         estimate[0]
     }
 
-    /// Estimates a batch of queries: `SERVE_CHUNK`-query chunks through
-    /// the fused kernel, chunks spread across the configured serving
-    /// threads. Returns exactly what a loop of
-    /// [`DeepSketch::estimate_one`] calls would.
+    /// [`CardinalityEstimator::estimate_batch`], callable without the
+    /// trait in scope.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let mut out = vec![0.0f64; queries.len()];
-        let serve = |queries: &[Query], out: &mut [f64]| {
-            for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
-                self.fused_estimates(qs.iter(), os);
-            }
-        };
-        let n_chunks = queries.len().div_ceil(SERVE_CHUNK);
-        let threads = self.threads.min(n_chunks);
-        if threads <= 1 {
-            serve(queries, &mut out);
-        } else {
-            // Contiguous spans of whole chunks per worker; each worker owns
-            // a disjoint slice of the output and its thread's own scratch.
-            let span = n_chunks.div_ceil(threads) * SERVE_CHUNK;
-            std::thread::scope(|s| {
-                for (qs, os) in queries.chunks(span).zip(out.chunks_mut(span)) {
-                    s.spawn(move || serve(qs, os));
-                }
-            });
-        }
-        out
+        CardinalityEstimator::estimate_batch(self, queries)
     }
 
     /// Checks that every table and predicate column the query references
@@ -300,26 +282,8 @@ impl DeepSketch {
     /// Queries parsed against the database the sketch was trained over
     /// always pass; queries from a different (larger) schema may not.
     pub fn validate(&self, query: &Query) -> Result<(), EstimateError> {
-        let known = self.samples.len();
-        let check_table = |t: usize| {
-            if t >= known {
-                Err(EstimateError::UnknownTable {
-                    table: t,
-                    known_tables: known,
-                })
-            } else {
-                Ok(())
-            }
-        };
-        for &t in &query.tables {
-            check_table(t.0)?;
-        }
-        for j in &query.joins {
-            check_table(j.left.table.0)?;
-            check_table(j.right.table.0)?;
-        }
+        check_tables(query, self.samples.len())?;
         for (t, p) in &query.predicates {
-            check_table(t.0)?;
             let cols = self.samples[t.0].rows().columns().len();
             if p.col >= cols {
                 return Err(EstimateError::UnknownColumn {
@@ -620,38 +584,40 @@ impl CardinalityEstimator for DeepSketch {
         &self.name
     }
 
-    fn estimate(&self, query: &Query) -> f64 {
-        self.estimate_one(query)
-    }
-
-    /// Validated estimation: malformed requests (tables or columns outside
-    /// the sketch's vocabulary) become typed errors instead of panics.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        self.validate(query)?;
-        Ok(self.estimate_one(query))
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        DeepSketch::estimate_batch(self, queries)
-    }
-
-    /// Batch path with per-query validation: invalid queries get their
-    /// error, the valid ones of each chunk still share one call of the
-    /// fused kernel (results bit-identical to [`DeepSketch::estimate_one`]).
-    fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
-        let mut out: Vec<Result<f64, EstimateError>> = queries
-            .iter()
-            .map(|q| self.validate(q).map(|()| 0.0))
-            .collect();
-        let mut estimates = [0.0f64; SERVE_CHUNK];
-        for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
-            let valid = qs.iter().zip(os.iter()).filter(|(_, r)| r.is_ok());
-            self.fused_estimates(valid.map(|(q, _)| q), &mut estimates);
-            for (slot, &v) in os.iter_mut().flatten().zip(&estimates) {
-                *slot = v;
+    /// Validated estimation through the fused kernel: a query naming a
+    /// table or column outside the sketch's vocabulary gets its typed
+    /// error, the valid ones of each `SERVE_CHUNK`-query chunk share one
+    /// kernel call, and chunks spread across the [`DeepSketch::set_threads`]
+    /// workers (a single chunk never spawns one). Every answer is the bits
+    /// [`DeepSketch::estimate_one`] gives.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        let serve = |queries: &[Query], out: &mut [Result<f64, EstimateError>]| {
+            let mut estimates = [0.0f64; SERVE_CHUNK];
+            for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
+                for (q, slot) in qs.iter().zip(os.iter_mut()) {
+                    *slot = self.validate(q).map(|()| 0.0);
+                }
+                let valid = qs.iter().zip(os.iter()).filter(|(_, r)| r.is_ok());
+                self.fused_estimates(valid.map(|(q, _)| q), &mut estimates);
+                for (slot, &v) in os.iter_mut().flatten().zip(&estimates) {
+                    *slot = v;
+                }
             }
+        };
+        let n_chunks = queries.len().div_ceil(SERVE_CHUNK);
+        let threads = self.threads.min(n_chunks);
+        if threads <= 1 {
+            serve(queries, out);
+        } else {
+            // Contiguous spans of whole chunks per worker; each worker owns
+            // a disjoint slice of the output and its thread's own scratch.
+            let span = n_chunks.div_ceil(threads) * SERVE_CHUNK;
+            std::thread::scope(|s| {
+                for (qs, os) in queries.chunks(span).zip(out.chunks_mut(span)) {
+                    s.spawn(move || serve(qs, os));
+                }
+            });
         }
-        out
     }
 }
 
@@ -796,18 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_estimates() {
-        let (db, sketch) = tiny_sketch();
-        let queries = ds_query::workloads::job_light::job_light_workload(&db, 4);
-        let batch = sketch.estimate_batch(&queries[..5]);
-        for (q, &b) in queries[..5].iter().zip(&batch) {
-            let single = sketch.estimate_one(q);
-            assert!((single - b).abs() < 1e-6 * single.max(1.0));
-        }
-        assert!(sketch.estimate_batch(&[]).is_empty());
-    }
-
-    #[test]
     fn estimate_batch_is_exactly_the_looped_estimates() {
         // The batched serving path (chunked, optionally threaded) must
         // return *exactly* `queries.iter().map(|q| estimate_one(q))` —
@@ -857,28 +811,29 @@ mod tests {
                 "batched serving diverged at threads={threads}"
             );
         }
+        assert!(sketch.estimate_batch(&[]).is_empty());
     }
 
+    /// A table id or column outside the vocabulary — as a sketch
+    /// deserialized next to a *larger* schema would see — is a typed error
+    /// from `try_estimate` and `1.0` from `estimate` and `estimate_batch`,
+    /// for the sketch and for a fleet of it. A batch isolates it: its slot
+    /// holds the single's error and its neighbours keep the singles' bits.
     #[test]
-    fn try_estimate_rejects_out_of_vocabulary_queries() {
-        use ds_est::EstimateError;
+    fn out_of_vocabulary_queries_are_errors_or_one_row_never_a_panic() {
+        use crate::fleet::SketchFleet;
         use ds_storage::predicate::{CmpOp, ColPredicate};
 
         let (db, sketch) = tiny_sketch();
         let good = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        assert_eq!(sketch.try_estimate(&good), Ok(sketch.estimate_one(&good)));
-
-        // A query naming a table id beyond the sketch's vocabulary — as a
-        // sketch deserialized next to a *larger* schema would see — errors
-        // instead of panicking.
+        let want = sketch.estimate_one(&good);
+        assert_eq!(sketch.try_estimate(&good), Ok(want));
         let mut alien = good.clone();
-        alien.tables.push(ds_storage::catalog::TableId(99));
+        alien.tables.push(TableId(99));
         assert!(matches!(
             sketch.try_estimate(&alien),
             Err(EstimateError::UnknownTable { table: 99, .. })
         ));
-
-        // Same for a predicate on a column the sampled table doesn't have.
         let mut bad_col = good.clone();
         bad_col
             .predicates
@@ -887,14 +842,29 @@ mod tests {
             sketch.try_estimate(&bad_col),
             Err(EstimateError::UnknownColumn { col: 999, .. })
         ));
-
-        // The batch path isolates failures per query and keeps valid
-        // results bit-identical to the singles.
-        let results =
-            sketch.try_estimate_batch(&[good.clone(), alien.clone(), bad_col, good.clone()]);
-        assert_eq!(results[0], Ok(sketch.estimate_one(&good)));
-        assert!(results[1].is_err() && results[2].is_err());
-        assert_eq!(results[3], Ok(sketch.estimate_one(&good)));
+        // The fleet routes before a member validates: no member covers 99.
+        let every_table = (0..db.num_tables()).map(TableId).collect();
+        let fleet = SketchFleet::new(vec![(every_table, sketch.clone())]);
+        assert!(matches!(
+            fleet.try_estimate(&alien),
+            Err(EstimateError::Unroutable { .. })
+        ));
+        let batch = [good.clone(), alien.clone(), bad_col.clone(), good.clone()];
+        let answers = vec![want, 1.0, 1.0, want];
+        for est in [&sketch as &dyn CardinalityEstimator, &fleet] {
+            let name = est.name();
+            assert_eq!(est.estimate(&alien), 1.0, "{name}");
+            assert_eq!(est.estimate_batch(&batch), answers, "{name}");
+            let results = est.try_estimate_batch(&batch);
+            assert_eq!([&results[0], &results[3]], [&Ok(want); 2], "{name}");
+            assert_eq!(results[1], est.try_estimate(&alien), "{name}");
+            assert_eq!(results[2], sketch.try_estimate(&bad_col), "{name}");
+        }
+        assert_eq!(DeepSketch::estimate_batch(&sketch, &batch), answers);
+        // A batch the one member covers whole reaches it as it is.
+        let covered = [bad_col, good];
+        let member = sketch.try_estimate_batch(&covered);
+        assert_eq!(fleet.try_estimate_batch(&covered), member);
     }
 
     #[test]

@@ -16,8 +16,6 @@ use std::thread::JoinHandle;
 
 use parking_lot::RwLock;
 
-use ds_est::{CardinalityEstimator, EstimateError};
-use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::builder::{BuildError, BuildReport, SketchBuilder};
@@ -49,8 +47,6 @@ pub enum StoreError {
     Io(std::io::Error),
     /// Training failed.
     Build(BuildError),
-    /// The sketch was found but could not answer the query.
-    Estimate(EstimateError),
     /// A crash-safe snapshot failed to write or read.
     Snapshot(SnapshotError),
 }
@@ -63,7 +59,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Duplicate(n) => write!(f, "sketch '{n}' already exists"),
             StoreError::Io(e) => write!(f, "sketch store I/O error: {e}"),
             StoreError::Build(e) => write!(f, "sketch training failed: {e}"),
-            StoreError::Estimate(e) => write!(f, "estimation failed: {e}"),
             StoreError::Snapshot(e) => write!(f, "{e}"),
         }
     }
@@ -396,27 +391,6 @@ impl SketchStore {
     /// training, or failed.
     pub fn generation(&self, name: &str) -> Option<u64> {
         self.get_with_generation(name).ok().map(|(_, g)| g)
-    }
-
-    /// Convenience: estimate with a named sketch. Malformed queries (tables
-    /// or columns outside the sketch's vocabulary) surface as
-    /// [`StoreError::Estimate`] rather than panicking — this is the serving
-    /// route.
-    pub fn estimate(&self, name: &str, query: &Query) -> Result<f64, StoreError> {
-        self.get(name)?
-            .try_estimate(query)
-            .map_err(StoreError::Estimate)
-    }
-
-    /// Batched convenience: one coalesced forward pass through a named
-    /// sketch, with per-query results (bit-identical to looping
-    /// [`SketchStore::estimate`]).
-    pub fn estimate_batch(
-        &self,
-        name: &str,
-        queries: &[Query],
-    ) -> Result<Vec<Result<f64, EstimateError>>, StoreError> {
-        Ok(self.get(name)?.try_estimate_batch(queries))
     }
 
     /// The build report of a background-trained sketch, if available.
@@ -810,9 +784,9 @@ mod tests {
         store.insert("imdb", tiny_sketch(&db, 1)).unwrap();
         assert_eq!(store.status("imdb").unwrap(), SketchStatus::Ready);
         let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        assert!(store.estimate("imdb", &q).unwrap() >= 1.0);
+        assert!(store.get("imdb").unwrap().estimate_one(&q) >= 1.0);
         assert!(matches!(
-            store.estimate("nope", &q),
+            store.get("nope"),
             Err(StoreError::UnknownSketch(_))
         ));
     }
@@ -840,7 +814,7 @@ mod tests {
         );
         assert_eq!(store.generation("imdb"), Some(outcome.generation));
         assert_eq!(
-            store.estimate("imdb", &q).unwrap().to_bits(),
+            store.get("imdb").unwrap().estimate_one(&q).to_bits(),
             new_estimate.to_bits()
         );
         // The displaced Arc still answers — in-flight requests finish
@@ -854,28 +828,12 @@ mod tests {
         let rolled = store.swap("imdb", outcome.previous).unwrap();
         assert!(rolled.generation > outcome.generation);
         assert_eq!(
-            store.estimate("imdb", &q).unwrap().to_bits(),
+            store.get("imdb").unwrap().estimate_one(&q).to_bits(),
             old_estimate.to_bits()
         );
 
         assert!(matches!(
             store.swap("nope", replacement),
-            Err(StoreError::UnknownSketch(_))
-        ));
-    }
-
-    #[test]
-    fn store_estimate_batch_matches_singles() {
-        let db = imdb_database(&ImdbConfig::tiny(7));
-        let store = SketchStore::new();
-        store.insert("s", tiny_sketch(&db, 4)).unwrap();
-        let wl = ds_query::workloads::job_light::job_light_workload(&db, 3);
-        let batch = store.estimate_batch("s", &wl).unwrap();
-        for (q, b) in wl.iter().zip(batch) {
-            assert_eq!(b, Ok(store.estimate("s", q).unwrap()));
-        }
-        assert!(matches!(
-            store.estimate_batch("missing", &wl),
             Err(StoreError::UnknownSketch(_))
         ));
     }
@@ -915,7 +873,7 @@ mod tests {
 
         // The pre-built model keeps answering while 'fresh' trains.
         let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        assert!(store.estimate("prebuilt", &q).unwrap() >= 1.0);
+        assert!(store.get("prebuilt").unwrap().estimate_one(&q) >= 1.0);
 
         // Eventually the new sketch becomes ready.
         let fresh = store.wait("fresh").unwrap();
@@ -968,8 +926,8 @@ mod tests {
         let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
         for name in ["one", "two"] {
             assert_eq!(
-                restored.estimate(name, &q).unwrap(),
-                store.estimate(name, &q).unwrap(),
+                restored.get(name).unwrap().estimate_one(&q),
+                store.get(name).unwrap().estimate_one(&q),
                 "{name}"
             );
             assert_eq!(restored.generation(name), store.generation(name), "{name}");
@@ -1023,8 +981,8 @@ mod tests {
         assert!(dir.join("quarantine").read_dir().unwrap().count() == 1);
         let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
         assert_eq!(
-            restored.estimate("s", &q).unwrap(),
-            store.estimate("s", &q).unwrap()
+            restored.get("s").unwrap().estimate_one(&q),
+            store.get("s").unwrap().estimate_one(&q)
         );
         // A filename/content mismatch is also quarantined, not trusted.
         let lying = crate::snapshot::encode_snapshot("other", 99, &store.get("s").unwrap(), None);
@@ -1162,8 +1120,8 @@ mod tests {
         );
         let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
         assert_eq!(
-            replica.estimate("ship", &q).unwrap(),
-            store.estimate("ship", &q).unwrap()
+            replica.get("ship").unwrap().estimate_one(&q),
+            store.get("ship").unwrap().estimate_one(&q)
         );
         assert_eq!(replica.generation("ship"), Some(generation));
         assert_eq!(replica_monitors.get("ship").unwrap().samples(), 5);

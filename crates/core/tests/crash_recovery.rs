@@ -171,7 +171,7 @@ fn fault_offset_kill_loop_always_recovers_last_durable_generation() {
         // The recovered model answers bit-identically to the original —
         // recovery never serves torn weights.
         assert_eq!(
-            store.estimate("imdb", query).unwrap().to_bits(),
+            store.get("imdb").unwrap().estimate_one(query).to_bits(),
             expected.to_bits(),
             "iter {iter}: recovered estimate must be bit-identical"
         );
@@ -294,7 +294,7 @@ fn real_kill_nine_loop_recovers() {
              only leave removable temps: {report:?}"
         );
         assert_eq!(
-            store.estimate("imdb", query).unwrap().to_bits(),
+            store.get("imdb").unwrap().estimate_one(query).to_bits(),
             expected.to_bits(),
             "iter {iter}: generation {generation} must answer bit-identically"
         );

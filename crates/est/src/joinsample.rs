@@ -22,7 +22,7 @@ use ds_storage::catalog::{Database, TableId};
 use ds_storage::column::Column;
 use ds_storage::exec::CountExecutor;
 
-use crate::{check_tables, CardinalityEstimator, EstimateError};
+use crate::{check_tables, each_query, CardinalityEstimator, EstimateError};
 
 /// Correlated join-sampling estimator over a star (hub + FK children)
 /// schema region. Queries outside the star fall back to scaled guessing.
@@ -157,24 +157,20 @@ impl CardinalityEstimator for JoinSamplingEstimator {
         &self.name
     }
 
-    /// [`CardinalityEstimator::try_estimate`], with unknown tables and
-    /// executor failures degraded to the `1.0` floor.
-    fn estimate(&self, query: &Query) -> f64 {
-        self.try_estimate(query).unwrap_or(1.0)
-    }
-
     /// `COUNT` on the key-sampled sub-database, scaled by `1 / rate`.
     /// A zero sub-count degrades to the half-tuple guess `0.5 / rate`.
     /// Unknown tables and executor failures are typed errors.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        check_tables(query, self.sub.num_tables())?;
-        let count = self
-            .exec
-            .count(&self.sub, &query.to_exec())
-            .map_err(|e| EstimateError::Execution(e.to_string()))?;
-        // 0-tuple situation: educated guess of half a tuple.
-        let count = if count > 0 { count as f64 } else { 0.5 };
-        Ok((count / self.rate).max(1.0))
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        each_query(queries, out, |query| {
+            check_tables(query, self.sub.num_tables())?;
+            let count = self
+                .exec
+                .count(&self.sub, &query.to_exec())
+                .map_err(|e| EstimateError::Execution(e.to_string()))?;
+            // 0-tuple situation: educated guess of half a tuple.
+            let count = if count > 0 { count as f64 } else { 0.5 };
+            Ok((count / self.rate).max(1.0))
+        })
     }
 }
 

@@ -13,10 +13,16 @@
 //!   [`ds_storage::exec::CountExecutor`], with memoization; used both as
 //!   ground truth and as the training-label source.
 //!
+//! Two ablations sit beside them: [`independence::IndependenceOracleEstimator`]
+//! (exact per-table counts, the independence join formula) and
+//! [`joinsample::JoinSamplingEstimator`] (correlated join sampling).
+//!
 //! All estimators implement [`CardinalityEstimator`] — the single interface
 //! through which benches, examples, and the `ds-serve` front end consume
 //! every estimator in the workspace (the five baselines here plus
-//! `ds_core`'s `DeepSketch` and `SketchFleet`).
+//! `ds_core`'s `DeepSketch` and `SketchFleet`). Each one writes a single
+//! method, [`CardinalityEstimator::estimate_into`]; the single-query,
+//! infallible and batch forms are provided over it.
 
 pub mod independence;
 pub mod joinsample;
@@ -95,47 +101,65 @@ impl std::error::Error for EstimateError {}
 
 /// Common interface of everything that can guess a `COUNT(*)` result.
 ///
-/// The trait has three entry points, layered so that implementors override
-/// only what they can do better:
+/// An estimator implements one method besides [`name`](Self::name):
+/// [`estimate_into`](Self::estimate_into), which answers a batch of queries
+/// into one result slot each. Everything else is a provided helper over it,
+/// so every entry point answers through the same body:
 ///
-/// * [`estimate`](CardinalityEstimator::estimate) — the required,
-///   infallible path: always returns a number (≥ 1), degrading gracefully
-///   (e.g. a fleet answers 1.0 for uncovered queries).
-/// * [`try_estimate`](CardinalityEstimator::try_estimate) — the fallible
-///   path for serving: reports [`EstimateError`] instead of guessing when
-///   the query is outside the estimator's vocabulary. Defaults to
-///   `Ok(self.estimate(query))`.
-/// * [`estimate_batch`](CardinalityEstimator::estimate_batch) /
-///   [`try_estimate_batch`](CardinalityEstimator::try_estimate_batch) —
-///   batched entry points. Default to a loop; estimators with a real batch
-///   fast path (the Deep Sketch's chunked forward pass) override them, and
-///   batching must never change results: `estimate_batch(qs)[i]` is
-///   bit-identical to `estimate(&qs[i])`.
+/// * [`try_estimate`](Self::try_estimate) — one query, as a batch of one
+///   in a slot on the stack (it allocates nothing). The serving path.
+/// * [`estimate`](Self::estimate) — `try_estimate` with an error degraded
+///   to `1.0`: always returns a number.
+/// * [`try_estimate_batch`](Self::try_estimate_batch) /
+///   [`estimate_batch`](Self::estimate_batch) — the same over a slice,
+///   into a fresh `Vec`.
+///
+/// Batching never changes a result: slot `i` of a batch is bit-identical
+/// to `try_estimate(&queries[i])`. Estimators that answer one query at a
+/// time fill the slots with [`each_query`].
 pub trait CardinalityEstimator {
     /// Short display name used in experiment tables (e.g. `"PostgreSQL"`).
     fn name(&self) -> &str;
 
-    /// Estimated result cardinality of `query` (≥ 1; estimators clamp, as
-    /// row-count estimates below one row are never useful to an optimizer).
-    fn estimate(&self, query: &Query) -> f64;
+    /// Estimates `queries[i]` into `out[i]` (`out` has one slot per
+    /// query): a cardinality, or a typed error when the query is outside
+    /// the estimator's vocabulary. One bad query never fails its
+    /// neighbours.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]);
 
-    /// Fallible estimation for serving paths: returns a typed error instead
-    /// of a degraded guess when the query cannot be answered.
+    /// Fallible estimation of one query: a typed error instead of a guess
+    /// when the query cannot be answered.
     fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        Ok(self.estimate(query))
+        let mut out = [Ok(0.0)];
+        self.estimate_into(std::slice::from_ref(query), &mut out);
+        let [result] = out;
+        result
     }
 
-    /// Estimates a batch of queries. Must equal
-    /// `queries.iter().map(|q| self.estimate(q)).collect()` bit-for-bit;
-    /// overrides exist purely for speed.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        queries.iter().map(|q| self.estimate(q)).collect()
+    /// Estimated result cardinality of `query`: [`try_estimate`]'s answer,
+    /// or `1.0` when it has none. Estimators clamp their answers to ≥ 1
+    /// (row-count estimates below one row are never useful to an
+    /// optimizer); the true-cardinality oracle answers its exact count.
+    ///
+    /// [`try_estimate`]: Self::try_estimate
+    fn estimate(&self, query: &Query) -> f64 {
+        self.try_estimate(query).unwrap_or(1.0)
     }
 
-    /// Fallible batch estimation: per-query results, so one bad query in a
-    /// batch cannot fail its neighbours.
+    /// Fallible batch estimation: one result per query.
     fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
-        queries.iter().map(|q| self.try_estimate(q)).collect()
+        let mut out = vec![Ok(0.0); queries.len()];
+        self.estimate_into(queries, &mut out);
+        out
+    }
+
+    /// Estimates a batch of queries: `queries.iter().map(|q|
+    /// self.estimate(q))`, bit for bit.
+    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
+        self.try_estimate_batch(queries)
+            .into_iter()
+            .map(|r| r.unwrap_or(1.0))
+            .collect()
     }
 }
 
@@ -144,53 +168,39 @@ impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for &T {
         (**self).name()
     }
 
-    fn estimate(&self, query: &Query) -> f64 {
-        (**self).estimate(query)
-    }
-
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        (**self).try_estimate(query)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        (**self).estimate_batch(queries)
-    }
-
-    fn try_estimate_batch(&self, queries: &[Query]) -> Vec<Result<f64, EstimateError>> {
-        (**self).try_estimate_batch(queries)
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        (**self).estimate_into(queries, out)
     }
 }
 
-/// Bounds-check helper shared by the baseline estimators: the first table
-/// id in `query` not below `known_tables`, as an [`EstimateError`].
-pub(crate) fn check_tables(query: &Query, known_tables: usize) -> Result<(), EstimateError> {
-    for &t in &query.tables {
-        if t.0 >= known_tables {
-            return Err(EstimateError::UnknownTable {
-                table: t.0,
-                known_tables,
-            });
-        }
+/// The [`CardinalityEstimator::estimate_into`] of an estimator that answers
+/// one query at a time: `out[i] = estimate(&queries[i])`.
+pub fn each_query(
+    queries: &[Query],
+    out: &mut [Result<f64, EstimateError>],
+    mut estimate: impl FnMut(&Query) -> Result<f64, EstimateError>,
+) {
+    debug_assert_eq!(queries.len(), out.len(), "one result slot per query");
+    for (query, slot) in queries.iter().zip(out) {
+        *slot = estimate(query);
     }
-    for j in &query.joins {
-        for side in [j.left, j.right] {
-            if side.table.0 >= known_tables {
-                return Err(EstimateError::UnknownTable {
-                    table: side.table.0,
-                    known_tables,
-                });
-            }
-        }
+}
+
+/// Bounds check shared by the estimators: the first table id in `query`
+/// (its tables, then its joins' sides, then its predicates) not below
+/// `known_tables`, as [`EstimateError::UnknownTable`].
+pub fn check_tables(query: &Query, known_tables: usize) -> Result<(), EstimateError> {
+    let joins = query.joins.iter().flat_map(|j| [j.left, j.right]);
+    let sides = joins.map(|c| c.table);
+    let preds = query.predicates.iter().map(|(t, _)| *t);
+    let tables = query.tables.iter().copied().chain(sides).chain(preds);
+    match tables.map(|t| t.0).find(|&t| t >= known_tables) {
+        Some(table) => Err(EstimateError::UnknownTable {
+            table,
+            known_tables,
+        }),
+        None => Ok(()),
     }
-    for (t, _) in &query.predicates {
-        if t.0 >= known_tables {
-            return Err(EstimateError::UnknownTable {
-                table: t.0,
-                known_tables,
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -205,19 +215,49 @@ mod trait_tests {
         fn name(&self) -> &str {
             "Fixed"
         }
-        fn estimate(&self, _q: &Query) -> f64 {
-            self.0
+        fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+            each_query(queries, out, |_| Ok(self.0))
         }
     }
 
     #[test]
-    fn default_batch_loops_over_estimate() {
+    fn provided_helpers_answer_through_estimate_into() {
         let db = imdb_database(&ImdbConfig::tiny(1));
         let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
         let est = Fixed(7.0);
         assert_eq!(est.estimate_batch(&[q.clone(), q.clone()]), vec![7.0, 7.0]);
         assert_eq!(est.try_estimate(&q), Ok(7.0));
         assert_eq!(est.try_estimate_batch(&[q]), vec![Ok(7.0)]);
+    }
+
+    /// A table id outside the vocabulary is a typed error from the `try_`
+    /// entry points and `1.0` from the others — never a panic.
+    #[test]
+    fn an_unknown_table_is_an_error_or_one_row_never_a_panic() {
+        let db = imdb_database(&ImdbConfig::tiny(3));
+        let good = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
+        let mut alien = good.clone();
+        alien.tables.push(ds_storage::catalog::TableId(99));
+        let unknown = Err(EstimateError::UnknownTable {
+            table: 99,
+            known_tables: db.num_tables(),
+        });
+        let estimators: [&dyn CardinalityEstimator; 5] = [
+            &postgres::PostgresEstimator::build(&db),
+            &sampling::SamplingEstimator::build(&db, 16, 1),
+            &independence::IndependenceOracleEstimator::new(&db),
+            &oracle::TrueCardinalityOracle::new(&db),
+            &joinsample::JoinSamplingEstimator::build(&db, 0.5),
+        ];
+        for est in estimators {
+            let (name, want) = (est.name(), est.estimate(&good));
+            assert_eq!(est.try_estimate(&alien), unknown, "{name}");
+            assert_eq!(est.estimate(&alien), 1.0, "{name}");
+            let batch = [good.clone(), alien.clone()];
+            assert_eq!(est.estimate_batch(&batch), vec![want, 1.0], "{name}");
+            let results = est.try_estimate_batch(&batch);
+            assert_eq!(results, vec![Ok(want), unknown.clone()], "{name}");
+        }
     }
 
     #[test]

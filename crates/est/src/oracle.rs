@@ -10,7 +10,7 @@ use ds_query::query::Query;
 use ds_storage::catalog::Database;
 use ds_storage::exec::{CountExecutor, ExecError};
 
-use crate::{check_tables, CardinalityEstimator, EstimateError};
+use crate::{check_tables, each_query, CardinalityEstimator, EstimateError};
 
 /// Exact cardinalities with memoization. `Sync`; share freely.
 pub struct TrueCardinalityOracle<'a> {
@@ -67,19 +67,17 @@ impl CardinalityEstimator for TrueCardinalityOracle<'_> {
         &self.name
     }
 
-    /// The exact cardinality (clamped ≥ 1 like all estimators); panics on
-    /// malformed queries, which cannot come out of this crate's generators.
-    /// Serving paths use [`CardinalityEstimator::try_estimate`] instead.
-    fn estimate(&self, query: &Query) -> f64 {
-        self.cardinality(query).expect("well-formed query") as f64
-    }
-
-    /// Exact cardinality with executor failures surfaced as typed errors.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        check_tables(query, self.db.num_tables())?;
-        self.cardinality(query)
-            .map(|c| c as f64)
-            .map_err(|e| EstimateError::Execution(e.to_string()))
+    /// The exact cardinality, unclamped: an empty result answers `0.0`.
+    /// Unknown tables and executor failures are typed errors, which the
+    /// provided `estimate` answers as `1.0` — never a truth: ground truth
+    /// reads [`TrueCardinalityOracle::cardinality`], which keeps the error.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        each_query(queries, out, |query| {
+            check_tables(query, self.db.num_tables())?;
+            self.cardinality(query)
+                .map(|c| c as f64)
+                .map_err(|e| EstimateError::Execution(e.to_string()))
+        })
     }
 }
 

@@ -14,7 +14,7 @@ use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::stats::{ColumnStats, DEFAULT_STATS_TARGET};
-use crate::{check_tables, CardinalityEstimator, EstimateError};
+use crate::{check_tables, each_query, CardinalityEstimator, EstimateError};
 
 /// PostgreSQL-style estimator. Build once per database; estimation is pure.
 #[derive(Debug)]
@@ -73,48 +73,46 @@ impl CardinalityEstimator for PostgresEstimator {
     }
 
     /// `∏ |Tᵢ|·selᵢ × ∏_joins 1 / max(nd(left), nd(right))`, clamped ≥ 1.
-    fn estimate(&self, query: &Query) -> f64 {
-        let mut card = 1.0;
-        for &t in &query.tables {
-            card *= self.table_rows[t.0] * self.table_selectivity(query, t.0);
-        }
-        for join in &query.joins {
-            let nd_l = self
-                .col_stats(join.left.table.0, join.left.col)
-                .n_distinct()
-                .max(1) as f64;
-            let nd_r = self
-                .col_stats(join.right.table.0, join.right.col)
-                .n_distinct()
-                .max(1) as f64;
-            card /= nd_l.max(nd_r);
-        }
-        card.max(1.0)
-    }
-
-    /// As [`PostgresEstimator::estimate`], but rejects queries referencing
-    /// tables the statistics were not built over.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        check_tables(query, self.table_rows.len())?;
-        // A table id can be in range while the column is not (statistics
-        // built over a schema with fewer columns); reject those too rather
-        // than panicking in `col_stats`.
-        let mut cols = query.predicates.iter().map(|(t, p)| (t.0, p.col));
-        let mut join_cols = query
-            .joins
-            .iter()
-            .flat_map(|j| [j.left, j.right])
-            .map(|c| (c.table.0, c.col));
-        if let Some((t, _)) = cols
-            .find(|k| !self.stats.contains_key(k))
-            .or_else(|| join_cols.find(|k| !self.stats.contains_key(k)))
-        {
-            return Err(EstimateError::UnknownTable {
-                table: t,
-                known_tables: self.table_rows.len(),
-            });
-        }
-        Ok(self.estimate(query))
+    /// Queries referencing tables or columns the statistics were not built
+    /// over are rejected.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        each_query(queries, out, |query| {
+            check_tables(query, self.table_rows.len())?;
+            // A table id can be in range while the column is not (statistics
+            // built over a schema with fewer columns); reject those too
+            // rather than panicking in `col_stats`.
+            let mut cols = query.predicates.iter().map(|(t, p)| (t.0, p.col));
+            let mut join_cols = query
+                .joins
+                .iter()
+                .flat_map(|j| [j.left, j.right])
+                .map(|c| (c.table.0, c.col));
+            if let Some((t, _)) = cols
+                .find(|k| !self.stats.contains_key(k))
+                .or_else(|| join_cols.find(|k| !self.stats.contains_key(k)))
+            {
+                return Err(EstimateError::UnknownTable {
+                    table: t,
+                    known_tables: self.table_rows.len(),
+                });
+            }
+            let mut card = 1.0;
+            for &t in &query.tables {
+                card *= self.table_rows[t.0] * self.table_selectivity(query, t.0);
+            }
+            for join in &query.joins {
+                let nd_l = self
+                    .col_stats(join.left.table.0, join.left.col)
+                    .n_distinct()
+                    .max(1) as f64;
+                let nd_r = self
+                    .col_stats(join.right.table.0, join.right.col)
+                    .n_distinct()
+                    .max(1) as f64;
+                card /= nd_l.max(nd_r);
+            }
+            Ok(card.max(1.0))
+        })
     }
 }
 

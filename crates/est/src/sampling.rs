@@ -10,7 +10,7 @@ use ds_query::query::Query;
 use ds_storage::catalog::{Database, TableId};
 use ds_storage::sample::{sample_all, TableSample};
 
-use crate::{check_tables, CardinalityEstimator, EstimateError};
+use crate::{check_tables, each_query, CardinalityEstimator, EstimateError};
 
 /// What to assume when no sampled tuple qualifies.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,25 +112,22 @@ impl CardinalityEstimator for SamplingEstimator {
     }
 
     /// `∏ |Tᵢ|·sel_sampleᵢ × ∏_joins 1/max(nd(l), nd(r))`, clamped ≥ 1 —
-    /// sampled base selectivities, independence across joins.
-    fn estimate(&self, query: &Query) -> f64 {
-        let mut card = 1.0;
-        for &t in &query.tables {
-            card *= self.table_rows[t.0] * self.table_selectivity(query, t);
-        }
-        for join in &query.joins {
-            let nd_l = self.join_nd[join.left.table.0][join.left.col];
-            let nd_r = self.join_nd[join.right.table.0][join.right.col];
-            card /= nd_l.max(nd_r);
-        }
-        card.max(1.0)
-    }
-
-    /// As [`SamplingEstimator::estimate`], but rejects queries referencing
-    /// tables outside the sampled database.
-    fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        check_tables(query, self.table_rows.len())?;
-        Ok(self.estimate(query))
+    /// sampled base selectivities, independence across joins. Queries
+    /// referencing tables outside the sampled database are rejected.
+    fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+        each_query(queries, out, |query| {
+            check_tables(query, self.table_rows.len())?;
+            let mut card = 1.0;
+            for &t in &query.tables {
+                card *= self.table_rows[t.0] * self.table_selectivity(query, t);
+            }
+            for join in &query.joins {
+                let nd_l = self.join_nd[join.left.table.0][join.left.col];
+                let nd_r = self.join_nd[join.right.table.0][join.right.col];
+                card /= nd_l.max(nd_r);
+            }
+            Ok(card.max(1.0))
+        })
     }
 }
 

@@ -5,6 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use ds_nn::pool::Team;
 
@@ -13,6 +14,19 @@ fn os_threads() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("Threads:"))?;
     line["Threads:".len()..].trim().parse().ok()
+}
+
+/// [`os_threads`] once it reads `want`, polled for up to 2 s: a joined
+/// helper can still be counted while it runs its kernel exit path.
+fn os_threads_settled(want: usize) -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let now = os_threads();
+        if now == Some(want) || Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -39,12 +53,20 @@ fn a_run_leaves_no_thread_behind_and_files_helper_spans_under_the_join() {
                     assert_eq!(os_threads(), Some(before + lanes - 1), "inside");
                 }
             });
-            assert_eq!(os_threads(), Some(before), "after a run at {lanes} lanes");
+            assert_eq!(
+                os_threads_settled(before),
+                Some(before),
+                "after a run at {lanes} lanes"
+            );
             let unwound = catch_unwind(AssertUnwindSafe(|| {
                 Team::run(lanes, |team| team.join(|| {}, || panic!("unwinding run")))
             }));
             assert!(unwound.is_err());
-            assert_eq!(os_threads(), Some(before), "after a panic at {lanes} lanes");
+            assert_eq!(
+                os_threads_settled(before),
+                Some(before),
+                "after a panic at {lanes} lanes"
+            );
         }
     }
 

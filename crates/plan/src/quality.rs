@@ -69,6 +69,7 @@ pub fn workload_regret(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_est::{each_query, EstimateError};
     use ds_query::workloads::job_light::job_light_workload;
     use ds_storage::gen::{imdb_database, ImdbConfig};
 
@@ -93,8 +94,8 @@ mod tests {
             fn name(&self) -> &str {
                 "inverse"
             }
-            fn estimate(&self, q: &Query) -> f64 {
-                1e12 / self.0.estimate(q).max(1.0)
+            fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+                each_query(queries, out, |q| Ok(1e12 / self.0.estimate(q).max(1.0)))
             }
         }
         let db = imdb_database(&ImdbConfig::tiny(2));
@@ -116,8 +117,8 @@ mod tests {
             fn name(&self) -> &str {
                 "const"
             }
-            fn estimate(&self, _: &Query) -> f64 {
-                42.0
+            fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+                each_query(queries, out, |_| Ok(42.0))
             }
         }
         let db = imdb_database(&ImdbConfig::tiny(3));

@@ -169,6 +169,7 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_est::each_query;
 
     /// Deterministic stub: returns `base + query.tables.len()` after an
     /// optional artificial delay.
@@ -182,9 +183,11 @@ mod tests {
             "Stub"
         }
 
-        fn estimate(&self, query: &Query) -> f64 {
-            std::thread::sleep(self.delay);
-            self.base + query.tables.len() as f64
+        fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+            each_query(queries, out, |query| {
+                std::thread::sleep(self.delay);
+                Ok(self.base + query.tables.len() as f64)
+            })
         }
     }
 
@@ -272,15 +275,14 @@ mod tests {
             fn name(&self) -> &str {
                 "Failing"
             }
-            fn estimate(&self, _q: &Query) -> f64 {
-                1.0
-            }
-            fn try_estimate(&self, q: &Query) -> Result<f64, EstimateError> {
-                if q.tables.is_empty() {
-                    Err(EstimateError::Unroutable { tables: vec![] })
-                } else {
-                    Ok(7.0)
-                }
+            fn estimate_into(&self, queries: &[Query], out: &mut [Result<f64, EstimateError>]) {
+                each_query(queries, out, |q| {
+                    if q.tables.is_empty() {
+                        Err(EstimateError::Unroutable { tables: vec![] })
+                    } else {
+                        Ok(7.0)
+                    }
+                })
             }
         }
         let est: SharedEstimator = Arc::new(FailingEstimator);

@@ -538,7 +538,6 @@ pub fn store_error_response(e: &StoreError) -> Response {
     let code = match e {
         StoreError::UnknownSketch(_) => ErrorCode::UnknownSketch,
         StoreError::NotReady(..) => ErrorCode::NotReady,
-        StoreError::Estimate(inner) => return estimate_error_response(inner),
         _ => ErrorCode::Internal,
     };
     Response::Error {

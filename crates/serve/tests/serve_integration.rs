@@ -278,11 +278,11 @@ fn sketch_store_survives_concurrent_mutation() {
             let q = q.clone();
             s.spawn(move || {
                 for _ in 0..200 {
-                    assert!(store.estimate("stable", &q).unwrap() >= 1.0);
+                    assert!(store.get("stable").unwrap().estimate_one(&q) >= 1.0);
                     // "churn" may or may not exist right now — either a
                     // value or a typed error, never a panic.
-                    match store.estimate("churn", &q) {
-                        Ok(v) => assert!(v >= 1.0),
+                    match store.get("churn") {
+                        Ok(sketch) => assert!(sketch.estimate_one(&q) >= 1.0),
                         Err(e) => {
                             let _ = e.to_string();
                         }
@@ -301,7 +301,7 @@ fn sketch_store_survives_concurrent_mutation() {
             }
         });
     });
-    assert!(store.estimate("stable", &q).unwrap() >= 1.0);
+    assert!(store.get("stable").unwrap().estimate_one(&q) >= 1.0);
 }
 
 /// The observability surface end to end: STATS exposition, TRACE stage

@@ -78,7 +78,7 @@ fn main() {
     let mut mono_q = Vec::new();
     let mut uncovered = 0;
     for q in &workload {
-        let truth = oracle.estimate(q);
+        let truth = oracle.cardinality(q).expect("ground truth") as f64;
         match fleet.route(q) {
             Route::Member(_) => {
                 fleet_q.push(qerror(fleet.estimate(q), truth));

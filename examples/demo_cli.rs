@@ -128,7 +128,15 @@ fn main() {
             },
             sql => match parse_query(&db, sql) {
                 Ok(q) => {
-                    let truth = oracle.estimate(&q);
+                    // A cyclic or disconnected query parses but has no count.
+                    let truth = match oracle.cardinality(&q) {
+                        Ok(count) => count as f64,
+                        Err(e) => {
+                            println!("  cannot count: {e}");
+                            print_prompt();
+                            continue;
+                        }
+                    };
                     // Every estimator goes through the one unified trait.
                     // The store reports, rather than panics, if the deep
                     // sketch is missing; the baselines answer for themselves.

@@ -64,7 +64,7 @@ fn main() {
     );
     for sql in queries {
         let q = parse_query(&db, sql).expect("valid SQL");
-        let truth = oracle.estimate(&q);
+        let truth = oracle.cardinality(&q).expect("ground truth") as f64;
         println!(
             "{:<66} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
             ellipsize(sql, 66),

@@ -62,7 +62,7 @@ fn main() {
 
     let mut qerrors = Vec::new();
     for (q, &preview) in workload.iter().zip(&previews) {
-        let truth = oracle.estimate(q);
+        let truth = oracle.cardinality(q).expect("ground truth") as f64;
         let qe = qerror(preview, truth);
         qerrors.push(qe);
         let sql = to_sql(&db, q);

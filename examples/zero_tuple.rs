@@ -61,7 +61,7 @@ fn main() {
         "query (0-tuple for the sampler)", "true", "sketch", "hyper"
     );
     for (i, q) in zero_tuple.iter().enumerate() {
-        let truth = oracle.estimate(q);
+        let truth = oracle.cardinality(q).expect("ground truth") as f64;
         let s = sketch.estimate(q);
         let h = hyper.estimate(q);
         sketch_q.push(qerror(s, truth));

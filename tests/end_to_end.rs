@@ -32,7 +32,7 @@ fn pipeline_sketch_estimates_job_light() {
     let qs: Vec<f64> = workload
         .iter()
         .zip(&estimates)
-        .map(|(q, &e)| qerror(e, oracle.estimate(q)))
+        .map(|(q, &e)| qerror(e, oracle.cardinality(q).unwrap() as f64))
         .collect();
     let summary = QErrorSummary::from_qerrors(&qs);
     assert!(
@@ -151,7 +151,7 @@ fn tpch_pipeline_works_too() {
     let wl = deep_sketches::query::workloads::tpch::tpch_workload(&db, 2);
     let qs: Vec<f64> = wl
         .iter()
-        .map(|q| qerror(sketch.estimate(q), oracle.estimate(q)))
+        .map(|q| qerror(sketch.estimate(q), oracle.cardinality(q).unwrap() as f64))
         .collect();
     let summary = QErrorSummary::from_qerrors(&qs);
     assert!(summary.median < 20.0, "median {}", summary.median);
