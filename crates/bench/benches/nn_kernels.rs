@@ -11,6 +11,7 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench nn_kernels`
 
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -320,8 +321,35 @@ fn main() {
         median_us(times),
         memo,
     );
+    // What the stream asks of any memo: each distinct element misses once
+    // however large the memo is (compulsory misses); every other miss is
+    // an element the memo held and had to give up (capacity misses).
+    let mut feats = ds_core::featurize::QueryIndexFeatures::default();
+    let mut distinct = HashSet::new();
+    for q in &stream {
+        sketch
+            .featurizer()
+            .featurize_indices(q, sketch.samples(), &mut feats);
+        for (module, set) in [&feats.tables, &feats.joins, &feats.preds]
+            .into_iter()
+            .enumerate()
+        {
+            for &(start, len) in &set.elems {
+                let entries = &set.entries[start as usize..(start + len) as usize];
+                let key: Vec<(u32, u32)> = entries.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+                distinct.insert((module, key));
+            }
+        }
+    }
+    let distinct = distinct.len() as u64;
     println!(
-        "  memo resident after the stream: {} B",
-        memo.resident_bytes
+        "  stream misses: {distinct} distinct elements (compulsory), {} capacity",
+        memo.misses - distinct
+    );
+    println!(
+        "  memo resident after the stream: {} B in {} elements, {:.0} B each",
+        memo.resident_bytes,
+        memo.entries,
+        memo.resident_bytes as f64 / memo.entries.max(1) as f64
     );
 }

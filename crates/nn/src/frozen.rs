@@ -30,15 +30,20 @@
 //! a query (every sub-join an optimizer asks about shares all of its
 //! elements with the query it came from). The artifact therefore carries a
 //! bounded, exact memo of element embeddings: key, the module and the
-//! element's `(index, value)` list compared bit for bit; value, the
-//! `hidden` floats after the module's second ReLU. A forward pass looks
-//! its elements up, runs the two layers over the missing ones only, and
-//! pools. The memo is part of the artifact's *identity-free* state: built
-//! empty by [`FrozenModel::new`] and `clone`, ignored by `==`, never
-//! serialized — so a re-freeze, a load or a hot-swap starts from an empty
-//! memo and there is nothing to invalidate. It holds at most
-//! [`MEMO_MAX_BYTES`] in 1 024 slots, four ways to a set, each set
-//! evicting its least recently used element.
+//! element's `(index, value)` list compared bit for bit, written compactly
+//! (an all-ones element as its indices or, when shorter, a bitset over the
+//! module's input width); value, the `hidden` floats after the module's
+//! second ReLU, stored sparse (a mask of the non-zero lanes and those
+//! floats). A forward pass looks its elements up, runs the two layers over
+//! the missing ones only, and pools; a stored row pools to the bits of the
+//! dense one, because the zeros it drops add nothing to a pooled sum. The
+//! memo is part of the artifact's *identity-free* state: built empty by
+//! [`FrozenModel::new`] and `clone`, ignored by `==`, never serialized — so
+//! a re-freeze, a load or a hot-swap starts from an empty memo and there is
+//! nothing to invalidate. It holds at most [`MEMO_MAX_BYTES`] in 4 096
+//! slots, four ways to a set, each set evicting its least recently used
+//! element; on the benchmark's stream an element takes ≈ 0.57 KB (≈ 1.8 KB
+//! dense).
 //!
 //! The artifact itself is never serialized either: its weights are the
 //! trained model's, bit for bit, so a loaded sketch freezes it again.
@@ -192,7 +197,7 @@ impl std::fmt::Debug for LineAligned {
 /// Slots of the element memo, in sets of [`MEMO_WAYS`]: an element's hash
 /// names the one set it may occupy, and a newcomer takes the place of the
 /// set's least recently used element.
-const MEMO_SLOTS: usize = 1024;
+const MEMO_SLOTS: usize = 4096;
 
 /// Slots per set of the element memo.
 const MEMO_WAYS: usize = 4;
@@ -205,41 +210,69 @@ pub const MEMO_MAX_BYTES: usize = 4 << 20;
 /// Counters of an artifact's element memo, read without its lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Set elements whose embedding was copied out of the memo.
+    /// Set elements whose embedding the memo held.
     pub hits: u64,
     /// Set elements run through their module's two layers.
     pub misses: u64,
+    /// Occupied slots, at most 4 096.
+    pub entries: u64,
     /// Bytes the memo holds, at most [`MEMO_MAX_BYTES`].
     pub resident_bytes: u64,
 }
 
-/// Where an element may sit in the memo and what must match there.
+/// How an element's entries are written as key words (see [`Probe::of`]).
+const KEY_PAIRS: u32 = 0;
+const KEY_INDICES: u32 = 1;
+const KEY_BITSET: u32 = 2;
+
+const ONE_BITS: u32 = 1.0f32.to_bits();
+
+/// Where an element may sit in the memo and what must match there; its key
+/// words sit in the caller's buffer.
 #[derive(Debug, Clone, Copy)]
 struct Probe {
     hash: u64,
-    /// `module << 1 | all_ones`: the module the element belongs to and
-    /// whether its key is stored as indices only.
+    /// `module << 2 | form`: the module the element belongs to and how its
+    /// key is written (`KEY_*`).
     tag: u32,
 }
 
 impl Probe {
-    /// Hashes one element of module `module`. Not keyed: elements crafted
-    /// to share a set only evict each other, so the worst they can do is
-    /// make every lookup miss, which costs what the memo-less forward cost.
-    fn of(module: usize, entries: &[(u32, f32)]) -> Self {
+    /// Appends the key of one element of module `module`, `width` features
+    /// wide, to `key`, and hashes it. The key is the element's entries in
+    /// the shortest of three exact forms: `(index, value bits)` pairs; the
+    /// indices alone when every value is `1.0` (one-hot and bitmap
+    /// features: every table and join element); or, when the indices also
+    /// ascend strictly below `width` and that is shorter, a bitset over
+    /// `width` — a table element with its 256-bit sample bitmap is 9 words
+    /// instead of up to 257. The form is in the tag, so two keys are one
+    /// element exactly when their tags and words are equal.
+    ///
+    /// Not keyed: elements crafted to share a set only evict each other, so
+    /// the worst they can do is make every lookup miss, which costs what the
+    /// memo-less forward cost.
+    fn of(module: usize, width: usize, entries: &[(u32, f32)], key: &mut Vec<u32>) -> Self {
         const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut hash = (module as u64 + 1).wrapping_mul(K) ^ entries.len() as u64;
-        let mut all_ones = true;
-        for &(index, value) in entries {
-            let bits = value.to_bits();
-            all_ones &= bits == ONE_BITS;
-            hash =
-                (hash.rotate_left(5) ^ (u64::from(index) << 32 | u64::from(bits))).wrapping_mul(K);
+        let start = key.len();
+        let form = if entries.iter().any(|&(_, v)| v.to_bits() != ONE_BITS) {
+            key.extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
+            KEY_PAIRS
+        } else if width.div_ceil(32) < entries.len() && push_bitset(entries, width, key) {
+            KEY_BITSET
+        } else {
+            key.extend(entries.iter().map(|&(i, _)| i));
+            KEY_INDICES
+        };
+        let tag = (module as u32) << 2 | form;
+        let words = &key[start..];
+        let mut hash = (u64::from(tag) + 1).wrapping_mul(K) ^ words.len() as u64;
+        for &w in words {
+            hash = (hash.rotate_left(5) ^ u64::from(w)).wrapping_mul(K);
         }
         hash ^= hash >> 29;
         Self {
             hash: hash.wrapping_mul(K),
-            tag: (module as u32) << 1 | u32::from(all_ones),
+            tag,
         }
     }
 
@@ -248,112 +281,239 @@ impl Probe {
         let first = (self.hash >> 32) as usize % (MEMO_SLOTS / MEMO_WAYS) * MEMO_WAYS;
         first..first + MEMO_WAYS
     }
-
-    fn all_ones(self) -> bool {
-        self.tag & 1 == 1
-    }
 }
 
-const ONE_BITS: u32 = 1.0f32.to_bits();
+/// Appends the bitset of `entries`' indices over `width` features to
+/// `key`, one word at a time in a register; returns `false` and leaves
+/// `key` as it was unless the indices ascend strictly below `width`.
+/// `entries` is not empty.
+fn push_bitset(entries: &[(u32, f32)], width: usize, key: &mut Vec<u32>) -> bool {
+    let start = key.len();
+    key.resize(start + width.div_ceil(32), 0);
+    let (mut word, mut at, mut next) = (0u32, 0usize, 0usize);
+    for &(i, _) in entries {
+        let i = i as usize;
+        if i < next || i >= width {
+            key.truncate(start);
+            return false;
+        }
+        next = i + 1;
+        if i / 32 != at {
+            key[start + at] = word;
+            (word, at) = (0, i / 32);
+        }
+        word |= 1 << (i % 32);
+    }
+    key[start + at] = word;
+    true
+}
 
-/// One memoized element. Vacant while `value` is empty.
+/// One memoized element. Vacant while `words` is empty (an embedding is at
+/// least one mask word).
 #[derive(Debug, Default)]
 struct MemoSlot {
     hash: u64,
     tag: u32,
-    /// The element's entries: its indices when every value is `1.0` (one-hot
-    /// and bitmap features: every table and join element), else
-    /// `(index, value bits)` pairs.
-    key: Vec<u32>,
-    /// The embedding, `hidden` floats.
-    value: Vec<f32>,
+    /// How many of `words` are the key.
+    key_len: u32,
+    /// The element's key (see [`Probe::of`]), then its embedding stored
+    /// sparse: a mask of `hidden` bits, one per float that is not zero, and
+    /// those floats' bits in order — about 108 of 256 after the module's
+    /// ReLU on the benchmark's stream.
+    words: Vec<u32>,
 }
 
 impl MemoSlot {
-    /// Whether the slot holds exactly this element: same module, same
-    /// entries, every value bit for bit.
-    fn holds(&self, probe: Probe, entries: &[(u32, f32)]) -> bool {
-        if self.hash != probe.hash || self.tag != probe.tag || self.value.is_empty() {
-            return false;
-        }
-        if probe.all_ones() {
-            self.key.len() == entries.len()
-                && self.key.iter().zip(entries).all(|(&k, &(i, _))| k == i)
-        } else {
-            self.key.len() == 2 * entries.len()
-                && self
-                    .key
-                    .chunks_exact(2)
-                    .zip(entries)
-                    .all(|(k, &(i, v))| k[0] == i && k[1] == v.to_bits())
-        }
-    }
-
-    fn heap_words(&self) -> usize {
-        self.key.capacity() + self.value.capacity()
+    /// Whether the slot holds exactly this element: same module, same key
+    /// form, same key words.
+    fn holds(&self, probe: Probe, key: &[u32]) -> bool {
+        self.hash == probe.hash
+            && self.tag == probe.tag
+            && !self.words.is_empty()
+            && self.key_len as usize == key.len()
+            && self.words[..key.len()] == *key
     }
 }
 
-/// The slots behind the memo's lock, and the bytes they hold. Each set
-/// keeps its slots in recency order, most recently used first, so its last
-/// slot is the one a newcomer takes: a vacant one while the set has any.
+/// Appends `value` to `words` sparse: its mask, then its `nonzeros`
+/// non-zero floats. On AVX-512 a 16-lane compare and `vcompressps` per
+/// vector; a lane at a time elsewhere.
+fn store_sparse(value: &[f32], nonzeros: usize, words: &mut Vec<u32>) {
+    let at = words.len();
+    let mask_words = value.len().div_ceil(32);
+    words.resize(at + mask_words + nonzeros, 0);
+    let (mask, values) = words[at..].split_at_mut(mask_words);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F support was just verified at runtime.
+        return unsafe { x86::compress(value, mask, values) };
+    }
+    compress_portable(value, mask, values);
+}
+
+/// Writes the embedding [`store_sparse`] stored into `row`, `+0.0` where it
+/// was zero. Pooling adds `v · inv` to a sum that starts at `+0.0` and only
+/// ever holds ReLU outputs, so a `-0.0` it turned into `+0.0` pools to the
+/// same bits. On AVX-512 one `vexpandps` per vector.
+fn load_sparse(stored: &[u32], row: &mut [f32]) {
+    let (mask, values) = stored.split_at(row.len().div_ceil(32));
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F support was just verified at runtime.
+        return unsafe { x86::expand(mask, values, row) };
+    }
+    expand_portable(mask, values, row);
+}
+
+/// [`store_sparse`]'s mask bits and non-zeros, a lane at a time: the oracle
+/// of the AVX-512 codec. `mask` starts zeroed and `values` has one word per
+/// non-zero.
+fn compress_portable(value: &[f32], mask: &mut [u32], values: &mut [u32]) {
+    let mut values = values.iter_mut();
+    for (j, &v) in value.iter().enumerate() {
+        if v != 0.0 {
+            mask[j / 32] |= 1 << (j % 32);
+            *values.next().expect("a word per non-zero") = v.to_bits();
+        }
+    }
+}
+
+/// [`load_sparse`] a set mask bit at a time: the oracle of the AVX-512
+/// codec.
+fn expand_portable(mask: &[u32], values: &[u32], row: &mut [f32]) {
+    row.fill(0.0);
+    let mut values = values.iter();
+    for (w, &bits) in mask.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let j = w * 32 + bits.trailing_zeros() as usize;
+            row[j] = f32::from_bits(*values.next().expect("a word per mask bit"));
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The AVX-512 codec of a memoized embedding, 16 lanes at a time: two
+/// vectors to a mask word, each vector's non-zeros moved by one compress or
+/// expand.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::{
+        __mmask16, _mm512_cmp_ps_mask, _mm512_mask_compressstoreu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_expandloadu_ps, _mm512_maskz_loadu_ps, _mm512_setzero_ps, _CMP_NEQ_UQ,
+    };
+
+    /// The first `len` (1 to 16) lanes of a vector.
+    fn lanes(len: usize) -> __mmask16 {
+        (u32::MAX >> (32 - len)) as __mmask16
+    }
+
+    /// [`super::compress_portable`]: the mask of each vector is its
+    /// `v != 0.0` (`NEQ_UQ`: NaN is not zero, `-0.0` is), and its non-zeros
+    /// are stored back to back.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. Every load and store goes through a
+    /// bounds-checked slice of exactly the lanes it touches: the chunk a
+    /// masked load reads, the words a compress writes.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn compress(value: &[f32], mask: &mut [u32], values: &mut [u32]) {
+        let mut k = 0;
+        for (c, chunk) in value.chunks(16).enumerate() {
+            let v = _mm512_maskz_loadu_ps(lanes(chunk.len()), chunk.as_ptr());
+            let m = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_ps());
+            mask[c / 2] |= u32::from(m) << (c % 2 * 16);
+            let room = &mut values[k..k + m.count_ones() as usize];
+            _mm512_mask_compressstoreu_ps(room.as_mut_ptr().cast(), m, v);
+            k += room.len();
+        }
+        debug_assert_eq!(k, values.len(), "a word per non-zero");
+    }
+
+    /// [`super::expand_portable`]: each vector's lanes take the next of
+    /// `values` where its mask bit is set and zero elsewhere.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. Every load and store goes through a
+    /// bounds-checked slice of exactly the lanes it touches: the words an
+    /// expand reads, the chunk of `row` a masked store writes.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn expand(mask: &[u32], values: &[u32], row: &mut [f32]) {
+        let mut k = 0;
+        for (c, out) in row.chunks_mut(16).enumerate() {
+            let m = (mask[c / 2] >> (c % 2 * 16)) as __mmask16 & lanes(out.len());
+            let held = &values[k..k + m.count_ones() as usize];
+            let v = _mm512_maskz_expandloadu_ps(m, held.as_ptr().cast());
+            _mm512_mask_storeu_ps(out.as_mut_ptr(), lanes(out.len()), v);
+            k += held.len();
+        }
+    }
+}
+
+/// The slots behind the memo's lock, and the bytes and elements they hold.
+/// Each set keeps its slots in recency order, most recently used first, so
+/// its last slot is the one a newcomer takes: a vacant one while the set
+/// has any.
 #[derive(Debug, Default)]
 struct MemoTable {
     /// Empty until the first insert, then `MEMO_SLOTS` long.
     slots: Vec<MemoSlot>,
     bytes: usize,
+    entries: usize,
 }
 
 impl MemoTable {
-    /// The element's embedding, if the memo holds it; a hit moves it to the
-    /// front of its set.
-    fn get(&mut self, probe: Probe, entries: &[(u32, f32)]) -> Option<&[f32]> {
-        let set = self.slots.get_mut(probe.set())?;
-        promote(set, probe, entries).then_some(&set[0].value[..])
+    /// Writes the element's embedding into `row` if the memo holds it, and
+    /// moves it to the front of its set; returns whether it did.
+    fn get(&mut self, probe: Probe, key: &[u32], row: &mut [f32]) -> bool {
+        let Some(set) = self.slots.get_mut(probe.set()) else {
+            return false;
+        };
+        if !promote(set, probe, key) {
+            return false;
+        }
+        load_sparse(&set[0].words[key.len()..], row);
+        true
     }
 
     /// Puts the element at the front of its set, in the least recently
-    /// used slot and that slot's buffers, unless growing them to take it
-    /// would carry the memo past [`MEMO_MAX_BYTES`]. An element the set
-    /// already holds (one a batch carried twice) is only moved to the front.
-    fn insert(&mut self, probe: Probe, entries: &[(u32, f32)], value: &[f32]) {
+    /// used slot and that slot's buffer, unless growing it to take the
+    /// element would carry the memo past [`MEMO_MAX_BYTES`]. An element the
+    /// set already holds (one a batch carried twice) is only moved to the
+    /// front.
+    fn insert(&mut self, probe: Probe, key: &[u32], value: &[f32]) {
         if self.slots.is_empty() {
             self.slots.resize_with(MEMO_SLOTS, MemoSlot::default);
             self.bytes = MEMO_SLOTS * std::mem::size_of::<MemoSlot>();
         }
         let set = &mut self.slots[probe.set()];
-        if promote(set, probe, entries) {
+        if promote(set, probe, key) {
             return;
         }
         let slot = &mut set[MEMO_WAYS - 1];
-        let key_words = entries.len() * if probe.all_ones() { 1 } else { 2 };
-        let held = slot.heap_words();
-        let grown = key_words.max(slot.key.capacity()) + value.len().max(slot.value.capacity());
-        if self.bytes + (grown - held) * 4 > MEMO_MAX_BYTES {
+        let nonzeros = value.iter().filter(|&&v| v != 0.0).count();
+        let words = key.len() + value.len().div_ceil(32) + nonzeros;
+        let held = slot.words.capacity();
+        if self.bytes + (words.max(held) - held) * 4 > MEMO_MAX_BYTES {
             return;
         }
+        self.entries += usize::from(slot.words.is_empty());
         slot.hash = probe.hash;
         slot.tag = probe.tag;
-        slot.key.clear();
-        slot.key.reserve_exact(key_words);
-        if probe.all_ones() {
-            slot.key.extend(entries.iter().map(|&(i, _)| i));
-        } else {
-            slot.key
-                .extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
-        }
-        slot.value.clear();
-        slot.value.reserve_exact(value.len());
-        slot.value.extend_from_slice(value);
-        self.bytes += (slot.heap_words() - held) * 4;
+        slot.key_len = key.len() as u32;
+        slot.words.clear();
+        slot.words.reserve_exact(words);
+        slot.words.extend_from_slice(key);
+        store_sparse(value, nonzeros, &mut slot.words);
+        self.bytes += (slot.words.capacity() - held) * 4;
         set.rotate_right(1);
     }
 }
 
 /// Moves the slot of `set` that holds the element, if one does, to the
 /// front of the set; returns whether one did.
-fn promote(set: &mut [MemoSlot], probe: Probe, entries: &[(u32, f32)]) -> bool {
-    let Some(way) = set.iter().position(|s| s.holds(probe, entries)) else {
+fn promote(set: &mut [MemoSlot], probe: Probe, key: &[u32]) -> bool {
+    let Some(way) = set.iter().position(|s| s.holds(probe, key)) else {
         return false;
     };
     set[..=way].rotate_right(1);
@@ -368,7 +528,9 @@ struct ElementMemo {
     table: Mutex<MemoTable>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// `MemoTable::bytes`, mirrored so a scrape takes no lock.
+    /// `MemoTable::entries` and `MemoTable::bytes`, mirrored so a scrape
+    /// takes no lock.
+    entries: AtomicU64,
     resident_bytes: AtomicU64,
 }
 
@@ -392,8 +554,11 @@ pub struct FrozenScratch {
     /// Element embeddings of one module, `rows × hidden`; then the output
     /// MLP's hidden layer.
     act: Vec<f32>,
-    /// Memo probe of every element of the module, in element order.
-    probes: Vec<Probe>,
+    /// Memo probe of every element of the module, in element order, and
+    /// where its key sits in `keys`.
+    probes: Vec<(Probe, std::ops::Range<usize>)>,
+    /// The elements' memo keys, back to back.
+    keys: Vec<u32>,
     /// The elements the memo did not hold: their row in `act`, and their
     /// span in the set — the rows the two layers run over.
     missing: Vec<u32>,
@@ -509,6 +674,7 @@ impl FrozenModel {
         MemoStats {
             hits: self.memo.hits.load(Ordering::Relaxed),
             misses: self.memo.misses.load(Ordering::Relaxed),
+            entries: self.memo.entries.load(Ordering::Relaxed),
             resident_bytes: self.memo.resident_bytes.load(Ordering::Relaxed),
         }
     }
@@ -583,9 +749,7 @@ impl FrozenModel {
                 let inv = 1.0 / len as f32;
                 let at = (q * 3 + slot) * h;
                 for row in rows.by_ref().take(len) {
-                    for (o, &v) in scratch.pooled[at..at + h].iter_mut().zip(row) {
-                        *o += v * inv;
-                    }
+                    pool_into(&mut scratch.pooled[at..at + h], row, inv);
                 }
             }
         }
@@ -611,7 +775,7 @@ impl FrozenModel {
 
     /// The embeddings of every element of one module's set into the front
     /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
-    /// are copied out (and promoted in their sets) under the memo's lock,
+    /// are written out (and promoted in their sets) under the memo's lock,
     /// the rest go through
     /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
     /// and are then offered to the memo. The lock is only ever tried: a
@@ -630,28 +794,36 @@ impl FrozenModel {
         let FrozenScratch {
             act,
             probes,
+            keys,
             missing,
             missing_spans,
             fresh,
             sparse,
             ..
         } = scratch;
-        let entries_of =
-            |&(start, len): &(u32, u32)| &set.entries[start as usize..(start + len) as usize];
         let act = grown(act, set.elems.len() * h);
+        keys.clear();
         probes.clear();
-        probes.extend(set.elems.iter().map(|e| Probe::of(module, entries_of(e))));
+        probes.extend(set.elems.iter().map(|&(start, len)| {
+            let entries = &set.entries[start as usize..(start + len) as usize];
+            let at = keys.len();
+            (
+                Probe::of(module, l1.in_dim(), entries, keys),
+                at..keys.len(),
+            )
+        }));
         missing.clear();
         missing_spans.clear();
         {
             let mut table = self.memo.table.try_lock().ok();
-            for (r, (span, &probe)) in set.elems.iter().zip(probes.iter()).enumerate() {
-                match table.as_mut().and_then(|t| t.get(probe, entries_of(span))) {
-                    Some(value) => act[r * h..(r + 1) * h].copy_from_slice(value),
-                    None => {
-                        missing.push(r as u32);
-                        missing_spans.push(*span);
-                    }
+            for (r, (span, (probe, key))) in set.elems.iter().zip(probes.iter()).enumerate() {
+                let row = &mut act[r * h..(r + 1) * h];
+                if !table
+                    .as_mut()
+                    .is_some_and(|t| t.get(*probe, &keys[key.clone()], row))
+                {
+                    missing.push(r as u32);
+                    missing_spans.push(*span);
                 }
             }
         }
@@ -671,15 +843,25 @@ impl FrozenModel {
             let r = r as usize;
             act[r * h..(r + 1) * h].copy_from_slice(value);
             if let Some(table) = table.as_mut() {
-                table.insert(probes[r], entries_of(&set.elems[r]), value);
+                let (probe, key) = &probes[r];
+                table.insert(*probe, &keys[key.clone()], value);
             }
         }
         if let Some(table) = table {
-            self.memo
-                .resident_bytes
+            let memo = &self.memo;
+            memo.entries.store(table.entries as u64, Ordering::Relaxed);
+            memo.resident_bytes
                 .store(table.bytes as u64, Ordering::Relaxed);
         }
         missing.len()
+    }
+}
+
+/// Adds one element's embedding, scaled by `inv`, to its query's pooled
+/// sum: `relu(z2)[j] · (1/len)`, lane by lane.
+fn pool_into(pooled: &mut [f32], row: &[f32], inv: f32) {
+    for (o, &v) in pooled.iter_mut().zip(row) {
+        *o += v * inv;
     }
 }
 
@@ -1050,32 +1232,61 @@ mod tests {
             (one_entry(1.0), one_entry(next_after_half)),
         ];
         for (a, b) in &pairs {
-            let (pa, pb) = (Probe::of(2, &a.entries), Probe::of(2, &b.entries));
+            let ((pa, ka), (pb, kb)) = (key_of(2, 7, &a.entries), key_of(2, 7, &b.entries));
             let mut table = MemoTable::default();
-            table.insert(pa, &a.entries, &[7.0]);
-            assert_eq!(table.get(pa, &a.entries), Some(&[7.0][..]));
-            assert_eq!(table.get(pb, &b.entries), None);
-            // Even on a full hash collision the entries decide.
+            table.insert(pa, &ka, &[7.0]);
+            assert_eq!(looked_up(&mut table, pa, &ka, 1), Some(vec![7.0]));
+            assert_eq!(looked_up(&mut table, pb, &kb, 1), None);
+            // Even on a full hash collision the key decides.
             let forged = Probe {
                 hash: pa.hash,
                 ..pb
             };
-            assert_eq!(table.get(forged, &b.entries), None);
+            assert_eq!(looked_up(&mut table, forged, &kb, 1), None);
         }
-        // The same entries in another module are another element, in both
-        // key forms.
-        for set in [one_entry(1.0), one_entry(0.25)] {
+        // The same entries in another module are another element, in every
+        // key form: pairs, indices, bitset.
+        let bitmap = |value: f32| -> Vec<(u32, f32)> { (0..40).map(|i| (i, value)).collect() };
+        for entries in [one_entry(1.0).entries, one_entry(0.25).entries, bitmap(1.0)] {
             let mut table = MemoTable::default();
-            let own = Probe::of(0, &set.entries);
-            table.insert(own, &set.entries, &[7.0]);
+            let (own, key) = key_of(0, 40, &entries);
+            table.insert(own, &key, &[7.0]);
             for module in [1, 2] {
-                let other = Probe::of(module, &set.entries);
-                assert_eq!(table.get(other, &set.entries), None);
+                let (other, other_key) = key_of(module, 40, &entries);
+                assert_eq!(other_key, key);
+                assert_eq!(looked_up(&mut table, other, &key, 1), None);
                 let forged = Probe {
                     hash: own.hash,
                     ..other
                 };
-                assert_eq!(table.get(forged, &set.entries), None);
+                assert_eq!(looked_up(&mut table, forged, &key, 1), None);
+            }
+        }
+        // Keys of one module whose words agree but whose forms differ are
+        // other elements: the indices `[3]` and the bitset `{0, 1}` are
+        // both the word 3 at width 32; the pairs of `[(3, 1.5)]` are the
+        // indices `[3, 1.5 bits]`. Indices out of order sum in another
+        // order, so they are never the bitset of the same set.
+        let forms = [
+            vec![(3, 1.0)],
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(3, 1.5)],
+            vec![(3, 1.0), (1.5f32.to_bits(), 1.0)],
+            vec![(1, 1.0), (0, 1.0)],
+        ];
+        let keys: Vec<(Probe, Vec<u32>)> = forms.iter().map(|e| key_of(0, 32, e)).collect();
+        assert_eq!((keys[0].1.clone(), keys[1].1.clone()), (vec![3], vec![3]));
+        assert_eq!(keys[2].1, keys[3].1);
+        for (n, (probe, key)) in keys.iter().enumerate() {
+            let mut table = MemoTable::default();
+            table.insert(*probe, key, &[7.0]);
+            for (m, (other, other_key)) in keys.iter().enumerate() {
+                let forged = Probe {
+                    hash: probe.hash,
+                    ..*other
+                };
+                let hit = looked_up(&mut table, forged, other_key, 1).is_some();
+                assert_eq!(hit, n == m, "form {n} against form {m}");
             }
         }
         // End to end: one artifact serving the near-identical elements in
@@ -1101,33 +1312,38 @@ mod tests {
     fn a_set_keeps_four_elements_and_evicts_its_least_recently_used() {
         // Five single-entry elements whose hashes name one set.
         let mut by_set = vec![Vec::new(); MEMO_SLOTS / MEMO_WAYS];
-        let five: Vec<[(u32, f32); 1]> = (0u32..)
+        let five: Vec<(Probe, Vec<u32>)> = (0u32..)
             .find_map(|i| {
-                let entries = [(i, 1.0)];
-                let members = &mut by_set[Probe::of(0, &entries).set().start / MEMO_WAYS];
-                members.push(entries);
+                let (probe, key) = key_of(0, 64, &[(i, 1.0)]);
+                let members = &mut by_set[probe.set().start / MEMO_WAYS];
+                members.push((probe, key));
                 (members.len() == MEMO_WAYS + 1).then(|| members.clone())
             })
             .expect("pigeonhole");
-        let probe = |e: &[(u32, f32)]| Probe::of(0, e);
-        let value = |n: usize| [n as f32];
+        let value = |n: usize| vec![n as f32];
         let mut table = MemoTable::default();
+        let get = |table: &mut MemoTable, n: usize| {
+            let (probe, key) = &five[n];
+            looked_up(table, *probe, key, 1)
+        };
         // 1 comes twice, as from a batch that carries it twice: the set
         // holds it once, so 0 keeps its way.
         for n in [0, 1, 1, 2, 3] {
-            table.insert(probe(&five[n]), &five[n], &value(n));
+            let (probe, key) = &five[n];
+            table.insert(*probe, key, &value(n));
         }
-        for (n, e) in five[..4].iter().enumerate() {
-            assert_eq!(table.get(probe(e), e), Some(&value(n)[..]), "way {n}");
+        assert_eq!(table.entries, MEMO_WAYS);
+        for n in 0..4 {
+            assert_eq!(get(&mut table, n), Some(value(n)), "way {n}");
         }
         // Looked up 0 to 3, so 0 is the least recent until a hit promotes
         // it, which leaves 1 to make room for the fifth.
-        assert!(table.get(probe(&five[0]), &five[0]).is_some());
-        table.insert(probe(&five[4]), &five[4], &value(4));
-        assert_eq!(table.get(probe(&five[1]), &five[1]), None);
+        assert!(get(&mut table, 0).is_some());
+        table.insert(five[4].0, &five[4].1, &value(4));
+        assert_eq!(table.entries, MEMO_WAYS, "an eviction frees no slot");
+        assert_eq!(get(&mut table, 1), None);
         for n in [0, 2, 3, 4] {
-            let e = &five[n];
-            assert_eq!(table.get(probe(e), e), Some(&value(n)[..]), "element {n}");
+            assert_eq!(get(&mut table, n), Some(value(n)), "element {n}");
         }
     }
 
@@ -1154,31 +1370,224 @@ mod tests {
             (s >> 33) as u32
         };
         // 100k distinct elements, up to 600 entries of either key form and
-        // 700-float embeddings: 1024 such slots would be ≈ 7 MB.
+        // dense 700-float embeddings: 4 096 such slots would be ≈ 16 MB.
         let mut table = MemoTable::default();
         let value = vec![0.5f32; 700];
+        let mut row = vec![0.0f32; 700];
         let (mut refused, mut peak) = (0, 0);
         for n in 0..100_000u32 {
             let len = next() as usize % 600;
             let v = if n % 2 == 0 { 1.0 } else { 0.75 };
             let mut entries: Vec<(u32, f32)> = (0..len as u32).map(|i| (i, v)).collect();
             entries.push((1_000_000 + n, v));
-            let probe = Probe::of(n as usize % 3, &entries);
-            table.insert(probe, &entries, &value[..1 + next() as usize % 700]);
-            refused += usize::from(table.get(probe, &entries).is_none());
+            let (probe, key) = key_of(n as usize % 3, 2_000_000, &entries);
+            let width = 1 + next() as usize % 700;
+            table.insert(probe, &key, &value[..width]);
+            refused += usize::from(!table.get(probe, &key, &mut row[..width]));
             assert!(table.bytes <= MEMO_MAX_BYTES, "after {n} inserts");
             peak = peak.max(table.bytes);
         }
-        let held: usize = table.slots.iter().map(|s| s.heap_words() * 4).sum();
+        let held: usize = table.slots.iter().map(|s| s.words.capacity() * 4).sum();
         assert_eq!(
             table.bytes,
             held + MEMO_SLOTS * std::mem::size_of::<MemoSlot>(),
             "the running total is what the slots hold"
         );
+        let occupied = table.slots.iter().filter(|s| !s.words.is_empty()).count();
+        assert_eq!(table.entries, occupied, "the count is what the slots hold");
         assert!(
             refused > 0 && peak > MEMO_MAX_BYTES * 9 / 10,
             "the bound was reached"
         );
+    }
+
+    /// Embeddings of hidden 256 after a ReLU, about half zeros, through
+    /// their two module layers: bitmap-like table elements (a one-hot and a
+    /// random half of a 256-bit sample bitmap) and predicate-like ones (a
+    /// column and an operator one-hot and a literal). Of 3 200 distinct
+    /// elements no more than four name any one set, so a memo that held
+    /// its slots in its bytes computes each once over two passes.
+    #[test]
+    fn a_working_set_of_thousands_of_wide_elements_is_computed_once() {
+        let h = 256;
+        let m = FrozenModel::new(
+            FrozenLinear::from_linear(&linear(6 + 256, h, 11)),
+            FrozenLinear::from_linear(&linear(h, h, 12)),
+            FrozenLinear::from_linear(&linear(4, h, 13)),
+            FrozenLinear::from_linear(&linear(h, h, 14)),
+            FrozenLinear::from_linear(&linear(12, h, 15)),
+            FrozenLinear::from_linear(&linear(h, h, 16)),
+            FrozenLinear::from_linear(&linear(3 * h, h, 17)),
+            FrozenLinear::from_linear(&linear(h, 1, 18)),
+        );
+        let mut s = 0xE1E7u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as u32
+        };
+        let mut per_set = vec![0; MEMO_SLOTS / MEMO_WAYS];
+        let mut seen = std::collections::HashSet::new();
+        let (mut tables, mut preds) = (IndexSet::default(), IndexSet::default());
+        for _ in 0..20_000 {
+            if seen.len() == 3_200 {
+                break;
+            }
+            let mut entries = Vec::new();
+            let (module, width) = if next() % 3 == 0 {
+                entries.extend([(next() % 8, 1.0), (8 + next() % 3, 1.0)]);
+                entries.push((11, (next() % 1000) as f32 / 1000.0));
+                (2, 12)
+            } else {
+                entries.push((next() % 6, 1.0));
+                entries.extend((0..256).filter(|_| next() % 2 == 0).map(|i| (6 + i, 1.0)));
+                (0, 6 + 256)
+            };
+            let (probe, key) = key_of(module, width, &entries);
+            let ways = &mut per_set[probe.set().start / MEMO_WAYS];
+            if *ways < MEMO_WAYS && seen.insert((probe.tag, key)) {
+                *ways += 1;
+                let set = if module == 0 { &mut tables } else { &mut preds };
+                let e = set.begin_elem();
+                set.entries.extend_from_slice(&entries);
+                set.finish_elem(e);
+            }
+        }
+        let elements = seen.len() as u64;
+        assert_eq!(elements, 3_200, "the sets have room for 3 200");
+        let empty = IndexSet::default();
+        let mut scratch = FrozenScratch::new();
+        let mut answers = Vec::new();
+        for _ in 0..2 {
+            let counts = [[tables.elems.len() as u32, 0, preds.elems.len() as u32]];
+            let mut y = [0.0f32];
+            m.forward_batch(&tables, &empty, &preds, &counts, &mut scratch, &mut y);
+            answers.push(y[0].to_bits());
+        }
+        assert_eq!(answers[0], answers[1]);
+        let stats = m.memo_stats();
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (elements, elements),
+            "{stats:?}"
+        );
+        assert_eq!(stats.entries, elements);
+        assert!(stats.resident_bytes <= MEMO_MAX_BYTES as u64, "{stats:?}");
+    }
+
+    #[test]
+    fn an_embedding_stored_sparse_pools_to_the_bits_of_the_dense_row() {
+        // Exact zeros of both signs, a subnormal, and widths that end
+        // inside, at and past a mask word.
+        let tiny = f32::from_bits(1);
+        for h in [1usize, 31, 32, 33, 256] {
+            let dense: Vec<f32> = (0..h)
+                .map(|j| match j % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => tiny,
+                    _ => j as f32 * 0.37,
+                })
+                .collect();
+            let (probe, key) = key_of(0, 4, &[(1, 1.0)]);
+            let mut table = MemoTable::default();
+            table.insert(probe, &key, &dense);
+            let stored = looked_up(&mut table, probe, &key, h).expect("held");
+            let nonzeros = dense.iter().filter(|&&v| v != 0.0).count();
+            assert_eq!(
+                table.slots[probe.set().start].words.len(),
+                1 + h.div_ceil(32) + nonzeros
+            );
+            for (j, (&got, &want)) in stored.iter().zip(&dense).enumerate() {
+                let want = if want == 0.0 { 0.0 } else { want };
+                assert_eq!(got.to_bits(), want.to_bits(), "h {h} lane {j}");
+            }
+            // Pooled among other elements, from a sum that starts at +0.0,
+            // the stored row and the dense one give the same bits.
+            let other: Vec<f32> = (0..h).map(|j| (j % 3) as f32 * 0.5).collect();
+            let pool = |row: &[f32]| {
+                let mut pooled = vec![0.0f32; h];
+                for r in [row, &other[..], row] {
+                    pool_into(&mut pooled, r, 1.0 / 3.0);
+                }
+                pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(pool(&stored), pool(&dense), "h {h}");
+        }
+    }
+
+    #[test]
+    fn the_avx512_codec_stores_and_loads_what_the_portable_one_does() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // Zeros of both signs, and NaN, a subnormal and infinity among
+            // the non-zeros, at four shares of non-zero lanes.
+            let odd = [f32::NAN, f32::from_bits(1), -1.5, f32::INFINITY];
+            let mut s = 0xC0DEu64;
+            for h in [1usize, 15, 16, 17, 31, 32, 33, 250, 256, 257] {
+                for quarters in [0, 1, 2, 4] {
+                    let value: Vec<f32> = (0..h)
+                        .map(|j| {
+                            s = s
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let r = (s >> 33) as usize;
+                            if r % 4 >= quarters {
+                                [0.0, -0.0][r / 4 % 2]
+                            } else if (r / 8).is_multiple_of(7) {
+                                odd[r / 8 % 4]
+                            } else {
+                                j as f32 + 0.25
+                            }
+                        })
+                        .collect();
+                    let nonzeros = value.iter().filter(|&&v| v != 0.0).count();
+                    let mask_words = h.div_ceil(32);
+                    let (mut fast, mut slow) = (
+                        vec![0u32; mask_words + nonzeros],
+                        vec![0u32; mask_words + nonzeros],
+                    );
+                    let (fm, fv) = fast.split_at_mut(mask_words);
+                    // SAFETY: AVX-512F support was just verified at runtime.
+                    unsafe { x86::compress(&value, fm, fv) };
+                    let (sm, sv) = slow.split_at_mut(mask_words);
+                    compress_portable(&value, sm, sv);
+                    assert_eq!(fast, slow, "compress h {h} quarters {quarters}");
+                    let (mut fast_row, mut slow_row) = (vec![f32::NAN; h], vec![f32::NAN; h]);
+                    let (mask, values) = slow.split_at(mask_words);
+                    // SAFETY: as above.
+                    unsafe { x86::expand(mask, values, &mut fast_row) };
+                    expand_portable(mask, values, &mut slow_row);
+                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&fast_row),
+                        bits(&slow_row),
+                        "expand h {h} quarters {quarters}"
+                    );
+                }
+            }
+            return;
+        }
+        println!("this CPU has no AVX-512F: only the portable codec runs");
+    }
+
+    /// An element's probe and key, as a forward pass makes them.
+    fn key_of(module: usize, width: usize, entries: &[(u32, f32)]) -> (Probe, Vec<u32>) {
+        let mut key = Vec::new();
+        let probe = Probe::of(module, width, entries, &mut key);
+        (probe, key)
+    }
+
+    /// The `width`-float embedding the table holds for the element, if any.
+    fn looked_up(
+        table: &mut MemoTable,
+        probe: Probe,
+        key: &[u32],
+        width: usize,
+    ) -> Option<Vec<f32>> {
+        let mut row = vec![f32::NAN; width];
+        table.get(probe, key, &mut row).then_some(row)
     }
 
     #[test]

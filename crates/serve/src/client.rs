@@ -457,6 +457,7 @@ mod tests {
             memo: ds_core::MemoStats {
                 hits: 31,
                 misses: 11,
+                entries: 5,
                 resident_bytes: 70_000,
             },
         };

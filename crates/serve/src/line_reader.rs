@@ -87,7 +87,9 @@ impl<'a> LineReader<'a> {
                 .take(room)
                 .read_until(b'\n', &mut self.line)
             {
-                Ok(0) => return None, // EOF
+                // EOF: the end of the connection, or of its last line when
+                // part of one arrived before a poll.
+                Ok(0) if self.line.is_empty() => return None,
                 Ok(_) => break,
                 // The timeout only exists to poll the shutdown flag.
                 // Whatever part of a request arrived before it stays in

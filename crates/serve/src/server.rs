@@ -1154,6 +1154,7 @@ fn stats_payload(shared: &Shared) -> String {
             let memo = sketch.memo_stats();
             p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
                 .counter(&format!("serve/memo/{name}/misses"), memo.misses)
+                .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
                 .gauge(
                     &format!("serve/memo/{name}/bytes"),
                     memo.resident_bytes as f64,

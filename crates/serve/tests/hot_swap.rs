@@ -134,6 +134,10 @@ fn a_warm_memo_does_not_outlive_its_generation() {
     let warm = old.memo_stats();
     assert_eq!((warm.hits, warm.misses), (2 * 12 - 6, 6));
     assert_eq!(stat(&mut c, "ds_serve_memo_imdb_misses"), 6.0);
+    assert_eq!(
+        (warm.entries, stat(&mut c, "ds_serve_memo_imdb_entries")),
+        (6, 6.0)
+    );
     assert_eq!(c.info_card("imdb").unwrap().memo_hits, warm.hits);
 
     let next = tiny_sketch(&db, 8);
@@ -148,6 +152,7 @@ fn a_warm_memo_does_not_outlive_its_generation() {
     let swapped = store.get("imdb").unwrap().memo_stats();
     assert_eq!((swapped.hits, swapped.misses), (6, 6), "counted from zero");
     assert_eq!(stat(&mut c, "ds_serve_memo_imdb_hits"), 6.0);
+    assert_eq!(stat(&mut c, "ds_serve_memo_imdb_entries"), 6.0);
     assert!(stat(&mut c, "ds_serve_memo_imdb_bytes") > 0.0);
     // The displaced generation still answers in-flight work from its own.
     assert_eq!(old.memo_stats(), warm);

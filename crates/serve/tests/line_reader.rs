@@ -2,7 +2,7 @@
 //! and the `ds_fleetmon` aggregator share, without either of them.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
@@ -31,6 +31,26 @@ fn a_stalled_line_arrives_whole_and_blank_lines_are_skipped() {
     writer.join().unwrap();
     assert_eq!(lines.next_line(), Some("QUIT"));
     assert_eq!(lines.next_line(), None);
+}
+
+/// A request without a newline whose bytes arrive before a poll wakes the
+/// reader, and whose peer only then half-closes, is still an EOF-terminated
+/// line. The reader used to drop it: the bytes were already in its buffer
+/// when the read that saw EOF returned nothing.
+#[test]
+fn an_unterminated_line_that_outlives_a_poll_is_answered_at_eof() {
+    let (mut peer, accepted) = pair();
+    let flag = AtomicBool::new(false);
+    let mut lines = LineReader::new(accepted, &flag).unwrap();
+    let writer = std::thread::spawn(move || {
+        peer.write_all(b"STATS").unwrap();
+        std::thread::sleep(Duration::from_millis(120)); // 2.4 × the read poll
+        peer.shutdown(Shutdown::Write).unwrap();
+        peer
+    });
+    assert_eq!(lines.next_line(), Some("STATS"));
+    assert_eq!(lines.next_line(), None);
+    drop(writer.join().unwrap());
 }
 
 /// Exactly the bound and still no newline: the reader gives up there,
