@@ -222,7 +222,7 @@ impl std::fmt::Display for RetrainAdvice {
     }
 }
 
-/// Scans every ready sketch in `store` against its feedback monitor and
+/// Scans every sketch in `store` against its feedback monitor and
 /// returns the ones whose staleness signal fires, most severe first.
 /// Sketches without a stored baseline or without feedback are skipped —
 /// no evidence, no recommendation.
@@ -233,10 +233,7 @@ pub fn recommend_retraining(
     min_samples: u64,
 ) -> Vec<RetrainAdvice> {
     let mut out = Vec::new();
-    for (name, _) in store.list() {
-        let Ok(sketch) = store.get(&name) else {
-            continue; // still training, or failed — nothing to judge
-        };
+    for (name, sketch) in store.list() {
         let Some(baseline) = sketch.baseline() else {
             continue;
         };

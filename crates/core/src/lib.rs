@@ -61,8 +61,6 @@ pub use sketch::{DeepSketch, SketchInfo};
 
 pub use ds_nn::frozen::MemoStats;
 pub use snapshot::{SketchSnapshot, SnapshotError, WriteFault};
-pub use store::{
-    QuarantineReason, RecoveryReport, SketchStatus, SketchStore, StoreError, SwapOutcome,
-};
+pub use store::{QuarantineReason, RecoveryReport, SketchStore, StoreError, SwapOutcome};
 pub use template::{QueryTemplate, TemplateInstance, ValueFn};
 pub use train::{LossKind, TrainConfig, TrainingReport};

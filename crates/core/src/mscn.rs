@@ -255,6 +255,15 @@ impl MscnModel {
         self.hidden
     }
 
+    /// Input widths of the table, join and predicate set modules.
+    pub fn input_dims(&self) -> [usize; 3] {
+        [
+            self.tables.l1.in_dim(),
+            self.joins.l1.in_dim(),
+            self.preds.l1.in_dim(),
+        ]
+    }
+
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.tables.num_params()

@@ -551,8 +551,19 @@ impl DeepSketch {
             samples.push(TableSample::from_parts(table_id, row_ids, table, nominal));
         }
 
-        // Model.
+        // Model. Its input widths must be the featurizer's, or the first
+        // estimate reads past a feature row.
         let model = MscnModel::decode(&mut d)?;
+        let widths = [
+            featurizer.table_dim(),
+            featurizer.join_dim(),
+            featurizer.pred_dim(),
+        ];
+        if model.input_dims() != widths {
+            return Err(DecodeError::Corrupt(
+                "model input widths disagree with the featurizer".into(),
+            ));
+        }
 
         let baseline = if d.flag()? {
             let words = d.u64_vec()?;
@@ -673,9 +684,11 @@ mod tests {
 
     /// Words the encoder never writes are corrupt, not read leniently: a
     /// flag other than 0/1 (`use_bitmaps` used to take any non-zero word and
-    /// re-encode it as 1), and a sample that counts rows but no columns
+    /// re-encode it as 1), a sample that counts rows but no columns
     /// (which used to reach `TableSample::from_parts`' assertion — CI's
-    /// `FUZZ_ITERS=20000` budget of `fuzz_smoke` draws it).
+    /// `FUZZ_ITERS=20000` budget of `fuzz_smoke` draws it), and a table
+    /// count the model's input width disagrees with (which decoded, then
+    /// panicked every estimate out of bounds).
     #[test]
     fn words_the_encoder_never_writes_are_corrupt() {
         let (_db, sketch) = tiny_sketch();
@@ -692,6 +705,9 @@ mod tests {
         for word in [2, 0x80, u64::MAX] {
             assert!(corrupt(use_bitmaps, word), "use_bitmaps = {word:#x}");
         }
+        let tables = use_bitmaps - 16;
+        assert_eq!(blob[tables..tables + 8], 6u64.to_le_bytes());
+        assert!(corrupt(tables, 7), "one table more than the model reads");
         // The baseline flag is followed by the histogram's words, and the
         // artifact flag ends the blob.
         let baseline_words = sketch.baseline().expect("built with one").to_words().len();

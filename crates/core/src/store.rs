@@ -2,51 +2,33 @@
 //!
 //! §3 of the paper: "we offer pre-built (high quality) models that can be
 //! queried right away" and "we allow users to train new models while
-//! querying existing ones". The [`SketchStore`] provides exactly that: a
-//! named collection of sketches that can be queried concurrently while new
-//! sketches train on background threads, plus crash-safe snapshot
-//! persistence for the pre-built models.
+//! querying existing ones". The [`SketchStore`] is the first half: a named
+//! collection of ready sketches that any number of threads query at once,
+//! plus crash-safe snapshot persistence. The second half happens outside
+//! it: a caller builds a sketch on any thread and publishes it with
+//! [`SketchStore::insert`] or [`SketchStore::swap`], as the retrain
+//! lifecycle does, so a lookup only ever takes the read lock.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use ds_storage::catalog::Database;
-
-use crate::builder::{BuildError, BuildReport, SketchBuilder};
 use crate::monitor::{MonitorRegistry, QErrorMonitor};
 use crate::sketch::DeepSketch;
 use crate::snapshot::{self, SketchSnapshot, SnapshotError};
-
-/// Status of a named sketch in the store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SketchStatus {
-    /// Training is running on a background thread.
-    Training,
-    /// Trained and queryable.
-    Ready,
-    /// Background training failed.
-    Failed(String),
-}
 
 /// Errors raised by store operations.
 #[derive(Debug)]
 pub enum StoreError {
     /// No sketch registered under this name.
     UnknownSketch(String),
-    /// The sketch exists but is still training (or failed).
-    NotReady(String, SketchStatus),
     /// A sketch with this name already exists.
     Duplicate(String),
     /// Disk I/O failed.
     Io(std::io::Error),
-    /// Training failed.
-    Build(BuildError),
     /// A crash-safe snapshot failed to write or read.
     Snapshot(SnapshotError),
 }
@@ -55,10 +37,8 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::UnknownSketch(n) => write!(f, "unknown sketch '{n}'"),
-            StoreError::NotReady(n, s) => write!(f, "sketch '{n}' is not ready: {s:?}"),
             StoreError::Duplicate(n) => write!(f, "sketch '{n}' already exists"),
             StoreError::Io(e) => write!(f, "sketch store I/O error: {e}"),
-            StoreError::Build(e) => write!(f, "sketch training failed: {e}"),
             StoreError::Snapshot(e) => write!(f, "{e}"),
         }
     }
@@ -78,31 +58,16 @@ impl From<SnapshotError> for StoreError {
     }
 }
 
-enum Slot {
-    Training {
-        // Mutex only to make the containing map `Sync`; the receiver is
-        // ever touched under the slots write lock.
-        rx: Mutex<Receiver<Result<(DeepSketch, BuildReport), String>>>,
-        handle: Option<JoinHandle<()>>,
-    },
-    Ready {
-        sketch: Arc<DeepSketch>,
-        report: Option<BuildReport>,
-        /// Store-wide monotonic generation assigned when this model became
-        /// ready. Every insert, recovery, and background-training swap gets
-        /// a fresh generation, so "same name" never implies "same model":
-        /// consumers that must not mix models across a swap (the serving
-        /// layer's estimate cache) key on the generation.
-        generation: u64,
-    },
-    Failed(String),
-}
-
-/// A named, concurrently queryable collection of Deep Sketches with
-/// background training. `Sync`: share one store across threads.
+/// A named, concurrently queryable collection of ready Deep Sketches.
+/// `Sync`: share one store across threads.
 pub struct SketchStore {
-    slots: RwLock<HashMap<String, Slot>>,
-    /// Last generation handed out; see [`Slot::Ready::generation`].
+    /// Each name's model and the store-wide generation it became ready
+    /// under. Every insert, swap, recovery and adoption hands out a fresh
+    /// generation, so "same name" never implies "same model": consumers
+    /// that must not mix models across a swap (the serving layer's
+    /// estimate cache) key on the generation.
+    sketches: RwLock<HashMap<String, (Arc<DeepSketch>, u64)>>,
+    /// Last generation handed out.
     generations: AtomicU64,
 }
 
@@ -114,8 +79,8 @@ impl Default for SketchStore {
 
 /// Why [`SketchStore::open_dir`] refused a snapshot file and moved it to
 /// `<dir>/quarantine/`. The reason is typed so operators (and the serving
-/// layer's startup log) can tell data corruption apart from a
-/// configuration problem without re-reading the bytes.
+/// layer's startup log) can tell a damaged file from a lying one without
+/// re-reading the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
     /// The bytes failed to decode: truncated, bit-flipped, or a checksum
@@ -126,15 +91,6 @@ pub enum QuarantineReason {
     NameMismatch,
     /// The embedded rolling-monitor state failed to restore.
     MonitorState,
-    /// The sketch decodes cleanly but its feature schema does not match
-    /// the vocabulary this server was configured to serve — loading it
-    /// would answer queries with features the model was never trained on.
-    SchemaMismatch {
-        /// The schema the server expects.
-        expected: crate::featurize::FeatureSchema,
-        /// The schema the snapshot actually carries.
-        found: crate::featurize::FeatureSchema,
-    },
 }
 
 impl std::fmt::Display for QuarantineReason {
@@ -145,10 +101,6 @@ impl std::fmt::Display for QuarantineReason {
                 write!(f, "snapshot body disagrees with its filename")
             }
             QuarantineReason::MonitorState => write!(f, "monitor state failed to restore"),
-            QuarantineReason::SchemaMismatch { expected, found } => write!(
-                f,
-                "feature schema mismatch: server vocabulary expects {expected:?}, snapshot carries {found:?}"
-            ),
         }
     }
 }
@@ -206,7 +158,7 @@ impl SketchStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self {
-            slots: RwLock::new(HashMap::new()),
+            sketches: RwLock::new(HashMap::new()),
             generations: AtomicU64::new(0),
         }
     }
@@ -215,8 +167,9 @@ impl SketchStore {
         self.generations.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Registers an already-trained sketch under `name` ("pre-built
-    /// models that can be queried right away").
+    /// Registers a trained sketch under `name` ("pre-built models that can
+    /// be queried right away"). A sketch trained while the store serves is
+    /// built on the caller's thread and registered here when it is done.
     pub fn insert(&self, name: impl Into<String>, sketch: DeepSketch) -> Result<(), StoreError> {
         let generation = self.next_generation();
         self.insert_with_generation(name, sketch, generation)
@@ -229,208 +182,87 @@ impl SketchStore {
         generation: u64,
     ) -> Result<(), StoreError> {
         let name = name.into();
-        let mut slots = self.slots.write();
-        if slots.contains_key(&name) {
+        let mut sketches = self.sketches.write();
+        if sketches.contains_key(&name) {
             return Err(StoreError::Duplicate(name));
         }
-        slots.insert(
-            name,
-            Slot::Ready {
-                sketch: Arc::new(sketch),
-                report: None,
-                generation,
-            },
-        );
+        sketches.insert(name, (Arc::new(sketch), generation));
         ds_obs::global().count("store/inserts", 1);
         Ok(())
     }
 
-    /// Starts training a sketch on a background thread; the store stays
-    /// fully queryable meanwhile. The builder must borrow a `'static`
-    /// database (use an [`Arc<Database>`]).
-    pub fn train_in_background(
-        &self,
-        name: impl Into<String>,
-        db: Arc<Database>,
-        configure: impl FnOnce(SketchBuilder<'_>) -> SketchBuilder<'_> + Send + 'static,
-        predicate_columns: Vec<ds_storage::catalog::ColRef>,
-    ) -> Result<(), StoreError> {
-        let name = name.into();
-        {
-            let slots = self.slots.read();
-            if slots.contains_key(&name) {
-                return Err(StoreError::Duplicate(name));
-            }
-        }
-        let (tx, rx): (Sender<_>, Receiver<_>) = channel();
-        let handle = std::thread::spawn(move || {
-            let builder = configure(SketchBuilder::new(&db, predicate_columns));
-            let result = builder.build_with_report().map_err(|e| e.to_string());
-            let _ = tx.send(result);
-        });
-        let mut slots = self.slots.write();
-        if slots.contains_key(&name) {
-            // Raced with a concurrent insert; let the thread finish and drop.
-            return Err(StoreError::Duplicate(name));
-        }
-        slots.insert(
-            name,
-            Slot::Training {
-                rx: Mutex::new(rx),
-                handle: Some(handle),
-            },
-        );
-        Ok(())
-    }
-
-    /// Polls training threads for completion, then reports every sketch's
-    /// status, sorted by name (the `SHOW SKETCHES` listing).
-    pub fn list(&self) -> Vec<(String, SketchStatus)> {
-        self.poll();
-        let slots = self.slots.read();
-        let mut out: Vec<(String, SketchStatus)> = slots
+    /// Every sketch with its name, sorted by name (the `SHOW SKETCHES`
+    /// listing).
+    pub fn list(&self) -> Vec<(String, Arc<DeepSketch>)> {
+        let mut out: Vec<(String, Arc<DeepSketch>)> = self
+            .sketches
+            .read()
             .iter()
-            .map(|(n, s)| {
-                let status = match s {
-                    Slot::Training { .. } => SketchStatus::Training,
-                    Slot::Ready { .. } => SketchStatus::Ready,
-                    Slot::Failed(e) => SketchStatus::Failed(e.clone()),
-                };
-                (n.clone(), status)
-            })
+            .map(|(name, (sketch, _))| (name.clone(), Arc::clone(sketch)))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Atomically replaces the ready model under `name` with `sketch`,
-    /// assigning a fresh generation — the hot-swap primitive behind the
-    /// retrain lifecycle. Requests already holding the old `Arc` finish
-    /// against the old model; every later lookup sees the new one. The
-    /// generation bump invalidates generation-keyed consumers (the estimate
-    /// cache) exactly like a background-training swap.
+    /// Atomically replaces the model under `name` with `sketch`, assigning
+    /// a fresh generation — the hot-swap primitive behind the retrain
+    /// lifecycle. Requests already holding the old `Arc` finish against
+    /// the old model; every later lookup sees the new one, and the
+    /// generation bump invalidates generation-keyed consumers (the
+    /// estimate cache).
     /// Rolling back is just another `swap` with [`SwapOutcome::previous`]:
     /// the restored model serves under a *newer* generation, never a
     /// recycled one.
     pub fn swap(&self, name: &str, sketch: Arc<DeepSketch>) -> Result<SwapOutcome, StoreError> {
-        let mut slots = self.slots.write();
-        match slots.get_mut(name) {
-            None => Err(StoreError::UnknownSketch(name.to_string())),
-            Some(Slot::Ready {
-                sketch: slot_sketch,
-                report,
-                generation,
-            }) => {
-                let next = self.next_generation();
-                let previous = std::mem::replace(slot_sketch, sketch);
-                let previous_generation = *generation;
-                *generation = next;
-                // The displaced model's build report no longer describes
-                // what serves.
-                *report = None;
-                ds_obs::global().count("store/hot_swaps", 1);
-                Ok(SwapOutcome {
-                    previous,
-                    previous_generation,
-                    generation: next,
-                })
-            }
-            Some(Slot::Training { .. }) => Err(StoreError::NotReady(
-                name.to_string(),
-                SketchStatus::Training,
-            )),
-            Some(Slot::Failed(e)) => Err(StoreError::NotReady(
-                name.to_string(),
-                SketchStatus::Failed(e.clone()),
-            )),
-        }
+        let mut sketches = self.sketches.write();
+        let Some((serving, generation)) = sketches.get_mut(name) else {
+            return Err(StoreError::UnknownSketch(name.to_string()));
+        };
+        let next = self.next_generation();
+        let previous = std::mem::replace(serving, sketch);
+        let previous_generation = std::mem::replace(generation, next);
+        ds_obs::global().count("store/hot_swaps", 1);
+        Ok(SwapOutcome {
+            previous,
+            previous_generation,
+            generation: next,
+        })
     }
 
-    /// Status of one sketch.
-    pub fn status(&self, name: &str) -> Result<SketchStatus, StoreError> {
-        self.poll();
-        let slots = self.slots.read();
-        match slots.get(name) {
-            None => Err(StoreError::UnknownSketch(name.to_string())),
-            Some(Slot::Training { .. }) => Ok(SketchStatus::Training),
-            Some(Slot::Ready { .. }) => Ok(SketchStatus::Ready),
-            Some(Slot::Failed(e)) => Ok(SketchStatus::Failed(e.clone())),
-        }
-    }
-
-    /// Fetches a ready sketch for querying.
+    /// Fetches a sketch for querying.
     pub fn get(&self, name: &str) -> Result<Arc<DeepSketch>, StoreError> {
         self.get_with_generation(name).map(|(sketch, _)| sketch)
     }
 
-    /// Fetches a ready sketch together with its store generation. The
-    /// generation uniquely identifies *this* model: after a remove/insert
-    /// or background-training swap under the same name, the generation
-    /// changes, so holders can detect (and refuse to mix state across)
-    /// model swaps.
+    /// Fetches a sketch together with its store generation, under the read
+    /// lock only. The generation uniquely identifies *this* model: after a
+    /// swap or a remove and insert under the same name it changes, so
+    /// holders can detect (and refuse to mix state across) model swaps.
     pub fn get_with_generation(&self, name: &str) -> Result<(Arc<DeepSketch>, u64), StoreError> {
-        self.poll();
-        let slots = self.slots.read();
-        match slots.get(name) {
+        match self.sketches.read().get(name) {
+            Some((sketch, generation)) => Ok((Arc::clone(sketch), *generation)),
             None => Err(StoreError::UnknownSketch(name.to_string())),
-            Some(Slot::Ready {
-                sketch, generation, ..
-            }) => Ok((Arc::clone(sketch), *generation)),
-            Some(Slot::Training { .. }) => Err(StoreError::NotReady(
-                name.to_string(),
-                SketchStatus::Training,
-            )),
-            Some(Slot::Failed(e)) => Err(StoreError::NotReady(
-                name.to_string(),
-                SketchStatus::Failed(e.clone()),
-            )),
         }
     }
 
-    /// The generation of a ready sketch, or `None` while it is missing,
-    /// training, or failed.
+    /// The generation of a sketch, or `None` when no sketch has that name.
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.get_with_generation(name).ok().map(|(_, g)| g)
+        self.sketches
+            .read()
+            .get(name)
+            .map(|&(_, generation)| generation)
     }
 
-    /// The build report of a background-trained sketch, if available.
-    pub fn report(&self, name: &str) -> Option<BuildReport> {
-        self.poll();
-        let slots = self.slots.read();
-        match slots.get(name) {
-            Some(Slot::Ready { report, .. }) => report.clone(),
-            _ => None,
-        }
-    }
-
-    /// Blocks until `name` finishes training (ready or failed).
-    pub fn wait(&self, name: &str) -> Result<Arc<DeepSketch>, StoreError> {
-        // Take the join handle out so we can block without holding the lock.
-        let handle = {
-            let mut slots = self.slots.write();
-            match slots.get_mut(name) {
-                None => return Err(StoreError::UnknownSketch(name.to_string())),
-                Some(Slot::Training { handle, .. }) => handle.take(),
-                Some(_) => None,
-            }
-        };
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        self.poll();
-        self.get(name)
-    }
-
-    /// Removes a sketch (any state). Returns true if it existed.
+    /// Removes a sketch. Returns true if it existed.
     pub fn remove(&self, name: &str) -> bool {
-        let existed = self.slots.write().remove(name).is_some();
+        let existed = self.sketches.write().remove(name).is_some();
         if existed {
             ds_obs::global().count("store/removes", 1);
         }
         existed
     }
 
-    /// Atomically snapshots one ready sketch to `dir` at its current
+    /// Atomically snapshots one sketch to `dir` at its current
     /// generation, carrying its rolling q-error monitor state when
     /// `monitors` has one for it (the sketch's training-time baseline
     /// always travels inside the sketch bytes). Older durable generations
@@ -450,7 +282,7 @@ impl SketchStore {
         Ok(path)
     }
 
-    /// Encodes one ready sketch into the checksummed `DSNP` byte layout
+    /// Encodes one sketch into the checksummed `DSNP` byte layout
     /// without touching disk — the payload the fleet tier ships over the
     /// wire (`SNAPSHOT`). Byte-identical to what [`SketchStore::save_snapshot`]
     /// would persist for the same generation and monitor state, so a
@@ -473,10 +305,9 @@ impl SketchStore {
     }
 
     /// Adopts a decoded snapshot shipped from a fleet peer, newest-wins:
-    /// the offer is ignored when a ready sketch of the same name already
-    /// serves at an equal or newer generation, and otherwise replaces
-    /// whatever slot holds the name (including training or failed slots —
-    /// a validated remote model beats a broken local one). The store's
+    /// the offer is ignored when a sketch of the same name already serves
+    /// at an equal or newer generation, and otherwise serves under the
+    /// name in place of whatever served there. The store's
     /// generation counter is raised to at least the adopted generation, so
     /// later local inserts keep sorting after every adopted model, and the
     /// sketch's rolling monitor state travels with it when `monitors` is
@@ -500,23 +331,16 @@ impl SketchStore {
                 }
             },
         };
-        let mut slots = self.slots.write();
-        if let Some(Slot::Ready { generation, .. }) = slots.get(&snap.name) {
-            if *generation >= snap.generation {
+        let mut sketches = self.sketches.write();
+        if let Some(&(_, current)) = sketches.get(&snap.name) {
+            if current >= snap.generation {
                 return Ok(AdoptOutcome::Stale {
-                    current: *generation,
+                    current,
                     offered: snap.generation,
                 });
             }
         }
-        slots.insert(
-            snap.name.clone(),
-            Slot::Ready {
-                sketch: Arc::new(snap.sketch),
-                report: None,
-                generation: snap.generation,
-            },
-        );
+        sketches.insert(snap.name.clone(), (Arc::new(snap.sketch), snap.generation));
         self.generations
             .fetch_max(snap.generation, Ordering::Relaxed);
         if let (Some(registry), Some(m)) = (monitors, monitor) {
@@ -528,22 +352,14 @@ impl SketchStore {
         })
     }
 
-    /// Snapshots every ready sketch (see [`SketchStore::save_snapshot`]).
+    /// Snapshots every sketch (see [`SketchStore::save_snapshot`]).
     /// Returns how many were written.
     pub fn save_snapshots(
         &self,
         dir: &Path,
         monitors: Option<&MonitorRegistry>,
     ) -> Result<usize, StoreError> {
-        self.poll();
-        let names: Vec<String> = {
-            let slots = self.slots.read();
-            slots
-                .iter()
-                .filter(|(_, s)| matches!(s, Slot::Ready { .. }))
-                .map(|(n, _)| n.clone())
-                .collect()
-        };
+        let names: Vec<String> = self.sketches.read().keys().cloned().collect();
         let mut saved = 0;
         for name in names {
             match self.save_snapshot(dir, &name, monitors) {
@@ -591,20 +407,6 @@ impl SketchStore {
     /// Leftover `.tmp` files from an interrupted write are deleted (they
     /// were never durable). Only I/O errors on the directory itself abort.
     pub fn open_dir(dir: &Path) -> Result<(Self, MonitorRegistry, RecoveryReport), StoreError> {
-        Self::open_dir_with_vocabulary(dir, None)
-    }
-
-    /// As [`SketchStore::open_dir`], but additionally enforces the server's
-    /// configured feature-schema vocabulary: a snapshot that decodes
-    /// cleanly but carries a different [`crate::featurize::FeatureSchema`]
-    /// is quarantined with [`QuarantineReason::SchemaMismatch`] instead of
-    /// silently serving features its model was never trained on. Recovery
-    /// falls back to the next older generation of the same name, exactly as
-    /// for corruption.
-    pub fn open_dir_with_vocabulary(
-        dir: &Path,
-        expected_schema: Option<crate::featurize::FeatureSchema>,
-    ) -> Result<(Self, MonitorRegistry, RecoveryReport), StoreError> {
         let store = Self::new();
         let monitors = MonitorRegistry::new();
         let mut report = RecoveryReport::default();
@@ -647,18 +449,6 @@ impl SketchStore {
                     // The filename is untrusted; the checksummed body is
                     // authoritative and must agree with it.
                     Ok(snap) if snap.name == name && snap.generation == generation => {
-                        let found = snap.sketch.featurizer().schema();
-                        if let Some(expected) = expected_schema {
-                            if found != expected {
-                                Self::quarantine(
-                                    dir,
-                                    &path,
-                                    &mut report,
-                                    QuarantineReason::SchemaMismatch { expected, found },
-                                );
-                                continue;
-                            }
-                        }
                         if let Some(state) = &snap.monitor {
                             match QErrorMonitor::from_state(state) {
                                 Some(m) => monitors.restore(&name, m),
@@ -712,58 +502,15 @@ impl SketchStore {
         ds_obs::global().count("store/snapshots_quarantined", 1);
         report.quarantined.push((target, reason));
     }
-
-    /// Harvests finished background trainings into ready/failed slots.
-    fn poll(&self) {
-        let mut slots = self.slots.write();
-        let names: Vec<String> = slots
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Training { .. }))
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in names {
-            let done = {
-                let Slot::Training { rx, .. } = slots.get_mut(&name).expect("just listed") else {
-                    continue;
-                };
-                let rx = rx.get_mut().expect("training receiver mutex");
-                match rx.try_recv() {
-                    Ok(result) => Some(result),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => {
-                        Some(Err("training thread vanished".to_string()))
-                    }
-                }
-            };
-            if let Some(result) = done {
-                let obs = ds_obs::global();
-                let slot = match result {
-                    Ok((sketch, report)) => {
-                        // A Training slot becoming Ready is the atomic swap
-                        // serving traffic observes.
-                        obs.count("store/swaps_ready", 1);
-                        Slot::Ready {
-                            sketch: Arc::new(sketch),
-                            report: Some(report),
-                            generation: self.next_generation(),
-                        }
-                    }
-                    Err(e) => {
-                        obs.count("store/swaps_failed", 1);
-                        Slot::Failed(e)
-                    }
-                };
-                slots.insert(name, slot);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::SketchBuilder;
     use ds_query::parser::parse_query;
     use ds_query::workloads::imdb_predicate_columns;
+    use ds_storage::catalog::Database;
     use ds_storage::gen::{imdb_database, ImdbConfig};
 
     fn tiny_sketch(db: &Database, seed: u64) -> DeepSketch {
@@ -782,9 +529,13 @@ mod tests {
         let db = imdb_database(&ImdbConfig::tiny(1));
         let store = SketchStore::new();
         store.insert("imdb", tiny_sketch(&db, 1)).unwrap();
-        assert_eq!(store.status("imdb").unwrap(), SketchStatus::Ready);
         let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        assert!(store.get("imdb").unwrap().estimate_one(&q) >= 1.0);
+        let sketch = store.get("imdb").unwrap();
+        assert!(sketch.estimate_one(&q) >= 1.0);
+        // The listing hands out the very model a lookup does.
+        let listing = store.list();
+        assert!(matches!(&listing[..], [(name, listed)]
+            if name == "imdb" && Arc::ptr_eq(listed, &sketch)));
         assert!(matches!(
             store.get("nope"),
             Err(StoreError::UnknownSketch(_))
@@ -847,42 +598,6 @@ mod tests {
             store.insert("a", tiny_sketch(&db, 2)),
             Err(StoreError::Duplicate(_))
         ));
-    }
-
-    #[test]
-    fn background_training_while_querying() {
-        let db = Arc::new(imdb_database(&ImdbConfig::tiny(3)));
-        let store = SketchStore::new();
-        store.insert("prebuilt", tiny_sketch(&db, 5)).unwrap();
-
-        let cols = imdb_predicate_columns(&db);
-        store
-            .train_in_background(
-                "fresh",
-                Arc::clone(&db),
-                |b| {
-                    b.training_queries(150)
-                        .epochs(2)
-                        .sample_size(8)
-                        .hidden_units(8)
-                        .seed(9)
-                },
-                cols,
-            )
-            .unwrap();
-
-        // The pre-built model keeps answering while 'fresh' trains.
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        assert!(store.get("prebuilt").unwrap().estimate_one(&q) >= 1.0);
-
-        // Eventually the new sketch becomes ready.
-        let fresh = store.wait("fresh").unwrap();
-        assert!(fresh.estimate_one(&q) >= 1.0);
-        assert_eq!(store.status("fresh").unwrap(), SketchStatus::Ready);
-        assert!(store.report("fresh").is_some());
-        let listing = store.list();
-        assert_eq!(listing.len(), 2);
-        assert!(listing.iter().all(|(_, s)| *s == SketchStatus::Ready));
     }
 
     #[test]
@@ -1017,56 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn open_dir_with_vocabulary_quarantines_schema_mismatch() {
-        use crate::featurize::FeatureSchema;
-        let db = imdb_database(&ImdbConfig::tiny(13));
-        let v2 = SketchBuilder::new(&db, imdb_predicate_columns(&db))
-            .training_queries(120)
-            .epochs(2)
-            .sample_size(8)
-            .hidden_units(8)
-            .feature_schema_v2(4)
-            .seed(1)
-            .build()
-            .expect("v2 sketch");
-        let store = SketchStore::new();
-        store.insert("mixed", v2).unwrap();
-        let dir = std::env::temp_dir().join(format!("ds_snap_vocab_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        store.save_snapshot(&dir, "mixed", None).unwrap();
-
-        // A v1-vocabulary server refuses the v2 snapshot with a typed
-        // reason instead of serving features the model never saw.
-        let (restored, _, report) =
-            SketchStore::open_dir_with_vocabulary(&dir, Some(FeatureSchema::V1)).unwrap();
-        assert!(report.loaded.is_empty());
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(
-            report.quarantined[0].1,
-            QuarantineReason::SchemaMismatch {
-                expected: FeatureSchema::V1,
-                found: FeatureSchema::V2,
-            }
-        );
-        assert!(matches!(
-            restored.get("mixed"),
-            Err(StoreError::UnknownSketch(_))
-        ));
-        let rendered = report.quarantined[0].1.to_string();
-        assert!(rendered.contains("server vocabulary"), "{rendered}");
-
-        // A matching vocabulary (or no vocabulary at all) loads it fine.
-        std::fs::remove_dir_all(&dir).ok();
-        store.save_snapshot(&dir, "mixed", None).unwrap();
-        let (ok_store, _, ok_report) =
-            SketchStore::open_dir_with_vocabulary(&dir, Some(FeatureSchema::V2)).unwrap();
-        assert_eq!(ok_report.loaded.len(), 1);
-        assert!(ok_report.quarantined.is_empty());
-        assert!(ok_store.get("mixed").is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn snapshot_pruning_keeps_newest_two_generations() {
         let db = imdb_database(&ImdbConfig::tiny(11));
         let store = SketchStore::new();
@@ -1155,14 +820,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_unknown_statuses() {
+    fn removed_names_are_unknown() {
         let db = imdb_database(&ImdbConfig::tiny(5));
         let store = SketchStore::new();
         store.insert("gone", tiny_sketch(&db, 1)).unwrap();
         assert!(store.remove("gone"));
         assert!(!store.remove("gone"));
         assert!(matches!(
-            store.status("gone"),
+            store.get("gone"),
             Err(StoreError::UnknownSketch(_))
         ));
     }

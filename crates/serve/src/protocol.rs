@@ -15,7 +15,7 @@
 //!                              estimate AND record the observed true
 //!                              cardinality into the drift monitor
 //! INFO <sketch>                the sketch's summary card
-//! LIST                         every sketch and its status
+//! LIST                         every sketch name, sorted
 //! SNAPSHOT <sketch>            export the sketch as a hex-encoded `DSNP`
 //!                              blob: `OK SNAPSHOT <name> <gen> <len> <hex>`
 //! SYNC <name> <gen> <len> <hex>
@@ -117,7 +117,7 @@ pub enum Request<S = String> {
         /// Sketch name in the store.
         sketch: S,
     },
-    /// `LIST` — all sketches and statuses.
+    /// `LIST` — every sketch name, sorted.
     List,
     /// `SNAPSHOT <sketch>` — export the named sketch as a hex-encoded,
     /// checksum-authenticated `DSNP` blob at its current generation.
@@ -208,7 +208,8 @@ pub enum ErrorCode {
     Parse,
     /// No sketch with that name.
     UnknownSketch,
-    /// The sketch exists but is training or failed.
+    /// The sketch exists but cannot answer now: its circuit breaker is
+    /// open with no fallback, or its estimator is unavailable.
     NotReady,
     /// The query references tables/columns outside the sketch.
     Vocabulary,
@@ -537,7 +538,6 @@ pub fn estimate_error_response(e: &EstimateError) -> Response {
 pub fn store_error_response(e: &StoreError) -> Response {
     let code = match e {
         StoreError::UnknownSketch(_) => ErrorCode::UnknownSketch,
-        StoreError::NotReady(..) => ErrorCode::NotReady,
         _ => ErrorCode::Internal,
     };
     Response::Error {

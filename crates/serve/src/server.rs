@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ds_core::lifecycle::{LifecycleManager, LifecyclePhase};
+use ds_core::lifecycle::LifecycleManager;
 use ds_core::monitor::MonitorRegistry;
 use ds_core::snapshot::{decode_hex, decode_snapshot, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
@@ -356,26 +356,28 @@ fn accept_loop(
             continue;
         }
         shared.active_connections.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
+        let slot = ConnectionSlot(Arc::clone(shared));
+        // The closure owns the slot: a handler that returns, one that
+        // unwinds, and a spawn that fails (it drops the closure) all free it.
         let spawned = std::thread::Builder::new()
             .name("ds-serve-conn".to_string())
-            .spawn(move || {
-                handle_connection(stream, &conn_shared);
-                conn_shared
-                    .active_connections
-                    .fetch_sub(1, Ordering::SeqCst);
-            });
-        match spawned {
-            Ok(handle) => {
-                let mut reg = handlers.lock().expect("handler registry");
-                // Reap finished handlers so the registry stays bounded.
-                reg.retain(|h| !h.is_finished());
-                reg.push(handle);
-            }
-            Err(_) => {
-                shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-            }
+            .spawn(move || handle_connection(stream, &slot.0));
+        if let Ok(handle) = spawned {
+            let mut reg = handlers.lock().expect("handler registry");
+            // Reap finished handlers so the registry stays bounded.
+            reg.retain(|h| !h.is_finished());
+            reg.push(handle);
         }
+    }
+}
+
+/// One admitted connection's share of `max_connections`, given back when
+/// dropped.
+struct ConnectionSlot(Arc<Shared>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -597,17 +599,11 @@ fn handle_line(
             }
         },
         Request::List => {
-            let mut entries: Vec<String> = shared
-                .store
-                .list()
-                .into_iter()
-                .map(|(name, status)| format!("{name}={status:?}"))
-                .collect();
-            entries.sort();
-            Response::Text(if entries.is_empty() {
+            let names: Vec<String> = shared.store.list().into_iter().map(|(n, _)| n).collect();
+            Response::Text(if names.is_empty() {
                 "(no sketches)".to_string()
             } else {
-                entries.join(" ")
+                names.join(" ")
             })
         }
         Request::Stats => Response::Text(stats_payload(shared)),
@@ -1098,24 +1094,23 @@ fn shadow_score(job: ShadowJob, shared: &Shared) {
 /// manager; the counters are manager-wide so an operator can watch a
 /// drill converge over a single connection.
 fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
+    // An unknown name answers like INFO does, with the store error, whether
+    // or not a lifecycle is configured.
+    let generation = match shared.store.get_with_generation(sketch) {
+        Ok((_, generation)) => generation,
+        Err(e) => return store_error_response(&e),
+    };
     let Some(lc) = shared.lifecycle.as_ref() else {
         return Response::Text(format!("LIFECYCLE {sketch} disabled"));
     };
     let status = lc.manager.status(sketch);
-    // A sketch with no lifecycle state yet reads as Idle — but an unknown
-    // name should answer like INFO does, with the store error.
-    if status.phase == LifecyclePhase::Idle && status.harvested == 0 {
-        if let Err(e) = shared.store.get(sketch) {
-            return store_error_response(&e);
-        }
-    }
     let c = lc.manager.counters();
     Response::Text(format!(
         "LIFECYCLE {sketch} phase={} generation={} harvested={} shadow_samples={} \
          shadow_live_p50={:.3} shadow_candidate_p50={:.3} swaps={} rollbacks={} \
          gate_rejects={} retrains={} promotions={}",
         status.phase.as_str(),
-        shared.store.generation(sketch).unwrap_or(0),
+        generation,
         status.harvested,
         status.shadow_samples,
         status.shadow_live_p50,
@@ -1149,17 +1144,15 @@ fn stats_payload(shared: &Shared) -> String {
     }
     // Each served sketch's element memo, beside the estimate cache it sits
     // under: a request the cache misses is answered from these.
-    for (name, _) in shared.store.list() {
-        if let Ok(sketch) = shared.store.get(&name) {
-            let memo = sketch.memo_stats();
-            p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
-                .counter(&format!("serve/memo/{name}/misses"), memo.misses)
-                .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
-                .gauge(
-                    &format!("serve/memo/{name}/bytes"),
-                    memo.resident_bytes as f64,
-                );
-        }
+    for (name, sketch) in shared.store.list() {
+        let memo = sketch.memo_stats();
+        p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
+            .counter(&format!("serve/memo/{name}/misses"), memo.misses)
+            .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
+            .gauge(
+                &format!("serve/memo/{name}/bytes"),
+                memo.resident_bytes as f64,
+            );
     }
     p.counter(
         "serve/snapshots_shipped",

@@ -130,9 +130,9 @@ fn protocol_commands_and_typed_errors() {
     let (server, ..) = start(ServeConfig::default());
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
 
-    // LIST names the sketch and its status.
+    // LIST names the sketches, sorted; every one of them is ready.
     match c.list().unwrap() {
-        Response::Text(t) => assert!(t.contains("imdb=Ready"), "{t}"),
+        Response::Text(t) => assert_eq!(t, "imdb"),
         other => panic!("{other:?}"),
     }
     // INFO returns the summary card.
@@ -161,6 +161,15 @@ fn protocol_commands_and_typed_errors() {
     }
     match c.info("nope").unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSketch),
+        other => panic!("{other:?}"),
+    }
+    // LIFECYCLE knows the store's names with no lifecycle configured too.
+    match c.lifecycle("nope").unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSketch),
+        other => panic!("{other:?}"),
+    }
+    match c.lifecycle("imdb").unwrap() {
+        Response::Text(t) => assert_eq!(t, "LIFECYCLE imdb disabled"),
         other => panic!("{other:?}"),
     }
     for raw in ["FROBNICATE", "ESTIMATE", "ESTIMATE imdb", "INFO", "???"] {
@@ -261,24 +270,34 @@ fn connection_cap_sheds_with_busy() {
     assert!(snap.shed >= 1);
 }
 
-/// The store stays consistent under concurrent insert/estimate/remove from
-/// many threads (the serving scenario: queries racing retraining swaps).
+/// The store stays consistent under concurrent insert/swap/estimate/remove
+/// from many threads (the serving scenario: queries racing retraining
+/// swaps). A reader never sees a generation go back, nor an answer from a
+/// model that was never published.
 #[test]
 fn sketch_store_survives_concurrent_mutation() {
     let db = tiny_db(11);
     let store = Arc::new(SketchStore::new());
-    store.insert("stable", tiny_sketch(&db, 1)).unwrap();
+    let models = [tiny_sketch(&db, 1), tiny_sketch(&db, 3)].map(Arc::new);
+    store.insert("stable", (*models[0]).clone()).unwrap();
     let churn_sketch = tiny_sketch(&db, 2);
     let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
+    let bits = models.each_ref().map(|m| m.estimate_one(&q).to_bits());
+    assert_ne!(bits[0], bits[1], "fixture must distinguish the models");
 
     std::thread::scope(|s| {
-        // Readers hammer the stable sketch and the churning one.
+        // Readers hammer the swapping sketch and the churning one.
         for _ in 0..4 {
             let store = Arc::clone(&store);
             let q = q.clone();
             s.spawn(move || {
+                let mut last = 0;
                 for _ in 0..200 {
-                    assert!(store.get("stable").unwrap().estimate_one(&q) >= 1.0);
+                    let (sketch, generation) = store.get_with_generation("stable").unwrap();
+                    assert!(generation >= last, "generation {generation} after {last}");
+                    last = generation;
+                    let got = sketch.estimate_one(&q).to_bits();
+                    assert!(bits.contains(&got), "answer from neither model");
                     // "churn" may or may not exist right now — either a
                     // value or a typed error, never a panic.
                     match store.get("churn") {
@@ -291,13 +310,17 @@ fn sketch_store_survives_concurrent_mutation() {
                 }
             });
         }
-        // One writer inserts and removes "churn" in a loop.
+        // One writer inserts and removes "churn" and swaps "stable"
+        // between the two models in a loop.
         let store2 = Arc::clone(&store);
         s.spawn(move || {
-            for _ in 0..50 {
+            for i in 0..50 {
                 let _ = store2.insert("churn", churn_sketch.clone());
                 std::thread::yield_now();
                 store2.remove("churn");
+                store2
+                    .swap("stable", Arc::clone(&models[(i + 1) % 2]))
+                    .unwrap();
             }
         });
     });
@@ -619,14 +642,9 @@ fn estimates_stay_version_consistent_under_store_churn() {
                                 "answer {v} from neither model version"
                             );
                         }
-                        // Mid-swap the name can briefly be missing; typed
-                        // errors are fine, mixed models are not.
-                        Response::Error { code, .. } => {
-                            assert!(
-                                matches!(code, ErrorCode::UnknownSketch | ErrorCode::NotReady),
-                                "{code:?}"
-                            );
-                        }
+                        // Mid-swap the name can briefly be missing; that
+                        // typed error is fine, mixed models are not.
+                        Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSketch),
                         other => panic!("{other:?}"),
                     }
                 }

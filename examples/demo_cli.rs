@@ -6,7 +6,7 @@
 //! Commands:
 //!   tables                     — list tables and row counts
 //!   sketches                   — list sketches in the store (SHOW SKETCHES)
-//!   train <name>               — train a new sketch in the background
+//!   train <name>               — train a new sketch on its own thread
 //!   advise                     — run the sketch advisor on JOB-light
 //!   SELECT COUNT(*) FROM …     — estimate with everything + ground truth
 //!   …  WHERE col = ?           — template query, grouped output
@@ -34,7 +34,7 @@ fn main() {
     println!("synthetic IMDb loaded: {} rows", db.total_rows());
 
     println!("training the default sketch …");
-    let store = SketchStore::new();
+    let store = Arc::new(SketchStore::new());
     let default_sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
         .training_queries(2_000)
         .epochs(12)
@@ -52,6 +52,7 @@ fn main() {
     let hyper = SamplingEstimator::build(&db, 100, 31);
     let oracle = TrueCardinalityOracle::new(&db);
 
+    let mut trainings = Vec::new();
     let stdin = std::io::stdin();
     print_prompt();
     for line in stdin.lock().lines() {
@@ -69,8 +70,9 @@ fn main() {
                 }
             }
             "sketches" => {
-                for (name, status) in store.list() {
-                    println!("  {name:<12} {status:?}");
+                for (name, sketch) in store.list() {
+                    let mib = sketch.footprint_bytes() as f64 / (1024.0 * 1024.0);
+                    println!("  {name:<12} {mib:.2} MiB");
                 }
             }
             "advise" => {
@@ -92,23 +94,26 @@ fn main() {
                 }
             }
             cmd if cmd.starts_with("train ") => {
+                // The store only serves ready sketches: build on a thread of
+                // our own, then register the result.
                 let name = cmd["train ".len()..].trim().to_string();
-                let cols = imdb_predicate_columns(&db);
-                match store.train_in_background(
-                    name.clone(),
-                    Arc::clone(&db),
-                    |b| {
-                        b.training_queries(1_500)
-                            .epochs(10)
-                            .sample_size(100)
-                            .hidden_units(64)
-                            .seed(97)
-                    },
-                    cols,
-                ) {
-                    Ok(()) => println!("  training '{name}' in the background; keep querying"),
-                    Err(e) => println!("  error: {e}"),
-                }
+                let (db, store) = (Arc::clone(&db), Arc::clone(&store));
+                println!("  training '{name}' in the background; keep querying");
+                trainings.push(std::thread::spawn(move || {
+                    let built = SketchBuilder::new(&db, imdb_predicate_columns(&db))
+                        .training_queries(1_500)
+                        .epochs(10)
+                        .sample_size(100)
+                        .hidden_units(64)
+                        .seed(97)
+                        .build();
+                    match built.map(|sketch| store.insert(name.clone(), sketch)) {
+                        Ok(Ok(())) => println!("\n  '{name}' is ready"),
+                        Ok(Err(e)) => println!("\n  '{name}': {e}"),
+                        Err(e) => println!("\n  training '{name}' failed: {e}"),
+                    }
+                    print_prompt();
+                }));
             }
             sql if sql.contains('?') => match QueryTemplate::parse_sql(&db, sql) {
                 Ok(template) => match store.get("default") {
@@ -163,6 +168,9 @@ fn main() {
             },
         }
         print_prompt();
+    }
+    for training in trainings {
+        training.join().expect("a training thread panicked");
     }
     println!("bye");
 }

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use ds_core::monitor::{MonitorRegistry, QErrorMonitor};
     pub use ds_core::sketch::DeepSketch;
     pub use ds_core::snapshot::{decode_snapshot, encode_snapshot, SnapshotError, WriteFault};
-    pub use ds_core::store::{RecoveryReport, SketchStatus, SketchStore};
+    pub use ds_core::store::{RecoveryReport, SketchStore};
     pub use ds_core::template::{QueryTemplate, ValueFn};
     pub use ds_est::{
         oracle::TrueCardinalityOracle, postgres::PostgresEstimator, sampling::SamplingEstimator,
