@@ -21,7 +21,7 @@ use ds_storage::sample::sample_all;
 use crate::featurize::Featurizer;
 use crate::mscn::{MscnConfig, MscnModel};
 use crate::sketch::DeepSketch;
-use crate::train::{train_with_callback, EpochStats, LossKind, TrainConfig, TrainingReport};
+use crate::train::{train_with_callback, EpochStats, TrainConfig, TrainingReport};
 
 /// Progress events emitted during sketch construction — the demo lets
 /// users "monitor the training progress, including the execution of
@@ -105,18 +105,12 @@ pub struct SketchBuilder<'a> {
     batch_size: usize,
     max_tables: usize,
     max_predicates: usize,
-    learning_rate: f32,
-    loss: LossKind,
     use_bitmaps: bool,
-    validation_frac: f64,
-    early_stop_patience: Option<usize>,
-    restore_best: bool,
     /// `None` until [`SketchBuilder::threads`] is called.
     threads: Option<usize>,
     seed: u64,
     in_frac: f64,
     like_frac: f64,
-    max_in_list: usize,
     schema_v2: bool,
     pred_bitmap_bits: usize,
 }
@@ -137,17 +131,11 @@ impl<'a> SketchBuilder<'a> {
             batch_size: 128,
             max_tables: 3,
             max_predicates: 3,
-            learning_rate: 1e-3,
-            loss: LossKind::QError,
             use_bitmaps: true,
-            validation_frac: 0.1,
-            early_stop_patience: None,
-            restore_best: false,
             threads: None,
             seed: 0xD5_5EED,
             in_frac: 0.0,
             like_frac: 0.0,
-            max_in_list: 4,
             schema_v2: false,
             pred_bitmap_bits: 0,
         }
@@ -207,40 +195,9 @@ impl<'a> SketchBuilder<'a> {
         self
     }
 
-    /// Adam learning rate.
-    pub fn learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
-    /// Training objective.
-    pub fn loss(mut self, loss: LossKind) -> Self {
-        self.loss = loss;
-        self
-    }
-
     /// Include sample bitmaps in table features (ablation knob).
     pub fn use_bitmaps(mut self, on: bool) -> Self {
         self.use_bitmaps = on;
-        self
-    }
-
-    /// Validation holdout fraction.
-    pub fn validation_frac(mut self, f: f64) -> Self {
-        self.validation_frac = f;
-        self
-    }
-
-    /// Stop training when validation has not improved for `patience`
-    /// epochs (requires a validation split).
-    pub fn early_stop_patience(mut self, patience: usize) -> Self {
-        self.early_stop_patience = Some(patience);
-        self
-    }
-
-    /// Ship the weights of the best validation epoch instead of the last.
-    pub fn restore_best(mut self, on: bool) -> Self {
-        self.restore_best = on;
         self
     }
 
@@ -271,12 +228,6 @@ impl<'a> SketchBuilder<'a> {
         );
         self.in_frac = in_frac;
         self.like_frac = like_frac;
-        self
-    }
-
-    /// Maximum literal count in generated `IN` lists (default 4).
-    pub fn max_in_list(mut self, n: usize) -> Self {
-        self.max_in_list = n.max(2);
         self
     }
 
@@ -326,7 +277,6 @@ impl<'a> SketchBuilder<'a> {
         gen_cfg.allowed_tables = self.tables.clone();
         gen_cfg.in_frac = self.in_frac;
         gen_cfg.like_frac = self.like_frac;
-        gen_cfg.max_in_list = self.max_in_list;
         let mut generator = QueryGenerator::new(self.db, gen_cfg);
         let queries: Vec<Query> = generator.generate_batch(self.training_queries);
         let generation = t0.elapsed();
@@ -387,14 +337,8 @@ impl<'a> SketchBuilder<'a> {
         let train_cfg = TrainConfig {
             epochs: self.epochs,
             batch_size: self.batch_size,
-            lr: self.learning_rate,
             seed: self.seed ^ 0x7EA1,
-            validation_frac: self.validation_frac,
-            loss: self.loss,
-            early_stop_patience: self.early_stop_patience,
-            restore_best: self.restore_best,
-            grad_clip: None,
-            lr_decay: None,
+            validation_frac: 0.1,
             threads: train_lanes,
         };
         let total_epochs = self.epochs;
@@ -422,7 +366,7 @@ impl<'a> SketchBuilder<'a> {
             self.db.name().to_string(),
         );
         sketch.set_threads(threads);
-        // The selected epoch's holdout q-error distribution ships inside
+        // The last epoch's holdout q-error distribution ships inside
         // the sketch as the reference for online drift detection.
         if let Some(baseline) = crate::monitor::baseline_from_qerrors(&training.holdout_qerrors) {
             sketch.set_baseline(baseline);

@@ -63,4 +63,4 @@ pub use ds_nn::frozen::MemoStats;
 pub use snapshot::{SketchSnapshot, SnapshotError, WriteFault};
 pub use store::{QuarantineReason, RecoveryReport, SketchStore, StoreError, SwapOutcome};
 pub use template::{QueryTemplate, TemplateInstance, ValueFn};
-pub use train::{LossKind, TrainConfig, TrainingReport};
+pub use train::{TrainConfig, TrainingReport};

@@ -66,7 +66,7 @@ use crate::snapshot::{
     SnapshotError, WriteFault,
 };
 use crate::store::SketchStore;
-use crate::train::{train, LossKind, TrainConfig};
+use crate::train::{train, TrainConfig};
 
 /// Magic bytes of a durable harvest-set file.
 pub const HARVEST_MAGIC: [u8; 4] = *b"DSHV";
@@ -877,7 +877,6 @@ impl LifecycleManager {
                         self.counters
                             .retrains_started
                             .fetch_add(1, Ordering::Relaxed);
-                        ds_obs::global().count("lifecycle/retrains_started", 1);
                         events.push(LifecycleEvent::RetrainStarted {
                             sketch: name.clone(),
                             harvested,
@@ -917,7 +916,6 @@ impl LifecycleManager {
                             self.counters
                                 .retrains_failed
                                 .fetch_add(1, Ordering::Relaxed);
-                            ds_obs::global().count("lifecycle/retrains_failed", 1);
                             // Drop the harvest that produced the failure:
                             // retrying the same set would fail the same way.
                             if let Some(h) = state.harvest.as_mut() {
@@ -971,7 +969,6 @@ impl LifecycleManager {
                                 });
                                 state.phase = LifecyclePhase::Watching;
                                 self.counters.swaps.fetch_add(1, Ordering::Relaxed);
-                                ds_obs::global().count("lifecycle/swaps", 1);
                                 events.push(LifecycleEvent::Swapped {
                                     sketch: name.clone(),
                                     previous_generation: outcome.previous_generation,
@@ -987,7 +984,6 @@ impl LifecycleManager {
                         }
                     } else {
                         self.counters.gate_rejects.fetch_add(1, Ordering::Relaxed);
-                        ds_obs::global().count("lifecycle/gate_rejects", 1);
                         if let Some(h) = state.harvest.as_mut() {
                             h.clear();
                         }
@@ -1018,7 +1014,6 @@ impl LifecycleManager {
                                 }
                                 self.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
                                 self.counters.swaps.fetch_add(1, Ordering::Relaxed);
-                                ds_obs::global().count("lifecycle/rollbacks", 1);
                                 events.push(LifecycleEvent::RolledBack {
                                     sketch: name.clone(),
                                     generation: outcome.generation,
@@ -1032,7 +1027,6 @@ impl LifecycleManager {
                         }
                     } else {
                         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
-                        ds_obs::global().count("lifecycle/promotions", 1);
                         events.push(LifecycleEvent::Promoted {
                             sketch: name.clone(),
                             generation: watch.generation,
@@ -1124,14 +1118,8 @@ fn train_candidate(
     let train_cfg = TrainConfig {
         epochs: cfg.train_epochs,
         batch_size: 32.min(queries.len().max(1)),
-        lr: 1e-3,
         seed: cfg.seed ^ 0x7EA1,
         validation_frac: 0.15,
-        loss: LossKind::QError,
-        early_stop_patience: None,
-        restore_best: false,
-        grad_clip: None,
-        lr_decay: None,
         threads: cfg.train_threads,
     };
     let report = train(

@@ -58,7 +58,7 @@ pub fn descale_qerror(v: u64) -> f64 {
 }
 
 /// Builds the training-time baseline histogram from the holdout q-errors
-/// of the selected epoch (see
+/// of the last training epoch (see
 /// [`crate::train::TrainingReport::holdout_qerrors`]). Returns `None`
 /// when there was no validation split to learn a baseline from.
 pub fn baseline_from_qerrors(qerrs: &[f64]) -> Option<HistogramSnapshot> {

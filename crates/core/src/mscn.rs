@@ -46,6 +46,8 @@
 //! parameters in two. A fork moves where an element is computed, never
 //! how: every lane count trains the same bits.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use ds_nn::frozen::{FrozenLinear, FrozenModel, IndexSet};
 use ds_nn::linear::{GradScratch, Linear};
 use ds_nn::ops::{
@@ -411,24 +413,6 @@ impl MscnModel {
         }
     }
 
-    /// Clips the accumulated gradients of all layers to a global L2 norm;
-    /// returns the pre-clip norm.
-    pub fn clip_gradients(&mut self, max_norm: f32) -> f32 {
-        ds_nn::regularize::clip_grad_norm(
-            &mut [
-                &mut self.tables.l1,
-                &mut self.tables.l2,
-                &mut self.joins.l1,
-                &mut self.joins.l2,
-                &mut self.preds.l1,
-                &mut self.preds.l2,
-                &mut self.out1,
-                &mut self.out2,
-            ],
-            max_norm,
-        )
-    }
-
     /// One Adam update over all layers (clears gradients), each large
     /// layer cut across `team`'s idle lanes.
     pub fn adam_step(&mut self, adam: &mut Adam, team: &Team) {
@@ -477,7 +461,11 @@ impl MscnModel {
         }
     }
 
-    /// Deserializes a model written by [`MscnModel::encode`].
+    /// Deserializes a model written by [`MscnModel::encode`]. Every layer
+    /// must fit the MSCN wiring — set modules `in → hidden → hidden`, the
+    /// output MLP `3·hidden → hidden → 1` — or the blob is
+    /// [`DecodeError::Corrupt`]; the set modules' input widths are the
+    /// featurizer's to check.
     pub fn decode(d: &mut Decoder) -> Result<Self, DecodeError> {
         let version = d.header(MAGIC)?;
         if version != VERSION {
@@ -494,7 +482,16 @@ impl MscnModel {
         let p2 = d.linear()?;
         let out1 = d.linear()?;
         let out2 = d.linear()?;
-        if out2.out_dim() != 1 || Some(out1.in_dim()) != hidden.checked_mul(3) {
+        let wired = hidden > 0
+            && [&t1, &j1, &p1].iter().all(|l| l.out_dim() == hidden)
+            && [&t2, &j2, &p2]
+                .iter()
+                .all(|l| l.in_dim() == hidden && l.out_dim() == hidden)
+            && Some(out1.in_dim()) == hidden.checked_mul(3)
+            && out1.out_dim() == hidden
+            && out2.in_dim() == hidden
+            && out2.out_dim() == 1;
+        if !wired {
             return Err(DecodeError::Corrupt("inconsistent MSCN shapes".into()));
         }
         Ok(Self {
@@ -723,6 +720,37 @@ mod tests {
     fn decode_rejects_garbage() {
         let mut d = Decoder::new(b"not a model");
         assert!(MscnModel::decode(&mut d).is_err());
+    }
+
+    #[test]
+    fn a_set_module_layer_off_the_wiring_is_corrupt() {
+        // Hidden width 4; `tables.l2` writes `t2_out` columns.
+        let blob = |t2_out: usize| {
+            let mut e = Encoder::new();
+            e.header(MAGIC, VERSION);
+            e.u64(4);
+            for (i, (rows, cols)) in [
+                (5, 4),
+                (4, t2_out),
+                (3, 4),
+                (4, 4),
+                (6, 4),
+                (4, 4),
+                (12, 4),
+                (4, 1),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                e.linear(&Linear::new(rows, cols, i as u64));
+            }
+            e.finish()
+        };
+        assert!(MscnModel::decode(&mut Decoder::new(&blob(4))).is_ok());
+        assert!(matches!(
+            MscnModel::decode(&mut Decoder::new(&blob(5))),
+            Err(DecodeError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! [`DeepSketch::reference_estimates`], the oracle the tests and the bench
 //! harness hold the serving path against.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::cell::RefCell;
 
 use ds_est::{check_tables, CardinalityEstimator, EstimateError};

@@ -7,12 +7,16 @@
 //! returns or unwinds. The lane count changes how long a run takes and
 //! nothing else — losses, validation q-errors and weights are bit for bit
 //! those of one lane — and at one lane no thread is spawned at all.
+//!
+//! There is one recipe, the paper's: mean q-error, Adam at
+//! [`LEARNING_RATE`], and the whole epoch budget, shipping the last
+//! epoch's weights.
 
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
-use ds_nn::loss::{mse_loss_into, LabelNormalizer, QErrorLoss};
+use ds_nn::loss::{LabelNormalizer, QErrorLoss};
 use ds_nn::optim::Adam;
 use ds_nn::pool::Team;
 use ds_nn::tensor::Tensor;
@@ -23,15 +27,8 @@ use crate::featurize::Featurizer;
 use crate::metrics::{percentile, qerror};
 use crate::mscn::{BackwardScratch, ForwardCache, MscnModel};
 
-/// Which training objective to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LossKind {
-    /// Mean q-error on de-normalized cardinalities (the paper's objective).
-    #[default]
-    QError,
-    /// MSE on normalized log-labels (ablation baseline).
-    Mse,
-}
+/// Adam's learning rate, the one MSCN trains with.
+pub const LEARNING_RATE: f32 = 1e-3;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -41,25 +38,10 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Shuffling seed.
     pub seed: u64,
     /// Fraction of queries held out for validation (0 disables).
     pub validation_frac: f64,
-    /// Objective.
-    pub loss: LossKind,
-    /// Early stopping: stop when the validation mean q-error has not
-    /// improved for this many consecutive epochs (requires a validation
-    /// split). `None` trains for the full epoch budget.
-    pub early_stop_patience: Option<usize>,
-    /// Keep the weights of the best validation epoch instead of the last
-    /// (requires a validation split).
-    pub restore_best: bool,
-    /// Clip gradients to this global L2 norm before each optimizer step.
-    pub grad_clip: Option<f32>,
-    /// Step learning-rate decay `(gamma, every_n_epochs)`.
-    pub lr_decay: Option<(f32, usize)>,
     /// Lanes of the run's [`Team`]: this thread plus `threads − 1`
     /// helpers that live for the run (0 is taken as 1). Training results
     /// are bit-identical at any count; this only affects speed. The
@@ -73,14 +55,8 @@ impl Default for TrainConfig {
         Self {
             epochs: 25,
             batch_size: 128,
-            lr: 1e-3,
             seed: 0x7EA1_5EED,
             validation_frac: 0.1,
-            loss: LossKind::QError,
-            early_stop_patience: None,
-            restore_best: false,
-            grad_clip: None,
-            lr_decay: None,
             threads: 1,
         }
     }
@@ -118,12 +94,7 @@ pub struct TrainingReport {
     pub train_examples: usize,
     /// Number of validation examples.
     pub val_examples: usize,
-    /// True if early stopping fired before the epoch budget was used up.
-    pub stopped_early: bool,
-    /// Epoch whose weights the returned model carries (differs from the
-    /// last epoch only with `restore_best`).
-    pub selected_epoch: usize,
-    /// Holdout q-errors of the selected epoch, sorted ascending (empty
+    /// Holdout q-errors of the last epoch, sorted ascending (empty
     /// without a validation split). This is the accuracy distribution the
     /// shipped weights actually achieved at training time — stored in the
     /// sketch as the baseline the online drift monitor compares against.
@@ -139,14 +110,6 @@ impl TrainingReport {
     /// Final training loss.
     pub fn final_train_loss(&self) -> f64 {
         self.epochs.last().map_or(f64::NAN, |e| e.train_loss)
-    }
-
-    /// Best validation mean q-error across epochs, if validation ran.
-    pub fn best_val_qerror(&self) -> Option<f64> {
-        self.epochs
-            .iter()
-            .filter_map(|e| e.val_mean_qerror)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite"))
     }
 
     /// Writes the per-epoch curve as CSV — the reproduction's stand-in for
@@ -175,7 +138,8 @@ impl TrainingReport {
 /// Trains `model` in place on `(queries, labels)`.
 ///
 /// Featurization happens once up front; each epoch shuffles, batches, runs
-/// forward/backward, and applies Adam. Deterministic in `cfg.seed`.
+/// forward/backward against the mean q-error, and applies Adam.
+/// Deterministic in `cfg.seed`.
 ///
 /// # Panics
 /// Panics if `queries` and `labels` differ in length or are empty.
@@ -260,27 +224,12 @@ fn run_epochs(
     let mut train_idx: Vec<usize> = train_idx.to_vec();
     assert!(!train_idx.is_empty(), "validation split consumed all data");
 
-    if cfg.early_stop_patience.is_some() || cfg.restore_best {
-        assert!(
-            val_len > 0,
-            "early stopping / restore_best require a validation split"
-        );
-    }
-
     let qloss = QErrorLoss::new(normalizer.clone());
-    let mut adam = Adam::new(cfg.lr);
+    let mut adam = Adam::new(LEARNING_RATE);
     let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut best: Option<(f64, usize, MscnModel)> = None;
-    let mut since_best = 0usize;
-    let mut stopped_early = false;
-    // Holdout q-errors of the latest / best validation pass, so the
-    // selected epoch's full distribution survives into the report.
+    // Holdout q-errors of the latest validation pass, so the shipped
+    // epoch's full distribution survives into the report.
     let mut last_qerrs: Vec<f64> = Vec::new();
-    let mut best_qerrs: Vec<f64> = Vec::new();
-
-    let schedule = cfg
-        .lr_decay
-        .map(|(gamma, step)| ds_nn::regularize::StepLr::new(cfg.lr, gamma, step));
 
     // Everything a step needs, shared across all batches of all epochs —
     // a steady-state step allocates nothing — and the validation batch
@@ -290,38 +239,21 @@ fn run_epochs(
     let mut batch = feats.batch();
     let mut grad = Tensor::zeros(0, 0);
     let mut truths: Vec<u64> = Vec::new();
-    let mut targets: Vec<f32> = Vec::new();
     let val_batch = (!val_idx.is_empty()).then(|| feats.batch_of(val_idx));
 
     for epoch in 0..cfg.epochs {
         let _epoch_span = obs.span("epoch");
         let epoch_start = Instant::now();
-        if let Some(s) = &schedule {
-            adam.set_lr(s.lr_at(epoch));
-        }
         train_idx.shuffle(&mut rng);
         let mut loss_sum = 0.0;
         let mut batches = 0usize;
         for chunk in train_idx.chunks(cfg.batch_size) {
             batch.fill(chunk);
             model.forward_into(&batch, team, &mut cache);
-            let y = cache.output();
-            let loss = match cfg.loss {
-                LossKind::QError => {
-                    truths.clear();
-                    truths.extend(chunk.iter().map(|&i| labels[i]));
-                    qloss.forward_backward_into(y, &truths, &mut grad)
-                }
-                LossKind::Mse => {
-                    targets.clear();
-                    targets.extend(chunk.iter().map(|&i| normalizer.normalize(labels[i])));
-                    mse_loss_into(y, &targets, &mut grad)
-                }
-            };
+            truths.clear();
+            truths.extend(chunk.iter().map(|&i| labels[i]));
+            let loss = qloss.forward_backward_into(cache.output(), &truths, &mut grad);
             model.backward_with(&batch, &cache, &grad, team, &mut scratch);
-            if let Some(max_norm) = cfg.grad_clip {
-                model.clip_gradients(max_norm);
-            }
             model.adam_step(&mut adam, team);
             loss_sum += loss;
             batches += 1;
@@ -341,13 +273,12 @@ fn run_epochs(
             last_qerrs = qerrs;
             (mean, p50, p95)
         });
-        let val_mean_qerror = val_stats.map(|(m, _, _)| m);
 
         let duration = epoch_start.elapsed();
         let stats = EpochStats {
             epoch,
             train_loss: loss_sum / batches.max(1) as f64,
-            val_mean_qerror,
+            val_mean_qerror: val_stats.map(|(m, _, _)| m),
             val_median_qerror: val_stats.map(|(_, m, _)| m),
             val_p95_qerror: val_stats.map(|(_, _, p)| p),
             rows_per_sec: train_idx.len() as f64 / duration.as_secs_f64().max(1e-9),
@@ -364,44 +295,6 @@ fn run_epochs(
         }
         on_epoch(&stats);
         epochs.push(stats);
-
-        if let Some(v) = val_mean_qerror {
-            let improved = best.as_ref().is_none_or(|(b, _, _)| v < *b);
-            if improved {
-                since_best = 0;
-                if cfg.restore_best {
-                    best_qerrs = last_qerrs.clone();
-                }
-                let snapshot = if cfg.restore_best {
-                    model.clone()
-                } else {
-                    // Avoid the copy when the snapshot will never be used.
-                    best.take()
-                        .map(|(_, _, m)| m)
-                        .unwrap_or_else(|| model.clone())
-                };
-                best = Some((v, epoch, snapshot));
-            } else {
-                since_best += 1;
-                if cfg
-                    .early_stop_patience
-                    .is_some_and(|patience| since_best >= patience)
-                {
-                    stopped_early = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    let mut selected_epoch = epochs.len().saturating_sub(1);
-    let mut holdout_qerrors = last_qerrs;
-    if cfg.restore_best {
-        if let Some((_, e, m)) = best {
-            *model = m;
-            selected_epoch = e;
-            holdout_qerrors = best_qerrs;
-        }
     }
 
     TrainingReport {
@@ -410,9 +303,7 @@ fn run_epochs(
         featurize_duration,
         train_examples: train_idx.len(),
         val_examples: val_idx.len(),
-        stopped_early,
-        selected_epoch,
-        holdout_qerrors,
+        holdout_qerrors: last_qerrs,
     }
 }
 
@@ -484,51 +375,37 @@ mod tests {
     }
 
     #[test]
-    fn holdout_qerrors_belong_to_the_selected_epoch() {
+    fn holdout_qerrors_belong_to_the_last_epoch() {
         let (_db, samples, featurizer, queries, labels) = training_setup(300);
         let normalizer = LabelNormalizer::fit(&labels);
-        let run = |restore_best: bool| {
-            let mut model = MscnModel::new(
-                featurizer.table_dim(),
-                featurizer.join_dim(),
-                featurizer.pred_dim(),
-                MscnConfig {
-                    hidden: 16,
-                    seed: 6,
-                },
-            );
-            train(
-                &mut model,
-                &featurizer,
-                &samples,
-                &queries,
-                &labels,
-                &normalizer,
-                &TrainConfig {
-                    epochs: 6,
-                    batch_size: 64,
-                    restore_best,
-                    ..Default::default()
-                },
-            )
-        };
-        for restore_best in [false, true] {
-            let report = run(restore_best);
-            let selected = &report.epochs[report.selected_epoch];
-            let q = &report.holdout_qerrors;
-            assert_eq!(q.len(), report.val_examples, "restore_best={restore_best}");
-            assert!(q.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
-            assert_eq!(
-                Some(percentile(q, 0.5)),
-                selected.val_median_qerror,
-                "median must match the selected epoch (restore_best={restore_best})"
-            );
-            assert_eq!(
-                Some(percentile(q, 0.95)),
-                selected.val_p95_qerror,
-                "p95 must match the selected epoch (restore_best={restore_best})"
-            );
-        }
+        let mut model = MscnModel::new(
+            featurizer.table_dim(),
+            featurizer.join_dim(),
+            featurizer.pred_dim(),
+            MscnConfig {
+                hidden: 16,
+                seed: 6,
+            },
+        );
+        let report = train(
+            &mut model,
+            &featurizer,
+            &samples,
+            &queries,
+            &labels,
+            &normalizer,
+            &TrainConfig {
+                epochs: 6,
+                batch_size: 64,
+                ..Default::default()
+            },
+        );
+        let last = report.epochs.last().unwrap();
+        let q = &report.holdout_qerrors;
+        assert_eq!(q.len(), report.val_examples);
+        assert!(q.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
+        assert_eq!(Some(percentile(q, 0.5)), last.val_median_qerror);
+        assert_eq!(Some(percentile(q, 0.95)), last.val_p95_qerror);
     }
 
     #[test]
@@ -583,40 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_loss_variant_trains() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(150);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig {
-                hidden: 16,
-                seed: 6,
-            },
-        );
-        let cfg = TrainConfig {
-            epochs: 5,
-            loss: LossKind::Mse,
-            ..Default::default()
-        };
-        let report = train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-        let losses: Vec<f64> = report.epochs.iter().map(|e| e.train_loss).collect();
-        assert!(
-            losses.last().unwrap() < losses.first().unwrap(),
-            "MSE loss did not decrease: {losses:?}"
-        );
-    }
-
-    #[test]
     fn zero_validation_frac_disables_validation() {
         let (_db, samples, featurizer, queries, labels) = training_setup(60);
         let normalizer = LabelNormalizer::fit(&labels);
@@ -646,101 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_cuts_the_epoch_budget() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(250);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig { hidden: 8, seed: 3 },
-        );
-        let cfg = TrainConfig {
-            epochs: 200,
-            early_stop_patience: Some(2),
-            ..Default::default()
-        };
-        let report = train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-        assert!(report.stopped_early);
-        assert!(report.epochs.len() < 200);
-    }
-
-    #[test]
-    fn restore_best_ships_the_best_epoch() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(250);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig {
-                hidden: 16,
-                seed: 5,
-            },
-        );
-        let cfg = TrainConfig {
-            epochs: 15,
-            restore_best: true,
-            ..Default::default()
-        };
-        let report = train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-        let best = report.best_val_qerror().unwrap();
-        let selected = report.epochs[report.selected_epoch]
-            .val_mean_qerror
-            .unwrap();
-        assert_eq!(best, selected, "selected epoch must be the best one");
-        // The restored model must reproduce the best epoch's validation
-        // q-error when re-evaluated (weights actually swapped in).
-        let val_queries: Vec<_> = queries.to_vec();
-        let batch = featurizer.batch_queries(&val_queries, &samples);
-        let _ = model.predict(&batch); // must not panic; weights are intact
-    }
-
-    #[test]
-    #[should_panic(expected = "require a validation split")]
-    fn early_stop_without_validation_panics() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(50);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig { hidden: 8, seed: 6 },
-        );
-        let cfg = TrainConfig {
-            epochs: 2,
-            validation_frac: 0.0,
-            early_stop_patience: Some(1),
-            ..Default::default()
-        };
-        train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-    }
-
-    #[test]
     fn csv_export_has_one_line_per_epoch() {
         let (_db, samples, featurizer, queries, labels) = training_setup(60);
         let normalizer = LabelNormalizer::fit(&labels);
@@ -766,41 +514,6 @@ mod tests {
         let csv = report.to_csv();
         assert_eq!(csv.lines().count(), 4); // header + 3 epochs
         assert!(csv.starts_with("epoch,train_loss"));
-    }
-
-    #[test]
-    fn grad_clip_and_lr_decay_still_converge() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(200);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig {
-                hidden: 16,
-                seed: 9,
-            },
-        );
-        let cfg = TrainConfig {
-            epochs: 8,
-            grad_clip: Some(5.0),
-            lr_decay: Some((0.5, 3)),
-            ..Default::default()
-        };
-        let report = train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-        let losses: Vec<f64> = report.epochs.iter().map(|e| e.train_loss).collect();
-        assert!(
-            losses.last().unwrap() < losses.first().unwrap(),
-            "no progress: {losses:?}"
-        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   forward/backward and gradient accumulation;
 //! * [`ops`] — activations (ReLU/sigmoid) and the *segment mean* used for
 //!   masked average-pooling over variable-size sets;
-//! * [`optim`] — SGD and Adam;
-//! * [`loss`] — the mean q-error objective of the paper, plus MSE;
+//! * [`optim`] — Adam;
+//! * [`loss`] — the mean q-error objective of the paper;
 //! * [`serialize`] — a versioned binary codec for model weights;
 //! * [`frozen`] — serving-only frozen inference artifacts: f32 weights
 //!   in gather-friendly layout with one fused batched forward.
@@ -30,16 +30,14 @@ pub mod loss;
 pub mod ops;
 pub mod optim;
 pub mod pool;
-pub mod regularize;
 pub mod serialize;
 pub mod sparse;
 pub mod tensor;
 
 pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet};
 pub use linear::{GradScratch, Linear};
-pub use loss::{mse_loss, mse_loss_into, LabelNormalizer, QErrorLoss};
-pub use optim::{Adam, Sgd};
+pub use loss::{LabelNormalizer, QErrorLoss};
+pub use optim::Adam;
 pub use pool::Team;
-pub use regularize::{clip_grad_norm, dropout, dropout_backward, StepLr};
 pub use sparse::Rows;
 pub use tensor::Tensor;

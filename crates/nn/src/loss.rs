@@ -136,31 +136,6 @@ impl QErrorLoss {
     }
 }
 
-/// Mean squared error on normalized labels (the ablation alternative):
-/// returns `(loss, ∂L/∂y)`.
-pub fn mse_loss(y: &Tensor, targets: &[f32]) -> (f64, Tensor) {
-    let mut grad = Tensor::zeros(0, 0);
-    let loss = mse_loss_into(y, targets, &mut grad);
-    (loss, grad)
-}
-
-/// [`mse_loss`] with the gradient written into a reusable tensor; returns
-/// the loss.
-pub fn mse_loss_into(y: &Tensor, targets: &[f32], grad: &mut Tensor) -> f64 {
-    assert_eq!(y.cols(), 1, "expected (batch × 1) outputs");
-    assert_eq!(y.rows(), targets.len(), "batch size mismatch");
-    let n = targets.len();
-    assert!(n > 0, "empty batch");
-    grad.resize(n, 1);
-    let mut total = 0.0;
-    for (i, (&yi, &t)) in y.data().iter().zip(targets).enumerate() {
-        let diff = (yi - t) as f64;
-        total += diff * diff;
-        grad.data_mut()[i] = (2.0 * diff / n as f64) as f32;
-    }
-    total / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +226,5 @@ mod tests {
         let lo = Tensor::from_vec(1, 1, vec![0.01]);
         let (_, g_lo) = loss.forward_backward(&lo, &[5000]);
         assert!(g_lo.data()[0] < 0.0);
-    }
-
-    #[test]
-    fn mse_loss_and_gradient() {
-        let y = Tensor::from_vec(2, 1, vec![0.5, 0.0]);
-        let (l, g) = mse_loss(&y, &[0.0, 0.0]);
-        assert!((l - 0.125).abs() < 1e-9);
-        assert!((g.data()[0] - 0.5).abs() < 1e-6);
-        assert_eq!(g.data()[1], 0.0);
     }
 }

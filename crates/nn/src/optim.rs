@@ -1,32 +1,10 @@
-//! Optimizers: plain SGD and Adam (Kingma & Ba, 2015). MSCN trains with
-//! Adam at learning rate 1e-3; SGD exists for ablations and tests.
+//! The optimizer: Adam (Kingma & Ba, 2015), which MSCN trains with at
+//! learning rate 1e-3.
 
 use std::collections::HashMap;
 
 use crate::linear::Linear;
 use crate::pool::Team;
-
-/// Stochastic gradient descent: `p ← p - lr · g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "bad learning rate");
-        Self { lr }
-    }
-
-    /// Applies one update to `layer` and clears its gradients.
-    pub fn step(&mut self, layer: &mut Linear) {
-        let lr = self.lr;
-        layer.for_each_param_mut(|_, p, g| *p -= lr * g);
-        layer.zero_grad();
-    }
-}
 
 /// Per-layer Adam state.
 #[derive(Debug, Clone)]
@@ -59,17 +37,6 @@ impl Adam {
             eps: 1e-8,
             states: HashMap::new(),
         }
-    }
-
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for schedules). Momentum state is kept.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0 && lr.is_finite(), "bad learning rate");
-        self.lr = lr;
     }
 
     /// Applies one Adam update to `layer` (identified by `id`) and clears
@@ -208,13 +175,6 @@ mod tests {
             last_loss = loss;
         }
         last_loss
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_regression() {
-        let mut sgd = Sgd::new(0.5);
-        let loss = fit(&mut |l| sgd.step(l), 200);
-        assert!(loss < 1e-4, "loss={loss}");
     }
 
     #[test]

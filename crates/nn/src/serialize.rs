@@ -8,6 +8,8 @@
 //! Layout: all integers little-endian; `f32`/`f64` as IEEE-754 bits;
 //! vectors as `u64` length + elements; strings as `u64` length + UTF-8.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use bytes::{Buf, BufMut};
 
 use crate::linear::Linear;

@@ -19,6 +19,8 @@
 //! Prints `ADDR <bound-address>` on stdout once listening, then serves
 //! until stdin reaches EOF (the same lifetime contract as `ds_shard`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -12,6 +12,8 @@
 //! signal — no signal handling needed, and a `kill -9` is exactly the
 //! chaos the tests want).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;

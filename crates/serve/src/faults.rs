@@ -19,24 +19,17 @@
 //! * **forward delays** — a probability of stalling a forward pass
 //!   long enough to blow request deadlines;
 //! * **poisoned sketches** — names whose every estimate fails with an
-//!   execution error before reaching the model;
-//! * **snapshot write faults** — a FIFO queue of
-//!   [`ds_core::snapshot::WriteFault`]s (truncations, bit flips, crashes
-//!   before rename) for persistence tests to pull while exercising the
-//!   store's snapshot writer.
+//!   execution error before reaching the model.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
-
-use ds_core::snapshot::WriteFault;
 
 struct FaultState {
     rng: u64,
     decode_flip: HashMap<String, f64>,
     forward_delay: Option<(Duration, f64)>,
     poisoned: HashSet<String>,
-    write_faults: VecDeque<WriteFault>,
     chaos_kills: VecDeque<usize>,
 }
 
@@ -60,7 +53,6 @@ impl FaultInjector {
                 decode_flip: HashMap::new(),
                 forward_delay: None,
                 poisoned: HashSet::new(),
-                write_faults: VecDeque::new(),
                 chaos_kills: VecDeque::new(),
             }),
         }
@@ -145,22 +137,6 @@ impl FaultInjector {
         Self::armed() && self.lock().poisoned.contains(sketch)
     }
 
-    /// Queues one snapshot write fault; persistence tests pull these with
-    /// [`FaultInjector::next_write_fault`] while driving the store's
-    /// snapshot writer.
-    pub fn push_write_fault(&self, fault: WriteFault) {
-        self.lock().write_faults.push_back(fault);
-    }
-
-    /// Pops the next queued snapshot write fault, or a no-op fault when the
-    /// queue is empty or faults are disarmed.
-    pub fn next_write_fault(&self) -> WriteFault {
-        if !Self::armed() {
-            return WriteFault::none();
-        }
-        self.lock().write_faults.pop_front().unwrap_or_default()
-    }
-
     /// Queues a chaos kill of the given fleet shard. Unlike the in-process
     /// faults above, the chaos schedule is **not** gated by
     /// [`FaultInjector::armed`]: it models *external* process death (a
@@ -196,7 +172,6 @@ impl FaultInjector {
         st.decode_flip.clear();
         st.forward_delay = None;
         st.poisoned.clear();
-        st.write_faults.clear();
         st.chaos_kills.clear();
     }
 }
@@ -209,7 +184,6 @@ impl std::fmt::Debug for FaultInjector {
             .field("decode_flip", &st.decode_flip)
             .field("forward_delay", &st.forward_delay)
             .field("poisoned", &st.poisoned)
-            .field("queued_write_faults", &st.write_faults.len())
             .field("queued_chaos_kills", &st.chaos_kills.len())
             .finish()
     }
@@ -258,25 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn write_faults_queue_fifo_and_default_to_none() {
-        let f = FaultInjector::new(1);
-        assert!(f.next_write_fault().is_none());
-        f.push_write_fault(WriteFault {
-            truncate_at: Some(3),
-            ..WriteFault::none()
-        });
-        f.push_write_fault(WriteFault {
-            crash_before_rename: true,
-            ..WriteFault::none()
-        });
-        if FaultInjector::armed() {
-            assert_eq!(f.next_write_fault().truncate_at, Some(3));
-            assert!(f.next_write_fault().crash_before_rename);
-        }
-        assert!(f.next_write_fault().is_none());
-    }
-
-    #[test]
     fn chaos_schedule_works_even_when_disarmed() {
         // External process death is not an in-process injection: the
         // schedule must survive release builds, where armed() is false.
@@ -303,14 +258,11 @@ mod tests {
         f.flip_decode("s", 1.0);
         f.poison("s");
         f.delay_forwards(Duration::from_millis(5), 1.0);
-        f.push_write_fault(WriteFault {
-            truncate_at: Some(0),
-            ..WriteFault::none()
-        });
+        f.schedule_chaos_kill(1);
         f.clear();
         assert!(!f.should_flip_decode("s"));
         assert!(!f.is_poisoned("s"));
         assert!(f.forward_delay().is_none());
-        assert!(f.next_write_fault().is_none());
+        assert!(f.next_chaos_kill().is_none());
     }
 }

@@ -80,6 +80,7 @@
 //! [`CardinalityEstimator`]: ds_est::CardinalityEstimator
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod batcher;
 pub mod breaker;

@@ -759,7 +759,6 @@ fn degraded_answer(query: &ds_query::query::Query, shared: &Shared) -> Option<Re
     match fallback.try_estimate(query) {
         Ok(v) => {
             shared.metrics.record_degraded();
-            ds_obs::global().count("serve/degraded", 1);
             Some(Response::Degraded(v))
         }
         Err(_) => None,
@@ -868,9 +867,9 @@ fn handle_estimate(
         .map(|c| harvest_key(template.as_deref().unwrap_or(""), c));
     // The key carries the store generation this request resolved, so an
     // entry of a swapped-out model is never looked up again.
-    let cache_key = cache.zip(canonical).map(|(_, q)| {
+    let cache_key = cache.zip(canonical).map(|(c, q)| {
         key.set(sketch, generation, q);
-        &*key
+        (c, &*key)
     });
     let mut cache_hit = false;
     let outcome = if shared
@@ -883,7 +882,7 @@ fn handle_estimate(
         Err(Rejection::Estimate(EstimateError::Execution(format!(
             "sketch '{sketch}' model poisoned (fault injection)"
         ))))
-    } else if let Some(v) = cache_key.and_then(|k| cache.unwrap().get(k)) {
+    } else if let Some(v) = cache_key.and_then(|(c, k)| c.get(k)) {
         // Warm cache: the memoized answer is bit-identical to what the
         // forward pass produced when it was inserted, so the wire bytes
         // match a cold estimate exactly.
@@ -932,7 +931,7 @@ fn handle_estimate(
                 }
             }
             if !cache_hit {
-                if let (Some(c), Some(k)) = (cache, cache_key) {
+                if let Some((c, k)) = cache_key {
                     c.insert(k.clone(), v);
                 }
             }

@@ -72,6 +72,9 @@ mod faulted {
         let sketch_expected = store.get("imdb").unwrap().estimate_one(&query);
         let fallback_est = PostgresEstimator::build(&db);
         let fallback_expected = fallback_est.try_estimate(&query).unwrap();
+        // With the process-global tracer on, `STATS` renders its counters
+        // beside the server's own.
+        ds_obs::global().enable();
         assert_ne!(
             sketch_expected.to_bits(),
             fallback_expected.to_bits(),
@@ -120,6 +123,24 @@ mod faulted {
         assert!(line.ends_with(" degraded"), "{line}");
         let snap = server.metrics();
         assert!(snap.degraded >= 6, "degraded counter: {}", snap.degraded);
+        // Each metric family is declared once: a degraded answer is counted
+        // by the server alone.
+        let mut names: Vec<String> = c
+            .stats_families()
+            .unwrap()
+            .into_iter()
+            .map(|f| f.name)
+            .collect();
+        names.sort_unstable();
+        let twice: Vec<&String> = names
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| &w[0])
+            .collect();
+        assert!(
+            twice.is_empty(),
+            "families declared twice in STATS: {twice:?}"
+        );
 
         // Heal and wait out the cooldown: the half-open probe succeeds,
         // the breaker closes, and answers are bit-identical to the sketch
