@@ -22,7 +22,11 @@
 //! alone against a prefix of its table's materialized sample) — the
 //! MSCN+ features that close the gap on correlated predicates.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ds_nn::frozen::IndexSet;
 use ds_nn::ops::Segments;
@@ -500,21 +504,33 @@ impl Featurizer {
     /// loop draws its batches from ([`FeaturePool::batch`]). The same
     /// [`Featurizer::append_indices`] serving runs, so training and serving
     /// see one featurization.
+    ///
+    /// The pool holds each distinct element once: an element whose entries
+    /// an earlier one already holds takes that element's span. A workload's
+    /// table elements repeat a few bitmaps (every predicate-free table's),
+    /// so at the benchmark's spec this keeps 1.5 MB of 34.3 MB.
     pub fn pool(&self, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
         let mut feats = QueryIndexFeatures::default();
+        let mut distinct: [Interned; 3] = Default::default();
         let mut first = Vec::with_capacity(queries.len() + 1);
         first.push([0u32; 3]);
         for q in queries {
             let counts = self.append_indices(q, samples, &mut feats);
             let at: [u32; 3] = *first.last().expect("starts with zeros");
+            let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
+            for ((set, distinct), from) in sets.into_iter().zip(&mut distinct).zip(at) {
+                distinct.intern_from(set, from as usize);
+            }
             first.push(std::array::from_fn(|set| at[set] + counts[set]));
         }
-        // Element spans address entries with `u32`s.
-        for set in [&feats.tables, &feats.joins, &feats.preds] {
+        // Element spans address entries with `u32`s. Each buffer grew by
+        // doubling before its repeats were dropped; give the slack back.
+        for set in [&mut feats.tables, &mut feats.joins, &mut feats.preds] {
             assert!(
                 u32::try_from(set.entries.len()).is_ok(),
                 "workload too large for one feature pool"
             );
+            set.entries.shrink_to_fit();
         }
         FeaturePool { feats, first }
     }
@@ -591,8 +607,83 @@ impl QueryIndexFeatures {
     }
 }
 
+/// The distinct elements of one set of a [`FeaturePool`] being built,
+/// keyed by [`entries_hash`]: the first span that held each hash.
+#[derive(Default)]
+struct Interned(HashMap<u64, (u32, u32), BuildHasherDefault<Prehashed>>);
+
+impl Interned {
+    /// Interns the elements of `set` from index `from` on. An element whose
+    /// entries an earlier element holds takes that element's span; the
+    /// others' entries are packed down over what the repeats held. An
+    /// element whose hash an unequal element took keeps its own entries.
+    fn intern_from(&mut self, set: &mut IndexSet, from: usize) {
+        let Some(&(mut end, _)) = set.elems.get(from) else {
+            return;
+        };
+        let entries_of = |(start, len): (u32, u32)| start as usize..(start + len) as usize;
+        for e in from..set.elems.len() {
+            let span = set.elems[e];
+            let entries = &set.entries[entries_of(span)];
+            match self.0.entry(entries_hash(entries)) {
+                Entry::Occupied(seen)
+                    if same_bits(&set.entries[entries_of(*seen.get())], entries) =>
+                {
+                    set.elems[e] = *seen.get();
+                }
+                slot => {
+                    set.entries.copy_within(entries_of(span), end as usize);
+                    set.elems[e] = (end, span.1);
+                    if let Entry::Vacant(slot) = slot {
+                        slot.insert(set.elems[e]);
+                    }
+                    end += span.1;
+                }
+            }
+        }
+        set.entries.truncate(end as usize);
+    }
+}
+
+/// An element's entries hashed in place, one multiply per entry.
+fn entries_hash(entries: &[(u32, f32)]) -> u64 {
+    entries.iter().fold(entries.len() as u64, |h, &(i, v)| {
+        let entry = (u64::from(i) << 32) | u64::from(v.to_bits());
+        (h.rotate_left(5) ^ entry).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// Equal indices and equal value bits, entry by entry.
+fn same_bits(a: &[(u32, f32)], b: &[(u32, f32)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+/// The [`Hasher`] of keys that are hashes already: it passes them through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
 /// A workload featurized once as index lists ([`Featurizer::pool`]): every
-/// query's set elements back to back, and where each query's begin.
+/// query's set elements back to back, and where each query's begin. A
+/// repeated element is stored once and spanned by each of its repeats.
 #[derive(Debug, Clone)]
 pub struct FeaturePool {
     feats: QueryIndexFeatures,
@@ -869,22 +960,59 @@ mod tests {
         assert_eq!(batch.pred_segs, vec![(0, 0), (0, 1)]);
     }
 
+    /// Three queries, then a repeat of the first and a query that shares
+    /// single elements with the others: `movie_keyword`'s predicate-free
+    /// table element and the join with the first, `title.kind_id = 1` with
+    /// the second, `cast_info`'s table element with the third.
+    const POOLED_SQL: [&str; 5] = [
+        "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
+        "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
+        "SELECT COUNT(*) FROM title, cast_info WHERE cast_info.movie_id = title.id \
+         AND title.production_year > 2000 AND cast_info.role_id = 2",
+        "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
+        "SELECT COUNT(*) FROM title, movie_keyword, cast_info \
+         WHERE movie_keyword.movie_id = title.id AND cast_info.movie_id = title.id \
+         AND title.kind_id = 1 AND cast_info.role_id = 2",
+    ];
+
     #[test]
     fn pool_batches_are_the_dense_batch_of_the_same_queries() {
         let (db, samples, f) = setup();
-        let sql = [
-            "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
-            "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
-            "SELECT COUNT(*) FROM title, cast_info WHERE cast_info.movie_id = title.id \
-             AND title.production_year > 2000 AND cast_info.role_id = 2",
-        ];
-        let queries: Vec<Query> = sql.iter().map(|s| parse_query(&db, s).unwrap()).collect();
+        let queries: Vec<Query> = POOLED_SQL
+            .iter()
+            .map(|s| parse_query(&db, s).unwrap())
+            .collect();
         let pool = f.pool(&queries, &samples);
-        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.len(), 5);
+        // Equal elements share one span, only equal ones do, and the
+        // entries hold each distinct element once.
+        for set in 0..3 {
+            let IndexSet { entries, elems } = pool.set(set);
+            let of = |(start, len): (u32, u32)| &entries[start as usize..(start + len) as usize];
+            for &a in elems {
+                for &b in elems {
+                    assert_eq!(of(a) == of(b), a == b, "set {set}: {a:?} {b:?}");
+                }
+            }
+            let distinct: std::collections::HashSet<_> = elems.iter().collect();
+            assert!(distinct.len() < elems.len(), "set {set} shares nothing");
+            let held: u32 = distinct.iter().map(|&&(_, len)| len).sum();
+            assert_eq!(entries.len(), held as usize, "set {set}");
+            let query =
+                |q: usize| &elems[pool.first[q][set] as usize..pool.first[q + 1][set] as usize];
+            assert_eq!(query(3), query(0), "set {set}: the repeated query");
+        }
         let mut batch = pool.batch();
         assert!(batch.is_empty());
         // Any subset, any order, repeats included; refilled in place.
-        for idx in [vec![0, 1, 2], vec![2, 0], vec![1], vec![1, 1, 2]] {
+        for idx in [
+            vec![0, 1, 2],
+            vec![2, 0],
+            vec![1],
+            vec![1, 1, 2],
+            vec![3, 4, 0],
+            vec![4, 3, 2, 1, 0],
+        ] {
             batch.fill(&idx);
             assert_eq!(batch.len(), idx.len());
             let chosen: Vec<Query> = idx.iter().map(|&i| queries[i].clone()).collect();
@@ -905,6 +1033,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_repeated_workload_pools_to_the_entries_of_one_copy() {
+        let (db, samples, f) = setup();
+        let once: Vec<Query> = POOLED_SQL
+            .iter()
+            .map(|s| parse_query(&db, s).unwrap())
+            .collect();
+        let thrice: Vec<Query> = once.iter().cycle().take(3 * once.len()).cloned().collect();
+        let (one, three) = (f.pool(&once, &samples), f.pool(&thrice, &samples));
+        assert_eq!(three.len(), 3 * one.len());
+        for set in 0..3 {
+            let (one, three) = (one.set(set), three.set(set));
+            assert_eq!(three.entries, one.entries, "set {set}");
+            assert_eq!(three.elems, one.elems.repeat(3), "set {set}");
+        }
+    }
+
+    #[test]
+    fn elements_whose_hashes_collide_keep_their_own_entries() {
+        // Two elements of two entries each with one hash: the second
+        // element's last entry is solved for from the first's hash.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let k_inverse = (0..5).fold(K, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(x)))
+        });
+        let a = [(0u32, 1.0f32), (1, 1.0)];
+        let target = entries_hash(&a);
+        let first =
+            (2u64.rotate_left(5) ^ ((5u64 << 32) | u64::from(2.0f32.to_bits()))).wrapping_mul(K);
+        let last = target.wrapping_mul(k_inverse) ^ first.rotate_left(5);
+        let b = [
+            (5u32, 2.0f32),
+            ((last >> 32) as u32, f32::from_bits(last as u32)),
+        ];
+        assert_eq!(entries_hash(&b), target);
+        assert!(!same_bits(&a, &b));
+
+        let mut set = IndexSet::default();
+        for elem in [&a[..], &b, &a] {
+            let start = set.begin_elem();
+            for &(i, v) in elem {
+                set.push(i, v);
+            }
+            set.finish_elem(start);
+        }
+        Interned::default().intern_from(&mut set, 0);
+        assert_eq!(set.elems, vec![(0, 2), (2, 2), (0, 2)]);
+        assert_eq!(set.entries, [a, b].concat());
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! [`LEARNING_RATE`], and the whole epoch budget, shipping the last
 //! epoch's weights.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -36,7 +38,7 @@ pub struct TrainConfig {
     /// Number of passes over the training data. The paper notes ~25 epochs
     /// usually reach a reasonable validation q-error.
     pub epochs: usize,
-    /// Mini-batch size.
+    /// Mini-batch size, of training steps and of validation passes alike.
     pub batch_size: usize,
     /// Shuffling seed.
     pub seed: u64,
@@ -232,14 +234,14 @@ fn run_epochs(
     let mut last_qerrs: Vec<f64> = Vec::new();
 
     // Everything a step needs, shared across all batches of all epochs —
-    // a steady-state step allocates nothing — and the validation batch
-    // assembled exactly once.
+    // a steady-state step allocates nothing. Validation runs through the
+    // same batch and cache, `batch_size` queries at a time, so neither
+    // grows past a training step's size.
     let mut cache = ForwardCache::new();
     let mut scratch = BackwardScratch::new();
     let mut batch = feats.batch();
     let mut grad = Tensor::zeros(0, 0);
     let mut truths: Vec<u64> = Vec::new();
-    let val_batch = (!val_idx.is_empty()).then(|| feats.batch_of(val_idx));
 
     for epoch in 0..cfg.epochs {
         let _epoch_span = obs.span("epoch");
@@ -259,14 +261,19 @@ fn run_epochs(
             batches += 1;
         }
 
-        let val_stats = val_batch.as_ref().map(|batch| {
+        let val_stats = (!val_idx.is_empty()).then(|| {
             let _s = obs.span("validate");
-            model.forward_into(batch, team, &mut cache);
-            let mut qerrs: Vec<f64> = val_idx
-                .iter()
-                .zip(cache.output().data())
-                .map(|(&i, &p)| qerror(normalizer.denormalize(p), labels[i] as f64))
-                .collect();
+            let mut qerrs = Vec::with_capacity(val_idx.len());
+            for chunk in val_idx.chunks(cfg.batch_size) {
+                batch.fill(chunk);
+                model.forward_into(&batch, team, &mut cache);
+                qerrs.extend(
+                    chunk
+                        .iter()
+                        .zip(cache.output().data())
+                        .map(|(&i, &p)| qerror(normalizer.denormalize(p), labels[i] as f64)),
+                );
+            }
             let mean = qerrs.iter().sum::<f64>() / qerrs.len() as f64;
             qerrs.sort_by(|a, b| a.partial_cmp(b).expect("finite q-error"));
             let (p50, p95) = (percentile(&qerrs, 0.5), percentile(&qerrs, 0.95));
@@ -406,6 +413,54 @@ mod tests {
         assert!(q.windows(2).all(|w| w[0] <= w[1]), "must be sorted");
         assert_eq!(Some(percentile(q, 0.5)), last.val_median_qerror);
         assert_eq!(Some(percentile(q, 0.95)), last.val_p95_qerror);
+    }
+
+    #[test]
+    fn batched_validation_reports_the_qerrors_of_one_forward_over_the_split() {
+        let (_db, samples, featurizer, queries, labels) = training_setup(300);
+        let normalizer = LabelNormalizer::fit(&labels);
+        let mut model = MscnModel::new(
+            featurizer.table_dim(),
+            featurizer.join_dim(),
+            featurizer.pred_dim(),
+            MscnConfig {
+                hidden: 16,
+                seed: 9,
+            },
+        );
+        // 30 held-out queries: three batches of 8 and one of 6.
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            threads: 2,
+            ..Default::default()
+        };
+        let report = train(
+            &mut model,
+            &featurizer,
+            &samples,
+            &queries,
+            &labels,
+            &normalizer,
+            &cfg,
+        );
+        assert_eq!(report.val_examples, 30);
+
+        // The split `run_epochs` draws, and the reference forward over all
+        // of it at once with the shipped weights.
+        let mut idx: Vec<usize> = (0..queries.len()).collect();
+        idx.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+        let held_out = &idx[..report.val_examples];
+        let split: Vec<Query> = held_out.iter().map(|&i| queries[i].clone()).collect();
+        let outputs = model.predict(&featurizer.batch_queries(&split, &samples));
+        let mut expected: Vec<f64> = held_out
+            .iter()
+            .zip(outputs)
+            .map(|(&i, p)| qerror(normalizer.denormalize(p), labels[i] as f64))
+            .collect();
+        expected.sort_by(f64::total_cmp);
+        let bits = |q: &[f64]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&report.holdout_qerrors), bits(&expected));
     }
 
     #[test]

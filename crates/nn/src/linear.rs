@@ -201,16 +201,6 @@ impl Linear {
         input_grad(&self.w, grad_out, team, grad_rows, w_t, out);
     }
 
-    /// Scales all accumulated gradients by `factor` (gradient clipping).
-    pub fn scale_gradients(&mut self, factor: f32) {
-        for g in self.grad_w.data_mut() {
-            *g *= factor;
-        }
-        for g in &mut self.grad_b {
-            *g *= factor;
-        }
-    }
-
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.grad_w.data_mut().fill(0.0);
