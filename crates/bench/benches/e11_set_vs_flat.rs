@@ -58,7 +58,7 @@ fn main() {
         .seed(BENCH_SEED ^ 0xE11)
         .build()
         .expect("mscn");
-    println!("  {} parameters", mscn_sketch.model().num_params());
+    println!("  {} parameters", mscn_sketch.info().model_params);
 
     // --- Flat MLP ----------------------------------------------------------
     // The flat input is much wider (bitmaps are not shared across tables),

@@ -43,7 +43,7 @@ fn main() {
             "  {:>12} {:>14} {:>14} {:>12.3}",
             n,
             bytes,
-            sketch.model().num_params(),
+            sketch.info().model_params,
             bytes as f64 / (1024.0 * 1024.0)
         );
     }

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use ds_core::featurize::Featurizer;
-use ds_core::mscn::{MscnConfig, MscnModel};
+use ds_core::mscn::{MscnConfig, MscnGrads, MscnModel};
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
 use ds_est::CardinalityEstimator;
@@ -112,12 +112,15 @@ fn bench_training_step(c: &mut Criterion) {
     );
     c.bench_function("mscn/train_step_batch_128", |b| {
         b.iter_batched(
-            || (model.clone(), ds_nn::optim::Adam::new(1e-3)),
-            |(mut m, mut adam)| {
+            || {
+                let adam = ds_nn::optim::Adam::new(1e-3);
+                (model.clone(), adam, MscnGrads::new(&model))
+            },
+            |(mut m, mut adam, mut grads)| {
                 let (y, cache) = m.forward(&batch);
                 let (_, grad) = loss.forward_backward(&y, &labels);
-                m.backward(&batch, &cache, &grad);
-                m.adam_step(&mut adam, &Team::solo());
+                m.backward(&batch, &cache, &grad, &mut grads);
+                m.adam_step(&mut adam, &mut grads, &Team::solo());
                 black_box(m.num_params())
             },
             BatchSize::SmallInput,

@@ -19,7 +19,7 @@
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
-use ds_nn::linear::Linear;
+use ds_nn::linear::{Linear, LinearGrads};
 use ds_nn::loss::{LabelNormalizer, QErrorLoss};
 use ds_nn::ops::{relu, relu_backward, sigmoid, sigmoid_backward};
 use ds_nn::optim::Adam;
@@ -141,6 +141,7 @@ impl FlatModel {
         truths: &[u64],
         loss: &QErrorLoss,
         adam: &mut Adam,
+        [g1, g2, g3]: &mut [LinearGrads; 3],
     ) -> f64 {
         let z1 = self.l1.forward(x);
         let a1 = relu(&z1);
@@ -150,14 +151,14 @@ impl FlatModel {
         let y = sigmoid(&z3);
         let (l, grad_y) = loss.forward_backward(&y, truths);
         let g_z3 = sigmoid_backward(&y, &grad_y);
-        let g_a2 = self.l3.backward(&a2, &g_z3);
+        let g_a2 = self.l3.backward(&a2, &g_z3, g3);
         let g_z2 = relu_backward(&z2, &g_a2);
-        let g_a1 = self.l2.backward(&a1, &g_z2);
+        let g_a1 = self.l2.backward(&a1, &g_z2, g2);
         let g_z1 = relu_backward(&z1, &g_a1);
-        self.l1.backward(x, &g_z1);
-        adam.step(0, &mut self.l1, &Team::solo());
-        adam.step(1, &mut self.l2, &Team::solo());
-        adam.step(2, &mut self.l3, &Team::solo());
+        self.l1.backward(x, &g_z1, g1);
+        adam.step(0, &mut self.l1, g1, &Team::solo());
+        adam.step(1, &mut self.l2, g2, &Team::solo());
+        adam.step(2, &mut self.l3, g3, &Team::solo());
         l
     }
 
@@ -183,6 +184,7 @@ impl FlatModel {
             .collect();
         let loss = QErrorLoss::new(normalizer.clone());
         let mut adam = Adam::new(1e-3);
+        let mut grads = [&self.l1, &self.l2, &self.l3].map(LinearGrads::zeros);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut idx: Vec<usize> = (0..queries.len()).collect();
         let mut last = f64::NAN;
@@ -197,7 +199,7 @@ impl FlatModel {
                 }
                 let x = Tensor::from_vec(chunk.len(), featurizer.dim(), data);
                 let truths: Vec<u64> = chunk.iter().map(|&i| labels[i]).collect();
-                sum += self.train_step(&x, &truths, &loss, &mut adam);
+                sum += self.train_step(&x, &truths, &loss, &mut adam, &mut grads);
                 n += 1;
             }
             last = sum / n as f64;

@@ -359,7 +359,7 @@ impl<'a> SketchBuilder<'a> {
         );
 
         let mut sketch = DeepSketch::from_parts(
-            model,
+            model.freeze(),
             featurizer,
             samples,
             normalizer,

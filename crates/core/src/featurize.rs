@@ -22,8 +22,6 @@
 //! alone against a prefix of its table's materialized sample) — the
 //! MSCN+ features that close the gap on correlated predicates.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -23,6 +23,8 @@
 //!   graded queries, retrain off the hot path, shadow-score, hot-swap
 //!   with snapshot-first rollback.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod advisor;
 pub mod builder;
 pub mod featurize;

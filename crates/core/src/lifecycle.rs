@@ -1111,7 +1111,7 @@ fn train_candidate(
         featurizer.join_dim(),
         featurizer.pred_dim(),
         MscnConfig {
-            hidden: live.model().hidden(),
+            hidden: live.artifact().hidden(),
             seed: cfg.seed ^ 0xC0DE,
         },
     );
@@ -1132,7 +1132,7 @@ fn train_candidate(
         &train_cfg,
     );
     let mut candidate = DeepSketch::from_parts(
-        model,
+        model.freeze(),
         featurizer,
         samples,
         normalizer,
@@ -1153,7 +1153,7 @@ fn train_candidate(
 fn poisoned_clone(candidate: &DeepSketch) -> DeepSketch {
     let bad = LabelNormalizer::fit(&[1, 1 << 44]);
     let mut poisoned = DeepSketch::from_parts(
-        candidate.model().clone(),
+        candidate.artifact().clone(),
         candidate.featurizer().clone(),
         candidate.samples().to_vec(),
         bad,

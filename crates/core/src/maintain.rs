@@ -163,7 +163,7 @@ pub fn refresh_samples(sketch: &DeepSketch, db: &Database, seed: u64) -> DeepSke
     );
     let fresh: Vec<TableSample> = sample_all(db, sketch.featurizer().sample_size(), seed);
     let mut refreshed = DeepSketch::from_parts(
-        sketch.model().clone(),
+        sketch.artifact().clone(),
         sketch.featurizer().clone(),
         fresh,
         sketch.normalizer().clone(),
@@ -347,8 +347,8 @@ mod tests {
         let db = imdb_database(&ImdbConfig::tiny(32));
         let sketch = tiny_sketch(&db);
         let refreshed = refresh_samples(&sketch, &db, 12345);
-        // Model identical.
-        assert_eq!(sketch.model().num_params(), refreshed.model().num_params());
+        // Weights identical.
+        assert_eq!(sketch.frozen(), refreshed.frozen());
         // Samples differ (different seed) but are drawn from the same data.
         assert_ne!(
             sketch.samples()[0].row_ids(),

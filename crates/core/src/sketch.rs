@@ -5,21 +5,20 @@
 //!
 //! ## One inference path
 //!
-//! A sketch always holds a frozen serving artifact
-//! ([`ds_nn::frozen::FrozenModel`]) beside its trained [`MscnModel`], and
-//! every estimate — [`DeepSketch::estimate_one`], and the validating
+//! A sketch's network is its frozen serving artifact
+//! ([`ds_nn::frozen::FrozenModel`]): the trained model's f32 weights,
+//! bit-exact, and the only copy of them the sketch keeps. Every estimate
+//! — [`DeepSketch::estimate_one`], and the validating
 //! [`CardinalityEstimator::estimate_into`] every other entry point goes
 //! through, at any batch size and thread count — is one call of that
 //! artifact's fused batched kernel over sparse index lists, from
-//! per-thread scratch. The artifact is a copy of the trained model's f32
-//! weights, so it answers bit for bit what the model answers. The trained
-//! model is what gets serialized and retrained; the artifact is frozen
-//! from it again on load.
-//! The model's reference forward (naive kernels over dense features) is
-//! [`DeepSketch::reference_estimates`], the oracle the tests and the bench
-//! harness hold the serving path against.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+//! per-thread scratch, and it answers bit for bit what the trained model
+//! answered. The artifact is also what gets serialized: it encodes the
+//! weights and decodes them straight back into serving layout.
+//! The model's reference forward (naive kernels over dense features, on a
+//! training-layout copy thawed from the artifact) is
+//! [`DeepSketch::reference_estimates`], the oracle the tests hold the
+//! serving path against.
 
 use std::cell::RefCell;
 
@@ -41,12 +40,12 @@ use crate::mscn::MscnModel;
 
 const MAGIC: &[u8; 4] = b"DSKT";
 /// The serialization version, and the only one [`DeepSketch::from_bytes`]
-/// accepts: model, samples, the feature-schema generation with its
-/// per-predicate bitmap width, the optional training-time q-error
+/// accepts: model weights, samples, the feature-schema generation with
+/// its per-predicate bitmap width, the optional training-time q-error
 /// baseline, and the frozen-section flag word. The flag is always `0`:
-/// the serving artifact is a bit-exact copy of the model weights stored
-/// just before it, so it is frozen again on load and never stored. Older
-/// v4 writers set it to `1` and stored an artifact after it;
+/// the weights stored before it are the serving artifact, decoded straight
+/// into serving layout, so nothing more is stored. Older v4 writers set
+/// it to `1` and stored a second copy after it;
 /// [`DeepSketch::from_bytes`] refuses those blobs as corrupt.
 const VERSION: u32 = 4;
 
@@ -123,12 +122,11 @@ impl std::fmt::Display for SketchInfo {
     }
 }
 
-/// A trained Deep Sketch: MSCN model + featurization vocabulary +
+/// A trained Deep Sketch: MSCN weights + featurization vocabulary +
 /// materialized base-table samples + label normalizer. Self-contained: a
 /// deserialized sketch estimates without access to the original database.
 #[derive(Debug, Clone)]
 pub struct DeepSketch {
-    model: MscnModel,
     featurizer: Featurizer,
     samples: Vec<TableSample>,
     normalizer: LabelNormalizer,
@@ -142,18 +140,19 @@ pub struct DeepSketch {
     /// the reference the online drift monitor compares rolling feedback
     /// against. `None` for sketches trained without a validation split.
     baseline: Option<HistogramSnapshot>,
-    /// The serving artifact every estimate runs through: the model's
-    /// weights, bit-exact, in gather-friendly layout. Always frozen from
-    /// `model`, so its shapes are the model's by construction.
+    /// The serving artifact every estimate runs through and the sketch's
+    /// only copy of the trained weights, in gather-friendly layout. Its
+    /// input widths are the featurizer's.
     frozen: FrozenModel,
 }
 
 impl DeepSketch {
     /// Assembles a sketch from trained parts (used by
-    /// [`crate::builder::SketchBuilder`]), freezing the serving artifact —
-    /// a copy of the weights, bit-exact.
+    /// [`crate::builder::SketchBuilder`]): the serving artifact a trained
+    /// model froze into ([`MscnModel::freeze`]), and what it was trained
+    /// over.
     pub fn from_parts(
-        model: MscnModel,
+        frozen: FrozenModel,
         featurizer: Featurizer,
         samples: Vec<TableSample>,
         normalizer: LabelNormalizer,
@@ -162,8 +161,7 @@ impl DeepSketch {
         let database_name = database_name.into();
         let name = format!("Deep Sketch ({database_name})");
         Self {
-            frozen: model.freeze(),
-            model,
+            frozen,
             featurizer,
             samples,
             normalizer,
@@ -200,6 +198,13 @@ impl DeepSketch {
         Some(&self.frozen)
     }
 
+    /// The serving artifact: the sketch's weights. [`DeepSketch::frozen`]
+    /// without the `Option`, for the crate's own readers, which may not
+    /// `expect` it.
+    pub(crate) fn artifact(&self) -> &FrozenModel {
+        &self.frozen
+    }
+
     /// Hits, misses and resident bytes of the serving artifact's element
     /// memo ([`ds_nn::frozen`]). They start at zero with every artifact:
     /// a build, a load, a clone, a re-freeze.
@@ -207,23 +212,24 @@ impl DeepSketch {
         self.frozen.memo_stats()
     }
 
-    /// Re-freezes the trained model into a new serving artifact, with an
-    /// empty element memo. Answers stay bit-identical: the artifact is a
-    /// copy of the weights.
+    /// Returns the serving artifact to its just-frozen state: the element
+    /// memo empties, the weights stay. Answers stay bit-identical.
     pub fn freeze(&mut self) {
-        self.frozen = self.model.freeze();
+        self.frozen.clear_memo();
     }
 
-    /// Estimates through the trained model's reference forward
-    /// ([`MscnModel::predict`]): dense feature tensors through the naive
-    /// f32 product, which shares no kernel with serving or training. Never
-    /// on the serving path — this is the named oracle the bit-identity
-    /// tests and the bench harness compare serving against.
+    /// Estimates through the model's reference forward
+    /// ([`MscnModel::predict`]) on a training-layout copy of the weights
+    /// thawed for the call: dense feature tensors through the naive f32
+    /// product, which shares no kernel with serving or training. A test
+    /// helper, never on the serving path — the named oracle the
+    /// bit-identity tests compare serving against.
     pub fn reference_estimates(&self, queries: &[Query]) -> Vec<f64> {
+        let model = MscnModel::thaw(&self.frozen);
         let mut out = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(SERVE_CHUNK) {
             let batch = self.featurizer.batch_queries(chunk, &self.samples);
-            let ys = self.model.predict(&batch);
+            let ys = model.predict(&batch);
             out.extend(ys.iter().map(|&y| self.denormalized(y)));
         }
         out
@@ -307,11 +313,6 @@ impl DeepSketch {
         &self.featurizer
     }
 
-    /// The underlying model.
-    pub fn model(&self) -> &MscnModel {
-        &self.model
-    }
-
     /// The label normalizer.
     pub fn normalizer(&self) -> &LabelNormalizer {
         &self.normalizer
@@ -335,8 +336,8 @@ impl DeepSketch {
             tables: self.featurizer.num_tables(),
             joins: self.featurizer.joins().len(),
             predicate_columns: self.featurizer.columns().len(),
-            hidden_units: self.model.hidden(),
-            model_params: self.model.num_params(),
+            hidden_units: self.frozen.hidden(),
+            model_params: self.frozen.num_params(),
             sample_size: self.featurizer.sample_size(),
             sample_rows,
             footprint_bytes: self.footprint_bytes(),
@@ -406,8 +407,8 @@ impl DeepSketch {
             }
         }
 
-        // Model.
-        self.model.encode(&mut e);
+        // Model weights.
+        self.frozen.encode(&mut e);
 
         // Accuracy baseline (v2+): optional flag + histogram words.
         match &self.baseline {
@@ -553,15 +554,16 @@ impl DeepSketch {
             samples.push(TableSample::from_parts(table_id, row_ids, table, nominal));
         }
 
-        // Model. Its input widths must be the featurizer's, or the first
-        // estimate reads past a feature row.
-        let model = MscnModel::decode(&mut d)?;
+        // Model weights. Their input widths must be the featurizer's, or
+        // the first estimate reads past a feature row.
+        let frozen = FrozenModel::decode(&mut d)?;
+        let [t1, _, j1, _, p1, ..] = frozen.layers();
         let widths = [
             featurizer.table_dim(),
             featurizer.join_dim(),
             featurizer.pred_dim(),
         ];
-        if model.input_dims() != widths {
+        if [t1.in_dim(), j1.in_dim(), p1.in_dim()] != widths {
             return Err(DecodeError::Corrupt(
                 "model input widths disagree with the featurizer".into(),
             ));
@@ -577,16 +579,16 @@ impl DeepSketch {
             None
         };
 
-        // The artifact is frozen from the model, never read. A set flag is
-        // an older v4 writer's stored artifact (an f32 copy, or int8
-        // weights), which this reader no longer decodes.
+        // The weights above are the artifact. A set flag is an older v4
+        // writer's second, stored artifact (an f32 copy, or int8 weights),
+        // which this reader no longer decodes.
         if d.flag()? {
             return Err(DecodeError::Corrupt(
                 "stored frozen artifact (an f32 copy or int8 weights) is no longer read".into(),
             ));
         }
 
-        let mut sketch = Self::from_parts(model, featurizer, samples, normalizer, database_name);
+        let mut sketch = Self::from_parts(frozen, featurizer, samples, normalizer, database_name);
         sketch.baseline = baseline;
         Ok(sketch)
     }
@@ -921,7 +923,8 @@ mod tests {
         assert_eq!(info.joins, 5);
         assert_eq!(info.predicate_columns, 9);
         assert_eq!(info.hidden_units, 16);
-        assert_eq!(info.model_params, sketch.model().num_params());
+        let thawed = MscnModel::thaw(sketch.artifact());
+        assert_eq!(info.model_params, thawed.num_params());
         assert_eq!(info.sample_size, 16);
         assert_eq!(info.sample_rows, 6 * 16);
         assert_eq!(info.footprint_bytes, sketch.footprint_bytes());

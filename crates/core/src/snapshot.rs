@@ -44,8 +44,6 @@
 //! callers pass [`WriteFault::none`]), so the injection surface costs
 //! nothing and cannot be tripped accidentally at runtime.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};

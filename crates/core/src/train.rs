@@ -11,8 +11,10 @@
 //! There is one recipe, the paper's: mean q-error, Adam at
 //! [`LEARNING_RATE`], and the whole epoch budget, shipping the last
 //! epoch's weights.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+//!
+//! The run owns the model's gradients ([`MscnGrads`]) beside Adam's two
+//! moments: they exist while it trains and go when it returns, so the
+//! model it hands back is weights only.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +29,7 @@ use ds_storage::sample::TableSample;
 
 use crate::featurize::Featurizer;
 use crate::metrics::{percentile, qerror};
-use crate::mscn::{BackwardScratch, ForwardCache, MscnModel};
+use crate::mscn::{BackwardScratch, ForwardCache, MscnGrads, MscnModel};
 
 /// Adam's learning rate, the one MSCN trains with.
 pub const LEARNING_RATE: f32 = 1e-3;
@@ -228,6 +230,7 @@ fn run_epochs(
 
     let qloss = QErrorLoss::new(normalizer.clone());
     let mut adam = Adam::new(LEARNING_RATE);
+    let mut grads = MscnGrads::new(model);
     let mut epochs = Vec::with_capacity(cfg.epochs);
     // Holdout q-errors of the latest validation pass, so the shipped
     // epoch's full distribution survives into the report.
@@ -255,8 +258,8 @@ fn run_epochs(
             truths.clear();
             truths.extend(chunk.iter().map(|&i| labels[i]));
             let loss = qloss.forward_backward_into(cache.output(), &truths, &mut grad);
-            model.backward_with(&batch, &cache, &grad, team, &mut scratch);
-            model.adam_step(&mut adam, team);
+            model.backward_with(&batch, &cache, &grad, &mut grads, team, &mut scratch);
+            model.adam_step(&mut adam, &mut grads, team);
             loss_sum += loss;
             batches += 1;
         }

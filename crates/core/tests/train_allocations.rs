@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ds_core::featurize::Featurizer;
-use ds_core::mscn::{BackwardScratch, ForwardCache, MscnConfig, MscnModel};
+use ds_core::mscn::{BackwardScratch, ForwardCache, MscnConfig, MscnGrads, MscnModel};
 use ds_nn::loss::{LabelNormalizer, QErrorLoss};
 use ds_nn::optim::Adam;
 use ds_nn::pool::Team;
@@ -97,6 +97,7 @@ fn a_steady_state_training_step_allocates_under_64_kib() {
         let mut batch = feats.batch();
         let mut cache = ForwardCache::new();
         let mut scratch = BackwardScratch::new();
+        let mut grads = MscnGrads::new(&model);
         let mut grad = Tensor::zeros(0, 0);
         let mut truths: Vec<u64> = Vec::new();
         let mut adam = Adam::new(1e-3);
@@ -108,8 +109,8 @@ fn a_steady_state_training_step_allocates_under_64_kib() {
                 truths.extend(chunk.iter().map(|&i| labels[i]));
                 let l = loss.forward_backward_into(cache.output(), &truths, &mut grad);
                 assert!(l.is_finite());
-                model.backward_with(&batch, &cache, &grad, team, &mut scratch);
-                model.adam_step(&mut adam, team);
+                model.backward_with(&batch, &cache, &grad, &mut grads, team, &mut scratch);
+                model.adam_step(&mut adam, &mut grads, team);
             };
 
             // One pass over all four batches grows every arena to the

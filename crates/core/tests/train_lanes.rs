@@ -2,6 +2,8 @@
 //! it and joined before it returns. One test on purpose — the thread count
 //! is the process's, and a test running beside this one would move it.
 
+use std::time::{Duration, Instant};
+
 use ds_core::featurize::Featurizer;
 use ds_core::mscn::{MscnConfig, MscnModel};
 use ds_core::train::{train_with_callback, TrainConfig};
@@ -16,6 +18,19 @@ fn os_threads() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("Threads:"))?;
     line["Threads:".len()..].trim().parse().ok()
+}
+
+/// [`os_threads`] once it reads `want`, polled for up to 2 s: a joined
+/// helper can still be counted while it runs its kernel exit path.
+fn os_threads_settled(want: usize) -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let now = os_threads();
+        if now == Some(want) || Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -58,6 +73,10 @@ fn the_process_has_as_many_threads_after_train_as_before() {
             &mut |_| during = os_threads().expect("linux"),
         );
         assert_eq!(during, before + threads - 1, "lanes alive during the run");
-        assert_eq!(os_threads(), Some(before), "after train at {threads} lanes");
+        assert_eq!(
+            os_threads_settled(before),
+            Some(before),
+            "after train at {threads} lanes"
+        );
     }
 }

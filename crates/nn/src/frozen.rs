@@ -1,10 +1,10 @@
 //! Frozen serving-only inference artifacts.
 //!
-//! Training wants transposable, gradient-carrying layers; serving wants
-//! the opposite: immutable weights in exactly the layout the forward pass
-//! reads and no gradient buffers. A [`FrozenModel`] is that artifact: the
-//! eight MSCN layers copied once from the trained model into a flat,
-//! line-aligned row-major `f32` layout, driven by one fused
+//! Training wants transposable layers beside their gradients and optimizer
+//! state; serving wants the opposite: immutable weights in exactly the
+//! layout the forward pass reads and nothing else. A [`FrozenModel`] is
+//! that artifact: the eight MSCN layers copied once from the trained model
+//! into a flat, line-aligned row-major `f32` layout, driven by one fused
 //! featurize-and-forward entry point,
 //! [`FrozenModel::forward_batch`], that serves every batch size (a single
 //! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
@@ -45,8 +45,11 @@
 //! element; on the benchmark's stream an element takes ≈ 0.57 KB (≈ 1.8 KB
 //! dense).
 //!
-//! The artifact itself is never serialized either: its weights are the
-//! trained model's, bit for bit, so a loaded sketch freezes it again.
+//! Outside training the artifact is the only copy of a model's weights:
+//! [`FrozenModel::encode`] writes them and [`FrozenModel::decode`] reads
+//! them straight back into serving layout, and a caller that wants to
+//! train on from them thaws a training-layout copy
+//! ([`FrozenLinear::thaw`]).
 //!
 //! ## Determinism contract
 //!
@@ -64,7 +67,9 @@ use std::sync::Mutex;
 
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
+use crate::serialize::{DecodeError, Decoder, Encoder};
 use crate::sparse::{self, Finish, Rows};
+use crate::tensor::Tensor;
 
 pub use crate::sparse::IndexSet;
 
@@ -85,12 +90,38 @@ impl FrozenLinear {
     /// Converts a trained layer. The training layout is already
     /// `(in_dim × out_dim)` row-major, so freezing is a plain copy.
     pub fn from_linear(l: &Linear) -> Self {
+        let (w, b) = (l.weights().data(), l.bias().to_vec());
+        Self::from_parts(l.in_dim(), l.out_dim(), w, b)
+    }
+
+    /// A layer from its row-major `in_dim × out_dim` weights and its bias
+    /// (what [`crate::serialize::Decoder::linear`] read).
+    pub(crate) fn from_parts(in_dim: usize, out_dim: usize, w: &[f32], b: Vec<f32>) -> Self {
+        debug_assert_eq!(w.len(), in_dim * out_dim);
+        debug_assert_eq!(b.len(), out_dim);
         Self {
-            in_dim: l.in_dim(),
-            out_dim: l.out_dim(),
-            w: LineAligned::new(l.weights().data()),
-            b: l.bias().to_vec(),
+            in_dim,
+            out_dim,
+            w: LineAligned::new(w),
+            b,
         }
+    }
+
+    /// A training-layout copy of this layer, bit for bit — what
+    /// [`FrozenLinear::from_linear`] undoes.
+    pub fn thaw(&self) -> Linear {
+        let w = Tensor::from_vec(self.in_dim, self.out_dim, self.w.to_vec());
+        Linear::from_params(w, self.b.clone())
+    }
+
+    /// The `in_dim × out_dim` weights, row-major.
+    pub(crate) fn weights(&self) -> &[f32] {
+        &self.w
+    }
+
+    /// The bias.
+    pub(crate) fn bias(&self) -> &[f32] {
+        &self.b
     }
 
     /// Input width.
@@ -603,7 +634,8 @@ impl FrozenModel {
     ///
     /// # Panics
     /// Panics when the layer shapes do not form an MSCN — freezing a
-    /// well-formed model cannot trip this.
+    /// well-formed model cannot trip this; [`FrozenModel::decode`] refuses
+    /// such layers as corrupt before it gets here.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         tables1: FrozenLinear,
@@ -615,24 +647,12 @@ impl FrozenModel {
         out1: FrozenLinear,
         out2: FrozenLinear,
     ) -> Self {
+        let layers = [
+            &tables1, &tables2, &joins1, &joins2, &preds1, &preds2, &out1, &out2,
+        ];
         let h = tables1.out_dim();
-        assert!(h > 0, "mis-wired frozen model: zero hidden width");
-        // Each layer's input width (`None`: the featurizer's, free) and
-        // output width.
-        for (name, l, want_in, want_out) in [
-            ("tables1", &tables1, None, h),
-            ("tables2", &tables2, Some(h), h),
-            ("joins1", &joins1, None, h),
-            ("joins2", &joins2, Some(h), h),
-            ("preds1", &preds1, None, h),
-            ("preds2", &preds2, Some(h), h),
-            ("out1", &out1, Some(3 * h), h),
-            ("out2", &out2, Some(h), 1),
-        ] {
-            assert!(
-                want_in.is_none_or(|w| w == l.in_dim()) && l.out_dim() == want_out,
-                "mis-wired frozen model: {name} shape breaks the MSCN wiring"
-            );
+        if let Some(why) = miswiring(h, layers) {
+            panic!("mis-wired frozen model: {why}");
         }
         Self {
             tables1,
@@ -668,8 +688,55 @@ impl FrozenModel {
         ]
     }
 
+    /// Scalar parameters: every layer's weights and bias.
+    pub fn num_params(&self) -> usize {
+        self.layers()
+            .iter()
+            .map(|l| (l.in_dim + 1) * l.out_dim)
+            .sum()
+    }
+
+    /// Writes the weights: the `MSCN` header, the hidden width, then the
+    /// eight layers in [`FrozenModel::layers`] order.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.header(MAGIC, VERSION);
+        e.u64(self.hidden as u64);
+        for l in self.layers() {
+            e.linear(l);
+        }
+    }
+
+    /// Reads what [`FrozenModel::encode`] wrote. Layers off the MSCN
+    /// wiring, or a hidden width they do not have, are
+    /// [`DecodeError::Corrupt`]; the set modules' input widths are the
+    /// featurizer's to check.
+    pub fn decode(d: &mut Decoder) -> Result<Self, DecodeError> {
+        let version = d.header(MAGIC)?;
+        if version != VERSION {
+            return Err(DecodeError::BadHeader(format!(
+                "unsupported MSCN version {version}"
+            )));
+        }
+        let hidden = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
+        let mut layer = || d.linear();
+        let (t1, t2, j1, j2) = (layer()?, layer()?, layer()?, layer()?);
+        let (p1, p2, o1, o2) = (layer()?, layer()?, layer()?, layer()?);
+        if let Some(why) = miswiring(hidden, [&t1, &t2, &j1, &j2, &p1, &p2, &o1, &o2]) {
+            return Err(DecodeError::Corrupt(format!(
+                "inconsistent MSCN shapes: {why}"
+            )));
+        }
+        Ok(Self::new(t1, t2, j1, j2, p1, p2, o1, o2))
+    }
+
+    /// Empties the element memo and zeroes its counters, as if the
+    /// artifact had just been built; the weights are untouched.
+    pub fn clear_memo(&mut self) {
+        self.memo = ElementMemo::default();
+    }
+
     /// What the element memo has done since this artifact was built,
-    /// loaded or cloned, and what it holds now.
+    /// loaded, cloned or cleared, and what it holds now.
     pub fn memo_stats(&self) -> MemoStats {
         MemoStats {
             hits: self.memo.hits.load(Ordering::Relaxed),
@@ -855,6 +922,38 @@ impl FrozenModel {
         }
         missing.len()
     }
+}
+
+/// Serialization magic and version of the weights.
+const MAGIC: &[u8; 4] = b"MSCN";
+const VERSION: u32 = 1;
+
+/// Why layers in [`FrozenModel::layers`] order do not form an MSCN of
+/// hidden width `h` — set modules `in → h → h`, output MLP `3·h → h → 1`
+/// — or `None` when they do.
+fn miswiring(h: usize, layers: [&FrozenLinear; 8]) -> Option<String> {
+    if h == 0 {
+        return Some("zero hidden width".into());
+    }
+    // Each layer's input width (`None`: the featurizer's, free) and
+    // output width.
+    let wiring = [
+        ("tables1", None, h),
+        ("tables2", Some(h), h),
+        ("joins1", None, h),
+        ("joins2", Some(h), h),
+        ("preds1", None, h),
+        ("preds2", Some(h), h),
+        ("out1", Some(h.saturating_mul(3)), h),
+        ("out2", Some(h), 1),
+    ];
+    wiring
+        .into_iter()
+        .zip(layers)
+        .find(|((_, want_in, want_out), l)| {
+            want_in.is_some_and(|w| w != l.in_dim()) || l.out_dim() != *want_out
+        })
+        .map(|((name, ..), _)| format!("{name} shape breaks the MSCN wiring"))
 }
 
 /// Adds one element's embedding, scaled by `inv`, to its query's pooled
@@ -1361,6 +1460,18 @@ mod tests {
     }
 
     #[test]
+    fn a_cleared_memo_starts_over_and_answers_the_same_bits() {
+        let mut m = tiny_model();
+        let stream = repeating_stream(50);
+        let warm: Vec<u32> = stream.iter().map(|q| forward(&m, q)).collect();
+        assert!(m.memo_stats().hits > 0);
+        m.clear_memo();
+        assert_eq!(m.memo_stats(), MemoStats::default());
+        let cold: Vec<u32> = stream.iter().map(|q| forward(&m, q)).collect();
+        assert_eq!(cold, warm);
+    }
+
+    #[test]
     fn the_memo_never_holds_more_than_its_constant_bound() {
         let mut s = 0xB0B0u64;
         let mut next = move || {
@@ -1657,6 +1768,64 @@ mod tests {
         // And an empty join set alongside populated sets is fine too.
         let v2 = m.forward_query(&t, &empty, &p, &mut scratch);
         assert!((0.0..=1.0).contains(&v2));
+    }
+
+    #[test]
+    fn the_weights_decode_to_the_artifact_that_encoded_them() {
+        let m = tiny_model();
+        let mut e = Encoder::new();
+        m.encode(&mut e);
+        let bytes = e.finish();
+        let back = FrozenModel::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.num_params(), m.num_params());
+        let mut again = Encoder::new();
+        back.encode(&mut again);
+        assert_eq!(again.finish(), bytes);
+        assert!(FrozenModel::decode(&mut Decoder::new(b"not a model")).is_err());
+    }
+
+    /// Layers a model could not have — one off the wiring, a hidden width
+    /// word they do not have, no hidden width at all — decode to a typed
+    /// error, never to [`FrozenModel::new`]'s panic.
+    #[test]
+    fn weights_off_the_mscn_wiring_are_corrupt() {
+        let blob = |hidden: u64, shapes: [(usize, usize); 8]| {
+            let mut e = Encoder::new();
+            e.header(MAGIC, VERSION);
+            e.u64(hidden);
+            for (i, (rows, cols)) in shapes.into_iter().enumerate() {
+                e.linear(&FrozenLinear::from_linear(&linear(rows, cols, i as u64)));
+            }
+            e.finish()
+        };
+        let wired = |t2_out| {
+            [
+                (5, 4),
+                (4, t2_out),
+                (3, 4),
+                (4, 4),
+                (6, 4),
+                (4, 4),
+                (12, 4),
+                (4, 1),
+            ]
+        };
+        let decode = |bytes: Vec<u8>| FrozenModel::decode(&mut Decoder::new(&bytes));
+        assert!(decode(blob(4, wired(4))).is_ok());
+        let zero = [
+            (5, 0),
+            (0, 0),
+            (3, 0),
+            (0, 0),
+            (6, 0),
+            (0, 0),
+            (0, 0),
+            (0, 1),
+        ];
+        for bad in [blob(4, wired(5)), blob(5, wired(4)), blob(0, zero)] {
+            assert!(matches!(decode(bad), Err(DecodeError::Corrupt(_))));
+        }
     }
 
     #[test]

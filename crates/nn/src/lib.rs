@@ -24,6 +24,8 @@
 //! Everything is deterministic given a seed, and every backward pass is
 //! validated against finite differences in the test suite.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod frozen;
 pub mod linear;
 pub mod loss;
@@ -35,7 +37,7 @@ pub mod sparse;
 pub mod tensor;
 
 pub use frozen::{FrozenLinear, FrozenModel, FrozenScratch, IndexSet};
-pub use linear::{GradScratch, Linear};
+pub use linear::{GradScratch, Linear, LinearGrads};
 pub use loss::{LabelNormalizer, QErrorLoss};
 pub use optim::Adam;
 pub use pool::Team;

@@ -35,19 +35,51 @@ impl GradScratch {
     }
 }
 
-/// A fully-connected layer `y = x·W + b` with gradient accumulation.
+/// A fully-connected layer `y = x·W + b`: its weights and nothing else.
 ///
-/// `W` has shape (in_dim × out_dim); `b` has length out_dim. Gradients
-/// accumulate across [`Linear::backward`] calls until [`Linear::zero_grad`]
-/// (the optimizer does this after each step), which lets several set-module
-/// applications share one weight matrix — the weight sharing at the heart of
-/// the MSCN set modules.
+/// `W` has shape (in_dim × out_dim); `b` has length out_dim. The gradients
+/// of training live outside the layer, in a [`LinearGrads`] the trainer
+/// owns: they accumulate across [`Linear::backward`] calls until
+/// [`LinearGrads::zero`] (the optimizer does this after each step), which
+/// lets several set-module applications share one weight matrix — the
+/// weight sharing at the heart of the MSCN set modules.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
     b: Vec<f32>,
-    grad_w: Tensor,
-    grad_b: Vec<f32>,
+}
+
+/// The accumulated `∂L/∂W` and `∂L/∂b` of one [`Linear`], in its shape.
+#[derive(Debug, Clone)]
+pub struct LinearGrads {
+    w: Tensor,
+    b: Vec<f32>,
+}
+
+impl LinearGrads {
+    /// Zero gradients in `layer`'s shape.
+    pub fn zeros(layer: &Linear) -> Self {
+        Self {
+            w: Tensor::zeros(layer.in_dim(), layer.out_dim()),
+            b: vec![0.0; layer.out_dim()],
+        }
+    }
+
+    /// `∂L/∂W`.
+    pub fn weights(&self) -> &Tensor {
+        &self.w
+    }
+
+    /// `∂L/∂b`.
+    pub fn bias(&self) -> &[f32] {
+        &self.b
+    }
+
+    /// Clears accumulated gradients.
+    pub fn zero(&mut self) {
+        self.w.data_mut().fill(0.0);
+        self.b.fill(0.0);
+    }
 }
 
 impl Linear {
@@ -63,25 +95,16 @@ impl Linear {
         Self {
             w: Tensor::from_vec(in_dim, out_dim, data),
             b: vec![0.0; out_dim],
-            grad_w: Tensor::zeros(in_dim, out_dim),
-            grad_b: vec![0.0; out_dim],
         }
     }
 
-    /// Rebuilds a layer from raw parameters (deserialization).
+    /// Rebuilds a layer from raw parameters.
     ///
     /// # Panics
     /// Panics if `b.len()` differs from `w.cols()`.
     pub fn from_params(w: Tensor, b: Vec<f32>) -> Self {
         assert_eq!(b.len(), w.cols(), "bias length mismatch");
-        let grad_w = Tensor::zeros(w.rows(), w.cols());
-        let grad_b = vec![0.0; b.len()];
-        Self {
-            w,
-            b,
-            grad_w,
-            grad_b,
-        }
+        Self { w, b }
     }
 
     /// Input dimensionality.
@@ -130,13 +153,14 @@ impl Linear {
 
     /// Backward pass. `x` must be the input of the matching forward call and
     /// `grad_out` the gradient w.r.t. its output. Accumulates `∂L/∂W` and
-    /// `∂L/∂b`, returns `∂L/∂x`.
-    pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
+    /// `∂L/∂b` into `grads`, returns `∂L/∂x`.
+    pub fn backward(&self, x: &Tensor, grad_out: &Tensor, grads: &mut LinearGrads) -> Tensor {
         assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
         let mut scratch = GradScratch::new();
         let rows = IndexSet::of_dense(x.data(), x.cols());
         let mut gx = Tensor::zeros(0, 0);
-        self.backward_into(rows.rows(), grad_out, &Team::solo(), &mut scratch, &mut gx);
+        let team = Team::solo();
+        self.backward_into(rows.rows(), grad_out, grads, &team, &mut scratch, &mut gx);
         gx
     }
 
@@ -146,16 +170,15 @@ impl Linear {
     /// `grad_out`, each with its own glue (a transpose, a compression) in
     /// front of its product, so a second lane takes one whole.
     pub fn backward_into(
-        &mut self,
+        &self,
         x: Rows<'_>,
         grad_out: &Tensor,
+        grads: &mut LinearGrads,
         team: &Team,
         scratch: &mut GradScratch,
         out: &mut Tensor,
     ) {
-        let Self {
-            w, grad_w, grad_b, ..
-        } = self;
+        self.check_shape(grads);
         let GradScratch {
             x_cols,
             col_sums,
@@ -163,28 +186,29 @@ impl Linear {
             w_t,
         } = scratch;
         team.join(
-            || accumulate(grad_w, grad_b, x, grad_out, team, x_cols, col_sums),
-            || input_grad(w, grad_out, team, grad_rows, w_t, out),
+            || accumulate(grads, x, grad_out, team, x_cols, col_sums),
+            || input_grad(&self.w, grad_out, team, grad_rows, w_t, out),
         );
     }
 
     /// Accumulates `∂L/∂W = xᵀ · grad_out` and `∂L/∂b` (the column sums of
-    /// `grad_out`) for this layer *without* computing `∂L/∂x` — all an
-    /// input layer needs. `x` is the forward input as sparse rows. Each
-    /// gradient element is summed over the batch rows ascending, from
-    /// zero, and then added to what had accumulated.
+    /// `grad_out`) into `grads` *without* computing `∂L/∂x` — all an input
+    /// layer needs. `x` is the forward input as sparse rows. Each gradient
+    /// element is summed over the batch rows ascending, from zero, and then
+    /// added to what had accumulated.
     pub fn accumulate_grads(
-        &mut self,
+        &self,
         x: Rows<'_>,
         grad_out: &Tensor,
+        grads: &mut LinearGrads,
         team: &Team,
         scratch: &mut GradScratch,
     ) {
+        self.check_shape(grads);
         let GradScratch {
             x_cols, col_sums, ..
         } = scratch;
-        let (grad_w, grad_b) = (&mut self.grad_w, &mut self.grad_b);
-        accumulate(grad_w, grad_b, x, grad_out, team, x_cols, col_sums);
+        accumulate(grads, x, grad_out, team, x_cols, col_sums);
     }
 
     /// Computes `∂L/∂x = grad_out · Wᵀ` into a reusable tensor. Combined
@@ -201,12 +225,6 @@ impl Linear {
         input_grad(&self.w, grad_out, team, grad_rows, w_t, out);
     }
 
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_w.data_mut().fill(0.0);
-        self.grad_b.fill(0.0);
-    }
-
     /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.w.data().len() + self.b.len()
@@ -214,37 +232,32 @@ impl Linear {
 
     /// The layer's parameters beside their accumulated gradients, weights
     /// first, then bias — the optimizer's interface.
-    pub fn params_and_grads_mut(&mut self) -> [(&mut [f32], &[f32]); 2] {
-        [
-            (self.w.data_mut(), self.grad_w.data()),
-            (&mut self.b, &self.grad_b),
-        ]
+    pub fn params_and_grads_mut<'a>(
+        &'a mut self,
+        grads: &'a LinearGrads,
+    ) -> [(&'a mut [f32], &'a [f32]); 2] {
+        self.check_shape(grads);
+        [(self.w.data_mut(), grads.w.data()), (&mut self.b, &grads.b)]
     }
 
-    /// Visits every (flat index, parameter, accumulated gradient) pair in
-    /// [`Linear::params_and_grads_mut`] order.
-    pub fn for_each_param_mut(&mut self, mut f: impl FnMut(usize, &mut f32, f32)) {
-        let mut i = 0;
-        for (params, grads) in self.params_and_grads_mut() {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                f(i, p, g);
-                i += 1;
-            }
-        }
+    /// Every method that takes a layer's gradients panics unless they are
+    /// in its shape.
+    fn check_shape(&self, grads: &LinearGrads) {
+        assert_eq!(grads.w.rows(), self.in_dim(), "gradient shape mismatch");
+        assert_eq!(grads.w.cols(), self.out_dim(), "gradient shape mismatch");
     }
 }
 
 /// [`Linear::accumulate_grads`] over the gradients and scratch it uses.
 fn accumulate(
-    grad_w: &mut Tensor,
-    grad_b: &mut [f32],
+    grads: &mut LinearGrads,
     x: Rows<'_>,
     grad_out: &Tensor,
     team: &Team,
     x_cols: &mut IndexSet,
     col_sums: &mut Vec<f32>,
 ) {
-    let (in_dim, out_dim) = (grad_w.rows(), grad_w.cols());
+    let (in_dim, out_dim) = (grads.w.rows(), grads.w.cols());
     assert_eq!(grad_out.rows(), x.spans.len(), "batch mismatch");
     assert_eq!(grad_out.cols(), out_dim, "grad width mismatch");
     let _span = ds_obs::global().span("linear_bwd_grads");
@@ -255,10 +268,10 @@ fn accumulate(
         x_cols.rows(),
         Finish::Accumulate,
         team,
-        grad_w.data_mut(),
+        grads.w.data_mut(),
     );
     grad_out.col_sums_into(col_sums);
-    for (a, b) in grad_b.iter_mut().zip(&*col_sums) {
+    for (a, b) in grads.b.iter_mut().zip(&*col_sums) {
         *a += b;
     }
 }
@@ -295,12 +308,12 @@ mod tests {
     /// Finite-difference gradient check for a scalar loss L = sum(forward(x)).
     #[test]
     fn gradients_match_finite_differences() {
-        let mut layer = Linear::new(4, 3, 42);
+        let layer = Linear::new(4, 3, 42);
+        let mut grads = LinearGrads::zeros(&layer);
         let x = Tensor::from_vec(2, 4, (0..8).map(|i| i as f32 * 0.3 - 1.0).collect());
-        let y = layer.forward(&x);
         // L = sum(y) → grad_out = ones.
         let grad_out = Tensor::from_vec(2, 3, vec![1.0; 6]);
-        let grad_x = layer.backward(&x, &grad_out);
+        let grad_x = layer.backward(&x, &grad_out, &mut grads);
 
         let eps = 1e-3_f32;
         let loss = |l: &Linear, x: &Tensor| -> f32 { l.forward(x).data().iter().sum() };
@@ -323,32 +336,31 @@ mod tests {
             let mut lm = layer.clone();
             lm.w.data_mut()[i] -= eps;
             let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * eps);
-            let ana = layer.grad_w.data()[i];
+            let ana = grads.w.data()[i];
             assert!((num - ana).abs() < 1e-2, "dW[{i}]: num={num} ana={ana}");
         }
 
         // Check ∂L/∂b numerically: each bias sees the batch count.
-        for (i, &g) in layer.grad_b.iter().enumerate() {
+        for (i, &g) in grads.b.iter().enumerate() {
             assert!((g - 2.0).abs() < 1e-6, "db[{i}]={g}");
         }
-
-        let _ = y;
     }
 
     #[test]
     fn gradient_accumulates_until_zeroed() {
-        let mut layer = Linear::new(2, 2, 1);
+        let layer = Linear::new(2, 2, 1);
+        let mut grads = LinearGrads::zeros(&layer);
         let x = Tensor::from_vec(1, 2, vec![1.0, 2.0]);
         let g = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
-        layer.backward(&x, &g);
-        let first = layer.grad_w.data().to_vec();
-        layer.backward(&x, &g);
-        for (a, b) in layer.grad_w.data().iter().zip(&first) {
+        layer.backward(&x, &g, &mut grads);
+        let first = grads.w.data().to_vec();
+        layer.backward(&x, &g, &mut grads);
+        for (a, b) in grads.w.data().iter().zip(&first) {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
-        layer.zero_grad();
-        assert!(layer.grad_w.data().iter().all(|&v| v == 0.0));
-        assert!(layer.grad_b.iter().all(|&v| v == 0.0));
+        grads.zero();
+        assert!(grads.w.data().iter().all(|&v| v == 0.0));
+        assert!(grads.b.iter().all(|&v| v == 0.0));
     }
 
     #[test]

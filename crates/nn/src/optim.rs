@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::linear::Linear;
+use crate::linear::{Linear, LinearGrads};
 use crate::pool::Team;
 
 /// Per-layer Adam state.
@@ -39,14 +39,15 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam update to `layer` (identified by `id`) and clears
-    /// its gradients. The update is elementwise — a parameter, its
+    /// Applies one Adam update to `layer` (identified by `id`) from its
+    /// accumulated `grads`, and clears them. The update is elementwise — a parameter, its
     /// gradient and its two moments — so a large layer's parameters are
     /// cut in two for an idle lane of `team` without changing a bit.
     ///
     /// # Panics
-    /// Panics if the same `id` is reused for a layer of a different size.
-    pub fn step(&mut self, id: usize, layer: &mut Linear, team: &Team) {
+    /// Panics if the same `id` is reused for a layer of a different size,
+    /// or if `grads` is not in `layer`'s shape.
+    pub fn step(&mut self, id: usize, layer: &mut Linear, grads: &mut LinearGrads, team: &Team) {
         let n = layer.num_params();
         let state = self.states.entry(id).or_insert_with(|| AdamState {
             m: vec![0.0; n],
@@ -69,7 +70,7 @@ impl Adam {
             bc2: 1.0 - self.beta2.powf(t),
         };
         let mut at = 0;
-        for (params, grads) in layer.params_and_grads_mut() {
+        for (params, grads) in layer.params_and_grads_mut(grads) {
             let moments = at..at + params.len();
             let (m, v) = (&mut state.m[moments.clone()], &mut state.v[moments.clone()]);
             if params.len() >= FORK_MIN_PARAMS && team.has_idle() {
@@ -82,7 +83,7 @@ impl Adam {
             }
             at = moments.end;
         }
-        layer.zero_grad();
+        grads.zero();
     }
 }
 
@@ -154,8 +155,9 @@ mod tests {
     use crate::tensor::Tensor;
 
     /// Trains y = 2x + 1 with a single linear layer.
-    fn fit(optimizer: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
+    fn fit(optimizer: &mut dyn FnMut(&mut Linear, &mut LinearGrads), steps: usize) -> f32 {
         let mut layer = Linear::new(1, 1, 3);
+        let mut grads = LinearGrads::zeros(&layer);
         let xs: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
         let mut last_loss = f32::MAX;
         for _ in 0..steps {
@@ -170,8 +172,8 @@ mod tests {
                 loss += diff * diff / 16.0;
                 grad.data_mut()[i] = 2.0 * diff / 16.0;
             }
-            layer.backward(&x, &grad);
-            optimizer(&mut layer);
+            layer.backward(&x, &grad, &mut grads);
+            optimizer(&mut layer, &mut grads);
             last_loss = loss;
         }
         last_loss
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn adam_converges_on_linear_regression() {
         let mut adam = Adam::new(0.05);
-        let loss = fit(&mut |l| adam.step(0, l, &Team::solo()), 300);
+        let loss = fit(&mut |l, g| adam.step(0, l, g, &Team::solo()), 300);
         assert!(loss < 1e-4, "loss={loss}");
     }
 
@@ -189,12 +191,13 @@ mod tests {
         let mut adam = Adam::new(0.01);
         let mut l1 = Linear::new(2, 2, 1);
         let mut l2 = Linear::new(3, 1, 2);
+        let (mut g1, mut g2) = (LinearGrads::zeros(&l1), LinearGrads::zeros(&l2));
         let x1 = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
         let x2 = Tensor::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
-        l1.backward(&x1, &Tensor::from_vec(1, 2, vec![1.0, 1.0]));
-        l2.backward(&x2, &Tensor::from_vec(1, 1, vec![1.0]));
-        adam.step(0, &mut l1, &Team::solo());
-        adam.step(1, &mut l2, &Team::solo());
+        l1.backward(&x1, &Tensor::from_vec(1, 2, vec![1.0, 1.0]), &mut g1);
+        l2.backward(&x2, &Tensor::from_vec(1, 1, vec![1.0]), &mut g2);
+        adam.step(0, &mut l1, &mut g1, &Team::solo());
+        adam.step(1, &mut l2, &mut g2, &Team::solo());
         assert_eq!(adam.states.len(), 2);
     }
 
@@ -204,8 +207,9 @@ mod tests {
         let mut adam = Adam::new(0.01);
         let mut l1 = Linear::new(2, 2, 1);
         let mut l2 = Linear::new(3, 1, 2);
-        adam.step(0, &mut l1, &Team::solo());
-        adam.step(0, &mut l2, &Team::solo());
+        let (mut g1, mut g2) = (LinearGrads::zeros(&l1), LinearGrads::zeros(&l2));
+        adam.step(0, &mut l1, &mut g1, &Team::solo());
+        adam.step(0, &mut l2, &mut g2, &Team::solo());
     }
 
     #[test]
@@ -217,10 +221,11 @@ mod tests {
         let run = |lanes: usize| {
             let mut adam = Adam::new(0.01);
             let mut layer = Linear::new(rows, cols, 9);
+            let mut grads = LinearGrads::zeros(&layer);
             Team::run(lanes, |team| {
                 for _ in 0..3 {
-                    layer.backward(&x, &g);
-                    adam.step(0, &mut layer, team);
+                    layer.backward(&x, &g, &mut grads);
+                    adam.step(0, &mut layer, &mut grads, team);
                 }
             });
             (layer.weights().clone(), layer.bias().to_vec())
@@ -235,11 +240,16 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut adam = Adam::new(0.01);
         let mut l = Linear::new(2, 1, 5);
+        let mut grads = LinearGrads::zeros(&l);
         let x = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
-        l.backward(&x, &Tensor::from_vec(1, 1, vec![1.0]));
-        adam.step(0, &mut l, &Team::solo());
-        let mut any_grad = false;
-        l.for_each_param_mut(|_, _, g| any_grad |= g != 0.0);
-        assert!(!any_grad);
+        l.backward(&x, &Tensor::from_vec(1, 1, vec![1.0]), &mut grads);
+        assert!(grads.bias()[0] != 0.0);
+        adam.step(0, &mut l, &mut grads, &Team::solo());
+        assert!(grads
+            .weights()
+            .data()
+            .iter()
+            .chain(grads.bias())
+            .all(|&g| g == 0.0));
     }
 }

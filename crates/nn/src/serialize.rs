@@ -8,11 +8,9 @@
 //! Layout: all integers little-endian; `f32`/`f64` as IEEE-754 bits;
 //! vectors as `u64` length + elements; strings as `u64` length + UTF-8.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use bytes::{Buf, BufMut};
 
-use crate::linear::Linear;
+use crate::frozen::FrozenLinear;
 use crate::tensor::Tensor;
 
 /// Decoding failures.
@@ -113,17 +111,23 @@ impl Encoder {
 
     /// Writes a tensor (rows, cols, data).
     pub fn tensor(&mut self, t: &Tensor) {
-        self.buf.put_u64_le(t.rows() as u64);
-        self.buf.put_u64_le(t.cols() as u64);
-        for &x in t.data() {
-            self.buf.put_f32_le(x);
-        }
+        self.matrix(t.rows(), t.cols(), t.data());
     }
 
-    /// Writes a linear layer (weights then bias).
-    pub fn linear(&mut self, l: &Linear) {
-        self.tensor(l.weights());
+    /// Writes a linear layer: its weights as a tensor, then its bias.
+    pub fn linear(&mut self, l: &FrozenLinear) {
+        self.matrix(l.in_dim(), l.out_dim(), l.weights());
         self.f32_slice(l.bias());
+    }
+
+    /// Writes a row-major `rows × cols` matrix the way
+    /// [`Encoder::tensor`] does.
+    fn matrix(&mut self, rows: usize, cols: usize, data: &[f32]) {
+        self.buf.put_u64_le(rows as u64);
+        self.buf.put_u64_le(cols as u64);
+        for &x in data {
+            self.buf.put_f32_le(x);
+        }
     }
 
     /// Finishes and returns the bytes.
@@ -282,14 +286,14 @@ impl<'a> Decoder<'a> {
         Ok(Tensor::from_vec(rows, cols, data))
     }
 
-    /// Reads a linear layer.
-    pub fn linear(&mut self) -> Result<Linear, DecodeError> {
+    /// Reads a linear layer, into serving layout.
+    pub fn linear(&mut self) -> Result<FrozenLinear, DecodeError> {
         let w = self.tensor()?;
         let b = self.f32_vec()?;
         if b.len() != w.cols() {
             return Err(DecodeError::Corrupt("bias length mismatch".into()));
         }
-        Ok(Linear::from_params(w, b))
+        Ok(FrozenLinear::from_parts(w.rows(), w.cols(), w.data(), b))
     }
 
     /// True when all bytes are consumed.
@@ -301,6 +305,7 @@ impl<'a> Decoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear::Linear;
 
     #[test]
     fn primitive_roundtrip() {
@@ -334,10 +339,10 @@ mod tests {
     fn linear_roundtrip_preserves_forward() {
         let l = Linear::new(5, 3, 77);
         let mut e = Encoder::new();
-        e.linear(&l);
+        e.linear(&FrozenLinear::from_linear(&l));
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        let l2 = d.linear().unwrap();
+        let l2 = d.linear().unwrap().thaw();
         let x = Tensor::from_vec(2, 5, (0..10).map(|i| i as f32 * 0.1).collect());
         assert_eq!(l.forward(&x), l2.forward(&x));
     }

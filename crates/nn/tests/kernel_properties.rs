@@ -19,7 +19,7 @@
 //! even, to cut.
 
 use ds_nn::frozen::{FrozenLinear, IndexSet};
-use ds_nn::linear::{GradScratch, Linear};
+use ds_nn::linear::{GradScratch, Linear, LinearGrads};
 use ds_nn::pool::Team;
 use ds_nn::sparse::{entry_cut, sparse_rows_pool, sparse_rows_portable, Finish};
 use ds_nn::tensor::{reference, Tensor};
@@ -85,13 +85,6 @@ fn reference_forward(x: &Tensor, layer: &Linear, relu: bool) -> Tensor {
     want
 }
 
-/// The layer's accumulated `(∂L/∂W, ∂L/∂b)`.
-fn grads_of(layer: &mut Linear) -> (Tensor, Vec<f32>) {
-    let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
-    let [(_, gw), (_, gb)] = layer.params_and_grads_mut();
-    (Tensor::from_vec(in_dim, out_dim, gw.to_vec()), gb.to_vec())
-}
-
 /// Every product of one layer over one input, against the oracle: the
 /// training forward with and without ReLU, its frozen copy (dispatched and
 /// portable), the weight and bias gradients accumulated twice, and the
@@ -132,21 +125,20 @@ fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), Test
     let once_b = grad_out.col_sums();
     let want_in = reference::matmul_t(grad_out, layer.weights());
     for threads in THREAD_COUNTS {
-        let mut layer = layer.clone();
+        let mut grads = LinearGrads::zeros(layer);
         for pass in 1..=2 {
             Team::run(threads, |team| {
-                layer.accumulate_grads(rows.rows(), grad_out, team, &mut scratch)
+                layer.accumulate_grads(rows.rows(), grad_out, &mut grads, team, &mut scratch)
             });
             // The second pass adds the same full product to the first.
             let scale = |v: f32| if pass == 1 { v } else { v + v };
-            let (gw, gb) = grads_of(&mut layer);
             assert_same(
-                &gw,
+                grads.weights(),
                 &once_w.map(scale),
                 &format!("grad_w {what} t={threads}"),
             )?;
             let want_b: Vec<f32> = once_b.iter().map(|&v| scale(v)).collect();
-            prop_assert_eq!(gb, want_b, "grad_b {} t={}", &what, threads);
+            prop_assert_eq!(grads.bias(), &want_b[..], "grad_b {} t={}", &what, threads);
         }
         Team::run(threads, |team| {
             layer.input_grad_into(grad_out, team, &mut scratch, &mut out)

@@ -2,7 +2,8 @@
 //! on classic tasks end-to-end, exercise serialization of whole models, and
 //! validate the set-pooling path outside MSCN.
 
-use ds_nn::linear::Linear;
+use ds_nn::frozen::FrozenLinear;
+use ds_nn::linear::{Linear, LinearGrads};
 use ds_nn::ops::{
     relu, relu_backward, segment_mean, segment_mean_backward, sigmoid, sigmoid_backward, Segments,
 };
@@ -33,12 +34,18 @@ impl Mlp {
         (y.clone(), (z1, a1, y))
     }
 
-    fn backward(&mut self, x: &Tensor, cache: &(Tensor, Tensor, Tensor), grad_y: &Tensor) {
+    fn backward(
+        &self,
+        x: &Tensor,
+        cache: &(Tensor, Tensor, Tensor),
+        grad_y: &Tensor,
+        [g1, g2]: &mut [LinearGrads; 2],
+    ) {
         let (z1, a1, y) = cache;
         let g_z2 = sigmoid_backward(y, grad_y);
-        let g_a1 = self.l2.backward(a1, &g_z2);
+        let g_a1 = self.l2.backward(a1, &g_z2, g2);
         let g_z1 = relu_backward(z1, &g_a1);
-        self.l1.backward(x, &g_z1);
+        self.l1.backward(x, &g_z1, g1);
     }
 }
 
@@ -49,6 +56,7 @@ fn mlp_learns_xor() {
     let x = Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
     let targets = [0.0f32, 1.0, 1.0, 0.0];
     let mut mlp = Mlp::new(2, 8, 11);
+    let mut grads = [&mlp.l1, &mlp.l2].map(LinearGrads::zeros);
     let mut adam = Adam::new(0.05);
     for _ in 0..500 {
         let (y, cache) = mlp.forward(&x);
@@ -56,9 +64,10 @@ fn mlp_learns_xor() {
         for (i, (&yi, &t)) in y.data().iter().zip(&targets).enumerate() {
             grad.data_mut()[i] = 2.0 * (yi - t) / 4.0;
         }
-        mlp.backward(&x, &cache, &grad);
-        adam.step(0, &mut mlp.l1, &Team::solo());
-        adam.step(1, &mut mlp.l2, &Team::solo());
+        mlp.backward(&x, &cache, &grad, &mut grads);
+        let [g1, g2] = &mut grads;
+        adam.step(0, &mut mlp.l1, g1, &Team::solo());
+        adam.step(1, &mut mlp.l2, g2, &Team::solo());
     }
     let (y, _) = mlp.forward(&x);
     for (i, &t) in targets.iter().enumerate() {
@@ -101,6 +110,7 @@ fn set_network_learns_positive_fraction() {
 
     let mut enc = Linear::new(1, 8, 3);
     let mut head = Linear::new(8, 1, 4);
+    let (mut g_enc, mut g_head) = (LinearGrads::zeros(&enc), LinearGrads::zeros(&head));
     let mut adam = Adam::new(0.02);
     let mut final_loss = f32::MAX;
     for _ in 0..400 {
@@ -119,12 +129,12 @@ fn set_network_learns_positive_fraction() {
         }
         final_loss = loss;
         let g_z2 = sigmoid_backward(&y, &grad);
-        let g_pooled = head.backward(&pooled, &g_z2);
+        let g_pooled = head.backward(&pooled, &g_z2, &mut g_head);
         let g_a1 = segment_mean_backward(x.rows(), &g_pooled, &segments);
         let g_z1 = relu_backward(&z1, &g_a1);
-        enc.backward(&x, &g_z1);
-        adam.step(0, &mut enc, &Team::solo());
-        adam.step(1, &mut head, &Team::solo());
+        enc.backward(&x, &g_z1, &mut g_enc);
+        adam.step(0, &mut enc, &mut g_enc, &Team::solo());
+        adam.step(1, &mut head, &mut g_head, &Team::solo());
     }
     assert!(final_loss < 0.03, "set task MSE {final_loss}");
 }
@@ -135,14 +145,14 @@ fn whole_model_serialization_is_bit_exact() {
     let mlp = Mlp::new(3, 5, 42);
     let mut e = Encoder::new();
     e.header(b"TST2", 1);
-    e.linear(&mlp.l1);
-    e.linear(&mlp.l2);
+    e.linear(&FrozenLinear::from_linear(&mlp.l1));
+    e.linear(&FrozenLinear::from_linear(&mlp.l2));
     let bytes = e.finish();
 
     let mut d = Decoder::new(&bytes);
     assert_eq!(d.header(b"TST2").unwrap(), 1);
-    let l1 = d.linear().unwrap();
-    let l2 = d.linear().unwrap();
+    let l1 = d.linear().unwrap().thaw();
+    let l2 = d.linear().unwrap().thaw();
     assert!(d.is_done());
     let restored = Mlp { l1, l2 };
 
