@@ -26,7 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ds_nn::frozen::IndexSet;
+use ds_nn::frozen::{BitRows, IndexSet};
 use ds_nn::ops::Segments;
 use ds_nn::sparse::Rows;
 use ds_nn::tensor::Tensor;
@@ -401,11 +401,12 @@ impl Featurizer {
         }
     }
 
-    /// Featurizes one query as sparse index lists for the fused frozen
-    /// forward path — the exact same active `(index, value)` pairs as
-    /// [`Featurizer::featurize`], pushed in ascending index order per
-    /// element, without ever materializing the dense one-hot rows. Reuses
-    /// `out`'s buffers, so a serving loop allocates nothing per query.
+    /// Featurizes one query as sparse index lists — the exact same active
+    /// `(index, value)` pairs as [`Featurizer::featurize`], in ascending
+    /// index order per element, without ever materializing the dense
+    /// one-hot rows: [`Featurizer::append_indices`] into a cleared `out`,
+    /// its table bitsets then expanded into `out.tables`. Reuses `out`'s
+    /// buffers, so a loop over queries allocates nothing per query.
     pub fn featurize_indices(
         &self,
         query: &Query,
@@ -414,33 +415,39 @@ impl Featurizer {
     ) {
         out.clear();
         self.append_indices(query, samples, out);
+        out.expand_tables();
     }
 
-    /// [`Featurizer::featurize_indices`] without the clear: appends the
-    /// query's elements behind whatever `out` already holds, which is how
-    /// a batch is laid out for the fused forward (every query's sets back
-    /// to back). Returns how many `[table, join, predicate]` elements the
-    /// query contributed.
+    /// Appends the query's elements behind whatever `out` already holds,
+    /// which is how a batch is laid out for the fused forward (every
+    /// query's sets back to back). Returns how many `[table, join,
+    /// predicate]` elements the query contributed.
+    ///
+    /// A table element goes to `out.table_bits` as its bitset over
+    /// [`Featurizer::table_dim`] features: the table's one-hot bit, then
+    /// the words of its qualifying-sample bitmap shifted by the number of
+    /// tables. The served forward looks it up in the element memo by those
+    /// words and expands only an element the memo misses into entries, so
+    /// no per-bit entry is written for the elements it holds. Join and
+    /// predicate elements go to `out.joins` and `out.preds` as entries.
     pub fn append_indices(
         &self,
         query: &Query,
         samples: &[TableSample],
         out: &mut QueryIndexFeatures,
     ) -> [u32; 3] {
-        // Table set: one-hot(table) then the bitmap tail (ascending).
+        // Table set: one-hot(table) then the bitmap tail.
+        let width = self.table_dim();
         for &t in &query.tables {
-            let start = out.tables.begin_elem();
+            let mut row = out.table_bits.push_clear(width);
             if t.0 < self.num_tables {
-                out.tables.push(t.0 as u32, 1.0);
+                row.set(t.0);
             }
             if self.use_bitmaps {
                 samples[t.0].qualify_into(query.preds_of(t), &mut out.qualifying);
                 debug_assert_eq!(out.qualifying.len(), self.sample_size);
-                for i in out.qualifying.iter_ones() {
-                    out.tables.push((self.num_tables + i) as u32, 1.0);
-                }
+                row.or_shifted(self.num_tables, out.qualifying.words());
             }
-            out.tables.finish_elem(start);
         }
 
         // Join set: a single one-hot, or an all-zero element for joins
@@ -500,8 +507,9 @@ impl Featurizer {
 
     /// Featurizes a whole workload once, as index lists — what the training
     /// loop draws its batches from ([`FeaturePool::batch`]). The same
-    /// [`Featurizer::append_indices`] serving runs, so training and serving
-    /// see one featurization.
+    /// [`Featurizer::append_indices`] serving runs, its table bitsets
+    /// expanded into entries, so training and serving see one
+    /// featurization.
     ///
     /// The pool holds each distinct element once: an element whose entries
     /// an earlier one already holds takes that element's span. A workload's
@@ -514,6 +522,7 @@ impl Featurizer {
         first.push([0u32; 3]);
         for q in queries {
             let counts = self.append_indices(q, samples, &mut feats);
+            feats.expand_tables();
             let at: [u32; 3] = *first.last().expect("starts with zeros");
             let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
             for ((set, distinct), from) in sets.into_iter().zip(&mut distinct).zip(at) {
@@ -574,13 +583,26 @@ impl Featurizer {
     }
 }
 
-/// Sparse index-list featurization of one query, the input of the fused
-/// frozen forward. Holds the same information as [`QueryFeatures`] but as
-/// `(index, value)` gather lists instead of dense rows.
+/// Sparse featurization of queries, the input of the fused frozen
+/// forward. Holds the same information as [`QueryFeatures`] but as
+/// `(index, value)` gather lists, and table elements as bitsets, instead
+/// of dense rows.
+///
+/// The table set is in one of two forms: [`Featurizer::append_indices`]
+/// writes it to `table_bits`, which the served forward reads, and
+/// [`Featurizer::featurize_indices`] and [`Featurizer::pool`] expand that
+/// into `tables`, which training and the entries-form forward
+/// ([`ds_nn::frozen::FrozenModel::forward_query`]) read.
 #[derive(Debug, Default, Clone)]
 pub struct QueryIndexFeatures {
-    /// Table-set elements: one-hot(table) + sample-bitmap indices.
+    /// Table-set elements as entries: one-hot(table) + sample-bitmap
+    /// indices, each `1.0`. Filled by [`Featurizer::featurize_indices`];
+    /// [`Featurizer::append_indices`] leaves it empty and writes
+    /// `table_bits` instead.
     pub tables: IndexSet,
+    /// Table-set elements as bitsets over [`Featurizer::table_dim`]
+    /// features, not yet expanded into `tables`.
+    pub table_bits: BitRows,
     /// Join-set elements: at most one active index each.
     pub joins: IndexSet,
     /// Predicate-set elements: column, operator, and literal slots.
@@ -592,16 +614,27 @@ pub struct QueryIndexFeatures {
 
 impl PartialEq for QueryIndexFeatures {
     fn eq(&self, other: &Self) -> bool {
-        (&self.tables, &self.joins, &self.preds) == (&other.tables, &other.joins, &other.preds)
+        (&self.tables, &self.table_bits, &self.joins, &self.preds)
+            == (&other.tables, &other.table_bits, &other.joins, &other.preds)
     }
 }
 
 impl QueryIndexFeatures {
-    /// Empties the three sets, keeping their allocations.
+    /// Empties every set, keeping their allocations.
     pub fn clear(&mut self) {
         self.tables.clear();
+        self.table_bits.clear();
         self.joins.clear();
         self.preds.clear();
+    }
+
+    /// Moves the table elements in `table_bits` to the end of `tables`,
+    /// each as `(index, 1.0)` per set bit, ascending.
+    fn expand_tables(&mut self) {
+        for r in 0..self.table_bits.len() {
+            self.table_bits.expand_into(r, &mut self.tables);
+        }
+        self.table_bits.clear();
     }
 }
 
@@ -1112,6 +1145,139 @@ mod tests {
         check(&dense.table_rows, &sparse.tables, f.table_dim());
         check(&dense.join_rows, &sparse.joins, f.join_dim());
         check(&dense.pred_rows, &sparse.preds, f.pred_dim());
+    }
+
+    /// What `append_indices` writes for a table element — its bitset —
+    /// expanded, is what `featurize_indices` gives and the dense row's
+    /// ones, over a generated workload. Sample size 100 puts the bitmap's
+    /// words off the table bits' 32-bit words by `num_tables` and ends it
+    /// inside a word; a vocabulary without the last table leaves that
+    /// table's elements with no one-hot bit.
+    #[test]
+    fn table_bitsets_expand_to_the_entries_and_the_dense_rows() {
+        let db = imdb_database(&ImdbConfig::tiny(3));
+        let columns = imdb_predicate_columns(&db);
+        let mut queries =
+            ds_query::QueryGenerator::new(&db, ds_query::GeneratorConfig::new(columns.clone(), 11))
+                .generate_batch(60);
+        for sql in [
+            "SELECT COUNT(*) FROM title WHERE title.production_year > 99999",
+            "SELECT COUNT(*) FROM movie_info_idx",
+            "SELECT COUNT(*) FROM title, movie_info_idx WHERE movie_info_idx.movie_id = title.id \
+             AND movie_info_idx.info_type_id = 99999",
+        ] {
+            queries.push(parse_query(&db, sql).unwrap());
+        }
+        let last = db.num_tables() - 1;
+        for sample_size in [256, 100] {
+            let samples = sample_all(&db, sample_size, 5);
+            let full = Featurizer::build(&db, &columns, sample_size);
+            let without_last = Featurizer::from_parts(
+                last,
+                sample_size,
+                true,
+                full.joins().to_vec(),
+                columns.clone(),
+                full.col_bounds().to_vec(),
+                FeatureSchema::V1,
+                0,
+            );
+            let no_bitmaps = Featurizer::build_with_options(&db, &columns, sample_size, false);
+            for f in [full, without_last, no_bitmaps] {
+                let mut bits = QueryIndexFeatures::default();
+                let mut entries = QueryIndexFeatures::default();
+                let (mut empty_bitmaps, mut outside) = (0, 0);
+                for q in &queries {
+                    bits.clear();
+                    let counts = f.append_indices(q, &samples, &mut bits);
+                    f.featurize_indices(q, &samples, &mut entries);
+                    let QueryIndexFeatures {
+                        tables, table_bits, ..
+                    } = &bits;
+                    assert!(tables.elems.is_empty(), "no per-bit entries");
+                    assert_eq!(table_bits.len(), counts[0] as usize);
+                    assert_eq!(table_bits.width(), f.table_dim());
+                    let mut expanded = IndexSet::default();
+                    for r in 0..table_bits.len() {
+                        table_bits.expand_into(r, &mut expanded);
+                    }
+                    let bits_of = |set: &IndexSet| {
+                        let of = |&(i, v): &(u32, f32)| (i, v.to_bits());
+                        (
+                            set.entries.iter().map(of).collect::<Vec<_>>(),
+                            set.elems.clone(),
+                        )
+                    };
+                    assert_eq!(bits_of(&expanded), bits_of(&entries.tables));
+                    let dense = f.featurize(q, &samples);
+                    assert_eq!(expanded.elems.len(), dense.table_rows.len());
+                    for (&(start, len), row) in expanded.elems.iter().zip(&dense.table_rows) {
+                        let mut rebuilt = vec![0.0f32; f.table_dim()];
+                        for &(i, v) in &expanded.entries[start as usize..(start + len) as usize] {
+                            rebuilt[i as usize] = v;
+                        }
+                        assert_eq!(&rebuilt, row);
+                        let ones = |r: &[f32]| r.iter().filter(|&&v| v == 1.0).count();
+                        let tail = &row[f.num_tables()..];
+                        empty_bitmaps += usize::from(ones(tail) == 0);
+                        outside += usize::from(ones(&row[..f.num_tables()]) == 0);
+                    }
+                    assert_eq!(bits_of(&bits.joins), bits_of(&entries.joins));
+                    assert_eq!(bits_of(&bits.preds), bits_of(&entries.preds));
+                }
+                assert!(empty_bitmaps > 0, "a zero-tuple bitmap");
+                assert_eq!(outside > 0, f.num_tables() == last, "one-hots outside");
+            }
+        }
+    }
+
+    /// The table rows the served forward computes — `append_indices`'
+    /// bitsets, expanded — run the column-tile kernel of both table layers
+    /// to the bits of the portable oracle, at hidden widths that end on
+    /// every tile (see `frozen_properties`' ragged-widths test, whose table
+    /// set is the entries form) and table widths 22 and 262.
+    #[test]
+    fn expanded_table_rows_run_the_kernel_to_the_portable_oracle() {
+        use crate::mscn::{MscnConfig, MscnModel};
+        let db = imdb_database(&ImdbConfig::tiny(1));
+        let columns = imdb_predicate_columns(&db);
+        let queries =
+            ds_query::QueryGenerator::new(&db, ds_query::GeneratorConfig::new(columns.clone(), 77))
+                .generate_batch(16);
+        for sample_size in [16, 256] {
+            let samples = sample_all(&db, sample_size, 7);
+            let f = Featurizer::build(&db, &columns, sample_size);
+            let mut feats = QueryIndexFeatures::default();
+            for q in &queries {
+                f.append_indices(q, &samples, &mut feats);
+            }
+            let mut tables = IndexSet::default();
+            for r in 0..feats.table_bits.len() {
+                feats.table_bits.expand_into(r, &mut tables);
+            }
+            let rows = tables.elems.len();
+            assert!(rows >= queries.len() && tables.entries.len() > 2 * rows);
+            for hidden in [8usize, 16, 96, 250, 256] {
+                let case = (sample_size, hidden);
+                let config = MscnConfig {
+                    hidden,
+                    seed: hidden as u64,
+                };
+                let model = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), config);
+                let frozen = model.freeze();
+                let [t1, t2, ..] = frozen.layers();
+                let mut fast = vec![f32::NAN; rows * hidden];
+                let mut slow = fast.clone();
+                t1.forward_rows(&tables, true, &mut fast);
+                t1.forward_rows_portable(&tables, true, &mut slow);
+                assert_eq!(fast, slow, "layer 1, (samples, hidden) {case:?}");
+                let mut hidden_rows = IndexSet::default();
+                hidden_rows.compress_rows(&fast, hidden);
+                t2.forward_rows(&hidden_rows, false, &mut fast);
+                t2.forward_rows_portable(&hidden_rows, false, &mut slow);
+                assert_eq!(fast, slow, "layer 2, (samples, hidden) {case:?}");
+            }
+        }
     }
 
     #[test]

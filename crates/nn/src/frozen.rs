@@ -10,7 +10,8 @@
 //! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
 //! sparse *(index, value)* lists directly — the one-hot input layer is a
 //! gather over weight rows, and the sparse feature tensor is never
-//! materialized.
+//! materialized — and table elements, which are all ones, as bitsets
+//! ([`Elements`]).
 //!
 //! ## One kernel
 //!
@@ -36,7 +37,18 @@
 //! second ReLU, stored sparse (a mask of the non-zero lanes and those
 //! floats). A forward pass looks its elements up, runs the two layers over
 //! the missing ones only, and pools; a stored row pools to the bits of the
-//! dense one, because the zeros it drops add nothing to a pooled sum. The
+//! dense one, because the zeros it drops add nothing to a pooled sum.
+//!
+//! A served table element — the table's one-hot bit and its sample bitmap
+//! — arrives as that bitset ([`Elements::Bits`], [`BitRows`]), not as
+//! entries: on the benchmark's stream ≈ 146 set bits in 9 words. Its key
+//! is read off the words, and it is the key the same element has as
+//! entries (the words when they are fewer than its set bits, the bits'
+//! indices otherwise), so one memo serves both forms and a row computed
+//! in one is a hit in the other. Only an element the memo misses is
+//! expanded into `(index, 1.0)` entries for the kernel, and ≈ 89 % of the
+//! stream's elements hit. Join and predicate elements, and table elements
+//! given as entries ([`FrozenModel::forward_query`]), arrive as entries. The
 //! memo is part of the artifact's *identity-free* state: built empty by
 //! [`FrozenModel::new`] and `clone`, ignored by `==`, never serialized — so
 //! a re-freeze, a load or a hot-swap starts from an empty memo and there is
@@ -68,10 +80,10 @@ use std::sync::Mutex;
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
 use crate::serialize::{DecodeError, Decoder, Encoder};
-use crate::sparse::{self, Finish, Rows};
+use crate::sparse::{self, set_bits, Finish};
 use crate::tensor::Tensor;
 
-pub use crate::sparse::IndexSet;
+pub use crate::sparse::{BitRows, IndexSet};
 
 /// One frozen fully-connected layer: immutable weights in row-major
 /// `(in_dim × out_dim)` layout — the forward pass walks *rows*, so both
@@ -90,19 +102,29 @@ impl FrozenLinear {
     /// Converts a trained layer. The training layout is already
     /// `(in_dim × out_dim)` row-major, so freezing is a plain copy.
     pub fn from_linear(l: &Linear) -> Self {
-        let (w, b) = (l.weights().data(), l.bias().to_vec());
-        Self::from_parts(l.in_dim(), l.out_dim(), w, b)
+        let w = l.weights().data().iter().copied();
+        Self::from_parts(l.in_dim(), l.out_dim(), w, l.bias().to_vec())
     }
 
-    /// A layer from its row-major `in_dim × out_dim` weights and its bias
-    /// (what [`crate::serialize::Decoder::linear`] read).
-    pub(crate) fn from_parts(in_dim: usize, out_dim: usize, w: &[f32], b: Vec<f32>) -> Self {
-        debug_assert_eq!(w.len(), in_dim * out_dim);
-        debug_assert_eq!(b.len(), out_dim);
+    /// A layer from its row-major `in_dim × out_dim` weights, written
+    /// straight into their line-aligned storage as `w` yields them, and its
+    /// bias. [`crate::serialize::Decoder::linear`] passes the floats it
+    /// decodes, so a loaded layer is never held anywhere else.
+    ///
+    /// # Panics
+    /// Panics when `w` yields another number of weights or `b` is not
+    /// `out_dim` long.
+    pub(crate) fn from_parts(
+        in_dim: usize,
+        out_dim: usize,
+        w: impl IntoIterator<Item = f32>,
+        b: Vec<f32>,
+    ) -> Self {
+        assert_eq!(b.len(), out_dim, "one bias per output");
         Self {
             in_dim,
             out_dim,
-            w: LineAligned::new(w),
+            w: LineAligned::collect(in_dim * out_dim, w),
             b,
         }
     }
@@ -145,17 +167,11 @@ impl FrozenLinear {
     /// # Panics
     /// Panics when `y` has the wrong length or an index is `>= in_dim`.
     pub fn forward_rows(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
-        self.forward(rows.rows(), relu, y);
-    }
-
-    /// [`FrozenLinear::forward_rows`] over borrowed rows, which may name
-    /// any subset of an [`IndexSet`]'s elements.
-    fn forward(&self, rows: Rows<'_>, relu: bool, y: &mut [f32]) {
         let finish = Finish::Bias {
             bias: &self.b,
             relu,
         };
-        sparse::sparse_rows(&self.w, self.out_dim, rows, finish, y);
+        sparse::sparse_rows(&self.w, self.out_dim, rows.rows(), finish, y);
     }
 
     /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX-512 and
@@ -189,15 +205,19 @@ struct LineAligned {
 struct Line([f32; 16]);
 
 impl LineAligned {
-    fn new(values: &[f32]) -> Self {
-        let mut lines = vec![Line([0.0; 16]); values.len().div_ceil(16)];
-        for (line, chunk) in lines.iter_mut().zip(values.chunks(16)) {
-            line.0[..chunk.len()].copy_from_slice(chunk);
+    /// The `len` floats `values` yields, in order.
+    ///
+    /// # Panics
+    /// Panics when `values` yields another number of floats.
+    fn collect(len: usize, values: impl IntoIterator<Item = f32>) -> Self {
+        let mut lines = vec![Line([0.0; 16]); len.div_ceil(16)];
+        let mut values = values.into_iter();
+        let slots = lines.iter_mut().flat_map(|line| &mut line.0).take(len);
+        for slot in slots {
+            *slot = values.next().expect("fewer values than the length");
         }
-        Self {
-            lines,
-            len: values.len(),
-        }
+        assert!(values.next().is_none(), "more values than the length");
+        Self { lines, len }
     }
 }
 
@@ -283,7 +303,6 @@ impl Probe {
     /// the worst they can do is make every lookup miss, which costs what the
     /// memo-less forward cost.
     fn of(module: usize, width: usize, entries: &[(u32, f32)], key: &mut Vec<u32>) -> Self {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
         let start = key.len();
         let form = if entries.iter().any(|&(_, v)| v.to_bits() != ONE_BITS) {
             key.extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
@@ -294,8 +313,30 @@ impl Probe {
             key.extend(entries.iter().map(|&(i, _)| i));
             KEY_INDICES
         };
+        Self::hashed(module, form, &key[start..])
+    }
+
+    /// [`Probe::of`] an all-ones element given as its bitset `words` over
+    /// the module's input width: the same key, read off the words. The
+    /// bitset is the key when it is shorter than the indices of its set
+    /// bits, and those indices, ascending, are the key otherwise.
+    fn of_bits(module: usize, words: &[u32], key: &mut Vec<u32>) -> Self {
+        let start = key.len();
+        let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
+        let form = if words.len() < ones as usize {
+            key.extend_from_slice(words);
+            KEY_BITSET
+        } else {
+            key.extend(set_bits(words));
+            KEY_INDICES
+        };
+        Self::hashed(module, form, &key[start..])
+    }
+
+    /// The probe of a key of form `form` (`KEY_*`) of module `module`.
+    fn hashed(module: usize, form: u32, words: &[u32]) -> Self {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
         let tag = (module as u32) << 2 | form;
-        let words = &key[start..];
         let mut hash = (u64::from(tag) + 1).wrapping_mul(K) ^ words.len() as u64;
         for &w in words {
             hash = (hash.rotate_left(5) ^ u64::from(w)).wrapping_mul(K);
@@ -591,9 +632,9 @@ pub struct FrozenScratch {
     /// The elements' memo keys, back to back.
     keys: Vec<u32>,
     /// The elements the memo did not hold: their row in `act`, and their
-    /// span in the set — the rows the two layers run over.
+    /// entries — the rows the two layers run over.
     missing: Vec<u32>,
-    missing_spans: Vec<(u32, u32)>,
+    expanded: IndexSet,
     /// The missing elements' embeddings, `missing × hidden`.
     fresh: Vec<f32>,
     /// The non-zeros of a layer's output, the next layer's input.
@@ -607,6 +648,51 @@ impl FrozenScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// One module's set elements, in either form the fused forward takes.
+#[derive(Debug, Clone, Copy)]
+pub enum Elements<'a> {
+    /// `(index, value)` entries.
+    Entries(&'a IndexSet),
+    /// All-ones elements as bitsets over the module's input width — what
+    /// the featurizer writes a table element as.
+    Bits(&'a BitRows),
+}
+
+impl Elements<'_> {
+    fn len(self) -> usize {
+        match self {
+            Elements::Entries(set) => set.elems.len(),
+            Elements::Bits(bits) => bits.len(),
+        }
+    }
+
+    /// Element `r`'s memo probe; its key goes to the end of `key`.
+    fn probe(self, r: usize, module: usize, width: usize, key: &mut Vec<u32>) -> Probe {
+        match self {
+            Elements::Entries(set) => Probe::of(module, width, entries_of(set, r), key),
+            Elements::Bits(bits) => Probe::of_bits(module, bits.elem(r), key),
+        }
+    }
+
+    /// Appends element `r` to `set` as entries.
+    fn expand_into(self, r: usize, set: &mut IndexSet) {
+        match self {
+            Elements::Entries(from) => {
+                let start = set.begin_elem();
+                set.entries.extend_from_slice(entries_of(from, r));
+                set.finish_elem(start);
+            }
+            Elements::Bits(bits) => bits.expand_into(r, set),
+        }
+    }
+}
+
+/// The entries of element `r` of `set`.
+fn entries_of(set: &IndexSet, r: usize) -> &[(u32, f32)] {
+    let (start, len) = set.elems[r];
+    &set.entries[start as usize..(start + len) as usize]
 }
 
 /// The frozen MSCN inference artifact: three set modules (two layers
@@ -763,6 +849,7 @@ impl FrozenModel {
             preds.elems.len() as u32,
         ]];
         let mut y = [0.0f32];
+        let tables = Elements::Entries(tables);
         self.forward_batch(tables, joins, preds, &counts, scratch, &mut y);
         y[0]
     }
@@ -773,15 +860,16 @@ impl FrozenModel {
     /// order. Writes one normalized output per query into `out`. Each
     /// module looks its elements up in the memo, runs its two layers once
     /// over the ones it did not hold (see module docs), and pools; a
-    /// query's output is bit-identical whatever batch it rides in and
-    /// whatever the memo held.
+    /// query's output is bit-identical whatever batch it rides in, whatever
+    /// the memo held, and whichever form its table elements arrive in.
     ///
     /// # Panics
-    /// Panics when `out` and `counts` differ in length or the counts do
-    /// not add up to the sets' element counts.
+    /// Panics when `out` and `counts` differ in length, the counts do not
+    /// add up to the sets' element counts, or bitset table elements are
+    /// not as wide as the table module's input.
     pub fn forward_batch(
         &self,
-        tables: &IndexSet,
+        tables: Elements<'_>,
         joins: &IndexSet,
         preds: &IndexSet,
         counts: &[[u32; 3]],
@@ -792,20 +880,22 @@ impl FrozenModel {
         let (n, h) = (counts.len(), self.hidden);
         scratch.pooled.clear();
         scratch.pooled.resize(n * 3 * h, 0.0);
+        if let Elements::Bits(bits) = tables {
+            assert!(
+                bits.is_empty() || bits.width() == self.tables1.in_dim(),
+                "bitset table elements must be the table module's width"
+            );
+        }
         let modules = [
             (&self.tables1, &self.tables2, tables),
-            (&self.joins1, &self.joins2, joins),
-            (&self.preds1, &self.preds2, preds),
+            (&self.joins1, &self.joins2, Elements::Entries(joins)),
+            (&self.preds1, &self.preds2, Elements::Entries(preds)),
         ];
         let (mut elements, mut misses) = (0, 0);
         for (slot, (l1, l2, set)) in modules.into_iter().enumerate() {
             let claimed: usize = counts.iter().map(|c| c[slot] as usize).sum();
-            assert_eq!(
-                claimed,
-                set.elems.len(),
-                "per-query counts must cover the set"
-            );
-            elements += set.elems.len();
+            assert_eq!(claimed, set.len(), "per-query counts must cover the set");
+            elements += set.len();
             misses += self.embed_elements(slot, l1, l2, set, scratch);
             // Mean-pool per query: `relu(z2)[j] · (1/len)` with elements
             // ascending, as `segment_mean` does row-ascending. An empty
@@ -843,7 +933,7 @@ impl FrozenModel {
     /// The embeddings of every element of one module's set into the front
     /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
     /// are written out (and promoted in their sets) under the memo's lock,
-    /// the rest go through
+    /// the rest are written out as entries and go through
     /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
     /// and are then offered to the memo. The lock is only ever tried: a
     /// pass that finds it held (or poisoned) computes what it would have
@@ -854,7 +944,7 @@ impl FrozenModel {
         module: usize,
         l1: &FrozenLinear,
         l2: &FrozenLinear,
-        set: &IndexSet,
+        set: Elements<'_>,
         scratch: &mut FrozenScratch,
     ) -> usize {
         let h = self.hidden;
@@ -863,48 +953,42 @@ impl FrozenModel {
             probes,
             keys,
             missing,
-            missing_spans,
+            expanded,
             fresh,
             sparse,
             ..
         } = scratch;
-        let act = grown(act, set.elems.len() * h);
+        let act = grown(act, set.len() * h);
         keys.clear();
         probes.clear();
-        probes.extend(set.elems.iter().map(|&(start, len)| {
-            let entries = &set.entries[start as usize..(start + len) as usize];
+        probes.extend((0..set.len()).map(|r| {
             let at = keys.len();
-            (
-                Probe::of(module, l1.in_dim(), entries, keys),
-                at..keys.len(),
-            )
+            (set.probe(r, module, l1.in_dim(), keys), at..keys.len())
         }));
         missing.clear();
-        missing_spans.clear();
         {
             let mut table = self.memo.table.try_lock().ok();
-            for (r, (span, (probe, key))) in set.elems.iter().zip(probes.iter()).enumerate() {
+            for (r, (probe, key)) in probes.iter().enumerate() {
                 let row = &mut act[r * h..(r + 1) * h];
                 if !table
                     .as_mut()
                     .is_some_and(|t| t.get(*probe, &keys[key.clone()], row))
                 {
                     missing.push(r as u32);
-                    missing_spans.push(*span);
                 }
             }
         }
         if missing.is_empty() {
             return 0;
         }
+        expanded.clear();
+        for &r in missing.iter() {
+            set.expand_into(r as usize, expanded);
+        }
         let fresh = grown(fresh, missing.len() * h);
-        let rows = Rows {
-            entries: &set.entries,
-            spans: missing_spans,
-        };
-        l1.forward(rows, true, fresh);
+        l1.forward_rows(expanded, true, fresh);
         sparse.compress_rows(fresh, h);
-        l2.forward(sparse.rows(), true, fresh);
+        l2.forward_rows(sparse, true, fresh);
         let mut table = self.memo.table.try_lock().ok();
         for (&r, value) in missing.iter().zip(fresh.chunks_exact(h)) {
             let r = r as usize;
@@ -1045,7 +1129,7 @@ mod tests {
     fn line_aligned_weights_start_a_cache_line_and_read_back_exactly() {
         for len in [0usize, 1, 15, 16, 17, 1000] {
             let values: Vec<f32> = (0..len).map(|i| i as f32 - 0.5).collect();
-            let w = LineAligned::new(&values);
+            let w = LineAligned::collect(len, values.iter().copied());
             for w in [&w, &w.clone()] {
                 assert_eq!(**w, values[..], "len {len}");
                 assert_eq!(w.as_ptr() as usize % 64, 0, "len {len}");
@@ -1179,15 +1263,27 @@ mod tests {
             .map(|q| q.map(|s| s.elems.len() as u32))
             .collect();
         let mut out = vec![0.0f32; queries.len()];
-        m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
+        m.forward_batch(
+            Elements::Entries(&ts),
+            &js,
+            &ps,
+            &counts,
+            &mut scratch,
+            &mut out,
+        );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&out), bits(&singles));
     }
 
     fn tiny_model() -> FrozenModel {
+        model_with_tables(10)
+    }
+
+    /// [`tiny_model`] with a table module `width` features wide.
+    fn model_with_tables(width: usize) -> FrozenModel {
         let h = 6;
         FrozenModel::new(
-            FrozenLinear::from_linear(&linear(10, h, 1)),
+            FrozenLinear::from_linear(&linear(width, h, 1)),
             FrozenLinear::from_linear(&linear(h, h, 2)),
             FrozenLinear::from_linear(&linear(4, h, 3)),
             FrozenLinear::from_linear(&linear(h, h, 4)),
@@ -1316,7 +1412,14 @@ mod tests {
         let singles: Vec<u32> = stream.iter().map(|q| forward(&warm, q)).collect();
         for m in [&warm, &tiny_model()] {
             let mut out = vec![0.0f32; stream.len()];
-            m.forward_batch(&ts, &js, &ps, &counts, &mut FrozenScratch::new(), &mut out);
+            m.forward_batch(
+                Elements::Entries(&ts),
+                &js,
+                &ps,
+                &counts,
+                &mut FrozenScratch::new(),
+                &mut out,
+            );
             let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
             assert_eq!(bits, singles);
         }
@@ -1402,6 +1505,123 @@ mod tests {
                     ] {
                         assert_eq!(forward(&warm, &q), forward(&tiny_model(), &q));
                     }
+                }
+            }
+        }
+    }
+
+    /// One element of `width` features with the bits `ones` set, as a
+    /// bitset and as entries.
+    fn both_forms(width: usize, ones: &[u32]) -> (BitRows, IndexSet) {
+        let mut bits = BitRows::default();
+        let mut row = bits.push_clear(width);
+        for &i in ones {
+            row.set(i as usize);
+        }
+        let mut entries = IndexSet::default();
+        bits.expand_into(0, &mut entries);
+        (bits, entries)
+    }
+
+    /// The answer of a query whose table set is `tables` and whose other
+    /// sets are empty.
+    fn forward_tables(m: &FrozenModel, tables: Elements<'_>) -> u32 {
+        let empty = IndexSet::default();
+        let mut y = [0.0f32];
+        let counts = [[tables.len() as u32, 0, 0]];
+        let mut scratch = FrozenScratch::new();
+        m.forward_batch(tables, &empty, &empty, &counts, &mut scratch, &mut y);
+        y[0].to_bits()
+    }
+
+    /// The probe and key [`Probe::of_bits`] gives the first element of
+    /// `bits`.
+    fn key_of_bits(module: usize, bits: &BitRows) -> (Probe, Vec<u32>) {
+        let mut key = Vec::new();
+        let probe = Probe::of_bits(module, bits.elem(0), &mut key);
+        (probe, key)
+    }
+
+    #[test]
+    fn an_all_ones_element_has_one_key_as_bits_or_as_entries() {
+        // 106 features, as 6 tables and 100 sample bits: four words, so up
+        // to four set bits are keyed by their indices and more by the
+        // bitset. Bits on both sides of word boundaries, and none at all.
+        let width = 106;
+        let all: Vec<u32> = (0..106).collect();
+        let cases: [(&[u32], u32); 6] = [
+            (&[], KEY_INDICES),
+            (&[2], KEY_INDICES),
+            (&[2, 6, 31, 105], KEY_INDICES),
+            (&[2, 6, 31, 32, 105], KEY_BITSET),
+            (&[0, 63, 64, 95, 96, 100], KEY_BITSET),
+            (&all, KEY_BITSET),
+        ];
+        for (ones, form) in cases {
+            let (bits, entries) = both_forms(width, ones);
+            assert_eq!(entries.entries.len(), ones.len());
+            let (from_bits, bits_key) = key_of_bits(0, &bits);
+            let (from_entries, entries_key) = key_of(0, width, &entries.entries);
+            assert_eq!(bits_key, entries_key, "{ones:?}");
+            assert_eq!(from_bits.tag, from_entries.tag, "{ones:?}");
+            assert_eq!(from_bits.tag & 3, form, "{ones:?}");
+            assert_eq!(from_bits.hash, from_entries.hash, "{ones:?}");
+            // Computed in one form, the element is a hit in the other.
+            let want = forward_tables(&model_with_tables(width), Elements::Entries(&entries));
+            for order in [
+                [Elements::Bits(&bits), Elements::Entries(&entries)],
+                [Elements::Entries(&entries), Elements::Bits(&bits)],
+            ] {
+                let m = model_with_tables(width);
+                for (n, tables) in order.into_iter().enumerate() {
+                    assert_eq!(forward_tables(&m, tables), want, "{ones:?}");
+                    let stats = m.memo_stats();
+                    assert_eq!((stats.misses, stats.hits), (1, n as u64), "{ones:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitsets_one_bit_apart_never_alias() {
+        // 6 tables and 100 sample bits; element bases keyed by indices and
+        // by their bitset. Flipped: the one-hot bit, sample bit 0, the last
+        // sample bit, and the bits either side of a word boundary.
+        let width = 106;
+        let dense: Vec<u32> = (0..106)
+            .filter(|&i| i == 2 || (i >= 6 && i % 3 != 0))
+            .collect();
+        let flips = [2u32, 6, 105, 31, 32];
+        let warm = model_with_tables(width);
+        for base in [vec![2, 40], dense] {
+            let (bits, _) = both_forms(width, &base);
+            let (probe, key) = key_of_bits(0, &bits);
+            let mut table = MemoTable::default();
+            table.insert(probe, &key, &[7.0]);
+            for flip in flips {
+                let mut ones: Vec<u32> = base.iter().copied().filter(|&i| i != flip).collect();
+                if ones.len() == base.len() {
+                    ones.push(flip);
+                    ones.sort_unstable();
+                }
+                let (other_bits, _) = both_forms(width, &ones);
+                let (other, other_key) = key_of_bits(0, &other_bits);
+                assert_ne!((other.tag, &other_key), (probe.tag, &key), "flip {flip}");
+                assert_eq!(looked_up(&mut table, other, &other_key, 1), None);
+                let forged = Probe {
+                    hash: probe.hash,
+                    ..other
+                };
+                assert_eq!(looked_up(&mut table, forged, &other_key, 1), None);
+                // One artifact serving the base and then its neighbour
+                // answers like a fresh artifact for each.
+                for b in [&bits, &other_bits] {
+                    let fresh = forward_tables(&model_with_tables(width), Elements::Bits(b));
+                    assert_eq!(
+                        forward_tables(&warm, Elements::Bits(b)),
+                        fresh,
+                        "flip {flip}"
+                    );
                 }
             }
         }
@@ -1573,7 +1793,14 @@ mod tests {
         for _ in 0..2 {
             let counts = [[tables.elems.len() as u32, 0, preds.elems.len() as u32]];
             let mut y = [0.0f32];
-            m.forward_batch(&tables, &empty, &preds, &counts, &mut scratch, &mut y);
+            m.forward_batch(
+                Elements::Entries(&tables),
+                &empty,
+                &preds,
+                &counts,
+                &mut scratch,
+                &mut y,
+            );
             answers.push(y[0].to_bits());
         }
         assert_eq!(answers[0], answers[1]);

@@ -275,25 +275,35 @@ impl<'a> Decoder<'a> {
 
     /// Reads a tensor.
     pub fn tensor(&mut self) -> Result<Tensor, DecodeError> {
+        let (rows, cols, data) = self.matrix()?;
+        Ok(Tensor::from_vec(rows, cols, data.collect()))
+    }
+
+    /// Reads a linear layer, into serving layout: each weight is decoded
+    /// straight into the layer's line-aligned storage.
+    pub fn linear(&mut self) -> Result<FrozenLinear, DecodeError> {
+        let (rows, cols, w) = self.matrix()?;
+        let b = self.f32_vec()?;
+        if b.len() != cols {
+            return Err(DecodeError::Corrupt("bias length mismatch".into()));
+        }
+        Ok(FrozenLinear::from_parts(rows, cols, w, b))
+    }
+
+    /// Reads the shape and the bytes of a matrix [`Encoder::tensor`] wrote;
+    /// returns its shape and its floats, decoded as they are read.
+    fn matrix(&mut self) -> Result<(usize, usize, impl Iterator<Item = f32> + 'a), DecodeError> {
         let rows = self.u64()? as usize;
         let cols = self.u64()? as usize;
         let n = rows
             .checked_mul(cols)
             .filter(|&n| (n as u64) <= MAX_VEC_LEN)
             .ok_or_else(|| DecodeError::Corrupt("tensor too large".into()))?;
-        self.need(n * 4)?;
-        let data = (0..n).map(|_| self.buf.get_f32_le()).collect();
-        Ok(Tensor::from_vec(rows, cols, data))
-    }
-
-    /// Reads a linear layer, into serving layout.
-    pub fn linear(&mut self) -> Result<FrozenLinear, DecodeError> {
-        let w = self.tensor()?;
-        let b = self.f32_vec()?;
-        if b.len() != w.cols() {
-            return Err(DecodeError::Corrupt("bias length mismatch".into()));
-        }
-        Ok(FrozenLinear::from_parts(w.rows(), w.cols(), w.data(), b))
+        let bytes = self.take(n * 4)?;
+        let floats = bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        Ok((rows, cols, floats))
     }
 
     /// True when all bytes are consumed.

@@ -206,6 +206,128 @@ impl IndexSet {
     }
 }
 
+/// Set elements whose every value is `1.0` — one-hot and bitmap features —
+/// each as a bitset over one input width: feature `i` of an element is bit
+/// `i % 32` of its word `i / 32`, and bits at or past the width stay
+/// clear. The same element as sparse entries holds `(i, 1.0)` for each set
+/// bit, ascending ([`BitRows::expand_into`]).
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct BitRows {
+    width: usize,
+    len: usize,
+    /// `width.div_ceil(32)` words per element, elements back to back.
+    words: Vec<u32>,
+}
+
+impl BitRows {
+    /// Removes every element, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.words.clear();
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there is no element.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The features every element is a bitset over.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Appends an element of `width` features with no bit set and returns
+    /// it, for the caller to set its bits in.
+    ///
+    /// # Panics
+    /// Panics when the elements already held have another width.
+    pub fn push_clear(&mut self, width: usize) -> BitRow<'_> {
+        if self.len == 0 {
+            self.width = width;
+        }
+        assert_eq!(width, self.width, "one width for every element");
+        let at = self.words.len();
+        self.words.resize(at + width.div_ceil(32), 0);
+        self.len += 1;
+        BitRow {
+            words: &mut self.words[at..],
+            width,
+        }
+    }
+
+    /// The words of element `r`.
+    pub(crate) fn elem(&self, r: usize) -> &[u32] {
+        let stride = self.width.div_ceil(32);
+        &self.words[r * stride..(r + 1) * stride]
+    }
+
+    /// Appends element `r` to `set` as entries: `(i, 1.0)` for each set bit
+    /// `i`, ascending.
+    pub fn expand_into(&self, r: usize, set: &mut IndexSet) {
+        let start = set.begin_elem();
+        set.entries.extend(set_bits(self.elem(r)).map(|i| (i, 1.0)));
+        set.finish_elem(start);
+    }
+}
+
+/// The element [`BitRows::push_clear`] appended, being written.
+#[derive(Debug)]
+pub struct BitRow<'a> {
+    words: &'a mut [u32],
+    width: usize,
+}
+
+impl BitRow<'_> {
+    /// Sets feature `i`.
+    ///
+    /// # Panics
+    /// Panics when `i` is not below the width.
+    pub fn set(&mut self, i: usize) {
+        assert!(i < self.width, "feature {i} past the width {}", self.width);
+        self.words[i / 32] |= 1 << (i % 32);
+    }
+
+    /// Sets feature `at + i` for each set bit `i` of `src`, a bitmap whose
+    /// bit `i` is bit `i % 64` of its word `i / 64`.
+    ///
+    /// # Panics
+    /// Panics when a bit of `src` lands at or past the width.
+    pub fn or_shifted(&mut self, at: usize, src: &[u64]) {
+        let (skip, shift) = (at / 32, at % 32);
+        let halves = src.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]);
+        for (k, half) in halves.enumerate().filter(|&(_, half)| half != 0) {
+            let spread = u64::from(half) << shift;
+            self.words[skip + k] |= spread as u32;
+            let carry = (spread >> 32) as u32;
+            if carry != 0 {
+                self.words[skip + k + 1] |= carry;
+            }
+        }
+        if let (Some(&last), tail @ 1..) = (self.words.last(), self.width % 32) {
+            assert_eq!(last >> tail, 0, "bits past the width {}", self.width);
+        }
+    }
+}
+
+/// The indices of the set bits of `words`, ascending.
+pub(crate) fn set_bits(words: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = bits.trailing_zeros();
+                bits &= bits - 1;
+                w as u32 * 32 + i
+            })
+        })
+    })
+}
+
 /// What becomes of a finished accumulator `acc` and the output slot `y`.
 #[derive(Clone, Copy)]
 pub enum Finish<'a> {
@@ -736,6 +858,88 @@ mod tests {
             back.entries,
             vec![(0, 1.0), (3, 2.0), (0, 1.0), (3, 2.0), (1, 5.0), (3, 6.0)]
         );
+    }
+
+    #[test]
+    fn bit_rows_expand_to_their_set_bits_ascending() {
+        // Widths inside, at and past a word; every bit, none, and the bits
+        // either side of each word boundary.
+        for width in [1usize, 31, 32, 33, 100, 262] {
+            let patterns: [&dyn Fn(usize) -> bool; 3] =
+                [&|_| true, &|_| false, &|i| i % 32 == 0 || i % 32 == 31];
+            let mut bits = BitRows::default();
+            for pattern in patterns {
+                let mut row = bits.push_clear(width);
+                for i in (0..width).filter(|&i| pattern(i)) {
+                    row.set(i);
+                }
+            }
+            assert_eq!((bits.len(), bits.width()), (3, width));
+            let mut set = IndexSet::default();
+            set.push(9, 9.0); // appended behind what the set holds
+            set.finish_elem(0);
+            for r in 0..bits.len() {
+                bits.expand_into(r, &mut set);
+            }
+            for (r, pattern) in patterns.into_iter().enumerate() {
+                let (start, len) = set.elems[r + 1];
+                let want: Vec<(u32, f32)> = (0..width as u32)
+                    .filter(|&i| pattern(i as usize))
+                    .map(|i| (i, 1.0))
+                    .collect();
+                assert_eq!(set.entries[start as usize..(start + len) as usize], want);
+            }
+            bits.clear();
+            assert!(bits.is_empty());
+        }
+    }
+
+    #[test]
+    fn or_shifted_sets_what_setting_each_shifted_bit_sets() {
+        // Bitmaps of 100 and 256 bits (inside and at a word's end), shifted
+        // by nothing, by less than a word, onto a word boundary and past it.
+        for bits_len in [100usize, 256] {
+            let mut src: Vec<u64> = (0..bits_len.div_ceil(64))
+                .map(|w| 0x8000_0001_F00D_C0DE_u64.rotate_left(w as u32 * 7))
+                .collect();
+            if bits_len % 64 != 0 {
+                *src.last_mut().unwrap() &= (1 << (bits_len % 64)) - 1;
+            }
+            let ones: Vec<usize> = (0..bits_len)
+                .filter(|&i| src[i / 64] >> (i % 64) & 1 == 1)
+                .collect();
+            for at in [0usize, 6, 31, 32, 33, 64, 70] {
+                let width = at + bits_len;
+                let mut shifted = BitRows::default();
+                shifted.push_clear(width).or_shifted(at, &src);
+                let mut one_by_one = BitRows::default();
+                let mut row = one_by_one.push_clear(width);
+                for &i in &ones {
+                    row.set(at + i);
+                }
+                assert_eq!(shifted, one_by_one, "{bits_len} bits at {at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits past the width")]
+    fn or_shifted_refuses_a_bit_past_the_width() {
+        BitRows::default().push_clear(40).or_shifted(8, &[1 << 32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the width")]
+    fn set_refuses_a_bit_past_the_width() {
+        BitRows::default().push_clear(40).set(40);
+    }
+
+    #[test]
+    #[should_panic(expected = "one width for every element")]
+    fn bit_rows_hold_one_width() {
+        let mut bits = BitRows::default();
+        bits.push_clear(40);
+        bits.push_clear(41);
     }
 
     /// Every kernel this CPU has, each on its own, against the portable
