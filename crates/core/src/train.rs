@@ -115,28 +115,6 @@ impl TrainingReport {
     pub fn final_train_loss(&self) -> f64 {
         self.epochs.last().map_or(f64::NAN, |e| e.train_loss)
     }
-
-    /// Writes the per-epoch curve as CSV — the reproduction's stand-in for
-    /// the demo's TensorBoard pane.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "epoch,train_loss,val_mean_qerror,val_median_qerror,val_p95_qerror,rows_per_sec,seconds\n",
-        );
-        let opt = |v: Option<f64>| v.map_or(String::new(), |v| v.to_string());
-        for e in &self.epochs {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                e.epoch,
-                e.train_loss,
-                opt(e.val_mean_qerror),
-                opt(e.val_median_qerror),
-                opt(e.val_p95_qerror),
-                e.rows_per_sec,
-                e.duration.as_secs_f64()
-            ));
-        }
-        out
-    }
 }
 
 /// Trains `model` in place on `(queries, labels)`.
@@ -544,34 +522,6 @@ mod tests {
         assert_eq!(report.val_examples, 0);
         assert!(report.final_val_qerror().is_none());
         assert_eq!(report.train_examples, 60);
-    }
-
-    #[test]
-    fn csv_export_has_one_line_per_epoch() {
-        let (_db, samples, featurizer, queries, labels) = training_setup(60);
-        let normalizer = LabelNormalizer::fit(&labels);
-        let mut model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig { hidden: 8, seed: 7 },
-        );
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-        let report = train(
-            &mut model,
-            &featurizer,
-            &samples,
-            &queries,
-            &labels,
-            &normalizer,
-            &cfg,
-        );
-        let csv = report.to_csv();
-        assert_eq!(csv.lines().count(), 4); // header + 3 epochs
-        assert!(csv.starts_with("epoch,train_loss"));
     }
 
     #[test]

@@ -301,15 +301,22 @@ fn column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
         for q in &mixed_queries(16) {
             featurizer.append_indices(q, samples, &mut feats);
         }
+        // `append_indices` writes table elements as bitsets; the kernel
+        // reads them expanded into entries.
+        let mut tables = IndexSet::default();
+        for r in 0..feats.table_bits.len() {
+            feats.table_bits.expand_into(r, &mut tables);
+        }
         let frozen = model.freeze();
         let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
         let mut hidden_rows = IndexSet::default();
         for (l1, l2, set) in [
-            (t1, t2, &feats.tables),
+            (t1, t2, &tables),
             (j1, j2, &feats.joins),
             (p1, p2, &feats.preds),
         ] {
             let rows = set.elems.len();
+            assert!(rows > 0, "every module has rows to compare");
             let mut fast = vec![f32::NAN; rows * hidden];
             let mut slow = fast.clone();
             l1.forward_rows(set, true, &mut fast);

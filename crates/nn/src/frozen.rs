@@ -52,10 +52,13 @@
 //! memo is part of the artifact's *identity-free* state: built empty by
 //! [`FrozenModel::new`] and `clone`, ignored by `==`, never serialized — so
 //! a re-freeze, a load or a hot-swap starts from an empty memo and there is
-//! nothing to invalidate. It holds at most [`MEMO_MAX_BYTES`] in 4 096
-//! slots, four ways to a set, each set evicting its least recently used
-//! element; on the benchmark's stream an element takes ≈ 0.57 KB (≈ 1.8 KB
-//! dense).
+//! nothing to invalidate. It is one log in a ring of [`MEMO_MAX_BYTES`],
+//! index included, allocated whole on the first insert: any element may
+//! sit anywhere, a newcomer is appended and the oldest entries leave to
+//! make its room, and a hit moves nothing. A miss therefore never calls
+//! the allocator and an eviction frees nothing. On the benchmark's stream
+//! an element takes ≈ 0.5 KB (≈ 1.8 KB dense), and the ring holds ≈ 8 000
+//! of them.
 //!
 //! Outside training the artifact is the only copy of a model's weights:
 //! [`FrozenModel::encode`] writes them and [`FrozenModel::decode`] reads
@@ -245,17 +248,10 @@ impl std::fmt::Debug for LineAligned {
     }
 }
 
-/// Slots of the element memo, in sets of [`MEMO_WAYS`]: an element's hash
-/// names the one set it may occupy, and a newcomer takes the place of the
-/// set's least recently used element.
-const MEMO_SLOTS: usize = 4096;
-
-/// Slots per set of the element memo.
-const MEMO_WAYS: usize = 4;
-
-/// The most bytes an artifact's element memo ever holds (slot table, keys
-/// and embeddings together). An element is admitted only while the total
-/// stays within this; one that would not fit is computed every time.
+/// The bytes of an artifact's element memo: its index and its ring of
+/// entries together, allocated whole on the first insert. The memo's only
+/// bound — an element is evicted when the entries after it need its room,
+/// never because of where its hash points.
 pub const MEMO_MAX_BYTES: usize = 4 << 20;
 
 /// Counters of an artifact's element memo, read without its lock.
@@ -265,7 +261,7 @@ pub struct MemoStats {
     pub hits: u64,
     /// Set elements run through their module's two layers.
     pub misses: u64,
-    /// Occupied slots, at most 4 096.
+    /// Elements the memo holds now.
     pub entries: u64,
     /// Bytes the memo holds, at most [`MEMO_MAX_BYTES`].
     pub resident_bytes: u64,
@@ -278,7 +274,7 @@ const KEY_BITSET: u32 = 2;
 
 const ONE_BITS: u32 = 1.0f32.to_bits();
 
-/// Where an element may sit in the memo and what must match there; its key
+/// What the memo finds an element by and what must match there; its key
 /// words sit in the caller's buffer.
 #[derive(Debug, Clone, Copy)]
 struct Probe {
@@ -299,8 +295,8 @@ impl Probe {
     /// instead of up to 257. The form is in the tag, so two keys are one
     /// element exactly when their tags and words are equal.
     ///
-    /// Not keyed: elements crafted to share a set only evict each other, so
-    /// the worst they can do is make every lookup miss, which costs what the
+    /// Not keyed: of elements crafted to share a hash only the first is
+    /// stored and the rest are computed every time, which costs what the
     /// memo-less forward cost.
     fn of(module: usize, width: usize, entries: &[(u32, f32)], key: &mut Vec<u32>) -> Self {
         let start = key.len();
@@ -347,12 +343,6 @@ impl Probe {
             tag,
         }
     }
-
-    /// The slots of the set the element may occupy.
-    fn set(self) -> std::ops::Range<usize> {
-        let first = (self.hash >> 32) as usize % (MEMO_SLOTS / MEMO_WAYS) * MEMO_WAYS;
-        first..first + MEMO_WAYS
-    }
 }
 
 /// Appends the bitset of `entries`' indices over `width` features to
@@ -380,41 +370,15 @@ fn push_bitset(entries: &[(u32, f32)], width: usize, key: &mut Vec<u32>) -> bool
     true
 }
 
-/// One memoized element. Vacant while `words` is empty (an embedding is at
-/// least one mask word).
-#[derive(Debug, Default)]
-struct MemoSlot {
-    hash: u64,
-    tag: u32,
-    /// How many of `words` are the key.
-    key_len: u32,
-    /// The element's key (see [`Probe::of`]), then its embedding stored
-    /// sparse: a mask of `hidden` bits, one per float that is not zero, and
-    /// those floats' bits in order — about 108 of 256 after the module's
-    /// ReLU on the benchmark's stream.
-    words: Vec<u32>,
-}
-
-impl MemoSlot {
-    /// Whether the slot holds exactly this element: same module, same key
-    /// form, same key words.
-    fn holds(&self, probe: Probe, key: &[u32]) -> bool {
-        self.hash == probe.hash
-            && self.tag == probe.tag
-            && !self.words.is_empty()
-            && self.key_len as usize == key.len()
-            && self.words[..key.len()] == *key
-    }
-}
-
-/// Appends `value` to `words` sparse: its mask, then its `nonzeros`
-/// non-zero floats. On AVX-512 a 16-lane compare and `vcompressps` per
-/// vector; a lane at a time elsewhere.
-fn store_sparse(value: &[f32], nonzeros: usize, words: &mut Vec<u32>) {
-    let at = words.len();
-    let mask_words = value.len().div_ceil(32);
-    words.resize(at + mask_words + nonzeros, 0);
-    let (mask, values) = words[at..].split_at_mut(mask_words);
+/// Writes `value` sparse into `words`, which are `value.len().div_ceil(32)`
+/// mask words and then one word per non-zero float: the mask, a bit per
+/// float that is not zero, and those floats' bits in order — about 108 of
+/// 256 after the module's ReLU on the benchmark's stream. On AVX-512 a
+/// 16-lane compare and `vcompressps` per vector; a lane at a time elsewhere.
+fn store_sparse(value: &[f32], words: &mut [u32]) {
+    let (mask, values) = words.split_at_mut(value.len().div_ceil(32));
+    // The codecs set mask bits over what the words held before.
+    mask.fill(0);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: AVX-512F support was just verified at runtime.
@@ -522,74 +486,182 @@ mod x86 {
     }
 }
 
-/// The slots behind the memo's lock, and the bytes and elements they hold.
-/// Each set keeps its slots in recency order, most recently used first, so
-/// its last slot is the one a newcomer takes: a vacant one while the set
-/// has any.
+/// Words before an entry's key in the ring: the hash's low and high
+/// halves, `tag << 24 | key_len`, and the entry's length in words.
+const ENTRY_HEADER: usize = 4;
+
+/// One slot of the memo's index: an element's place in the ring, found by
+/// the high half of its hash, whose low bits are also where its probe run
+/// starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct Indexed {
+    check: u32,
+    /// One past the ring offset of the element's entry; 0 while vacant.
+    at: u32,
+}
+
+/// The memo behind the lock: one log of entries in a ring, oldest at
+/// `tail`, newest ending at `head`, and an open-addressed index over them.
+/// Each entry is `[hash lo, hash hi, tag << 24 | key_len, len, key…,
+/// mask…, non-zeros…]` — the key (see [`Probe::of`]) and the embedding
+/// [`store_sparse`] writes. A newcomer is appended at `head` after the
+/// oldest entries have left to make room; one that does not fit before the
+/// ring's end leaves the words there unused and starts the ring over. A
+/// hit moves nothing. Ring and index are allocated on the first insert,
+/// [`MEMO_MAX_BYTES`] together, and never again.
 #[derive(Debug, Default)]
 struct MemoTable {
-    /// Empty until the first insert, then `MEMO_SLOTS` long.
-    slots: Vec<MemoSlot>,
+    ring: Vec<u32>,
+    /// Linear probing over a power of two of slots, at most three quarters
+    /// of them occupied: one slot per 256 bytes of the bound, so the
+    /// entries' room binds before their count does while an element takes
+    /// more than ≈ 330 bytes.
+    index: Vec<Indexed>,
+    tail: usize,
+    head: usize,
+    /// While the entries run past `head` (from `tail` to here, then from
+    /// the ring's start to `head`), where those before the ring's end stop.
+    wrapped_at: Option<usize>,
+    /// The index's bytes and the ring words entries occupy.
     bytes: usize,
     entries: usize,
 }
 
 impl MemoTable {
-    /// Writes the element's embedding into `row` if the memo holds it, and
-    /// moves it to the front of its set; returns whether it did.
-    fn get(&mut self, probe: Probe, key: &[u32], row: &mut [f32]) -> bool {
-        let Some(set) = self.slots.get_mut(probe.set()) else {
+    /// Writes the element's embedding into `row` if the memo holds it;
+    /// returns whether it did.
+    fn get(&self, probe: Probe, key: &[u32], row: &mut [f32]) -> bool {
+        let Ok(at) = self.find(probe) else {
             return false;
         };
-        if !promote(set, probe, key) {
-            return false;
+        let entry = &self.ring[at..at + self.ring[at + 3] as usize];
+        let held = entry[2] == (probe.tag << 24 | key.len() as u32)
+            && entry[ENTRY_HEADER..ENTRY_HEADER + key.len()] == *key;
+        if held {
+            load_sparse(&entry[ENTRY_HEADER + key.len()..], row);
         }
-        load_sparse(&set[0].words[key.len()..], row);
-        true
+        held
     }
 
-    /// Puts the element at the front of its set, in the least recently
-    /// used slot and that slot's buffer, unless growing it to take the
-    /// element would carry the memo past [`MEMO_MAX_BYTES`]. An element the
-    /// set already holds (one a batch carried twice) is only moved to the
-    /// front.
+    /// Appends the element at the head, the oldest entries leaving until
+    /// it fits. An element whose hash the memo has indexed already — the
+    /// same element from a batch that carried it twice, or an unequal one
+    /// — is not stored, nor is one larger than the ring.
     fn insert(&mut self, probe: Probe, key: &[u32], value: &[f32]) {
-        if self.slots.is_empty() {
-            self.slots.resize_with(MEMO_SLOTS, MemoSlot::default);
-            self.bytes = MEMO_SLOTS * std::mem::size_of::<MemoSlot>();
+        if self.index.is_empty() {
+            let slots = MEMO_MAX_BYTES / 256;
+            let index_bytes = slots * std::mem::size_of::<Indexed>();
+            self.index = vec![Indexed::default(); slots];
+            self.ring = vec![0; (MEMO_MAX_BYTES - index_bytes) / 4];
+            self.bytes = index_bytes;
         }
-        let set = &mut self.slots[probe.set()];
-        if promote(set, probe, key) {
+        if self.find(probe).is_ok() {
             return;
         }
-        let slot = &mut set[MEMO_WAYS - 1];
         let nonzeros = value.iter().filter(|&&v| v != 0.0).count();
-        let words = key.len() + value.len().div_ceil(32) + nonzeros;
-        let held = slot.words.capacity();
-        if self.bytes + (words.max(held) - held) * 4 > MEMO_MAX_BYTES {
+        let len = ENTRY_HEADER + key.len() + value.len().div_ceil(32) + nonzeros;
+        if len > self.ring.len() {
             return;
         }
-        self.entries += usize::from(slot.words.is_empty());
-        slot.hash = probe.hash;
-        slot.tag = probe.tag;
-        slot.key_len = key.len() as u32;
-        slot.words.clear();
-        slot.words.reserve_exact(words);
-        slot.words.extend_from_slice(key);
-        store_sparse(value, nonzeros, &mut slot.words);
-        self.bytes += (slot.words.capacity() - held) * 4;
-        set.rotate_right(1);
+        self.make_room(len);
+        let Err(slot) = self.find(probe) else {
+            unreachable!("an eviction indexes nothing")
+        };
+        let at = self.head;
+        self.index[slot] = Indexed {
+            check: (probe.hash >> 32) as u32,
+            at: at as u32 + 1,
+        };
+        let entry = &mut self.ring[at..at + len];
+        entry[..ENTRY_HEADER].copy_from_slice(&[
+            probe.hash as u32,
+            (probe.hash >> 32) as u32,
+            probe.tag << 24 | key.len() as u32,
+            len as u32,
+        ]);
+        let (stored_key, stored_value) = entry[ENTRY_HEADER..].split_at_mut(key.len());
+        stored_key.copy_from_slice(key);
+        store_sparse(value, stored_value);
+        self.head += len;
+        self.entries += 1;
+        self.bytes += len * 4;
     }
-}
 
-/// Moves the slot of `set` that holds the element, if one does, to the
-/// front of the set; returns whether one did.
-fn promote(set: &mut [MemoSlot], probe: Probe, key: &[u32]) -> bool {
-    let Some(way) = set.iter().position(|s| s.holds(probe, key)) else {
-        return false;
-    };
-    set[..=way].rotate_right(1);
-    true
+    /// Evicts the oldest entries until `len` words fit at `head` and the
+    /// index has a slot to spare, starting the ring over when they do not
+    /// fit before its end.
+    fn make_room(&mut self, len: usize) {
+        loop {
+            if self.entries == 0 {
+                (self.tail, self.head, self.wrapped_at) = (0, 0, None);
+            }
+            let free_to = self.wrapped_at.map_or(self.ring.len(), |_| self.tail);
+            if self.head + len <= free_to && self.entries < self.index.len() / 4 * 3 {
+                return;
+            }
+            if self.wrapped_at.is_none() && self.head + len > self.ring.len() {
+                self.wrapped_at = Some(self.head);
+                self.head = 0;
+            } else {
+                self.evict_oldest();
+            }
+        }
+    }
+
+    /// Drops the entry at `tail` from the index and the ring.
+    fn evict_oldest(&mut self) {
+        let at = self.tail;
+        let len = self.ring[at + 3] as usize;
+        let mask = self.index.len() - 1;
+        let mut slot = self.ring[at + 1] as usize & mask;
+        while self.index[slot].at as usize != at + 1 {
+            slot = (slot + 1) & mask;
+        }
+        // Backward-shift deletion: each later slot of the run that may sit
+        // in the hole (its run starts at or before the hole) moves into it.
+        let mut hole = slot;
+        loop {
+            slot = (slot + 1) & mask;
+            let next = self.index[slot];
+            if next.at == 0 {
+                break;
+            }
+            let start = next.check as usize & mask;
+            if slot.wrapping_sub(start) & mask >= slot.wrapping_sub(hole) & mask {
+                self.index[hole] = next;
+                hole = slot;
+            }
+        }
+        self.index[hole] = Indexed::default();
+        self.tail += len;
+        if self.wrapped_at == Some(self.tail) {
+            (self.tail, self.wrapped_at) = (0, None);
+        }
+        self.entries -= 1;
+        self.bytes -= len * 4;
+    }
+
+    /// `Ok` with the ring offset of the entry whose hash is the probe's, or
+    /// `Err` with the index slot it would take.
+    fn find(&self, probe: Probe) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let check = (probe.hash >> 32) as u32;
+        let mut slot = check as usize & mask;
+        loop {
+            let Indexed { check: held, at } = self.index[slot];
+            if at == 0 {
+                return Err(slot);
+            }
+            let at = at as usize - 1;
+            if held == check && self.ring[at] == probe.hash as u32 {
+                return Ok(at);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
 }
 
 /// The artifact's element memo (see the module docs): the table behind a
@@ -932,8 +1004,8 @@ impl FrozenModel {
 
     /// The embeddings of every element of one module's set into the front
     /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
-    /// are written out (and promoted in their sets) under the memo's lock,
-    /// the rest are written out as entries and go through
+    /// are written out under the memo's lock, the rest are written out as
+    /// entries and go through
     /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
     /// and are then offered to the memo. The lock is only ever tried: a
     /// pass that finds it held (or poisoned) computes what it would have
@@ -967,11 +1039,11 @@ impl FrozenModel {
         }));
         missing.clear();
         {
-            let mut table = self.memo.table.try_lock().ok();
+            let table = self.memo.table.try_lock().ok();
             for (r, (probe, key)) in probes.iter().enumerate() {
                 let row = &mut act[r * h..(r + 1) * h];
                 if !table
-                    .as_mut()
+                    .as_ref()
                     .is_some_and(|t| t.get(*probe, &keys[key.clone()], row))
                 {
                     missing.push(r as u32);
@@ -1385,8 +1457,8 @@ mod tests {
         let stats = warm.memo_stats();
         let elements: usize = stream.iter().flatten().map(|s| s.elems.len()).sum();
         assert_eq!(stats.hits + stats.misses, elements as u64);
-        // 24 distinct elements, each computed once: no set of four ways
-        // overflows here.
+        // 24 distinct elements, each computed once: the ring never fills
+        // here.
         assert_eq!(stats.misses, 24);
         assert!(0 < stats.resident_bytes && stats.resident_bytes <= MEMO_MAX_BYTES as u64);
 
@@ -1437,14 +1509,14 @@ mod tests {
             let ((pa, ka), (pb, kb)) = (key_of(2, 7, &a.entries), key_of(2, 7, &b.entries));
             let mut table = MemoTable::default();
             table.insert(pa, &ka, &[7.0]);
-            assert_eq!(looked_up(&mut table, pa, &ka, 1), Some(vec![7.0]));
-            assert_eq!(looked_up(&mut table, pb, &kb, 1), None);
+            assert_eq!(looked_up(&table, pa, &ka, 1), Some(vec![7.0]));
+            assert_eq!(looked_up(&table, pb, &kb, 1), None);
             // Even on a full hash collision the key decides.
             let forged = Probe {
                 hash: pa.hash,
                 ..pb
             };
-            assert_eq!(looked_up(&mut table, forged, &kb, 1), None);
+            assert_eq!(looked_up(&table, forged, &kb, 1), None);
         }
         // The same entries in another module are another element, in every
         // key form: pairs, indices, bitset.
@@ -1456,12 +1528,12 @@ mod tests {
             for module in [1, 2] {
                 let (other, other_key) = key_of(module, 40, &entries);
                 assert_eq!(other_key, key);
-                assert_eq!(looked_up(&mut table, other, &key, 1), None);
+                assert_eq!(looked_up(&table, other, &key, 1), None);
                 let forged = Probe {
                     hash: own.hash,
                     ..other
                 };
-                assert_eq!(looked_up(&mut table, forged, &key, 1), None);
+                assert_eq!(looked_up(&table, forged, &key, 1), None);
             }
         }
         // Keys of one module whose words agree but whose forms differ are
@@ -1487,7 +1559,7 @@ mod tests {
                     hash: probe.hash,
                     ..*other
                 };
-                let hit = looked_up(&mut table, forged, other_key, 1).is_some();
+                let hit = looked_up(&table, forged, other_key, 1).is_some();
                 assert_eq!(hit, n == m, "form {n} against form {m}");
             }
         }
@@ -1607,12 +1679,12 @@ mod tests {
                 let (other_bits, _) = both_forms(width, &ones);
                 let (other, other_key) = key_of_bits(0, &other_bits);
                 assert_ne!((other.tag, &other_key), (probe.tag, &key), "flip {flip}");
-                assert_eq!(looked_up(&mut table, other, &other_key, 1), None);
+                assert_eq!(looked_up(&table, other, &other_key, 1), None);
                 let forged = Probe {
                     hash: probe.hash,
                     ..other
                 };
-                assert_eq!(looked_up(&mut table, forged, &other_key, 1), None);
+                assert_eq!(looked_up(&table, forged, &other_key, 1), None);
                 // One artifact serving the base and then its neighbour
                 // answers like a fresh artifact for each.
                 for b in [&bits, &other_bits] {
@@ -1627,43 +1699,115 @@ mod tests {
         }
     }
 
+    /// The probe and key of element `n` of the ring tests: module 0, its
+    /// one index `n`.
+    fn element(n: u32) -> (Probe, Vec<u32>) {
+        key_of(0, 64, &[(n, 1.0)])
+    }
+
     #[test]
-    fn a_set_keeps_four_elements_and_evicts_its_least_recently_used() {
-        // Five single-entry elements whose hashes name one set.
-        let mut by_set = vec![Vec::new(); MEMO_SLOTS / MEMO_WAYS];
-        let five: Vec<(Probe, Vec<u32>)> = (0u32..)
-            .find_map(|i| {
-                let (probe, key) = key_of(0, 64, &[(i, 1.0)]);
-                let members = &mut by_set[probe.set().start / MEMO_WAYS];
-                members.push((probe, key));
-                (members.len() == MEMO_WAYS + 1).then(|| members.clone())
-            })
-            .expect("pigeonhole");
-        let value = |n: usize| vec![n as f32];
-        let mut table = MemoTable::default();
-        let get = |table: &mut MemoTable, n: usize| {
-            let (probe, key) = &five[n];
-            looked_up(table, *probe, key, 1)
+    fn the_oldest_element_is_evicted_first_and_a_hit_moves_nothing() {
+        // 1 037-word entries: 979 fit in the ring, and 3 000 wrap it three
+        // times. The oldest element is looked up before every insert; it
+        // still leaves first, so what the memo holds is always the newest
+        // elements, one after another.
+        let value: Vec<f32> = (0..1000).map(|j| j as f32 + 1.0).collect();
+        let len = ENTRY_HEADER + 1 + 1000usize.div_ceil(32) + 1000;
+        let holds = |table: &MemoTable, n: u32| {
+            let (probe, key) = element(n);
+            looked_up(table, probe, &key, 1000).is_some_and(|row| row == value)
         };
-        // 1 comes twice, as from a batch that carries it twice: the set
-        // holds it once, so 0 keeps its way.
-        for n in [0, 1, 1, 2, 3] {
-            let (probe, key) = &five[n];
-            table.insert(*probe, key, &value(n));
+        let mut table = MemoTable::default();
+        let mut oldest = 0;
+        for n in 0..3_000u32 {
+            if n > 0 {
+                assert!(holds(&table, oldest), "element {oldest} before {n}");
+            }
+            let (probe, key) = element(n);
+            table.insert(probe, &key, &value);
+            while !holds(&table, oldest) {
+                oldest += 1;
+            }
+            assert_eq!(table.entries, (n + 1 - oldest) as usize, "after {n}");
+            if n >= 979 {
+                assert!(oldest > 0 && table.ring.len() - table.entries * len < 2 * len);
+            }
         }
-        assert_eq!(table.entries, MEMO_WAYS);
-        for n in 0..4 {
-            assert_eq!(get(&mut table, n), Some(value(n)), "way {n}");
+        assert!(oldest >= 2 * 979, "the ring wrapped twice");
+    }
+
+    #[test]
+    fn an_element_the_memo_holds_is_never_stored_twice() {
+        let (probe, key) = element(7);
+        let mut table = MemoTable::default();
+        table.insert(probe, &key, &[1.0, 0.0, 2.0]);
+        let held = (table.entries, table.bytes, table.head);
+        // Offered again — as from a batch that carries it twice — and again
+        // after other elements, while it is still held.
+        table.insert(probe, &key, &[1.0, 0.0, 2.0]);
+        assert_eq!((table.entries, table.bytes, table.head), held);
+        for n in 100..110 {
+            let (other, other_key) = element(n);
+            table.insert(other, &other_key, &[0.5; 3]);
         }
-        // Looked up 0 to 3, so 0 is the least recent until a hit promotes
-        // it, which leaves 1 to make room for the fifth.
-        assert!(get(&mut table, 0).is_some());
-        table.insert(five[4].0, &five[4].1, &value(4));
-        assert_eq!(table.entries, MEMO_WAYS, "an eviction frees no slot");
-        assert_eq!(get(&mut table, 1), None);
-        for n in [0, 2, 3, 4] {
-            assert_eq!(get(&mut table, n), Some(value(n)), "element {n}");
+        let (entries, bytes) = (table.entries, table.bytes);
+        table.insert(probe, &key, &[1.0, 0.0, 2.0]);
+        assert_eq!((table.entries, table.bytes), (entries, bytes));
+        assert_eq!(looked_up(&table, probe, &key, 3), Some(vec![1.0, 0.0, 2.0]));
+
+        // End to end: one batch carrying an element twice stores it once.
+        let m = tiny_model();
+        let twice = {
+            let mut set = one_entry(1.0);
+            let e = set.begin_elem();
+            set.push(2, 1.0);
+            set.finish_elem(e);
+            set
+        };
+        let empty = IndexSet::default();
+        let mut y = [0.0f32];
+        let mut scratch = FrozenScratch::new();
+        m.forward_batch(
+            Elements::Entries(&twice),
+            &empty,
+            &empty,
+            &[[2, 0, 0]],
+            &mut scratch,
+            &mut y,
+        );
+        let stats = m.memo_stats();
+        assert_eq!((stats.misses, stats.entries), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn two_unequal_elements_with_one_forged_hash_both_answer_exactly() {
+        let (first, first_key) = element(1);
+        let (second, second_key) = element(2);
+        let forged = Probe {
+            hash: first.hash,
+            ..second
+        };
+        let mut table = MemoTable::default();
+        table.insert(first, &first_key, &[1.0]);
+        // The second element's hash is taken: it is computed every time,
+        // never stored, and the first keeps answering its own embedding.
+        for _ in 0..2 {
+            assert_eq!(looked_up(&table, forged, &second_key, 1), None);
+            table.insert(forged, &second_key, &[2.0]);
+            assert_eq!(table.entries, 1);
+            assert_eq!(looked_up(&table, first, &first_key, 1), Some(vec![1.0]));
         }
+        // Once the first has left the ring the second may take the hash,
+        // and then the first is the one computed.
+        let wide = vec![0.5f32; 100_000];
+        for n in 10..20 {
+            let (other, other_key) = element(n);
+            table.insert(other, &other_key, &wide);
+        }
+        assert_eq!(looked_up(&table, first, &first_key, 1), None);
+        table.insert(forged, &second_key, &[2.0]);
+        assert_eq!(looked_up(&table, forged, &second_key, 1), Some(vec![2.0]));
+        assert_eq!(looked_up(&table, first, &first_key, 1), None);
     }
 
     #[test]
@@ -1701,11 +1845,12 @@ mod tests {
             (s >> 33) as u32
         };
         // 100k distinct elements, up to 600 entries of either key form and
-        // dense 700-float embeddings: 4 096 such slots would be ≈ 16 MB.
+        // dense 700-float embeddings: ≈ 3.7 KB each at most, ≈ 450 MB in
+        // all, so the ring wraps over a hundred times.
         let mut table = MemoTable::default();
         let value = vec![0.5f32; 700];
         let mut row = vec![0.0f32; 700];
-        let (mut refused, mut peak) = (0, 0);
+        let mut peak = 0;
         for n in 0..100_000u32 {
             let len = next() as usize % 600;
             let v = if n % 2 == 0 { 1.0 } else { 0.75 };
@@ -1714,30 +1859,69 @@ mod tests {
             let (probe, key) = key_of(n as usize % 3, 2_000_000, &entries);
             let width = 1 + next() as usize % 700;
             table.insert(probe, &key, &value[..width]);
-            refused += usize::from(!table.get(probe, &key, &mut row[..width]));
+            assert!(table.get(probe, &key, &mut row[..width]), "element {n}");
             assert!(table.bytes <= MEMO_MAX_BYTES, "after {n} inserts");
             peak = peak.max(table.bytes);
+            if n % 10_000 == 0 {
+                assert_ring_is_what_the_counts_say(&table);
+            }
         }
-        let held: usize = table.slots.iter().map(|s| s.words.capacity() * 4).sum();
+        assert_ring_is_what_the_counts_say(&table);
+        assert!(peak > MEMO_MAX_BYTES * 9 / 10, "the bound was reached");
+        // An element larger than the whole ring is computed every time.
+        let huge: Vec<(u32, f32)> = (0..600_000).map(|i| (i, 0.75)).collect();
+        let (probe, key) = key_of(2, 2_000_000, &huge);
+        table.insert(probe, &key, &value);
+        assert!(!table.get(probe, &key, &mut row));
+        assert_ring_is_what_the_counts_say(&table);
+        // 28-byte elements: the index's count, not the ring's room, makes
+        // the oldest leave, and the index never fills.
+        for n in 0..40_000 {
+            let (probe, key) = element(n);
+            table.insert(probe, &key, &[1.0]);
+            assert!(table.get(probe, &key, &mut row[..1]), "element {n}");
+        }
+        assert_eq!(table.entries, table.index.len() / 4 * 3);
+        assert_ring_is_what_the_counts_say(&table);
+    }
+
+    /// Walks the ring from `tail`: its entries are `entries` many, take
+    /// `bytes` with the index, and each is where the index finds it.
+    fn assert_ring_is_what_the_counts_say(table: &MemoTable) {
+        let index_bytes = table.index.len() * std::mem::size_of::<Indexed>();
+        assert_eq!(index_bytes + table.ring.len() * 4, MEMO_MAX_BYTES);
+        let mut spans = vec![(table.tail, table.wrapped_at.unwrap_or(table.head))];
+        spans.extend(table.wrapped_at.map(|_| (0, table.head)));
+        let (mut entries, mut words) = (0, 0);
+        for (mut at, end) in spans {
+            while at < end {
+                let entry = &table.ring[at..];
+                let probe = Probe {
+                    hash: u64::from(entry[0]) | u64::from(entry[1]) << 32,
+                    tag: entry[2] >> 24,
+                };
+                assert_eq!(table.find(probe), Ok(at));
+                let len = entry[3] as usize;
+                (entries, words, at) = (entries + 1, words + len, at + len);
+            }
+            assert_eq!(at, end);
+        }
+        assert_eq!(table.entries, entries, "the count is what the ring holds");
+        let indexed = table.index.iter().filter(|i| i.at != 0).count();
+        assert_eq!(indexed, entries, "the index holds every entry once");
         assert_eq!(
             table.bytes,
-            held + MEMO_SLOTS * std::mem::size_of::<MemoSlot>(),
-            "the running total is what the slots hold"
-        );
-        let occupied = table.slots.iter().filter(|s| !s.words.is_empty()).count();
-        assert_eq!(table.entries, occupied, "the count is what the slots hold");
-        assert!(
-            refused > 0 && peak > MEMO_MAX_BYTES * 9 / 10,
-            "the bound was reached"
+            index_bytes + words * 4,
+            "the running total is what the ring holds"
         );
     }
 
     /// Embeddings of hidden 256 after a ReLU, about half zeros, through
     /// their two module layers: bitmap-like table elements (a one-hot and a
     /// random half of a 256-bit sample bitmap) and predicate-like ones (a
-    /// column and an operator one-hot and a literal). Of 3 200 distinct
-    /// elements no more than four name any one set, so a memo that held
-    /// its slots in its bytes computes each once over two passes.
+    /// column and an operator one-hot and a literal). 3 200 distinct
+    /// elements fit in the memo's bytes, so it computes each once over two
+    /// passes.
     #[test]
     fn a_working_set_of_thousands_of_wide_elements_is_computed_once() {
         let h = 256;
@@ -1758,7 +1942,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (s >> 33) as u32
         };
-        let mut per_set = vec![0; MEMO_SLOTS / MEMO_WAYS];
         let mut seen = std::collections::HashSet::new();
         let (mut tables, mut preds) = (IndexSet::default(), IndexSet::default());
         for _ in 0..20_000 {
@@ -1776,9 +1959,7 @@ mod tests {
                 (0, 6 + 256)
             };
             let (probe, key) = key_of(module, width, &entries);
-            let ways = &mut per_set[probe.set().start / MEMO_WAYS];
-            if *ways < MEMO_WAYS && seen.insert((probe.tag, key)) {
-                *ways += 1;
+            if seen.insert((probe.tag, key)) {
                 let set = if module == 0 { &mut tables } else { &mut preds };
                 let e = set.begin_elem();
                 set.entries.extend_from_slice(&entries);
@@ -1786,7 +1967,7 @@ mod tests {
             }
         }
         let elements = seen.len() as u64;
-        assert_eq!(elements, 3_200, "the sets have room for 3 200");
+        assert_eq!(elements, 3_200);
         let empty = IndexSet::default();
         let mut scratch = FrozenScratch::new();
         let mut answers = Vec::new();
@@ -1831,11 +2012,12 @@ mod tests {
             let (probe, key) = key_of(0, 4, &[(1, 1.0)]);
             let mut table = MemoTable::default();
             table.insert(probe, &key, &dense);
-            let stored = looked_up(&mut table, probe, &key, h).expect("held");
+            let stored = looked_up(&table, probe, &key, h).expect("held");
             let nonzeros = dense.iter().filter(|&&v| v != 0.0).count();
             assert_eq!(
-                table.slots[probe.set().start].words.len(),
-                1 + h.div_ceil(32) + nonzeros
+                table.ring[3] as usize,
+                ENTRY_HEADER + 1 + h.div_ceil(32) + nonzeros,
+                "the first entry's length"
             );
             for (j, (&got, &want)) in stored.iter().zip(&dense).enumerate() {
                 let want = if want == 0.0 { 0.0 } else { want };
@@ -1918,12 +2100,7 @@ mod tests {
     }
 
     /// The `width`-float embedding the table holds for the element, if any.
-    fn looked_up(
-        table: &mut MemoTable,
-        probe: Probe,
-        key: &[u32],
-        width: usize,
-    ) -> Option<Vec<f32>> {
+    fn looked_up(table: &MemoTable, probe: Probe, key: &[u32], width: usize) -> Option<Vec<f32>> {
         let mut row = vec![f32::NAN; width];
         table.get(probe, key, &mut row).then_some(row)
     }

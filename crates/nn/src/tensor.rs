@@ -180,25 +180,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise scaling in place.
-    pub fn scale(&mut self, factor: f32) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
-    }
-
-    /// Elementwise addition: `self += other`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.rows, other.rows, "add_assign shape mismatch");
-        assert_eq!(self.cols, other.cols, "add_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// A new tensor with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
@@ -206,11 +187,6 @@ impl Tensor {
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
     }
 
     /// Concatenates tensors horizontally (same row count).
@@ -239,15 +215,8 @@ impl Tensor {
         }
     }
 
-    /// Splits a tensor into horizontal blocks of the given widths — the
-    /// backward of [`Tensor::concat_cols`].
-    pub fn split_cols(&self, widths: &[usize]) -> Vec<Tensor> {
-        let mut out: Vec<Tensor> = widths.iter().map(|_| Tensor::zeros(0, 0)).collect();
-        self.split_cols_into(widths, &mut out);
-        out
-    }
-
-    /// [`Tensor::split_cols`] into reusable output tensors.
+    /// Splits a tensor into horizontal blocks of the given widths, one
+    /// into each of `outs` — the backward of [`Tensor::concat_cols`].
     pub fn split_cols_into(&self, widths: &[usize], outs: &mut [Tensor]) {
         assert_eq!(widths.iter().sum::<usize>(), self.cols, "split widths");
         assert_eq!(widths.len(), outs.len(), "split output count");
@@ -391,7 +360,8 @@ mod tests {
         let c = Tensor::concat_cols(&[&a, &b]);
         assert_eq!(c.cols(), 3);
         assert_eq!(c.row(0), &[1., 2., 9.]);
-        let parts = c.split_cols(&[2, 1]);
+        let mut parts = [Tensor::zeros(0, 0), Tensor::zeros(0, 0)];
+        c.split_cols_into(&[2, 1], &mut parts);
         assert_eq!(parts[0], a);
         assert_eq!(parts[1], b);
     }
@@ -437,21 +407,9 @@ mod tests {
 
     #[test]
     fn scale_add_map_norm() {
-        let mut a = t(1, 3, &[1., -2., 2.]);
-        a.scale(2.0);
-        assert_eq!(a.data(), &[2., -4., 4.]);
-        a.add_assign(&t(1, 3, &[1., 1., 1.]));
-        assert_eq!(a.data(), &[3., -3., 5.]);
+        let a = t(1, 3, &[3., -3., 5.]);
         let abs = a.map(f32::abs);
         assert_eq!(abs.data(), &[3., 3., 5.]);
-        assert!((t(1, 2, &[3., 4.]).frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "add_assign shape mismatch")]
-    fn add_assign_rejects_mismatch() {
-        let mut a = Tensor::zeros(1, 2);
-        a.add_assign(&Tensor::zeros(2, 1));
     }
 
     #[test]
