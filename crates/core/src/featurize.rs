@@ -591,8 +591,8 @@ impl Featurizer {
 /// The table set is in one of two forms: [`Featurizer::append_indices`]
 /// writes it to `table_bits`, which the served forward reads, and
 /// [`Featurizer::featurize_indices`] and [`Featurizer::pool`] expand that
-/// into `tables`, which training and the entries-form forward
-/// ([`ds_nn::frozen::FrozenModel::forward_query`]) read.
+/// into `tables`, which training reads and
+/// [`ds_nn::frozen::FrozenModel::forward_query`] packs back into bitsets.
 #[derive(Debug, Default, Clone)]
 pub struct QueryIndexFeatures {
     /// Table-set elements as entries: one-hot(table) + sample-bitmap

@@ -23,7 +23,7 @@
 use std::cell::RefCell;
 
 use ds_est::{check_tables, CardinalityEstimator, EstimateError};
-use ds_nn::frozen::{Elements, FrozenModel, FrozenScratch, MemoStats};
+use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats};
 use ds_nn::loss::LabelNormalizer;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 use ds_obs::HistogramSnapshot;
@@ -262,7 +262,7 @@ impl DeepSketch {
                 return;
             }
             y.resize(n, 0.0);
-            let tables = Elements::Bits(&feats.table_bits);
+            let tables = &feats.table_bits;
             self.frozen
                 .forward_batch(tables, &feats.joins, &feats.preds, counts, kernel, y);
             for (o, &y) in out[..n].iter_mut().zip(y.iter()) {

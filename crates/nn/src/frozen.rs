@@ -8,10 +8,10 @@
 //! featurize-and-forward entry point,
 //! [`FrozenModel::forward_batch`], that serves every batch size (a single
 //! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
-//! sparse *(index, value)* lists directly — the one-hot input layer is a
-//! gather over weight rows, and the sparse feature tensor is never
-//! materialized — and table elements, which are all ones, as bitsets
-//! ([`Elements`]).
+//! join and predicate elements as sparse *(index, value)* lists directly —
+//! the one-hot input layer is a gather over weight rows, and the sparse
+//! feature tensor is never materialized — and table elements, which are
+//! all ones, as bitsets ([`BitRows`]).
 //!
 //! ## One kernel
 //!
@@ -31,34 +31,29 @@
 //! a query (every sub-join an optimizer asks about shares all of its
 //! elements with the query it came from). The artifact therefore carries a
 //! bounded, exact memo of element embeddings: key, the module and the
-//! element's `(index, value)` list compared bit for bit, written compactly
-//! (an all-ones element as its indices or, when shorter, a bitset over the
-//! module's input width); value, the `hidden` floats after the module's
-//! second ReLU, stored sparse (a mask of the non-zero lanes and those
-//! floats). A forward pass looks its elements up, runs the two layers over
-//! the missing ones only, and pools; a stored row pools to the bits of the
-//! dense one, because the zeros it drops add nothing to a pooled sum.
+//! element compared bit for bit in the one form its module takes; value,
+//! the `hidden` floats after the module's second ReLU, stored sparse (a
+//! mask of the non-zero lanes and those floats). A forward pass looks its
+//! elements up, runs the two layers over the missing ones only, and pools;
+//! a stored row pools to the bits of the dense one, because the zeros it
+//! drops add nothing to a pooled sum.
 //!
-//! A served table element — the table's one-hot bit and its sample bitmap
-//! — arrives as that bitset ([`Elements::Bits`], [`BitRows`]), not as
-//! entries: on the benchmark's stream ≈ 146 set bits in 9 words. Its key
-//! is read off the words, and it is the key the same element has as
-//! entries (the words when they are fewer than its set bits, the bits'
-//! indices otherwise), so one memo serves both forms and a row computed
-//! in one is a hit in the other. Only an element the memo misses is
-//! expanded into `(index, 1.0)` entries for the kernel, and ≈ 89 % of the
-//! stream's elements hit. Join and predicate elements, and table elements
-//! given as entries ([`FrozenModel::forward_query`]), arrive as entries. The
-//! memo is part of the artifact's *identity-free* state: built empty by
-//! [`FrozenModel::new`] and `clone`, ignored by `==`, never serialized — so
-//! a re-freeze, a load or a hot-swap starts from an empty memo and there is
-//! nothing to invalidate. It is one log in a ring of [`MEMO_MAX_BYTES`],
-//! index included, allocated whole on the first insert: any element may
-//! sit anywhere, a newcomer is appended and the oldest entries leave to
-//! make its room, and a hit moves nothing. A miss therefore never calls
-//! the allocator and an eviction frees nothing. On the benchmark's stream
-//! an element takes ≈ 0.5 KB (≈ 1.8 KB dense), and the ring holds ≈ 8 000
-//! of them.
+//! A table element — the table's one-hot bit and its sample bitmap — is
+//! keyed by its bitset's words: on the benchmark's stream ≈ 146 set bits
+//! in 9 words. Only an element the memo misses is expanded into
+//! `(index, 1.0)` entries for the kernel, and ≈ 92 % of the stream's
+//! elements hit. A join or predicate element is keyed by its
+//! `(index, value bits)` pairs. The memo is part of the artifact's
+//! *identity-free* state: built empty by [`FrozenModel::new`] and
+//! `clone`, ignored by `==`, never serialized — so a re-freeze, a load or
+//! a hot-swap starts from an empty memo and there is nothing to
+//! invalidate. It is one log in a ring of [`MEMO_MAX_BYTES`], index
+//! included, allocated whole on the first insert: any element may sit
+//! anywhere, a newcomer is appended and the oldest entries leave to make
+//! its room, and a hit moves nothing. A miss therefore never calls the
+//! allocator and an eviction frees nothing. On the benchmark's stream an
+//! element takes ≈ 0.5 KB (≈ 1.8 KB dense), and the ring holds ≈ 8 000 of
+//! them.
 //!
 //! Outside training the artifact is the only copy of a model's weights:
 //! [`FrozenModel::encode`] writes them and [`FrozenModel::decode`] reads
@@ -83,7 +78,7 @@ use std::sync::Mutex;
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
 use crate::serialize::{DecodeError, Decoder, Encoder};
-use crate::sparse::{self, set_bits, Finish};
+use crate::sparse::{self, Finish};
 use crate::tensor::Tensor;
 
 pub use crate::sparse::{BitRows, IndexSet};
@@ -267,72 +262,44 @@ pub struct MemoStats {
     pub resident_bytes: u64,
 }
 
-/// How an element's entries are written as key words (see [`Probe::of`]).
-const KEY_PAIRS: u32 = 0;
-const KEY_INDICES: u32 = 1;
-const KEY_BITSET: u32 = 2;
-
-const ONE_BITS: u32 = 1.0f32.to_bits();
-
 /// What the memo finds an element by and what must match there; its key
 /// words sit in the caller's buffer.
 #[derive(Debug, Clone, Copy)]
 struct Probe {
     hash: u64,
-    /// `module << 2 | form`: the module the element belongs to and how its
-    /// key is written (`KEY_*`).
+    /// The module the element belongs to.
     tag: u32,
 }
 
 impl Probe {
-    /// Appends the key of one element of module `module`, `width` features
-    /// wide, to `key`, and hashes it. The key is the element's entries in
-    /// the shortest of three exact forms: `(index, value bits)` pairs; the
-    /// indices alone when every value is `1.0` (one-hot and bitmap
-    /// features: every table and join element); or, when the indices also
-    /// ascend strictly below `width` and that is shorter, a bitset over
-    /// `width` — a table element with its 256-bit sample bitmap is 9 words
-    /// instead of up to 257. The form is in the tag, so two keys are one
-    /// element exactly when their tags and words are equal.
+    /// Appends the key of one join or predicate element of module `module`
+    /// to `key`, and hashes it: its entries as `(index, value bits)` pairs,
+    /// so two keys of one module are one element exactly when their words
+    /// are equal.
     ///
     /// Not keyed: of elements crafted to share a hash only the first is
     /// stored and the rest are computed every time, which costs what the
     /// memo-less forward cost.
-    fn of(module: usize, width: usize, entries: &[(u32, f32)], key: &mut Vec<u32>) -> Self {
+    fn of(module: usize, entries: &[(u32, f32)], key: &mut Vec<u32>) -> Self {
         let start = key.len();
-        let form = if entries.iter().any(|&(_, v)| v.to_bits() != ONE_BITS) {
-            key.extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
-            KEY_PAIRS
-        } else if width.div_ceil(32) < entries.len() && push_bitset(entries, width, key) {
-            KEY_BITSET
-        } else {
-            key.extend(entries.iter().map(|&(i, _)| i));
-            KEY_INDICES
-        };
-        Self::hashed(module, form, &key[start..])
+        key.extend(entries.iter().flat_map(|&(i, v)| [i, v.to_bits()]));
+        Self::hashed(module, &key[start..])
     }
 
-    /// [`Probe::of`] an all-ones element given as its bitset `words` over
-    /// the module's input width: the same key, read off the words. The
-    /// bitset is the key when it is shorter than the indices of its set
-    /// bits, and those indices, ascending, are the key otherwise.
+    /// [`Probe::of`] a table element given as its bitset `words` over the
+    /// module's input width: the words are its key. Every table in one
+    /// artifact has the same width, so two keys are one element exactly
+    /// when their words are equal.
     fn of_bits(module: usize, words: &[u32], key: &mut Vec<u32>) -> Self {
         let start = key.len();
-        let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
-        let form = if words.len() < ones as usize {
-            key.extend_from_slice(words);
-            KEY_BITSET
-        } else {
-            key.extend(set_bits(words));
-            KEY_INDICES
-        };
-        Self::hashed(module, form, &key[start..])
+        key.extend_from_slice(words);
+        Self::hashed(module, &key[start..])
     }
 
-    /// The probe of a key of form `form` (`KEY_*`) of module `module`.
-    fn hashed(module: usize, form: u32, words: &[u32]) -> Self {
+    /// The probe of a key of module `module`.
+    fn hashed(module: usize, words: &[u32]) -> Self {
         const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let tag = (module as u32) << 2 | form;
+        let tag = module as u32;
         let mut hash = (u64::from(tag) + 1).wrapping_mul(K) ^ words.len() as u64;
         for &w in words {
             hash = (hash.rotate_left(5) ^ u64::from(w)).wrapping_mul(K);
@@ -343,31 +310,6 @@ impl Probe {
             tag,
         }
     }
-}
-
-/// Appends the bitset of `entries`' indices over `width` features to
-/// `key`, one word at a time in a register; returns `false` and leaves
-/// `key` as it was unless the indices ascend strictly below `width`.
-/// `entries` is not empty.
-fn push_bitset(entries: &[(u32, f32)], width: usize, key: &mut Vec<u32>) -> bool {
-    let start = key.len();
-    key.resize(start + width.div_ceil(32), 0);
-    let (mut word, mut at, mut next) = (0u32, 0usize, 0usize);
-    for &(i, _) in entries {
-        let i = i as usize;
-        if i < next || i >= width {
-            key.truncate(start);
-            return false;
-        }
-        next = i + 1;
-        if i / 32 != at {
-            key[start + at] = word;
-            (word, at) = (0, i / 32);
-        }
-        word |= 1 << (i % 32);
-    }
-    key[start + at] = word;
-    true
 }
 
 /// Writes `value` sparse into `words`, which are `value.len().div_ceil(32)`
@@ -713,6 +655,8 @@ pub struct FrozenScratch {
     sparse: IndexSet,
     /// Mean-pooled set representations, `batch × 3·hidden`.
     pooled: Vec<f32>,
+    /// The table elements [`FrozenModel::forward_query`] packs.
+    table_bits: BitRows,
 }
 
 impl FrozenScratch {
@@ -722,13 +666,12 @@ impl FrozenScratch {
     }
 }
 
-/// One module's set elements, in either form the fused forward takes.
+/// One module's set elements as the fused forward takes them: a table
+/// element as its bitset over the module's input width, a join or
+/// predicate element as its `(index, value)` entries.
 #[derive(Debug, Clone, Copy)]
-pub enum Elements<'a> {
-    /// `(index, value)` entries.
+enum Elements<'a> {
     Entries(&'a IndexSet),
-    /// All-ones elements as bitsets over the module's input width — what
-    /// the featurizer writes a table element as.
     Bits(&'a BitRows),
 }
 
@@ -741,9 +684,9 @@ impl Elements<'_> {
     }
 
     /// Element `r`'s memo probe; its key goes to the end of `key`.
-    fn probe(self, r: usize, module: usize, width: usize, key: &mut Vec<u32>) -> Probe {
+    fn probe(self, r: usize, module: usize, key: &mut Vec<u32>) -> Probe {
         match self {
-            Elements::Entries(set) => Probe::of(module, width, entries_of(set, r), key),
+            Elements::Entries(set) => Probe::of(module, entries_of(set, r), key),
             Elements::Bits(bits) => Probe::of_bits(module, bits.elem(r), key),
         }
     }
@@ -757,6 +700,22 @@ impl Elements<'_> {
                 set.finish_elem(start);
             }
             Elements::Bits(bits) => bits.expand_into(r, set),
+        }
+    }
+}
+
+/// Writes the elements of `set`, whose every value is `1.0`, into `bits`
+/// as bitsets over `width` features.
+///
+/// # Panics
+/// Panics when a value is not `1.0` or an index is not below `width`.
+fn pack_bits(set: &IndexSet, width: usize, bits: &mut BitRows) {
+    bits.clear();
+    for r in 0..set.elems.len() {
+        let mut row = bits.push_clear(width);
+        for &(i, v) in entries_of(set, r) {
+            assert!(v == 1.0, "table entry {i} has the value {v}, not 1.0");
+            row.set(i as usize);
         }
     }
 }
@@ -905,9 +864,14 @@ impl FrozenModel {
     }
 
     /// Fused featurize-and-forward for one query — a batch of one
-    /// through [`FrozenModel::forward_batch`]. Returns the normalized
-    /// model output (pre-denormalization, post-sigmoid), bit-identical to
-    /// the training-shape forward.
+    /// through [`FrozenModel::forward_batch`], its table entries packed
+    /// into bitsets first. Returns the normalized model output
+    /// (pre-denormalization, post-sigmoid), bit-identical to the
+    /// training-shape forward.
+    ///
+    /// # Panics
+    /// Panics when a table entry's value is not `1.0` or its index is not
+    /// below the table module's input width.
     pub fn forward_query(
         &self,
         tables: &IndexSet,
@@ -915,33 +879,36 @@ impl FrozenModel {
         preds: &IndexSet,
         scratch: &mut FrozenScratch,
     ) -> f32 {
+        let mut bits = std::mem::take(&mut scratch.table_bits);
+        pack_bits(tables, self.tables1.in_dim(), &mut bits);
         let counts = [[
             tables.elems.len() as u32,
             joins.elems.len() as u32,
             preds.elems.len() as u32,
         ]];
         let mut y = [0.0f32];
-        let tables = Elements::Entries(tables);
-        self.forward_batch(tables, joins, preds, &counts, scratch, &mut y);
+        self.forward_batch(&bits, joins, preds, &counts, scratch, &mut y);
+        scratch.table_bits = bits;
         y[0]
     }
 
     /// The fused forward over a batch of queries. Each set holds the
     /// elements of *all* queries back to back; `counts[q]` says how many
     /// elements of `[tables, joins, preds]` belong to query `q`, in
-    /// order. Writes one normalized output per query into `out`. Each
+    /// order; a table element is its bitset over the table module's input
+    /// width. Writes one normalized output per query into `out`. Each
     /// module looks its elements up in the memo, runs its two layers once
     /// over the ones it did not hold (see module docs), and pools; a
-    /// query's output is bit-identical whatever batch it rides in, whatever
-    /// the memo held, and whichever form its table elements arrive in.
+    /// query's output is bit-identical whatever batch it rides in and
+    /// whatever the memo held.
     ///
     /// # Panics
     /// Panics when `out` and `counts` differ in length, the counts do not
-    /// add up to the sets' element counts, or bitset table elements are
-    /// not as wide as the table module's input.
+    /// add up to the sets' element counts, or the table elements are not as
+    /// wide as the table module's input.
     pub fn forward_batch(
         &self,
-        tables: Elements<'_>,
+        tables: &BitRows,
         joins: &IndexSet,
         preds: &IndexSet,
         counts: &[[u32; 3]],
@@ -952,14 +919,12 @@ impl FrozenModel {
         let (n, h) = (counts.len(), self.hidden);
         scratch.pooled.clear();
         scratch.pooled.resize(n * 3 * h, 0.0);
-        if let Elements::Bits(bits) = tables {
-            assert!(
-                bits.is_empty() || bits.width() == self.tables1.in_dim(),
-                "bitset table elements must be the table module's width"
-            );
-        }
+        assert!(
+            tables.is_empty() || tables.width() == self.tables1.in_dim(),
+            "table elements must be the table module's width"
+        );
         let modules = [
-            (&self.tables1, &self.tables2, tables),
+            (&self.tables1, &self.tables2, Elements::Bits(tables)),
             (&self.joins1, &self.joins2, Elements::Entries(joins)),
             (&self.preds1, &self.preds2, Elements::Entries(preds)),
         ];
@@ -1035,7 +1000,7 @@ impl FrozenModel {
         probes.clear();
         probes.extend((0..set.len()).map(|r| {
             let at = keys.len();
-            (set.probe(r, module, l1.in_dim(), keys), at..keys.len())
+            (set.probe(r, module, keys), at..keys.len())
         }));
         missing.clear();
         {
@@ -1329,22 +1294,22 @@ mod tests {
             }
             all
         };
-        let (ts, js, ps) = (concat(0), concat(1), concat(2));
+        let (ts, js, ps) = (bits_of(&concat(0), 10), concat(1), concat(2));
         let counts: Vec<[u32; 3]> = queries
             .iter()
             .map(|q| q.map(|s| s.elems.len() as u32))
             .collect();
         let mut out = vec![0.0f32; queries.len()];
-        m.forward_batch(
-            Elements::Entries(&ts),
-            &js,
-            &ps,
-            &counts,
-            &mut scratch,
-            &mut out,
-        );
+        m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&out), bits(&singles));
+    }
+
+    /// `set`'s elements, all ones, as bitsets over `width` features.
+    fn bits_of(set: &IndexSet, width: usize) -> BitRows {
+        let mut bits = BitRows::default();
+        pack_bits(set, width, &mut bits);
+        bits
     }
 
     fn tiny_model() -> FrozenModel {
@@ -1476,7 +1441,7 @@ mod tests {
             }
             all
         };
-        let (ts, js, ps) = (concat(0), concat(1), concat(2));
+        let (ts, js, ps) = (bits_of(&concat(0), 10), concat(1), concat(2));
         let counts: Vec<[u32; 3]> = stream
             .iter()
             .map(|q| [0, 1, 2].map(|s| q[s].elems.len() as u32))
@@ -1484,14 +1449,7 @@ mod tests {
         let singles: Vec<u32> = stream.iter().map(|q| forward(&warm, q)).collect();
         for m in [&warm, &tiny_model()] {
             let mut out = vec![0.0f32; stream.len()];
-            m.forward_batch(
-                Elements::Entries(&ts),
-                &js,
-                &ps,
-                &counts,
-                &mut FrozenScratch::new(),
-                &mut out,
-            );
+            m.forward_batch(&ts, &js, &ps, &counts, &mut FrozenScratch::new(), &mut out);
             let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
             assert_eq!(bits, singles);
         }
@@ -1506,7 +1464,7 @@ mod tests {
             (one_entry(1.0), one_entry(next_after_half)),
         ];
         for (a, b) in &pairs {
-            let ((pa, ka), (pb, kb)) = (key_of(2, 7, &a.entries), key_of(2, 7, &b.entries));
+            let ((pa, ka), (pb, kb)) = (key_of(2, &a.entries), key_of(2, &b.entries));
             let mut table = MemoTable::default();
             table.insert(pa, &ka, &[7.0]);
             assert_eq!(looked_up(&table, pa, &ka, 1), Some(vec![7.0]));
@@ -1518,15 +1476,19 @@ mod tests {
             };
             assert_eq!(looked_up(&table, forged, &kb, 1), None);
         }
-        // The same entries in another module are another element, in every
-        // key form: pairs, indices, bitset.
-        let bitmap = |value: f32| -> Vec<(u32, f32)> { (0..40).map(|i| (i, value)).collect() };
-        for entries in [one_entry(1.0).entries, one_entry(0.25).entries, bitmap(1.0)] {
+        // The same words in another module are another element, whether
+        // they are a join's or a predicate's pairs or a table's bitset.
+        for entries in [one_entry(1.0).entries, one_entry(0.25).entries] {
             let mut table = MemoTable::default();
-            let (own, key) = key_of(0, 40, &entries);
+            let (own, key) = key_of(1, &entries);
             table.insert(own, &key, &[7.0]);
-            for module in [1, 2] {
-                let (other, other_key) = key_of(module, 40, &entries);
+            for module in [0, 2] {
+                let (other, other_key) = if module == 0 {
+                    let mut bits_key = Vec::new();
+                    (Probe::of_bits(0, &key, &mut bits_key), bits_key)
+                } else {
+                    key_of(module, &entries)
+                };
                 assert_eq!(other_key, key);
                 assert_eq!(looked_up(&table, other, &key, 1), None);
                 let forged = Probe {
@@ -1536,42 +1498,15 @@ mod tests {
                 assert_eq!(looked_up(&table, forged, &key, 1), None);
             }
         }
-        // Keys of one module whose words agree but whose forms differ are
-        // other elements: the indices `[3]` and the bitset `{0, 1}` are
-        // both the word 3 at width 32; the pairs of `[(3, 1.5)]` are the
-        // indices `[3, 1.5 bits]`. Indices out of order sum in another
-        // order, so they are never the bitset of the same set.
-        let forms = [
-            vec![(3, 1.0)],
-            vec![(0, 1.0), (1, 1.0)],
-            vec![(3, 1.5)],
-            vec![(3, 1.0), (1.5f32.to_bits(), 1.0)],
-            vec![(1, 1.0), (0, 1.0)],
-        ];
-        let keys: Vec<(Probe, Vec<u32>)> = forms.iter().map(|e| key_of(0, 32, e)).collect();
-        assert_eq!((keys[0].1.clone(), keys[1].1.clone()), (vec![3], vec![3]));
-        assert_eq!(keys[2].1, keys[3].1);
-        for (n, (probe, key)) in keys.iter().enumerate() {
-            let mut table = MemoTable::default();
-            table.insert(*probe, key, &[7.0]);
-            for (m, (other, other_key)) in keys.iter().enumerate() {
-                let forged = Probe {
-                    hash: probe.hash,
-                    ..*other
-                };
-                let hit = looked_up(&table, forged, other_key, 1).is_some();
-                assert_eq!(hit, n == m, "form {n} against form {m}");
-            }
-        }
-        // End to end: one artifact serving the near-identical elements in
-        // every module, in turn, answers like a fresh one each time.
+        // End to end: one artifact serving the near-identical elements as
+        // joins and as predicates, in turn, answers like a fresh one each
+        // time. A table element's values are all `1.0`.
         let warm = tiny_model();
         let empty = IndexSet::default();
         for _ in 0..2 {
             for (a, b) in &pairs {
                 for set in [a, b] {
                     for q in [
-                        [set.clone(), empty.clone(), empty.clone()],
                         [empty.clone(), set.clone(), empty.clone()],
                         [empty.clone(), empty.clone(), set.clone()],
                     ] {
@@ -1582,22 +1517,19 @@ mod tests {
         }
     }
 
-    /// One element of `width` features with the bits `ones` set, as a
-    /// bitset and as entries.
-    fn both_forms(width: usize, ones: &[u32]) -> (BitRows, IndexSet) {
+    /// One element of `width` features with the bits `ones` set.
+    fn bitset(width: usize, ones: &[u32]) -> BitRows {
         let mut bits = BitRows::default();
         let mut row = bits.push_clear(width);
         for &i in ones {
             row.set(i as usize);
         }
-        let mut entries = IndexSet::default();
-        bits.expand_into(0, &mut entries);
-        (bits, entries)
+        bits
     }
 
     /// The answer of a query whose table set is `tables` and whose other
     /// sets are empty.
-    fn forward_tables(m: &FrozenModel, tables: Elements<'_>) -> u32 {
+    fn forward_tables(m: &FrozenModel, tables: &BitRows) -> u32 {
         let empty = IndexSet::default();
         let mut y = [0.0f32];
         let counts = [[tables.len() as u32, 0, 0]];
@@ -1615,50 +1547,10 @@ mod tests {
     }
 
     #[test]
-    fn an_all_ones_element_has_one_key_as_bits_or_as_entries() {
-        // 106 features, as 6 tables and 100 sample bits: four words, so up
-        // to four set bits are keyed by their indices and more by the
-        // bitset. Bits on both sides of word boundaries, and none at all.
-        let width = 106;
-        let all: Vec<u32> = (0..106).collect();
-        let cases: [(&[u32], u32); 6] = [
-            (&[], KEY_INDICES),
-            (&[2], KEY_INDICES),
-            (&[2, 6, 31, 105], KEY_INDICES),
-            (&[2, 6, 31, 32, 105], KEY_BITSET),
-            (&[0, 63, 64, 95, 96, 100], KEY_BITSET),
-            (&all, KEY_BITSET),
-        ];
-        for (ones, form) in cases {
-            let (bits, entries) = both_forms(width, ones);
-            assert_eq!(entries.entries.len(), ones.len());
-            let (from_bits, bits_key) = key_of_bits(0, &bits);
-            let (from_entries, entries_key) = key_of(0, width, &entries.entries);
-            assert_eq!(bits_key, entries_key, "{ones:?}");
-            assert_eq!(from_bits.tag, from_entries.tag, "{ones:?}");
-            assert_eq!(from_bits.tag & 3, form, "{ones:?}");
-            assert_eq!(from_bits.hash, from_entries.hash, "{ones:?}");
-            // Computed in one form, the element is a hit in the other.
-            let want = forward_tables(&model_with_tables(width), Elements::Entries(&entries));
-            for order in [
-                [Elements::Bits(&bits), Elements::Entries(&entries)],
-                [Elements::Entries(&entries), Elements::Bits(&bits)],
-            ] {
-                let m = model_with_tables(width);
-                for (n, tables) in order.into_iter().enumerate() {
-                    assert_eq!(forward_tables(&m, tables), want, "{ones:?}");
-                    let stats = m.memo_stats();
-                    assert_eq!((stats.misses, stats.hits), (1, n as u64), "{ones:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bitsets_one_bit_apart_never_alias() {
-        // 6 tables and 100 sample bits; element bases keyed by indices and
-        // by their bitset. Flipped: the one-hot bit, sample bit 0, the last
-        // sample bit, and the bits either side of a word boundary.
+        // 6 tables and 100 sample bits; a sparse and a dense element base.
+        // Flipped: the one-hot bit, sample bit 0, the last sample bit, and
+        // the bits either side of a word boundary.
         let width = 106;
         let dense: Vec<u32> = (0..106)
             .filter(|&i| i == 2 || (i >= 6 && i % 3 != 0))
@@ -1666,7 +1558,7 @@ mod tests {
         let flips = [2u32, 6, 105, 31, 32];
         let warm = model_with_tables(width);
         for base in [vec![2, 40], dense] {
-            let (bits, _) = both_forms(width, &base);
+            let bits = bitset(width, &base);
             let (probe, key) = key_of_bits(0, &bits);
             let mut table = MemoTable::default();
             table.insert(probe, &key, &[7.0]);
@@ -1676,7 +1568,7 @@ mod tests {
                     ones.push(flip);
                     ones.sort_unstable();
                 }
-                let (other_bits, _) = both_forms(width, &ones);
+                let other_bits = bitset(width, &ones);
                 let (other, other_key) = key_of_bits(0, &other_bits);
                 assert_ne!((other.tag, &other_key), (probe.tag, &key), "flip {flip}");
                 assert_eq!(looked_up(&table, other, &other_key, 1), None);
@@ -1688,31 +1580,27 @@ mod tests {
                 // One artifact serving the base and then its neighbour
                 // answers like a fresh artifact for each.
                 for b in [&bits, &other_bits] {
-                    let fresh = forward_tables(&model_with_tables(width), Elements::Bits(b));
-                    assert_eq!(
-                        forward_tables(&warm, Elements::Bits(b)),
-                        fresh,
-                        "flip {flip}"
-                    );
+                    let fresh = forward_tables(&model_with_tables(width), b);
+                    assert_eq!(forward_tables(&warm, b), fresh, "flip {flip}");
                 }
             }
         }
     }
 
-    /// The probe and key of element `n` of the ring tests: module 0, its
-    /// one index `n`.
+    /// The probe and key of element `n` of the ring tests: module 1, its
+    /// one entry `(n, 1.0)`.
     fn element(n: u32) -> (Probe, Vec<u32>) {
-        key_of(0, 64, &[(n, 1.0)])
+        key_of(1, &[(n, 1.0)])
     }
 
     #[test]
     fn the_oldest_element_is_evicted_first_and_a_hit_moves_nothing() {
-        // 1 037-word entries: 979 fit in the ring, and 3 000 wrap it three
+        // 1 038-word entries: 978 fit in the ring, and 3 000 wrap it three
         // times. The oldest element is looked up before every insert; it
         // still leaves first, so what the memo holds is always the newest
         // elements, one after another.
         let value: Vec<f32> = (0..1000).map(|j| j as f32 + 1.0).collect();
-        let len = ENTRY_HEADER + 1 + 1000usize.div_ceil(32) + 1000;
+        let len = ENTRY_HEADER + 2 + 1000usize.div_ceil(32) + 1000;
         let holds = |table: &MemoTable, n: u32| {
             let (probe, key) = element(n);
             looked_up(table, probe, &key, 1000).is_some_and(|row| row == value)
@@ -1729,11 +1617,11 @@ mod tests {
                 oldest += 1;
             }
             assert_eq!(table.entries, (n + 1 - oldest) as usize, "after {n}");
-            if n >= 979 {
+            if n >= 978 {
                 assert!(oldest > 0 && table.ring.len() - table.entries * len < 2 * len);
             }
         }
-        assert!(oldest >= 2 * 979, "the ring wrapped twice");
+        assert!(oldest >= 2 * 978, "the ring wrapped twice");
     }
 
     #[test]
@@ -1757,24 +1645,12 @@ mod tests {
 
         // End to end: one batch carrying an element twice stores it once.
         let m = tiny_model();
-        let twice = {
-            let mut set = one_entry(1.0);
-            let e = set.begin_elem();
-            set.push(2, 1.0);
-            set.finish_elem(e);
-            set
-        };
+        let mut twice = bitset(10, &[2]);
+        twice.push_clear(10).set(2);
         let empty = IndexSet::default();
         let mut y = [0.0f32];
         let mut scratch = FrozenScratch::new();
-        m.forward_batch(
-            Elements::Entries(&twice),
-            &empty,
-            &empty,
-            &[[2, 0, 0]],
-            &mut scratch,
-            &mut y,
-        );
+        m.forward_batch(&twice, &empty, &empty, &[[2, 0, 0]], &mut scratch, &mut y);
         let stats = m.memo_stats();
         assert_eq!((stats.misses, stats.entries), (2, 1), "{stats:?}");
     }
@@ -1844,19 +1720,18 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (s >> 33) as u32
         };
-        // 100k distinct elements, up to 600 entries of either key form and
-        // dense 700-float embeddings: ≈ 3.7 KB each at most, ≈ 450 MB in
-        // all, so the ring wraps over a hundred times.
+        // 100k distinct elements, up to 600 entries and dense 700-float
+        // embeddings: ≈ 7.7 KB each at most, ≈ 390 MB in all, so the ring
+        // wraps over a hundred times.
         let mut table = MemoTable::default();
         let value = vec![0.5f32; 700];
         let mut row = vec![0.0f32; 700];
         let mut peak = 0;
         for n in 0..100_000u32 {
             let len = next() as usize % 600;
-            let v = if n % 2 == 0 { 1.0 } else { 0.75 };
-            let mut entries: Vec<(u32, f32)> = (0..len as u32).map(|i| (i, v)).collect();
-            entries.push((1_000_000 + n, v));
-            let (probe, key) = key_of(n as usize % 3, 2_000_000, &entries);
+            let mut entries: Vec<(u32, f32)> = (0..len as u32).map(|i| (i, 0.75)).collect();
+            entries.push((1_000_000 + n, 0.75));
+            let (probe, key) = key_of(n as usize % 3, &entries);
             let width = 1 + next() as usize % 700;
             table.insert(probe, &key, &value[..width]);
             assert!(table.get(probe, &key, &mut row[..width]), "element {n}");
@@ -1870,11 +1745,11 @@ mod tests {
         assert!(peak > MEMO_MAX_BYTES * 9 / 10, "the bound was reached");
         // An element larger than the whole ring is computed every time.
         let huge: Vec<(u32, f32)> = (0..600_000).map(|i| (i, 0.75)).collect();
-        let (probe, key) = key_of(2, 2_000_000, &huge);
+        let (probe, key) = key_of(2, &huge);
         table.insert(probe, &key, &value);
         assert!(!table.get(probe, &key, &mut row));
         assert_ring_is_what_the_counts_say(&table);
-        // 28-byte elements: the index's count, not the ring's room, makes
+        // 32-byte elements: the index's count, not the ring's room, makes
         // the oldest leave, and the index never fills.
         for n in 0..40_000 {
             let (probe, key) = element(n);
@@ -1949,16 +1824,16 @@ mod tests {
                 break;
             }
             let mut entries = Vec::new();
-            let (module, width) = if next() % 3 == 0 {
+            let module = if next() % 3 == 0 {
                 entries.extend([(next() % 8, 1.0), (8 + next() % 3, 1.0)]);
                 entries.push((11, (next() % 1000) as f32 / 1000.0));
-                (2, 12)
+                2
             } else {
                 entries.push((next() % 6, 1.0));
                 entries.extend((0..256).filter(|_| next() % 2 == 0).map(|i| (6 + i, 1.0)));
-                (0, 6 + 256)
+                0
             };
-            let (probe, key) = key_of(module, width, &entries);
+            let (probe, key) = key_of(module, &entries);
             if seen.insert((probe.tag, key)) {
                 let set = if module == 0 { &mut tables } else { &mut preds };
                 let e = set.begin_elem();
@@ -1968,20 +1843,14 @@ mod tests {
         }
         let elements = seen.len() as u64;
         assert_eq!(elements, 3_200);
+        let tables = bits_of(&tables, 6 + 256);
         let empty = IndexSet::default();
         let mut scratch = FrozenScratch::new();
         let mut answers = Vec::new();
         for _ in 0..2 {
-            let counts = [[tables.elems.len() as u32, 0, preds.elems.len() as u32]];
+            let counts = [[tables.len() as u32, 0, preds.elems.len() as u32]];
             let mut y = [0.0f32];
-            m.forward_batch(
-                Elements::Entries(&tables),
-                &empty,
-                &preds,
-                &counts,
-                &mut scratch,
-                &mut y,
-            );
+            m.forward_batch(&tables, &empty, &preds, &counts, &mut scratch, &mut y);
             answers.push(y[0].to_bits());
         }
         assert_eq!(answers[0], answers[1]);
@@ -2009,14 +1878,14 @@ mod tests {
                     _ => j as f32 * 0.37,
                 })
                 .collect();
-            let (probe, key) = key_of(0, 4, &[(1, 1.0)]);
+            let (probe, key) = key_of(0, &[(1, 1.0)]);
             let mut table = MemoTable::default();
             table.insert(probe, &key, &dense);
             let stored = looked_up(&table, probe, &key, h).expect("held");
             let nonzeros = dense.iter().filter(|&&v| v != 0.0).count();
             assert_eq!(
                 table.ring[3] as usize,
-                ENTRY_HEADER + 1 + h.div_ceil(32) + nonzeros,
+                ENTRY_HEADER + key.len() + h.div_ceil(32) + nonzeros,
                 "the first entry's length"
             );
             for (j, (&got, &want)) in stored.iter().zip(&dense).enumerate() {
@@ -2092,10 +1961,11 @@ mod tests {
         println!("this CPU has no AVX-512F: only the portable codec runs");
     }
 
-    /// An element's probe and key, as a forward pass makes them.
-    fn key_of(module: usize, width: usize, entries: &[(u32, f32)]) -> (Probe, Vec<u32>) {
+    /// A join or predicate element's probe and key, as a forward pass
+    /// makes them.
+    fn key_of(module: usize, entries: &[(u32, f32)]) -> (Probe, Vec<u32>) {
         let mut key = Vec::new();
-        let probe = Probe::of(module, width, entries, &mut key);
+        let probe = Probe::of(module, entries, &mut key);
         (probe, key)
     }
 
@@ -2230,6 +2100,26 @@ mod tests {
         for bad in [blob(4, wired(5)), blob(5, wired(4)), blob(0, zero)] {
             assert!(matches!(decode(bad), Err(DecodeError::Corrupt(_))));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "table elements must be the table module's width")]
+    fn table_bitsets_of_another_width_are_refused() {
+        let m = tiny_model();
+        forward_tables(&m, &bitset(11, &[2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "table entry 4 has the value 0.5, not 1.0")]
+    fn a_table_entry_other_than_one_is_refused() {
+        let m = tiny_model();
+        let mut tables = IndexSet::default();
+        let e = tables.begin_elem();
+        tables.push(1, 1.0);
+        tables.push(4, 0.5);
+        tables.finish_elem(e);
+        let empty = IndexSet::default();
+        m.forward_query(&tables, &empty, &empty, &mut FrozenScratch::new());
     }
 
     #[test]

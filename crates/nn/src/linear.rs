@@ -165,10 +165,11 @@ impl Linear {
     }
 
     /// The full backward pass into reusable buffers: what
-    /// [`Linear::accumulate_grads`] and [`Linear::input_grad_into`] do, as
-    /// the two pieces of one join — they share only their input
+    /// [`Linear::accumulate_grads`] does, and `∂L/∂x = grad_out · Wᵀ` into
+    /// `out`, as the two pieces of one join — they share only their input
     /// `grad_out`, each with its own glue (a transpose, a compression) in
-    /// front of its product, so a second lane takes one whole.
+    /// front of its product, so a second lane takes one whole. `grad_out`
+    /// is usually ReLU-masked, so about half of it is skipped.
     pub fn backward_into(
         &self,
         x: Rows<'_>,
@@ -209,20 +210,6 @@ impl Linear {
             x_cols, col_sums, ..
         } = scratch;
         accumulate(grads, x, grad_out, team, x_cols, col_sums);
-    }
-
-    /// Computes `∂L/∂x = grad_out · Wᵀ` into a reusable tensor. Combined
-    /// with [`Linear::accumulate_grads`] this is the full backward pass.
-    /// `grad_out` is usually ReLU-masked, so about half of it is skipped.
-    pub fn input_grad_into(
-        &self,
-        grad_out: &Tensor,
-        team: &Team,
-        scratch: &mut GradScratch,
-        out: &mut Tensor,
-    ) {
-        let GradScratch { grad_rows, w_t, .. } = scratch;
-        input_grad(&self.w, grad_out, team, grad_rows, w_t, out);
     }
 
     /// Number of scalar parameters.
@@ -276,7 +263,8 @@ fn accumulate(
     }
 }
 
-/// [`Linear::input_grad_into`] over the weights and scratch it uses.
+/// `∂L/∂x = grad_out · Wᵀ` into `out`, the input-gradient half of
+/// [`Linear::backward_into`], over the weights and scratch it uses.
 fn input_grad(
     w: &Tensor,
     grad_out: &Tensor,

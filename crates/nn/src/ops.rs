@@ -5,17 +5,7 @@ use crate::tensor::Tensor;
 
 /// Elementwise ReLU.
 pub fn relu(x: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(0, 0);
-    relu_into(x, &mut out);
-    out
-}
-
-/// [`relu`] into a reusable output tensor.
-pub fn relu_into(x: &Tensor, out: &mut Tensor) {
-    out.resize(x.rows(), x.cols());
-    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
-        *o = v.max(0.0);
-    }
+    x.map(|v| v.max(0.0))
 }
 
 /// Backward of ReLU: passes gradient where the *input* was positive.

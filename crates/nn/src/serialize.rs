@@ -109,19 +109,14 @@ impl Encoder {
         self.buf.put_slice(v);
     }
 
-    /// Writes a tensor (rows, cols, data).
-    pub fn tensor(&mut self, t: &Tensor) {
-        self.matrix(t.rows(), t.cols(), t.data());
-    }
-
     /// Writes a linear layer: its weights as a tensor, then its bias.
     pub fn linear(&mut self, l: &FrozenLinear) {
         self.matrix(l.in_dim(), l.out_dim(), l.weights());
         self.f32_slice(l.bias());
     }
 
-    /// Writes a row-major `rows × cols` matrix the way
-    /// [`Encoder::tensor`] does.
+    /// Writes a row-major `rows × cols` matrix: its shape, then its
+    /// floats.
     fn matrix(&mut self, rows: usize, cols: usize, data: &[f32]) {
         self.buf.put_u64_le(rows as u64);
         self.buf.put_u64_le(cols as u64);
@@ -290,7 +285,7 @@ impl<'a> Decoder<'a> {
         Ok(FrozenLinear::from_parts(rows, cols, w, b))
     }
 
-    /// Reads the shape and the bytes of a matrix [`Encoder::tensor`] wrote;
+    /// Reads the shape and the bytes of a matrix `Encoder::matrix` wrote;
     /// returns its shape and its floats, decoded as they are read.
     fn matrix(&mut self) -> Result<(usize, usize, impl Iterator<Item = f32> + 'a), DecodeError> {
         let rows = self.u64()? as usize;
@@ -410,7 +405,7 @@ mod tests {
     fn corrupt_bias_rejected() {
         let l = Linear::new(2, 2, 1);
         let mut e = Encoder::new();
-        e.tensor(l.weights());
+        e.matrix(2, 2, l.weights().data());
         e.f32_slice(&[0.0; 5]); // wrong bias length
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);

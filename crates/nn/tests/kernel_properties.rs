@@ -88,7 +88,8 @@ fn reference_forward(x: &Tensor, layer: &Linear, relu: bool) -> Tensor {
 /// Every product of one layer over one input, against the oracle: the
 /// training forward with and without ReLU, its frozen copy (dispatched and
 /// portable), the weight and bias gradients accumulated twice, and the
-/// input gradient — each at every thread count.
+/// full backward pass training runs (input gradient beside the weight
+/// gradient) — each at every thread count.
 fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), TestCaseError> {
     let rows = IndexSet::of_dense(x.data(), x.cols());
     let what = format!("{}x{}·{}", x.rows(), x.cols(), layer.out_dim());
@@ -140,10 +141,23 @@ fn check_layer(x: &Tensor, layer: &Linear, grad_out: &Tensor) -> Result<(), Test
             let want_b: Vec<f32> = once_b.iter().map(|&v| scale(v)).collect();
             prop_assert_eq!(grads.bias(), &want_b[..], "grad_b {} t={}", &what, threads);
         }
+        let mut grads = LinearGrads::zeros(layer);
         Team::run(threads, |team| {
-            layer.input_grad_into(grad_out, team, &mut scratch, &mut out)
+            layer.backward_into(
+                rows.rows(),
+                grad_out,
+                &mut grads,
+                team,
+                &mut scratch,
+                &mut out,
+            )
         });
         assert_same(&out, &want_in, &format!("input_grad {what} t={threads}"))?;
+        assert_same(
+            grads.weights(),
+            &once_w,
+            &format!("backward {what} t={threads}"),
+        )?;
     }
     Ok(())
 }

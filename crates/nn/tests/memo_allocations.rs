@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ds_nn::frozen::{Elements, FrozenLinear, FrozenModel, FrozenScratch, IndexSet};
+use ds_nn::frozen::{BitRows, FrozenLinear, FrozenModel, FrozenScratch, IndexSet};
 use ds_nn::linear::Linear;
 
 /// The system allocator, counting the calls that hand out memory and the
@@ -86,7 +86,7 @@ fn memo_misses_inserts_and_evictions_allocate_nothing() {
         layer(3 * h, h, 7),
         layer(h, 1, 8),
     );
-    let empty = IndexSet::default();
+    let (no_tables, empty) = (BitRows::default(), IndexSet::default());
     let mut preds = IndexSet::default();
     let mut scratch = FrozenScratch::new();
     let counts = vec![[0, 0, 1]; BATCH as usize];
@@ -96,8 +96,7 @@ fn memo_misses_inserts_and_evictions_allocate_nothing() {
         for n in first..first + BATCH {
             push_element(preds, n);
         }
-        let tables = Elements::Entries(&empty);
-        m.forward_batch(tables, &empty, preds, &counts, &mut scratch, &mut out);
+        m.forward_batch(&no_tables, &empty, preds, &counts, &mut scratch, &mut out);
     };
 
     // The warm-up batch grows the scratch and allocates the memo.

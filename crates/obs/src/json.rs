@@ -1,10 +1,9 @@
 //! A minimal JSON value type with a recursive-descent parser and emitter.
 //!
 //! The offline build has no serde; this covers exactly what the
-//! workspace's machine-readable artifacts need — the `BENCH_*.json`
-//! baselines the benchmark harness reads and diffs, and the JSON trace
-//! sink. Object keys preserve insertion order so emitted files diff
-//! cleanly under version control.
+//! workspace's machine-readable artifacts need — the report the
+//! benchmark writes and reads back. Object keys preserve insertion order
+//! so emitted files diff cleanly under version control.
 
 use std::fmt;
 

@@ -21,11 +21,9 @@
 //!   exposition merging across shards ([`agg`]: counters sum,
 //!   histograms merge exactly, gauges take the worst), and declarative
 //!   SLOs with fast/slow-window burn-rate alerting ([`slo`]).
-//! * **Sinks** — [`TraceReport::capture`] snapshots a tracer;
-//!   [`PrettySink`] renders it for humans (stderr), [`JsonSink`] for
-//!   machines. The [`json`] module is the workspace's minimal JSON
-//!   parser/emitter (the offline build has no serde), also used by the
-//!   benchmark harness to diff `BENCH_*.json` baselines.
+//! * **JSON** — the [`json`] module is the workspace's minimal JSON
+//!   parser/emitter (the offline build has no serde), which the benchmark
+//!   uses for its report.
 //!
 //! Instrumentation is **off by default** and costs one relaxed atomic
 //! load per call site when disabled, so hot serving/training paths pay
@@ -41,8 +39,8 @@
 //!     let _train = tracer.span("train");
 //!     tracer.gauge("train/loss", 0.12);
 //! }
-//! let report = ds_obs::TraceReport::capture(tracer);
-//! assert!(report.spans.iter().any(|s| s.path == "build/train"));
+//! let train = tracer.span_stat("build/train").expect("recorded");
+//! assert_eq!(train.count, 1);
 //! tracer.disable();
 //! # tracer.reset();
 //! ```
@@ -56,7 +54,6 @@ pub mod hist;
 pub mod json;
 pub mod prom;
 pub mod ring;
-pub mod sink;
 pub mod slo;
 pub mod span;
 pub mod trace;
@@ -69,7 +66,6 @@ pub use hist::{HistogramSnapshot, LogHistogram};
 pub use json::{JsonError, JsonValue};
 pub use prom::{parse_families, FamilyKind, PromFamily, PromSample, PromText};
 pub use ring::ExemplarRing;
-pub use sink::{GaugeReport, HistReport, JsonSink, PrettySink, Sink, SpanReport, TraceReport};
 pub use slo::{BurnRates, SloSpec, SloTracker};
 pub use span::{Inherited, Span, SpanStat, Tracer};
 pub use trace::{IdSource, TraceContext};

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ds_est::postgres::PostgresEstimator;
-use ds_est::CardinalityEstimator;
 use ds_query::parser::parse_query;
 use ds_serve::{Client, ServeConfig, Server, SharedEstimator};
 
@@ -63,6 +62,7 @@ fn healthy_wire_responses_are_byte_identical_with_degradation_configured() {
 #[cfg(debug_assertions)]
 mod faulted {
     use super::*;
+    use ds_est::CardinalityEstimator;
     use ds_serve::{BreakerConfig, ErrorCode, FaultInjector, Response};
 
     #[test]
