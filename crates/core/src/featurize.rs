@@ -22,6 +22,7 @@
 //! alone against a prefix of its table's materialized sample) — the
 //! MSCN+ features that close the gap on correlated predicates.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -404,8 +405,8 @@ impl Featurizer {
     /// Featurizes one query as sparse index lists — the exact same active
     /// `(index, value)` pairs as [`Featurizer::featurize`], in ascending
     /// index order per element, without ever materializing the dense
-    /// one-hot rows: [`Featurizer::append_indices`] into a cleared `out`,
-    /// its table bitsets then expanded into `out.tables`. Reuses `out`'s
+    /// one-hot rows: [`Featurizer::append_indices`] into this thread's
+    /// [`ServedFeatures`], expanded into a cleared `out`. Reuses `out`'s
     /// buffers, so a loop over queries allocates nothing per query.
     pub fn featurize_indices(
         &self,
@@ -413,9 +414,15 @@ impl Featurizer {
         samples: &[TableSample],
         out: &mut QueryIndexFeatures,
     ) {
-        out.clear();
-        self.append_indices(query, samples, out);
-        out.expand_tables();
+        thread_local! {
+            static SERVED: RefCell<ServedFeatures> = RefCell::default();
+        }
+        SERVED.with_borrow_mut(|served| {
+            served.clear();
+            self.append_indices(query, samples, served);
+            out.clear();
+            served.expand_into(out);
+        });
     }
 
     /// Appends the query's elements behind whatever `out` already holds,
@@ -423,7 +430,7 @@ impl Featurizer {
     /// query's sets back to back). Returns how many `[table, join,
     /// predicate]` elements the query contributed.
     ///
-    /// A table element goes to `out.table_bits` as its bitset over
+    /// A table element goes to `out.tables` as its bitset over
     /// [`Featurizer::table_dim`] features: the table's one-hot bit, then
     /// the words of its qualifying-sample bitmap shifted by the number of
     /// tables. The served forward looks it up in the element memo by those
@@ -434,12 +441,12 @@ impl Featurizer {
         &self,
         query: &Query,
         samples: &[TableSample],
-        out: &mut QueryIndexFeatures,
+        out: &mut ServedFeatures,
     ) -> [u32; 3] {
         // Table set: one-hot(table) then the bitmap tail.
         let width = self.table_dim();
         for &t in &query.tables {
-            let mut row = out.table_bits.push_clear(width);
+            let mut row = out.tables.push_clear(width);
             if t.0 < self.num_tables {
                 row.set(t.0);
             }
@@ -507,22 +514,23 @@ impl Featurizer {
 
     /// Featurizes a whole workload once, as index lists — what the training
     /// loop draws its batches from ([`FeaturePool::batch`]). The same
-    /// [`Featurizer::append_indices`] serving runs, its table bitsets
-    /// expanded into entries, so training and serving see one
-    /// featurization.
+    /// [`Featurizer::append_indices`] serving runs, its output expanded
+    /// into entries, so training and serving see one featurization.
     ///
     /// The pool holds each distinct element once: an element whose entries
     /// an earlier one already holds takes that element's span. A workload's
     /// table elements repeat a few bitmaps (every predicate-free table's),
     /// so at the benchmark's spec this keeps 1.5 MB of 34.3 MB.
     pub fn pool(&self, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
+        let mut served = ServedFeatures::default();
         let mut feats = QueryIndexFeatures::default();
         let mut distinct: [Interned; 3] = Default::default();
         let mut first = Vec::with_capacity(queries.len() + 1);
         first.push([0u32; 3]);
         for q in queries {
-            let counts = self.append_indices(q, samples, &mut feats);
-            feats.expand_tables();
+            served.clear();
+            let counts = self.append_indices(q, samples, &mut served);
+            served.expand_into(&mut feats);
             let at: [u32; 3] = *first.last().expect("starts with zeros");
             let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
             for ((set, distinct), from) in sets.into_iter().zip(&mut distinct).zip(at) {
@@ -583,26 +591,16 @@ impl Featurizer {
     }
 }
 
-/// Sparse featurization of queries, the input of the fused frozen
-/// forward. Holds the same information as [`QueryFeatures`] but as
-/// `(index, value)` gather lists, and table elements as bitsets, instead
-/// of dense rows.
-///
-/// The table set is in one of two forms: [`Featurizer::append_indices`]
-/// writes it to `table_bits`, which the served forward reads, and
-/// [`Featurizer::featurize_indices`] and [`Featurizer::pool`] expand that
-/// into `tables`, which training reads and
-/// [`ds_nn::frozen::FrozenModel::forward_query`] packs back into bitsets.
+/// Queries featurized for the served forward, as
+/// [`Featurizer::append_indices`] writes them and
+/// [`ds_nn::frozen::FrozenModel::forward_batch`] reads them: every query's
+/// sets back to back, table elements as bitsets, join and predicate
+/// elements as `(index, value)` entries.
 #[derive(Debug, Default, Clone)]
-pub struct QueryIndexFeatures {
-    /// Table-set elements as entries: one-hot(table) + sample-bitmap
-    /// indices, each `1.0`. Filled by [`Featurizer::featurize_indices`];
-    /// [`Featurizer::append_indices`] leaves it empty and writes
-    /// `table_bits` instead.
-    pub tables: IndexSet,
+pub struct ServedFeatures {
     /// Table-set elements as bitsets over [`Featurizer::table_dim`]
-    /// features, not yet expanded into `tables`.
-    pub table_bits: BitRows,
+    /// features: one-hot(table), then the qualifying-sample bitmap.
+    pub tables: BitRows,
     /// Join-set elements: at most one active index each.
     pub joins: IndexSet,
     /// Predicate-set elements: column, operator, and literal slots.
@@ -612,29 +610,53 @@ pub struct QueryIndexFeatures {
     qualifying: Bitmap,
 }
 
-impl PartialEq for QueryIndexFeatures {
-    fn eq(&self, other: &Self) -> bool {
-        (&self.tables, &self.table_bits, &self.joins, &self.preds)
-            == (&other.tables, &other.table_bits, &other.joins, &other.preds)
+impl ServedFeatures {
+    /// Empties every set, keeping their allocations.
+    pub fn clear(&mut self) {
+        self.tables.clear();
+        self.joins.clear();
+        self.preds.clear();
     }
+
+    /// Appends every element to `out` as entries: a table bitset as
+    /// `(index, 1.0)` per set bit, ascending.
+    fn expand_into(&self, out: &mut QueryIndexFeatures) {
+        for r in 0..self.tables.len() {
+            self.tables.expand_into(r, &mut out.tables);
+        }
+        for (from, to) in [(&self.joins, &mut out.joins), (&self.preds, &mut out.preds)] {
+            for &(start, len) in &from.elems {
+                let at = to.begin_elem();
+                to.entries
+                    .extend_from_slice(&from.entries[start as usize..(start + len) as usize]);
+                to.finish_elem(at);
+            }
+        }
+    }
+}
+
+/// Sparse featurization of queries as `(index, value)` entries, table
+/// elements included: the same information as [`QueryFeatures`] without
+/// the dense rows. [`Featurizer::featurize_indices`] and
+/// [`Featurizer::pool`] fill it, and
+/// [`ds_nn::frozen::FrozenModel::forward_query`] reads it.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct QueryIndexFeatures {
+    /// Table-set elements: one-hot(table) + sample-bitmap indices, each
+    /// `1.0`.
+    pub tables: IndexSet,
+    /// Join-set elements: at most one active index each.
+    pub joins: IndexSet,
+    /// Predicate-set elements: column, operator, and literal slots.
+    pub preds: IndexSet,
 }
 
 impl QueryIndexFeatures {
     /// Empties every set, keeping their allocations.
     pub fn clear(&mut self) {
         self.tables.clear();
-        self.table_bits.clear();
         self.joins.clear();
         self.preds.clear();
-    }
-
-    /// Moves the table elements in `table_bits` to the end of `tables`,
-    /// each as `(index, 1.0)` per set bit, ascending.
-    fn expand_tables(&mut self) {
-        for r in 0..self.table_bits.len() {
-            self.table_bits.expand_into(r, &mut self.tables);
-        }
-        self.table_bits.clear();
     }
 }
 
@@ -1116,6 +1138,8 @@ mod tests {
         assert_eq!(set.entries, [a, b].concat());
     }
 
+    /// One v1 query, then schema v2 over generated queries with `IN` and
+    /// `LIKE` predicates and per-predicate sample bitmaps.
     #[test]
     fn index_features_match_dense_rows_exactly() {
         let (db, samples, f) = setup();
@@ -1125,9 +1149,15 @@ mod tests {
              WHERE movie_keyword.movie_id = title.id AND title.production_year > 2000",
         )
         .unwrap();
-        let dense = f.featurize(&q, &samples);
-        let mut sparse = QueryIndexFeatures::default();
-        f.featurize_indices(&q, &samples, &mut sparse);
+        let columns = imdb_predicate_columns(&db);
+        let config = ds_query::GeneratorConfig::new(columns.clone(), 13).with_extended_ops();
+        let extended = ds_query::QueryGenerator::new(&db, config).generate_batch(60);
+        let kinds: std::collections::HashSet<_> = extended
+            .iter()
+            .flat_map(|q| q.predicates.iter().map(|(_, p)| p.op_kind().index()))
+            .collect();
+        assert_eq!(kinds.len(), 5, "=, <, >, IN and LIKE all appear");
+        let v2 = Featurizer::build(&db, &columns, 32).with_schema_v2(16);
         let check = |rows: &Vec<Vec<f32>>, set: &IndexSet, dim: usize| {
             assert_eq!(rows.len(), set.elems.len());
             for (row, &(start, len)) in rows.iter().zip(&set.elems) {
@@ -1142,9 +1172,18 @@ mod tests {
                 assert_eq!(&rebuilt, row);
             }
         };
-        check(&dense.table_rows, &sparse.tables, f.table_dim());
-        check(&dense.join_rows, &sparse.joins, f.join_dim());
-        check(&dense.pred_rows, &sparse.preds, f.pred_dim());
+        let mut sparse = QueryIndexFeatures::default();
+        let mut bitmap_bits = 0;
+        for (f, q) in std::iter::once((&f, &q)).chain(extended.iter().map(|q| (&v2, q))) {
+            let dense = f.featurize(q, &samples);
+            f.featurize_indices(q, &samples, &mut sparse);
+            check(&dense.table_rows, &sparse.tables, f.table_dim());
+            check(&dense.join_rows, &sparse.joins, f.join_dim());
+            check(&dense.pred_rows, &sparse.preds, f.pred_dim());
+            let tail = (f.columns().len() + 7) as u32;
+            bitmap_bits += sparse.preds.entries.iter().filter(|e| e.0 >= tail).count();
+        }
+        assert!(bitmap_bits > 0, "no predicate bitmap bit was set");
     }
 
     /// What `append_indices` writes for a table element — its bitset —
@@ -1184,22 +1223,18 @@ mod tests {
             );
             let no_bitmaps = Featurizer::build_with_options(&db, &columns, sample_size, false);
             for f in [full, without_last, no_bitmaps] {
-                let mut bits = QueryIndexFeatures::default();
+                let mut bits = ServedFeatures::default();
                 let mut entries = QueryIndexFeatures::default();
                 let (mut empty_bitmaps, mut outside) = (0, 0);
                 for q in &queries {
                     bits.clear();
                     let counts = f.append_indices(q, &samples, &mut bits);
                     f.featurize_indices(q, &samples, &mut entries);
-                    let QueryIndexFeatures {
-                        tables, table_bits, ..
-                    } = &bits;
-                    assert!(tables.elems.is_empty(), "no per-bit entries");
-                    assert_eq!(table_bits.len(), counts[0] as usize);
-                    assert_eq!(table_bits.width(), f.table_dim());
+                    assert_eq!(bits.tables.len(), counts[0] as usize);
+                    assert_eq!(bits.tables.width(), f.table_dim());
                     let mut expanded = IndexSet::default();
-                    for r in 0..table_bits.len() {
-                        table_bits.expand_into(r, &mut expanded);
+                    for r in 0..bits.tables.len() {
+                        bits.tables.expand_into(r, &mut expanded);
                     }
                     let bits_of = |set: &IndexSet| {
                         let of = |&(i, v): &(u32, f32)| (i, v.to_bits());
@@ -1227,55 +1262,6 @@ mod tests {
                 }
                 assert!(empty_bitmaps > 0, "a zero-tuple bitmap");
                 assert_eq!(outside > 0, f.num_tables() == last, "one-hots outside");
-            }
-        }
-    }
-
-    /// The table rows the served forward computes — `append_indices`'
-    /// bitsets, expanded — run the column-tile kernel of both table layers
-    /// to the bits of the portable oracle, at hidden widths that end on
-    /// every tile (see `frozen_properties`' ragged-widths test, whose table
-    /// set is the entries form) and table widths 22 and 262.
-    #[test]
-    fn expanded_table_rows_run_the_kernel_to_the_portable_oracle() {
-        use crate::mscn::{MscnConfig, MscnModel};
-        let db = imdb_database(&ImdbConfig::tiny(1));
-        let columns = imdb_predicate_columns(&db);
-        let queries =
-            ds_query::QueryGenerator::new(&db, ds_query::GeneratorConfig::new(columns.clone(), 77))
-                .generate_batch(16);
-        for sample_size in [16, 256] {
-            let samples = sample_all(&db, sample_size, 7);
-            let f = Featurizer::build(&db, &columns, sample_size);
-            let mut feats = QueryIndexFeatures::default();
-            for q in &queries {
-                f.append_indices(q, &samples, &mut feats);
-            }
-            let mut tables = IndexSet::default();
-            for r in 0..feats.table_bits.len() {
-                feats.table_bits.expand_into(r, &mut tables);
-            }
-            let rows = tables.elems.len();
-            assert!(rows >= queries.len() && tables.entries.len() > 2 * rows);
-            for hidden in [8usize, 16, 96, 250, 256] {
-                let case = (sample_size, hidden);
-                let config = MscnConfig {
-                    hidden,
-                    seed: hidden as u64,
-                };
-                let model = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), config);
-                let frozen = model.freeze();
-                let [t1, t2, ..] = frozen.layers();
-                let mut fast = vec![f32::NAN; rows * hidden];
-                let mut slow = fast.clone();
-                t1.forward_rows(&tables, true, &mut fast);
-                t1.forward_rows_portable(&tables, true, &mut slow);
-                assert_eq!(fast, slow, "layer 1, (samples, hidden) {case:?}");
-                let mut hidden_rows = IndexSet::default();
-                hidden_rows.compress_rows(&fast, hidden);
-                t2.forward_rows(&hidden_rows, false, &mut fast);
-                t2.forward_rows_portable(&hidden_rows, false, &mut slow);
-                assert_eq!(fast, slow, "layer 2, (samples, hidden) {case:?}");
             }
         }
     }

@@ -46,6 +46,7 @@ pub use advisor::{
 pub use builder::{BuildProgress, BuildReport, SketchBuilder};
 pub use featurize::{
     FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, QueryIndexFeatures,
+    ServedFeatures,
 };
 pub use fleet::{Route, SketchFleet};
 pub use lifecycle::{

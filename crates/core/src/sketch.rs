@@ -35,7 +35,7 @@ use ds_storage::exec::JoinEdge;
 use ds_storage::sample::TableSample;
 use ds_storage::table::Table;
 
-use crate::featurize::{FeatureSchema, Featurizer, QueryIndexFeatures};
+use crate::featurize::{FeatureSchema, Featurizer, ServedFeatures};
 use crate::mscn::MscnModel;
 
 const MAGIC: &[u8; 4] = b"DSKT";
@@ -55,13 +55,13 @@ const VERSION: u32 = 4;
 /// query's rows share no accumulator with any other query's.
 const SERVE_CHUNK: usize = 64;
 
-/// Per-thread scratch of the inference path: the batch's index lists and
+/// Per-thread scratch of the inference path: the batch's features and
 /// per-query element counts, the kernel's activations, and its outputs.
 /// Buffers grow to the largest chunk a thread has served and are reused,
 /// so serving allocates nothing per call.
 #[derive(Default)]
 struct ServeScratch {
-    feats: QueryIndexFeatures,
+    feats: ServedFeatures,
     counts: Vec<[u32; 3]>,
     kernel: FrozenScratch,
     y: Vec<f32>,
@@ -262,9 +262,8 @@ impl DeepSketch {
                 return;
             }
             y.resize(n, 0.0);
-            let tables = &feats.table_bits;
             self.frozen
-                .forward_batch(tables, &feats.joins, &feats.preds, counts, kernel, y);
+                .forward_batch(&feats.tables, &feats.joins, &feats.preds, counts, kernel, y);
             for (o, &y) in out[..n].iter_mut().zip(y.iter()) {
                 *o = self.denormalized(y);
             }

@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 
 use ds_core::builder::SketchBuilder;
-use ds_core::featurize::{Featurizer, QueryIndexFeatures};
+use ds_core::featurize::{Featurizer, QueryIndexFeatures, ServedFeatures};
 use ds_core::mscn::{MscnConfig, MscnModel};
 use ds_core::sketch::DeepSketch;
 use ds_est::CardinalityEstimator;
@@ -282,67 +282,73 @@ fn the_query_just_answered_misses_on_no_element() {
 
 #[test]
 fn column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
-    let (_, samples, featurizer) = fixture();
+    let (db, samples, featurizer) = fixture();
+    // Table width 22, and 262 at the benchmark's sample size of 256.
+    let wide_samples = sample_all(db, 256, 7);
+    let wide_featurizer = Featurizer::build(db, &imdb_predicate_columns(db), 256);
     // The kernel is whichever tile the CPU has. On AVX-512 each width is
     // one tile, 250 ending on a masked vector. On AVX2, 250 = 3·64 + 32 +
     // 16 + 8 + 2 takes every tile width and the scalar remainder, and 8,
     // 16 and 96 end on a narrower tile than they start on.
-    for hidden in [8usize, 16, 96, 250, 256] {
-        let model = MscnModel::new(
-            featurizer.table_dim(),
-            featurizer.join_dim(),
-            featurizer.pred_dim(),
-            MscnConfig {
-                hidden,
-                seed: hidden as u64,
-            },
-        );
-        let mut feats = QueryIndexFeatures::default();
+    for (samples, featurizer) in [(samples, featurizer), (&wide_samples, &wide_featurizer)] {
+        let mut feats = ServedFeatures::default();
         for q in &mixed_queries(16) {
             featurizer.append_indices(q, samples, &mut feats);
         }
         // `append_indices` writes table elements as bitsets; the kernel
         // reads them expanded into entries.
         let mut tables = IndexSet::default();
-        for r in 0..feats.table_bits.len() {
-            feats.table_bits.expand_into(r, &mut tables);
+        for r in 0..feats.tables.len() {
+            feats.tables.expand_into(r, &mut tables);
         }
-        let frozen = model.freeze();
-        let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
-        let mut hidden_rows = IndexSet::default();
-        for (l1, l2, set) in [
-            (t1, t2, &tables),
-            (j1, j2, &feats.joins),
-            (p1, p2, &feats.preds),
-        ] {
-            let rows = set.elems.len();
-            assert!(rows > 0, "every module has rows to compare");
+        for hidden in [8usize, 16, 96, 250, 256] {
+            let case = (featurizer.table_dim(), hidden);
+            let model = MscnModel::new(
+                featurizer.table_dim(),
+                featurizer.join_dim(),
+                featurizer.pred_dim(),
+                MscnConfig {
+                    hidden,
+                    seed: hidden as u64,
+                },
+            );
+            let frozen = model.freeze();
+            let [t1, t2, j1, j2, p1, p2, out1, out2] = frozen.layers();
+            let mut hidden_rows = IndexSet::default();
+            for (l1, l2, set) in [
+                (t1, t2, &tables),
+                (j1, j2, &feats.joins),
+                (p1, p2, &feats.preds),
+            ] {
+                let rows = set.elems.len();
+                assert!(rows > 0, "every module has rows to compare");
+                let mut fast = vec![f32::NAN; rows * hidden];
+                let mut slow = fast.clone();
+                l1.forward_rows(set, true, &mut fast);
+                l1.forward_rows_portable(set, true, &mut slow);
+                assert_eq!(fast, slow, "layer 1, (table width, hidden) {case:?}");
+                hidden_rows.compress_rows(&fast, hidden);
+                l2.forward_rows(&hidden_rows, false, &mut fast);
+                l2.forward_rows_portable(&hidden_rows, false, &mut slow);
+                assert_eq!(fast, slow, "layer 2, (table width, hidden) {case:?}");
+            }
+            // The output MLP reads 3·hidden wide rows; any activations do.
+            let rows = hidden_rows.elems.len() / 3;
+            let wide: Vec<f32> = (0..rows * 3 * hidden)
+                .map(|i| ((i * 37 % 11) as f32 - 4.0).max(0.0) * 0.125)
+                .collect();
+            hidden_rows.compress_rows(&wide, 3 * hidden);
             let mut fast = vec![f32::NAN; rows * hidden];
             let mut slow = fast.clone();
-            l1.forward_rows(set, true, &mut fast);
-            l1.forward_rows_portable(set, true, &mut slow);
-            assert_eq!(fast, slow, "layer 1, hidden {hidden}");
+            out1.forward_rows(&hidden_rows, true, &mut fast);
+            out1.forward_rows_portable(&hidden_rows, true, &mut slow);
+            assert_eq!(fast, slow, "out1, (table width, hidden) {case:?}");
             hidden_rows.compress_rows(&fast, hidden);
-            l2.forward_rows(&hidden_rows, false, &mut fast);
-            l2.forward_rows_portable(&hidden_rows, false, &mut slow);
-            assert_eq!(fast, slow, "layer 2, hidden {hidden}");
+            let mut fast = vec![f32::NAN; rows];
+            let mut slow = fast.clone();
+            out2.forward_rows(&hidden_rows, false, &mut fast);
+            out2.forward_rows_portable(&hidden_rows, false, &mut slow);
+            assert_eq!(fast, slow, "out2, (table width, hidden) {case:?}");
         }
-        // The output MLP reads 3·hidden wide rows; any activations do.
-        let rows = hidden_rows.elems.len() / 3;
-        let wide: Vec<f32> = (0..rows * 3 * hidden)
-            .map(|i| ((i * 37 % 11) as f32 - 4.0).max(0.0) * 0.125)
-            .collect();
-        hidden_rows.compress_rows(&wide, 3 * hidden);
-        let mut fast = vec![f32::NAN; rows * hidden];
-        let mut slow = fast.clone();
-        out1.forward_rows(&hidden_rows, true, &mut fast);
-        out1.forward_rows_portable(&hidden_rows, true, &mut slow);
-        assert_eq!(fast, slow, "out1, hidden {hidden}");
-        hidden_rows.compress_rows(&fast, hidden);
-        let mut fast = vec![f32::NAN; rows];
-        let mut slow = fast.clone();
-        out2.forward_rows(&hidden_rows, false, &mut fast);
-        out2.forward_rows_portable(&hidden_rows, false, &mut slow);
-        assert_eq!(fast, slow, "out2, hidden {hidden}");
     }
 }

@@ -11,7 +11,6 @@
 use bytes::{Buf, BufMut};
 
 use crate::frozen::FrozenLinear;
-use crate::tensor::Tensor;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,12 +267,6 @@ impl<'a> Decoder<'a> {
         String::from_utf8(self.take(n)?.to_vec()).map_err(|e| DecodeError::Corrupt(e.to_string()))
     }
 
-    /// Reads a tensor.
-    pub fn tensor(&mut self) -> Result<Tensor, DecodeError> {
-        let (rows, cols, data) = self.matrix()?;
-        Ok(Tensor::from_vec(rows, cols, data.collect()))
-    }
-
     /// Reads a linear layer, into serving layout: each weight is decoded
     /// straight into the layer's line-aligned storage.
     pub fn linear(&mut self) -> Result<FrozenLinear, DecodeError> {
@@ -311,6 +304,7 @@ impl<'a> Decoder<'a> {
 mod tests {
     use super::*;
     use crate::linear::Linear;
+    use crate::tensor::Tensor;
 
     #[test]
     fn primitive_roundtrip() {

@@ -11,7 +11,7 @@
 //! * `TRACE` — every shard's slow-request exemplars, with records that
 //!   share a trace id grouped together so a cross-shard traced request
 //!   reads as one causal tree (client span → per-shard server spans);
-//! * `HELLO` / `QUIT` — the usual handshake and teardown.
+//! * `HELLO` / `QUIT` — the shards' version check and teardown.
 //!
 //! Usage: `ds_fleetmon --shard HOST:PORT [--shard HOST:PORT ...]
 //! [--addr HOST:PORT] [--interval-ms N]`
@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use ds_obs::{FleetCounters, PromFamily};
 use ds_serve::{
-    parse_request, Client, ErrorCode, LineReader, Request, RequestTimeline, Response,
-    PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    hello_response, parse_request, Client, ErrorCode, LineReader, Request, RequestTimeline,
+    Response,
 };
 
 /// The latest scrape of the whole fleet: one parsed exposition per
@@ -130,11 +130,7 @@ fn answer(line: &str, monitor: &Monitor) -> Response {
         Err(resp) => return resp,
     };
     match request {
-        Request::Hello { version, .. } => Response::Text(format!(
-            "HELLO {} {}",
-            version.min(PROTOCOL_VERSION),
-            SUPPORTED_FEATURES.join(",")
-        )),
+        Request::Hello { version } => hello_response(version),
         Request::Stats => match monitor.stats_payload() {
             Some(p) => Response::Text(p),
             None => Response::Error {

@@ -2,7 +2,7 @@
 //!
 //! [`Client`] owns the wire framing — format a [`Request`], write one
 //! line, read one line, parse the [`Response`] — plus the `HELLO`
-//! negotiation, snapshot shipping (`SNAPSHOT`/`SYNC`) and typed accessors
+//! version check, snapshot shipping (`SNAPSHOT`/`SYNC`) and typed accessors
 //! over the text payloads (`INFO`, `STATS`, `TRACE`). Routing, retries and
 //! failover live a layer up in [`crate::fleet::FleetClient`], which holds
 //! one `Client` per shard.
@@ -16,26 +16,8 @@ use ds_obs::{PromFamily, PromSample};
 
 use crate::metrics::RequestTimeline;
 use crate::protocol::{
-    format_request, format_response, parse_response, ErrorCode, Request, Response,
-    PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    format_request, format_response, parse_response, ErrorCode, Request, Response, PROTOCOL_VERSION,
 };
-
-/// The outcome of a `HELLO` negotiation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Handshake {
-    /// The protocol version both sides speak: `min(client, server)`.
-    pub version: u32,
-    /// Feature flags the server advertises (`cache`, `degraded-token`,
-    /// `fleet`).
-    pub features: Vec<String>,
-}
-
-impl Handshake {
-    /// Whether the server advertised `feature`.
-    pub fn has_feature(&self, feature: &str) -> bool {
-        self.features.iter().any(|f| f == feature)
-    }
-}
 
 /// A replica's answer to a `SYNC` offer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +102,6 @@ impl InfoCard {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    handshake: Option<Handshake>,
 }
 
 impl Client {
@@ -150,14 +131,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
-            handshake: None,
         })
-    }
-
-    /// The negotiated handshake, when [`Client::hello`] has run. A
-    /// connection that never sends `HELLO` speaks protocol v1.
-    pub fn handshake(&self) -> Option<&Handshake> {
-        self.handshake.as_ref()
     }
 
     /// Sends one request and reads its one-line response. An `OK` payload
@@ -202,44 +176,25 @@ impl Client {
         }
     }
 
-    /// Negotiates the protocol: sends `HELLO` with this build's version and
-    /// features, records and returns the server's answer. A
-    /// [`ErrorCode::VersionMismatch`] reply becomes an `Unsupported` io
-    /// error — the caller knows negotiation failed rather than guessing
-    /// from garbled lines.
-    pub fn hello(&mut self) -> std::io::Result<Handshake> {
-        let req = Request::Hello {
+    /// Checks that the server speaks this build's protocol: sends
+    /// `HELLO` with [`PROTOCOL_VERSION`] and expects `HELLO` and that
+    /// version back (tokens after them, which older builds sent, are read
+    /// past). A [`ErrorCode::VersionMismatch`] reply, or another `OK`
+    /// answer, becomes an `Unsupported` io error — the caller knows the
+    /// peer speaks another protocol rather than guessing from garbled
+    /// lines.
+    pub fn hello(&mut self) -> std::io::Result<()> {
+        let want = format!("HELLO {PROTOCOL_VERSION}");
+        let unsupported = |m| std::io::Error::new(std::io::ErrorKind::Unsupported, m);
+        match self.roundtrip(&Request::Hello {
             version: PROTOCOL_VERSION,
-            features: SUPPORTED_FEATURES.iter().map(|s| s.to_string()).collect(),
-        };
-        match self.roundtrip(&req)? {
-            Response::Text(t) => {
-                let mut parts = t.split_whitespace();
-                let (tag, version) = (parts.next(), parts.next());
-                if tag != Some("HELLO") {
-                    return Err(invalid_data(format!("bad HELLO payload '{t}'")));
-                }
-                let version: u32 = version
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| invalid_data(format!("bad HELLO version in '{t}'")))?;
-                let features = parts
-                    .next()
-                    .unwrap_or("")
-                    .split(',')
-                    .filter(|f| !f.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                let hs = Handshake { version, features };
-                self.handshake = Some(hs.clone());
-                Ok(hs)
-            }
+        })? {
+            Response::Text(t) if t.split_whitespace().take(2).eq(want.split(' ')) => Ok(()),
             Response::Error {
                 code: ErrorCode::VersionMismatch,
                 message,
-            } => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                message,
-            )),
+            } => Err(unsupported(message)),
+            Response::Text(t) => Err(unsupported(format!("answered '{t}', not '{want}'"))),
             other => Err(invalid_payload(&other)),
         }
     }

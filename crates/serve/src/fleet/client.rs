@@ -37,7 +37,7 @@ pub struct FleetClient {
     affinity: HashMap<String, usize>,
     degraded: HashSet<usize>,
     counters: Arc<FleetCounters>,
-    /// Mints one root trace per routed request (v3 `trace=` tokens).
+    /// Mints one root trace per routed request (`trace=` tokens).
     ids: IdSource,
     /// The trace minted for the most recent [`FleetClient::estimate`]
     /// sweep — tests join it against the shards' `TRACE` exemplars.
@@ -66,8 +66,8 @@ impl FleetClient {
     }
 
     /// The root trace context minted for the most recent
-    /// [`FleetClient::estimate`] call. It was sent on the wire only to
-    /// shards that negotiated the v3 `trace` feature.
+    /// [`FleetClient::estimate`] call, sent on the wire to every shard
+    /// that call tried.
     pub fn last_trace(&self) -> Option<TraceContext> {
         self.last_trace
     }
@@ -142,6 +142,11 @@ impl FleetClient {
         // stitch the full causal tree.
         let root = self.ids.mint();
         self.last_trace = Some(root);
+        let req = Request::Estimate {
+            sketch: sketch.to_string(),
+            sql: sql.to_string(),
+            trace: Some(root),
+        };
         let candidates = self.candidates(sketch);
         let mut last_err: Option<std::io::Error> = None;
         for (attempt, shard) in candidates.iter().copied().enumerate() {
@@ -149,23 +154,7 @@ impl FleetClient {
                 self.counters.retries.inc();
             }
             let breaker = self.breakers.breaker(&shard.to_string());
-            let resp = match self.conn(shard) {
-                Ok(conn) => {
-                    // Attach the token only to peers that negotiated the
-                    // v3 `trace` feature; older shards never see it.
-                    let trace = conn
-                        .handshake()
-                        .is_some_and(|h| h.has_feature("trace"))
-                        .then_some(root);
-                    let req = Request::Estimate {
-                        sketch: sketch.to_string(),
-                        sql: sql.to_string(),
-                        trace,
-                    };
-                    conn.roundtrip(&req)
-                }
-                Err(e) => Err(e),
-            };
+            let resp = self.conn(shard).and_then(|conn| conn.roundtrip(&req));
             // Flatten the two success variants into (value, degraded-flag)
             // before matching, so the flag survives the move.
             let resp = match resp {

@@ -40,10 +40,11 @@
 //!   replicas bootstrapped by shipping `DSNP` snapshots over the wire
 //!   (`SNAPSHOT`/`SYNC`), gossip-fed routing in [`FleetClient`], and
 //!   automatic failover with re-replication when a replica dies. The wire
-//!   protocol is versioned (`HELLO`) so old clients keep working.
+//!   protocol has one version, which `HELLO` checks, so a peer from
+//!   another build fails at connect.
 //! * **Fleet observability** — cross-process trace propagation: a
 //!   [`FleetClient`] mints one 128-bit trace per routed request and
-//!   attaches it as a v3 `trace=` token; every shard records its spans
+//!   attaches it as a `trace=` token; every shard records its spans
 //!   into `TRACE` exemplars, and the `ds_fleetmon` aggregator scrapes
 //!   all shards, merges their `STATS` expositions exactly (counters sum,
 //!   histograms merge bucket-wise), and stitches cross-shard exemplars
@@ -97,7 +98,7 @@ pub mod server;
 pub use batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
 pub use cache::{EstimateCache, EstimateKey};
-pub use client::{Client, Handshake, InfoCard, SyncAck};
+pub use client::{Client, InfoCard, SyncAck};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};
 pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
@@ -107,7 +108,6 @@ pub use fleet::{Fleet, FleetClient, FleetConfig, FleetTopology, HashRing, ShardH
 pub use line_reader::{LineReader, MAX_REQUEST_LINE};
 pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{
-    format_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
-    SUPPORTED_FEATURES,
+    format_response, hello_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
 };
 pub use server::{query_template, Server};

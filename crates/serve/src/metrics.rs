@@ -38,7 +38,7 @@ pub struct RequestTimeline {
     /// Response formatting + socket write + flush (µs).
     pub write_us: u64,
     /// Distributed trace this request belongs to (0 = untraced). Set
-    /// when the peer sent a v3 `trace=` token with the request.
+    /// when the peer sent a `trace=` token with the request.
     pub trace_id: u128,
     /// This server's span within the trace (0 = untraced).
     pub span_id: u64,
@@ -53,8 +53,8 @@ impl RequestTimeline {
     }
 
     /// Single-token-per-field wire form for one `TRACE` record. Trace
-    /// identity fields are appended only for traced requests, so
-    /// untraced records are byte-identical to the pre-v3 format.
+    /// identity fields are appended only for traced requests, so an
+    /// untraced record carries no trace keys.
     pub fn to_wire(&self) -> String {
         let mut line = format!(
             "sketch={} template={} total_us={} parse_us={} forward_us={} write_us={}",
@@ -359,7 +359,7 @@ mod tests {
         assert_eq!(t.stage_sum_us(), t.total_us);
         let wire = t.to_wire();
         assert!(!wire.contains(';') && !wire.contains('\n'), "{wire}");
-        // Untraced records never mention the trace keys — pre-v3 shape.
+        // Untraced records never mention the trace keys.
         assert!(!wire.contains("trace_id"), "{wire}");
         assert_eq!(RequestTimeline::from_wire(&wire).unwrap(), t);
         assert!(RequestTimeline::from_wire("sketch=x template=y").is_none());

@@ -3,14 +3,13 @@
 //! Requests (keywords case-insensitive, arguments case-sensitive):
 //!
 //! ```text
-//! HELLO <version> [features]   negotiate protocol version + feature flags
-//!                              (comma-separated); the answer is
-//!                              `OK HELLO <negotiated> <features>` or a
-//!                              typed `ERR version-mismatch`
+//! HELLO <version>              check that both peers speak this protocol:
+//!                              `OK HELLO 3`, or a typed
+//!                              `ERR version-mismatch`
 //! ESTIMATE <sketch> <sql…> [trace=<id>.<span>]
 //!                              estimate one query with a named sketch;
 //!                              the optional trailing token carries a
-//!                              propagated [`TraceContext`] (v3)
+//!                              propagated [`TraceContext`]
 //! FEEDBACK <sketch> <actual> <sql…> [trace=<id>.<span>]
 //!                              estimate AND record the observed true
 //!                              cardinality into the drift monitor
@@ -36,13 +35,13 @@
 //!
 //! ## Versioning
 //!
-//! `HELLO` is optional and backward compatible: a peer that never sends it
-//! speaks protocol v1 (every pre-fleet command works unchanged). Sending
-//! it pins the connection to `min(client, server)` and tells each side
-//! which optional features ([`SUPPORTED_FEATURES`]) the other implements,
-//! so mixed-version fleet peers negotiate instead of desyncing — an
-//! incompatible version gets a typed [`ErrorCode::VersionMismatch`]
-//! instead of silent garbling.
+//! There is one version, [`PROTOCOL_VERSION`], and every build speaks all
+//! of it. `HELLO` is the check that a peer does too: [`hello_response`]
+//! answers `OK HELLO 3` to version 3 and a typed
+//! [`ErrorCode::VersionMismatch`] to any other, so a peer from another
+//! build fails at connect instead of garbling later lines. Tokens after
+//! the version are read past, so a peer that still lists features after
+//! it connects all the same. A connection need not send `HELLO` at all.
 //!
 //! Responses (always exactly one line, `\n`-terminated):
 //!
@@ -60,31 +59,18 @@ use ds_core::store::StoreError;
 use ds_est::EstimateError;
 use ds_obs::TraceContext;
 
-/// Current wire protocol version. v1 is the pre-handshake protocol
-/// (everything up to `TRACE`); v2 adds `HELLO`/`SNAPSHOT`/`SYNC`; v3
-/// adds the optional trailing `trace=` token on `ESTIMATE`/`FEEDBACK`.
+/// The wire protocol version, the only one this build speaks.
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// Oldest protocol version this build still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
-
-/// Optional capabilities this build implements, advertised in the `HELLO`
-/// exchange: the template-keyed estimate cache, the `degraded` response
-/// token, the fleet verbs (`SNAPSHOT`/`SYNC`), the retrain lifecycle
-/// (`LIFECYCLE`), and cross-process trace propagation (`trace`).
-pub const SUPPORTED_FEATURES: &[&str] = &["cache", "degraded-token", "fleet", "lifecycle", "trace"];
 
 /// A parsed client request. Its text arguments are `String`s wherever a
 /// request is built or kept; the server's handlers read `Request<&str>`,
 /// whose arguments are slices of the request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request<S = String> {
-    /// `HELLO <version> [features]` — negotiate version + feature flags.
+    /// `HELLO <version>` — check that both peers speak this protocol.
     Hello {
         /// The sender's protocol version.
         version: u32,
-        /// Features the sender implements (comma-separated on the wire).
-        features: Vec<S>,
     },
     /// `ESTIMATE <sketch> <sql> [trace=…]` — estimate `sql` with the
     /// named sketch.
@@ -94,7 +80,7 @@ pub enum Request<S = String> {
         /// The `SELECT COUNT(*)` query text.
         sql: S,
         /// Propagated trace identity from the optional trailing
-        /// `trace=` token (v3 feature; `None` from older peers).
+        /// `trace=` token; `None` for an untraced request.
         trace: Option<TraceContext>,
     },
     /// `FEEDBACK <sketch> <actual> <sql> [trace=…]` — estimate `sql`
@@ -109,7 +95,7 @@ pub enum Request<S = String> {
         /// The `SELECT COUNT(*)` query text.
         sql: S,
         /// Propagated trace identity from the optional trailing
-        /// `trace=` token (v3 feature; `None` from older peers).
+        /// `trace=` token; `None` for an untraced request.
         trace: Option<TraceContext>,
     },
     /// `INFO <sketch>` — summary card of the named sketch.
@@ -157,10 +143,7 @@ impl<S> Request<S> {
     /// The same request with every text argument passed through `f`.
     fn map<T>(self, f: impl Fn(S) -> T) -> Request<T> {
         match self {
-            Request::Hello { version, features } => Request::Hello {
-                version,
-                features: features.into_iter().map(f).collect(),
-            },
+            Request::Hello { version } => Request::Hello { version },
             Request::Estimate { sketch, sql, trace } => Request::Estimate {
                 sketch: f(sketch),
                 sql: f(sql),
@@ -219,8 +202,8 @@ pub enum ErrorCode {
     Decode,
     /// The request exceeded its deadline.
     Timeout,
-    /// The peer's protocol version is outside this build's supported
-    /// range — negotiation failed, no fallback possible.
+    /// The peer speaks another protocol version than
+    /// [`PROTOCOL_VERSION`].
     VersionMismatch,
     /// Internal estimation failure.
     Internal,
@@ -354,15 +337,11 @@ pub(crate) fn split_request(line: &str) -> Result<Request<&str>, Response> {
             trace,
         })
     } else if is("HELLO") {
-        let (version, features) = next_arg(rest);
-        let version: u32 = version
-            .parse()
-            .map_err(|_| usage("HELLO <version> [feature,feature,…]"))?;
-        let features = features.split(',').map(str::trim);
-        Ok(Request::Hello {
-            version,
-            features: features.filter(|f| !f.is_empty()).collect(),
-        })
+        // Whatever follows the version (the feature list older builds
+        // sent) is read past.
+        let (version, _) = next_arg(rest);
+        let version = version.parse().map_err(|_| usage("HELLO <version>"))?;
+        Ok(Request::Hello { version })
     } else if is("SNAPSHOT") {
         if rest.is_empty() || rest.contains(char::is_whitespace) {
             return Err(usage("SNAPSHOT <sketch>"));
@@ -414,13 +393,7 @@ pub(crate) fn split_request(line: &str) -> Result<Request<&str>, Response> {
 /// Formats a request for the wire (client side).
 pub fn format_request(req: &Request) -> String {
     match req {
-        Request::Hello { version, features } => {
-            if features.is_empty() {
-                format!("HELLO {version}")
-            } else {
-                format!("HELLO {version} {}", features.join(","))
-            }
-        }
+        Request::Hello { version } => format!("HELLO {version}"),
         Request::Snapshot { sketch } => format!("SNAPSHOT {sketch}"),
         Request::Sync {
             name,
@@ -517,6 +490,20 @@ pub fn parse_response(line: &str, estimate: bool) -> Result<Response, String> {
     Err(format!("unparseable response line: '{line}'"))
 }
 
+/// The answer to `HELLO <version>`, on every server that speaks this
+/// protocol: `OK HELLO 3` when `version` is [`PROTOCOL_VERSION`], a typed
+/// [`ErrorCode::VersionMismatch`] otherwise.
+pub fn hello_response(version: u32) -> Response {
+    if version == PROTOCOL_VERSION {
+        Response::Text(format!("HELLO {PROTOCOL_VERSION}"))
+    } else {
+        Response::Error {
+            code: ErrorCode::VersionMismatch,
+            message: format!("this peer speaks protocol {PROTOCOL_VERSION}, not {version}"),
+        }
+    }
+}
+
 /// Maps an estimation failure to its wire error.
 pub fn estimate_error_response(e: &EstimateError) -> Response {
     let code = match e {
@@ -553,14 +540,8 @@ mod tests {
     #[test]
     fn requests_roundtrip_through_the_wire_format() {
         let reqs = [
-            Request::Hello {
-                version: 2,
-                features: vec!["cache".into(), "fleet".into()],
-            },
-            Request::Hello {
-                version: 1,
-                features: vec![],
-            },
+            Request::Hello { version: 3 },
+            Request::Hello { version: 0 },
             Request::Snapshot {
                 sketch: "imdb".into(),
             },
@@ -743,7 +724,7 @@ mod tests {
         assert_eq!(parse_response(&format_response(&err), true).unwrap(), err);
         let mismatch = Response::Error {
             code: ErrorCode::VersionMismatch,
-            message: "server speaks 1..=2, client sent 9".into(),
+            message: "this peer speaks protocol 3, not 9".into(),
         };
         assert_eq!(
             parse_response(&format_response(&mismatch), false).unwrap(),

@@ -39,8 +39,8 @@ use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 use crate::protocol::{
-    estimate_error_response, format_response, split_request, store_error_response, ErrorCode,
-    Request, Response, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    estimate_error_response, format_response, hello_response, split_request, store_error_response,
+    ErrorCode, Request, Response,
 };
 
 /// Bound on queued shadow-mirror jobs: the hot path never blocks on the
@@ -96,7 +96,7 @@ struct Shared {
     sync_adopted: AtomicU64,
     sync_stale: AtomicU64,
     sync_rejected: AtomicU64,
-    /// Mints this server's span ids for traced (v3) requests.
+    /// Mints this server's span ids for traced requests.
     ids: IdSource,
     /// Monotonic epoch anchoring SLO window timestamps — no wall clock
     /// on the request path.
@@ -428,7 +428,7 @@ struct PendingTimeline {
     template: Arc<str>,
     stamps: StageStamps,
     /// Incoming trace context plus this server's own span id, when the
-    /// request carried a v3 `trace=` token.
+    /// request carried a `trace=` token.
     trace: Option<(TraceContext, u64)>,
 }
 
@@ -583,7 +583,13 @@ fn handle_line(
             sql,
             trace,
         } => return handle_estimate(sketch, sql, trace, Some(actual), shared, t0, conn),
-        Request::Hello { version, .. } => handle_hello(version, shared),
+        Request::Hello { version } => {
+            let response = hello_response(version);
+            if matches!(response, Response::Error { .. }) {
+                shared.metrics.record_error();
+            }
+            response
+        }
         Request::Snapshot { sketch } => handle_snapshot(sketch, shared),
         Request::Sync {
             name,
@@ -612,29 +618,6 @@ fn handle_line(
         Request::Quit => Response::Bye,
     };
     (response, None)
-}
-
-/// Negotiates the protocol version: the spoken version is the minimum of
-/// the client's and the server's, provided the client is at least at
-/// [`MIN_PROTOCOL_VERSION`]. The response advertises the server's feature
-/// flags so the client can discover capabilities (`cache`,
-/// `degraded-token`, `fleet`) instead of probing. A client that never
-/// sends `HELLO` keeps speaking v1 unchanged.
-fn handle_hello(version: u32, shared: &Shared) -> Response {
-    if version < MIN_PROTOCOL_VERSION {
-        shared.metrics.record_error();
-        return Response::Error {
-            code: ErrorCode::VersionMismatch,
-            message: format!(
-                "server speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, client sent {version}"
-            ),
-        };
-    }
-    let negotiated = version.min(PROTOCOL_VERSION);
-    Response::Text(format!(
-        "HELLO {negotiated} {}",
-        SUPPORTED_FEATURES.join(",")
-    ))
 }
 
 /// Ships the named sketch as a hex-encoded DSNP blob. The bytes are

@@ -231,6 +231,10 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     let fleetmon = Proc::spawn(env!("CARGO_BIN_EXE_ds_fleetmon"), &args);
 
     let mut mon = connect(fleetmon.addr);
+    // The aggregator checks the version as every shard does.
+    let refused = mon.send_raw("HELLO 0").expect("fleetmon HELLO 0");
+    assert!(refused.starts_with("ERR version-mismatch "), "{refused}");
+    mon.hello().expect("fleetmon HELLO");
     let merged = mon.stats_families().expect("fleetmon STATS");
     let stitched = mon.trace().expect("fleetmon TRACE");
     mon.quit().ok();

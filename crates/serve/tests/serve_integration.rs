@@ -145,6 +145,21 @@ fn protocol_commands_and_typed_errors() {
         c.send_raw("METRICS").unwrap(),
         "ERR proto unknown command 'METRICS'"
     );
+    // HELLO checks the one version, reading past the feature list older
+    // builds sent after it.
+    for (hello, answer) in [
+        ("HELLO 3", "OK HELLO 3"),
+        ("HELLO 2", "ERR version-mismatch"),
+        ("HELLO 3 cache,trace", "OK HELLO 3"),
+        ("HELLO", "ERR proto"),
+    ] {
+        let line = c.send_raw(hello).unwrap();
+        assert!(
+            line == answer || line.starts_with(&format!("{answer} ")),
+            "{hello:?} -> {line}"
+        );
+    }
+    c.hello().unwrap();
 
     // Typed errors, one per failure class — and the connection survives
     // every one of them.
