@@ -1,12 +1,14 @@
 //! Defining the benchmark's sketch raises the live heap by what training
 //! needs and no more: under a counting global allocator, the peak of live
 //! bytes during `benchmark_sketch_builder(..).build()` over the live bytes
-//! before it. The feature pool holds each distinct set element once and
-//! validation runs in training-sized batches. The rise reads 23.3 MB
-//! training on one lane, 25.9 MB on two and 28.2 MB on three or more
-//! (the backward keeps one scratch arena per lane, up to three); before
-//! both changes it read 66.0 MB on two lanes, 34.3 MB of it the feature
-//! pool and 7.3 MB the one-shot validation pass.
+//! before it. The feature pool holds each distinct set element once,
+//! validation runs in training-sized batches, and a step's set modules
+//! keep one row per distinct element of the batch. The rise reads 17.2 MB
+//! training on one lane, 18.7 MB on two and 19.0 MB on three (the
+//! backward keeps one scratch arena per lane, up to three). With a row
+//! per element occurrence it read 23.3, 25.9 and 28.2 MB; before the pool
+//! and the batched validation it read 66.0 MB on two lanes, 34.3 MB of it
+//! the feature pool and 7.3 MB the one-shot validation pass.
 //!
 //! What the built sketch keeps is held too: its frozen serving artifact
 //! is its only copy of the weights (1.9 MB at hidden 256), so it keeps

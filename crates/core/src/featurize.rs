@@ -517,37 +517,45 @@ impl Featurizer {
     /// [`Featurizer::append_indices`] serving runs, its output expanded
     /// into entries, so training and serving see one featurization.
     ///
-    /// The pool holds each distinct element once: an element whose entries
-    /// an earlier one already holds takes that element's span. A workload's
-    /// table elements repeat a few bitmaps (every predicate-free table's),
-    /// so at the benchmark's spec this keeps 1.5 MB of 34.3 MB.
+    /// The pool holds each distinct element once, under a dense id: an
+    /// element whose entries an earlier one already holds takes that
+    /// element's id. A workload's table elements repeat a few bitmaps
+    /// (every predicate-free table's), so at the benchmark's spec this
+    /// keeps 1.5 MB of 34.3 MB.
     pub fn pool(&self, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
         let mut served = ServedFeatures::default();
         let mut feats = QueryIndexFeatures::default();
         let mut distinct: [Interned; 3] = Default::default();
+        let mut ids: [Vec<u32>; 3] = Default::default();
         let mut first = Vec::with_capacity(queries.len() + 1);
         first.push([0u32; 3]);
         for q in queries {
             served.clear();
             let counts = self.append_indices(q, samples, &mut served);
+            let held = [&feats.tables, &feats.joins, &feats.preds].map(|set| set.elems.len());
             served.expand_into(&mut feats);
-            let at: [u32; 3] = *first.last().expect("starts with zeros");
             let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
-            for ((set, distinct), from) in sets.into_iter().zip(&mut distinct).zip(at) {
-                distinct.intern_from(set, from as usize);
+            for (((set, distinct), ids), from) in
+                sets.into_iter().zip(&mut distinct).zip(&mut ids).zip(held)
+            {
+                distinct.intern_from(set, from, ids);
             }
+            let at: [u32; 3] = *first.last().expect("starts with zeros");
             first.push(std::array::from_fn(|set| at[set] + counts[set]));
         }
         // Element spans address entries with `u32`s. Each buffer grew by
         // doubling before its repeats were dropped; give the slack back.
-        for set in [&mut feats.tables, &mut feats.joins, &mut feats.preds] {
+        let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
+        for (set, ids) in sets.into_iter().zip(&mut ids) {
             assert!(
                 u32::try_from(set.entries.len()).is_ok(),
                 "workload too large for one feature pool"
             );
             set.entries.shrink_to_fit();
+            set.elems.shrink_to_fit();
+            ids.shrink_to_fit();
         }
-        FeaturePool { feats, first }
+        FeaturePool { feats, ids, first }
     }
 
     /// Assembles featurized queries into dense batched set matrices with
@@ -661,39 +669,49 @@ impl QueryIndexFeatures {
 }
 
 /// The distinct elements of one set of a [`FeaturePool`] being built,
-/// keyed by [`entries_hash`]: the first span that held each hash.
+/// keyed by [`entries_hash`]: the id of the first element that held each
+/// hash.
 #[derive(Default)]
-struct Interned(HashMap<u64, (u32, u32), BuildHasherDefault<Prehashed>>);
+struct Interned(HashMap<u64, u32, BuildHasherDefault<Prehashed>>);
 
 impl Interned {
-    /// Interns the elements of `set` from index `from` on. An element whose
-    /// entries an earlier element holds takes that element's span; the
-    /// others' entries are packed down over what the repeats held. An
-    /// element whose hash an unequal element took keeps its own entries.
-    fn intern_from(&mut self, set: &mut IndexSet, from: usize) {
+    /// Interns the elements of `set` from index `from` on, the elements
+    /// before it being distinct already, and appends each one's id (its
+    /// index among the distinct elements) to `ids`. An element whose
+    /// entries an earlier element holds takes that element's id and leaves
+    /// `set`; the others are packed down over what the repeats held. An
+    /// element whose hash an unequal element took keeps an id of its own.
+    fn intern_from(&mut self, set: &mut IndexSet, from: usize, ids: &mut Vec<u32>) {
         let Some(&(mut end, _)) = set.elems.get(from) else {
             return;
         };
         let entries_of = |(start, len): (u32, u32)| start as usize..(start + len) as usize;
+        let mut next = from;
         for e in from..set.elems.len() {
             let span = set.elems[e];
             let entries = &set.entries[entries_of(span)];
             match self.0.entry(entries_hash(entries)) {
                 Entry::Occupied(seen)
-                    if same_bits(&set.entries[entries_of(*seen.get())], entries) =>
+                    if same_bits(
+                        &set.entries[entries_of(set.elems[*seen.get() as usize])],
+                        entries,
+                    ) =>
                 {
-                    set.elems[e] = *seen.get();
+                    ids.push(*seen.get());
                 }
                 slot => {
                     set.entries.copy_within(entries_of(span), end as usize);
-                    set.elems[e] = (end, span.1);
+                    set.elems[next] = (end, span.1);
                     if let Entry::Vacant(slot) = slot {
-                        slot.insert(set.elems[e]);
+                        slot.insert(next as u32);
                     }
+                    ids.push(next as u32);
+                    next += 1;
                     end += span.1;
                 }
             }
         }
+        set.elems.truncate(next);
         set.entries.truncate(end as usize);
     }
 }
@@ -734,13 +752,17 @@ impl Hasher for Prehashed {
     }
 }
 
-/// A workload featurized once as index lists ([`Featurizer::pool`]): every
-/// query's set elements back to back, and where each query's begin. A
-/// repeated element is stored once and spanned by each of its repeats.
+/// A workload featurized once as index lists ([`Featurizer::pool`]): each
+/// set's distinct elements, every query's elements back to back as ids of
+/// those, and where each query's begin. A repeated element is stored once
+/// and named by each of its repeats.
 #[derive(Debug, Clone)]
 pub struct FeaturePool {
+    /// Per set, the distinct elements: element `id` is `elems[id]`.
     feats: QueryIndexFeatures,
-    /// `first[q][set]` is query `q`'s first element in `set` (tables,
+    /// `ids[set]` holds every query's elements of `set`, as ids.
+    ids: [Vec<u32>; 3],
+    /// `first[q][set]` is query `q`'s first element in `ids[set]` (tables,
     /// joins, predicates); one row more than there are queries.
     first: Vec<[u32; 3]>,
 }
@@ -761,7 +783,10 @@ impl FeaturePool {
         PoolBatch {
             pool: self,
             spans: Default::default(),
+            index: Default::default(),
             segs: Default::default(),
+            seen: std::array::from_fn(|set| vec![(0, 0); self.set(set).elems.len()]),
+            stamp: 0,
         }
     }
 
@@ -778,24 +803,35 @@ impl FeaturePool {
 }
 
 /// Some queries of a [`FeaturePool`] as one model input. A batch copies no
-/// feature: per set it lists the chosen queries' element spans, which
-/// point into the pool's entries, and each query's segment of them.
+/// feature: per set it lists the spans of the batch's distinct elements,
+/// which point into the pool's entries, every element of the chosen
+/// queries as an index into that list, and each query's segment of those.
 /// Refilled in place, so a training loop that keeps one batch allocates
 /// nothing per step.
 #[derive(Debug, Clone)]
 pub struct PoolBatch<'a> {
     pool: &'a FeaturePool,
     spans: [Vec<(u32, u32)>; 3],
+    index: [Vec<u32>; 3],
     segs: [Segments; 3],
+    /// Per set and pool element id, the fill that last met it (`stamp`)
+    /// and its place in `spans` then: a batch finds its distinct elements
+    /// without hashing and without clearing anything between fills.
+    seen: [Vec<(u32, u32)>; 3],
+    stamp: u32,
 }
 
-/// One set of a [`PoolBatch`]: sparse element rows plus per-query
-/// `(start, len)` segments for masked mean pooling.
+/// One set of a [`PoolBatch`]: the batch's distinct elements as sparse
+/// rows, each element of each query as one of those rows, and per-query
+/// `(start, len)` segments of the elements for masked mean pooling.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSet<'a> {
-    /// Every element of every query of the batch, one sparse row each.
+    /// The batch's distinct elements, one sparse row each, in order of
+    /// first occurrence.
     pub rows: Rows<'a>,
-    /// Per-query `(start, len)` into the rows.
+    /// Every element of every query of the batch, as its row in `rows`.
+    pub index: &'a [u32],
+    /// Per-query `(start, len)` into `index`.
     pub segs: &'a Segments,
 }
 
@@ -805,15 +841,32 @@ impl<'a> PoolBatch<'a> {
     /// # Panics
     /// Panics when an index is not a query of the pool.
     pub fn fill(&mut self, idx: &[usize]) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Every stamp left in `seen` could be taken for this fill's.
+            self.seen.iter_mut().for_each(|seen| seen.fill((0, 0)));
+            self.stamp = 1;
+        }
+        let pool = self.pool;
         for set in 0..3 {
-            let elems = &self.pool.set(set).elems;
-            let (spans, segs) = (&mut self.spans[set], &mut self.segs[set]);
+            let (elems, ids) = (&pool.set(set).elems, &pool.ids[set]);
+            let spans = &mut self.spans[set];
+            let (index, segs) = (&mut self.index[set], &mut self.segs[set]);
             spans.clear();
+            index.clear();
             segs.clear();
             for &q in idx {
-                let (from, to) = (self.pool.first[q][set], self.pool.first[q + 1][set]);
-                segs.push((spans.len(), (to - from) as usize));
-                spans.extend_from_slice(&elems[from as usize..to as usize]);
+                let (from, to) = (pool.first[q][set], pool.first[q + 1][set]);
+                segs.push((index.len(), (to - from) as usize));
+                for &id in &ids[from as usize..to as usize] {
+                    let (stamp, row) = &mut self.seen[set][id as usize];
+                    if *stamp != self.stamp {
+                        *stamp = self.stamp;
+                        *row = spans.len() as u32;
+                        spans.push(elems[id as usize]);
+                    }
+                    index.push(*row);
+                }
             }
         }
     }
@@ -849,6 +902,7 @@ impl<'a> PoolBatch<'a> {
                 entries: &self.pool.set(set).entries,
                 spans: &self.spans[set],
             },
+            index: &self.index[set],
             segs: &self.segs[set],
         }
     }
@@ -1037,22 +1091,21 @@ mod tests {
             .collect();
         let pool = f.pool(&queries, &samples);
         assert_eq!(pool.len(), 5);
-        // Equal elements share one span, only equal ones do, and the
+        // Equal elements share one id, only equal ones do, and the
         // entries hold each distinct element once.
         for set in 0..3 {
-            let IndexSet { entries, elems } = pool.set(set);
+            let (IndexSet { entries, elems }, ids) = (pool.set(set), &pool.ids[set]);
             let of = |(start, len): (u32, u32)| &entries[start as usize..(start + len) as usize];
-            for &a in elems {
-                for &b in elems {
-                    assert_eq!(of(a) == of(b), a == b, "set {set}: {a:?} {b:?}");
+            for (a, &ea) in elems.iter().enumerate() {
+                for (b, &eb) in elems.iter().enumerate() {
+                    assert_eq!(of(ea) == of(eb), a == b, "set {set}: {ea:?} {eb:?}");
                 }
             }
-            let distinct: std::collections::HashSet<_> = elems.iter().collect();
-            assert!(distinct.len() < elems.len(), "set {set} shares nothing");
-            let held: u32 = distinct.iter().map(|&&(_, len)| len).sum();
+            assert!(elems.len() < ids.len(), "set {set} shares nothing");
+            let held: u32 = elems.iter().map(|&(_, len)| len).sum();
             assert_eq!(entries.len(), held as usize, "set {set}");
             let query =
-                |q: usize| &elems[pool.first[q][set] as usize..pool.first[q + 1][set] as usize];
+                |q: usize| &ids[pool.first[q][set] as usize..pool.first[q + 1][set] as usize];
             assert_eq!(query(3), query(0), "set {set}: the repeated query");
         }
         let mut batch = pool.batch();
@@ -1076,13 +1129,25 @@ mod tests {
                 (batch.preds(), &dense.preds, &dense.pred_segs),
             ] {
                 assert_eq!(set.segs, segs);
-                assert_eq!(set.rows.spans.len(), tensor.rows());
-                for (r, &(start, len)) in set.rows.spans.iter().enumerate() {
+                assert_eq!(set.index.len(), tensor.rows());
+                // Each distinct element once, in order of first occurrence.
+                let mut first_seen = Vec::new();
+                for &r in set.index {
+                    if !first_seen.contains(&r) {
+                        first_seen.push(r);
+                    }
+                }
+                assert_eq!(
+                    first_seen,
+                    (0..set.rows.spans.len() as u32).collect::<Vec<_>>()
+                );
+                for (e, &r) in set.index.iter().enumerate() {
+                    let (start, len) = set.rows.spans[r as usize];
                     let mut row = vec![0.0f32; tensor.cols()];
                     for &(i, v) in &set.rows.entries[start as usize..(start + len) as usize] {
                         row[i as usize] = v;
                     }
-                    assert_eq!(row, tensor.row(r), "{idx:?} row {r}");
+                    assert_eq!(row, tensor.row(e), "{idx:?} element {e}");
                 }
             }
         }
@@ -1099,9 +1164,8 @@ mod tests {
         let (one, three) = (f.pool(&once, &samples), f.pool(&thrice, &samples));
         assert_eq!(three.len(), 3 * one.len());
         for set in 0..3 {
-            let (one, three) = (one.set(set), three.set(set));
-            assert_eq!(three.entries, one.entries, "set {set}");
-            assert_eq!(three.elems, one.elems.repeat(3), "set {set}");
+            assert_eq!(three.set(set), one.set(set), "set {set}");
+            assert_eq!(three.ids[set], one.ids[set].repeat(3), "set {set}");
         }
     }
 
@@ -1133,8 +1197,10 @@ mod tests {
             }
             set.finish_elem(start);
         }
-        Interned::default().intern_from(&mut set, 0);
-        assert_eq!(set.elems, vec![(0, 2), (2, 2), (0, 2)]);
+        let mut ids = Vec::new();
+        Interned::default().intern_from(&mut set, 0, &mut ids);
+        assert_eq!(set.elems, vec![(0, 2), (2, 2)]);
+        assert_eq!(ids, [0, 1, 0]);
         assert_eq!(set.entries, [a, b].concat());
     }
 

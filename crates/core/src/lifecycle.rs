@@ -46,7 +46,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -275,7 +275,7 @@ impl HarvestSet {
                 .values()
                 .min_by_key(|e| e.seq)
                 .map(|e| e.key.clone())
-                .expect("non-empty");
+                .expect("a set over its capacity holds an oldest entry");
             set.entries.remove(&oldest);
         }
         Ok(set)
@@ -627,6 +627,16 @@ impl LifecycleManager {
         })
     }
 
+    /// Every sketch's lifecycle state, locked. A poisoned lock means a
+    /// thread panicked while it held the lock, part way through changing a
+    /// state; the states can no longer be trusted, so the caller panics
+    /// as well rather than act on them.
+    fn states(&self) -> MutexGuard<'_, HashMap<String, SketchState>> {
+        self.states
+            .lock()
+            .expect("lifecycle states poisoned: a holder panicked mid-update")
+    }
+
     /// The configuration this manager runs with.
     pub fn config(&self) -> &LifecycleConfig {
         &self.cfg
@@ -648,7 +658,7 @@ impl LifecycleManager {
     /// retraining and, while the post-swap guard window is open, grades
     /// the freshly swapped model against it.
     pub fn observe_feedback(&self, sketch: &str, key: &str, sql: &str, estimate: f64, actual: u64) {
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         let state = states.entry(sketch.to_string()).or_default();
         if let Some(watch) = state.watch.as_mut() {
             if watch.qerrors.len() < MAX_SCORE_SAMPLES {
@@ -674,7 +684,7 @@ impl LifecycleManager {
         if self.shadow_active.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        let states = self.states.lock().expect("lifecycle states");
+        let states = self.states();
         let state = states.get(sketch)?;
         let candidate = state.candidate.as_ref()?;
         (state.phase == LifecyclePhase::Shadow).then(|| Arc::clone(&candidate.sketch))
@@ -689,7 +699,7 @@ impl LifecycleManager {
     /// Records one mirrored scoring pair: the live model's and the
     /// candidate's q-error on the same graded query.
     pub fn observe_shadow(&self, sketch: &str, live_q: f64, candidate_q: f64) {
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         let Some(state) = states.get_mut(sketch) else {
             return;
         };
@@ -707,7 +717,7 @@ impl LifecycleManager {
     /// background retrain had just finished. Drills use this to exercise
     /// the gate, swap, and rollback paths deterministically.
     pub fn install_candidate(&self, sketch: &str, candidate: DeepSketch) {
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         let state = states.entry(sketch.to_string()).or_default();
         if state.phase == LifecyclePhase::Shadow {
             self.shadow_active.fetch_sub(1, Ordering::Relaxed);
@@ -725,7 +735,7 @@ impl LifecycleManager {
     /// A point-in-time view of one sketch (even if it has no lifecycle
     /// state yet — that reads as `Idle`).
     pub fn status(&self, sketch: &str) -> LifecycleStatus {
-        let states = self.states.lock().expect("lifecycle states");
+        let states = self.states();
         match states.get(sketch) {
             Some(state) => Self::status_of(sketch, state),
             None => LifecycleStatus {
@@ -741,7 +751,7 @@ impl LifecycleManager {
 
     /// Status of every sketch with lifecycle state, sorted by name.
     pub fn statuses(&self) -> Vec<LifecycleStatus> {
-        let states = self.states.lock().expect("lifecycle states");
+        let states = self.states();
         let mut out: Vec<LifecycleStatus> = states
             .iter()
             .map(|(name, state)| Self::status_of(name, state))
@@ -783,7 +793,7 @@ impl LifecycleManager {
     /// Durably writes every harvest set that changed since the last
     /// persist (`<dir>/<sketch>.harvest`). Returns how many were written.
     pub fn persist_harvests(&self, dir: &Path) -> usize {
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         let mut written = 0;
         for (name, state) in states.iter_mut() {
             if !state.harvest_dirty {
@@ -808,7 +818,7 @@ impl LifecycleManager {
             return 0;
         };
         let mut loaded = 0;
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         for entry in entries.flatten() {
             let path = entry.path();
             if path.extension().and_then(|e| e.to_str()) != Some(HARVEST_EXT) {
@@ -856,7 +866,7 @@ impl LifecycleManager {
         .collect();
 
         let mut events = Vec::new();
-        let mut states = self.states.lock().expect("lifecycle states");
+        let mut states = self.states();
         for (name, state) in states.iter_mut() {
             match state.phase {
                 LifecyclePhase::Idle | LifecyclePhase::Harvesting => {
@@ -865,7 +875,11 @@ impl LifecycleManager {
                         let Ok(live) = store.get(name) else {
                             continue;
                         };
-                        let entries = state.harvest.as_ref().expect("non-empty").entries();
+                        let entries = state
+                            .harvest
+                            .as_ref()
+                            .expect("min_harvest ≥ 1 entries were harvested")
+                            .entries();
                         state.training = Some(spawn_retrain(
                             name.clone(),
                             live,
@@ -940,7 +954,10 @@ impl LifecycleManager {
                     }
                     let live_p50 = median(&candidate.live_q);
                     let candidate_p50 = median(&candidate.candidate_q);
-                    let candidate = state.candidate.take().expect("checked above");
+                    let candidate = state
+                        .candidate
+                        .take()
+                        .expect("the shadow phase's candidate was read above");
                     self.shadow_active.fetch_sub(1, Ordering::Relaxed);
                     if candidate_p50 <= live_p50 * self.cfg.shadow_gate_ratio {
                         // Snapshot the serving generation before touching
@@ -1005,7 +1022,10 @@ impl LifecycleManager {
                         continue;
                     }
                     let post_p50 = median(&watch.qerrors);
-                    let watch = state.watch.take().expect("checked above");
+                    let watch = state
+                        .watch
+                        .take()
+                        .expect("the watch phase's guard window was read above");
                     if post_p50 > watch.guard_p50 * self.cfg.guard_ratio {
                         match store.swap(name, watch.previous) {
                             Ok(outcome) => {
@@ -1072,7 +1092,7 @@ fn spawn_retrain(
             .unwrap_or_else(|_| Err("candidate training panicked".to_string()));
             let _ = tx.send(result);
         })
-        .expect("spawn lifecycle trainer");
+        .expect("the OS spawns the lifecycle trainer thread");
     TrainingJob {
         rx,
         handle: Some(handle),

@@ -14,9 +14,18 @@
 //! preds   (np × dp) ─ MLP₂(ReLU) ─ mean ─┘
 //! ```
 //!
-//! Weight sharing across set elements comes for free: every element is a
-//! row of the flattened batch and the same [`Linear`] is applied to all
-//! rows; the segment mean then pools per query.
+//! Weight sharing across set elements comes for free: the same [`Linear`]
+//! is applied to every row, and the segment mean then pools per query.
+//! A row is a *distinct* element of the batch ([`BatchSet`]): each query's
+//! elements name their rows through an index, so an element several
+//! queries hold — a predicate-free table's bitmap, a common join — runs
+//! through its module once per step. Forward, each query pools its
+//! elements' rows in its own element order, so an output is bit for bit
+//! what one row per element would give. Backward, a distinct row's
+//! gradient is the sum of what each of its occurrences pools back (from
+//! zero, occurrences in batch order), and each layer takes one outer
+//! product per distinct row: exact in real arithmetic, rounded once per
+//! row rather than once per occurrence in `f32`.
 //!
 //! ## Two forwards
 //!
@@ -35,12 +44,14 @@
 //! [`Team`] and fork at two levels. **Modules:** the three set modules
 //! share nothing until the concatenation (forward) and after the split
 //! (backward) — each has its two layers, their gradients in
-//! [`MscnGrads`], its forward cache — so the table module runs on the
-//! calling lane while joins, then predicates, run on a helper (tables
-//! cost about what the other two cost together); with three lanes each
-//! module has its own, and the backward scratch holds one arena per lane
-//! in use. **Kernels:** the output MLP,
-//! and whatever a lane still has to do once the other has finished, cut
+//! [`MscnGrads`], its forward cache over the batch's distinct rows — so
+//! the table module runs on the calling lane while joins, then
+//! predicates, run on a helper (tables cost about what the other two cost
+//! together: a batch has fewer distinct table rows than predicate rows,
+//! but each holds far more entries, and its joins are a handful of rows);
+//! with three lanes each module has its own, and the backward scratch
+//! holds one arena per lane in use. **Kernels:** the output MLP, and
+//! whatever a lane still has to do once the other has finished, cut
 //! each product by rows ([`ds_nn::sparse::sparse_rows_pool`]); a layer's
 //! backward runs its weight gradient beside its input gradient
 //! ([`Linear::backward_into`]); the Adam step cuts each large layer's
@@ -93,11 +104,11 @@ struct SetModule {
     l2: Linear,
 }
 
-/// Forward cache of one set module: both post-ReLU activations (their
-/// zeros are the ReLU masks of backward), the first one's non-zeros (the
-/// second layer's input, and its weight gradient's), and the pooled
-/// per-query output. The input rows are *not* copied — backward reads them
-/// straight from the [`PoolBatch`].
+/// Forward cache of one set module, one row per distinct element of the
+/// batch: both post-ReLU activations (their zeros are the ReLU masks of
+/// backward), the first one's non-zeros (the second layer's input, and its
+/// weight gradient's), and the pooled per-query output. The input rows are
+/// *not* copied — backward reads them straight from the [`PoolBatch`].
 #[derive(Default)]
 struct SetCache {
     a1: Tensor,
@@ -128,7 +139,8 @@ impl SetModule {
         }
     }
 
-    /// Applies the element MLP and mean-pools per segment into `cache`.
+    /// Applies the element MLP to each distinct row and mean-pools each
+    /// query's elements through the batch's index into `cache`.
     fn forward_into(&self, set: BatchSet<'_>, team: &Team, cache: &mut SetCache) {
         self.l1.forward_rows(set.rows, true, team, &mut cache.a1);
         cache
@@ -136,13 +148,14 @@ impl SetModule {
             .compress_rows(cache.a1.data(), cache.a1.cols());
         self.l2
             .forward_rows(cache.a1_rows.rows(), true, team, &mut cache.a2);
-        segment_mean_into(&cache.a2, set.segs, &mut cache.pooled);
+        segment_mean_into(&cache.a2, set.index, set.segs, &mut cache.pooled);
     }
 
-    /// Accumulates gradients for both layers into `grads`. The gradient
-    /// w.r.t. the raw input features is never needed, so `l1` only
-    /// accumulates — the whole `grad · Wᵀ` product of the widest layer is
-    /// skipped.
+    /// Accumulates gradients for both layers into `grads`, over the
+    /// distinct rows: the pooled gradient is first summed into each row
+    /// from its occurrences. The gradient w.r.t. the raw input features is
+    /// never needed, so `l1` only accumulates — the whole `grad · Wᵀ`
+    /// product of the widest layer is skipped.
     fn backward_with(
         &self,
         set: BatchSet<'_>,
@@ -153,7 +166,8 @@ impl SetModule {
         lane: &mut LaneScratch,
     ) {
         let LaneScratch { set: s, grads } = lane;
-        segment_mean_backward_into(cache.a2.rows(), grad_pooled, set.segs, &mut s.g_a);
+        let rows = cache.a2.rows();
+        segment_mean_backward_into(rows, set.index, grad_pooled, set.segs, &mut s.g_a);
         relu_backward_inplace(&cache.a2, &mut s.g_a); // g_a is now ∂L/∂z2
         let x = cache.a1_rows.rows();
         self.l2
@@ -474,47 +488,182 @@ impl MscnModel {
 mod tests {
     use super::*;
     use crate::featurize::{FeaturePool, Featurizer};
+    use ds_nn::ops::relu_backward;
     use ds_query::workloads::imdb_predicate_columns;
     use ds_query::GeneratorConfig;
     use ds_query::QueryGenerator;
     use ds_storage::gen::{imdb_database, ImdbConfig};
     use ds_storage::sample::sample_all;
 
-    /// Eight generated queries, dense for the reference forward and
-    /// pooled for the training forward.
-    fn small_batch() -> (FeatureBatch, FeaturePool, Featurizer) {
+    /// Eight generated queries, pooled for the training forward, and
+    /// queries `idx` of them dense for the reference forward.
+    fn small_batch(idx: &[usize]) -> (FeatureBatch, FeaturePool, Featurizer) {
         let db = imdb_database(&ImdbConfig::tiny(1));
         let samples = sample_all(&db, 16, 2);
         let f = Featurizer::build(&db, &imdb_predicate_columns(&db), 16);
         let mut gen =
             QueryGenerator::new(&db, GeneratorConfig::new(imdb_predicate_columns(&db), 11));
         let qs = gen.generate_batch(8);
-        (f.batch_queries(&qs, &samples), f.pool(&qs, &samples), f)
+        let chosen: Vec<_> = idx.iter().map(|&i| qs[i].clone()).collect();
+        (f.batch_queries(&chosen, &samples), f.pool(&qs, &samples), f)
     }
 
     const ALL: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    /// A batch that repeats queries, and so their elements.
+    const REPEATS: [usize; 6] = [0, 3, 0, 5, 3, 7];
 
     #[test]
     fn training_forward_is_the_reference_forward_bit_for_bit() {
-        let (dense, pool, f) = small_batch();
-        // 40 is one AVX-512 tile whose third vector is masked to 8 lanes
-        // (on AVX2 a 32- and an 8-column tile); 6 is one masked vector (on
-        // AVX2, all scalar).
-        for hidden in [6, 40] {
-            let model = MscnModel::new(
-                f.table_dim(),
-                f.join_dim(),
-                f.pred_dim(),
-                MscnConfig { hidden, seed: 3 },
-            );
-            let (y, _) = model.forward(&pool.batch_of(&ALL));
-            assert_eq!(y.data(), model.predict(&dense), "hidden {hidden}");
+        for idx in [&ALL[..], &REPEATS] {
+            let (dense, pool, f) = small_batch(idx);
+            let batch = pool.batch_of(idx);
+            if idx == REPEATS {
+                let sets = [batch.tables(), batch.joins(), batch.preds()];
+                let distinct: usize = sets.iter().map(|set| set.rows.spans.len()).sum();
+                let elements: usize = sets.iter().map(|set| set.index.len()).sum();
+                assert!(distinct < elements, "{distinct} of {elements}");
+            }
+            // 40 is one AVX-512 tile whose third vector is masked to 8
+            // lanes (on AVX2 a 32- and an 8-column tile); 6 is one masked
+            // vector (on AVX2, all scalar).
+            for hidden in [6, 40] {
+                let model = MscnModel::new(
+                    f.table_dim(),
+                    f.join_dim(),
+                    f.pred_dim(),
+                    MscnConfig { hidden, seed: 3 },
+                );
+                let (y, _) = model.forward(&batch);
+                assert_eq!(y.data(), model.predict(&dense), "{idx:?} hidden {hidden}");
+            }
+        }
+    }
+
+    /// One layer's reference gradients: `∂L/∂W` and `∂L/∂b` beside the
+    /// sums of their terms' magnitudes, which scale each element's
+    /// rounding.
+    struct Reference {
+        w: Tensor,
+        b: Vec<f32>,
+        w_terms: Tensor,
+        b_terms: Vec<f32>,
+    }
+
+    /// Every layer's gradients for upstream gradient `grad_y`, one row per
+    /// set element as the paper's modules run, through the naive dense
+    /// products: `[t1, t2, j1, j2, p1, p2, out1, out2]`.
+    fn reference_gradients(
+        model: &MscnModel,
+        batch: &FeatureBatch,
+        grad_y: &Tensor,
+    ) -> Vec<Reference> {
+        let modules = [
+            (&model.tables, &batch.tables, &batch.table_segs),
+            (&model.joins, &batch.joins, &batch.join_segs),
+            (&model.preds, &batch.preds, &batch.pred_segs),
+        ];
+        let acts: Vec<_> = modules
+            .iter()
+            .map(|&(m, x, segs)| {
+                let a1 = reference_layer(&m.l1, x, true);
+                let a2 = reference_layer(&m.l2, &a1, true);
+                let pooled = segment_mean(&a2, segs);
+                (a1, a2, pooled)
+            })
+            .collect();
+        let concat = Tensor::concat_cols(&[&acts[0].2, &acts[1].2, &acts[2].2]);
+        let a3 = reference_layer(&model.out1, &concat, true);
+        let y = reference_layer(&model.out2, &a3, false).map(sigmoid_scalar);
+        // One layer's gradients from its input and `∂L/∂z`, and `∂L/∂x`.
+        let layer = |l: &Linear, x: &Tensor, g_z: &Tensor| {
+            let (x_abs, g_abs) = (x.map(f32::abs), g_z.map(f32::abs));
+            let grads = Reference {
+                w: reference::t_matmul(x, g_z),
+                b: g_z.col_sums(),
+                w_terms: reference::t_matmul(&x_abs, &g_abs),
+                b_terms: g_abs.col_sums(),
+            };
+            (grads, reference::matmul_t(g_z, l.weights()))
+        };
+        let mask = |a: &Tensor, g: Tensor| relu_backward(a, &g);
+        let g_z4 = ds_nn::ops::sigmoid_backward(&y, grad_y);
+        let (g_out2, g_a3) = layer(&model.out2, &a3, &g_z4);
+        let (g_out1, g_concat) = layer(&model.out1, &concat, &mask(&a3, g_a3));
+        let mut g_pooled: [Tensor; 3] = Default::default();
+        let h = model.hidden;
+        g_concat.split_cols_into(&[h, h, h], &mut g_pooled);
+        let mut out = Vec::new();
+        for ((&(m, x, segs), (a1, a2, _)), g) in modules.iter().zip(&acts).zip(&g_pooled) {
+            let g_a2 = ds_nn::ops::segment_mean_backward(x.rows(), g, segs);
+            let (g2, g_a1) = layer(&m.l2, a1, &mask(a2, g_a2));
+            let (g1, _) = layer(&m.l1, x, &mask(a1, g_a1));
+            out.extend([g1, g2]);
+        }
+        out.extend([g_out1, g_out2]);
+        out
+    }
+
+    /// Forward and backward on `lanes` lanes from zero gradients.
+    fn gradients_on(
+        model: &MscnModel,
+        batch: &PoolBatch<'_>,
+        grad_y: &Tensor,
+        lanes: usize,
+    ) -> MscnGrads {
+        let mut grads = MscnGrads::new(model);
+        Team::run(lanes, |team| {
+            let mut cache = ForwardCache::new();
+            model.forward_into(batch, team, &mut cache);
+            let mut scratch = BackwardScratch::new();
+            model.backward_with(batch, &cache, grad_y, &mut grads, team, &mut scratch);
+        });
+        grads
+    }
+
+    #[test]
+    fn the_distinct_row_backward_is_the_per_element_backward() {
+        let (dense, pool, f) = small_batch(&REPEATS);
+        let batch = pool.batch_of(&REPEATS);
+        let model = MscnModel::new(
+            f.table_dim(),
+            f.join_dim(),
+            f.pred_dim(),
+            MscnConfig {
+                hidden: 40,
+                seed: 12,
+            },
+        );
+        let grad_y = Tensor::from_vec(6, 1, vec![0.7, -1.3, 0.4, 2.1, -0.6, 1.0]);
+        let grads = gradients_on(&model, &batch, &grad_y, 1);
+        let reference = reference_gradients(&model, &dense, &grad_y);
+        let layers = grads.0.iter().flatten();
+        // Relative to the magnitude of the terms summed, which bounds
+        // what reordering the sum can move.
+        for (l, (g, r)) in layers.zip(&reference).enumerate() {
+            let got = g.weights().data().iter().chain(g.bias());
+            let want = r.w.data().iter().chain(&r.b);
+            let terms = r.w_terms.data().iter().chain(&r.b_terms);
+            for (i, ((&got, &want), &terms)) in got.zip(want).zip(terms).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-5 * terms,
+                    "layer {l} gradient {i}: {got} against {want} (terms {terms})"
+                );
+            }
+        }
+        let bits = |g: &MscnGrads| -> Vec<u32> {
+            let layers = g.0.iter().flatten();
+            let values = layers.flat_map(|g| g.weights().data().iter().chain(g.bias()));
+            values.map(|v| v.to_bits()).collect()
+        };
+        for lanes in [2, 3] {
+            let on_lanes = gradients_on(&model, &batch, &grad_y, lanes);
+            assert!(bits(&on_lanes) == bits(&grads), "{lanes} lanes");
         }
     }
 
     #[test]
     fn forward_outputs_are_probabilities() {
-        let (_, pool, f) = small_batch();
+        let (_, pool, f) = small_batch(&ALL);
         let batch = pool.batch_of(&ALL);
         let model = MscnModel::new(
             f.table_dim(),
@@ -535,7 +684,7 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic_and_seed_dependent() {
-        let (batch, _, f) = small_batch();
+        let (batch, _, f) = small_batch(&ALL);
         let cfg = MscnConfig { hidden: 8, seed: 5 };
         let m1 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
         let m2 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
@@ -585,16 +734,22 @@ mod tests {
 
     #[test]
     fn gradient_check_through_whole_model() {
-        // Finite-difference check of ∂L/∂θ for a few parameters of each
-        // layer with L = sum(y).
-        let (batch, pool, f) = small_batch();
+        for idx in [&ALL[..], &REPEATS] {
+            gradient_check(idx);
+        }
+    }
+
+    /// Finite-difference check of ∂L/∂θ for a few parameters of each
+    /// layer with L = sum(y), over the batch of queries `idx`.
+    fn gradient_check(idx: &[usize]) {
+        let (batch, pool, f) = small_batch(idx);
         let model = MscnModel::new(
             f.table_dim(),
             f.join_dim(),
             f.pred_dim(),
             MscnConfig { hidden: 6, seed: 1 },
         );
-        let pooled = pool.batch_of(&ALL);
+        let pooled = pool.batch_of(idx);
         let (y, cache) = model.forward(&pooled);
         let ones = Tensor::from_vec(y.rows(), 1, vec![1.0; y.rows()]);
         let mut grads = MscnGrads::new(&model);
@@ -627,14 +782,14 @@ mod tests {
             let tol = 0.05_f32.max(num.abs() * 0.15);
             assert!(
                 (ana - num).abs() <= tol,
-                "probe {probe}: analytic {ana} vs numeric {num}"
+                "{idx:?} probe {probe}: analytic {ana} vs numeric {num}"
             );
         }
     }
 
     #[test]
     fn a_thawed_model_is_the_model_that_froze() {
-        let (batch, _, f) = small_batch();
+        let (batch, _, f) = small_batch(&ALL);
         let model = MscnModel::new(
             f.table_dim(),
             f.join_dim(),

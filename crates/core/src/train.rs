@@ -8,6 +8,12 @@
 //! nothing else — losses, validation q-errors and weights are bit for bit
 //! those of one lane — and at one lane no thread is spawned at all.
 //!
+//! A step runs each set module once per distinct element of its batch,
+//! forward and backward ([`crate::featurize::PoolBatch`] lists them, and
+//! [`crate::mscn`] says how queries pool through them): equal elements of
+//! a workload share one pool id, so a table, join or predicate that
+//! several queries of a batch hold costs one row, not one per query.
+//!
 //! There is one recipe, the paper's: mean q-error, Adam at
 //! [`LEARNING_RATE`], and the whole epoch budget, shipping the last
 //! epoch's weights.

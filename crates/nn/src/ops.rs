@@ -73,22 +73,29 @@ pub type Segments = Vec<(usize, usize)>;
 /// Panics if segments overflow the input rows.
 pub fn segment_mean(x: &Tensor, segments: &Segments) -> Tensor {
     let mut out = Tensor::zeros(0, 0);
-    segment_mean_into(x, segments, &mut out);
+    segment_mean_into(x, &identity(x.rows()), segments, &mut out);
     out
 }
 
-/// [`segment_mean`] into a reusable output tensor.
-pub fn segment_mean_into(x: &Tensor, segments: &Segments, out: &mut Tensor) {
+/// [`segment_mean`] over rows named through `index`, into a reusable
+/// output tensor: segment `(start, len)` pools rows `index[start..start +
+/// len]` of `x`, so one row of `x` can stand for every occurrence of an
+/// element. Each pooled value is `Σ x[index[r]] · (1/len)`, `r` ascending,
+/// from zero.
+///
+/// # Panics
+/// Panics if segments overflow `index`, or `index` names a row `x` lacks.
+pub fn segment_mean_into(x: &Tensor, index: &[u32], segments: &Segments, out: &mut Tensor) {
     let d = x.cols();
     out.resize(segments.len(), d);
     for (q, &(start, len)) in segments.iter().enumerate() {
         if len == 0 {
             continue;
         }
-        assert!(start + len <= x.rows(), "segment out of range");
+        assert!(start + len <= index.len(), "segment out of range");
         let inv = 1.0 / len as f32;
-        for r in start..start + len {
-            let row = x.row(r);
+        for &r in &index[start..start + len] {
+            let row = x.row(r as usize);
             let orow = out.row_mut(q);
             for (o, &v) in orow.iter_mut().zip(row) {
                 *o += v * inv;
@@ -101,33 +108,47 @@ pub fn segment_mean_into(x: &Tensor, segments: &Segments, out: &mut Tensor) {
 /// of segment `q`.
 pub fn segment_mean_backward(total_rows: usize, grad_out: &Tensor, segments: &Segments) -> Tensor {
     let mut out = Tensor::zeros(0, 0);
-    segment_mean_backward_into(total_rows, grad_out, segments, &mut out);
+    let index = identity(total_rows);
+    segment_mean_backward_into(total_rows, &index, grad_out, segments, &mut out);
     out
 }
 
-/// [`segment_mean_backward`] into a reusable output tensor.
+/// Backward of [`segment_mean_into`] into a reusable output tensor of
+/// `rows` rows: each occurrence `r` of segment `q` adds `grad_out[q] ·
+/// (1/len)` to row `index[r]`, occurrences ascending, every row from zero.
+/// A row that several occurrences name sums their terms.
+///
+/// # Panics
+/// Panics if the segments are not `grad_out`'s rows, or `index` names a
+/// row past `rows`.
 pub fn segment_mean_backward_into(
-    total_rows: usize,
+    rows: usize,
+    index: &[u32],
     grad_out: &Tensor,
     segments: &Segments,
     out: &mut Tensor,
 ) {
     assert_eq!(grad_out.rows(), segments.len(), "segment count mismatch");
     let d = grad_out.cols();
-    out.resize(total_rows, d);
+    out.resize(rows, d);
     for (q, &(start, len)) in segments.iter().enumerate() {
         if len == 0 {
             continue;
         }
         let inv = 1.0 / len as f32;
         let grow = grad_out.row(q);
-        for r in start..start + len {
-            let orow = out.row_mut(r);
+        for &r in &index[start..start + len] {
+            let orow = out.row_mut(r as usize);
             for (o, &g) in orow.iter_mut().zip(grow) {
                 *o += g * inv;
             }
         }
     }
+}
+
+/// `0, 1, …, rows − 1`: the index of rows that are their own elements.
+fn identity(rows: usize) -> Vec<u32> {
+    (0..rows as u32).collect()
 }
 
 #[cfg(test)]
@@ -189,6 +210,22 @@ mod tests {
         assert_eq!(gx.row(0), &[0.5, 1.0]);
         assert_eq!(gx.row(1), &[0.5, 1.0]);
         assert_eq!(gx.row(2), &[3.0, 4.0]);
+    }
+
+    #[test]
+    fn an_indexed_row_pools_for_each_occurrence_and_gathers_their_gradients() {
+        // Rows 0 and 1; segment 0 is rows {1, 0, 1}, segment 1 is row {1}.
+        let x = Tensor::from_vec(2, 2, vec![1., 2., 4., 8.]);
+        let (index, segs): (Vec<u32>, Segments) = (vec![1, 0, 1, 1], vec![(0, 3), (3, 1)]);
+        let mut pooled = Tensor::zeros(0, 0);
+        segment_mean_into(&x, &index, &segs, &mut pooled);
+        let dense = Tensor::from_vec(4, 2, vec![4., 8., 1., 2., 4., 8., 4., 8.]);
+        assert_eq!(pooled, segment_mean(&dense, &segs));
+        let g = Tensor::from_vec(2, 2, vec![3.0, 6.0, 1.0, 2.0]);
+        let mut gx = Tensor::zeros(0, 0);
+        segment_mean_backward_into(2, &index, &g, &segs, &mut gx);
+        assert_eq!(gx.row(0), &[1.0, 2.0]);
+        assert_eq!(gx.row(1), &[1.0 + 1.0 + 1.0, 2.0 + 2.0 + 2.0]);
     }
 
     #[test]
