@@ -253,8 +253,7 @@ pub fn recommend_retraining(
     out.sort_by(|a, b| {
         b.drift
             .severity()
-            .partial_cmp(&a.drift.severity())
-            .expect("finite severity")
+            .total_cmp(&a.drift.severity())
             .then_with(|| a.sketch.cmp(&b.sketch))
     });
     out

@@ -111,8 +111,8 @@ pub struct SketchBuilder<'a> {
     seed: u64,
     in_frac: f64,
     like_frac: f64,
-    schema_v2: bool,
-    pred_bitmap_bits: usize,
+    /// Per-predicate bitmap width under schema v2; `None` for schema v1.
+    schema_v2: Option<usize>,
 }
 
 impl<'a> SketchBuilder<'a> {
@@ -136,8 +136,7 @@ impl<'a> SketchBuilder<'a> {
             seed: 0xD5_5EED,
             in_frac: 0.0,
             like_frac: 0.0,
-            schema_v2: false,
-            pred_bitmap_bits: 0,
+            schema_v2: None,
         }
     }
 
@@ -236,8 +235,7 @@ impl<'a> SketchBuilder<'a> {
     /// Bits are clamped to the sample size. Schema v1 sketches remain the
     /// default and stay byte-compatible on the wire.
     pub fn feature_schema_v2(mut self, pred_bitmap_bits: usize) -> Self {
-        self.schema_v2 = true;
-        self.pred_bitmap_bits = pred_bitmap_bits;
+        self.schema_v2 = Some(pred_bitmap_bits);
         self
     }
 
@@ -319,8 +317,8 @@ impl<'a> SketchBuilder<'a> {
             self.sample_size,
             self.use_bitmaps,
         );
-        if self.schema_v2 {
-            featurizer = featurizer.with_schema_v2(self.pred_bitmap_bits);
+        if let Some(bits) = self.schema_v2 {
+            featurizer = featurizer.with_schema_v2(bits);
         }
         let featurization = t2.elapsed();
         drop(feat_span);

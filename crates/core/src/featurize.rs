@@ -13,14 +13,14 @@
 //! * join set: `one-hot(join)`
 //! * predicate set: `one-hot(column) ++ one-hot(op) ++ [normalized literal]`
 //!
-//! Two predicate-schema generations exist. [`FeatureSchema::V1`] is the
-//! paper's encoding above, bit-identical to every sketch ever shipped.
-//! [`FeatureSchema::V2`] widens the operator one-hot to the extended
-//! vocabulary (`=, <, >, IN, LIKE`), adds an auxiliary scalar (IN-list
-//! size / LIKE literal-character fraction), and appends a per-predicate
-//! sampling bitmap (`NUM_BITMAP_SAMPLE`-style: the predicate evaluated
-//! alone against a prefix of its table's materialized sample) — the
-//! MSCN+ features that close the gap on correlated predicates.
+//! A predicate element has one layout of three widths after its column:
+//! operator slots, auxiliary scalar slots and per-predicate bitmap bits.
+//! [`FeatureSchema::V1`], the paper's encoding, has 3 operator slots
+//! (`=, <, >`) and neither of the others. [`FeatureSchema::V2`] has 5 (`IN`
+//! and `LIKE` too), one aux slot (IN-list size, LIKE literal-character
+//! fraction) and bitmap bits: the predicate evaluated alone against a
+//! prefix of its table's sample, as MSCN+ does. An operator without a
+//! slot (`IN`, `LIKE` under v1) gets no bit and a mid-scale literal.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -38,25 +38,23 @@ use ds_storage::exec::JoinEdge;
 use ds_storage::predicate::{ColPredicate, PredTest};
 use ds_storage::sample::TableSample;
 
-/// Predicate-encoding generation of a [`Featurizer`].
+/// The serialized name of a predicate element's operator and auxiliary
+/// widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FeatureSchema {
-    /// The paper's 3-operator encoding: `one-hot(col) ++ one-hot{=,<,>} ++
-    /// [literal]`. `IN`/`LIKE` predicates degrade gracefully (zero op
-    /// one-hot, mid-scale literal). Every pre-v2 sketch uses this.
-    V1,
-    /// Extended encoding: `one-hot(col) ++ one-hot{=,<,>,IN,LIKE} ++
-    /// [literal, aux] ++ per-predicate sample bitmap`.
-    V2,
+    /// The paper's encoding: 3 operator slots, no auxiliary slot, no
+    /// per-predicate bitmap.
+    V1 = 1,
+    /// 5 operator slots, one auxiliary slot and a per-predicate bitmap of
+    /// any width.
+    V2 = 2,
 }
 
 impl FeatureSchema {
-    /// Stable wire tag (sketch serialization).
+    /// Stable wire tag (sketch serialization): the discriminant.
     pub fn tag(self) -> u8 {
-        match self {
-            FeatureSchema::V1 => 1,
-            FeatureSchema::V2 => 2,
-        }
+        self as u8
     }
 
     /// Inverse of [`FeatureSchema::tag`].
@@ -65,6 +63,14 @@ impl FeatureSchema {
             1 => Some(FeatureSchema::V1),
             2 => Some(FeatureSchema::V2),
             _ => None,
+        }
+    }
+
+    /// A predicate element's operator slots and auxiliary scalar slots.
+    fn widths(self) -> (usize, usize) {
+        match self {
+            FeatureSchema::V1 => (3, 0),
+            FeatureSchema::V2 => (5, 1),
         }
     }
 }
@@ -88,9 +94,9 @@ pub struct Featurizer {
     columns: Vec<ColRef>,
     /// Per predicate-column (min, max) for literal normalization.
     col_bounds: Vec<(f64, f64)>,
-    /// Predicate-encoding generation.
+    /// The operator and auxiliary widths of a predicate element.
     schema: FeatureSchema,
-    /// Per-predicate bitmap width of schema v2 (0 under v1): the predicate
+    /// Per-predicate bitmap width (0 under schema v1): the predicate
     /// is evaluated alone against the first `pred_bitmap_bits` rows of its
     /// table's materialized sample.
     pred_bitmap_bits: usize,
@@ -112,7 +118,7 @@ impl Featurizer {
         sample_size: usize,
         use_bitmaps: bool,
     ) -> Self {
-        let joins: Vec<JoinEdge> = db
+        let joins = db
             .foreign_keys()
             .iter()
             .map(|fk| JoinEdge::new(fk.from, fk.to).canonical())
@@ -128,24 +134,16 @@ impl Featurizer {
                 (lo as f64, hi as f64)
             })
             .collect();
-        let join_index = joins.iter().enumerate().map(|(i, &j)| (j, i)).collect();
-        let col_index = predicate_columns
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i))
-            .collect();
-        Self {
-            num_tables: db.num_tables(),
+        Self::from_parts(
+            db.num_tables(),
             sample_size,
             use_bitmaps,
             joins,
-            columns: predicate_columns.to_vec(),
+            predicate_columns.to_vec(),
             col_bounds,
-            schema: FeatureSchema::V1,
-            pred_bitmap_bits: 0,
-            join_index,
-            col_index,
-        }
+            FeatureSchema::V1,
+            0,
+        )
     }
 
     /// Upgrades this vocabulary to schema v2 with the given per-predicate
@@ -205,16 +203,14 @@ impl Featurizer {
         self.joins.len().max(1)
     }
 
-    /// Width of a predicate-set element. Schema v1: `columns + 3 ops +
-    /// 1 literal`. Schema v2: `columns + 5 ops + 2 scalars + bitmap bits`.
+    /// Width of a predicate-set element: columns, operator slots, the
+    /// literal, auxiliary slots and bitmap bits.
     pub fn pred_dim(&self) -> usize {
-        match self.schema {
-            FeatureSchema::V1 => self.columns.len() + 3 + 1,
-            FeatureSchema::V2 => self.columns.len() + 5 + 2 + self.pred_bitmap_bits,
-        }
+        let (ops, aux) = self.schema.widths();
+        self.columns.len() + ops + 1 + aux + self.pred_bitmap_bits
     }
 
-    /// Predicate-encoding generation.
+    /// The serialized name of the predicate element's widths.
     pub fn schema(&self) -> FeatureSchema {
         self.schema
     }
@@ -263,21 +259,18 @@ impl Featurizer {
         (((literal as f64) - lo) / (hi - lo)).clamp(0.0, 1.0) as f32
     }
 
-    /// Scalar slots of one predicate under schema v2: `(literal, aux)`.
-    /// Comparison: normalized literal, aux 0. `IN`: mean normalized list
-    /// value, aux = saturating list-size fraction. `LIKE`: mid-scale
-    /// literal, aux = literal-character fraction of the pattern.
-    fn v2_scalars(&self, idx: Option<usize>, p: &ColPredicate) -> (f32, f32) {
+    /// Scalar slots of one predicate: `(literal, aux)`. Comparison:
+    /// normalized literal, aux 0. `IN`: mean normalized list value, aux =
+    /// saturating list-size fraction. `LIKE`: mid-scale literal, aux =
+    /// literal-character fraction of the pattern.
+    fn scalars(&self, idx: Option<usize>, p: &ColPredicate) -> (f32, f32) {
         match &p.test {
             PredTest::Cmp(_, lit) => (idx.map_or(0.5, |i| self.normalize_literal(i, *lit)), 0.0),
             PredTest::In(vals) => {
-                let primary = match idx {
-                    Some(i) => {
-                        let sum: f32 = vals.iter().map(|&v| self.normalize_literal(i, v)).sum();
-                        sum / vals.len() as f32
-                    }
-                    None => 0.5,
-                };
+                let primary = idx.map_or(0.5, |i| {
+                    let sum: f32 = vals.iter().map(|&v| self.normalize_literal(i, v)).sum();
+                    sum / vals.len() as f32
+                });
                 (primary, (vals.len() as f32 / IN_LIST_AUX_SCALE).min(1.0))
             }
             PredTest::Like(pat) => {
@@ -354,8 +347,11 @@ impl Featurizer {
             join_rows.push(row);
         }
 
-        // Predicate set.
-        let nc = self.columns.len();
+        // Predicate set: one-hot(col), one-hot(op), the literal, the aux
+        // slot and the per-predicate bitmap.
+        let (ops, aux_slots) = self.schema.widths();
+        let lit_slot = self.columns.len() + ops;
+        let tail = lit_slot + 1 + aux_slots;
         let mut pred_rows = Vec::with_capacity(query.predicates.len());
         for (cr, p) in query.qualified_predicates() {
             let mut row = vec![0.0f32; self.pred_dim()];
@@ -363,35 +359,20 @@ impl Featurizer {
             if let Some(i) = idx {
                 row[i] = 1.0;
             }
-            match self.schema {
-                FeatureSchema::V1 => {
-                    // Bit-identical to the original encoding for
-                    // comparisons; IN/LIKE degrade to a zero op one-hot
-                    // and a mid-scale literal.
-                    match (&p.test, idx) {
-                        (PredTest::Cmp(op, lit), Some(i)) => {
-                            row[nc + op.index()] = 1.0;
-                            row[nc + 3] = self.normalize_literal(i, *lit);
-                        }
-                        (PredTest::Cmp(op, _), None) => {
-                            // Unknown column: op and a mid-scale literal
-                            // still carry signal.
-                            row[nc + op.index()] = 1.0;
-                            row[nc + 3] = 0.5;
-                        }
-                        _ => row[nc + 3] = 0.5,
-                    }
-                }
-                FeatureSchema::V2 => {
-                    row[nc + p.op_kind().index()] = 1.0;
-                    let (primary, aux) = self.v2_scalars(idx, p);
-                    row[nc + 5] = primary;
-                    row[nc + 6] = aux;
-                    self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
-                        row[nc + 7 + bit] = 1.0;
-                    });
-                }
+            let op = p.op_kind().index();
+            let (literal, aux) = if op < ops {
+                row[self.columns.len() + op] = 1.0;
+                self.scalars(idx, p)
+            } else {
+                (0.5, 0.0)
+            };
+            row[lit_slot] = literal;
+            if aux_slots > 0 {
+                row[lit_slot + 1] = aux;
             }
+            self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
+                row[tail + bit] = 1.0;
+            });
             pred_rows.push(row);
         }
 
@@ -467,40 +448,32 @@ impl Featurizer {
             out.joins.finish_elem(start);
         }
 
-        // Predicate set: one-hot(col), one-hot(op), scalar slots, and (v2)
-        // the per-predicate bitmap tail — ascending index order.
-        let nc = self.columns.len();
+        // Predicate set, as `featurize` writes it, in ascending index
+        // order. The aux slot holds an entry even at 0.0: the element memo
+        // and the pool key an element by its entries.
+        let (ops, aux_slots) = self.schema.widths();
+        let lit_slot = self.columns.len() + ops;
+        let tail = lit_slot + 1 + aux_slots;
         for (cr, p) in query.qualified_predicates() {
             let start = out.preds.begin_elem();
             let idx = self.col_index.get(&cr).copied();
             if let Some(i) = idx {
                 out.preds.push(i as u32, 1.0);
             }
-            match self.schema {
-                FeatureSchema::V1 => {
-                    let lit_slot = (nc + 3) as u32;
-                    match (&p.test, idx) {
-                        (PredTest::Cmp(op, lit), Some(i)) => {
-                            out.preds.push((nc + op.index()) as u32, 1.0);
-                            out.preds.push(lit_slot, self.normalize_literal(i, *lit));
-                        }
-                        (PredTest::Cmp(op, _), None) => {
-                            out.preds.push((nc + op.index()) as u32, 1.0);
-                            out.preds.push(lit_slot, 0.5);
-                        }
-                        _ => out.preds.push(lit_slot, 0.5),
-                    }
-                }
-                FeatureSchema::V2 => {
-                    out.preds.push((nc + p.op_kind().index()) as u32, 1.0);
-                    let (primary, aux) = self.v2_scalars(idx, p);
-                    out.preds.push((nc + 5) as u32, primary);
-                    out.preds.push((nc + 6) as u32, aux);
-                    self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
-                        out.preds.push((nc + 7 + bit) as u32, 1.0);
-                    });
-                }
+            let op = p.op_kind().index();
+            let (literal, aux) = if op < ops {
+                out.preds.push((self.columns.len() + op) as u32, 1.0);
+                self.scalars(idx, p)
+            } else {
+                (0.5, 0.0)
+            };
+            out.preds.push(lit_slot as u32, literal);
+            if aux_slots > 0 {
+                out.preds.push(lit_slot as u32 + 1, aux);
             }
+            self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
+                out.preds.push((tail + bit) as u32, 1.0);
+            });
             out.preds.finish_elem(start);
         }
         // One element per table, join and predicate, whatever it holds.
@@ -915,7 +888,7 @@ pub struct QueryFeatures {
     pub table_rows: Vec<Vec<f32>>,
     /// One row per join: `one-hot(join)`.
     pub join_rows: Vec<Vec<f32>>,
-    /// One row per predicate: `one-hot(col) ++ one-hot(op) ++ [val]`.
+    /// One row per predicate, in the layout the module docs describe.
     pub pred_rows: Vec<Vec<f32>>,
 }
 

@@ -28,12 +28,12 @@
 pub mod advisor;
 pub mod builder;
 pub mod featurize;
-pub mod fleet;
 pub mod lifecycle;
 pub mod maintain;
 pub mod metrics;
 pub mod monitor;
 pub mod mscn;
+pub mod router;
 pub mod sketch;
 pub mod snapshot;
 pub mod store;
@@ -48,7 +48,6 @@ pub use featurize::{
     FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, QueryIndexFeatures,
     ServedFeatures,
 };
-pub use fleet::{Route, SketchFleet};
 pub use lifecycle::{
     HarvestEntry, HarvestSet, LifecycleConfig, LifecycleCounters, LifecycleEvent, LifecycleManager,
     LifecyclePhase, LifecycleStatus,
@@ -60,6 +59,7 @@ pub use maintain::{
 pub use metrics::{qerror, QErrorSummary};
 pub use monitor::{MonitorRegistry, MonitorState, QErrorMonitor};
 pub use mscn::{MscnConfig, MscnModel};
+pub use router::{Route, SketchRouter};
 pub use sketch::{DeepSketch, SketchInfo};
 
 pub use ds_nn::frozen::MemoStats;

@@ -1071,7 +1071,7 @@ fn median(xs: &[f64]) -> f64 {
         return 0.0;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     sorted[sorted.len() / 2]
 }
 

@@ -70,7 +70,7 @@ impl DriftReport {
                     .iter()
                     .map(move |(c, d)| (t.table, c.as_str(), *d))
             })
-            .max_by(|a, b| a.2.partial_cmp(&b.2).expect("finite drift"))
+            .max_by(|a, b| a.2.total_cmp(&b.2))
     }
 }
 

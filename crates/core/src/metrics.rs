@@ -45,7 +45,7 @@ impl QErrorSummary {
     pub fn from_qerrors(qerrors: &[f64]) -> Self {
         assert!(!qerrors.is_empty(), "cannot summarize zero q-errors");
         let mut sorted = qerrors.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite q-errors"));
+        sorted.sort_by(f64::total_cmp);
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         Self {
             median: percentile(&sorted, 0.50),

@@ -19,11 +19,10 @@
 //! produce identical bucketed quantiles, and a real 4× degradation moves
 //! the rolling median two buckets regardless of machine or workload size.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ds_obs::{HistogramSnapshot, LogHistogram, WindowedHistogram};
-use parking_lot::RwLock;
 
 use crate::metrics::qerror;
 
@@ -80,7 +79,7 @@ pub fn baseline_from_qerrors(qerrs: &[f64]) -> Option<HistogramSnapshot> {
 #[derive(Debug)]
 pub struct QErrorMonitor {
     overall: WindowedHistogram,
-    templates: RwLock<HashMap<String, Arc<WindowedHistogram>>>,
+    templates: RwLock<BTreeMap<String, Arc<WindowedHistogram>>>,
     slots: usize,
     slot_capacity: u64,
 }
@@ -97,10 +96,20 @@ impl QErrorMonitor {
     pub fn new(slots: usize, slot_capacity: u64) -> Self {
         Self {
             overall: WindowedHistogram::new(slots, slot_capacity),
-            templates: RwLock::new(HashMap::new()),
+            templates: RwLock::default(),
             slots,
             slot_capacity,
         }
+    }
+
+    /// The template windows, read; a poisoned lock is recovered.
+    fn windows(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<WindowedHistogram>>> {
+        self.templates.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The template windows, written; a poisoned lock is recovered.
+    fn windows_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<WindowedHistogram>>> {
+        self.templates.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records one feedback observation: the estimate the sketch produced
@@ -110,11 +119,10 @@ impl QErrorMonitor {
         let q = qerror(estimate, actual.max(1.0));
         let scaled = scale_qerror(q);
         self.overall.record(scaled);
-        let existing = self.templates.read().get(template).cloned();
+        let existing = self.windows().get(template).cloned();
         let window = existing.unwrap_or_else(|| {
             Arc::clone(
-                self.templates
-                    .write()
+                self.windows_mut()
                     .entry(template.to_string())
                     .or_insert_with(|| {
                         Arc::new(WindowedHistogram::new(self.slots, self.slot_capacity))
@@ -138,20 +146,16 @@ impl QErrorMonitor {
     /// All templates with feedback, sorted by name, with their rolling
     /// distributions.
     pub fn templates(&self) -> Vec<(String, HistogramSnapshot)> {
-        let mut out: Vec<(String, HistogramSnapshot)> = self
-            .templates
-            .read()
+        self.windows()
             .iter()
             .map(|(k, w)| (k.clone(), w.merged()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 
     /// Clears every window (e.g. after the sketch was retrained).
     pub fn reset(&self) {
         self.overall.reset();
-        self.templates.write().clear();
+        self.windows_mut().clear();
     }
 
     /// Freezes the monitor's complete window state — geometry, rotation
@@ -160,16 +164,13 @@ impl QErrorMonitor {
     /// [`QErrorMonitor::from_state`] resumes drift tracking exactly where
     /// the exported monitor left off.
     pub fn export_state(&self) -> MonitorState {
-        let mut templates: Vec<(String, Vec<u64>)> = self
-            .templates
-            .read()
-            .iter()
-            .map(|(k, w)| (k.clone(), w.to_words()))
-            .collect();
-        templates.sort_by(|a, b| a.0.cmp(&b.0));
         MonitorState {
             overall: self.overall.to_words(),
-            templates,
+            templates: self
+                .windows()
+                .iter()
+                .map(|(k, w)| (k.clone(), w.to_words()))
+                .collect(),
         }
     }
 
@@ -180,7 +181,7 @@ impl QErrorMonitor {
     pub fn from_state(state: &MonitorState) -> Option<Self> {
         let overall = WindowedHistogram::from_words(&state.overall)?;
         let (slots, slot_capacity) = (overall.slots(), overall.slot_capacity());
-        let mut templates = HashMap::with_capacity(state.templates.len());
+        let mut templates = BTreeMap::new();
         for (name, words) in &state.templates {
             let w = WindowedHistogram::from_words(words)?;
             if w.slots() != slots || w.slot_capacity() != slot_capacity {
@@ -213,7 +214,7 @@ pub struct MonitorState {
 /// the serving layer (records feedback) and maintenance (reads drift).
 #[derive(Debug, Default)]
 pub struct MonitorRegistry {
-    monitors: RwLock<HashMap<String, Arc<QErrorMonitor>>>,
+    monitors: RwLock<BTreeMap<String, Arc<QErrorMonitor>>>,
 }
 
 impl MonitorRegistry {
@@ -222,37 +223,44 @@ impl MonitorRegistry {
         Self::default()
     }
 
+    /// The monitors, read; a poisoned lock is recovered.
+    fn monitors(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<QErrorMonitor>>> {
+        self.monitors.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The monitors, written; a poisoned lock is recovered.
+    fn monitors_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<QErrorMonitor>>> {
+        self.monitors.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The monitor for `sketch`, created on first use.
     pub fn monitor(&self, sketch: &str) -> Arc<QErrorMonitor> {
-        if let Some(m) = self.monitors.read().get(sketch) {
+        if let Some(m) = self.monitors().get(sketch) {
             return Arc::clone(m);
         }
-        Arc::clone(self.monitors.write().entry(sketch.to_string()).or_default())
+        Arc::clone(self.monitors_mut().entry(sketch.to_string()).or_default())
     }
 
     /// The monitor for `sketch` if any feedback ever arrived for it.
     pub fn get(&self, sketch: &str) -> Option<Arc<QErrorMonitor>> {
-        self.monitors.read().get(sketch).cloned()
+        self.monitors().get(sketch).cloned()
     }
 
     /// Names of all monitored sketches, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.monitors.read().keys().cloned().collect();
-        names.sort();
-        names
+        self.monitors().keys().cloned().collect()
     }
 
     /// Installs a restored monitor for `sketch` (warm-restart recovery),
     /// replacing any existing one.
     pub fn restore(&self, sketch: &str, monitor: QErrorMonitor) {
-        self.monitors
-            .write()
+        self.monitors_mut()
             .insert(sketch.to_string(), Arc::new(monitor));
     }
 
     /// Drops the monitor of a removed/retrained sketch.
     pub fn remove(&self, sketch: &str) -> bool {
-        self.monitors.write().remove(sketch).is_some()
+        self.monitors_mut().remove(sketch).is_some()
     }
 }
 

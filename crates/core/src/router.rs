@@ -1,9 +1,9 @@
-//! A fleet of table-subset sketches with query routing — the natural
+//! A router over table-subset sketches — the natural
 //! companion of the [`crate::advisor`]: build one sketch per recommended
 //! table subset, then route each incoming query to the smallest sketch
 //! that covers it.
 //!
-//! Together, advisor + fleet close the loop the paper leaves open in §4:
+//! Together, advisor + router close the loop the paper leaves open in §4:
 //! instead of one monolithic sketch over the whole schema, the database
 //! keeps several focused sketches, each cheaper to train and more accurate
 //! on its slice of the workload.
@@ -18,7 +18,7 @@ use crate::sketch::DeepSketch;
 
 /// A routed collection of table-subset sketches.
 #[derive(Debug)]
-pub struct SketchFleet {
+pub struct SketchRouter {
     /// (sorted table subset, sketch), ordered by subset size ascending so
     /// that routing finds the smallest covering sketch first.
     members: Vec<(Vec<TableId>, DeepSketch)>,
@@ -34,13 +34,13 @@ pub enum Route {
     Uncovered,
 }
 
-impl SketchFleet {
-    /// Assembles a fleet from pre-built sketches and their table subsets.
+impl SketchRouter {
+    /// Assembles a router from pre-built sketches and their table subsets.
     ///
     /// # Panics
     /// Panics if `members` is empty or a subset is empty.
     pub fn new(members: Vec<(Vec<TableId>, DeepSketch)>) -> Self {
-        assert!(!members.is_empty(), "fleet needs at least one sketch");
+        assert!(!members.is_empty(), "router needs at least one sketch");
         let mut members: Vec<(Vec<TableId>, DeepSketch)> = members
             .into_iter()
             .map(|(mut tables, sketch)| {
@@ -52,7 +52,7 @@ impl SketchFleet {
         members.sort_by_key(|(t, _)| t.len());
         Self {
             members,
-            name: "Sketch Fleet".to_string(),
+            name: "Sketch Router".to_string(),
         }
     }
 
@@ -84,7 +84,7 @@ impl SketchFleet {
         self.members.len()
     }
 
-    /// True if the fleet has no members (never: construction forbids it).
+    /// True if the router has no members (never: construction forbids it).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -110,7 +110,7 @@ impl SketchFleet {
     }
 }
 
-impl CardinalityEstimator for SketchFleet {
+impl CardinalityEstimator for SketchRouter {
     fn name(&self) -> &str {
         &self.name
     }
@@ -186,28 +186,28 @@ mod tests {
                 hidden_units: 16,
             },
         );
-        let fleet =
-            SketchFleet::build_from_advice(&db, &advice, imdb_predicate_columns(&db), quick)
-                .expect("fleet");
-        assert_eq!(fleet.len(), advice.recommendations.len());
+        let router =
+            SketchRouter::build_from_advice(&db, &advice, imdb_predicate_columns(&db), quick)
+                .expect("router");
+        assert_eq!(router.len(), advice.recommendations.len());
 
         let mut covered = 0;
         for q in &wl {
-            match fleet.route(q) {
+            match router.route(q) {
                 Route::Member(i) => {
-                    assert!(i < fleet.len());
-                    assert!(fleet.try_estimate(q).unwrap() >= 1.0);
+                    assert!(i < router.len());
+                    assert!(router.try_estimate(q).unwrap() >= 1.0);
                     covered += 1;
                 }
                 Route::Uncovered => assert!(matches!(
-                    fleet.try_estimate(q),
+                    router.try_estimate(q),
                     Err(EstimateError::Unroutable { .. })
                 )),
             }
         }
         let expected = (advice.coverage * wl.len() as f64).round() as usize;
         assert_eq!(covered, expected);
-        assert!(fleet.footprint_bytes() > 0);
+        assert!(router.footprint_bytes() > 0);
     }
 
     #[test]
@@ -224,13 +224,13 @@ mod tests {
                 hidden_units: 16,
             },
         );
-        let fleet =
-            SketchFleet::build_from_advice(&db, &advice, imdb_predicate_columns(&db), quick)
-                .expect("fleet");
+        let router =
+            SketchRouter::build_from_advice(&db, &advice, imdb_predicate_columns(&db), quick)
+                .expect("router");
         // The per-member grouped batch path must return exactly what the
         // looped single-query path does, covered and uncovered alike.
-        let looped: Vec<f64> = wl.iter().map(|q| fleet.estimate(q)).collect();
-        assert_eq!(fleet.estimate_batch(&wl), looped);
+        let looped: Vec<f64> = wl.iter().map(|q| router.estimate(q)).collect();
+        assert_eq!(router.estimate_batch(&wl), looped);
     }
 
     #[test]
@@ -248,13 +248,13 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        let fleet = SketchFleet::new(vec![(vec![title, mk, ci], big), (vec![title, mk], small)]);
+        let router = SketchRouter::new(vec![(vec![title, mk, ci], big), (vec![title, mk], small)]);
         let mut q = Query::new();
         q.add_table(&db, "title").unwrap();
         q.add_table(&db, "movie_keyword").unwrap();
         // Smallest covering member (2 tables) wins.
-        assert_eq!(fleet.route(&q), Route::Member(0));
-        assert_eq!(fleet.subsets().next().unwrap().len(), 2);
+        assert_eq!(router.route(&q), Route::Member(0));
+        assert_eq!(router.subsets().next().unwrap().len(), 2);
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one sketch")]
-    fn empty_fleet_rejected() {
-        SketchFleet::new(vec![]);
+    fn empty_router_rejected() {
+        SketchRouter::new(vec![]);
     }
 }

@@ -837,11 +837,11 @@ mod tests {
     /// A table id or column outside the vocabulary — as a sketch
     /// deserialized next to a *larger* schema would see — is a typed error
     /// from `try_estimate` and `1.0` from `estimate` and `estimate_batch`,
-    /// for the sketch and for a fleet of it. A batch isolates it: its slot
+    /// for the sketch and for a router over it. A batch isolates it: its slot
     /// holds the single's error and its neighbours keep the singles' bits.
     #[test]
     fn out_of_vocabulary_queries_are_errors_or_one_row_never_a_panic() {
-        use crate::fleet::SketchFleet;
+        use crate::router::SketchRouter;
         use ds_storage::predicate::{CmpOp, ColPredicate};
 
         let (db, sketch) = tiny_sketch();
@@ -862,16 +862,16 @@ mod tests {
             sketch.try_estimate(&bad_col),
             Err(EstimateError::UnknownColumn { col: 999, .. })
         ));
-        // The fleet routes before a member validates: no member covers 99.
+        // The router routes before a member validates: no member covers 99.
         let every_table = (0..db.num_tables()).map(TableId).collect();
-        let fleet = SketchFleet::new(vec![(every_table, sketch.clone())]);
+        let router = SketchRouter::new(vec![(every_table, sketch.clone())]);
         assert!(matches!(
-            fleet.try_estimate(&alien),
+            router.try_estimate(&alien),
             Err(EstimateError::Unroutable { .. })
         ));
         let batch = [good.clone(), alien.clone(), bad_col.clone(), good.clone()];
         let answers = vec![want, 1.0, 1.0, want];
-        for est in [&sketch as &dyn CardinalityEstimator, &fleet] {
+        for est in [&sketch as &dyn CardinalityEstimator, &router] {
             let name = est.name();
             assert_eq!(est.estimate(&alien), 1.0, "{name}");
             assert_eq!(est.estimate_batch(&batch), answers, "{name}");
@@ -884,7 +884,7 @@ mod tests {
         // A batch the one member covers whole reaches it as it is.
         let covered = [bad_col, good];
         let member = sketch.try_estimate_batch(&covered);
-        assert_eq!(fleet.try_estimate_batch(&covered), member);
+        assert_eq!(router.try_estimate_batch(&covered), member);
     }
 
     #[test]

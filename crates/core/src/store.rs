@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::monitor::{MonitorRegistry, QErrorMonitor};
 use crate::sketch::DeepSketch;
@@ -167,6 +165,16 @@ impl SketchStore {
         self.generations.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// The sketches, read; a poisoned lock is recovered.
+    fn sketches(&self) -> RwLockReadGuard<'_, HashMap<String, (Arc<DeepSketch>, u64)>> {
+        self.sketches.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The sketches, written; a poisoned lock is recovered.
+    fn sketches_mut(&self) -> RwLockWriteGuard<'_, HashMap<String, (Arc<DeepSketch>, u64)>> {
+        self.sketches.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Registers a trained sketch under `name` ("pre-built models that can
     /// be queried right away"). A sketch trained while the store serves is
     /// built on the caller's thread and registered here when it is done.
@@ -182,7 +190,7 @@ impl SketchStore {
         generation: u64,
     ) -> Result<(), StoreError> {
         let name = name.into();
-        let mut sketches = self.sketches.write();
+        let mut sketches = self.sketches_mut();
         if sketches.contains_key(&name) {
             return Err(StoreError::Duplicate(name));
         }
@@ -195,8 +203,7 @@ impl SketchStore {
     /// listing).
     pub fn list(&self) -> Vec<(String, Arc<DeepSketch>)> {
         let mut out: Vec<(String, Arc<DeepSketch>)> = self
-            .sketches
-            .read()
+            .sketches()
             .iter()
             .map(|(name, (sketch, _))| (name.clone(), Arc::clone(sketch)))
             .collect();
@@ -214,7 +221,7 @@ impl SketchStore {
     /// the restored model serves under a *newer* generation, never a
     /// recycled one.
     pub fn swap(&self, name: &str, sketch: Arc<DeepSketch>) -> Result<SwapOutcome, StoreError> {
-        let mut sketches = self.sketches.write();
+        let mut sketches = self.sketches_mut();
         let Some((serving, generation)) = sketches.get_mut(name) else {
             return Err(StoreError::UnknownSketch(name.to_string()));
         };
@@ -239,7 +246,7 @@ impl SketchStore {
     /// swap or a remove and insert under the same name it changes, so
     /// holders can detect (and refuse to mix state across) model swaps.
     pub fn get_with_generation(&self, name: &str) -> Result<(Arc<DeepSketch>, u64), StoreError> {
-        match self.sketches.read().get(name) {
+        match self.sketches().get(name) {
             Some((sketch, generation)) => Ok((Arc::clone(sketch), *generation)),
             None => Err(StoreError::UnknownSketch(name.to_string())),
         }
@@ -247,15 +254,12 @@ impl SketchStore {
 
     /// The generation of a sketch, or `None` when no sketch has that name.
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.sketches
-            .read()
-            .get(name)
-            .map(|&(_, generation)| generation)
+        self.sketches().get(name).map(|&(_, generation)| generation)
     }
 
     /// Removes a sketch. Returns true if it existed.
     pub fn remove(&self, name: &str) -> bool {
-        let existed = self.sketches.write().remove(name).is_some();
+        let existed = self.sketches_mut().remove(name).is_some();
         if existed {
             ds_obs::global().count("store/removes", 1);
         }
@@ -331,7 +335,7 @@ impl SketchStore {
                 }
             },
         };
-        let mut sketches = self.sketches.write();
+        let mut sketches = self.sketches_mut();
         if let Some(&(_, current)) = sketches.get(&snap.name) {
             if current >= snap.generation {
                 return Ok(AdoptOutcome::Stale {
@@ -359,7 +363,7 @@ impl SketchStore {
         dir: &Path,
         monitors: Option<&MonitorRegistry>,
     ) -> Result<usize, StoreError> {
-        let names: Vec<String> = self.sketches.read().keys().cloned().collect();
+        let names: Vec<String> = self.sketches().keys().cloned().collect();
         let mut saved = 0;
         for name in names {
             match self.save_snapshot(dir, &name, monitors) {
@@ -522,6 +526,29 @@ mod tests {
             .seed(seed)
             .build()
             .expect("tiny sketch")
+    }
+
+    /// A holder that panics poisons the lock; every later caller recovers
+    /// it and finds the map as the last completed write left it.
+    #[test]
+    fn poisoned_lock_recovers() {
+        let db = imdb_database(&ImdbConfig::tiny(1));
+        let store = SketchStore::new();
+        store.insert("imdb", tiny_sketch(&db, 1)).unwrap();
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _sketches = store.sketches_mut();
+                panic!("a holder of the write lock panics");
+            })
+            .join()
+        });
+        assert!(held.is_err() && store.sketches.is_poisoned());
+        let sketch = store.get("imdb").unwrap();
+        store.insert("other", tiny_sketch(&db, 2)).unwrap();
+        let swapped = store.swap("imdb", Arc::clone(&sketch)).unwrap();
+        assert!(Arc::ptr_eq(&swapped.previous, &sketch));
+        let names: Vec<String> = store.list().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["imdb", "other"]);
     }
 
     #[test]

@@ -262,7 +262,7 @@ fn run_epochs(
                 );
             }
             let mean = qerrs.iter().sum::<f64>() / qerrs.len() as f64;
-            qerrs.sort_by(|a, b| a.partial_cmp(b).expect("finite q-error"));
+            qerrs.sort_by(f64::total_cmp);
             let (p50, p95) = (percentile(&qerrs, 0.5), percentile(&qerrs, 0.95));
             last_qerrs = qerrs;
             (mean, p50, p95)

@@ -20,7 +20,7 @@
 //! All estimators implement [`CardinalityEstimator`] — the single interface
 //! through which benches, examples, and the `ds-serve` front end consume
 //! every estimator in the workspace (the five baselines here plus
-//! `ds_core`'s `DeepSketch` and `SketchFleet`). Each one writes a single
+//! `ds_core`'s `DeepSketch` and `SketchRouter`). Each one writes a single
 //! method, [`CardinalityEstimator::estimate_into`]; the single-query,
 //! infallible and batch forms are provided over it.
 
@@ -43,7 +43,7 @@ use ds_query::query::Query;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EstimateError {
     /// The query references a table id outside the estimator's vocabulary
-    /// (e.g. a sketch deserialized from another database, or a fleet member
+    /// (e.g. a sketch deserialized from another database, or a router member
     /// asked about a table it was not trained on).
     UnknownTable {
         /// The offending table id.
@@ -59,7 +59,7 @@ pub enum EstimateError {
         /// Column index of the offending reference.
         col: usize,
     },
-    /// No route to an answer: a fleet has no member covering the query's
+    /// No route to an answer: a router has no member covering the query's
     /// table set.
     Unroutable {
         /// The query's table ids, for the error message.

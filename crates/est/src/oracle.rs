@@ -3,8 +3,8 @@
 //! training labels (Figure 1a step 3) and ground truth for every
 //! experiment's overlay.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
@@ -31,16 +31,26 @@ impl<'a> TrueCardinalityOracle<'a> {
         }
     }
 
+    /// The memoized counts, read; a poisoned lock is recovered.
+    fn cache(&self) -> RwLockReadGuard<'_, HashMap<Query, u64>> {
+        self.cache.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The memoized counts, written; a poisoned lock is recovered.
+    fn cache_mut(&self) -> RwLockWriteGuard<'_, HashMap<Query, u64>> {
+        self.cache.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Exact cardinality of `query`.
     ///
     /// # Errors
     /// Propagates executor errors (malformed or cyclic queries).
     pub fn cardinality(&self, query: &Query) -> Result<u64, ExecError> {
-        if let Some(&c) = self.cache.read().get(query) {
+        if let Some(&c) = self.cache().get(query) {
             return Ok(c);
         }
         let c = self.exec.count(self.db, &query.to_exec())?;
-        self.cache.write().insert(query.clone(), c);
+        self.cache_mut().insert(query.clone(), c);
         Ok(c)
     }
 
@@ -49,7 +59,7 @@ impl<'a> TrueCardinalityOracle<'a> {
     pub fn label_batch(&self, queries: &[Query], threads: usize) -> Result<Vec<u64>, ExecError> {
         let exec_queries: Vec<_> = queries.iter().map(Query::to_exec).collect();
         let labels = self.exec.count_batch(self.db, &exec_queries, threads)?;
-        let mut cache = self.cache.write();
+        let mut cache = self.cache_mut();
         for (q, &c) in queries.iter().zip(&labels) {
             cache.insert(q.clone(), c);
         }
@@ -58,7 +68,7 @@ impl<'a> TrueCardinalityOracle<'a> {
 
     /// Number of memoized results.
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        self.cache().len()
     }
 }
 

@@ -2,13 +2,10 @@
 //!
 //! A Deep Sketch is "a wrapper for a (serialized) neural network and a set
 //! of materialized samples"; this module provides the byte-level format.
-//! (No serde_json is available offline, so the codec is hand-rolled on the
-//! `bytes` crate.)
+//! The codec is hand-rolled on std's `to_le_bytes`/`from_le_bytes`.
 //!
 //! Layout: all integers little-endian; `f32`/`f64` as IEEE-754 bits;
 //! vectors as `u64` length + elements; strings as `u64` length + UTF-8.
-
-use bytes::{Buf, BufMut};
 
 use crate::frozen::FrozenLinear;
 
@@ -53,59 +50,52 @@ impl Encoder {
 
     /// Writes the 4-byte magic and a format version.
     pub fn header(&mut self, magic: &[u8; 4], version: u32) {
-        self.buf.put_slice(magic);
-        self.buf.put_u32_le(version);
+        self.buf.extend_from_slice(magic);
+        self.buf.extend_from_slice(&version.to_le_bytes());
     }
 
     /// Writes a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an `i64`.
     pub fn i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an `f64`.
     pub fn f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a length-prefixed `f32` slice.
     pub fn f32_slice(&mut self, v: &[f32]) {
-        self.buf.put_u64_le(v.len() as u64);
-        for &x in v {
-            self.buf.put_f32_le(x);
-        }
+        self.u64(v.len() as u64);
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn u64_slice(&mut self, v: &[u64]) {
-        self.buf.put_u64_le(v.len() as u64);
-        for &x in v {
-            self.buf.put_u64_le(x);
-        }
+        self.u64(v.len() as u64);
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
 
     /// Writes a length-prefixed `i64` slice.
     pub fn i64_slice(&mut self, v: &[i64]) {
-        self.buf.put_u64_le(v.len() as u64);
-        for &x in v {
-            self.buf.put_i64_le(x);
-        }
+        self.u64(v.len() as u64);
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
-        self.buf.put_u64_le(s.len() as u64);
-        self.buf.put_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     /// Writes a length-prefixed raw byte slice (an embedded blob).
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_u64_le(v.len() as u64);
-        self.buf.put_slice(v);
+        self.u64(v.len() as u64);
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes a linear layer: its weights as a tensor, then its bias.
@@ -117,26 +107,14 @@ impl Encoder {
     /// Writes a row-major `rows × cols` matrix: its shape, then its
     /// floats.
     fn matrix(&mut self, rows: usize, cols: usize, data: &[f32]) {
-        self.buf.put_u64_le(rows as u64);
-        self.buf.put_u64_le(cols as u64);
-        for &x in data {
-            self.buf.put_f32_le(x);
-        }
+        self.u64(rows as u64);
+        self.u64(cols as u64);
+        self.buf.extend(data.iter().flat_map(|x| x.to_le_bytes()));
     }
 
     /// Finishes and returns the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -152,31 +130,34 @@ impl<'a> Decoder<'a> {
         Self { buf }
     }
 
-    fn need(&self, n: usize) -> Result<(), DecodeError> {
-        if self.buf.remaining() < n {
-            Err(DecodeError::UnexpectedEof)
-        } else {
-            Ok(())
-        }
+    /// Reads the next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut bytes = [0; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
+    }
+
+    /// Reads a length prefix, then that many `N`-byte words.
+    fn words<const N: usize>(&mut self) -> Result<impl Iterator<Item = [u8; N]> + 'a, DecodeError> {
+        let n = self.len_prefix()?;
+        Ok(self.take(n * N)?.as_chunks().0.iter().copied())
     }
 
     /// Reads and validates the header, returning the version.
     pub fn header(&mut self, magic: &[u8; 4]) -> Result<u32, DecodeError> {
-        self.need(8)?;
-        let mut got = [0u8; 4];
-        self.buf.copy_to_slice(&mut got);
+        let [a, b, c, d, version @ ..] = self.array::<8>()?;
+        let got = [a, b, c, d];
         if &got != magic {
             return Err(DecodeError::BadHeader(format!(
                 "magic mismatch: expected {magic:?}, got {got:?}"
             )));
         }
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(version))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a `u64` that holds a boolean. The encoders write 0 or 1; any
@@ -194,14 +175,12 @@ impl<'a> Decoder<'a> {
 
     /// Reads an `i64`.
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64`.
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     fn len_prefix(&mut self) -> Result<usize, DecodeError> {
@@ -222,7 +201,7 @@ impl<'a> Decoder<'a> {
         let n = self.u64()?;
         let fits = n
             .checked_mul(min_record_bytes.max(1) as u64)
-            .is_some_and(|need| need <= self.buf.remaining() as u64);
+            .is_some_and(|need| need <= self.buf.len() as u64);
         if !fits {
             return Err(DecodeError::Corrupt(format!(
                 "record count {n} exceeds remaining input"
@@ -233,30 +212,28 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed `f32` vector.
     pub fn f32_vec(&mut self) -> Result<Vec<f32>, DecodeError> {
-        let n = self.len_prefix()?;
-        self.need(n * 4)?;
-        Ok((0..n).map(|_| self.buf.get_f32_le()).collect())
+        Ok(self.words()?.map(f32::from_le_bytes).collect())
     }
 
     /// Reads a length-prefixed `u64` vector.
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, DecodeError> {
-        let n = self.len_prefix()?;
-        self.need(n * 8)?;
-        Ok((0..n).map(|_| self.buf.get_u64_le()).collect())
+        Ok(self.words()?.map(u64::from_le_bytes).collect())
     }
 
     /// Reads a length-prefixed `i64` vector.
     pub fn i64_vec(&mut self) -> Result<Vec<i64>, DecodeError> {
-        let n = self.len_prefix()?;
-        self.need(n * 8)?;
-        Ok((0..n).map(|_| self.buf.get_i64_le()).collect())
+        Ok(self.words()?.map(i64::from_le_bytes).collect())
     }
 
     /// Reads `n` raw bytes, no length prefix — for a caller that read the
     /// prefix itself to hold it to a cap of its own before it allocates.
+    /// Every read goes through here, so a short input is
+    /// [`DecodeError::UnexpectedEof`], never a panic.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.need(n)?;
-        let (head, rest) = self.buf.split_at(n);
+        let (head, rest) = self
+            .buf
+            .split_at_checked(n)
+            .ok_or(DecodeError::UnexpectedEof)?;
         self.buf = rest;
         Ok(head)
     }
@@ -287,16 +264,13 @@ impl<'a> Decoder<'a> {
             .checked_mul(cols)
             .filter(|&n| (n as u64) <= MAX_VEC_LEN)
             .ok_or_else(|| DecodeError::Corrupt("tensor too large".into()))?;
-        let bytes = self.take(n * 4)?;
-        let floats = bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        Ok((rows, cols, floats))
+        let (words, _) = self.take(n * 4)?.as_chunks();
+        Ok((rows, cols, words.iter().map(|&w| f32::from_le_bytes(w))))
     }
 
     /// True when all bytes are consumed.
     pub fn is_done(&self) -> bool {
-        !self.buf.has_remaining()
+        self.buf.is_empty()
     }
 }
 
@@ -305,34 +279,6 @@ mod tests {
     use super::*;
     use crate::linear::Linear;
     use crate::tensor::Tensor;
-
-    #[test]
-    fn primitive_roundtrip() {
-        let mut e = Encoder::new();
-        e.header(b"TEST", 3);
-        e.u64(42);
-        e.i64(-7);
-        e.f64(2.5);
-        e.string("hello");
-        e.f32_slice(&[1.0, -2.0]);
-        e.u64_slice(&[9, 10]);
-        e.i64_slice(&[-1, 0, 1]);
-        e.bytes(&[0x80, 0x7F, 0x00]);
-        let bytes = e.finish();
-
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(d.header(b"TEST").unwrap(), 3);
-        assert_eq!(d.u64().unwrap(), 42);
-        assert_eq!(d.i64().unwrap(), -7);
-        assert_eq!(d.f64().unwrap(), 2.5);
-        assert_eq!(d.string().unwrap(), "hello");
-        assert_eq!(d.f32_vec().unwrap(), vec![1.0, -2.0]);
-        assert_eq!(d.u64_vec().unwrap(), vec![9, 10]);
-        assert_eq!(d.i64_vec().unwrap(), vec![-1, 0, 1]);
-        assert_eq!(d.u64().unwrap(), 3);
-        assert_eq!(d.take(3).unwrap(), [0x80, 0x7F, 0x00]);
-        assert!(d.is_done());
-    }
 
     #[test]
     fn linear_roundtrip_preserves_forward() {
@@ -355,13 +301,50 @@ mod tests {
         assert!(matches!(d.header(b"EVIL"), Err(DecodeError::BadHeader(_))));
     }
 
+    /// A record holding each primitive decodes to what was written, and
+    /// every strict prefix of it to `UnexpectedEof`, whichever read it
+    /// ends in; none panics.
     #[test]
     fn truncated_input_is_eof() {
+        let layer = FrozenLinear::from_linear(&Linear::new(3, 2, 5));
         let mut e = Encoder::new();
-        e.f32_slice(&[1.0, 2.0, 3.0]);
+        e.header(b"TEST", 3);
+        e.u64(42);
+        e.i64(-7);
+        e.f64(2.5);
+        e.u64(1);
+        e.string("hello");
+        e.bytes(&[0x80, 0x7F, 0x00]);
+        e.f32_slice(&[1.0, -2.0]);
+        e.u64_slice(&[9, 10]);
+        e.i64_slice(&[-1, 0, 1]);
+        e.linear(&layer);
         let bytes = e.finish();
-        let mut d = Decoder::new(&bytes[..bytes.len() - 2]);
-        assert_eq!(d.f32_vec(), Err(DecodeError::UnexpectedEof));
+        let decode = |bytes| -> Result<FrozenLinear, DecodeError> {
+            let mut d = Decoder::new(bytes);
+            assert_eq!(d.header(b"TEST")?, 3);
+            assert_eq!(d.u64()?, 42);
+            assert_eq!(d.i64()?, -7);
+            assert_eq!(d.f64()?, 2.5);
+            assert!(d.flag()?);
+            assert_eq!(d.string()?, "hello");
+            let n = d.u64()? as usize;
+            assert_eq!(d.take(n)?, [0x80, 0x7F, 0x00]);
+            assert_eq!(d.f32_vec()?, [1.0, -2.0]);
+            assert_eq!(d.u64_vec()?, [9, 10]);
+            assert_eq!(d.i64_vec()?, [-1, 0, 1]);
+            let layer = d.linear()?;
+            assert!(d.is_done());
+            Ok(layer)
+        };
+        assert_eq!(decode(&bytes), Ok(layer));
+        for len in 0..bytes.len() {
+            assert_eq!(
+                decode(&bytes[..len]),
+                Err(DecodeError::UnexpectedEof),
+                "prefix of {len} bytes"
+            );
+        }
     }
 
     #[test]

@@ -86,10 +86,7 @@ impl CircuitBreaker {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Decides whether a request may reach the sketch. Transitions

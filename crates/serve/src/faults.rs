@@ -68,10 +68,7 @@ impl FaultInjector {
     fn lock(&self) -> std::sync::MutexGuard<'_, FaultState> {
         // A panic while holding the lock only happens in tests; the plan
         // is still usable afterwards.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One xorshift64* draw in `[0, 1)`.

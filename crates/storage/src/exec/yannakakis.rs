@@ -35,9 +35,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::catalog::{ColRef, Database, TableId};
 use crate::column::Column;
@@ -151,6 +149,26 @@ impl CountExecutor {
         Self::default()
     }
 
+    /// The edge codes, read; a poisoned lock is recovered.
+    fn edges(&self) -> RwLockReadGuard<'_, HashMap<JoinEdge, Arc<EdgeCodes>>> {
+        self.edges.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The edge codes, written; a poisoned lock is recovered.
+    fn edges_mut(&self) -> RwLockWriteGuard<'_, HashMap<JoinEdge, Arc<EdgeCodes>>> {
+        self.edges.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The cached messages, read; a poisoned lock is recovered.
+    fn cache(&self) -> RwLockReadGuard<'_, HashMap<SubtreeKey, Arc<OnceLock<Message>>>> {
+        self.cache.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The cached messages, written; a poisoned lock is recovered.
+    fn cache_mut(&self) -> RwLockWriteGuard<'_, HashMap<SubtreeKey, Arc<OnceLock<Message>>>> {
+        self.cache.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Computes the exact result cardinality of `query` against `db`.
     ///
     /// Returns an error if the query is malformed or its join graph is not a
@@ -178,17 +196,16 @@ impl CountExecutor {
             return count_all(queries);
         }
         let chunk = queries.len().div_ceil(threads);
-        let results: Vec<Result<Vec<u64>, ExecError>> = crossbeam::scope(|s| {
+        let results: Vec<Result<Vec<u64>, ExecError>> = std::thread::scope(|s| {
             let handles: Vec<_> = queries
                 .chunks(chunk)
-                .map(|qs| s.spawn(move |_| count_all(qs)))
+                .map(|qs| s.spawn(move || count_all(qs)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
                 .collect()
-        })
-        .expect("scope panicked");
+        });
 
         let mut out = Vec::with_capacity(queries.len());
         for r in results {
@@ -199,7 +216,7 @@ impl CountExecutor {
 
     /// Distinct predicate-free subtree messages in the cache.
     pub fn cached_messages(&self) -> usize {
-        self.cache.read().len()
+        self.cache().len()
     }
 
     /// How many times a cached message was derived from table data. Equal
@@ -268,8 +285,8 @@ impl CountExecutor {
             up,
             below,
         };
-        let hit = self.cache.read().get(&key).cloned();
-        let cell = hit.unwrap_or_else(|| Arc::clone(self.cache.write().entry(key).or_default()));
+        let hit = self.cache().get(&key).cloned();
+        let cell = hit.unwrap_or_else(|| Arc::clone(self.cache_mut().entry(key).or_default()));
         // Two threads that miss together share one cell, and `get_or_init`
         // runs one of the two closures. The closure may wait on the cells
         // of strictly smaller subtrees, never on its own.
@@ -314,11 +331,11 @@ impl CountExecutor {
     /// The codes of `edge`, encoding its two columns on first use.
     fn edge_codes(&self, db: &Database, edge: JoinEdge) -> Arc<EdgeCodes> {
         let edge = edge.canonical();
-        let hit = self.edges.read().get(&edge).cloned();
+        let hit = self.edges().get(&edge).cloned();
         // Built outside the lock; a racing thread's copy loses and drops.
         let codes = hit.unwrap_or_else(|| {
             let built = Arc::new(EdgeCodes::build(db, edge));
-            Arc::clone(self.edges.write().entry(edge).or_insert(built))
+            Arc::clone(self.edges_mut().entry(edge).or_insert(built))
         });
         let rows = |cr: ColRef| db.table(cr.table).num_rows();
         assert!(

@@ -3,15 +3,15 @@
 //!
 //! 1. The **advisor** analyzes a workload and recommends table subsets by
 //!    greedy coverage-per-byte.
-//! 2. A **fleet** of focused sketches is trained, one per recommendation
-//!    (each confined to its subset — step 1 of Figure 1a).
+//! 2. Focused sketches are trained behind a **router**, one per
+//!    recommendation (each confined to its subset — step 1 of Figure 1a).
 //! 3. Queries are **routed** to the smallest covering sketch; accuracy and
 //!    footprint are compared against one monolithic whole-schema sketch.
 //!
-//! Run with: `cargo run --release --example advisor_fleet`
+//! Run with: `cargo run --release --example advisor_router`
 
 use deep_sketches::core::advisor::{recommend, AdvisorConfig};
-use deep_sketches::core::fleet::{Route, SketchFleet};
+use deep_sketches::core::router::{Route, SketchRouter};
 use deep_sketches::prelude::*;
 
 fn main() {
@@ -48,18 +48,18 @@ fn main() {
         );
     }
 
-    // --- 2. build the fleet ----------------------------------------------
+    // --- 2. build the router ---------------------------------------------
     println!(
-        "\ntraining the fleet ({} focused sketches) …",
+        "\ntraining the router ({} focused sketches) …",
         advice.recommendations.len()
     );
-    let fleet = SketchFleet::build_from_advice(&db, &advice, imdb_predicate_columns(&db), |b| {
+    let router = SketchRouter::build_from_advice(&db, &advice, imdb_predicate_columns(&db), |b| {
         b.training_queries(2_500)
             .epochs(12)
             .sample_size(100)
             .hidden_units(64)
     })
-    .expect("fleet");
+    .expect("router");
 
     println!("training the monolithic whole-schema sketch …");
     let monolith = SketchBuilder::new(&db, imdb_predicate_columns(&db))
@@ -74,14 +74,14 @@ fn main() {
 
     // --- 3. route + compare -----------------------------------------------
     let oracle = TrueCardinalityOracle::new(&db);
-    let mut fleet_q = Vec::new();
+    let mut router_q = Vec::new();
     let mut mono_q = Vec::new();
     let mut uncovered = 0;
     for q in &workload {
         let truth = oracle.cardinality(q).expect("ground truth") as f64;
-        match fleet.route(q) {
+        match router.route(q) {
             Route::Member(_) => {
-                fleet_q.push(qerror(fleet.estimate(q), truth));
+                router_q.push(qerror(router.estimate(q), truth));
                 mono_q.push(qerror(monolith.estimate(q), truth));
             }
             Route::Uncovered => uncovered += 1,
@@ -89,23 +89,23 @@ fn main() {
     }
     println!(
         "\nrouted {} queries ({} uncovered fall back to the monolith in production)",
-        fleet_q.len(),
+        router_q.len(),
         uncovered
     );
     println!("\nq-errors on the routed queries:");
     println!("{}", QErrorSummary::table_header());
     println!(
         "{}",
-        QErrorSummary::from_qerrors(&fleet_q).table_row("fleet")
+        QErrorSummary::from_qerrors(&router_q).table_row("router")
     );
     println!(
         "{}",
         QErrorSummary::from_qerrors(&mono_q).table_row("monolith")
     );
     println!(
-        "\nfootprints: fleet {:.2} MiB across {} sketches vs monolith {:.2} MiB",
-        fleet.footprint_bytes() as f64 / (1024.0 * 1024.0),
-        fleet.len(),
+        "\nfootprints: router {:.2} MiB across {} sketches vs monolith {:.2} MiB",
+        router.footprint_bytes() as f64 / (1024.0 * 1024.0),
+        router.len(),
         monolith.footprint_bytes() as f64 / (1024.0 * 1024.0)
     );
 }

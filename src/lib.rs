@@ -50,6 +50,7 @@
 pub use ds_core as core;
 pub use ds_est as est;
 pub use ds_nn as nn;
+pub use ds_obs as obs;
 pub use ds_plan as plan;
 pub use ds_query as query;
 pub use ds_serve as serve;
@@ -61,13 +62,13 @@ pub mod prelude {
         recommend, recommend_retraining, Advice, AdvisorConfig, RetrainAdvice,
     };
     pub use ds_core::builder::{BuildProgress, SketchBuilder};
-    pub use ds_core::fleet::{Route, SketchFleet};
     pub use ds_core::maintain::{
         accuracy_drift, detect_drift, refresh_samples, AccuracyDrift, DriftReport,
         DEFAULT_DRIFT_RATIO, DEFAULT_MIN_SAMPLES,
     };
     pub use ds_core::metrics::{qerror, QErrorSummary};
     pub use ds_core::monitor::{MonitorRegistry, QErrorMonitor};
+    pub use ds_core::router::{Route, SketchRouter};
     pub use ds_core::sketch::DeepSketch;
     pub use ds_core::snapshot::{decode_snapshot, encode_snapshot, SnapshotError, WriteFault};
     pub use ds_core::store::{RecoveryReport, SketchStore};
