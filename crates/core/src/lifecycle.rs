@@ -42,7 +42,7 @@
 //! persisted separately (`DSHV` files, same checksum discipline as
 //! `DSNP`) and a warm restart resumes harvesting from where it left off.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
@@ -51,6 +51,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ds_nn::loss::LabelNormalizer;
+use ds_obs::{Counter, PromText};
 use ds_query::parser::parse_query;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
@@ -479,22 +480,22 @@ pub struct LifecycleStatus {
 }
 
 /// Monotonic counters across every sketch the manager drives.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct LifecycleCounters {
     /// Distinct queries ever harvested.
-    pub harvested: u64,
+    pub harvested: Counter,
     /// Background retrains started.
-    pub retrains_started: u64,
+    pub retrains_started: Counter,
     /// Background retrains that failed (candidate abandoned).
-    pub retrains_failed: u64,
+    pub retrains_failed: Counter,
     /// Candidates rejected by the shadow gate.
-    pub gate_rejects: u64,
+    pub gate_rejects: Counter,
     /// Hot-swaps performed (promotions *and* rollback re-swaps).
-    pub swaps: u64,
+    pub swaps: Counter,
     /// Guard-triggered rollbacks.
-    pub rollbacks: u64,
+    pub rollbacks: Counter,
     /// Candidates that survived the guard window.
-    pub promotions: u64,
+    pub promotions: Counter,
 }
 
 /// What one [`LifecycleManager::tick`] decided.
@@ -588,29 +589,18 @@ struct SketchState {
     watch: Option<WatchState>,
 }
 
-#[derive(Default)]
-struct Counters {
-    harvested: AtomicU64,
-    retrains_started: AtomicU64,
-    retrains_failed: AtomicU64,
-    gate_rejects: AtomicU64,
-    swaps: AtomicU64,
-    rollbacks: AtomicU64,
-    promotions: AtomicU64,
-}
-
 /// Drives the retrain-and-hot-swap state machine for every sketch that
 /// receives feedback. `Sync`: the serving tier shares one manager between
 /// its request handlers (harvest/guard recording) and the maintain daemon
 /// (ticks and shadow scoring).
 pub struct LifecycleManager {
     cfg: LifecycleConfig,
-    states: Mutex<HashMap<String, SketchState>>,
+    states: Mutex<BTreeMap<String, SketchState>>,
     /// Sketches currently in the shadow phase — lets the serving hot path
     /// skip the state lock entirely when nothing is being shadowed.
     shadow_active: AtomicU64,
     poison: AtomicBool,
-    counters: Counters,
+    counters: LifecycleCounters,
 }
 
 impl LifecycleManager {
@@ -620,10 +610,10 @@ impl LifecycleManager {
         let poison = AtomicBool::new(cfg.poison_candidates);
         Ok(Self {
             cfg,
-            states: Mutex::new(HashMap::new()),
+            states: Mutex::new(BTreeMap::new()),
             shadow_active: AtomicU64::new(0),
             poison,
-            counters: Counters::default(),
+            counters: LifecycleCounters::default(),
         })
     }
 
@@ -631,7 +621,7 @@ impl LifecycleManager {
     /// thread panicked while it held the lock, part way through changing a
     /// state; the states can no longer be trusted, so the caller panics
     /// as well rather than act on them.
-    fn states(&self) -> MutexGuard<'_, HashMap<String, SketchState>> {
+    fn states(&self) -> MutexGuard<'_, BTreeMap<String, SketchState>> {
         self.states
             .lock()
             .expect("lifecycle states poisoned: a holder panicked mid-update")
@@ -669,7 +659,7 @@ impl LifecycleManager {
             .harvest
             .get_or_insert_with(|| HarvestSet::new(self.cfg.harvest_capacity));
         if harvest.observe(key, sql, actual) {
-            self.counters.harvested.fetch_add(1, Ordering::Relaxed);
+            self.counters.harvested.inc();
         }
         state.harvest_dirty = true;
         if state.phase == LifecyclePhase::Idle && !harvest.is_empty() {
@@ -749,17 +739,6 @@ impl LifecycleManager {
         }
     }
 
-    /// Status of every sketch with lifecycle state, sorted by name.
-    pub fn statuses(&self) -> Vec<LifecycleStatus> {
-        let states = self.states();
-        let mut out: Vec<LifecycleStatus> = states
-            .iter()
-            .map(|(name, state)| Self::status_of(name, state))
-            .collect();
-        out.sort_by(|a, b| a.sketch.cmp(&b.sketch));
-        out
-    }
-
     fn status_of(name: &str, state: &SketchState) -> LifecycleStatus {
         let (n, live, cand) = match &state.candidate {
             Some(c) if !c.live_q.is_empty() => {
@@ -777,16 +756,39 @@ impl LifecycleManager {
         }
     }
 
-    /// A snapshot of the manager-wide counters.
-    pub fn counters(&self) -> LifecycleCounters {
-        LifecycleCounters {
-            harvested: self.counters.harvested.load(Ordering::Relaxed),
-            retrains_started: self.counters.retrains_started.load(Ordering::Relaxed),
-            retrains_failed: self.counters.retrains_failed.load(Ordering::Relaxed),
-            gate_rejects: self.counters.gate_rejects.load(Ordering::Relaxed),
-            swaps: self.counters.swaps.load(Ordering::Relaxed),
-            rollbacks: self.counters.rollbacks.load(Ordering::Relaxed),
-            promotions: self.counters.promotions.load(Ordering::Relaxed),
+    /// The manager-wide counters.
+    pub fn counters(&self) -> &LifecycleCounters {
+        &self.counters
+    }
+
+    /// Renders the manager-wide counters and, per sketch with lifecycle
+    /// state, its phase, harvest size and shadow q-error ratio (candidate
+    /// over live median; 0 before shadow samples exist).
+    pub fn render(&self, p: &mut PromText) {
+        let c = &self.counters;
+        p.counter("serve/lifecycle/harvested", c.harvested.get())
+            .counter("serve/lifecycle/retrains_started", c.retrains_started.get())
+            .counter("serve/lifecycle/retrains_failed", c.retrains_failed.get())
+            .counter("serve/lifecycle/gate_rejects", c.gate_rejects.get())
+            .counter("serve/lifecycle/swaps", c.swaps.get())
+            .counter("serve/lifecycle/rollbacks", c.rollbacks.get())
+            .counter("serve/lifecycle/promotions", c.promotions.get());
+        for (name, state) in self.states().iter() {
+            let status = Self::status_of(name, state);
+            let delta = if status.shadow_live_p50 > 0.0 {
+                status.shadow_candidate_p50 / status.shadow_live_p50
+            } else {
+                0.0
+            };
+            p.gauge(
+                &format!("serve/lifecycle/{name}/phase"),
+                f64::from(status.phase.code()),
+            )
+            .gauge(
+                &format!("serve/lifecycle/{name}/harvested"),
+                status.harvested as f64,
+            )
+            .gauge(&format!("serve/lifecycle/{name}/shadow_delta"), delta);
         }
     }
 
@@ -830,9 +832,7 @@ impl LifecycleManager {
             let Ok(Some(set)) = HarvestSet::load(dir, name, self.cfg.harvest_capacity) else {
                 continue;
             };
-            self.counters
-                .harvested
-                .fetch_add(set.len() as u64, Ordering::Relaxed);
+            self.counters.harvested.add(set.len() as u64);
             let state = states.entry(name.to_string()).or_default();
             if state.phase == LifecyclePhase::Idle && !set.is_empty() {
                 state.phase = LifecyclePhase::Harvesting;
@@ -888,9 +888,7 @@ impl LifecycleManager {
                             self.cfg.clone(),
                         ));
                         state.phase = LifecyclePhase::Training;
-                        self.counters
-                            .retrains_started
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.counters.retrains_started.inc();
                         events.push(LifecycleEvent::RetrainStarted {
                             sketch: name.clone(),
                             harvested,
@@ -927,9 +925,7 @@ impl LifecycleManager {
                             });
                         }
                         Err(error) => {
-                            self.counters
-                                .retrains_failed
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.counters.retrains_failed.inc();
                             // Drop the harvest that produced the failure:
                             // retrying the same set would fail the same way.
                             if let Some(h) = state.harvest.as_mut() {
@@ -985,7 +981,7 @@ impl LifecycleManager {
                                     qerrors: Vec::new(),
                                 });
                                 state.phase = LifecyclePhase::Watching;
-                                self.counters.swaps.fetch_add(1, Ordering::Relaxed);
+                                self.counters.swaps.inc();
                                 events.push(LifecycleEvent::Swapped {
                                     sketch: name.clone(),
                                     previous_generation: outcome.previous_generation,
@@ -1000,7 +996,7 @@ impl LifecycleManager {
                             }
                         }
                     } else {
-                        self.counters.gate_rejects.fetch_add(1, Ordering::Relaxed);
+                        self.counters.gate_rejects.inc();
                         if let Some(h) = state.harvest.as_mut() {
                             h.clear();
                         }
@@ -1032,8 +1028,8 @@ impl LifecycleManager {
                                 if let Some(m) = monitors.get(name) {
                                     m.reset();
                                 }
-                                self.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
-                                self.counters.swaps.fetch_add(1, Ordering::Relaxed);
+                                self.counters.rollbacks.inc();
+                                self.counters.swaps.inc();
                                 events.push(LifecycleEvent::RolledBack {
                                     sketch: name.clone(),
                                     generation: outcome.generation,
@@ -1046,7 +1042,7 @@ impl LifecycleManager {
                             }
                         }
                     } else {
-                        self.counters.promotions.fetch_add(1, Ordering::Relaxed);
+                        self.counters.promotions.inc();
                         events.push(LifecycleEvent::Promoted {
                             sketch: name.clone(),
                             generation: watch.generation,
@@ -1452,10 +1448,10 @@ mod tests {
             "clean guard window must promote, got {events:?}"
         );
         let counters = manager.counters();
-        assert_eq!(counters.swaps, 1);
-        assert_eq!(counters.promotions, 1);
-        assert_eq!(counters.rollbacks, 0);
-        assert_eq!(counters.retrains_started, 1);
+        assert_eq!(counters.swaps.get(), 1);
+        assert_eq!(counters.promotions.get(), 1);
+        assert_eq!(counters.rollbacks.get(), 0);
+        assert_eq!(counters.retrains_started.get(), 1);
         assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
         let _ = std::fs::remove_dir_all(&snap_dir);
     }
@@ -1510,9 +1506,9 @@ mod tests {
             "rollback restores the previous model bit-exactly"
         );
         let counters = manager.counters();
-        assert_eq!(counters.rollbacks, 1);
-        assert_eq!(counters.swaps, 2, "the rollback itself is a swap");
-        assert_eq!(counters.promotions, 0);
+        assert_eq!(counters.rollbacks.get(), 1);
+        assert_eq!(counters.swaps.get(), 2, "the rollback itself is a swap");
+        assert_eq!(counters.promotions.get(), 0);
     }
 
     /// A candidate that shadows worse than the live model never swaps.
@@ -1541,8 +1537,8 @@ mod tests {
             Some(generation),
             "no swap on rejection"
         );
-        assert_eq!(manager.counters().gate_rejects, 1);
-        assert_eq!(manager.counters().swaps, 0);
+        assert_eq!(manager.counters().gate_rejects.get(), 1);
+        assert_eq!(manager.counters().swaps.get(), 0);
         assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
     }
 
@@ -1578,7 +1574,7 @@ mod tests {
             assert!(Instant::now() < deadline, "trainer never reported failure");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(manager.counters().retrains_failed, 1);
+        assert_eq!(manager.counters().retrains_failed.get(), 1);
         assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
         assert_eq!(
             manager.status("imdb").harvested,

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use ds_obs::{HistogramSnapshot, LogHistogram, WindowedHistogram};
+use ds_obs::{HistogramSnapshot, LogHistogram, PromText, WindowedHistogram};
 
 use crate::metrics::qerror;
 
@@ -246,16 +246,22 @@ impl MonitorRegistry {
         self.monitors().get(sketch).cloned()
     }
 
-    /// Names of all monitored sketches, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.monitors().keys().cloned().collect()
-    }
-
     /// Installs a restored monitor for `sketch` (warm-restart recovery),
     /// replacing any existing one.
     pub fn restore(&self, sketch: &str, monitor: QErrorMonitor) {
         self.monitors_mut()
             .insert(sketch.to_string(), Arc::new(monitor));
+    }
+
+    /// Renders each sketch's rolling scaled q-error distribution
+    /// ([`scale_qerror`]) as a summary.
+    pub fn render(&self, p: &mut PromText) {
+        for (name, monitor) in self.monitors().iter() {
+            p.summary(
+                &format!("feedback/{name}/qerror_scaled"),
+                &monitor.rolling(),
+            );
+        }
     }
 
     /// Drops the monitor of a removed/retrained sketch.
@@ -320,7 +326,13 @@ mod tests {
         m.record("t", 2.0, 1.0);
         assert_eq!(r.get("imdb").unwrap().samples(), 1);
         assert!(std::ptr::eq(&*r.monitor("imdb"), &*m));
-        assert_eq!(r.names(), vec!["imdb".to_string()]);
+        let mut p = PromText::new();
+        r.render(&mut p);
+        let doc = p.finish().unwrap();
+        assert!(
+            doc.contains("ds_feedback_imdb_qerror_scaled_count 1\n"),
+            "{doc}"
+        );
         assert!(r.remove("imdb"));
         assert!(!r.remove("imdb"));
         assert!(r.get("imdb").is_none());

@@ -26,7 +26,7 @@ use ds_est::{check_tables, CardinalityEstimator, EstimateError};
 use ds_nn::frozen::{FrozenModel, FrozenScratch, MemoStats};
 use ds_nn::loss::LabelNormalizer;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
-use ds_obs::HistogramSnapshot;
+use ds_obs::{HistogramSnapshot, PromText};
 use ds_query::query::Query;
 use ds_storage::bitmap::Bitmap;
 use ds_storage::catalog::{ColRef, TableId};
@@ -210,6 +210,18 @@ impl DeepSketch {
     /// a build, a load, a clone, a re-freeze.
     pub fn memo_stats(&self) -> MemoStats {
         self.frozen.memo_stats()
+    }
+
+    /// Renders [`DeepSketch::memo_stats`] for the sketch served as `name`.
+    pub fn render_memo(&self, name: &str, p: &mut PromText) {
+        let memo = self.memo_stats();
+        p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
+            .counter(&format!("serve/memo/{name}/misses"), memo.misses)
+            .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
+            .gauge(
+                &format!("serve/memo/{name}/bytes"),
+                memo.resident_bytes as f64,
+            );
     }
 
     /// Returns the serving artifact to its just-frozen state: the element

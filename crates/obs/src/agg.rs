@@ -237,7 +237,7 @@ pub fn merge_expositions(parsed: &[&[PromFamily]]) -> Option<String> {
             }
         }
     }
-    Some(out.into_string())
+    out.finish().ok()
 }
 
 #[cfg(test)]
@@ -265,7 +265,7 @@ mod tests {
             .gauge("serve/queue_len", queue)
             .histogram("serve/latency_us/hist", &h.snapshot())
             .summary("serve/latency_us", &h.snapshot());
-        p.into_string()
+        p.finish().unwrap()
     }
 
     #[test]

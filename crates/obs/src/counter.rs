@@ -1,10 +1,9 @@
 //! Typed scalar metrics: monotonic counters and last-value gauges.
 //!
-//! Both are lock-free and safe to update from any thread. A [`Counter`]
-//! only ever goes up (requests served, batches dispatched); a [`Gauge`]
-//! tracks the latest value of a continuous signal (epoch loss, rows/s)
-//! while also aggregating min/max/mean across all observations so a
-//! report can show the whole trajectory, not just the final point.
+//! Both are one atomic, lock-free and safe to update from any thread. A
+//! [`Counter`] only ever goes up (requests served, batches dispatched); a
+//! [`Gauge`] holds the latest value of a continuous signal (epoch loss,
+//! rows/s), which is all an exposition renders of it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,93 +38,24 @@ impl Counter {
     }
 }
 
-/// The latest value of a continuous `f64` signal, plus running
-/// min/max/sum/count aggregates over every observation.
-#[derive(Debug)]
-pub struct Gauge {
-    // f64 values stored as IEEE-754 bit patterns in atomics; min/max use
-    // compare-and-swap loops since there is no atomic f64 min/max.
-    last: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self {
-            last: AtomicU64::new(0f64.to_bits()),
-            min: AtomicU64::new(f64::INFINITY.to_bits()),
-            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            sum: AtomicU64::new(0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f(f64::from_bits(cur)).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => cur = observed,
-        }
-    }
-}
+/// The latest value of a continuous `f64` signal (0 before any `set`).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// Creates an unset gauge.
+    /// Creates a gauge reading 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records a new observation.
+    /// Records a new observation, replacing the last.
     pub fn set(&self, v: f64) {
-        self.last.store(v.to_bits(), Ordering::Relaxed);
-        update_f64(&self.min, |cur| cur.min(v));
-        update_f64(&self.max, |cur| cur.max(v));
-        update_f64(&self.sum, |cur| cur + v);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Latest observation (0 before any `set`).
+    /// Latest observation.
     pub fn last(&self) -> f64 {
-        f64::from_bits(self.last.load(Ordering::Relaxed))
-    }
-
-    /// Smallest observation (`NAN` before any `set`).
-    pub fn min(&self) -> f64 {
-        if self.count() == 0 {
-            f64::NAN
-        } else {
-            f64::from_bits(self.min.load(Ordering::Relaxed))
-        }
-    }
-
-    /// Largest observation (`NAN` before any `set`).
-    pub fn max(&self) -> f64 {
-        if self.count() == 0 {
-            f64::NAN
-        } else {
-            f64::from_bits(self.max.load(Ordering::Relaxed))
-        }
-    }
-
-    /// Mean of all observations (`NAN` before any `set`).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            f64::NAN
-        } else {
-            f64::from_bits(self.sum.load(Ordering::Relaxed)) / n as f64
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -145,37 +75,28 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_last_and_aggregates() {
+    fn gauge_keeps_the_last_value() {
         let g = Gauge::new();
-        assert!(g.min().is_nan() && g.max().is_nan() && g.mean().is_nan());
+        assert_eq!(g.last(), 0.0);
         for v in [3.0, -1.0, 7.5] {
             g.set(v);
         }
         assert_eq!(g.last(), 7.5);
-        assert_eq!(g.min(), -1.0);
-        assert_eq!(g.max(), 7.5);
-        assert!((g.mean() - 19.0 / 6.0).abs() < 1e-12);
-        assert_eq!(g.count(), 3);
     }
 
     #[test]
     fn concurrent_updates_lose_nothing() {
         let c = Arc::new(Counter::new());
-        let g = Arc::new(Gauge::new());
         std::thread::scope(|s| {
-            for t in 0..8 {
-                let (c, g) = (Arc::clone(&c), Arc::clone(&g));
+            for _ in 0..8 {
+                let c = Arc::clone(&c);
                 s.spawn(move || {
-                    for i in 0..1000 {
+                    for _ in 0..1000 {
                         c.inc();
-                        g.set((t * 1000 + i) as f64);
                     }
                 });
             }
         });
         assert_eq!(c.get(), 8000);
-        assert_eq!(g.count(), 8000);
-        assert_eq!(g.min(), 0.0);
-        assert_eq!(g.max(), 7999.0);
     }
 }

@@ -264,24 +264,6 @@ impl HistogramSnapshot {
         quantile_over(&self.buckets, self.count, self.min, self.max, q)
     }
 
-    /// Number of samples known to be `<= threshold`: the sum of every
-    /// bucket whose entire range sits at or under it. Conservative for a
-    /// threshold inside a bucket (that bucket is excluded), which biases
-    /// SLO evaluation toward counting borderline samples as bad — the
-    /// safe direction for alerting.
-    pub fn count_le(&self, threshold: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .take_while(|&(i, _)| {
-                // Bucket 0 holds zeros; bucket i holds [2^(i-1), 2^i), so
-                // its largest possible sample is 2^i - 1.
-                i == 0 || (1u64 << i) - 1 <= threshold
-            })
-            .map(|(_, &b)| b)
-            .sum()
-    }
-
     /// Merges `other` into `self`; same semantics as [`LogHistogram::merge`].
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -428,22 +410,6 @@ mod tests {
         // Empty snapshot mirrors the empty histogram.
         let e = HistogramSnapshot::new();
         assert_eq!((e.count(), e.min(), e.max(), e.quantile(0.5)), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn count_le_is_a_conservative_bucket_walk() {
-        let h = LogHistogram::new();
-        for v in [0u64, 1, 7, 8, 100, 5000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count_le(0), 1); // just the zero
-        assert_eq!(s.count_le(1), 2); // bucket 1 is exactly {1}
-        assert_eq!(s.count_le(7), 3); // bucket 3 = [4, 8)
-                                      // 8 sits in [8, 16): excluded until the whole bucket fits.
-        assert_eq!(s.count_le(8), 3);
-        assert_eq!(s.count_le(15), 4);
-        assert_eq!(s.count_le(u64::MAX), s.count());
     }
 
     #[test]

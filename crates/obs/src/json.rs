@@ -79,46 +79,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Pretty-prints with two-space indentation and a trailing newline —
-    /// the committed-artifact format.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            JsonValue::Arr(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            JsonValue::Obj(members) if !members.is_empty() => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("{}: ", Quoted(k)));
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            other => {
-                out.push_str(&other.to_string());
-            }
-        }
-    }
 }
 
 /// Formats a JSON number the way the emitter writes it: integral values
@@ -402,17 +362,19 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_through_display_and_pretty() {
+    fn roundtrips_through_display() {
         let v = JsonValue::Obj(vec![
             ("b".into(), JsonValue::Num(2.5)),
             ("a".into(), JsonValue::Arr(vec![JsonValue::Num(1.0)])),
             ("s".into(), JsonValue::Str("x\ty".into())),
             ("empty".into(), JsonValue::Obj(vec![])),
         ]);
-        for text in [v.to_string(), v.to_pretty()] {
-            let back = JsonValue::parse(&text).unwrap();
-            assert_eq!(back, v, "failed roundtrip of {text}");
-        }
+        let text = v.to_string();
+        assert_eq!(
+            JsonValue::parse(&text).unwrap(),
+            v,
+            "failed roundtrip of {text}"
+        );
         // Key order is preserved, not sorted.
         assert!(v.to_string().find("\"b\"").unwrap() < v.to_string().find("\"a\"").unwrap());
     }

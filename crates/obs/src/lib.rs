@@ -8,14 +8,14 @@
 //!   aggregate thread-safely under `/`-joined paths
 //!   (`build/train/epoch/forward/tables`), so a whole training run
 //!   produces a compact breakdown instead of an event stream.
-//! * **Typed scalars** — monotonic [`Counter`]s, last-value [`Gauge`]s
-//!   with min/max/mean aggregation, and lock-free log₂ [`LogHistogram`]s
-//!   for latency/size distributions (the same histogram the serving
-//!   `STATS` command reports).
+//! * **Typed scalars** — monotonic [`Counter`]s, last-value [`Gauge`]s,
+//!   and lock-free log₂ [`LogHistogram`]s for latency/size distributions
+//!   (the same histogram the serving `STATS` command reports).
 //! * **Request-level building blocks** — mergeable histogram
 //!   [`HistogramSnapshot`]s, rolling [`WindowedHistogram`]s for drift
 //!   monitoring, a non-blocking [`ExemplarRing`] for slow-request
-//!   exemplars, and [`prom`] text exposition for the `STATS` command.
+//!   exemplars, and [`prom`] text exposition for the `STATS` command, in
+//!   which a family emitted twice is an error.
 //! * **Fleet plane** — cross-process trace identity ([`trace`]:
 //!   128-bit [`TraceContext`] ids minted by a seeded [`IdSource`]),
 //!   exposition merging across shards ([`agg`]: counters sum,
@@ -46,10 +46,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod agg;
 pub mod counter;
-pub mod fleet;
 pub mod hist;
 pub mod json;
 pub mod prom;
@@ -61,7 +61,6 @@ pub mod window;
 
 pub use agg::merge_expositions;
 pub use counter::{Counter, Gauge};
-pub use fleet::FleetCounters;
 pub use hist::{HistogramSnapshot, LogHistogram};
 pub use json::{JsonError, JsonValue};
 pub use prom::{parse_families, FamilyKind, PromFamily, PromSample, PromText};

@@ -13,6 +13,8 @@
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, so every other character maps to `_` and
 //! everything gets a `ds_` namespace prefix: `ds_serve_latency_us`.
 
+use std::collections::HashSet;
+
 use crate::hist::HistogramSnapshot;
 use crate::span::Tracer;
 
@@ -34,9 +36,15 @@ pub fn metric_name(raw: &str) -> String {
 /// Incremental builder for one exposition document. Metric families are
 /// emitted in call order; callers wanting determinism feed it sorted
 /// names (tracer registries iterate sorted already).
+///
+/// A family name may be emitted once. The builder remembers every name it
+/// has written, and a second emission of one makes [`PromText::finish`] an
+/// error naming it, so two owners can never both claim a family.
 #[derive(Debug, Default)]
 pub struct PromText {
     out: String,
+    families: HashSet<String>,
+    duplicate: Option<String>,
 }
 
 impl PromText {
@@ -46,6 +54,9 @@ impl PromText {
     }
 
     pub(crate) fn header(&mut self, name: &str, kind: &str) {
+        if !self.families.insert(name.to_string()) && self.duplicate.is_none() {
+            self.duplicate = Some(name.to_string());
+        }
         self.out.push_str("# TYPE ");
         self.out.push_str(name);
         self.out.push(' ');
@@ -178,14 +189,13 @@ impl PromText {
         self
     }
 
-    /// The finished exposition text.
-    pub fn finish(&self) -> &str {
-        &self.out
-    }
-
-    /// Consumes the builder, returning the document.
-    pub fn into_string(self) -> String {
-        self.out
+    /// The finished document, or the first family name (sanitized) that
+    /// was emitted twice.
+    pub fn finish(self) -> Result<String, String> {
+        match self.duplicate {
+            None => Ok(self.out),
+            Some(name) => Err(name),
+        }
     }
 }
 
@@ -359,6 +369,21 @@ mod tests {
     }
 
     #[test]
+    fn a_family_emitted_twice_is_an_error_naming_it() {
+        let h = LogHistogram::new();
+        let mut p = PromText::new();
+        p.counter("serve/requests", 1)
+            .summary("serve/latency_us", &h.snapshot())
+            .gauge("serve/requests", 2.0)
+            .counter("serve/latency_us", 3);
+        assert_eq!(p.finish(), Err("ds_serve_requests".to_string()));
+        // A histogram's `_sum`/`_count` samples are not families.
+        let mut p = PromText::new();
+        p.histogram("lat", &h.snapshot()).counter("lat_sum", 1);
+        assert!(p.finish().is_ok());
+    }
+
+    #[test]
     fn renders_counters_gauges_and_summaries() {
         let h = LogHistogram::new();
         h.record(100);
@@ -367,7 +392,7 @@ mod tests {
         p.counter("serve/requests", 42)
             .gauge("train/loss", 0.125)
             .summary("serve/latency_us", &h.snapshot());
-        let doc = p.into_string();
+        let doc = p.finish().unwrap();
         assert!(doc.contains("# TYPE ds_serve_requests counter\nds_serve_requests 42\n"));
         assert!(doc.contains("ds_train_loss 0.125"));
         assert!(doc.contains("ds_serve_latency_us{quantile=\"0.5\"}"));
@@ -387,7 +412,7 @@ mod tests {
         t.observe("lat", 128);
         let mut p = PromText::new();
         p.tracer(&t);
-        let samples = parse_text(p.finish()).expect("parseable");
+        let samples = parse_text(&p.finish().unwrap()).expect("parseable");
         let get = |n: &str| samples.iter().find(|s| s.name == n).map(|s| s.value);
         assert_eq!(get("ds_reqs"), Some(7.0));
         assert_eq!(get("ds_loss"), Some(0.5));
@@ -417,7 +442,7 @@ mod tests {
         }
         let mut p = PromText::new();
         p.histogram("serve/latency_us", &h.snapshot());
-        let doc = p.into_string();
+        let doc = p.finish().unwrap();
         assert!(doc.contains("# TYPE ds_serve_latency_us histogram"));
         assert!(doc.contains("ds_serve_latency_us_bucket{le=\"0\"} 1"));
         assert!(doc.contains("ds_serve_latency_us_bucket{le=\"3\"} 3"));
@@ -438,7 +463,7 @@ mod tests {
             .gauge("queue/len", 2.0)
             .histogram("lat", &h.snapshot())
             .summary("q", &h.snapshot());
-        let fams = parse_families(p.finish()).expect("parseable");
+        let fams = parse_families(&p.finish().unwrap()).expect("parseable");
         let get = |n: &str| fams.iter().find(|f| f.name == n).expect(n);
         let reqs = get("ds_serve_requests");
         assert_eq!(reqs.kind, FamilyKind::Counter);

@@ -25,7 +25,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::hist::HistogramSnapshot;
 use crate::prom::PromText;
 
 /// Number of ring slots the slow window is sliced into. 64 keeps the
@@ -187,16 +186,6 @@ impl SloTracker {
         self.record_many(now_ms, u64::from(good), u64::from(!good));
     }
 
-    /// Records a histogram *delta* (e.g. the latency distribution added
-    /// since the last scrape) against a good-threshold: samples at or
-    /// under `threshold` count as good, the rest as bad. This is how
-    /// window evaluation composes with the workspace's mergeable
-    /// histograms — a scrape-side SLO needs only two snapshots.
-    pub fn record_snapshot_delta(&self, now_ms: u64, delta: &HistogramSnapshot, threshold: u64) {
-        let good = delta.count_le(threshold);
-        self.record_many(now_ms, good, delta.count() - good);
-    }
-
     /// Cumulative good events since construction (for counter export).
     pub fn good_total(&self) -> u64 {
         self.good_total.load(Ordering::Relaxed)
@@ -269,7 +258,6 @@ impl SloTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LogHistogram;
 
     fn spec() -> SloSpec {
         SloSpec {
@@ -375,25 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_deltas_split_on_the_threshold() {
-        let t = SloTracker::new(spec());
-        let h = LogHistogram::new();
-        for v in [10u64, 20, 100, 5000, 9000] {
-            h.record(v);
-        }
-        // Bucket upper bounds are powers of two: threshold 128 keeps the
-        // three small samples good, the two large ones bad.
-        t.record_snapshot_delta(100, &h.snapshot(), 128);
-        assert_eq!((t.good_total(), t.bad_total()), (3, 2));
-    }
-
-    #[test]
     fn render_exports_mergeable_families() {
         let t = SloTracker::new(spec());
         t.record_many(100, 8, 2);
         let mut p = PromText::new();
         t.render(100, &mut p);
-        let doc = p.into_string();
+        let doc = p.finish().unwrap();
         assert!(doc.contains("ds_slo_latency_good 8"));
         assert!(doc.contains("ds_slo_latency_bad 2"));
         assert!(doc.contains("ds_slo_latency_burn_fast 2"));

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::counter::{Counter, Gauge};
@@ -29,33 +29,13 @@ pub struct SpanStat {
     pub count: u64,
     /// Total nanoseconds across all completions.
     pub total_ns: u64,
-    /// Fastest completion.
-    pub min_ns: u64,
-    /// Slowest completion.
-    pub max_ns: u64,
 }
 
-impl SpanStat {
-    fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Mean nanoseconds per completion (0 when never completed).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
+/// Locks one of the tracer's maps. A thread that panicked while holding
+/// it left the map whole (every update is one insert or one add), so the
+/// lock is recovered rather than propagated.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -185,32 +165,30 @@ impl Tracer {
     /// The named counter, created on first use. Hot paths that cannot
     /// afford the registry lookup should hold onto the returned `Arc`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry");
+        let mut map = locked(&self.counters);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The named gauge, created on first use.
     pub fn gauge_handle(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge registry");
+        let mut map = locked(&self.gauges);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The named histogram, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        let mut map = self.hists.lock().expect("histogram registry");
+        let mut map = locked(&self.hists);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// Aggregated statistics of one span path, if it ever completed.
     pub fn span_stat(&self, path: &str) -> Option<SpanStat> {
-        self.spans.lock().expect("span registry").get(path).copied()
+        locked(&self.spans).get(path).copied()
     }
 
     /// All span paths with their aggregates, sorted by path.
     pub fn span_stats(&self) -> Vec<(String, SpanStat)> {
-        self.spans
-            .lock()
-            .expect("span registry")
+        locked(&self.spans)
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
@@ -218,29 +196,23 @@ impl Tracer {
 
     /// Current value of a named counter (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .expect("counter registry")
-            .get(name)
-            .map_or(0, |c| c.get())
+        locked(&self.counters).get(name).map_or(0, |c| c.get())
     }
 
     /// Discards every recorded span, counter, gauge, and histogram; the
     /// enabled flag is untouched.
     pub fn reset(&self) {
-        self.spans.lock().expect("span registry").clear();
-        self.counters.lock().expect("counter registry").clear();
-        self.gauges.lock().expect("gauge registry").clear();
-        self.hists.lock().expect("histogram registry").clear();
+        locked(&self.spans).clear();
+        locked(&self.counters).clear();
+        locked(&self.gauges).clear();
+        locked(&self.hists).clear();
     }
 
     pub(crate) fn record_span(&self, path: &str, ns: u64) {
-        self.spans
-            .lock()
-            .expect("span registry")
-            .entry(path.to_string())
-            .or_default()
-            .record(ns);
+        let mut spans = locked(&self.spans);
+        let stat = spans.entry(path.to_string()).or_default();
+        stat.count += 1;
+        stat.total_ns += ns;
     }
 
     pub(crate) fn visit_registries(
@@ -249,13 +221,13 @@ impl Tracer {
         mut gauges: impl FnMut(&str, &Gauge),
         mut hists: impl FnMut(&str, &LogHistogram),
     ) {
-        for (name, c) in self.counters.lock().expect("counter registry").iter() {
+        for (name, c) in locked(&self.counters).iter() {
             counters(name, c);
         }
-        for (name, g) in self.gauges.lock().expect("gauge registry").iter() {
+        for (name, g) in locked(&self.gauges).iter() {
             gauges(name, g);
         }
-        for (name, h) in self.hists.lock().expect("histogram registry").iter() {
+        for (name, h) in locked(&self.hists).iter() {
             hists(name, h);
         }
     }
@@ -333,7 +305,6 @@ mod tests {
         assert_eq!(build.count, 1);
         let epoch = t.span_stat("build/epoch").unwrap();
         assert_eq!(epoch.count, 3);
-        assert!(epoch.min_ns <= epoch.max_ns);
         assert!(epoch.total_ns <= build.total_ns);
         assert!(t.span_stat("epoch").is_none(), "child must nest");
     }
@@ -382,6 +353,32 @@ mod tests {
         // Entering records no span of its own.
         assert_eq!(t.span_stat("forward").unwrap().count, 1);
         assert!(t.span_stat("joins").is_none());
+    }
+
+    #[test]
+    fn a_panic_under_a_tracer_lock_leaves_the_tracer_working() {
+        let t = Tracer::new();
+        t.enable();
+        t.count("reqs", 2);
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _counters = locked(&t.counters);
+                let _spans = locked(&t.spans);
+                panic!("poison the tracer's locks");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(t.counters.is_poisoned() && t.spans.is_poisoned());
+        t.count("reqs", 1);
+        {
+            let _s = t.span("after");
+        }
+        assert_eq!(t.counter_value("reqs"), 3);
+        let mut p = crate::PromText::new();
+        p.tracer(&t);
+        let doc = p.finish().unwrap();
+        assert!(doc.contains("ds_reqs 3"), "{doc}");
+        assert!(doc.contains("ds_span_after_count 1"), "{doc}");
     }
 
     #[test]

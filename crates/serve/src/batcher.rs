@@ -145,7 +145,7 @@ impl Batcher {
         drop(span);
         self.metrics.record_batch(1);
         if forward_end.duration_since(forward_start) > self.cfg.request_timeout {
-            self.metrics.record_timeout();
+            self.metrics.timeouts.inc();
             return Err(Rejection::Timeout);
         }
         let stamps = StageStamps {

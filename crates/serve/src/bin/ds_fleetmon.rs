@@ -7,7 +7,9 @@
 //! * `STATS` — the per-shard Prometheus expositions merged via
 //!   [`ds_obs::merge_expositions`] (counters sum, histograms merge
 //!   bucket-wise exactly, gauges take the worst shard), with the
-//!   aggregator's own scrape counters folded into the same document;
+//!   aggregator's own two counters folded into the same document:
+//!   `ds_fleetmon_scrapes` (sweeps run) and `ds_fleetmon_scrape_failures`
+//!   (shards a sweep could not reach);
 //! * `TRACE` — every shard's slow-request exemplars, with records that
 //!   share a trace id grouped together so a cross-shard traced request
 //!   reads as one causal tree (client span → per-shard server spans);
@@ -27,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ds_obs::{FleetCounters, PromFamily};
+use ds_obs::{Counter, PromFamily, PromText};
 use ds_serve::{
     hello_response, parse_request, Client, ErrorCode, LineReader, Request, RequestTimeline,
     Response,
@@ -44,7 +46,10 @@ struct FleetView {
 struct Monitor {
     shards: Vec<SocketAddr>,
     view: Mutex<FleetView>,
-    counters: FleetCounters,
+    /// Scrape sweeps run.
+    scrapes: Counter,
+    /// Shards a sweep could not reach or parse.
+    scrape_failures: Counter,
     shutting_down: AtomicBool,
 }
 
@@ -61,12 +66,10 @@ impl Monitor {
                     expositions.push(doc);
                     timelines.append(&mut tl);
                 }
-                None => {
-                    self.counters.sweep_failures.inc();
-                }
+                None => self.scrape_failures.inc(),
             }
         }
-        self.counters.routed.inc();
+        self.scrapes.inc();
         // Group cross-shard records of the same trace together, so one
         // traced request's spans are adjacent in the stitched output.
         timelines.sort_by_key(|t| t.trace_id);
@@ -80,26 +83,14 @@ impl Monitor {
     /// aggregator's own counters, newline-escaped for the one-line wire.
     fn stats_payload(&self) -> Option<String> {
         let view = self.view.lock().expect("fleet view");
-        let mut own = ds_obs::PromText::new();
-        self.counters.render(&mut own);
-        let own = ds_obs::parse_families(own.finish())?;
+        let mut own = PromText::new();
+        own.counter("fleetmon/scrapes", self.scrapes.get())
+            .counter("fleetmon/scrape_failures", self.scrape_failures.get());
+        let own = ds_obs::parse_families(&own.finish().ok()?)?;
         let mut docs: Vec<&[PromFamily]> = view.expositions.iter().map(Vec::as_slice).collect();
         docs.push(&own);
         let merged = ds_obs::merge_expositions(&docs)?;
         Some(merged.trim_end().replace('\n', "\\n"))
-    }
-
-    /// The stitched `TRACE` payload, same wire shape as a shard's.
-    fn trace_payload(&self) -> String {
-        let view = self.view.lock().expect("fleet view");
-        if view.timelines.is_empty() {
-            return "(none)".to_string();
-        }
-        view.timelines
-            .iter()
-            .map(RequestTimeline::to_wire)
-            .collect::<Vec<_>>()
-            .join(";")
     }
 }
 
@@ -138,7 +129,10 @@ fn answer(line: &str, monitor: &Monitor) -> Response {
                 message: "shard expositions failed to merge".to_string(),
             },
         },
-        Request::Trace => Response::Text(monitor.trace_payload()),
+        // The stitched exemplars, in a shard's wire shape.
+        Request::Trace => Response::Text(RequestTimeline::payload(
+            &monitor.view.lock().expect("fleet view").timelines,
+        )),
         Request::Quit => Response::Bye,
         _ => Response::Error {
             code: ErrorCode::Proto,
@@ -186,7 +180,8 @@ fn main() -> std::io::Result<()> {
     let monitor = Arc::new(Monitor {
         shards,
         view: Mutex::new(FleetView::default()),
-        counters: FleetCounters::new(),
+        scrapes: Counter::new(),
+        scrape_failures: Counter::new(),
         shutting_down: AtomicBool::new(false),
     });
     monitor.scrape();

@@ -14,10 +14,12 @@
 //! nothing about the sketch's health. The server makes that classification
 //! in `handle_estimate`; the breaker only counts what it is told.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+
+use ds_obs::PromText;
 
 /// Breaker tuning knobs (shared by every per-sketch breaker of a server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,7 +184,7 @@ impl CircuitBreaker {
 #[derive(Debug)]
 pub struct BreakerRegistry {
     cfg: BreakerConfig,
-    map: RwLock<HashMap<String, Arc<CircuitBreaker>>>,
+    map: RwLock<BTreeMap<String, Arc<CircuitBreaker>>>,
 }
 
 impl BreakerRegistry {
@@ -190,7 +192,7 @@ impl BreakerRegistry {
     pub fn new(cfg: BreakerConfig) -> Self {
         Self {
             cfg,
-            map: RwLock::new(HashMap::new()),
+            map: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -206,17 +208,21 @@ impl BreakerRegistry {
         )
     }
 
-    /// Every sketch name with a breaker, sorted (for stable stats output).
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .map
-            .read()
-            .expect("breaker registry")
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
+    /// Renders each breaker's opened and short-circuit counters and its
+    /// open gauge (1 while not closed), by sketch name.
+    pub fn render(&self, p: &mut PromText) {
+        let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
+        for (name, b) in map.iter() {
+            p.counter(&format!("serve/breaker/{name}/opened"), b.opened())
+                .counter(
+                    &format!("serve/breaker/{name}/short_circuits"),
+                    b.short_circuits(),
+                )
+                .gauge(
+                    &format!("serve/breaker/{name}/open"),
+                    if b.is_open() { 1.0 } else { 0.0 },
+                );
+        }
     }
 }
 
@@ -292,12 +298,18 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let other = reg.breaker("tpch");
         assert!(!Arc::ptr_eq(&a, &other));
-        assert_eq!(reg.names(), vec!["imdb".to_string(), "tpch".to_string()]);
-        // State is shared through the registry.
+        // State is shared through the registry, and each breaker renders
+        // under its own name.
         for _ in 0..3 {
             a.record_failure();
         }
         assert_eq!(reg.breaker("imdb").admit(), Admit::ShortCircuit);
+        let mut p = PromText::new();
+        reg.render(&mut p);
+        let doc = p.finish().unwrap();
+        assert!(doc.contains("ds_serve_breaker_imdb_opened 1\n"), "{doc}");
+        assert!(doc.contains("ds_serve_breaker_imdb_open 1\n"), "{doc}");
+        assert!(doc.contains("ds_serve_breaker_tpch_open 0\n"), "{doc}");
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use ds_obs::PromText;
 use ds_query::query::Query;
 
 /// Cache key of one estimate: sketch identity and generation plus the
@@ -312,6 +313,14 @@ impl EstimateCache {
     /// Entries dropped by capacity eviction.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Renders the hit, miss and eviction counters and the entry count.
+    pub fn render(&self, p: &mut PromText) {
+        p.counter("serve/cache/hits", self.hits())
+            .counter("serve/cache/misses", self.misses())
+            .counter("serve/cache/evictions", self.evictions())
+            .gauge("serve/cache/len", self.len() as f64);
     }
 }
 

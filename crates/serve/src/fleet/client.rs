@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_obs::{FleetCounters, IdSource, TraceContext};
+use ds_obs::{Counter, IdSource, TraceContext};
 
 use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::client::Client;
@@ -28,6 +28,13 @@ use super::FleetTopology;
 
 /// Per-connection connect/read deadline of a [`FleetClient`].
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The routing counters of a [`FleetClient`], shared through an `Arc`.
+#[derive(Debug, Default)]
+pub struct FleetCounters {
+    /// Requests answered by a replica other than the first candidate.
+    pub failovers: Counter,
+}
 
 /// A routing client over a [`FleetTopology`].
 pub struct FleetClient {
@@ -54,7 +61,7 @@ impl FleetClient {
             breakers: BreakerRegistry::new(BreakerConfig::default()),
             affinity: HashMap::new(),
             degraded: HashSet::new(),
-            counters: Arc::new(FleetCounters::new()),
+            counters: Arc::default(),
             ids: IdSource::from_entropy(),
             last_trace: None,
         }
@@ -86,9 +93,6 @@ impl FleetClient {
         } else {
             self.degraded.remove(&shard);
         }
-        self.counters
-            .degraded_shards
-            .set(self.degraded.len() as f64);
     }
 
     /// The replica candidates for `sketch` in the order this client would
@@ -135,7 +139,6 @@ impl FleetClient {
     /// becomes the sketch's affinity. Returns the estimate and its
     /// `degraded` wire flag.
     pub fn estimate(&mut self, sketch: &str, sql: &str) -> std::io::Result<(f64, bool)> {
-        self.counters.routed.inc();
         // One root trace covers the whole sweep: every shard tried (the
         // failed attempt and the failover that answered) parents its
         // server span under the same client span, so the aggregator can
@@ -150,9 +153,6 @@ impl FleetClient {
         let candidates = self.candidates(sketch);
         let mut last_err: Option<std::io::Error> = None;
         for (attempt, shard) in candidates.iter().copied().enumerate() {
-            if attempt > 0 {
-                self.counters.retries.inc();
-            }
             let breaker = self.breakers.breaker(&shard.to_string());
             let resp = self.conn(shard).and_then(|conn| conn.roundtrip(&req));
             // Flatten the two success variants into (value, degraded-flag)
@@ -217,7 +217,6 @@ impl FleetClient {
                 }
             }
         }
-        self.counters.sweep_failures.inc();
         Err(last_err.unwrap_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::NotFound,

@@ -30,7 +30,7 @@ pub mod client;
 pub mod ring;
 pub mod supervisor;
 
-pub use client::FleetClient;
+pub use client::{FleetClient, FleetCounters};
 pub use ring::HashRing;
 pub use supervisor::{Fleet, FleetConfig, ShardHealth};
 

@@ -104,7 +104,9 @@ pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
 };
 pub use faults::FaultInjector;
-pub use fleet::{Fleet, FleetClient, FleetConfig, FleetTopology, HashRing, ShardHealth};
+pub use fleet::{
+    Fleet, FleetClient, FleetConfig, FleetCounters, FleetTopology, HashRing, ShardHealth,
+};
 pub use line_reader::{LineReader, MAX_REQUEST_LINE};
 pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{

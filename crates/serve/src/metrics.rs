@@ -12,9 +12,10 @@
 //! reports exactly that sample at every quantile (the bucket upper bound
 //! is clamped to the observed min/max).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use ds_obs::{Counter, ExemplarRing, LogHistogram};
+use ds_obs::{Counter, ExemplarRing, LogHistogram, PromText};
 
 /// Slow-request exemplars retained for the `TRACE` command.
 const EXEMPLAR_CAPACITY: usize = 64;
@@ -74,6 +75,16 @@ impl RequestTimeline {
         line
     }
 
+    /// The `TRACE` payload: the records in wire form, `;`-separated, or
+    /// `(none)`.
+    pub fn payload(timelines: &[Self]) -> String {
+        if timelines.is_empty() {
+            return "(none)".to_string();
+        }
+        let records: Vec<String> = timelines.iter().map(Self::to_wire).collect();
+        records.join(";")
+    }
+
     /// Parses one `TRACE` record (client side).
     pub fn from_wire(s: &str) -> Option<Self> {
         let mut sketch = None;
@@ -113,8 +124,9 @@ impl RequestTimeline {
     }
 }
 
-/// Serving counters, shared via `Arc` between the acceptor, the connection
-/// handlers and the batcher they call.
+/// The server's own metric families, shared via `Arc` between the
+/// acceptor, the connection handlers and the batcher they call. Each is
+/// named in [`Metrics::render`] and nowhere else.
 #[derive(Debug)]
 pub struct Metrics {
     /// Request lines received (all commands).
@@ -132,6 +144,24 @@ pub struct Metrics {
     pub degraded: Counter,
     /// Forward passes run (one per uncached estimate).
     pub batches: Counter,
+    /// Connections being served; the acceptor sheds at the cap.
+    pub active_connections: AtomicUsize,
+    /// Sketches shipped by `SNAPSHOT`.
+    pub snapshots_shipped: Counter,
+    /// `SYNC` blobs adopted as the newest generation.
+    pub sync_adopted: Counter,
+    /// `SYNC` blobs older than the generation served.
+    pub sync_stale: Counter,
+    /// `SYNC` blobs rejected as corrupt.
+    pub sync_rejected: Counter,
+    /// Rejected `SYNC` blobs written under the snapshot directory's
+    /// `quarantine/`; `None` on a server without a snapshot directory.
+    pub sync_quarantined: Option<Counter>,
+    /// Requests mirrored to the lifecycle daemon's shadow scorer; `None`
+    /// on a server without a lifecycle daemon, like `shadow_dropped`.
+    pub mirrored: Option<Counter>,
+    /// Mirrors dropped because the shadow queue was full.
+    pub shadow_dropped: Option<Counter>,
     /// Request latency in microseconds (ESTIMATE requests).
     pub latency_us: LogHistogram,
     /// Queries per forward pass: always 1, kept while
@@ -157,6 +187,14 @@ impl Default for Metrics {
             timeouts: Counter::default(),
             degraded: Counter::default(),
             batches: Counter::default(),
+            active_connections: AtomicUsize::new(0),
+            snapshots_shipped: Counter::default(),
+            sync_adopted: Counter::default(),
+            sync_stale: Counter::default(),
+            sync_rejected: Counter::default(),
+            sync_quarantined: None,
+            mirrored: None,
+            shadow_dropped: None,
             latency_us: LogHistogram::new(),
             batch_size: LogHistogram::new(),
             stage_parse_us: LogHistogram::new(),
@@ -168,7 +206,8 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Creates zeroed metrics.
+    /// Creates zeroed metrics, with neither a quarantine nor a shadow
+    /// scorer to count for.
     pub fn new() -> Self {
         Self::default()
     }
@@ -182,41 +221,55 @@ impl Metrics {
         self.stage_write_us.record(write_us);
     }
 
-    /// Counts one received request line.
-    pub fn record_request(&self) {
-        self.requests.inc();
-    }
-
     /// Counts a successful estimate with its end-to-end latency.
     pub fn record_ok(&self, latency: Duration) {
         self.ok.inc();
         self.latency_us.record(latency.as_micros() as u64);
     }
 
-    /// Counts an error response.
-    pub fn record_error(&self) {
-        self.errors.inc();
-    }
-
-    /// Counts a shed (`BUSY`) response.
-    pub fn record_shed(&self) {
-        self.shed.inc();
-    }
-
-    /// Counts a deadline miss.
-    pub fn record_timeout(&self) {
-        self.timeouts.inc();
-    }
-
-    /// Counts an estimate answered degraded through the fallback estimator.
-    pub fn record_degraded(&self) {
-        self.degraded.inc();
-    }
-
     /// Counts one forward pass over `size` queries.
     pub fn record_batch(&self, size: usize) {
         self.batches.inc();
         self.batch_size.record(size as u64);
+    }
+
+    /// Renders every family above. The latency distribution goes out twice:
+    /// as a summary, and as a native histogram whose cumulative buckets,
+    /// unlike summary quantiles, merge exactly across shards.
+    pub fn render(&self, p: &mut PromText) {
+        p.counter("serve/requests", self.requests.get())
+            .counter("serve/ok", self.ok.get())
+            .counter("serve/errors", self.errors.get())
+            .counter("serve/shed", self.shed.get())
+            .counter("serve/timeouts", self.timeouts.get())
+            .counter("serve/degraded", self.degraded.get())
+            .counter("serve/batches", self.batches.get())
+            .counter("serve/snapshots_shipped", self.snapshots_shipped.get())
+            .counter("serve/sync/adopted", self.sync_adopted.get())
+            .counter("serve/sync/stale", self.sync_stale.get())
+            .counter("serve/sync/rejected", self.sync_rejected.get());
+        if let Some(c) = &self.sync_quarantined {
+            p.counter("serve/sync/quarantined", c.get());
+        }
+        let latency = self.latency_us.snapshot();
+        p.gauge(
+            "serve/active_connections",
+            self.active_connections.load(Ordering::SeqCst) as f64,
+        )
+        .summary("serve/latency_us", &latency)
+        .histogram("serve/latency_us/hist", &latency)
+        .summary("serve/stage/parse_us", &self.stage_parse_us.snapshot())
+        .summary("serve/stage/forward_us", &self.stage_forward_us.snapshot())
+        .summary("serve/stage/write_us", &self.stage_write_us.snapshot())
+        .counter(
+            "serve/trace/kept",
+            self.slow.pushed().saturating_sub(self.slow.dropped()),
+        )
+        .counter("serve/trace/dropped", self.slow.dropped());
+        if let (Some(mirrored), Some(dropped)) = (&self.mirrored, &self.shadow_dropped) {
+            p.counter("serve/lifecycle/mirrored", mirrored.get())
+                .counter("serve/lifecycle/shadow_dropped", dropped.get());
+        }
     }
 
     /// A consistent-enough point-in-time copy for reporting.
@@ -298,13 +351,12 @@ mod tests {
     #[test]
     fn snapshot_reflects_recorded_events() {
         let m = Metrics::new();
-        m.record_request();
-        m.record_request();
+        m.requests.add(2);
         m.record_ok(Duration::from_micros(100));
-        m.record_error();
-        m.record_shed();
-        m.record_timeout();
-        m.record_degraded();
+        m.errors.inc();
+        m.shed.inc();
+        m.timeouts.inc();
+        m.degraded.inc();
         m.record_batch(8);
         m.record_batch(16);
         let s = m.snapshot();
@@ -327,7 +379,7 @@ mod tests {
                 let m = std::sync::Arc::clone(&m);
                 s.spawn(move || {
                     for i in 0..1000 {
-                        m.record_request();
+                        m.requests.inc();
                         m.record_ok(Duration::from_micros(i));
                     }
                 });

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -26,7 +26,7 @@ use ds_core::monitor::MonitorRegistry;
 use ds_core::snapshot::{decode_hex, decode_snapshot, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
 use ds_est::EstimateError;
-use ds_obs::{IdSource, PromText, SloTracker, TraceContext};
+use ds_obs::{Counter, IdSource, PromText, SloTracker, TraceContext};
 use ds_query::parser::Parser;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
@@ -69,8 +69,6 @@ struct SloState {
 struct LifecycleShared {
     manager: Arc<LifecycleManager>,
     shadow_tx: SyncSender<ShadowJob>,
-    mirrored: AtomicU64,
-    shadow_dropped: AtomicU64,
 }
 
 struct Shared {
@@ -80,7 +78,6 @@ struct Shared {
     metrics: Arc<Metrics>,
     monitors: Arc<MonitorRegistry>,
     shutting_down: AtomicBool,
-    active_connections: AtomicUsize,
     max_connections: usize,
     timeline: bool,
     slow_threshold: Duration,
@@ -91,11 +88,6 @@ struct Shared {
     cache: Option<EstimateCache>,
     lifecycle: Option<LifecycleShared>,
     snapshot_dir: Option<PathBuf>,
-    /// Fleet replication counters, surfaced under `serve/sync/*` in STATS.
-    snapshots_shipped: AtomicU64,
-    sync_adopted: AtomicU64,
-    sync_stale: AtomicU64,
-    sync_rejected: AtomicU64,
     /// Mints this server's span ids for traced requests.
     ids: IdSource,
     /// Monotonic epoch anchoring SLO window timestamps — no wall clock
@@ -157,7 +149,12 @@ impl Server {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let metrics = Arc::new(Metrics::new());
+        let metrics = Arc::new(Metrics {
+            sync_quarantined: cfg.snapshot_dir.is_some().then(Counter::new),
+            mirrored: cfg.lifecycle.is_some().then(Counter::new),
+            shadow_dropped: cfg.lifecycle.is_some().then(Counter::new),
+            ..Metrics::new()
+        });
         let batcher = Batcher::with_faults(
             BatcherConfig {
                 request_timeout: cfg.request_timeout,
@@ -183,8 +180,6 @@ impl Server {
                 Some(LifecycleShared {
                     manager,
                     shadow_tx: tx,
-                    mirrored: AtomicU64::new(0),
-                    shadow_dropped: AtomicU64::new(0),
                 })
             }
             None => None,
@@ -196,7 +191,6 @@ impl Server {
             metrics,
             monitors: Arc::new(MonitorRegistry::new()),
             shutting_down: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
             max_connections: cfg.max_connections.max(1),
             timeline: cfg.timeline,
             slow_threshold: cfg.slow_threshold,
@@ -207,10 +201,6 @@ impl Server {
             cache: (cfg.cache_capacity > 0).then(|| EstimateCache::new(cfg.cache_capacity, 8)),
             lifecycle,
             snapshot_dir: cfg.snapshot_dir,
-            snapshots_shipped: AtomicU64::new(0),
-            sync_adopted: AtomicU64::new(0),
-            sync_stale: AtomicU64::new(0),
-            sync_rejected: AtomicU64::new(0),
             ids: IdSource::from_entropy(),
             epoch: Instant::now(),
             slos: cfg
@@ -344,9 +334,9 @@ fn accept_loop(
             Ok(s) => s,
             Err(_) => continue,
         };
-        let active = shared.active_connections.load(Ordering::SeqCst);
+        let active = shared.metrics.active_connections.load(Ordering::SeqCst);
         if active >= shared.max_connections {
-            shared.metrics.record_shed();
+            shared.metrics.shed.inc();
             let mut s = stream;
             let line = format_response(&Response::Busy(format!(
                 "connection limit {} reached",
@@ -355,7 +345,10 @@ fn accept_loop(
             let _ = writeln!(s, "{line}");
             continue;
         }
-        shared.active_connections.fetch_add(1, Ordering::SeqCst);
+        shared
+            .metrics
+            .active_connections
+            .fetch_add(1, Ordering::SeqCst);
         let slot = ConnectionSlot(Arc::clone(shared));
         // The closure owns the slot: a handler that returns, one that
         // unwinds, and a spawn that fails (it drops the closure) all free it.
@@ -377,7 +370,10 @@ struct ConnectionSlot(Arc<Shared>);
 
 impl Drop for ConnectionSlot {
     fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
+        self.0
+            .metrics
+            .active_connections
+            .fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -565,11 +561,11 @@ fn handle_line(
     t0: Instant,
     conn: &mut ConnectionState,
 ) -> (Response, Option<PendingTimeline>) {
-    shared.metrics.record_request();
+    shared.metrics.requests.inc();
     let request = match split_request(line) {
         Ok(r) => r,
         Err(resp) => {
-            shared.metrics.record_error();
+            shared.metrics.errors.inc();
             return (resp, None);
         }
     };
@@ -586,7 +582,7 @@ fn handle_line(
         Request::Hello { version } => {
             let response = hello_response(version);
             if matches!(response, Response::Error { .. }) {
-                shared.metrics.record_error();
+                shared.metrics.errors.inc();
             }
             response
         }
@@ -600,7 +596,7 @@ fn handle_line(
         Request::Info { sketch } => match shared.store.get(sketch) {
             Ok(s) => Response::Text(s.info().to_string()),
             Err(e) => {
-                shared.metrics.record_error();
+                shared.metrics.errors.inc();
                 store_error_response(&e)
             }
         },
@@ -612,9 +608,18 @@ fn handle_line(
                 names.join(" ")
             })
         }
-        Request::Stats => Response::Text(stats_payload(shared)),
+        Request::Stats => match stats_payload(shared) {
+            Ok(doc) => Response::Text(doc),
+            Err(family) => {
+                shared.metrics.errors.inc();
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: format!("duplicate family {family}"),
+                }
+            }
+        },
         Request::Lifecycle { sketch } => handle_lifecycle(sketch, shared),
-        Request::Trace => Response::Text(trace_payload(shared)),
+        Request::Trace => Response::Text(RequestTimeline::payload(&shared.metrics.slow.snapshot())),
         Request::Quit => Response::Bye,
     };
     (response, None)
@@ -627,7 +632,7 @@ fn handle_line(
 fn handle_snapshot(sketch: &str, shared: &Shared) -> Response {
     match shared.store.export_snapshot(sketch, Some(&shared.monitors)) {
         Ok((bytes, generation)) => {
-            shared.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.snapshots_shipped.inc();
             Response::Text(format!(
                 "SNAPSHOT {sketch} {generation} {} {}",
                 bytes.len(),
@@ -635,7 +640,7 @@ fn handle_snapshot(sketch: &str, shared: &Shared) -> Response {
             ))
         }
         Err(e) => {
-            shared.metrics.record_error();
+            shared.metrics.errors.inc();
             store_error_response(&e)
         }
     }
@@ -680,11 +685,11 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
     }
     match shared.store.adopt_snapshot(snap, Some(&shared.monitors)) {
         Ok(AdoptOutcome::Adopted { generation }) => {
-            shared.sync_adopted.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.sync_adopted.inc();
             Response::Text(format!("SYNC {name} {generation} adopted"))
         }
         Ok(AdoptOutcome::Stale { current, .. }) => {
-            shared.sync_stale.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.sync_stale.inc();
             Response::Text(format!("SYNC {name} {current} stale"))
         }
         Err(e) => {
@@ -697,24 +702,25 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
 /// Counts a rejected `SYNC` and preserves its payload, if it has one, under
 /// `<snapshot_dir>/quarantine/` (best effort, same policy as
 /// [`SketchStore::open_dir`] uses for corrupt files found on disk). The
-/// file is named from this rejection's own count and never overwrites one
+/// file is named from the rejection count and never overwrites one
 /// already there — a concurrent rejection's, or an earlier process's — but
 /// steps past it to the next free number. Nothing is written when the
 /// server runs without a snapshot directory.
 fn reject_sync(bytes: Option<&[u8]>, shared: &Shared) {
-    let seq = shared.sync_rejected.fetch_add(1, Ordering::Relaxed) + 1;
-    shared.metrics.record_error();
+    let m = &shared.metrics;
+    m.sync_rejected.inc();
+    m.errors.inc();
     let (Some(bytes), Some(dir)) = (bytes, shared.snapshot_dir.as_ref()) else {
         return;
     };
     let qdir = dir.join("quarantine");
     let _ = std::fs::create_dir_all(&qdir);
-    let file = (seq..)
+    let file = (m.sync_rejected.get()..)
         .map(|n| std::fs::File::create_new(qdir.join(format!("sync-reject-{n}.dsnp"))))
         .find(|r| !matches!(r, Err(e) if e.kind() == ErrorKind::AlreadyExists));
     if let Some(Ok(mut file)) = file {
-        if file.write_all(bytes).is_ok() {
-            ds_obs::global().count("serve/sync/quarantined", 1);
+        if let (Ok(()), Some(quarantined)) = (file.write_all(bytes), &m.sync_quarantined) {
+            quarantined.inc();
         }
     }
 }
@@ -741,7 +747,7 @@ fn degraded_answer(query: &ds_query::query::Query, shared: &Shared) -> Option<Re
     let fallback = shared.fallback.as_ref()?;
     match fallback.try_estimate(query) {
         Ok(v) => {
-            shared.metrics.record_degraded();
+            shared.metrics.degraded.inc();
             Some(Response::Degraded(v))
         }
         Err(_) => None,
@@ -774,7 +780,7 @@ fn handle_estimate(
     let (estimator, generation) = match shared.store.get_with_generation(sketch) {
         Ok(p) => p,
         Err(e) => {
-            shared.metrics.record_error();
+            shared.metrics.errors.inc();
             shared.record_slos(None, true, None);
             return (store_error_response(&e), None);
         }
@@ -787,7 +793,7 @@ fn handle_estimate(
         sketch: timed_sketch,
     } = conn;
     if let Err(e) = parser.parse_query(&shared.db, sql, query) {
-        shared.metrics.record_error();
+        shared.metrics.errors.inc();
         shared.record_slos(None, true, None);
         return (
             Response::Error {
@@ -807,7 +813,7 @@ fn handle_estimate(
                 (resp, None)
             }
             None => {
-                shared.metrics.record_error();
+                shared.metrics.errors.inc();
                 shared.record_slos(None, true, None);
                 (
                     Response::Error {
@@ -928,13 +934,12 @@ fn handle_estimate(
                     live: v,
                     actual: feedback,
                 };
-                match lc.shadow_tx.try_send(job) {
-                    Ok(()) => {
-                        lc.mirrored.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        lc.shadow_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
+                let counted = match lc.shadow_tx.try_send(job) {
+                    Ok(()) => &shared.metrics.mirrored,
+                    Err(_) => &shared.metrics.shadow_dropped,
+                };
+                if let Some(counted) = counted {
+                    counted.inc();
                 }
             }
             let pending = shared.timeline.then(|| {
@@ -970,7 +975,7 @@ fn handle_estimate(
                     )
                 }
                 Rejection::ShuttingDown => {
-                    shared.metrics.record_error();
+                    shared.metrics.errors.inc();
                     (
                         Response::Error {
                             code: ErrorCode::Internal,
@@ -980,7 +985,7 @@ fn handle_estimate(
                     )
                 }
                 Rejection::Estimate(e) => {
-                    shared.metrics.record_error();
+                    shared.metrics.errors.inc();
                     (estimate_error_response(&e), None)
                 }
             }
@@ -1097,152 +1102,37 @@ fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
         status.shadow_samples,
         status.shadow_live_p50,
         status.shadow_candidate_p50,
-        c.swaps,
-        c.rollbacks,
-        c.gate_rejects,
-        c.retrains_started,
-        c.promotions,
+        c.swaps.get(),
+        c.rollbacks.get(),
+        c.gate_rejects.get(),
+        c.retrains_started.get(),
+        c.promotions.get(),
     ))
 }
 
-/// Renders every counter, gauge, and histogram as Prometheus text
-/// exposition. Real newlines cannot cross the one-line wire, so they are
-/// escaped as literal `\n`; [`crate::Client::stats`] reverses this.
-fn stats_payload(shared: &Shared) -> String {
-    let m = &shared.metrics;
+/// Renders every metric family as Prometheus text exposition, each by its
+/// owner, or names the first family two owners both emitted. Real newlines
+/// cannot cross the one-line wire, so they are escaped as literal `\n`;
+/// [`crate::Client::stats`] reverses this.
+fn stats_payload(shared: &Shared) -> Result<String, String> {
     let mut p = PromText::new();
-    p.counter("serve/requests", m.requests.get())
-        .counter("serve/ok", m.ok.get())
-        .counter("serve/errors", m.errors.get())
-        .counter("serve/shed", m.shed.get())
-        .counter("serve/timeouts", m.timeouts.get())
-        .counter("serve/degraded", m.degraded.get())
-        .counter("serve/batches", m.batches.get());
-    if let Some(c) = shared.cache.as_ref() {
-        p.counter("serve/cache/hits", c.hits())
-            .counter("serve/cache/misses", c.misses())
-            .counter("serve/cache/evictions", c.evictions())
-            .gauge("serve/cache/len", c.len() as f64);
+    shared.metrics.render(&mut p);
+    if let Some(cache) = &shared.cache {
+        cache.render(&mut p);
     }
-    // Each served sketch's element memo, beside the estimate cache it sits
-    // under: a request the cache misses is answered from these.
     for (name, sketch) in shared.store.list() {
-        let memo = sketch.memo_stats();
-        p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
-            .counter(&format!("serve/memo/{name}/misses"), memo.misses)
-            .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
-            .gauge(
-                &format!("serve/memo/{name}/bytes"),
-                memo.resident_bytes as f64,
-            );
+        sketch.render_memo(&name, &mut p);
     }
-    p.counter(
-        "serve/snapshots_shipped",
-        shared.snapshots_shipped.load(Ordering::Relaxed),
-    )
-    .counter(
-        "serve/sync/adopted",
-        shared.sync_adopted.load(Ordering::Relaxed),
-    )
-    .counter(
-        "serve/sync/stale",
-        shared.sync_stale.load(Ordering::Relaxed),
-    )
-    .counter(
-        "serve/sync/rejected",
-        shared.sync_rejected.load(Ordering::Relaxed),
-    );
-    p.gauge(
-        "serve/active_connections",
-        shared.active_connections.load(Ordering::SeqCst) as f64,
-    )
-    .summary("serve/latency_us", &m.latency_us.snapshot())
-    // Native histogram exposition beside the summary: unlike summary
-    // quantiles, cumulative buckets merge exactly across shards (the fleet
-    // aggregator reconstructs and re-merges them).
-    .histogram("serve/latency_us/hist", &m.latency_us.snapshot())
-    .summary("serve/stage/parse_us", &m.stage_parse_us.snapshot())
-    .summary("serve/stage/forward_us", &m.stage_forward_us.snapshot())
-    .summary("serve/stage/write_us", &m.stage_write_us.snapshot())
-    .counter(
-        "serve/trace/kept",
-        m.slow.pushed().saturating_sub(m.slow.dropped()),
-    )
-    .counter("serve/trace/dropped", m.slow.dropped());
-    for name in shared.breakers.names() {
-        let b = shared.breakers.breaker(&name);
-        p.counter(&format!("serve/breaker/{name}/opened"), b.opened())
-            .counter(
-                &format!("serve/breaker/{name}/short_circuits"),
-                b.short_circuits(),
-            )
-            .gauge(
-                &format!("serve/breaker/{name}/open"),
-                if b.is_open() { 1.0 } else { 0.0 },
-            );
+    shared.breakers.render(&mut p);
+    shared.monitors.render(&mut p);
+    if let Some(lc) = &shared.lifecycle {
+        lc.manager.render(&mut p);
     }
-    for name in shared.monitors.names() {
-        if let Some(mon) = shared.monitors.get(&name) {
-            p.summary(&format!("feedback/{name}/qerror_scaled"), &mon.rolling());
-        }
-    }
-    if let Some(lc) = shared.lifecycle.as_ref() {
-        let c = lc.manager.counters();
-        p.counter("serve/lifecycle/harvested", c.harvested)
-            .counter("serve/lifecycle/retrains_started", c.retrains_started)
-            .counter("serve/lifecycle/retrains_failed", c.retrains_failed)
-            .counter("serve/lifecycle/gate_rejects", c.gate_rejects)
-            .counter("serve/lifecycle/swaps", c.swaps)
-            .counter("serve/lifecycle/rollbacks", c.rollbacks)
-            .counter("serve/lifecycle/promotions", c.promotions)
-            .counter(
-                "serve/lifecycle/mirrored",
-                lc.mirrored.load(Ordering::Relaxed),
-            )
-            .counter(
-                "serve/lifecycle/shadow_dropped",
-                lc.shadow_dropped.load(Ordering::Relaxed),
-            );
-        for status in lc.manager.statuses() {
-            let name = &status.sketch;
-            let delta = if status.shadow_live_p50 > 0.0 {
-                status.shadow_candidate_p50 / status.shadow_live_p50
-            } else {
-                0.0
-            };
-            p.gauge(
-                &format!("serve/lifecycle/{name}/phase"),
-                f64::from(status.phase.code()),
-            )
-            .gauge(
-                &format!("serve/lifecycle/{name}/harvested"),
-                status.harvested as f64,
-            )
-            .gauge(&format!("serve/lifecycle/{name}/shadow_delta"), delta);
-        }
-    }
-    if !shared.slos.is_empty() {
-        let now = shared.now_ms();
-        for slo in &shared.slos {
-            slo.tracker.render(now, &mut p);
-        }
+    for slo in &shared.slos {
+        slo.tracker.render(shared.now_ms(), &mut p);
     }
     p.tracer(ds_obs::global());
-    p.into_string().trim_end().replace('\n', "\\n")
-}
-
-/// Renders the slow-request exemplar ring as semicolon-separated records,
-/// oldest first.
-fn trace_payload(shared: &Shared) -> String {
-    let exemplars = shared.metrics.slow.snapshot();
-    if exemplars.is_empty() {
-        return "(none)".to_string();
-    }
-    exemplars
-        .iter()
-        .map(RequestTimeline::to_wire)
-        .collect::<Vec<_>>()
-        .join(";")
+    Ok(p.finish()?.trim_end().replace('\n', "\\n"))
 }
 
 #[cfg(test)]
@@ -1285,5 +1175,31 @@ mod tests {
         let tc = get(&c);
         assert!(!Arc::ptr_eq(&ta, &tc));
         assert_eq!(tc.as_ref(), query_template(&db, &c));
+    }
+
+    /// The global tracer's families meet the server's in `STATS`: a traced
+    /// counter under a name the server owns is an error there, not a
+    /// second family. (No other test of this crate's unit suite reads
+    /// `STATS` or counts into the global tracer.)
+    #[test]
+    fn a_family_the_tracer_shares_with_the_server_answers_an_error() {
+        let db = Arc::new(imdb_database(&ImdbConfig::tiny(3)));
+        let server = Server::start(db, Arc::new(SketchStore::new()), ServeConfig::default())
+            .expect("server");
+        let mut c = crate::Client::connect_timeout(server.local_addr(), Duration::from_secs(30))
+            .expect("connect");
+        assert!(c.send_raw("STATS").expect("STATS").starts_with("OK "));
+        let tracer = ds_obs::global();
+        tracer.enable();
+        tracer.count("serve/requests", 1);
+        let answer = c.send_raw("STATS");
+        tracer.disable();
+        tracer.reset();
+        assert_eq!(
+            answer.expect("STATS"),
+            "ERR internal duplicate family ds_serve_requests"
+        );
+        assert!(c.send_raw("STATS").expect("STATS").starts_with("OK "));
+        server.shutdown();
     }
 }

@@ -193,6 +193,12 @@ fn corrupt_sync_is_quarantined_not_adopted() {
         .collect();
     assert_eq!(rejects.len(), 1, "{rejects:?}");
     assert_eq!(std::fs::read(&rejects[0]).unwrap(), corrupt);
+    // STATS counts the rejection and the quarantine with the tracer off.
+    assert!(!ds_obs::global().is_enabled());
+    let stats = conn.stats().unwrap();
+    let value = |name: &str| stats.iter().find(|s| s.name == name).map(|s| s.value);
+    assert_eq!(value("ds_serve_sync_rejected"), Some(1.0));
+    assert_eq!(value("ds_serve_sync_quarantined"), Some(1.0));
 
     // The intact transfer adopts; replaying the same generation is stale.
     assert_eq!(

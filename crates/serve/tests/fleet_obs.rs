@@ -288,10 +288,10 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
         );
     }
 
-    // The aggregator folds its own fleet counters into the same document:
+    // The aggregator folds its own scrape counters into the same document:
     // it swept three shards and found one corpse.
-    assert!(scalar(&merged, "ds_fleet_routed") >= 1.0);
-    assert!(scalar(&merged, "ds_fleet_sweep_failures") >= 1.0);
+    assert!(scalar(&merged, "ds_fleetmon_scrapes") >= 1.0);
+    assert!(scalar(&merged, "ds_fleetmon_scrape_failures") >= 1.0);
 
     // The stitched TRACE covers every live shard's exemplars...
     assert_eq!(stitched.len(), shard_timelines.len());
@@ -348,5 +348,5 @@ fn fleetmon_answers_a_request_split_by_a_client_stall() {
     let mut reply = String::new();
     BufReader::new(&stream).read_line(&mut reply).unwrap();
     assert!(reply.starts_with("OK "), "split STATS answered {reply:?}");
-    assert!(reply.contains("ds_fleet_routed"), "{reply:?}");
+    assert!(reply.contains("ds_fleetmon_scrapes"), "{reply:?}");
 }

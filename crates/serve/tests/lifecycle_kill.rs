@@ -117,7 +117,7 @@ fn lifecycle_kill_child_server() {
         for (sql, actual) in &workload {
             let _ = c.send_raw(&format!("FEEDBACK imdb {actual} {sql}"));
         }
-        if !marked && manager.counters().retrains_started >= 1 {
+        if !marked && manager.counters().retrains_started.get() >= 1 {
             std::fs::write(dir.join("retrain.marker"), b"training").expect("child: marker");
             marked = true;
         }

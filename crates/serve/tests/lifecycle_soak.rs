@@ -157,15 +157,15 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
     let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
     // Drift → advisor fires → candidate trains on the harvested queries.
     drive_until(&mut c, &workload, &manager, "retrain to start", |m| {
-        m.counters().retrains_started >= 1
+        m.counters().retrains_started.get() >= 1
     });
     // Shadow scoring on mirrored traffic → gate → snapshot-then-swap.
     drive_until(&mut c, &workload, &manager, "hot swap", |m| {
-        m.counters().swaps >= 1
+        m.counters().swaps.get() >= 1
     });
     // Post-swap guard window closes clean: promotion, never rollback.
     drive_until(&mut c, &workload, &manager, "promotion", |m| {
-        m.counters().promotions >= 1
+        m.counters().promotions.get() >= 1
     });
 
     stop.store(true, Ordering::Relaxed);
@@ -173,8 +173,8 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
     assert!(answered > 0, "hammer must have run during the drill");
 
     let counters = manager.counters();
-    assert_eq!(counters.rollbacks, 0, "happy path must not roll back");
-    assert_eq!(counters.retrains_failed, 0);
+    assert_eq!(counters.rollbacks.get(), 0, "happy path must not roll back");
+    assert_eq!(counters.retrains_failed.get(), 0);
     assert!(
         store.generation("imdb").unwrap() > 1,
         "the swap must bump the serving generation"
@@ -234,15 +234,16 @@ fn poisoned_candidate_is_rolled_back_with_answers_restored() {
         &workload,
         &manager,
         "swap of the poisoned candidate",
-        |m| m.counters().swaps >= 1,
+        |m| m.counters().swaps.get() >= 1,
     );
     drive_until(&mut c, &workload, &manager, "rollback", |m| {
-        m.counters().rollbacks >= 1
+        m.counters().rollbacks.get() >= 1
     });
 
     let counters = manager.counters();
     assert_eq!(
-        counters.promotions, 0,
+        counters.promotions.get(),
+        0,
         "the poisoned candidate must not be promoted"
     );
 
