@@ -13,7 +13,8 @@
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*`, so every other character maps to `_` and
 //! everything gets a `ds_` namespace prefix: `ds_serve_latency_us`.
 
-use std::collections::HashSet;
+use std::fmt::Write;
+use std::ops::Range;
 
 use crate::hist::HistogramSnapshot;
 use crate::span::Tracer;
@@ -37,14 +38,14 @@ pub fn metric_name(raw: &str) -> String {
 /// emitted in call order; callers wanting determinism feed it sorted
 /// names (tracer registries iterate sorted already).
 ///
-/// A family name may be emitted once. The builder remembers every name it
-/// has written, and a second emission of one makes [`PromText::finish`] an
+/// A family name may be emitted once. The builder remembers where it wrote
+/// every name, and a second emission of one makes [`PromText::finish`] an
 /// error naming it, so two owners can never both claim a family.
 #[derive(Debug, Default)]
 pub struct PromText {
     out: String,
-    families: HashSet<String>,
-    duplicate: Option<String>,
+    /// Where each `# TYPE` header's family name sits in `out`.
+    families: Vec<Range<usize>>,
 }
 
 impl PromText {
@@ -54,11 +55,10 @@ impl PromText {
     }
 
     pub(crate) fn header(&mut self, name: &str, kind: &str) {
-        if !self.families.insert(name.to_string()) && self.duplicate.is_none() {
-            self.duplicate = Some(name.to_string());
-        }
         self.out.push_str("# TYPE ");
+        let start = self.out.len();
         self.out.push_str(name);
+        self.families.push(start..self.out.len());
         self.out.push(' ');
         self.out.push_str(kind);
         self.out.push('\n');
@@ -69,13 +69,13 @@ impl PromText {
         self.out.push_str(labels);
         self.out.push(' ');
         // Integers render without a fraction; everything else shortest-
-        // roundtrip, matching the wire-float convention elsewhere.
-        if value.fract() == 0.0 && value.abs() < 1e15 {
-            self.out.push_str(&format!("{}", value as i64));
+        // roundtrip, matching the wire-float convention elsewhere. Writing
+        // to a `String` cannot fail.
+        let _ = if value.fract() == 0.0 && value.abs() < 1e15 {
+            writeln!(self.out, "{}", value as i64)
         } else {
-            self.out.push_str(&format!("{value:?}"));
-        }
-        self.out.push('\n');
+            writeln!(self.out, "{value:?}")
+        };
     }
 
     /// Emits one monotonic counter.
@@ -99,12 +99,12 @@ impl PromText {
     pub fn summary(&mut self, raw_name: &str, snap: &HistogramSnapshot) -> &mut Self {
         let name = metric_name(raw_name);
         self.header(&name, "summary");
-        for (label, q) in [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)] {
-            self.sample(
-                &name,
-                &format!("{{quantile=\"{label}\"}}"),
-                snap.quantile(q) as f64,
-            );
+        for (labels, q) in [
+            ("{quantile=\"0.5\"}", 0.50),
+            ("{quantile=\"0.95\"}", 0.95),
+            ("{quantile=\"0.99\"}", 0.99),
+        ] {
+            self.sample(&name, labels, snap.quantile(q) as f64);
         }
         self.sample(&format!("{name}_sum"), "", snap.sum() as f64);
         self.sample(&format!("{name}_count"), "", snap.count() as f64);
@@ -182,19 +182,25 @@ impl PromText {
         for (name, snap) in hists {
             self.summary(&name, &snap);
         }
+        let mut raw = String::new();
         for (path, stat) in tracer.span_stats() {
-            self.counter(&format!("span/{path}/count"), stat.count);
-            self.counter(&format!("span/{path}/total_ns"), stat.total_ns);
+            for (what, value) in [("count", stat.count), ("total_ns", stat.total_ns)] {
+                raw.clear();
+                let _ = write!(raw, "span/{path}/{what}");
+                self.counter(&raw, value);
+            }
         }
         self
     }
 
-    /// The finished document, or the first family name (sanitized) that
-    /// was emitted twice.
+    /// The finished document, or a family name (sanitized) that was
+    /// emitted twice.
     pub fn finish(self) -> Result<String, String> {
-        match self.duplicate {
+        let mut names: Vec<&str> = self.families.iter().map(|r| &self.out[r.clone()]).collect();
+        names.sort_unstable();
+        match names.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(w[0].to_string()),
             None => Ok(self.out),
-            Some(name) => Err(name),
         }
     }
 }
@@ -374,8 +380,7 @@ mod tests {
         let mut p = PromText::new();
         p.counter("serve/requests", 1)
             .summary("serve/latency_us", &h.snapshot())
-            .gauge("serve/requests", 2.0)
-            .counter("serve/latency_us", 3);
+            .gauge("serve/requests", 2.0);
         assert_eq!(p.finish(), Err("ds_serve_requests".to_string()));
         // A histogram's `_sum`/`_count` samples are not families.
         let mut p = PromText::new();

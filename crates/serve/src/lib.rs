@@ -20,9 +20,11 @@
 //!   flight), bounded request lines ([`line_reader`]), and graceful
 //!   shutdown that answers every request already read ([`server`]).
 //! * **Observability** — lock-free counters and log₂ latency histograms
-//!   ([`metrics`]), all of them in the Prometheus-style exposition behind
-//!   `STATS`; per-request stage timelines (parse → forward → write) with
-//!   slow-request exemplars behind `TRACE`.
+//!   ([`metrics`]) in the Prometheus-style exposition behind `STATS`, to
+//!   which each component (metrics, cache, breakers, memo, monitors,
+//!   lifecycle, SLOs) renders its own families, a family emitted twice
+//!   being an error; per-request stage timelines (parse → forward →
+//!   write) with slow-request exemplars behind `TRACE`.
 //! * **Model-quality feedback** — the `FEEDBACK` command replays observed
 //!   true cardinalities into per-sketch rolling q-error monitors
 //!   ([`ds_core::monitor`]); [`Server::monitors`] exposes them so
