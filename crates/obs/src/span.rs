@@ -31,9 +31,10 @@ pub struct SpanStat {
     pub total_ns: u64,
 }
 
-/// Locks one of the tracer's maps. A thread that panicked while holding
-/// it left the map whole (every update is one insert or one add), so the
-/// lock is recovered rather than propagated.
+/// Locks one of the tracer's maps. Every update under the lock is an insert
+/// or a running sum, so a thread that panicked while holding it left
+/// nothing a reader could misread, and the lock is recovered rather than
+/// propagated.
 fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
     map.lock().unwrap_or_else(PoisonError::into_inner)
 }

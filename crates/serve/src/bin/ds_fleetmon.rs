@@ -9,7 +9,7 @@
 //!   bucket-wise exactly, gauges take the worst shard), with the
 //!   aggregator's own two counters folded into the same document:
 //!   `ds_fleetmon_scrapes` (sweeps run) and `ds_fleetmon_scrape_failures`
-//!   (shards a sweep could not reach);
+//!   (shards a sweep could not reach or parse);
 //! * `TRACE` — every shard's slow-request exemplars, with records that
 //!   share a trace id grouped together so a cross-shard traced request
 //!   reads as one causal tree (client span → per-shard server spans);
