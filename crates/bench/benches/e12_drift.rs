@@ -10,11 +10,10 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e12_drift`
 
-use ds_bench::{banner, qerrors_against_truth, standard_sketch_builder, BENCH_SEED};
+use ds_bench::paper::{grade, standard_sketch_builder, truths};
+use ds_bench::{banner, bench_imdb, BENCH_SEED};
 use ds_core::maintain::{detect_drift, refresh_samples};
 use ds_core::metrics::QErrorSummary;
-use ds_est::oracle::TrueCardinalityOracle;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
@@ -26,13 +25,7 @@ fn main() {
     );
 
     // The database at training time…
-    let db_v1 = imdb_database(&ImdbConfig {
-        movies: 8_000,
-        keywords: 4_000,
-        companies: 1_500,
-        persons: 20_000,
-        seed: BENCH_SEED,
-    });
+    let db_v1 = bench_imdb();
     // …and after evolution: 50% more titles with a different seed — new
     // keyword bands dominate, fanouts shift.
     let db_v2 = imdb_database(&ImdbConfig {
@@ -44,13 +37,11 @@ fn main() {
     });
 
     println!("\ntraining sketch on v1 ({} rows) …", db_v1.total_rows());
-    let sketch_v1 = standard_sketch_builder(&db_v1, imdb_predicate_columns(&db_v1))
-        .build()
-        .expect("v1 sketch");
+    let sketch_v1 = standard_sketch_builder(&db_v1).build().expect("v1 sketch");
 
     // Drift check.
     let report = detect_drift(&sketch_v1, &db_v2, BENCH_SEED ^ 0xD);
-    let (t, col, worst) = report.worst().expect("drift columns");
+    let (t, col, _) = report.worst().expect("drift columns");
     println!(
         "\ndrift detector against v2 ({} rows): max KS {:.3} (worst: {}.{} — a key\n\
          column, inflated by growth alone); predicate-column KS {:.3}",
@@ -64,35 +55,22 @@ fn main() {
         "  needs_retraining(0.15) on predicate columns → {}",
         report.needs_retraining(0.15)
     );
-    let _ = worst;
 
     // Evaluate three maintenance strategies on the v2 workload.
-    let oracle_v2 = TrueCardinalityOracle::new(&db_v2);
     let workload = job_light_workload(&db_v2, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload
-        .iter()
-        .map(|q| oracle_v2.cardinality(q).expect("ground truth") as f64)
-        .collect();
+    let truths = truths(&db_v2, &workload).expect("ground truth");
 
-    let stale = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch_v1, &truths, &workload));
+    let stale = grade(&sketch_v1, &truths, &workload);
 
     let refreshed_sketch = refresh_samples(&sketch_v1, &db_v2, BENCH_SEED ^ 0xD2);
-    let refreshed = QErrorSummary::from_qerrors(&qerrors_against_truth(
-        &refreshed_sketch,
-        &truths,
-        &workload,
-    ));
+    let refreshed = grade(&refreshed_sketch, &truths, &workload);
 
     println!("\nretraining on v2 …");
-    let retrained_sketch = standard_sketch_builder(&db_v2, imdb_predicate_columns(&db_v2))
+    let retrained_sketch = standard_sketch_builder(&db_v2)
         .seed(BENCH_SEED ^ 0xD3)
         .build()
         .expect("v2 sketch");
-    let retrained = QErrorSummary::from_qerrors(&qerrors_against_truth(
-        &retrained_sketch,
-        &truths,
-        &workload,
-    ));
+    let retrained = grade(&retrained_sketch, &truths, &workload);
 
     println!("\nJOB-light q-errors against the evolved database:");
     println!("{}", QErrorSummary::table_header());

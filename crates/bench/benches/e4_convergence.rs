@@ -2,15 +2,14 @@
 //! usually enough to achieve a reasonable mean q-error on a separate
 //! validation set."
 //!
-//! Trains the standard configuration for 50 epochs and prints the
-//! validation mean q-error per epoch; the curve should be near its floor by
-//! epoch ~25.
+//! Trains 8 000 queries for 50 epochs and prints the validation mean
+//! q-error per epoch; the claim holds when epoch 25's is at most
+//! `ds_bench::paper::E4_MARGIN` (1.5×) times the best epoch's.
 //!
 //! Run: `cargo bench -p ds-bench --bench e4_convergence`
 
-use ds_bench::{banner, bench_imdb, BENCH_SEED};
-use ds_core::builder::SketchBuilder;
-use ds_query::workloads::imdb_predicate_columns;
+use ds_bench::paper;
+use ds_bench::{banner, bench_imdb};
 
 fn main() {
     banner(
@@ -19,47 +18,23 @@ fn main() {
         "validation mean q-error per training epoch (50 epochs)",
     );
     let db = bench_imdb();
-    let (_, report) = SketchBuilder::new(&db, imdb_predicate_columns(&db))
-        .training_queries(8_000)
-        .epochs(50)
-        .sample_size(100)
-        .hidden_units(96)
-        .max_tables(5)
-        .max_predicates(4)
-        .seed(BENCH_SEED ^ 0xE4)
-        .build_with_report()
-        .expect("pipeline");
+    let row = paper::e4_convergence(&db, paper::STANDARD_BUILD_SEED).expect("pipeline");
 
-    let vals: Vec<f64> = report
-        .training
-        .epochs
-        .iter()
-        .map(|e| e.val_mean_qerror.expect("validation enabled"))
-        .collect();
-
-    let max = vals.iter().cloned().fold(f64::MIN, f64::max);
+    let max = row.val_qerror.iter().cloned().fold(f64::MIN, f64::max);
     println!(
         "\n{:>6} {:>14} {:>12}  curve",
         "epoch", "val q-error", "train loss"
     );
-    for (i, e) in report.training.epochs.iter().enumerate() {
-        let bar = "▆".repeat(((vals[i] / max) * 40.0).round() as usize);
-        println!(
-            "{:>6} {:>14.2} {:>12.2}  {bar}",
-            i + 1,
-            vals[i],
-            e.train_loss
-        );
+    for (i, (val, loss)) in row.val_qerror.iter().zip(&row.train_loss).enumerate() {
+        let bar = "▆".repeat(((val / max) * 40.0).round() as usize);
+        println!("{:>6} {val:>14.2} {loss:>12.2}  {bar}", i + 1);
     }
 
-    // Shape check: q-error at epoch 25 should be within 30% of the
-    // eventual floor (the paper's "reasonable" point).
-    let floor = vals.iter().cloned().fold(f64::MAX, f64::min);
-    let at25 = vals[24.min(vals.len() - 1)];
+    let (floor, at25) = (row.floor(), row.at25());
     println!(
         "\nfloor (best epoch): {floor:.2}; at epoch 25: {at25:.2} ({:.0}% above floor) → {}",
         (at25 / floor - 1.0) * 100.0,
-        if at25 <= floor * 1.5 {
+        if row.holds() {
             "25 epochs reach a reasonable q-error, as claimed"
         } else {
             "convergence slower than the paper claims on this setup"

@@ -14,13 +14,11 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e7_generalization`
 
-use ds_bench::{
-    banner, bench_imdb, qerrors_against_truth, standard_imdb_sketch, standard_sketch_builder,
-    BENCH_SEED,
-};
+use ds_bench::paper::{grade, standard_sketch_builder, truths};
+use ds_bench::{banner, bench_imdb, standard_imdb_sketch, BENCH_SEED};
 use ds_core::metrics::QErrorSummary;
-use ds_est::oracle::TrueCardinalityOracle;
 use ds_est::CardinalityEstimator;
+use ds_query::query::Query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -32,8 +30,10 @@ fn main() {
         "train on uniform {=,<,>}; evaluate in- and out-of-distribution",
     );
     let db = bench_imdb();
-    let oracle = TrueCardinalityOracle::new(&db);
     let sketch = standard_imdb_sketch(&db);
+    let graded = |est: &dyn CardinalityEstimator, queries: &[Query]| {
+        grade(est, &truths(&db, queries).expect("ground truth"), queries)
+    };
 
     // --- [1] predicate-type shift ----------------------------------------
     // Held-out queries from the training distribution (different seed).
@@ -60,17 +60,9 @@ fn main() {
 
     println!("\n[1] same model, two evaluation distributions:");
     println!("{}", QErrorSummary::table_header());
-    let truths_ho: Vec<f64> = held_out
-        .iter()
-        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-        .collect();
-    let s_ho = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths_ho, &held_out));
+    let s_ho = graded(&sketch, &held_out);
     println!("{}", s_ho.table_row("in-dist."));
-    let truths_jl: Vec<f64> = job_light
-        .iter()
-        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-        .collect();
-    let s_jl = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths_jl, &job_light));
+    let s_jl = graded(&sketch, &job_light);
     println!("{}", s_jl.table_row("JOB-light"));
     println!(
         "  median shift {:.2}× → {}",
@@ -84,33 +76,17 @@ fn main() {
 
     // --- [2] join-count shift: train ≤2 joins, evaluate 3-4 joins ---------
     println!("\n[2] join-count extrapolation (train ≤ 2 joins, like MSCN):");
-    let narrow = standard_sketch_builder(&db, imdb_predicate_columns(&db))
+    let narrow = standard_sketch_builder(&db)
         .max_tables(3)
         .seed(BENCH_SEED ^ 0x727)
         .build()
         .expect("pipeline");
 
-    let small: Vec<_> = job_light
-        .iter()
-        .filter(|q| q.num_joins() <= 2)
-        .cloned()
-        .collect();
-    let big: Vec<_> = job_light
-        .iter()
-        .filter(|q| q.num_joins() >= 3)
-        .cloned()
-        .collect();
+    let (small, big): (Vec<_>, Vec<_>) = job_light.into_iter().partition(|q| q.num_joins() <= 2);
 
     println!("{}", QErrorSummary::table_header());
     for (label, subset) in [("≤2 joins (seen)", &small), ("3-4 joins (unseen)", &big)] {
-        let truths: Vec<f64> = subset
-            .iter()
-            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-            .collect();
-        let s = QErrorSummary::from_qerrors(&qerrors_against_truth(&narrow, &truths, subset));
-        println!("{}", s.table_row(label));
+        println!("{}", graded(&narrow, subset).table_row(label));
     }
     println!("  (the standard sketch trains with up to 4 joins and avoids this extrapolation)");
-
-    let _ = sketch.name();
 }

@@ -8,11 +8,9 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e8_ablation_bitmaps`
 
-use ds_bench::{banner, bench_imdb, qerrors_against_truth, BENCH_SEED};
-use ds_core::builder::SketchBuilder;
+use ds_bench::paper::{grade, standard_sketch_builder, truths};
+use ds_bench::{banner, bench_imdb, BENCH_SEED};
 use ds_core::metrics::QErrorSummary;
-use ds_est::oracle::TrueCardinalityOracle;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 
 fn main() {
@@ -22,42 +20,32 @@ fn main() {
         "bitmaps are the sampling signal — removing them must hurt",
     );
     let db = bench_imdb();
-    let oracle = TrueCardinalityOracle::new(&db);
     let workload = job_light_workload(&db, BENCH_SEED ^ 4);
-    let truths: Vec<f64> = workload
-        .iter()
-        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-        .collect();
+    let truths = truths(&db, &workload).expect("ground truth");
 
     // Reduced-but-fair training budget per variant keeps the ablation fast.
-    let train = |use_bitmaps: bool, sample_size: usize| {
-        SketchBuilder::new(&db, imdb_predicate_columns(&db))
+    let graded = |use_bitmaps: bool, sample_size: usize| {
+        let sketch = standard_sketch_builder(&db)
             .training_queries(6_000)
             .epochs(20)
             .sample_size(sample_size)
-            .hidden_units(96)
-            .max_tables(5)
-            .max_predicates(4)
             .use_bitmaps(use_bitmaps)
             .seed(BENCH_SEED ^ 0xE8)
             .build()
-            .expect("pipeline")
+            .expect("pipeline");
+        grade(&sketch, &truths, &workload)
     };
 
     println!("\n[1] with vs without sample-bitmap features (sample size 100):");
     println!("{}", QErrorSummary::table_header());
     for (label, on) in [("with bitmaps", true), ("no bitmaps", false)] {
-        let sketch = train(on, 100);
-        let s = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths, &workload));
-        println!("{}", s.table_row(label));
+        println!("{}", graded(on, 100).table_row(label));
     }
 
     println!("\n[2] sample-size sweep (bitmaps on):");
     println!("{}", QErrorSummary::table_header());
     for &n in &[25usize, 50, 100, 200] {
-        let sketch = train(true, n);
-        let s = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths, &workload));
-        println!("{}", s.table_row(&format!("{n} samples")));
+        println!("{}", graded(true, n).table_row(&format!("{n} samples")));
     }
     println!("\nexpected shape: bitmaps help across the board; accuracy improves");
     println!("with sample size and saturates once rare predicates are covered.");

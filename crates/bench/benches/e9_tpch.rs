@@ -5,10 +5,9 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e9_tpch`
 
-use ds_bench::{banner, bench_tpch, qerrors_against_truth, BENCH_SEED};
+use ds_bench::paper::{Baselines, Graded};
+use ds_bench::{banner, bench_tpch, BENCH_SEED};
 use ds_core::builder::SketchBuilder;
-use ds_core::metrics::QErrorSummary;
-use ds_est::oracle::TrueCardinalityOracle;
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
 use ds_query::workloads::tpch::tpch_workload;
@@ -42,36 +41,18 @@ fn main() {
         report.training.final_val_qerror().unwrap_or(f64::NAN)
     );
 
-    let hyper = SamplingEstimator::build(&db, 100, BENCH_SEED ^ 0xE9A);
-    let postgres = PostgresEstimator::build(&db);
-    let oracle = TrueCardinalityOracle::new(&db);
-
+    let baselines = Baselines {
+        hyper: SamplingEstimator::build(&db, 100, BENCH_SEED ^ 0xE9A),
+        postgres: PostgresEstimator::build(&db),
+    };
     let workload = tpch_workload(&db, BENCH_SEED ^ 0xE9B);
-    let truths: Vec<f64> = workload
-        .iter()
-        .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-        .collect();
-
     println!(
         "\nq-errors on the TPC-H workload ({} queries):\n",
         workload.len()
     );
-    println!("{}", QErrorSummary::table_header());
-    println!(
-        "{}",
-        QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths, &workload))
-            .table_row("Deep Sketch")
-    );
-    println!(
-        "{}",
-        QErrorSummary::from_qerrors(&qerrors_against_truth(&hyper, &truths, &workload))
-            .table_row("HyPer")
-    );
-    println!(
-        "{}",
-        QErrorSummary::from_qerrors(&qerrors_against_truth(&postgres, &truths, &workload))
-            .table_row("PostgreSQL")
-    );
+    Graded::new(&db, &baselines, &sketch, &workload)
+        .expect("ground truth")
+        .print_table();
     println!("\nexpected shape: all three medians close to 1-3 — the IMDb gap");
     println!("(E1) comes from correlations, which TPC-H does not have.");
 }

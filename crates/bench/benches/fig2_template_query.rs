@@ -9,12 +9,11 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench fig2_template_query`
 
-use ds_bench::{banner, bench_imdb, standard_imdb_sketch, BENCH_SEED};
+use ds_bench::paper::Baselines;
+use ds_bench::{banner, bench_imdb, standard_imdb_sketch};
 use ds_core::metrics::QErrorSummary;
 use ds_core::template::{QueryTemplate, ValueFn};
 use ds_est::oracle::TrueCardinalityOracle;
-use ds_est::postgres::PostgresEstimator;
-use ds_est::sampling::SamplingEstimator;
 
 fn main() {
     banner(
@@ -25,8 +24,7 @@ fn main() {
     let db = bench_imdb();
     let sketch = standard_imdb_sketch(&db);
     let oracle = TrueCardinalityOracle::new(&db);
-    let postgres = PostgresEstimator::build(&db);
-    let hyper = SamplingEstimator::build(&db, 100, BENCH_SEED ^ 3);
+    let Baselines { hyper, postgres } = Baselines::build(&db);
 
     // Choose a frequent keyword from the sketch's own sample (a user would
     // type 'artificial-intelligence'; ids play that role here).
@@ -70,12 +68,8 @@ fn main() {
     }
 
     let qsummary = |series: &[(i64, f64)]| {
-        let qs: Vec<f64> = series
-            .iter()
-            .zip(&truth)
-            .map(|(&(_, e), &(_, t))| ds_core::metrics::qerror(e, t))
-            .collect();
-        QErrorSummary::from_qerrors(&qs)
+        let pairs: Vec<(f64, f64)> = series.iter().zip(&truth).map(|(e, t)| (e.1, t.1)).collect();
+        QErrorSummary::from_pairs(&pairs)
     };
     println!("\nq-errors over the template series:");
     println!("{}", QErrorSummary::table_header());

@@ -94,15 +94,6 @@ impl FlatFeaturizer {
         }
         v
     }
-
-    /// Batches queries into a `(n × dim)` matrix.
-    pub fn batch(&self, queries: &[Query], samples: &[TableSample]) -> Tensor {
-        let mut data = Vec::with_capacity(queries.len() * self.dim());
-        for q in queries {
-            data.extend(self.featurize(q, samples));
-        }
-        Tensor::from_vec(queries.len(), self.dim(), data)
-    }
 }
 
 /// The flat 2-hidden-layer MLP with sigmoid head.
@@ -126,13 +117,6 @@ impl FlatModel {
     /// Scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.l1.num_params() + self.l2.num_params() + self.l3.num_params()
-    }
-
-    /// Forward pass: normalized outputs in `(0, 1)`.
-    pub fn predict(&self, x: &Tensor) -> Vec<f32> {
-        let a1 = relu(&self.l1.forward(x));
-        let a2 = relu(&self.l2.forward(&a1));
-        sigmoid(&self.l3.forward(&a2)).data().to_vec()
     }
 
     fn train_step(
@@ -218,10 +202,16 @@ impl FlatModel {
         if queries.is_empty() {
             return Vec::new();
         }
-        let x = featurizer.batch(queries, samples);
-        self.predict(&x)
-            .into_iter()
-            .map(|y| normalizer.denormalize(y).max(1.0))
+        let data = queries
+            .iter()
+            .flat_map(|q| featurizer.featurize(q, samples));
+        let x = Tensor::from_vec(queries.len(), featurizer.dim(), data.collect());
+        let a1 = relu(&self.l1.forward(&x));
+        let a2 = relu(&self.l2.forward(&a1));
+        let y = sigmoid(&self.l3.forward(&a2));
+        y.data()
+            .iter()
+            .map(|&y| normalizer.denormalize(y).max(1.0))
             .collect()
     }
 }
@@ -298,10 +288,11 @@ mod tests {
         assert!(last < first, "loss did not decrease: {first} → {last}");
         // Sanity: median q-error on the training queries is small-ish.
         let ests = model.estimate_batch(&f, &samples, &queries, &normalizer);
-        let mut qs: Vec<f64> = queries
+        let truths = crate::paper::truths(&db, &queries).expect("ground truth");
+        let mut qs: Vec<f64> = ests
             .iter()
-            .zip(&ests)
-            .map(|(q, &e)| qerror(e, oracle.cardinality(q).expect("ground truth") as f64))
+            .zip(&truths)
+            .map(|(&e, &t)| qerror(e, t))
             .collect();
         qs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = qs[qs.len() / 2];

@@ -3,8 +3,13 @@
 //! Experiment harnesses for the Deep Sketches reproduction. Every table and
 //! figure of the paper maps to one bench target (see `benches/` and
 //! DESIGN.md §3); this library holds the shared setup — the benchmark-scale
-//! databases, the standard sketch configuration, and reporting helpers —
-//! so that all experiments run against identical state.
+//! databases and reporting helpers — so that all experiments run against
+//! identical state.
+//!
+//! [`paper`] measures the gated claims (E1, E4, E5, E11) and grades every
+//! harness against the truth; the benches print what it measures, and
+//! `tests/paper_claims.rs` asserts it on the median over five build seeds.
+//! E4's margin is [`paper::E4_MARGIN`]: epoch 25 at most 1.5× the floor.
 //!
 //! Run a single experiment with
 //! `cargo bench -p ds-bench --bench <name>`; `cargo bench` regenerates
@@ -12,9 +17,9 @@
 
 pub mod flat;
 pub mod loadgen;
+pub mod paper;
 
 use ds_core::builder::SketchBuilder;
-use ds_core::metrics::QErrorSummary;
 use ds_est::CardinalityEstimator;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
@@ -45,25 +50,6 @@ pub fn bench_tpch() -> Database {
         suppliers: 100,
         seed: BENCH_SEED ^ 1,
     })
-}
-
-/// The standard sketch configuration used by the accuracy experiments:
-/// 10 000 training queries, 30 epochs, 100-tuple samples, 96 hidden units,
-/// batches of 128, up to 5 tables (JOB-light needs up to 4 joins) and 4
-/// predicates per training query.
-pub fn standard_sketch_builder<'a>(
-    db: &'a Database,
-    predicate_columns: Vec<ds_storage::catalog::ColRef>,
-) -> SketchBuilder<'a> {
-    SketchBuilder::new(db, predicate_columns)
-        .training_queries(10_000)
-        .epochs(30)
-        .sample_size(100)
-        .hidden_units(96)
-        .batch_size(128)
-        .max_tables(5)
-        .max_predicates(4)
-        .seed(BENCH_SEED ^ 2)
 }
 
 /// The sketch the repository benchmark (`BENCHMARK.json`, `setup.rs` in
@@ -156,44 +142,12 @@ pub fn kernel_shapes() -> [(&'static str, usize, usize, ds_nn::tensor::Tensor); 
     ]
 }
 
-/// Directory where trained bench sketches are cached between experiment
-/// runs (a sketch is self-contained, so reloading is exact).
-pub fn cache_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/ds-bench-cache")
-}
-
-/// Cache path of the standard IMDb sketch; keyed by seed and database size
-/// so generator changes invalidate it.
-pub fn standard_sketch_cache_path(db: &Database) -> std::path::PathBuf {
-    cache_dir().join(format!(
-        "imdb-{:x}-{}-q10000-e30-h96.sketch",
-        BENCH_SEED,
-        db.total_rows()
-    ))
-}
-
-/// Loads the standard IMDb sketch from the cache, or trains and caches it.
+/// Builds the standard IMDb sketch ([`paper::standard_sketch_builder`]).
 pub fn standard_imdb_sketch(db: &Database) -> ds_core::sketch::DeepSketch {
-    let path = standard_sketch_cache_path(db);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Ok(sketch) = ds_core::sketch::DeepSketch::from_bytes(&bytes) {
-            println!("(reusing cached sketch from {})", path.display());
-            return sketch;
-        }
-    }
     println!("training standard sketch (10000 queries, 30 epochs) …");
-    let sketch = standard_sketch_builder(db, ds_query::workloads::imdb_predicate_columns(db))
+    paper::standard_sketch_builder(db)
         .build()
-        .expect("sketch construction");
-    cache_sketch(&path, &sketch);
-    sketch
-}
-
-/// Writes a sketch into the bench cache (best effort).
-pub fn cache_sketch(path: &std::path::Path, sketch: &ds_core::sketch::DeepSketch) {
-    if std::fs::create_dir_all(cache_dir()).is_ok() {
-        let _ = std::fs::write(path, sketch.to_bytes());
-    }
+        .expect("sketch construction")
 }
 
 /// Evaluates an estimator against ground truth over a workload, returning
@@ -220,19 +174,6 @@ pub fn banner(id: &str, paper_artifact: &str, claim: &str) {
     println!("{id} — reproduces {paper_artifact}");
     println!("{claim}");
     println!("================================================================");
-}
-
-/// Prints a q-error summary block with the paper's reference rows for
-/// side-by-side comparison.
-pub fn print_table1_style(rows: &[(&str, QErrorSummary)], paper_reference: Option<&str>) {
-    println!("{}", QErrorSummary::table_header());
-    for (label, summary) in rows {
-        println!("{}", summary.table_row(label));
-    }
-    if let Some(reference) = paper_reference {
-        println!("\npaper reference (real IMDb, HyPer, PostgreSQL 10.3):");
-        println!("{reference}");
-    }
 }
 
 /// Table 1 of the paper, verbatim, for side-by-side printing.
@@ -262,10 +203,7 @@ mod tests {
         let db = ds_storage::gen::imdb_database(&ds_storage::gen::ImdbConfig::tiny(1));
         let oracle = TrueCardinalityOracle::new(&db);
         let wl = ds_query::workloads::job_light::job_light_workload(&db, 1);
-        let truths: Vec<f64> = wl
-            .iter()
-            .map(|q| oracle.cardinality(q).expect("ground truth") as f64)
-            .collect();
+        let truths = paper::truths(&db, &wl).expect("ground truth");
         let qs = qerrors_against_truth(&oracle, &truths, &wl);
         assert!(qs.iter().all(|&q| (q - 1.0).abs() < 1e-12));
     }

@@ -5,10 +5,8 @@
 //! benchmark puts on both rows). A change that moves trained bits on
 //! purpose passes here as long as accuracy holds.
 
-use ds_bench::{bench_imdb, benchmark_sketch_builder, qerrors_against_truth, BENCH_SEED};
-use ds_core::metrics::QErrorSummary;
-use ds_est::oracle::TrueCardinalityOracle;
-use ds_est::CardinalityEstimator;
+use ds_bench::paper::{grade, truths};
+use ds_bench::{bench_imdb, benchmark_sketch_builder, BENCH_SEED};
 use ds_query::workloads::job_light::job_light_workload;
 
 /// JOB-light median and p95 q-error of the benchmark's sketch, trained
@@ -29,9 +27,8 @@ fn the_benchmark_sketch_grades_on_job_light_as_recorded() {
     let db = bench_imdb();
     let sketch = benchmark_sketch_builder(&db).build().expect("sketch build");
     let queries = job_light_workload(&db, BENCH_SEED);
-    let oracle = TrueCardinalityOracle::new(&db);
-    let truths: Vec<f64> = queries.iter().map(|q| oracle.estimate(q)).collect();
-    let summary = QErrorSummary::from_qerrors(&qerrors_against_truth(&sketch, &truths, &queries));
+    let truths = truths(&db, &queries).expect("ground truth");
+    let summary = grade(&sketch, &truths, &queries);
     println!(
         "JOB-light median {} (recorded {RECORDED_MEDIAN}), p95 {} (recorded {RECORDED_P95})",
         summary.median, summary.p95
