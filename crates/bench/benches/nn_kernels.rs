@@ -324,13 +324,19 @@ fn main() {
     // What the stream asks of any memo: each distinct element misses once
     // however large the memo is (compulsory misses); every other miss is
     // an element the memo held and had to give up (capacity misses).
-    let mut feats = ds_core::featurize::QueryIndexFeatures::default();
+    let mut feats = ds_core::featurize::ServedFeatures::default();
+    let mut tables = IndexSet::default();
     let mut distinct = HashSet::new();
     for q in &stream {
+        feats.clear();
+        tables.clear();
         sketch
             .featurizer()
-            .featurize_indices(q, sketch.samples(), &mut feats);
-        for (module, set) in [&feats.tables, &feats.joins, &feats.preds]
+            .append_indices(q, sketch.samples(), &mut feats);
+        for r in 0..feats.tables.len() {
+            feats.tables.expand_into(r, &mut tables);
+        }
+        for (module, set) in [&tables, &feats.joins, &feats.preds]
             .into_iter()
             .enumerate()
         {

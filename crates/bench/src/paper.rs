@@ -227,7 +227,9 @@ impl E5Row {
     }
 
     /// §2's claim: sampling degrades more on 0-tuple situations than the
-    /// sketch.
+    /// sketch. Each is measured against its own q-error on the rest, so
+    /// this is no model check: a 1-epoch standard sketch passes it too.
+    /// E1 is the accuracy referee.
     pub fn holds(&self) -> bool {
         let (sampling, sketch) = self.degradation();
         sampling > sketch
@@ -237,6 +239,8 @@ impl E5Row {
 /// **E5 — §2, 0-tuple situations**: 3 000 generated queries (selective
 /// equality predicates on big domains make 0-tuple situations common),
 /// split by whether the sampling baseline's samples qualify no tuple.
+/// The row grades robustness, not accuracy: a 1-epoch standard sketch
+/// passes [`E5Row::holds`] as well, and E1 is what catches it.
 ///
 /// # Errors
 /// The executor's error on a query it cannot count.
@@ -284,9 +288,12 @@ impl E11Row {
 /// The executor's or the builder's error.
 pub fn e11_set_vs_flat(db: &Database, build_seed: u64) -> Result<E11Row, BuildError> {
     let (sample_size, train_queries, epochs) = (100, 8_000, 24);
+    let seed = reseed(build_seed, BENCH_SEED ^ 0xE11);
     let cols = imdb_predicate_columns(db);
-    let samples = ds_storage::sample::sample_all(db, sample_size, build_seed ^ 0x5A);
-    let mut gen_cfg = GeneratorConfig::new(cols.clone(), reseed(build_seed, BENCH_SEED ^ 0xE11));
+    // The seeds `SketchBuilder::build` derives from `seed` for its samples
+    // and its training queries.
+    let samples = ds_storage::sample::sample_all(db, sample_size, seed ^ 0x5A);
+    let mut gen_cfg = GeneratorConfig::new(cols.clone(), seed ^ 0x9E);
     gen_cfg.max_tables = 5;
     gen_cfg.max_predicates = 4;
     let queries = QueryGenerator::new(db, gen_cfg).generate_batch(train_queries);
@@ -296,7 +303,7 @@ pub fn e11_set_vs_flat(db: &Database, build_seed: u64) -> Result<E11Row, BuildEr
     let mscn = standard_sketch_builder(db)
         .training_queries(train_queries)
         .epochs(epochs)
-        .seed(reseed(build_seed, BENCH_SEED ^ 0xE11))
+        .seed(seed)
         .build()?;
 
     // The flat input is much wider (bitmaps are not shared across tables),

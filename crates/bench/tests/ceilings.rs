@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use ds_bench::BENCH_SEED;
 use ds_core::builder::SketchBuilder;
-use ds_core::featurize::{Featurizer, QueryIndexFeatures};
+use ds_core::featurize::{Featurizer, ServedFeatures};
 use ds_core::lifecycle::{LifecycleConfig, LifecycleManager};
 use ds_core::store::SketchStore;
 use ds_obs::{IdSource, TraceContext};
@@ -95,10 +95,11 @@ fn the_serving_path_extras_stay_under_their_ceilings() {
     });
 
     let samples = sample_all(&db, 256, BENCH_SEED ^ 41);
-    let mut feats = QueryIndexFeatures::default();
+    let mut feats = ServedFeatures::default();
     let mut featurize = |fz: Featurizer| {
         ns_per_call(queries.len() * 5, |i| {
-            fz.featurize_indices(query(i), &samples, &mut feats)
+            feats.clear();
+            fz.append_indices(query(i), &samples, &mut feats);
         })
     };
     let v1 = featurize(Featurizer::build(&db, &cols, 256));

@@ -499,38 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_schema_with_extended_ops_trains_and_roundtrips() {
-        let db = imdb_database(&ImdbConfig::tiny(7));
-        let sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
-            .training_queries(200)
-            .epochs(3)
-            .sample_size(16)
-            .hidden_units(16)
-            .extended_ops(0.2, 0.2)
-            .feature_schema_v2(8)
-            .seed(21)
-            .build()
-            .expect("pipeline");
-        assert_eq!(
-            sketch.featurizer().schema(),
-            crate::featurize::FeatureSchema::V2
-        );
-        assert_eq!(sketch.featurizer().pred_bitmap_bits(), 8);
-        let bytes = sketch.to_bytes();
-        let back = crate::sketch::DeepSketch::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back.to_bytes(), bytes);
-        // IN and LIKE queries flow through the full estimate path.
-        for sql in [
-            "SELECT COUNT(*) FROM title WHERE title.production_year IN (1990, 1995, 2000)",
-            "SELECT COUNT(*) FROM title WHERE title.production_year LIKE '19%'",
-        ] {
-            let q = ds_query::parser::parse_query(&db, sql).unwrap();
-            let e = sketch.estimate(&q);
-            assert!(e.is_finite() && e >= 1.0, "{sql} -> {e}");
-        }
-    }
-
-    #[test]
     fn threads_do_not_change_results() {
         let db = imdb_database(&ImdbConfig::tiny(5));
         let build = |threads| {

@@ -347,10 +347,6 @@ pub struct LifecycleConfig {
     pub seed: u64,
     /// Cadence of the daemon's state-machine tick.
     pub tick_interval: Duration,
-    /// Test hook: corrupt every promoted candidate *after* the shadow
-    /// gate passes, so rollback drills exercise the guard
-    /// deterministically (models an undetectably-bad candidate).
-    pub poison_candidates: bool,
 }
 
 impl Default for LifecycleConfig {
@@ -368,7 +364,6 @@ impl Default for LifecycleConfig {
             train_threads: 1,
             seed: 0x11FE_C0DE,
             tick_interval: Duration::from_millis(200),
-            poison_candidates: false,
         }
     }
 }
@@ -607,12 +602,11 @@ impl LifecycleManager {
     /// A manager with validated configuration.
     pub fn new(cfg: LifecycleConfig) -> Result<Self, String> {
         cfg.validate()?;
-        let poison = AtomicBool::new(cfg.poison_candidates);
         Ok(Self {
             cfg,
             states: Mutex::new(BTreeMap::new()),
             shadow_active: AtomicU64::new(0),
-            poison,
+            poison: AtomicBool::new(false),
             counters: LifecycleCounters::default(),
         })
     }
@@ -632,16 +626,12 @@ impl LifecycleManager {
         &self.cfg
     }
 
-    /// Arms or disarms candidate poisoning (see
-    /// [`LifecycleConfig::poison_candidates`]); rollback drills toggle
-    /// this at runtime.
+    /// Test hook for rollback drills, disarmed at start: while armed, every
+    /// promoted candidate is corrupted *after* the shadow gate passes, so
+    /// the guard sees a regression deterministically (it models an
+    /// undetectably-bad candidate).
     pub fn set_poison(&self, armed: bool) {
         self.poison.store(armed, Ordering::SeqCst);
-    }
-
-    /// Whether candidate poisoning is currently armed.
-    pub fn poison_armed(&self) -> bool {
-        self.poison.load(Ordering::SeqCst)
     }
 
     /// Records one FEEDBACK-graded query: harvests it for incremental
@@ -1232,7 +1222,6 @@ mod tests {
             train_threads: 1,
             seed: 7,
             tick_interval: Duration::from_millis(25),
-            poison_candidates: false,
         }
     }
 
@@ -1469,7 +1458,6 @@ mod tests {
         let monitors = MonitorRegistry::new();
         let manager = LifecycleManager::new(fast_cfg()).unwrap();
         manager.set_poison(true);
-        assert!(manager.poison_armed());
 
         manager.install_candidate("imdb", tiny_sketch(&db, 7));
         for _ in 0..8 {

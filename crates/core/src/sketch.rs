@@ -15,10 +15,10 @@
 //! per-thread scratch, and it answers bit for bit what the trained model
 //! answered. The artifact is also what gets serialized: it encodes the
 //! weights and decodes them straight back into serving layout.
-//! The model's reference forward (naive kernels over dense features, on a
-//! training-layout copy thawed from the artifact) is
-//! [`DeepSketch::reference_estimates`], the oracle the tests hold the
-//! serving path against.
+//! The oracle every path is held to is the model's reference forward
+//! ([`crate::mscn::MscnModel::predict`]: naive kernels over dense features,
+//! on a training-layout copy thawed from the artifact), which the root
+//! package's `one_answer` harness computes once per query.
 
 use std::cell::RefCell;
 
@@ -36,7 +36,6 @@ use ds_storage::sample::TableSample;
 use ds_storage::table::Table;
 
 use crate::featurize::{FeatureSchema, Featurizer, ServedFeatures};
-use crate::mscn::MscnModel;
 
 const MAGIC: &[u8; 4] = b"DSKT";
 /// The serialization version, and the only one [`DeepSketch::from_bytes`]
@@ -149,8 +148,8 @@ pub struct DeepSketch {
 impl DeepSketch {
     /// Assembles a sketch from trained parts (used by
     /// [`crate::builder::SketchBuilder`]): the serving artifact a trained
-    /// model froze into ([`MscnModel::freeze`]), and what it was trained
-    /// over.
+    /// model froze into ([`crate::mscn::MscnModel::freeze`]), and what it
+    /// was trained over.
     pub fn from_parts(
         frozen: FrozenModel,
         featurizer: Featurizer,
@@ -228,23 +227,6 @@ impl DeepSketch {
     /// memo empties, the weights stay. Answers stay bit-identical.
     pub fn freeze(&mut self) {
         self.frozen.clear_memo();
-    }
-
-    /// Estimates through the model's reference forward
-    /// ([`MscnModel::predict`]) on a training-layout copy of the weights
-    /// thawed for the call: dense feature tensors through the naive f32
-    /// product, which shares no kernel with serving or training. A test
-    /// helper, never on the serving path — the named oracle the
-    /// bit-identity tests compare serving against.
-    pub fn reference_estimates(&self, queries: &[Query]) -> Vec<f64> {
-        let model = MscnModel::thaw(&self.frozen);
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(SERVE_CHUNK) {
-            let batch = self.featurizer.batch_queries(chunk, &self.samples);
-            let ys = model.predict(&batch);
-            out.extend(ys.iter().map(|&y| self.denormalized(y)));
-        }
-        out
     }
 
     /// A normalized model output as a cardinality (≥ 1).
@@ -652,6 +634,7 @@ impl CardinalityEstimator for DeepSketch {
 mod tests {
     use super::*;
     use crate::builder::SketchBuilder;
+    use crate::mscn::MscnModel;
     use ds_query::parser::parse_query;
     use ds_query::workloads::imdb_predicate_columns;
     use ds_storage::gen::{imdb_database, ImdbConfig};
@@ -683,19 +666,6 @@ mod tests {
         // Bounded by the normalizer's max label.
         let (_, hi) = sketch.normalizer().bounds();
         assert!(e <= hi.exp() * 1.01);
-    }
-
-    #[test]
-    fn serialization_roundtrip_preserves_estimates() {
-        let (db, sketch) = tiny_sketch();
-        let bytes = sketch.to_bytes();
-        assert_eq!(bytes.len(), sketch.footprint_bytes());
-        let restored = DeepSketch::from_bytes(&bytes).unwrap();
-        let queries = ds_query::workloads::job_light::job_light_workload(&db, 2);
-        let before = sketch.estimate_batch(&queries);
-        let after = restored.estimate_batch(&queries);
-        assert_eq!(before, after);
-        assert_eq!(restored.database_name(), "imdb");
     }
 
     /// Words the encoder never writes are corrupt, not read leniently: a
@@ -793,125 +763,34 @@ mod tests {
         ));
     }
 
+    /// A table id outside the vocabulary is the sketch's typed error and,
+    /// behind a router none of whose members covers it, the router's
+    /// `Unroutable`, alone and in a batch whose neighbours keep their
+    /// answers. (That every path gives a query outside the vocabulary its
+    /// one error, or `1.0`, is the root package's `one_answer` harness.)
     #[test]
-    fn estimate_batch_is_exactly_the_looped_estimates() {
-        // The batched serving path (chunked, optionally threaded) must
-        // return *exactly* `queries.iter().map(|q| estimate_one(q))` —
-        // chunking and threads may never change a single bit.
-        let (db, mut sketch) = tiny_sketch();
-        let mut queries = ds_query::workloads::job_light::job_light_workload(&db, 4);
-        // Single-table query: empty join set (and no predicates).
-        queries.push(parse_query(&db, "SELECT COUNT(*) FROM title").unwrap());
-        // Join without predicates: empty predicate set.
-        queries.push(
-            parse_query(
-                &db,
-                "SELECT COUNT(*) FROM title, movie_keyword \
-                 WHERE movie_keyword.movie_id = title.id",
-            )
-            .unwrap(),
-        );
-        // Single table with a predicate: empty join set, non-empty preds.
-        queries.push(
-            parse_query(
-                &db,
-                "SELECT COUNT(*) FROM title WHERE title.production_year > 1990",
-            )
-            .unwrap(),
-        );
-        assert!(queries.iter().any(|q| q.joins.is_empty()));
-        assert!(queries.iter().any(|q| q.predicates.is_empty()));
-        // Cycle past SERVE_CHUNK so multiple chunks (and with threads > 1,
-        // multiple workers) are exercised.
-        let many: Vec<_> = queries
-            .iter()
-            .cycle()
-            .take(3 * SERVE_CHUNK + 7)
-            .cloned()
-            .collect();
-        let looped: Vec<f64> = many.iter().map(|q| sketch.estimate_one(q)).collect();
-        assert_eq!(
-            sketch.reference_estimates(&many),
-            looped,
-            "the f32 artifact diverged from the trained model"
-        );
-        for threads in [1, 2, 8] {
-            sketch.set_threads(threads);
-            assert_eq!(
-                sketch.estimate_batch(&many),
-                looped,
-                "batched serving diverged at threads={threads}"
-            );
-        }
-        assert!(sketch.estimate_batch(&[]).is_empty());
-    }
-
-    /// A table id or column outside the vocabulary — as a sketch
-    /// deserialized next to a *larger* schema would see — is a typed error
-    /// from `try_estimate` and `1.0` from `estimate` and `estimate_batch`,
-    /// for the sketch and for a router over it. A batch isolates it: its slot
-    /// holds the single's error and its neighbours keep the singles' bits.
-    #[test]
-    fn out_of_vocabulary_queries_are_errors_or_one_row_never_a_panic() {
+    fn a_table_outside_the_vocabulary_is_an_error_never_a_panic() {
         use crate::router::SketchRouter;
-        use ds_storage::predicate::{CmpOp, ColPredicate};
 
         let (db, sketch) = tiny_sketch();
         let good = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        let want = sketch.estimate_one(&good);
-        assert_eq!(sketch.try_estimate(&good), Ok(want));
         let mut alien = good.clone();
         alien.tables.push(TableId(99));
         assert!(matches!(
             sketch.try_estimate(&alien),
             Err(EstimateError::UnknownTable { table: 99, .. })
         ));
-        let mut bad_col = good.clone();
-        bad_col
-            .predicates
-            .push((bad_col.tables[0], ColPredicate::new(999, CmpOp::Eq, 1)));
-        assert!(matches!(
-            sketch.try_estimate(&bad_col),
-            Err(EstimateError::UnknownColumn { col: 999, .. })
-        ));
-        // The router routes before a member validates: no member covers 99.
         let every_table = (0..db.num_tables()).map(TableId).collect();
         let router = SketchRouter::new(vec![(every_table, sketch.clone())]);
-        assert!(matches!(
-            router.try_estimate(&alien),
-            Err(EstimateError::Unroutable { .. })
-        ));
-        let batch = [good.clone(), alien.clone(), bad_col.clone(), good.clone()];
-        let answers = vec![want, 1.0, 1.0, want];
-        for est in [&sketch as &dyn CardinalityEstimator, &router] {
-            let name = est.name();
-            assert_eq!(est.estimate(&alien), 1.0, "{name}");
-            assert_eq!(est.estimate_batch(&batch), answers, "{name}");
-            let results = est.try_estimate_batch(&batch);
-            assert_eq!([&results[0], &results[3]], [&Ok(want); 2], "{name}");
-            assert_eq!(results[1], est.try_estimate(&alien), "{name}");
-            assert_eq!(results[2], sketch.try_estimate(&bad_col), "{name}");
-        }
-        assert_eq!(DeepSketch::estimate_batch(&sketch, &batch), answers);
-        // A batch the one member covers whole reaches it as it is.
-        let covered = [bad_col, good];
-        let member = sketch.try_estimate_batch(&covered);
-        assert_eq!(router.try_estimate_batch(&covered), member);
-    }
-
-    #[test]
-    fn a_loaded_or_refrozen_artifact_is_the_built_one() {
-        let (db, mut sketch) = tiny_sketch();
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        let built = sketch.estimate_one(&q);
-        assert!(sketch.memo_stats().misses > 0);
-        let restored = DeepSketch::from_bytes(&sketch.to_bytes()).unwrap();
-        assert_eq!(restored.frozen(), sketch.frozen());
-        assert_eq!(restored.estimate_one(&q).to_bits(), built.to_bits());
-        // A re-freeze starts from an empty memo and answers the same bits.
-        sketch.freeze();
-        assert_eq!(sketch.memo_stats(), MemoStats::default());
-        assert_eq!(sketch.estimate_one(&q).to_bits(), built.to_bits());
+        let unroutable = router.try_estimate(&alien);
+        assert!(matches!(unroutable, Err(EstimateError::Unroutable { .. })));
+        assert_eq!(router.estimate(&alien), 1.0);
+        let want = sketch.try_estimate(&good);
+        let batch = [good.clone(), alien, good];
+        assert_eq!(
+            router.try_estimate_batch(&batch),
+            [want.clone(), unroutable, want]
+        );
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Property tests for the frozen inference artifact: across random model
 //! shapes, weight seeds, and query batches, the fused
-//! featurize-and-forward path must agree with the training-shape reference
-//! forward **bit-exactly**, from every thread count we serve with. And
-//! since that path is the only one a sketch serves through: every batch
-//! size and thread count of [`DeepSketch::estimate_batch`] must equal the
-//! looped single estimates bit for bit, and the column-tile kernel must
-//! equal its portable oracle at every tile width. The artifact memoizes set-element embeddings, so all of it
-//! also has to hold between a sketch that has served a stream and one that
-//! has served nothing — from eight threads at once, which is what CI's
-//! ThreadSanitizer job runs this suite for.
+//! featurize-and-forward path agrees with the training-shape reference
+//! forward **bit-exactly**, from every thread count we serve with; the
+//! query just answered finds its elements in the memo; and the column-tile
+//! kernel equals its portable oracle at every tile width. That a whole
+//! sketch gives one answer on every path it serves through — batch sizes,
+//! thread counts, the memo cold and warm, eight threads at once — is
+//! checked by the root package's `one_answer` harness.
 
 use std::sync::OnceLock;
 
 use ds_core::builder::SketchBuilder;
-use ds_core::featurize::{Featurizer, QueryIndexFeatures, ServedFeatures};
+use ds_core::featurize::{Featurizer, ServedFeatures};
 use ds_core::mscn::{MscnConfig, MscnModel};
-use ds_core::sketch::DeepSketch;
-use ds_est::CardinalityEstimator;
 use ds_nn::frozen::{FrozenModel, FrozenScratch, IndexSet};
 use ds_query::parser::parse_query;
 use ds_query::query::Query;
@@ -47,18 +43,29 @@ fn fused_on_threads(frozen: &FrozenModel, queries: &[Query], threads: usize) -> 
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(move || {
-                    let mut feats = QueryIndexFeatures::default();
+                    let mut feats = ServedFeatures::default();
                     let mut scratch = FrozenScratch::new();
                     queries
                         .iter()
                         .map(|q| {
-                            featurizer.featurize_indices(q, samples, &mut feats);
-                            frozen.forward_query(
-                                &feats.tables,
-                                &feats.joins,
-                                &feats.preds,
+                            feats.clear();
+                            let counts = [featurizer.append_indices(q, samples, &mut feats)];
+                            let mut y = [0.0];
+                            let ServedFeatures {
+                                tables,
+                                joins,
+                                preds,
+                                ..
+                            } = &feats;
+                            frozen.forward_batch(
+                                tables,
+                                joins,
+                                preds,
+                                &counts,
                                 &mut scratch,
-                            )
+                                &mut y,
+                            );
+                            y[0]
                         })
                         .collect::<Vec<f32>>()
                 })
@@ -111,152 +118,18 @@ proptest! {
 /// Generated queries plus the shapes the generator rarely emits: a single
 /// table (empty join set, empty predicate set), a join without predicates
 /// (empty predicate set), a single table with a predicate (empty join set).
-fn mixed_queries(n: usize) -> Vec<Query> {
+fn mixed_queries() -> Vec<Query> {
     let (db, _, _) = fixture();
-    let mut pool = QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), 77))
+    let mut queries = QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), 77))
         .generate_batch(13);
     for sql in [
         "SELECT COUNT(*) FROM title",
         "SELECT COUNT(*) FROM title, movie_keyword WHERE movie_keyword.movie_id = title.id",
         "SELECT COUNT(*) FROM title WHERE title.production_year > 1990",
     ] {
-        pool.push(parse_query(db, sql).expect("parse"));
+        queries.push(parse_query(db, sql).expect("parse"));
     }
-    assert!(pool.iter().any(|q| q.joins.is_empty()));
-    assert!(pool.iter().any(|q| q.predicates.is_empty()));
-    pool.iter().cycle().take(n).cloned().collect()
-}
-
-#[test]
-fn every_batch_size_and_thread_count_is_the_looped_single_estimate() {
-    let mut sketch: DeepSketch = small_sketch().clone();
-    let queries = mixed_queries(3 * 256 + 7);
-    let looped: Vec<u64> = queries
-        .iter()
-        .map(|q| sketch.estimate_one(q).to_bits())
-        .collect();
-    let reference = sketch.reference_estimates(&queries);
-    let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(reference, looped, "f32 artifact vs the trained model");
-    for threads in THREAD_COUNTS {
-        sketch.set_threads(threads);
-        for batch in [1, 2, 63, 64, 65, 3 * 256 + 7] {
-            let got: Vec<u64> = sketch
-                .estimate_batch(&queries[..batch])
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, looped[..batch], "batch={batch} threads={threads}");
-            let tried: Vec<u64> = sketch
-                .try_estimate_batch(&queries[..batch])
-                .into_iter()
-                .map(|r| r.expect("in-vocabulary query").to_bits())
-                .collect();
-            assert_eq!(tried, got, "try batch={batch}");
-        }
-    }
-}
-
-fn small_sketch() -> &'static DeepSketch {
-    static SKETCH: OnceLock<DeepSketch> = OnceLock::new();
-    SKETCH.get_or_init(|| {
-        let (db, _, _) = fixture();
-        SketchBuilder::new(db, imdb_predicate_columns(db))
-            .training_queries(200)
-            .epochs(3)
-            .sample_size(16)
-            .hidden_units(24)
-            .seed(9)
-            .build()
-            .expect("build sketch")
-    })
-}
-
-/// A stream whose queries repeat elements (and, cycled, themselves)
-/// answers from a warm memo exactly what an artifact that has seen nothing
-/// answers, and what the trained model's reference forward answers.
-#[test]
-fn a_stream_with_repeats_answers_like_a_fresh_artifact_per_query() {
-    let queries = mixed_queries(3 * 64 + 7);
-    let mut sketch = small_sketch().clone();
-    // Re-freezing replaces the artifact, so every answer here comes from
-    // an empty memo.
-    let mut cold = sketch.clone();
-    let fresh: Vec<u64> = queries
-        .iter()
-        .map(|q| {
-            cold.freeze();
-            let v = cold.estimate_one(q).to_bits();
-            assert_eq!(cold.memo_stats().hits, 0);
-            v
-        })
-        .collect();
-    let reference = sketch.reference_estimates(&queries);
-    let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(reference, fresh, "f32 artifact vs the trained model");
-    for threads in THREAD_COUNTS {
-        sketch.set_threads(threads);
-        for batch in [1, 2, 64, 65] {
-            for (i, chunk) in queries.chunks(batch).enumerate() {
-                let at = i * batch;
-                let got: Vec<u64> = sketch
-                    .estimate_batch(chunk)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(
-                    got,
-                    fresh[at..at + chunk.len()],
-                    "batch={batch} threads={threads}"
-                );
-            }
-        }
-    }
-    let stats = sketch.memo_stats();
-    assert!(
-        stats.hits > 10 * stats.misses,
-        "16 distinct queries served many times over: {stats:?}"
-    );
-}
-
-/// Eight threads released together onto one sketch — one artifact, one
-/// memo — each get the single-thread answers.
-#[test]
-fn eight_threads_on_one_sketch_agree_with_one() {
-    let queries = mixed_queries(256);
-    let sketch = small_sketch().clone();
-    let want: Vec<u64> = {
-        let alone = sketch.clone();
-        queries
-            .iter()
-            .map(|q| alone.estimate_one(q).to_bits())
-            .collect()
-    };
-    let barrier = std::sync::Barrier::new(8);
-    std::thread::scope(|s| {
-        for t in 0..8 {
-            let (sketch, queries, want, barrier) = (&sketch, &queries, &want, &barrier);
-            s.spawn(move || {
-                barrier.wait();
-                // Half walk the stream backwards, so threads insert and
-                // look up different elements at the same time.
-                let order: Vec<usize> = if t % 2 == 0 {
-                    (0..queries.len()).collect()
-                } else {
-                    (0..queries.len()).rev().collect()
-                };
-                for i in order {
-                    assert_eq!(sketch.estimate_one(&queries[i]).to_bits(), want[i]);
-                }
-            });
-        }
-    });
-    let stats = sketch.memo_stats();
-    let elements: u64 = queries
-        .iter()
-        .map(|q| (q.tables.len() + q.joins.len() + q.predicates.len()) as u64)
-        .sum();
-    assert_eq!(stats.hits + stats.misses, 8 * elements);
+    queries
 }
 
 /// The query just answered, asked again, finds every one of its elements
@@ -269,7 +142,14 @@ fn the_query_just_answered_misses_on_no_element() {
     cfg.max_tables = 5;
     cfg.max_predicates = 4;
     let queries = QueryGenerator::new(db, cfg).generate_batch(2048);
-    let sketch = small_sketch().clone();
+    let sketch = SketchBuilder::new(db, imdb_predicate_columns(db))
+        .training_queries(200)
+        .epochs(3)
+        .sample_size(16)
+        .hidden_units(24)
+        .seed(9)
+        .build()
+        .expect("build sketch");
     let mut missed = 0;
     for q in &queries {
         sketch.estimate_one(q);
@@ -292,7 +172,7 @@ fn column_tile_kernel_matches_the_portable_oracle_on_ragged_widths() {
     // 16 and 96 end on a narrower tile than they start on.
     for (samples, featurizer) in [(samples, featurizer), (&wide_samples, &wide_featurizer)] {
         let mut feats = ServedFeatures::default();
-        for q in &mixed_queries(16) {
+        for q in &mixed_queries() {
             featurizer.append_indices(q, samples, &mut feats);
         }
         // `append_indices` writes table elements as bitsets; the kernel

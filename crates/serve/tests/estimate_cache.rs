@@ -1,14 +1,16 @@
 //! Estimate-cache integration tests: a real server with the default
 //! template-keyed cache, proving that
 //!
-//! * a warm hit returns the byte-identical wire line a cold estimate
-//!   produced (memoization is invisible on the wire);
 //! * a sketch swap (remove + re-insert) serves under a new generation, so
 //!   the old generation's entries can never answer;
 //! * sustained `FEEDBACK`-reported accuracy drift drops no entry: the same
 //!   model keeps answering with the same bits, from the cache;
 //! * degraded responses are never cached, and a warm cache never masks an
 //!   unhealthy sketch (fault-dependent, so `debug_assertions`-only).
+//!
+//! That a hit answers the cold line byte for byte, that a miss and a hit
+//! are counted and that `cache_capacity(0)` exports no cache counters is
+//! checked by the root package's `one_answer` harness.
 
 use std::time::Duration;
 
@@ -27,66 +29,6 @@ fn stat(c: &mut Client, name: &str) -> f64 {
         .find(|s| s.name == name)
         .map(|s| s.value)
         .unwrap_or_else(|| panic!("missing sample {name}"))
-}
-
-/// A cache hit must be invisible on the wire: the second raw `ESTIMATE`
-/// line is byte-for-byte the cold line, which itself carries the same bits
-/// a local `estimate_one` produces.
-#[test]
-fn cache_hit_returns_bit_identical_wire_bytes() {
-    let (server, db, store) = start(
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    );
-    let expected = store
-        .get("imdb")
-        .unwrap()
-        .estimate_one(&parse_query(&db, SQL).unwrap());
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
-
-    let cold = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
-    assert_eq!(cold, format!("OK {expected:?}"), "cold line");
-    let warm = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
-    assert_eq!(warm, cold, "warm line must be byte-identical");
-
-    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), 1.0);
-    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 1.0);
-    assert_eq!(stat(&mut c, "ds_serve_cache_len"), 1.0);
-    c.quit().unwrap();
-    server.shutdown();
-}
-
-/// `cache_capacity: 0` disables caching entirely: no counters, every
-/// request runs the forward pass, and the wire bytes are unchanged.
-#[test]
-fn zero_capacity_disables_the_cache() {
-    let (server, db, store) = start(
-        ServeConfig::builder()
-            .cache_capacity(0)
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    );
-    let expected = store
-        .get("imdb")
-        .unwrap()
-        .estimate_one(&parse_query(&db, SQL).unwrap());
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
-    for _ in 0..2 {
-        let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
-        assert_eq!(line, format!("OK {expected:?}"));
-    }
-    assert!(
-        !c.stats()
-            .unwrap()
-            .iter()
-            .any(|s| s.name.starts_with("ds_serve_cache")),
-        "disabled cache must not export counters"
-    );
-    c.quit().unwrap();
-    server.shutdown();
 }
 
 /// Removing and re-inserting a sketch bumps its store generation; the next

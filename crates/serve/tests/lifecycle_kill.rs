@@ -53,7 +53,6 @@ fn drill_lifecycle_config() -> LifecycleConfig {
         train_threads: 1,
         seed: 0x50AC,
         tick_interval: Duration::from_millis(25),
-        poison_candidates: false,
     }
 }
 

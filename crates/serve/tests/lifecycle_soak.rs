@@ -36,7 +36,7 @@ const DRIFT_FACTOR: u64 = 64;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
-fn drill_lifecycle_config(poison: bool) -> LifecycleConfig {
+fn drill_lifecycle_config() -> LifecycleConfig {
     LifecycleConfig {
         harvest_capacity: 256,
         min_harvest: 12,
@@ -50,7 +50,6 @@ fn drill_lifecycle_config(poison: bool) -> LifecycleConfig {
         train_threads: 1,
         seed: 0x50AC,
         tick_interval: Duration::from_millis(25),
-        poison_candidates: poison,
     }
 }
 
@@ -125,7 +124,7 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .snapshot_dir(Some(snap_dir.clone()))
-            .lifecycle(Some(drill_lifecycle_config(false)))
+            .lifecycle(Some(drill_lifecycle_config()))
             .build()
             .unwrap(),
     )
@@ -212,13 +211,13 @@ fn poisoned_candidate_is_rolled_back_with_answers_restored() {
         Arc::clone(&store),
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
-            .lifecycle(Some(drill_lifecycle_config(true)))
+            .lifecycle(Some(drill_lifecycle_config()))
             .build()
             .unwrap(),
     )
     .unwrap();
     let manager = server.lifecycle().expect("lifecycle enabled");
-    assert!(manager.poison_armed(), "drill arms the poison hook");
+    manager.set_poison(true);
     let workload = drifted_workload(&db, 16);
 
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();

@@ -502,34 +502,6 @@ fn configured_slos_grade_requests_and_demote_a_burning_shard() {
     fleet.shutdown();
 }
 
-/// Timelines can be switched off entirely — the baseline side of the
-/// traced-overhead budget — without touching the wire responses.
-#[test]
-fn timeline_off_serves_identically_but_records_no_stages() {
-    let (server, ..) = start(
-        ServeConfig::builder()
-            .timeline(false)
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    );
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
-    assert!(c.estimate_value("imdb", WORKLOAD[0]).unwrap() >= 1.0);
-    assert!(c.trace().unwrap().is_empty());
-    let samples = c.stats().unwrap();
-    let forward_count = samples
-        .iter()
-        .find(|s| s.name == "ds_serve_stage_forward_us_count")
-        .map(|s| s.value);
-    assert_eq!(forward_count, Some(0.0));
-    // FEEDBACK still grades the estimate — the monitor works without
-    // timelines.
-    c.feedback_value("imdb", 50, WORKLOAD[1]).unwrap();
-    assert_eq!(server.monitors().get("imdb").unwrap().samples(), 1);
-    c.quit().unwrap();
-    server.shutdown();
-}
-
 /// Satellite 3: replaying FEEDBACK with actuals from a shifted-skew,
 /// grown database drives the rolling q-error window away from the
 /// training-time holdout baseline and raises the staleness signal; the
