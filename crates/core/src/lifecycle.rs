@@ -37,16 +37,22 @@
 //!   post-swap window is watched: if the fresh model's q-error regresses
 //!   past the guard ratio, the old model is swapped straight back in.
 //!
+//! Each sketch's stage owns what its phase needs (trainer, candidate,
+//! guard window); transitions are plain functions of it, and
+//! [`LifecycleManager::tick`] is the driver that performs what they ask.
+//!
 //! Candidates and in-flight training are deliberately *not* durable: a
 //! crash mid-retrain loses nothing but CPU time — the harvest set is
 //! persisted separately (`DSHV` files, same checksum discipline as
 //! `DSNP`) and a warm restart resumes harvesting from where it left off.
 
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::panic))]
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -66,7 +72,7 @@ use crate::snapshot::{
     body_error, bounded_len, bounded_string, open, publish, seal, valid_snapshot_name,
     SnapshotError, WriteFault,
 };
-use crate::store::SketchStore;
+use crate::store::{SketchStore, StoreError, SwapOutcome};
 use crate::train::{train, TrainConfig};
 
 /// Magic bytes of a durable harvest-set file.
@@ -141,11 +147,6 @@ impl HarvestSet {
         self.entries.is_empty()
     }
 
-    /// The bound this set enforces.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Drops every entry (after a candidate consumed the set).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -171,14 +172,7 @@ impl HarvestSet {
             return false;
         }
         if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .values()
-                .min_by_key(|e| e.seq)
-                .map(|e| e.key.clone())
-            {
-                self.entries.remove(&oldest);
-            }
+            self.evict_oldest();
         }
         self.entries.insert(
             key.to_string(),
@@ -270,16 +264,22 @@ impl HarvestSet {
         }
         set.next_seq = last_seq.map_or(0, |s| s + 1);
         // Enforce the bound on oversized files: evict oldest-first.
-        while set.entries.len() > set.capacity {
-            let oldest = set
-                .entries
-                .values()
-                .min_by_key(|e| e.seq)
-                .map(|e| e.key.clone())
-                .expect("a set over its capacity holds an oldest entry");
-            set.entries.remove(&oldest);
+        for _ in set.capacity..set.entries.len() {
+            set.evict_oldest();
         }
         Ok(set)
+    }
+
+    /// Drops the least-recently-observed entry, if any.
+    fn evict_oldest(&mut self) {
+        if let Some(oldest) = self
+            .entries
+            .values()
+            .min_by_key(|e| e.seq)
+            .map(|e| e.key.clone())
+        {
+            self.entries.remove(&oldest);
+        }
     }
 
     /// Durably writes the set as `<dir>/<name>.harvest`, through the same
@@ -372,37 +372,35 @@ impl LifecycleConfig {
     /// Checks every invariant; the serving config surfaces violations as
     /// its own typed error.
     pub fn validate(&self) -> Result<(), String> {
-        if self.harvest_capacity == 0 {
-            return Err("lifecycle harvest_capacity must be > 0".to_string());
+        let positive = |x: f64| !x.is_nan() && x > 0.0;
+        let violated = [
+            (self.harvest_capacity == 0, "harvest_capacity must be > 0"),
+            (
+                self.min_harvest == 0 || self.min_harvest > self.harvest_capacity,
+                "min_harvest must be in 1..=harvest_capacity",
+            ),
+            (!positive(self.drift_ratio), "drift_ratio must be > 0"),
+            (
+                self.shadow_min_samples == 0,
+                "shadow_min_samples must be > 0",
+            ),
+            (
+                !positive(self.shadow_gate_ratio),
+                "shadow_gate_ratio must be > 0",
+            ),
+            (self.guard_min_samples == 0, "guard_min_samples must be > 0"),
+            (
+                self.guard_ratio.is_nan() || self.guard_ratio < 1.0,
+                "guard_ratio must be >= 1",
+            ),
+            (self.train_epochs == 0, "train_epochs must be > 0"),
+            (self.train_threads == 0, "train_threads must be > 0"),
+            (self.tick_interval.is_zero(), "tick_interval must be > 0"),
+        ];
+        match violated.into_iter().find(|(bad, _)| *bad) {
+            Some((_, rule)) => Err(format!("lifecycle {rule}")),
+            None => Ok(()),
         }
-        if self.min_harvest == 0 || self.min_harvest > self.harvest_capacity {
-            return Err("lifecycle min_harvest must be in 1..=harvest_capacity".to_string());
-        }
-        if self.drift_ratio.is_nan() || self.drift_ratio <= 0.0 {
-            return Err("lifecycle drift_ratio must be > 0".to_string());
-        }
-        if self.shadow_min_samples == 0 {
-            return Err("lifecycle shadow_min_samples must be > 0".to_string());
-        }
-        if self.shadow_gate_ratio.is_nan() || self.shadow_gate_ratio <= 0.0 {
-            return Err("lifecycle shadow_gate_ratio must be > 0".to_string());
-        }
-        if self.guard_min_samples == 0 {
-            return Err("lifecycle guard_min_samples must be > 0".to_string());
-        }
-        if self.guard_ratio.is_nan() || self.guard_ratio < 1.0 {
-            return Err("lifecycle guard_ratio must be >= 1".to_string());
-        }
-        if self.train_epochs == 0 {
-            return Err("lifecycle train_epochs must be > 0".to_string());
-        }
-        if self.train_threads == 0 {
-            return Err("lifecycle train_threads must be > 0".to_string());
-        }
-        if self.tick_interval.is_zero() {
-            return Err("lifecycle tick_interval must be > 0".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -415,15 +413,15 @@ impl LifecycleConfig {
 pub enum LifecyclePhase {
     /// Nothing harvested, nothing in flight.
     #[default]
-    Idle,
+    Idle = 0,
     /// Graded queries are accumulating; no retrain armed yet.
-    Harvesting,
+    Harvesting = 1,
     /// A candidate is training on a background thread.
-    Training,
+    Training = 2,
     /// A trained candidate is being shadow-scored on mirrored traffic.
-    Shadow,
+    Shadow = 3,
     /// A candidate was swapped in; the guard window is still open.
-    Watching,
+    Watching = 4,
 }
 
 impl LifecyclePhase {
@@ -440,19 +438,7 @@ impl LifecyclePhase {
 
     /// Stable numeric code for Prometheus gauges.
     pub fn code(&self) -> u8 {
-        match self {
-            LifecyclePhase::Idle => 0,
-            LifecyclePhase::Harvesting => 1,
-            LifecyclePhase::Training => 2,
-            LifecyclePhase::Shadow => 3,
-            LifecyclePhase::Watching => 4,
-        }
-    }
-}
-
-impl std::fmt::Display for LifecyclePhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        *self as u8
     }
 }
 
@@ -553,48 +539,263 @@ pub enum LifecycleEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Manager
+// Stages and transitions
 // ---------------------------------------------------------------------------
 
-struct TrainingJob {
-    rx: Receiver<Result<DeepSketch, String>>,
-    handle: Option<JoinHandle<()>>,
-}
-
+/// A trained candidate, scored against the live model on mirrored traffic.
 struct ShadowCandidate {
     sketch: Arc<DeepSketch>,
     live_q: Vec<f64>,
     candidate_q: Vec<f64>,
 }
 
+/// The guard window over a candidate just swapped in.
 struct WatchState {
+    /// The model the swap replaced: the rollback target.
     previous: Arc<DeepSketch>,
+    /// The candidate's generation; only feedback it answered is graded.
     generation: u64,
+    /// The candidate's shadow median, at least 1: the guard's baseline.
     guard_p50: f64,
     qerrors: Vec<f64>,
 }
 
-#[derive(Default)]
-struct SketchState {
-    phase: LifecyclePhase,
-    harvest: Option<HarvestSet>,
-    harvest_dirty: bool,
-    training: Option<TrainingJob>,
-    candidate: Option<ShadowCandidate>,
-    watch: Option<WatchState>,
+/// Where one sketch stands; each variant carries exactly what its phase needs.
+enum Stage {
+    /// No retrain in flight; graded queries accumulate in the harvest. The
+    /// phase reads `Idle` while the harvest is empty, `Harvesting` after.
+    Harvesting,
+    /// A trainer thread, which sends one result.
+    Training(Receiver<Result<DeepSketch, String>>, JoinHandle<()>),
+    Shadow(ShadowCandidate),
+    Watching(WatchState),
 }
+
+/// One sketch's lifecycle: its stage and its harvest.
+struct SketchState {
+    stage: Stage,
+    harvest: HarvestSet,
+    /// The harvest changed since it was last persisted.
+    harvest_dirty: bool,
+}
+
+impl SketchState {
+    fn new(harvest_capacity: usize) -> Self {
+        Self {
+            stage: Stage::Harvesting,
+            harvest: HarvestSet::new(harvest_capacity),
+            harvest_dirty: false,
+        }
+    }
+
+    /// Harvests one graded query, answered by the model serving under
+    /// `generation`, and grades the watched model by it when that model
+    /// answered it. True when the query is new to the harvest.
+    fn observe(
+        &mut self,
+        generation: u64,
+        key: &str,
+        sql: &str,
+        estimate: f64,
+        actual: u64,
+    ) -> bool {
+        if let Stage::Watching(watch) = &mut self.stage {
+            if watch.generation == generation && watch.qerrors.len() < MAX_SCORE_SAMPLES {
+                watch.qerrors.push(qerror(estimate, actual.max(1) as f64));
+            }
+        }
+        self.harvest_dirty = true;
+        self.harvest.observe(key, sql, actual)
+    }
+
+    /// The public view of the stage.
+    fn phase(&self) -> LifecyclePhase {
+        match self.stage {
+            Stage::Harvesting if self.harvest.is_empty() => LifecyclePhase::Idle,
+            Stage::Harvesting => LifecyclePhase::Harvesting,
+            Stage::Training(..) => LifecyclePhase::Training,
+            Stage::Shadow(_) => LifecyclePhase::Shadow,
+            Stage::Watching(_) => LifecyclePhase::Watching,
+        }
+    }
+}
+
+// Each transition below is a function of its stage, the harvest, the config
+// and one input (the advisor's verdict, a training result or a swap
+// outcome). None touches a store, monitor, database, file, thread, channel
+// or clock: the driver, `LifecycleManager::tick`, performs what they ask.
+
+/// The stage a transition settles on and the event it reports. Settling on
+/// `Harvesting` spends the harvest: the candidate it trained is settled or
+/// failed, and the same set would only train the same candidate again.
+type Next = (Stage, Option<LifecycleEvent>);
+
+/// What a transition on a tick decided: a stage to enter, or an action to
+/// perform first, whose outcome is the named transition's input.
+enum Step {
+    Enter(Next),
+    /// Spawn a trainer on these entries, then [`spawned`].
+    Train(Vec<HarvestEntry>),
+    /// Snapshot the serving generation, swap the candidate in, then
+    /// [`swapped`] with the guard's baseline.
+    Swap(Arc<DeepSketch>, f64),
+    /// Swap the previous model back in, then [`rolled_back`].
+    Rollback(Arc<DeepSketch>),
+}
+
+/// Harvesting, on the advisor's verdict: advised drift with `min_harvest`
+/// queries harvested asks for a trainer.
+fn advise(harvest: &HarvestSet, cfg: &LifecycleConfig, advised: bool) -> Option<Step> {
+    (advised && harvest.len() >= cfg.min_harvest).then(|| Step::Train(harvest.entries()))
+}
+
+/// Harvesting, on the trainer's spawn: a thread the OS refused is a failed
+/// training.
+fn spawned(name: &str, harvest: &HarvestSet, job: Result<Stage, String>) -> Next {
+    let started = LifecycleEvent::RetrainStarted {
+        sketch: name.to_string(),
+        harvested: harvest.len(),
+    };
+    match job {
+        Ok(training) => (training, Some(started)),
+        Err(error) => trained(name, Err(error)),
+    }
+}
+
+/// Training, on the trainer's result: a candidate enters shadow scoring.
+fn trained(name: &str, result: Result<DeepSketch, String>) -> Next {
+    let sketch = name.to_string();
+    match result {
+        Ok(candidate) => (
+            Stage::Shadow(ShadowCandidate {
+                sketch: Arc::new(candidate),
+                live_q: Vec::new(),
+                candidate_q: Vec::new(),
+            }),
+            Some(LifecycleEvent::ShadowStarted { sketch }),
+        ),
+        Err(error) => (
+            Stage::Harvesting,
+            Some(LifecycleEvent::TrainingFailed { sketch, error }),
+        ),
+    }
+}
+
+/// Shadow, on a tick: with `shadow_min_samples` pairs scored, a candidate
+/// whose median q-error is within `shadow_gate_ratio` of the live model's
+/// asks for a swap; a worse one is rejected.
+fn gate(name: &str, shadow: &ShadowCandidate, cfg: &LifecycleConfig) -> Option<Step> {
+    if shadow.live_q.len() < cfg.shadow_min_samples {
+        return None;
+    }
+    let live_p50 = median(&shadow.live_q);
+    let candidate_p50 = median(&shadow.candidate_q);
+    Some(if candidate_p50 <= live_p50 * cfg.shadow_gate_ratio {
+        Step::Swap(Arc::clone(&shadow.sketch), candidate_p50.max(1.0))
+    } else {
+        let rejected = LifecycleEvent::GateRejected {
+            sketch: name.to_string(),
+            live_p50,
+            candidate_p50,
+        };
+        Step::Enter((Stage::Harvesting, Some(rejected)))
+    })
+}
+
+/// Shadow, on the swap's outcome and the snapshot written before it: the
+/// guard window opens. A refused swap means the sketch vanished (removed
+/// or failed) mid-shadow, and the candidate is abandoned.
+fn swapped(
+    name: &str,
+    guard_p50: f64,
+    outcome: Result<SwapOutcome, StoreError>,
+    snapshot: Option<PathBuf>,
+) -> Next {
+    let Ok(outcome) = outcome else {
+        return (Stage::Harvesting, None);
+    };
+    let event = LifecycleEvent::Swapped {
+        sketch: name.to_string(),
+        previous_generation: outcome.previous_generation,
+        generation: outcome.generation,
+        snapshot,
+    };
+    let watch = WatchState {
+        previous: outcome.previous,
+        generation: outcome.generation,
+        guard_p50,
+        qerrors: Vec::new(),
+    };
+    (Stage::Watching(watch), Some(event))
+}
+
+/// Watching, on a tick: with `guard_min_samples` graded queries in, a
+/// median q-error past `guard_p50 * guard_ratio` asks for a rollback, and
+/// anything better promotes the candidate.
+fn guard(name: &str, watch: &WatchState, cfg: &LifecycleConfig) -> Option<Step> {
+    if watch.qerrors.len() < cfg.guard_min_samples {
+        return None;
+    }
+    if median(&watch.qerrors) > watch.guard_p50 * cfg.guard_ratio {
+        return Some(Step::Rollback(Arc::clone(&watch.previous)));
+    }
+    let promoted = LifecycleEvent::Promoted {
+        sketch: name.to_string(),
+        generation: watch.generation,
+    };
+    Some(Step::Enter((Stage::Harvesting, Some(promoted))))
+}
+
+/// Watching, on the rollback swap's outcome. A refused swap (the sketch is
+/// gone) leaves the durable snapshot as the recovery path.
+fn rolled_back(name: &str, outcome: Result<SwapOutcome, StoreError>) -> Next {
+    let rolled_back = outcome.ok().map(|outcome| LifecycleEvent::RolledBack {
+        sketch: name.to_string(),
+        generation: outcome.generation,
+    });
+    (Stage::Harvesting, rolled_back)
+}
+
+/// Median of a slice (0 when empty; transitions gate on sample counts
+/// first).
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0.0)
+}
+
+impl LifecycleCounters {
+    /// Counts what one event reports.
+    fn count(&self, event: &LifecycleEvent) {
+        match event {
+            LifecycleEvent::RetrainStarted { .. } => self.retrains_started.inc(),
+            LifecycleEvent::TrainingFailed { .. } => self.retrains_failed.inc(),
+            LifecycleEvent::ShadowStarted { .. } => {}
+            LifecycleEvent::GateRejected { .. } => self.gate_rejects.inc(),
+            LifecycleEvent::Swapped { .. } => self.swaps.inc(),
+            LifecycleEvent::RolledBack { .. } => {
+                self.rollbacks.inc();
+                self.swaps.inc();
+            }
+            LifecycleEvent::Promoted { .. } => self.promotions.inc(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Manager: the driver
+// ---------------------------------------------------------------------------
 
 /// Drives the retrain-and-hot-swap state machine for every sketch that
 /// receives feedback. `Sync`: the serving tier shares one manager between
-/// its request handlers (harvest/guard recording) and the maintain daemon
-/// (ticks and shadow scoring).
+/// its request handlers (harvest/guard recording) and the daemon (ticks and
+/// shadow scoring).
 pub struct LifecycleManager {
     cfg: LifecycleConfig,
     states: Mutex<BTreeMap<String, SketchState>>,
     /// Sketches currently in the shadow phase — lets the serving hot path
     /// skip the state lock entirely when nothing is being shadowed.
     shadow_active: AtomicU64,
-    poison: AtomicBool,
     counters: LifecycleCounters,
 }
 
@@ -606,19 +807,48 @@ impl LifecycleManager {
             cfg,
             states: Mutex::new(BTreeMap::new()),
             shadow_active: AtomicU64::new(0),
-            poison: AtomicBool::new(false),
             counters: LifecycleCounters::default(),
         })
     }
 
-    /// Every sketch's lifecycle state, locked. A poisoned lock means a
-    /// thread panicked while it held the lock, part way through changing a
-    /// state; the states can no longer be trusted, so the caller panics
-    /// as well rather than act on them.
+    /// Every sketch's lifecycle state, locked. A lock a panicking holder
+    /// poisoned is recovered, and the states are consistent: every `Stage`
+    /// value carries exactly the data its phase needs, and a stage changes
+    /// in one assignment ([`Self::enter`]), so none is half-changed.
     fn states(&self) -> MutexGuard<'_, BTreeMap<String, SketchState>> {
-        self.states
-            .lock()
-            .expect("lifecycle states poisoned: a holder panicked mid-update")
+        self.states.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `sketch`'s state, created empty on first use.
+    fn state<'a>(
+        &self,
+        states: &'a mut BTreeMap<String, SketchState>,
+        sketch: &str,
+    ) -> &'a mut SketchState {
+        states
+            .entry(sketch.to_string())
+            .or_insert_with(|| SketchState::new(self.cfg.harvest_capacity))
+    }
+
+    /// Puts `state` in the stage a transition settled on: the one place a
+    /// stage changes, so the one place `shadow_active` moves. Spends the
+    /// harvest on a return to `Harvesting`, counts the event, and hands
+    /// back the stage left with the event.
+    fn enter(&self, state: &mut SketchState, (stage, event): Next) -> Next {
+        let was = matches!(state.stage, Stage::Shadow(_));
+        match (was, matches!(stage, Stage::Shadow(_))) {
+            (false, true) => self.shadow_active.fetch_add(1, Ordering::Relaxed),
+            (true, false) => self.shadow_active.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        if matches!(stage, Stage::Harvesting) {
+            state.harvest.clear();
+            state.harvest_dirty = true;
+        }
+        if let Some(event) = &event {
+            self.counters.count(event);
+        }
+        (std::mem::replace(&mut state.stage, stage), event)
     }
 
     /// The configuration this manager runs with.
@@ -626,34 +856,23 @@ impl LifecycleManager {
         &self.cfg
     }
 
-    /// Test hook for rollback drills, disarmed at start: while armed, every
-    /// promoted candidate is corrupted *after* the shadow gate passes, so
-    /// the guard sees a regression deterministically (it models an
-    /// undetectably-bad candidate).
-    pub fn set_poison(&self, armed: bool) {
-        self.poison.store(armed, Ordering::SeqCst);
-    }
-
-    /// Records one FEEDBACK-graded query: harvests it for incremental
-    /// retraining and, while the post-swap guard window is open, grades
-    /// the freshly swapped model against it.
-    pub fn observe_feedback(&self, sketch: &str, key: &str, sql: &str, estimate: f64, actual: u64) {
+    /// Records one FEEDBACK-graded query, answered by the model serving
+    /// under `generation`. A query the model a swap replaced answered is
+    /// harvested (its true cardinality labels it all the same) but not
+    /// graded in the new model's guard window.
+    pub fn observe_feedback(
+        &self,
+        sketch: &str,
+        generation: u64,
+        key: &str,
+        sql: &str,
+        estimate: f64,
+        actual: u64,
+    ) {
         let mut states = self.states();
-        let state = states.entry(sketch.to_string()).or_default();
-        if let Some(watch) = state.watch.as_mut() {
-            if watch.qerrors.len() < MAX_SCORE_SAMPLES {
-                watch.qerrors.push(qerror(estimate, actual.max(1) as f64));
-            }
-        }
-        let harvest = state
-            .harvest
-            .get_or_insert_with(|| HarvestSet::new(self.cfg.harvest_capacity));
-        if harvest.observe(key, sql, actual) {
+        let state = self.state(&mut states, sketch);
+        if state.observe(generation, key, sql, estimate, actual) {
             self.counters.harvested.inc();
-        }
-        state.harvest_dirty = true;
-        if state.phase == LifecyclePhase::Idle && !harvest.is_empty() {
-            state.phase = LifecyclePhase::Harvesting;
         }
     }
 
@@ -664,10 +883,10 @@ impl LifecycleManager {
         if self.shadow_active.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        let states = self.states();
-        let state = states.get(sketch)?;
-        let candidate = state.candidate.as_ref()?;
-        (state.phase == LifecyclePhase::Shadow).then(|| Arc::clone(&candidate.sketch))
+        match &self.states().get(sketch)?.stage {
+            Stage::Shadow(shadow) => Some(Arc::clone(&shadow.sketch)),
+            _ => None,
+        }
     }
 
     /// Whether `sketch` is currently being shadow-scored (the hot path's
@@ -680,66 +899,44 @@ impl LifecycleManager {
     /// candidate's q-error on the same graded query.
     pub fn observe_shadow(&self, sketch: &str, live_q: f64, candidate_q: f64) {
         let mut states = self.states();
-        let Some(state) = states.get_mut(sketch) else {
-            return;
-        };
-        let Some(candidate) = state.candidate.as_mut() else {
-            return;
-        };
-        if candidate.live_q.len() < MAX_SCORE_SAMPLES {
-            candidate.live_q.push(live_q);
-            candidate.candidate_q.push(candidate_q);
+        if let Some(Stage::Shadow(shadow)) = states.get_mut(sketch).map(|s| &mut s.stage) {
+            if shadow.live_q.len() < MAX_SCORE_SAMPLES {
+                shadow.live_q.push(live_q);
+                shadow.candidate_q.push(candidate_q);
+            }
         }
     }
 
     /// Test/bench hook: places an already-trained candidate directly into
-    /// the shadow phase (skipping Harvesting/Training), exactly as if a
-    /// background retrain had just finished. Drills use this to exercise
-    /// the gate, swap, and rollback paths deterministically.
+    /// the shadow phase (skipping Harvesting/Training), through the same
+    /// transition a finished background retrain takes. A trainer still
+    /// running is abandoned: its result has no stage left to land in.
     pub fn install_candidate(&self, sketch: &str, candidate: DeepSketch) {
         let mut states = self.states();
-        let state = states.entry(sketch.to_string()).or_default();
-        if state.phase == LifecyclePhase::Shadow {
-            self.shadow_active.fetch_sub(1, Ordering::Relaxed);
-        }
-        state.training = None;
-        state.candidate = Some(ShadowCandidate {
-            sketch: Arc::new(candidate),
-            live_q: Vec::new(),
-            candidate_q: Vec::new(),
-        });
-        state.phase = LifecyclePhase::Shadow;
-        self.shadow_active.fetch_add(1, Ordering::Relaxed);
+        let state = self.state(&mut states, sketch);
+        let _left = self.enter(state, trained(sketch, Ok(candidate)));
     }
 
     /// A point-in-time view of one sketch (even if it has no lifecycle
     /// state yet — that reads as `Idle`).
     pub fn status(&self, sketch: &str) -> LifecycleStatus {
-        let states = self.states();
-        match states.get(sketch) {
-            Some(state) => Self::status_of(sketch, state),
-            None => LifecycleStatus {
-                sketch: sketch.to_string(),
-                phase: LifecyclePhase::Idle,
-                harvested: 0,
-                shadow_samples: 0,
-                shadow_live_p50: 0.0,
-                shadow_candidate_p50: 0.0,
-            },
-        }
+        Self::status_of(
+            sketch,
+            self.states().get(sketch).unwrap_or(&SketchState::new(1)),
+        )
     }
 
     fn status_of(name: &str, state: &SketchState) -> LifecycleStatus {
-        let (n, live, cand) = match &state.candidate {
-            Some(c) if !c.live_q.is_empty() => {
+        let (n, live, cand) = match &state.stage {
+            Stage::Shadow(c) if !c.live_q.is_empty() => {
                 (c.live_q.len(), median(&c.live_q), median(&c.candidate_q))
             }
             _ => (0, 0.0, 0.0),
         };
         LifecycleStatus {
             sketch: name.to_string(),
-            phase: state.phase,
-            harvested: state.harvest.as_ref().map_or(0, HarvestSet::len),
+            phase: state.phase(),
+            harvested: state.harvest.len(),
             shadow_samples: n,
             shadow_live_p50: live,
             shadow_candidate_p50: cand,
@@ -765,20 +962,12 @@ impl LifecycleManager {
             .counter("serve/lifecycle/promotions", c.promotions.get());
         for (name, state) in self.states().iter() {
             let status = Self::status_of(name, state);
-            let delta = if status.shadow_live_p50 > 0.0 {
-                status.shadow_candidate_p50 / status.shadow_live_p50
-            } else {
-                0.0
-            };
-            p.gauge(
-                &format!("serve/lifecycle/{name}/phase"),
-                f64::from(status.phase.code()),
-            )
-            .gauge(
-                &format!("serve/lifecycle/{name}/harvested"),
-                status.harvested as f64,
-            )
-            .gauge(&format!("serve/lifecycle/{name}/shadow_delta"), delta);
+            let (live, candidate) = (status.shadow_live_p50, status.shadow_candidate_p50);
+            let delta = if live > 0.0 { candidate / live } else { 0.0 };
+            let family = format!("serve/lifecycle/{name}");
+            p.gauge(&format!("{family}/phase"), f64::from(status.phase.code()))
+                .gauge(&format!("{family}/harvested"), status.harvested as f64)
+                .gauge(&format!("{family}/shadow_delta"), delta);
         }
     }
 
@@ -787,14 +976,8 @@ impl LifecycleManager {
     pub fn persist_harvests(&self, dir: &Path) -> usize {
         let mut states = self.states();
         let mut written = 0;
-        for (name, state) in states.iter_mut() {
-            if !state.harvest_dirty {
-                continue;
-            }
-            let Some(harvest) = state.harvest.as_ref() else {
-                continue;
-            };
-            if harvest.save(dir, name).is_ok() {
+        for (name, state) in states.iter_mut().filter(|(_, s)| s.harvest_dirty) {
+            if state.harvest.save(dir, name).is_ok() {
                 state.harvest_dirty = false;
                 written += 1;
             }
@@ -823,21 +1006,18 @@ impl LifecycleManager {
                 continue;
             };
             self.counters.harvested.add(set.len() as u64);
-            let state = states.entry(name.to_string()).or_default();
-            if state.phase == LifecyclePhase::Idle && !set.is_empty() {
-                state.phase = LifecyclePhase::Harvesting;
-            }
-            state.harvest = Some(set);
+            let state = self.state(&mut states, name);
+            state.harvest = set;
             state.harvest_dirty = false;
             loaded += 1;
         }
         loaded
     }
 
-    /// One state-machine step for every sketch: polls background
-    /// training, arms retrains off the drift advisor, decides shadow
-    /// gates, performs snapshot-then-swap, and closes guard windows
-    /// (promotion or rollback). Returns what happened.
+    /// One step for every sketch, the driver of the transitions: computes
+    /// the advisor's verdicts, polls trainers, and performs what a
+    /// transition asks (spawn, snapshot-then-swap, rollback swap), feeding
+    /// the outcome on. Returns what happened.
     pub fn tick(
         &self,
         store: &SketchStore,
@@ -845,267 +1025,103 @@ impl LifecycleManager {
         db: &Arc<Database>,
         snapshot_dir: Option<&Path>,
     ) -> Vec<LifecycleEvent> {
-        let advised: HashSet<String> = recommend_retraining(
-            store,
-            monitors,
-            self.cfg.drift_ratio,
-            self.cfg.drift_min_samples,
-        )
-        .into_iter()
-        .map(|a| a.sketch)
-        .collect();
+        let cfg = &self.cfg;
+        let advised: HashSet<String> =
+            recommend_retraining(store, monitors, cfg.drift_ratio, cfg.drift_min_samples)
+                .into_iter()
+                .map(|a| a.sketch)
+                .collect();
 
+        // A swap resets the sketch's drift monitor: its rolling window graded
+        // the model the swap replaced.
+        let swap = |name: &str, sketch| {
+            let outcome = store.swap(name, sketch);
+            if let (Ok(_), Some(monitor)) = (&outcome, monitors.get(name)) {
+                monitor.reset();
+            }
+            outcome
+        };
         let mut events = Vec::new();
         let mut states = self.states();
         for (name, state) in states.iter_mut() {
-            match state.phase {
-                LifecyclePhase::Idle | LifecyclePhase::Harvesting => {
-                    let harvested = state.harvest.as_ref().map_or(0, HarvestSet::len);
-                    if advised.contains(name) && harvested >= self.cfg.min_harvest {
-                        let Ok(live) = store.get(name) else {
-                            continue;
-                        };
-                        let entries = state
-                            .harvest
-                            .as_ref()
-                            .expect("min_harvest ≥ 1 entries were harvested")
-                            .entries();
-                        state.training = Some(spawn_retrain(
-                            name.clone(),
-                            live,
-                            Arc::clone(db),
-                            entries,
-                            self.cfg.clone(),
-                        ));
-                        state.phase = LifecyclePhase::Training;
-                        self.counters.retrains_started.inc();
-                        events.push(LifecycleEvent::RetrainStarted {
-                            sketch: name.clone(),
-                            harvested,
-                        });
-                    }
-                }
-                LifecyclePhase::Training => {
-                    let Some(job) = state.training.as_mut() else {
-                        state.phase = LifecyclePhase::Idle;
+            let step = match &state.stage {
+                Stage::Harvesting => advise(&state.harvest, cfg, advised.contains(name)),
+                Stage::Training(result, _) => match result.try_recv() {
+                    Err(TryRecvError::Empty) => None,
+                    // A trainer that panicked sent nothing: a failed training.
+                    result => Some(Step::Enter(trained(
+                        name,
+                        result.unwrap_or_else(|_| Err("candidate training panicked".to_string())),
+                    ))),
+                },
+                Stage::Shadow(shadow) => gate(name, shadow, cfg),
+                Stage::Watching(watch) => guard(name, watch, cfg),
+            };
+            let next = match step {
+                None => continue,
+                Some(Step::Enter(next)) => next,
+                Some(Step::Train(entries)) => {
+                    let Ok(live) = store.get(name) else {
                         continue;
                     };
-                    let outcome = match job.rx.try_recv() {
-                        Ok(result) => result,
-                        Err(TryRecvError::Empty) => continue,
-                        Err(TryRecvError::Disconnected) => {
-                            Err("training thread died without a result".to_string())
-                        }
-                    };
-                    if let Some(handle) = job.handle.take() {
-                        let _ = handle.join();
-                    }
-                    state.training = None;
-                    match outcome {
-                        Ok(candidate) => {
-                            state.candidate = Some(ShadowCandidate {
-                                sketch: Arc::new(candidate),
-                                live_q: Vec::new(),
-                                candidate_q: Vec::new(),
-                            });
-                            state.phase = LifecyclePhase::Shadow;
-                            self.shadow_active.fetch_add(1, Ordering::Relaxed);
-                            events.push(LifecycleEvent::ShadowStarted {
-                                sketch: name.clone(),
-                            });
-                        }
-                        Err(error) => {
-                            self.counters.retrains_failed.inc();
-                            // Drop the harvest that produced the failure:
-                            // retrying the same set would fail the same way.
-                            if let Some(h) = state.harvest.as_mut() {
-                                h.clear();
-                            }
-                            state.harvest_dirty = true;
-                            state.phase = LifecyclePhase::Idle;
-                            events.push(LifecycleEvent::TrainingFailed {
-                                sketch: name.clone(),
-                                error,
-                            });
-                        }
-                    }
+                    let job = spawn_retrain(name, live, Arc::clone(db), entries, cfg.clone());
+                    spawned(name, &state.harvest, job)
                 }
-                LifecyclePhase::Shadow => {
-                    let Some(candidate) = state.candidate.as_ref() else {
-                        state.phase = LifecyclePhase::Idle;
-                        continue;
-                    };
-                    if candidate.live_q.len() < self.cfg.shadow_min_samples {
-                        continue;
-                    }
-                    let live_p50 = median(&candidate.live_q);
-                    let candidate_p50 = median(&candidate.candidate_q);
-                    let candidate = state
-                        .candidate
-                        .take()
-                        .expect("the shadow phase's candidate was read above");
-                    self.shadow_active.fetch_sub(1, Ordering::Relaxed);
-                    if candidate_p50 <= live_p50 * self.cfg.shadow_gate_ratio {
-                        // Snapshot the serving generation before touching
-                        // it — the durable rollback target even across a
-                        // crash.
-                        let snapshot = snapshot_dir
-                            .and_then(|dir| store.save_snapshot(dir, name, Some(monitors)).ok());
-                        let promoted = if self.poison.load(Ordering::SeqCst) {
-                            Arc::new(poisoned_clone(&candidate.sketch))
-                        } else {
-                            candidate.sketch
-                        };
-                        match store.swap(name, promoted) {
-                            Ok(outcome) => {
-                                // The rolling window graded the *old*
-                                // model; reset so drift detection restarts
-                                // cleanly against the new one.
-                                if let Some(m) = monitors.get(name) {
-                                    m.reset();
-                                }
-                                state.watch = Some(WatchState {
-                                    previous: outcome.previous,
-                                    generation: outcome.generation,
-                                    guard_p50: candidate_p50.max(1.0),
-                                    qerrors: Vec::new(),
-                                });
-                                state.phase = LifecyclePhase::Watching;
-                                self.counters.swaps.inc();
-                                events.push(LifecycleEvent::Swapped {
-                                    sketch: name.clone(),
-                                    previous_generation: outcome.previous_generation,
-                                    generation: outcome.generation,
-                                    snapshot,
-                                });
-                            }
-                            Err(_) => {
-                                // The sketch vanished (removed or failed)
-                                // mid-shadow; abandon the candidate.
-                                state.phase = LifecyclePhase::Idle;
-                            }
-                        }
-                    } else {
-                        self.counters.gate_rejects.inc();
-                        if let Some(h) = state.harvest.as_mut() {
-                            h.clear();
-                        }
-                        state.harvest_dirty = true;
-                        state.phase = LifecyclePhase::Idle;
-                        events.push(LifecycleEvent::GateRejected {
-                            sketch: name.clone(),
-                            live_p50,
-                            candidate_p50,
-                        });
-                    }
+                Some(Step::Swap(candidate, guard_p50)) => {
+                    // Snapshot the serving generation before touching it —
+                    // the durable rollback target even across a crash.
+                    let snapshot = snapshot_dir
+                        .and_then(|dir| store.save_snapshot(dir, name, Some(monitors)).ok());
+                    swapped(name, guard_p50, swap(name, candidate), snapshot)
                 }
-                LifecyclePhase::Watching => {
-                    let Some(watch) = state.watch.as_ref() else {
-                        state.phase = LifecyclePhase::Idle;
-                        continue;
-                    };
-                    if watch.qerrors.len() < self.cfg.guard_min_samples {
-                        continue;
-                    }
-                    let post_p50 = median(&watch.qerrors);
-                    let watch = state
-                        .watch
-                        .take()
-                        .expect("the watch phase's guard window was read above");
-                    if post_p50 > watch.guard_p50 * self.cfg.guard_ratio {
-                        match store.swap(name, watch.previous) {
-                            Ok(outcome) => {
-                                if let Some(m) = monitors.get(name) {
-                                    m.reset();
-                                }
-                                self.counters.rollbacks.inc();
-                                self.counters.swaps.inc();
-                                events.push(LifecycleEvent::RolledBack {
-                                    sketch: name.clone(),
-                                    generation: outcome.generation,
-                                });
-                            }
-                            Err(_) => {
-                                // Nothing ready to roll back over; the
-                                // durable snapshot remains the recovery
-                                // path.
-                            }
-                        }
-                    } else {
-                        self.counters.promotions.inc();
-                        events.push(LifecycleEvent::Promoted {
-                            sketch: name.clone(),
-                            generation: watch.generation,
-                        });
-                    }
-                    if let Some(h) = state.harvest.as_mut() {
-                        h.clear();
-                    }
-                    state.harvest_dirty = true;
-                    state.phase = LifecyclePhase::Idle;
-                }
+                Some(Step::Rollback(previous)) => rolled_back(name, swap(name, previous)),
+            };
+            let (left, event) = self.enter(state, next);
+            // Training is left once the trainer has sent its result: join
+            // its thread rather than leave it to exit on its own.
+            if let Stage::Training(_, thread) = left {
+                let _ = thread.join();
             }
+            events.extend(event);
         }
         events
     }
 }
 
-/// Median of a non-empty slice (0 when empty — callers gate on sample
-/// counts first).
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[sorted.len() / 2]
-}
-
+/// The Training stage of a thread training a candidate on `entries`. A
+/// thread the OS refuses is an error for [`spawned`], never a panic.
 fn spawn_retrain(
-    name: String,
+    name: &str,
     live: Arc<DeepSketch>,
     db: Arc<Database>,
     entries: Vec<HarvestEntry>,
     cfg: LifecycleConfig,
-) -> TrainingJob {
-    let (tx, rx) = sync_channel(1);
-    let handle = std::thread::Builder::new()
+) -> Result<Stage, String> {
+    let (tx, result) = sync_channel(1);
+    let thread = std::thread::Builder::new()
         .name(format!("ds-lifecycle-train-{name}"))
         .spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                train_candidate(&live, &db, &entries, &cfg)
-            }))
-            .unwrap_or_else(|_| Err("candidate training panicked".to_string()));
-            let _ = tx.send(result);
+            let _ = tx.send(train_candidate(&live, &db, &entries, &cfg));
         })
-        .expect("the OS spawns the lifecycle trainer thread");
-    TrainingJob {
-        rx,
-        handle: Some(handle),
-    }
+        .map_err(|e| format!("the trainer thread did not start: {e}"))?;
+    Ok(Stage::Training(result, thread))
 }
 
 /// Trains a candidate from the harvested set, reusing the live sketch's
 /// featurizer, materialized samples, and hidden width — the incremental
-/// refinement path, not a full rebuild. Runs on a background thread;
-/// every failure is a `String` the state machine turns into
-/// [`LifecycleEvent::TrainingFailed`].
+/// refinement path, not a full rebuild. Every failure is a `String`.
 fn train_candidate(
     live: &DeepSketch,
     db: &Arc<Database>,
     entries: &[HarvestEntry],
     cfg: &LifecycleConfig,
 ) -> Result<DeepSketch, String> {
-    let mut queries: Vec<Query> = Vec::with_capacity(entries.len());
-    let mut labels: Vec<u64> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        // Harvested SQL crossed the wire and a process restart; re-parse
-        // defensively and skip what no longer parses.
-        if let Ok(q) = parse_query(db, &entry.sql) {
-            queries.push(q);
-            labels.push(entry.actual);
-        }
-    }
+    // Harvested SQL crossed the wire and a process restart; re-parse
+    // defensively and skip what no longer parses.
+    let (queries, labels): (Vec<Query>, Vec<u64>) = entries
+        .iter()
+        .filter_map(|e| Some((parse_query(db, &e.sql).ok()?, e.actual)))
+        .unzip();
     if queries.is_empty() {
         return Err("no harvested query re-parsed against the catalog".to_string());
     }
@@ -1151,26 +1167,6 @@ fn train_candidate(
     Ok(candidate)
 }
 
-/// The rollback drill's "undetectably bad candidate": same weights, but a
-/// label normalizer fit to an absurd range, so every denormalized
-/// estimate is off by orders of magnitude. The shadow gate scored the
-/// healthy candidate; this corruption appears only *after* promotion,
-/// which is exactly the failure the post-swap guard exists to catch.
-fn poisoned_clone(candidate: &DeepSketch) -> DeepSketch {
-    let bad = LabelNormalizer::fit(&[1, 1 << 44]);
-    let mut poisoned = DeepSketch::from_parts(
-        candidate.artifact().clone(),
-        candidate.featurizer().clone(),
-        candidate.samples().to_vec(),
-        bad,
-        candidate.database_name().to_string(),
-    );
-    if let Some(baseline) = candidate.baseline() {
-        poisoned.set_baseline(baseline.clone());
-    }
-    poisoned
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1188,24 +1184,10 @@ mod tests {
             .epochs(2)
             .sample_size(8)
             .hidden_units(8)
+            .threads(1)
             .seed(seed)
             .build()
             .expect("tiny sketch")
-    }
-
-    fn graded_workload(db: &Database, n: usize, seed: u64) -> Vec<(String, Query, u64)> {
-        let mut generator =
-            QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), seed));
-        let queries = generator.generate_batch(n);
-        let execs: Vec<_> = queries.iter().map(Query::to_exec).collect();
-        let labels = ds_storage::exec::CountExecutor::new()
-            .count_batch(db, &execs, 1)
-            .expect("labels");
-        queries
-            .into_iter()
-            .zip(labels)
-            .map(|(q, label)| (to_sql(db, &q), q, label))
-            .collect()
     }
 
     fn fast_cfg() -> LifecycleConfig {
@@ -1335,33 +1317,37 @@ mod tests {
     #[test]
     fn config_validation_catches_each_bad_knob() {
         assert!(LifecycleConfig::default().validate().is_ok());
-        let defaults = LifecycleConfig::default();
-        let c = LifecycleConfig {
-            min_harvest: defaults.harvest_capacity + 1,
-            ..defaults.clone()
-        };
-        assert!(c.validate().is_err());
-        let c = LifecycleConfig {
-            guard_ratio: 0.5,
-            ..defaults.clone()
-        };
-        assert!(c.validate().is_err());
-        let c = LifecycleConfig {
-            tick_interval: Duration::ZERO,
-            ..defaults.clone()
-        };
-        assert!(c.validate().is_err());
-        let c = LifecycleConfig {
-            train_epochs: 0,
-            ..defaults
-        };
-        assert!(LifecycleManager::new(c).is_err());
+        type Break = fn(&mut LifecycleConfig);
+        let breaks: [(&str, Break); 10] = [
+            ("harvest_capacity", |c| c.harvest_capacity = 0),
+            ("min_harvest", |c| c.min_harvest = c.harvest_capacity + 1),
+            ("drift_ratio", |c| c.drift_ratio = f64::NAN),
+            ("shadow_min_samples", |c| c.shadow_min_samples = 0),
+            ("shadow_gate_ratio", |c| c.shadow_gate_ratio = 0.0),
+            ("guard_min_samples", |c| c.guard_min_samples = 0),
+            ("guard_ratio", |c| c.guard_ratio = 0.5),
+            ("train_epochs", |c| c.train_epochs = 0),
+            ("train_threads", |c| c.train_threads = 0),
+            ("tick_interval", |c| c.tick_interval = Duration::ZERO),
+        ];
+        for (knob, break_it) in breaks {
+            let mut cfg = LifecycleConfig::default();
+            break_it(&mut cfg);
+            let error = LifecycleManager::new(cfg).err().unwrap_or_default();
+            assert!(error.starts_with(&format!("lifecycle {knob} ")), "{error}");
+        }
     }
 
-    /// The full happy path with a *real* background retrain: drift fires,
-    /// a candidate trains off the harvested set, shadow-gates in, the old
-    /// generation is snapshotted, the swap bumps the generation, and the
-    /// clean guard window promotes.
+    /// An event's variant name.
+    fn name(event: &LifecycleEvent) -> String {
+        let debug = format!("{event:?}");
+        debug.split(' ').next().unwrap_or("").to_string()
+    }
+
+    /// The driver with a real trainer thread: drift fires, a candidate
+    /// trains off the harvested set, shadow-gates in, the old generation is
+    /// snapshotted, the swap bumps the generation, and the clean guard
+    /// window promotes.
     #[test]
     fn drift_retrain_shadow_swap_promote_end_to_end() {
         let db = Arc::new(imdb_database(&ImdbConfig::tiny(21)));
@@ -1376,199 +1362,198 @@ mod tests {
         // the database. The deliberately-low drift threshold arms the
         // retrain as soon as the windows fill.
         let monitor = monitors.monitor("imdb");
-        for (sql, query, actual) in graded_workload(&db, 24, 99) {
+        let columns = GeneratorConfig::new(imdb_predicate_columns(&db), 99);
+        for query in QueryGenerator::new(&db, columns).generate_batch(24) {
+            let (sql, exec) = (to_sql(&db, &query), query.to_exec());
+            let actual = ds_storage::exec::CountExecutor::new()
+                .count(&db, &exec)
+                .unwrap();
             let estimate = store.get("imdb").unwrap().estimate_one(&query);
             monitor.record("t", estimate, actual.max(1) as f64);
-            manager.observe_feedback("imdb", &sql, &sql, estimate, actual);
+            manager.observe_feedback("imdb", first_generation, &sql, &sql, estimate, actual);
         }
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Harvesting);
-
-        let events = manager.tick(&store, &monitors, &db, Some(&snap_dir));
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::RetrainStarted { .. })),
-            "drift + harvest must arm a retrain, got {events:?}"
-        );
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Training);
-
-        // Poll until the background trainer hands over a candidate.
+        let (mut events, mut phases) = (Vec::new(), vec![manager.status("imdb").phase]);
         let deadline = Instant::now() + Duration::from_secs(120);
-        while manager.status("imdb").phase == LifecyclePhase::Training {
-            assert!(Instant::now() < deadline, "training never finished");
-            manager.tick(&store, &monitors, &db, Some(&snap_dir));
-            std::thread::sleep(Duration::from_millis(20));
+        while events.len() < 4 {
+            assert!(Instant::now() < deadline, "stuck after {events:?}");
+            let generation = store.generation("imdb").unwrap();
+            match manager.status("imdb").phase {
+                // Mirrored scoring says the candidate is clearly better.
+                LifecyclePhase::Shadow => manager.observe_shadow("imdb", 8.0, 1.5),
+                // A healthy guard window: graded estimates match reality.
+                LifecyclePhase::Watching => {
+                    let sql = "SELECT COUNT(*) FROM title";
+                    manager.observe_feedback("imdb", generation, "w", sql, 100.0, 100);
+                }
+                _ => std::thread::sleep(Duration::from_millis(20)),
+            }
+            events.extend(manager.tick(&store, &monitors, &db, Some(&snap_dir)));
+            let phase = manager.status("imdb").phase;
+            if phases.last() != Some(&phase) {
+                phases.push(phase);
+            }
         }
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Shadow);
-        assert!(manager.shadowing("imdb"));
-
-        // Mirrored scoring says the candidate is clearly better.
-        for _ in 0..8 {
-            manager.observe_shadow("imdb", 8.0, 1.5);
-        }
-        let events = manager.tick(&store, &monitors, &db, Some(&snap_dir));
-        let Some(LifecycleEvent::Swapped {
+        use LifecyclePhase::*;
+        assert_eq!(phases, [Harvesting, Training, Shadow, Watching, Idle]);
+        let names: Vec<String> = events.iter().map(name).collect();
+        assert_eq!(
+            names,
+            ["RetrainStarted", "ShadowStarted", "Swapped", "Promoted"]
+        );
+        let LifecycleEvent::Swapped {
             previous_generation,
             generation,
-            snapshot,
+            snapshot: Some(snapshot),
             ..
-        }) = events
-            .iter()
-            .find(|e| matches!(e, LifecycleEvent::Swapped { .. }))
+        } = &events[2]
         else {
-            panic!("shadow gate must pass and swap, got {events:?}");
+            panic!("the old generation is snapshotted before the swap: {events:?}");
         };
         assert_eq!(*previous_generation, first_generation);
-        assert!(*generation > first_generation);
         assert_eq!(store.generation("imdb"), Some(*generation));
-        let snapshot = snapshot.as_ref().expect("old generation snapshotted");
         assert!(snapshot.exists(), "durable rollback target written");
-        assert!(!manager.shadowing("imdb"));
-
-        // A healthy guard window: graded estimates match reality.
-        for _ in 0..8 {
-            manager.observe_feedback("imdb", "w", "SELECT COUNT(*) FROM title", 100.0, 100);
-        }
-        let events = manager.tick(&store, &monitors, &db, Some(&snap_dir));
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::Promoted { .. })),
-            "clean guard window must promote, got {events:?}"
-        );
-        let counters = manager.counters();
-        assert_eq!(counters.swaps.get(), 1);
-        assert_eq!(counters.promotions.get(), 1);
-        assert_eq!(counters.rollbacks.get(), 0);
-        assert_eq!(counters.retrains_started.get(), 1);
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
+        let c = manager.counters();
+        let counted = [c.retrains_started.get(), c.swaps.get(), c.promotions.get()];
+        assert_eq!((counted, c.rollbacks.get()), ([1, 1, 1], 0));
         let _ = std::fs::remove_dir_all(&snap_dir);
     }
 
-    /// A poisoned candidate passes the shadow gate (it is corrupted only
-    /// after the gate), regresses in the guard window, and is rolled back
-    /// to the exact previous model.
-    #[test]
-    fn poisoned_candidate_is_rolled_back() {
-        let db = Arc::new(imdb_database(&ImdbConfig::tiny(22)));
-        let store = SketchStore::new();
-        store.insert("imdb", tiny_sketch(&db, 6)).unwrap();
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
-        let before = store.get("imdb").unwrap().estimate_one(&q);
-        let monitors = MonitorRegistry::new();
-        let manager = LifecycleManager::new(fast_cfg()).unwrap();
-        manager.set_poison(true);
-
-        manager.install_candidate("imdb", tiny_sketch(&db, 7));
-        for _ in 0..8 {
-            manager.observe_shadow("imdb", 8.0, 1.5);
-        }
-        let events = manager.tick(&store, &monitors, &db, None);
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::Swapped { .. })),
-            "gate scores the healthy candidate, so the swap proceeds"
-        );
-        let poisoned_estimate = store.get("imdb").unwrap().estimate_one(&q);
-        assert!(
-            (poisoned_estimate / before).max(before / poisoned_estimate) > 10.0,
-            "poisoned model must be wildly off ({before} → {poisoned_estimate})"
-        );
-
-        // Graded post-swap traffic exposes the regression.
-        for _ in 0..8 {
-            manager.observe_feedback("imdb", "w", "SELECT COUNT(*) FROM title", 1.0e9, 10);
-        }
-        let events = manager.tick(&store, &monitors, &db, None);
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::RolledBack { .. })),
-            "guard must trip and roll back, got {events:?}"
-        );
-        let restored = store.get("imdb").unwrap().estimate_one(&q);
-        assert_eq!(
-            restored.to_bits(),
-            before.to_bits(),
-            "rollback restores the previous model bit-exactly"
-        );
-        let counters = manager.counters();
-        assert_eq!(counters.rollbacks.get(), 1);
-        assert_eq!(counters.swaps.get(), 2, "the rollback itself is a swap");
-        assert_eq!(counters.promotions.get(), 0);
-    }
-
-    /// A candidate that shadows worse than the live model never swaps.
-    #[test]
-    fn shadow_gate_rejects_a_worse_candidate() {
-        let db = Arc::new(imdb_database(&ImdbConfig::tiny(23)));
-        let store = SketchStore::new();
-        store.insert("imdb", tiny_sketch(&db, 8)).unwrap();
-        let generation = store.generation("imdb").unwrap();
-        let monitors = MonitorRegistry::new();
-        let manager = LifecycleManager::new(fast_cfg()).unwrap();
-
-        manager.install_candidate("imdb", tiny_sketch(&db, 9));
-        for _ in 0..8 {
-            manager.observe_shadow("imdb", 1.2, 50.0);
-        }
-        let events = manager.tick(&store, &monitors, &db, None);
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::GateRejected { .. })),
-            "worse candidate must be rejected, got {events:?}"
-        );
-        assert_eq!(
-            store.generation("imdb"),
-            Some(generation),
-            "no swap on rejection"
-        );
-        assert_eq!(manager.counters().gate_rejects.get(), 1);
-        assert_eq!(manager.counters().swaps.get(), 0);
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
-    }
-
-    /// A harvest set whose SQL no longer parses fails training cleanly:
-    /// the candidate is abandoned, the harvest dropped, and the machine
-    /// returns to Idle (never wedged in Training).
-    #[test]
-    fn unparseable_harvest_fails_training_and_recovers() {
-        let db = Arc::new(imdb_database(&ImdbConfig::tiny(24)));
-        let store = SketchStore::new();
-        store.insert("imdb", tiny_sketch(&db, 10)).unwrap();
-        let monitors = MonitorRegistry::new();
-        let manager = LifecycleManager::new(fast_cfg()).unwrap();
-
-        let monitor = monitors.monitor("imdb");
-        for i in 0..16 {
-            monitor.record("t", 100.0, 5.0);
-            manager.observe_feedback("imdb", &format!("k{i}"), "THIS IS NOT SQL", 100.0, 5);
-        }
-        let events = manager.tick(&store, &monitors, &db, None);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, LifecycleEvent::RetrainStarted { .. })));
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let events = manager.tick(&store, &monitors, &db, None);
-            if events
-                .iter()
-                .any(|e| matches!(e, LifecycleEvent::TrainingFailed { .. }))
-            {
-                break;
+    /// The driver without its side effects: the transition `input` calls
+    /// for on `state`, each action answered with a made-up outcome.
+    fn drive(
+        state: &SketchState,
+        input: &str,
+        db: &Arc<Database>,
+        live: &Arc<DeepSketch>,
+    ) -> (&'static str, Option<Next>) {
+        let cfg = fast_cfg();
+        let step = match (input, &state.stage) {
+            ("quiet" | "advised", _) => advise(&state.harvest, &cfg, input == "advised"),
+            ("refused", _) => {
+                let refused = Err("the trainer thread did not start".to_string());
+                return ("train: ", Some(spawned("imdb", &state.harvest, refused)));
             }
-            assert!(Instant::now() < deadline, "trainer never reported failure");
-            std::thread::sleep(Duration::from_millis(10));
+            ("trained", _) => return ("", Some(trained("imdb", Ok((**live).clone())))),
+            ("unparseable", _) => {
+                let mut harvest = HarvestSet::new(1);
+                harvest.observe("k", "NOT SQL", 5);
+                let failed = train_candidate(live, db, &harvest.entries(), &cfg);
+                return ("", Some(trained("imdb", failed)));
+            }
+            (_, Stage::Shadow(shadow)) => gate("imdb", shadow, &cfg),
+            (_, Stage::Watching(watch)) => guard("imdb", watch, &cfg),
+            _ => None,
+        };
+        let outcome = |generation| match input {
+            "tick" => Ok(SwapOutcome {
+                previous: Arc::clone(live),
+                previous_generation: generation - 1,
+                generation,
+            }),
+            _ => Err(StoreError::UnknownSketch("imdb".to_string())),
+        };
+        match step {
+            None => ("", None),
+            Some(Step::Enter(next)) => ("", Some(next)),
+            Some(Step::Train(entries)) => {
+                assert_eq!(entries, state.harvest.entries(), "the harvest trains");
+                ("train: ", None)
+            }
+            Some(Step::Swap(_, p50)) => ("swap: ", Some(swapped("imdb", p50, outcome(2), None))),
+            Some(Step::Rollback(previous)) => {
+                assert!(Arc::ptr_eq(&previous, live), "back to the replaced model");
+                ("rollback: ", Some(rolled_back("imdb", outcome(3))))
+            }
         }
-        assert_eq!(manager.counters().retrains_failed.get(), 1);
-        assert_eq!(manager.status("imdb").phase, LifecyclePhase::Idle);
-        assert_eq!(
-            manager.status("imdb").harvested,
-            0,
-            "the failing harvest is dropped, not retried forever"
-        );
+    }
+
+    /// Every edge of the diagram, stepped through the transition functions
+    /// alone (no thread, sleep, store or disk). Each row starts a stage with
+    /// a harvest, feeds one input and reads `action: phase event, harvest
+    /// left, counters moved`. `trained` reads nothing of Training but the
+    /// result, and a Training stage is a thread, so its rows start from
+    /// Harvesting (the end-to-end test enters Training for real).
+    #[test]
+    fn every_transition_asks_its_action_and_enters_its_stage() {
+        let cfg = fast_cfg();
+        // `fast_cfg`'s min_harvest, shadow_min_samples and guard_min_samples.
+        let (h, s, g) = (12, 8, 8);
+        let db = Arc::new(imdb_database(&ImdbConfig::tiny(23)));
+        let live = Arc::new(tiny_sketch(&db, 9));
+        #[rustfmt::skip]
+        let shadow = |n, live_q, candidate_q| Stage::Shadow(ShadowCandidate {
+            sketch: Arc::clone(&live), live_q: vec![live_q; n], candidate_q: vec![candidate_q; n],
+        });
+        #[rustfmt::skip]
+        let watching = |n, qerror| Stage::Watching(WatchState {
+            previous: Arc::clone(&live), generation: 2, guard_p50: 1.5, qerrors: vec![qerror; n],
+        });
+        #[rustfmt::skip]
+        let edges = [
+            (Stage::Harvesting, 0, "quiet", "idle -, 0"),
+            (Stage::Harvesting, 1, "quiet", "harvesting -, 1"),
+            (Stage::Harvesting, h, "quiet", "harvesting -, 12"),
+            (Stage::Harvesting, h - 1, "advised", "harvesting -, 11"),
+            (Stage::Harvesting, h, "advised", "train: harvesting -, 12"),
+            (Stage::Harvesting, h, "refused", "train: idle TrainingFailed, 0, failed"),
+            (Stage::Harvesting, h, "trained", "shadow ShadowStarted, 12"),
+            (Stage::Harvesting, h, "unparseable", "idle TrainingFailed, 0, failed"),
+            (shadow(s - 1, 8.0, 1.5), h, "tick", "shadow -, 12"),
+            (shadow(s, 8.0, 1.5), h, "tick", "swap: watching Swapped, 12, swaps"),
+            (shadow(s, 1.2, 50.0), h, "tick", "idle GateRejected, 0, rejects"),
+            (shadow(s, 8.0, 1.5), h, "gone", "swap: idle -, 0"),
+            (watching(g - 1, 1.0e8), h, "tick", "watching -, 12"),
+            (watching(g, 1.0), h, "tick", "idle Promoted, 0, promotions"),
+            (watching(g, 1.0e8), h, "tick", "rollback: idle RolledBack, 0, swaps rollbacks"),
+            (watching(g, 1.0e8), h, "gone", "rollback: idle -, 0"),
+        ];
+        for (from, harvested, input, want) in edges {
+            let manager = LifecycleManager::new(cfg.clone()).unwrap();
+            let mut state = SketchState::new(cfg.harvest_capacity);
+            let _ = manager.enter(&mut state, (from, None));
+            // Feedback the replaced model answered (generation 1): harvested,
+            // never graded. The first query is Idle → Harvesting.
+            let graded = |state: &SketchState| match &state.stage {
+                Stage::Watching(watch) => watch.qerrors.len(),
+                _ => 0,
+            };
+            let before = graded(&state);
+            for i in 0..harvested {
+                state.observe(1, &format!("k{i}"), "SELECT COUNT(*) FROM title", 1e9, 1);
+            }
+            assert_eq!(graded(&state), before, "{want}: generation 1 graded");
+            let (action, next) = drive(&state, input, &db, &live);
+            let event = next.and_then(|next| manager.enter(&mut state, next).1);
+            let event = event.as_ref().map_or("-".to_string(), name);
+            let c = manager.counters();
+            let moved: String = [
+                (c.retrains_started.get(), ", started"),
+                (c.retrains_failed.get(), ", failed"),
+                (c.gate_rejects.get(), ", rejects"),
+                (c.swaps.get(), ", swaps"),
+                (c.rollbacks.get(), " rollbacks"),
+                (c.promotions.get(), ", promotions"),
+            ]
+            .iter()
+            .filter(|(n, _)| *n == 1)
+            .map(|(_, counter)| *counter)
+            .collect();
+            let phase = state.phase().as_str();
+            let got = format!("{action}{phase} {event}, {}{moved}", state.harvest.len());
+            assert_eq!(got, want);
+            let shadowing = u64::from(state.phase() == LifecyclePhase::Shadow);
+            assert_eq!(
+                manager.shadow_active.load(Ordering::Relaxed),
+                shadowing,
+                "{want}"
+            );
+            if let Stage::Watching(watch) = &state.stage {
+                assert_eq!(
+                    watch.guard_p50, 1.5,
+                    "the guard's baseline is the shadow median"
+                );
+            }
+        }
     }
 
     /// Harvest sets survive a restart through persist/load.
@@ -1576,8 +1561,8 @@ mod tests {
     fn harvests_persist_across_a_manager_restart() {
         let dir = temp_dir("persist");
         let manager = LifecycleManager::new(fast_cfg()).unwrap();
-        manager.observe_feedback("imdb", "k1", "SELECT COUNT(*) FROM title", 10.0, 12);
-        manager.observe_feedback("imdb", "k2", "SELECT COUNT(*) FROM title", 11.0, 13);
+        manager.observe_feedback("imdb", 1, "k1", "SELECT COUNT(*) FROM title", 10.0, 12);
+        manager.observe_feedback("imdb", 1, "k2", "SELECT COUNT(*) FROM title", 11.0, 13);
         assert_eq!(manager.persist_harvests(&dir), 1);
         assert_eq!(manager.persist_harvests(&dir), 0, "clean sets are skipped");
 

@@ -165,7 +165,7 @@ impl Server {
         // Lifecycle plumbing is built before `Shared` so the manager can
         // reload persisted harvest sets off the snapshot directory (the
         // warm-restart path) ahead of the first request.
-        let mut shadow_rx: Option<Receiver<ShadowJob>> = None;
+        let mut daemon: Option<(Arc<LifecycleManager>, Receiver<ShadowJob>)> = None;
         let lifecycle = match cfg.lifecycle {
             Some(lc_cfg) => {
                 let manager = Arc::new(
@@ -176,7 +176,7 @@ impl Server {
                     manager.load_harvests(dir);
                 }
                 let (tx, rx) = std::sync::mpsc::sync_channel(SHADOW_QUEUE_CAPACITY);
-                shadow_rx = Some(rx);
+                daemon = Some((Arc::clone(&manager), rx));
                 Some(LifecycleShared {
                     manager,
                     shadow_tx: tx,
@@ -212,13 +212,13 @@ impl Server {
                 })
                 .collect(),
         });
-        let lifecycle_daemon = match shadow_rx {
-            Some(rx) => {
+        let lifecycle_daemon = match daemon {
+            Some((manager, rx)) => {
                 let shared = Arc::clone(&shared);
                 Some(
                     std::thread::Builder::new()
                         .name("ds-serve-lifecycle".to_string())
-                        .spawn(move || run_lifecycle_daemon(&shared, &rx))?,
+                        .spawn(move || run_lifecycle_daemon(&manager, &shared, &rx))?,
                 )
             }
             None => None,
@@ -258,8 +258,8 @@ impl Server {
     }
 
     /// The retrain-and-hot-swap lifecycle manager, when the server was
-    /// configured with one. Tests and drills use this to arm the poison
-    /// hook or to inspect phase and counters without a wire round-trip.
+    /// configured with one. Tests and drills use this to inspect phase and
+    /// counters without a wire round-trip.
     pub fn lifecycle(&self) -> Option<Arc<LifecycleManager>> {
         self.shared
             .lifecycle
@@ -916,7 +916,8 @@ fn handle_estimate(
                 // the guard window) — the raw SQL rides along so the daemon
                 // can re-parse it for incremental retraining.
                 if let (Some(lc), Some(key)) = (shared.lifecycle.as_ref(), harvest_key.as_deref()) {
-                    lc.manager.observe_feedback(sketch, key, sql, v, actual);
+                    lc.manager
+                        .observe_feedback(sketch, generation, key, sql, v, actual);
                 }
             }
             if !cache_hit {
@@ -1020,34 +1021,30 @@ fn harvest_key(template: &str, query: &CanonicalQuery) -> String {
 /// retrain state machine every `tick_interval`, and persists dirty
 /// harvest sets alongside the snapshots. Persists once more on shutdown
 /// so a graceful stop never loses harvested queries.
-fn run_lifecycle_daemon(shared: &Arc<Shared>, rx: &Receiver<ShadowJob>) {
-    let lc = shared
-        .lifecycle
-        .as_ref()
-        .expect("daemon spawned only with lifecycle configured");
-    let tick_every = lc.manager.config().tick_interval;
+fn run_lifecycle_daemon(manager: &LifecycleManager, shared: &Shared, rx: &Receiver<ShadowJob>) {
+    let tick_every = manager.config().tick_interval;
     let mut last_tick = Instant::now();
     while !shared.shutting_down.load(Ordering::SeqCst) {
         match rx.recv_timeout(tick_every.min(POLL_INTERVAL)) {
-            Ok(job) => shadow_score(job, shared),
+            Ok(job) => shadow_score(job, manager, shared),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
         if last_tick.elapsed() >= tick_every {
             last_tick = Instant::now();
-            lc.manager.tick(
+            manager.tick(
                 &shared.store,
                 &shared.monitors,
                 &shared.db,
                 shared.snapshot_dir.as_deref(),
             );
             if let Some(dir) = shared.snapshot_dir.as_deref() {
-                lc.manager.persist_harvests(dir);
+                manager.persist_harvests(dir);
             }
         }
     }
     if let Some(dir) = shared.snapshot_dir.as_deref() {
-        lc.manager.persist_harvests(dir);
+        manager.persist_harvests(dir);
     }
 }
 
@@ -1056,11 +1053,8 @@ fn run_lifecycle_daemon(shared: &Arc<Shared>, rx: &Receiver<ShadowJob>) {
 /// mirroring — on the lifecycle daemon's thread, and never serves a client.
 /// Graded mirrors (FEEDBACK) feed the shadow gate; ungraded ones still
 /// run to keep mirroring cost honest but record nothing.
-fn shadow_score(job: ShadowJob, shared: &Shared) {
-    let Some(lc) = shared.lifecycle.as_ref() else {
-        return;
-    };
-    let Some(candidate) = lc.manager.shadow_candidate(&job.sketch) else {
+fn shadow_score(job: ShadowJob, manager: &LifecycleManager, shared: &Shared) {
+    let Some(candidate) = manager.shadow_candidate(&job.sketch) else {
         return;
     };
     let Ok((candidate_v, _)) = shared.batcher.estimate_stamped(&*candidate, &job.query) else {
@@ -1068,7 +1062,7 @@ fn shadow_score(job: ShadowJob, shared: &Shared) {
     };
     if let Some(actual) = job.actual {
         let truth = actual.max(1) as f64;
-        lc.manager.observe_shadow(
+        manager.observe_shadow(
             &job.sketch,
             ds_core::metrics::qerror(job.live, truth),
             ds_core::metrics::qerror(candidate_v, truth),

@@ -9,9 +9,11 @@
 //! a fresh generation, and the post-swap guard promotes — while a
 //! background `ESTIMATE` hammer sees zero dropped or failed responses.
 //!
-//! Phase B arms the poison hook (a deliberately corrupted candidate that
-//! passes the gate) and asserts the post-swap guard rolls back to the
-//! previous model with bit-identical answers restored.
+//! Phase B shifts the data again once the candidate is swapped in (every
+//! reported count moves by a further [`SECOND_DRIFT`], which the
+//! candidate, trained on the first shift, misjudges) and asserts the
+//! post-swap guard rolls back to the previous model with bit-identical
+//! answers restored.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,6 +35,12 @@ use common::{tiny_db, tiny_sketch};
 /// executed count times this factor, so the live model (trained pre-shift)
 /// is ~64x off while a candidate trained on the shifted labels is not.
 const DRIFT_FACTOR: u64 = 64;
+
+/// The second shift of the rollback drill, once the candidate serves:
+/// every reported count moves again by this factor, so the candidate,
+/// trained on the first shift, misjudges every count by far more than its
+/// guard allows.
+const SECOND_DRIFT: u64 = 1 << 20;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -201,7 +209,7 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
 }
 
 #[test]
-fn poisoned_candidate_is_rolled_back_with_answers_restored() {
+fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
     let db = tiny_db(42);
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
@@ -217,25 +225,35 @@ fn poisoned_candidate_is_rolled_back_with_answers_restored() {
     )
     .unwrap();
     let manager = server.lifecycle().expect("lifecycle enabled");
-    manager.set_poison(true);
     let workload = drifted_workload(&db, 16);
+    // The same queries after the second shift.
+    let shifted_again: Vec<(String, u64)> = workload
+        .iter()
+        .map(|(sql, actual)| (sql.clone(), actual * SECOND_DRIFT))
+        .collect();
 
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let before = c.send_raw(&format!("ESTIMATE imdb {PROBE_SQL}")).unwrap();
     assert!(before.starts_with("OK "), "pre-drill line: {before}");
 
-    // The poisoned candidate passes the shadow gate (it is corrupted only
-    // after the gate — modeling a bad model the gate failed to catch), is
-    // swapped in, regresses against live feedback, and the guard rolls
-    // back to the previous model.
-    drive_until(
-        &mut c,
-        &workload,
-        &manager,
-        "swap of the poisoned candidate",
-        |m| m.counters().swaps.get() >= 1,
-    );
-    drive_until(&mut c, &workload, &manager, "rollback", |m| {
+    // A candidate trained on the drifted counts passes the shadow gate and
+    // is swapped in. One line at a time, so at most one drifted line
+    // reaches the guard window.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for line in workload.iter().cycle() {
+        if manager.counters().swaps.get() >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no swap: {:?}",
+            manager.counters()
+        );
+        feedback_round(&mut c, std::slice::from_ref(line));
+    }
+    // Then the data moves again: the candidate misjudges every count, the
+    // guard trips, and the previous model is swapped back in.
+    drive_until(&mut c, &shifted_again, &manager, "rollback", |m| {
         m.counters().rollbacks.get() >= 1
     });
 
@@ -243,7 +261,7 @@ fn poisoned_candidate_is_rolled_back_with_answers_restored() {
     assert_eq!(
         counters.promotions.get(),
         0,
-        "the poisoned candidate must not be promoted"
+        "a candidate the second drift regresses must not be promoted"
     );
 
     // Rollback restored the exact previous model: the probe answer is
