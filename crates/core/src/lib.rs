@@ -63,7 +63,7 @@ pub use router::{Route, SketchRouter};
 pub use sketch::{DeepSketch, SketchInfo};
 
 pub use ds_nn::frozen::MemoStats;
-pub use snapshot::{SketchSnapshot, SnapshotError, WriteFault};
+pub use snapshot::{SketchSnapshot, SnapshotError};
 pub use store::{QuarantineReason, RecoveryReport, SketchStore, StoreError, SwapOutcome};
 pub use template::{QueryTemplate, TemplateInstance, ValueFn};
 pub use train::{TrainConfig, TrainingReport};

@@ -70,7 +70,7 @@ use crate::mscn::{MscnConfig, MscnModel};
 use crate::sketch::DeepSketch;
 use crate::snapshot::{
     body_error, bounded_len, bounded_string, open, publish, seal, valid_snapshot_name,
-    SnapshotError, WriteFault,
+    SnapshotError,
 };
 use crate::store::{SketchStore, StoreError, SwapOutcome};
 use crate::train::{train, TrainConfig};
@@ -290,7 +290,7 @@ impl HarvestSet {
         }
         let path = dir.join(format!("{name}.{HARVEST_EXT}"));
         let tmp = dir.join(format!("{name}.{HARVEST_EXT}.tmp"));
-        Ok(publish(dir, tmp, path, &self.encode(), &WriteFault::none())?.durable())
+        publish(dir, tmp, path, &self.encode())
     }
 
     /// Loads `<dir>/<name>.harvest` if present. `Ok(None)` when the file
@@ -1017,7 +1017,8 @@ impl LifecycleManager {
     /// One step for every sketch, the driver of the transitions: computes
     /// the advisor's verdicts, polls trainers, and performs what a
     /// transition asks (spawn, snapshot-then-swap, rollback swap), feeding
-    /// the outcome on. Returns what happened.
+    /// the outcome on; a promotion snapshots the generation it promoted.
+    /// Returns what happened.
     pub fn tick(
         &self,
         store: &SketchStore,
@@ -1081,6 +1082,10 @@ impl LifecycleManager {
             // its thread rather than leave it to exit on its own.
             if let Stage::Training(_, thread) = left {
                 let _ = thread.join();
+            }
+            // A promoted candidate is what a warm restart must serve.
+            if let (Some(LifecycleEvent::Promoted { .. }), Some(dir)) = (&event, snapshot_dir) {
+                let _ = store.save_snapshot(dir, name, Some(monitors));
             }
             events.extend(event);
         }
@@ -1415,6 +1420,18 @@ mod tests {
         let c = manager.counters();
         let counted = [c.retrains_started.get(), c.swaps.get(), c.promotions.get()];
         assert_eq!((counted, c.rollbacks.get()), ([1, 1, 1], 0));
+        // The promoted generation is durable: a warm restart serves it.
+        let restarted = SketchStore::new();
+        let report = restarted
+            .recover(&snap_dir, &MonitorRegistry::new())
+            .unwrap();
+        assert_eq!(report.loaded, [("imdb".to_string(), *generation)]);
+        assert_eq!(report.stale.len(), 1, "the rollback target is kept");
+        let q = parse_query(&db, "SELECT COUNT(*) FROM title WHERE title.kind_id = 1").unwrap();
+        assert_eq!(
+            restarted.get("imdb").unwrap().estimate_one(&q).to_bits(),
+            store.get("imdb").unwrap().estimate_one(&q).to_bits()
+        );
         let _ = std::fs::remove_dir_all(&snap_dir);
     }
 

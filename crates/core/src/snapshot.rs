@@ -40,12 +40,20 @@
 //! previous generation and a temp/corrupt file that recovery discards —
 //! never a torn "latest" file that silently decodes.
 //!
-//! Fault injection is an explicit [`WriteFault`] parameter (production
-//! callers pass [`WriteFault::none`]), so the injection surface costs
-//! nothing and cannot be tripped accidentally at runtime.
+//! The writer takes no fault parameter. A test injects a fault by writing
+//! what the fault would have left behind: truncated or bit-flipped bytes
+//! through [`write_snapshot_bytes`], or a `.tmp` file by hand.
+//!
+//! Whatever recovery or a `SYNC` refuses is kept by [`quarantine`] under
+//! `<dir>/quarantine/`, the one writer of that directory.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
@@ -243,18 +251,21 @@ pub fn open<'a>(
     version: u32,
 ) -> Result<Decoder<'a>, SnapshotError> {
     // Header + checksum trailer are the minimum plausible blob.
-    if bytes.len() < 4 + 4 + 8 {
+    let (Some((&[m0, m1, m2, m3, v0, v1, v2, v3], _)), Some((body, trailer)), true) = (
+        bytes.split_first_chunk::<8>(),
+        bytes.split_last_chunk::<8>(),
+        bytes.len() >= 4 + 4 + 8,
+    ) else {
         return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != *magic {
+    };
+    if [m0, m1, m2, m3] != *magic {
         return Err(SnapshotError::BadMagic);
     }
-    let found = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let found = u32::from_le_bytes([v0, v1, v2, v3]);
     if found == 0 || found > version {
         return Err(SnapshotError::BadVersion(found));
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+    let stored = u64::from_le_bytes(*trailer);
     let actual = checksum(body);
     if stored != actual {
         return Err(SnapshotError::ChecksumMismatch { stored, actual });
@@ -296,11 +307,8 @@ pub(crate) fn bounded_string(
 
 fn bounded_words(d: &mut Decoder, what: &str) -> Result<Vec<u64>, SnapshotError> {
     let n = bounded_len(d, MAX_WORDS_LEN, what)?;
-    let raw = d.take(n * 8).map_err(body_error)?;
-    Ok(raw
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    let (words, _) = d.take(n * 8).map_err(body_error)?.as_chunks::<8>();
+    Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 /// Serializes one sketch (plus optional monitor state) into the checksummed
@@ -375,141 +383,62 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
     })
 }
 
-/// Deterministic write-path fault, threaded in explicitly by crash tests.
-/// Production callers pass [`WriteFault::none`]; the faults model the
-/// failure points of the atomic write protocol:
-///
-/// * `truncate_at` — the process died after writing only a prefix;
-/// * `bit_flip` — the device corrupted a byte (mask XORed at an offset);
-/// * `crash_before_rename` — the temp file was fully written and synced
-///   but the publish rename never happened;
-/// * `skip_fsync` — the data never reached the platter (models a crash
-///   racing the page cache).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WriteFault {
-    /// Keep only this many bytes of the payload.
-    pub truncate_at: Option<usize>,
-    /// XOR this mask into the byte at this offset (ignored when out of range).
-    pub bit_flip: Option<(usize, u8)>,
-    /// Stop after the temp write, before the rename publishes the file.
-    pub crash_before_rename: bool,
-    /// Skip the file and directory fsyncs.
-    pub skip_fsync: bool,
-}
-
-impl WriteFault {
-    /// No fault: the production write path.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// True when every fault knob is off.
-    pub fn is_none(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
-/// Outcome of a (possibly fault-injected) snapshot write.
-#[derive(Debug)]
-pub enum WriteOutcome {
-    /// The snapshot is durable at this path.
-    Durable(PathBuf),
-    /// The injected crash stopped the protocol before publish; only the
-    /// temp file at this path exists.
-    CrashedBeforeRename(PathBuf),
-}
-
-impl WriteOutcome {
-    /// The durable path, panicking on a simulated crash — convenience for
-    /// production callers that always pass [`WriteFault::none`].
-    pub fn durable(self) -> PathBuf {
-        match self {
-            WriteOutcome::Durable(p) => p,
-            WriteOutcome::CrashedBeforeRename(_) => {
-                unreachable!("crash faults are only injected by tests")
-            }
-        }
-    }
-}
-
 /// Atomically publishes pre-encoded snapshot bytes as
 /// `<dir>/<name>.<generation>.snap` using the write-temp → fsync → rename
-/// → fsync-dir protocol, applying `fault` at the corresponding step. See
-/// [`WriteFault`] for what each injected fault models.
+/// → fsync-dir protocol. Returns the durable path.
 pub fn write_snapshot_bytes(
     dir: &Path,
     name: &str,
     generation: u64,
     bytes: &[u8],
-    fault: &WriteFault,
-) -> Result<WriteOutcome, SnapshotError> {
+) -> Result<PathBuf, SnapshotError> {
     if !valid_snapshot_name(name) {
         return Err(SnapshotError::InvalidName(name.to_string()));
     }
-    let mut payload = bytes;
-    let truncated;
-    if let Some(keep) = fault.truncate_at {
-        truncated = &bytes[..keep.min(bytes.len())];
-        payload = truncated;
-    }
-    let mut flipped;
-    if let Some((offset, mask)) = fault.bit_flip {
-        if offset < payload.len() && mask != 0 {
-            flipped = payload.to_vec();
-            flipped[offset] ^= mask;
-            payload = &flipped;
-        }
-    }
     let tmp = dir.join(format!("{name}.{generation:020}.{SNAPSHOT_TMP_EXT}"));
-    let path = snapshot_path(dir, name, generation);
-    publish(dir, tmp, path, payload, fault)
+    publish(dir, tmp, snapshot_path(dir, name, generation), bytes)
 }
 
 /// The one way bytes become durable in this crate: written to `tmp`,
 /// fsynced, renamed over `path`, and the directory fsynced, so a crash
-/// leaves the old file or the new one and never a torn mix.
+/// leaves the old file or the new one and never a torn mix. Returns `path`.
 pub(crate) fn publish(
     dir: &Path,
     tmp: PathBuf,
     path: PathBuf,
     payload: &[u8],
-    fault: &WriteFault,
-) -> Result<WriteOutcome, SnapshotError> {
+) -> Result<PathBuf, SnapshotError> {
     fs::create_dir_all(dir)?;
     {
         let mut f = File::create(&tmp)?;
         f.write_all(payload)?;
-        if !fault.skip_fsync {
-            f.sync_all()?;
-        }
-    }
-    if fault.crash_before_rename {
-        return Ok(WriteOutcome::CrashedBeforeRename(tmp));
+        f.sync_all()?;
     }
     fs::rename(&tmp, &path)?;
-    if !fault.skip_fsync {
-        // Make the rename itself durable: fsync the containing directory.
-        File::open(dir)?.sync_all()?;
+    // Make the rename itself durable: fsync the containing directory.
+    File::open(dir)?.sync_all()?;
+    Ok(path)
+}
+
+/// Keeps refused bytes for a post-mortem as `<dir>/quarantine/<file_name>`,
+/// or, when a file of that name is already there, as the first free
+/// `<file_name>.<n>`: no copy kept earlier, by this process or another, is
+/// ever overwritten. Returns where the bytes went.
+pub fn quarantine(dir: &Path, file_name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let qdir = dir.join("quarantine");
+    fs::create_dir_all(&qdir)?;
+    for n in 0u32.. {
+        let path = match n {
+            0 => qdir.join(file_name),
+            n => qdir.join(format!("{file_name}.{n}")),
+        };
+        match File::create_new(&path) {
+            Ok(mut file) => return file.write_all(bytes).map(|()| path),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(e),
+        }
     }
-    Ok(WriteOutcome::Durable(path))
-}
-
-/// Encodes and atomically publishes a snapshot (production path, no
-/// faults). Returns the durable path.
-pub fn write_snapshot(
-    dir: &Path,
-    name: &str,
-    generation: u64,
-    sketch: &DeepSketch,
-    monitor: Option<&MonitorState>,
-) -> Result<PathBuf, SnapshotError> {
-    let bytes = encode_snapshot(name, generation, sketch, monitor);
-    Ok(write_snapshot_bytes(dir, name, generation, &bytes, &WriteFault::none())?.durable())
-}
-
-/// Reads and validates one snapshot file.
-pub fn read_snapshot(path: &Path) -> Result<SketchSnapshot, SnapshotError> {
-    decode_snapshot(&fs::read(path)?)
+    Err(ErrorKind::AlreadyExists.into())
 }
 
 #[cfg(test)]
@@ -607,58 +536,30 @@ mod tests {
     }
 
     #[test]
-    fn write_faults_apply_deterministically() {
-        let dir = std::env::temp_dir().join(format!("ds_snap_fault_{}", std::process::id()));
+    fn writes_publish_durably_and_quarantine_keeps_every_copy() {
+        let dir = std::env::temp_dir().join(format!("ds_snap_write_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let bytes: Vec<u8> = (0..64u8).collect();
 
-        // Clean write publishes the final file and removes the temp.
-        let out = write_snapshot_bytes(&dir, "s", 1, &bytes, &WriteFault::none()).unwrap();
-        let WriteOutcome::Durable(path) = out else {
-            panic!("clean write must be durable")
-        };
+        // A write publishes the final file and leaves no temp behind.
+        let path = write_snapshot_bytes(&dir, "s", 1, &bytes).unwrap();
+        assert_eq!(path, snapshot_path(&dir, "s", 1));
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         assert!(!dir.join("s.00000000000000000001.tmp").exists());
-
-        // Truncation keeps a prefix.
-        let fault = WriteFault {
-            truncate_at: Some(10),
-            ..WriteFault::none()
-        };
-        let out = write_snapshot_bytes(&dir, "s", 2, &bytes, &fault).unwrap();
-        assert_eq!(std::fs::read(out.durable()).unwrap(), &bytes[..10]);
-
-        // Bit flip XORs exactly one byte.
-        let fault = WriteFault {
-            bit_flip: Some((3, 0x80)),
-            ..WriteFault::none()
-        };
-        let written = std::fs::read(
-            write_snapshot_bytes(&dir, "s", 3, &bytes, &fault)
-                .unwrap()
-                .durable(),
-        )
-        .unwrap();
-        assert_eq!(written[3], bytes[3] ^ 0x80);
-        assert_eq!(written[..3], bytes[..3]);
-        assert_eq!(written[4..], bytes[4..]);
-
-        // Crash-before-rename leaves only the temp file.
-        let fault = WriteFault {
-            crash_before_rename: true,
-            ..WriteFault::none()
-        };
-        let out = write_snapshot_bytes(&dir, "s", 4, &bytes, &fault).unwrap();
-        let WriteOutcome::CrashedBeforeRename(tmp) = out else {
-            panic!("crash fault must not publish")
-        };
-        assert!(tmp.exists());
-        assert!(!snapshot_path(&dir, "s", 4).exists());
-
         assert!(matches!(
-            write_snapshot_bytes(&dir, "../evil", 1, &bytes, &WriteFault::none()),
+            write_snapshot_bytes(&dir, "../evil", 1, &bytes),
             Err(SnapshotError::InvalidName(_))
         ));
+
+        // The same name quarantined three times keeps three copies.
+        let kept: Vec<PathBuf> = (0..3u8)
+            .map(|i| quarantine(&dir, "s.snap", &[i]).unwrap())
+            .collect();
+        let names: Vec<_> = kept.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(names, ["s.snap", "s.snap.1", "s.snap.2"]);
+        for (i, path) in kept.iter().enumerate() {
+            assert_eq!(std::fs::read(path).unwrap(), [i as u8]);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

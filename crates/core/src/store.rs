@@ -8,15 +8,25 @@
 //! it: a caller builds a sketch on any thread and publishes it with
 //! [`SketchStore::insert`] or [`SketchStore::swap`], as the retrain
 //! lifecycle does, so a lookup only ever takes the read lock.
+//!
+//! A snapshot enters a store one way, [`SketchStore::adopt`], whether it
+//! was read back from disk by [`SketchStore::recover`] or shipped over the
+//! wire by a fleet peer's `SYNC`.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::monitor::{MonitorRegistry, QErrorMonitor};
 use crate::sketch::DeepSketch;
-use crate::snapshot::{self, SketchSnapshot, SnapshotError};
+use crate::snapshot::{self, SnapshotError};
 
 /// Errors raised by store operations.
 #[derive(Debug)]
@@ -60,12 +70,13 @@ impl From<SnapshotError> for StoreError {
 /// `Sync`: share one store across threads.
 pub struct SketchStore {
     /// Each name's model and the store-wide generation it became ready
-    /// under. Every insert, swap, recovery and adoption hands out a fresh
-    /// generation, so "same name" never implies "same model": consumers
-    /// that must not mix models across a swap (the serving layer's
-    /// estimate cache) key on the generation.
+    /// under. Every insert and swap hands out a fresh generation, and an
+    /// adopted snapshot keeps its own, newer than the one it replaces, so
+    /// "same name" never implies "same model": consumers that must not mix
+    /// models across a swap (the serving layer's estimate cache) key on
+    /// the generation.
     sketches: RwLock<HashMap<String, (Arc<DeepSketch>, u64)>>,
-    /// Last generation handed out.
+    /// Last generation handed out or adopted.
     generations: AtomicU64,
 }
 
@@ -75,17 +86,18 @@ impl Default for SketchStore {
     }
 }
 
-/// Why [`SketchStore::open_dir`] refused a snapshot file and moved it to
-/// `<dir>/quarantine/`. The reason is typed so operators (and the serving
-/// layer's startup log) can tell a damaged file from a lying one without
-/// re-reading the bytes.
+/// Why [`SketchStore::adopt`] refused a snapshot: recovery then moves the
+/// file to `<dir>/quarantine/`, and a `SYNC` keeps the payload there. The
+/// reason is typed so operators can tell a damaged snapshot from a lying
+/// one without re-reading the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
     /// The bytes failed to decode: truncated, bit-flipped, or a checksum
     /// mismatch.
     Corrupt(String),
-    /// The checksummed body is valid but disagrees with the filename about
-    /// the sketch name or generation — the filename is untrusted and lost.
+    /// The checksummed body is valid but disagrees with the name or
+    /// generation it was offered under (a filename or a `SYNC` header):
+    /// the claim is untrusted and lost.
     NameMismatch,
     /// The embedded rolling-monitor state failed to restore.
     MonitorState,
@@ -96,14 +108,17 @@ impl std::fmt::Display for QuarantineReason {
         match self {
             QuarantineReason::Corrupt(e) => write!(f, "corrupt snapshot: {e}"),
             QuarantineReason::NameMismatch => {
-                write!(f, "snapshot body disagrees with its filename")
+                write!(
+                    f,
+                    "snapshot body disagrees with its offered name or generation"
+                )
             }
             QuarantineReason::MonitorState => write!(f, "monitor state failed to restore"),
         }
     }
 }
 
-/// What [`SketchStore::open_dir`] found on disk: the sketches it
+/// What [`SketchStore::recover`] found on disk: the sketches it
 /// recovered, the corrupt files it moved aside, and the debris it cleaned
 /// up. Recovery never fails startup because of a bad file — it degrades to
 /// an older generation (or skips the sketch) and reports what happened.
@@ -111,11 +126,13 @@ impl std::fmt::Display for QuarantineReason {
 pub struct RecoveryReport {
     /// Recovered sketches: `(name, generation)` actually serving.
     pub loaded: Vec<(String, u64)>,
-    /// Corrupt or mismatched snapshot files moved to `<dir>/quarantine/`,
-    /// each with the typed reason it was refused.
+    /// Refused snapshot files, each with the typed reason, at the path
+    /// they were moved to under `<dir>/quarantine/` (or where they lie
+    /// still, when that move failed: they are never deleted uncopied).
     pub quarantined: Vec<(PathBuf, QuarantineReason)>,
-    /// Valid snapshots superseded by a newer valid generation, left in
-    /// place (they are the rollback target if the newest is later lost).
+    /// Snapshots older than the one adopted (or than what already served),
+    /// left in place unread: they are the fallback if the newest is later
+    /// lost, and [`SketchStore::save_snapshot`] prunes them.
     pub stale: Vec<PathBuf>,
     /// In-flight `.tmp` files from an interrupted write, deleted (they
     /// were never durable, so removing them loses nothing).
@@ -135,7 +152,7 @@ pub struct SwapOutcome {
     pub generation: u64,
 }
 
-/// What [`SketchStore::adopt_snapshot`] decided about an offered snapshot.
+/// What [`SketchStore::adopt`] decided about a snapshot that checked out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdoptOutcome {
     /// The snapshot's generation won and now serves under its name.
@@ -179,22 +196,12 @@ impl SketchStore {
     /// be queried right away"). A sketch trained while the store serves is
     /// built on the caller's thread and registered here when it is done.
     pub fn insert(&self, name: impl Into<String>, sketch: DeepSketch) -> Result<(), StoreError> {
-        let generation = self.next_generation();
-        self.insert_with_generation(name, sketch, generation)
-    }
-
-    fn insert_with_generation(
-        &self,
-        name: impl Into<String>,
-        sketch: DeepSketch,
-        generation: u64,
-    ) -> Result<(), StoreError> {
         let name = name.into();
         let mut sketches = self.sketches_mut();
         if sketches.contains_key(&name) {
             return Err(StoreError::Duplicate(name));
         }
-        sketches.insert(name, (Arc::new(sketch), generation));
+        sketches.insert(name, (Arc::new(sketch), self.next_generation()));
         ds_obs::global().count("store/inserts", 1);
         Ok(())
     }
@@ -278,9 +285,8 @@ impl SketchStore {
         name: &str,
         monitors: Option<&MonitorRegistry>,
     ) -> Result<PathBuf, StoreError> {
-        let (sketch, generation) = self.get_with_generation(name)?;
-        let state = monitors.and_then(|m| m.get(name)).map(|m| m.export_state());
-        let path = snapshot::write_snapshot(dir, name, generation, &sketch, state.as_ref())?;
+        let (bytes, generation) = self.export_snapshot(name, monitors)?;
+        let path = snapshot::write_snapshot_bytes(dir, name, generation, &bytes)?;
         ds_obs::global().count("store/snapshots_written", 1);
         Self::prune_snapshots(dir, name, generation);
         Ok(path)
@@ -288,10 +294,10 @@ impl SketchStore {
 
     /// Encodes one sketch into the checksummed `DSNP` byte layout
     /// without touching disk — the payload the fleet tier ships over the
-    /// wire (`SNAPSHOT`). Byte-identical to what [`SketchStore::save_snapshot`]
-    /// would persist for the same generation and monitor state, so a
-    /// receiver can validate a shipped blob exactly like a recovered file.
-    /// Returns the bytes together with the generation they capture.
+    /// wire (`SNAPSHOT`), and the bytes [`SketchStore::save_snapshot`]
+    /// persists, so a receiver adopts a shipped blob exactly like a
+    /// recovered file. Returns the bytes together with the generation they
+    /// capture.
     pub fn export_snapshot(
         &self,
         name: &str,
@@ -308,73 +314,48 @@ impl SketchStore {
         Ok((bytes, generation))
     }
 
-    /// Adopts a decoded snapshot shipped from a fleet peer, newest-wins:
-    /// the offer is ignored when a sketch of the same name already serves
-    /// at an equal or newer generation, and otherwise serves under the
-    /// name in place of whatever served there. The store's
-    /// generation counter is raised to at least the adopted generation, so
-    /// later local inserts keep sorting after every adopted model, and the
-    /// sketch's rolling monitor state travels with it when `monitors` is
-    /// given.
-    pub fn adopt_snapshot(
+    /// The one way a snapshot enters a store. `bytes` were offered as
+    /// `name` at `generation` — by a filename or a `SYNC` header, both
+    /// untrusted — so they must decode, their checksummed body must make
+    /// the same claim, and their monitor state, if any, must restore; the
+    /// check touches no disk and takes no lock. Then, under the write lock,
+    /// the newest generation wins: the offer is [`AdoptOutcome::Stale`]
+    /// when a generation at least as new already serves, and otherwise
+    /// serves under `name` with its monitor restored into `monitors`. The
+    /// store's generation counter is raised to at least the adopted one,
+    /// so later inserts and swaps sort after it.
+    pub fn adopt(
         &self,
-        snap: SketchSnapshot,
-        monitors: Option<&MonitorRegistry>,
-    ) -> Result<AdoptOutcome, StoreError> {
-        if !snapshot::valid_snapshot_name(&snap.name) {
-            return Err(StoreError::Snapshot(SnapshotError::InvalidName(snap.name)));
+        bytes: &[u8],
+        name: &str,
+        generation: u64,
+        monitors: &MonitorRegistry,
+    ) -> Result<AdoptOutcome, QuarantineReason> {
+        let snap = snapshot::decode_snapshot(bytes)
+            .map_err(|e| QuarantineReason::Corrupt(e.to_string()))?;
+        if snap.name != name || snap.generation != generation {
+            return Err(QuarantineReason::NameMismatch);
         }
-        let monitor = match &snap.monitor {
-            None => None,
-            Some(state) => match QErrorMonitor::from_state(state) {
-                Some(m) => Some(m),
-                None => {
-                    return Err(StoreError::Snapshot(SnapshotError::Corrupt(
-                        "snapshot monitor state failed to restore".to_string(),
-                    )))
-                }
-            },
-        };
+        let monitor = snap
+            .monitor
+            .map(|state| QErrorMonitor::from_state(&state).ok_or(QuarantineReason::MonitorState))
+            .transpose()?;
         let mut sketches = self.sketches_mut();
-        if let Some(&(_, current)) = sketches.get(&snap.name) {
-            if current >= snap.generation {
+        if let Some(&(_, current)) = sketches.get(name) {
+            if current >= generation {
                 return Ok(AdoptOutcome::Stale {
                     current,
-                    offered: snap.generation,
+                    offered: generation,
                 });
             }
         }
-        sketches.insert(snap.name.clone(), (Arc::new(snap.sketch), snap.generation));
-        self.generations
-            .fetch_max(snap.generation, Ordering::Relaxed);
-        if let (Some(registry), Some(m)) = (monitors, monitor) {
-            registry.restore(&snap.name, m);
+        sketches.insert(snap.name, (Arc::new(snap.sketch), generation));
+        self.generations.fetch_max(generation, Ordering::Relaxed);
+        if let Some(monitor) = monitor {
+            monitors.restore(name, monitor);
         }
         ds_obs::global().count("store/snapshots_adopted", 1);
-        Ok(AdoptOutcome::Adopted {
-            generation: snap.generation,
-        })
-    }
-
-    /// Snapshots every sketch (see [`SketchStore::save_snapshot`]).
-    /// Returns how many were written.
-    pub fn save_snapshots(
-        &self,
-        dir: &Path,
-        monitors: Option<&MonitorRegistry>,
-    ) -> Result<usize, StoreError> {
-        let names: Vec<String> = self.sketches().keys().cloned().collect();
-        let mut saved = 0;
-        for name in names {
-            match self.save_snapshot(dir, &name, monitors) {
-                Ok(_) => saved += 1,
-                // The sketch was removed between the listing and the save;
-                // nothing to persist.
-                Err(StoreError::UnknownSketch(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(saved)
+        Ok(AdoptOutcome::Adopted { generation })
     }
 
     /// Best-effort cleanup of durable generations older than the previous
@@ -401,110 +382,78 @@ impl SketchStore {
         }
     }
 
-    /// Warm-restart recovery: rebuilds a store (and the monitor registry
-    /// that goes with it) from the snapshots in `dir`.
-    ///
-    /// For every sketch name the newest snapshot that fully validates wins;
-    /// corrupt files — truncated, bit-flipped, or lying about their name or
-    /// generation — are moved to `<dir>/quarantine/` and recovery falls
-    /// back to the next older generation instead of failing startup.
-    /// Leftover `.tmp` files from an interrupted write are deleted (they
-    /// were never durable). Only I/O errors on the directory itself abort.
-    pub fn open_dir(dir: &Path) -> Result<(Self, MonitorRegistry, RecoveryReport), StoreError> {
-        let store = Self::new();
-        let monitors = MonitorRegistry::new();
+    /// Warm-restart recovery into this store and `monitors`: offers each
+    /// name's snapshot files in `dir` to [`SketchStore::adopt`], newest
+    /// generation first, until one is adopted or found stale against what
+    /// already serves; the older files are left in place. A file `adopt`
+    /// refuses is moved to `<dir>/quarantine/` (see
+    /// [`snapshot::quarantine`]) with its reason, and recovery falls back
+    /// to the next older generation instead of failing startup. Leftover
+    /// `.tmp` files from an interrupted write are deleted (they were never
+    /// durable). A directory that does not exist recovers nothing; only
+    /// other I/O errors on the directory itself are errors.
+    pub fn recover(
+        &self,
+        dir: &Path,
+        monitors: &MonitorRegistry,
+    ) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
-
-        // Group durable snapshot files by sketch name, newest first.
-        let mut by_name: HashMap<String, Vec<(u64, PathBuf)>> = HashMap::new();
-        for entry in std::fs::read_dir(dir)? {
+        let entries = match std::fs::read_dir(dir) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(report),
+            entries => entries?,
+        };
+        let mut offers: Vec<(String, u64, PathBuf)> = Vec::new();
+        for entry in entries {
             let path = entry?.path();
+            let file_name = path
+                .file_name()
+                .and_then(|f| f.to_str())
+                .unwrap_or_default();
             if !path.is_file() {
                 continue;
             }
-            let Some(file_name) = path.file_name().and_then(|f| f.to_str()) else {
+            if let Some((name, generation)) = snapshot::parse_snapshot_filename(file_name) {
+                offers.push((name, generation, path));
+            } else if file_name.ends_with(&format!(".{}", snapshot::SNAPSHOT_TMP_EXT)) {
+                std::fs::remove_file(&path).ok();
+                report.removed_temps.push(path);
+            }
+        }
+        // By name, newest generation first.
+        offers.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut settled: Option<&str> = None;
+        for (name, generation, path) in &offers {
+            if settled == Some(name) {
+                report.stale.push(path.clone());
+                continue;
+            }
+            // A file a concurrent prune removed has nothing to offer.
+            let Ok(bytes) = std::fs::read(path) else {
                 continue;
             };
-            match snapshot::parse_snapshot_filename(file_name) {
-                Some((name, generation)) => {
-                    by_name.entry(name).or_default().push((generation, path));
+            match self.adopt(&bytes, name, *generation, monitors) {
+                Ok(AdoptOutcome::Adopted { generation }) => {
+                    report.loaded.push((name.clone(), generation));
+                    settled = Some(name);
                 }
-                None if file_name.ends_with(&format!(".{}", snapshot::SNAPSHOT_TMP_EXT)) => {
-                    std::fs::remove_file(&path).ok();
-                    report.removed_temps.push(path);
+                Ok(AdoptOutcome::Stale { .. }) => {
+                    report.stale.push(path.clone());
+                    settled = Some(name);
                 }
-                None => {}
-            }
-        }
-
-        let mut max_generation = 0u64;
-        let mut names: Vec<String> = by_name.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            let mut candidates = by_name.remove(&name).expect("listed above");
-            candidates.sort_by_key(|(g, _)| std::cmp::Reverse(*g));
-            let mut recovered = false;
-            for (generation, path) in candidates {
-                if recovered {
-                    report.stale.push(path);
-                    continue;
-                }
-                match snapshot::read_snapshot(&path) {
-                    // The filename is untrusted; the checksummed body is
-                    // authoritative and must agree with it.
-                    Ok(snap) if snap.name == name && snap.generation == generation => {
-                        if let Some(state) = &snap.monitor {
-                            match QErrorMonitor::from_state(state) {
-                                Some(m) => monitors.restore(&name, m),
-                                None => {
-                                    Self::quarantine(
-                                        dir,
-                                        &path,
-                                        &mut report,
-                                        QuarantineReason::MonitorState,
-                                    );
-                                    continue;
-                                }
-                            }
-                        }
-                        store.insert_with_generation(&name, snap.sketch, generation)?;
-                        max_generation = max_generation.max(generation);
-                        report.loaded.push((name.clone(), generation));
-                        recovered = true;
+                Err(reason) => {
+                    let file_name = path.file_name().unwrap_or_default().to_string_lossy();
+                    let kept = snapshot::quarantine(dir, &file_name, &bytes);
+                    if kept.is_ok() {
+                        std::fs::remove_file(path).ok();
                     }
-                    Ok(_) | Err(SnapshotError::Io(_)) if !path.exists() => {
-                        // Raced with a concurrent prune; nothing to recover.
-                    }
-                    Ok(_) => {
-                        Self::quarantine(dir, &path, &mut report, QuarantineReason::NameMismatch)
-                    }
-                    Err(e) => Self::quarantine(
-                        dir,
-                        &path,
-                        &mut report,
-                        QuarantineReason::Corrupt(e.to_string()),
-                    ),
+                    ds_obs::global().count("store/snapshots_quarantined", 1);
+                    report
+                        .quarantined
+                        .push((kept.unwrap_or_else(|_| path.clone()), reason));
                 }
             }
         }
-        // Future generations must sort after everything recovered.
-        store.generations.store(max_generation, Ordering::Relaxed);
-        Ok((store, monitors, report))
-    }
-
-    /// Moves a corrupt snapshot into `<dir>/quarantine/` (falling back to
-    /// deletion if the move fails) so the next recovery does not re-read
-    /// it, and the bytes stay available for a post-mortem.
-    fn quarantine(dir: &Path, path: &Path, report: &mut RecoveryReport, reason: QuarantineReason) {
-        let qdir = dir.join("quarantine");
-        let target = qdir.join(path.file_name().unwrap_or_else(|| "corrupt.snap".as_ref()));
-        let moved =
-            std::fs::create_dir_all(&qdir).is_ok() && std::fs::rename(path, &target).is_ok();
-        if !moved {
-            std::fs::remove_file(path).ok();
-        }
-        ds_obs::global().count("store/snapshots_quarantined", 1);
-        report.quarantined.push((target, reason));
+        Ok(report)
     }
 }
 
@@ -648,20 +597,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_save_and_open_dir_roundtrip() {
+    fn snapshot_save_and_recover_roundtrip() {
         let db = imdb_database(&ImdbConfig::tiny(9));
         let store = SketchStore::new();
         store.insert("one", tiny_sketch(&db, 1)).unwrap();
         store.insert("two", tiny_sketch(&db, 2)).unwrap();
-        let monitors = crate::monitor::MonitorRegistry::new();
+        let monitors = MonitorRegistry::new();
         for i in 0..10u32 {
             monitors.monitor("one").record("t0", (i + 1) as f64, 1.0);
         }
         let dir = std::env::temp_dir().join(format!("ds_snap_rt_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(store.save_snapshots(&dir, Some(&monitors)).unwrap(), 2);
+        for name in ["one", "two"] {
+            store.save_snapshot(&dir, name, Some(&monitors)).unwrap();
+        }
 
-        let (restored, restored_monitors, report) = SketchStore::open_dir(&dir).unwrap();
+        let (restored, restored_monitors) = (SketchStore::new(), MonitorRegistry::new());
+        let report = restored.recover(&dir, &restored_monitors).unwrap();
         assert_eq!(report.loaded.len(), 2);
         assert!(report.quarantined.is_empty());
         // Models answer bit-identically and keep their generations.
@@ -686,76 +638,16 @@ mod tests {
         let max_recovered = report.loaded.iter().map(|(_, g)| *g).max().unwrap();
         restored.insert("three", tiny_sketch(&db, 3)).unwrap();
         assert!(restored.generation("three").unwrap() > max_recovered);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_dir_quarantines_corruption_and_recovers_previous_generation() {
-        let db = imdb_database(&ImdbConfig::tiny(10));
-        let store = SketchStore::new();
-        store.insert("s", tiny_sketch(&db, 1)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ds_snap_q_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let good = store.save_snapshot(&dir, "s", None).unwrap();
-
-        // A newer generation arrives torn: bit-flipped mid-file.
-        let gen = store.generation("s").unwrap();
-        let bytes = crate::snapshot::encode_snapshot("s", gen + 1, &store.get("s").unwrap(), None);
-        let fault = crate::snapshot::WriteFault {
-            bit_flip: Some((bytes.len() / 2, 0x10)),
-            ..Default::default()
-        };
-        crate::snapshot::write_snapshot_bytes(&dir, "s", gen + 1, &bytes, &fault).unwrap();
-        // Plus an interrupted write that never renamed.
-        let crash = crate::snapshot::WriteFault {
-            crash_before_rename: true,
-            ..Default::default()
-        };
-        crate::snapshot::write_snapshot_bytes(&dir, "s", gen + 2, &bytes, &crash).unwrap();
-
-        let (restored, _, report) = SketchStore::open_dir(&dir).unwrap();
-        // The torn newest generation is quarantined, the previous durable
-        // one serves, the tmp debris is gone.
-        assert_eq!(report.loaded, vec![("s".to_string(), gen)]);
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.removed_temps.len(), 1);
-        assert!(good.exists(), "durable previous generation left in place");
-        assert!(dir.join("quarantine").read_dir().unwrap().count() == 1);
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        assert_eq!(
-            restored.get("s").unwrap().estimate_one(&q),
-            store.get("s").unwrap().estimate_one(&q)
-        );
-        // A filename/content mismatch is also quarantined, not trusted.
-        let lying = crate::snapshot::encode_snapshot("other", 99, &store.get("s").unwrap(), None);
-        crate::snapshot::write_snapshot_bytes(&dir, "s", gen + 3, &lying, &Default::default())
-            .unwrap();
-        let (_, _, report2) = SketchStore::open_dir(&dir).unwrap();
-        assert_eq!(report2.loaded, vec![("s".to_string(), gen)]);
-        assert_eq!(report2.quarantined.len(), 1);
-        // So is a sealed snapshot whose sketch sets the frozen-section flag,
-        // as older writers did when they stored the artifact too.
-        let mut blob = store.get("s").unwrap().to_bytes();
-        let flag = blob.len() - 8;
-        blob[flag..].copy_from_slice(&1u64.to_le_bytes());
-        use crate::snapshot::{seal, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-        let old = seal(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |e| {
-            e.string("s");
-            e.u64(gen + 4);
-            e.bytes(&blob);
-            e.u64(0);
-        });
-        crate::snapshot::write_snapshot_bytes(&dir, "s", gen + 4, &old, &Default::default())
-            .unwrap();
-        let (_, _, report3) = SketchStore::open_dir(&dir).unwrap();
-        assert_eq!(report3.loaded, vec![("s".to_string(), gen)]);
+        // Recovering again finds nothing newer than what serves.
+        let again = restored.recover(&dir, &restored_monitors).unwrap();
         assert!(
-            matches!(&report3.quarantined[..], [(_, QuarantineReason::Corrupt(e))]
-                if e.contains("stored frozen artifact")),
-            "{:?}",
-            report3.quarantined
+            again.loaded.is_empty() && again.stale.len() == 2,
+            "{again:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
+        // A directory that does not exist recovers nothing.
+        let report = SketchStore::new().recover(&dir, &monitors).unwrap();
+        assert!(report.loaded.is_empty() && report.quarantined.is_empty());
     }
 
     #[test]
@@ -780,70 +672,6 @@ mod tests {
             .collect();
         assert_eq!(snaps.len(), 2, "newest + previous only: {snaps:?}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn export_matches_save_snapshot_and_adopt_is_newest_wins() {
-        let db = imdb_database(&ImdbConfig::tiny(12));
-        let store = SketchStore::new();
-        store.insert("ship", tiny_sketch(&db, 1)).unwrap();
-        let monitors = MonitorRegistry::new();
-        for i in 0..5u32 {
-            monitors.monitor("ship").record("t", (i + 2) as f64, 1.0);
-        }
-        // The wire export is byte-identical to the durable snapshot file.
-        let (bytes, generation) = store.export_snapshot("ship", Some(&monitors)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ds_export_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = store.save_snapshot(&dir, "ship", Some(&monitors)).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
-        assert_eq!(generation, store.generation("ship").unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-
-        // A replica adopts the shipped blob and serves bit-identically.
-        let replica = SketchStore::new();
-        let replica_monitors = MonitorRegistry::new();
-        let snap = crate::snapshot::decode_snapshot(&bytes).unwrap();
-        assert_eq!(
-            replica
-                .adopt_snapshot(snap, Some(&replica_monitors))
-                .unwrap(),
-            AdoptOutcome::Adopted { generation }
-        );
-        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
-        assert_eq!(
-            replica.get("ship").unwrap().estimate_one(&q),
-            store.get("ship").unwrap().estimate_one(&q)
-        );
-        assert_eq!(replica.generation("ship"), Some(generation));
-        assert_eq!(replica_monitors.get("ship").unwrap().samples(), 5);
-
-        // Re-offering the same generation is stale, not a duplicate error.
-        let snap_again = crate::snapshot::decode_snapshot(&bytes).unwrap();
-        assert_eq!(
-            replica.adopt_snapshot(snap_again, None).unwrap(),
-            AdoptOutcome::Stale {
-                current: generation,
-                offered: generation
-            }
-        );
-        // Local inserts after adoption sort strictly newer.
-        replica.insert("local", tiny_sketch(&db, 2)).unwrap();
-        assert!(replica.generation("local").unwrap() > generation);
-        // A newer shipped generation replaces the served model.
-        let newer = crate::snapshot::SketchSnapshot {
-            name: "ship".to_string(),
-            generation: generation + 100,
-            sketch: tiny_sketch(&db, 3),
-            monitor: None,
-        };
-        assert_eq!(
-            replica.adopt_snapshot(newer, None).unwrap(),
-            AdoptOutcome::Adopted {
-                generation: generation + 100
-            }
-        );
-        assert_eq!(replica.generation("ship"), Some(generation + 100));
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Kill-loop recovery drill (EXPERIMENTS.md E15): snapshots written with
-//! injected faults at systematically varied offsets — and, on Unix, a real
-//! child process `kill -9`ed mid-write — must always recover to the last
-//! durable generation. Never a torn "latest" that silently decodes, never a
-//! failed startup.
+//! Kill-loop recovery drill (EXPERIMENTS.md E15): snapshots left behind by
+//! faults at systematically varied offsets — and, on Unix, by a real child
+//! process `kill -9`ed mid-write — must always recover to the last durable
+//! generation. Never a torn "latest" that silently decodes, never a failed
+//! startup. A fault is written as the bytes it would have left: truncated
+//! or flipped bytes through the real writer, or a `.tmp` file that was
+//! never renamed.
 //!
 //! `KILL_LOOP_ITERS` scales both loops (CI pins it to 50).
 
 use std::sync::{Arc, OnceLock};
 
+use std::path::Path;
+
 use ds_core::builder::SketchBuilder;
+use ds_core::monitor::MonitorRegistry;
 use ds_core::sketch::DeepSketch;
-use ds_core::snapshot::{
-    decode_snapshot, encode_snapshot, write_snapshot_bytes, WriteFault, WriteOutcome,
-};
-use ds_core::store::SketchStore;
+use ds_core::snapshot::{decode_snapshot, encode_snapshot, write_snapshot_bytes};
+use ds_core::store::{RecoveryReport, SketchStore};
 use ds_query::parser::parse_query;
 use ds_query::query::Query;
 use ds_query::workloads::imdb_predicate_columns;
@@ -69,56 +72,64 @@ impl Rng {
     }
 }
 
+/// What a failed write left behind.
+#[derive(Debug, Default)]
+struct Fault {
+    /// The process died after writing only this many bytes.
+    truncate_at: Option<usize>,
+    /// The device XORed this mask into the byte at this offset (ignored
+    /// when out of range).
+    bit_flip: Option<(usize, u8)>,
+    /// The temp file was written in full but the publish rename never
+    /// happened.
+    crash_before_rename: bool,
+}
+
 /// The fault plan for one iteration: early iterations sweep the structural
 /// boundaries of the format (header, length fields, checksum trailer),
 /// later ones draw random offsets. Roughly a quarter of the plans are
-/// benign (fsync skipped, flip past EOF) so the drill also proves recovery
+/// benign (no fault, flip past EOF) so the drill also proves recovery
 /// prefers the *new* generation when the write actually survived.
-fn fault_for(iter: usize, len: usize, rng: &mut Rng) -> WriteFault {
+fn fault_for(iter: usize, len: usize, rng: &mut Rng) -> Fault {
     let boundary = [0, 1, 3, 4, 7, 8, 11, 12, len / 2, len - 9, len - 1];
     match iter % 8 {
-        0 => WriteFault {
+        0 => Fault {
             truncate_at: Some(boundary[iter / 8 % boundary.len()]),
-            ..WriteFault::none()
+            ..Fault::default()
         },
-        1 => WriteFault {
+        1 => Fault {
             truncate_at: Some(rng.below(len)),
-            ..WriteFault::none()
+            ..Fault::default()
         },
-        2 => WriteFault {
+        2 => Fault {
             bit_flip: Some((boundary[iter / 8 % boundary.len()], 1 << rng.below(8))),
-            ..WriteFault::none()
+            ..Fault::default()
         },
-        3 => WriteFault {
+        3 => Fault {
             bit_flip: Some((rng.below(len), 1 << rng.below(8))),
-            ..WriteFault::none()
+            ..Fault::default()
         },
-        4 => WriteFault {
+        4 => Fault {
             crash_before_rename: true,
-            ..WriteFault::none()
+            ..Fault::default()
         },
-        5 => WriteFault {
+        5 => Fault {
             truncate_at: Some(rng.below(len)),
             bit_flip: Some((rng.below(len / 2), 1 << rng.below(8))),
-            skip_fsync: true,
-            ..WriteFault::none()
+            ..Fault::default()
         },
         // Benign plans: the write is durable despite the "fault".
-        6 => WriteFault {
-            skip_fsync: true,
-            ..WriteFault::none()
-        },
-        _ => WriteFault {
+        6 => Fault::default(),
+        _ => Fault {
             bit_flip: Some((len + rng.below(64), 1 << rng.below(8))),
             truncate_at: Some(len),
-            ..WriteFault::none()
+            ..Fault::default()
         },
     }
 }
 
-/// Applies `fault` to `bytes` the way the writer does — the independent
-/// oracle for what ended up on disk when the write published at all.
-fn apply_fault(bytes: &[u8], fault: &WriteFault) -> Vec<u8> {
+/// The bytes `fault` leaves of `bytes`.
+fn apply_fault(bytes: &[u8], fault: &Fault) -> Vec<u8> {
     let mut payload = bytes.to_vec();
     if let Some(keep) = fault.truncate_at {
         payload.truncate(keep.min(payload.len()));
@@ -131,11 +142,32 @@ fn apply_fault(bytes: &[u8], fault: &WriteFault) -> Vec<u8> {
     payload
 }
 
-/// The drill proper: generation 1 is durable; generation 2 is written with
-/// an injected fault. Recovery must come up with generation 2 exactly when
-/// the faulted bytes still validate, and generation 1 (quarantining the
-/// debris) in every other case — decided by an oracle that re-applies the
-/// fault independently of the writer.
+/// Writes what `fault` left of `bytes` as generation 2 of `imdb`: through
+/// the real writer, or as a temp file that was never renamed.
+fn write_faulted(dir: &Path, bytes: &[u8], fault: &Fault) -> std::io::Result<()> {
+    let on_disk = apply_fault(bytes, fault);
+    if fault.crash_before_rename {
+        return std::fs::write(dir.join("imdb.00000000000000000002.tmp"), on_disk);
+    }
+    write_snapshot_bytes(dir, "imdb", 2, &on_disk)
+        .map(drop)
+        .map_err(std::io::Error::other)
+}
+
+/// Recovers `dir` into a fresh store.
+fn recover(dir: &Path) -> (SketchStore, RecoveryReport) {
+    let store = SketchStore::new();
+    let report = store.recover(dir, &MonitorRegistry::new());
+    (
+        store,
+        report.unwrap_or_else(|e| panic!("recovery failed: {e}")),
+    )
+}
+
+/// The drill proper: generation 1 is durable; generation 2 is what a fault
+/// left behind. Recovery must come up with generation 2 exactly when the
+/// faulted bytes still validate, and generation 1 (quarantining the
+/// debris) in every other case.
 #[test]
 fn fault_offset_kill_loop_always_recovers_last_durable_generation() {
     let (_db, sketch, bytes, query) = fixture();
@@ -149,20 +181,18 @@ fn fault_offset_kill_loop_always_recovers_last_durable_generation() {
     for iter in 0..iters {
         let dir = root.join(format!("iter{iter:03}"));
         let gen1 = encode_snapshot("imdb", 1, sketch, None);
-        write_snapshot_bytes(&dir, "imdb", 1, &gen1, &WriteFault::none())
-            .unwrap_or_else(|e| panic!("iter {iter}: durable gen 1 write failed: {e}"))
-            .durable();
+        write_snapshot_bytes(&dir, "imdb", 1, &gen1)
+            .unwrap_or_else(|e| panic!("iter {iter}: durable gen 1 write failed: {e}"));
 
         let fault = fault_for(iter, bytes.len(), &mut rng);
-        let outcome = write_snapshot_bytes(&dir, "imdb", 2, bytes, &fault)
+        write_faulted(&dir, bytes, &fault)
             .unwrap_or_else(|e| panic!("iter {iter}: faulted write errored: {e}"));
         let on_disk = apply_fault(bytes, &fault);
         let gen2_valid = !fault.crash_before_rename
             && matches!(decode_snapshot(&on_disk), Ok(s) if s.name == "imdb" && s.generation == 2);
         let expected_generation = if gen2_valid { 2 } else { 1 };
 
-        let (store, _monitors, report) = SketchStore::open_dir(&dir)
-            .unwrap_or_else(|e| panic!("iter {iter} ({fault:?}): recovery failed: {e}"));
+        let (store, report) = recover(&dir);
         assert_eq!(
             report.loaded,
             vec![("imdb".to_string(), expected_generation)],
@@ -180,7 +210,7 @@ fn fault_offset_kill_loop_always_recovers_last_durable_generation() {
             assert!(report.quarantined.is_empty(), "iter {iter}: {report:?}");
         } else {
             corrupted += 1;
-            if matches!(outcome, WriteOutcome::CrashedBeforeRename(_)) {
+            if fault.crash_before_rename {
                 assert_eq!(report.removed_temps.len(), 1, "iter {iter}: {report:?}");
             } else {
                 assert_eq!(report.quarantined.len(), 1, "iter {iter}: {report:?}");
@@ -197,16 +227,19 @@ fn fault_offset_kill_loop_always_recovers_last_durable_generation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Recovery from an *empty but existing* directory is a clean cold start.
+/// Recovery from an empty directory, or from one that does not exist, is
+/// a clean cold start.
 #[test]
-fn open_dir_on_fresh_directory_recovers_nothing() {
+fn recover_on_a_fresh_or_missing_directory_recovers_nothing() {
     let dir = std::env::temp_dir().join(format!("ds_kill_fresh_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (store, _monitors, report) = SketchStore::open_dir(&dir).unwrap();
-    assert!(report.loaded.is_empty());
-    assert!(report.quarantined.is_empty());
-    assert!(store.list().is_empty());
-    std::fs::remove_dir_all(&dir).ok();
+    for _exists in [true, false] {
+        let (store, report) = recover(&dir);
+        assert!(report.loaded.is_empty());
+        assert!(report.quarantined.is_empty());
+        assert!(store.list().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Child half of the real-kill drill: loops durable snapshot writes of
@@ -228,13 +261,13 @@ fn kill_loop_child_writer() {
     // snapshot; the parent's SIGKILL lands at an arbitrary point inside.
     for generation in 2..u64::MAX {
         let bytes = encode_snapshot(&snap.name, generation, &snap.sketch, snap.monitor.as_ref());
-        let _ = write_snapshot_bytes(&dir, &snap.name, generation, &bytes, &WriteFault::none());
+        let _ = write_snapshot_bytes(&dir, &snap.name, generation, &bytes);
     }
 }
 
 /// Real-kill drill: spawn this test binary's child writer, `kill -9` it at
 /// a varied point mid-loop, and recover. Whatever generation the kill
-/// interrupted, `open_dir` must come up serving a bit-identical model at
+/// interrupted, recovery must come up serving a bit-identical model at
 /// the newest durable generation.
 #[cfg(unix)]
 #[test]
@@ -256,9 +289,7 @@ fn real_kill_nine_loop_recovers() {
         let dir = root.join(format!("iter{iter:03}"));
         // Seed a durable generation 1 so recovery always has a floor.
         let gen1 = encode_snapshot("imdb", 1, sketch, None);
-        write_snapshot_bytes(&dir, "imdb", 1, &gen1, &WriteFault::none())
-            .unwrap()
-            .durable();
+        write_snapshot_bytes(&dir, "imdb", 1, &gen1).unwrap();
 
         let mut child = std::process::Command::new(&exe)
             .args([
@@ -282,8 +313,7 @@ fn real_kill_nine_loop_recovers() {
         child.kill().expect("kill -9 child");
         let _ = child.wait();
 
-        let (store, _monitors, report) = SketchStore::open_dir(&dir)
-            .unwrap_or_else(|e| panic!("iter {iter}: recovery after kill -9 failed: {e}"));
+        let (store, report) = recover(&dir);
         assert_eq!(report.loaded.len(), 1, "iter {iter}: {report:?}");
         let (name, generation) = &report.loaded[0];
         assert_eq!(name, "imdb");

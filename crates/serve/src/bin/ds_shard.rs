@@ -2,8 +2,10 @@
 //!
 //! The multi-process fleet smoke test (and the CI job wrapping it) spawns
 //! several of these, kills one with a real signal, and proves the fleet
-//! recovers. The shard starts with an *empty* store — sketches arrive over
-//! the wire via `SYNC`, exactly as replicas are seeded in production.
+//! recovers. The shard starts with an *empty* store unless its
+//! `--snapshot-dir` holds snapshots, which it recovers first; otherwise
+//! sketches arrive over the wire via `SYNC`, exactly as replicas are
+//! seeded in production.
 //!
 //! Usage: `ds_shard [--addr HOST:PORT] [--seed N] [--snapshot-dir DIR]`
 //!

@@ -128,8 +128,9 @@ pub struct ServeConfig {
     pub(crate) faults: Option<Arc<FaultInjector>>,
     /// Capacity of the template-keyed estimate cache (0 disables).
     pub(crate) cache_capacity: usize,
-    /// Directory for durable snapshots; when set, corrupt `SYNC` transfers
-    /// are quarantined under `<dir>/quarantine/` for post-mortems.
+    /// Directory for durable snapshots; when set, the server recovers it
+    /// at start and quarantines refused `SYNC` transfers under
+    /// `<dir>/quarantine/` for post-mortems.
     pub(crate) snapshot_dir: Option<PathBuf>,
     /// Retrain-and-hot-swap lifecycle; `None` disables the daemon (no
     /// harvesting, no shadow mirroring, `LIFECYCLE` answers "disabled").
@@ -286,8 +287,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Directory for durable snapshots and the quarantine of corrupt
-    /// `SYNC` transfers.
+    /// Directory for durable snapshots: [`crate::Server::start`] recovers
+    /// it into the store and monitors before serving (a directory that
+    /// does not exist recovers nothing), the lifecycle persists into it,
+    /// and refused `SYNC` transfers are quarantined under
+    /// `<dir>/quarantine/`.
     pub fn snapshot_dir(mut self, dir: Option<PathBuf>) -> Self {
         self.cfg.snapshot_dir = dir;
         self

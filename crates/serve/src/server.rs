@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ds_core::lifecycle::LifecycleManager;
 use ds_core::monitor::MonitorRegistry;
-use ds_core::snapshot::{decode_hex, decode_snapshot, encode_hex};
+use ds_core::snapshot::{self, decode_hex, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
 use ds_est::EstimateError;
 use ds_obs::{Counter, IdSource, PromText, SloTracker, TraceContext};
@@ -141,12 +141,20 @@ impl Server {
     /// Binds, spawns the acceptor, and returns immediately. Estimates are
     /// parsed against `db` and answered by the sketches in `store` (resolved
     /// by name per request, so background retraining swaps take effect
-    /// live).
+    /// live). With a snapshot directory, the server first recovers it into
+    /// `store` and its own monitors ([`SketchStore::recover`]): a warm
+    /// restart serves what the directory holds, drift windows included.
     pub fn start(
         db: Arc<Database>,
         store: Arc<SketchStore>,
         cfg: ServeConfig,
     ) -> std::io::Result<Self> {
+        let monitors = Arc::new(MonitorRegistry::new());
+        if let Some(dir) = cfg.snapshot_dir.as_deref() {
+            store
+                .recover(dir, &monitors)
+                .map_err(std::io::Error::other)?;
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics {
@@ -189,7 +197,7 @@ impl Server {
             store,
             batcher,
             metrics,
-            monitors: Arc::new(MonitorRegistry::new()),
+            monitors,
             shutting_down: AtomicBool::new(false),
             max_connections: cfg.max_connections.max(1),
             timeline: cfg.timeline,
@@ -646,82 +654,50 @@ fn handle_snapshot(sketch: &str, shared: &Shared) -> Response {
     }
 }
 
-/// Adopts a shipped DSNP blob into this shard's store, newest generation
-/// wins. Every corruption path — bad hex, length mismatch, checksum/decode
-/// failure, or a header that contradicts the announced name/generation —
-/// is rejected with a typed `ERR decode` and the raw bytes are quarantined
-/// under `<snapshot_dir>/quarantine/` for post-mortems; a corrupt transfer
-/// is never adopted.
+/// Adopts a shipped DSNP blob into this shard's store through
+/// [`SketchStore::adopt`], newest generation wins. Bad hex, a length that
+/// disagrees with the announced one, or any offer `adopt` refuses is
+/// answered with a typed `ERR decode`, and the payload, when there is one,
+/// is kept under `<snapshot_dir>/quarantine/` ([`snapshot::quarantine`]);
+/// a refused transfer is never adopted.
 fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared) -> Response {
-    let reject = |message: String, bytes: Option<&[u8]>| -> Response {
-        reject_sync(bytes, shared);
-        Response::Error {
-            code: ErrorCode::Decode,
-            message,
-        }
-    };
-    let bytes = match decode_hex(hex) {
-        Some(b) => b,
-        None => return reject(format!("SYNC {name}: payload is not valid hex"), None),
-    };
-    if bytes.len() as u64 != len {
-        return reject(
+    let (message, payload) = match decode_hex(hex) {
+        None => (format!("SYNC {name}: payload is not valid hex"), None),
+        Some(bytes) if bytes.len() as u64 != len => (
             format!("SYNC {name}: announced {len} bytes, got {}", bytes.len()),
-            Some(&bytes),
-        );
-    }
-    let snap = match decode_snapshot(&bytes) {
-        Ok(s) => s,
-        Err(e) => return reject(format!("SYNC {name}: {e}"), Some(&bytes)),
+            Some(bytes),
+        ),
+        Some(bytes) => match shared
+            .store
+            .adopt(&bytes, name, generation, &shared.monitors)
+        {
+            Ok(AdoptOutcome::Adopted { generation }) => {
+                shared.metrics.sync_adopted.inc();
+                return Response::Text(format!("SYNC {name} {generation} adopted"));
+            }
+            Ok(AdoptOutcome::Stale { current, .. }) => {
+                shared.metrics.sync_stale.inc();
+                return Response::Text(format!("SYNC {name} {current} stale"));
+            }
+            Err(reason) => (format!("SYNC {name}@{generation}: {reason}"), Some(bytes)),
+        },
     };
-    if snap.name != name || snap.generation != generation {
-        return reject(
-            format!(
-                "SYNC {name}@{generation}: blob is {}@{}",
-                snap.name, snap.generation
-            ),
-            Some(&bytes),
-        );
-    }
-    match shared.store.adopt_snapshot(snap, Some(&shared.monitors)) {
-        Ok(AdoptOutcome::Adopted { generation }) => {
-            shared.metrics.sync_adopted.inc();
-            Response::Text(format!("SYNC {name} {generation} adopted"))
-        }
-        Ok(AdoptOutcome::Stale { current, .. }) => {
-            shared.metrics.sync_stale.inc();
-            Response::Text(format!("SYNC {name} {current} stale"))
-        }
-        Err(e) => {
-            reject_sync(Some(&bytes), shared);
-            store_error_response(&e)
-        }
-    }
-}
-
-/// Counts a rejected `SYNC` and preserves its payload, if it has one, under
-/// `<snapshot_dir>/quarantine/` (best effort, same policy as
-/// [`SketchStore::open_dir`] uses for corrupt files found on disk). The
-/// file is named from the rejection count and never overwrites one
-/// already there — a concurrent rejection's, or an earlier process's — but
-/// steps past it to the next free number. Nothing is written when the
-/// server runs without a snapshot directory.
-fn reject_sync(bytes: Option<&[u8]>, shared: &Shared) {
     let m = &shared.metrics;
     m.sync_rejected.inc();
     m.errors.inc();
-    let (Some(bytes), Some(dir)) = (bytes, shared.snapshot_dir.as_ref()) else {
-        return;
-    };
-    let qdir = dir.join("quarantine");
-    let _ = std::fs::create_dir_all(&qdir);
-    let file = (m.sync_rejected.get()..)
-        .map(|n| std::fs::File::create_new(qdir.join(format!("sync-reject-{n}.dsnp"))))
-        .find(|r| !matches!(r, Err(e) if e.kind() == ErrorKind::AlreadyExists));
-    if let Some(Ok(mut file)) = file {
-        if let (Ok(()), Some(quarantined)) = (file.write_all(bytes), &m.sync_quarantined) {
+    if let (Some(bytes), Some(dir), Some(quarantined)) =
+        (payload, &shared.snapshot_dir, &m.sync_quarantined)
+    {
+        // The rejection count keeps this process's names apart;
+        // `quarantine` steps past a predecessor's.
+        let file_name = format!("sync-reject-{}.dsnp", m.sync_rejected.get());
+        if snapshot::quarantine(dir, &file_name, &bytes).is_ok() {
             quarantined.inc();
         }
+    }
+    Response::Error {
+        code: ErrorCode::Decode,
+        message,
     }
 }
 

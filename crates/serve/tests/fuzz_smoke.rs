@@ -4,18 +4,22 @@
 //!
 //! * [`ds_serve::protocol`]'s `parse_request` / `parse_response`, which
 //!   face raw socket lines;
-//! * [`ds_core::snapshot::decode_snapshot`], which faces whatever bytes a
-//!   crash left on disk.
+//! * [`ds_core::store::SketchStore::adopt`], the one way a snapshot enters
+//!   a store, which faces whatever bytes a crash left on disk or a peer
+//!   sent in a `SYNC`.
 //!
 //! Neither may ever panic, and anything they *accept* must re-serialize
-//! canonically (parse → format → parse is a fixed point). The corpus under
+//! canonically (parse → format → parse is a fixed point; an adopted
+//! snapshot re-exports as the offered bytes). The corpus under
 //! `tests/corpus/` is committed; mutation is xorshift-seeded so every run
 //! (local and CI) explores the identical input set. `FUZZ_ITERS` scales
 //! the budget.
 
 use std::path::PathBuf;
 
-use ds_core::snapshot::{decode_snapshot, encode_snapshot};
+use ds_core::monitor::MonitorRegistry;
+use ds_core::snapshot::encode_snapshot;
+use ds_core::store::SketchStore;
 use ds_serve::protocol::{
     format_request, format_response, parse_request, parse_response, Response,
 };
@@ -264,8 +268,12 @@ fn fuzz_protocol_parsers_never_panic_and_accepted_lines_are_canonical() {
     assert!(resp_ok > 0, "no mutant parsed as a response");
 }
 
+/// Every mutant is offered to a fresh store as `imdb` at generation 1, the
+/// claim the valid seed carries: an adopted offer serves and re-exports as
+/// the offered bytes; a refused one leaves the store and its monitors
+/// empty.
 #[test]
-fn fuzz_snapshot_decoder_never_panics_and_accepts_only_canonical_bytes() {
+fn fuzz_snapshot_adoption_never_panics_and_accepts_only_canonical_bytes() {
     let mut seeds = load_bins();
     assert!(seeds.len() >= 4, "snapshot corpus unexpectedly small");
     // One fully-valid seed built at runtime (a real trained sketch would
@@ -274,10 +282,12 @@ fn fuzz_snapshot_decoder_never_panics_and_accepts_only_canonical_bytes() {
     // be vacuous.
     let sketch = common::tiny_sketch(&common::tiny_db(42), 7);
     let valid = encode_snapshot("imdb", 1, &sketch, None);
-    assert!(
-        decode_snapshot(&valid).is_ok(),
-        "runtime seed must be valid"
-    );
+    let adopt = |bytes: &[u8]| {
+        let (store, monitors) = (SketchStore::new(), MonitorRegistry::new());
+        let outcome = store.adopt(bytes, "imdb", 1, &monitors);
+        (store, monitors, outcome)
+    };
+    assert!(adopt(&valid).2.is_ok(), "runtime seed must be valid");
     seeds.push(valid);
 
     let mut rng = Rng(0x005a_a9d5_4b17_c0de);
@@ -294,16 +304,19 @@ fn fuzz_snapshot_decoder_never_panics_and_accepts_only_canonical_bytes() {
             bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         }
         // Must return, never panic; accepted bytes must be the canonical
-        // encoding of what they decode to.
-        if let Ok(snap) = decode_snapshot(&bytes) {
+        // encoding of what now serves.
+        let (store, monitors, outcome) = adopt(&bytes);
+        if outcome.is_ok() {
             accepted += 1;
-            let re = encode_snapshot(
-                &snap.name,
-                snap.generation,
-                &snap.sketch,
-                snap.monitor.as_ref(),
+            assert!(store.get("imdb").is_ok(), "an adopted offer serves");
+            let (re, generation) = store.export_snapshot("imdb", Some(&monitors)).unwrap();
+            assert_eq!((re, generation), (bytes, 1), "adopted non-canonical bytes");
+        } else {
+            assert!(store.list().is_empty(), "a refused offer changed the store");
+            assert!(
+                monitors.get("imdb").is_none(),
+                "a refused offer left a monitor"
             );
-            assert_eq!(re, bytes, "decoder accepted non-canonical bytes");
         }
     }
     assert!(

@@ -1,6 +1,7 @@
 //! Nightly long-soak kill drill: a real server with the lifecycle daemon
-//! enabled is `kill -9`ed mid-retrain, and a warm restart must come up
-//! clean — the recovered store serves the last durable generation, the
+//! enabled is `kill -9`ed mid-retrain, and a warm restart from an empty
+//! store and the snapshot directory alone must come up clean — the
+//! recovered store serves the last durable generation, the
 //! in-flight candidate is abandoned (its training thread died with the
 //! process and nothing of it was published), the persisted harvest set
 //! still decodes, and the quarantine never grows.
@@ -79,8 +80,8 @@ fn drifted_workload(db: &Database, want: usize) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Child half: recovers the store from `DS_LC_KILL_DIR`, starts a
-/// lifecycle-enabled server persisting into the same directory, drives
+/// Child half: starts a lifecycle-enabled server with an empty store on
+/// `DS_LC_KILL_DIR`, which it recovers and persists into, drives
 /// drift-shifted feedback until a retrain starts, drops the marker file
 /// the parent waits for, and keeps serving until SIGKILL. Ignored so plain
 /// `cargo test` never runs it; exits immediately without the env contract.
@@ -92,14 +93,10 @@ fn lifecycle_kill_child_server() {
     };
     let dir = std::path::PathBuf::from(dir);
     let db = tiny_db(42);
-    let (store, _monitors, report) = SketchStore::open_dir(&dir).expect("child: recover store");
-    assert!(
-        report.loaded.iter().any(|(n, _)| n == "imdb"),
-        "child: seeded sketch must recover"
-    );
+    let store = Arc::new(SketchStore::new());
     let server = Server::start(
         Arc::clone(&db),
-        Arc::new(store),
+        Arc::clone(&store),
         ServeConfig::builder()
             .request_timeout(Duration::from_secs(30))
             .snapshot_dir(Some(dir.clone()))
@@ -108,6 +105,10 @@ fn lifecycle_kill_child_server() {
             .unwrap(),
     )
     .expect("child: server");
+    assert!(
+        store.generation("imdb").is_some(),
+        "child: seeded sketch must recover"
+    );
     let manager = server.lifecycle().expect("child: lifecycle enabled");
     let workload = drifted_workload(&db, 16);
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
@@ -192,19 +193,7 @@ fn kill_nine_mid_retrain_restarts_clean() {
         child.0.kill().expect("kill -9 child");
         let _ = child.0.wait();
 
-        // Recovery: the last durable generation loads, nothing is
-        // quarantined (no torn snapshot was published), and any persisted
-        // harvest still decodes canonically.
-        let (store, _monitors, report) =
-            SketchStore::open_dir(&dir).unwrap_or_else(|e| panic!("iter {iter}: recovery: {e}"));
-        assert!(
-            report.loaded.iter().any(|(n, _)| n == "imdb"),
-            "iter {iter}: {report:?}"
-        );
-        assert!(
-            report.quarantined.is_empty(),
-            "iter {iter}: kill -9 must never grow the quarantine: {report:?}"
-        );
+        // Any persisted harvest still decodes canonically.
         let harvested = HarvestSet::load(&dir, "imdb", cfg.harvest_capacity)
             .unwrap_or_else(|e| panic!("iter {iter}: persisted harvest must decode: {e:?}"));
         if let Some(set) = &harvested {
@@ -212,11 +201,14 @@ fn kill_nine_mid_retrain_restarts_clean() {
         }
 
         // Warm restart: the same directory boots a serving,
-        // lifecycle-enabled server again; the dead child's candidate was
+        // lifecycle-enabled server again from an empty store; the last
+        // durable generation loads, nothing is quarantined (no torn
+        // snapshot was published), and the dead child's candidate was
         // abandoned with the process and nothing of it was published.
+        let store = Arc::new(SketchStore::new());
         let server = Server::start(
             Arc::clone(&db),
-            Arc::new(store),
+            Arc::clone(&store),
             ServeConfig::builder()
                 .request_timeout(Duration::from_secs(30))
                 .snapshot_dir(Some(dir.clone()))
@@ -225,6 +217,11 @@ fn kill_nine_mid_retrain_restarts_clean() {
                 .unwrap(),
         )
         .unwrap_or_else(|e| panic!("iter {iter}: warm restart: {e}"));
+        assert!(store.generation("imdb").is_some(), "iter {iter}: recovered");
+        assert!(
+            !dir.join("quarantine").exists(),
+            "iter {iter}: kill -9 must never grow the quarantine"
+        );
         let manager = server.lifecycle().expect("lifecycle enabled");
         if harvested.is_some() {
             assert!(

@@ -16,7 +16,7 @@
 //! * [`est`] — traditional estimators (PostgreSQL-style, sampling-based).
 //! * [`core`] — the paper's contribution: featurization, the MSCN model,
 //!   training, the [`core::sketch::DeepSketch`] wrapper, and crash-safe
-//!   snapshot persistence ([`core::snapshot`], [`core::store::SketchStore::open_dir`]).
+//!   snapshot persistence ([`core::snapshot`], [`core::store::SketchStore::recover`]).
 //! * [`serve`] — concurrent TCP serving front end, a thread per
 //!   connection, with per-request stage timelines, online q-error
 //!   feedback monitoring over the [`core::store::SketchStore`], and
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use ds_core::monitor::{MonitorRegistry, QErrorMonitor};
     pub use ds_core::router::{Route, SketchRouter};
     pub use ds_core::sketch::DeepSketch;
-    pub use ds_core::snapshot::{decode_snapshot, encode_snapshot, SnapshotError, WriteFault};
+    pub use ds_core::snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
     pub use ds_core::store::{RecoveryReport, SketchStore};
     pub use ds_core::template::{QueryTemplate, ValueFn};
     pub use ds_est::{

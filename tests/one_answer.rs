@@ -3,8 +3,8 @@
 //! the library call, a batch of any size on any number of threads, a
 //! router, the element memo cold and warm, eight threads at once, the wire
 //! on a cache miss and a hit and under every server configuration, a fleet
-//! replica after its primary dies, and a sketch reloaded, synced, swapped
-//! or rolled back.
+//! replica after its primary dies, a server restarted on its snapshot
+//! directory, and a sketch reloaded, synced, swapped or rolled back.
 //!
 //! The oracle is computed once per query: the vocabulary check's typed
 //! error, or the bits of the model's reference forward — naive f32 products
@@ -376,18 +376,6 @@ fn every_in_process_path_gives_the_one_answer() {
         assert_eq!(loaded.frozen(), s.sketch.frozen(), "frozen again on load");
         assert_eq!(loaded.to_bytes(), blob, "serialization is a fixed point");
         singles("from_bytes", s, &loaded);
-
-        let dir = std::env::temp_dir().join(format!("one_answer_{}", std::process::id()));
-        let dir = dir.join(s.name);
-        std::fs::create_dir_all(&dir).unwrap();
-        f.store().save_snapshot(&dir, s.name, None).unwrap();
-        let (reopened, ..) = SketchStore::open_dir(&dir).unwrap();
-        singles(
-            "save_snapshot + open_dir",
-            s,
-            &reopened.get(s.name).unwrap(),
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -442,6 +430,20 @@ fn every_server_gives_the_one_answer() {
     let refused = 2 * f.queries.len() as u64 - ok;
     let pass = [2 * ok, ok + 3 * refused];
     assert_eq!(cache(&mut c), [pass[0], pass[1], ok]);
+
+    // A server restarted on its snapshot directory, from an empty store.
+    let dir = std::env::temp_dir().join(format!("one_answer_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for s in &f.served {
+        store.save_snapshot(&dir, s.name, None).unwrap();
+    }
+    let config = ServeConfig::builder().snapshot_dir(Some(dir.clone()));
+    let (restarted, mut r) = f.start(Arc::new(SketchStore::new()), config);
+    for s in &f.served {
+        wire("restarted on its snapshot directory", &mut r, s);
+    }
+    restarted.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 
     // A sketch synced into a second server over the wire.
     let (target, mut t) = f.start(Arc::new(SketchStore::new()), ServeConfig::builder());
