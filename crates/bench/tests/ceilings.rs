@@ -14,7 +14,7 @@ use ds_obs::{IdSource, TraceContext};
 use ds_query::query::Query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
-use ds_serve::server::TemplateInterner;
+use ds_serve::TemplateInterner;
 use ds_serve::{EstimateKey, Metrics, RequestTimeline};
 use ds_storage::gen::{imdb_database, ImdbConfig};
 use ds_storage::sample::sample_all;
@@ -105,7 +105,7 @@ fn the_serving_path_extras_stay_under_their_ceilings() {
     let v1 = featurize(Featurizer::build(&db, &cols, 256));
     let v2_extra = featurize(Featurizer::build(&db, &cols, 256).with_schema_v2(64)) - v1;
 
-    // The server's `finish_timeline` for a request kept as an exemplar.
+    // The timeline the server books for a request kept as an exemplar.
     let (interner, metrics) = (TemplateInterner::new(), Metrics::new());
     let keys: Vec<_> = queries
         .iter()

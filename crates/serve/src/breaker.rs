@@ -6,13 +6,20 @@
 //! opens and `ESTIMATE` traffic short-circuits to the configured fallback
 //! estimator instead of burning a handler on a forward pass that will fail
 //! again. After [`BreakerConfig::cooldown`] the breaker half-opens and
-//! admits exactly one probe request; a probe success closes it, a probe
-//! failure re-opens it for another cooldown.
+//! admits exactly one probe request.
 //!
-//! Client-caused errors (malformed SQL, out-of-vocabulary columns,
-//! unroutable joins) and load shedding never trip a breaker — they say
-//! nothing about the sketch's health. The server makes that classification
-//! in `handle_estimate`; the breaker only counts what it is told.
+//! Every admitted request gives its breaker exactly one [`Verdict`]: a
+//! healthy answer closes it, a health failure counts toward opening it (a
+//! failed probe re-opens it for another cooldown), and a neutral outcome —
+//! a client error such as malformed SQL, an out-of-vocabulary column or an
+//! unroutable join, or a pass refused at shutdown — says nothing about the
+//! sketch: it changes nothing, except that a neutral probe hands the probe
+//! back for the next request. The server's `settle` gives the verdict; the
+//! breaker only counts what it is told.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +46,18 @@ impl Default for BreakerConfig {
     }
 }
 
+/// What one admitted request says about its sketch's health.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The sketch answered: close the breaker.
+    Healthy,
+    /// A health failure: count it toward opening the breaker.
+    Failed,
+    /// Nothing about the sketch (a client error, a refused pass): change
+    /// nothing, but hand a probe back.
+    Neutral,
+}
+
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
@@ -57,8 +76,9 @@ enum State {
     Closed { consecutive_failures: u32 },
     /// Tripped; short-circuits until the cooldown elapses.
     Open { since: Instant },
-    /// One probe request is in flight; everyone else short-circuits.
-    HalfOpen,
+    /// The cooldown has elapsed: the next request is the one probe, and
+    /// while it is in flight (`probing`) everyone else short-circuits.
+    HalfOpen { probing: bool },
 }
 
 /// One sketch's breaker. Cheap enough to sit on every estimate: a short
@@ -91,68 +111,60 @@ impl CircuitBreaker {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Decides whether a request may reach the sketch. Transitions
-    /// `Open → HalfOpen` when the cooldown has elapsed, handing the `Probe`
-    /// to exactly one caller.
+    /// Decides whether a request may reach the sketch. Half-opens the
+    /// breaker when the cooldown has elapsed, handing the `Probe` to
+    /// exactly one caller.
     pub fn admit(&self) -> Admit {
         let mut st = self.lock();
+        if let State::Open { since } = *st {
+            if since.elapsed() >= self.cfg.cooldown {
+                *st = State::HalfOpen { probing: false };
+            }
+        }
         match *st {
             State::Closed { .. } => Admit::Allow,
-            State::Open { since } => {
-                if since.elapsed() >= self.cfg.cooldown {
-                    *st = State::HalfOpen;
-                    Admit::Probe
-                } else {
-                    self.short_circuits.fetch_add(1, Ordering::Relaxed);
-                    Admit::ShortCircuit
-                }
+            State::HalfOpen { probing: false } => {
+                *st = State::HalfOpen { probing: true };
+                Admit::Probe
             }
-            State::HalfOpen => {
+            State::Open { .. } | State::HalfOpen { probing: true } => {
                 self.short_circuits.fetch_add(1, Ordering::Relaxed);
                 Admit::ShortCircuit
             }
         }
     }
 
-    /// Records a healthy answer: closes the breaker and zeroes the
-    /// consecutive-failure count.
-    pub fn record_success(&self) {
-        *self.lock() = State::Closed {
-            consecutive_failures: 0,
-        };
-    }
-
-    /// Records a health failure: counts toward the threshold when closed,
-    /// re-opens immediately when it was the half-open probe.
-    pub fn record_failure(&self) {
+    /// Records one admitted request's verdict. `Healthy` closes the
+    /// breaker and zeroes the consecutive-failure count. `Failed` counts
+    /// toward the threshold when closed and re-opens immediately when it
+    /// was the half-open probe. `Neutral` leaves a closed breaker as it is
+    /// and hands a half-open breaker's probe to the next request.
+    pub fn record(&self, verdict: Verdict) {
         let mut st = self.lock();
-        match *st {
-            State::Closed {
-                consecutive_failures,
-            } => {
-                let failures = consecutive_failures + 1;
-                if failures >= self.cfg.failure_threshold {
-                    *st = State::Open {
-                        since: Instant::now(),
-                    };
-                    self.opened.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    *st = State::Closed {
-                        consecutive_failures: failures,
-                    };
+        *st = match (verdict, *st) {
+            (Verdict::Healthy, _) => State::Closed {
+                consecutive_failures: 0,
+            },
+            (
+                Verdict::Failed,
+                State::Closed {
+                    consecutive_failures,
+                },
+            ) if consecutive_failures + 1 < self.cfg.failure_threshold => State::Closed {
+                consecutive_failures: consecutive_failures + 1,
+            },
+            (Verdict::Failed, State::Closed { .. } | State::HalfOpen { .. }) => {
+                self.opened.fetch_add(1, Ordering::Relaxed);
+                State::Open {
+                    since: Instant::now(),
                 }
             }
-            State::HalfOpen => {
-                *st = State::Open {
-                    since: Instant::now(),
-                };
-                self.opened.fetch_add(1, Ordering::Relaxed);
-            }
-            // Short-circuited requests never reach the sketch, so failures
-            // while open can only come from racing stragglers; the breaker
+            (Verdict::Neutral, State::HalfOpen { .. }) => State::HalfOpen { probing: false },
+            // Short-circuited requests never reach the sketch, so a verdict
+            // while open can only come from a racing straggler; the breaker
             // is already open, keep the original cooldown clock.
-            State::Open { .. } => {}
-        }
+            (Verdict::Failed | Verdict::Neutral, state) => state,
+        };
     }
 
     /// Stable name of the current state: `closed`, `open`, or `half-open`.
@@ -160,7 +172,7 @@ impl CircuitBreaker {
         match *self.lock() {
             State::Closed { .. } => "closed",
             State::Open { .. } => "open",
-            State::HalfOpen => "half-open",
+            State::HalfOpen { .. } => "half-open",
         }
     }
 
@@ -198,10 +210,15 @@ impl BreakerRegistry {
 
     /// The breaker for `sketch`, created closed on first sight.
     pub fn breaker(&self, sketch: &str) -> Arc<CircuitBreaker> {
-        if let Some(b) = self.map.read().expect("breaker registry").get(sketch) {
+        if let Some(b) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(sketch)
+        {
             return Arc::clone(b);
         }
-        let mut map = self.map.write().expect("breaker registry");
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(sketch.to_string())
                 .or_insert_with(|| Arc::new(CircuitBreaker::new(self.cfg))),
@@ -240,15 +257,15 @@ mod tests {
     #[test]
     fn opens_only_after_consecutive_failures() {
         let b = CircuitBreaker::new(fast_cfg());
-        b.record_failure();
-        b.record_failure();
+        b.record(Verdict::Failed);
+        b.record(Verdict::Failed);
         // A success in between resets the consecutive count.
-        b.record_success();
-        b.record_failure();
-        b.record_failure();
+        b.record(Verdict::Healthy);
+        b.record(Verdict::Failed);
+        b.record(Verdict::Failed);
         assert_eq!(b.admit(), Admit::Allow);
         assert_eq!(b.state_name(), "closed");
-        b.record_failure();
+        b.record(Verdict::Failed);
         assert_eq!(b.state_name(), "open");
         assert_eq!(b.admit(), Admit::ShortCircuit);
         assert_eq!(b.opened(), 1);
@@ -259,7 +276,7 @@ mod tests {
     fn half_open_admits_exactly_one_probe() {
         let b = CircuitBreaker::new(fast_cfg());
         for _ in 0..3 {
-            b.record_failure();
+            b.record(Verdict::Failed);
         }
         assert_eq!(b.admit(), Admit::ShortCircuit);
         std::thread::sleep(Duration::from_millis(25));
@@ -268,14 +285,20 @@ mod tests {
         assert_eq!(b.state_name(), "half-open");
         assert_eq!(b.admit(), Admit::ShortCircuit);
         // Probe failure re-opens for another full cooldown.
-        b.record_failure();
+        b.record(Verdict::Failed);
         assert_eq!(b.state_name(), "open");
         assert_eq!(b.admit(), Admit::ShortCircuit);
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(b.admit(), Admit::Probe);
+        // A neutral probe hands the probe back; a neutral closed breaker
+        // stays closed.
+        b.record(Verdict::Neutral);
+        assert_eq!(b.state_name(), "half-open");
+        assert_eq!(b.admit(), Admit::Probe);
         // Probe success closes.
-        b.record_success();
+        b.record(Verdict::Healthy);
         assert_eq!(b.state_name(), "closed");
+        b.record(Verdict::Neutral);
         assert_eq!(b.admit(), Admit::Allow);
         assert_eq!(b.opened(), 2);
     }
@@ -286,7 +309,7 @@ mod tests {
             failure_threshold: 0,
             cooldown: Duration::from_secs(10),
         });
-        b.record_failure();
+        b.record(Verdict::Failed);
         assert_eq!(b.state_name(), "open");
     }
 
@@ -301,7 +324,7 @@ mod tests {
         // State is shared through the registry, and each breaker renders
         // under its own name.
         for _ in 0..3 {
-            a.record_failure();
+            a.record(Verdict::Failed);
         }
         assert_eq!(reg.breaker("imdb").admit(), Admit::ShortCircuit);
         let mut p = PromText::new();
@@ -318,7 +341,7 @@ mod tests {
             failure_threshold: 1,
             cooldown: Duration::from_millis(5),
         }));
-        b.record_failure();
+        b.record(Verdict::Failed);
         std::thread::sleep(Duration::from_millis(10));
         let allowed: u32 = std::thread::scope(|s| {
             (0..8)

@@ -35,10 +35,11 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use ds_obs::PromText;
 use ds_query::query::Query;
+use ds_storage::catalog::Database;
 
 /// Cache key of one estimate: sketch identity and generation plus the
 /// canonical query shape and its literal values. Two queries build equal
@@ -178,6 +179,126 @@ impl CanonicalQuery {
             *range = start..lits.len();
         }
     }
+
+    /// The lifecycle harvest's deduplication key: `template` (the interned
+    /// template of this form's query) plus the concrete literals in
+    /// canonical predicate order. Two gradings of the same concrete query
+    /// collide (refreshing that harvest entry); the same template with
+    /// different literals stays distinct.
+    pub(crate) fn harvest_key(&self, template: &str) -> String {
+        use std::fmt::Write as _;
+        let mut key = String::with_capacity(template.len() + self.preds.len() * 12);
+        key.push_str(template);
+        for (t, c, op, lits) in &self.preds {
+            // Op codes < 3 are single-literal comparisons and keep the legacy
+            // `#{t}.{c}:{op}={lit}` spelling; IN/LIKE render their full
+            // literal vector so distinct lists and patterns stay distinct.
+            let _ = write!(key, "#{t}.{c}:{op}=");
+            for (i, lit) in self.lits[lits.start..lits.end].iter().enumerate() {
+                if i > 0 {
+                    key.push(',');
+                }
+                let _ = write!(key, "{lit}");
+            }
+        }
+        key
+    }
+}
+
+/// Interns structural templates: queries with the same shape share one
+/// rendered string, so the per-request timeline path pays a read-locked
+/// map hit on the shape its cache key already holds instead of
+/// re-rendering [`query_template`] (string sorts and a dozen allocations)
+/// on every request. Public for `ds-bench`'s `ceilings` test, which holds
+/// the per-request timeline work under an absolute ceiling.
+pub struct TemplateInterner {
+    map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
+}
+
+impl Default for TemplateInterner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TemplateInterner {
+    /// Creates an empty interner.
+    pub fn new() -> Self {
+        Self {
+            map: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// Returns the interned [`query_template`] of `query`, rendering and
+    /// caching it on first sight of `shape`, the query's
+    /// [`EstimateKey::shape`].
+    pub fn get(&self, db: &Database, query: &Query, shape: &[u32]) -> Arc<str> {
+        if let Some(t) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(shape)
+        {
+            return Arc::clone(t);
+        }
+        let rendered: Arc<str> = query_template(db, query).into();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        // Bounded against unbounded shape churn; real workloads cycle a
+        // handful of shapes, so eviction is effectively unreachable.
+        if map.len() >= 4096 {
+            map.clear();
+        }
+        Arc::clone(map.entry(shape.to_vec()).or_insert(rendered))
+    }
+}
+
+/// The structural template of a query: sorted table names, join equalities,
+/// and predicate shapes with literals elided. Space-free by construction
+/// (identifier characters only plus `,|+=<>?.`), so it survives the
+/// one-token wire formats, and canonical, so the same query shape always
+/// feeds the same per-template drift monitor regardless of literal values
+/// or clause order.
+pub fn query_template(db: &Database, query: &Query) -> String {
+    let mut tables: Vec<&str> = query.tables.iter().map(|t| db.table(*t).name()).collect();
+    tables.sort_unstable();
+    let mut joins: Vec<String> = query
+        .joins
+        .iter()
+        .map(|j| {
+            let (l, r) = (db.col_name(j.left), db.col_name(j.right));
+            if l <= r {
+                format!("{l}={r}")
+            } else {
+                format!("{r}={l}")
+            }
+        })
+        .collect();
+    joins.sort();
+    let mut preds: Vec<String> = query
+        .qualified_predicates()
+        .map(|(cr, p)| {
+            // Comparison tokens keep their legacy spelling; the word-like
+            // operators get dot delimiters so the template stays
+            // unambiguous against identifier characters.
+            let tok = match p.op_kind() {
+                ds_storage::predicate::PredOpKind::In => ".IN.",
+                ds_storage::predicate::PredOpKind::Like => ".LIKE.",
+                k => k.sql(),
+            };
+            format!("{}{}?", db.col_name(cr), tok)
+        })
+        .collect();
+    preds.sort();
+    let mut out = tables.join(",");
+    if !joins.is_empty() {
+        out.push('|');
+        out.push_str(&joins.join("+"));
+    }
+    if !preds.is_empty() {
+        out.push('|');
+        out.push_str(&preds.join("+"));
+    }
+    out
 }
 
 /// One cached estimate plus its CLOCK referenced bit.
@@ -330,6 +451,42 @@ mod tests {
     use ds_query::parser::parse_query;
     use ds_storage::gen::{imdb_database, ImdbConfig};
     use std::collections::HashSet;
+
+    #[test]
+    fn interner_shares_one_rendering_per_query_shape() {
+        let db = imdb_database(&ImdbConfig::tiny(3));
+        let interner = TemplateInterner::new();
+        // Same shape, different literals and clause order → one entry.
+        let a = parse_query(
+            &db,
+            "SELECT COUNT(*) FROM title t, movie_keyword mk \
+             WHERE mk.movie_id = t.id AND t.production_year > 1995",
+        )
+        .expect("parse");
+        let b = parse_query(
+            &db,
+            "SELECT COUNT(*) FROM movie_keyword mk, title t \
+             WHERE t.production_year > 2001 AND mk.movie_id = t.id",
+        )
+        .expect("parse");
+        let get = |q: &Query| interner.get(&db, q, EstimateKey::new("imdb", 1, q).shape());
+        let ta = get(&a);
+        let tb = get(&b);
+        assert!(Arc::ptr_eq(&ta, &tb), "same shape must intern to one Arc");
+        assert_eq!(ta.as_ref(), query_template(&db, &a));
+        assert_eq!(ta.as_ref(), query_template(&db, &b));
+
+        // A different operator on the same column is a different shape.
+        let c = parse_query(
+            &db,
+            "SELECT COUNT(*) FROM title t, movie_keyword mk \
+             WHERE mk.movie_id = t.id AND t.production_year < 1995",
+        )
+        .expect("parse");
+        let tc = get(&c);
+        assert!(!Arc::ptr_eq(&ta, &tc));
+        assert_eq!(tc.as_ref(), query_template(&db, &c));
+    }
 
     fn queries() -> (Query, Query, Query) {
         let db = imdb_database(&ImdbConfig::tiny(1));

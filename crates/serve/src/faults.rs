@@ -1,8 +1,10 @@
 //! Deterministic fault injection for the serving path.
 //!
-//! Production code never branches on faults: every hook is a cheap
-//! `Option<Arc<FaultInjector>>` check that is `None` in real deployments,
-//! and even a configured injector is inert in release builds —
+//! Production code never branches on faults: a request reaches its model
+//! through one call, `FaultInjector::reach_model`, which only runs the
+//! model when the server holds no injector (real deployments hold `None`),
+//! and the batcher draws its stall through the same `Option`. Even a
+//! configured injector is inert in release builds —
 //! [`FaultInjector::armed`] is `false` unless `debug_assertions` are on,
 //! so the degradation tests can wire failures through the *real* serving
 //! code without leaving a runtime injection surface in optimized builds.
@@ -24,6 +26,11 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
+
+use ds_est::EstimateError;
+
+use crate::batcher::Rejection;
+use crate::server::Answer;
 
 struct FaultState {
     rng: u64,
@@ -79,6 +86,35 @@ impl FaultInjector {
         x ^= x << 17;
         state.rng = x;
         (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Reaches `sketch`'s model through `reach` and surfaces this plan's
+    /// model faults where a real one would: a poisoned sketch fails before
+    /// `reach` runs (no cache probe, no pass), and an answer a forward pass
+    /// gave may be flipped into a decode error once the pass returned. The
+    /// draws come in a request's order — the pass's stall inside `reach`,
+    /// then the flip — so a seeded schedule replays. With no injector, or
+    /// a disarmed one, `reach`'s result passes through.
+    pub(crate) fn reach_model(
+        faults: Option<&Self>,
+        sketch: &str,
+        reach: impl FnOnce() -> Result<Answer, Rejection>,
+    ) -> Result<Answer, Rejection> {
+        let Some(faults) = faults else {
+            return reach();
+        };
+        let fault = |e: EstimateError| Err(Rejection::Estimate(e));
+        if faults.is_poisoned(sketch) {
+            return fault(EstimateError::Execution(format!(
+                "sketch '{sketch}' model poisoned (fault injection)"
+            )));
+        }
+        match reach()? {
+            Answer::Model(..) if faults.should_flip_decode(sketch) => fault(EstimateError::Decode(
+                format!("sketch '{sketch}' decode flipped (fault injection)"),
+            )),
+            answer => Ok(answer),
+        }
     }
 
     /// Configures a probability of downgrading successful estimates against

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use ds_obs::{Counter, IdSource, TraceContext};
 
-use crate::breaker::{BreakerConfig, BreakerRegistry};
+use crate::breaker::{BreakerConfig, BreakerRegistry, Verdict};
 use crate::client::Client;
 use crate::protocol::{ErrorCode, Request, Response};
 
@@ -165,7 +165,7 @@ impl FleetClient {
             };
             match resp {
                 Ok(Ok((v, degraded))) => {
-                    breaker.record_success();
+                    breaker.record(Verdict::Healthy);
                     if attempt > 0 {
                         self.counters.failovers.inc();
                     }
@@ -179,7 +179,7 @@ impl FleetClient {
                     | ErrorCode::Timeout
                     | ErrorCode::Decode
                     | ErrorCode::Internal => {
-                        breaker.record_failure();
+                        breaker.record(Verdict::Failed);
                         last_err = Some(std::io::Error::new(
                             std::io::ErrorKind::NotFound,
                             format!("shard {shard}: {} {message}", code.as_str()),
@@ -201,7 +201,7 @@ impl FleetClient {
                     ));
                 }
                 Ok(Err(other)) => {
-                    breaker.record_failure();
+                    breaker.record(Verdict::Failed);
                     self.conns.remove(&shard);
                     last_err = Some(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
@@ -211,7 +211,7 @@ impl FleetClient {
                 Err(e) => {
                     // Dead or wedged: drop the pooled connection so the
                     // next attempt redials instead of reusing a corpse.
-                    breaker.record_failure();
+                    breaker.record(Verdict::Failed);
                     self.conns.remove(&shard);
                     last_err = Some(e);
                 }

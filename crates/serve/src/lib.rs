@@ -98,8 +98,8 @@ pub mod protocol;
 pub mod server;
 
 pub use batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
-pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
-pub use cache::{EstimateCache, EstimateKey};
+pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker, Verdict};
+pub use cache::{query_template, EstimateCache, EstimateKey, TemplateInterner};
 pub use client::{Client, InfoCard, SyncAck};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};
 pub use ds_core::lifecycle::{
@@ -114,4 +114,4 @@ pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{
     format_response, hello_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
 };
-pub use server::{query_template, Server};
+pub use server::Server;

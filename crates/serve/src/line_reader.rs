@@ -62,6 +62,13 @@ impl<'a> LineReader<'a> {
     /// failed, the bytes were not UTF-8, or the line outgrew
     /// [`MAX_REQUEST_LINE`] (the peer has been told so).
     pub fn next_line(&mut self) -> Option<&str> {
+        self.next_request().map(|(line, _)| line)
+    }
+
+    /// [`LineReader::next_line`] beside the connection's write half, so a
+    /// handler can keep what it borrowed from the line until after its
+    /// reply is written.
+    pub(crate) fn next_request(&mut self) -> Option<(&str, Reply<'_>)> {
         loop {
             self.read_raw_line()?;
             let blank = std::str::from_utf8(&self.line).ok()?.trim().is_empty();
@@ -69,7 +76,11 @@ impl<'a> LineReader<'a> {
                 break;
             }
         }
-        std::str::from_utf8(&self.line).ok()
+        let reply = Reply {
+            writer: &mut self.writer,
+            reply: &mut self.reply,
+        };
+        Some((std::str::from_utf8(&self.line).ok()?, reply))
     }
 
     /// Replaces `line` with the next newline- or EOF-terminated run of
@@ -110,8 +121,26 @@ impl<'a> LineReader<'a> {
 
     /// Writes one response line with a single `write(2)`.
     pub fn respond(&mut self, response: &Response) -> std::io::Result<()> {
+        Reply {
+            writer: &mut self.writer,
+            reply: &mut self.reply,
+        }
+        .send(response)
+    }
+}
+
+/// The write half of a [`LineReader`], lent with the line it read.
+pub(crate) struct Reply<'a> {
+    writer: &'a mut TcpStream,
+    reply: &'a mut String,
+}
+
+impl Reply<'_> {
+    /// Formats `response` into the connection's buffer and writes it and
+    /// its newline with a single `write(2)`.
+    pub(crate) fn send(self, response: &Response) -> std::io::Result<()> {
         self.reply.clear();
-        write_response(&mut self.reply, response);
+        write_response(self.reply, response);
         self.reply.push('\n');
         self.writer.write_all(self.reply.as_bytes())
     }

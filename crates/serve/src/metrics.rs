@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use ds_core::store::RecoveryReport;
 use ds_obs::{Counter, ExemplarRing, LogHistogram, PromText};
 
 /// Slow-request exemplars retained for the `TRACE` command.
@@ -157,6 +158,9 @@ pub struct Metrics {
     /// Rejected `SYNC` blobs written under the snapshot directory's
     /// `quarantine/`; `None` on a server without a snapshot directory.
     pub sync_quarantined: Option<Counter>,
+    /// What the server recovered from its snapshot directory at start;
+    /// `None` on a server without one.
+    pub recovered: Option<RecoveryReport>,
     /// Requests mirrored to the lifecycle daemon's shadow scorer; `None`
     /// on a server without a lifecycle daemon, like `shadow_dropped`.
     pub mirrored: Option<Counter>,
@@ -193,6 +197,7 @@ impl Default for Metrics {
             sync_stale: Counter::default(),
             sync_rejected: Counter::default(),
             sync_quarantined: None,
+            recovered: None,
             mirrored: None,
             shadow_dropped: None,
             latency_us: LogHistogram::new(),
@@ -206,8 +211,8 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Creates zeroed metrics, with neither a quarantine nor a shadow
-    /// scorer to count for.
+    /// Creates zeroed metrics, with neither a snapshot directory nor a
+    /// shadow scorer to count for.
     pub fn new() -> Self {
         Self::default()
     }
@@ -250,6 +255,12 @@ impl Metrics {
             .counter("serve/sync/rejected", self.sync_rejected.get());
         if let Some(c) = &self.sync_quarantined {
             p.counter("serve/sync/quarantined", c.get());
+        }
+        if let Some(r) = &self.recovered {
+            p.counter("serve/recovery/adopted", r.loaded.len() as u64)
+                .counter("serve/recovery/stale", r.stale.len() as u64)
+                .counter("serve/recovery/quarantined", r.quarantined.len() as u64)
+                .counter("serve/recovery/temps_removed", r.removed_temps.len() as u64);
         }
         let latency = self.latency_us.snapshot();
         p.gauge(

@@ -2,22 +2,37 @@
 //! connection. A handler runs its request to the end itself — parse, cache
 //! probe, the forward pass (through the shared [`Batcher`]), the write.
 //!
+//! An `ESTIMATE` or `FEEDBACK` is one record from its line to its timeline.
+//! `decide` answers it — by the model, the cache, the fallback or a typed
+//! rejection — and writes none of the server's bookkeeping. `settle` books
+//! that record once, in one order: the breaker's verdict, the counters and
+//! SLOs, then, for an answer of the sketch's own, the drift monitor, the
+//! lifecycle harvest, the cache insert and the shadow mirror. The reply is
+//! a function of the record, and the stage timeline is booked from the
+//! same record once the reply is written.
+//!
 //! Robustness properties (each covered by an integration test):
 //!
 //! * every malformed or unanswerable request gets a typed one-line `ERR` —
-//!   no panic is reachable from client input;
+//!   no panic is reachable from client input, and none is left in this
+//!   module outside its tests;
 //! * admission is the connection cap at accept time, shedding with `BUSY`:
 //!   a connection has one request in flight, so the cap bounds the passes;
+//! * every request the breaker admits gives it exactly one verdict, so a
+//!   half-open probe always resolves;
 //! * `shutdown()` drains: every request already read is answered and every
 //!   thread is joined before it returns.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
-use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,8 +47,8 @@ use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
-use crate::breaker::{Admit, BreakerRegistry};
-use crate::cache::{CanonicalQuery, EstimateCache, EstimateKey};
+use crate::breaker::{Admit, BreakerRegistry, CircuitBreaker, Verdict};
+use crate::cache::{CanonicalQuery, EstimateCache, EstimateKey, TemplateInterner};
 use crate::config::{ServeConfig, SloSignal};
 use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
@@ -98,6 +113,80 @@ struct Shared {
 }
 
 impl Shared {
+    /// Everything the handlers and the lifecycle daemon read, built from
+    /// `cfg`, with the shadow queue's receiving end when a lifecycle is
+    /// configured. With a snapshot directory, `store` and the monitors are
+    /// first recovered from it.
+    fn new(
+        db: Arc<Database>,
+        store: Arc<SketchStore>,
+        cfg: ServeConfig,
+    ) -> std::io::Result<(Self, Option<Receiver<ShadowJob>>)> {
+        let monitors = Arc::new(MonitorRegistry::new());
+        let recovered = (cfg.snapshot_dir.as_deref())
+            .map(|dir| store.recover(dir, &monitors))
+            .transpose()
+            .map_err(std::io::Error::other)?;
+        let metrics = Arc::new(Metrics {
+            sync_quarantined: cfg.snapshot_dir.is_some().then(Counter::new),
+            recovered,
+            mirrored: cfg.lifecycle.is_some().then(Counter::new),
+            shadow_dropped: cfg.lifecycle.is_some().then(Counter::new),
+            ..Metrics::new()
+        });
+        let batcher = Batcher::with_faults(
+            BatcherConfig {
+                request_timeout: cfg.request_timeout,
+            },
+            Arc::clone(&metrics),
+            cfg.faults.clone(),
+        );
+        // The manager reloads persisted harvest sets off the snapshot
+        // directory (the warm-restart path) ahead of the first request.
+        let (lifecycle, shadow_rx) = match cfg.lifecycle {
+            Some(lc_cfg) => {
+                let manager = LifecycleManager::new(lc_cfg)
+                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
+                if let Some(dir) = cfg.snapshot_dir.as_deref() {
+                    manager.load_harvests(dir);
+                }
+                let (shadow_tx, rx) = std::sync::mpsc::sync_channel(SHADOW_QUEUE_CAPACITY);
+                let manager = Arc::new(manager);
+                (Some(LifecycleShared { manager, shadow_tx }), Some(rx))
+            }
+            None => (None, None),
+        };
+        let shared = Self {
+            db,
+            store,
+            batcher,
+            metrics,
+            monitors,
+            shutting_down: AtomicBool::new(false),
+            max_connections: cfg.max_connections.max(1),
+            timeline: cfg.timeline,
+            slow_threshold: cfg.slow_threshold,
+            templates: TemplateInterner::new(),
+            breakers: BreakerRegistry::new(cfg.breaker),
+            fallback: cfg.fallback,
+            faults: cfg.faults,
+            cache: (cfg.cache_capacity > 0).then(|| EstimateCache::new(cfg.cache_capacity, 8)),
+            lifecycle,
+            snapshot_dir: cfg.snapshot_dir,
+            ids: IdSource::from_entropy(),
+            epoch: Instant::now(),
+            slos: cfg
+                .slos
+                .into_iter()
+                .map(|s| SloState {
+                    tracker: SloTracker::new(s.spec),
+                    signal: s.signal,
+                })
+                .collect(),
+        };
+        Ok((shared, shadow_rx))
+    }
+
     /// Milliseconds since the server started — the SLO clock.
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
@@ -143,93 +232,28 @@ impl Server {
     /// by name per request, so background retraining swaps take effect
     /// live). With a snapshot directory, the server first recovers it into
     /// `store` and its own monitors ([`SketchStore::recover`]): a warm
-    /// restart serves what the directory holds, drift windows included.
+    /// restart serves what the directory holds, drift windows included,
+    /// and `STATS` counts what it recovered (`serve/recovery/*`).
     pub fn start(
         db: Arc<Database>,
         store: Arc<SketchStore>,
         cfg: ServeConfig,
     ) -> std::io::Result<Self> {
-        let monitors = Arc::new(MonitorRegistry::new());
-        if let Some(dir) = cfg.snapshot_dir.as_deref() {
-            store
-                .recover(dir, &monitors)
-                .map_err(std::io::Error::other)?;
-        }
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let bind_addr = cfg.addr.clone();
+        let (shared, shadow_rx) = Shared::new(db, store, cfg)?;
+        let shared = Arc::new(shared);
+        let listener = TcpListener::bind(&bind_addr)?;
         let addr = listener.local_addr()?;
-        let metrics = Arc::new(Metrics {
-            sync_quarantined: cfg.snapshot_dir.is_some().then(Counter::new),
-            mirrored: cfg.lifecycle.is_some().then(Counter::new),
-            shadow_dropped: cfg.lifecycle.is_some().then(Counter::new),
-            ..Metrics::new()
-        });
-        let batcher = Batcher::with_faults(
-            BatcherConfig {
-                request_timeout: cfg.request_timeout,
-            },
-            Arc::clone(&metrics),
-            cfg.faults.clone(),
-        );
-        // Lifecycle plumbing is built before `Shared` so the manager can
-        // reload persisted harvest sets off the snapshot directory (the
-        // warm-restart path) ahead of the first request.
-        let mut daemon: Option<(Arc<LifecycleManager>, Receiver<ShadowJob>)> = None;
-        let lifecycle = match cfg.lifecycle {
-            Some(lc_cfg) => {
-                let manager = Arc::new(
-                    LifecycleManager::new(lc_cfg)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?,
-                );
-                if let Some(dir) = cfg.snapshot_dir.as_deref() {
-                    manager.load_harvests(dir);
-                }
-                let (tx, rx) = std::sync::mpsc::sync_channel(SHADOW_QUEUE_CAPACITY);
-                daemon = Some((Arc::clone(&manager), rx));
-                Some(LifecycleShared {
-                    manager,
-                    shadow_tx: tx,
-                })
-            }
-            None => None,
-        };
-        let shared = Arc::new(Shared {
-            db,
-            store,
-            batcher,
-            metrics,
-            monitors,
-            shutting_down: AtomicBool::new(false),
-            max_connections: cfg.max_connections.max(1),
-            timeline: cfg.timeline,
-            slow_threshold: cfg.slow_threshold,
-            templates: TemplateInterner::new(),
-            breakers: BreakerRegistry::new(cfg.breaker),
-            fallback: cfg.fallback,
-            faults: cfg.faults,
-            cache: (cfg.cache_capacity > 0).then(|| EstimateCache::new(cfg.cache_capacity, 8)),
-            lifecycle,
-            snapshot_dir: cfg.snapshot_dir,
-            ids: IdSource::from_entropy(),
-            epoch: Instant::now(),
-            slos: cfg
-                .slos
-                .into_iter()
-                .map(|s| SloState {
-                    tracker: SloTracker::new(s.spec),
-                    signal: s.signal,
-                })
-                .collect(),
-        });
-        let lifecycle_daemon = match daemon {
-            Some((manager, rx)) => {
-                let shared = Arc::clone(&shared);
+        let lifecycle_daemon = match (shadow_rx, &shared.lifecycle) {
+            (Some(rx), Some(lc)) => {
+                let (manager, shared) = (Arc::clone(&lc.manager), Arc::clone(&shared));
                 Some(
                     std::thread::Builder::new()
                         .name("ds-serve-lifecycle".to_string())
                         .spawn(move || run_lifecycle_daemon(&manager, &shared, &rx))?,
                 )
             }
-            None => None,
+            _ => None,
         };
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -306,7 +330,7 @@ impl Server {
         let handlers: Vec<_> = self
             .handlers
             .lock()
-            .expect("handler registry")
+            .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             .collect();
         for h in handlers {
@@ -364,7 +388,7 @@ fn accept_loop(
             .name("ds-serve-conn".to_string())
             .spawn(move || handle_connection(stream, &slot.0));
         if let Ok(handle) = spawned {
-            let mut reg = handlers.lock().expect("handler registry");
+            let mut reg = handlers.lock().unwrap_or_else(PoisonError::into_inner);
             // Reap finished handlers so the registry stays bounded.
             reg.retain(|h| !h.is_finished());
             reg.push(handle);
@@ -390,19 +414,24 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut conn = ConnectionState::default();
-    while let Some(request) = lines.next_line() {
-        // t0 anchors the request timeline: everything from here to the
-        // post-flush stamp is attributed to exactly one stage.
-        let t0 = Instant::now();
-        let (response, pending) = handle_line(request, shared, t0, &mut conn);
-        if lines.respond(&response).is_err() {
-            return;
-        }
-        if let Some(p) = pending {
-            finish_timeline(p, &conn.sketch, t0, shared);
-        }
-        if response == Response::Bye {
-            return;
+    while let Some((line, reply)) = lines.next_request() {
+        // `received` anchors the request timeline: everything from here to
+        // the post-flush stamp is attributed to exactly one stage.
+        let received = Instant::now();
+        match handle_line(line, shared, received) {
+            Ok(ask) => {
+                let served = decide(shared, &mut conn, ask);
+                settle(&served, shared);
+                if reply.send(&served.response()).is_err() {
+                    return;
+                }
+                served.book_timeline(shared);
+            }
+            Err(response) => {
+                if reply.send(&response).is_err() || response == Response::Bye {
+                    return;
+                }
+            }
         }
     }
 }
@@ -422,171 +451,29 @@ struct ConnectionState {
     canonical: CanonicalQuery,
     /// The key the cache is probed with.
     key: EstimateKey,
-    /// The sketch the last timed request named: its timeline is finished
-    /// after the reply is written, when the line is gone.
-    sketch: String,
 }
 
-/// A successful estimate's timeline, waiting for the final write stamp.
-struct PendingTimeline {
-    template: Arc<str>,
-    stamps: StageStamps,
-    /// Incoming trace context plus this server's own span id, when the
-    /// request carried a `trace=` token.
-    trace: Option<(TraceContext, u64)>,
-}
-
-/// Stitches the stamps into the three contiguous stages, records them, and
-/// keeps the request as a `TRACE` exemplar when it crossed the slow
-/// threshold — or when it was traced, so a cross-process trace always has
-/// its server-side spans available to the aggregator. Only kept exemplars
-/// materialize their strings; the common fast-request path records three
-/// histogram points and returns.
-fn finish_timeline(p: PendingTimeline, sketch: &str, t0: Instant, shared: &Shared) {
-    let done = Instant::now();
-    let us = |d: Duration| d.as_micros() as u64;
-    let s = &p.stamps;
-    let total = done.saturating_duration_since(t0);
-    let parse_us = us(s.forward_start.saturating_duration_since(t0));
-    let forward_us = us(s.forward_end.saturating_duration_since(s.forward_start));
-    let write_us = us(done.saturating_duration_since(s.forward_end));
-    shared.metrics.record_stages(parse_us, forward_us, write_us);
-    if total >= shared.slow_threshold || p.trace.is_some() {
-        let (trace_id, parent_span, span_id) = match p.trace {
-            Some((ctx, span)) => (ctx.trace_id, ctx.span_id, span),
-            None => (0, 0, 0),
-        };
-        shared.metrics.slow.push(RequestTimeline {
-            sketch: sketch.to_string(),
-            template: p.template.as_ref().to_string(),
-            total_us: us(total),
-            parse_us,
-            forward_us,
-            write_us,
-            trace_id,
-            span_id,
-            parent_span,
-        });
-    }
-}
-
-/// Interns structural templates: queries with the same shape share one
-/// rendered string, so the per-request timeline path pays a read-locked
-/// map hit on the shape its cache key already holds instead of
-/// re-rendering [`query_template`] (string sorts and a dozen allocations)
-/// on every request. Public for `ds-bench`'s `ceilings` test, which holds
-/// the per-request timeline work under an absolute ceiling.
-pub struct TemplateInterner {
-    map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
-}
-
-impl Default for TemplateInterner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TemplateInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self {
-            map: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Returns the interned [`query_template`] of `query`, rendering and
-    /// caching it on first sight of `shape`, the query's
-    /// [`EstimateKey::shape`](crate::EstimateKey::shape).
-    pub fn get(&self, db: &Database, query: &Query, shape: &[u32]) -> Arc<str> {
-        if let Some(t) = self.map.read().expect("template cache poisoned").get(shape) {
-            return Arc::clone(t);
-        }
-        let rendered: Arc<str> = query_template(db, query).into();
-        let mut map = self.map.write().expect("template cache poisoned");
-        // Bounded against unbounded shape churn; real workloads cycle a
-        // handful of shapes, so eviction is effectively unreachable.
-        if map.len() >= 4096 {
-            map.clear();
-        }
-        Arc::clone(map.entry(shape.to_vec()).or_insert(rendered))
-    }
-}
-
-/// The structural template of a query: sorted table names, join equalities,
-/// and predicate shapes with literals elided. Space-free by construction
-/// (identifier characters only plus `,|+=<>?.`), so it survives the
-/// one-token wire formats, and canonical, so the same query shape always
-/// feeds the same per-template drift monitor regardless of literal values
-/// or clause order.
-pub fn query_template(db: &Database, query: &Query) -> String {
-    let mut tables: Vec<&str> = query.tables.iter().map(|t| db.table(*t).name()).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<String> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let (l, r) = (db.col_name(j.left), db.col_name(j.right));
-            if l <= r {
-                format!("{l}={r}")
-            } else {
-                format!("{r}={l}")
-            }
-        })
-        .collect();
-    joins.sort();
-    let mut preds: Vec<String> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            // Comparison tokens keep their legacy spelling; the word-like
-            // operators get dot delimiters so the template stays
-            // unambiguous against identifier characters.
-            let tok = match p.op_kind() {
-                ds_storage::predicate::PredOpKind::In => ".IN.",
-                ds_storage::predicate::PredOpKind::Like => ".LIKE.",
-                k => k.sql(),
-            };
-            format!("{}{}?", db.col_name(cr), tok)
-        })
-        .collect();
-    preds.sort();
-    let mut out = tables.join(",");
-    if !joins.is_empty() {
-        out.push('|');
-        out.push_str(&joins.join("+"));
-    }
-    if !preds.is_empty() {
-        out.push('|');
-        out.push_str(&preds.join("+"));
-    }
-    out
-}
-
-/// Answers one request line. Total: every path, including malformed input,
-/// produces exactly one response.
-fn handle_line(
-    line: &str,
-    shared: &Shared,
-    t0: Instant,
-    conn: &mut ConnectionState,
-) -> (Response, Option<PendingTimeline>) {
+/// Answers one request line, except an `ESTIMATE` or `FEEDBACK`, which it
+/// hands back to be decided. Total: every other line, malformed ones
+/// included, gets exactly one response.
+fn handle_line<'a>(line: &'a str, shared: &Shared, received: Instant) -> Result<Ask<'a>, Response> {
     shared.metrics.requests.inc();
-    let request = match split_request(line) {
-        Ok(r) => r,
-        Err(resp) => {
-            shared.metrics.errors.inc();
-            return (resp, None);
-        }
+    let request = split_request(line).inspect_err(|_| shared.metrics.errors.inc())?;
+    let ask = |sketch, sql, trace, feedback| Ask {
+        sketch,
+        sql,
+        trace,
+        feedback,
+        received,
     };
     let response = match request {
-        Request::Estimate { sketch, sql, trace } => {
-            return handle_estimate(sketch, sql, trace, None, shared, t0, conn)
-        }
+        Request::Estimate { sketch, sql, trace } => return Ok(ask(sketch, sql, trace, None)),
         Request::Feedback {
             sketch,
             actual,
             sql,
             trace,
-        } => return handle_estimate(sketch, sql, trace, Some(actual), shared, t0, conn),
+        } => return Ok(ask(sketch, sql, trace, Some(actual))),
         Request::Hello { version } => {
             let response = hello_response(version);
             if matches!(response, Response::Error { .. }) {
@@ -630,7 +517,7 @@ fn handle_line(
         Request::Trace => Response::Text(RequestTimeline::payload(&shared.metrics.slow.snapshot())),
         Request::Quit => Response::Bye,
     };
-    (response, None)
+    Err(response)
 }
 
 /// Ships the named sketch as a hex-encoded DSNP blob. The bytes are
@@ -701,6 +588,128 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
     }
 }
 
+/// One `ESTIMATE` or `FEEDBACK` (`feedback`: its true count), as slices
+/// of its line, read at `received`.
+#[derive(Debug, Clone, Copy)]
+struct Ask<'a> {
+    sketch: &'a str,
+    sql: &'a str,
+    trace: Option<TraceContext>,
+    feedback: Option<u64>,
+    received: Instant,
+}
+
+/// How an estimate request was answered.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// A forward pass of the sketch's model.
+    Model(f64, StageStamps),
+    /// The cache: an earlier pass's bits (both stamps: the hit's instant).
+    Cached(f64, StageStamps),
+    /// The fallback, flagged `degraded`, covering the model's health
+    /// failure or, with `None`, an open circuit.
+    Fallback(f64, Option<Rejection>),
+    /// The model's failure, surfaced.
+    Failed(Rejection),
+    /// Refused before the model: an unknown sketch, SQL that does not
+    /// parse, or an open circuit with no fallback.
+    Refused(Response),
+}
+
+/// One estimate request's record: `decide` writes it, `settle` books it,
+/// and the reply and the timeline are read from it.
+struct Served<'a> {
+    request: Ask<'a>,
+    /// The caller's trace context and this server's span id under it.
+    span: Option<(TraceContext, u64)>,
+    /// The store generation resolved (0 for an unknown sketch).
+    generation: u64,
+    /// The sketch's breaker and its admission (`None`: refused before it).
+    admitted: Option<(Arc<CircuitBreaker>, Admit)>,
+    answer: Answer,
+    /// The interned template, when a timeline or a grade needs it.
+    template: Option<Arc<str>>,
+    /// The parsed query, its canonical form and, when the cache was probed
+    /// (`Admit::Allow`), the key.
+    conn: &'a ConnectionState,
+}
+
+impl Served<'_> {
+    /// The sketch's own estimate: the model's or the cache's.
+    fn estimate(&self) -> Option<f64> {
+        match self.answer {
+            Answer::Model(v, _) | Answer::Cached(v, _) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// What the request says about its sketch: its own answer is healthy,
+    /// a health failure (surfaced or covered by the fallback) failed, any
+    /// other failure neutral; `None` when no breaker admitted it.
+    fn verdict(&self) -> Option<Verdict> {
+        match &self.answer {
+            Answer::Model(..) | Answer::Cached(..) => Some(Verdict::Healthy),
+            Answer::Fallback(_, Some(_)) => Some(Verdict::Failed),
+            Answer::Failed(r) if health_failure(r) => Some(Verdict::Failed),
+            Answer::Failed(_) => Some(Verdict::Neutral),
+            Answer::Fallback(_, None) | Answer::Refused(_) => None,
+        }
+    }
+
+    /// The reply.
+    fn response(&self) -> Response {
+        match &self.answer {
+            Answer::Model(v, _) | Answer::Cached(v, _) => Response::Estimate(*v),
+            Answer::Fallback(v, _) => Response::Degraded(*v),
+            Answer::Failed(Rejection::Estimate(e)) => estimate_error_response(e),
+            Answer::Failed(r) => Response::Error {
+                code: match r {
+                    Rejection::Timeout => ErrorCode::Timeout,
+                    _ => ErrorCode::Internal,
+                },
+                message: r.to_string(),
+            },
+            Answer::Refused(response) => response.clone(),
+        }
+    }
+
+    /// Books the stages of the sketch's own answer once its reply is
+    /// written, and keeps the request as a `TRACE` exemplar when it crossed
+    /// the slow threshold or was traced (so a cross-process trace always
+    /// finds its server-side spans). Only an exemplar allocates.
+    fn book_timeline(&self, shared: &Shared) {
+        let (Answer::Model(_, stamps) | Answer::Cached(_, stamps)) = &self.answer else {
+            return;
+        };
+        if !shared.timeline {
+            return;
+        }
+        let (received, written) = (self.request.received, Instant::now());
+        let us = |from: Instant, to: Instant| to.saturating_duration_since(from).as_micros() as u64;
+        let parse_us = us(received, stamps.forward_start);
+        let forward_us = us(stamps.forward_start, stamps.forward_end);
+        let write_us = us(stamps.forward_end, written);
+        shared.metrics.record_stages(parse_us, forward_us, write_us);
+        let total = written.saturating_duration_since(received);
+        if total >= shared.slow_threshold || self.span.is_some() {
+            let (trace_id, parent_span, span_id) = self
+                .span
+                .map_or((0, 0, 0), |(ctx, span)| (ctx.trace_id, ctx.span_id, span));
+            shared.metrics.slow.push(RequestTimeline {
+                sketch: self.request.sketch.to_string(),
+                template: self.template.as_deref().unwrap_or("").to_string(),
+                total_us: total.as_micros() as u64,
+                parse_us,
+                forward_us,
+                write_us,
+                trace_id,
+                span_id,
+                parent_span,
+            });
+        }
+    }
+}
+
 /// Whether a rejection says something about the *sketch's* health (and
 /// should trip its circuit breaker / route to the fallback) rather than
 /// about the client's query. Malformed/out-of-scope queries are not the
@@ -716,281 +725,179 @@ fn health_failure(r: &Rejection) -> bool {
     }
 }
 
-/// Answers `query` through the configured fallback estimator, flagged
-/// `degraded` on the wire. `None` when no fallback is configured or it
-/// fails too (the caller then surfaces the original error).
-fn degraded_answer(query: &ds_query::query::Query, shared: &Shared) -> Option<Response> {
-    let fallback = shared.fallback.as_ref()?;
-    match fallback.try_estimate(query) {
-        Ok(v) => {
-            shared.metrics.degraded.inc();
-            Some(Response::Degraded(v))
-        }
-        Err(_) => None,
-    }
+/// The fallback estimator's answer; `None` without one or when it fails.
+fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
+    shared.fallback.as_ref()?.try_estimate(query).ok()
 }
 
-/// Estimates `sql` with the named sketch; with `feedback`, additionally
-/// records the q-error against the observed true cardinality. Both paths
-/// answer through the same batcher call, so a `FEEDBACK` estimate is
+/// Answers one estimate request and returns its record. It books nothing:
+/// what it touches shared is what answering needs (the breaker's admission,
+/// the cache probe, the template interner, the pass, the fallback). Both
+/// verbs answer through the same batcher call, so a `FEEDBACK` estimate is
 /// bit-identical to the `ESTIMATE` it grades.
 ///
-/// The degradation chain wraps the happy path: an open circuit breaker
-/// short-circuits straight to the fallback, and a health-style failure
-/// (decode/execution/unavailable/timeout) trips the breaker and answers
-/// through the fallback when one is configured — flagged `degraded` on the
-/// wire, never silently.
-fn handle_estimate(
-    sketch: &str,
-    sql: &str,
-    trace: Option<TraceContext>,
-    feedback: Option<u64>,
-    shared: &Shared,
-    t0: Instant,
-    conn: &mut ConnectionState,
-) -> (Response, Option<PendingTimeline>) {
+/// An open circuit short-circuits straight to the fallback, and a health
+/// failure (decode/execution/unavailable/timeout) answers through the
+/// fallback when one is configured — flagged `degraded`, never silently.
+fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) -> Served<'a> {
     let _span = ds_obs::global().span("serve/estimate");
-    // A traced request gets this server's own span, parented under the
-    // caller's, for its exemplar.
-    let server_trace = trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let (estimator, generation) = match shared.store.get_with_generation(sketch) {
-        Ok(p) => p,
-        Err(e) => {
-            shared.metrics.errors.inc();
-            shared.record_slos(None, true, None);
-            return (store_error_response(&e), None);
-        }
-    };
-    let ConnectionState {
-        parser,
-        query,
-        canonical,
-        key,
-        sketch: timed_sketch,
-    } = conn;
-    if let Err(e) = parser.parse_query(&shared.db, sql, query) {
-        shared.metrics.errors.inc();
-        shared.record_slos(None, true, None);
-        return (
-            Response::Error {
-                code: ErrorCode::Parse,
-                message: e.0,
-            },
-            None,
-        );
-    }
-    let breaker = shared.breakers.breaker(sketch);
-    let admit = breaker.admit();
-    if admit == Admit::ShortCircuit {
-        return match degraded_answer(query, shared) {
-            Some(resp) => {
-                shared.metrics.record_ok(t0.elapsed());
-                shared.record_slos(Some(t0.elapsed()), false, None);
-                (resp, None)
-            }
-            None => {
-                shared.metrics.errors.inc();
-                shared.record_slos(None, true, None);
-                (
-                    Response::Error {
-                        code: ErrorCode::NotReady,
-                        message: format!("sketch '{sketch}' circuit open; no fallback configured"),
-                    },
-                    None,
-                )
-            }
+    let span = request.trace.map(|ctx| (ctx, shared.ids.next_span()));
+    let (mut generation, mut admitted, mut template) = (0, None, None);
+    let answer = 'answer: {
+        let (estimator, resolved) = match shared.store.get_with_generation(request.sketch) {
+            Ok(found) => found,
+            Err(e) => break 'answer Answer::Refused(store_error_response(&e)),
         };
-    }
-    // The cache is consulted only while the breaker is fully closed: an
-    // open circuit already short-circuited above, and a half-open probe
-    // must exercise the real model to prove recovery — a warm cache must
-    // never mask an unhealthy sketch.
-    let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
-    // One canonicalisation of the query serves the interned template, the
-    // harvest key and the cache key.
-    let wants_template = shared.timeline || feedback.is_some();
-    let canonical = (wants_template || cache.is_some()).then(|| {
-        canonical.fill(query);
-        &*canonical
-    });
-    let template = canonical
-        .filter(|_| wants_template)
-        .map(|c| shared.templates.get(&shared.db, query, &c.shape));
-    // Shadow mirroring clones the query only while this sketch is actually
-    // in the shadow phase — `shadowing` is one relaxed atomic load when no
-    // candidate exists anywhere, keeping the steady-state path clone-free.
-    let mirror_query = shared
-        .lifecycle
-        .as_ref()
-        .filter(|lc| lc.manager.shadowing(sketch))
-        .map(|_| query.clone());
-    // Harvest key: graded queries dedupe on template + literals, so
-    // re-grading the same concrete query refreshes (not duplicates) its
-    // harvest entry.
-    let harvest_key = canonical
-        .filter(|_| feedback.is_some() && shared.lifecycle.is_some())
-        .map(|c| harvest_key(template.as_deref().unwrap_or(""), c));
-    // The key carries the store generation this request resolved, so an
-    // entry of a swapped-out model is never looked up again.
-    let cache_key = cache.zip(canonical).map(|(c, q)| {
-        key.set(sketch, generation, q);
-        (c, &*key)
-    });
-    let mut cache_hit = false;
-    let outcome = if shared
-        .faults
-        .as_ref()
-        .is_some_and(|f| f.is_poisoned(sketch))
-    {
-        // Injected fault: the in-memory model is corrupt; fail before the
-        // forward pass, exactly where a real poisoned model would.
-        Err(Rejection::Estimate(EstimateError::Execution(format!(
-            "sketch '{sketch}' model poisoned (fault injection)"
-        ))))
-    } else if let Some(v) = cache_key.and_then(|(c, k)| c.get(k)) {
-        // Warm cache: the memoized answer is bit-identical to what the
-        // forward pass produced when it was inserted, so the wire bytes
-        // match a cold estimate exactly.
-        cache_hit = true;
-        let now = Instant::now();
-        Ok((
-            v,
-            StageStamps {
-                forward_start: now,
-                forward_end: now,
-            },
-        ))
-    } else {
-        // The pass runs here, on this handler's thread, against the model
-        // this request resolved: a concurrent swap changes what the next
-        // lookup finds, not what this pass holds.
-        match shared.batcher.estimate_stamped(&*estimator, query) {
-            Ok(_)
-                if shared
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.should_flip_decode(sketch)) =>
-            {
-                Err(Rejection::Estimate(EstimateError::Decode(format!(
-                    "sketch '{sketch}' decode flipped (fault injection)"
-                ))))
+        generation = resolved;
+        if let Err(e) = conn
+            .parser
+            .parse_query(&shared.db, request.sql, &mut conn.query)
+        {
+            let code = ErrorCode::Parse;
+            break 'answer Answer::Refused(Response::Error { code, message: e.0 });
+        }
+        let (breaker, query) = (shared.breakers.breaker(request.sketch), &conn.query);
+        let admit = breaker.admit();
+        admitted = Some((breaker, admit));
+        if admit == Admit::ShortCircuit {
+            let sketch = request.sketch;
+            break 'answer fallback(shared, query).map_or_else(
+                || {
+                    let message = format!("sketch '{sketch}' circuit open; no fallback configured");
+                    Answer::Refused(Response::Error {
+                        code: ErrorCode::NotReady,
+                        message,
+                    })
+                },
+                |v| Answer::Fallback(v, None),
+            );
+        }
+        // Only a closed breaker consults the cache: a half-open probe must
+        // reach the model, and a warm cache must never mask an unhealthy
+        // sketch. One canonical form serves template, harvest and cache key;
+        // the key carries the generation resolved, so a swapped-out model's
+        // entries are never looked up again.
+        let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
+        let wants_template = shared.timeline || request.feedback.is_some();
+        if wants_template || cache.is_some() {
+            conn.canonical.fill(query);
+        }
+        if wants_template {
+            template = Some(
+                shared
+                    .templates
+                    .get(&shared.db, query, &conn.canonical.shape),
+            );
+        }
+        if cache.is_some() {
+            conn.key.set(request.sketch, generation, &conn.canonical);
+        }
+        let key = &conn.key;
+        let reached = FaultInjector::reach_model(shared.faults.as_deref(), request.sketch, || {
+            // A hit's bits are what the pass produced when it was inserted.
+            if let Some(v) = cache.and_then(|c| c.get(key)) {
+                let now = Instant::now();
+                let stamps = StageStamps {
+                    forward_start: now,
+                    forward_end: now,
+                };
+                return Ok(Answer::Cached(v, stamps));
             }
-            other => other,
+            // The pass runs on this thread against the model this request
+            // resolved: a concurrent swap changes the next lookup only.
+            let pass = shared.batcher.estimate_stamped(&*estimator, query);
+            pass.map(|(v, stamps)| Answer::Model(v, stamps))
+        });
+        match reached {
+            Err(r) if health_failure(&r) => match fallback(shared, query) {
+                Some(v) => Answer::Fallback(v, Some(r)),
+                None => Answer::Failed(r),
+            },
+            reached => reached.unwrap_or_else(Answer::Failed),
         }
     };
-    match outcome {
-        Ok((v, stamps)) => {
-            breaker.record_success();
-            let latency = t0.elapsed();
-            shared.metrics.record_ok(latency);
-            let qerror = feedback.map(|actual| ds_core::metrics::qerror(v, actual.max(1) as f64));
-            shared.record_slos(Some(latency), false, qerror);
-            if let Some(actual) = feedback {
-                let monitor = shared.monitors.monitor(sketch);
-                monitor.record(template.as_deref().unwrap_or(""), v, actual as f64);
-                // Graded queries feed the lifecycle harvest (and, post-swap,
-                // the guard window) — the raw SQL rides along so the daemon
-                // can re-parse it for incremental retraining.
-                if let (Some(lc), Some(key)) = (shared.lifecycle.as_ref(), harvest_key.as_deref()) {
-                    lc.manager
-                        .observe_feedback(sketch, generation, key, sql, v, actual);
-                }
-            }
-            if !cache_hit {
-                if let Some((c, k)) = cache_key {
-                    c.insert(k.clone(), v);
-                }
-            }
-            // Mirror the request to the shadow scorer *after* answering is
-            // decided: the candidate never contributes to the wire response,
-            // and a full queue drops the mirror (counted), never the client.
-            if let (Some(lc), Some(q)) = (shared.lifecycle.as_ref(), mirror_query) {
-                let job = ShadowJob {
-                    sketch: sketch.to_string(),
-                    query: q,
-                    live: v,
-                    actual: feedback,
-                };
-                let counted = match lc.shadow_tx.try_send(job) {
-                    Ok(()) => &shared.metrics.mirrored,
-                    Err(_) => &shared.metrics.shadow_dropped,
-                };
-                if let Some(counted) = counted {
-                    counted.inc();
-                }
-            }
-            let pending = shared.timeline.then(|| {
-                timed_sketch.clear();
-                timed_sketch.push_str(sketch);
-                PendingTimeline {
-                    template: template.expect("template built when timeline on"),
-                    stamps,
-                    trace: server_trace,
-                }
-            });
-            (Response::Estimate(v), pending)
-        }
-        Err(rejection) => {
-            if health_failure(&rejection) {
-                breaker.record_failure();
-                if let Some(resp) = degraded_answer(query, shared) {
-                    shared.metrics.record_ok(t0.elapsed());
-                    shared.record_slos(Some(t0.elapsed()), false, None);
-                    return (resp, None);
-                }
-            }
-            shared.record_slos(None, true, None);
-            match rejection {
-                Rejection::Timeout => {
-                    // The batcher already counted the timeout.
-                    (
-                        Response::Error {
-                            code: ErrorCode::Timeout,
-                            message: "request deadline exceeded".to_string(),
-                        },
-                        None,
-                    )
-                }
-                Rejection::ShuttingDown => {
-                    shared.metrics.errors.inc();
-                    (
-                        Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "server shutting down".to_string(),
-                        },
-                        None,
-                    )
-                }
-                Rejection::Estimate(e) => {
-                    shared.metrics.errors.inc();
-                    (estimate_error_response(&e), None)
-                }
-            }
-        }
+    Served {
+        request,
+        span,
+        generation,
+        admitted,
+        answer,
+        template,
+        conn,
     }
 }
 
-/// The harvest deduplication key: the interner's canonical template plus
-/// the concrete literals in the query's canonical predicate order. Two
-/// gradings of the same concrete query collide (refreshing that harvest
-/// entry); the same template with different literals stays distinct.
-fn harvest_key(template: &str, query: &CanonicalQuery) -> String {
-    use std::fmt::Write as _;
-    let mut key = String::with_capacity(template.len() + query.preds.len() * 12);
-    key.push_str(template);
-    for (t, c, op, lits) in &query.preds {
-        // Op codes < 3 are single-literal comparisons and keep the legacy
-        // `#{t}.{c}:{op}={lit}` spelling; IN/LIKE render their full
-        // literal vector so distinct lists and patterns stay distinct.
-        let _ = write!(key, "#{t}.{c}:{op}=");
-        for (i, lit) in query.lits[lits.start..lits.end].iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            let _ = write!(key, "{lit}");
+/// Books one record, each piece once, in this order: the breaker's
+/// verdict; `ok` with the latency (and `degraded` for the fallback) or
+/// `errors` (a timeout is counted once, as `timeouts`, by the batcher);
+/// the SLOs; then, for the sketch's own answer, the drift monitor and the
+/// lifecycle harvest (a graded request), the cache insert (a model's
+/// answer) and the shadow mirror.
+fn settle(served: &Served, shared: &Shared) {
+    let (request, m) = (&served.request, &shared.metrics);
+    if let (Some((breaker, _)), Some(verdict)) = (&served.admitted, served.verdict()) {
+        breaker.record(verdict);
+    }
+    let latency = match served.answer {
+        Answer::Failed(Rejection::Timeout) => None,
+        Answer::Failed(_) | Answer::Refused(_) => {
+            m.errors.inc();
+            None
+        }
+        Answer::Model(..) | Answer::Cached(..) | Answer::Fallback(..) => {
+            Some(request.received.elapsed())
+        }
+    };
+    if let Some(latency) = latency {
+        m.record_ok(latency);
+    }
+    if let Answer::Fallback(..) = served.answer {
+        m.degraded.inc();
+    }
+    let estimate = served.estimate();
+    let graded = estimate.zip(request.feedback);
+    let qerror = graded.map(|(v, actual)| ds_core::metrics::qerror(v, actual.max(1) as f64));
+    shared.record_slos(latency, latency.is_none(), qerror);
+    let Some(v) = estimate else {
+        return;
+    };
+    if let Some(actual) = request.feedback {
+        let template = served.template.as_deref().unwrap_or("");
+        let monitor = shared.monitors.monitor(request.sketch);
+        monitor.record(template, v, actual as f64);
+        // A graded query feeds the lifecycle harvest (and, after a swap,
+        // the guard window), with its SQL for the daemon to re-parse.
+        if let Some(lc) = &shared.lifecycle {
+            let key = served.conn.canonical.harvest_key(template);
+            let (sketch, generation) = (request.sketch, served.generation);
+            lc.manager
+                .observe_feedback(sketch, generation, &key, request.sql, v, actual);
         }
     }
-    key
+    if let (Answer::Model(..), Some(cache), Some((_, Admit::Allow))) =
+        (&served.answer, &shared.cache, &served.admitted)
+    {
+        cache.insert(served.conn.key.clone(), v);
+    }
+    // The candidate never answers a client, and a full queue drops the
+    // mirror (counted). `shadowing` is one relaxed atomic load while no
+    // candidate exists anywhere, so the steady state clones nothing.
+    let shadowing = |lc: &&LifecycleShared| lc.manager.shadowing(request.sketch);
+    if let Some(lc) = shared.lifecycle.as_ref().filter(shadowing) {
+        let job = ShadowJob {
+            sketch: request.sketch.to_string(),
+            query: served.conn.query.clone(),
+            live: v,
+            actual: request.feedback,
+        };
+        let counted = match lc.shadow_tx.try_send(job) {
+            Ok(()) => &m.mirrored,
+            Err(_) => &m.shadow_dropped,
+        };
+        if let Some(counted) = counted {
+            counted.inc();
+        }
+    }
 }
 
 /// The lifecycle daemon loop: drains mirrored shadow jobs, steps the
@@ -1108,43 +1015,136 @@ fn stats_payload(shared: &Shared) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerConfig;
+    use crate::config::ServeConfigBuilder;
+    use crate::protocol::format_response;
+    use ds_core::builder::SketchBuilder;
+    use ds_core::sketch::DeepSketch;
+    use ds_est::postgres::PostgresEstimator;
+    use ds_est::CardinalityEstimator;
     use ds_query::parser::parse_query;
+    use ds_query::workloads::imdb_predicate_columns;
+    use ds_storage::column::Column;
     use ds_storage::gen::{imdb_database, ImdbConfig};
+    use ds_storage::table::Table;
 
+    /// The sketch the tests serve, and a database wider than the one it was
+    /// built on: a `note` column after `title`'s last, which the sketch has
+    /// never seen, so `title.note` parses and the sketch refuses it as a
+    /// client error.
+    fn wide_fixture() -> (Arc<Database>, DeepSketch) {
+        let db = imdb_database(&ImdbConfig::tiny(42));
+        let model = SketchBuilder::new(&db, imdb_predicate_columns(&db))
+            .training_queries(120)
+            .epochs(2)
+            .sample_size(8)
+            .hidden_units(8)
+            .seed(7)
+            .build()
+            .expect("sketch");
+        let mut tables = db.tables().to_vec();
+        let note = Column::new("note", vec![1; tables[0].num_rows()]);
+        tables[0] = Table::new(tables[0].name(), [tables[0].columns(), &[note]].concat());
+        let wide = Database::new(db.name(), tables, db.foreign_keys().to_vec());
+        (Arc::new(wide), model)
+    }
+
+    /// One row per way `decide` can answer, each asserting the record
+    /// (generation, admission, answer), the reply line and the verdict
+    /// `settle` gives the breaker, with no socket.
     #[test]
-    fn interner_shares_one_rendering_per_query_shape() {
-        let db = imdb_database(&ImdbConfig::tiny(3));
-        let interner = TemplateInterner::new();
-        // Same shape, different literals and clause order → one entry.
-        let a = parse_query(
-            &db,
-            "SELECT COUNT(*) FROM title t, movie_keyword mk \
-             WHERE mk.movie_id = t.id AND t.production_year > 1995",
-        )
-        .expect("parse");
-        let b = parse_query(
-            &db,
-            "SELECT COUNT(*) FROM movie_keyword mk, title t \
-             WHERE t.production_year > 2001 AND mk.movie_id = t.id",
-        )
-        .expect("parse");
-        let get = |q: &Query| interner.get(&db, q, EstimateKey::new("imdb", 1, q).shape());
-        let ta = get(&a);
-        let tb = get(&b);
-        assert!(Arc::ptr_eq(&ta, &tb), "same shape must intern to one Arc");
-        assert_eq!(ta.as_ref(), query_template(&db, &a));
-        assert_eq!(ta.as_ref(), query_template(&db, &b));
-
-        // A different operator on the same column is a different shape.
-        let c = parse_query(
-            &db,
-            "SELECT COUNT(*) FROM title t, movie_keyword mk \
-             WHERE mk.movie_id = t.id AND t.production_year < 1995",
-        )
-        .expect("parse");
-        let tc = get(&c);
-        assert!(!Arc::ptr_eq(&ta, &tc));
-        assert_eq!(tc.as_ref(), query_template(&db, &c));
+    fn decide_records_every_exit_and_settle_gives_one_verdict() {
+        let (wide, model) = wide_fixture();
+        let sql = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
+        let query = parse_query(&wide, sql).expect("parse");
+        let fallback = PostgresEstimator::build(&wide);
+        let ok = format_response(&Response::Estimate(model.estimate_one(&query)));
+        let degraded = format_response(&Response::Degraded(fallback.estimate(&query)));
+        let fallback: SharedEstimator = Arc::new(fallback);
+        let shared = |cfg: ServeConfigBuilder, faults: Option<FaultInjector>| {
+            let store = Arc::new(SketchStore::new());
+            store.insert("imdb", model.clone()).expect("insert");
+            let cfg = cfg.faults(faults.map(Arc::new)).build().expect("config");
+            let (shared, _) = Shared::new(Arc::clone(&wide), store, cfg).expect("shared");
+            shared
+        };
+        let plain = || ServeConfig::builder();
+        let with_fallback = || plain().fallback(Some(Arc::clone(&fallback)));
+        let trip = |cfg: ServeConfigBuilder, cooldown| {
+            let failure_threshold = 1;
+            let shared = shared(
+                cfg.breaker(BreakerConfig {
+                    failure_threshold,
+                    cooldown,
+                }),
+                None,
+            );
+            shared.breakers.breaker("imdb").record(Verdict::Failed);
+            shared
+        };
+        let (closed, open) = (shared(plain(), None), trip(plain(), Duration::MAX));
+        let open_fallback = trip(with_fallback(), Duration::MAX);
+        let probing = trip(plain(), Duration::ZERO);
+        let (stall, poison) = (FaultInjector::new(1), FaultInjector::new(2));
+        stall.delay_forwards(Duration::from_millis(60), 1.0);
+        poison.poison("imdb");
+        let deadline = Duration::from_millis(10);
+        let stalled = shared(plain().request_timeout(deadline), Some(stall));
+        let poisoned = shared(with_fallback(), Some(poison));
+        let note = "SELECT COUNT(*) FROM title WHERE title.note = 1";
+        let (allow, probe, short) = (
+            Some(Admit::Allow),
+            Some(Admit::Probe),
+            Some(Admit::ShortCircuit),
+        );
+        let (healthy, failed, neutral) = (
+            Some(Verdict::Healthy),
+            Some(Verdict::Failed),
+            Some(Verdict::Neutral),
+        );
+        let not_ready = "ERR not-ready sketch 'imdb' circuit open; no fallback configured";
+        // exit, server, sketch, SQL, (generation, admit, answer, verdict, breaker after), reply
+        #[rustfmt::skip]
+        let rows = [
+            ("unknown sketch", &closed, "nosuch", sql, (0, None, "Refused", None, "closed"), "ERR unknown-sketch unknown sketch 'nosuch'"),
+            ("parse error", &closed, "imdb", "SELECT x", (1, None, "Refused", None, "closed"), "ERR parse "),
+            ("short circuit", &open, "imdb", sql, (1, short, "Refused", None, "open"), not_ready),
+            ("short circuit, fallback", &open_fallback, "imdb", sql, (1, short, "Fallback", None, "open"), &degraded),
+            ("cache miss", &closed, "imdb", sql, (1, allow, "Model", healthy, "closed"), &ok),
+            ("cache hit", &closed, "imdb", sql, (1, allow, "Cached", healthy, "closed"), &ok),
+            ("deadline", &stalled, "imdb", sql, (1, allow, "Failed", failed, "closed"), "ERR timeout request deadline exceeded"),
+            ("health failure, fallback", &poisoned, "imdb", sql, (1, allow, "Fallback", failed, "closed"), &degraded),
+            ("client error", &closed, "imdb", note, (1, allow, "Failed", neutral, "closed"), "ERR vocabulary "),
+            ("client error on the probe", &probing, "imdb", note, (1, probe, "Failed", neutral, "half-open"), "ERR vocabulary "),
+        ];
+        // The injector is inert in release builds, where the two faulted
+        // rows are skipped.
+        for (exit, shared, sketch, sql, record, reply) in rows {
+            if shared.faults.is_some() && !FaultInjector::armed() {
+                continue;
+            }
+            let (mut conn, received) = (ConnectionState::default(), Instant::now());
+            let (trace, feedback) = (None, None);
+            let ask = Ask {
+                sketch,
+                sql,
+                trace,
+                feedback,
+                received,
+            };
+            let served = decide(shared, &mut conn, ask);
+            settle(&served, shared);
+            let line = format_response(&served.response());
+            let answer = format!("{:?}", served.answer);
+            let kind = answer.split('(').next().unwrap_or_default();
+            let admit = served.admitted.as_ref().map(|(_, admit)| *admit);
+            let state = shared.breakers.breaker("imdb").state_name();
+            let got = (served.generation, admit, kind, served.verdict(), state);
+            assert_eq!(got, record, "{exit}");
+            assert!(line.starts_with(reply), "{exit}: {line}");
+        }
+        // The neutral probe was handed back: the next request probes.
+        assert_eq!(probing.breakers.breaker("imdb").admit(), Admit::Probe);
     }
 
     /// The global tracer's families meet the server's in `STATS`: a traced

@@ -5,7 +5,8 @@
 //!   wire flag, trips its circuit breaker, and recovers after healing;
 //! * health failures without a fallback surface typed errors and an open
 //!   circuit short-circuits with `not-ready`;
-//! * an injected forward stall blows the deadline and degrades too.
+//! * an injected forward stall blows the deadline and degrades too;
+//! * a half-open probe that ends in a client error hands the probe back.
 //!
 //! The tests are compiled only under `debug_assertions`: the injector is
 //! deliberately inert in release builds. That a healthy sketch answers
@@ -22,6 +23,9 @@ use ds_query::parser::parse_query;
 use ds_serve::{
     BreakerConfig, Client, ErrorCode, FaultInjector, Response, ServeConfig, Server, SharedEstimator,
 };
+use ds_storage::catalog::Database;
+use ds_storage::column::Column;
+use ds_storage::table::Table;
 
 mod common;
 use common::fixture;
@@ -225,6 +229,70 @@ fn stalled_forward_pass_blows_the_deadline_and_degrades() {
     let snap = server.metrics();
     assert_eq!(snap.degraded, 1);
     assert_eq!(snap.timeouts, 1, "the underlying timeout is still counted");
+    c.quit().unwrap();
+    server.shutdown();
+}
+
+/// `db` with a `note` column after `title`'s last: the wider schema a
+/// sketch of `db` meets next to a newer database, where `title.note`
+/// parses but is out of the sketch's vocabulary.
+fn with_title_note(db: &Database) -> Database {
+    let mut tables = db.tables().to_vec();
+    let note = Column::new("note", vec![1; tables[0].num_rows()]);
+    tables[0] = Table::new(tables[0].name(), [tables[0].columns(), &[note]].concat());
+    Database::new(db.name(), tables, db.foreign_keys().to_vec())
+}
+
+#[test]
+fn a_probe_that_ends_in_a_client_error_hands_the_probe_back() {
+    let (db, store) = fixture();
+    let query = parse_query(&db, SQL).unwrap();
+    let sketch_expected = store.get("imdb").unwrap().estimate_one(&query);
+    let faults = Arc::new(FaultInjector::new(5));
+    let cooldown = Duration::from_millis(100);
+    let server = Server::start(
+        Arc::new(with_title_note(&db)),
+        store,
+        ServeConfig::builder()
+            .breaker(BreakerConfig {
+                failure_threshold: 3,
+                cooldown,
+            })
+            .faults(Some(Arc::clone(&faults)))
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let breaker = server.breaker("imdb");
+
+    // Three health failures open the breaker; heal and wait out the
+    // cooldown.
+    faults.poison("imdb");
+    for i in 0..3 {
+        let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
+        assert!(line.starts_with("ERR internal"), "request {i}: {line}");
+    }
+    assert_eq!(breaker.state_name(), "open");
+    faults.heal("imdb");
+    std::thread::sleep(cooldown + Duration::from_millis(50));
+
+    // The probe names a column the sketch does not know: a client error,
+    // which says nothing about the sketch and hands the probe back.
+    let probe = "SELECT COUNT(*) FROM title WHERE title.note = 1";
+    let line = c.send_raw(&format!("ESTIMATE imdb {probe}")).unwrap();
+    assert!(line.starts_with("ERR vocabulary"), "{line}");
+    assert_eq!(breaker.state_name(), "half-open");
+
+    // The next healthy request is the probe: it reaches the sketch and
+    // closes the breaker.
+    match c.estimate("imdb", SQL).unwrap() {
+        Response::Estimate(v) => assert_eq!(v.to_bits(), sketch_expected.to_bits()),
+        other => panic!("a healthy request after the client error: {other:?}"),
+    }
+    assert_eq!(breaker.state_name(), "closed");
+    assert_eq!(breaker.opened(), 1);
     c.quit().unwrap();
     server.shutdown();
 }

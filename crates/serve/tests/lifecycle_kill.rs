@@ -230,6 +230,17 @@ fn kill_nine_mid_retrain_restarts_clean() {
             );
         }
         let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        // `STATS` says the same as the directory: a generation adopted,
+        // nothing quarantined.
+        let samples = c.stats().unwrap();
+        let stat = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+        let adopted = stat("ds_serve_recovery_adopted").unwrap_or(0.0);
+        assert!(adopted >= 1.0, "iter {iter}: adopted {adopted}");
+        assert_eq!(
+            stat("ds_serve_recovery_quarantined"),
+            Some(0.0),
+            "iter {iter}"
+        );
         let line = c.send_raw(&format!("ESTIMATE imdb {PROBE_SQL}")).unwrap();
         assert!(line.starts_with("OK "), "iter {iter}: {line}");
         c.quit().unwrap();
