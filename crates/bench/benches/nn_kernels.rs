@@ -1,9 +1,10 @@
 //! **NN kernel + pipeline throughput** — the numbers behind the compute
 //! backbone: matmul kernel timings at the MSCN-critical shapes, end-to-end
 //! training cost at the fig1a configuration (10k queries), batched vs
-//! looped serving latency on a JOB-light-style workload, and what the
-//! frozen artifact's element memo does to one estimate on the repository
-//! benchmark's sketch and stream.
+//! looped serving latency on a JOB-light-style workload, what the frozen
+//! artifact's element memo does to one estimate on the repository
+//! benchmark's sketch and stream, and what two cores pay for reading one
+//! block rather than a copy each.
 //!
 //! Prints its timings and asserts that every kernel path and both serving
 //! paths agree exactly; it gates nothing, and `kernel_properties` holds
@@ -13,6 +14,7 @@
 
 use std::collections::HashSet;
 use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::Instant;
 
 use ds_bench::{
@@ -20,12 +22,14 @@ use ds_bench::{
     BENCH_SEED,
 };
 use ds_core::builder::SketchBuilder;
+use ds_core::DeepSketch;
 use ds_nn::pool::Team;
 use ds_nn::sparse::{Finish, Kernel};
 use ds_nn::tensor::{reference, Tensor};
 use ds_nn::{IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
+use ds_query::Query;
 
 /// Wall-clock seconds of one run of `f`.
 fn secs<R>(f: impl FnOnce() -> R) -> f64 {
@@ -67,6 +71,71 @@ fn or_all(words: &[u64]) -> u64 {
         return unsafe { wide(words) };
     }
     words.iter().fold(0, |acc, &w| acc | w)
+}
+
+/// Median µs per `estimate_one` over the stream, one thread per entry of
+/// `sketches` at once, each asking its sketch — a sketch listed twice is
+/// shared. Every thread walks `stream` from its own offset, once untimed
+/// (filling the memo it reads) and then `rounds` times timed, all threads
+/// released together.
+fn estimate_us(sketches: &[&DeepSketch], stream: &[Query], rounds: usize) -> f64 {
+    let barrier = Barrier::new(sketches.len());
+    let per_thread: Vec<Vec<f64>> = std::thread::scope(|s| {
+        let workers: Vec<_> = sketches
+            .iter()
+            .enumerate()
+            .map(|(t, &sketch)| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let at = t * stream.len() / sketches.len();
+                    let walk = || {
+                        let (head, tail) = stream.split_at(at);
+                        for q in tail.iter().chain(head) {
+                            black_box(sketch.estimate_one(q));
+                        }
+                    };
+                    walk();
+                    (0..rounds)
+                        .map(|_| {
+                            barrier.wait();
+                            secs(walk) / stream.len() as f64
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("estimating thread"))
+            .collect()
+    });
+    median(per_thread.concat()) * 1e6
+}
+
+/// Median GB/s one thread reads, one thread per entry of `blocks` at once,
+/// each streaming its block `passes` times with [`or_all`] — a block
+/// listed twice is read by both.
+fn read_gbps(blocks: &[&[u64]], passes: usize) -> f64 {
+    let barrier = Barrier::new(blocks.len());
+    let times: Vec<f64> = std::thread::scope(|s| {
+        let readers: Vec<_> = blocks
+            .iter()
+            .map(|&block| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    black_box(or_all(block));
+                    barrier.wait();
+                    secs(|| (0..passes).map(|_| or_all(black_box(block))).sum::<u64>())
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("reading thread"))
+            .collect()
+    });
+    let bytes = (blocks[0].len() * 8 * passes) as f64;
+    bytes / median(times) / 1e9
 }
 
 fn main() {
@@ -358,4 +427,44 @@ fn main() {
         memo.entries,
         memo.resident_bytes as f64 / memo.entries.max(1) as f64
     );
+
+    // --- (5) two cores, one block or a copy each -------------------------
+    // The host property the artifact's per-core copies of its output layer
+    // rest on (DESIGN.md, "The artifact's copies"): `estimate_one` over the
+    // stream on one thread, on two threads sharing the sketch (and so its
+    // weights, but for the output layer's per-core copies, and its memo),
+    // and on two threads each with a clone of it (nothing shared); then a
+    // raw read probe, two threads streaming one 64-byte-aligned block
+    // against two copies of it, from inside L2 to past it. Threads are not
+    // pinned: the OS places them, as it places a server's handlers.
+    println!("\n[5] two cores, one block or a copy each ({lanes} lanes):");
+    sketch.freeze();
+    let copy = sketch.clone();
+    let one = estimate_us(&[&sketch], &stream, 3);
+    let shared = estimate_us(&[&sketch, &sketch], &stream, 3);
+    let private = estimate_us(&[&sketch, &copy], &stream, 3);
+    println!(
+        "  estimate_one, µs per estimate per thread: one thread {one:.2}, two on one sketch {shared:.2}, two on two clones {private:.2}"
+    );
+    println!("  read probe, GB/s per thread (two threads):");
+    for kib in [256usize, 512, 1024, 2048] {
+        let len = kib * 1024 / 8;
+        let (mut a, mut b) = (vec![0u64; len + 8], vec![0u64; len + 8]);
+        let (a, b) = (line_aligned(&mut a, len), line_aligned(&mut b, len));
+        a.iter_mut().enumerate().for_each(|(i, w)| *w = i as u64);
+        b.copy_from_slice(a);
+        let (a, b) = (&*a, &*b);
+        // 1 GiB read per thread per timing; shared and private alternate.
+        let passes = (1 << 30) / (kib * 1024);
+        let (mut one_block, mut two_copies) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            one_block.push(read_gbps(&[a, a], passes));
+            two_copies.push(read_gbps(&[a, b], passes));
+        }
+        let (one_block, two_copies) = (median(one_block), median(two_copies));
+        println!(
+            "    {kib:>5} KiB  one block {one_block:>6.1}  two copies {two_copies:>6.1}  ({:+.0} %)",
+            100.0 * (two_copies / one_block - 1.0)
+        );
+    }
 }

@@ -55,11 +55,29 @@
 //! element takes ≈ 0.5 KB (≈ 1.8 KB dense), and the ring holds ≈ 8 000 of
 //! them.
 //!
-//! Outside training the artifact is the only copy of a model's weights:
+//! Outside training the artifact is the only holder of a model's weights:
 //! [`FrozenModel::encode`] writes them and [`FrozenModel::decode`] reads
 //! them straight back into serving layout, and a caller that wants to
 //! train on from them thaws a training-layout copy
 //! ([`FrozenLinear::thaw`]).
+//!
+//! ## One copy of the output layer per core
+//!
+//! Every estimate streams the output MLP's first layer (`3·hidden ×
+//! hidden`, 768 KiB at hidden 256), and two cores streaming one block
+//! read it slower than each streaming its own (E52). So the artifact
+//! keeps, beside those *home* weights, up to one copy of them per CPU the
+//! process may use: a forward pass asks the OS which CPU it runs on
+//! (`sched_getcpu` on Linux; elsewhere it reads the home weights), and the
+//! first pass on a CPU claims a slot for it, copying the weights there
+//! from that CPU. The first CPU to claim a slot reads the home weights, so
+//! with `available_parallelism()` slots there are at most that many
+//! copies, home included, and at most `(cores − 1) × 3·hidden·hidden × 4`
+//! bytes beside the weights. A CPU that finds every slot claimed by
+//! others reads the home weights too. A copy holds the home weights' bits,
+//! so which one a pass reads changes no output bit. Like the memo, the
+//! copies are identity-free: built empty by [`FrozenModel::new`] and
+//! `clone`, ignored by `==`, never serialized.
 //!
 //! ## Determinism contract
 //!
@@ -72,8 +90,8 @@
 //! call computed it, so a memoized row is the row the kernel would produce
 //! again, bit for bit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
@@ -165,11 +183,18 @@ impl FrozenLinear {
     /// # Panics
     /// Panics when `y` has the wrong length or an index is `>= in_dim`.
     pub fn forward_rows(&self, rows: &IndexSet, relu: bool, y: &mut [f32]) {
+        self.forward_rows_reading(&self.w, rows, relu, y);
+    }
+
+    /// [`FrozenLinear::forward_rows`] reading the weights from `w`, a copy
+    /// of this layer's.
+    fn forward_rows_reading(&self, w: &[f32], rows: &IndexSet, relu: bool, y: &mut [f32]) {
+        debug_assert_eq!(w.len(), self.w.len(), "a copy of this layer's weights");
         let finish = Finish::Bias {
             bias: &self.b,
             relu,
         };
-        sparse::sparse_rows(&self.w, self.out_dim, rows.rows(), finish, y);
+        sparse::sparse_rows(w, self.out_dim, rows.rows(), finish, y);
     }
 
     /// Portable [`FrozenLinear::forward_rows`] — the oracle the AVX-512 and
@@ -632,6 +657,112 @@ impl PartialEq for ElementMemo {
     }
 }
 
+/// The per-CPU copies of one layer's weights (see the module docs): slots
+/// made on first use, one per CPU the process may use, each claimed by
+/// the first CPU that probes it. Not part of the artifact's identity — a
+/// clone starts with none and `==` ignores them.
+#[derive(Default)]
+struct CoreCopies {
+    slots: OnceLock<Box<[OnceLock<CoreCopy>]>>,
+    /// Whether a CPU reads the home weights through a slot already.
+    home_claimed: AtomicBool,
+}
+
+/// A slot's CPU and what it reads: its own copy, or the home weights.
+struct CoreCopy {
+    cpu: usize,
+    weights: Option<LineAligned>,
+}
+
+impl CoreCopies {
+    /// `cores` empty slots.
+    #[cfg(test)]
+    fn with_slots(cores: usize) -> Self {
+        let copies = Self::default();
+        copies.slots.get_or_init(|| empty_slots(cores));
+        copies
+    }
+
+    /// The weights a pass on `cpu` reads: the copy of `home` that `cpu`'s
+    /// slot holds, made there on its first pass, or `home` itself — for
+    /// the first CPU to claim a slot, for a CPU that finds every slot
+    /// claimed by others, and when the CPU is unknown. A slot is probed
+    /// from `cpu` modulo the slot count onward, so CPUs with neighbouring
+    /// ids claim neighbouring slots.
+    fn weights<'a>(&'a self, cpu: Option<usize>, home: &'a LineAligned) -> &'a [f32] {
+        let Some(cpu) = cpu else {
+            return home;
+        };
+        let slots = self.slots.get_or_init(|| {
+            empty_slots(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        });
+        for i in 0..slots.len() {
+            let copy = slots[(cpu + i) % slots.len()].get_or_init(|| CoreCopy {
+                cpu,
+                // `Relaxed`: the flag guards no other data; the slot's
+                // `OnceLock` publishes the copy.
+                weights: self
+                    .home_claimed
+                    .swap(true, Ordering::Relaxed)
+                    .then(|| home.clone()),
+            });
+            if copy.cpu == cpu {
+                return copy.weights.as_ref().unwrap_or(home);
+            }
+        }
+        home
+    }
+
+    /// How many copies the slots hold, the home weights not counted.
+    fn made(&self) -> usize {
+        self.slots.get().map_or(0, |slots| {
+            let held = |s: &OnceLock<CoreCopy>| s.get().is_some_and(|c| c.weights.is_some());
+            slots.iter().filter(|s| held(s)).count()
+        })
+    }
+}
+
+/// `cores` unclaimed slots.
+fn empty_slots(cores: usize) -> Box<[OnceLock<CoreCopy>]> {
+    (0..cores).map(|_| OnceLock::new()).collect()
+}
+
+impl Clone for CoreCopies {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for CoreCopies {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for CoreCopies {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CoreCopies({} made)", self.made())
+    }
+}
+
+/// The CPU the calling thread runs on now, as the OS numbers it.
+#[cfg(target_os = "linux")]
+fn current_cpu() -> Option<usize> {
+    extern "C" {
+        fn sched_getcpu() -> std::os::raw::c_int;
+    }
+    // SAFETY: `sched_getcpu` takes no arguments and touches no memory of
+    // ours; it returns the CPU's number, or -1 when it cannot tell.
+    usize::try_from(unsafe { sched_getcpu() }).ok()
+}
+
+/// The CPU the calling thread runs on now: unknown off Linux, where every
+/// pass reads the home weights.
+#[cfg(not(target_os = "linux"))]
+fn current_cpu() -> Option<usize> {
+    None
+}
+
 /// Reusable buffers of the fused forward pass. One scratch per thread
 /// keeps the hot path allocation-free; buffers grow to the largest batch
 /// seen and are then reused.
@@ -729,7 +860,7 @@ fn entries_of(set: &IndexSet, r: usize) -> &[(u32, f32)] {
 /// The frozen MSCN inference artifact: three set modules (two layers
 /// each), the two output layers, all in serving layout. Built once from a
 /// trained model, its weights immutable afterwards; the element memo
-/// fills as it serves.
+/// fills as it serves, and each CPU it serves on gets its copy of `out1`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenModel {
     tables1: FrozenLinear,
@@ -742,6 +873,8 @@ pub struct FrozenModel {
     out2: FrozenLinear,
     hidden: usize,
     memo: ElementMemo,
+    /// Per-CPU copies of `out1`'s weights.
+    out1_copies: CoreCopies,
 }
 
 impl FrozenModel {
@@ -782,6 +915,7 @@ impl FrozenModel {
             out2,
             hidden: h,
             memo: ElementMemo::default(),
+            out1_copies: CoreCopies::default(),
         }
     }
 
@@ -915,6 +1049,23 @@ impl FrozenModel {
         scratch: &mut FrozenScratch,
         out: &mut [f32],
     ) {
+        let cpu = current_cpu();
+        self.forward_batch_on(cpu, tables, joins, preds, counts, scratch, out);
+    }
+
+    /// [`FrozenModel::forward_batch`] as a pass on `cpu` runs it: reading
+    /// the copy of `out1` that CPU's slot holds.
+    #[allow(clippy::too_many_arguments)]
+    fn forward_batch_on(
+        &self,
+        cpu: Option<usize>,
+        tables: &BitRows,
+        joins: &IndexSet,
+        preds: &IndexSet,
+        counts: &[[u32; 3]],
+        scratch: &mut FrozenScratch,
+        out: &mut [f32],
+    ) {
         assert_eq!(out.len(), counts.len(), "one output per query");
         let (n, h) = (counts.len(), self.hidden);
         scratch.pooled.clear();
@@ -959,7 +1110,8 @@ impl FrozenModel {
         } = scratch;
         let act = grown(act, n * h);
         sparse.compress_rows(pooled, 3 * h);
-        self.out1.forward_rows(sparse, true, act);
+        let out1 = self.out1_copies.weights(cpu, &self.out1.w);
+        self.out1.forward_rows_reading(out1, sparse, true, act);
         sparse.compress_rows(act, h);
         self.out2.forward_rows(sparse, false, out);
         for y in out.iter_mut() {
@@ -2016,6 +2168,105 @@ mod tests {
             "nothing is looked up in a poisoned memo"
         );
         assert_eq!(after.misses, stats.misses + elements as u64);
+    }
+
+    /// `forward_batch` of one query as a pass on `cpu` runs it.
+    fn forward_on(m: &FrozenModel, cpu: Option<usize>, q: &[IndexSet; 3]) -> u32 {
+        let counts = [[0, 1, 2].map(|s| q[s].elems.len() as u32)];
+        let mut y = [0.0f32];
+        let tables = bits_of(&q[0], m.tables1.in_dim());
+        let scratch = &mut FrozenScratch::new();
+        m.forward_batch_on(cpu, &tables, &q[1], &q[2], &counts, scratch, &mut y);
+        y[0].to_bits()
+    }
+
+    /// Where the weights a pass on `cpu` reads start.
+    fn out1_read_by(m: &FrozenModel, cpu: usize) -> *const f32 {
+        m.out1_copies.weights(Some(cpu), &m.out1.w).as_ptr()
+    }
+
+    #[test]
+    fn passes_on_two_copy_slots_answer_the_home_bits() {
+        // Three slots: CPU 0 claims the first and reads the home weights,
+        // CPUs 4 and 1 (4 and 1 mod 3 = 1, then 2) get a copy each, and
+        // CPU 7 finds every slot claimed and reads the home weights.
+        let mut m = tiny_model();
+        m.out1_copies = CoreCopies::with_slots(3);
+        let empty = IndexSet::default();
+        let mut stream = repeating_stream(60);
+        // An all-empty query — every pooled row zero, so the output layers
+        // run over empty rows — and explicit zeros in a join and a
+        // predicate.
+        stream.push([empty.clone(), empty.clone(), empty.clone()]);
+        stream.push([empty.clone(), one_entry(0.0), one_entry(-0.0)]);
+        let want: Vec<u32> = stream.iter().map(|q| forward(&tiny_model(), q)).collect();
+        for cpu in [Some(0), Some(4), Some(1), Some(7), None, Some(4), Some(1)] {
+            for (q, &want) in stream.iter().zip(&want) {
+                assert_eq!(forward_on(&m, cpu, q), want, "cpu {cpu:?}");
+            }
+        }
+        let home = m.out1.w.as_ptr();
+        assert_eq!(out1_read_by(&m, 0), home);
+        assert_eq!(out1_read_by(&m, 7), home);
+        let (four, one) = (out1_read_by(&m, 4), out1_read_by(&m, 1));
+        assert!(four != home && one != home && four != one, "two copies");
+        assert_eq!(m.out1_copies.made(), 2);
+
+        // Each copy holds the home bits: the layer over rows with an empty
+        // row and explicit zeros reads the same from all three.
+        let rows = sparse_rows(5, 3 * m.hidden, 0xC0DE);
+        let mut outputs = Vec::new();
+        for cpu in [0, 4, 1] {
+            let w = m.out1_copies.weights(Some(cpu), &m.out1.w);
+            let mut y = vec![f32::NAN; 5 * m.hidden];
+            m.out1.forward_rows_reading(w, &rows, true, &mut y);
+            outputs.push(y.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        assert!(outputs.windows(2).all(|w| w[0] == w[1]));
+
+        // And a pass on CPU 4 reads CPU 4's copy: spoiled, it answers
+        // otherwise, while CPU 1 and the home weights do not.
+        let slots = m.out1_copies.slots.get_mut().expect("slots made");
+        let spoiled = slots
+            .iter_mut()
+            .filter_map(|s| s.get_mut())
+            .find(|c| c.cpu == 4);
+        let spoiled = spoiled
+            .and_then(|c| c.weights.as_mut())
+            .expect("CPU 4's copy");
+        for w in spoiled.lines.iter_mut() {
+            w.0 = [1.0; 16];
+        }
+        let q = &stream[0];
+        assert_ne!(forward_on(&m, Some(4), q), want[0]);
+        assert_eq!(forward_on(&m, Some(1), q), want[0]);
+        assert_eq!(forward_on(&m, Some(0), q), want[0]);
+    }
+
+    #[test]
+    fn the_copies_never_outnumber_the_cores_and_stay_out_of_identity() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let m = tiny_model();
+        let q = &repeating_stream(1)[0];
+        let want = forward(&tiny_model(), q);
+        // CPU ids past the core count, as a process confined to some of a
+        // host's CPUs sees them.
+        for cpu in (0..4 * cores + 8).rev() {
+            assert_eq!(forward_on(&m, Some(cpu), q), want, "cpu {cpu}");
+        }
+        assert_eq!(m.out1_copies.slots.get().map(|s| s.len()), Some(cores));
+        assert_eq!(m.out1_copies.made(), cores - 1, "home is one of the copies");
+
+        let clone = m.clone();
+        assert_eq!(clone.out1_copies.made(), 0);
+        assert_eq!(clone, m);
+        assert_eq!(m, tiny_model());
+        let bytes = |m: &FrozenModel| {
+            let mut e = Encoder::new();
+            m.encode(&mut e);
+            e.finish()
+        };
+        assert_eq!(bytes(&m), bytes(&tiny_model()));
     }
 
     #[test]

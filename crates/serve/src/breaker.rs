@@ -181,6 +181,17 @@ impl CircuitBreaker {
         !matches!(*self.lock(), State::Closed { .. })
     }
 
+    /// Whether [`CircuitBreaker::admit`] would short-circuit a request now:
+    /// open with its cooldown still running, or half-open with its probe
+    /// out. Changes nothing.
+    pub fn short_circuits_now(&self) -> bool {
+        match *self.lock() {
+            State::Closed { .. } | State::HalfOpen { probing: false } => false,
+            State::Open { since } => since.elapsed() < self.cfg.cooldown,
+            State::HalfOpen { probing: true } => true,
+        }
+    }
+
     /// Times this breaker transitioned to open.
     pub fn opened(&self) -> u64 {
         self.opened.load(Ordering::Relaxed)

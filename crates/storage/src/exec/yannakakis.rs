@@ -239,7 +239,19 @@ impl CountExecutor {
         if !query.is_tree() {
             return Err(ExecError::Cyclic);
         }
-        let nodes = join_tree(query);
+        self.count_rooted(db, query, root_of(query), sel)
+    }
+
+    /// [`CountExecutor::count_with`] of a validated, tree-shaped query
+    /// with its join tree rooted at `root`, one of its tables.
+    fn count_rooted(
+        &self,
+        db: &Database,
+        query: &ExecQuery,
+        root: TableId,
+        sel: &mut Vec<u32>,
+    ) -> Result<u64, ExecError> {
+        let nodes = join_tree(query, root);
         let root = &nodes[0];
         let inputs: Vec<(Arc<EdgeCodes>, Message)> = root
             .children
@@ -346,10 +358,25 @@ impl CountExecutor {
     }
 }
 
-/// Roots the (validated, tree-shaped) join graph at `query.tables[0]`.
-fn join_tree(query: &ExecQuery) -> Vec<Node> {
+/// The table [`CountExecutor::count`] roots a query's join tree at: the
+/// first of `query.tables` that carries a predicate, else the first. The
+/// root's filter is applied to the rows it sums over, not to a message;
+/// rooted at a filtered table, every predicate-free neighbour's message is
+/// one the cache can keep, and no weight pass walks the rows a filter
+/// would have dropped (a third fewer rows on the benchmark build's
+/// labels). Every root gives the same count.
+fn root_of(query: &ExecQuery) -> TableId {
+    let filtered = query
+        .tables
+        .iter()
+        .find(|&&t| query.preds_of(t).next().is_some());
+    *filtered.unwrap_or(&query.tables[0])
+}
+
+/// Roots the (validated, tree-shaped) join graph at `root`.
+fn join_tree(query: &ExecQuery, root: TableId) -> Vec<Node> {
     let mut nodes = vec![Node {
-        table: query.tables[0],
+        table: root,
         up: None,
         children: Vec::new(),
         predicate_free: true,
@@ -651,16 +678,18 @@ mod tests {
         // c → b and (b with c below) → a; the root is not a message.
         assert_eq!(exec.cached_messages(), 2);
         assert_eq!(exec.cached_messages_derived(), 2);
-        // A predicate on b leaves only the leaf c cacheable, and c's
-        // message is the one already there.
+        // A predicate on b roots the tree at b: both its neighbours are
+        // predicate-free leaves, c's message is the one already there and
+        // a's toward b is new.
         let filtered = ExecQuery {
             predicates: vec![(TableId(1), ColPredicate::new(1, CmpOp::Gt, 10))],
             ..chain.clone()
         };
         assert_eq!(exec.count(&db, &filtered).unwrap(), 4);
-        assert_eq!(exec.cached_messages(), 2);
-        assert_eq!(exec.cached_messages_derived(), 2);
-        // Rooted at c, the same tables send different messages.
+        assert_eq!(exec.cached_messages(), 3);
+        assert_eq!(exec.cached_messages_derived(), 3);
+        // Rooted at c, the same tables send different messages: b's with
+        // a below it is new.
         let from_c = ExecQuery {
             tables: vec![TableId(2), TableId(1), TableId(0)],
             ..chain
@@ -668,6 +697,104 @@ mod tests {
         assert_eq!(exec.count(&db, &from_c).unwrap(), 6);
         assert_eq!(exec.cached_messages(), 4);
         assert_eq!(exec.cached_messages_derived(), 4);
+    }
+
+    /// Six tables `t0..t5`, each `(id, up, v)` with 4 to 23 rows: `id`
+    /// draws from `0..12`, `up` is a key into the parent's `id` (`t_i`'s
+    /// parent is a lower table, so the foreign keys form a tree) from
+    /// `0..14` with about one NULL in eight, and `v` from `0..6`.
+    fn random_tree_db(seed: u64) -> Database {
+        use crate::bitmap::Bitmap;
+        let mut s = seed | 1;
+        let mut next = move |below: u64| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) % below
+        };
+        let (mut tables, mut fks) = (Vec::new(), Vec::new());
+        for t in 0..6 {
+            let rows = 4 + next(20) as usize;
+            let mut col = |below: u64| (0..rows).map(|_| next(below) as i64).collect();
+            let (id, up, v) = (col(12), col(14), col(6));
+            let mut nulls = Bitmap::new(rows);
+            for row in 0..rows {
+                if next(8) == 0 {
+                    nulls.set(row);
+                }
+            }
+            tables.push(Table::new(
+                format!("t{t}"),
+                vec![
+                    Column::new("id", id),
+                    Column::with_nulls("up", up, nulls),
+                    Column::new("v", v),
+                ],
+            ));
+            if t > 0 {
+                fks.push(ForeignKey {
+                    from: ColRef::new(TableId(t), 1),
+                    to: ColRef::new(TableId(next(t as u64) as usize), 0),
+                });
+            }
+        }
+        Database::new("tree", tables, fks)
+    }
+
+    #[test]
+    fn every_root_gives_the_same_count_on_generated_queries() {
+        let naive = crate::exec::NaiveExecutor::new();
+        let mut rooted_away = 0;
+        for seed in 0..40u64 {
+            let db = random_tree_db(seed);
+            let exec = CountExecutor::new();
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |below: usize| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 33) as usize % below
+            };
+            for _ in 0..12 {
+                // A connected set of one to six tables, grown from a random
+                // one over the foreign keys, with a predicate on about
+                // half of them.
+                let mut tables = vec![TableId(next(6))];
+                let mut joins = Vec::new();
+                for _ in 0..next(6) {
+                    let fk = db.foreign_keys()[next(5)];
+                    let (from, to) = (fk.from.table, fk.to.table);
+                    if tables.contains(&from) != tables.contains(&to) {
+                        tables.push(if tables.contains(&from) { to } else { from });
+                        joins.push(JoinEdge::new(fk.from, fk.to));
+                    }
+                }
+                let mut predicates = Vec::new();
+                for &t in &tables {
+                    while next(2) == 0 {
+                        let op = CmpOp::ALL[next(3)];
+                        let col = [0, 2][next(2)];
+                        predicates.push((t, ColPredicate::new(col, op, next(12) as i64)));
+                    }
+                }
+                let q = ExecQuery {
+                    tables,
+                    joins,
+                    predicates,
+                };
+                let want = naive.count(&db, &q).expect("naive executor");
+                assert_eq!(exec.count(&db, &q), Ok(want), "{q:?}");
+                rooted_away += usize::from(root_of(&q) != q.tables[0]);
+                for &root in &q.tables {
+                    let got = exec.count_rooted(&db, &q, root, &mut Vec::new());
+                    assert_eq!(got, Ok(want), "rooted at {root:?}: {q:?}");
+                }
+            }
+        }
+        assert!(
+            rooted_away > 40,
+            "a filtered table roots {rooted_away} trees"
+        );
     }
 
     #[test]

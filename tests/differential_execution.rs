@@ -118,10 +118,13 @@ proptest! {
     }
 
     /// Generator output over the chain schema with `IN` and `LIKE` in the
-    /// mix, every query counted from each of its tables as the root — so
-    /// satellites and the chain's leaf root the tree, NULL keys are met on
-    /// the probing and on the message side — by one executor that lives
-    /// for the whole workload, against the naive engine.
+    /// mix, every query counted with each rotation of its table list — the
+    /// executor roots the tree at the list's first filtered table (its
+    /// first table when none is), so filtered satellites and the chain's
+    /// leaf root it, and NULL keys are met on the probing and on the
+    /// message side — by one executor that lives for the whole workload,
+    /// against the naive engine. `exec::yannakakis`'s unit tests count
+    /// generated queries from every one of their tables.
     #[test]
     fn executors_agree_from_every_root_with_nulls_and_extended_ops(
         seed in 0u64..5000, hub in 4usize..30, sat in 4usize..40,
