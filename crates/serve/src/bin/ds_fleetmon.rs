@@ -22,11 +22,15 @@
 //! until stdin reaches EOF (the same lifetime contract as `ds_shard`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use ds_obs::{Counter, PromFamily, PromText};
@@ -54,6 +58,13 @@ struct Monitor {
 }
 
 impl Monitor {
+    /// The latest view, poisoned or not. A holder that unwound left a
+    /// whole view behind: `scrape` builds the new one unlocked and swaps it
+    /// in by one assignment, and the readers only read.
+    fn view(&self) -> MutexGuard<'_, FleetView> {
+        self.view.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Scrapes every shard once, replacing the stored view with whatever
     /// answered. Unreachable shards are skipped (and counted) — the merge
     /// over the survivors is still exact for what it covers.
@@ -73,7 +84,7 @@ impl Monitor {
         // Group cross-shard records of the same trace together, so one
         // traced request's spans are adjacent in the stitched output.
         timelines.sort_by_key(|t| t.trace_id);
-        *self.view.lock().expect("fleet view") = FleetView {
+        *self.view() = FleetView {
             expositions,
             timelines,
         };
@@ -82,7 +93,7 @@ impl Monitor {
     /// The merged `STATS` payload: every shard document plus the
     /// aggregator's own counters, newline-escaped for the one-line wire.
     fn stats_payload(&self) -> Option<String> {
-        let view = self.view.lock().expect("fleet view");
+        let view = self.view();
         let mut own = PromText::new();
         own.counter("fleetmon/scrapes", self.scrapes.get())
             .counter("fleetmon/scrape_failures", self.scrape_failures.get());
@@ -130,9 +141,7 @@ fn answer(line: &str, monitor: &Monitor) -> Response {
             },
         },
         // The stitched exemplars, in a shard's wire shape.
-        Request::Trace => Response::Text(RequestTimeline::payload(
-            &monitor.view.lock().expect("fleet view").timelines,
-        )),
+        Request::Trace => Response::Text(RequestTimeline::payload(&monitor.view().timelines)),
         Request::Quit => Response::Bye,
         _ => Response::Error {
             code: ErrorCode::Proto,

@@ -29,13 +29,17 @@
 //! over exactly its keys plus one referenced bit per entry — hits set the
 //! bit, eviction gives set bits a second lap. This approximates LRU without
 //! per-hit list surgery, so a hit is one hash lookup and one store.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ds_obs::PromText;
 use ds_query::query::Query;
@@ -205,12 +209,18 @@ impl CanonicalQuery {
     }
 }
 
+/// Shapes a [`TemplateInterner`] keeps. Past it, a new shape is rendered
+/// and handed out without being kept, so the shapes already kept (the ones
+/// traffic met first, and the hot ones among them) stay shared.
+const INTERNED_SHAPES: usize = 4096;
+
 /// Interns structural templates: queries with the same shape share one
-/// rendered string, so the per-request timeline path pays a read-locked
-/// map hit on the shape its cache key already holds instead of
-/// re-rendering [`query_template`] (string sorts and a dozen allocations)
-/// on every request. Public for `ds-bench`'s `ceilings` test, which holds
-/// the per-request timeline work under an absolute ceiling.
+/// rendered string, so a reader of the template (a `FEEDBACK` grade, a
+/// kept `TRACE` exemplar) pays a read-locked map hit on the shape its
+/// cache key already holds instead of re-rendering [`query_template`]
+/// (string sorts and a dozen allocations). Public for `ds-bench`'s
+/// `ceilings` test, which holds the exemplar's timeline work under an
+/// absolute ceiling.
 pub struct TemplateInterner {
     map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
 }
@@ -230,8 +240,9 @@ impl TemplateInterner {
     }
 
     /// Returns the interned [`query_template`] of `query`, rendering and
-    /// caching it on first sight of `shape`, the query's
-    /// [`EstimateKey::shape`].
+    /// keeping it on first sight of `shape`, the query's
+    /// [`EstimateKey::shape`]. Once 4 096 shapes are kept, a new one is
+    /// rendered for this call alone.
     pub fn get(&self, db: &Database, query: &Query, shape: &[u32]) -> Arc<str> {
         if let Some(t) = self
             .map
@@ -243,10 +254,8 @@ impl TemplateInterner {
         }
         let rendered: Arc<str> = query_template(db, query).into();
         let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        // Bounded against unbounded shape churn; real workloads cycle a
-        // handful of shapes, so eviction is effectively unreachable.
-        if map.len() >= 4096 {
-            map.clear();
+        if map.len() >= INTERNED_SHAPES && !map.contains_key(shape) {
+            return rendered;
         }
         Arc::clone(map.entry(shape.to_vec()).or_insert(rendered))
     }
@@ -315,6 +324,16 @@ struct Shard {
     ring: VecDeque<EstimateKey>,
 }
 
+/// Locks one shard, poisoned or not. A holder that unwound cannot have left
+/// a wrong answer behind: a key and its value enter the map in one
+/// `insert` and a value is replaced by one store, so every entry still maps
+/// its key to the bits a healthy pass produced for it. At worst the ring
+/// lost a key (its entry is never evicted) or kept one whose entry is gone
+/// (eviction skips it).
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Bounded, sharded, second-chance estimate cache. See the module docs for
 /// the keying and invalidation contract.
 pub struct EstimateCache {
@@ -342,10 +361,11 @@ impl EstimateCache {
         }
     }
 
-    fn shard(&self, key: &EstimateKey) -> &Mutex<Shard> {
+    /// The locked shard `key` lives in.
+    fn shard(&self, key: &EstimateKey) -> MutexGuard<'_, Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        lock(&self.shards[(h.finish() as usize) % self.shards.len()])
     }
 
     /// [`EstimateKey::new`]. Kept because the benchmark's source calls it;
@@ -356,7 +376,7 @@ impl EstimateCache {
 
     /// Looks up a cached estimate, counting the hit or miss.
     pub fn get(&self, key: &EstimateKey) -> Option<f64> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(key);
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.referenced = true;
@@ -374,7 +394,7 @@ impl EstimateCache {
     /// shard is full. Re-inserting an existing key refreshes its value in
     /// place.
     pub fn insert(&self, key: EstimateKey, value: f64) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let mut shard = self.shard(&key);
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.value = value;
             entry.referenced = true;
@@ -410,10 +430,7 @@ impl EstimateCache {
 
     /// Cached entries across all shards, displaced generations' included.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// True when no entries are cached.
@@ -452,6 +469,16 @@ mod tests {
     use ds_storage::gen::{imdb_database, ImdbConfig};
     use std::collections::HashSet;
 
+    impl TemplateInterner {
+        /// Shapes kept.
+        pub(crate) fn len(&self) -> usize {
+            self.map
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+        }
+    }
+
     #[test]
     fn interner_shares_one_rendering_per_query_shape() {
         let db = imdb_database(&ImdbConfig::tiny(3));
@@ -486,6 +513,37 @@ mod tests {
         let tc = get(&c);
         assert!(!Arc::ptr_eq(&ta, &tc));
         assert_eq!(tc.as_ref(), query_template(&db, &c));
+    }
+
+    /// Past its bound the interner renders a new shape for its caller
+    /// without keeping it, and every shape it kept stays shared.
+    #[test]
+    fn a_full_interner_keeps_its_shapes_and_renders_new_ones_unkept() {
+        let db = imdb_database(&ImdbConfig::tiny(3));
+        let interner = TemplateInterner::new();
+        let parse = |sql| parse_query(&db, sql).expect("parse");
+        let a = parse("SELECT COUNT(*) FROM title WHERE title.production_year > 2000");
+        let b = parse("SELECT COUNT(*) FROM title WHERE title.kind_id = 1");
+        let (ka, kb) = (EstimateKey::new("s", 1, &a), EstimateKey::new("s", 1, &b));
+        let first = interner.get(&db, &a, ka.shape());
+        // The interner keys by the shape it is handed, so shapes no query
+        // has fill it.
+        for i in 1..INTERNED_SHAPES {
+            interner.get(&db, &a, &[u32::MAX, i as u32]);
+        }
+        assert_eq!(interner.len(), INTERNED_SHAPES);
+        let past = interner.get(&db, &b, kb.shape());
+        assert_eq!(past.as_ref(), query_template(&db, &b));
+        assert_eq!(
+            interner.len(),
+            INTERNED_SHAPES,
+            "a shape past the bound was kept"
+        );
+        let again = interner.get(&db, &b, kb.shape());
+        assert!(!Arc::ptr_eq(&past, &again));
+        assert_eq!(again.as_ref(), query_template(&db, &b));
+        let kept = interner.get(&db, &a, ka.shape());
+        assert!(Arc::ptr_eq(&first, &kept), "a kept shape was dropped");
     }
 
     fn queries() -> (Query, Query, Query) {

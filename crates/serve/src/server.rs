@@ -627,10 +627,9 @@ struct Served<'a> {
     /// The sketch's breaker and its admission (`None`: refused before it).
     admitted: Option<(Arc<CircuitBreaker>, Admit)>,
     answer: Answer,
-    /// The interned template, when a timeline or a grade needs it.
-    template: Option<Arc<str>>,
-    /// The parsed query, its canonical form and, when the cache was probed
-    /// (`Admit::Allow`), the key.
+    /// The parsed query, its canonical form (filled for the sketch's own
+    /// answer whenever the timeline, a grade or the cache reads it) and,
+    /// when the cache was probed (`Admit::Allow`), the key.
     conn: &'a ConnectionState,
 }
 
@@ -673,10 +672,18 @@ impl Served<'_> {
         }
     }
 
+    /// The interned template of the request's query: read by a grade and
+    /// by a kept exemplar only, so no other request renders or looks it up.
+    fn template(&self, shared: &Shared) -> Arc<str> {
+        let (conn, templates) = (self.conn, &shared.templates);
+        templates.get(&shared.db, &conn.query, &conn.canonical.shape)
+    }
+
     /// Books the stages of the sketch's own answer once its reply is
     /// written, and keeps the request as a `TRACE` exemplar when it crossed
     /// the slow threshold or was traced (so a cross-process trace always
-    /// finds its server-side spans). Only an exemplar allocates.
+    /// finds its server-side spans). Only an exemplar allocates, and only
+    /// an exemplar interns its template.
     fn book_timeline(&self, shared: &Shared) {
         let (Answer::Model(_, stamps) | Answer::Cached(_, stamps)) = &self.answer else {
             return;
@@ -697,7 +704,7 @@ impl Served<'_> {
                 .map_or((0, 0, 0), |(ctx, span)| (ctx.trace_id, ctx.span_id, span));
             shared.metrics.slow.push(RequestTimeline {
                 sketch: self.request.sketch.to_string(),
-                template: self.template.as_deref().unwrap_or("").to_string(),
+                template: self.template(shared).to_string(),
                 total_us: total.as_micros() as u64,
                 parse_us,
                 forward_us,
@@ -732,9 +739,9 @@ fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
 
 /// Answers one estimate request and returns its record. It books nothing:
 /// what it touches shared is what answering needs (the breaker's admission,
-/// the cache probe, the template interner, the pass, the fallback). Both
-/// verbs answer through the same batcher call, so a `FEEDBACK` estimate is
-/// bit-identical to the `ESTIMATE` it grades.
+/// the cache probe, the pass, the fallback). Both verbs answer through the
+/// same batcher call, so a `FEEDBACK` estimate is bit-identical to the
+/// `ESTIMATE` it grades.
 ///
 /// An open circuit short-circuits straight to the fallback, and a health
 /// failure (decode/execution/unavailable/timeout) answers through the
@@ -742,7 +749,7 @@ fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
 fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) -> Served<'a> {
     let _span = ds_obs::global().span("serve/estimate");
     let span = request.trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let (mut generation, mut admitted, mut template) = (0, None, None);
+    let (mut generation, mut admitted) = (0, None);
     let answer = 'answer: {
         let (estimator, resolved) = match shared.store.get_with_generation(request.sketch) {
             Ok(found) => found,
@@ -778,16 +785,8 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         // the key carries the generation resolved, so a swapped-out model's
         // entries are never looked up again.
         let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
-        let wants_template = shared.timeline || request.feedback.is_some();
-        if wants_template || cache.is_some() {
+        if shared.timeline || request.feedback.is_some() || cache.is_some() {
             conn.canonical.fill(query);
-        }
-        if wants_template {
-            template = Some(
-                shared
-                    .templates
-                    .get(&shared.db, query, &conn.canonical.shape),
-            );
         }
         if cache.is_some() {
             conn.key.set(request.sketch, generation, &conn.canonical);
@@ -822,7 +821,6 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         generation,
         admitted,
         answer,
-        template,
         conn,
     }
 }
@@ -862,13 +860,13 @@ fn settle(served: &Served, shared: &Shared) {
         return;
     };
     if let Some(actual) = request.feedback {
-        let template = served.template.as_deref().unwrap_or("");
+        let template = served.template(shared);
         let monitor = shared.monitors.monitor(request.sketch);
-        monitor.record(template, v, actual as f64);
+        monitor.record(&template, v, actual as f64);
         // A graded query feeds the lifecycle harvest (and, after a swap,
         // the guard window), with its SQL for the daemon to re-parse.
         if let Some(lc) = &shared.lifecycle {
-            let key = served.conn.canonical.harvest_key(template);
+            let key = served.conn.canonical.harvest_key(&template);
             let (sketch, generation) = (request.sketch, served.generation);
             lc.manager
                 .observe_feedback(sketch, generation, &key, request.sql, v, actual);
@@ -1145,6 +1143,63 @@ mod tests {
         }
         // The neutral probe was handed back: the next request probes.
         assert_eq!(probing.breakers.breaker("imdb").admit(), Admit::Probe);
+    }
+
+    /// Only a reader interns a template: `ESTIMATE`s under the slow
+    /// threshold leave the interner empty, and a `FEEDBACK` and a kept
+    /// (traced) exemplar each intern their one shape, the exemplar keeping
+    /// the query's [`query_template`](crate::query_template).
+    #[test]
+    fn only_a_grade_or_a_kept_exemplar_interns_its_template() {
+        let (db, model) = wide_fixture();
+        let store = Arc::new(SketchStore::new());
+        store.insert("imdb", model).expect("insert");
+        let cfg = ServeConfig::builder().slow_threshold(Duration::from_secs(60));
+        let (shared, _) =
+            Shared::new(Arc::clone(&db), store, cfg.build().expect("config")).expect("shared");
+        let mut conn = ConnectionState::default();
+        let mut serve = |sql, trace, feedback| {
+            let received = Instant::now();
+            let ask = Ask {
+                sketch: "imdb",
+                sql,
+                trace,
+                feedback,
+                received,
+            };
+            let served = decide(&shared, &mut conn, ask);
+            settle(&served, &shared);
+            assert!(served.estimate().is_some(), "{sql}: {:?}", served.answer);
+            served.book_timeline(&shared);
+        };
+        let year = "SELECT COUNT(*) FROM title WHERE title.production_year > 2000";
+        let joined = "SELECT COUNT(*) FROM title t, movie_keyword mk \
+                      WHERE mk.movie_id = t.id AND t.kind_id = 1";
+        for sql in [
+            year,
+            joined,
+            "SELECT COUNT(*) FROM title WHERE title.kind_id = 1",
+        ] {
+            serve(sql, None, None);
+            serve(sql, None, None);
+        }
+        assert_eq!(shared.templates.len(), 0, "an ESTIMATE interned");
+        assert!(shared.metrics.slow.snapshot().is_empty());
+
+        serve(year, None, Some(10));
+        assert_eq!(shared.templates.len(), 1, "a FEEDBACK interns its shape");
+
+        let ctx = TraceContext {
+            trace_id: 7,
+            span_id: 9,
+        };
+        serve(joined, Some(ctx), None);
+        assert_eq!(shared.templates.len(), 2, "an exemplar interns its shape");
+        let kept = shared.metrics.slow.snapshot();
+        assert_eq!(kept.len(), 1);
+        let query = parse_query(&db, joined).expect("parse");
+        assert_eq!(kept[0].template, crate::query_template(&db, &query));
+        assert_eq!(kept[0].trace_id, 7);
     }
 
     /// The global tracer's families meet the server's in `STATS`: a traced
