@@ -501,7 +501,8 @@ impl Featurizer {
         let mut distinct: [Interned; 3] = Default::default();
         let mut ids: [Vec<u32>; 3] = Default::default();
         let mut first = Vec::with_capacity(queries.len() + 1);
-        first.push([0u32; 3]);
+        let mut at = [0u32; 3];
+        first.push(at);
         for q in queries {
             served.clear();
             let counts = self.append_indices(q, samples, &mut served);
@@ -513,8 +514,8 @@ impl Featurizer {
             {
                 distinct.intern_from(set, from, ids);
             }
-            let at: [u32; 3] = *first.last().expect("starts with zeros");
-            first.push(std::array::from_fn(|set| at[set] + counts[set]));
+            at = std::array::from_fn(|set| at[set] + counts[set]);
+            first.push(at);
         }
         // Element spans address entries with `u32`s. Each buffer grew by
         // doubling before its repeats were dropped; give the slack back.

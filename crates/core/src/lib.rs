@@ -23,7 +23,12 @@
 //!   graded queries, retrain off the hot path, shadow-score, hot-swap
 //!   with snapshot-first rollback.
 
+// No panic macro outside tests; an `assert!` left checks a caller's contract.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod advisor;
 pub mod builder;

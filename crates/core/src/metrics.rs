@@ -52,7 +52,8 @@ impl QErrorSummary {
             p90: percentile(&sorted, 0.90),
             p95: percentile(&sorted, 0.95),
             p99: percentile(&sorted, 0.99),
-            max: *sorted.last().expect("non-empty"),
+            // Non-empty: asserted above.
+            max: sorted[sorted.len() - 1],
             mean,
             count: sorted.len(),
         }

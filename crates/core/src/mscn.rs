@@ -50,7 +50,7 @@
 //! together: a batch has fewer distinct table rows than predicate rows,
 //! but each holds far more entries, and its joins are a handful of rows);
 //! with three lanes each module has its own, and the backward scratch
-//! holds one arena per lane in use. **Kernels:** the output MLP, and
+//! holds three arenas, each growing only once a lane uses it. **Kernels:** the output MLP, and
 //! whatever a lane still has to do once the other has finished, cut
 //! each product by rows ([`ds_nn::sparse::sparse_rows_pool`]); a layer's
 //! backward runs its weight gradient beside its input gradient
@@ -251,14 +251,14 @@ impl ForwardCache {
 
 /// Reusable backward scratch, the companion of [`ForwardCache`]: the
 /// output MLP's gradients and one arena per lane the set modules run on
-/// (at most three; the output MLP borrows the first).
+/// (the output MLP borrows the first; an unused one stays empty).
 #[derive(Default)]
 pub struct BackwardScratch {
     g_z4: Tensor,
     g_a3: Tensor,
     g_concat: Tensor,
     g_parts: [Tensor; 3],
-    lanes: Vec<LaneScratch>,
+    lanes: [LaneScratch; 3],
 }
 
 impl BackwardScratch {
@@ -411,10 +411,6 @@ impl MscnModel {
     ) {
         let obs = ds_obs::global();
         let _bwd = obs.span("backward");
-        let lanes = team.lanes().min(3);
-        if s.lanes.len() < lanes {
-            s.lanes.resize_with(lanes, LaneScratch::default);
-        }
         let [gt, gj, gp, [g_out1, g_out2]] = &mut grads.0;
         {
             let _s = obs.span("output");
@@ -437,8 +433,21 @@ impl MscnModel {
         };
         let (tables, joins, preds) = (&self.tables, &self.joins, &self.preds);
         // Modules that share a lane share its scratch, one after the other.
-        match &mut s.lanes[..lanes] {
-            [t, j, p] => team.join(
+        let [t, j, p] = &mut s.lanes;
+        match team.lanes() {
+            0 | 1 => {
+                module("tables", tables, batch.tables(), &cache.t, g_t, gt, t);
+                module("joins", joins, batch.joins(), &cache.j, g_j, gj, t);
+                module("preds", preds, batch.preds(), &cache.p, g_p, gp, t);
+            }
+            2 => team.join(
+                || module("tables", tables, batch.tables(), &cache.t, g_t, gt, t),
+                || {
+                    module("joins", joins, batch.joins(), &cache.j, g_j, gj, j);
+                    module("preds", preds, batch.preds(), &cache.p, g_p, gp, j);
+                },
+            ),
+            _ => team.join(
                 || module("tables", tables, batch.tables(), &cache.t, g_t, gt, t),
                 || {
                     team.join(
@@ -447,19 +456,6 @@ impl MscnModel {
                     )
                 },
             ),
-            [t, jp] => team.join(
-                || module("tables", tables, batch.tables(), &cache.t, g_t, gt, t),
-                || {
-                    module("joins", joins, batch.joins(), &cache.j, g_j, gj, jp);
-                    module("preds", preds, batch.preds(), &cache.p, g_p, gp, jp);
-                },
-            ),
-            [all] => {
-                module("tables", tables, batch.tables(), &cache.t, g_t, gt, all);
-                module("joins", joins, batch.joins(), &cache.j, g_j, gj, all);
-                module("preds", preds, batch.preds(), &cache.p, g_p, gp, all);
-            }
-            _ => unreachable!("one to three lanes of scratch"),
         }
     }
 

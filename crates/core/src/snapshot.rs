@@ -47,11 +47,6 @@
 //! Whatever recovery or a `SYNC` refuses is kept by [`quarantine`] under
 //! `<dir>/quarantine/`, the one writer of that directory.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
-)]
-
 use std::fs::{self, File};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};

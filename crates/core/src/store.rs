@@ -13,11 +13,6 @@
 //! was read back from disk by [`SketchStore::recover`] or shipped over the
 //! wire by a fleet peer's `SYNC`.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
-)]
-
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};

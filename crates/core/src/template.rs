@@ -106,7 +106,8 @@ impl QueryTemplate {
             }
             ValueFn::Buckets(n) => {
                 assert!(n > 0, "bucket count must be positive");
-                let (min, max) = (values[0], *values.last().expect("non-empty"));
+                // Non-empty: an empty sample returned above.
+                let (min, max) = (values[0], values[values.len() - 1]);
                 let span = (max - min + 1).max(1);
                 let width = ((span + n as i64 - 1) / n as i64).max(1);
                 (0..n as i64)

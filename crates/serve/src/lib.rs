@@ -58,9 +58,10 @@
 //!   ([`ds_core::lifecycle`], enabled via
 //!   [`ServeConfigBuilder::lifecycle`]) harvests `FEEDBACK`-graded
 //!   queries, retrains a candidate off the hot path when drift fires,
-//!   shadow-scores it on mirrored `ESTIMATE` traffic, and hot-swaps it
-//!   under a fresh store generation — snapshotting first and rolling back
-//!   automatically if post-swap accuracy regresses. Status behind the
+//!   shadow-scores it on mirrored `FEEDBACK`-graded queries, and
+//!   hot-swaps it under a fresh store generation — snapshotting first and
+//!   rolling back automatically if, on the same graded queries, it reads
+//!   worse than the model it replaced. Status behind the
 //!   `LIFECYCLE` verb and `STATS` gauges.
 //!
 //! ```no_run

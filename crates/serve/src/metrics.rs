@@ -161,7 +161,7 @@ pub struct Metrics {
     /// What the server recovered from its snapshot directory at start;
     /// `None` on a server without one.
     pub recovered: Option<RecoveryReport>,
-    /// Requests mirrored to the lifecycle daemon's shadow scorer; `None`
+    /// `FEEDBACK`s mirrored to the lifecycle daemon's shadow scorer; `None`
     /// on a server without a lifecycle daemon, like `shadow_dropped`.
     pub mirrored: Option<Counter>,
     /// Mirrors dropped because the shadow queue was full.

@@ -24,7 +24,7 @@
 //!                              transfer fails checksum validation
 //! LIFECYCLE <sketch>           the retrain-and-hot-swap lifecycle status
 //!                              of a sketch: phase, harvested count,
-//!                              shadow medians, swap/rollback counters
+//!                              paired shadow ratio, swap/rollback counters
 //! STATS                        Prometheus-style text exposition of every
 //!                              counter, gauge, and histogram (newlines
 //!                              escaped as literal `\n` on the wire)
@@ -125,7 +125,7 @@ pub enum Request<S = String> {
         hex: S,
     },
     /// `LIFECYCLE <sketch>` — the retrain-and-hot-swap lifecycle status of
-    /// a sketch (phase, harvest size, shadow medians, swap/rollback
+    /// a sketch (phase, harvest size, paired shadow ratio, swap/rollback
     /// counters).
     Lifecycle {
         /// Sketch name in the store.

@@ -7,9 +7,9 @@
 //! rejection — and writes none of the server's bookkeeping. `settle` books
 //! that record once, in one order: the breaker's verdict, the counters and
 //! SLOs, then, for an answer of the sketch's own, the drift monitor, the
-//! lifecycle harvest, the cache insert and the shadow mirror. The reply is
-//! a function of the record, and the stage timeline is booked from the
-//! same record once the reply is written.
+//! lifecycle harvest and the shadow mirror (a graded request), and the
+//! cache insert. The reply is a function of the record, and the stage
+//! timeline is booked from the same record once the reply is written.
 //!
 //! Robustness properties (each covered by an integration test):
 //!
@@ -63,14 +63,15 @@ use crate::protocol::{
 /// dropped and counted instead.
 const SHADOW_QUEUE_CAPACITY: usize = 1024;
 
-/// One mirrored request for the lifecycle daemon's shadow scorer: the
-/// already-parsed query, the live model's answer, and (for FEEDBACK) the
-/// true cardinality that grades both models.
+/// One mirrored `FEEDBACK` for the lifecycle daemon's shadow scorer: the
+/// already-parsed query, the answer the model serving under `generation`
+/// gave, and the true cardinality that grades it and the shadow model's.
 struct ShadowJob {
     sketch: String,
+    generation: u64,
     query: Query,
     live: f64,
-    actual: Option<u64>,
+    actual: u64,
 }
 
 /// One configured SLO with its live burn-rate tracker.
@@ -828,9 +829,10 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
 /// Books one record, each piece once, in this order: the breaker's
 /// verdict; `ok` with the latency (and `degraded` for the fallback) or
 /// `errors` (a timeout is counted once, as `timeouts`, by the batcher);
-/// the SLOs; then, for the sketch's own answer, the drift monitor and the
-/// lifecycle harvest (a graded request), the cache insert (a model's
-/// answer) and the shadow mirror.
+/// the SLOs; then, for the sketch's own answer, the drift monitor, the
+/// lifecycle harvest and the shadow mirror (a graded request) and the
+/// cache insert (a model's answer). Only a graded request is mirrored:
+/// nothing reads the shadow model's answer to an ungraded one.
 fn settle(served: &Served, shared: &Shared) {
     let (request, m) = (&served.request, &shared.metrics);
     if let (Some((breaker, _)), Some(verdict)) = (&served.admitted, served.verdict()) {
@@ -863,38 +865,37 @@ fn settle(served: &Served, shared: &Shared) {
         let template = served.template(shared);
         let monitor = shared.monitors.monitor(request.sketch);
         monitor.record(&template, v, actual as f64);
-        // A graded query feeds the lifecycle harvest (and, after a swap,
-        // the guard window), with its SQL for the daemon to re-parse.
+        // A graded query feeds the lifecycle harvest, with its SQL for the
+        // daemon to re-parse, and is mirrored to the shadow model. That
+        // model never answers a client, and a full queue drops the mirror
+        // (counted). `shadowing` is one relaxed atomic load while nothing
+        // is mirrored anywhere, so the steady state clones nothing.
         if let Some(lc) = &shared.lifecycle {
             let key = served.conn.canonical.harvest_key(&template);
-            let (sketch, generation) = (request.sketch, served.generation);
             lc.manager
-                .observe_feedback(sketch, generation, &key, request.sql, v, actual);
+                .observe_feedback(request.sketch, &key, request.sql, actual);
+            if lc.manager.shadowing(request.sketch) {
+                let job = ShadowJob {
+                    sketch: request.sketch.to_string(),
+                    generation: served.generation,
+                    query: served.conn.query.clone(),
+                    live: v,
+                    actual,
+                };
+                let counted = match lc.shadow_tx.try_send(job) {
+                    Ok(()) => &m.mirrored,
+                    Err(_) => &m.shadow_dropped,
+                };
+                if let Some(counted) = counted {
+                    counted.inc();
+                }
+            }
         }
     }
     if let (Answer::Model(..), Some(cache), Some((_, Admit::Allow))) =
         (&served.answer, &shared.cache, &served.admitted)
     {
         cache.insert(served.conn.key.clone(), v);
-    }
-    // The candidate never answers a client, and a full queue drops the
-    // mirror (counted). `shadowing` is one relaxed atomic load while no
-    // candidate exists anywhere, so the steady state clones nothing.
-    let shadowing = |lc: &&LifecycleShared| lc.manager.shadowing(request.sketch);
-    if let Some(lc) = shared.lifecycle.as_ref().filter(shadowing) {
-        let job = ShadowJob {
-            sketch: request.sketch.to_string(),
-            query: served.conn.query.clone(),
-            live: v,
-            actual: request.feedback,
-        };
-        let counted = match lc.shadow_tx.try_send(job) {
-            Ok(()) => &m.mirrored,
-            Err(_) => &m.shadow_dropped,
-        };
-        if let Some(counted) = counted {
-            counted.inc();
-        }
     }
 }
 
@@ -907,7 +908,7 @@ fn run_lifecycle_daemon(manager: &LifecycleManager, shared: &Shared, rx: &Receiv
     let mut last_tick = Instant::now();
     while !shared.shutting_down.load(Ordering::SeqCst) {
         match rx.recv_timeout(tick_every.min(POLL_INTERVAL)) {
-            Ok(job) => shadow_score(job, manager, shared),
+            Ok(job) => shadow_score(&job, manager, shared),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -929,32 +930,25 @@ fn run_lifecycle_daemon(manager: &LifecycleManager, shared: &Shared, rx: &Receiv
     }
 }
 
-/// Scores one mirrored request on the shadow candidate. The candidate
-/// answers through the same batcher call as live traffic — bit-exact
-/// mirroring — on the lifecycle daemon's thread, and never serves a client.
-/// Graded mirrors (FEEDBACK) feed the shadow gate; ungraded ones still
-/// run to keep mirroring cost honest but record nothing.
-fn shadow_score(job: ShadowJob, manager: &LifecycleManager, shared: &Shared) {
-    let Some(candidate) = manager.shadow_candidate(&job.sketch) else {
+/// Scores one mirrored `FEEDBACK` on the shadow model (the candidate in
+/// Shadow, the rollback target in Watching) through the batcher call live
+/// traffic takes, on the daemon's thread, and pairs it with the served one.
+fn shadow_score(job: &ShadowJob, manager: &LifecycleManager, shared: &Shared) {
+    let Some(model) = manager.shadow_model(&job.sketch) else {
         return;
     };
-    let Ok((candidate_v, _)) = shared.batcher.estimate_stamped(&*candidate, &job.query) else {
+    let Ok((mirrored, _)) = shared.batcher.estimate_stamped(&*model, &job.query) else {
         return;
     };
-    if let Some(actual) = job.actual {
-        let truth = actual.max(1) as f64;
-        manager.observe_shadow(
-            &job.sketch,
-            ds_core::metrics::qerror(job.live, truth),
-            ds_core::metrics::qerror(candidate_v, truth),
-        );
-    }
+    let (sketch, truth) = (&job.sketch, job.actual.max(1) as f64);
+    let q = |v| ds_core::metrics::qerror(v, truth);
+    manager.observe_shadow(sketch, job.generation, q(job.live), q(mirrored));
 }
 
 /// `LIFECYCLE <sketch>`: one-line status of the retrain-and-hot-swap
-/// state machine. Per-sketch phase and shadow medians come from the
-/// manager; the counters are manager-wide so an operator can watch a
-/// drill converge over a single connection.
+/// state machine. Per-sketch phase and the open window's pairs and median
+/// ratio come from the manager; the counters are manager-wide so an
+/// operator can watch a drill converge over a single connection.
 fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
     // An unknown name answers like INFO does, with the store error, whether
     // or not a lifecycle is configured.
@@ -965,18 +959,14 @@ fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
     let Some(lc) = shared.lifecycle.as_ref() else {
         return Response::Text(format!("LIFECYCLE {sketch} disabled"));
     };
-    let status = lc.manager.status(sketch);
-    let c = lc.manager.counters();
+    let (status, c) = (lc.manager.status(sketch), lc.manager.counters());
     Response::Text(format!(
-        "LIFECYCLE {sketch} phase={} generation={} harvested={} shadow_samples={} \
-         shadow_live_p50={:.3} shadow_candidate_p50={:.3} swaps={} rollbacks={} \
-         gate_rejects={} retrains={} promotions={}",
+        "LIFECYCLE {sketch} phase={} generation={generation} harvested={} shadow_pairs={} \
+         shadow_ratio={:.3} swaps={} rollbacks={} gate_rejects={} retrains={} promotions={}",
         status.phase.as_str(),
-        generation,
         status.harvested,
-        status.shadow_samples,
-        status.shadow_live_p50,
-        status.shadow_candidate_p50,
+        status.shadow_pairs,
+        status.shadow_ratio,
         c.swaps.get(),
         c.rollbacks.get(),
         c.gate_rejects.get(),
@@ -1017,6 +1007,7 @@ mod tests {
     use crate::config::ServeConfigBuilder;
     use crate::protocol::format_response;
     use ds_core::builder::SketchBuilder;
+    use ds_core::lifecycle::{LifecycleConfig, LifecycleEvent};
     use ds_core::sketch::DeepSketch;
     use ds_est::postgres::PostgresEstimator;
     use ds_est::CardinalityEstimator;
@@ -1045,6 +1036,19 @@ mod tests {
         tables[0] = Table::new(tables[0].name(), [tables[0].columns(), &[note]].concat());
         let wide = Database::new(db.name(), tables, db.foreign_keys().to_vec());
         (Arc::new(wide), model)
+    }
+
+    /// An untraced request for `sketch`, received now: an `ESTIMATE`, or a
+    /// `FEEDBACK` with its true count.
+    fn ask<'a>(sketch: &'a str, sql: &'a str, feedback: Option<u64>) -> Ask<'a> {
+        let (trace, received) = (None, Instant::now());
+        Ask {
+            sketch,
+            sql,
+            trace,
+            feedback,
+            received,
+        }
     }
 
     /// One row per way `decide` can answer, each asserting the record
@@ -1121,16 +1125,8 @@ mod tests {
             if shared.faults.is_some() && !FaultInjector::armed() {
                 continue;
             }
-            let (mut conn, received) = (ConnectionState::default(), Instant::now());
-            let (trace, feedback) = (None, None);
-            let ask = Ask {
-                sketch,
-                sql,
-                trace,
-                feedback,
-                received,
-            };
-            let served = decide(shared, &mut conn, ask);
+            let mut conn = ConnectionState::default();
+            let served = decide(shared, &mut conn, ask(sketch, sql, None));
             settle(&served, shared);
             let line = format_response(&served.response());
             let answer = format!("{:?}", served.answer);
@@ -1159,13 +1155,9 @@ mod tests {
             Shared::new(Arc::clone(&db), store, cfg.build().expect("config")).expect("shared");
         let mut conn = ConnectionState::default();
         let mut serve = |sql, trace, feedback| {
-            let received = Instant::now();
             let ask = Ask {
-                sketch: "imdb",
-                sql,
                 trace,
-                feedback,
-                received,
+                ..ask("imdb", sql, feedback)
             };
             let served = decide(&shared, &mut conn, ask);
             settle(&served, &shared);
@@ -1200,6 +1192,48 @@ mod tests {
         let query = parse_query(&db, joined).expect("parse");
         assert_eq!(kept[0].template, crate::query_template(&db, &query));
         assert_eq!(kept[0].trace_id, 7);
+    }
+
+    /// In Shadow and in Watching an `ESTIMATE` enqueues no mirror job and a
+    /// `FEEDBACK` one; in Watching, one the replaced generation answered
+    /// (decided before the swap, settled after it) pairs nothing.
+    #[test]
+    fn only_a_feedback_is_mirrored_and_watching_pairs_the_candidates_answers() {
+        let (db, model) = wide_fixture();
+        let store = Arc::new(SketchStore::new());
+        store.insert("imdb", model.clone()).expect("insert");
+        let cfg = ServeConfig::builder().lifecycle(Some(LifecycleConfig::default()));
+        let (shared, rx) = Shared::new(db, store, cfg.build().expect("config")).expect("shared");
+        let (rx, lc) = (rx.expect("mirror queue"), shared.lifecycle.as_ref());
+        let manager = Arc::clone(&lc.expect("lifecycle").manager);
+        let sql = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
+        // Settles a request and scores each job it enqueued: how many.
+        let mirror = |served: &Served| {
+            settle(served, &shared);
+            let score = |job: &ShadowJob| shadow_score(job, &manager, &shared);
+            rx.try_iter().inspect(score).count()
+        };
+        let mut conn = ConnectionState::default();
+        let mut serve = |feedback| mirror(&decide(&shared, &mut conn, ask("imdb", sql, feedback)));
+        manager.install_candidate("imdb", model);
+        // The default gate's 32 pairs, each read alike by the two models.
+        for _ in 0..32 {
+            assert_eq!((serve(None), serve(Some(100))), (0, 1), "Shadow");
+        }
+        let status = manager.status("imdb");
+        assert_eq!((status.shadow_pairs, status.shadow_ratio), (32, 1.0));
+
+        let mut old_conn = ConnectionState::default();
+        let stale = decide(&shared, &mut old_conn, ask("imdb", sql, Some(100)));
+        let events = manager.tick(&shared.store, &shared.monitors, &shared.db, None);
+        let swapped = matches!(events[..], [LifecycleEvent::Swapped { generation: 2, .. }]);
+        assert!(swapped, "{events:?}");
+        assert_eq!(mirror(&stale), 1, "Watching: the replaced generation's");
+        assert_eq!(manager.status("imdb").shadow_pairs, 0, "it paired");
+        assert_eq!((serve(None), serve(Some(100))), (0, 1), "Watching");
+        assert_eq!(manager.status("imdb").shadow_pairs, 1);
+        let mirrored = shared.metrics.mirrored.as_ref().map(Counter::get);
+        assert_eq!(mirrored, Some(34), "every FEEDBACK, and nothing else");
     }
 
     /// The global tracer's families meet the server's in `STATS`: a traced

@@ -9,11 +9,12 @@
 //! a fresh generation, and the post-swap guard promotes — while a
 //! background `ESTIMATE` hammer sees zero dropped or failed responses.
 //!
-//! Phase B shifts the data again once the candidate is swapped in (every
-//! reported count moves by a further [`SECOND_DRIFT`], which the
-//! candidate, trained on the first shift, misjudges) and asserts the
-//! post-swap guard rolls back to the previous model with bit-identical
-//! answers restored.
+//! Phase B shifts the data by a far larger [`FAR_DRIFT`], then moves it
+//! back once the candidate is swapped in (every reported count is the
+//! executed count again, which the candidate, trained on the shifted
+//! counts, misjudges and the model it replaced reads far better) and
+//! asserts the post-swap guard, grading both models on the same queries,
+//! rolls back to the previous model with bit-identical answers restored.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,11 +37,11 @@ use common::{tiny_db, tiny_sketch};
 /// is ~64x off while a candidate trained on the shifted labels is not.
 const DRIFT_FACTOR: u64 = 64;
 
-/// The second shift of the rollback drill, once the candidate serves:
-/// every reported count moves again by this factor, so the candidate,
-/// trained on the first shift, misjudges every count by far more than its
-/// guard allows.
-const SECOND_DRIFT: u64 = 1 << 20;
+/// Phase B's shift. The drill's tiny models answer near-constants: trained
+/// on [`DRIFT_FACTOR`], a candidate answers ≈ 2.8× its rollback target, so
+/// no counts can set their q-errors further apart than the guard's 3×.
+/// Trained on this shift, it answers far from its target.
+const FAR_DRIFT: u64 = 1 << 20;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -225,11 +226,14 @@ fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
     )
     .unwrap();
     let manager = server.lifecycle().expect("lifecycle enabled");
-    let workload = drifted_workload(&db, 16);
-    // The same queries after the second shift.
-    let shifted_again: Vec<(String, u64)> = workload
+    // The drill queries with their executed counts, and shifted far.
+    let executed: Vec<(String, u64)> = drifted_workload(&db, 16)
+        .into_iter()
+        .map(|(sql, actual)| (sql, actual / DRIFT_FACTOR))
+        .collect();
+    let shifted: Vec<(String, u64)> = executed
         .iter()
-        .map(|(sql, actual)| (sql.clone(), actual * SECOND_DRIFT))
+        .map(|(sql, actual)| (sql.clone(), actual * FAR_DRIFT))
         .collect();
 
     let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
@@ -240,7 +244,7 @@ fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
     // is swapped in. One line at a time, so at most one drifted line
     // reaches the guard window.
     let deadline = Instant::now() + Duration::from_secs(120);
-    for line in workload.iter().cycle() {
+    for line in shifted.iter().cycle() {
         if manager.counters().swaps.get() >= 1 {
             break;
         }
@@ -251,9 +255,9 @@ fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
         );
         feedback_round(&mut c, std::slice::from_ref(line));
     }
-    // Then the data moves again: the candidate misjudges every count, the
-    // guard trips, and the previous model is swapped back in.
-    drive_until(&mut c, &shifted_again, &manager, "rollback", |m| {
+    // Then the data moves back: on the same queries the candidate reads far
+    // worse than the model it replaced, so the guard swaps that one back.
+    drive_until(&mut c, &executed, &manager, "rollback", |m| {
         m.counters().rollbacks.get() >= 1
     });
 
@@ -261,7 +265,7 @@ fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
     assert_eq!(
         counters.promotions.get(),
         0,
-        "a candidate the second drift regresses must not be promoted"
+        "a candidate worse than the model it replaced must not be promoted"
     );
 
     // Rollback restored the exact previous model: the probe answer is
