@@ -142,12 +142,10 @@ fn main() {
         let q = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize] as f64 / 1e3;
         println!(
             "{label} clients={clients} round={round} rps={:.0} p50_us={:.0} p99_us={:.0} \
-             mean_batch={:.2} max_batch={} errors={} timeouts={} shed={} memo_hit_share={:.3}",
+             errors={} timeouts={} shed={} memo_hit_share={:.3}",
             lat.len() as f64 / elapsed,
             q(0.5),
             q(0.99),
-            snap.mean_batch,
-            snap.max_batch,
             snap.errors,
             snap.timeouts,
             snap.shed,

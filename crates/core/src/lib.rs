@@ -39,6 +39,7 @@ pub mod metrics;
 pub mod monitor;
 pub mod mscn;
 pub mod router;
+mod seam;
 pub mod sketch;
 pub mod snapshot;
 pub mod store;

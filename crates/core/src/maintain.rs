@@ -348,7 +348,7 @@ mod tests {
         let sketch = tiny_sketch(&db);
         let refreshed = refresh_samples(&sketch, &db, 12345);
         // Weights identical.
-        assert_eq!(sketch.frozen(), refreshed.frozen());
+        assert_eq!(sketch.artifact(), refreshed.artifact());
         // Samples differ (different seed) but are drawn from the same data.
         assert_ne!(
             sketch.samples()[0].row_ids(),

@@ -191,16 +191,9 @@ impl DeepSketch {
         self.baseline.as_ref()
     }
 
-    /// The frozen inference artifact. Every sketch has one; the `Option`
-    /// is what callers written when it could be absent still expect.
-    pub fn frozen(&self) -> Option<&FrozenModel> {
-        Some(&self.frozen)
-    }
-
-    /// The serving artifact: the sketch's weights. [`DeepSketch::frozen`]
-    /// without the `Option`, for the crate's own readers, which may not
-    /// `expect` it.
-    pub(crate) fn artifact(&self) -> &FrozenModel {
+    /// The serving artifact: the sketch's frozen weights. Every sketch has
+    /// one.
+    pub fn artifact(&self) -> &FrozenModel {
         &self.frozen
     }
 

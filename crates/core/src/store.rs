@@ -197,7 +197,6 @@ impl SketchStore {
             return Err(StoreError::Duplicate(name));
         }
         sketches.insert(name, (Arc::new(sketch), self.next_generation()));
-        ds_obs::global().count("store/inserts", 1);
         Ok(())
     }
 
@@ -230,7 +229,6 @@ impl SketchStore {
         let next = self.next_generation();
         let previous = std::mem::replace(serving, sketch);
         let previous_generation = std::mem::replace(generation, next);
-        ds_obs::global().count("store/hot_swaps", 1);
         Ok(SwapOutcome {
             previous,
             previous_generation,
@@ -261,11 +259,7 @@ impl SketchStore {
 
     /// Removes a sketch. Returns true if it existed.
     pub fn remove(&self, name: &str) -> bool {
-        let existed = self.sketches_mut().remove(name).is_some();
-        if existed {
-            ds_obs::global().count("store/removes", 1);
-        }
-        existed
+        self.sketches_mut().remove(name).is_some()
     }
 
     /// Atomically snapshots one sketch to `dir` at its current
@@ -282,7 +276,6 @@ impl SketchStore {
     ) -> Result<PathBuf, StoreError> {
         let (bytes, generation) = self.export_snapshot(name, monitors)?;
         let path = snapshot::write_snapshot_bytes(dir, name, generation, &bytes)?;
-        ds_obs::global().count("store/snapshots_written", 1);
         Self::prune_snapshots(dir, name, generation);
         Ok(path)
     }
@@ -349,7 +342,6 @@ impl SketchStore {
         if let Some(monitor) = monitor {
             monitors.restore(name, monitor);
         }
-        ds_obs::global().count("store/snapshots_adopted", 1);
         Ok(AdoptOutcome::Adopted { generation })
     }
 
@@ -441,7 +433,6 @@ impl SketchStore {
                     if kept.is_ok() {
                         std::fs::remove_file(path).ok();
                     }
-                    ds_obs::global().count("store/snapshots_quarantined", 1);
                     report
                         .quarantined
                         .push((kept.unwrap_or_else(|_| path.clone()), reason));

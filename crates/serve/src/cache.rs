@@ -1,5 +1,5 @@
 //! The template-keyed estimate cache: memoizes healthy `ESTIMATE` answers
-//! in front of the batcher.
+//! in front of the forward pass.
 //!
 //! A cache entry is keyed by the sketch name, the store **generation** of
 //! the sketch that produced the value, the query's canonical structural
@@ -20,7 +20,7 @@
 //! Correctness contract, enforced by integration tests:
 //!
 //! * a hit returns the **bit-identical** `f64` a cold estimate would
-//!   produce (values enter the cache only from healthy batcher answers);
+//!   produce (values enter the cache only from healthy forward passes);
 //! * degraded (circuit-breaker / fallback) responses are never inserted,
 //!   and the serving path consults the cache only after breaker admission,
 //!   so an open circuit is never masked by a warm cache.
@@ -443,7 +443,7 @@ impl EstimateCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that fell through to the batcher.
+    /// Lookups that fell through to the forward pass.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }

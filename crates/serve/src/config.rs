@@ -11,11 +11,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ds_core::lifecycle::LifecycleConfig;
+use ds_est::CardinalityEstimator;
 use ds_obs::SloSpec;
 
-use crate::batcher::SharedEstimator;
 use crate::breaker::BreakerConfig;
 use crate::faults::FaultInjector;
+
+/// The estimators a server holds: any trait object that can cross
+/// threads. `Arc<DeepSketch>` coerces directly.
+pub type SharedEstimator = Arc<dyn CardinalityEstimator + Send + Sync>;
 
 /// The serving signal a declarative SLO grades requests against.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,7 @@
 //! Production code never branches on faults: a request reaches its model
 //! through one call, `FaultInjector::reach_model`, which only runs the
 //! model when the server holds no injector (real deployments hold `None`),
-//! and the batcher draws its stall through the same `Option`. Even a
+//! and the forward pass draws its stall through the same `Option`. Even a
 //! configured injector is inert in release builds —
 //! [`FaultInjector::armed`] is `false` unless `debug_assertions` are on,
 //! so the degradation tests can wire failures through the *real* serving
@@ -29,8 +29,7 @@ use std::time::Duration;
 
 use ds_est::EstimateError;
 
-use crate::batcher::Rejection;
-use crate::server::Answer;
+use crate::server::{Answer, Rejection};
 
 struct FaultState {
     rng: u64,
@@ -40,8 +39,8 @@ struct FaultState {
     chaos_kills: VecDeque<usize>,
 }
 
-/// A seeded, thread-safe fault plan shared between a server, its batcher,
-/// and the test driving them. See the module docs for the fault kinds.
+/// A seeded, thread-safe fault plan shared between a server, its forward
+/// passes and the test driving them. See the module docs for the fault kinds.
 pub struct FaultInjector {
     state: Mutex<FaultState>,
 }

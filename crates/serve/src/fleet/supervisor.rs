@@ -268,7 +268,6 @@ impl Fleet {
             };
             if needs_copy || stale {
                 restored += self.replicate(&name)?;
-                ds_obs::global().count("fleet/resyncs", 1);
             }
         }
         Ok(restored)

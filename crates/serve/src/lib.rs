@@ -7,9 +7,9 @@
 //!
 //! * **A thread per connection, the pass in place** — a handler parses
 //!   its request, probes the cache and runs the forward pass itself, one
-//!   `try_estimate` call inside the [`batcher`]'s wrapper (deadline, span,
-//!   pass counter); nothing is queued or handed to another thread, so
-//!   every answer is `estimate_one`'s, bit for bit.
+//!   `try_estimate` call under the [`server`]'s deadline, span and pass
+//!   counter; nothing is queued or handed to another thread, so every
+//!   answer is `estimate_one`'s, bit for bit.
 //! * **Caching** — a bounded, template-keyed estimate cache ([`cache`])
 //!   short-circuits repeat healthy `ESTIMATE`s with bit-identical answers;
 //!   every key carries the sketch's store generation, so a swap's entries
@@ -86,7 +86,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod batcher;
 pub mod breaker;
 pub mod cache;
 pub mod client;
@@ -96,13 +95,16 @@ pub mod fleet;
 pub mod line_reader;
 pub mod metrics;
 pub mod protocol;
+#[doc(hidden)]
+pub mod seam;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker, Verdict};
 pub use cache::{query_template, EstimateCache, EstimateKey, TemplateInterner};
 pub use client::{Client, InfoCard, SyncAck};
-pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};
+pub use config::{
+    ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SharedEstimator, SloSignal,
+};
 pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
 };
@@ -115,4 +117,6 @@ pub use metrics::{Metrics, MetricsSnapshot, RequestTimeline};
 pub use protocol::{
     format_response, hello_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
 };
+#[doc(hidden)]
+pub use seam::*;
 pub use server::Server;

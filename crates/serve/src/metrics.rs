@@ -126,7 +126,7 @@ impl RequestTimeline {
 }
 
 /// The server's own metric families, shared via `Arc` between the
-/// acceptor, the connection handlers and the batcher they call. Each is
+/// acceptor, the connection handlers and the forward passes they run. Each is
 /// named in [`Metrics::render`] and nowhere else.
 #[derive(Debug)]
 pub struct Metrics {
@@ -168,9 +168,6 @@ pub struct Metrics {
     pub shadow_dropped: Option<Counter>,
     /// Request latency in microseconds (ESTIMATE requests).
     pub latency_us: LogHistogram,
-    /// Queries per forward pass: always 1, kept while
-    /// [`MetricsSnapshot::mean_batch`] and `max_batch` have a reader.
-    pub batch_size: LogHistogram,
     /// Stage histogram: parse + store lookup + breaker and cache (µs).
     pub stage_parse_us: LogHistogram,
     /// Stage histogram: forward pass (µs).
@@ -201,7 +198,6 @@ impl Default for Metrics {
             mirrored: None,
             shadow_dropped: None,
             latency_us: LogHistogram::new(),
-            batch_size: LogHistogram::new(),
             stage_parse_us: LogHistogram::new(),
             stage_forward_us: LogHistogram::new(),
             stage_write_us: LogHistogram::new(),
@@ -230,12 +226,6 @@ impl Metrics {
     pub fn record_ok(&self, latency: Duration) {
         self.ok.inc();
         self.latency_us.record(latency.as_micros() as u64);
-    }
-
-    /// Counts one forward pass over `size` queries.
-    pub fn record_batch(&self, size: usize) {
-        self.batches.inc();
-        self.batch_size.record(size as u64);
     }
 
     /// Renders every family above. The latency distribution goes out twice:
@@ -285,6 +275,7 @@ impl Metrics {
 
     /// A consistent-enough point-in-time copy for reporting.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let batches = self.batches.get();
         MetricsSnapshot {
             requests: self.requests.get(),
             ok: self.ok.get(),
@@ -292,9 +283,9 @@ impl Metrics {
             shed: self.shed.get(),
             timeouts: self.timeouts.get(),
             degraded: self.degraded.get(),
-            batches: self.batches.get(),
-            mean_batch: self.batch_size.mean(),
-            max_batch: self.batch_size.max(),
+            batches,
+            mean_batch: if batches > 0 { 1.0 } else { 0.0 },
+            max_batch: batches.min(1),
             p50_us: self.latency_us.quantile(0.50),
             p95_us: self.latency_us.quantile(0.95),
             p99_us: self.latency_us.quantile(0.99),
@@ -368,16 +359,16 @@ mod tests {
         m.shed.inc();
         m.timeouts.inc();
         m.degraded.inc();
-        m.record_batch(8);
-        m.record_batch(16);
+        m.batches.add(2);
         let s = m.snapshot();
         assert_eq!(
             (s.requests, s.ok, s.errors, s.shed, s.timeouts, s.batches),
             (2, 1, 1, 1, 1, 2)
         );
         assert_eq!(s.degraded, 1);
-        assert_eq!(s.mean_batch, 12.0);
-        assert_eq!(s.max_batch, 16);
+        assert_eq!((s.mean_batch, s.max_batch), (1.0, 1), "one query per pass");
+        let none = Metrics::new().snapshot();
+        assert_eq!((none.mean_batch, none.max_batch), (0.0, 0));
         assert_eq!(s.p50_us, 100, "single sample is exact");
         assert!(s.to_string().contains("p95"));
     }

@@ -84,7 +84,7 @@ pub enum Request<S = String> {
         trace: Option<TraceContext>,
     },
     /// `FEEDBACK <sketch> <actual> <sql> [trace=…]` — estimate `sql`
-    /// exactly like `ESTIMATE` (same batcher path, bit-identical
+    /// exactly like `ESTIMATE` (same forward pass, bit-identical
     /// result), then record the q-error against the observed true
     /// cardinality `actual` into the sketch's rolling accuracy monitor.
     Feedback {

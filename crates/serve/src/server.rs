@@ -1,6 +1,6 @@
 //! The TCP front end: an acceptor thread plus one handler thread per
 //! connection. A handler runs its request to the end itself — parse, cache
-//! probe, the forward pass (through the shared [`Batcher`]), the write.
+//! probe, the forward pass (`pass`), the write.
 //!
 //! An `ESTIMATE` or `FEEDBACK` is one record from its line to its timeline.
 //! `decide` answers it — by the model, the cache, the fallback or a typed
@@ -40,16 +40,15 @@ use ds_core::lifecycle::LifecycleManager;
 use ds_core::monitor::MonitorRegistry;
 use ds_core::snapshot::{self, decode_hex, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
-use ds_est::EstimateError;
+use ds_est::{CardinalityEstimator, EstimateError};
 use ds_obs::{Counter, IdSource, PromText, SloTracker, TraceContext};
 use ds_query::parser::Parser;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
-use crate::batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 use crate::breaker::{Admit, BreakerRegistry, CircuitBreaker, Verdict};
 use crate::cache::{CanonicalQuery, EstimateCache, EstimateKey, TemplateInterner};
-use crate::config::{ServeConfig, SloSignal};
+use crate::config::{ServeConfig, SharedEstimator, SloSignal};
 use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
@@ -90,7 +89,8 @@ struct LifecycleShared {
 struct Shared {
     db: Arc<Database>,
     store: Arc<SketchStore>,
-    batcher: Batcher,
+    /// Per-request deadline, measured over the forward pass.
+    request_timeout: Duration,
     metrics: Arc<Metrics>,
     monitors: Arc<MonitorRegistry>,
     shutting_down: AtomicBool,
@@ -135,13 +135,6 @@ impl Shared {
             shadow_dropped: cfg.lifecycle.is_some().then(Counter::new),
             ..Metrics::new()
         });
-        let batcher = Batcher::with_faults(
-            BatcherConfig {
-                request_timeout: cfg.request_timeout,
-            },
-            Arc::clone(&metrics),
-            cfg.faults.clone(),
-        );
         // The manager reloads persisted harvest sets off the snapshot
         // directory (the warm-restart path) ahead of the first request.
         let (lifecycle, shadow_rx) = match cfg.lifecycle {
@@ -160,7 +153,7 @@ impl Shared {
         let shared = Self {
             db,
             store,
-            batcher,
+            request_timeout: cfg.request_timeout,
             metrics,
             monitors,
             shutting_down: AtomicBool::new(false),
@@ -600,6 +593,24 @@ struct Ask<'a> {
     received: Instant,
 }
 
+/// Why the model gave no estimate.
+#[derive(Debug)]
+pub(crate) enum Rejection {
+    /// The pass returned past the request deadline.
+    Timeout,
+    /// The estimator rejected the query.
+    Estimate(EstimateError),
+}
+
+/// Where a pass began (before an injected stall: a stalled pass is a slow
+/// pass) and ended. The timeline is cut at these (parse → forward →
+/// write); they are ordered, so the three stages sum to the span covered.
+#[derive(Debug)]
+pub(crate) struct StageStamps {
+    forward_start: Instant,
+    forward_end: Instant,
+}
+
 /// How an estimate request was answered.
 #[derive(Debug)]
 pub(crate) enum Answer {
@@ -662,12 +673,9 @@ impl Served<'_> {
             Answer::Model(v, _) | Answer::Cached(v, _) => Response::Estimate(*v),
             Answer::Fallback(v, _) => Response::Degraded(*v),
             Answer::Failed(Rejection::Estimate(e)) => estimate_error_response(e),
-            Answer::Failed(r) => Response::Error {
-                code: match r {
-                    Rejection::Timeout => ErrorCode::Timeout,
-                    _ => ErrorCode::Internal,
-                },
-                message: r.to_string(),
+            Answer::Failed(Rejection::Timeout) => Response::Error {
+                code: ErrorCode::Timeout,
+                message: "request deadline exceeded".to_string(),
             },
             Answer::Refused(response) => response.clone(),
         }
@@ -729,8 +737,39 @@ fn health_failure(r: &Rejection) -> bool {
             e,
             EstimateError::Decode(_) | EstimateError::Unavailable(_) | EstimateError::Execution(_)
         ),
-        Rejection::ShuttingDown => false,
     }
+}
+
+/// One forward pass of `estimator` over `query` on the calling thread,
+/// with the stamps it was taken between. Around the `try_estimate` call
+/// sit the `serve/batch` span, the fault plan's injected stall (tests only:
+/// a wedged pass on the real serving path), the stamps and the pass
+/// counter. Nobody waits on a pass from outside, so nothing gives up while
+/// it runs: one that returns past `request_timeout` is counted as a
+/// timeout then, which is what trips a wedged model's breaker.
+fn pass(
+    shared: &Shared,
+    estimator: &dyn CardinalityEstimator,
+    query: &Query,
+) -> Result<(f64, StageStamps), Rejection> {
+    let span = ds_obs::global().span("serve/batch");
+    let forward_start = Instant::now();
+    if let Some(delay) = shared.faults.as_ref().and_then(|f| f.forward_delay()) {
+        std::thread::sleep(delay);
+    }
+    let result = estimator.try_estimate(query);
+    let forward_end = Instant::now();
+    drop(span);
+    shared.metrics.batches.inc();
+    if forward_end.duration_since(forward_start) > shared.request_timeout {
+        shared.metrics.timeouts.inc();
+        return Err(Rejection::Timeout);
+    }
+    let stamps = StageStamps {
+        forward_start,
+        forward_end,
+    };
+    result.map(|v| (v, stamps)).map_err(Rejection::Estimate)
 }
 
 /// The fallback estimator's answer; `None` without one or when it fails.
@@ -741,7 +780,7 @@ fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
 /// Answers one estimate request and returns its record. It books nothing:
 /// what it touches shared is what answering needs (the breaker's admission,
 /// the cache probe, the pass, the fallback). Both verbs answer through the
-/// same batcher call, so a `FEEDBACK` estimate is bit-identical to the
+/// same [`pass`], so a `FEEDBACK` estimate is bit-identical to the
 /// `ESTIMATE` it grades.
 ///
 /// An open circuit short-circuits straight to the fallback, and a health
@@ -805,8 +844,7 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
             }
             // The pass runs on this thread against the model this request
             // resolved: a concurrent swap changes the next lookup only.
-            let pass = shared.batcher.estimate_stamped(&*estimator, query);
-            pass.map(|(v, stamps)| Answer::Model(v, stamps))
+            pass(shared, &*estimator, query).map(|(v, stamps)| Answer::Model(v, stamps))
         });
         match reached {
             Err(r) if health_failure(&r) => match fallback(shared, query) {
@@ -828,7 +866,7 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
 
 /// Books one record, each piece once, in this order: the breaker's
 /// verdict; `ok` with the latency (and `degraded` for the fallback) or
-/// `errors` (a timeout is counted once, as `timeouts`, by the batcher);
+/// `errors` (a timeout is counted once, as `timeouts`, by [`pass`]);
 /// the SLOs; then, for the sketch's own answer, the drift monitor, the
 /// lifecycle harvest and the shadow mirror (a graded request) and the
 /// cache insert (a model's answer). Only a graded request is mirrored:
@@ -931,13 +969,13 @@ fn run_lifecycle_daemon(manager: &LifecycleManager, shared: &Shared, rx: &Receiv
 }
 
 /// Scores one mirrored `FEEDBACK` on the shadow model (the candidate in
-/// Shadow, the rollback target in Watching) through the batcher call live
+/// Shadow, the rollback target in Watching) through the [`pass`] live
 /// traffic takes, on the daemon's thread, and pairs it with the served one.
 fn shadow_score(job: &ShadowJob, manager: &LifecycleManager, shared: &Shared) {
     let Some(model) = manager.shadow_model(&job.sketch) else {
         return;
     };
-    let Ok((mirrored, _)) = shared.batcher.estimate_stamped(&*model, &job.query) else {
+    let Ok((mirrored, _)) = pass(shared, &*model, &job.query) else {
         return;
     };
     let (sketch, truth) = (&job.sketch, job.actual.max(1) as f64);
@@ -1052,8 +1090,9 @@ mod tests {
     }
 
     /// One row per way `decide` can answer, each asserting the record
-    /// (generation, admission, answer), the reply line and the verdict
-    /// `settle` gives the breaker, with no socket.
+    /// (generation, admission, answer), the reply line, the verdict
+    /// `settle` gives the breaker and the passes it ran, with no socket.
+    /// Only a stalled pass counts a timeout, and a pass's stamps are ordered.
     #[test]
     fn decide_records_every_exit_and_settle_gives_one_verdict() {
         let (wide, model) = wide_fixture();
@@ -1105,19 +1144,19 @@ mod tests {
             Some(Verdict::Neutral),
         );
         let not_ready = "ERR not-ready sketch 'imdb' circuit open; no fallback configured";
-        // exit, server, sketch, SQL, (generation, admit, answer, verdict, breaker after), reply
+        // exit, server, sketch, SQL, (generation, admit, answer, verdict, breaker after, passes), reply
         #[rustfmt::skip]
         let rows = [
-            ("unknown sketch", &closed, "nosuch", sql, (0, None, "Refused", None, "closed"), "ERR unknown-sketch unknown sketch 'nosuch'"),
-            ("parse error", &closed, "imdb", "SELECT x", (1, None, "Refused", None, "closed"), "ERR parse "),
-            ("short circuit", &open, "imdb", sql, (1, short, "Refused", None, "open"), not_ready),
-            ("short circuit, fallback", &open_fallback, "imdb", sql, (1, short, "Fallback", None, "open"), &degraded),
-            ("cache miss", &closed, "imdb", sql, (1, allow, "Model", healthy, "closed"), &ok),
-            ("cache hit", &closed, "imdb", sql, (1, allow, "Cached", healthy, "closed"), &ok),
-            ("deadline", &stalled, "imdb", sql, (1, allow, "Failed", failed, "closed"), "ERR timeout request deadline exceeded"),
-            ("health failure, fallback", &poisoned, "imdb", sql, (1, allow, "Fallback", failed, "closed"), &degraded),
-            ("client error", &closed, "imdb", note, (1, allow, "Failed", neutral, "closed"), "ERR vocabulary "),
-            ("client error on the probe", &probing, "imdb", note, (1, probe, "Failed", neutral, "half-open"), "ERR vocabulary "),
+            ("unknown sketch", &closed, "nosuch", sql, (0, None, "Refused", None, "closed", 0), "ERR unknown-sketch unknown sketch 'nosuch'"),
+            ("parse error", &closed, "imdb", "SELECT x", (1, None, "Refused", None, "closed", 0), "ERR parse "),
+            ("short circuit", &open, "imdb", sql, (1, short, "Refused", None, "open", 0), not_ready),
+            ("short circuit, fallback", &open_fallback, "imdb", sql, (1, short, "Fallback", None, "open", 0), &degraded),
+            ("cache miss", &closed, "imdb", sql, (1, allow, "Model", healthy, "closed", 1), &ok),
+            ("cache hit", &closed, "imdb", sql, (1, allow, "Cached", healthy, "closed", 0), &ok),
+            ("deadline", &stalled, "imdb", sql, (1, allow, "Failed", failed, "closed", 1), "ERR timeout request deadline exceeded"),
+            ("health failure, fallback", &poisoned, "imdb", sql, (1, allow, "Fallback", failed, "closed", 0), &degraded),
+            ("client error", &closed, "imdb", note, (1, allow, "Failed", neutral, "closed", 1), "ERR vocabulary "),
+            ("client error on the probe", &probing, "imdb", note, (1, probe, "Failed", neutral, "half-open", 1), "ERR vocabulary "),
         ];
         // The injector is inert in release builds, where the two faulted
         // rows are skipped.
@@ -1126,16 +1165,31 @@ mod tests {
                 continue;
             }
             let mut conn = ConnectionState::default();
+            let before = shared.metrics.snapshot();
             let served = decide(shared, &mut conn, ask(sketch, sql, None));
             settle(&served, shared);
+            let after = shared.metrics.snapshot();
             let line = format_response(&served.response());
             let answer = format!("{:?}", served.answer);
             let kind = answer.split('(').next().unwrap_or_default();
             let admit = served.admitted.as_ref().map(|(_, admit)| *admit);
             let state = shared.breakers.breaker("imdb").state_name();
-            let got = (served.generation, admit, kind, served.verdict(), state);
+            let passes = after.batches - before.batches;
+            let got = (
+                served.generation,
+                admit,
+                kind,
+                served.verdict(),
+                state,
+                passes,
+            );
             assert_eq!(got, record, "{exit}");
             assert!(line.starts_with(reply), "{exit}: {line}");
+            let timeouts = after.timeouts - before.timeouts;
+            assert_eq!(timeouts, u64::from(exit == "deadline"), "{exit}");
+            if let Answer::Model(_, stamps) | Answer::Cached(_, stamps) = &served.answer {
+                assert!(stamps.forward_start <= stamps.forward_end, "{exit}");
+            }
         }
         // The neutral probe was handed back: the next request probes.
         assert_eq!(probing.breakers.breaker("imdb").admit(), Admit::Probe);

@@ -225,7 +225,7 @@ fn sqls(db: &Database, wide: &Database, sketches: [&DeepSketch; 2]) -> Vec<Strin
 /// The expected outcome of each query: the vocabulary check's typed error,
 /// or the reference forward's estimate.
 fn oracle(sketch: &DeepSketch, queries: &[Query]) -> Vec<Outcome> {
-    let model = MscnModel::thaw(sketch.frozen().expect("an artifact"));
+    let model = MscnModel::thaw(sketch.artifact());
     let reference = |q: &Query| {
         let features = sketch
             .featurizer()
@@ -373,7 +373,11 @@ fn every_in_process_path_gives_the_one_answer() {
         assert_eq!(blob.len(), s.sketch.footprint_bytes());
         let loaded = DeepSketch::from_bytes(&blob).expect("blob decodes");
         assert_eq!(loaded.database_name(), "imdb");
-        assert_eq!(loaded.frozen(), s.sketch.frozen(), "frozen again on load");
+        assert_eq!(
+            loaded.artifact(),
+            s.sketch.artifact(),
+            "frozen again on load"
+        );
         assert_eq!(loaded.to_bytes(), blob, "serialization is a fixed point");
         singles("from_bytes", s, &loaded);
     }
