@@ -441,10 +441,16 @@ fn main() {
     sketch.freeze();
     let copy = sketch.clone();
     let one = estimate_us(&[&sketch], &stream, 3);
+    let held = sketch.memo_stats().contended;
     let shared = estimate_us(&[&sketch, &sketch], &stream, 3);
+    let held = sketch.memo_stats().contended - held;
     let private = estimate_us(&[&sketch, &copy], &stream, 3);
     println!(
         "  estimate_one, µs per estimate per thread: one thread {one:.2}, two on one sketch {shared:.2}, two on two clones {private:.2}"
+    );
+    let estimates = 2 * 4 * stream.len();
+    println!(
+        "  two on one sketch: the memo's lock found held {held} times in {estimates} estimates"
     );
     println!("  read probe, GB/s per thread (two threads):");
     for kib in [256usize, 512, 1024, 2048] {

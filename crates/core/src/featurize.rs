@@ -22,7 +22,6 @@
 //! prefix of its table's sample, as MSCN+ does. An operator without a
 //! slot (`IN`, `LIKE` under v1) gets no bit and a mid-scale literal.
 
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -37,6 +36,11 @@ use ds_storage::catalog::{ColRef, Database};
 use ds_storage::exec::JoinEdge;
 use ds_storage::predicate::{ColPredicate, PredTest};
 use ds_storage::sample::TableSample;
+
+/// The benchmark's entries form of a query, at the path it compiles
+/// against (`seam.rs`).
+#[doc(hidden)]
+pub use crate::seam::*;
 
 /// The serialized name of a predicate element's operator and auxiliary
 /// widths.
@@ -383,29 +387,6 @@ impl Featurizer {
         }
     }
 
-    /// Featurizes one query as sparse index lists — the exact same active
-    /// `(index, value)` pairs as [`Featurizer::featurize`], in ascending
-    /// index order per element, without ever materializing the dense
-    /// one-hot rows: [`Featurizer::append_indices`] into this thread's
-    /// [`ServedFeatures`], expanded into a cleared `out`. Reuses `out`'s
-    /// buffers, so a loop over queries allocates nothing per query.
-    pub fn featurize_indices(
-        &self,
-        query: &Query,
-        samples: &[TableSample],
-        out: &mut QueryIndexFeatures,
-    ) {
-        thread_local! {
-            static SERVED: RefCell<ServedFeatures> = RefCell::default();
-        }
-        SERVED.with_borrow_mut(|served| {
-            served.clear();
-            self.append_indices(query, samples, served);
-            out.clear();
-            served.expand_into(out);
-        });
-    }
-
     /// Appends the query's elements behind whatever `out` already holds,
     /// which is how a batch is laid out for the fused forward (every
     /// query's sets back to back). Returns how many `[table, join,
@@ -414,10 +395,12 @@ impl Featurizer {
     /// A table element goes to `out.tables` as its bitset over
     /// [`Featurizer::table_dim`] features: the table's one-hot bit, then
     /// the words of its qualifying-sample bitmap shifted by the number of
-    /// tables. The served forward looks it up in the element memo by those
-    /// words and expands only an element the memo misses into entries, so
-    /// no per-bit entry is written for the elements it holds. Join and
-    /// predicate elements go to `out.joins` and `out.preds` as entries.
+    /// tables. That is the one form a table element is kept in: the served
+    /// forward looks it up in the element memo by those words, the
+    /// [`FeaturePool`] interns it by them, and each expands an element
+    /// into entries only where a kernel reads it
+    /// ([`BitRows::expand_into`]). Join and predicate elements go to
+    /// `out.joins` and `out.preds` as entries.
     pub fn append_indices(
         &self,
         query: &Query,
@@ -485,50 +468,50 @@ impl Featurizer {
         .map(|n| n as u32)
     }
 
-    /// Featurizes a whole workload once, as index lists — what the training
-    /// loop draws its batches from ([`FeaturePool::batch`]). The same
-    /// [`Featurizer::append_indices`] serving runs, its output expanded
-    /// into entries, so training and serving see one featurization.
+    /// Featurizes a whole workload once — what the training loop draws its
+    /// batches from ([`FeaturePool::batch`]). The pool keeps what
+    /// [`Featurizer::append_indices`] writes for serving, so training and
+    /// serving see one featurization in one form.
     ///
     /// The pool holds each distinct element once, under a dense id: an
-    /// element whose entries an earlier one already holds takes that
-    /// element's id. A workload's table elements repeat a few bitmaps
-    /// (every predicate-free table's), so at the benchmark's spec this
-    /// keeps 1.5 MB of 34.3 MB.
+    /// element an earlier one equals takes that element's id. A workload's
+    /// table elements repeat a few bitmaps (every predicate-free table's),
+    /// and each is kept as its bitset (36 B at the benchmark's spec, where
+    /// its entries take ≈ 1.2 kB).
     pub fn pool(&self, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
         let mut served = ServedFeatures::default();
-        let mut feats = QueryIndexFeatures::default();
+        let mut feats = ServedFeatures::default();
         let mut distinct: [Interned; 3] = Default::default();
         let mut ids: [Vec<u32>; 3] = Default::default();
         let mut first = Vec::with_capacity(queries.len() + 1);
-        let mut at = [0u32; 3];
-        first.push(at);
+        first.push([0; 3]);
         for q in queries {
             served.clear();
-            let counts = self.append_indices(q, samples, &mut served);
-            let held = [&feats.tables, &feats.joins, &feats.preds].map(|set| set.elems.len());
-            served.expand_into(&mut feats);
-            let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
-            for (((set, distinct), ids), from) in
-                sets.into_iter().zip(&mut distinct).zip(&mut ids).zip(held)
-            {
-                distinct.intern_from(set, from, ids);
+            self.append_indices(q, samples, &mut served);
+            for r in 0..served.tables.len() {
+                ids[0].push(distinct[0].bits(&mut feats.tables, &served.tables, r));
             }
-            at = std::array::from_fn(|set| at[set] + counts[set]);
-            first.push(at);
+            for (set, to, from) in [
+                (1, &mut feats.joins, &served.joins),
+                (2, &mut feats.preds, &served.preds),
+            ] {
+                for r in 0..from.elems.len() {
+                    ids[set].push(distinct[set].entries(to, from.elem(r)));
+                }
+            }
+            first.push(ids.each_ref().map(|ids| ids.len() as u32));
         }
         // Element spans address entries with `u32`s. Each buffer grew by
-        // doubling before its repeats were dropped; give the slack back.
-        let sets = [&mut feats.tables, &mut feats.joins, &mut feats.preds];
-        for (set, ids) in sets.into_iter().zip(&mut ids) {
+        // doubling; give the slack back.
+        for set in [&mut feats.joins, &mut feats.preds] {
             assert!(
                 u32::try_from(set.entries.len()).is_ok(),
                 "workload too large for one feature pool"
             );
             set.entries.shrink_to_fit();
             set.elems.shrink_to_fit();
-            ids.shrink_to_fit();
         }
+        ids.iter_mut().for_each(Vec::shrink_to_fit);
         FeaturePool { feats, ids, first }
     }
 
@@ -573,11 +556,11 @@ impl Featurizer {
     }
 }
 
-/// Queries featurized for the served forward, as
-/// [`Featurizer::append_indices`] writes them and
-/// [`ds_nn::frozen::FrozenModel::forward_batch`] reads them: every query's
-/// sets back to back, table elements as bitsets, join and predicate
-/// elements as `(index, value)` entries.
+/// Queries featurized as [`Featurizer::append_indices`] writes them,
+/// [`ds_nn::frozen::FrozenModel::forward_batch`] reads them and a
+/// [`FeaturePool`] keeps them: every query's sets back to back, table
+/// elements as bitsets, join and predicate elements as `(index, value)`
+/// entries.
 #[derive(Debug, Default, Clone)]
 pub struct ServedFeatures {
     /// Table-set elements as bitsets over [`Featurizer::table_dim`]
@@ -599,102 +582,67 @@ impl ServedFeatures {
         self.joins.clear();
         self.preds.clear();
     }
-
-    /// Appends every element to `out` as entries: a table bitset as
-    /// `(index, 1.0)` per set bit, ascending.
-    fn expand_into(&self, out: &mut QueryIndexFeatures) {
-        for r in 0..self.tables.len() {
-            self.tables.expand_into(r, &mut out.tables);
-        }
-        for (from, to) in [(&self.joins, &mut out.joins), (&self.preds, &mut out.preds)] {
-            for &(start, len) in &from.elems {
-                let at = to.begin_elem();
-                to.entries
-                    .extend_from_slice(&from.entries[start as usize..(start + len) as usize]);
-                to.finish_elem(at);
-            }
-        }
-    }
-}
-
-/// Sparse featurization of queries as `(index, value)` entries, table
-/// elements included: the same information as [`QueryFeatures`] without
-/// the dense rows. [`Featurizer::featurize_indices`] and
-/// [`Featurizer::pool`] fill it, and
-/// [`ds_nn::frozen::FrozenModel::forward_query`] reads it.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct QueryIndexFeatures {
-    /// Table-set elements: one-hot(table) + sample-bitmap indices, each
-    /// `1.0`.
-    pub tables: IndexSet,
-    /// Join-set elements: at most one active index each.
-    pub joins: IndexSet,
-    /// Predicate-set elements: column, operator, and literal slots.
-    pub preds: IndexSet,
-}
-
-impl QueryIndexFeatures {
-    /// Empties every set, keeping their allocations.
-    pub fn clear(&mut self) {
-        self.tables.clear();
-        self.joins.clear();
-        self.preds.clear();
-    }
 }
 
 /// The distinct elements of one set of a [`FeaturePool`] being built,
-/// keyed by [`entries_hash`]: the id of the first element that held each
-/// hash.
+/// keyed by [`fold_hash`]: the id of the first element that held each
+/// hash. An element whose hash an unequal element took keeps an id of its
+/// own.
 #[derive(Default)]
 struct Interned(HashMap<u64, u32, BuildHasherDefault<Prehashed>>);
 
 impl Interned {
-    /// Interns the elements of `set` from index `from` on, the elements
-    /// before it being distinct already, and appends each one's id (its
-    /// index among the distinct elements) to `ids`. An element whose
-    /// entries an earlier element holds takes that element's id and leaves
-    /// `set`; the others are packed down over what the repeats held. An
-    /// element whose hash an unequal element took keeps an id of its own.
-    fn intern_from(&mut self, set: &mut IndexSet, from: usize, ids: &mut Vec<u32>) {
-        let Some(&(mut end, _)) = set.elems.get(from) else {
-            return;
-        };
-        let entries_of = |(start, len): (u32, u32)| start as usize..(start + len) as usize;
-        let mut next = from;
-        for e in from..set.elems.len() {
-            let span = set.elems[e];
-            let entries = &set.entries[entries_of(span)];
-            match self.0.entry(entries_hash(entries)) {
-                Entry::Occupied(seen)
-                    if same_bits(
-                        &set.entries[entries_of(set.elems[*seen.get() as usize])],
-                        entries,
-                    ) =>
-                {
-                    ids.push(*seen.get());
-                }
-                slot => {
-                    set.entries.copy_within(entries_of(span), end as usize);
-                    set.elems[next] = (end, span.1);
-                    if let Entry::Vacant(slot) = slot {
-                        slot.insert(next as u32);
-                    }
-                    ids.push(next as u32);
-                    next += 1;
-                    end += span.1;
-                }
-            }
+    /// The id of table element `r` of `from` among the distinct elements
+    /// of `to`, where it is appended unless an equal one is there.
+    fn bits(&mut self, to: &mut BitRows, from: &BitRows, r: usize) -> u32 {
+        let words = from.elem(r);
+        let hash = fold_hash(words.iter().map(|&w| u64::from(w)));
+        let id = self.id(hash, to.len(), |id| to.elem(id) == words);
+        if id as usize == to.len() {
+            to.push_elem(from, r);
         }
-        set.elems.truncate(next);
-        set.entries.truncate(end as usize);
+        id
+    }
+
+    /// The id of the element `entries` among the distinct elements of
+    /// `to`, where it is appended unless one of equal bits is there.
+    fn entries(&mut self, to: &mut IndexSet, entries: &[(u32, f32)]) -> u32 {
+        let id = self.id(entries_hash(entries), to.elems.len(), |id| {
+            same_bits(to.elem(id), entries)
+        });
+        if id as usize == to.elems.len() {
+            let start = to.begin_elem();
+            to.entries.extend_from_slice(entries);
+            to.finish_elem(start);
+        }
+        id
+    }
+
+    /// The id of the first element that hashed to `hash` when `is` says
+    /// it equals the new one, else `next`, the new element's.
+    fn id(&mut self, hash: u64, next: usize, is: impl FnOnce(usize) -> bool) -> u32 {
+        match self.0.entry(hash) {
+            Entry::Occupied(seen) if is(*seen.get() as usize) => *seen.get(),
+            Entry::Occupied(_) => next as u32,
+            Entry::Vacant(slot) => *slot.insert(next as u32),
+        }
     }
 }
 
 /// An element's entries hashed in place, one multiply per entry.
 fn entries_hash(entries: &[(u32, f32)]) -> u64 {
-    entries.iter().fold(entries.len() as u64, |h, &(i, v)| {
-        let entry = (u64::from(i) << 32) | u64::from(v.to_bits());
-        (h.rotate_left(5) ^ entry).wrapping_mul(0x517c_c1b7_2722_0a95)
+    fold_hash(
+        entries
+            .iter()
+            .map(|&(i, v)| (u64::from(i) << 32) | u64::from(v.to_bits())),
+    )
+}
+
+/// Words hashed one multiply each, seeded by how many there are.
+fn fold_hash(words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let seed = words.len() as u64;
+    words.fold(seed, |h, word| {
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     })
 }
 
@@ -726,14 +674,16 @@ impl Hasher for Prehashed {
     }
 }
 
-/// A workload featurized once as index lists ([`Featurizer::pool`]): each
-/// set's distinct elements, every query's elements back to back as ids of
-/// those, and where each query's begin. A repeated element is stored once
-/// and named by each of its repeats.
+/// A workload featurized once ([`Featurizer::pool`]): each set's distinct
+/// elements, every query's elements back to back as ids of those, and
+/// where each query's begin. A repeated element is stored once and named
+/// by each of its repeats.
 #[derive(Debug, Clone)]
 pub struct FeaturePool {
-    /// Per set, the distinct elements: element `id` is `elems[id]`.
-    feats: QueryIndexFeatures,
+    /// Per set, the distinct elements in the form
+    /// [`Featurizer::append_indices`] writes: element `id` of a set is its
+    /// `id`-th bitset or span.
+    feats: ServedFeatures,
     /// `ids[set]` holds every query's elements of `set`, as ids.
     ids: [Vec<u32>; 3],
     /// `first[q][set]` is query `q`'s first element in `ids[set]` (tables,
@@ -754,12 +704,18 @@ impl FeaturePool {
 
     /// An empty batch over this pool, to be [`PoolBatch::fill`]ed.
     pub fn batch(&self) -> PoolBatch<'_> {
+        let distinct = [
+            self.feats.tables.len(),
+            self.feats.joins.elems.len(),
+            self.feats.preds.elems.len(),
+        ];
         PoolBatch {
             pool: self,
+            tables: IndexSet::default(),
             spans: Default::default(),
             index: Default::default(),
             segs: Default::default(),
-            seen: std::array::from_fn(|set| vec![(0, 0); self.set(set).elems.len()]),
+            seen: distinct.map(|n| vec![(0, 0); n]),
             stamp: 0,
         }
     }
@@ -771,21 +727,26 @@ impl FeaturePool {
         batch
     }
 
-    fn set(&self, set: usize) -> &IndexSet {
-        [&self.feats.tables, &self.feats.joins, &self.feats.preds][set]
+    /// The distinct join (`set` 1) or predicate (`set` 2) elements.
+    fn entries(&self, set: usize) -> &IndexSet {
+        [&self.feats.joins, &self.feats.preds][set - 1]
     }
 }
 
-/// Some queries of a [`FeaturePool`] as one model input. A batch copies no
-/// feature: per set it lists the spans of the batch's distinct elements,
-/// which point into the pool's entries, every element of the chosen
-/// queries as an index into that list, and each query's segment of those.
-/// Refilled in place, so a training loop that keeps one batch allocates
-/// nothing per step.
+/// Some queries of a [`FeaturePool`] as one model input: per set the
+/// batch's distinct elements as sparse rows, every element of the chosen
+/// queries as an index into those, and each query's segment of those. The
+/// batch expands its distinct table elements into entries of its own
+/// ([`BitRows::expand_into`]); its join and predicate rows are spans into
+/// the pool's entries. Refilled in place, so a training loop that keeps one
+/// batch allocates nothing per step once its buffers have grown.
 #[derive(Debug, Clone)]
 pub struct PoolBatch<'a> {
     pool: &'a FeaturePool,
-    spans: [Vec<(u32, u32)>; 3],
+    /// The batch's distinct table elements as entries, one span each.
+    tables: IndexSet,
+    /// The spans of the batch's distinct join and predicate elements.
+    spans: [Vec<(u32, u32)>; 2],
     index: [Vec<u32>; 3],
     segs: [Segments; 3],
     /// Per set and pool element id, the fill that last met it (`stamp`)
@@ -822,22 +783,26 @@ impl<'a> PoolBatch<'a> {
             self.stamp = 1;
         }
         let pool = self.pool;
+        self.tables.clear();
+        self.spans.iter_mut().for_each(Vec::clear);
         for set in 0..3 {
-            let (elems, ids) = (&pool.set(set).elems, &pool.ids[set]);
-            let spans = &mut self.spans[set];
             let (index, segs) = (&mut self.index[set], &mut self.segs[set]);
-            spans.clear();
             index.clear();
             segs.clear();
+            let mut rows = 0;
             for &q in idx {
                 let (from, to) = (pool.first[q][set], pool.first[q + 1][set]);
                 segs.push((index.len(), (to - from) as usize));
-                for &id in &ids[from as usize..to as usize] {
+                for &id in &pool.ids[set][from as usize..to as usize] {
                     let (stamp, row) = &mut self.seen[set][id as usize];
                     if *stamp != self.stamp {
                         *stamp = self.stamp;
-                        *row = spans.len() as u32;
-                        spans.push(elems[id as usize]);
+                        *row = rows;
+                        rows += 1;
+                        match set {
+                            0 => pool.feats.tables.expand_into(id as usize, &mut self.tables),
+                            _ => self.spans[set - 1].push(pool.entries(set).elems[id as usize]),
+                        }
                     }
                     index.push(*row);
                 }
@@ -872,9 +837,12 @@ impl<'a> PoolBatch<'a> {
 
     fn set(&self, set: usize) -> BatchSet<'_> {
         BatchSet {
-            rows: Rows {
-                entries: &self.pool.set(set).entries,
-                spans: &self.spans[set],
+            rows: match set {
+                0 => self.tables.rows(),
+                _ => Rows {
+                    entries: &self.pool.entries(set).entries,
+                    spans: &self.spans[set - 1],
+                },
             },
             index: &self.index[set],
             segs: &self.segs[set],
@@ -1065,25 +1033,15 @@ mod tests {
             .collect();
         let pool = f.pool(&queries, &samples);
         assert_eq!(pool.len(), 5);
-        // Equal elements share one id, only equal ones do, and the
-        // entries hold each distinct element once.
-        for set in 0..3 {
-            let (IndexSet { entries, elems }, ids) = (pool.set(set), &pool.ids[set]);
-            let of = |(start, len): (u32, u32)| &entries[start as usize..(start + len) as usize];
-            for (a, &ea) in elems.iter().enumerate() {
-                for (b, &eb) in elems.iter().enumerate() {
-                    assert_eq!(of(ea) == of(eb), a == b, "set {set}: {ea:?} {eb:?}");
-                }
-            }
-            assert!(elems.len() < ids.len(), "set {set} shares nothing");
-            let held: u32 = elems.iter().map(|&(_, len)| len).sum();
-            assert_eq!(entries.len(), held as usize, "set {set}");
+        let mut batch = pool.batch();
+        assert!(batch.is_empty());
+        for (set, seen) in batch.seen.iter().enumerate() {
+            let ids = &pool.ids[set];
+            assert!(seen.len() < ids.len(), "set {set} shares nothing");
             let query =
                 |q: usize| &ids[pool.first[q][set] as usize..pool.first[q + 1][set] as usize];
             assert_eq!(query(3), query(0), "set {set}: the repeated query");
         }
-        let mut batch = pool.batch();
-        assert!(batch.is_empty());
         // Any subset, any order, repeats included; refilled in place.
         for idx in [
             vec![0, 1, 2],
@@ -1094,36 +1052,8 @@ mod tests {
             vec![4, 3, 2, 1, 0],
         ] {
             batch.fill(&idx);
-            assert_eq!(batch.len(), idx.len());
             let chosen: Vec<Query> = idx.iter().map(|&i| queries[i].clone()).collect();
-            let dense = f.batch_queries(&chosen, &samples);
-            for (set, tensor, segs) in [
-                (batch.tables(), &dense.tables, &dense.table_segs),
-                (batch.joins(), &dense.joins, &dense.join_segs),
-                (batch.preds(), &dense.preds, &dense.pred_segs),
-            ] {
-                assert_eq!(set.segs, segs);
-                assert_eq!(set.index.len(), tensor.rows());
-                // Each distinct element once, in order of first occurrence.
-                let mut first_seen = Vec::new();
-                for &r in set.index {
-                    if !first_seen.contains(&r) {
-                        first_seen.push(r);
-                    }
-                }
-                assert_eq!(
-                    first_seen,
-                    (0..set.rows.spans.len() as u32).collect::<Vec<_>>()
-                );
-                for (e, &r) in set.index.iter().enumerate() {
-                    let (start, len) = set.rows.spans[r as usize];
-                    let mut row = vec![0.0f32; tensor.cols()];
-                    for &(i, v) in &set.rows.entries[start as usize..(start + len) as usize] {
-                        row[i as usize] = v;
-                    }
-                    assert_eq!(row, tensor.row(e), "{idx:?} element {e}");
-                }
-            }
+            assert_dense(&f, &batch, &chosen, &samples);
         }
     }
 
@@ -1137,8 +1067,11 @@ mod tests {
         let thrice: Vec<Query> = once.iter().cycle().take(3 * once.len()).cloned().collect();
         let (one, three) = (f.pool(&once, &samples), f.pool(&thrice, &samples));
         assert_eq!(three.len(), 3 * one.len());
+        assert_eq!(three.feats.tables, one.feats.tables);
         for set in 0..3 {
-            assert_eq!(three.set(set), one.set(set), "set {set}");
+            if set > 0 {
+                assert_eq!(three.entries(set), one.entries(set), "set {set}");
+            }
             assert_eq!(three.ids[set], one.ids[set].repeat(3), "set {set}");
         }
     }
@@ -1163,25 +1096,61 @@ mod tests {
         assert_eq!(entries_hash(&b), target);
         assert!(!same_bits(&a, &b));
 
-        let mut set = IndexSet::default();
-        for elem in [&a[..], &b, &a] {
-            let start = set.begin_elem();
-            for &(i, v) in elem {
-                set.push(i, v);
-            }
-            set.finish_elem(start);
-        }
-        let mut ids = Vec::new();
-        Interned::default().intern_from(&mut set, 0, &mut ids);
+        let (mut set, mut interned) = (IndexSet::default(), Interned::default());
+        let ids = [&a[..], &b, &a].map(|elem| interned.entries(&mut set, elem));
         assert_eq!(set.elems, vec![(0, 2), (2, 2)]);
         assert_eq!(ids, [0, 1, 0]);
         assert_eq!(set.entries, [a, b].concat());
     }
 
+    /// `batch`, filled with `queries`, is their dense batch: every
+    /// element of every set is its dense row entry for entry (a table
+    /// element's entries are its row's ones), indices ascending, and the
+    /// rows are the distinct elements in order of first occurrence, so
+    /// equal elements, and only those, share a row and a pool id.
+    fn assert_dense(f: &Featurizer, batch: &PoolBatch, queries: &[Query], samples: &[TableSample]) {
+        assert_eq!(batch.len(), queries.len());
+        let dense = f.batch_queries(queries, samples);
+        for (ones, set, tensor, segs) in [
+            (true, batch.tables(), &dense.tables, &dense.table_segs),
+            (false, batch.joins(), &dense.joins, &dense.join_segs),
+            (false, batch.preds(), &dense.preds, &dense.pred_segs),
+        ] {
+            assert_eq!((set.segs, set.index.len()), (segs, tensor.rows()));
+            let mut row_of = HashMap::new();
+            for (e, &r) in set.index.iter().enumerate() {
+                let (start, len) = set.rows.spans[r as usize];
+                let entries = &set.rows.entries[start as usize..(start + len) as usize];
+                assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+                assert!(!ones || entries.iter().all(|&(_, v)| v == 1.0));
+                let mut row = vec![0.0f32; tensor.cols()];
+                for &(i, v) in entries {
+                    row[i as usize] = v;
+                }
+                assert_eq!(row, tensor.row(e), "element {e}");
+                assert!(
+                    r as usize <= row_of.len(),
+                    "rows in order of first occurrence"
+                );
+                let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(*row_of.entry(bits).or_insert(r), r, "element {e}");
+            }
+            assert_eq!(row_of.len(), set.rows.spans.len());
+        }
+    }
+
+    /// [`assert_dense`] for the batch of every query of `f`'s pool.
+    fn pool_dense(f: &Featurizer, queries: &[Query], samples: &[TableSample]) -> FeaturePool {
+        let pool = f.pool(queries, samples);
+        let all: Vec<usize> = (0..queries.len()).collect();
+        assert_dense(f, &pool.batch_of(&all), queries, samples);
+        pool
+    }
+
     /// One v1 query, then schema v2 over generated queries with `IN` and
     /// `LIKE` predicates and per-predicate sample bitmaps.
     #[test]
-    fn index_features_match_dense_rows_exactly() {
+    fn extended_ops_pool_to_the_dense_rows() {
         let (db, samples, f) = setup();
         let q = parse_query(
             &db,
@@ -1189,6 +1158,7 @@ mod tests {
              WHERE movie_keyword.movie_id = title.id AND title.production_year > 2000",
         )
         .unwrap();
+        pool_dense(&f, &[q], &samples);
         let columns = imdb_predicate_columns(&db);
         let config = ds_query::GeneratorConfig::new(columns.clone(), 13).with_extended_ops();
         let extended = ds_query::QueryGenerator::new(&db, config).generate_batch(60);
@@ -1198,42 +1168,19 @@ mod tests {
             .collect();
         assert_eq!(kinds.len(), 5, "=, <, >, IN and LIKE all appear");
         let v2 = Featurizer::build(&db, &columns, 32).with_schema_v2(16);
-        let check = |rows: &Vec<Vec<f32>>, set: &IndexSet, dim: usize| {
-            assert_eq!(rows.len(), set.elems.len());
-            for (row, &(start, len)) in rows.iter().zip(&set.elems) {
-                assert_eq!(row.len(), dim);
-                let mut rebuilt = vec![0.0f32; dim];
-                let mut last = -1i64;
-                for &(i, v) in &set.entries[start as usize..(start + len) as usize] {
-                    assert!(i as i64 > last, "indices not strictly ascending");
-                    last = i as i64;
-                    rebuilt[i as usize] = v;
-                }
-                assert_eq!(&rebuilt, row);
-            }
-        };
-        let mut sparse = QueryIndexFeatures::default();
-        let mut bitmap_bits = 0;
-        for (f, q) in std::iter::once((&f, &q)).chain(extended.iter().map(|q| (&v2, q))) {
-            let dense = f.featurize(q, &samples);
-            f.featurize_indices(q, &samples, &mut sparse);
-            check(&dense.table_rows, &sparse.tables, f.table_dim());
-            check(&dense.join_rows, &sparse.joins, f.join_dim());
-            check(&dense.pred_rows, &sparse.preds, f.pred_dim());
-            let tail = (f.columns().len() + 7) as u32;
-            bitmap_bits += sparse.preds.entries.iter().filter(|e| e.0 >= tail).count();
-        }
-        assert!(bitmap_bits > 0, "no predicate bitmap bit was set");
+        let pool = pool_dense(&v2, &extended, &samples);
+        let tail = (v2.columns().len() + 7) as u32;
+        let preds = &pool.entries(2).entries;
+        assert!(preds.iter().any(|e| e.0 >= tail), "no predicate bitmap bit");
     }
 
-    /// What `append_indices` writes for a table element — its bitset —
-    /// expanded, is what `featurize_indices` gives and the dense row's
-    /// ones, over a generated workload. Sample size 100 puts the bitmap's
+    /// Over a generated workload and three edge queries, the pool's table
+    /// elements are the dense rows. Sample size 100 puts the bitmap's
     /// words off the table bits' 32-bit words by `num_tables` and ends it
     /// inside a word; a vocabulary without the last table leaves that
     /// table's elements with no one-hot bit.
     #[test]
-    fn table_bitsets_expand_to_the_entries_and_the_dense_rows() {
+    fn pooled_table_elements_are_the_dense_rows() {
         let db = imdb_database(&ImdbConfig::tiny(3));
         let columns = imdb_predicate_columns(&db);
         let mut queries =
@@ -1263,45 +1210,18 @@ mod tests {
             );
             let no_bitmaps = Featurizer::build_with_options(&db, &columns, sample_size, false);
             for f in [full, without_last, no_bitmaps] {
-                let mut bits = ServedFeatures::default();
-                let mut entries = QueryIndexFeatures::default();
-                let (mut empty_bitmaps, mut outside) = (0, 0);
-                for q in &queries {
-                    bits.clear();
-                    let counts = f.append_indices(q, &samples, &mut bits);
-                    f.featurize_indices(q, &samples, &mut entries);
-                    assert_eq!(bits.tables.len(), counts[0] as usize);
-                    assert_eq!(bits.tables.width(), f.table_dim());
-                    let mut expanded = IndexSet::default();
-                    for r in 0..bits.tables.len() {
-                        bits.tables.expand_into(r, &mut expanded);
-                    }
-                    let bits_of = |set: &IndexSet| {
-                        let of = |&(i, v): &(u32, f32)| (i, v.to_bits());
-                        (
-                            set.entries.iter().map(of).collect::<Vec<_>>(),
-                            set.elems.clone(),
-                        )
-                    };
-                    assert_eq!(bits_of(&expanded), bits_of(&entries.tables));
-                    let dense = f.featurize(q, &samples);
-                    assert_eq!(expanded.elems.len(), dense.table_rows.len());
-                    for (&(start, len), row) in expanded.elems.iter().zip(&dense.table_rows) {
-                        let mut rebuilt = vec![0.0f32; f.table_dim()];
-                        for &(i, v) in &expanded.entries[start as usize..(start + len) as usize] {
-                            rebuilt[i as usize] = v;
-                        }
-                        assert_eq!(&rebuilt, row);
-                        let ones = |r: &[f32]| r.iter().filter(|&&v| v == 1.0).count();
-                        let tail = &row[f.num_tables()..];
-                        empty_bitmaps += usize::from(ones(tail) == 0);
-                        outside += usize::from(ones(&row[..f.num_tables()]) == 0);
-                    }
-                    assert_eq!(bits_of(&bits.joins), bits_of(&entries.joins));
-                    assert_eq!(bits_of(&bits.preds), bits_of(&entries.preds));
-                }
-                assert!(empty_bitmaps > 0, "a zero-tuple bitmap");
-                assert_eq!(outside > 0, f.num_tables() == last, "one-hots outside");
+                let pool = pool_dense(&f, &queries, &samples);
+                assert_eq!(pool.feats.tables.width(), f.table_dim());
+                let dense = f.batch_queries(&queries, &samples).tables;
+                let ones = |r: &[f32]| r.iter().filter(|&&v| v == 1.0).count();
+                let rows = (0..dense.rows()).map(|e| dense.row(e));
+                let (heads, tails): (Vec<_>, Vec<_>) = rows
+                    .map(|row| row.split_at(f.num_tables()))
+                    .map(|(head, tail)| (ones(head), ones(tail)))
+                    .unzip();
+                assert!(tails.contains(&0), "a zero-tuple bitmap");
+                let outside = heads.contains(&0);
+                assert_eq!(outside, f.num_tables() == last, "one-hots outside");
             }
         }
     }

@@ -51,8 +51,7 @@ pub use advisor::{
 };
 pub use builder::{BuildProgress, BuildReport, SketchBuilder};
 pub use featurize::{
-    FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, QueryIndexFeatures,
-    ServedFeatures,
+    FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, ServedFeatures,
 };
 pub use lifecycle::{
     HarvestEntry, HarvestSet, LifecycleConfig, LifecycleCounters, LifecycleEvent, LifecycleManager,

@@ -197,9 +197,9 @@ impl DeepSketch {
         &self.frozen
     }
 
-    /// Hits, misses and resident bytes of the serving artifact's element
-    /// memo ([`ds_nn::frozen`]). They start at zero with every artifact:
-    /// a build, a load, a clone, a re-freeze.
+    /// Hits, misses, lock contention and resident bytes of the serving
+    /// artifact's element memo ([`ds_nn::frozen`]). They start at zero
+    /// with every artifact: a build, a load, a clone, a re-freeze.
     pub fn memo_stats(&self) -> MemoStats {
         self.frozen.memo_stats()
     }
@@ -209,6 +209,7 @@ impl DeepSketch {
         let memo = self.memo_stats();
         p.counter(&format!("serve/memo/{name}/hits"), memo.hits)
             .counter(&format!("serve/memo/{name}/misses"), memo.misses)
+            .counter(&format!("serve/memo/{name}/contended"), memo.contended)
             .gauge(&format!("serve/memo/{name}/entries"), memo.entries as f64)
             .gauge(
                 &format!("serve/memo/{name}/bytes"),

@@ -7,7 +7,7 @@
 //! into a flat, line-aligned row-major `f32` layout, driven by one fused
 //! featurize-and-forward entry point,
 //! [`FrozenModel::forward_batch`], that serves every batch size (a single
-//! query is a batch of one, [`FrozenModel::forward_query`]). It consumes
+//! query is a batch of one). It consumes
 //! join and predicate elements as sparse *(index, value)* lists directly —
 //! the one-hot input layer is a gather over weight rows, and the sparse
 //! feature tensor is never materialized — and table elements, which are
@@ -91,7 +91,7 @@
 //! again, bit for bit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
@@ -285,6 +285,10 @@ pub struct MemoStats {
     pub entries: u64,
     /// Bytes the memo holds, at most [`MEMO_MAX_BYTES`].
     pub resident_bytes: u64,
+    /// Times a pass found the memo's lock held (or poisoned) and went on
+    /// without it: a lookup that then computed every element of its
+    /// module, or an insert it skipped.
+    pub contended: u64,
 }
 
 /// What the memo finds an element by and what must match there; its key
@@ -643,6 +647,19 @@ struct ElementMemo {
     /// takes no lock.
     entries: AtomicU64,
     resident_bytes: AtomicU64,
+    contended: AtomicU64,
+}
+
+impl ElementMemo {
+    /// The table, unless another pass holds its lock or one died holding
+    /// it; that is counted as contended.
+    fn try_table(&self) -> Option<MutexGuard<'_, MemoTable>> {
+        let table = self.table.try_lock().ok();
+        if table.is_none() {
+            self.contended.fetch_add(1, Ordering::Relaxed);
+        }
+        table
+    }
 }
 
 impl Clone for ElementMemo {
@@ -786,8 +803,6 @@ pub struct FrozenScratch {
     sparse: IndexSet,
     /// Mean-pooled set representations, `batch × 3·hidden`.
     pooled: Vec<f32>,
-    /// The table elements [`FrozenModel::forward_query`] packs.
-    table_bits: BitRows,
 }
 
 impl FrozenScratch {
@@ -817,7 +832,7 @@ impl Elements<'_> {
     /// Element `r`'s memo probe; its key goes to the end of `key`.
     fn probe(self, r: usize, module: usize, key: &mut Vec<u32>) -> Probe {
         match self {
-            Elements::Entries(set) => Probe::of(module, entries_of(set, r), key),
+            Elements::Entries(set) => Probe::of(module, set.elem(r), key),
             Elements::Bits(bits) => Probe::of_bits(module, bits.elem(r), key),
         }
     }
@@ -827,34 +842,12 @@ impl Elements<'_> {
         match self {
             Elements::Entries(from) => {
                 let start = set.begin_elem();
-                set.entries.extend_from_slice(entries_of(from, r));
+                set.entries.extend_from_slice(from.elem(r));
                 set.finish_elem(start);
             }
             Elements::Bits(bits) => bits.expand_into(r, set),
         }
     }
-}
-
-/// Writes the elements of `set`, whose every value is `1.0`, into `bits`
-/// as bitsets over `width` features.
-///
-/// # Panics
-/// Panics when a value is not `1.0` or an index is not below `width`.
-fn pack_bits(set: &IndexSet, width: usize, bits: &mut BitRows) {
-    bits.clear();
-    for r in 0..set.elems.len() {
-        let mut row = bits.push_clear(width);
-        for &(i, v) in entries_of(set, r) {
-            assert!(v == 1.0, "table entry {i} has the value {v}, not 1.0");
-            row.set(i as usize);
-        }
-    }
-}
-
-/// The entries of element `r` of `set`.
-fn entries_of(set: &IndexSet, r: usize) -> &[(u32, f32)] {
-    let (start, len) = set.elems[r];
-    &set.entries[start as usize..(start + len) as usize]
 }
 
 /// The frozen MSCN inference artifact: three set modules (two layers
@@ -994,43 +987,17 @@ impl FrozenModel {
             misses: self.memo.misses.load(Ordering::Relaxed),
             entries: self.memo.entries.load(Ordering::Relaxed),
             resident_bytes: self.memo.resident_bytes.load(Ordering::Relaxed),
+            contended: self.memo.contended.load(Ordering::Relaxed),
         }
-    }
-
-    /// Fused featurize-and-forward for one query — a batch of one
-    /// through [`FrozenModel::forward_batch`], its table entries packed
-    /// into bitsets first. Returns the normalized model output
-    /// (pre-denormalization, post-sigmoid), bit-identical to the
-    /// training-shape forward.
-    ///
-    /// # Panics
-    /// Panics when a table entry's value is not `1.0` or its index is not
-    /// below the table module's input width.
-    pub fn forward_query(
-        &self,
-        tables: &IndexSet,
-        joins: &IndexSet,
-        preds: &IndexSet,
-        scratch: &mut FrozenScratch,
-    ) -> f32 {
-        let mut bits = std::mem::take(&mut scratch.table_bits);
-        pack_bits(tables, self.tables1.in_dim(), &mut bits);
-        let counts = [[
-            tables.elems.len() as u32,
-            joins.elems.len() as u32,
-            preds.elems.len() as u32,
-        ]];
-        let mut y = [0.0f32];
-        self.forward_batch(&bits, joins, preds, &counts, scratch, &mut y);
-        scratch.table_bits = bits;
-        y[0]
     }
 
     /// The fused forward over a batch of queries. Each set holds the
     /// elements of *all* queries back to back; `counts[q]` says how many
     /// elements of `[tables, joins, preds]` belong to query `q`, in
     /// order; a table element is its bitset over the table module's input
-    /// width. Writes one normalized output per query into `out`. Each
+    /// width. Writes one normalized output per query (pre-denormalization,
+    /// post-sigmoid, bit-identical to the training-shape forward) into
+    /// `out`. Each
     /// module looks its elements up in the memo, runs its two layers once
     /// over the ones it did not hold (see module docs), and pools; a
     /// query's output is bit-identical whatever batch it rides in and
@@ -1126,8 +1093,9 @@ impl FrozenModel {
     /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
     /// and are then offered to the memo. The lock is only ever tried: a
     /// pass that finds it held (or poisoned) computes what it would have
-    /// looked up and memoizes nothing, so no handler waits on another.
-    /// Returns how many elements were computed.
+    /// looked up and memoizes nothing, so no handler waits on another;
+    /// [`MemoStats::contended`] counts each such find. Returns how many
+    /// elements were computed.
     fn embed_elements(
         &self,
         module: usize,
@@ -1156,7 +1124,7 @@ impl FrozenModel {
         }));
         missing.clear();
         {
-            let table = self.memo.table.try_lock().ok();
+            let table = self.memo.try_table();
             for (r, (probe, key)) in probes.iter().enumerate() {
                 let row = &mut act[r * h..(r + 1) * h];
                 if !table
@@ -1178,7 +1146,7 @@ impl FrozenModel {
         l1.forward_rows(expanded, true, fresh);
         sparse.compress_rows(fresh, h);
         l2.forward_rows(sparse, true, fresh);
-        let mut table = self.memo.table.try_lock().ok();
+        let mut table = self.memo.try_table();
         for (&r, value) in missing.iter().zip(fresh.chunks_exact(h)) {
             let r = r as usize;
             act[r * h..(r + 1) * h].copy_from_slice(value);
@@ -1425,7 +1393,7 @@ mod tests {
         let mut scratch = FrozenScratch::new();
         let singles: Vec<f32> = queries
             .iter()
-            .map(|&[t, j, p]| m.forward_query(t, j, p, &mut scratch))
+            .map(|&[t, j, p]| forward_one(&m, t, j, p, &mut scratch))
             .collect();
         for (&q, got) in queries.iter().zip(&singles) {
             let want = element_at_a_time(&m, q);
@@ -1460,8 +1428,29 @@ mod tests {
     /// `set`'s elements, all ones, as bitsets over `width` features.
     fn bits_of(set: &IndexSet, width: usize) -> BitRows {
         let mut bits = BitRows::default();
-        pack_bits(set, width, &mut bits);
+        for r in 0..set.elems.len() {
+            let mut row = bits.push_clear(width);
+            for &(i, v) in set.elem(r) {
+                assert_eq!(v, 1.0, "a table entry is 1.0");
+                row.set(i as usize);
+            }
+        }
         bits
+    }
+
+    /// One query, its table elements given as entries, as a batch of one.
+    fn forward_one(
+        m: &FrozenModel,
+        tables: &IndexSet,
+        joins: &IndexSet,
+        preds: &IndexSet,
+        scratch: &mut FrozenScratch,
+    ) -> f32 {
+        let tables_bits = bits_of(tables, m.tables1.in_dim());
+        let counts = [[tables, joins, preds].map(|s| s.elems.len() as u32)];
+        let mut y = [0.0f32];
+        m.forward_batch(&tables_bits, joins, preds, &counts, scratch, &mut y);
+        y[0]
     }
 
     fn tiny_model() -> FrozenModel {
@@ -1554,8 +1543,7 @@ mod tests {
     }
 
     fn forward(m: &FrozenModel, q: &[IndexSet; 3]) -> u32 {
-        m.forward_query(&q[0], &q[1], &q[2], &mut FrozenScratch::new())
-            .to_bits()
+        forward_one(m, &q[0], &q[1], &q[2], &mut FrozenScratch::new()).to_bits()
     }
 
     #[test]
@@ -2139,7 +2127,7 @@ mod tests {
                     let mut scratch = FrozenScratch::new();
                     barrier.wait();
                     for (q, &want) in stream.iter().zip(&want) {
-                        let got = shared.forward_query(&q[0], &q[1], &q[2], &mut scratch);
+                        let got = forward_one(&shared, &q[0], &q[1], &q[2], &mut scratch);
                         assert_eq!(got.to_bits(), want);
                     }
                 });
@@ -2270,12 +2258,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_query_is_deterministic_and_in_range() {
+    fn a_batch_of_one_is_deterministic_and_in_range() {
         let m = tiny_model();
         let (t, j, p) = demo_sets();
         let mut scratch = FrozenScratch::new();
-        let a = m.forward_query(&t, &j, &p, &mut scratch);
-        let b = m.forward_query(&t, &j, &p, &mut scratch);
+        let a = forward_one(&m, &t, &j, &p, &mut scratch);
+        let b = forward_one(&m, &t, &j, &p, &mut scratch);
         assert_eq!(a.to_bits(), b.to_bits(), "scratch reuse must not leak");
         assert!((0.0..=1.0).contains(&a));
     }
@@ -2288,10 +2276,10 @@ mod tests {
         let mut scratch = FrozenScratch::new();
         // An all-empty query still produces a finite sigmoid output driven
         // purely by the output-MLP biases.
-        let v = m.forward_query(&empty, &empty, &empty, &mut scratch);
+        let v = forward_one(&m, &empty, &empty, &empty, &mut scratch);
         assert!(v.is_finite());
         // And an empty join set alongside populated sets is fine too.
-        let v2 = m.forward_query(&t, &empty, &p, &mut scratch);
+        let v2 = forward_one(&m, &t, &empty, &p, &mut scratch);
         assert!((0.0..=1.0).contains(&v2));
     }
 
@@ -2358,19 +2346,6 @@ mod tests {
     fn table_bitsets_of_another_width_are_refused() {
         let m = tiny_model();
         forward_tables(&m, &bitset(11, &[2]));
-    }
-
-    #[test]
-    #[should_panic(expected = "table entry 4 has the value 0.5, not 1.0")]
-    fn a_table_entry_other_than_one_is_refused() {
-        let m = tiny_model();
-        let mut tables = IndexSet::default();
-        let e = tables.begin_elem();
-        tables.push(1, 1.0);
-        tables.push(4, 0.5);
-        tables.finish_elem(e);
-        let empty = IndexSet::default();
-        m.forward_query(&tables, &empty, &empty, &mut FrozenScratch::new());
     }
 
     #[test]

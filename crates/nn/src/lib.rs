@@ -32,6 +32,7 @@ pub mod loss;
 pub mod ops;
 pub mod optim;
 pub mod pool;
+mod seam;
 pub mod serialize;
 pub mod sparse;
 pub mod tensor;

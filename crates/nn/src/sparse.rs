@@ -119,6 +119,12 @@ impl IndexSet {
             .push((start as u32, (self.entries.len() - start) as u32));
     }
 
+    /// The entries of element `r`.
+    pub fn elem(&self, r: usize) -> &[(u32, f32)] {
+        let (start, len) = self.elems[r];
+        &self.entries[start as usize..(start + len) as usize]
+    }
+
     /// Appends one active feature to the current element.
     #[inline]
     pub fn push(&mut self, index: u32, value: f32) {
@@ -261,9 +267,18 @@ impl BitRows {
     }
 
     /// The words of element `r`.
-    pub(crate) fn elem(&self, r: usize) -> &[u32] {
+    pub fn elem(&self, r: usize) -> &[u32] {
         let stride = self.width.div_ceil(32);
         &self.words[r * stride..(r + 1) * stride]
+    }
+
+    /// Appends a copy of element `r` of `from`.
+    ///
+    /// # Panics
+    /// Panics when the elements already held have another width.
+    pub fn push_elem(&mut self, from: &BitRows, r: usize) {
+        let words = from.elem(r);
+        self.push_clear(from.width).words.copy_from_slice(words);
     }
 
     /// Appends element `r` to `set` as entries: `(i, 1.0)` for each set bit

@@ -414,6 +414,7 @@ mod tests {
                 misses: 11,
                 entries: 5,
                 resident_bytes: 70_000,
+                contended: 0,
             },
         };
         let card = InfoCard::from_wire(&info.to_string()).expect("parse");

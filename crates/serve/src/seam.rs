@@ -40,7 +40,7 @@ mod tests {
     use ds_storage::gen::{imdb_database, ImdbConfig};
 
     #[test]
-    fn batcher_is_try_estimate_and_frozen_is_the_artifact() {
+    fn each_seam_answers_what_the_served_path_answers() {
         let db = imdb_database(&ImdbConfig::tiny(5));
         let sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
             .training_queries(60)
@@ -56,5 +56,11 @@ mod tests {
         let want = ds_est::CardinalityEstimator::try_estimate(&sketch, &query);
         assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
         batcher.shutdown();
+        let (f, m, mut feats) = (sketch.featurizer(), sketch.artifact(), Default::default());
+        f.featurize_indices(&query, sketch.samples(), &mut feats);
+        let sets = [&feats.tables, &feats.joins, &feats.preds];
+        let y = m.forward_query(sets[0], sets[1], sets[2], &mut Default::default());
+        let served = sketch.estimate_one(&query);
+        assert_eq!(sketch.normalizer().denormalize(y).max(1.0), served);
     }
 }

@@ -743,10 +743,11 @@ fn health_failure(r: &Rejection) -> bool {
 /// One forward pass of `estimator` over `query` on the calling thread,
 /// with the stamps it was taken between. Around the `try_estimate` call
 /// sit the `serve/batch` span, the fault plan's injected stall (tests only:
-/// a wedged pass on the real serving path), the stamps and the pass
-/// counter. Nobody waits on a pass from outside, so nothing gives up while
-/// it runs: one that returns past `request_timeout` is counted as a
-/// timeout then, which is what trips a wedged model's breaker.
+/// a wedged pass on the real serving path) and the stamps. Nobody waits on
+/// a pass from outside, so nothing gives up while it runs: one that
+/// returns past `request_timeout` is a timeout then, which is what trips a
+/// wedged model's breaker. It counts nothing: a request's pass is counted
+/// by [`decide`], and a shadow pass is no request's.
 fn pass(
     shared: &Shared,
     estimator: &dyn CardinalityEstimator,
@@ -760,9 +761,7 @@ fn pass(
     let result = estimator.try_estimate(query);
     let forward_end = Instant::now();
     drop(span);
-    shared.metrics.batches.inc();
     if forward_end.duration_since(forward_start) > shared.request_timeout {
-        shared.metrics.timeouts.inc();
         return Err(Rejection::Timeout);
     }
     let stamps = StageStamps {
@@ -844,7 +843,12 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
             }
             // The pass runs on this thread against the model this request
             // resolved: a concurrent swap changes the next lookup only.
-            pass(shared, &*estimator, query).map(|(v, stamps)| Answer::Model(v, stamps))
+            let passed = pass(shared, &*estimator, query);
+            shared.metrics.batches.inc();
+            if matches!(passed, Err(Rejection::Timeout)) {
+                shared.metrics.timeouts.inc();
+            }
+            passed.map(|(v, stamps)| Answer::Model(v, stamps))
         });
         match reached {
             Err(r) if health_failure(&r) => match fallback(shared, query) {
@@ -1262,7 +1266,9 @@ mod tests {
         let manager = Arc::clone(&lc.expect("lifecycle").manager);
         let sql = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
         // Settles a request and scores each job it enqueued: how many.
+        let passes = std::cell::Cell::new(0);
         let mirror = |served: &Served| {
+            passes.set(passes.get() + u64::from(matches!(served.answer, Answer::Model(..))));
             settle(served, &shared);
             let score = |job: &ShadowJob| shadow_score(job, &manager, &shared);
             rx.try_iter().inspect(score).count()
@@ -1288,6 +1294,8 @@ mod tests {
         assert_eq!(manager.status("imdb").shadow_pairs, 1);
         let mirrored = shared.metrics.mirrored.as_ref().map(Counter::get);
         assert_eq!(mirrored, Some(34), "every FEEDBACK, and nothing else");
+        let batches = shared.metrics.batches.get();
+        assert_eq!(batches, passes.get(), "a shadow pass is no request's");
     }
 
     /// The global tracer's families meet the server's in `STATS`: a traced

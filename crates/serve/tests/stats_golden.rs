@@ -51,6 +51,7 @@ const FAMILIES: &[(&str, FamilyKind)] = &[
     ("ds_serve_lifecycle_shadow_dropped", FamilyKind::Counter),
     ("ds_serve_lifecycle_swaps", FamilyKind::Counter),
     ("ds_serve_memo_imdb_bytes", FamilyKind::Gauge),
+    ("ds_serve_memo_imdb_contended", FamilyKind::Counter),
     ("ds_serve_memo_imdb_entries", FamilyKind::Gauge),
     ("ds_serve_memo_imdb_hits", FamilyKind::Counter),
     ("ds_serve_memo_imdb_misses", FamilyKind::Counter),
