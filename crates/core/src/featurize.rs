@@ -611,9 +611,7 @@ impl Interned {
             same_bits(to.elem(id), entries)
         });
         if id as usize == to.elems.len() {
-            let start = to.begin_elem();
-            to.entries.extend_from_slice(entries);
-            to.finish_elem(start);
+            to.push_elem(entries);
         }
         id
     }
@@ -711,8 +709,7 @@ impl FeaturePool {
         ];
         PoolBatch {
             pool: self,
-            tables: IndexSet::default(),
-            spans: Default::default(),
+            rows: Default::default(),
             index: Default::default(),
             segs: Default::default(),
             seen: distinct.map(|n| vec![(0, 0); n]),
@@ -727,30 +724,32 @@ impl FeaturePool {
         batch
     }
 
-    /// The distinct join (`set` 1) or predicate (`set` 2) elements.
-    fn entries(&self, set: usize) -> &IndexSet {
-        [&self.feats.joins, &self.feats.preds][set - 1]
+    /// Appends distinct element `id` of `set` to `to` as entries.
+    fn push_row(&self, set: usize, id: usize, to: &mut IndexSet) {
+        match set {
+            0 => self.feats.tables.expand_into(id, to),
+            1 => to.push_elem(self.feats.joins.elem(id)),
+            _ => to.push_elem(self.feats.preds.elem(id)),
+        }
     }
 }
 
 /// Some queries of a [`FeaturePool`] as one model input: per set the
 /// batch's distinct elements as sparse rows, every element of the chosen
 /// queries as an index into those, and each query's segment of those. The
-/// batch expands its distinct table elements into entries of its own
-/// ([`BitRows::expand_into`]); its join and predicate rows are spans into
-/// the pool's entries. Refilled in place, so a training loop that keeps one
-/// batch allocates nothing per step once its buffers have grown.
+/// batch copies its distinct elements into entries of its own, table
+/// elements expanded from their bitsets ([`BitRows::expand_into`]).
+/// Refilled in place, so a training loop that keeps one batch allocates
+/// nothing per step once its buffers have grown.
 #[derive(Debug, Clone)]
 pub struct PoolBatch<'a> {
     pool: &'a FeaturePool,
-    /// The batch's distinct table elements as entries, one span each.
-    tables: IndexSet,
-    /// The spans of the batch's distinct join and predicate elements.
-    spans: [Vec<(u32, u32)>; 2],
+    /// Per set, the batch's distinct elements as entries.
+    rows: [IndexSet; 3],
     index: [Vec<u32>; 3],
     segs: [Segments; 3],
     /// Per set and pool element id, the fill that last met it (`stamp`)
-    /// and its place in `spans` then: a batch finds its distinct elements
+    /// and its row in `rows` then: a batch finds its distinct elements
     /// without hashing and without clearing anything between fills.
     seen: [Vec<(u32, u32)>; 3],
     stamp: u32,
@@ -783,13 +782,12 @@ impl<'a> PoolBatch<'a> {
             self.stamp = 1;
         }
         let pool = self.pool;
-        self.tables.clear();
-        self.spans.iter_mut().for_each(Vec::clear);
         for set in 0..3 {
             let (index, segs) = (&mut self.index[set], &mut self.segs[set]);
+            let rows = &mut self.rows[set];
             index.clear();
             segs.clear();
-            let mut rows = 0;
+            rows.clear();
             for &q in idx {
                 let (from, to) = (pool.first[q][set], pool.first[q + 1][set]);
                 segs.push((index.len(), (to - from) as usize));
@@ -797,12 +795,8 @@ impl<'a> PoolBatch<'a> {
                     let (stamp, row) = &mut self.seen[set][id as usize];
                     if *stamp != self.stamp {
                         *stamp = self.stamp;
-                        *row = rows;
-                        rows += 1;
-                        match set {
-                            0 => pool.feats.tables.expand_into(id as usize, &mut self.tables),
-                            _ => self.spans[set - 1].push(pool.entries(set).elems[id as usize]),
-                        }
+                        *row = rows.elems.len() as u32;
+                        pool.push_row(set, id as usize, rows);
                     }
                     index.push(*row);
                 }
@@ -837,13 +831,7 @@ impl<'a> PoolBatch<'a> {
 
     fn set(&self, set: usize) -> BatchSet<'_> {
         BatchSet {
-            rows: match set {
-                0 => self.tables.rows(),
-                _ => Rows {
-                    entries: &self.pool.entries(set).entries,
-                    spans: &self.spans[set - 1],
-                },
-            },
+            rows: self.rows[set].rows(),
             index: &self.index[set],
             segs: &self.segs[set],
         }
@@ -1068,10 +1056,9 @@ mod tests {
         let (one, three) = (f.pool(&once, &samples), f.pool(&thrice, &samples));
         assert_eq!(three.len(), 3 * one.len());
         assert_eq!(three.feats.tables, one.feats.tables);
+        assert_eq!(three.feats.joins, one.feats.joins);
+        assert_eq!(three.feats.preds, one.feats.preds);
         for set in 0..3 {
-            if set > 0 {
-                assert_eq!(three.entries(set), one.entries(set), "set {set}");
-            }
             assert_eq!(three.ids[set], one.ids[set].repeat(3), "set {set}");
         }
     }
@@ -1170,7 +1157,7 @@ mod tests {
         let v2 = Featurizer::build(&db, &columns, 32).with_schema_v2(16);
         let pool = pool_dense(&v2, &extended, &samples);
         let tail = (v2.columns().len() + 7) as u32;
-        let preds = &pool.entries(2).entries;
+        let preds = &pool.feats.preds.entries;
         assert!(preds.iter().any(|e| e.0 >= tail), "no predicate bitmap bit");
     }
 

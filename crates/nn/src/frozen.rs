@@ -1214,7 +1214,7 @@ fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tensor::Tensor;
 
@@ -1453,7 +1453,7 @@ mod tests {
         y[0]
     }
 
-    fn tiny_model() -> FrozenModel {
+    pub(crate) fn tiny_model() -> FrozenModel {
         model_with_tables(10)
     }
 

@@ -125,6 +125,13 @@ impl IndexSet {
         &self.entries[start as usize..(start + len) as usize]
     }
 
+    /// Appends one element holding a copy of `entries`.
+    pub fn push_elem(&mut self, entries: &[(u32, f32)]) {
+        let start = self.begin_elem();
+        self.entries.extend_from_slice(entries);
+        self.finish_elem(start);
+    }
+
     /// Appends one active feature to the current element.
     #[inline]
     pub fn push(&mut self, index: u32, value: f32) {

@@ -870,7 +870,7 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
 
 /// Books one record, each piece once, in this order: the breaker's
 /// verdict; `ok` with the latency (and `degraded` for the fallback) or
-/// `errors` (a timeout is counted once, as `timeouts`, by [`pass`]);
+/// `errors` (a timeout is counted once, as `timeouts`, by [`decide`]);
 /// the SLOs; then, for the sketch's own answer, the drift monitor, the
 /// lifecycle harvest and the shadow mirror (a graded request) and the
 /// cache insert (a model's answer). Only a graded request is mirrored:
