@@ -23,10 +23,11 @@ use ds_bench::{
 };
 use ds_core::builder::SketchBuilder;
 use ds_core::DeepSketch;
+use ds_nn::frozen::pool_into;
 use ds_nn::pool::Team;
 use ds_nn::sparse::{Finish, Kernel};
 use ds_nn::tensor::{reference, Tensor};
-use ds_nn::{IndexSet, Linear};
+use ds_nn::{FrozenScratch, IndexSet, Linear};
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_query::Query;
@@ -428,6 +429,120 @@ fn main() {
         memo.resident_bytes as f64 / memo.entries.max(1) as f64
     );
 
+    // The glue between the kernels, per estimate, on the rows the
+    // stream's first queries give: the compress of the pooled row (width
+    // 3·hidden) and of the output MLP's hidden row (width hidden), pooling
+    // each element's row into its set's sum, and the memo's lookup pass
+    // over the three sets with the memo holding them. A forward pass does
+    // the first three on rows it has just written, so they are timed on
+    // rows in cache: eight queries' rows at a time, once untimed and once
+    // timed. Each codec this CPU has (AVX2 has no compress and runs the
+    // portable loop), interleaved round by round.
+    let artifact = sketch.artifact();
+    let h = artifact.hidden();
+    let glue_queries = 2048;
+    let mut scratch = FrozenScratch::new();
+    let (mut served, mut pooled, mut hidden, mut elements) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for q in &stream[..glue_queries] {
+        feats.clear();
+        sketch
+            .featurizer()
+            .append_indices(q, sketch.samples(), &mut feats);
+        let counts = [[
+            feats.tables.len() as u32,
+            feats.joins.elems.len() as u32,
+            feats.preds.elems.len() as u32,
+        ]];
+        let mut y = [0.0f32];
+        artifact.forward_batch(
+            &feats.tables,
+            &feats.joins,
+            &feats.preds,
+            &counts,
+            &mut scratch,
+            &mut y,
+        );
+        pooled.extend_from_slice(scratch.pooled());
+        hidden.extend_from_slice(scratch.hidden_rows());
+        elements.push(counts[0]);
+        served.push(feats.clone());
+    }
+    let glue_kernels: Vec<Kernel> = [Kernel::Avx512, Kernel::Portable]
+        .into_iter()
+        .filter(|k| k.is_available())
+        .collect();
+    // Seconds of the second of two runs of `f` over each block of eight
+    // queries, summed, as µs per query.
+    let warm_us = |f: &mut dyn FnMut(std::ops::Range<usize>)| {
+        let mut total = 0.0;
+        for at in (0..glue_queries).step_by(8) {
+            f(at..at + 8);
+            total += secs(|| f(at..at + 8));
+        }
+        total / glue_queries as f64 * 1e6
+    };
+    let glue = [
+        "compress, width 768 (pooled)",
+        "compress, width 256 (hidden)",
+        "pooling",
+        "lookup pass",
+    ];
+    let mut times = vec![vec![Vec::new(); glue_kernels.len()]; glue.len()];
+    let mut set = IndexSet::default();
+    let mut sum = vec![0.0f32; h];
+    let most = elements.iter().flatten().max().map_or(0, |&n| n as usize);
+    let element_rows: Vec<f32> = hidden.iter().copied().cycle().take(most * h).collect();
+    let mut found = 0;
+    for _ in 0..15 {
+        for (k, &kernel) in glue_kernels.iter().enumerate() {
+            times[0][k].push(warm_us(&mut |qs| {
+                for row in pooled[qs.start * 3 * h..qs.end * 3 * h].chunks_exact(3 * h) {
+                    set.compress_rows_on(kernel, black_box(row), 3 * h);
+                }
+            }));
+            times[1][k].push(warm_us(&mut |qs| {
+                for row in hidden[qs.start * h..qs.end * h].chunks_exact(h) {
+                    set.compress_rows_on(kernel, black_box(row), h);
+                }
+            }));
+            // Each of a query's sets into its sum, the rows standing in for
+            // its elements' embeddings the first ones of `element_rows`.
+            times[2][k].push(warm_us(&mut |qs| {
+                for counts in &elements[qs] {
+                    for &n in counts {
+                        sum.fill(0.0);
+                        let rows = &element_rows[..n as usize * h];
+                        pool_into(kernel, black_box(&mut sum), rows, 0.25);
+                    }
+                }
+            }));
+            // The memo's ring is not in cache between estimates: one run.
+            times[3][k].push(
+                secs(|| {
+                    found = served
+                        .iter()
+                        .map(|f| {
+                            artifact.look_up_on(kernel, &f.tables, &f.joins, &f.preds, &mut scratch)
+                        })
+                        .sum::<usize>();
+                }) / glue_queries as f64
+                    * 1e6,
+            );
+        }
+    }
+    let held = 100.0 * found as f64 / elements.iter().flatten().sum::<u32>() as f64;
+    println!(
+        "  glue, µs per estimate over {glue_queries} queries ({held:.1} % of the lookups held):"
+    );
+    for (name, times) in glue.iter().zip(times) {
+        print!("    {name:<32}");
+        for (kernel, times) in glue_kernels.iter().zip(times) {
+            print!("  {kernel:?} {:>6.3}", median(times));
+        }
+        println!();
+    }
+
     // --- (5) two cores, one block or a copy each -------------------------
     // The host property the artifact's per-core copies of its output layer
     // rest on (DESIGN.md, "The artifact's copies"): `estimate_one` over the
@@ -450,7 +565,8 @@ fn main() {
     );
     let estimates = 2 * 4 * stream.len();
     println!(
-        "  two on one sketch: the memo's lock found held {held} times in {estimates} estimates"
+        "  two on one sketch: the memo's lock found held {held} times in {estimates} estimates, {:.4} per estimate",
+        held as f64 / estimates as f64
     );
     println!("  read probe, GB/s per thread (two threads):");
     for kib in [256usize, 512, 1024, 2048] {

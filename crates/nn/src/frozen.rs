@@ -96,7 +96,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use crate::linear::Linear;
 use crate::ops::sigmoid_scalar;
 use crate::serialize::{DecodeError, Decoder, Encoder};
-use crate::sparse::{self, Finish};
+use crate::sparse::{self, set_bits, Finish, Kernel};
 use crate::tensor::Tensor;
 
 pub use crate::sparse::{BitRows, IndexSet};
@@ -231,15 +231,23 @@ impl LineAligned {
     /// The `len` floats `values` yields, in order.
     ///
     /// # Panics
-    /// Panics when `values` yields another number of floats.
+    /// Panics when `values` yields another number of floats. Its callers
+    /// cannot: [`FrozenLinear::from_linear`] passes a tensor of the
+    /// layer's shape, and [`crate::serialize::Decoder::linear`] the floats
+    /// of exactly the bytes that shape takes.
     fn collect(len: usize, values: impl IntoIterator<Item = f32>) -> Self {
         let mut lines = vec![Line([0.0; 16]); len.div_ceil(16)];
         let mut values = values.into_iter();
         let slots = lines.iter_mut().flat_map(|line| &mut line.0).take(len);
-        for slot in slots {
-            *slot = values.next().expect("fewer values than the length");
+        let mut filled = 0;
+        for (slot, v) in slots.zip(values.by_ref()) {
+            *slot = v;
+            filled += 1;
         }
-        assert!(values.next().is_none(), "more values than the length");
+        assert!(
+            filled == len && values.next().is_none(),
+            "{len} values, as many as the shape holds"
+        );
         Self { lines, len }
     }
 }
@@ -286,8 +294,8 @@ pub struct MemoStats {
     /// Bytes the memo holds, at most [`MEMO_MAX_BYTES`].
     pub resident_bytes: u64,
     /// Times a pass found the memo's lock held (or poisoned) and went on
-    /// without it: a lookup that then computed every element of its
-    /// module, or an insert it skipped.
+    /// without it: a lookup pass that then computed every element of all
+    /// three sets and inserted none, or an insert it skipped.
     pub contended: u64,
 }
 
@@ -351,8 +359,8 @@ fn store_sparse(value: &[f32], words: &mut [u32]) {
     // The codecs set mask bits over what the words held before.
     mask.fill(0);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: AVX-512F support was just verified at runtime.
+    if Kernel::Avx512.is_available() {
+        // SAFETY: AVX-512F and POPCNT support was just verified at runtime.
         return unsafe { x86::compress(value, mask, values) };
     }
     compress_portable(value, mask, values);
@@ -361,27 +369,29 @@ fn store_sparse(value: &[f32], words: &mut [u32]) {
 /// Writes the embedding [`store_sparse`] stored into `row`, `+0.0` where it
 /// was zero. Pooling adds `v · inv` to a sum that starts at `+0.0` and only
 /// ever holds ReLU outputs, so a `-0.0` it turned into `+0.0` pools to the
-/// same bits. On AVX-512 one `vexpandps` per vector.
-fn load_sparse(stored: &[u32], row: &mut [f32]) {
+/// same bits. On AVX-512 one `vexpandps` per vector; a lane at a time on
+/// every other kernel.
+fn load_sparse(kernel: Kernel, stored: &[u32], row: &mut [f32]) {
     let (mask, values) = stored.split_at(row.len().div_ceil(32));
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: AVX-512F support was just verified at runtime.
-        return unsafe { x86::expand(mask, values, row) };
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F and POPCNT support is verified at runtime by
+        // the guard.
+        Kernel::Avx512 if kernel.is_available() => unsafe { x86::expand(mask, values, row) },
+        _ => expand_portable(mask, values, row),
     }
-    expand_portable(mask, values, row);
 }
 
 /// [`store_sparse`]'s mask bits and non-zeros, a lane at a time: the oracle
 /// of the AVX-512 codec. `mask` starts zeroed and `values` has one word per
 /// non-zero.
 fn compress_portable(value: &[f32], mask: &mut [u32], values: &mut [u32]) {
-    let mut values = values.iter_mut();
-    for (j, &v) in value.iter().enumerate() {
-        if v != 0.0 {
-            mask[j / 32] |= 1 << (j % 32);
-            *values.next().expect("a word per non-zero") = v.to_bits();
-        }
+    let nonzeros = value.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+    for (j, _) in nonzeros.clone() {
+        mask[j / 32] |= 1 << (j % 32);
+    }
+    for (word, (_, v)) in values.iter_mut().zip(nonzeros) {
+        *word = v.to_bits();
     }
 }
 
@@ -389,25 +399,61 @@ fn compress_portable(value: &[f32], mask: &mut [u32], values: &mut [u32]) {
 /// codec.
 fn expand_portable(mask: &[u32], values: &[u32], row: &mut [f32]) {
     row.fill(0.0);
-    let mut values = values.iter();
-    for (w, &bits) in mask.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            let j = w * 32 + bits.trailing_zeros() as usize;
-            row[j] = f32::from_bits(*values.next().expect("a word per mask bit"));
-            bits &= bits - 1;
+    for (j, &v) in set_bits(mask).zip(values) {
+        row[j as usize] = f32::from_bits(v);
+    }
+}
+
+/// Adds one query's element embeddings, each scaled by `inv`, to its
+/// pooled sum: `rows` holds them back to back, each as wide as `pooled`,
+/// and lane `j` takes `relu(z2)[j] · (1/len)` of each in order, the product
+/// rounded before the add (never fused), so every kernel writes the scalar
+/// loop's bits. AVX-512 runs 16 lanes at a time and keeps each vector of
+/// the sum in a register across the rows; every other kernel runs the
+/// scalar loop, the oracle. The forward pass pools on
+/// [`Kernel::dispatched`]; naming a kernel is for benchmarks and tests.
+pub fn pool_into(kernel: Kernel, pooled: &mut [f32], rows: &[f32], inv: f32) {
+    if pooled.is_empty() {
+        return;
+    }
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F support is verified at runtime by the guard.
+        Kernel::Avx512 if kernel.is_available() => unsafe { x86::pool(pooled, rows, inv) },
+        _ => {
+            for row in rows.chunks_exact(pooled.len()) {
+                for (o, &v) in pooled.iter_mut().zip(row) {
+                    *o += v * inv;
+                }
+            }
         }
     }
 }
 
+/// Asks the CPU to bring the cache line holding `at` close; a hint that
+/// reads nothing the program sees. Nothing off x86-64.
+#[inline]
+fn prefetch<T>(at: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch cannot fault and changes no memory; SSE, which
+    // has it, is part of x86-64.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((at as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = at;
+}
+
 /// The AVX-512 codec of a memoized embedding, 16 lanes at a time: two
 /// vectors to a mask word, each vector's non-zeros moved by one compress or
-/// expand.
+/// expand; and pooling, 16 lanes at a time.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __mmask16, _mm512_cmp_ps_mask, _mm512_mask_compressstoreu_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_expandloadu_ps, _mm512_maskz_loadu_ps, _mm512_setzero_ps, _CMP_NEQ_UQ,
+        __mmask16, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_mask_compressstoreu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_expandloadu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _CMP_NEQ_UQ,
     };
 
     /// The first `len` (1 to 16) lanes of a vector.
@@ -420,10 +466,10 @@ mod x86 {
     /// are stored back to back.
     ///
     /// # Safety
-    /// The CPU must support AVX-512F. Every load and store goes through a
-    /// bounds-checked slice of exactly the lanes it touches: the chunk a
-    /// masked load reads, the words a compress writes.
-    #[target_feature(enable = "avx512f")]
+    /// The CPU must support AVX-512F and POPCNT. Every load and store goes
+    /// through a bounds-checked slice of exactly the lanes it touches: the
+    /// chunk a masked load reads, the words a compress writes.
+    #[target_feature(enable = "avx512f,popcnt")]
     pub unsafe fn compress(value: &[f32], mask: &mut [u32], values: &mut [u32]) {
         let mut k = 0;
         for (c, chunk) in value.chunks(16).enumerate() {
@@ -441,10 +487,10 @@ mod x86 {
     /// `values` where its mask bit is set and zero elsewhere.
     ///
     /// # Safety
-    /// The CPU must support AVX-512F. Every load and store goes through a
-    /// bounds-checked slice of exactly the lanes it touches: the words an
-    /// expand reads, the chunk of `row` a masked store writes.
-    #[target_feature(enable = "avx512f")]
+    /// The CPU must support AVX-512F and POPCNT. Every load and store goes
+    /// through a bounds-checked slice of exactly the lanes it touches: the
+    /// words an expand reads, the chunk of `row` a masked store writes.
+    #[target_feature(enable = "avx512f,popcnt")]
     pub unsafe fn expand(mask: &[u32], values: &[u32], row: &mut [f32]) {
         let mut k = 0;
         for (c, out) in row.chunks_mut(16).enumerate() {
@@ -453,6 +499,29 @@ mod x86 {
             let v = _mm512_maskz_expandloadu_ps(m, held.as_ptr().cast());
             _mm512_mask_storeu_ps(out.as_mut_ptr(), lanes(out.len()), v);
             k += held.len();
+        }
+    }
+
+    /// [`super::pool_into`], 16 lanes at a time: each vector of the sum
+    /// is loaded once, takes every row's lanes in row order, a separate
+    /// multiply and add each, and is stored once.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. Every load and store goes through a
+    /// bounds-checked slice of exactly the lanes its mask holds.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn pool(pooled: &mut [f32], rows: &[f32], inv: f32) {
+        let width = pooled.len();
+        let inv = _mm512_set1_ps(inv);
+        for c in (0..width).step_by(16) {
+            let m = lanes((width - c).min(16));
+            let sum = &mut pooled[c..(c + 16).min(width)];
+            let mut acc = _mm512_maskz_loadu_ps(m, sum.as_ptr());
+            for row in rows.chunks_exact(width) {
+                let v = _mm512_maskz_loadu_ps(m, row[c..c + sum.len()].as_ptr());
+                acc = _mm512_add_ps(acc, _mm512_mul_ps(v, inv));
+            }
+            _mm512_mask_storeu_ps(sum.as_mut_ptr(), m, acc);
         }
     }
 }
@@ -499,9 +568,9 @@ struct MemoTable {
 }
 
 impl MemoTable {
-    /// Writes the element's embedding into `row` if the memo holds it;
-    /// returns whether it did.
-    fn get(&self, probe: Probe, key: &[u32], row: &mut [f32]) -> bool {
+    /// Writes the element's embedding into `row` with `kernel`'s codec if
+    /// the memo holds it; returns whether it did.
+    fn get(&self, kernel: Kernel, probe: Probe, key: &[u32], row: &mut [f32]) -> bool {
         let Ok(at) = self.find(probe) else {
             return false;
         };
@@ -509,9 +578,39 @@ impl MemoTable {
         let held = entry[2] == (probe.tag << 24 | key.len() as u32)
             && entry[ENTRY_HEADER..ENTRY_HEADER + key.len()] == *key;
         if held {
-            load_sparse(&entry[ENTRY_HEADER + key.len()..], row);
+            load_sparse(kernel, &entry[ENTRY_HEADER + key.len()..], row);
         }
         held
+    }
+
+    /// The index slot where the probe's run starts; `None` before the
+    /// first insert.
+    fn home(&self, probe: Probe) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        Some((probe.hash >> 32) as usize & mask)
+    }
+
+    /// Asks for the index slot where the probe's run starts.
+    fn prefetch_slot(&self, probe: Probe) {
+        if let Some(slot) = self.home(probe) {
+            prefetch(&self.index[slot]);
+        }
+    }
+
+    /// Asks for the first `words` of the entry the probe's home slot names,
+    /// if it names one: the element's own entry when it sits in its home
+    /// slot, as most do, and a wasted hint when it does not.
+    fn prefetch_entry(&self, probe: Probe, words: usize) {
+        let Some(slot) = self.home(probe) else {
+            return;
+        };
+        let Some(at) = (self.index[slot].at as usize).checked_sub(1) else {
+            return;
+        };
+        let end = (at + words).min(self.ring.len());
+        for w in (at..end).step_by(16).chain(end.checked_sub(1)) {
+            prefetch(&self.ring[w]);
+        }
     }
 
     /// Appends the element at the head, the oldest entries leaving until
@@ -535,8 +634,10 @@ impl MemoTable {
             return;
         }
         self.make_room(len);
+        // An eviction indexes nothing, so the element is still absent;
+        // were it found, it would be held and there would be nothing to do.
         let Err(slot) = self.find(probe) else {
-            unreachable!("an eviction indexes nothing")
+            return;
         };
         let at = self.head;
         self.index[slot] = Indexed {
@@ -785,19 +886,20 @@ fn current_cpu() -> Option<usize> {
 /// seen and are then reused.
 #[derive(Debug, Default, Clone)]
 pub struct FrozenScratch {
-    /// Element embeddings of one module, `rows × hidden`; then the output
-    /// MLP's hidden layer.
+    /// Element embeddings of the three sets, back to back, `elements ×
+    /// hidden`; then the output MLP's hidden layer.
     act: Vec<f32>,
-    /// Memo probe of every element of the module, in element order, and
+    /// Memo probe of every element of the three sets, in row order, and
     /// where its key sits in `keys`.
     probes: Vec<(Probe, std::ops::Range<usize>)>,
     /// The elements' memo keys, back to back.
     keys: Vec<u32>,
-    /// The elements the memo did not hold: their row in `act`, and their
-    /// entries — the rows the two layers run over.
+    /// The rows of `act` the memo did not fill, ascending.
     missing: Vec<u32>,
+    /// One module's missing elements as entries — the rows its two layers
+    /// run over.
     expanded: IndexSet,
-    /// The missing elements' embeddings, `missing × hidden`.
+    /// One module's missing elements' embeddings, `missing × hidden`.
     fresh: Vec<f32>,
     /// The non-zeros of a layer's output, the next layer's input.
     sparse: IndexSet,
@@ -809,6 +911,18 @@ impl FrozenScratch {
     /// An empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// What the last [`FrozenModel::forward_batch`] pooled, `batch ×
+    /// 3·hidden`: the dense rows its output MLP compressed first.
+    pub fn pooled(&self) -> &[f32] {
+        &self.pooled
+    }
+
+    /// The last [`FrozenModel::forward_batch`]'s output-MLP hidden rows,
+    /// `batch × hidden`: the dense rows it compressed last.
+    pub fn hidden_rows(&self) -> &[f32] {
+        &self.act[..self.pooled.len() / 3]
     }
 }
 
@@ -876,9 +990,10 @@ impl FrozenModel {
     /// `3·hidden → hidden → 1`).
     ///
     /// # Panics
-    /// Panics when the layer shapes do not form an MSCN — freezing a
-    /// well-formed model cannot trip this; [`FrozenModel::decode`] refuses
-    /// such layers as corrupt before it gets here.
+    /// Panics when the layer shapes do not form an MSCN. Its callers
+    /// cannot: freezing copies the layers of a trained MSCN, and
+    /// [`FrozenModel::decode`] refuses layers off the wiring as corrupt
+    /// before it gets here.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         tables1: FrozenLinear,
@@ -894,9 +1009,12 @@ impl FrozenModel {
             &tables1, &tables2, &joins1, &joins2, &preds1, &preds2, &out1, &out2,
         ];
         let h = tables1.out_dim();
-        if let Some(why) = miswiring(h, layers) {
-            panic!("mis-wired frozen model: {why}");
-        }
+        let why = miswiring(h, layers);
+        assert!(
+            why.is_none(),
+            "mis-wired frozen model: {}",
+            why.as_deref().unwrap_or_default()
+        );
         Self {
             tables1,
             tables2,
@@ -997,11 +1115,11 @@ impl FrozenModel {
     /// order; a table element is its bitset over the table module's input
     /// width. Writes one normalized output per query (pre-denormalization,
     /// post-sigmoid, bit-identical to the training-shape forward) into
-    /// `out`. Each
-    /// module looks its elements up in the memo, runs its two layers once
-    /// over the ones it did not hold (see module docs), and pools; a
-    /// query's output is bit-identical whatever batch it rides in and
-    /// whatever the memo held.
+    /// `out`. One lookup pass finds what the memo holds of all three sets,
+    /// each module runs its two layers once over the elements it did not
+    /// hold, and the sets are pooled (see module docs); a query's output
+    /// is bit-identical whatever batch it rides in and whatever the memo
+    /// held.
     ///
     /// # Panics
     /// Panics when `out` and `counts` differ in length, the counts do not
@@ -1034,47 +1152,41 @@ impl FrozenModel {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), counts.len(), "one output per query");
-        let (n, h) = (counts.len(), self.hidden);
-        scratch.pooled.clear();
-        scratch.pooled.resize(n * 3 * h, 0.0);
-        assert!(
-            tables.is_empty() || tables.width() == self.tables1.in_dim(),
-            "table elements must be the table module's width"
-        );
-        let modules = [
-            (&self.tables1, &self.tables2, Elements::Bits(tables)),
-            (&self.joins1, &self.joins2, Elements::Entries(joins)),
-            (&self.preds1, &self.preds2, Elements::Entries(preds)),
-        ];
-        let (mut elements, mut misses) = (0, 0);
-        for (slot, (l1, l2, set)) in modules.into_iter().enumerate() {
+        let sets = self.sets(tables, joins, preds);
+        for (slot, set) in sets.iter().enumerate() {
             let claimed: usize = counts.iter().map(|c| c[slot] as usize).sum();
             assert_eq!(claimed, set.len(), "per-query counts must cover the set");
-            elements += set.len();
-            misses += self.embed_elements(slot, l1, l2, set, scratch);
-            // Mean-pool per query: `relu(z2)[j] · (1/len)` with elements
-            // ascending, as `segment_mean` does row-ascending. An empty
-            // set stays the zero vector, like the masked mean.
-            let mut rows = scratch.act.chunks_exact(h);
-            for (q, c) in counts.iter().enumerate() {
-                let len = c[slot] as usize;
-                let inv = 1.0 / len as f32;
-                let at = (q * 3 + slot) * h;
-                for row in rows.by_ref().take(len) {
-                    pool_into(&mut scratch.pooled[at..at + h], row, inv);
-                }
-            }
         }
-        let hits = (elements - misses) as u64;
+        let (n, h) = (counts.len(), self.hidden);
+        let kernel = Kernel::dispatched(h);
+        let locked = self.look_up(kernel, sets, scratch);
+        let misses = self.embed_missing(sets, locked, scratch);
+        let hits = (scratch.probes.len() - misses) as u64;
         self.memo.hits.fetch_add(hits, Ordering::Relaxed);
         self.memo.misses.fetch_add(misses as u64, Ordering::Relaxed);
-        // Output MLP over the concatenated pooled representations.
         let FrozenScratch {
             act,
             sparse,
             pooled,
             ..
         } = scratch;
+        // Mean-pool per query: `relu(z2)[j] · (1/len)` with elements
+        // ascending, as `segment_mean` does row-ascending. An empty set
+        // stays the zero vector, like the masked mean.
+        pooled.clear();
+        pooled.resize(n * 3 * h, 0.0);
+        let mut first = 0;
+        for slot in 0..3 {
+            for (q, c) in counts.iter().enumerate() {
+                let len = c[slot] as usize;
+                let inv = 1.0 / len as f32;
+                let at = (q * 3 + slot) * h;
+                let rows = &act[first * h..(first + len) * h];
+                pool_into(kernel, &mut pooled[at..at + h], rows, inv);
+                first += len;
+            }
+        }
+        // Output MLP over the concatenated pooled representations.
         let act = grown(act, n * h);
         sparse.compress_rows(pooled, 3 * h);
         let out1 = self.out1_copies.weights(cpu, &self.out1.w);
@@ -1086,22 +1198,110 @@ impl FrozenModel {
         }
     }
 
-    /// The embeddings of every element of one module's set into the front
-    /// of `scratch.act`, one `hidden`-wide row per element: memoized rows
-    /// are written out under the memo's lock, the rest are written out as
-    /// entries and go through
-    /// gather → bias → ReLU → dense → bias → ReLU in one call of each layer
-    /// and are then offered to the memo. The lock is only ever tried: a
-    /// pass that finds it held (or poisoned) computes what it would have
-    /// looked up and memoizes nothing, so no handler waits on another;
-    /// [`MemoStats::contended`] counts each such find. Returns how many
-    /// elements were computed.
-    fn embed_elements(
+    /// The lookup pass of [`FrozenModel::forward_batch`] alone, its
+    /// memoized rows copied with `kernel`'s codec: how many of the batch's
+    /// elements the memo held. It counts no hit or miss (a lock it finds
+    /// held counts as contended). Naming a kernel is for benchmarks and
+    /// tests.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions, or the table
+    /// elements are not as wide as the table module's input.
+    pub fn look_up_on(
         &self,
-        module: usize,
-        l1: &FrozenLinear,
-        l2: &FrozenLinear,
-        set: Elements<'_>,
+        kernel: Kernel,
+        tables: &BitRows,
+        joins: &IndexSet,
+        preds: &IndexSet,
+        scratch: &mut FrozenScratch,
+    ) -> usize {
+        assert!(kernel.is_available(), "this CPU cannot run {kernel:?}");
+        self.look_up(kernel, self.sets(tables, joins, preds), scratch);
+        scratch.probes.len() - scratch.missing.len()
+    }
+
+    /// The three sets as the modules take them, in module order.
+    fn sets<'a>(
+        &self,
+        tables: &'a BitRows,
+        joins: &'a IndexSet,
+        preds: &'a IndexSet,
+    ) -> [Elements<'a>; 3] {
+        assert!(
+            tables.is_empty() || tables.width() == self.tables1.in_dim(),
+            "table elements must be the table module's width"
+        );
+        [
+            Elements::Bits(tables),
+            Elements::Entries(joins),
+            Elements::Entries(preds),
+        ]
+    }
+
+    /// The memo lookups of one pass: every element's probe and key, then,
+    /// under one take of the memo's lock, a prefetch of every probe's index
+    /// slot, then of the ring entry each slot names, and only then the
+    /// copies of what the memo holds into `scratch.act`, the three sets'
+    /// rows back to back. A hit's reads are then in flight together
+    /// instead of one after another. `scratch.missing` gets the rows left
+    /// unfilled. The lock is only ever tried: a pass that finds it held
+    /// (or poisoned) counts it as contended, fills no row, and returns
+    /// `false`, so that it inserts nothing either.
+    fn look_up(
+        &self,
+        kernel: Kernel,
+        sets: [Elements<'_>; 3],
+        scratch: &mut FrozenScratch,
+    ) -> bool {
+        let h = self.hidden;
+        let FrozenScratch {
+            act,
+            probes,
+            keys,
+            missing,
+            ..
+        } = scratch;
+        keys.clear();
+        probes.clear();
+        missing.clear();
+        for (module, set) in sets.into_iter().enumerate() {
+            probes.extend((0..set.len()).map(|r| {
+                let at = keys.len();
+                (set.probe(r, module, keys), at..keys.len())
+            }));
+        }
+        let act = grown(act, probes.len() * h);
+        let Some(table) = self.memo.try_table() else {
+            missing.extend(0..probes.len() as u32);
+            return false;
+        };
+        for (probe, _) in probes.iter() {
+            table.prefetch_slot(*probe);
+        }
+        // An entry's header and key, its mask and about half its lanes:
+        // a ReLU output is about half zeros.
+        let entry_words = ENTRY_HEADER + h.div_ceil(32) + h / 2;
+        for (probe, key) in probes.iter() {
+            table.prefetch_entry(*probe, entry_words + key.len());
+        }
+        for (r, ((probe, key), row)) in probes.iter().zip(act.chunks_exact_mut(h)).enumerate() {
+            if !table.get(kernel, *probe, &keys[key.clone()], row) {
+                missing.push(r as u32);
+            }
+        }
+        true
+    }
+
+    /// The rows the lookup pass left unfilled, each module's through its
+    /// two layers — gather → bias → ReLU → dense → bias → ReLU, one call of
+    /// each layer — into their rows of `scratch.act`; then, when the lookup
+    /// pass held the lock, all of them offered to the memo under one more
+    /// take of it (skipped, and counted as contended, if it is held now).
+    /// Returns how many elements were computed.
+    fn embed_missing(
+        &self,
+        sets: [Elements<'_>; 3],
+        locked: bool,
         scratch: &mut FrozenScratch,
     ) -> usize {
         let h = self.hidden;
@@ -1115,51 +1315,43 @@ impl FrozenModel {
             sparse,
             ..
         } = scratch;
-        let act = grown(act, set.len() * h);
-        keys.clear();
-        probes.clear();
-        probes.extend((0..set.len()).map(|r| {
-            let at = keys.len();
-            (set.probe(r, module, keys), at..keys.len())
-        }));
-        missing.clear();
-        {
-            let table = self.memo.try_table();
-            for (r, (probe, key)) in probes.iter().enumerate() {
-                let row = &mut act[r * h..(r + 1) * h];
-                if !table
-                    .as_ref()
-                    .is_some_and(|t| t.get(*probe, &keys[key.clone()], row))
-                {
-                    missing.push(r as u32);
+        let layers = [
+            (&self.tables1, &self.tables2),
+            (&self.joins1, &self.joins2),
+            (&self.preds1, &self.preds2),
+        ];
+        let (mut first, mut left) = (0, &missing[..]);
+        for ((l1, l2), set) in layers.into_iter().zip(sets) {
+            let end = first + set.len();
+            let (mine, rest) = left.split_at(left.partition_point(|&r| (r as usize) < end));
+            left = rest;
+            if !mine.is_empty() {
+                expanded.clear();
+                for &r in mine {
+                    set.expand_into(r as usize - first, expanded);
+                }
+                let fresh = grown(fresh, mine.len() * h);
+                l1.forward_rows(expanded, true, fresh);
+                sparse.compress_rows(fresh, h);
+                l2.forward_rows(sparse, true, fresh);
+                for (&r, value) in mine.iter().zip(fresh.chunks_exact(h)) {
+                    act[r as usize * h..][..h].copy_from_slice(value);
                 }
             }
+            first = end;
         }
-        if missing.is_empty() {
-            return 0;
-        }
-        expanded.clear();
-        for &r in missing.iter() {
-            set.expand_into(r as usize, expanded);
-        }
-        let fresh = grown(fresh, missing.len() * h);
-        l1.forward_rows(expanded, true, fresh);
-        sparse.compress_rows(fresh, h);
-        l2.forward_rows(sparse, true, fresh);
-        let mut table = self.memo.try_table();
-        for (&r, value) in missing.iter().zip(fresh.chunks_exact(h)) {
-            let r = r as usize;
-            act[r * h..(r + 1) * h].copy_from_slice(value);
-            if let Some(table) = table.as_mut() {
-                let (probe, key) = &probes[r];
-                table.insert(*probe, &keys[key.clone()], value);
+        if locked && !missing.is_empty() {
+            if let Some(mut table) = self.memo.try_table() {
+                for &r in missing.iter() {
+                    let (probe, key) = &probes[r as usize];
+                    let value = &act[r as usize * h..][..h];
+                    table.insert(*probe, &keys[key.clone()], value);
+                }
+                let memo = &self.memo;
+                memo.entries.store(table.entries as u64, Ordering::Relaxed);
+                memo.resident_bytes
+                    .store(table.bytes as u64, Ordering::Relaxed);
             }
-        }
-        if let Some(table) = table {
-            let memo = &self.memo;
-            memo.entries.store(table.entries as u64, Ordering::Relaxed);
-            memo.resident_bytes
-                .store(table.bytes as u64, Ordering::Relaxed);
         }
         missing.len()
     }
@@ -1195,14 +1387,6 @@ fn miswiring(h: usize, layers: [&FrozenLinear; 8]) -> Option<String> {
             want_in.is_some_and(|w| w != l.in_dim()) || l.out_dim() != *want_out
         })
         .map(|((name, ..), _)| format!("{name} shape breaks the MSCN wiring"))
-}
-
-/// Adds one element's embedding, scaled by `inv`, to its query's pooled
-/// sum: `relu(z2)[j] · (1/len)`, lane by lane.
-fn pool_into(pooled: &mut [f32], row: &[f32], inv: f32) {
-    for (o, &v) in pooled.iter_mut().zip(row) {
-        *o += v * inv;
-    }
 }
 
 /// The first `len` slots of a scratch buffer that only ever grows.
@@ -1826,6 +2010,155 @@ pub(crate) mod tests {
         assert_eq!(looked_up(&table, first, &first_key, 1), None);
     }
 
+    /// A set of elements, each given as its `(index, value)` entries.
+    fn set_of(elements: &[&[(u32, f32)]]) -> IndexSet {
+        let mut set = IndexSet::default();
+        for entries in elements {
+            set.push_elem(entries);
+        }
+        set
+    }
+
+    #[test]
+    fn an_element_repeated_across_the_queries_of_a_batch_is_stored_once() {
+        // Each table, join and predicate element rides in two of the three
+        // queries; the second predicate and join in one.
+        let (ta, tb) = ([(1, 1.0), (4, 1.0)], [(0, 1.0)]);
+        let (jx, jy) = ([(2, 1.0)], [(0, 1.0), (3, 1.0)]);
+        let (pu, pv) = ([(0, 1.0), (6, 0.625)], [(5, 1.0)]);
+        let queries = [
+            [set_of(&[&ta]), set_of(&[&jx]), set_of(&[&pu])],
+            [set_of(&[&ta, &tb]), set_of(&[]), set_of(&[&pu])],
+            [set_of(&[&tb]), set_of(&[&jx, &jy]), set_of(&[&pv])],
+        ];
+        let singles: Vec<u32> = queries.iter().map(|q| forward(&tiny_model(), q)).collect();
+        let all = |slot: usize| {
+            let mut set = IndexSet::default();
+            for q in &queries {
+                for r in 0..q[slot].elems.len() {
+                    set.push_elem(q[slot].elem(r));
+                }
+            }
+            set
+        };
+        let (ts, js, ps) = (bits_of(&all(0), 10), all(1), all(2));
+        let counts: Vec<[u32; 3]> = queries
+            .iter()
+            .map(|q| [0, 1, 2].map(|s| q[s].elems.len() as u32))
+            .collect();
+        let m = tiny_model();
+        let mut scratch = FrozenScratch::new();
+        for (pass, (hits, misses)) in [(0, 10), (10, 10)].into_iter().enumerate() {
+            let mut out = vec![0.0f32; queries.len()];
+            m.forward_batch(&ts, &js, &ps, &counts, &mut scratch, &mut out);
+            let bits: Vec<u32> = out.iter().map(|y| y.to_bits()).collect();
+            assert_eq!(bits, singles, "pass {pass}");
+            // The first pass looks every element up before it inserts
+            // any, so each occurrence misses; six distinct elements are
+            // stored, and the second pass hits them all.
+            let stats = m.memo_stats();
+            assert_eq!((stats.hits, stats.misses), (hits, misses), "pass {pass}");
+            assert_eq!((stats.entries, stats.contended), (6, 0), "pass {pass}");
+        }
+        // The lookup pass alone, on each codec: every row found, the same
+        // rows on both (past the first three, which the forward's output
+        // MLP wrote over, the rows it pooled), and no hit or miss counted.
+        let stats = m.memo_stats();
+        let h = m.hidden;
+        for kernel in [Kernel::Avx512, Kernel::Portable] {
+            if kernel.is_available() {
+                let mut looked = FrozenScratch::new();
+                assert_eq!(m.look_up_on(kernel, &ts, &js, &ps, &mut looked), 10);
+                assert_eq!(looked.act[3 * h..10 * h], scratch.act[3 * h..10 * h]);
+            }
+        }
+        assert_eq!(m.memo_stats(), stats);
+    }
+
+    #[test]
+    fn a_lookup_pass_that_finds_the_lock_held_computes_all_three_sets_and_inserts_nothing() {
+        let (t, j, p) = demo_sets();
+        let q = [t, j, p];
+        let want = forward(&tiny_model(), &q);
+        let m = tiny_model();
+        {
+            // `try_lock` on a lock this thread holds finds it held.
+            let _held = m.memo.table.lock().unwrap();
+            assert_eq!(forward(&m, &q), want);
+        }
+        let stats = m.memo_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.contended, stats.entries),
+            (0, 4, 1, 0),
+            "{stats:?}"
+        );
+        assert_eq!(m.memo.table.lock().unwrap().entries, 0, "nothing inserted");
+        // With the lock free again, a pass stores the four, the next hits.
+        for _ in 0..2 {
+            assert_eq!(forward(&m, &q), want);
+        }
+        let stats = m.memo_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.contended, stats.entries),
+            (4, 8, 1, 4),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn the_avx512_pooling_adds_what_the_scalar_loop_adds() {
+        if !Kernel::Avx512.is_available() {
+            println!("this CPU has no AVX-512F: only the scalar pooling runs");
+            return;
+        }
+        // Zeros of both signs, subnormals, infinities and ordinary values;
+        // one to five rows, scaled by their mean's `1/len`, into sums that
+        // start at zero or hold what earlier rows added; widths inside, at
+        // and past a vector. All rows in one call, against the scalar loop
+        // over all of them and one row at a time.
+        let odd = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-30,
+        ];
+        let mut s = 0xB001u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for h in [1usize, 15, 16, 17, 31, 33, 255, 256, 257] {
+            let start: Vec<f32> = (0..h).map(|j| [0.0, 0.5, -0.0][j % 3]).collect();
+            for len in 1..=5 {
+                let inv = 1.0 / len as f32;
+                let rows: Vec<f32> = (0..len * h)
+                    .map(|_| match next() % 4 {
+                        0 => odd[next() % odd.len()],
+                        _ => next() as f32 / 3e5 - 3000.0,
+                    })
+                    .collect();
+                let (mut fast, mut slow, mut one_by_one) =
+                    (start.clone(), start.clone(), start.clone());
+                pool_into(Kernel::Avx512, &mut fast, &rows, inv);
+                pool_into(Kernel::Portable, &mut slow, &rows, inv);
+                for row in rows.chunks_exact(h) {
+                    pool_into(Kernel::Avx512, &mut one_by_one, row, inv);
+                }
+                assert_eq!(bits(&fast), bits(&slow), "h {h} len {len}");
+                assert_eq!(
+                    bits(&one_by_one),
+                    bits(&slow),
+                    "h {h} len {len}, a row a call"
+                );
+            }
+        }
+    }
+
     #[test]
     fn clone_starts_empty_and_equality_ignores_the_memo() {
         let m = tiny_model();
@@ -1874,7 +2207,10 @@ pub(crate) mod tests {
             let (probe, key) = key_of(n as usize % 3, &entries);
             let width = 1 + next() as usize % 700;
             table.insert(probe, &key, &value[..width]);
-            assert!(table.get(probe, &key, &mut row[..width]), "element {n}");
+            assert!(
+                table.get(Kernel::dispatched(width), probe, &key, &mut row[..width]),
+                "element {n}"
+            );
             assert!(table.bytes <= MEMO_MAX_BYTES, "after {n} inserts");
             peak = peak.max(table.bytes);
             if n % 10_000 == 0 {
@@ -1887,14 +2223,17 @@ pub(crate) mod tests {
         let huge: Vec<(u32, f32)> = (0..600_000).map(|i| (i, 0.75)).collect();
         let (probe, key) = key_of(2, &huge);
         table.insert(probe, &key, &value);
-        assert!(!table.get(probe, &key, &mut row));
+        assert!(!table.get(Kernel::dispatched(700), probe, &key, &mut row));
         assert_ring_is_what_the_counts_say(&table);
         // 32-byte elements: the index's count, not the ring's room, makes
         // the oldest leave, and the index never fills.
         for n in 0..40_000 {
             let (probe, key) = element(n);
             table.insert(probe, &key, &[1.0]);
-            assert!(table.get(probe, &key, &mut row[..1]), "element {n}");
+            assert!(
+                table.get(Kernel::dispatched(1), probe, &key, &mut row[..1]),
+                "element {n}"
+            );
         }
         assert_eq!(table.entries, table.index.len() / 4 * 3);
         assert_ring_is_what_the_counts_say(&table);
@@ -2038,7 +2377,7 @@ pub(crate) mod tests {
             let pool = |row: &[f32]| {
                 let mut pooled = vec![0.0f32; h];
                 for r in [row, &other[..], row] {
-                    pool_into(&mut pooled, r, 1.0 / 3.0);
+                    pool_into(Kernel::dispatched(h), &mut pooled, r, 1.0 / 3.0);
                 }
                 pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
@@ -2049,7 +2388,7 @@ pub(crate) mod tests {
     #[test]
     fn the_avx512_codec_stores_and_loads_what_the_portable_one_does() {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
+        if Kernel::Avx512.is_available() {
             // Zeros of both signs, and NaN, a subnormal and infinity among
             // the non-zeros, at four shares of non-zero lanes.
             let odd = [f32::NAN, f32::from_bits(1), -1.5, f32::INFINITY];
@@ -2078,7 +2417,8 @@ pub(crate) mod tests {
                         vec![0u32; mask_words + nonzeros],
                     );
                     let (fm, fv) = fast.split_at_mut(mask_words);
-                    // SAFETY: AVX-512F support was just verified at runtime.
+                    // SAFETY: AVX-512F and POPCNT support was just verified
+                    // at runtime.
                     unsafe { x86::compress(&value, fm, fv) };
                     let (sm, sv) = slow.split_at_mut(mask_words);
                     compress_portable(&value, sm, sv);
@@ -2112,7 +2452,9 @@ pub(crate) mod tests {
     /// The `width`-float embedding the table holds for the element, if any.
     fn looked_up(table: &MemoTable, probe: Probe, key: &[u32], width: usize) -> Option<Vec<f32>> {
         let mut row = vec![f32::NAN; width];
-        table.get(probe, key, &mut row).then_some(row)
+        table
+            .get(Kernel::dispatched(width), probe, key, &mut row)
+            .then_some(row)
     }
 
     #[test]

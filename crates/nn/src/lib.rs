@@ -24,7 +24,12 @@
 //! Everything is deterministic given a seed, and every backward pass is
 //! validated against finite differences in the test suite.
 
+// No panic macro outside tests; an `assert!` left checks a caller's contract.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod frozen;
 pub mod linear;

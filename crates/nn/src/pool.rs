@@ -54,7 +54,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, ScopedJoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -147,10 +147,11 @@ impl Helper {
         }
     }
 
+    /// The mailbox. No code panics while holding it, and every update is
+    /// one whole `Option` taken or set, so a poisoned one still holds a
+    /// valid mailbox: its guard is taken over.
     fn mail(&self) -> MutexGuard<'_, Mail> {
-        self.mail
-            .lock()
-            .expect("no code panics while holding a lane's mailbox")
+        self.mail.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Takes the helper for one join if it is idle right now.
@@ -185,11 +186,17 @@ impl Helper {
     /// The helper thread's body: run posted pieces until shut down.
     fn serve(&self) {
         while wait(&self.state, |s| s == READY || s == SHUTDOWN) == READY {
-            let (piece, waiter) = {
+            let posted = {
                 let mut mail = self.mail();
-                (mail.piece.take(), mail.waiter.take())
+                mail.piece.take().zip(mail.waiter.take())
             };
-            let (piece, waiter) = piece.zip(waiter).expect("READY is stored after the post");
+            // `post` fills both before it stores READY, which this thread
+            // read with `Acquire`, and only this thread empties them: they
+            // are full here. Were they not, there would be nothing to run
+            // and no one to tell; the helper would leave, as on shutdown.
+            let Some((piece, waiter)) = posted else {
+                break;
+            };
             // SAFETY: `Team::join` posted a pointer to a closure on its own
             // stack and is now blocked in `collect` until this thread stores
             // `DONE` below, so the closure is alive, and nothing else

@@ -65,6 +65,7 @@
 //! started at `+0.0` cannot change its bits. A row's result does not
 //! depend on what other rows are in the call.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use crate::pool::Team;
@@ -157,21 +158,34 @@ impl IndexSet {
     /// Replaces the contents with the non-zero entries of a dense
     /// row-major matrix of `width` columns, one element per row — how a
     /// layer's (post-ReLU, about half zero) output becomes the next
-    /// layer's input. Branch-free per value: every slot of a
-    /// row-sized reservation is written and the cursor only advances past
-    /// non-zeros, so the unpredictable zero pattern costs no mispredicts.
+    /// layer's input. A value stays when `v != 0.0`: `±0.0` go, and NaN
+    /// (payload and all), subnormals and infinities stay. AVX-512 where
+    /// the CPU has it, else the portable loop
+    /// ([`IndexSet::compress_rows_on`]); both write into reserved
+    /// capacity, so a set that has held as many entries allocates nothing.
     pub fn compress_rows(&mut self, dense: &[f32], width: usize) {
+        self.compress_rows_on(Kernel::dispatched(width), dense, width);
+    }
+
+    /// [`IndexSet::compress_rows`] on `kernel`. AVX-512 compresses 16
+    /// values at a time; AVX2 has no compress, so it runs the portable
+    /// loop, which is the oracle and the fallback off x86-64. Naming a
+    /// kernel is for benchmarks and tests.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions.
+    pub fn compress_rows_on(&mut self, kernel: Kernel, dense: &[f32], width: usize) {
+        assert!(kernel.is_available(), "this CPU cannot run {kernel:?}");
         self.clear();
         for row in dense.chunks_exact(width.max(1)) {
             let start = self.entries.len();
-            self.entries.resize(start + width, (0, 0.0));
-            let slots = &mut self.entries[start..];
-            let mut kept = 0;
-            for (j, &v) in row.iter().enumerate() {
-                slots[kept] = (j as u32, v);
-                kept += usize::from(v != 0.0);
-            }
-            self.entries.truncate(start + kept);
+            let kept = match kernel {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: AVX-512F and POPCNT support was just verified at
+                // runtime.
+                Kernel::Avx512 => unsafe { x86::compress_row_avx512(row, &mut self.entries) },
+                _ => compress_row_portable(row, &mut self.entries),
+            };
             self.elems.push((start as u32, kept as u32));
         }
     }
@@ -350,6 +364,26 @@ pub(crate) fn set_bits(words: &[u32]) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
+/// Appends the non-zeros of `row` to `entries` as `(column, value)` and
+/// returns how many, branch-free per value: every slot up to the row's
+/// width is written in the spare capacity and the cursor only advances
+/// past non-zeros, so the unpredictable zero pattern costs no mispredicts
+/// and nothing is zero-filled first.
+fn compress_row_portable(row: &[f32], entries: &mut Vec<(u32, f32)>) -> usize {
+    entries.reserve(row.len());
+    let slots = &mut entries.spare_capacity_mut()[..row.len()];
+    let mut kept = 0;
+    for (j, &v) in row.iter().enumerate() {
+        slots[kept] = MaybeUninit::new((j as u32, v));
+        kept += usize::from(v != 0.0);
+    }
+    // SAFETY: the cursor stood at each of the first `kept` slots when it
+    // was written, and moved past it only then, so those slots hold the
+    // row's non-zeros; `reserve` made room for them.
+    unsafe { entries.set_len(entries.len() + kept) };
+    kept
+}
+
 /// What becomes of a finished accumulator `acc` and the output slot `y`.
 #[derive(Clone, Copy)]
 pub enum Finish<'a> {
@@ -387,6 +421,8 @@ pub fn sparse_rows(w: &[f32], out_dim: usize, rows: Rows<'_>, finish: Finish<'_>
 pub enum Kernel {
     /// AVX-512F: tiles of up to 256 columns (16 registers), the last one
     /// masked, so up to that width every weight row is read once, whole.
+    /// Its compress counts lanes with POPCNT, which every AVX-512 CPU has
+    /// and [`Kernel::is_available`] checks too.
     Avx512,
     /// AVX2: tiles of 64, 32, 16 and 8 columns, then scalar columns.
     Avx2,
@@ -403,7 +439,10 @@ impl Kernel {
     pub fn is_available(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Kernel::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("popcnt")
+            }
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -591,11 +630,69 @@ pub fn sparse_rows_portable(
 mod x86 {
     use std::arch::x86_64::{
         __m512, __mmask16, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_add_epi32, _mm512_add_ps,
+        _mm512_castps_si512, _mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_compress_epi32, _mm512_maskz_compress_ps, _mm512_maskz_loadu_ps,
+        _mm512_max_ps, _mm512_mul_ps, _mm512_permutex2var_epi32, _mm512_set1_epi32, _mm512_set1_ps,
+        _mm512_setr_epi32, _mm512_setzero_ps, _mm512_storeu_si512, _CMP_NEQ_UQ,
     };
 
     use super::{sparse_rows_portable, Finish, Rows};
+
+    // An entry is two words, its index and then its value's bits: what the
+    // compress's interleave writes.
+    const _: () = assert!(
+        std::mem::size_of::<(u32, f32)>() == 8
+            && std::mem::offset_of!((u32, f32), 0) == 0
+            && std::mem::offset_of!((u32, f32), 1) == 4
+    );
+
+    /// [`super::compress_row_portable`], 16 values at a time: a vector's
+    /// mask is its `v != 0.0` (`NEQ_UQ`: NaN is not zero, `-0.0` is); its
+    /// kept columns and values are each compressed to the front of a
+    /// register and interleaved into `(index, value)` pairs, and both
+    /// halves of those are stored whole behind the pairs kept so far, into
+    /// spare capacity 16 pairs longer than the row: the next vector's
+    /// pairs, or nothing, overwrite what lies past this vector's.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F and POPCNT. The stores write only the
+    /// spare capacity `reserve` made, `kept + 16 ≤ row.len() + 16` pairs
+    /// at most, and `set_len` covers exactly the pairs kept.
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub unsafe fn compress_row_avx512(row: &[f32], entries: &mut Vec<(u32, f32)>) -> usize {
+        entries.reserve(row.len() + 16);
+        let out = entries.spare_capacity_mut()[..row.len() + 16]
+            .as_mut_ptr()
+            .cast::<i32>();
+        // Lane 2i takes index i, lane 2i + 1 value i (bit 4 picks the
+        // second operand); `low` interleaves pairs 0–7, `high` 8–15.
+        let low = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let high = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        let mut columns = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut kept = 0;
+        let (whole, tail) = row.as_chunks::<16>();
+        let tail_lanes = ((1u32 << tail.len()) - 1) as __mmask16;
+        let vectors = whole
+            .iter()
+            .map(|chunk| _mm512_loadu_ps(chunk.as_ptr()))
+            .chain((!tail.is_empty()).then(|| _mm512_maskz_loadu_ps(tail_lanes, tail.as_ptr())));
+        for v in vectors {
+            // A lane the tail's load left out is `+0.0`: never kept.
+            let m = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_ps());
+            let kept_columns = _mm512_maskz_compress_epi32(m, columns);
+            let kept_values = _mm512_castps_si512(_mm512_maskz_compress_ps(m, v));
+            let at = out.add(2 * kept);
+            let pairs = _mm512_permutex2var_epi32(kept_columns, low, kept_values);
+            _mm512_storeu_si512(at.cast(), pairs);
+            let pairs = _mm512_permutex2var_epi32(kept_columns, high, kept_values);
+            _mm512_storeu_si512(at.add(16).cast(), pairs);
+            kept += m.count_ones() as usize;
+            columns = _mm512_add_epi32(columns, _mm512_set1_epi32(16));
+        }
+        entries.set_len(entries.len() + kept);
+        kept
+    }
 
     /// AVX-512 vector width: one 16-lane f32 register.
     const LANES_512: usize = 16;
@@ -625,14 +722,16 @@ mod x86 {
             ($width:expr, $j0:expr; $($nv:literal)*) => {
                 match $width.div_ceil(LANES_512) {
                     $($nv => tile_512::<$nv>(w, out_dim, rows, finish, y, $j0, $width),)*
-                    _ => unreachable!("a tile holds at most {MAX_TILE_512} vectors"),
+                    // `width` is 1 to 256, so 16 vectors; `tile_512`
+                    // asserts that its width fits.
+                    _ => tile_512::<MAX_TILE_512>(w, out_dim, rows, finish, y, $j0, $width),
                 }
             };
         }
         let mut j0 = 0;
         while j0 < out_dim {
             let width = (out_dim - j0).min(MAX_TILE_512 * LANES_512);
-            tile_of!(width, j0; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+            tile_of!(width, j0; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
             j0 += width;
         }
     }
@@ -842,16 +941,70 @@ mod x86 {
 mod tests {
     use super::*;
 
+    /// Every kernel this CPU has, and the dispatch, against a naive
+    /// `v != 0.0` filter, bit for bit: NaN (with a payload), both zeros, subnormals and both
+    /// infinities among ordinary values, an all-zero and an all-non-zero
+    /// row, widths on both sides of a vector and at the model's, several
+    /// rows per call, and one set reused across calls.
     #[test]
-    fn compress_rows_keeps_exactly_the_non_zeros_in_order() {
-        let dense = [
-            0.0f32, 1.5, -0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 4.0,
+    fn compress_rows_on_each_kernel_is_the_naive_filter() {
+        let odd = [
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
         ];
-        let mut set = IndexSet::default();
-        set.push(9, 9.0); // stale contents are replaced
-        set.compress_rows(&dense, 4);
-        assert_eq!(set.elems, vec![(0, 2), (2, 0), (2, 2)]);
-        assert_eq!(set.entries, vec![(1, 1.5), (3, 2.0), (0, -3.0), (3, 4.0)]);
+        let mut s = 0xC0A1_u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        let ran: Vec<Kernel> = Kernel::ALL
+            .into_iter()
+            .filter(|k| k.is_available())
+            .collect();
+        println!("compress_rows kernels run: {ran:?}");
+        // One set per kernel, and one for the dispatched `compress_rows`.
+        let mut sets = vec![IndexSet::default(); ran.len() + 1];
+        for width in [1usize, 15, 16, 17, 255, 256, 768, 769] {
+            let mut dense = Vec::new();
+            // All zero, all non-zero, then rows of rising shares of zeros.
+            dense.extend((0..width).map(|j| [0.0, -0.0][j % 2]));
+            dense.extend((0..width).map(|j| j as f32 + 0.5));
+            for zeros in [1, 2, 3] {
+                dense.extend((0..width).map(|j| match next() % 4 {
+                    r if r < zeros => [0.0, -0.0][j % 2],
+                    _ if next() % 3 == 0 => odd[next() % odd.len()],
+                    _ => next() as f32 / 1e6 - 1000.0,
+                }));
+            }
+            let mut want = Vec::new();
+            let mut spans = Vec::new();
+            for row in dense.chunks_exact(width) {
+                let start = want.len();
+                for (j, &v) in row.iter().enumerate().filter(|&(_, &v)| v != 0.0) {
+                    want.push((j as u32, v.to_bits()));
+                }
+                spans.push((start as u32, (want.len() - start) as u32));
+            }
+            for (kernel, set) in ran.iter().map(Some).chain([None]).zip(&mut sets) {
+                set.push(9, 9.0); // stale contents are replaced
+                match kernel {
+                    Some(&kernel) => set.compress_rows_on(kernel, &dense, width),
+                    None => set.compress_rows(&dense, width),
+                }
+                let got: Vec<(u32, u32)> =
+                    set.entries.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+                assert_eq!(got, want, "{kernel:?} width {width}");
+                assert_eq!(set.elems, spans, "{kernel:?} width {width}");
+            }
+        }
     }
 
     #[test]
