@@ -67,8 +67,9 @@ pub fn benchmark_sketch_builder(db: &Database) -> SketchBuilder<'_> {
 }
 
 /// The repository benchmark's query stream (`workload.rs` in its
-/// directory): `n` generated comparison-only queries, distinct under the
-/// server's cache key, each as the server's parser reads its SQL.
+/// directory): `n` generated comparison-only queries, distinct under
+/// `EstimateKey` (so no two are clause orders of one query), each as the
+/// server's parser reads its SQL.
 pub fn benchmark_stream(db: &Database, seed: u64, n: usize) -> Vec<Query> {
     let mut cfg =
         ds_query::GeneratorConfig::new(ds_query::workloads::imdb_predicate_columns(db), seed);

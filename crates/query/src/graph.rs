@@ -4,7 +4,7 @@
 //! subtrees of this graph (paper: "uniformly choose tables"), and the demo
 //! UI uses it to auto-insert join predicates.
 
-use rand::{rngs::StdRng, seq::SliceRandom, RngExt};
+use rand::{rngs::StdRng, RngExt};
 
 use ds_storage::catalog::{Database, TableId};
 use ds_storage::exec::JoinEdge;
@@ -160,14 +160,6 @@ impl JoinGraph {
         }
         best
     }
-}
-
-/// Shuffles a slice deterministically — small convenience re-exported for
-/// generator code.
-pub fn shuffled<T: Clone>(rng: &mut StdRng, items: &[T]) -> Vec<T> {
-    let mut v = items.to_vec();
-    v.shuffle(rng);
-    v
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Evaluation workloads and per-schema predicate-column registries.
 
-pub mod io;
 pub mod job_light;
 pub mod stats;
 pub mod tpch;

@@ -1,11 +1,15 @@
-//! The template-keyed estimate cache: memoizes healthy `ESTIMATE` answers
-//! in front of the forward pass.
+//! The estimate cache: memoizes healthy `ESTIMATE` answers in front of the
+//! forward pass.
 //!
-//! A cache entry is keyed by the sketch name, the store **generation** of
-//! the sketch that produced the value, the query's canonical structural
-//! shape (the same canonicalization as [`crate::query_template`]), and the
-//! predicate literal values — the `CanonicalQuery` form, which the
-//! template interner and the lifecycle harvest key are derived from too.
+//! A cache entry is keyed by what the model reads: the sketch name, the
+//! store **generation** of the sketch that produced the value, and the
+//! parsed [`Query`] itself ([`CacheKey`]). Equal keys are answered with
+//! equal bits by construction. The clause-order-canonical form
+//! (`CanonicalQuery`, [`EstimateKey`]) is not the key: the model pools
+//! each set's elements in clause order, and f32 sums in another order can
+//! round to other bits, so two orders of one query are two keys. The
+//! canonical form serves the readers that want it: the template interner
+//! and the lifecycle harvest key.
 //!
 //! The generation is the cache's one invalidation rule. A cached answer is
 //! right exactly as long as the model that computed it serves, and every
@@ -19,8 +23,9 @@
 //!
 //! Correctness contract, enforced by integration tests:
 //!
-//! * a hit returns the **bit-identical** `f64` a cold estimate would
-//!   produce (values enter the cache only from healthy forward passes);
+//! * a hit returns the **bit-identical** `f64` a cold estimate of the same
+//!   query would produce (values enter the cache only from healthy forward
+//!   passes);
 //! * degraded (circuit-breaker / fallback) responses are never inserted,
 //!   and the serving path consults the cache only after breaker admission,
 //!   so an open circuit is never masked by a warm cache.
@@ -28,15 +33,16 @@
 //! Eviction is sharded second-chance (CLOCK): each shard keeps a FIFO ring
 //! over exactly its keys plus one referenced bit per entry — hits set the
 //! bit, eviction gives set bits a second lap. This approximates LRU without
-//! per-hit list surgery, so a hit is one hash lookup and one store.
+//! per-hit list surgery, so a hit is one hash lookup and one store. The map
+//! and the ring share each key through one `Arc`.
 #![cfg_attr(
     not(test),
     deny(clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -45,11 +51,32 @@ use ds_obs::PromText;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
-/// Cache key of one estimate: sketch identity and generation plus the
-/// canonical query shape and its literal values. Two queries build equal
-/// keys exactly when a sketch of that generation must answer them with the
-/// same estimate.
+/// The key of one cached estimate: the sketch name, its store generation
+/// and the query the model reads. A connection parses each request straight
+/// into its key, so a lookup copies nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    pub(crate) sketch: String,
+    pub(crate) generation: u64,
+    pub(crate) query: Query,
+}
+
+impl CacheKey {
+    pub(crate) fn new(sketch: &str, generation: u64, query: Query) -> Self {
+        let sketch = sketch.to_string();
+        Self {
+            sketch,
+            generation,
+            query,
+        }
+    }
+}
+
+/// The canonical identity of one estimate: sketch name and generation plus
+/// the canonical query shape and its literal values, so two clause orders
+/// of one query build one key. It is not the cache's key ([`CacheKey`]):
+/// the model reads clause order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EstimateKey {
     sketch: String,
     generation: u64,
@@ -69,17 +96,6 @@ impl EstimateKey {
         }
     }
 
-    /// Makes this the key [`EstimateKey::new`] would build, in place: a
-    /// connection looks every request up through one key and clones it
-    /// only for the entry a miss inserts.
-    pub(crate) fn set(&mut self, sketch: &str, generation: u64, query: &CanonicalQuery) {
-        self.sketch.clear();
-        self.sketch.push_str(sketch);
-        self.generation = generation;
-        self.shape.clone_from(&query.shape);
-        self.lits.clone_from(&query.lits);
-    }
-
     /// The canonical structural shape (template identity) of the keyed
     /// query: equal shapes render equal [`crate::query_template`]s.
     pub fn shape(&self) -> &[u32] {
@@ -87,12 +103,9 @@ impl EstimateKey {
     }
 }
 
-/// The canonical form of a query, computed once per request: the cache key
-/// (shape and literals), the interned template (shape) and the harvest key
-/// (predicates) all read it instead of sorting the query again. Refillable:
-/// [`CanonicalQuery::fill`] reuses every vector, so a connection that keeps
-/// one canonicalises without allocating.
-#[derive(Default)]
+/// The canonical form of a query: clause order and aliasing removed. Built
+/// only where it is read: a graded `FEEDBACK`'s template and harvest key, a
+/// kept `TRACE` exemplar's template, and [`EstimateKey`].
 pub(crate) struct CanonicalQuery {
     /// Table count, sorted tables, join count, sorted canonical join quads,
     /// then `[table, col, op]` per predicate — plus the literal count for
@@ -107,38 +120,21 @@ pub(crate) struct CanonicalQuery {
     /// `IN` (the canonical sorted list), 4 is `LIKE` (the pattern's bytes,
     /// one per element: exact, no hashing).
     pub(crate) preds: Vec<(u32, u32, u32, Range<usize>)>,
-    /// Working memory of [`CanonicalQuery::fill`]: the join quads while they
-    /// are sorted, and the literals in the query's own predicate order.
-    joins: Vec<[u32; 4]>,
-    unsorted: Vec<i64>,
 }
 
 impl CanonicalQuery {
+    /// The canonical form of `query`.
     pub(crate) fn of(query: &Query) -> Self {
-        let mut canonical = Self::default();
-        canonical.fill(query);
-        canonical
-    }
-
-    /// Replaces the contents with the canonical form of `query`.
-    pub(crate) fn fill(&mut self, query: &Query) {
         use ds_storage::predicate::PredTest;
-        let Self {
-            shape,
-            lits,
-            preds,
-            joins,
-            unsorted,
-        } = self;
-        shape.clear();
         // Exact, like `lits` below: `EstimateKey::new` keeps both vectors.
-        shape.reserve_exact(
+        let mut shape = Vec::with_capacity(
             2 + query.tables.len() + 4 * (query.joins.len() + query.predicates.len()),
         );
         shape.push(query.tables.len() as u32);
         shape.extend(query.tables.iter().map(|t| t.0 as u32));
         shape[1..].sort_unstable();
-        joins.clear();
+        // The join quads, and the literals in the query's own predicate order.
+        let (mut joins, mut unsorted, mut preds) = (Vec::new(), Vec::new(), Vec::new());
         joins.extend(query.joins.iter().map(|j| {
             let l = [j.left.table.0 as u32, j.left.col as u32];
             let r = [j.right.table.0 as u32, j.right.col as u32];
@@ -148,8 +144,6 @@ impl CanonicalQuery {
         joins.sort_unstable();
         shape.push(joins.len() as u32);
         shape.extend(joins.iter().flatten());
-        unsorted.clear();
-        preds.clear();
         preds.extend(query.qualified_predicates().map(|(cr, p)| {
             let start = unsorted.len();
             let op = match &p.test {
@@ -171,9 +165,8 @@ impl CanonicalQuery {
         preds.sort_unstable_by(|a, b| {
             (a.0, a.1, a.2, &unsorted[a.3.clone()]).cmp(&(b.0, b.1, b.2, &unsorted[b.3.clone()]))
         });
-        lits.clear();
-        lits.reserve_exact(unsorted.len());
-        for (t, c, op, range) in preds {
+        let mut lits = Vec::with_capacity(unsorted.len());
+        for (t, c, op, range) in &mut preds {
             shape.extend_from_slice(&[*t, *c, *op]);
             if *op >= 3 {
                 shape.push(range.len() as u32);
@@ -182,6 +175,7 @@ impl CanonicalQuery {
             lits.extend_from_slice(&unsorted[range.clone()]);
             *range = start..lits.len();
         }
+        Self { shape, lits, preds }
     }
 
     /// The lifecycle harvest's deduplication key: `template` (the interned
@@ -216,8 +210,8 @@ const INTERNED_SHAPES: usize = 4096;
 
 /// Interns structural templates: queries with the same shape share one
 /// rendered string, so a reader of the template (a `FEEDBACK` grade, a
-/// kept `TRACE` exemplar) pays a read-locked map hit on the shape its
-/// cache key already holds instead of re-rendering [`query_template`]
+/// kept `TRACE` exemplar) pays a read-locked map hit on its query's
+/// canonical shape instead of re-rendering [`query_template`]
 /// (string sorts and a dozen allocations). Public for `ds-bench`'s
 /// `ceilings` test, which holds the exemplar's timeline work under an
 /// absolute ceiling.
@@ -317,11 +311,40 @@ struct Entry {
 }
 
 /// One independently locked shard: entry map plus the second-chance ring
-/// over exactly the map's keys.
-#[derive(Default)]
+/// over exactly the map's keys, each key held once and shared by both.
 struct Shard {
-    map: HashMap<EstimateKey, Entry>,
-    ring: VecDeque<EstimateKey>,
+    map: HashMap<Arc<CacheKey>, Entry, KeyHasher>,
+    ring: VecDeque<Arc<CacheKey>>,
+}
+
+/// Hashes cache keys, for the shard choice and in the shard maps. A derived
+/// `Query` hash makes one `write` per field, about thirty for a five-table
+/// query, and SipHash pays ≈ 10 ns a call; here a write is one folded
+/// multiply. Seeded per cache.
+#[derive(Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x5851_f42d_4c95_7f2d;
+            self.0 = product as u64 ^ (product >> 64) as u64;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl BuildHasher for KeyHasher {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        *self
+    }
 }
 
 /// Locks one shard, poisoned or not. A holder that unwound cannot have left
@@ -338,6 +361,7 @@ fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
 /// the keying and invalidation contract.
 pub struct EstimateCache {
     shards: Vec<Mutex<Shard>>,
+    hasher: KeyHasher,
     per_shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -352,8 +376,14 @@ impl EstimateCache {
     pub fn new(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);
         let shards = shards.clamp(1, capacity);
+        let hasher = KeyHasher(RandomState::new().hash_one(0));
+        let shard = || {
+            let (map, ring) = (HashMap::with_hasher(hasher), VecDeque::new());
+            Mutex::new(Shard { map, ring })
+        };
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| shard()).collect(),
+            hasher,
             per_shard_capacity: capacity / shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -361,21 +391,15 @@ impl EstimateCache {
         }
     }
 
-    /// The locked shard `key` lives in.
-    fn shard(&self, key: &EstimateKey) -> MutexGuard<'_, Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        lock(&self.shards[(h.finish() as usize) % self.shards.len()])
-    }
-
-    /// [`EstimateKey::new`]. Kept because the benchmark's source calls it;
-    /// the server refills one key per connection instead.
-    pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> EstimateKey {
-        EstimateKey::new(sketch, generation, query)
+    /// The locked shard `key` lives in, chosen by the high half of its
+    /// hash: the shard's map indexes its buckets by the low bits.
+    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, Shard> {
+        let h = self.hasher.hash_one(key) >> 32;
+        lock(&self.shards[h as usize % self.shards.len()])
     }
 
     /// Looks up a cached estimate, counting the hit or miss.
-    pub fn get(&self, key: &EstimateKey) -> Option<f64> {
+    pub fn get(&self, key: &CacheKey) -> Option<f64> {
         let mut shard = self.shard(key);
         match shard.map.get_mut(key) {
             Some(entry) => {
@@ -393,7 +417,7 @@ impl EstimateCache {
     /// Inserts a healthy estimate, evicting with second chance when the
     /// shard is full. Re-inserting an existing key refreshes its value in
     /// place.
-    pub fn insert(&self, key: EstimateKey, value: f64) {
+    pub fn insert(&self, key: CacheKey, value: f64) {
         let mut shard = self.shard(&key);
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.value = value;
@@ -418,7 +442,8 @@ impl EstimateCache {
                 }
             }
         }
-        shard.ring.push_back(key.clone());
+        let key = Arc::new(key);
+        shard.ring.push_back(Arc::clone(&key));
         shard.map.insert(
             key,
             Entry {
@@ -466,7 +491,9 @@ impl EstimateCache {
 mod tests {
     use super::*;
     use ds_query::parser::parse_query;
+    use ds_storage::catalog::TableId;
     use ds_storage::gen::{imdb_database, ImdbConfig};
+    use ds_storage::predicate::{CmpOp, ColPredicate};
     use std::collections::HashSet;
 
     impl TemplateInterner {
@@ -573,19 +600,42 @@ mod tests {
         assert_ne!(ka, kb, "literals must distinguish keys");
         assert_eq!(ka.shape(), kb.shape(), "same template, same shape");
         assert_ne!(ka.shape(), kc.shape());
-        // Clause order and aliasing never change the key (canonical sort).
         assert_eq!(ka, EstimateKey::new("s", 1, &a.clone()));
     }
 
-    /// A key of one fixed shape with literal `lit`: the cache never looks
-    /// inside a key, so its tests need no database.
-    fn key(generation: u64, lit: i64) -> EstimateKey {
-        EstimateKey {
-            sketch: "s".to_string(),
-            generation,
-            shape: vec![1, 0, 0],
-            lits: vec![lit],
-        }
+    /// Two clause orders of one query share their canonical identity but
+    /// not their cache key: the model reads clause order, so the second
+    /// order misses the first one's entry.
+    #[test]
+    fn clause_orders_of_one_query_are_distinct_cache_keys() {
+        let db = imdb_database(&ImdbConfig::tiny(1));
+        let (year, keyword) = ("t.production_year > 1995", "mk.keyword_id = 7");
+        let parse = |from, first, second| {
+            let sql = format!(
+                "SELECT COUNT(*) FROM {from} WHERE mk.movie_id = t.id AND {first} AND {second}"
+            );
+            parse_query(&db, &sql).expect("parse")
+        };
+        let a = parse("title t, movie_keyword mk", year, keyword);
+        let b = parse("movie_keyword mk, title t", keyword, year);
+        assert_eq!(EstimateKey::new("s", 1, &a), EstimateKey::new("s", 1, &b));
+        let (ka, kb) = (CacheKey::new("s", 1, a), CacheKey::new("s", 1, b));
+        assert_ne!(ka, kb);
+        let cache = EstimateCache::new(64, 4);
+        cache.insert(ka.clone(), 1.5);
+        assert_eq!(cache.get(&kb), None);
+        assert_eq!(cache.get(&ka), Some(1.5));
+    }
+
+    /// A key of one fixed query shape with literal `lit`: the cache never
+    /// looks inside a key, so its tests need no database.
+    fn key(generation: u64, lit: i64) -> CacheKey {
+        let mut query = Query::new();
+        query.tables.push(TableId(0));
+        query
+            .predicates
+            .push((TableId(0), ColPredicate::new(0, CmpOp::Gt, lit)));
+        CacheKey::new("s", generation, query)
     }
 
     /// The value a test inserts under `key(generation, lit)`.
@@ -597,7 +647,7 @@ mod tests {
     fn assert_rings_hold_their_maps(cache: &EstimateCache) {
         for shard in &cache.shards {
             let s = shard.lock().unwrap();
-            let ring: HashSet<&EstimateKey> = s.ring.iter().collect();
+            let ring: HashSet<&Arc<CacheKey>> = s.ring.iter().collect();
             assert_eq!(ring.len(), s.ring.len(), "a key is in the ring twice");
             assert_eq!(ring, s.map.keys().collect(), "ring and map disagree");
         }
@@ -607,18 +657,17 @@ mod tests {
     fn a_new_generation_misses_and_the_old_entries_stay() {
         let (a, b, _) = queries();
         let cache = EstimateCache::new(64, 4);
-        let k = cache.key("imdb", 1, &a);
-        assert_eq!(k, EstimateKey::new("imdb", 1, &a));
+        let k = CacheKey::new("imdb", 1, a.clone());
         assert_eq!(cache.get(&k), None);
         cache.insert(k.clone(), 42.5);
         assert_eq!(cache.get(&k), Some(42.5));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.insert(EstimateKey::new("imdb", 1, &b), 7.0);
+        cache.insert(CacheKey::new("imdb", 1, b), 7.0);
         assert_eq!(cache.len(), 2);
 
         // A new generation never hits the old entries, and builds none of
         // their keys again; they stay until eviction takes them.
-        let k2 = EstimateKey::new("imdb", 2, &a);
+        let k2 = CacheKey::new("imdb", 2, a);
         assert_eq!(cache.get(&k2), None);
         assert_eq!(cache.len(), 2);
         cache.insert(k2.clone(), 1.5);

@@ -130,7 +130,7 @@ pub struct ServeConfig {
     pub(crate) breaker: BreakerConfig,
     /// Deterministic fault plan for degradation tests.
     pub(crate) faults: Option<Arc<FaultInjector>>,
-    /// Capacity of the template-keyed estimate cache (0 disables).
+    /// Capacity of the estimate cache (0 disables).
     pub(crate) cache_capacity: usize,
     /// Directory for durable snapshots; when set, the server recovers it
     /// at start and quarantines refused `SYNC` transfers under
@@ -152,7 +152,7 @@ impl ServeConfig {
         }
     }
 
-    /// Capacity of the template-keyed estimate cache (0 = disabled).
+    /// Capacity of the estimate cache (0 = disabled).
     pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
     }
@@ -284,8 +284,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Capacity of the template-keyed estimate cache. `0` disables
-    /// caching.
+    /// Capacity of the estimate cache. `0` disables caching.
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cfg.cache_capacity = cache_capacity;
         self

@@ -10,11 +10,11 @@
 //!   `try_estimate` call under the [`server`]'s deadline, span and pass
 //!   counter; nothing is queued or handed to another thread, so every
 //!   answer is `estimate_one`'s, bit for bit.
-//! * **Caching** — a bounded, template-keyed estimate cache ([`cache`])
-//!   short-circuits repeat healthy `ESTIMATE`s with bit-identical answers;
-//!   every key carries the sketch's store generation, so a swap's entries
-//!   never hit again and age out under eviction — the cache's one
-//!   invalidation rule.
+//! * **Caching** — a bounded estimate cache ([`cache`]) keyed by the
+//!   sketch name, its store generation and the parsed query (what the
+//!   model reads, clause order included) short-circuits repeat healthy
+//!   `ESTIMATE`s with bit-identical answers; a swap's entries never hit
+//!   again and age out under eviction — the cache's one invalidation rule.
 //! * **Robustness** — per-request deadlines, a connection cap that sheds
 //!   with `BUSY` (the admission control: a connection has one request in
 //!   flight), bounded request lines ([`line_reader`]), and graceful

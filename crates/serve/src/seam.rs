@@ -7,6 +7,7 @@ use std::sync::Arc;
 use ds_est::EstimateError;
 use ds_query::query::Query;
 
+use crate::cache::{CacheKey, EstimateCache};
 use crate::config::SharedEstimator;
 use crate::metrics::Metrics;
 
@@ -30,6 +31,14 @@ impl Batcher {
 
     /// Does nothing: a pass runs on its caller's stack.
     pub fn shutdown(&self) {}
+}
+
+impl EstimateCache {
+    /// The key the server looks `query` up under for `sketch` at
+    /// `generation`: a copy of each.
+    pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> CacheKey {
+        CacheKey::new(sketch, generation, query.clone())
+    }
 }
 
 #[cfg(test)]
@@ -62,5 +71,9 @@ mod tests {
         let y = m.forward_query(sets[0], sets[1], sets[2], &mut Default::default());
         let served = sketch.estimate_one(&query);
         assert_eq!(sketch.normalizer().denormalize(y).max(1.0), served);
+        let cache = EstimateCache::new(4, 1);
+        cache.insert(cache.key("imdb", 1, &query), served);
+        assert_eq!(cache.get(&cache.key("imdb", 1, &query)), Some(served));
+        assert_eq!(cache.get(&cache.key("imdb", 2, &query)), None);
     }
 }

@@ -47,7 +47,7 @@ use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::breaker::{Admit, BreakerRegistry, CircuitBreaker, Verdict};
-use crate::cache::{CanonicalQuery, EstimateCache, EstimateKey, TemplateInterner};
+use crate::cache::{CacheKey, CanonicalQuery, EstimateCache, TemplateInterner};
 use crate::config::{ServeConfig, SharedEstimator, SloSignal};
 use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
@@ -433,18 +433,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// What a handler keeps from one request to the next, beside its
 /// [`LineReader`]'s line and reply buffers. A request is read as slices of
 /// the line; everything derived from it lands in these, which keep their
-/// allocations, so a cache hit allocates nothing. A miss lends `query` to
-/// the forward pass and clones `key` into the cache.
+/// allocations, so a cache hit allocates nothing. A miss lends the key's
+/// query to the forward pass and clones the key into the cache.
 #[derive(Default)]
 struct ConnectionState {
     /// The SQL parser's token, term and alias buffers.
     parser: Parser,
-    /// The request's parsed query.
-    query: Query,
-    /// Its canonical form: template shape, harvest key and cache key.
-    canonical: CanonicalQuery,
-    /// The key the cache is probed with.
-    key: EstimateKey,
+    /// The request's sketch name, the generation resolved and the parsed
+    /// query: the key the cache is probed with.
+    key: CacheKey,
 }
 
 /// Answers one request line, except an `ESTIMATE` or `FEEDBACK`, which it
@@ -639,9 +636,8 @@ struct Served<'a> {
     /// The sketch's breaker and its admission (`None`: refused before it).
     admitted: Option<(Arc<CircuitBreaker>, Admit)>,
     answer: Answer,
-    /// The parsed query, its canonical form (filled for the sketch's own
-    /// answer whenever the timeline, a grade or the cache reads it) and,
-    /// when the cache was probed (`Admit::Allow`), the key.
+    /// The parsed query, inside the cache key (the sketch's name and
+    /// generation are set in it once the query parsed).
     conn: &'a ConnectionState,
 }
 
@@ -681,11 +677,14 @@ impl Served<'_> {
         }
     }
 
-    /// The interned template of the request's query: read by a grade and
-    /// by a kept exemplar only, so no other request renders or looks it up.
-    fn template(&self, shared: &Shared) -> Arc<str> {
-        let (conn, templates) = (self.conn, &shared.templates);
-        templates.get(&shared.db, &conn.query, &conn.canonical.shape)
+    /// The canonical form of the request's query and its interned
+    /// template: read by a grade and by a kept exemplar only, so no other
+    /// request builds, renders or looks either up.
+    fn template(&self, shared: &Shared) -> (CanonicalQuery, Arc<str>) {
+        let query = &self.conn.key.query;
+        let canonical = CanonicalQuery::of(query);
+        let template = shared.templates.get(&shared.db, query, &canonical.shape);
+        (canonical, template)
     }
 
     /// Books the stages of the sketch's own answer once its reply is
@@ -713,7 +712,7 @@ impl Served<'_> {
                 .map_or((0, 0, 0), |(ctx, span)| (ctx.trace_id, ctx.span_id, span));
             shared.metrics.slow.push(RequestTimeline {
                 sketch: self.request.sketch.to_string(),
-                template: self.template(shared).to_string(),
+                template: self.template(shared).1.to_string(),
                 total_us: total.as_micros() as u64,
                 parse_us,
                 forward_us,
@@ -795,14 +794,21 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
             Err(e) => break 'answer Answer::Refused(store_error_response(&e)),
         };
         generation = resolved;
+        let key = &mut conn.key;
         if let Err(e) = conn
             .parser
-            .parse_query(&shared.db, request.sql, &mut conn.query)
+            .parse_query(&shared.db, request.sql, &mut key.query)
         {
             let code = ErrorCode::Parse;
             break 'answer Answer::Refused(Response::Error { code, message: e.0 });
         }
-        let (breaker, query) = (shared.breakers.breaker(request.sketch), &conn.query);
+        // The key carries the generation resolved, so a swapped-out model's
+        // entries are never looked up again.
+        key.sketch.clear();
+        key.sketch.push_str(request.sketch);
+        key.generation = generation;
+        let (breaker, key) = (shared.breakers.breaker(request.sketch), &conn.key);
+        let query = &key.query;
         let admit = breaker.admit();
         admitted = Some((breaker, admit));
         if admit == Admit::ShortCircuit {
@@ -820,17 +826,8 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         }
         // Only a closed breaker consults the cache: a half-open probe must
         // reach the model, and a warm cache must never mask an unhealthy
-        // sketch. One canonical form serves template, harvest and cache key;
-        // the key carries the generation resolved, so a swapped-out model's
-        // entries are never looked up again.
+        // sketch.
         let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
-        if shared.timeline || request.feedback.is_some() || cache.is_some() {
-            conn.canonical.fill(query);
-        }
-        if cache.is_some() {
-            conn.key.set(request.sketch, generation, &conn.canonical);
-        }
-        let key = &conn.key;
         let reached = FaultInjector::reach_model(shared.faults.as_deref(), request.sketch, || {
             // A hit's bits are what the pass produced when it was inserted.
             if let Some(v) = cache.and_then(|c| c.get(key)) {
@@ -904,7 +901,7 @@ fn settle(served: &Served, shared: &Shared) {
         return;
     };
     if let Some(actual) = request.feedback {
-        let template = served.template(shared);
+        let (canonical, template) = served.template(shared);
         let monitor = shared.monitors.monitor(request.sketch);
         monitor.record(&template, v, actual as f64);
         // A graded query feeds the lifecycle harvest, with its SQL for the
@@ -913,14 +910,14 @@ fn settle(served: &Served, shared: &Shared) {
         // (counted). `shadowing` is one relaxed atomic load while nothing
         // is mirrored anywhere, so the steady state clones nothing.
         if let Some(lc) = &shared.lifecycle {
-            let key = served.conn.canonical.harvest_key(&template);
+            let key = canonical.harvest_key(&template);
             lc.manager
                 .observe_feedback(request.sketch, &key, request.sql, actual);
             if lc.manager.shadowing(request.sketch) {
                 let job = ShadowJob {
                     sketch: request.sketch.to_string(),
                     generation: served.generation,
-                    query: served.conn.query.clone(),
+                    query: served.conn.key.query.clone(),
                     live: v,
                     actual,
                 };

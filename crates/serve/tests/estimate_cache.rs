@@ -1,6 +1,8 @@
-//! Estimate-cache integration tests: a real server with the default
-//! template-keyed cache, proving that
+//! Estimate-cache integration tests: a real server with the default cache,
+//! keyed by the sketch, its generation and the parsed query, proving that
 //!
+//! * two clause orders of one query, which the model can answer with
+//!   different bits, are two entries, each answered with its own bits;
 //! * a sketch swap (remove + re-insert) serves under a new generation, so
 //!   the old generation's entries can never answer;
 //! * sustained `FEEDBACK`-reported accuracy drift drops no entry: the same
@@ -12,23 +14,71 @@
 //! are counted and that `cache_capacity(0)` exports no cache counters is
 //! checked by the root package's `one_answer` harness.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
+use ds_query::generator::{GeneratorConfig, QueryGenerator};
 use ds_query::parser::parse_query;
+use ds_query::query::Query;
+use ds_query::sqlgen::to_sql;
+use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{Client, ServeConfig};
 
 mod common;
-use common::{start, tiny_sketch};
+use common::{start, stat, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
-fn stat(c: &mut Client, name: &str) -> f64 {
-    c.stats()
-        .unwrap()
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.value)
-        .unwrap_or_else(|| panic!("missing sample {name}"))
+/// The model pools each set's elements in clause order, so reversing a
+/// query's tables, joins and predicates can change its estimate's bits.
+/// Each order is its own cache entry: over one connection, with the default
+/// cache, every text is answered with its own cold bits, whichever order
+/// came first, and again from the cache.
+#[test]
+fn a_reordered_query_is_answered_with_its_own_bits() {
+    let (server, db, store) = start(ServeConfig::default());
+    let sketch = store.get("imdb").unwrap();
+    // Each text with the bits `estimate_one` gives the query it parses to.
+    let cold = |q: &Query| {
+        let sql = to_sql(&db, q);
+        let v = sketch.estimate_one(&parse_query(&db, &sql).unwrap());
+        (sql, v.to_bits())
+    };
+    let columns = imdb_predicate_columns(&db);
+    let mut generator = QueryGenerator::new(&db, GeneratorConfig::new(columns, 5));
+    let mut seen = HashSet::new();
+    let pairs: Vec<_> = (0..2_000)
+        .map(|_| {
+            let mut q = generator.generate();
+            let a = cold(&q);
+            q.tables.reverse();
+            q.joins.reverse();
+            q.predicates.reverse();
+            (a, cold(&q))
+        })
+        .filter(|((a, a_bits), (b, b_bits))| {
+            a_bits != b_bits && seen.insert(a.clone()) && seen.insert(b.clone())
+        })
+        .take(8)
+        .collect();
+    assert!(
+        pairs.len() >= 2,
+        "too few reorderings change bits: {pairs:?}"
+    );
+
+    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    for (i, (a, b)) in pairs.iter().enumerate() {
+        let (first, second) = if i % 2 == 0 { (a, b) } else { (b, a) };
+        for (sql, bits) in [first, second, first, second] {
+            let got = c.estimate_value("imdb", sql).unwrap();
+            assert_eq!(got.to_bits(), *bits, "pair {i}: {sql}");
+        }
+    }
+    let n = pairs.len() as f64;
+    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), 2.0 * n);
+    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 2.0 * n);
+    c.quit().unwrap();
+    server.shutdown();
 }
 
 /// Removing and re-inserting a sketch bumps its store generation; the next

@@ -33,7 +33,7 @@ use ds_serve::{Client, Fleet, Response, ServeConfig, Server, SyncAck};
 use ds_storage::catalog::Database;
 
 mod common;
-use common::{tiny_db, tiny_sketch};
+use common::{stat, tiny_db, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -306,9 +306,7 @@ fn probe(conn: &mut Client) -> u64 {
 
 /// `ds_serve_sync_rejected` and `ds_serve_sync_quarantined`.
 fn sync_stats(conn: &mut Client) -> [f64; 2] {
-    let stats = conn.stats().unwrap();
-    ["ds_serve_sync_rejected", "ds_serve_sync_quarantined"]
-        .map(|name| stats.iter().find(|s| s.name == name).unwrap().value)
+    ["ds_serve_sync_rejected", "ds_serve_sync_quarantined"].map(|name| stat(conn, name))
 }
 
 /// The table as files: beside a durable generation 1 and an interrupted

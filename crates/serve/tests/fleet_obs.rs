@@ -18,67 +18,17 @@
 //!   document.
 
 use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ds_core::snapshot::encode_snapshot;
 use ds_obs::{FamilyKind, PromFamily, TraceContext};
 use ds_query::parser::parse_query;
-use ds_serve::{Client, FleetClient, FleetTopology, RequestTimeline, SyncAck};
+use ds_serve::{FleetClient, FleetTopology, RequestTimeline, SyncAck};
 
 mod common;
-use common::{tiny_db, tiny_sketch};
+use common::{connect, tiny_db, tiny_sketch, Proc};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-/// One spawned server process (`ds_shard` or `ds_fleetmon`); killed on
-/// drop so a failing test never leaks servers.
-struct Proc {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Proc {
-    /// Spawns `bin` with `args` and reads the `ADDR` banner it prints
-    /// once listening.
-    fn spawn(bin: &str, args: &[String]) -> Proc {
-        let mut child = Command::new(bin)
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn server process");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read ADDR line");
-        let addr = line
-            .trim()
-            .strip_prefix("ADDR ")
-            .unwrap_or_else(|| panic!("bad banner {line:?}"))
-            .parse()
-            .expect("parse server addr");
-        Proc { child, addr }
-    }
-
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn connect(addr: SocketAddr) -> Client {
-    Client::connect_timeout(addr, Duration::from_secs(30)).expect("connect")
-}
 
 /// The single scalar sample of a counter/gauge family, or 0 when the
 /// family is absent from this exposition.

@@ -18,18 +18,9 @@ use ds_query::parser::parse_query;
 use ds_serve::{Client, ServeConfig};
 
 mod common;
-use common::{start, tiny_sketch};
+use common::{start, stat, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn stat(c: &mut Client, name: &str) -> f64 {
-    c.stats()
-        .unwrap()
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.value)
-        .unwrap_or_else(|| panic!("missing sample {name}"))
-}
 
 /// The old generation has served a stream, so its memo holds every element
 /// the stream is made of; the generation swapped in has other weights. Its

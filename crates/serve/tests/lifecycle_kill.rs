@@ -17,18 +17,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::lifecycle::{HarvestSet, LifecycleConfig};
+use ds_core::lifecycle::HarvestSet;
 use ds_core::store::SketchStore;
-use ds_query::generator::{GeneratorConfig, QueryGenerator};
-use ds_query::sqlgen::to_sql;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
+use ds_serve::{Client, Server};
 
 mod common;
-use common::{tiny_db, tiny_sketch};
+use common::{drifted_workload, drill_lifecycle_config, drill_serve_config, tiny_db, tiny_sketch};
 
-const DRIFT_FACTOR: u64 = 64;
+/// Deliberately heavy epochs: the kill should land while the candidate is
+/// still training.
+const TRAIN_EPOCHS: usize = 64;
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
 fn iterations() -> usize {
@@ -36,48 +34,6 @@ fn iterations() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
-}
-
-fn drill_lifecycle_config() -> LifecycleConfig {
-    LifecycleConfig {
-        harvest_capacity: 256,
-        min_harvest: 12,
-        drift_ratio: 2.0,
-        drift_min_samples: 8,
-        shadow_min_samples: 6,
-        shadow_gate_ratio: 2.0,
-        guard_min_samples: 6,
-        guard_ratio: 3.0,
-        // Deliberately heavy epochs: the kill should land while the
-        // candidate is still training.
-        train_epochs: 64,
-        train_threads: 1,
-        seed: 0x50AC,
-        tick_interval: Duration::from_millis(25),
-    }
-}
-
-/// Deterministic drill workload with drift-shifted actuals (see
-/// `lifecycle_soak.rs`); both parent and child derive it identically from
-/// the seeded database.
-fn drifted_workload(db: &Database, want: usize) -> Vec<(String, u64)> {
-    let mut generator =
-        QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), 9));
-    let mut by_sql = std::collections::BTreeMap::new();
-    while by_sql.len() < want {
-        for q in generator.generate_batch(16) {
-            by_sql.entry(to_sql(db, &q)).or_insert(q);
-        }
-    }
-    let (sqls, queries): (Vec<String>, Vec<_>) = by_sql.into_iter().unzip();
-    let execs: Vec<_> = queries.iter().map(|q| q.to_exec()).collect();
-    let counts = ds_storage::exec::CountExecutor::new()
-        .count_batch(db, &execs, 1)
-        .expect("count workload");
-    sqls.into_iter()
-        .zip(counts)
-        .map(|(sql, c)| (sql, c.max(1).saturating_mul(DRIFT_FACTOR)))
-        .collect()
 }
 
 /// Child half: starts a lifecycle-enabled server with an empty store on
@@ -94,17 +50,8 @@ fn lifecycle_kill_child_server() {
     let dir = std::path::PathBuf::from(dir);
     let db = tiny_db(42);
     let store = Arc::new(SketchStore::new());
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .snapshot_dir(Some(dir.clone()))
-            .lifecycle(Some(drill_lifecycle_config()))
-            .build()
-            .unwrap(),
-    )
-    .expect("child: server");
+    let cfg = drill_serve_config(TRAIN_EPOCHS, Some(dir.clone()));
+    let server = Server::start(Arc::clone(&db), Arc::clone(&store), cfg).expect("child: server");
     assert!(
         store.generation("imdb").is_some(),
         "child: seeded sketch must recover"
@@ -148,7 +95,7 @@ fn kill_nine_mid_retrain_restarts_clean() {
     let root = std::env::temp_dir().join(format!("ds_lc_kill_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let exe = std::env::current_exe().expect("test binary path");
-    let cfg = drill_lifecycle_config();
+    let cfg = drill_lifecycle_config(TRAIN_EPOCHS);
 
     for iter in 0..iterations().clamp(1, 50) {
         let dir = root.join(format!("iter{iter:03}"));
@@ -206,17 +153,9 @@ fn kill_nine_mid_retrain_restarts_clean() {
         // snapshot was published), and the dead child's candidate was
         // abandoned with the process and nothing of it was published.
         let store = Arc::new(SketchStore::new());
-        let server = Server::start(
-            Arc::clone(&db),
-            Arc::clone(&store),
-            ServeConfig::builder()
-                .request_timeout(Duration::from_secs(30))
-                .snapshot_dir(Some(dir.clone()))
-                .lifecycle(Some(drill_lifecycle_config()))
-                .build()
-                .unwrap(),
-        )
-        .unwrap_or_else(|e| panic!("iter {iter}: warm restart: {e}"));
+        let serve = drill_serve_config(TRAIN_EPOCHS, Some(dir.clone()));
+        let server = Server::start(Arc::clone(&db), Arc::clone(&store), serve)
+            .unwrap_or_else(|e| panic!("iter {iter}: warm restart: {e}"));
         assert!(store.generation("imdb").is_some(), "iter {iter}: recovered");
         assert!(
             !dir.join("quarantine").exists(),

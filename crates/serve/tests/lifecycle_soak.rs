@@ -16,26 +16,16 @@
 //! asserts the post-swap guard, grading both models on the same queries,
 //! rolls back to the previous model with bit-identical answers restored.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::lifecycle::{LifecycleConfig, LifecycleManager};
+use ds_core::lifecycle::LifecycleManager;
 use ds_core::store::SketchStore;
-use ds_query::generator::{GeneratorConfig, QueryGenerator};
-use ds_query::sqlgen::to_sql;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
+use ds_serve::{Client, Server};
 
 mod common;
-use common::{tiny_db, tiny_sketch};
-
-/// The injected correlation shift: every observed true cardinality is the
-/// executed count times this factor, so the live model (trained pre-shift)
-/// is ~64x off while a candidate trained on the shifted labels is not.
-const DRIFT_FACTOR: u64 = 64;
+use common::{drifted_workload, drill_serve_config, tiny_db, tiny_sketch, DRIFT_FACTOR};
 
 /// Phase B's shift. The drill's tiny models answer near-constants: trained
 /// on [`DRIFT_FACTOR`], a candidate answers ≈ 2.8× its rollback target, so
@@ -44,46 +34,6 @@ const DRIFT_FACTOR: u64 = 64;
 const FAR_DRIFT: u64 = 1 << 20;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn drill_lifecycle_config() -> LifecycleConfig {
-    LifecycleConfig {
-        harvest_capacity: 256,
-        min_harvest: 12,
-        drift_ratio: 2.0,
-        drift_min_samples: 8,
-        shadow_min_samples: 6,
-        shadow_gate_ratio: 2.0,
-        guard_min_samples: 6,
-        guard_ratio: 3.0,
-        train_epochs: 6,
-        train_threads: 1,
-        seed: 0x50AC,
-        tick_interval: Duration::from_millis(25),
-    }
-}
-
-/// Distinct drill queries with their *shifted* true cardinalities: the
-/// executed count times [`DRIFT_FACTOR`]. Deterministic (seeded generator,
-/// seeded database).
-fn drifted_workload(db: &Database, want: usize) -> Vec<(String, u64)> {
-    let mut generator =
-        QueryGenerator::new(db, GeneratorConfig::new(imdb_predicate_columns(db), 9));
-    let mut by_sql = BTreeMap::new();
-    while by_sql.len() < want {
-        for q in generator.generate_batch(16) {
-            by_sql.entry(to_sql(db, &q)).or_insert(q);
-        }
-    }
-    let (sqls, queries): (Vec<String>, Vec<_>) = by_sql.into_iter().unzip();
-    let execs: Vec<_> = queries.iter().map(|q| q.to_exec()).collect();
-    let counts = ds_storage::exec::CountExecutor::new()
-        .count_batch(db, &execs, 1)
-        .expect("count workload");
-    sqls.into_iter()
-        .zip(counts)
-        .map(|(sql, c)| (sql, c.max(1).saturating_mul(DRIFT_FACTOR)))
-        .collect()
-}
 
 /// Sends one round of `FEEDBACK` for every drill query. Every line must be
 /// answered (`OK …`, possibly the degraded-free happy path only — any ERR
@@ -127,17 +77,8 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
     let snap_dir = std::env::temp_dir().join(format!("ds_lc_soak_{}", std::process::id()));
     std::fs::create_dir_all(&snap_dir).unwrap();
 
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .snapshot_dir(Some(snap_dir.clone()))
-            .lifecycle(Some(drill_lifecycle_config()))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let cfg = drill_serve_config(6, Some(snap_dir.clone()));
+    let server = Server::start(Arc::clone(&db), Arc::clone(&store), cfg).unwrap();
     let addr = server.local_addr();
     let manager = server.lifecycle().expect("lifecycle enabled");
     let workload = drifted_workload(&db, 16);
@@ -215,16 +156,8 @@ fn drift_after_the_swap_is_rolled_back_with_answers_restored() {
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
 
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .lifecycle(Some(drill_lifecycle_config()))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let cfg = drill_serve_config(6, None);
+    let server = Server::start(Arc::clone(&db), Arc::clone(&store), cfg).unwrap();
     let manager = server.lifecycle().expect("lifecycle enabled");
     // The drill queries with their executed counts, and shifted far.
     let executed: Vec<(String, u64)> = drifted_workload(&db, 16)

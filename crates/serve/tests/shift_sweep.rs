@@ -18,7 +18,6 @@
 //! deterministic artifact, not a flaky sample.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use ds_core::advisor::recommend_retraining;
 use ds_core::builder::SketchBuilder;
@@ -28,26 +27,18 @@ use ds_query::shift::{ShiftKind, ShiftSweep, SweepConfig};
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
-use ds_serve::{Client, ServeConfig, Server};
+use ds_serve::Client;
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 use ds_storage::predicate::PredOpKind;
+
+mod common;
+use common::{serve, true_counts};
 
 /// Advisor knobs for the drill: fire when either rolling q-error quantile
 /// exceeds 3× its training baseline over at least 24 graded queries.
 const DRIFT_RATIO: f64 = 3.0;
 const DRIFT_MIN_SAMPLES: u64 = 24;
-
-/// True cardinalities for a workload, floored at 1 (the estimate floor).
-fn true_counts(db: &Database, queries: &[Query]) -> Vec<u64> {
-    let execs: Vec<_> = queries.iter().map(Query::to_exec).collect();
-    ds_storage::exec::CountExecutor::new()
-        .count_batch(db, &execs, 1)
-        .expect("workload executes")
-        .into_iter()
-        .map(|c| c.max(1))
-        .collect()
-}
 
 /// Grades one sweep point through the server: a `FEEDBACK` line per query
 /// with its true cardinality. Every line must be answered `OK`.
@@ -94,17 +85,8 @@ fn advisor_fires_under_shift_and_stays_silent_when_stationary() {
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", sketch).unwrap();
 
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let (server, mut c) = serve(&db, &store);
     let monitors = server.monitors();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let sweep = ShiftSweep::new(&db, drill_columns(&db), 12, 31);
 
@@ -158,16 +140,7 @@ fn v2_sketch_answers_in_like_holdout_within_budget_over_the_wire() {
         .expect("v2 sketch");
     let store = Arc::new(SketchStore::new());
     store.insert("imdb", sketch).unwrap();
-    let server = Server::start(
-        Arc::clone(&db),
-        Arc::clone(&store),
-        ServeConfig::builder()
-            .request_timeout(Duration::from_secs(30))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let (server, mut c) = serve(&db, &store);
 
     // Held-out workload from the same extended-operator distribution but a
     // disjoint seed; split into the IN/LIKE-bearing part and the

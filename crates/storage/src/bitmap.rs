@@ -121,15 +121,6 @@ impl Bitmap {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn unset(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
     /// Returns bit `i`.
     ///
     /// # Panics
@@ -150,28 +141,6 @@ impl Bitmap {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn and_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn or_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Iterator over the indices of set bits, in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
@@ -186,14 +155,6 @@ impl Bitmap {
                 }
             })
         })
-    }
-
-    /// Converts the bitmap to one `f32` per bit (0.0 or 1.0), the encoding
-    /// used by the MSCN featurizer.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        (0..self.len)
-            .map(|i| if self.get(i) { 1.0 } else { 0.0 })
-            .collect()
     }
 
     /// Raw little-endian words (tail bits beyond `len` are zero).
@@ -271,8 +232,7 @@ mod tests {
     #[test]
     fn and_where_clears_the_rejected_and_leaves_bits_past_the_values() {
         for n in [0, 1, 63, 64, 65, 130] {
-            let mut bm = Bitmap::all_set(200);
-            bm.unset(0);
+            let mut bm: Bitmap = (0..200).map(|i| i != 0).collect();
             let values: Vec<usize> = (0..n).collect();
             bm.and_where(&values, |v| v % 3 != 1);
             let want: Vec<usize> = (1..200).filter(|&i| i >= n || i % 3 != 1).collect();
@@ -297,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn set_get_unset_roundtrip() {
+    fn set_get_roundtrip() {
         let mut bm = Bitmap::new(100);
         bm.set(0);
         bm.set(63);
@@ -305,27 +265,13 @@ mod tests {
         bm.set(99);
         assert!(bm.get(0) && bm.get(63) && bm.get(64) && bm.get(99));
         assert!(!bm.get(1) && !bm.get(62) && !bm.get(65));
-        bm.unset(63);
-        assert!(!bm.get(63));
-        assert_eq!(bm.count_ones(), 3);
+        assert_eq!(bm.count_ones(), 4);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         Bitmap::new(10).get(10);
-    }
-
-    #[test]
-    fn and_or_semantics() {
-        let a: Bitmap = [true, true, false, false].into_iter().collect();
-        let b: Bitmap = [true, false, true, false].into_iter().collect();
-        let mut and = a.clone();
-        and.and_with(&b);
-        assert_eq!(and.iter_ones().collect::<Vec<_>>(), vec![0]);
-        let mut or = a.clone();
-        or.or_with(&b);
-        assert_eq!(or.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -336,12 +282,6 @@ mod tests {
             bm.set(i);
         }
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), idx);
-    }
-
-    #[test]
-    fn to_f32_vec_matches_bits() {
-        let bm: Bitmap = [true, false, true].into_iter().collect();
-        assert_eq!(bm.to_f32_vec(), vec![1.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -78,23 +78,6 @@ impl Table {
         self.column_index(name).map(|i| &self.columns[i])
     }
 
-    /// Evaluates a conjunction of predicates, returning qualifying row ids.
-    pub fn filter_rows(&self, preds: &[ColPredicate]) -> Vec<u32> {
-        if preds.is_empty() {
-            return (0..self.rows as u32).collect();
-        }
-        let mut out = Vec::new();
-        'rows: for row in 0..self.rows {
-            for p in preds {
-                if !p.eval_row(self.column(p.col), row) {
-                    continue 'rows;
-                }
-            }
-            out.push(row as u32);
-        }
-        out
-    }
-
     /// Counts rows qualifying a conjunction of predicates.
     pub fn filter_count(&self, preds: &[ColPredicate]) -> u64 {
         if preds.is_empty() {
@@ -174,20 +157,18 @@ mod tests {
     }
 
     #[test]
-    fn filter_rows_conjunction() {
+    fn filter_count_conjunction() {
         let t = movies();
         let preds = vec![
             ColPredicate::new(1, CmpOp::Eq, 2000),
             ColPredicate::new(2, CmpOp::Eq, 2),
         ];
-        assert_eq!(t.filter_rows(&preds), vec![2]);
         assert_eq!(t.filter_count(&preds), 1);
     }
 
     #[test]
     fn filter_empty_predicates_selects_all() {
         let t = movies();
-        assert_eq!(t.filter_rows(&[]).len(), 5);
         assert_eq!(t.filter_count(&[]), 5);
     }
 

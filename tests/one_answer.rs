@@ -152,7 +152,8 @@ fn wider(db: &Database) -> Database {
 /// The query set, rendered over `wide`: the four kinds interleaved, so that
 /// every batch prefix mixes them, then the three rare shapes — a single
 /// table (no join, no predicate), a join without predicates and a single
-/// table with one. No two are the same query (the estimate cache's key).
+/// table with one. No two are the same query under `EstimateKey`, clause
+/// order removed, so no two share a cache entry.
 fn sqls(db: &Database, wide: &Database, sketches: [&DeepSketch; 2]) -> Vec<String> {
     let rare = [
         "SELECT COUNT(*) FROM title",
