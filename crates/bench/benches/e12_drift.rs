@@ -10,9 +10,9 @@
 //!
 //! Run: `cargo bench -p ds-bench --bench e12_drift`
 
+use ds_bench::drift::{detect_drift, refresh_samples};
 use ds_bench::paper::{grade, standard_sketch_builder, truths};
 use ds_bench::{banner, bench_imdb, BENCH_SEED};
-use ds_core::maintain::{detect_drift, refresh_samples};
 use ds_core::metrics::QErrorSummary;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_storage::gen::{imdb_database, ImdbConfig};

@@ -15,6 +15,7 @@
 //! `cargo bench -p ds-bench --bench <name>`; `cargo bench` regenerates
 //! everything.
 
+pub mod drift;
 pub mod flat;
 pub mod loadgen;
 pub mod paper;

@@ -15,6 +15,8 @@
 //! * [`builder`] — the 4-step pipeline of Figure 1a.
 //! * [`sketch`] — the [`sketch::DeepSketch`] wrapper: model + samples,
 //!   serializable, milliseconds to query.
+//! * [`cache`] — the estimate cache each served sketch owns, keyed by
+//!   the query its model reads.
 //! * [`template`] — query templates with placeholders (Figure 2).
 //! * [`metrics`] — q-error percentile summaries (Table 1).
 //! * [`monitor`] — online q-error monitoring from production feedback,
@@ -32,6 +34,7 @@
 
 pub mod advisor;
 pub mod builder;
+pub mod cache;
 pub mod featurize;
 pub mod lifecycle;
 pub mod maintain;
@@ -50,6 +53,7 @@ pub use advisor::{
     recommend, recommend_retraining, Advice, AdvisorConfig, RetrainAdvice, SketchRecommendation,
 };
 pub use builder::{BuildProgress, BuildReport, SketchBuilder};
+pub use cache::QueryCache;
 pub use featurize::{
     FeatureBatch, FeaturePool, Featurizer, PoolBatch, QueryFeatures, ServedFeatures,
 };
@@ -57,10 +61,7 @@ pub use lifecycle::{
     HarvestEntry, HarvestSet, LifecycleConfig, LifecycleCounters, LifecycleEvent, LifecycleManager,
     LifecyclePhase, LifecycleStatus,
 };
-pub use maintain::{
-    accuracy_drift, detect_drift, refresh_samples, AccuracyDrift, DriftReport, DEFAULT_DRIFT_RATIO,
-    DEFAULT_MIN_SAMPLES,
-};
+pub use maintain::{accuracy_drift, AccuracyDrift, DEFAULT_DRIFT_RATIO, DEFAULT_MIN_SAMPLES};
 pub use metrics::{qerror, QErrorSummary};
 pub use monitor::{MonitorRegistry, MonitorState, QErrorMonitor};
 pub use mscn::{MscnConfig, MscnModel};

@@ -35,6 +35,7 @@ use ds_storage::exec::JoinEdge;
 use ds_storage::sample::TableSample;
 use ds_storage::table::Table;
 
+use crate::cache::QueryCache;
 use crate::featurize::{FeatureSchema, Featurizer, ServedFeatures};
 
 const MAGIC: &[u8; 4] = b"DSKT";
@@ -143,6 +144,10 @@ pub struct DeepSketch {
     /// only copy of the trained weights, in gather-friendly layout. Its
     /// input widths are the featurizer's.
     frozen: FrozenModel,
+    /// The server's cache of this model's healthy answers
+    /// ([`crate::cache`]). Never serialized; empty in a clone, a load and
+    /// after [`DeepSketch::freeze`].
+    cache: QueryCache,
 }
 
 impl DeepSketch {
@@ -168,6 +173,7 @@ impl DeepSketch {
             name,
             threads: 1,
             baseline: None,
+            cache: QueryCache::default(),
         }
     }
 
@@ -217,10 +223,18 @@ impl DeepSketch {
             );
     }
 
+    /// The estimate cache the server keeps for this artifact: probed and
+    /// filled by the server alone, never by the estimate paths.
+    pub fn cache(&self) -> &QueryCache {
+        &self.cache
+    }
+
     /// Returns the serving artifact to its just-frozen state: the element
-    /// memo empties, the weights stay. Answers stay bit-identical.
+    /// memo and the estimate cache empty, the weights stay. Answers stay
+    /// bit-identical.
     pub fn freeze(&mut self) {
         self.frozen.clear_memo();
+        self.cache = QueryCache::default();
     }
 
     /// A normalized model output as a cardinality (≥ 1).
@@ -815,6 +829,24 @@ mod tests {
         assert_eq!(info.footprint_bytes, sketch.footprint_bytes());
         let text = info.to_string();
         assert!(text.contains("imdb") && text.contains("6 tables"), "{text}");
+    }
+
+    /// A clone, a load and `freeze` start with an empty estimate cache, as
+    /// with an empty memo, and the cache is no part of the footprint.
+    #[test]
+    fn a_clone_a_load_and_freeze_start_with_an_empty_cache() {
+        let (db, mut sketch) = tiny_sketch();
+        let footprint = sketch.footprint_bytes();
+        let q = parse_query(&db, "SELECT COUNT(*) FROM title").unwrap();
+        sketch.cache().insert(q.clone(), 2.0, 4);
+        assert_eq!(sketch.cache().get(&q), Some(2.0));
+        assert_eq!(sketch.footprint_bytes(), footprint);
+        assert!(sketch.clone().cache().is_empty());
+        let loaded = DeepSketch::from_bytes(&sketch.to_bytes()).unwrap();
+        assert!(loaded.cache().is_empty());
+        assert_eq!(sketch.cache().len(), 1);
+        sketch.freeze();
+        assert!(sketch.cache().is_empty());
     }
 
     #[test]

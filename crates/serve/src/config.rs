@@ -130,7 +130,10 @@ pub struct ServeConfig {
     pub(crate) breaker: BreakerConfig,
     /// Deterministic fault plan for degradation tests.
     pub(crate) faults: Option<Arc<FaultInjector>>,
-    /// Capacity of the estimate cache (0 disables).
+    /// Entries each served artifact's estimate cache holds at most (0
+    /// disables caching). The bound is per artifact, so the server caches
+    /// at most this × (sketches served + rollback targets kept while
+    /// Watching) entries.
     pub(crate) cache_capacity: usize,
     /// Directory for durable snapshots; when set, the server recovers it
     /// at start and quarantines refused `SYNC` transfers under
@@ -152,7 +155,8 @@ impl ServeConfig {
         }
     }
 
-    /// Capacity of the estimate cache (0 = disabled).
+    /// Entries each served artifact's estimate cache holds at most (0 =
+    /// disabled).
     pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
     }
@@ -284,7 +288,9 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Capacity of the estimate cache. `0` disables caching.
+    /// Entries each served artifact's estimate cache holds at most, so at
+    /// most this × (sketches served + rollback targets kept while Watching)
+    /// in all. `0` disables caching.
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.cfg.cache_capacity = cache_capacity;
         self

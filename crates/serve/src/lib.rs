@@ -10,11 +10,12 @@
 //!   `try_estimate` call under the [`server`]'s deadline, span and pass
 //!   counter; nothing is queued or handed to another thread, so every
 //!   answer is `estimate_one`'s, bit for bit.
-//! * **Caching** — a bounded estimate cache ([`cache`]) keyed by the
-//!   sketch name, its store generation and the parsed query (what the
-//!   model reads, clause order included) short-circuits repeat healthy
-//!   `ESTIMATE`s with bit-identical answers; a swap's entries never hit
-//!   again and age out under eviction — the cache's one invalidation rule.
+//! * **Caching** — each served artifact owns a bounded estimate cache
+//!   ([`ds_core::cache`]) keyed by the parsed query (what the model reads,
+//!   clause order included), which short-circuits repeat healthy
+//!   `ESTIMATE`s with bit-identical answers; a swap serves another
+//!   artifact with its own cache, and the displaced entries go with the
+//!   displaced artifact.
 //! * **Robustness** — per-request deadlines, a connection cap that sheds
 //!   with `BUSY` (the admission control: a connection has one request in
 //!   flight), bounded request lines ([`line_reader`]), and graceful
@@ -87,7 +88,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod breaker;
-pub mod cache;
+pub mod canonical;
 pub mod client;
 pub mod config;
 pub mod faults;
@@ -100,7 +101,7 @@ pub mod seam;
 pub mod server;
 
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker, Verdict};
-pub use cache::{query_template, EstimateCache, EstimateKey, TemplateInterner};
+pub use canonical::{query_template, EstimateKey, TemplateInterner};
 pub use client::{Client, InfoCard, SyncAck};
 pub use config::{
     ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SharedEstimator, SloSignal,

@@ -127,7 +127,8 @@ impl RequestTimeline {
 
 /// The server's own metric families, shared via `Arc` between the
 /// acceptor, the connection handlers and the forward passes they run. Each is
-/// named in [`Metrics::render`] and nowhere else.
+/// named in [`Metrics::render`], or in [`CacheCounters::render`], and nowhere
+/// else.
 #[derive(Debug)]
 pub struct Metrics {
     /// Request lines received (all commands).
@@ -166,6 +167,9 @@ pub struct Metrics {
     pub mirrored: Option<Counter>,
     /// Mirrors dropped because the shadow queue was full.
     pub shadow_dropped: Option<Counter>,
+    /// The estimate caches' counters; `None` on a server whose cache is
+    /// off.
+    pub cache: Option<CacheCounters>,
     /// Request latency in microseconds (ESTIMATE requests).
     pub latency_us: LogHistogram,
     /// Stage histogram: parse + store lookup + breaker and cache (µs).
@@ -197,6 +201,7 @@ impl Default for Metrics {
             recovered: None,
             mirrored: None,
             shadow_dropped: None,
+            cache: None,
             latency_us: LogHistogram::new(),
             stage_parse_us: LogHistogram::new(),
             stage_forward_us: LogHistogram::new(),
@@ -291,6 +296,30 @@ impl Metrics {
             p99_us: self.latency_us.quantile(0.99),
             max_us: self.latency_us.max(),
         }
+    }
+}
+
+/// What the estimate caches did, counted once per server: each artifact
+/// owns its entries ([`ds_core::cache`]), and these stay monotone across
+/// the swaps that replace them.
+#[derive(Debug, Default)]
+pub struct CacheCounters {
+    /// Lookups answered from a cache.
+    pub hits: Counter,
+    /// Lookups that fell through to the forward pass.
+    pub misses: Counter,
+    /// Entries dropped by capacity eviction.
+    pub evictions: Counter,
+}
+
+impl CacheCounters {
+    /// Renders the counters and `len`, the entries cached by the artifacts
+    /// the store serves.
+    pub fn render(&self, len: usize, p: &mut PromText) {
+        p.counter("serve/cache/hits", self.hits.get())
+            .counter("serve/cache/misses", self.misses.get())
+            .counter("serve/cache/evictions", self.evictions.get())
+            .gauge("serve/cache/len", len as f64);
     }
 }
 

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
+use ds_core::cache::QueryCache;
 use ds_est::EstimateError;
 use ds_query::query::Query;
 
-use crate::cache::{CacheKey, EstimateCache};
 use crate::config::SharedEstimator;
 use crate::metrics::Metrics;
 
@@ -33,11 +33,46 @@ impl Batcher {
     pub fn shutdown(&self) {}
 }
 
+/// An artifact's cache type ([`QueryCache`]) keyed by (sketch name,
+/// generation, query), with the bound it was built with: the benchmark
+/// fills it under names it then never looks up. A server keys each
+/// artifact's cache by the query alone.
+pub struct EstimateCache {
+    table: QueryCache<(String, u64, Query)>,
+    capacity: usize,
+}
+
 impl EstimateCache {
-    /// The key the server looks `query` up under for `sketch` at
-    /// `generation`: a copy of each.
-    pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> CacheKey {
-        CacheKey::new(sketch, generation, query.clone())
+    /// A cache of at most `capacity` entries (at least 1) in one table;
+    /// `_shards` is ignored.
+    pub fn new(capacity: usize, _shards: usize) -> Self {
+        let table = QueryCache::default();
+        Self { table, capacity }
+    }
+
+    /// The key of `query` under `sketch` at `generation`: a copy of each.
+    pub fn key(&self, sketch: &str, generation: u64, query: &Query) -> (String, u64, Query) {
+        (sketch.to_string(), generation, query.clone())
+    }
+
+    /// [`QueryCache::get`].
+    pub fn get(&self, key: &(String, u64, Query)) -> Option<f64> {
+        self.table.get(key)
+    }
+
+    /// [`QueryCache::insert`] at this cache's bound.
+    pub fn insert(&self, key: (String, u64, Query), value: f64) {
+        self.table.insert(key, value, self.capacity);
+    }
+
+    /// Cached entries.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// True when no entries are cached.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
     }
 }
 

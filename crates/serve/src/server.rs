@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use ds_core::lifecycle::LifecycleManager;
 use ds_core::monitor::MonitorRegistry;
+use ds_core::sketch::DeepSketch;
 use ds_core::snapshot::{self, decode_hex, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
 use ds_est::{CardinalityEstimator, EstimateError};
@@ -47,11 +48,11 @@ use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::breaker::{Admit, BreakerRegistry, CircuitBreaker, Verdict};
-use crate::cache::{CacheKey, CanonicalQuery, EstimateCache, TemplateInterner};
+use crate::canonical::{CanonicalQuery, TemplateInterner};
 use crate::config::{ServeConfig, SharedEstimator, SloSignal};
 use crate::faults::FaultInjector;
 use crate::line_reader::{LineReader, POLL_INTERVAL};
-use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
+use crate::metrics::{CacheCounters, Metrics, MetricsSnapshot, RequestTimeline};
 use crate::protocol::{
     estimate_error_response, format_response, hello_response, split_request, store_error_response,
     ErrorCode, Request, Response,
@@ -101,7 +102,8 @@ struct Shared {
     breakers: BreakerRegistry,
     fallback: Option<SharedEstimator>,
     faults: Option<Arc<FaultInjector>>,
-    cache: Option<EstimateCache>,
+    /// Entries each artifact's estimate cache holds at most (0: no cache).
+    cache_capacity: usize,
     lifecycle: Option<LifecycleShared>,
     snapshot_dir: Option<PathBuf>,
     /// Mints this server's span ids for traced requests.
@@ -133,6 +135,7 @@ impl Shared {
             recovered,
             mirrored: cfg.lifecycle.is_some().then(Counter::new),
             shadow_dropped: cfg.lifecycle.is_some().then(Counter::new),
+            cache: (cfg.cache_capacity > 0).then(CacheCounters::default),
             ..Metrics::new()
         });
         // The manager reloads persisted harvest sets off the snapshot
@@ -164,7 +167,7 @@ impl Shared {
             breakers: BreakerRegistry::new(cfg.breaker),
             fallback: cfg.fallback,
             faults: cfg.faults,
-            cache: (cfg.cache_capacity > 0).then(|| EstimateCache::new(cfg.cache_capacity, 8)),
+            cache_capacity: cfg.cache_capacity,
             lifecycle,
             snapshot_dir: cfg.snapshot_dir,
             ids: IdSource::from_entropy(),
@@ -433,15 +436,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// What a handler keeps from one request to the next, beside its
 /// [`LineReader`]'s line and reply buffers. A request is read as slices of
 /// the line; everything derived from it lands in these, which keep their
-/// allocations, so a cache hit allocates nothing. A miss lends the key's
-/// query to the forward pass and clones the key into the cache.
+/// allocations, so a cache hit allocates nothing. A miss lends the query
+/// to the forward pass and clones it into the artifact's cache.
 #[derive(Default)]
 struct ConnectionState {
     /// The SQL parser's token, term and alias buffers.
     parser: Parser,
-    /// The request's sketch name, the generation resolved and the parsed
-    /// query: the key the cache is probed with.
-    key: CacheKey,
+    /// The parsed query: the key the artifact's cache is probed with.
+    query: Query,
 }
 
 /// Answers one request line, except an `ESTIMATE` or `FEEDBACK`, which it
@@ -633,11 +635,13 @@ struct Served<'a> {
     span: Option<(TraceContext, u64)>,
     /// The store generation resolved (0 for an unknown sketch).
     generation: u64,
+    /// The artifact the store resolved (`None`: an unknown sketch). A
+    /// model's answer is cached in it, whatever the store serves by then.
+    model: Option<Arc<DeepSketch>>,
     /// The sketch's breaker and its admission (`None`: refused before it).
     admitted: Option<(Arc<CircuitBreaker>, Admit)>,
     answer: Answer,
-    /// The parsed query, inside the cache key (the sketch's name and
-    /// generation are set in it once the query parsed).
+    /// The parsed query, once it parsed.
     conn: &'a ConnectionState,
 }
 
@@ -681,7 +685,7 @@ impl Served<'_> {
     /// template: read by a grade and by a kept exemplar only, so no other
     /// request builds, renders or looks either up.
     fn template(&self, shared: &Shared) -> (CanonicalQuery, Arc<str>) {
-        let query = &self.conn.key.query;
+        let query = &self.conn.query;
         let canonical = CanonicalQuery::of(query);
         let template = shared.templates.get(&shared.db, query, &canonical.shape);
         (canonical, template)
@@ -787,28 +791,24 @@ fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
 fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) -> Served<'a> {
     let _span = ds_obs::global().span("serve/estimate");
     let span = request.trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let (mut generation, mut admitted) = (0, None);
+    let (mut generation, mut admitted, mut model) = (0, None, None);
     let answer = 'answer: {
-        let (estimator, resolved) = match shared.store.get_with_generation(request.sketch) {
+        let (sketch, resolved) = match shared.store.get_with_generation(request.sketch) {
             Ok(found) => found,
             Err(e) => break 'answer Answer::Refused(store_error_response(&e)),
         };
         generation = resolved;
-        let key = &mut conn.key;
+        // The record keeps the artifact, and the probe and the pass below
+        // read it: a concurrent swap changes the next lookup only.
+        let sketch: &DeepSketch = model.insert(sketch);
         if let Err(e) = conn
             .parser
-            .parse_query(&shared.db, request.sql, &mut key.query)
+            .parse_query(&shared.db, request.sql, &mut conn.query)
         {
             let code = ErrorCode::Parse;
             break 'answer Answer::Refused(Response::Error { code, message: e.0 });
         }
-        // The key carries the generation resolved, so a swapped-out model's
-        // entries are never looked up again.
-        key.sketch.clear();
-        key.sketch.push_str(request.sketch);
-        key.generation = generation;
-        let (breaker, key) = (shared.breakers.breaker(request.sketch), &conn.key);
-        let query = &key.query;
+        let (breaker, query) = (shared.breakers.breaker(request.sketch), &conn.query);
         let admit = breaker.admit();
         admitted = Some((breaker, admit));
         if admit == Admit::ShortCircuit {
@@ -827,20 +827,28 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         // Only a closed breaker consults the cache: a half-open probe must
         // reach the model, and a warm cache must never mask an unhealthy
         // sketch.
-        let cache = shared.cache.as_ref().filter(|_| admit == Admit::Allow);
+        let cache = shared
+            .metrics
+            .cache
+            .as_ref()
+            .filter(|_| admit == Admit::Allow);
         let reached = FaultInjector::reach_model(shared.faults.as_deref(), request.sketch, || {
-            // A hit's bits are what the pass produced when it was inserted.
-            if let Some(v) = cache.and_then(|c| c.get(key)) {
-                let now = Instant::now();
-                let stamps = StageStamps {
-                    forward_start: now,
-                    forward_end: now,
-                };
-                return Ok(Answer::Cached(v, stamps));
+            // A hit's bits are what this artifact's pass produced when it
+            // was inserted.
+            if let Some(counters) = cache {
+                if let Some(v) = sketch.cache().get(query) {
+                    counters.hits.inc();
+                    let now = Instant::now();
+                    let stamps = StageStamps {
+                        forward_start: now,
+                        forward_end: now,
+                    };
+                    return Ok(Answer::Cached(v, stamps));
+                }
+                counters.misses.inc();
             }
-            // The pass runs on this thread against the model this request
-            // resolved: a concurrent swap changes the next lookup only.
-            let passed = pass(shared, &*estimator, query);
+            // The pass runs on this thread.
+            let passed = pass(shared, sketch, query);
             shared.metrics.batches.inc();
             if matches!(passed, Err(Rejection::Timeout)) {
                 shared.metrics.timeouts.inc();
@@ -859,6 +867,7 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         request,
         span,
         generation,
+        model,
         admitted,
         answer,
         conn,
@@ -917,7 +926,7 @@ fn settle(served: &Served, shared: &Shared) {
                 let job = ShadowJob {
                     sketch: request.sketch.to_string(),
                     generation: served.generation,
-                    query: served.conn.key.query.clone(),
+                    query: served.conn.query.clone(),
                     live: v,
                     actual,
                 };
@@ -931,10 +940,16 @@ fn settle(served: &Served, shared: &Shared) {
             }
         }
     }
-    if let (Answer::Model(..), Some(cache), Some((_, Admit::Allow))) =
-        (&served.answer, &shared.cache, &served.admitted)
-    {
-        cache.insert(served.conn.key.clone(), v);
+    // Into the artifact that answered, never one swapped in since.
+    if let (Answer::Model(..), Some(counters), Some(model), Some((_, Admit::Allow))) = (
+        &served.answer,
+        &shared.metrics.cache,
+        &served.model,
+        &served.admitted,
+    ) {
+        let query = served.conn.query.clone();
+        let evicted = model.cache().insert(query, v, shared.cache_capacity);
+        counters.evictions.add(evicted);
     }
 }
 
@@ -1021,11 +1036,13 @@ fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
 fn stats_payload(shared: &Shared) -> Result<String, String> {
     let mut p = PromText::new();
     shared.metrics.render(&mut p);
-    if let Some(cache) = &shared.cache {
-        cache.render(&mut p);
+    let sketches = shared.store.list();
+    if let Some(cache) = &shared.metrics.cache {
+        let len = sketches.iter().map(|(_, s)| s.cache().len()).sum();
+        cache.render(len, &mut p);
     }
-    for (name, sketch) in shared.store.list() {
-        sketch.render_memo(&name, &mut p);
+    for (name, sketch) in &sketches {
+        sketch.render_memo(name, &mut p);
     }
     shared.breakers.render(&mut p);
     shared.monitors.render(&mut p);
@@ -1194,6 +1211,28 @@ mod tests {
         }
         // The neutral probe was handed back: the next request probes.
         assert_eq!(probing.breakers.breaker("imdb").admit(), Admit::Probe);
+    }
+
+    /// `settle` caches a model's answer in the artifact `decide` resolved:
+    /// after a swap between the two, that artifact holds the bits its own
+    /// pass computed and the one swapped in holds nothing.
+    #[test]
+    fn settle_caches_in_the_artifact_decide_resolved() {
+        let (db, model) = wide_fixture();
+        let store = Arc::new(SketchStore::new());
+        store.insert("imdb", model.clone()).expect("insert");
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::new(db, Arc::clone(&store), cfg).expect("shared");
+        let resolved = store.get("imdb").expect("imdb");
+        let sql = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
+        let mut conn = ConnectionState::default();
+        let served = decide(&shared, &mut conn, ask("imdb", sql, None));
+        let swapped_in = Arc::new(model);
+        store.swap("imdb", Arc::clone(&swapped_in)).expect("swap");
+        settle(&served, &shared);
+        let v = served.estimate().expect("the model's answer");
+        assert_eq!(resolved.cache().get(&served.conn.query), Some(v));
+        assert!(swapped_in.cache().is_empty());
     }
 
     /// Only a reader interns a template: `ESTIMATE`s under the slow

@@ -1,10 +1,12 @@
 //! Estimate-cache integration tests: a real server with the default cache,
-//! keyed by the sketch, its generation and the parsed query, proving that
+//! one per served artifact, keyed by the parsed query, proving that
 //!
 //! * two clause orders of one query, which the model can answer with
 //!   different bits, are two entries, each answered with its own bits;
-//! * a sketch swap (remove + re-insert) serves under a new generation, so
-//!   the old generation's entries can never answer;
+//! * a sketch swap (remove + re-insert) serves another artifact, so the
+//!   old model's entries can never answer;
+//! * the displaced artifact's entries leave `serve/cache/len` with it, on
+//!   a swap, a remove and re-insert, and a remove alone;
 //! * sustained `FEEDBACK`-reported accuracy drift drops no entry: the same
 //!   model keeps answering with the same bits, from the cache;
 //! * degraded responses are never cached, and a warm cache never masks an
@@ -81,8 +83,8 @@ fn a_reordered_query_is_answered_with_its_own_bits() {
     server.shutdown();
 }
 
-/// Removing and re-inserting a sketch bumps its store generation; the next
-/// answer comes from the new model, never the old generation's entry.
+/// Removing and re-inserting a sketch serves a new artifact; the next
+/// answer comes from the new model, never the old model's entry.
 #[test]
 fn swap_invalidates_stale_generations() {
     let (server, db, store) = start(
@@ -111,7 +113,7 @@ fn swap_invalidates_stale_generations() {
     }
     assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 1.0);
 
-    // Swap: the live server resolves by name, the generation changes.
+    // Swap: the live server resolves by name, the artifact changes.
     assert!(store.remove("imdb"));
     store.insert("imdb", replacement).unwrap();
     assert_eq!(
@@ -119,12 +121,49 @@ fn swap_invalidates_stale_generations() {
         new_expected.to_bits(),
         "post-swap answer must come from the new model, not the cache"
     );
-    // The new generation caches independently.
+    // The new artifact caches in its own cache.
     assert_eq!(
         c.estimate_value("imdb", SQL).unwrap().to_bits(),
         new_expected.to_bits()
     );
     assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 2.0);
+    c.quit().unwrap();
+    server.shutdown();
+}
+
+/// The cache counts only what the store serves: a displaced artifact's
+/// entries leave `serve/cache/len` on a swap, on a remove and re-insert,
+/// and on a remove alone, while the hit and miss counters stay monotone.
+#[test]
+fn a_displaced_artifact_takes_its_entries_with_it() {
+    let (server, db, store) = start(
+        ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    );
+    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let warm = |c: &mut Client| {
+        for _ in 0..2 {
+            c.estimate_value("imdb", SQL).unwrap();
+        }
+        stat(c, "ds_serve_cache_len")
+    };
+    assert_eq!(warm(&mut c), 1.0);
+
+    store
+        .swap("imdb", std::sync::Arc::new(tiny_sketch(&db, 21)))
+        .unwrap();
+    assert_eq!(warm(&mut c), 1.0, "after a swap");
+
+    assert!(store.remove("imdb"));
+    store.insert("imdb", tiny_sketch(&db, 22)).unwrap();
+    assert_eq!(warm(&mut c), 1.0, "after a remove and a re-insert");
+    assert_eq!(stat(&mut c, "ds_serve_cache_misses"), 3.0);
+    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 3.0);
+
+    assert!(store.remove("imdb"));
+    assert_eq!(stat(&mut c, "ds_serve_cache_len"), 0.0, "after a remove");
     c.quit().unwrap();
     server.shutdown();
 }

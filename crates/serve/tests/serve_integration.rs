@@ -589,7 +589,7 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
 /// Regression test for the remove/swap-during-request race: while clients
 /// hammer "churn", a writer keeps removing it and re-inserting alternating
 /// model versions. A request runs its pass against the model its lookup
-/// resolved and caches the answer under that model's generation, so every
+/// resolved and caches the answer in that model's own cache, so every
 /// answer must be bit-identical to ONE of the two versions' local
 /// estimates.
 #[test]

@@ -63,8 +63,7 @@ pub mod prelude {
     };
     pub use ds_core::builder::{BuildProgress, SketchBuilder};
     pub use ds_core::maintain::{
-        accuracy_drift, detect_drift, refresh_samples, AccuracyDrift, DriftReport,
-        DEFAULT_DRIFT_RATIO, DEFAULT_MIN_SAMPLES,
+        accuracy_drift, AccuracyDrift, DEFAULT_DRIFT_RATIO, DEFAULT_MIN_SAMPLES,
     };
     pub use ds_core::metrics::{qerror, QErrorSummary};
     pub use ds_core::monitor::{MonitorRegistry, QErrorMonitor};
