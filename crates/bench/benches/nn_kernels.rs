@@ -437,7 +437,10 @@ fn main() {
     // the first three on rows it has just written, so they are timed on
     // rows in cache: eight queries' rows at a time, once untimed and once
     // timed. Each codec this CPU has (AVX2 has no compress and runs the
-    // portable loop), interleaved round by round.
+    // portable loop), interleaved round by round. Last, what featurizes
+    // those queries ahead of all of it (`append_indices`, every sample
+    // bitmap on the AVX-512 compares or the portable oracle), in one run
+    // over them, the samples staying in cache as they do when serving.
     let artifact = sketch.artifact();
     let h = artifact.hidden();
     let glue_queries = 2048;
@@ -487,6 +490,7 @@ fn main() {
         "compress, width 256 (hidden)",
         "pooling",
         "lookup pass",
+        "append_indices (featurize)",
     ];
     let mut times = vec![vec![Vec::new(); glue_kernels.len()]; glue.len()];
     let mut set = IndexSet::default();
@@ -526,6 +530,20 @@ fn main() {
                             artifact.look_up_on(kernel, &f.tables, &f.joins, &f.preds, &mut scratch)
                         })
                         .sum::<usize>();
+                }) / glue_queries as f64
+                    * 1e6,
+            );
+            let bitmaps = match kernel {
+                Kernel::Avx512 => ds_storage::bitmap::Kernel::Avx512,
+                _ => ds_storage::bitmap::Kernel::Portable,
+            };
+            let featurizer = sketch.featurizer();
+            times[4][k].push(
+                secs(|| {
+                    for q in &stream[..glue_queries] {
+                        feats.clear();
+                        featurizer.append_indices_on(bitmaps, q, sketch.samples(), &mut feats);
+                    }
                 }) / glue_queries as f64
                     * 1e6,
             );

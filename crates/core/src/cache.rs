@@ -14,12 +14,16 @@
 //! keys plus one referenced bit per entry. A hit sets the bit, and eviction
 //! gives a set bit a second lap. This approximates LRU without per-hit list
 //! surgery, so a hit is one hash, one lookup and one store under one lock.
-//! The map and the ring share each key through one `Arc`. The caller passes
-//! the bound in at insert.
+//! The map and the ring share each key through one `Arc`, each beside its
+//! hash: a key is hashed once, before the lock ([`QueryCache::hash`]), and
+//! a miss hands that hash on to its insert, so neither the insert's probe,
+//! its store nor an eviction hashes a key again. The caller passes the
+//! bound in at insert.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ds_query::query::Query;
@@ -34,8 +38,134 @@ struct Entry {
 /// The entry map plus the second-chance ring over exactly its keys.
 #[derive(Debug)]
 struct Table<K> {
-    map: HashMap<Arc<K>, Entry, KeyHasher>,
-    ring: VecDeque<Arc<K>>,
+    map: Map<K>,
+    ring: Ring<K>,
+}
+
+/// A stored key beside its hash.
+#[derive(Debug)]
+struct Keyed<K> {
+    hash: KeyHash,
+    key: Arc<K>,
+}
+
+/// A key and its hash, stored ([`Keyed`]) or probed with: the map looks
+/// either up by the hash alone.
+trait Probe<K> {
+    fn key_hash(&self) -> KeyHash;
+    fn key(&self) -> &K;
+}
+
+impl<K> Probe<K> for Keyed<K> {
+    fn key_hash(&self) -> KeyHash {
+        self.hash
+    }
+
+    fn key(&self) -> &K {
+        &self.key
+    }
+}
+
+impl<K> Probe<K> for (KeyHash, &K) {
+    fn key_hash(&self) -> KeyHash {
+        self.0
+    }
+
+    fn key(&self) -> &K {
+        self.1
+    }
+}
+
+impl<K> Hash for dyn Probe<K> + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key_hash().0);
+    }
+}
+
+impl<K: Eq> PartialEq for dyn Probe<K> + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_hash() == other.key_hash() && self.key() == other.key()
+    }
+}
+
+impl<K: Eq> Eq for dyn Probe<K> + '_ {}
+
+impl<'a, K: 'a> Borrow<dyn Probe<K> + 'a> for Keyed<K> {
+    fn borrow(&self) -> &(dyn Probe<K> + 'a) {
+        self
+    }
+}
+
+impl<K> Hash for Keyed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash.0);
+    }
+}
+
+impl<K: Eq> PartialEq for Keyed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Keyed<K> {}
+
+/// The entries, behind a hasher that passes each key's hash through.
+#[derive(Debug)]
+struct Map<K>(HashMap<Keyed<K>, Entry, BuildHasherDefault<PassThrough>>);
+
+impl<K: Eq> Map<K> {
+    fn get_mut(&mut self, hash: KeyHash, key: &K) -> Option<&mut Entry> {
+        self.0.get_mut(&(hash, key) as &dyn Probe<K>)
+    }
+
+    #[cfg(test)]
+    fn keys(&self) -> impl Iterator<Item = &Arc<K>> {
+        self.0.keys().map(|k| &k.key)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The second-chance ring: the map's keys, oldest first.
+#[derive(Debug)]
+struct Ring<K>(VecDeque<Keyed<K>>);
+
+impl<K> Ring<K> {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = &Arc<K>> {
+        self.0.iter().map(|k| &k.key)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Passes a [`KeyHash`] through: the one `write_u64` a stored or probed
+/// key makes.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    /// What `write_u64` would keep: a key writes nothing else.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut word = [0; 8];
+        let n = bytes.len().min(8);
+        word[..n].copy_from_slice(&bytes[..n]);
+        self.0 = u64::from_ne_bytes(word);
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Hashes cache keys. A derived `Query` hash makes one `write` per field,
@@ -67,18 +197,25 @@ impl BuildHasher for KeyHasher {
     }
 }
 
+/// A key's hash in one [`QueryCache`] ([`QueryCache::hash`]), which only
+/// that cache's `*_hashed` calls take: each cache seeds its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHash(u64);
+
 /// Bounded second-chance estimate cache, keyed by the query by default.
 /// See the module docs for the keying and ownership contract.
 #[derive(Debug)]
 pub struct QueryCache<K = Query> {
+    hasher: KeyHasher,
     table: Mutex<Table<K>>,
 }
 
 impl<K: Hash + Eq> Default for QueryCache<K> {
     fn default() -> Self {
-        let hasher = KeyHasher(RandomState::new().hash_one(0));
-        let (map, ring) = (HashMap::with_hasher(hasher), VecDeque::new());
+        let map = Map(HashMap::default());
+        let ring = Ring(VecDeque::new());
         Self {
+            hasher: KeyHasher(RandomState::new().hash_one(0)),
             table: Mutex::new(Table { map, ring }),
         }
     }
@@ -102,10 +239,21 @@ impl<K: Hash + Eq> QueryCache<K> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// `key`'s hash in this cache, for [`QueryCache::get_hashed`] and
+    /// [`QueryCache::insert_hashed`].
+    pub fn hash(&self, key: &K) -> KeyHash {
+        KeyHash(self.hasher.hash_one(key))
+    }
+
     /// The cached estimate of `key`, marking it referenced.
     pub fn get(&self, key: &K) -> Option<f64> {
+        self.get_hashed(key, self.hash(key))
+    }
+
+    /// [`QueryCache::get`] of a key this cache hashed to `hash`.
+    pub fn get_hashed(&self, key: &K, hash: KeyHash) -> Option<f64> {
         let mut table = self.lock();
-        let entry = table.map.get_mut(key)?;
+        let entry = table.map.get_mut(hash, key)?;
         entry.referenced = true;
         Some(entry.value)
     }
@@ -114,35 +262,46 @@ impl<K: Hash + Eq> QueryCache<K> {
     /// cache holds `capacity` entries (at least 1), and returns how many it
     /// evicted. Re-inserting a key refreshes its value in place.
     pub fn insert(&self, key: K, value: f64, capacity: usize) -> u64 {
+        let hash = self.hash(&key);
+        self.insert_hashed(key, hash, value, capacity)
+    }
+
+    /// [`QueryCache::insert`] of a key this cache hashed to `hash`: the
+    /// one hash a miss computes, when it probed.
+    pub fn insert_hashed(&self, key: K, hash: KeyHash, value: f64, capacity: usize) -> u64 {
         let mut table = self.lock();
-        if let Some(entry) = table.map.get_mut(&key) {
+        if let Some(entry) = table.map.get_mut(hash, &key) {
             entry.value = value;
             entry.referenced = true;
             return 0;
         }
         let mut evicted = 0;
         while table.map.len() >= capacity.max(1) {
-            let Some(victim) = table.ring.pop_front() else {
+            let Some(victim) = table.ring.0.pop_front() else {
                 break;
             };
-            match table.map.get_mut(&victim) {
+            match table.map.get_mut(victim.hash, &victim.key) {
                 Some(entry) if entry.referenced => {
                     // Second chance: clear the bit, send it one more lap.
                     entry.referenced = false;
-                    table.ring.push_back(victim);
+                    table.ring.0.push_back(victim);
                 }
                 // Only eviction removes an entry, and it pops the key off
                 // the ring first, so a ring key always has its entry.
                 _ => {
-                    table.map.remove(&victim);
+                    table.map.0.remove(&victim);
                     evicted += 1;
                 }
             }
         }
         let key = Arc::new(key);
-        table.ring.push_back(Arc::clone(&key));
         let referenced = false;
-        table.map.insert(key, Entry { value, referenced });
+        let stored = Keyed {
+            hash,
+            key: Arc::clone(&key),
+        };
+        table.ring.0.push_back(Keyed { hash, key });
+        table.map.0.insert(stored, Entry { value, referenced });
         evicted
     }
 

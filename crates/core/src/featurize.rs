@@ -31,7 +31,7 @@ use ds_nn::ops::Segments;
 use ds_nn::sparse::Rows;
 use ds_nn::tensor::Tensor;
 use ds_query::query::Query;
-use ds_storage::bitmap::Bitmap;
+use ds_storage::bitmap::{Bitmap, Kernel};
 use ds_storage::catalog::{ColRef, Database};
 use ds_storage::exec::JoinEdge;
 use ds_storage::predicate::{ColPredicate, PredTest};
@@ -104,8 +104,8 @@ pub struct Featurizer {
     /// is evaluated alone against the first `pred_bitmap_bits` rows of its
     /// table's materialized sample.
     pred_bitmap_bits: usize,
-    join_index: HashMap<JoinEdge, usize>,
-    col_index: HashMap<ColRef, usize>,
+    join_index: JoinIds,
+    col_index: ColumnIds,
 }
 
 impl Featurizer {
@@ -176,8 +176,8 @@ impl Featurizer {
             schema == FeatureSchema::V2 || pred_bitmap_bits == 0,
             "schema v1 has no per-predicate bitmap"
         );
-        let join_index = joins.iter().enumerate().map(|(i, &j)| (j, i)).collect();
-        let col_index = columns.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let join_index = JoinIds::new(&joins);
+        let col_index = ColumnIds::new(columns.iter().copied().zip(0..));
         Self {
             num_tables,
             sample_size,
@@ -294,15 +294,18 @@ impl Featurizer {
         }
     }
 
-    /// Invokes `f` with each set bit of the per-predicate sample bitmap:
-    /// the predicate evaluated alone against the first
-    /// `pred_bitmap_bits` materialized rows of its table's sample.
+    /// Invokes `f` with each set bit of the per-predicate sample bitmap,
+    /// ascending: the predicate evaluated alone against the first
+    /// `pred_bitmap_bits` materialized rows of its table's sample, into
+    /// `scratch` on `kernel` ([`ColPredicate::and_into`]).
     fn for_each_pred_bitmap_bit(
         &self,
+        kernel: Kernel,
         samples: &[TableSample],
         table: usize,
         p: &ColPredicate,
-        mut f: impl FnMut(usize),
+        scratch: &mut Bitmap,
+        f: impl FnMut(usize),
     ) {
         if self.pred_bitmap_bits == 0 {
             return;
@@ -313,12 +316,10 @@ impl Featurizer {
         if p.col >= sample.rows().columns().len() {
             return;
         }
-        let col = sample.rows().column(p.col);
-        for row in 0..sample.len().min(self.pred_bitmap_bits) {
-            if p.eval_row(col, row) {
-                f(row);
-            }
-        }
+        let rows = sample.len().min(self.pred_bitmap_bits);
+        scratch.reset(rows, rows);
+        p.and_into(kernel, sample.rows().column(p.col), scratch);
+        scratch.iter_ones().for_each(f);
     }
 
     /// Featurizes one query. `samples` must be the database-wide sample
@@ -345,7 +346,7 @@ impl Featurizer {
         let mut join_rows = Vec::with_capacity(query.joins.len());
         for j in &query.joins {
             let mut row = vec![0.0f32; self.join_dim()];
-            if let Some(&idx) = self.join_index.get(&j.canonical()) {
+            if let Some(idx) = self.join_index.get(j) {
                 row[idx] = 1.0;
             }
             join_rows.push(row);
@@ -357,9 +358,10 @@ impl Featurizer {
         let lit_slot = self.columns.len() + ops;
         let tail = lit_slot + 1 + aux_slots;
         let mut pred_rows = Vec::with_capacity(query.predicates.len());
+        let (kernel, mut scratch) = (Kernel::dispatched(), Bitmap::default());
         for (cr, p) in query.qualified_predicates() {
             let mut row = vec![0.0f32; self.pred_dim()];
-            let idx = self.col_index.get(&cr).copied();
+            let idx = self.col_index.get(cr);
             if let Some(i) = idx {
                 row[i] = 1.0;
             }
@@ -374,7 +376,7 @@ impl Featurizer {
             if aux_slots > 0 {
                 row[lit_slot + 1] = aux;
             }
-            self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
+            self.for_each_pred_bitmap_bit(kernel, samples, cr.table.0, p, &mut scratch, |bit| {
                 row[tail + bit] = 1.0;
             });
             pred_rows.push(row);
@@ -407,6 +409,21 @@ impl Featurizer {
         samples: &[TableSample],
         out: &mut ServedFeatures,
     ) -> [u32; 3] {
+        self.append_indices_on(Kernel::dispatched(), query, samples, out)
+    }
+
+    /// [`Featurizer::append_indices`] with every sample bitmap evaluated
+    /// on `kernel`. Naming a kernel is for benchmarks and tests.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions.
+    pub fn append_indices_on(
+        &self,
+        kernel: Kernel,
+        query: &Query,
+        samples: &[TableSample],
+        out: &mut ServedFeatures,
+    ) -> [u32; 3] {
         // Table set: one-hot(table) then the bitmap tail.
         let width = self.table_dim();
         for &t in &query.tables {
@@ -415,7 +432,7 @@ impl Featurizer {
                 row.set(t.0);
             }
             if self.use_bitmaps {
-                samples[t.0].qualify_into(query.preds_of(t), &mut out.qualifying);
+                samples[t.0].qualify_into_on(kernel, query.preds_of(t), &mut out.qualifying);
                 debug_assert_eq!(out.qualifying.len(), self.sample_size);
                 row.or_shifted(self.num_tables, out.qualifying.words());
             }
@@ -425,7 +442,7 @@ impl Featurizer {
         // outside the vocabulary.
         for j in &query.joins {
             let start = out.joins.begin_elem();
-            if let Some(&idx) = self.join_index.get(&j.canonical()) {
+            if let Some(idx) = self.join_index.get(j) {
                 out.joins.push(idx as u32, 1.0);
             }
             out.joins.finish_elem(start);
@@ -439,7 +456,7 @@ impl Featurizer {
         let tail = lit_slot + 1 + aux_slots;
         for (cr, p) in query.qualified_predicates() {
             let start = out.preds.begin_elem();
-            let idx = self.col_index.get(&cr).copied();
+            let idx = self.col_index.get(cr);
             if let Some(i) = idx {
                 out.preds.push(i as u32, 1.0);
             }
@@ -454,7 +471,8 @@ impl Featurizer {
             if aux_slots > 0 {
                 out.preds.push(lit_slot as u32 + 1, aux);
             }
-            self.for_each_pred_bitmap_bit(samples, cr.table.0, p, |bit| {
+            let scratch = &mut out.qualifying;
+            self.for_each_pred_bitmap_bit(kernel, samples, cr.table.0, p, scratch, |bit| {
                 out.preds.push((tail + bit) as u32, 1.0);
             });
             out.preds.finish_elem(start);
@@ -556,6 +574,68 @@ impl Featurizer {
     }
 }
 
+/// Ids of columns, dense: one row per table, indexed by column, `NONE`
+/// where a column has none. A column given two ids keeps the later one.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ColumnIds(Vec<Vec<u32>>);
+
+impl ColumnIds {
+    const NONE: u32 = u32::MAX;
+
+    fn new(ids: impl IntoIterator<Item = (ColRef, u32)>) -> Self {
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        for (c, id) in ids {
+            if rows.len() <= c.table.0 {
+                rows.resize_with(c.table.0 + 1, Vec::new);
+            }
+            let row = &mut rows[c.table.0];
+            if row.len() <= c.col {
+                row.resize(c.col + 1, Self::NONE);
+            }
+            row[c.col] = id;
+        }
+        Self(rows)
+    }
+
+    fn get(&self, c: ColRef) -> Option<usize> {
+        let id = *self.0.get(c.table.0)?.get(c.col)?;
+        (id != Self::NONE).then_some(id as usize)
+    }
+}
+
+/// Ids of canonical join edges: each left column's dense id picks the
+/// short list of `(right column, id)` its edges hold. An edge given two
+/// ids keeps the later one.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct JoinIds {
+    lefts: ColumnIds,
+    rights: Vec<Vec<(ColRef, u32)>>,
+}
+
+impl JoinIds {
+    fn new(joins: &[JoinEdge]) -> Self {
+        let mut lefts = HashMap::new();
+        let mut rights: Vec<Vec<(ColRef, u32)>> = Vec::new();
+        for (j, id) in joins.iter().zip(0..) {
+            let at = *lefts.entry(j.left).or_insert_with(|| {
+                rights.push(Vec::new());
+                rights.len() as u32 - 1
+            });
+            rights[at as usize].push((j.right, id));
+        }
+        let lefts = ColumnIds::new(lefts);
+        Self { lefts, rights }
+    }
+
+    /// The id of `j`'s canonical form.
+    fn get(&self, j: &JoinEdge) -> Option<usize> {
+        let j = j.canonical();
+        let rights = &self.rights[self.lefts.get(j.left)?];
+        let &(_, id) = rights.iter().rev().find(|(c, _)| *c == j.right)?;
+        Some(id as usize)
+    }
+}
+
 /// Queries featurized as [`Featurizer::append_indices`] writes them,
 /// [`ds_nn::frozen::FrozenModel::forward_batch`] reads them and a
 /// [`FeaturePool`] keeps them: every query's sets back to back, table
@@ -570,8 +650,8 @@ pub struct ServedFeatures {
     pub joins: IndexSet,
     /// Predicate-set elements: column, operator, and literal slots.
     pub preds: IndexSet,
-    /// Scratch of [`Featurizer::append_indices`]: the qualifying-sample
-    /// bitmap of the table it featurized last. Not a feature.
+    /// Scratch of [`Featurizer::append_indices`]: the sample bitmap it
+    /// evaluated last, a table's or a predicate's. Not a feature.
     qualifying: Bitmap,
 }
 

@@ -864,6 +864,19 @@ impl LifecycleManager {
         Some(Arc::clone(&states.get(sketch)?.mirror()?.model))
     }
 
+    /// The artifacts held beside the store's: each sketch's candidate in
+    /// Shadow and rollback target in Watching. Each owns an estimate cache
+    /// and a memo, resident while it is held, and a rollback serves the
+    /// target with its cache warm.
+    pub fn held_models(&self) -> Vec<Arc<DeepSketch>> {
+        if self.shadow_active.load(Ordering::Relaxed) == 0 {
+            return Vec::new();
+        }
+        let states = self.states();
+        let mirrors = states.values().filter_map(SketchState::mirror);
+        mirrors.map(|mirror| Arc::clone(&mirror.model)).collect()
+    }
+
     /// Whether `sketch`'s graded queries are mirrored (the serving path's
     /// cheap pre-check before cloning a query for the daemon).
     pub fn shadowing(&self, sketch: &str) -> bool {

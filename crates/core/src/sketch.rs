@@ -488,17 +488,6 @@ impl DeepSketch {
             columns.push(ColRef::new(TableId(t), c));
             bounds.push((d.f64()?, d.f64()?));
         }
-        let featurizer = Featurizer::from_parts(
-            num_tables,
-            sample_size,
-            use_bitmaps,
-            joins,
-            columns,
-            bounds,
-            schema,
-            pred_bitmap_bits,
-        );
-
         // Samples.
         let n_samples = d.count(40)?;
         let mut samples = Vec::with_capacity(n_samples);
@@ -555,6 +544,30 @@ impl DeepSketch {
             let table = Table::new(tname, cols);
             samples.push(TableSample::from_parts(table_id, row_ids, table, nominal));
         }
+        // The featurizer's index of a column is dense in the column's
+        // position, so a column no sample has is corrupt, not a table of
+        // that many slots.
+        let sampled = |c: ColRef| {
+            samples
+                .get(c.table.0)
+                .is_some_and(|s| c.col < s.rows().columns().len())
+        };
+        let ends = joins.iter().flat_map(|j| [j.left, j.right]);
+        if !columns.iter().copied().chain(ends).all(sampled) {
+            return Err(DecodeError::Corrupt(
+                "feature column outside the samples".into(),
+            ));
+        }
+        let featurizer = Featurizer::from_parts(
+            num_tables,
+            sample_size,
+            use_bitmaps,
+            joins,
+            columns,
+            bounds,
+            schema,
+            pred_bitmap_bits,
+        );
 
         // Model weights. Their input widths must be the featurizer's, or
         // the first estimate reads past a feature row.
@@ -702,6 +715,16 @@ mod tests {
         let tables = use_bitmaps - 16;
         assert_eq!(blob[tables..tables + 8], 6u64.to_le_bytes());
         assert!(corrupt(tables, 7), "one table more than the model reads");
+        // After the schema tag, the bitmap width and the join count: each
+        // join's four words, then the column count and each column's table
+        // and position. A column no sample has would size a dense index.
+        let joins = use_bitmaps + 32;
+        let columns = joins + 32 * sketch.featurizer().joins().len() + 8;
+        let n_columns = sketch.featurizer().columns().len() as u64;
+        assert_eq!(blob[columns - 8..columns], n_columns.to_le_bytes());
+        for at in [joins + 8, joins + 24, columns, columns + 8] {
+            assert!(corrupt(at, 1 << 40), "a feature column at word {at}");
+        }
         // The baseline flag is followed by the histogram's words, and the
         // artifact flag ends the blob.
         let baseline_words = sketch.baseline().expect("built with one").to_words().len();

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ds_core::cache::KeyHash;
 use ds_core::lifecycle::LifecycleManager;
 use ds_core::monitor::MonitorRegistry;
 use ds_core::sketch::DeepSketch;
@@ -641,6 +642,9 @@ struct Served<'a> {
     /// The sketch's breaker and its admission (`None`: refused before it).
     admitted: Option<(Arc<CircuitBreaker>, Admit)>,
     answer: Answer,
+    /// The query's hash in `model`'s cache, once the cache was probed: a
+    /// miss inserts under it.
+    probed: Option<KeyHash>,
     /// The parsed query, once it parsed.
     conn: &'a ConnectionState,
 }
@@ -791,7 +795,7 @@ fn fallback(shared: &Shared, query: &Query) -> Option<f64> {
 fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) -> Served<'a> {
     let _span = ds_obs::global().span("serve/estimate");
     let span = request.trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let (mut generation, mut admitted, mut model) = (0, None, None);
+    let (mut generation, mut admitted, mut model, mut probed) = (0, None, None, None);
     let answer = 'answer: {
         let (sketch, resolved) = match shared.store.get_with_generation(request.sketch) {
             Ok(found) => found,
@@ -836,7 +840,8 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
             // A hit's bits are what this artifact's pass produced when it
             // was inserted.
             if let Some(counters) = cache {
-                if let Some(v) = sketch.cache().get(query) {
+                let hash = *probed.insert(sketch.cache().hash(query));
+                if let Some(v) = sketch.cache().get_hashed(query, hash) {
                     counters.hits.inc();
                     let now = Instant::now();
                     let stamps = StageStamps {
@@ -870,6 +875,7 @@ fn decide<'a>(shared: &Shared, conn: &'a mut ConnectionState, request: Ask<'a>) 
         model,
         admitted,
         answer,
+        probed,
         conn,
     }
 }
@@ -941,14 +947,16 @@ fn settle(served: &Served, shared: &Shared) {
         }
     }
     // Into the artifact that answered, never one swapped in since.
-    if let (Answer::Model(..), Some(counters), Some(model), Some((_, Admit::Allow))) = (
+    if let (Answer::Model(..), Some(counters), Some(model), Some(hash)) = (
         &served.answer,
         &shared.metrics.cache,
         &served.model,
-        &served.admitted,
+        served.probed,
     ) {
         let query = served.conn.query.clone();
-        let evicted = model.cache().insert(query, v, shared.cache_capacity);
+        let evicted = model
+            .cache()
+            .insert_hashed(query, hash, v, shared.cache_capacity);
         counters.evictions.add(evicted);
     }
 }
@@ -1038,7 +1046,14 @@ fn stats_payload(shared: &Shared) -> Result<String, String> {
     shared.metrics.render(&mut p);
     let sketches = shared.store.list();
     if let Some(cache) = &shared.metrics.cache {
-        let len = sketches.iter().map(|(_, s)| s.cache().len()).sum();
+        // Each artifact owns its cache: the store's, and those a lifecycle
+        // holds (a candidate in Shadow, a rollback target in Watching).
+        let held = shared
+            .lifecycle
+            .iter()
+            .flat_map(|lc| lc.manager.held_models());
+        let served = sketches.iter().map(|(_, s)| s.cache().len());
+        let len = served.chain(held.map(|s| s.cache().len())).sum();
         cache.render(len, &mut p);
     }
     for (name, sketch) in &sketches {
@@ -1332,6 +1347,59 @@ mod tests {
         assert_eq!(mirrored, Some(34), "every FEEDBACK, and nothing else");
         let batches = shared.metrics.batches.get();
         assert_eq!(batches, passes.get(), "a shadow pass is no request's");
+    }
+
+    /// `serve/cache/len` counts every artifact's cache: while Watching the
+    /// rollback target's entries beside the candidate's, and once the
+    /// guard promotes the candidate and drops the target, the candidate's
+    /// alone.
+    #[test]
+    fn cache_len_counts_the_rollback_target_while_watching() {
+        let (db, model) = wide_fixture();
+        let store = Arc::new(SketchStore::new());
+        store.insert("imdb", model.clone()).expect("insert");
+        let cfg = ServeConfig::builder()
+            .cache_capacity(64)
+            .lifecycle(Some(LifecycleConfig::default()));
+        let (shared, rx) = Shared::new(db, store, cfg.build().expect("config")).expect("shared");
+        let (rx, lc) = (rx.expect("mirror queue"), shared.lifecycle.as_ref());
+        let manager = Arc::clone(&lc.expect("lifecycle").manager);
+        let len = || {
+            let stats = stats_payload(&shared).expect("stats");
+            let line = stats
+                .split("\\n")
+                .find_map(|l| l.strip_prefix("ds_serve_cache_len "));
+            line.expect("a cache length")
+                .parse::<f64>()
+                .expect("a number") as usize
+        };
+        let sql = |kind| format!("SELECT COUNT(*) FROM title WHERE title.kind_id = {kind}");
+        let mut conn = ConnectionState::default();
+        let mut serve = |kind, feedback| {
+            let sql = sql(kind);
+            let served = decide(&shared, &mut conn, ask("imdb", &sql, feedback));
+            settle(&served, &shared);
+            let score = |job: &ShadowJob| shadow_score(job, &manager, &shared);
+            rx.try_iter().for_each(|job| score(&job));
+        };
+        serve(1, None);
+        assert_eq!(len(), 1, "the live artifact's entry");
+        manager.install_candidate("imdb", model);
+        for _ in 0..32 {
+            serve(1, Some(100));
+        }
+        assert_eq!(len(), 1, "a shadow pass caches nothing");
+        let tick = || manager.tick(&shared.store, &shared.monitors, &shared.db, None);
+        assert!(matches!(tick()[..], [LifecycleEvent::Swapped { .. }]));
+        assert_eq!(len(), 1, "Watching: the rollback target's entry");
+        serve(2, None);
+        for _ in 0..32 {
+            serve(1, Some(100));
+        }
+        let candidate = shared.store.get_with_generation("imdb").expect("served").0;
+        assert_eq!((candidate.cache().len(), len()), (2, 3), "Watching");
+        assert!(matches!(tick()[..], [LifecycleEvent::Promoted { .. }]));
+        assert_eq!(len(), 2, "the target is dropped with its entries");
     }
 
     /// The global tracer's families meet the server's in `STATS`: a traced

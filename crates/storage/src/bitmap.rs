@@ -19,6 +19,48 @@ pub struct Bitmap {
     len: usize,
 }
 
+/// The instruction-set variants of a column test
+/// ([`crate::predicate::ColPredicate::and_into`]). Both compute the same
+/// bits; a bitmap is a set of rows, so only how many rows one instruction
+/// tests differs. Every test dispatches from the CPU alone
+/// ([`Kernel::dispatched`]); naming one is for benchmarks and tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// AVX-512F: one 8-lane `i64` compare per eight rows, its mask bits
+    /// gathered into the bitmap's words.
+    Avx512,
+    /// A comparison on a column without NULLs 64 outcomes to a word,
+    /// anything else a set row at a time: the oracle, and the fallback
+    /// without AVX-512.
+    Portable,
+}
+
+impl Kernel {
+    /// Every variant, widest first.
+    pub const ALL: [Kernel; 2] = [Kernel::Avx512, Kernel::Portable];
+
+    /// Whether this CPU can run the kernel.
+    pub fn is_available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Avx512 => false,
+            Kernel::Portable => true,
+        }
+    }
+
+    /// The kernel a column test runs on this CPU: AVX-512 whenever it is
+    /// there.
+    pub fn dispatched() -> Kernel {
+        if Kernel::Avx512.is_available() {
+            Kernel::Avx512
+        } else {
+            Kernel::Portable
+        }
+    }
+}
+
 impl Bitmap {
     /// Creates a bitmap of `len` bits, all clear.
     pub fn new(len: usize) -> Self {
@@ -73,7 +115,8 @@ impl Bitmap {
     /// `keep(values[i])` is false; bits from `values.len()` on are left
     /// alone. Column at a time and branch-free: every value is tested, set
     /// bit or not, and 64 outcomes become one word that is ANDed in, so an
-    /// unpredictable predicate costs no mispredicts.
+    /// unpredictable predicate costs no mispredicts. The portable oracle
+    /// of [`Kernel::Avx512`]'s lane compares, and the fallback without it.
     ///
     /// # Panics
     /// Panics if `values` is longer than the bitmap.
@@ -100,6 +143,23 @@ impl Bitmap {
         if let (false, Some(word)) = (tail.is_empty(), words.next()) {
             *word &= word_of(tail) | u64::MAX << tail.len();
         }
+    }
+
+    /// Clears every bit that is set in `mask`, one AND-NOT per word; bits
+    /// past `mask`'s length are left alone, and so are `mask`'s words past
+    /// this bitmap's.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn and_not(&mut self, mask: &Bitmap) {
+        for (word, &m) in self.words.iter_mut().zip(&mask.words) {
+            *word &= !m;
+        }
+    }
+
+    /// The words, for the AVX-512 compares to AND into: an AND sets no
+    /// bit, so the bits past the length stay clear.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Number of bits in the bitmap.
@@ -193,6 +253,43 @@ impl FromIterator<bool> for Bitmap {
             }
         }
         bm
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod x86 {
+    use std::arch::x86_64::*;
+
+    /// ANDs into `words[i / 64]` bit `i % 64` of `test` over `values[i]`,
+    /// for every `i < values.len()`, eight values to one `test`: each call
+    /// gets eight values (a short last group zero-filled) and returns the
+    /// lanes that pass. Bits of words past the values, and past them in
+    /// the last word, are left alone, whatever `test` says of a filler.
+    /// `words` holds a word for each 64 values, as the bitmap the values
+    /// are rows of does.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) fn and_lanes(words: &mut [u64], values: &[i64], test: impl Fn(__m512i) -> __mmask8) {
+        debug_assert!(words.len() >= values.len().div_ceil(64));
+        for (word, chunk) in words.iter_mut().zip(values.chunks(64)) {
+            let (groups, tail) = chunk.as_chunks::<8>();
+            let mut passed = 0u64;
+            for (g, group) in groups.iter().enumerate() {
+                // SAFETY: `group` is eight `i64`s, one unaligned load.
+                let v = unsafe { _mm512_loadu_epi64(group.as_ptr()) };
+                passed |= u64::from(test(v)) << (8 * g);
+            }
+            if !tail.is_empty() {
+                let lanes = (0xff >> (8 - tail.len())) as __mmask8;
+                // SAFETY: the mask loads only the `tail.len()` values the
+                // slice holds; masked-off lanes read nothing and are 0.
+                let v = unsafe { _mm512_maskz_loadu_epi64(lanes, tail.as_ptr()) };
+                passed |= u64::from(test(v)) << (8 * groups.len());
+            }
+            // Bits past the values keep theirs: a short chunk is the last,
+            // and its fillers' outcomes are overwritten with ones.
+            *word &= passed | u64::MAX.checked_shl(chunk.len() as u32).unwrap_or(0);
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 //! 1999, …. This keeps the storage layer string-free while still
 //! exercising the pattern-predicate featurization path end to end.
 
+use crate::bitmap::{Bitmap, Kernel};
 use crate::column::Column;
 
 /// Comparison operator of a base-table predicate. The paper enumerates
@@ -331,12 +332,75 @@ impl ColPredicate {
             None => false,
         }
     }
+
+    /// Clears bit `row` of `bm` for every row below `bm.len()` of `column`
+    /// this predicate rejects ([`ColPredicate::eval_row`]); bits past the
+    /// column's rows are left alone. On AVX-512 a comparison or an `IN`
+    /// list tests every row, set bit or not, eight rows to an instruction
+    /// (an `IN` list ORs one equality per value), and a column with NULLs
+    /// then clears its null mask, one AND-NOT per word. The portable path,
+    /// the oracle and the fallback without AVX-512, tests a comparison on
+    /// a column without NULLs 64 rows to a word (`Bitmap::and_where`) and
+    /// everything else a set row at a time, as both paths test `LIKE`.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions.
+    pub fn and_into(&self, kernel: Kernel, column: &Column, bm: &mut Bitmap) {
+        assert!(kernel.is_available(), "this CPU cannot run {kernel:?}");
+        let values = &column.data()[..column.len().min(bm.len())];
+        match (&self.test, kernel, column.null_mask()) {
+            #[cfg(target_arch = "x86_64")]
+            (PredTest::Cmp(..) | PredTest::In(_), Kernel::Avx512, nulls) => {
+                // SAFETY: AVX-512F support was just verified at runtime.
+                unsafe { x86::and_test(bm.words_mut(), values, &self.test) };
+                if let Some(nulls) = nulls {
+                    bm.and_not(nulls);
+                }
+            }
+            (&PredTest::Cmp(op, lit), _, None) => match op {
+                CmpOp::Eq => bm.and_where(values, |v| v == lit),
+                CmpOp::Lt => bm.and_where(values, |v| v < lit),
+                CmpOp::Gt => bm.and_where(values, |v| v > lit),
+            },
+            _ => bm.retain(|row| row >= values.len() || self.eval_row(column, row)),
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use super::{CmpOp, PredTest};
+    use crate::bitmap::x86::and_lanes;
+
+    /// [`PredTest::eval`] over `values` into `words`, a comparison as one
+    /// 8-lane signed compare per eight values and an `IN` list as one
+    /// equality per list value, ORed. `LIKE` has no lane form.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn and_test(words: &mut [u64], values: &[i64], test: &PredTest) {
+        match *test {
+            PredTest::Cmp(op, lit) => {
+                let lit = _mm512_set1_epi64(lit);
+                match op {
+                    CmpOp::Eq => and_lanes(words, values, |v| _mm512_cmpeq_epi64_mask(v, lit)),
+                    CmpOp::Lt => and_lanes(words, values, |v| _mm512_cmplt_epi64_mask(v, lit)),
+                    CmpOp::Gt => and_lanes(words, values, |v| _mm512_cmpgt_epi64_mask(v, lit)),
+                }
+            }
+            PredTest::In(ref list) => and_lanes(words, values, |v| {
+                list.iter().fold(0, |passed, &x| {
+                    passed | _mm512_cmpeq_epi64_mask(v, _mm512_set1_epi64(x))
+                })
+            }),
+            PredTest::Like(_) => unreachable!("LIKE is tested a row at a time"),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::Bitmap;
 
     #[test]
     fn op_eval_truth_table() {

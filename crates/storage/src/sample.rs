@@ -8,9 +8,9 @@
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Bitmap, Kernel};
 use crate::catalog::{Database, TableId};
-use crate::predicate::{CmpOp, ColPredicate, PredTest};
+use crate::predicate::ColPredicate;
 use crate::table::Table;
 
 /// A materialized uniform sample of one base table.
@@ -103,27 +103,33 @@ impl TableSample {
     /// Evaluates a conjunction of predicates against the sample into `bm`,
     /// which becomes a bitmap of `nominal_size` bits (bits past the
     /// materialized rows stay clear) and keeps its allocation: a predicate
-    /// at a time, each clearing the rows it rejects. A comparison on a
-    /// column without NULLs tests the whole column, 64 rows to a word
-    /// (`Bitmap::and_where`); `IN`, `LIKE` and columns with NULLs test
-    /// only the rows still set.
+    /// at a time, each clearing the rows it rejects
+    /// ([`ColPredicate::and_into`] on the CPU's [`Kernel`]). On AVX-512 a
+    /// comparison or an `IN` list tests the whole column, eight rows to a
+    /// compare, and a column with NULLs then clears its null mask a word
+    /// at a time; only `LIKE` tests the rows still set, one at a time.
     pub fn qualify_into<'a>(
         &self,
         preds: impl IntoIterator<Item = &'a ColPredicate>,
         bm: &mut Bitmap,
     ) {
-        let rows = self.rows.num_rows();
-        bm.reset(self.nominal_size, rows);
+        self.qualify_into_on(Kernel::dispatched(), preds, bm);
+    }
+
+    /// [`TableSample::qualify_into`] on `kernel`. Naming a kernel is for
+    /// benchmarks and tests.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks the kernel's instructions.
+    pub fn qualify_into_on<'a>(
+        &self,
+        kernel: Kernel,
+        preds: impl IntoIterator<Item = &'a ColPredicate>,
+        bm: &mut Bitmap,
+    ) {
+        bm.reset(self.nominal_size, self.rows.num_rows());
         for p in preds {
-            let col = self.rows.column(p.col);
-            match (&p.test, col.null_mask()) {
-                (&PredTest::Cmp(op, lit), None) => match op {
-                    CmpOp::Eq => bm.and_where(col.data(), |v| v == lit),
-                    CmpOp::Lt => bm.and_where(col.data(), |v| v < lit),
-                    CmpOp::Gt => bm.and_where(col.data(), |v| v > lit),
-                },
-                _ => bm.retain(|row| p.eval_row(col, row)),
-            }
+            p.and_into(kernel, self.rows.column(p.col), bm);
         }
     }
 
@@ -173,6 +179,7 @@ pub fn sample_all(db: &Database, size: usize, seed: u64) -> Vec<TableSample> {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::predicate::CmpOp;
     use proptest::prelude::*;
 
     fn db() -> Database {
@@ -230,40 +237,58 @@ mod tests {
         assert_eq!(s.selectivity(&preds), Some(0.0));
     }
 
+    /// Value `code` of a sample cell or a literal: −2..12, so each
+    /// predicate keeps some rows and drops others, or an end of `i64`.
+    fn value(code: u32) -> i64 {
+        match code % 16 {
+            14 => i64::MIN,
+            15 => i64::MAX,
+            c => c as i64 - 2,
+        }
+    }
+
     /// Predicate `code` on column 0 (no NULLs) or 1 (a third NULL): a
-    /// comparison, an `IN` list or a `LIKE` pattern, over the columns'
-    /// values −2..12, so each one keeps some rows and drops others.
+    /// comparison, an `IN` list or a `LIKE` pattern, over [`value`]s.
     fn predicate(code: u32) -> ColPredicate {
         let col = (code % 2) as usize;
-        let lit = (code / 18 % 14) as i64 - 2;
+        let lit = value(code / 18);
         match code / 2 % 3 {
             0 => ColPredicate::new(col, CmpOp::ALL[(code / 6 % 3) as usize], lit),
-            1 => ColPredicate::is_in(col, vec![lit, lit + 3, 11 - lit]),
+            1 => ColPredicate::is_in(col, vec![lit, value(code / 18 + 3), value(code / 288)]),
             _ => ColPredicate::like(col, ["1%", "%3", "_", "-%"][(code / 6 % 4) as usize]),
         }
     }
 
     proptest! {
-        /// Word-at-a-time comparisons and the row-at-a-time fallback
-        /// together equal the conjunction of `eval_row` over every row, on
-        /// row counts on both sides of a word and a nominal size beyond
-        /// the rows.
+        /// On every kernel this CPU has, and dispatched, a conjunction
+        /// equals `eval_row`'s over every row, so the AVX-512 compares and
+        /// the portable oracle equal each other: row counts on both sides
+        /// of a vector and a word, a nominal size beyond the rows, NULLs,
+        /// and cells and literals at both ends of `i64`. One predicate
+        /// alone over a prefix of the rows, as schema v2's per-predicate
+        /// bitmap reads it, equals `eval_row` there too.
         #[test]
         fn qualify_into_is_the_conjunction_of_eval_row(
-            cells in prop::collection::vec(0..14 * 14 * 3u32, 0..200),
+            cells in prop::collection::vec(0..16 * 16 * 3u32, 0..300),
             padding in 0..100usize,
             codes in prop::collection::vec(0..1_000_000u32, 0..5),
+            prefix in 0..320usize,
         ) {
+            static PRINTED: std::sync::Once = std::sync::Once::new();
+            let ran: Vec<Kernel> = Kernel::ALL
+                .into_iter()
+                .filter(|k| k.is_available())
+                .collect();
+            PRINTED.call_once(|| println!("qualify_into kernels run: {ran:?}"));
             let rows = cells.len();
-            let value = |c: u32| (c % 14) as i64 - 2;
             let table = Table::new(
                 "t",
                 vec![
                     Column::new("a", cells.iter().map(|&c| value(c)).collect()),
                     Column::with_nulls(
                         "b",
-                        cells.iter().map(|&c| value(c / 14)).collect(),
-                        cells.iter().map(|&c| c / 196 == 0).collect(),
+                        cells.iter().map(|&c| value(c / 16)).collect(),
+                        cells.iter().map(|&c| c / 256 == 0).collect(),
                     ),
                 ],
             );
@@ -272,11 +297,36 @@ mod tests {
                 .filter(|&row| preds.iter().all(|p| p.eval_row(table.column(p.col), row)))
                 .collect();
             let sample = TableSample::from_parts(TableId(0), (0..rows as u32).collect(), table, rows + padding);
-            let mut bm = Bitmap::all_set(7); // stale contents are replaced
-            sample.qualify_into(&preds, &mut bm);
-            prop_assert_eq!(bm.len(), rows + padding);
-            prop_assert_eq!(bm.iter_ones().collect::<Vec<_>>(), want);
-            prop_assert_eq!(&bm, &Bitmap::from_words(bm.words().to_vec(), rows + padding));
+            let kernels = ran.iter().map(|&k| Some(k)).chain([None]);
+            for kernel in kernels.clone() {
+                let mut bm = Bitmap::all_set(7); // stale contents are replaced
+                match kernel {
+                    Some(kernel) => sample.qualify_into_on(kernel, &preds, &mut bm),
+                    None => sample.qualify_into(&preds, &mut bm),
+                }
+                prop_assert_eq!(bm.len(), rows + padding);
+                prop_assert_eq!(&bm.iter_ones().collect::<Vec<_>>(), &want, "{:?}", kernel);
+                prop_assert_eq!(&bm, &Bitmap::from_words(bm.words().to_vec(), rows + padding));
+            }
+            for p in &preds {
+                let col = sample.rows().column(p.col);
+                let want: Vec<usize> = (0..rows.min(prefix)).filter(|&row| p.eval_row(col, row)).collect();
+                // Over every row, and bits past the rows left as they
+                // were: set, here.
+                let every: Vec<usize> = (0..rows)
+                    .filter(|&row| p.eval_row(col, row))
+                    .chain(rows..rows + padding)
+                    .collect();
+                for kernel in &ran {
+                    let mut bm = Bitmap::default();
+                    bm.reset(prefix, rows.min(prefix));
+                    p.and_into(*kernel, col, &mut bm);
+                    prop_assert_eq!(&bm.iter_ones().collect::<Vec<_>>(), &want, "{:?} {:?}", kernel, p);
+                    let mut bm = Bitmap::all_set(rows + padding);
+                    p.and_into(*kernel, col, &mut bm);
+                    prop_assert_eq!(&bm.iter_ones().collect::<Vec<_>>(), &every, "{:?} {:?}", kernel, p);
+                }
+            }
         }
     }
 
